@@ -3,11 +3,10 @@
 ``C = A A`` with A the 5-point Laplacian — the canonical computed-output
 product (tridiagonal-block squared is pentadiagonal-block).  Timed tiers:
 
-- ``native``: the compiled two-pass Gustavson kernel
-  (:mod:`repro.blas.spgemm_native`; silently absent without a toolchain);
+- ``native``: the compiled two-pass Gustavson kernel, the CSR×CSR default
+  (:mod:`repro.blas.spgemm_native`; without a toolchain this row times
+  the observable fallback onto the vectorized tier);
 - ``vectorized``: the scipy-free NumPy expand-sort-reduce CSR×CSR path;
-- ``specialized-dense`` / ``specialized-hash``: the two-pass row-wise
-  kernel with dense-marker and hash accumulators;
 - ``generic``: the any-format-pair enumeration through ``iter_nonzeros``.
 
 All tiers are byte-identical by contract (the differential wall pins it);
@@ -41,7 +40,7 @@ for p in (_ROOT, os.path.join(_ROOT, "src")):
 import numpy as np  # noqa: E402
 
 from benchmarks._cli import base_parser, best_of, check_json, record  # noqa: E402
-from repro.blas import dense_ref, specialized  # noqa: E402
+from repro.blas import dense_ref  # noqa: E402
 from repro.blas.api import spgemm  # noqa: E402
 from repro.formats import as_format  # noqa: E402
 from repro.formats.generate import laplacian_2d  # noqa: E402
@@ -58,10 +57,6 @@ def run(n, repeats):
     tiers = {
         "native": lambda: spgemm(A, A, tier="native"),
         "vectorized": lambda: spgemm(A, A, tier="vectorized"),
-        "specialized-dense":
-            lambda: specialized.spgemm_csr_csr(A, A, accumulator="dense"),
-        "specialized-hash":
-            lambda: specialized.spgemm_csr_csr(A, A, accumulator="hash"),
         "generic": lambda: spgemm(A, A, tier="generic"),
     }
     times = {}

@@ -151,15 +151,14 @@ def run_spgemm(n, trials):
     """Native Gustavson SpGEMM vs the vectorized NumPy tier on a 2-D
     Laplacian, byte-identity enforced on the canonical triples."""
     from repro.blas import api as blas_api
-    from repro.blas import spgemm_native
+    from repro.core.backend import find_compiler
 
     side = max(2, int(round(math.sqrt(n))))
     A = as_format(laplacian_2d(side), "csr")
-    try:
-        native = spgemm_native.spgemm_csr_csr_native(A, A)
-    except Exception as e:
-        print(f"  spgemm: native tier unavailable ({e}) — skipped")
+    if find_compiler() is None:
+        print("  spgemm: native tier unavailable (no toolchain) — skipped")
         return None
+    native = blas_api.spgemm_triples(A, A, tier="native")
     vec = blas_api.spgemm_triples(A, A, tier="vectorized")
     for got, want, what in zip(native[:3], vec[:3],
                                ("rows", "cols", "vals")):
@@ -167,7 +166,7 @@ def run_spgemm(n, trials):
             raise AssertionError(f"spgemm {what} not byte-identical")
 
     t_nat, t_vec = interleaved_medians(
-        lambda: spgemm_native.spgemm_csr_csr_native(A, A),
+        lambda: blas_api.spgemm_triples(A, A, tier="native"),
         lambda: blas_api.spgemm_triples(A, A, tier="vectorized"), trials)
     ratio = t_vec / t_nat if t_nat > 0 else float("inf")
     label = f"spgemm/laplacian2d-{side}"

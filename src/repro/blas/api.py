@@ -1,8 +1,9 @@
 """Uniform BLAS dispatch: specialized kernel when one exists for the
-format, generic fallback otherwise.  This is the layer the iterative
-solvers (:mod:`repro.solvers`) call — the PETSc-style arrangement the paper
-describes in Section 1 (format-independent iterative methods linked against
-format-specific BLAS).
+format, generic fallback otherwise (SpGEMM has its own tiers, below).
+This is the layer the iterative solvers (:mod:`repro.solvers`) call — the
+PETSc-style arrangement the paper describes in Section 1
+(format-independent iterative methods linked against format-specific
+BLAS).
 
 **Kernel handles** — the module also keeps a kernel-handle cache so code
 written against this plain functional API transparently rides the solver
@@ -18,6 +19,7 @@ dispatches served this way.
 
 from __future__ import annotations
 
+import subprocess
 from typing import Callable, Optional
 
 import numpy as np
@@ -204,20 +206,22 @@ def ts_upper_solve(U: SparseFormat, b: np.ndarray, in_place: bool = False) -> np
 # SpGEMM: C = A B with both operands sparse.  Unlike every operation above,
 # the output's sparsity pattern is *computed*, not declared — the paper's
 # framework covers kernels whose output structure is given up front, so the
-# sparse×sparse product runs through a dedicated three-tier dispatch here:
+# sparse×sparse product has its own dispatch: one fast tier, one portable
+# tier, one oracle.
 #
-# 1. vectorized NumPy expand-sort-reduce for the CSR×CSR hot case (scipy-
-#    free, O(flops) work in array ops);
-# 2. the specialized two-pass row-wise kernel table (symbolic pass computes
-#    the output row pointer, numeric pass fills colind/values through a
-#    dense or hash accumulator);
-# 3. generic enumeration over any format pair via ``iter_nonzeros`` + COO
-#    dedup into the ``_from_canonical_coo`` construction core;
-# 4. a native-C Gustavson two-pass kernel for CSR×CSR
-#    (:mod:`repro.blas.spgemm_native`) — requested with ``tier="native"``
-#    and falling back to the vectorized tier observably
-#    (``spgemm.tier.native_fallbacks`` + NativeBackendWarning) when no
-#    toolchain is available.
+# - ``native`` (the CSR×CSR default): the compiled two-pass Gustavson
+#   kernel of :mod:`repro.blas.spgemm_native`.  It assembles the result
+#   row by row straight into CSR arrays, which :func:`spgemm` wraps without
+#   a COO round trip — 1.0–1.1× the speed of ``scipy.sparse``'s ``S @ S`` on
+#   the n = 90k Laplacian and 0.8–0.9× on the n = 50k power-law matrix of
+#   ``benchmarks/e2e``, with sorted indices (scipy's are not).
+# - ``vectorized``: NumPy expand-sort-reduce over the materialized
+#   products, CSR×CSR, no toolchain needed (0.04× and 0.14× scipy's speed
+#   on the same two operands).  The native tier falls back onto it
+#   observably (``spgemm.tier.native_fallbacks`` + NativeBackendWarning)
+#   when the kernel cannot be built.
+# - ``generic``: enumeration over any format pair via ``iter_nonzeros`` +
+#   COO dedup — the default for every non-CSR pair and the tests' oracle.
 #
 # All tiers produce identical canonical output (sorted rows, sorted
 # columns within rows, duplicates summed, cancelled zeros kept) — byte-
@@ -235,10 +239,16 @@ def _check_spgemm_operands(A, B) -> None:
             f"{A.nrows}x{A.ncols}, B is {B.nrows}x{B.ncols}")
 
 
+def _expand_rows(rowptr: np.ndarray) -> np.ndarray:
+    """The COO row index of every stored entry of a CSR row pointer."""
+    return np.repeat(np.arange(rowptr.size - 1, dtype=np.int64),
+                     np.diff(rowptr))
+
+
 def _spgemm_csr_csr_vectorized(A: CsrMatrix, B: CsrMatrix):
-    """Vectorized expand-sort-reduce SpGEMM for CSR×CSR: canonical COO
-    triples of ``C = A B`` plus the intermediate-product count, all in
-    NumPy array ops (no scipy).
+    """Vectorized expand-sort-reduce SpGEMM for CSR×CSR (the portable
+    tier): canonical COO triples of ``C = A B`` plus the intermediate-
+    product count, all in NumPy array ops (no scipy, no toolchain).
 
     Symbolic phase: every stored entry of A expands into the stored
     entries of the B row its column selects — segment arithmetic
@@ -246,9 +256,9 @@ def _spgemm_csr_csr_vectorized(A: CsrMatrix, B: CsrMatrix):
     ``np.unique`` over row-major output keys is exactly the computed
     output pattern.  Numeric phase: one ``np.add.at`` scatter-add of the
     products onto the unique pattern slots."""
-    m, n = A.nrows, B.ncols
+    n = B.ncols
     with INSTR.phase("spgemm.symbolic"):
-        a_rows = np.repeat(np.arange(m, dtype=np.int64), np.diff(A.rowptr))
+        a_rows = _expand_rows(A.rowptr)
         counts = (B.rowptr[A.colind + 1] - B.rowptr[A.colind])
         total = int(counts.sum())
         if total == 0:
@@ -272,73 +282,65 @@ def _spgemm_csr_csr_vectorized(A: CsrMatrix, B: CsrMatrix):
     return rows, cols, vals, total
 
 
-def spgemm_triples(A: SparseFormat, B: SparseFormat,
-                   tier: Optional[str] = None):
-    """The computed product structure of ``C = A B`` as canonical COO
-    triples ``(rows, cols, vals, nmults)`` — the tier-dispatching core of
-    :func:`spgemm`, exposed so callers that want a different packing (or
-    just the pattern) skip the format construction.
-
-    ``tier`` forces a specific implementation (``"native"`` /
-    ``"vectorized"`` / ``"specialized"`` / ``"generic"``; the
-    differential suite and the benchmark compare them); None picks the
-    fastest applicable.  The native tier needs CSR operands and a C
-    toolchain — with operands of another format it raises like the
-    vectorized tier, but a missing/failing toolchain falls back to the
-    vectorized tier *observably* (``spgemm.tier.native_fallbacks`` and a
-    :class:`~repro.core.backend.NativeBackendWarning`), mirroring the
-    compiled-kernel fallback contract."""
+def _spgemm_product(A: SparseFormat, B: SparseFormat, tier: Optional[str]):
+    """Tier dispatch behind :func:`spgemm` / :func:`spgemm_triples`:
+    ``(rowptr, rows, cols, vals, nmults)`` in canonical order, where the
+    native tier fills ``rowptr`` (``rows`` is None) and the others fill
+    ``rows`` (``rowptr`` is None) — whoever needs the other form derives
+    it, so a CSR result never pays for COO rows."""
     _check_spgemm_operands(A, B)
     both_csr = type(A) is CsrMatrix and type(B) is CsrMatrix
     if tier is None:
-        tier = "vectorized" if both_csr else (
-            "specialized" if (A.format_name, B.format_name)
-            in specialized.SPGEMM else "generic")
-    if tier == "native":
+        tier = "native" if both_csr else "generic"
+    if tier in ("native", "vectorized"):
         if not both_csr:
             raise ValueError(
-                f"spgemm: the native tier needs CSR operands, got "
+                f"spgemm: the {tier} tier needs CSR operands, got "
                 f"{A.format_name}x{B.format_name}")
-        from repro.blas import spgemm_native
+        if tier == "native":
+            from repro.blas import spgemm_native
 
-        try:
-            out = spgemm_native.spgemm_csr_csr_native(A, B)
-            INSTR.count("spgemm.tier.native")
-            return out
-        except Exception as e:
-            from repro.core.backend import native_fallback
+            try:
+                fn = spgemm_native.bind()
+            except (RuntimeError, OSError, subprocess.SubprocessError) as e:
+                from repro.core.backend import native_fallback
 
-            INSTR.count("spgemm.tier.native_fallbacks")
-            native_fallback("toolchain", f"spgemm native tier: {e}")
-            INSTR.count("spgemm.tier.vectorized")
-            return _spgemm_csr_csr_vectorized(A, B)
-    if tier == "vectorized":
-        if not both_csr:
-            raise ValueError(
-                f"spgemm: the vectorized tier needs CSR operands, got "
-                f"{A.format_name}x{B.format_name}")
+                INSTR.count("spgemm.tier.native_fallbacks")
+                native_fallback("toolchain", f"spgemm native tier: {e}")
+            else:
+                INSTR.count("spgemm.tier.native")
+                rowptr, cols, vals, nmults = \
+                    spgemm_native.spgemm_csr_csr_native(fn, A, B)
+                return rowptr, None, cols, vals, nmults
         INSTR.count("spgemm.tier.vectorized")
-        return _spgemm_csr_csr_vectorized(A, B)
-    if tier == "specialized":
-        fn = specialized.SPGEMM.get((A.format_name, B.format_name))
-        if fn is None:
-            raise ValueError(
-                f"spgemm: no specialized kernel for the "
-                f"{A.format_name}x{B.format_name} pair")
-        INSTR.count("spgemm.tier.specialized")
-        with INSTR.phase("spgemm.twopass"):
-            C = fn(A, B)
-        rows = np.repeat(np.arange(C.nrows, dtype=np.int64),
-                         np.diff(C.rowptr))
-        nmults = int((B.rowptr[A.colind + 1] - B.rowptr[A.colind]).sum()) \
-            if type(A) is CsrMatrix and type(B) is CsrMatrix else -1
-        return rows, C.colind.copy(), C.values.copy(), nmults
+        return (None,) + _spgemm_csr_csr_vectorized(A, B)
     if tier == "generic":
         INSTR.count("spgemm.tier.generic")
         with INSTR.phase("spgemm.enumerate"):
-            return generic_.spgemm_coo(A, B)
-    raise ValueError(f"tier must be 'native', 'vectorized', 'specialized' "
-                     f"or 'generic', got {tier!r}")
+            return (None,) + generic_.spgemm_coo(A, B)
+    raise ValueError(f"tier must be 'native', 'vectorized' or 'generic', "
+                     f"got {tier!r}")
+
+
+def spgemm_triples(A: SparseFormat, B: SparseFormat,
+                   tier: Optional[str] = None):
+    """The computed product structure of ``C = A B`` as canonical COO
+    triples ``(rows, cols, vals, nmults)`` — for callers that want a
+    different packing (or just the pattern) than :func:`spgemm` builds.
+
+    ``tier`` forces a specific implementation (``"native"`` /
+    ``"vectorized"`` / ``"generic"``; the differential suite and the
+    benchmark compare them); None picks native for CSR×CSR and generic
+    for every other pair.  The native and vectorized tiers raise on
+    operands of another format; a missing/failing toolchain makes the
+    native tier fall back to the vectorized one *observably*
+    (``spgemm.tier.native_fallbacks`` and a
+    :class:`~repro.core.backend.NativeBackendWarning`), mirroring the
+    compiled-kernel fallback contract."""
+    rowptr, rows, cols, vals, nmults = _spgemm_product(A, B, tier)
+    if rows is None:
+        rows = _expand_rows(rowptr)
+    return rows, cols, vals, nmults
 
 
 def spgemm(A: SparseFormat, B: SparseFormat,
@@ -347,37 +349,50 @@ def spgemm(A: SparseFormat, B: SparseFormat,
     """C = A B with both operands sparse; the output's sparsity pattern
     is computed by the symbolic pass, then packed into ``out_format``.
 
-    ``out_format=None`` packs CSR (the row-major canonical triples drop
-    straight into its construction core).  ``out_format="auto"`` chooses
-    the output format from the *computed* structure's features
+    ``out_format=None`` packs CSR: the native tier's arrays are wrapped as
+    they are, the other tiers' row-major canonical triples drop straight
+    into the construction core.  ``out_format="auto"`` chooses the output
+    format from the *computed* structure's features
     (:func:`repro.search.format_select.select_output_format`) — the
     selection axis where the winner is the output format, not an input's.
     Any other name packs that format (``format_kwargs`` forwarded, e.g.
     ``block_size`` for BSR); a format that rejects the computed structure
-    falls back to CSR observably (``spgemm.output_fallbacks``)."""
+    — or whose padded storage would dwarf it — falls back to CSR
+    observably (``spgemm.output_fallbacks``)."""
     INSTR.count("spgemm.calls")
-    rows, cols, vals, _nmults = spgemm_triples(A, B, tier=tier)
+    rowptr, rows, cols, vals, _nmults = _spgemm_product(A, B, tier)
     shape = (A.nrows, B.ncols)
-    if out_format is None or out_format == "csr":
+
+    def as_csr():
+        if rowptr is not None:
+            return CsrMatrix(rowptr, cols, vals, shape)
         return CsrMatrix._from_canonical_coo(rows, cols, vals, shape)
+
+    if out_format is None or out_format == "csr":
+        return as_csr()
+    if rows is None:
+        rows = _expand_rows(rowptr)
     if out_format == "auto":
         from repro.search.format_select import select_output_format
 
         choice = select_output_format(rows, cols, shape)
         out_format, format_kwargs = choice.format_name, choice.format_kwargs
     from repro.formats.convert import FORMATS
+    from repro.search.format_select import check_padded_storage
 
     cls = FORMATS.get(out_format)
     if cls is None:
         raise ValueError(f"spgemm: unknown output format {out_format!r}")
     try:
+        check_padded_storage(out_format, rows, cols, shape)
         return cls._from_canonical_coo(rows, cols, vals, shape,
                                        **format_kwargs)
     except (ValueError, KeyError):
         # the requested/selected output format does not admit the computed
-        # structure (BSR divisibility, SYM symmetry, ...): CSR always does
+        # structure (BSR divisibility, SYM symmetry, DIA/ELL padding that
+        # would not fit in memory, ...): CSR always does
         INSTR.count("spgemm.output_fallbacks")
-        return CsrMatrix._from_canonical_coo(rows, cols, vals, shape)
+        return as_csr()
 
 
 # -- handle-free dispatch (the pre-context per-call path; also the tier the

@@ -212,142 +212,6 @@ def mm_t_csc(A: CscMatrix, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# SpGEMM: C = A B with both operands sparse — the two-pass row-wise
-# (Gustavson) algorithm.  Unlike every kernel above, the output's sparsity
-# pattern is *computed*, not declared: the symbolic pass sizes each output
-# row by merging A's row against the referenced rows of B, the numeric
-# pass fills colind/values through a reused accumulator.
-# ---------------------------------------------------------------------------
-
-#: auto accumulator heuristic: the dense accumulator allocates (and the
-#: symbolic pass stamps) O(ncols) state; when the matrix is so wide that
-#: this dwarfs the actual flop count, the per-row hash accumulator wins
-_DENSE_ACC_FLOP_FACTOR = 16
-_DENSE_ACC_MIN_COLS = 4096
-
-
-def _spgemm_accumulator(A: CsrMatrix, B: CsrMatrix, accumulator: str) -> str:
-    """Resolve ``accumulator="auto"`` (see :func:`spgemm_csr_csr`)."""
-    if accumulator != "auto":
-        if accumulator not in ("dense", "hash"):
-            raise ValueError(f"accumulator must be 'auto', 'dense' or "
-                             f"'hash', got {accumulator!r}")
-        return accumulator
-    nmults = 0
-    b_len = np.diff(B.rowptr)
-    for jj in range(A.colind.size):
-        nmults += int(b_len[A.colind[jj]])
-    wide = B.ncols > max(_DENSE_ACC_MIN_COLS,
-                         _DENSE_ACC_FLOP_FACTOR * max(1, nmults))
-    return "hash" if wide else "dense"
-
-
-def spgemm_csr_csr(A: CsrMatrix, B: CsrMatrix,
-                   accumulator: str = "auto") -> CsrMatrix:
-    """Two-pass row-wise SpGEMM for the CSR×CSR pair.
-
-    Pass 1 (symbolic) computes the output row pointer: for each row of A,
-    the union of the B rows its column indices select, counted through
-    the accumulator.  Pass 2 (numeric) re-runs the merge with value
-    accumulation and writes ``colind``/``values``, columns sorted within
-    each row — the output is canonical CSR, byte-identical to what the
-    generic enumeration tier constructs.
-
-    ``accumulator="dense"`` uses an O(ncols) marker/value pair reused
-    across rows (stamp generations, no per-row clearing) — the classic
-    Gustavson layout.  ``"hash"`` uses a per-row dict, the right trade
-    for very wide matrices where O(ncols) state dwarfs the flop count;
-    ``"auto"`` picks between them from ``ncols`` vs. the multiply count.
-    Numerical zeros produced by cancellation stay stored entries (the
-    pattern is structure-driven), matching every other tier bit-for-bit.
-    """
-    if A.ncols != B.nrows:
-        raise ValueError(f"spgemm: inner dimensions do not conform: "
-                         f"A is {A.nrows}x{A.ncols}, B is "
-                         f"{B.nrows}x{B.ncols}")
-    mode = _spgemm_accumulator(A, B, accumulator)
-    m, n = A.nrows, B.ncols
-    a_ptr, a_col, a_val = A.rowptr, A.colind, A.values
-    b_ptr, b_col, b_val = B.rowptr, B.colind, B.values
-
-    rowptr = np.zeros(m + 1, dtype=np.int64)
-    row_cols: list = [None] * m
-
-    # -- symbolic pass: the output pattern row by row --------------------
-    if mode == "dense":
-        marker = np.full(n, -1, dtype=np.int64)
-        for i in range(m):
-            cols_i = []
-            for jj in range(a_ptr[i], a_ptr[i + 1]):
-                j = a_col[jj]
-                for kk in range(b_ptr[j], b_ptr[j + 1]):
-                    c = b_col[kk]
-                    if marker[c] != i:
-                        marker[c] = i
-                        cols_i.append(int(c))
-            cols_i.sort()
-            row_cols[i] = cols_i
-            rowptr[i + 1] = rowptr[i] + len(cols_i)
-    else:
-        for i in range(m):
-            seen = set()
-            for jj in range(a_ptr[i], a_ptr[i + 1]):
-                j = a_col[jj]
-                for kk in range(b_ptr[j], b_ptr[j + 1]):
-                    seen.add(int(b_col[kk]))
-            cols_i = sorted(seen)
-            row_cols[i] = cols_i
-            rowptr[i + 1] = rowptr[i] + len(cols_i)
-
-    nnz = int(rowptr[m])
-    colind = np.zeros(nnz, dtype=np.int64)
-    values = np.zeros(nnz, dtype=np.float64)
-
-    # -- numeric pass: fill colind/values through the accumulator --------
-    if mode == "dense":
-        acc = np.zeros(n, dtype=np.float64)
-        for i in range(m):
-            cols_i = row_cols[i]
-            if not cols_i:
-                continue
-            for c in cols_i:
-                acc[c] = 0.0
-            for jj in range(a_ptr[i], a_ptr[i + 1]):
-                j = a_col[jj]
-                v = a_val[jj]
-                for kk in range(b_ptr[j], b_ptr[j + 1]):
-                    acc[b_col[kk]] += v * b_val[kk]
-            lo = int(rowptr[i])
-            for t, c in enumerate(cols_i):
-                colind[lo + t] = c
-                values[lo + t] = acc[c]
-    else:
-        for i in range(m):
-            cols_i = row_cols[i]
-            if not cols_i:
-                continue
-            acc_d: dict = {c: 0.0 for c in cols_i}
-            for jj in range(a_ptr[i], a_ptr[i + 1]):
-                j = a_col[jj]
-                v = a_val[jj]
-                for kk in range(b_ptr[j], b_ptr[j + 1]):
-                    acc_d[int(b_col[kk])] += v * b_val[kk]
-            lo = int(rowptr[i])
-            for t, c in enumerate(cols_i):
-                colind[lo + t] = c
-                values[lo + t] = acc_d[c]
-
-    return CsrMatrix(rowptr, colind, values, (m, n))
-
-
-#: (A format, B format) -> specialized sparse×sparse kernel returning the
-#: product as a CSR instance with computed structure
-SPGEMM = {
-    ("csr", "csr"): spgemm_csr_csr,
-}
-
-
-# ---------------------------------------------------------------------------
 # Triangular solve: b := L^{-1} b (lower) / b := U^{-1} b (upper)
 # ---------------------------------------------------------------------------
 

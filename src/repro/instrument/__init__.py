@@ -78,19 +78,18 @@ Counter namespaces used by the compiler:
 - ``solver.split``      — SolverContext triangular-split phase timer
 - ``solver.normal``     — SolverContext normal-equation product
                           (``A^T A`` / ``A A^T``) construction phase
-- ``spgemm.*``          — sparse×sparse products: phase timers for the
-                          two-pass tiers (``spgemm.symbolic`` /
-                          ``spgemm.numeric`` for the vectorized CSR
-                          path, ``spgemm.twopass`` for the specialized
-                          accumulator kernels, ``spgemm.enumerate`` for
-                          the generic any-pair route), call and tier
-                          counters (``spgemm.calls``,
+- ``spgemm.*``          — sparse×sparse products: phase timers
+                          (``spgemm.symbolic`` / ``spgemm.numeric``
+                          for the two passes of the native and the
+                          vectorized CSR tiers, ``spgemm.enumerate``
+                          for the generic any-pair route), call and
+                          tier counters (``spgemm.calls``,
                           ``spgemm.tier.native`` / ``.vectorized`` /
-                          ``.specialized`` / ``.generic``, plus
+                          ``.generic``, plus
                           ``spgemm.tier.native_fallbacks`` when the
-                          native numeric kernel is unavailable and the
-                          call demotes to vectorized), output-format
-                          selections
+                          default native kernel cannot be built and
+                          the call demotes to vectorized),
+                          output-format selections
                           (``spgemm.output_select``) and packing
                           fallbacks to CSR (``spgemm.output_fallbacks``)
 """

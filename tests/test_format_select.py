@@ -183,6 +183,88 @@ class TestChoiceRobustness:
         assert not by_name2["sym"].ok
         assert "inapplicable" in by_name2["sym"].error
 
+    @staticmethod
+    def _scattered(n=20_000, heavy=10_000):
+        """A pattern that is cheap to store and ruinous to pad: a random
+        permutation (one entry per row, ~n occupied diagonals) plus one
+        row of ``heavy`` entries.  Dense DIA is ~n x n cells and dense ELL
+        n x heavy — both computed below, neither ever allocated."""
+        rng = np.random.default_rng(17)
+        rows = np.concatenate([np.arange(n), np.zeros(heavy, dtype=np.int64)])
+        cols = np.concatenate([rng.permutation(n), np.arange(heavy)])
+        from repro.formats.csr import CsrMatrix
+
+        return CsrMatrix.from_coo(rows, cols, np.ones(rows.size), (n, n))
+
+    def test_unbuildable_padded_candidates_are_inapplicable(self, monkeypatch):
+        """Regression (bench_e2e finding): ``DiaMatrix._from_canonical_coo``
+        allocates ``ndiags x ncols`` doubles before anything can object,
+        so the default candidates raised MemoryError on a scattered
+        n = 100k matrix.  The padded size is now judged from the pattern's
+        diagonal / row-length counts before any constructor runs."""
+        from repro.formats.dia import DiaMatrix
+        from repro.formats.ell import EllMatrix
+
+        A = self._scattered()
+        rows, cols, _ = A.to_coo_arrays()
+        n = A.nrows
+        dia_cells = np.unique(rows - cols).size * n
+        ell_cells = n * int(np.diff(A.rowptr).max())
+        assert dia_cells * 8 > 2 ** 31 and ell_cells * 8 > 2 ** 30
+
+        def never(*a, **k):
+            raise AssertionError("padded constructor reached")
+
+        monkeypatch.setattr(DiaMatrix, "_from_canonical_coo", never)
+        monkeypatch.setattr(EllMatrix, "_from_canonical_coo", never)
+        res = select_format(mvm(), "A", A, candidates=("csr", "dia", "ell"))
+        by_name = {c.format_name: c for c in res.choices}
+        assert res.best[0] == "csr"
+        for name, cells in (("dia", dia_cells), ("ell", ell_cells)):
+            assert not by_name[name].ok
+            assert by_name[name].error.startswith("inapplicable: ")
+            assert f"{cells} cells" in by_name[name].error
+            assert name not in res.instances
+
+    def test_padding_guard_leaves_reasonable_patterns_alone(self):
+        from repro.search.format_select import (_PAD_MIN_CELLS, _PAD_RATIO,
+                                                check_padded_storage)
+
+        # small or genuinely banded: padded formats stay candidates
+        b = banded(64, bandwidth=1, seed=0)
+        rows, cols, _ = b.to_coo_arrays()
+        for name in ("dia", "ell", "csr", "jad"):
+            check_padded_storage(name, rows, cols, b.shape)
+        # one entry in a huge matrix pads to n cells: a large *ratio*,
+        # but under the absolute floor nobody runs out of memory
+        one = np.array([5], dtype=np.int64)
+        check_padded_storage("dia", one, one, (_PAD_MIN_CELLS, _PAD_MIN_CELLS))
+        # n entries down the diagonal plus n down an anti-diagonal walk:
+        # 2 diagonals is fine, n diagonals is not
+        n = _PAD_MIN_CELLS // 1024
+        idx = np.arange(n, dtype=np.int64)
+        check_padded_storage("dia", idx, idx, (n, n))
+        assert n * n > max(_PAD_MIN_CELLS, _PAD_RATIO * n)
+        with pytest.raises(ValueError, match="dia would pad"):
+            check_padded_storage("dia", idx, idx[::-1].copy(), (n, n))
+
+    def test_spgemm_output_format_falls_back_before_padding(self):
+        """``spgemm(out_format=...)`` has the same guard: a requested DIA
+        or ELL output the computed structure would blow up falls back to
+        CSR observably instead of allocating it."""
+        from repro.blas.api import spgemm
+        from repro.instrument import INSTR
+
+        A = self._scattered()
+        want = spgemm(A, A)
+        for name in ("dia", "ell"):
+            before = INSTR.get("spgemm.output_fallbacks")
+            C = spgemm(A, A, out_format=name)
+            assert C.format_name == "csr"
+            assert INSTR.get("spgemm.output_fallbacks") == before + 1
+            assert np.array_equal(C.colind, want.colind)
+            assert np.array_equal(C.values, want.values)
+
     def test_full_default_sweep_still_ranks(self):
         m = random_sparse(16, 16, 0.25, seed=4)
         res = select_format(mvm(), "A", m)

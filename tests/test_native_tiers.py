@@ -299,25 +299,36 @@ class TestSpgemmNativeTier:
         with pytest.raises(ValueError, match="CSR"):
             spgemm_triples(A, B, tier="native")
 
-    def test_no_toolchain_falls_back_observably(self, monkeypatch):
-        from repro.blas import spgemm_native
-        from repro.blas.api import spgemm_triples
+    def test_toolchain_reset_forgets_the_binding(self, monkeypatch):
+        """A product, then ``REPRO_CC=none`` + ``reset_toolchain_cache()``:
+        the next product must not keep running the already-loaded ``.so``
+        — it falls back to the vectorized tier, counted and warned, with
+        identical bytes."""
+        _native_or_skip()
+        from repro.blas.api import spgemm
 
+        A = as_format(laplacian_2d(6), "csr")
+        native = INSTR.get("spgemm.tier.native")
+        C1 = spgemm(A, A)
+        assert INSTR.get("spgemm.tier.native") == native + 1
         monkeypatch.setenv("REPRO_CC", "none")
         be.reset_toolchain_cache()
-        spgemm_native.reset_binding()
         try:
-            A = as_format(laplacian_2d(6), "csr")
             fallbacks = INSTR.get("spgemm.tier.native_fallbacks")
+            vectorized = INSTR.get("spgemm.tier.vectorized")
             with pytest.warns(NativeBackendWarning):
-                rows, cols, vals, nmults = spgemm_triples(A, A, tier="native")
+                C2 = spgemm(A, A)
+            assert INSTR.get("spgemm.tier.native") == native + 1
             assert INSTR.get("spgemm.tier.native_fallbacks") == fallbacks + 1
-            rv, cv, vv, mv = spgemm_triples(A, A, tier="vectorized")
-            assert np.array_equal(rows, rv) and np.array_equal(vals, vv)
+            assert INSTR.get("spgemm.tier.vectorized") == vectorized + 1
+            for field in ("rowptr", "colind", "values"):
+                assert (getattr(C1, field).tobytes()
+                        == getattr(C2, field).tobytes())
         finally:
             monkeypatch.delenv("REPRO_CC", raising=False)
             be.reset_toolchain_cache()
-            spgemm_native.reset_binding()
+        spgemm(A, A)                    # and the toolchain comes back
+        assert INSTR.get("spgemm.tier.native") == native + 2
 
 
 class TestAutotuneTierAxis:

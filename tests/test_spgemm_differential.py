@@ -1,10 +1,13 @@
-"""Differential test wall around SpGEMM (the tentpole): the sparse×sparse
-product with *computed* output structure must match the dense
+"""Differential test wall around SpGEMM: the sparse×sparse product with
+*computed* output structure must match the dense
 ``blas/dense_ref.spgemm`` oracle over every format pair through the
-generic tier, and all three dispatch tiers (vectorized / specialized
-dense-accumulator / specialized hash-accumulator / generic) must be
-byte-for-byte identical on CSR×CSR — rowptr, colind and values arrays,
-not just the reconstructed dense matrix.
+generic tier, and the three dispatch tiers (native / vectorized /
+generic) must be byte-for-byte identical on CSR×CSR — rowptr, colind and
+values arrays, not just the reconstructed dense matrix.  The default
+path (``tier=None``) is the native kernel wherever a toolchain exists
+and an observable fallback onto the vectorized tier where none does
+(the no-toolchain CI leg runs this file with ``REPRO_CC=none``); every
+CSR×CSR case below goes through it and asserts which of the two served.
 
 Exactness: entries are integer-valued floats, so every product/sum is
 exact in binary floating point regardless of accumulation order — the
@@ -18,23 +21,74 @@ sum to zero in is still a slot, in every tier).
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from repro.blas import api as blas_api
-from repro.blas import dense_ref, specialized
+from repro.blas import dense_ref
 from repro.blas.api import spgemm, spgemm_triples
+from repro.blas.spgemm_native import RADIX_MIN, SWEEP_SPAN
+from repro.core import NativeBackendWarning
+from repro.core import backend as be
 from repro.formats import FORMATS
 from repro.formats.coo import CooMatrix
 from repro.formats.csr import CsrMatrix
+from repro.formats.generate import power_law_rows
+from repro.instrument import INSTR
 
 ALL_FORMATS = list(FORMATS)  # all 10: dense ... sym
 
 N = 6  # square and even: every format (sym, bsr block_size=2) applies
 
 FAST = settings(max_examples=20, deadline=None, derandomize=True)
+
+TIERS = ("native", "vectorized", "generic")
+
+
+def _served(fn, *args, tier=None, **kwargs):
+    """Call ``fn(*args, tier=tier)`` and, for the default and native
+    tiers, assert who served it: the native kernel when a toolchain
+    exists, the counted + warned fallback when none does."""
+    native = INSTR.get("spgemm.tier.native")
+    fallbacks = INSTR.get("spgemm.tier.native_fallbacks")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args, tier=tier, **kwargs)
+    warned = any(issubclass(w.category, NativeBackendWarning) for w in caught)
+    if tier in (None, "native"):
+        have_cc = be.find_compiler() is not None
+        assert INSTR.get("spgemm.tier.native") == native + have_cc
+        assert (INSTR.get("spgemm.tier.native_fallbacks")
+                == fallbacks + (not have_cc))
+        assert warned == (not have_cc)
+    else:
+        assert INSTR.get("spgemm.tier.native") == native and not warned
+    return out
+
+
+def _assert_same_on_every_tier(A, B, ref):
+    """native = vectorized = generic = default, array for array —
+    triples, multiplication count and the packed CSR — against the dense
+    oracle ``ref``; the packed result owns canonical arrays."""
+    want = _served(spgemm_triples, A, B, tier="vectorized")
+    for tier in ("native", "generic", None):
+        got = _served(spgemm_triples, A, B, tier=tier)
+        for g, w in zip(got[:3], want[:3]):
+            assert g.dtype == w.dtype and np.array_equal(g, w), tier
+        assert got[3] == want[3], tier
+    for tier in TIERS + (None,):
+        C = _served(spgemm, A, B, tier=tier)
+        assert type(C) is CsrMatrix and C.shape == ref.shape
+        assert np.array_equal(C.to_dense(), ref), tier
+        assert np.array_equal(C.colind, want[1])
+        assert C.values.tobytes() == np.ascontiguousarray(want[2]).tobytes()
+        assert C.colind.flags.owndata and C.values.flags.owndata
+        for r in range(C.nrows):    # strictly increasing within each row
+            lo, hi = C.row_slice(r)
+            assert np.all(np.diff(C.colind[lo:hi]) > 0), (tier, r)
 
 
 def _fmt_kwargs(fmt_name):
@@ -99,8 +153,8 @@ def test_spgemm_all_pairs_match_dense_ref(fmt_a, fmt_b):
 @FAST
 @given(st.data())
 def test_spgemm_mixed_pairs_property(fmt_a, data):
-    """Property leg over representative mixed pairs (auto tier: these
-    pairs have no specialized kernel, so the generic route serves them)."""
+    """Property leg over representative mixed pairs (default tier: only
+    CSR×CSR has a fast kernel, so the generic route serves these)."""
     da = data.draw(dense_matrices(N, N))
     db = data.draw(dense_matrices(N, N))
     A = build(fmt_a, da)
@@ -120,40 +174,108 @@ def _csr_pair(da, db):
 @FAST
 @given(st.data())
 def test_spgemm_tiers_byte_identical(data):
-    """vectorized, specialized (dense and hash accumulator) and generic
-    produce identical canonical triples — and the same nmults where the
-    tier counts them."""
+    """native, vectorized, generic and the default produce identical
+    canonical triples, the same nmults, and the same packed CSR."""
     da = data.draw(dense_matrices(N, N))
     db = data.draw(dense_matrices(N, N))
-    A, B = _csr_pair(da, db)
-    rv, cv, vv, nv = spgemm_triples(A, B, tier="vectorized")
-    rs, cs, vs, ns = spgemm_triples(A, B, tier="specialized")
-    rg, cg, vg, ng = spgemm_triples(A, B, tier="generic")
-    for r, c, v in ((rs, cs, vs), (rg, cg, vg)):
-        assert np.array_equal(rv, r)
-        assert np.array_equal(cv, c)
-        assert np.array_equal(vv, v)
-    assert nv == ns == ng
-    # the hash accumulator is a forced variant of the specialized kernel
-    Cd = specialized.spgemm_csr_csr(A, B, accumulator="dense")
-    Ch = specialized.spgemm_csr_csr(A, B, accumulator="hash")
-    assert np.array_equal(Cd.rowptr, Ch.rowptr)
-    assert np.array_equal(Cd.colind, Ch.colind)
-    assert np.array_equal(Cd.values, Ch.values)
-    # and the packed product equals the oracle bitwise
-    C = spgemm(A, B)
-    assert np.array_equal(C.to_dense(), dense_ref.spgemm(da, db))
+    _assert_same_on_every_tier(*_csr_pair(da, db), dense_ref.spgemm(da, db))
 
 
-@pytest.mark.parametrize("tier", ["vectorized", "specialized", "generic"])
+@pytest.mark.parametrize("tier", TIERS + (None,))
 @FAST
 @given(st.data())
 def test_spgemm_each_tier_matches_oracle(tier, data):
     da = data.draw(dense_matrices(N, N))
     db = data.draw(dense_matrices(N, N))
     A, B = _csr_pair(da, db)
-    C = spgemm(A, B, tier=tier)
+    C = _served(spgemm, A, B, tier=tier)
     assert np.array_equal(C.to_dense(), dense_ref.spgemm(da, db))
+
+
+# ---------------------------------------------------------------------------
+# the native kernel's per-row column ordering: every boundary of its choice
+# (marker sweep / insertion sort / radix sort) from both sides
+# ---------------------------------------------------------------------------
+
+#: output-row lengths around each threshold of ``order_row``
+_ROW_LENGTHS = (0, 1, 2, 3, RADIX_MIN - 1, RADIX_MIN, RADIX_MIN + 1,
+                3 * RADIX_MIN)
+
+
+@st.composite
+def ordering_cases(draw):
+    """``(A, B)`` dense operands whose product's row 0 has a drawn length
+    and column span: the span sits just inside the sweep condition
+    (``span < SWEEP_SPAN * len``), exactly on it, far outside it (three
+    radix passes past ``2**16``), or is fully occupied (one row touching
+    every column of its span).  The row's columns are dealt over 1–4
+    rows of B with overlaps, so the kernel collects several sorted runs
+    and accumulates repeated columns; further rows of A pick subsets, so
+    one product mixes strategies and stamps."""
+    length = draw(st.sampled_from(_ROW_LENGTHS))
+    k = draw(st.integers(1, 4))
+    if length < 2:
+        cols = np.arange(length, dtype=np.int64)
+        n = max(1, length)
+    else:
+        span = {"dense": length - 1,
+                "inside": SWEEP_SPAN * length - 1,
+                "edge": SWEEP_SPAN * length,
+                "far": 2 ** 16 + 7}[
+            draw(st.sampled_from(["dense", "inside", "edge", "far"]))]
+        seed_ = draw(st.integers(0, 2 ** 32 - 1))
+        rng = np.random.default_rng(seed_)
+        inner = rng.choice(np.arange(1, span), size=length - 2,
+                           replace=False) if length > 2 else []
+        cols = np.concatenate([[0, span], inner]).astype(np.int64)
+        n = span + 1
+    shift = draw(st.integers(0, 5))
+    n += shift
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    db = np.zeros((k, n))
+    for c in cols + shift:
+        owners = rng.choice(k, size=rng.integers(1, k + 1), replace=False)
+        db[owners, c] = rng.integers(1, 5, size=owners.size)
+    da = rng.integers(0, 3, size=(3, k)).astype(float)
+    da[0, :] = rng.integers(1, 4, size=k)    # row 0 reaches every column
+    return da, db
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(ordering_cases())
+def test_spgemm_row_ordering_boundaries(case):
+    da, db = case
+    _assert_same_on_every_tier(*_csr_pair(da, db), dense_ref.spgemm(da, db))
+
+
+def test_spgemm_heavy_tailed_rows():
+    """A power-law matrix squared: a few output rows cover most columns
+    (swept), a band of long scattered ones (radix), a tail of short ones
+    (insertion) — one product, all three orderings."""
+    P = power_law_rows(300, 300, nnz_target=1500, seed=3)
+    d = np.rint(4 * P.to_dense())           # integer-valued: exact sums
+    A = CsrMatrix.from_dense(d)
+    lengths = np.diff(spgemm(A, A).rowptr)
+    assert lengths.max() >= RADIX_MIN > np.median(lengths)
+    _assert_same_on_every_tier(A, A, dense_ref.spgemm(d, d))
+
+
+def test_spgemm_default_skips_the_product_expansion(monkeypatch):
+    """With a toolchain the default CSR result is the kernel's own arrays:
+    no ``np.unique`` / ``np.repeat`` over products or rows on the way."""
+    if be.find_compiler() is None:
+        pytest.skip("no C toolchain")
+    da, db = _fixture_pair()
+    A, B = _csr_pair(da, db)
+
+    def boom(*a, **k):
+        raise AssertionError("COO round trip on the default CSR path")
+
+    monkeypatch.setattr(np, "unique", boom)
+    monkeypatch.setattr(np, "repeat", boom)
+    C = _served(spgemm, A, B)
+    monkeypatch.undo()
+    assert np.array_equal(C.to_dense(), da @ db)
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +291,8 @@ def test_spgemm_rectangular_chain():
     db = np.where(rng.random((7, 3)) < 0.5,
                   rng.integers(-3, 4, (7, 3)), 0).astype(float)
     A, B = _csr_pair(da, db)
-    for tier in ("vectorized", "specialized", "generic"):
-        C = spgemm(A, B, tier=tier)
+    for tier in TIERS + (None,):
+        C = _served(spgemm, A, B, tier=tier)
         assert C.shape == (4, 3)
         assert np.array_equal(C.to_dense(), dense_ref.spgemm(da, db))
     # chain: (A B) B2 with B2 = B^T as a second sparse operand
@@ -193,6 +315,10 @@ def test_spgemm_duplicate_coo_inputs():
     B = CooMatrix.from_dense(db)
     C = spgemm(A, B)
     assert np.array_equal(C.to_dense(), dense_ref.spgemm(da, db))
+    # the same duplicate triples into CSR operands: the default tier
+    _assert_same_on_every_tier(CsrMatrix.from_coo(rows, cols, vals, (4, 4)),
+                               CsrMatrix.from_dense(db),
+                               dense_ref.spgemm(da, db))
 
 
 def test_spgemm_all_zero_rows_and_empty():
@@ -204,17 +330,15 @@ def test_spgemm_all_zero_rows_and_empty():
     db = np.zeros((4, 6))
     db[1, 5] = 3.0
     A, B = _csr_pair(da, db)
-    for tier in ("vectorized", "specialized", "generic"):
-        C = spgemm(A, B, tier=tier)
-        assert np.array_equal(C.to_dense(), da @ db)
+    _assert_same_on_every_tier(A, B, da @ db)
     # entirely empty operand: zero stored entries, correct (5, 6) shape
-    Z = spgemm(CsrMatrix.from_dense(np.zeros((5, 4))), B)
+    Z = _served(spgemm, CsrMatrix.from_dense(np.zeros((5, 4))), B)
     assert Z.shape == (5, 6) and Z.nnz == 0
-    # degenerate inner dimension: (3, 0) · (0, 2) = zeros((3, 2))
-    A0 = CsrMatrix.from_coo([], [], [], (3, 0))
-    B0 = CsrMatrix.from_coo([], [], [], (0, 2))
-    Z2 = spgemm(A0, B0)
-    assert Z2.shape == (3, 2) and Z2.nnz == 0
+    # degenerate dimensions: (3, 0)·(0, 2), (0, 3)·(3, 2), (2, 3)·(3, 0)
+    for (m, k, n) in ((3, 0, 2), (0, 3, 2), (2, 3, 0)):
+        A0 = CsrMatrix.from_coo([], [], [], (m, k))
+        B0 = CsrMatrix.from_coo([], [], [], (k, n))
+        _assert_same_on_every_tier(A0, B0, np.zeros((m, n)))
 
 
 def test_spgemm_cancellation_keeps_stored_zero():
@@ -223,13 +347,11 @@ def test_spgemm_cancellation_keeps_stored_zero():
     da = np.array([[1.0, 1.0], [0.0, 0.0]])
     db = np.array([[3.0, 0.0], [-3.0, 0.0]])
     A, B = _csr_pair(da, db)
-    for tier in ("vectorized", "specialized", "generic"):
-        C = spgemm(A, B, tier=tier)
+    for tier in TIERS + (None,):
+        C = _served(spgemm, A, B, tier=tier)
         assert C.nnz == 1                      # the cancelled slot
         assert C.values[0] == 0.0
         assert (C.colind[0], C.rowptr.tolist()) == (0, [0, 1, 1])
-    Ch = specialized.spgemm_csr_csr(A, B, accumulator="hash")
-    assert Ch.nnz == 1 and Ch.values[0] == 0.0
 
 
 @pytest.mark.parametrize("backend", ["python", "c"])
@@ -294,12 +416,15 @@ def test_spgemm_conformability_and_type_guards():
         spgemm_triples(CooMatrix.from_dense(np.ones((3, 3))),
                        CsrMatrix.from_dense(np.ones((3, 3))),
                        tier="vectorized")
-    with pytest.raises(ValueError, match="no specialized kernel"):
-        spgemm_triples(CooMatrix.from_dense(np.ones((3, 3))),
-                       CsrMatrix.from_dense(np.ones((3, 3))),
-                       tier="specialized")
-    with pytest.raises(ValueError, match="tier must be"):
-        spgemm_triples(A, CsrMatrix.from_dense(np.ones((4, 2))), tier="bogus")
+    with pytest.raises(ValueError, match="native tier needs CSR"):
+        spgemm_triples(CsrMatrix.from_dense(np.ones((3, 3))),
+                       CooMatrix.from_dense(np.ones((3, 3))),
+                       tier="native")
+    for gone in ("specialized", "bogus"):   # three tiers, not four
+        with pytest.raises(ValueError, match="tier must be 'native', "
+                                             "'vectorized' or 'generic'"):
+            spgemm_triples(A, CsrMatrix.from_dense(np.ones((4, 2))),
+                           tier=gone)
 
 
 # ---------------------------------------------------------------------------
@@ -433,16 +558,9 @@ def test_solver_context_normal_products():
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_spgemm_deep_budget(data):
-    """Slow leg: 200 random CSR×CSR products, all tiers vs the oracle and
-    each other, fixed seed for reproducible failures."""
+    """Slow leg: 200 random CSR×CSR products, all tiers and the default
+    vs the oracle and each other, fixed seed for reproducible failures."""
     da = data.draw(dense_matrices(N, N))
     db = data.draw(dense_matrices(N, N))
     A, B = _csr_pair(da, db)
-    ref = dense_ref.spgemm(da, db)
-    rv, cv, vv, _ = spgemm_triples(A, B, tier="vectorized")
-    for tier in ("specialized", "generic"):
-        r, c, v, _ = spgemm_triples(A, B, tier=tier)
-        assert np.array_equal(rv, r)
-        assert np.array_equal(cv, c)
-        assert np.array_equal(vv, v)
-    assert np.array_equal(spgemm(A, B).to_dense(), ref)
+    _assert_same_on_every_tier(A, B, dense_ref.spgemm(da, db))
