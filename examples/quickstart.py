@@ -50,10 +50,10 @@ def main():
     body = kernel.source.split("def kernel", 1)[1]
     print("def kernel" + body)
 
-    # annotate_c_source only *renders* C-like text with OpenMP pragmas on
-    # the provably parallel loops — no toolchain needed
+    # annotate_c_source prints the C translation unit with OpenMP pragmas
+    # on the provably parallel loops — printing needs no toolchain
     from repro.core import annotate_c_source
-    print("\nC-like rendering with OpenMP annotations (strict DOALL):")
+    print("\nC translation unit with OpenMP annotations (strict DOALL):")
     print(annotate_c_source(kernel, flavour="strict"))
 
     # backend="c" compiles and *executes* the real thing (falling back to

@@ -1,5 +1,8 @@
-"""Code generation from enumeration plans: the reference interpreter, the
-specialized Python source emitter, and a C-like pretty-printer."""
+"""Code generation from enumeration plans: the reference interpreter, and
+one loop IR per kernel (:mod:`~repro.codegen.loopir`, built by
+:mod:`~repro.codegen.pysource` through the per-format
+:mod:`~repro.codegen.emitters`) with two printers — specialized Python
+source and the C99 translation unit of :mod:`~repro.codegen.native`."""
 
 from repro.codegen.interp import PlanInterpreter, run_plan
 

@@ -1,700 +1,444 @@
-"""Per-format code emitters for the specialized Python backend.
+"""Per-format loop-IR emitters.
 
 Each emitter knows how to inline one format's raw-array operations — loops
 over ``rowptr``/``colind``, binary searches, permutation lookups — exactly
 the code a hand-written library kernel would contain (the point of paper
-Section 5's "structurally equivalent to the NIST C library").
+Section 5's "structurally equivalent to the NIST C library").  It builds
+:mod:`repro.codegen.loopir` nodes; what language they are printed in is not
+its concern.
 
-An emitter serves one *reference* (one matrix instance bound to one access
-path) and provides:
+An emitter serves one *reference group* (one matrix instance bound to one
+access path).  Constructing it declares the instance's storage arrays and
+sizes as kernel arguments on the :class:`~repro.codegen.loopir.Builder`,
+typed from the bound instance.  It then provides:
 
-- ``prologue(out)`` — unpack the instance's arrays into local names;
-- ``loop(out, step, states, reverse)`` — open the stored enumeration of a
-  step, returning (key names, new state names);  the caller closes the
-  block by dedenting;
-- ``interval(out, step, states)`` — (lo, hi) expressions for interval
+- ``loop(step, states, reverse, dims)`` — open the stored enumeration of
+  a step (one ``For`` carrying the plan dimensions ``dims``), returning
+  (key names, new state names); the caller closes the block;
+- ``interval(step, states)`` — (lo, hi) index expressions for interval
   steps, or None;
-- ``search(out, step, states, key_exprs)`` — emit a search, returning
-  (state names, guard expression that is true when found);
-- ``get(states)`` / ``set(states, value)`` — value access expressions.
+- ``search(step, states, keys)`` — emit a search for the index
+  expressions ``keys``, returning (state names, found-condition);
+- ``get(states)`` / ``set(states, value)`` — the value access.
 
-``out`` is the :class:`SourceWriter`.  States are python variable names
-accumulated per step.  The :class:`GenericEmitter` falls back to dynamic
-calls through the abstract runtime for formats without a specialized
-emitter (user-defined formats stay supported).
+Keys and states are names of integer locals, accumulated per step.  The
+:class:`GenericEmitter` falls back to dynamic calls through the abstract
+runtime for formats without a specialized emitter (user-defined formats
+stay supported); those are ``PyOnly`` nodes, so such kernels do not lower
+to C.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Sequence
 
+import numpy as np
+
+from repro.codegen.loopir import (
+    ArrayArg,
+    Assign,
+    BinOp,
+    Builder,
+    Call,
+    Cmp,
+    Load,
+    Neg,
+    PyOnly,
+    ScalarArg,
+    Select,
+    Store,
+    V,
+    While,
+    ZERO,
+    counted,
+    py_expr,
+    within,
+)
 from repro.core.spaces import SparseRef
+from repro.polyhedra.linexpr import LinExpr
 
-
-class SourceWriter:
-    """Indented line buffer with fresh-name generation."""
-
-    def __init__(self):
-        self.lines: List[str] = []
-        self.indent = 0
-        self._counter = 0
-
-    def fresh(self, stem: str) -> str:
-        self._counter += 1
-        return f"{stem}{self._counter}"
-
-    def emit(self, line: str = "") -> None:
-        self.lines.append("    " * self.indent + line if line else "")
-
-    def push(self) -> None:
-        self.indent += 1
-
-    def pop(self) -> None:
-        self.indent -= 1
-
-    def text(self) -> str:
-        return "\n".join(self.lines)
+MINUS_ONE = LinExpr.constant(-1)
 
 
 class BaseEmitter:
-    """Common bookkeeping: a unique prefix per reference group."""
+    """Common bookkeeping: a unique name prefix per reference group, the
+    argument declarations, and the loop/search shapes formats share."""
 
-    def __init__(self, ref: SparseRef, name: str):
+    def __init__(self, ref: SparseRef, name: str, inst, b: Builder):
         self.ref = ref
-        self.fmt = ref.fmt
-        self.name = name  # python-safe unique prefix, e.g. "A0"
+        self.inst = inst          # the bound instance: types the arguments
+        self.name = name          # unique prefix, e.g. "M0"
+        self.b = b
 
-    # default: no interval
-    def interval(self, out: SourceWriter, step: int, states: Sequence[str]):
+    # -- argument declarations -------------------------------------------
+    def array(self, attr: str) -> ArrayArg:
+        data = np.asarray(getattr(self.inst, attr))
+        return self.b.arg(ArrayArg(f"{self.name}_{attr}",
+                                   ("attr", self.ref.array, attr),
+                                   data.dtype.name, max(data.ndim, 1)))
+
+    def size(self, local: str, attr: str, kind: str = "attr") -> LinExpr:
+        arg = self.b.arg(ScalarArg(f"{self.name}_{local}",
+                                   (kind, self.ref.array, attr)))
+        return V(arg.name)
+
+    # -- shared shapes -----------------------------------------------------
+    def fresh(self, stem: str) -> str:
+        return self.b.fresh(f"{self.name}_{stem}")
+
+    def count(self, stem: str, lo, hi, reverse: bool, dims) -> str:
+        """Open the loop over ``[lo, hi)``; returns the loop variable."""
+        v = self.fresh(stem)
+        self.b.open(counted(v, lo, hi, reverse, dims))
+        return v
+
+    def let(self, stem: str, value) -> str:
+        v = self.fresh(stem)
+        self.b.add(Assign(v, value))
+        return v
+
+    def segment(self, ptr: ArrayArg, ind: ArrayArg, outer: str, stem: str,
+                key: str, reverse: bool, dims):
+        """``for jj in range(ptr[outer], ptr[outer+1]): key = ind[jj]``."""
+        jj = self.count(stem, Load(ptr, (V(outer),)),
+                        Load(ptr, (V(outer) + 1,)), reverse, dims)
+        return [self.let(key, Load(ind, (V(jj),)))], [jj]
+
+    def index(self, stem: str, key, extent):
+        """A dense axis is 'searched' by bounds-checking the key."""
+        v = self.let(stem, key)
+        return [v], within(V(v), ZERO, extent)
+
+    def bisect(self, stem: str, ind: ArrayArg, key, lo, hi):
+        jj = self.let(stem, Call("_bisect", (ind, key, lo, hi)))
+        return [jj], Cmp(">=", V(jj), ZERO)
+
+    def interval(self, step: int, states: Sequence[str]):
         return None
 
-    def loop_reversed_supported(self) -> bool:
-        return True
+    def set(self, states: Sequence[str], value) -> None:
+        ref = self.get(states)
+        ref.array.written = True
+        self.b.add(Store(ref.array, ref.idx, value))
 
 
-class CsrEmitter(BaseEmitter):
-    def prologue(self, out: SourceWriter, src: str) -> None:
-        out.emit(f"{self.name}_rowptr = {src}.rowptr")
-        out.emit(f"{self.name}_colind = {src}.colind")
-        out.emit(f"{self.name}_values = {src}.values")
-        out.emit(f"{self.name}_m = {src}.nrows")
+class CompressedEmitter(BaseEmitter):
+    """CSR, CSC and the off-diagonal part of MSR: an outer dense axis, then
+    a compressed segment per outer index."""
 
-    def loop(self, out: SourceWriter, step: int, states: Sequence[str], reverse: bool):
+    def __init__(self, ref, name, inst, b, ptr, ind, extent, outer, key):
+        super().__init__(ref, name, inst, b)
+        self.ptr = self.array(ptr)
+        self.ind = self.array(ind)
+        self.values = self.array("values")
+        self.extent = self.size(*extent)
+        self.outer, self.key = outer, key
+
+    def loop(self, step, states, reverse, dims):
         if step == 0:
-            r = out.fresh(f"{self.name}_r")
-            rng = (f"range({self.name}_m - 1, -1, -1)" if reverse
-                   else f"range({self.name}_m)")
-            out.emit(f"for {r} in {rng}:")
-            out.push()
-            return [r], [r]
-        (r,) = states
-        jj = out.fresh(f"{self.name}_jj")
-        c = out.fresh(f"{self.name}_c")
-        if reverse:
-            out.emit(f"for {jj} in range({self.name}_rowptr[{r}+1] - 1, "
-                     f"{self.name}_rowptr[{r}] - 1, -1):")
-        else:
-            out.emit(f"for {jj} in range({self.name}_rowptr[{r}], "
-                     f"{self.name}_rowptr[{r}+1]):")
-        out.push()
-        out.emit(f"{c} = {self.name}_colind[{jj}]")
-        return [c], [jj]
+            v = self.count(self.outer, ZERO, self.extent, reverse, dims)
+            return [v], [v]
+        return self.segment(self.ptr, self.ind, states[0], "jj", self.key,
+                            reverse, dims)
 
-    def interval(self, out: SourceWriter, step: int, states: Sequence[str]):
+    def interval(self, step, states):
+        return (ZERO, self.extent) if step == 0 else None
+
+    def search(self, step, states, keys):
         if step == 0:
-            return ("0", f"{self.name}_m")
-        return None
+            return self.index(self.outer, keys[0], self.extent)
+        o = V(states[0])
+        return self.bisect("jj", self.ind, keys[0], Load(self.ptr, (o,)),
+                           Load(self.ptr, (o + 1,)))
 
-    def search(self, out: SourceWriter, step: int, states: Sequence[str],
-               key_exprs: Sequence[str]):
-        if step == 0:
-            r = out.fresh(f"{self.name}_r")
-            out.emit(f"{r} = {key_exprs[0]}")
-            return [r], f"0 <= {r} < {self.name}_m"
-        (r,) = states
-        jj = out.fresh(f"{self.name}_jj")
-        ok = out.fresh(f"{self.name}_ok")
-        out.emit(f"{jj} = _bisect({self.name}_colind, {key_exprs[0]}, "
-                 f"{self.name}_rowptr[{r}], {self.name}_rowptr[{r}+1])")
-        out.emit(f"{ok} = {jj} >= 0")
-        return [jj], ok
-
-    def get(self, states: Sequence[str]) -> str:
-        return f"{self.name}_values[{states[1]}]"
-
-    def set(self, out: SourceWriter, states: Sequence[str], value: str) -> None:
-        out.emit(f"{self.name}_values[{states[1]}] = {value}")
-
-
-class CscEmitter(BaseEmitter):
-    def prologue(self, out: SourceWriter, src: str) -> None:
-        out.emit(f"{self.name}_colptr = {src}.colptr")
-        out.emit(f"{self.name}_rowind = {src}.rowind")
-        out.emit(f"{self.name}_values = {src}.values")
-        out.emit(f"{self.name}_n = {src}.ncols")
-
-    def loop(self, out: SourceWriter, step: int, states: Sequence[str], reverse: bool):
-        if step == 0:
-            c = out.fresh(f"{self.name}_c")
-            rng = (f"range({self.name}_n - 1, -1, -1)" if reverse
-                   else f"range({self.name}_n)")
-            out.emit(f"for {c} in {rng}:")
-            out.push()
-            return [c], [c]
-        (c,) = states
-        jj = out.fresh(f"{self.name}_jj")
-        r = out.fresh(f"{self.name}_r")
-        if reverse:
-            out.emit(f"for {jj} in range({self.name}_colptr[{c}+1] - 1, "
-                     f"{self.name}_colptr[{c}] - 1, -1):")
-        else:
-            out.emit(f"for {jj} in range({self.name}_colptr[{c}], "
-                     f"{self.name}_colptr[{c}+1]):")
-        out.push()
-        out.emit(f"{r} = {self.name}_rowind[{jj}]")
-        return [r], [jj]
-
-    def interval(self, out: SourceWriter, step: int, states: Sequence[str]):
-        if step == 0:
-            return ("0", f"{self.name}_n")
-        return None
-
-    def search(self, out: SourceWriter, step: int, states: Sequence[str],
-               key_exprs: Sequence[str]):
-        if step == 0:
-            c = out.fresh(f"{self.name}_c")
-            out.emit(f"{c} = {key_exprs[0]}")
-            return [c], f"0 <= {c} < {self.name}_n"
-        (c,) = states
-        jj = out.fresh(f"{self.name}_jj")
-        out.emit(f"{jj} = _bisect({self.name}_rowind, {key_exprs[0]}, "
-                 f"{self.name}_colptr[{c}], {self.name}_colptr[{c}+1])")
-        return [jj], f"{jj} >= 0"
-
-    def get(self, states: Sequence[str]) -> str:
-        return f"{self.name}_values[{states[1]}]"
-
-    def set(self, out: SourceWriter, states: Sequence[str], value: str) -> None:
-        out.emit(f"{self.name}_values[{states[1]}] = {value}")
+    def get(self, states):
+        return Load(self.values, (V(states[1]),))
 
 
 class CooEmitter(BaseEmitter):
-    def prologue(self, out: SourceWriter, src: str) -> None:
-        out.emit(f"{self.name}_rows = {src}.rows")
-        out.emit(f"{self.name}_cols = {src}.cols")
-        out.emit(f"{self.name}_vals = {src}.vals")
-        out.emit(f"{self.name}_nnz = {src}.nnz")
+    def __init__(self, ref, name, inst, b):
+        super().__init__(ref, name, inst, b)
+        self.rows, self.cols = self.array("rows"), self.array("cols")
+        self.vals = self.array("vals")
+        self.nnz = self.size("nnz", "nnz")
 
-    def loop(self, out: SourceWriter, step: int, states: Sequence[str], reverse: bool):
-        k = out.fresh(f"{self.name}_k")
-        r = out.fresh(f"{self.name}_r")
-        c = out.fresh(f"{self.name}_c")
-        rng = (f"range({self.name}_nnz - 1, -1, -1)" if reverse
-               else f"range({self.name}_nnz)")
-        out.emit(f"for {k} in {rng}:")
-        out.push()
-        out.emit(f"{r} = {self.name}_rows[{k}]")
-        out.emit(f"{c} = {self.name}_cols[{k}]")
+    def loop(self, step, states, reverse, dims):
+        k = self.count("k", ZERO, self.nnz, reverse, dims)
+        r = self.let("r", Load(self.rows, (V(k),)))
+        c = self.let("c", Load(self.cols, (V(k),)))
         return [r, c], [k]
 
-    def search(self, out: SourceWriter, step: int, states: Sequence[str],
-               key_exprs: Sequence[str]):
-        k = out.fresh(f"{self.name}_k")
-        out.emit(f"{k} = _coo_find({self.name}_rows, {self.name}_cols, "
-                 f"{key_exprs[0]}, {key_exprs[1]})")
-        return [k], f"{k} >= 0"
+    def search(self, step, states, keys):
+        self.rows.need_len = True
+        k = self.let("k", Call("_coo_find", (self.rows, self.cols,
+                                             keys[0], keys[1])))
+        return [k], Cmp(">=", V(k), ZERO)
 
-    def get(self, states: Sequence[str]) -> str:
-        return f"{self.name}_vals[{states[0]}]"
-
-    def set(self, out: SourceWriter, states: Sequence[str], value: str) -> None:
-        out.emit(f"{self.name}_vals[{states[0]}] = {value}")
+    def get(self, states):
+        return Load(self.vals, (V(states[0]),))
 
 
 class DenseEmitter(BaseEmitter):
-    def __init__(self, ref, name):
-        super().__init__(ref, name)
-        self.axis_order = ("r", "c") if ref.path.path_id == "rowmajor" else ("c", "r")
+    def __init__(self, ref, name, inst, b):
+        super().__init__(ref, name, inst, b)
+        self.axis_order = (("r", "c") if ref.path.path_id == "rowmajor"
+                           else ("c", "r"))
+        self.data = self.array("data")
+        self.extent = {"r": self.size("m", "nrows"),
+                       "c": self.size("n", "ncols")}
 
-    def prologue(self, out: SourceWriter, src: str) -> None:
-        out.emit(f"{self.name}_data = {src}.data")
-        out.emit(f"{self.name}_m = {src}.nrows")
-        out.emit(f"{self.name}_n = {src}.ncols")
-
-    def _extent(self, axis: str) -> str:
-        return f"{self.name}_m" if axis == "r" else f"{self.name}_n"
-
-    def loop(self, out: SourceWriter, step: int, states: Sequence[str], reverse: bool):
+    def loop(self, step, states, reverse, dims):
         axis = self.axis_order[step]
-        v = out.fresh(f"{self.name}_{axis}")
-        ext = self._extent(axis)
-        rng = f"range({ext} - 1, -1, -1)" if reverse else f"range({ext})"
-        out.emit(f"for {v} in {rng}:")
-        out.push()
+        v = self.count(axis, ZERO, self.extent[axis], reverse, dims)
         return [v], [v]
 
-    def interval(self, out: SourceWriter, step: int, states: Sequence[str]):
-        return ("0", self._extent(self.axis_order[step]))
+    def interval(self, step, states):
+        return (ZERO, self.extent[self.axis_order[step]])
 
-    def search(self, out: SourceWriter, step: int, states: Sequence[str],
-               key_exprs: Sequence[str]):
+    def search(self, step, states, keys):
         axis = self.axis_order[step]
-        v = out.fresh(f"{self.name}_{axis}")
-        out.emit(f"{v} = {key_exprs[0]}")
-        return [v], f"0 <= {v} < {self._extent(axis)}"
+        return self.index(axis, keys[0], self.extent[axis])
 
-    def _rc(self, states: Sequence[str]) -> Tuple[str, str]:
-        d = dict(zip(self.axis_order, states))
-        return d["r"], d["c"]
-
-    def get(self, states: Sequence[str]) -> str:
-        r, c = self._rc(states)
-        return f"{self.name}_data[{r}, {c}]"
-
-    def set(self, out: SourceWriter, states: Sequence[str], value: str) -> None:
-        r, c = self._rc(states)
-        out.emit(f"{self.name}_data[{r}, {c}] = {value}")
+    def get(self, states):
+        at = dict(zip(self.axis_order, states))
+        return Load(self.data, (V(at["r"]), V(at["c"])))
 
 
 class EllEmitter(BaseEmitter):
-    def prologue(self, out: SourceWriter, src: str) -> None:
-        out.emit(f"{self.name}_colind = {src}.colind")
-        out.emit(f"{self.name}_data = {src}.data")
-        out.emit(f"{self.name}_rowlen = {src}.rowlen")
-        out.emit(f"{self.name}_m = {src}.nrows")
+    def __init__(self, ref, name, inst, b):
+        super().__init__(ref, name, inst, b)
+        self.colind, self.data = self.array("colind"), self.array("data")
+        self.rowlen = self.array("rowlen")
+        self.m = self.size("m", "nrows")
 
-    def loop(self, out: SourceWriter, step: int, states: Sequence[str], reverse: bool):
+    def loop(self, step, states, reverse, dims):
         if step == 0:
-            r = out.fresh(f"{self.name}_r")
-            rng = (f"range({self.name}_m - 1, -1, -1)" if reverse
-                   else f"range({self.name}_m)")
-            out.emit(f"for {r} in {rng}:")
-            out.push()
+            r = self.count("r", ZERO, self.m, reverse, dims)
             return [r], [r]
-        (r,) = states
-        kk = out.fresh(f"{self.name}_kk")
-        c = out.fresh(f"{self.name}_c")
-        if reverse:
-            out.emit(f"for {kk} in range({self.name}_rowlen[{r}] - 1, -1, -1):")
-        else:
-            out.emit(f"for {kk} in range({self.name}_rowlen[{r}]):")
-        out.push()
-        out.emit(f"{c} = {self.name}_colind[{r}, {kk}]")
-        return [c], [kk]
+        r = V(states[0])
+        kk = self.count("kk", ZERO, Load(self.rowlen, (r,)), reverse, dims)
+        return [self.let("c", Load(self.colind, (r, V(kk))))], [kk]
 
-    def interval(self, out: SourceWriter, step: int, states: Sequence[str]):
+    def interval(self, step, states):
+        return (ZERO, self.m) if step == 0 else None
+
+    def search(self, step, states, keys):
         if step == 0:
-            return ("0", f"{self.name}_m")
-        return None
+            return self.index("r", keys[0], self.m)
+        kk = self.let("kk", Call("_ell_find", (self.colind, self.rowlen,
+                                               V(states[0]), keys[0])))
+        return [kk], Cmp(">=", V(kk), ZERO)
 
-    def search(self, out: SourceWriter, step: int, states: Sequence[str],
-               key_exprs: Sequence[str]):
-        if step == 0:
-            r = out.fresh(f"{self.name}_r")
-            out.emit(f"{r} = {key_exprs[0]}")
-            return [r], f"0 <= {r} < {self.name}_m"
-        (r,) = states
-        kk = out.fresh(f"{self.name}_kk")
-        out.emit(f"{kk} = _ell_find({self.name}_colind, {self.name}_rowlen, "
-                 f"{r}, {key_exprs[0]})")
-        return [kk], f"{kk} >= 0"
-
-    def get(self, states: Sequence[str]) -> str:
-        return f"{self.name}_data[{states[0]}, {states[1]}]"
-
-    def set(self, out: SourceWriter, states: Sequence[str], value: str) -> None:
-        out.emit(f"{self.name}_data[{states[0]}, {states[1]}] = {value}")
+    def get(self, states):
+        return Load(self.data, (V(states[0]), V(states[1])))
 
 
 class DiaEmitter(BaseEmitter):
-    def prologue(self, out: SourceWriter, src: str) -> None:
-        out.emit(f"{self.name}_diags = {src}.diags")
-        out.emit(f"{self.name}_data = {src}.data")
-        out.emit(f"{self.name}_m = {src}.nrows")
-        out.emit(f"{self.name}_n = {src}.ncols")
-        out.emit(f"{self.name}_nd = len({src}.diags)")
+    def __init__(self, ref, name, inst, b):
+        super().__init__(ref, name, inst, b)
+        self.diags, self.data = self.array("diags"), self.array("data")
+        self.m, self.n = self.size("m", "nrows"), self.size("n", "ncols")
+        self.nd = self.size("nd", "diags", kind="len")
 
-    def loop(self, out: SourceWriter, step: int, states: Sequence[str], reverse: bool):
+    def band(self, k: str):
+        """The stored offsets ``[lo, hi)`` of diagonal slot ``k``."""
+        d = Load(self.diags, (V(k),))
+        return (BinOp("max", ZERO, Neg(d)),
+                BinOp("min", self.n, BinOp("-", self.m, d)))
+
+    def loop(self, step, states, reverse, dims):
         if step == 0:
-            k = out.fresh(f"{self.name}_k")
-            d = out.fresh(f"{self.name}_d")
-            rng = (f"range({self.name}_nd - 1, -1, -1)" if reverse
-                   else f"range({self.name}_nd)")
-            out.emit(f"for {k} in {rng}:")
-            out.push()
-            out.emit(f"{d} = {self.name}_diags[{k}]")
-            return [d], [k]
-        (k,) = states
-        o = out.fresh(f"{self.name}_o")
-        d_expr = f"{self.name}_diags[{k}]"
-        lo = f"max(0, -{d_expr})"
-        hi = f"min({self.name}_n, {self.name}_m - {d_expr})"
-        if reverse:
-            out.emit(f"for {o} in range({hi} - 1, {lo} - 1, -1):")
-        else:
-            out.emit(f"for {o} in range({lo}, {hi}):")
-        out.push()
+            k = self.count("k", ZERO, self.nd, reverse, dims)
+            return [self.let("d", Load(self.diags, (V(k),)))], [k]
+        o = self.count("o", *self.band(states[0]), reverse, dims)
         return [o], [o]
 
-    def interval(self, out: SourceWriter, step: int, states: Sequence[str]):
-        if step == 1:
-            (k,) = states
-            d_expr = f"{self.name}_diags[{k}]"
-            return (f"max(0, -{d_expr})",
-                    f"min({self.name}_n, {self.name}_m - {d_expr})")
-        return None
+    def interval(self, step, states):
+        return self.band(states[0]) if step == 1 else None
 
-    def search(self, out: SourceWriter, step: int, states: Sequence[str],
-               key_exprs: Sequence[str]):
+    def search(self, step, states, keys):
         if step == 0:
-            k = out.fresh(f"{self.name}_k")
-            out.emit(f"{k} = _bisect({self.name}_diags, {key_exprs[0]}, 0, "
-                     f"{self.name}_nd)")
-            return [k], f"{k} >= 0"
-        (k,) = states
-        o = out.fresh(f"{self.name}_o")
-        d_expr = f"{self.name}_diags[{k}]"
-        out.emit(f"{o} = {key_exprs[0]}")
-        return [o], (f"max(0, -{d_expr}) <= {o} < "
-                     f"min({self.name}_n, {self.name}_m - {d_expr})")
+            return self.bisect("k", self.diags, keys[0], ZERO, self.nd)
+        o = self.let("o", keys[0])
+        return [o], within(V(o), *self.band(states[0]))
 
-    def get(self, states: Sequence[str]) -> str:
-        return f"{self.name}_data[{states[0]}, {states[1]}]"
-
-    def set(self, out: SourceWriter, states: Sequence[str], value: str) -> None:
-        out.emit(f"{self.name}_data[{states[0]}, {states[1]}] = {value}")
+    def get(self, states):
+        return Load(self.data, (V(states[0]), V(states[1])))
 
 
 class JadEmitter(BaseEmitter):
     """Both JAD perspectives; the rows path mirrors the paper's Figure 9."""
 
-    def prologue(self, out: SourceWriter, src: str) -> None:
-        out.emit(f"{self.name}_iperm = {src}.iperm")
-        out.emit(f"{self.name}_ipermi = {src}.ipermi")
-        out.emit(f"{self.name}_dptr = {src}.dptr")
-        out.emit(f"{self.name}_colind = {src}.colind")
-        out.emit(f"{self.name}_values = {src}.values")
-        out.emit(f"{self.name}_rowcnt = {src}.rowcnt")
-        out.emit(f"{self.name}_m = {src}.nrows")
-        out.emit(f"{self.name}_nnz = {src}.nnz")
-        out.emit(f"{self.name}_nd = {src}.ndiags")
+    def __init__(self, ref, name, inst, b):
+        super().__init__(ref, name, inst, b)
+        self.flat = ref.path.path_id == "flat"
+        self.iperm, self.ipermi = self.array("iperm"), self.array("ipermi")
+        self.dptr, self.colind = self.array("dptr"), self.array("colind")
+        self.values, self.rowcnt = self.array("values"), self.array("rowcnt")
+        self.m, self.nnz = self.size("m", "nrows"), self.size("nnz", "nnz")
 
-    # ---- flat path: one joint step ----
-    def _flat_loop(self, out: SourceWriter, reverse: bool):
-        d = out.fresh(f"{self.name}_d")
-        jj = out.fresh(f"{self.name}_jj")
-        r = out.fresh(f"{self.name}_r")
-        c = out.fresh(f"{self.name}_c")
-        # diagonal-major walk, tracking the current diagonal like the
-        # paper's JadFlatIterator::frob_d
-        out.emit(f"{d} = 0")
-        out.emit(f"for {jj} in range({self.name}_nnz):")
-        out.push()
-        out.emit(f"while {jj} >= {self.name}_dptr[{d}+1]:")
-        out.push()
-        out.emit(f"{d} += 1")
-        out.pop()
-        out.emit(f"{r} = {self.name}_iperm[{jj} - {self.name}_dptr[{d}]]")
-        out.emit(f"{c} = {self.name}_colind[{jj}]")
-        return [r, c], [jj]
-
-    def loop(self, out: SourceWriter, step: int, states: Sequence[str], reverse: bool):
-        if self.ref.path.path_id == "flat":
-            return self._flat_loop(out, reverse)
+    def loop(self, step, states, reverse, dims):
+        if self.flat:
+            # diagonal-major walk, tracking the current diagonal like the
+            # paper's JadFlatIterator::frob_d
+            d = self.let("d", ZERO)
+            jj = self.count("jj", ZERO, self.nnz, False, dims)
+            self.b.add(While(Cmp(">=", V(jj), Load(self.dptr, (V(d) + 1,))),
+                             [Assign(d, V(d) + 1)]))
+            r = self.let("r", Load(self.iperm, (
+                BinOp("-", V(jj), Load(self.dptr, (V(d),))),)))
+            return [r, self.let("c", Load(self.colind, (V(jj),)))], [jj]
         if step == 0:
-            rr = out.fresh(f"{self.name}_rr")
-            r = out.fresh(f"{self.name}_r")
-            rng = (f"range({self.name}_m - 1, -1, -1)" if reverse
-                   else f"range({self.name}_m)")
-            out.emit(f"for {rr} in {rng}:")
-            out.push()
-            out.emit(f"{r} = {self.name}_iperm[{rr}]")
-            return [r], [rr]
-        (rr,) = states
-        dd = out.fresh(f"{self.name}_dd")
-        jj = out.fresh(f"{self.name}_jj")
-        c = out.fresh(f"{self.name}_c")
-        if reverse:
-            out.emit(f"for {dd} in range({self.name}_rowcnt[{rr}] - 1, -1, -1):")
-        else:
-            out.emit(f"for {dd} in range({self.name}_rowcnt[{rr}]):")
-        out.push()
-        out.emit(f"{jj} = {self.name}_dptr[{dd}] + {rr}")
-        out.emit(f"{c} = {self.name}_colind[{jj}]")
-        return [c], [jj]
+            rr = self.count("rr", ZERO, self.m, reverse, dims)
+            return [self.let("r", Load(self.iperm, (V(rr),)))], [rr]
+        rr = V(states[0])
+        dd = self.count("dd", ZERO, Load(self.rowcnt, (rr,)), reverse, dims)
+        jj = self.let("jj", BinOp("+", Load(self.dptr, (V(dd),)), rr))
+        return [self.let("c", Load(self.colind, (V(jj),)))], [jj]
 
-    def interval(self, out: SourceWriter, step: int, states: Sequence[str]):
-        if self.ref.path.path_id == "rows" and step == 0:
-            return ("0", f"{self.name}_m")
-        return None
+    def interval(self, step, states):
+        return (ZERO, self.m) if not self.flat and step == 0 else None
 
-    def search(self, out: SourceWriter, step: int, states: Sequence[str],
-               key_exprs: Sequence[str]):
-        if self.ref.path.path_id == "flat":
-            jj = out.fresh(f"{self.name}_jj")
-            out.emit(f"{jj} = _jad_find({self.name}_ipermi, {self.name}_dptr, "
-                     f"{self.name}_colind, {self.name}_rowcnt, "
-                     f"{key_exprs[0]}, {key_exprs[1]})")
-            return [jj], f"{jj} >= 0"
-        if step == 0:
+    def search(self, step, states, keys):
+        if self.flat:
+            self.ipermi.need_len = True
+            jj = self.let("jj", Call("_jad_find", (
+                self.ipermi, self.dptr, self.colind, self.rowcnt,
+                keys[0], keys[1])))
+        elif step == 0:
             # the paper's Figure 9: search(LHier.begin(), ..., L.unmap(r))
-            rr = out.fresh(f"{self.name}_rr")
-            out.emit(f"{rr} = {self.name}_ipermi[{key_exprs[0]}] "
-                     f"if 0 <= {key_exprs[0]} < {self.name}_m else -1")
-            return [rr], f"{rr} >= 0"
-        (rr,) = states
-        jj = out.fresh(f"{self.name}_jj")
-        out.emit(f"{jj} = _jad_row_find({self.name}_dptr, {self.name}_colind, "
-                 f"{self.name}_rowcnt, {rr}, {key_exprs[0]})")
-        return [jj], f"{jj} >= 0"
+            rr = self.let("rr", Select(within(keys[0], ZERO, self.m),
+                                       Load(self.ipermi, (keys[0],)),
+                                       MINUS_ONE))
+            return [rr], Cmp(">=", V(rr), ZERO)
+        else:
+            jj = self.let("jj", Call("_jad_row_find", (
+                self.dptr, self.colind, self.rowcnt, V(states[0]), keys[0])))
+        return [jj], Cmp(">=", V(jj), ZERO)
 
-    def get(self, states: Sequence[str]) -> str:
-        return f"{self.name}_values[{states[-1]}]"
-
-    def set(self, out: SourceWriter, states: Sequence[str], value: str) -> None:
-        out.emit(f"{self.name}_values[{states[-1]}] = {value}")
+    def get(self, states):
+        return Load(self.values, (V(states[-1]),))
 
 
 class BsrEmitter(BaseEmitter):
-    def __init__(self, ref, name):
-        super().__init__(ref, name)
+    def __init__(self, ref, name, inst, b):
+        super().__init__(ref, name, inst, b)
         self.inner_order = (("ri", "ci") if ref.path.path_id == "rows_rc"
                             else ("ci", "ri"))
+        self.indptr = self.array("indptr")
+        self.blockind, self.data = self.array("blockind"), self.array("data")
+        self.brows = self.size("brows", "block_rows")
+        self.s = self.size("s", "block_size")
 
-    def prologue(self, out: SourceWriter, src: str) -> None:
-        out.emit(f"{self.name}_indptr = {src}.indptr")
-        out.emit(f"{self.name}_blockind = {src}.blockind")
-        out.emit(f"{self.name}_data = {src}.data")
-        out.emit(f"{self.name}_brows = {src}.block_rows")
-        out.emit(f"{self.name}_s = {src}.block_size")
-
-    def loop(self, out: SourceWriter, step: int, states: Sequence[str], reverse: bool):
-        if step == 0:
-            rb = out.fresh(f"{self.name}_rb")
-            rng = (f"range({self.name}_brows - 1, -1, -1)" if reverse
-                   else f"range({self.name}_brows)")
-            out.emit(f"for {rb} in {rng}:")
-            out.push()
-            return [rb], [rb]
+    def loop(self, step, states, reverse, dims):
         if step == 1:
-            rb = states[0]
-            kk = out.fresh(f"{self.name}_kk")
-            cb = out.fresh(f"{self.name}_cb")
-            if reverse:
-                out.emit(f"for {kk} in range({self.name}_indptr[{rb}+1] - 1, "
-                         f"{self.name}_indptr[{rb}] - 1, -1):")
-            else:
-                out.emit(f"for {kk} in range({self.name}_indptr[{rb}], "
-                         f"{self.name}_indptr[{rb}+1]):")
-            out.push()
-            out.emit(f"{cb} = {self.name}_blockind[{kk}]")
-            return [cb], [kk]
-        axis = self.inner_order[step - 2]
-        v = out.fresh(f"{self.name}_{axis}")
-        rng = (f"range({self.name}_s - 1, -1, -1)" if reverse
-               else f"range({self.name}_s)")
-        out.emit(f"for {v} in {rng}:")
-        out.push()
+            return self.segment(self.indptr, self.blockind, states[0], "kk",
+                                "cb", reverse, dims)
+        stem, extent = (("rb", self.brows) if step == 0
+                        else (self.inner_order[step - 2], self.s))
+        v = self.count(stem, ZERO, extent, reverse, dims)
         return [v], [v]
 
-    def interval(self, out: SourceWriter, step: int, states: Sequence[str]):
-        if step == 0:
-            return ("0", f"{self.name}_brows")
-        if step >= 2:
-            return ("0", f"{self.name}_s")
-        return None
-
-    def search(self, out: SourceWriter, step: int, states: Sequence[str],
-               key_exprs: Sequence[str]):
-        if step == 0:
-            rb = out.fresh(f"{self.name}_rb")
-            out.emit(f"{rb} = {key_exprs[0]}")
-            return [rb], f"0 <= {rb} < {self.name}_brows"
+    def interval(self, step, states):
         if step == 1:
-            rb = states[0]
-            kk = out.fresh(f"{self.name}_kk")
-            out.emit(f"{kk} = _bisect({self.name}_blockind, {key_exprs[0]}, "
-                     f"{self.name}_indptr[{rb}], {self.name}_indptr[{rb}+1])")
-            return [kk], f"{kk} >= 0"
-        v = out.fresh(f"{self.name}_v")
-        out.emit(f"{v} = {key_exprs[0]}")
-        return [v], f"0 <= {v} < {self.name}_s"
+            return None
+        return (ZERO, self.brows if step == 0 else self.s)
 
-    def _block_xy(self, states: Sequence[str]) -> Tuple[str, str, str]:
-        kk = states[1]
+    def search(self, step, states, keys):
+        if step == 0:
+            return self.index("rb", keys[0], self.brows)
+        if step == 1:
+            rb = V(states[0])
+            return self.bisect("kk", self.blockind, keys[0],
+                               Load(self.indptr, (rb,)),
+                               Load(self.indptr, (rb + 1,)))
+        return self.index("v", keys[0], self.s)
+
+    def get(self, states):
         inner = dict(zip(self.inner_order, states[2:]))
-        return kk, inner["ri"], inner["ci"]
-
-    def get(self, states: Sequence[str]) -> str:
-        kk, ri, ci = self._block_xy(states)
-        return f"{self.name}_data[{kk}, {ri}, {ci}]"
-
-    def set(self, out: SourceWriter, states: Sequence[str], value: str) -> None:
-        kk, ri, ci = self._block_xy(states)
-        out.emit(f"{self.name}_data[{kk}, {ri}, {ci}] = {value}")
+        return Load(self.data, (V(states[1]), V(inner["ri"]),
+                                V(inner["ci"])))
 
 
 class MsrDiagEmitter(BaseEmitter):
-    def prologue(self, out: SourceWriter, src: str) -> None:
-        out.emit(f"{self.name}_dvals = {src}.dvals")
-        out.emit(f"{self.name}_nd = {src}.ndiag")
+    def __init__(self, ref, name, inst, b):
+        super().__init__(ref, name, inst, b)
+        self.dvals = self.array("dvals")
+        self.nd = self.size("nd", "ndiag")
 
-    def loop(self, out: SourceWriter, step: int, states: Sequence[str], reverse: bool):
-        i = out.fresh(f"{self.name}_i")
-        rng = (f"range({self.name}_nd - 1, -1, -1)" if reverse
-               else f"range({self.name}_nd)")
-        out.emit(f"for {i} in {rng}:")
-        out.push()
+    def loop(self, step, states, reverse, dims):
+        i = self.count("i", ZERO, self.nd, reverse, dims)
         return [i], [i]
 
-    def interval(self, out: SourceWriter, step: int, states: Sequence[str]):
-        return ("0", f"{self.name}_nd")
+    def interval(self, step, states):
+        return (ZERO, self.nd)
 
-    def search(self, out: SourceWriter, step: int, states: Sequence[str],
-               key_exprs: Sequence[str]):
-        i = out.fresh(f"{self.name}_i")
-        out.emit(f"{i} = {key_exprs[0]}")
-        return [i], f"0 <= {i} < {self.name}_nd"
+    def search(self, step, states, keys):
+        return self.index("i", keys[0], self.nd)
 
-    def get(self, states: Sequence[str]) -> str:
-        return f"{self.name}_dvals[{states[0]}]"
-
-    def set(self, out: SourceWriter, states: Sequence[str], value: str) -> None:
-        out.emit(f"{self.name}_dvals[{states[0]}] = {value}")
-
-
-class MsrOffEmitter(BaseEmitter):
-    def prologue(self, out: SourceWriter, src: str) -> None:
-        out.emit(f"{self.name}_rowptr = {src}.rowptr")
-        out.emit(f"{self.name}_colind = {src}.colind")
-        out.emit(f"{self.name}_values = {src}.values")
-        out.emit(f"{self.name}_m = {src}.nrows")
-
-    loop = CsrEmitter.loop
-    interval = CsrEmitter.interval
-    search = CsrEmitter.search
-    get = CsrEmitter.get
-    set = CsrEmitter.set
+    def get(self, states):
+        return Load(self.dvals, (V(states[0]),))
 
 
 class GenericEmitter(BaseEmitter):
     """Fallback: call the abstract runtime dynamically.  Keeps user-defined
-    formats working with the compiled backend (slower than inlined code but
-    still loop-specialized)."""
+    formats working with the generated Python (slower than inlined code
+    but still loop-specialized); every node is ``PyOnly``."""
 
-    def prologue(self, out: SourceWriter, src: str) -> None:
-        out.emit(f"{self.name}_rt = {src}.runtime({self.ref.path.path_id!r})")
+    WHY = "generic runtime emitter"
 
-    def loop(self, out: SourceWriter, step: int, states: Sequence[str], reverse: bool):
-        keys = out.fresh(f"{self.name}_keys")
-        st = out.fresh(f"{self.name}_st")
-        prefix = "(" + ", ".join(states) + ("," if states else "") + ")"
-        it = f"{self.name}_rt.enumerate({step}, {prefix})"
+    def __init__(self, ref, name, inst, b):
+        super().__init__(ref, name, inst, b)
+        self.rt = f"{name}_rt"
+        b.add(PyOnly(f"{self.rt} = arrays[{ref.array!r}]"
+                     f".runtime({ref.path.path_id!r})", self.WHY))
+
+    @staticmethod
+    def _tuple(items: Sequence[str]) -> str:
+        return "(" + "".join(f"{i}, " for i in items) + ")"
+
+    def loop(self, step, states, reverse, dims):
+        keys, st = self.fresh("keys"), self.fresh("st")
+        it = f"{self.rt}.enumerate({step}, {self._tuple(states)})"
         if reverse:
             it = f"reversed(list({it}))"
-        out.emit(f"for {keys}, {st} in {it}:")
-        out.push()
-        axes = self.ref.path.steps[step].names
-        names = [out.fresh(f"{self.name}_{a}") for a in axes]
+        self.b.open(PyOnly(f"for {keys}, {st} in {it}:", self.WHY, []))
+        names = [self.fresh(a) for a in self.ref.path.steps[step].names]
         for i, nm in enumerate(names):
-            out.emit(f"{nm} = {keys}[{i}]")
+            self.b.add(PyOnly(f"{nm} = {keys}[{i}]", self.WHY))
         return names, [st]
 
-    def interval(self, out: SourceWriter, step: int, states: Sequence[str]):
-        prefix = "(" + ", ".join(states) + ("," if states else "") + ")"
-        iv = out.fresh(f"{self.name}_iv")
-        out.emit(f"{iv} = {self.name}_rt.interval({step}, {prefix})")
-        return (f"{iv}[0]", f"{iv}[1]")
+    def interval(self, step, states):
+        iv = self.fresh("iv")
+        self.b.add(PyOnly(f"{iv} = {self.rt}.interval({step}, "
+                          f"{self._tuple(states)})", self.WHY))
+        return PyOnly(f"{iv}[0]", self.WHY), PyOnly(f"{iv}[1]", self.WHY)
 
-    def search(self, out: SourceWriter, step: int, states: Sequence[str],
-               key_exprs: Sequence[str]):
-        st = out.fresh(f"{self.name}_st")
-        prefix = "(" + ", ".join(states) + ("," if states else "") + ")"
-        keys = "(" + ", ".join(key_exprs) + ("," if key_exprs else "") + ")"
-        out.emit(f"{st} = {self.name}_rt.search({step}, {prefix}, {keys})")
-        return [st], f"{st} is not None"
+    def search(self, step, states, keys):
+        st = self.fresh("st")
+        keys = self._tuple([py_expr(k) for k in keys])
+        self.b.add(PyOnly(f"{st} = {self.rt}.search({step}, "
+                          f"{self._tuple(states)}, {keys})", self.WHY))
+        return [st], PyOnly(f"{st} is not None", self.WHY)
 
-    def get(self, states: Sequence[str]) -> str:
-        prefix = "(" + ", ".join(states) + ("," if states else "") + ")"
-        return f"{self.name}_rt.get({prefix})"
+    def get(self, states):
+        return PyOnly(f"{self.rt}.get({self._tuple(states)})", self.WHY)
 
-    def set(self, out: SourceWriter, states: Sequence[str], value: str) -> None:
-        prefix = "(" + ", ".join(states) + ("," if states else "") + ")"
-        out.emit(f"{self.name}_rt.set({prefix}, {value})")
+    def set(self, states, value) -> None:
+        self.b.add(PyOnly(f"{self.rt}.set({self._tuple(states)}, "
+                          f"{py_expr(value)})", self.WHY))
 
 
-def make_emitter(ref: SparseRef, name: str) -> BaseEmitter:
+def make_emitter(ref: SparseRef, name: str, inst, b: Builder) -> BaseEmitter:
     fmt_name = ref.fmt.format_name
-    if fmt_name == "csr":
-        return CsrEmitter(ref, name)
+    if fmt_name == "csr" or (fmt_name == "msr" and ref.path.path_id != "diag"):
+        return CompressedEmitter(ref, name, inst, b, "rowptr", "colind",
+                                 ("m", "nrows"), "r", "c")
     if fmt_name == "csc":
-        return CscEmitter(ref, name)
-    if fmt_name == "coo":
-        return CooEmitter(ref, name)
-    if fmt_name == "dense":
-        return DenseEmitter(ref, name)
-    if fmt_name == "ell":
-        return EllEmitter(ref, name)
-    if fmt_name == "dia":
-        return DiaEmitter(ref, name)
-    if fmt_name == "jad":
-        return JadEmitter(ref, name)
-    if fmt_name == "bsr":
-        return BsrEmitter(ref, name)
+        return CompressedEmitter(ref, name, inst, b, "colptr", "rowind",
+                                 ("n", "ncols"), "c", "r")
     if fmt_name == "msr":
-        return (MsrDiagEmitter(ref, name) if ref.path.path_id == "diag"
-                else MsrOffEmitter(ref, name))
-    return GenericEmitter(ref, name)
-
-
-RUNTIME_HELPERS = '''
-def _bisect(arr, key, lo, hi):
-    while lo < hi:
-        mid = (lo + hi) // 2
-        v = arr[mid]
-        if v == key:
-            return mid
-        if v < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    return -1
-
-def _coo_find(rows, cols, r, c):
-    for k in range(len(rows)):
-        if rows[k] == r and cols[k] == c:
-            return k
-    return -1
-
-def _ell_find(colind, rowlen, r, c):
-    lo, hi = 0, rowlen[r]
-    while lo < hi:
-        mid = (lo + hi) // 2
-        v = colind[r, mid]
-        if v == c:
-            return mid
-        if v < c:
-            lo = mid + 1
-        else:
-            hi = mid
-    return -1
-
-def _jad_row_find(dptr, colind, rowcnt, rr, c):
-    lo, hi = 0, rowcnt[rr]
-    while lo < hi:
-        mid = (lo + hi) // 2
-        jj = dptr[mid] + rr
-        v = colind[jj]
-        if v == c:
-            return jj
-        if v < c:
-            lo = mid + 1
-        else:
-            hi = mid
-    return -1
-
-def _jad_find(ipermi, dptr, colind, rowcnt, r, c):
-    if not (0 <= r < len(ipermi)):
-        return -1
-    return _jad_row_find(dptr, colind, rowcnt, ipermi[r], c)
-'''
+        return MsrDiagEmitter(ref, name, inst, b)
+    cls = {"coo": CooEmitter, "dense": DenseEmitter, "ell": EllEmitter,
+           "dia": DiaEmitter, "jad": JadEmitter, "bsr": BsrEmitter}
+    return cls.get(fmt_name, GenericEmitter)(ref, name, inst, b)

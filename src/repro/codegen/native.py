@@ -1,47 +1,50 @@
 """Native C99 lowering of generated kernels.
 
-The specialized Python backend (:mod:`repro.codegen.pysource`) emits a
-small loop-and-assignment subset of Python; this module parses that subset
-with :mod:`ast` and lowers it to standalone C99 — typed pointer arguments
-for the numpy arrays (``int32_t``/``int64_t`` index arrays, ``double``
-values), ``int64_t`` scalars, row-major stride arguments for
-multi-dimensional arrays, and specialized static helper functions for the
-inlined binary searches.  The result is the real compiled analog of the
-paper's Figure 9 instantiation: the same raw index-array loops a
-hand-written NIST library kernel contains, handed to the system C
-compiler (:mod:`repro.core.backend`).
+The generator (:mod:`repro.codegen.pysource`) builds one loop IR per
+kernel (:mod:`repro.codegen.loopir`); this module prints that IR as
+standalone C99 — typed pointer arguments for the numpy arrays
+(``int32_t``/``int64_t`` index arrays, ``double`` values), ``int64_t``
+scalars, row-major stride arguments for multi-dimensional arrays, and
+specialized static helper functions for the inlined binary searches.  The
+result is the real compiled analog of the paper's Figure 9 instantiation:
+the same raw index-array loops a hand-written NIST library kernel
+contains, handed to the system C compiler (:mod:`repro.core.backend`).
+Types, ranks, which arrays are stored to and which expressions are affine
+are read off the IR nodes; nothing is recovered from text.
 
-Floor division is lowered through ``_fdiv`` (floor-correct for negative
+Floor division is printed through ``_fdiv`` (floor-correct for negative
 operands — C ``/`` truncates toward zero, Python ``//`` floors), and
 ``%`` appears only in ``== 0`` divisibility guards, where C and Python
 agree on zero-ness.
 
-Parallelism: :func:`lower_kernel` consults
-:class:`repro.core.parallel.ParallelReport` and marks strict-DOALL loops
-with ``#pragma omp parallel for``; under the ``atomic`` flavour,
-reduction loops whose every store is a read-modify-write accumulation get
-the pragma plus ``#pragma omp atomic`` on each accumulation.  Loops the
-analysis cannot safely align with the emitted source stay sequential.
+Parallelism: every ``For`` carries the plan dimensions it enumerates, and
+:meth:`repro.core.parallel.ParallelReport.verdict` says how such a loop
+may run.  Strict-DOALL loops get ``#pragma omp parallel for``; under the
+``atomic`` flavour, reduction loops whose every store is a
+read-modify-write accumulation get the pragma plus ``#pragma omp atomic``
+on each accumulation.  Loops nested inside a parallel loop, and loops a
+transform introduced, stay sequential.
 
-Optimization tiers (``opt``): ``"none"`` emits the loops exactly as the
-Python kernel wrote them.  ``"tiled"`` applies three transforms that are
-*byte-identical* to the naive emission — every floating-point value is
-produced by the same operations in the same order, only integer control
-flow and memory scheduling change:
+Optimization tiers (``opt``): ``"none"`` prints the loops exactly as the
+generator built them.  ``"tiled"`` first rewrites the IR with three
+transforms that are *byte-identical* to the naive loops — every
+floating-point value is produced by the same operations in the same
+order, only integer control flow and memory scheduling change:
 
-- **strip-mine** — the outermost unit-step loop is cache-blocked into
+- **strip_mine** — the outermost unit-step loop is cache-blocked into
   row blocks of ``tile_rows`` iterations (``REPRO_TILE_ROWS``).
 - **guard_absorb** — an inner loop whose body is a single conjunctive
   guard of affine ``±1``-coefficient conditions on the loop variable has
-  those conditions folded into hoisted ``_imax``/``_imin`` loop bounds
-  (the iterations removed executed nothing), and the loop bounds are
-  hoisted out of the per-iteration condition.  This is what lets the
-  compiler vectorize DIA-style diagonal loops.
+  those conditions folded into hoisted ``max``/``min`` loop bounds (the
+  iterations removed executed nothing), and the loop bounds are hoisted
+  out of the per-iteration condition.  This is what lets the compiler
+  vectorize DIA-style diagonal loops.
 - **register_tile** — a sparse accumulation loop whose last statement is
   an inner DOALL panel accumulation (the SpMM shape) is column-blocked:
-  the output panel is held in a fixed-width local accumulator across the
-  sparse loop and written back once per block.  Per output element the
-  accumulation order is unchanged.
+  blocks of eight output columns are held in a local accumulator across
+  the sparse loop and written back once; the columns left over run the
+  original loop.  Per output element the accumulation order is
+  unchanged.
 
 ``"tiled"`` additionally marks proven per-iteration-distinct store loops
 with ``#pragma omp simd`` and qualifies pointer arguments ``restrict``
@@ -51,27 +54,43 @@ left untouched.  ``"fast"`` emits the same code but is compiled with
 reassociation-permitting flags (see :mod:`repro.core.backend`), so it is
 validated by tolerance, not byte-identity.
 
-Constructs the C subset cannot express (gather-and-sort enumerations,
-the generic dynamic-runtime emitter, unsupported dtypes) raise
-:class:`NativeLoweringError`; the backend treats that as "fall back to
-the Python kernel", never as a hard failure.
+A node either has a C printer (:data:`C_PRINTERS`) or it is ``PyOnly``
+(gather-and-sort enumerations, the generic dynamic-runtime emitter); the
+latter, and an array of a dtype C has no name for, raise
+:class:`NativeLoweringError` naming the node.  The backend treats that as
+"fall back to the Python kernel", never as a hard failure.
 """
 
 from __future__ import annotations
 
-import ast
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
-from repro.core.plan import (
-    LoopNode,
-    Plan,
-    PlanNode,
-    SearchEnum,
-    SortedEnum,
-    VarLoopNode,
+from repro.codegen.loopir import (
+    And,
+    ArrayArg,
+    Assign,
+    BinOp,
+    Call,
+    Cmp,
+    Const,
+    For,
+    If,
+    KernelIR,
+    Load,
+    Local,
+    Neg,
+    ScalarArg,
+    Select,
+    Store,
+    V,
+    While,
+    ZERO,
+    denominator,
+    map_index,
+    render_lin,
+    walk,
 )
+from repro.polyhedra.linexpr import LinExpr
 
 
 class NativeLoweringError(RuntimeError):
@@ -90,44 +109,18 @@ _CTYPES = {
 _TAGS = {"int32": "i32", "int64": "i64", "float32": "f32", "float64": "f64"}
 
 
-class ArgSpec:
-    """One C function argument: how to load its value from the Python-side
-    ``(arrays, params)`` call and how it is typed in C.
-
-    ``kind`` is ``"scalar"`` (an ``int64_t``) or ``"array"`` (a typed
-    pointer, followed in the signature by ``ndim - 1`` row-major stride
-    arguments and, when ``need_len`` is set, the length of dimension 0).
-    """
-
-    __slots__ = ("cname", "kind", "dtype", "ndim", "loader", "written",
-                 "need_len")
-
-    def __init__(self, cname: str, kind: str,
-                 loader: Callable[[Mapping, Mapping], object],
-                 dtype: Optional[str] = None, ndim: int = 1):
-        self.cname = cname
-        self.kind = kind
-        self.loader = loader
-        self.dtype = dtype
-        self.ndim = ndim
-        self.written = False
-        self.need_len = False
-
-    def __repr__(self):
-        return (f"ArgSpec({self.cname}, {self.kind}, dtype={self.dtype}, "
-                f"ndim={self.ndim}, written={self.written})")
-
-
 class NativeSpec:
-    """A lowered kernel: the C translation unit, the ordered argument
-    specs, whether any OpenMP pragma was emitted, and which optimization
-    tier produced it (``transforms`` lists the loop transforms that
-    actually fired, e.g. ``["strip_mine", "guard_absorb"]``)."""
+    """A lowered kernel: the C translation unit, the IR's ordered argument
+    nodes (:class:`~repro.codegen.loopir.ScalarArg` /
+    :class:`~repro.codegen.loopir.ArrayArg`), whether any OpenMP pragma
+    was emitted, and which optimization tier produced it (``transforms``
+    lists the loop transforms that actually fired, e.g.
+    ``["strip_mine", "guard_absorb"]``)."""
 
     __slots__ = ("c_source", "args", "uses_openmp", "flavour", "opt",
                  "transforms")
 
-    def __init__(self, c_source: str, args: List[ArgSpec], uses_openmp: bool,
+    def __init__(self, c_source: str, args: List, uses_openmp: bool,
                  flavour: str, opt: str = "none",
                  transforms: Optional[List[str]] = None):
         self.c_source = c_source
@@ -237,1042 +230,540 @@ def _helper_jad_find(ti: str, td: str, tc: str, tr: str) -> str:
     )
 
 
+
 # ---------------------------------------------------------------------------
-# Lowering
+# What the transforms need to know about a piece of IR
 # ---------------------------------------------------------------------------
 
-class _Lowerer:
-    def __init__(self, py_source: str, bindings: Mapping[str, object],
-                 flavour: str, loop_flags: Optional[List[str]],
-                 opt: str = "none", tile_rows: int = 512):
-        self.bindings = dict(bindings)
+def _names(e) -> Set[str]:
+    """Scalar names in the affine leaves of an expression."""
+    return {v for n in walk(e) if isinstance(n, LinExpr) for v in n.coeffs}
+
+
+def _mentions(e, arrays) -> bool:
+    """Does the expression (or statement list) touch one of ``arrays``?"""
+    return any(n in arrays for n in walk(e)
+               if isinstance(n, (ArrayArg, Local)))
+
+
+def _assigned(stmts) -> Set[str]:
+    """Scalars assigned anywhere inside ``stmts``, loop variables included."""
+    return {n.var for n in walk(stmts) if isinstance(n, (Assign, For))}
+
+
+def _rmw_op(store: Store) -> Optional[str]:
+    """``+ - * /`` when the store is ``target = target op expr`` and
+    ``expr`` does not read the target (the OpenMP atomic update form)."""
+    value, target = store.value, Load(store.array, store.idx)
+    if not (isinstance(value, BinOp) and value.op in ("+", "-", "*", "/")
+            and value.left == target):
+        return None
+    if any(n == target for n in walk(value.right)):
+        return None
+    return value.op
+
+
+def _absorb_one(cmp, v: str, assigned: Set[str]):
+    """Fold one affine conjunct into a loop bound: ``("lo", e)`` meaning
+    ``v >= e``, ``("hi", e)`` meaning ``v < e``, or None when it is not
+    absorbable."""
+    if not (isinstance(cmp, Cmp) and isinstance(cmp.left, LinExpr)
+            and isinstance(cmp.right, LinExpr)):
+        return None
+    # normalize to  diff >= need
+    if cmp.op in (">=", ">"):
+        diff, need = cmp.left - cmp.right, int(cmp.op == ">")
+    elif cmp.op in ("<=", "<"):
+        diff, need = cmp.right - cmp.left, int(cmp.op == "<")
+    else:
+        return None
+    cv = diff.coeff(v)
+    if denominator(diff) != 1 or cv not in (1, -1):
+        return None
+    rest = diff - V(v) * cv
+    if set(rest.coeffs) & assigned:
+        return None                 # not invariant across the loop body
+    if cv == 1:
+        return "lo", need - rest
+    return "hi", rest - need + 1
+
+
+# ---------------------------------------------------------------------------
+# Scheduling: parallel verdicts and the tiled tier's IR -> IR transforms
+# ---------------------------------------------------------------------------
+
+#: output columns one register tile holds
+_PANEL = 8
+
+
+class _Scheduler:
+    """One top-down rewrite of a kernel body.  Per ``For`` it decides the
+    OpenMP verdict from the loop's plan dimensions and, at the tiled tier,
+    applies register_tile or guard_absorb / strip_mine / simd.  The input
+    IR is never mutated (a kernel's IR is shared by every lowering)."""
+
+    def __init__(self, report, flavour: str, opt: str, tile_rows: int,
+                 written: Set[ArrayArg]):
+        self.report = report        # ParallelReport, None when sequential
         self.flavour = flavour
-        self.loop_flags = loop_flags
         self.opt = opt
         self.tile_rows = tile_rows
-        self.args: List[ArgSpec] = []
-        self.arrays: Dict[str, ArgSpec] = {}
-        self.scalars: Dict[str, ArgSpec] = {}
-        self.helpers: Dict[str, str] = {}       # fn name -> definition text
-        self.lines: List[str] = []
-        self.indent = 1
-        self.declared: set = set()
-        self.for_index = 0
-        self.parallel_depth = 0
-        self.atomic_region = False
-        self.uses_openmp = False
+        self.written = written
         self.transforms: List[str] = []
-        self.rename: Dict[str, str] = {}        # loop-var substitutions
-        self.emit_depth = 0                     # emitted source-loop nesting
-        self._uid_counter = 0
+        self.declared: Set[str] = set()    # scalars assigned so far
+        self._uid = 0
 
-        tree = ast.parse(py_source)
-        fndef = next(
-            (n for n in tree.body
-             if isinstance(n, ast.FunctionDef) and n.name == "kernel"), None)
-        if fndef is None:
-            raise NativeLoweringError("no kernel function in generated source")
-        self.body = self._parse_prologue(fndef.body)
-        self._infer_dense_shapes(self.body)
-        self.written_arrays = self._stored_arrays(self.body)
-        n_fors = sum(1 for _ in ast.walk(ast.Module(body=self.body,
-                                                    type_ignores=[]))
-                     if isinstance(_, ast.For))
-        if self.loop_flags is not None and len(self.loop_flags) != n_fors:
-            # the plan's loop nodes don't align with the emitted loops
-            # (auxiliary loops present); stay sequential rather than
-            # mislabel a loop as parallel
-            self.loop_flags = None
+    def uid(self) -> int:
+        self._uid += 1
+        return self._uid
 
-    # -- prologue ---------------------------------------------------------
-
-    def _parse_prologue(self, stmts: Sequence[ast.stmt]) -> List[ast.stmt]:
-        srcs: Dict[str, str] = {}
-        i = 0
-        for i, st in enumerate(stmts):
-            if not (isinstance(st, ast.Assign) and len(st.targets) == 1
-                    and isinstance(st.targets[0], ast.Name)):
-                break
-            target = st.targets[0].id
-            v = st.value
-            if (isinstance(v, ast.Subscript) and isinstance(v.value, ast.Name)
-                    and v.value.id in ("params", "arrays")
-                    and isinstance(v.slice, ast.Constant)):
-                key = v.slice.value
-                if v.value.id == "params":
-                    self._add_scalar(target, _param_loader(key))
-                elif target.startswith("_src_"):
-                    srcs[target] = key
-                else:
-                    self._add_dense(target, key)
-                continue
-            if (isinstance(v, ast.Attribute) and isinstance(v.value, ast.Name)
-                    and v.value.id in srcs):
-                if v.attr == "runtime":
-                    raise NativeLoweringError("generic runtime emitter")
-                self._add_attr(target, srcs[v.value.id], v.attr)
-                continue
-            if (isinstance(v, ast.Call) and isinstance(v.func, ast.Name)
-                    and v.func.id == "len" and len(v.args) == 1
-                    and isinstance(v.args[0], ast.Attribute)
-                    and isinstance(v.args[0].value, ast.Name)
-                    and v.args[0].value.id in srcs):
-                key, attr = srcs[v.args[0].value.id], v.args[0].attr
-                self._add_scalar(target, _len_loader(key, attr))
-                continue
-            if (isinstance(v, ast.Call) and isinstance(v.func, ast.Attribute)
-                    and isinstance(v.func.value, ast.Name)
-                    and v.func.value.id in srcs):
-                raise NativeLoweringError(
-                    f"dynamic format call {v.func.attr!r} (generic emitter)")
-            break
-        else:
-            i = len(stmts)
-        return list(stmts[i:])
-
-    def _add_scalar(self, name: str, loader) -> None:
-        spec = ArgSpec(name, "scalar", loader)
-        self.args.append(spec)
-        self.scalars[name] = spec
-
-    def _add_dense(self, name: str, key: str) -> None:
-        # dtype/ndim resolved from usage later; dense data is float64
-        spec = ArgSpec(name, "array", _array_loader(key), "float64", ndim=-1)
-        self.args.append(spec)
-        self.arrays[name] = spec
-
-    def _add_attr(self, name: str, key: str, attr: str) -> None:
-        inst = self.bindings.get(key)
-        if inst is None:
-            raise NativeLoweringError(f"no compile-time binding for {key!r}")
-        val = getattr(inst, attr)
-        if isinstance(val, np.ndarray):
-            dt = val.dtype.name
-            if dt not in _CTYPES:
-                raise NativeLoweringError(f"unsupported dtype {dt} for {name}")
-            spec = ArgSpec(name, "array", _attr_loader(key, attr), dt,
-                           ndim=max(val.ndim, 1))
-            self.args.append(spec)
-            self.arrays[name] = spec
-        elif isinstance(val, (int, np.integer)):
-            self._add_scalar(name, _attr_loader(key, attr))
-        else:
-            raise NativeLoweringError(
-                f"attribute {attr!r} of {key!r} is neither array nor int")
-
-    def _infer_dense_shapes(self, body: Sequence[ast.stmt]) -> None:
-        mod = ast.Module(body=list(body), type_ignores=[])
-        for node in ast.walk(mod):
-            if not (isinstance(node, ast.Subscript)
-                    and isinstance(node.value, ast.Name)):
-                continue
-            spec = self.arrays.get(node.value.id)
-            if spec is None or spec.ndim != -1:
-                continue
-            sl = node.slice
-            if isinstance(sl, ast.Tuple):
-                spec.ndim = len(sl.elts)
-            elif isinstance(sl, ast.Constant) and sl.value == ():
-                spec.ndim = 0
+    def block(self, stmts: Sequence, depth: int = 0, in_par: bool = False,
+              in_atomic: bool = False) -> List:
+        out: List = []
+        for s in stmts:
+            if isinstance(s, For):
+                out.extend(self.loop(s, depth, in_par, in_atomic))
+            elif isinstance(s, (While, If)):
+                out.append(type(s)(s.cond, self.block(s.body, depth, in_par,
+                                                      in_atomic)))
             else:
-                spec.ndim = 1
-        for spec in self.arrays.values():
-            if spec.ndim == -1:
-                spec.ndim = 1        # referenced but never subscripted
-
-    def _stored_arrays(self, body: Sequence[ast.stmt]) -> set:
-        mod = ast.Module(body=list(body), type_ignores=[])
-        out = set()
-        for node in ast.walk(mod):
-            if isinstance(node, ast.Assign):
-                tgt = node.targets[0]
-                if (isinstance(tgt, ast.Subscript)
-                        and isinstance(tgt.value, ast.Name)):
-                    out.add(tgt.value.id)
+                if isinstance(s, Assign):
+                    self.declared.add(s.var)
+                out.append(s)
         return out
 
-    # -- static analysis for the tiled tier -------------------------------
-
-    @staticmethod
-    def _names_in(node: ast.AST) -> set:
-        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-
-    def _mentions_arrays(self, node: ast.AST, names: set) -> bool:
-        return bool(self._names_in(node) & names)
-
-    @staticmethod
-    def _assigned_names(stmts: Sequence[ast.stmt]) -> set:
-        """Names assigned anywhere inside ``stmts`` (scalar assignment
-        targets, augmented assignments, and for-loop variables)."""
-        mod = ast.Module(body=list(stmts), type_ignores=[])
-        out = set()
-        for node in ast.walk(mod):
-            if isinstance(node, ast.Assign):
-                for t in node.targets:
-                    if isinstance(t, ast.Name):
-                        out.add(t.id)
-            elif isinstance(node, ast.AugAssign):
-                if isinstance(node.target, ast.Name):
-                    out.add(node.target.id)
-            elif isinstance(node, ast.For):
-                if isinstance(node.target, ast.Name):
-                    out.add(node.target.id)
-        return out
-
-    def _affine(self, node: ast.AST):
-        """Decompose an integer expression into ``({name: coeff}, const)``,
-        or None when it is not affine in plain scalar names."""
-        if isinstance(node, ast.Constant):
-            if isinstance(node.value, bool) or not isinstance(node.value, int):
-                return None
-            return {}, node.value
-        if isinstance(node, ast.Name):
-            if node.id in self.arrays:
-                return None
-            return {node.id: 1}, 0
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            sub = self._affine(node.operand)
-            if sub is None:
-                return None
-            coeffs, const = sub
-            return {k: -v for k, v in coeffs.items()}, -const
-        if isinstance(node, ast.BinOp):
-            if isinstance(node.op, (ast.Add, ast.Sub)):
-                l = self._affine(node.left)
-                r = self._affine(node.right)
-                if l is None or r is None:
-                    return None
-                sign = 1 if isinstance(node.op, ast.Add) else -1
-                coeffs = dict(l[0])
-                for k, v in r[0].items():
-                    coeffs[k] = coeffs.get(k, 0) + sign * v
-                coeffs = {k: v for k, v in coeffs.items() if v}
-                return coeffs, l[1] + sign * r[1]
-            if isinstance(node.op, ast.Mult):
-                l = self._affine(node.left)
-                r = self._affine(node.right)
-                if l is None or r is None:
-                    return None
-                if not l[0]:
-                    c = l[1]
-                    return ({k: c * v for k, v in r[0].items() if c * v},
-                            c * r[1])
-                if not r[0]:
-                    c = r[1]
-                    return ({k: c * v for k, v in l[0].items() if c * v},
-                            c * l[1])
-                return None
-        return None
-
-    @staticmethod
-    def _affine_c(coeffs: Dict[str, int], const: int) -> str:
-        parts = []
-        for name in sorted(coeffs):
-            c = coeffs[name]
-            if c == 1:
-                parts.append(f"({name})")
-            elif c == -1:
-                parts.append(f"(-({name}))")
-            else:
-                parts.append(f"(({c}) * ({name}))")
-        if const or not parts:
-            parts.append(str(const))
-        return "(" + " + ".join(parts) + ")"
-
-    def _conjuncts(self, test: ast.AST):
-        """Flatten an ``and`` tree into single-op comparisons, or None
-        when the test is not a pure conjunction of such comparisons."""
-        if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
-            out = []
-            for v in test.values:
-                sub = self._conjuncts(v)
-                if sub is None:
-                    return None
-                out.extend(sub)
-            return out
-        if isinstance(test, ast.Compare) and len(test.ops) == 1:
-            return [test]
-        return None
-
-    def _absorb_one(self, cmp: ast.Compare, v: str, assigned: set):
-        """Fold one affine conjunct into a loop bound: returns
-        ``("lo", c_expr)`` meaning ``v >= c_expr``, ``("hi", c_expr)``
-        meaning ``v < c_expr``, or None when not absorbable."""
-        l = self._affine(cmp.left)
-        r = self._affine(cmp.comparators[0])
-        if l is None or r is None:
-            return None
-        op = type(cmp.ops[0]).__name__
-        # normalize to  coeffs·names + const >= need
-        if op in ("GtE", "Gt"):
-            pos, neg, strict = l, r, op == "Gt"
-        elif op in ("LtE", "Lt"):
-            pos, neg, strict = r, l, op == "Lt"
-        else:
-            return None
-        coeffs = dict(pos[0])
-        for k, c in neg[0].items():
-            coeffs[k] = coeffs.get(k, 0) - c
-        coeffs = {k: c for k, c in coeffs.items() if c}
-        const = pos[1] - neg[1]
-        cv = coeffs.pop(v, 0)
-        if cv not in (1, -1):
-            return None
-        for name in coeffs:
-            if name in assigned or name in self.arrays:
-                return None      # not invariant across the loop body
-        need = 1 if strict else 0
-        if cv == 1:
-            # v >= need - const - rest
-            return ("lo", self._affine_c({k: -c for k, c in coeffs.items()},
-                                         need - const))
-        # -v + rest + const >= need  =>  v < rest + const - need + 1
-        return ("hi", self._affine_c(coeffs, const - need + 1))
-
-    def _simd_safe(self, body: Sequence[ast.stmt], v: str) -> bool:
-        """True when every iteration of the loop over ``v`` touches
-        provably distinct store addresses and carries no scalar state, so
-        ``#pragma omp simd`` preserves byte-identical results."""
-        store_texts = set()
-        for st in body:
-            if not (isinstance(st, ast.Assign) and len(st.targets) == 1):
-                return False
-            tgt = st.targets[0]
-            if isinstance(tgt, ast.Name):
-                # fresh per-iteration local is privatizable; a name already
-                # live outside the loop could carry state across iterations
-                if tgt.id in self.declared:
-                    return False
-                continue
-            if not (isinstance(tgt, ast.Subscript)
-                    and isinstance(tgt.value, ast.Name)
-                    and tgt.value.id in self.arrays):
-                return False
-            sl = tgt.slice
-            idx = list(sl.elts) if isinstance(sl, ast.Tuple) else [sl]
-            varying = 0
-            for comp in idx:
-                aff = self._affine(comp)
-                if aff is None:
-                    if v in self._names_in(comp):
-                        return False
-                    continue
-                cv = aff[0].get(v, 0)
-                if cv == 0:
-                    continue
-                if cv not in (1, -1):
-                    return False
-                varying += 1
-            if varying != 1:
-                return False
-            text = ast.unparse(tgt)
-            for other in store_texts:
-                # two distinct addresses of one array could collide across
-                # iterations (y[i] vs y[i+1]); one address per array only
-                if (other != text
-                        and other.split("[", 1)[0] == tgt.value.id):
-                    return False
-            store_texts.add(text)
-        if not store_texts:
-            return False
-        # every reference to a stored array must be textually one of the
-        # stores (same address as this iteration's own store)
-        written = {t.split("[", 1)[0] for t in store_texts}
-        for st in body:
-            for node in ast.walk(st):
-                if (isinstance(node, ast.Subscript)
-                        and isinstance(node.value, ast.Name)
-                        and node.value.id in written
-                        and ast.unparse(node) not in store_texts):
-                    return False
-        return True
-
-    def _uid(self) -> int:
-        self._uid_counter += 1
-        return self._uid_counter
-
-    # -- emission helpers -------------------------------------------------
-
-    def emit(self, line: str) -> None:
-        self.lines.append("    " * self.indent + line)
-
-    def _need_helper(self, name: str, text: str) -> None:
-        self.helpers.setdefault(name, text)
-
-    def _array_of(self, node: ast.AST, what: str) -> ArgSpec:
-        if isinstance(node, ast.Name) and node.id in self.arrays:
-            return self.arrays[node.id]
-        raise NativeLoweringError(f"{what} must be a known array argument")
-
-    # -- expressions ------------------------------------------------------
-
-    def cexpr(self, node: ast.AST) -> str:
-        if isinstance(node, ast.Name):
-            if node.id in self.arrays:
-                raise NativeLoweringError(
-                    f"raw array reference {node.id!r} outside subscript")
-            return self.rename.get(node.id, node.id)
-        if isinstance(node, ast.Constant):
-            return self._const(node.value)
-        if isinstance(node, ast.UnaryOp):
-            if isinstance(node.op, ast.USub):
-                return f"(-({self.cexpr(node.operand)}))"
-            if isinstance(node.op, ast.Not):
-                return f"(!({self.cexpr(node.operand)}))"
-            raise NativeLoweringError(f"unary op {type(node.op).__name__}")
-        if isinstance(node, ast.BinOp):
-            return self._binop(node)
-        if isinstance(node, ast.Compare):
-            parts = []
-            cur = node.left
-            for op, comp in zip(node.ops, node.comparators):
-                sym = {"Lt": "<", "LtE": "<=", "Gt": ">", "GtE": ">=",
-                       "Eq": "==", "NotEq": "!="}.get(type(op).__name__)
-                if sym is None:
-                    raise NativeLoweringError(
-                        f"comparison {type(op).__name__}")
-                parts.append(f"({self.cexpr(cur)}) {sym} ({self.cexpr(comp)})")
-                cur = comp
-            return "(" + " && ".join(parts) + ")"
-        if isinstance(node, ast.BoolOp):
-            sym = " && " if isinstance(node.op, ast.And) else " || "
-            return "(" + sym.join(f"({self.cexpr(v)})" for v in node.values) + ")"
-        if isinstance(node, ast.IfExp):
-            return (f"(({self.cexpr(node.test)}) ? ({self.cexpr(node.body)}) "
-                    f": ({self.cexpr(node.orelse)}))")
-        if isinstance(node, ast.Subscript):
-            return self._subscript(node)
-        if isinstance(node, ast.Call):
-            return self._call(node)
-        raise NativeLoweringError(f"expression {type(node).__name__}")
-
-    def _const(self, value) -> str:
-        if isinstance(value, bool):
-            return "1" if value else "0"
-        if isinstance(value, int):
-            return str(value)
-        if isinstance(value, float):
-            s = repr(value)
-            if "." not in s and "e" not in s and "E" not in s:
-                s += ".0"
-            return s
-        raise NativeLoweringError(f"constant {value!r}")
-
-    def _binop(self, node: ast.BinOp) -> str:
-        l, r = self.cexpr(node.left), self.cexpr(node.right)
-        op = type(node.op).__name__
-        if op == "Add":
-            return f"(({l}) + ({r}))"
-        if op == "Sub":
-            return f"(({l}) - ({r}))"
-        if op == "Mult":
-            return f"(({l}) * ({r}))"
-        if op == "Div":
-            # Python true division; cast both sides so int/int cannot
-            # truncate (double/double is unchanged)
-            return f"((double)({l}) / (double)({r}))"
-        if op == "FloorDiv":
-            # C '/' truncates toward zero; Python '//' floors
-            self._need_helper("_fdiv", _helper_fdiv())
-            return f"_fdiv({l}, {r})"
-        if op == "Mod":
-            # only emitted in divisibility guards ('% q == 0'), where C
-            # and Python agree on zero-ness regardless of sign
-            return f"(({l}) % ({r}))"
-        raise NativeLoweringError(f"binary op {op}")
-
-    def _subscript(self, node: ast.Subscript) -> str:
-        spec = self._array_of(node.value, "subscript base")
-        sl = node.slice
-        if isinstance(sl, ast.Tuple):
-            idx = list(sl.elts)
-        elif isinstance(sl, ast.Constant) and sl.value == ():
-            idx = []
-        else:
-            idx = [sl]
-        if spec.ndim == 0:
-            if idx:
-                raise NativeLoweringError(f"{spec.cname}: scalar array indexed")
-            return f"{spec.cname}[0]"
-        if len(idx) != spec.ndim:
-            raise NativeLoweringError(
-                f"{spec.cname}: {len(idx)} indices for ndim {spec.ndim}")
-        expr = self.cexpr(idx[0])
-        for k in range(1, spec.ndim):
-            expr = f"({expr}) * {spec.cname}__s{k - 1} + ({self.cexpr(idx[k])})"
-        return f"{spec.cname}[{expr}]"
-
-    def _call(self, node: ast.Call) -> str:
-        if not isinstance(node.func, ast.Name):
-            raise NativeLoweringError("method call")
-        fn = node.func.id
-        a = node.args
-        if fn in ("max", "min") and len(a) == 2:
-            self._need_helper("_imax", _helper_minmax())
-            c = "_imax" if fn == "max" else "_imin"
-            return f"{c}({self.cexpr(a[0])}, {self.cexpr(a[1])})"
-        if fn == "len" and len(a) == 1:
-            spec = self._array_of(a[0], "len() argument")
-            spec.need_len = True
-            return f"{spec.cname}__len"
-        if fn == "_bisect" and len(a) == 4:
-            arr = self._array_of(a[0], "_bisect array")
-            name = f"_bisect_{_TAGS[arr.dtype]}"
-            self._need_helper(name, _helper_bisect(arr.dtype))
-            rest = ", ".join(self.cexpr(x) for x in a[1:])
-            return f"{name}({arr.cname}, {rest})"
-        if fn == "_coo_find" and len(a) == 4:
-            rows = self._array_of(a[0], "_coo_find rows")
-            cols = self._array_of(a[1], "_coo_find cols")
-            rows.need_len = True
-            name = f"_coo_find_{_TAGS[rows.dtype]}_{_TAGS[cols.dtype]}"
-            self._need_helper(name, _helper_coo_find(rows.dtype, cols.dtype))
-            return (f"{name}({rows.cname}, {rows.cname}__len, {cols.cname}, "
-                    f"{self.cexpr(a[2])}, {self.cexpr(a[3])})")
-        if fn == "_ell_find" and len(a) == 4:
-            colind = self._array_of(a[0], "_ell_find colind")
-            rowlen = self._array_of(a[1], "_ell_find rowlen")
-            if colind.ndim != 2:
-                raise NativeLoweringError("_ell_find colind must be 2-D")
-            name = f"_ell_find_{_TAGS[colind.dtype]}_{_TAGS[rowlen.dtype]}"
-            self._need_helper(name, _helper_ell_find(colind.dtype, rowlen.dtype))
-            return (f"{name}({colind.cname}, {colind.cname}__s0, "
-                    f"{rowlen.cname}, {self.cexpr(a[2])}, {self.cexpr(a[3])})")
-        if fn == "_jad_row_find" and len(a) == 5:
-            dptr = self._array_of(a[0], "_jad_row_find dptr")
-            colind = self._array_of(a[1], "_jad_row_find colind")
-            rowcnt = self._array_of(a[2], "_jad_row_find rowcnt")
-            tags = (dptr.dtype, colind.dtype, rowcnt.dtype)
-            name = f"_jad_row_find_{_TAGS[tags[0]]}_{_TAGS[tags[1]]}_{_TAGS[tags[2]]}"
-            self._need_helper(name, _helper_jad_row_find(*tags))
-            return (f"{name}({dptr.cname}, {colind.cname}, {rowcnt.cname}, "
-                    f"{self.cexpr(a[3])}, {self.cexpr(a[4])})")
-        if fn == "_jad_find" and len(a) == 6:
-            ipermi = self._array_of(a[0], "_jad_find ipermi")
-            dptr = self._array_of(a[1], "_jad_find dptr")
-            colind = self._array_of(a[2], "_jad_find colind")
-            rowcnt = self._array_of(a[3], "_jad_find rowcnt")
-            ipermi.need_len = True
-            tags = (dptr.dtype, colind.dtype, rowcnt.dtype)
-            inner = f"_jad_row_find_{_TAGS[tags[0]]}_{_TAGS[tags[1]]}_{_TAGS[tags[2]]}"
-            self._need_helper(inner, _helper_jad_row_find(*tags))
-            name = (f"_jad_find_{_TAGS[ipermi.dtype]}_{_TAGS[tags[0]]}_"
-                    f"{_TAGS[tags[1]]}_{_TAGS[tags[2]]}")
-            self._need_helper(name, _helper_jad_find(ipermi.dtype, *tags))
-            return (f"{name}({ipermi.cname}, {ipermi.cname}__len, {dptr.cname}, "
-                    f"{colind.cname}, {rowcnt.cname}, "
-                    f"{self.cexpr(a[4])}, {self.cexpr(a[5])})")
-        raise NativeLoweringError(f"call to {fn!r}")
-
-    # -- statements -------------------------------------------------------
-
-    def lower_body(self, stmts: Sequence[ast.stmt]) -> None:
-        for st in stmts:
-            self.lower_stmt(st)
-
-    def lower_stmt(self, node: ast.stmt) -> None:
-        if isinstance(node, ast.Assign):
-            self._assign(node)
-        elif isinstance(node, ast.AugAssign):
-            self._augassign(node)
-        elif isinstance(node, ast.For):
-            self._for(node)
-        elif isinstance(node, ast.While):
-            self.emit(f"while ({self.cexpr(node.test)}) {{")
-            self.indent += 1
-            self.lower_body(node.body)
-            self.indent -= 1
-            self.emit("}")
-        elif isinstance(node, ast.If):
-            self.emit(f"if ({self.cexpr(node.test)}) {{")
-            self.indent += 1
-            self.lower_body(node.body)
-            self.indent -= 1
-            if node.orelse:
-                self.emit("} else {")
-                self.indent += 1
-                self.lower_body(node.orelse)
-                self.indent -= 1
-            self.emit("}")
-        elif isinstance(node, ast.Return):
-            pass                               # trailing 'return None'
-        else:
-            raise NativeLoweringError(f"statement {type(node).__name__}")
-
-    def _assign(self, node: ast.Assign) -> None:
-        if len(node.targets) != 1:
-            raise NativeLoweringError("multiple assignment targets")
-        tgt = node.targets[0]
-        if isinstance(tgt, ast.Name):
-            if isinstance(node.value, (ast.List, ast.ListComp)):
-                raise NativeLoweringError("list value (sorted enumeration)")
-            if tgt.id in self.arrays or tgt.id in self.scalars:
-                raise NativeLoweringError(f"reassignment of argument {tgt.id}")
-            rhs = self.cexpr(node.value)
-            if tgt.id in self.declared:
-                self.emit(f"{tgt.id} = {rhs};")
-            else:
-                self.declared.add(tgt.id)
-                self.emit(f"int64_t {tgt.id} = {rhs};")
-            return
-        if isinstance(tgt, ast.Subscript):
-            spec = self._array_of(tgt.value, "store target")
-            spec.written = True
-            lhs = self._subscript(tgt)
-            rmw_op = _rmw_op(tgt, node.value)
-            if self.atomic_region:
-                if rmw_op is not None:
-                    # OpenMP atomic update form: x = x op expr
-                    self.emit("#pragma omp atomic")
-                    self.emit(f"{lhs} = {lhs} {rmw_op} "
-                              f"({self.cexpr(node.value.right)});")
-                    return
-                raise NativeLoweringError(
-                    "non-accumulation store inside atomic parallel loop")
-            self.emit(f"{lhs} = {self.cexpr(node.value)};")
-            return
-        raise NativeLoweringError(f"assignment target {type(tgt).__name__}")
-
-    def _augassign(self, node: ast.AugAssign) -> None:
-        op = {"Add": "+=", "Sub": "-=", "Mult": "*="}.get(
-            type(node.op).__name__)
-        if op is None or not isinstance(node.target, ast.Name):
-            raise NativeLoweringError("augmented assignment form")
-        if node.target.id not in self.declared:
-            raise NativeLoweringError(
-                f"augmented assignment to undeclared {node.target.id}")
-        self.emit(f"{node.target.id} {op} {self.cexpr(node.value)};")
-
-    def _range_parts(self, node: ast.For):
-        """``(lo_ast, hi_ast, step)`` for a ``range(...)`` loop; ``lo_ast``
-        is None for the one-argument form (lower bound 0)."""
-        it = node.iter
-        if not (isinstance(it, ast.Call) and isinstance(it.func, ast.Name)
-                and it.func.id == "range"):
-            raise NativeLoweringError("non-range for loop")
-        args = it.args
-        if len(args) == 1:
-            return None, args[0], 1
-        if len(args) == 2:
-            return args[0], args[1], 1
-        if len(args) == 3:
-            step = args[2]
-            if (isinstance(step, ast.UnaryOp) and isinstance(step.op, ast.USub)
-                    and isinstance(step.operand, ast.Constant)
-                    and step.operand.value == 1):
-                sv = -1
-            elif isinstance(step, ast.Constant) and step.value in (1, -1):
-                sv = step.value
-            else:
-                raise NativeLoweringError("non-unit range step")
-            return args[0], args[1], sv
-        raise NativeLoweringError("range arity")
-
-    def _lo_c(self, lo_ast: Optional[ast.AST]) -> str:
-        return "0" if lo_ast is None else self.cexpr(lo_ast)
-
-    def _for(self, node: ast.For) -> None:
-        if not isinstance(node.target, ast.Name):
-            raise NativeLoweringError("tuple for-loop target")
-        lo_ast, hi_ast, step = self._range_parts(node)
+    def loop(self, f: For, depth: int, in_par: bool, in_atomic: bool) -> List:
+        # only the outermost order-free loop of a nest runs in parallel
         flag = "seq"
-        if (self.loop_flags is not None and self.parallel_depth == 0
-                and not self.atomic_region):
-            flag = self.loop_flags[self.for_index]
-        self.for_index += 1
-        atomic_here = False
-        if flag == "par_atomic":
-            # every store in the body must be an atomic-able accumulation,
-            # otherwise the loop stays sequential
-            if _all_stores_rmw(node.body):
-                atomic_here = True
-            else:
-                flag = "seq"
-        v = node.target.id
-        opt_on = (self.opt != "none" and step > 0 and not atomic_here
-                  and not self.atomic_region)
-        if opt_on and flag == "seq" and self._try_register_tile(node,
-                                                               lo_ast, hi_ast):
-            return
-        body = node.body
-        lo, hi = self._lo_c(lo_ast), self.cexpr(hi_ast)
+        if self.report is not None and not (in_par or in_atomic):
+            flag = self.report.verdict(f.dims, self.flavour)
+        if flag == "par_atomic" and not all(
+                _rmw_op(n) for n in walk(f.body) if isinstance(n, Store)):
+            flag = "seq"            # a store that cannot be made atomic
+        atomic = flag == "par_atomic"
+        opt_on = (self.opt != "none" and f.step == 1 and not atomic
+                  and not in_atomic)
+        if opt_on and flag == "seq":
+            tiled = self.register_tile(f)
+            if tiled is not None:
+                return tiled
+        pre, lo, hi, body = [], f.lo, f.hi, f.body
         if opt_on:
-            absorbed = self._try_absorb_guard(node, v, lo, hi)
+            absorbed = self.guard_absorb(f)
             if absorbed is not None:
-                lo, hi, body = absorbed
-        strip = (opt_on and self.emit_depth == 0 and self.tile_rows > 0
-                 and not self._mentions_arrays(node.iter,
-                                               self.written_arrays))
-        simd = (opt_on and flag == "seq"
-                and self._simd_safe(body, v))
-        if flag in ("par", "par_atomic"):
-            self.emit("#pragma omp parallel for")
-            self.uses_openmp = True
+                pre, lo, hi, body = absorbed
+        strip = (opt_on and depth == 0 and self.tile_rows > 0
+                 and not _mentions((f.lo, f.hi), self.written))
+        simd = opt_on and flag == "seq" and self.simd_safe(body, f.var)
         if strip:
-            # cache-block the outermost loop into row blocks; per-iteration
-            # work and order are unchanged, so results stay byte-identical
             self.transforms.append("strip_mine")
-            self._need_helper("_imax", _helper_minmax())
-            blk, end = f"{v}__blk", f"{v}__end"
-            self.emit(f"for (int64_t {blk} = {lo}; {blk} < {hi}; "
-                      f"{blk} += {self.tile_rows}) {{")
-            self.indent += 1
-            self.emit(f"int64_t {end} = _imin(({blk}) + {self.tile_rows}, "
-                      f"{hi});")
-            lo, hi = blk, end
         if simd:
             # honored under -fopenmp-simd (always passed for this tier);
             # does not require the full OpenMP runtime
             self.transforms.append("simd")
-            self.emit("#pragma omp simd")
-        if step > 0:
-            hdr = f"for (int64_t {v} = {lo}; {v} < {hi}; {v}++)"
-        else:
-            hdr = f"for (int64_t {v} = {lo}; {v} > {hi}; {v}--)"
-        self.emit(hdr + " {")
-        self.indent += 1
-        entered_parallel = flag in ("par", "par_atomic")
-        if entered_parallel:
-            self.parallel_depth += 1
-        if atomic_here:
-            self.atomic_region = True
-        self.emit_depth += 1
-        self.lower_body(body)
-        self.emit_depth -= 1
-        if atomic_here:
-            self.atomic_region = False
-        if entered_parallel:
-            self.parallel_depth -= 1
-        self.indent -= 1
-        self.emit("}")
-        if strip:
-            self.indent -= 1
-            self.emit("}")
+        par = {"par": "parallel", "par_atomic": "atomic"}.get(flag)
+        body = self.block(body, depth + 1, in_par or par is not None,
+                          in_atomic or atomic)
+        inner = "simd" if simd else None
+        if not strip:
+            return pre + [For(f.var, lo, hi, f.step, body, f.dims,
+                              par or inner)]
+        # cache-block the outermost loop into row blocks; per-iteration
+        # work and order are unchanged, so results stay byte-identical
+        blk, end = f"{f.var}__blk", f"{f.var}__end"
+        tile = self.tile_rows
+        return pre + [For(blk, lo, hi, tile, [
+            Assign(end, BinOp("min", V(blk) + tile, hi)),
+            For(f.var, V(blk), V(end), 1, body, (), inner),
+        ], f.dims, par)]
 
-    # -- tiled-tier loop transforms ---------------------------------------
-
-    def _try_absorb_guard(self, node: ast.For, v: str, lo: str, hi: str):
+    def guard_absorb(self, f: For):
         """Guard absorption + bound hoisting: a unit-step loop whose body
-        is a single conjunctive ``if`` has every affine ``±1``-coefficient
-        condition on ``v`` folded into hoisted ``_imax``/``_imin`` bounds.
-        The removed iterations executed nothing, so this is exactly
-        byte-identical.  Returns ``(lo, hi, new_body)`` or None."""
-        body = node.body
-        if len(body) != 1 or not isinstance(body[0], ast.If) or body[0].orelse:
+        is a single conjunctive ``If`` has every affine ``±1``-coefficient
+        condition on the loop variable folded into hoisted ``max``/``min``
+        bounds.  The removed iterations executed nothing, so this is
+        exactly byte-identical.  Returns ``(pre, lo, hi, body)`` or None."""
+        if len(f.body) != 1 or not isinstance(f.body[0], If):
             return None
-        conjs = self._conjuncts(body[0].test)
-        if conjs is None:
-            return None
-        assigned = self._assigned_names(body)
-        lows: List[str] = []
-        highs: List[str] = []
-        residual: List[ast.expr] = []
-        for cmp in conjs:
-            r = self._absorb_one(cmp, v, assigned)
-            if r is None:
-                residual.append(cmp)
-            elif r[0] == "lo":
-                lows.append(r[1])
+        guard = f.body[0]
+        assigned = _assigned(f.body)
+        bounds: Dict[str, List] = {"lo": [], "hi": []}
+        rest = []
+        cond = guard.cond
+        for c in cond.terms if isinstance(cond, And) else (cond,):
+            hit = _absorb_one(c, f.var, assigned)
+            if hit is None:
+                rest.append(c)
             else:
-                highs.append(r[1])
-        if not lows and not highs:
+                bounds[hit[0]].append(hit[1])
+        if not bounds["lo"] and not bounds["hi"]:
             return None
         self.transforms.append("guard_absorb")
-        self._need_helper("_imax", _helper_minmax())
-        uid = self._uid()
+        uid = self.uid()
         lov, hiv = f"_lo{uid}", f"_hi{uid}"
-        self.emit(f"int64_t {lov} = {lo};")
-        self.emit(f"int64_t {hiv} = {hi};")
-        for b in lows:
-            self.emit(f"{lov} = _imax({lov}, {b});")
-        for b in highs:
-            self.emit(f"{hiv} = _imin({hiv}, {b});")
-        new_body: List[ast.stmt] = list(body[0].body)
-        if residual:
-            test = (residual[0] if len(residual) == 1
-                    else ast.BoolOp(op=ast.And(), values=residual))
-            new_body = [ast.If(test=test, body=new_body, orelse=[])]
-        return lov, hiv, new_body
+        pre = [Assign(lov, f.lo), Assign(hiv, f.hi)]
+        pre += [Assign(lov, BinOp("max", V(lov), b)) for b in bounds["lo"]]
+        pre += [Assign(hiv, BinOp("min", V(hiv), b)) for b in bounds["hi"]]
+        body = guard.body
+        if rest:
+            body = [If(rest[0] if len(rest) == 1 else And(tuple(rest)), body)]
+        return pre, V(lov), V(hiv), body
 
-    def _try_register_tile(self, node: ast.For,
-                           lo_ast: Optional[ast.AST],
-                           hi_ast: ast.AST) -> bool:
+    def simd_safe(self, body: Sequence, v: str) -> bool:
+        """True when every iteration of the loop over ``v`` touches
+        provably distinct store addresses and carries no scalar state, so
+        ``#pragma omp simd`` preserves byte-identical results."""
+        stores: Set[Tuple] = set()
+        for st in body:
+            if isinstance(st, Assign):
+                # fresh per-iteration local is privatizable; a name already
+                # live outside the loop could carry state across iterations
+                if st.var in self.declared:
+                    return False
+                continue
+            if not (isinstance(st, Store) and isinstance(st.array, ArrayArg)):
+                return False
+            varying = 0
+            for comp in st.idx:
+                if isinstance(comp, LinExpr) and denominator(comp) == 1:
+                    cv = comp.coeff(v)
+                    if cv not in (0, 1, -1):
+                        return False
+                    varying += cv != 0
+                elif v in _names(comp):
+                    return False
+            if varying != 1:
+                return False
+            # two distinct addresses of one array could collide across
+            # iterations (y[i] vs y[i+1]); one address per array only
+            if any(a is st.array and i != st.idx for a, i in stores):
+                return False
+            stores.add((st.array, st.idx))
+        # every read of a stored array must be of this iteration's own
+        # store address
+        arrays = {a for a, _ in stores}
+        return bool(stores) and all(
+            (n.array, n.idx) in stores for n in walk(body)
+            if isinstance(n, Load) and n.array in arrays)
+
+    def register_tile(self, f: For):
         """Register-tile the SpMM accumulation shape: a sparse loop whose
         last statement is an inner DOALL panel accumulation is column-
-        blocked, holding the output panel in a fixed-width accumulator
-        across the sparse loop.  Per output element the accumulation order
-        is unchanged, so results stay byte-identical."""
-        body = node.body
-        if len(body) < 1 or not isinstance(body[-1], ast.For):
-            return False
-        pre = body[:-1]
-        if not all(isinstance(s, ast.Assign) and len(s.targets) == 1
-                   and isinstance(s.targets[0], ast.Name) for s in pre):
-            return False
-        inner = body[-1]
-        if not isinstance(inner.target, ast.Name):
-            return False
-        try:
-            ilo, ihi, istep = self._range_parts(inner)
-        except NativeLoweringError:
-            return False
-        if istep != 1:
-            return False
-        if len(inner.body) != 1 or not isinstance(inner.body[0], ast.Assign):
-            return False
+        blocked, holding ``_PANEL`` columns of the output panel in a local
+        accumulator across the sparse loop; the columns left over run the
+        original loop.  Per output element the accumulation order is
+        unchanged, so results stay byte-identical.  Returns the
+        replacement statements or None."""
+        if not f.body or not isinstance(f.body[-1], For):
+            return None
+        pre, inner = f.body[:-1], f.body[-1]
+        if not all(isinstance(s, Assign) for s in pre):
+            return None
+        if inner.step != 1 or len(inner.body) != 1:
+            return None
         st = inner.body[0]
-        tgt = st.targets[0]
-        if not (isinstance(tgt, ast.Subscript)
-                and isinstance(tgt.value, ast.Name)
-                and tgt.value.id in self.arrays):
-            return False
-        spec = self.arrays[tgt.value.id]
-        if spec.dtype not in ("float32", "float64"):
-            return False
-        val = st.value
-        if not (isinstance(val, ast.BinOp) and isinstance(val.op, ast.Add)
-                and ast.unparse(val.left) == ast.unparse(tgt)):
-            return False
-        v = inner.target.id
-        jv = node.target.id
-        sl = tgt.slice
-        idx = list(sl.elts) if isinstance(sl, ast.Tuple) else [sl]
-        if len(idx) != max(spec.ndim, 1):
-            return False
-        last = idx[-1]
-        if not (isinstance(last, ast.Name) and last.id == v):
-            return False
-        pre_names = {s.targets[0].id for s in pre}
-        varying = pre_names | {jv, v}
-        written = {tgt.value.id}
-        for comp in idx[:-1]:
-            # outer panel indices must be invariant across the sparse loop
-            if self._names_in(comp) & varying:
-                return False
-        if self._mentions_arrays(val.right, written):
-            return False
-        for b in (ilo, ihi):
-            if b is not None and (self._names_in(b) & varying
-                                  or self._mentions_arrays(b, written)):
-                return False
-        for b in (lo_ast, hi_ast):
-            # sparse-loop bounds are re-evaluated per panel
-            if b is not None and self._mentions_arrays(b, written):
-                return False
-        for s in pre:
-            if self._mentions_arrays(s.value, written):
-                return False
-        self._emit_register_tile(node, pre, spec, tgt, val.right, v, jv,
-                                 ilo, ihi, lo_ast, hi_ast)
-        return True
-
-    def _emit_register_tile(self, node, pre, spec, tgt, acc_expr, v, jv,
-                            ilo, ihi, jlo, jhi) -> None:
+        if not (isinstance(st, Store) and isinstance(st.array, ArrayArg)
+                and st.array.dtype in ("float32", "float64")
+                and _rmw_op(st) == "+" and st.idx
+                and st.idx[-1] == V(inner.var)):
+            return None
+        acc_expr = st.value.right
+        varying = {s.var for s in pre} | {f.var, inner.var}
+        target = {st.array}
+        # outer panel indices and the panel bounds must be invariant across
+        # the sparse loop, and nothing it reads may be the panel itself
+        if (_names(st.idx[:-1]) | _names((inner.lo, inner.hi))) & varying:
+            return None
+        if _mentions((acc_expr, inner.lo, inner.hi, f.lo, f.hi,
+                      [s.value for s in pre]), target):
+            return None
         self.transforms.append("register_tile")
-        spec.written = True
-        # the pattern match skipped the inner For: keep the plan-aligned
-        # flag cursor in step for whatever loops follow this one
-        self.for_index += sum(1 for n in ast.walk(node)
-                              if isinstance(n, ast.For)) - 1
-        B = 8
-        uid = self._uid()
+        uid = self.uid()
         p, q = f"_vp{uid}", f"_vq{uid}"
-        acc, acc1 = f"_acc{uid}", f"_accr{uid}"
-        T = _CTYPES[spec.dtype]
-        lo_c, hi_c = self._lo_c(ilo), self.cexpr(ihi)
-        jlo_c, jhi_c = self._lo_c(jlo), self.cexpr(jhi)
-        saved_declared = set(self.declared)
+        acc = Local(f"_acc{uid}", st.array.dtype, _PANEL)
+        column = {inner.var: V(p) + V(q)}
 
-        def emit_sparse_loop(update: str) -> None:
-            self.emit(f"for (int64_t {jv} = {jlo_c}; {jv} < {jhi_c}; "
-                      f"{jv}++) {{")
-            self.indent += 1
-            for s in pre:
-                self._assign(s)
-            self.emit(update)
-            self.indent -= 1
-            self.emit("}")
-            self.declared.clear()
-            self.declared.update(saved_declared)
+        def at(e):                  # e in panel column p + q
+            return map_index(e, lambda lin: lin.substitute(column))
 
-        self.emit(f"int64_t {p} = {lo_c};")
-        self.emit(f"for (; ({p}) + {B} <= {hi_c}; {p} += {B}) {{")
+        def lanes(stmt):
+            return For(q, ZERO, LinExpr.constant(_PANEL), 1, [stmt])
+
+        slot = tuple(at(i) for i in st.idx)
+        lane = (V(q),)
+
+        return [
+            Assign(p, inner.lo),
+            While(Cmp("<=", V(p) + _PANEL, inner.hi), [
+                acc,
+                lanes(Store(acc, lane, Load(st.array, slot))),
+                For(f.var, f.lo, f.hi, 1, list(pre) + [lanes(Store(
+                    acc, lane, BinOp("+", Load(acc, lane), at(acc_expr))))]),
+                lanes(Store(st.array, slot, Load(acc, lane))),
+                Assign(p, V(p) + _PANEL),
+            ]),
+            For(f.var, f.lo, f.hi, 1, list(pre) + [
+                For(inner.var, V(p), inner.hi, 1, inner.body)]),
+        ]
+
+
+# ---------------------------------------------------------------------------
+# The C printer
+# ---------------------------------------------------------------------------
+
+class _CPrinter:
+    def __init__(self, opt: str):
+        self.opt = opt
+        self.helpers: Dict[str, str] = {}       # fn name -> definition text
+        self.lines: List[str] = []
+        self.indent = 1
+        self.scopes: List[Set[str]] = [set()]   # declared scalars per block
+        self.atomic_region = False
+        self.uses_openmp = False
+
+    def emit(self, line: str) -> None:
+        self.lines.append("    " * self.indent + line)
+
+    def helper(self, name: str, text: str) -> str:
+        self.helpers.setdefault(name, text)
+        return name
+
+    # -- expressions: every printer returns a self-delimiting string -------
+
+    def expr(self, e) -> str:
+        return self.EXPR[type(e)](self, e)
+
+    def top(self, e) -> str:
+        """An expression where no enclosing parentheses are needed."""
+        if isinstance(e, LinExpr) and denominator(e) == 1:
+            return render_lin(e)
+        return self.expr(e)
+
+    def _lin(self, e: LinExpr) -> str:
+        q = denominator(e)
+        if q != 1:
+            # C '/' truncates toward zero; the IR's division floors
+            self.helper("_fdiv", _helper_fdiv())
+            return f"_fdiv({render_lin(e * q)}, {q})"
+        text = render_lin(e)
+        return text if text.isidentifier() or text.isdigit() else f"({text})"
+
+    def _const(self, e: Const) -> str:
+        value = e.value
+        if isinstance(value, bool):
+            return "1" if value else "0"
+        if isinstance(value, int):
+            return str(value) if value >= 0 else f"({value})"
+        s = repr(float(value))
+        if "." not in s and "e" not in s and "E" not in s:
+            s += ".0"
+        return s if value >= 0 else f"({s})"
+
+    def ref(self, array, idx) -> str:
+        if array.ndim == 0:
+            return f"{array.name}[0]"
+        if len(idx) != array.ndim:
+            raise NativeLoweringError(
+                f"{type(array).__name__} {array.name}: {len(idx)} indices "
+                f"for ndim {array.ndim}")
+        flat = self.top(idx[0])
+        for k in range(1, array.ndim):
+            flat = f"({flat}) * {array.name}__s{k - 1} + {self.expr(idx[k])}"
+        return f"{array.name}[{flat}]"
+
+    def _binop(self, e: BinOp) -> str:
+        l, r = self.expr(e.left), self.expr(e.right)
+        if e.op in ("+", "-", "*"):
+            return f"({l} {e.op} {r})"
+        if e.op == "/":
+            # true division; cast both sides so int/int cannot truncate
+            # (double/double is unchanged)
+            return f"((double){l} / (double){r})"
+        if e.op == "//":
+            return f"{self.helper('_fdiv', _helper_fdiv())}({l}, {r})"
+        if e.op == "%":
+            # only built for divisibility guards ('% q == 0'), where C and
+            # Python agree on zero-ness regardless of sign
+            return f"({l} % {r})"
+        self.helper("_imax", _helper_minmax())
+        return f"{'_imax' if e.op == 'max' else '_imin'}({l}, {r})"
+
+    def _call(self, e: Call) -> str:
+        arrays = [a for a in e.args if isinstance(a, ArrayArg)]
+        rest = [self.top(a) for a in e.args if not isinstance(a, ArrayArg)]
+        dts = [a.dtype for a in arrays]
+        name = e.fn + "".join(f"_{_TAGS[t]}" for t in dts)
+        args = [a.name for a in arrays]
+        if e.fn == "_bisect":
+            self.helper(name, _helper_bisect(*dts))
+        elif e.fn == "_coo_find":
+            self.helper(name, _helper_coo_find(*dts))
+            args.insert(1, f"{args[0]}__len")
+        elif e.fn == "_ell_find":
+            self.helper(name, _helper_ell_find(*dts))
+            args.insert(1, f"{args[0]}__s0")
+        elif e.fn == "_jad_row_find":
+            self.helper(name, _helper_jad_row_find(*dts))
+        else:
+            inner = "_jad_row_find" + "".join(f"_{_TAGS[t]}" for t in dts[1:])
+            self.helper(inner, _helper_jad_row_find(*dts[1:]))
+            self.helper(name, _helper_jad_find(*dts))
+            args.insert(1, f"{args[0]}__len")
+        return f"{name}({', '.join(args + rest)})"
+
+    EXPR = {
+        LinExpr: _lin,
+        Const: _const,
+        Load: lambda self, e: self.ref(e.array, e.idx),
+        BinOp: _binop,
+        Neg: lambda self, e: f"(-{self.expr(e.operand)})",
+        Cmp: lambda self, e: (f"({self.expr(e.left)} {e.op} "
+                              f"{self.expr(e.right)})"),
+        And: lambda self, e: "(" + " && ".join(map(self.expr, e.terms)) + ")",
+        Select: lambda self, e: (f"({self.expr(e.cond)} ? "
+                                 f"{self.expr(e.then)} : "
+                                 f"{self.expr(e.orelse)})"),
+        Call: _call,
+    }
+
+    # -- statements -------------------------------------------------------
+
+    def block(self, stmts: Sequence, declare: Sequence[str] = ()) -> None:
         self.indent += 1
-        self.emit(f"{T} {acc}[{B}];")
-        self.rename[v] = f"(({p}) + ({q}))"
-        panel_slot = self._subscript(tgt)
-        self.emit(f"for (int64_t {q} = 0; {q} < {B}; {q}++) "
-                  f"{acc}[{q}] = {panel_slot};")
-        update = (f"for (int64_t {q} = 0; {q} < {B}; {q}++) "
-                  f"{acc}[{q}] = ({acc}[{q}]) + ({self.cexpr(acc_expr)});")
-        emit_sparse_loop(update)
-        self.emit(f"for (int64_t {q} = 0; {q} < {B}; {q}++) "
-                  f"{panel_slot} = {acc}[{q}];")
+        self.scopes.append(set(declare))
+        for s in stmts:
+            self.STMT[type(s)](self, s)
+        self.scopes.pop()
         self.indent -= 1
         self.emit("}")
-        # scalar remainder columns
-        self.rename[v] = p
-        self.emit(f"for (; {p} < {hi_c}; {p}++) {{")
-        self.indent += 1
-        self.emit(f"{T} {acc1} = {self._subscript(tgt)};")
-        emit_sparse_loop(f"{acc1} = ({acc1}) + ({self.cexpr(acc_expr)});")
-        self.emit(f"{self._subscript(tgt)} = {acc1};")
-        self.indent -= 1
-        self.emit("}")
-        del self.rename[v]
+
+    def _for(self, s: For) -> None:
+        if s.pragma in ("parallel", "atomic"):
+            self.emit("#pragma omp parallel for")
+            self.uses_openmp = True
+        elif s.pragma == "simd":
+            self.emit("#pragma omp simd")
+        v, lo, hi = s.var, self.top(s.lo), self.top(s.hi)
+        if s.step > 0:
+            inc = f"{v}++" if s.step == 1 else f"{v} += {s.step}"
+            self.emit(f"for (int64_t {v} = {lo}; {v} < {hi}; {inc}) {{")
+        else:
+            self.emit(f"for (int64_t {v} = {lo}; {v} > {hi}; {v}--) {{")
+        outer = self.atomic_region
+        self.atomic_region = outer or s.pragma == "atomic"
+        self.block(s.body, (v,))
+        self.atomic_region = outer
+
+    def _while(self, s: While) -> None:
+        self.emit(f"while {self.expr(s.cond)} {{")
+        self.block(s.body)
+
+    def _if(self, s: If) -> None:
+        self.emit(f"if {self.expr(s.cond)} {{")
+        self.block(s.body)
+
+    def _assign(self, s: Assign) -> None:
+        if any(s.var in scope for scope in self.scopes):
+            self.emit(f"{s.var} = {self.top(s.value)};")
+        else:
+            self.scopes[-1].add(s.var)
+            self.emit(f"int64_t {s.var} = {self.top(s.value)};")
+
+    def _store(self, s: Store) -> None:
+        lhs = self.ref(s.array, s.idx)
+        if self.atomic_region:
+            # OpenMP atomic update form: x = x op expr
+            self.emit("#pragma omp atomic")
+            self.emit(f"{lhs} = {lhs} {_rmw_op(s)} "
+                      f"{self.expr(s.value.right)};")
+        else:
+            self.emit(f"{lhs} = {self.top(s.value)};")
+
+    def _local(self, s: Local) -> None:
+        self.emit(f"{_CTYPES[s.dtype]} {s.name}[{s.size}];")
+
+    STMT = {For: _for, While: _while, If: _if, Assign: _assign,
+            Store: _store, Local: _local}
 
     # -- assembly ---------------------------------------------------------
 
-    def c_signature(self) -> str:
+    def signature(self, args: Sequence) -> str:
         qual = " restrict" if self.opt != "none" else ""
         parts: List[str] = []
-        for spec in self.args:
-            if spec.kind == "scalar":
-                parts.append(f"int64_t {spec.cname}")
-            else:
-                parts.append(f"{_CTYPES[spec.dtype]} *{qual} {spec.cname}")
-                for k in range(max(spec.ndim - 1, 0)):
-                    parts.append(f"int64_t {spec.cname}__s{k}")
-                if spec.need_len:
-                    parts.append(f"int64_t {spec.cname}__len")
+        for a in args:
+            parts.extend(self.ARG[type(a)](self, a, qual))
         return ", ".join(parts) if parts else "void"
 
-    def translation_unit(self) -> str:
+    def _array_arg(self, a: ArrayArg, qual: str) -> List[str]:
+        parts = [f"{_CTYPES[a.dtype]} *{qual} {a.name}"]
+        parts += [f"int64_t {a.name}__s{k}" for k in range(a.ndim - 1)]
+        if a.need_len:
+            parts.append(f"int64_t {a.name}__len")
+        return parts
+
+    ARG = {ScalarArg: lambda self, a, qual: [f"int64_t {a.name}"],
+           ArrayArg: _array_arg}
+
+    def translation_unit(self, args: Sequence, body: Sequence) -> str:
+        sig = self.signature(args)
+        self.indent = 0
+        self.block(body)
         head = ["#include <stdint.h>", ""]
-        head.extend(self.helpers[k] for k in sorted(self.helpers))
-        head.append(f"void kernel({self.c_signature()}) {{")
-        return "\n".join(head + self.lines + ["}", ""])
+        # first-use order: _jad_find calls _jad_row_find, registered first
+        head.extend(self.helpers.values())
+        head.append(f"void kernel({sig}) {{")
+        return "\n".join(head + self.lines + [""])
 
 
-def _rmw_op(target: ast.Subscript, value: ast.AST) -> Optional[str]:
-    """'+', '-', '*', '/' when value is ``target op expr``, else None."""
-    if not isinstance(value, ast.BinOp):
-        return None
-    op = {"Add": "+", "Sub": "-", "Mult": "*", "Div": "/"}.get(
-        type(value.op).__name__)
-    if op is None:
-        return None
-    if ast.unparse(value.left) != ast.unparse(target):
-        return None
-    # OpenMP atomic requires the update expression not to read the target
-    if ast.unparse(target) in ast.unparse(value.right):
-        return None
-    return op
+#: node class -> its C printer; a class that is not here (PyOnly) makes
+#: the kernel fall back to Python
+C_PRINTERS = {**_CPrinter.EXPR, **_CPrinter.STMT, **_CPrinter.ARG}
 
 
-def _all_stores_rmw(body: Sequence[ast.stmt]) -> bool:
-    for st in body:
-        for node in ast.walk(st):
-            if isinstance(node, ast.Assign):
-                tgt = node.targets[0]
-                if isinstance(tgt, ast.Subscript) and \
-                        _rmw_op(tgt, node.value) is None:
-                    return False
-    return True
+def _check_lowerable(ir: KernelIR) -> None:
+    for n in walk(list(ir.args) + list(ir.body)):
+        if type(n) not in C_PRINTERS:
+            raise NativeLoweringError(
+                f"{type(n).__name__} node has no C printer "
+                f"({getattr(n, 'why', 'unknown node')})")
+        if isinstance(n, (ArrayArg, Local)) and n.dtype not in _CTYPES:
+            raise NativeLoweringError(
+                f"{type(n).__name__} {n.name}: unsupported dtype {n.dtype}")
 
 
 # ---------------------------------------------------------------------------
-# Plan-aligned loop verdicts
+# Entry point
 # ---------------------------------------------------------------------------
-
-def emitted_loop_flags(plan: Plan, report, flavour: str) -> List[str]:
-    """Per emitted ``for`` loop (in source order), how it may run:
-    ``"par"`` (strict DOALL), ``"par_atomic"`` (DOALL given atomic
-    accumulation — only meaningful under the atomic flavour), or
-    ``"seq"``.  Search-driven loop nodes emit no ``for`` and are skipped;
-    sorted enumerations emit auxiliary loops and are rejected upstream by
-    the lowering itself."""
-    flags: List[str] = []
-
-    def verdict(dims: Sequence[str]) -> str:
-        if all(d in report.strict for d in dims):
-            return "par"
-        if flavour == "atomic" and all(d in report.atomic for d in dims):
-            return "par_atomic"
-        return "seq"
-
-    def walk(nodes: Sequence[PlanNode]) -> None:
-        for n in nodes:
-            if isinstance(n, LoopNode):
-                walk(n.before)
-                if isinstance(n.method, SortedEnum):
-                    flags.append("seq")
-                    flags.append("seq")    # gather loop + replay loop
-                elif not isinstance(n.method, SearchEnum):
-                    flags.append(verdict(n.dim_names))
-                walk(n.body)
-                walk(n.after)
-            elif isinstance(n, VarLoopNode):
-                flags.append(verdict([n.dim_name]))
-                walk(n.body)
-
-    walk(plan.nodes)
-    return flags
-
-
-# ---------------------------------------------------------------------------
-# Entry points
-# ---------------------------------------------------------------------------
-
-def lower_source(py_source: str, bindings: Mapping[str, object],
-                 flavour: str = "none",
-                 loop_flags: Optional[List[str]] = None,
-                 opt: str = "none",
-                 tile_rows: Optional[int] = None) -> NativeSpec:
-    """Lower generated Python kernel source to a C99 translation unit.
-
-    ``bindings`` supplies the compile-time format instances (dtype and
-    rank resolution for the index/value arrays).  ``loop_flags`` is the
-    per-``for`` parallelism verdict list from :func:`emitted_loop_flags`
-    (None: fully sequential).  ``opt`` selects the optimization tier
-    (``"none"``, ``"tiled"``, ``"fast"`` — see the module docstring);
-    ``tile_rows`` overrides the ``REPRO_TILE_ROWS`` row-block size."""
-    if opt not in ("none", "tiled", "fast"):
-        raise ValueError(
-            f"opt must be 'none', 'tiled' or 'fast', got {opt!r}")
-    if tile_rows is None:
-        from repro.util.env import env_int
-        tile_rows = env_int("REPRO_TILE_ROWS", 512, minimum=1)
-    low = _Lowerer(py_source, bindings, flavour, loop_flags, opt, tile_rows)
-    low.lower_body(low.body)
-    return NativeSpec(low.translation_unit(), low.args, low.uses_openmp,
-                      flavour, opt, low.transforms)
-
 
 def lower_kernel(kernel, parallel: str = "none", opt: str = "none",
                  tile_rows: Optional[int] = None) -> NativeSpec:
-    """Lower a :class:`~repro.core.compiler.CompiledKernel`'s generated
-    source to C, with OpenMP pragmas on the loops its
-    :class:`~repro.core.parallel.ParallelReport` proves order-free."""
+    """Lower a :class:`~repro.core.compiler.CompiledKernel`'s loop IR to a
+    C99 translation unit, with OpenMP pragmas on the loops its
+    :class:`~repro.core.parallel.ParallelReport` proves order-free.
+
+    ``opt`` selects the optimization tier (``"none"``, ``"tiled"``,
+    ``"fast"`` — see the module docstring); ``tile_rows`` overrides the
+    ``REPRO_TILE_ROWS`` row-block size."""
     from repro.instrument import INSTR
 
     with INSTR.phase("c_lower"):
-        flags = None
         if parallel not in ("none", "strict", "atomic"):
             raise ValueError(
                 f"parallel must be 'none', 'strict' or 'atomic', got {parallel!r}")
-        if parallel != "none":
-            from repro.analysis.dependence import dependences
-            from repro.core.parallel import analyze_parallelism
-
-            deps = dependences(kernel.program)
-            report = analyze_parallelism(kernel.plan, deps)
-            flags = emitted_loop_flags(kernel.plan, report, parallel)
-        return lower_source(kernel.source, kernel.bindings, parallel, flags,
-                            opt, tile_rows)
-
-
-def _param_loader(key: str):
-    return lambda arrays, params: int(params[key])
-
-
-def _array_loader(key: str):
-    return lambda arrays, params: arrays[key]
-
-
-def _attr_loader(key: str, attr: str):
-    return lambda arrays, params: getattr(arrays[key], attr)
-
-
-def _len_loader(key: str, attr: str):
-    return lambda arrays, params: len(getattr(arrays[key], attr))
+        if opt not in ("none", "tiled", "fast"):
+            raise ValueError(
+                f"opt must be 'none', 'tiled' or 'fast', got {opt!r}")
+        if tile_rows is None:
+            from repro.util.env import env_int
+            tile_rows = env_int("REPRO_TILE_ROWS", 512, minimum=1)
+        ir = kernel.loop_ir()
+        _check_lowerable(ir)
+        report = kernel.parallel_report() if parallel != "none" else None
+        sched = _Scheduler(report, parallel, opt, tile_rows,
+                           {a for a in ir.args
+                            if isinstance(a, ArrayArg) and a.written})
+        body = sched.block(ir.body)
+        printer = _CPrinter(opt)
+        c_source = printer.translation_unit(ir.args, body)
+        return NativeSpec(c_source, ir.args, printer.uses_openmp, parallel,
+                          opt, sched.transforms)

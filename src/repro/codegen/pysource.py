@@ -1,6 +1,6 @@
-"""Specialized Python source generation from enumeration plans.
+"""Specialized kernel generation from enumeration plans.
 
-The emitted function has the structure a hand-written library kernel would
+The generated kernel has the structure a hand-written library kernel would
 have — raw index-array loops, inlined binary searches, permutation lookups —
 because every abstract operation of the plan is inlined through the bound
 format's emitter (:mod:`repro.codegen.emitters`).  This is the analog of
@@ -9,17 +9,40 @@ claim that generated code is structurally equivalent to the NIST library.
 
 The generator is a *symbolic twin* of the reference interpreter
 (:mod:`repro.codegen.interp`): instead of integer values it manipulates
-affine expressions over emitted Python variables, performing the same
+affine expressions over emitted scalar names, performing the same
 unification and relation propagation at compile time and emitting
-assignments and guards where the interpreter would bind and check.
+assignments and guards where the interpreter would bind and check.  What
+it emits is the loop IR of :mod:`repro.codegen.loopir`; the Python source
+of a kernel is one print of that IR, its C translation unit
+(:mod:`repro.codegen.native`) another.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.codegen.emitters import RUNTIME_HELPERS, SourceWriter, make_emitter
+from repro.codegen.emitters import make_emitter
+from repro.codegen.loopir import (
+    And,
+    ArrayArg,
+    Assign,
+    BinOp,
+    Builder,
+    Const,
+    If,
+    KernelIR,
+    Load,
+    Neg,
+    PyOnly,
+    ScalarArg,
+    Store,
+    V,
+    cmp0,
+    counted,
+    divisible,
+    print_python,
+)
 from repro.core.plan import (
     Bind,
     DRIVER,
@@ -45,57 +68,6 @@ class CodegenError(RuntimeError):
     pass
 
 
-def _lcm(a: int, b: int) -> int:
-    g, x = a, b
-    while x:
-        g, x = x, g % x
-    return a // g * b
-
-
-def render_pv(pv: LinExpr) -> str:
-    """Render an affine expression over Python symbols as integer Python.
-    Fractional coefficients become an exact scaled floor-division (callers
-    add divisibility guards where integrality is not already guaranteed)."""
-    q = 1
-    for c in list(pv.coeffs.values()) + [pv.const]:
-        q = _lcm(q, c.denominator)
-    if q != 1:
-        return f"({render_pv(pv * q)}) // {q}"
-    parts: List[str] = []
-    for v in sorted(pv.coeffs):
-        c = pv.coeffs[v]
-        ci = int(c)
-        if ci == 1:
-            term = v
-        elif ci == -1:
-            term = f"-{v}"
-        else:
-            term = f"{ci}*{v}"
-        if parts and not term.startswith("-"):
-            parts.append(f"+ {term}")
-        elif parts:
-            parts.append(f"- {term[1:]}")
-        else:
-            parts.append(term)
-    ci = int(pv.const)
-    if ci != 0 or not parts:
-        if parts:
-            parts.append(f"+ {ci}" if ci > 0 else f"- {-ci}")
-        else:
-            parts.append(str(ci))
-    s = " ".join(parts)
-    return s
-
-
-def guard_str(pv: LinExpr, op: str) -> str:
-    """Render ``pv op 0`` with fractions cleared (op is '>=' or '==')."""
-    q = 1
-    for c in list(pv.coeffs.values()) + [pv.const]:
-        q = _lcm(q, c.denominator)
-    scaled = pv * q
-    return f"{render_pv(scaled)} {op} 0"
-
-
 class _State:
     """Snapshot-able generation state."""
 
@@ -103,7 +75,7 @@ class _State:
 
     def __init__(self):
         self.env: Dict[str, LinExpr] = {}        # qualified var -> PyVal
-        self.guards: Dict[str, List[str]] = {}   # copy label -> conditions
+        self.guards: Dict[str, list] = {}        # copy label -> IR conditions
         self.refstates: Dict[Tuple[str, int], Tuple[str, ...]] = {}
         self.pruned: Set[str] = set()
 
@@ -117,9 +89,14 @@ class _State:
 
 
 class PySourceGenerator:
-    def __init__(self, plan: Plan):
+    """Builds the loop IR of one plan.  ``bindings`` are the instances the
+    kernel is compiled for (they type the storage arrays); without them the
+    instances the plan was searched with are used."""
+
+    def __init__(self, plan: Plan,
+                 bindings: Optional[Mapping[str, object]] = None):
         self.plan = plan
-        self.out = SourceWriter()
+        self.out = Builder()
         self.copies: Dict[str, StmtCopy] = {c.label: c for c in plan.space.copies}
         self.relations: Dict[str, List[LinExpr]] = {
             c.label: [con.expr for con in c.relation().equalities()]
@@ -128,23 +105,26 @@ class PySourceGenerator:
         self.copy_vars: Dict[str, List[str]] = {
             c.label: c.all_vars() for c in plan.space.copies
         }
+        # kernel arguments, in signature order: the parameters (unqualified
+        # variables mentioned anywhere), the dense operands, then the
+        # storage of each reference group as its emitter declares it
+        for p in sorted(self._collect_params()):
+            self.out.arg(ScalarArg(f"p_{p}", ("param", p)))
+        self.dense: Dict[str, ArrayArg] = {
+            a: self.out.arg(ArrayArg(f"arr_{a}", ("array", a), "float64", nd))
+            for a, nd in sorted(self._collect_dense_arrays().items())
+        }
         # one emitter per (matrix instance, path); refs sharing both share it
         self.emitters: Dict[Tuple[str, int], object] = {}
-        self._emitter_pool: Dict[Tuple[int, str], object] = {}
-        idx = 0
-        self.array_of_emitter: Dict[str, str] = {}
+        pool: Dict[Tuple[int, str], object] = {}
         for copy in plan.space.copies:
             for ref in copy.refs:
                 key = (id(ref.fmt), ref.path.path_id)
-                if key not in self._emitter_pool:
-                    name = f"M{idx}"
-                    idx += 1
-                    self._emitter_pool[key] = make_emitter(ref, name)
-                    self.array_of_emitter[name] = ref.array
-                self.emitters[ref.key] = self._emitter_pool[key]
-        # parameters: unqualified variables mentioned anywhere
-        self.params: List[str] = sorted(self._collect_params())
-        self.dense_arrays: List[str] = sorted(self._collect_dense_arrays())
+                if key not in pool:
+                    inst = (bindings or {}).get(ref.array, ref.fmt)
+                    pool[key] = make_emitter(ref, f"M{len(pool)}", inst,
+                                             self.out)
+                self.emitters[ref.key] = pool[key]
 
     # -- collection ------------------------------------------------------
     def _collect_params(self) -> Set[str]:
@@ -193,16 +173,15 @@ class PySourceGenerator:
         scan_nodes(self.plan.nodes)
         return names
 
-    def _collect_dense_arrays(self) -> Set[str]:
+    def _collect_dense_arrays(self) -> Dict[str, int]:
+        """Name -> rank of every array accessed densely."""
         sparse = {ref.array for c in self.plan.space.copies for ref in c.refs}
-        out: Set[str] = set()
+        out: Dict[str, int] = {}
         for copy in self.plan.space.copies:
             stmt = copy.ctx.stmt
-            if stmt.lhs.array not in sparse:
-                out.add(stmt.lhs.array)
-            for r in stmt.reads():
+            for r in [stmt.lhs] + list(stmt.reads()):
                 if r.array != "__var__" and r.array not in sparse:
-                    out.add(r.array)
+                    out[r.array] = len(r.indices)
         return out
 
     # -- symbolic unification ---------------------------------------------
@@ -221,28 +200,38 @@ class PySourceGenerator:
                 unbound.append((v, c))
         return pv, unbound
 
+    @staticmethod
+    def _guard(label: str, cond, st: _State) -> None:
+        """Record a condition on one copy's execution.  Conditions that
+        fold (see :func:`repro.codegen.loopir.cmp0`) never reach the code:
+        a true one is dropped, a false one prunes the copy from this point
+        of the plan down."""
+        if cond is True:
+            return
+        if cond is False:
+            st.pruned.add(label)
+            return
+        conds = st.guards.setdefault(label, [])
+        if cond not in conds:
+            conds.append(cond)
+
+    def _bind(self, label: str, v: str, sol: LinExpr, st: _State) -> None:
+        """``v = sol``, guarded by the integrality of ``sol``."""
+        self._guard(label, divisible(sol), st)
+        st.env[v] = sol
+
     def _unify(self, label: str, expr: LinExpr, value: LinExpr, st: _State) -> None:
         """Symbolically enforce ``expr == value`` for one copy: bind a
         variable or append a guard, then propagate relations."""
         pv, unbound = self._resolve(expr, st)
         residual = value - pv
         if not unbound:
-            cond = guard_str(residual, "==")
-            if cond != "0 == 0":
-                st.guards.setdefault(label, []).append(cond)
+            self._guard(label, cmp0(residual, "=="), st)
             return
         if len(unbound) > 1:
             raise CodegenError(f"cannot unify {expr!r}: several unbound variables")
         v, c = unbound[0]
-        sol = residual * (Fraction(1) / c)
-        q = 1
-        for coeff in list(sol.coeffs.values()) + [sol.const]:
-            q = _lcm(q, coeff.denominator)
-        if q != 1:
-            st.guards.setdefault(label, []).append(
-                f"({render_pv(sol * q)}) % {q} == 0"
-            )
-        st.env[v] = sol
+        self._bind(label, v, residual * (Fraction(1) / c), st)
         self._propagate(label, st)
 
     def _propagate(self, label: str, st: _State) -> None:
@@ -253,22 +242,10 @@ class PySourceGenerator:
             for eq in self.relations[label]:
                 pv, unbound = self._resolve(eq, st)
                 if not unbound:
-                    cond = guard_str(pv, "==")
-                    if cond != "0 == 0":
-                        gl = st.guards.setdefault(label, [])
-                        if cond not in gl:
-                            gl.append(cond)
+                    self._guard(label, cmp0(pv, "=="), st)
                 elif len(unbound) == 1:
                     v, c = unbound[0]
-                    sol = pv * (Fraction(-1) / c)
-                    q = 1
-                    for coeff in list(sol.coeffs.values()) + [sol.const]:
-                        q = _lcm(q, coeff.denominator)
-                    if q != 1:
-                        st.guards.setdefault(label, []).append(
-                            f"({render_pv(sol * q)}) % {q} == 0"
-                        )
-                    st.env[v] = sol
+                    self._bind(label, v, pv * (Fraction(-1) / c), st)
                     changed = True
         if all(v in st.env for v in self.copy_vars[label]):
             return
@@ -324,42 +301,18 @@ class PySourceGenerator:
             if all(x == 0 for j, x in enumerate(work_c) if j != lead):
                 v = vars_[lead]
                 sol = work_pv * Fraction(-1)
-                q = 1
-                for coeff in list(sol.coeffs.values()) + [sol.const]:
-                    q = _lcm(q, coeff.denominator)
-                if q != 1:
-                    st.guards.setdefault(label, []).append(
-                        f"({render_pv(sol * q)}) % {q} == 0"
-                    )
+                self._guard(label, divisible(sol), st)
                 if v not in st.env:
                     st.env[v] = sol
 
     # -- generation ----------------------------------------------------------
-    def generate(self) -> str:
-        out = self.out
-        out.emit("import numpy as _np")
-        out.emit(RUNTIME_HELPERS)
-        out.emit("def kernel(arrays, params):")
-        out.push()
-        for p in self.params:
-            out.emit(f"p_{p} = params[{p!r}]")
-        for a in self.dense_arrays:
-            out.emit(f"arr_{a} = arrays[{a!r}]")
-        for (fmt_id, path_id), em in self._emitter_pool.items():
-            array = self.array_of_emitter[em.name]
-            out.emit(f"_src_{em.name} = arrays[{array!r}]")
-            em.prologue(out, f"_src_{em.name}")
+    def generate(self) -> KernelIR:
         st = _State()
         for label in self.copies:
+            # statically inconsistent copies are pruned here and never execute
             self._propagate(label, st)
-            # statically inconsistent copies never execute
-            for g in st.guards.get(label, []):
-                if g.replace(" ", "") in ("1==0", "-1==0"):
-                    st.pruned.add(label)
         self._gen_nodes(self.plan.nodes, st)
-        out.emit("return None")
-        out.pop()
-        return out.text()
+        return KernelIR(self.out.args, self.out.body)
 
     def _gen_nodes(self, nodes: Sequence[PlanNode], st: _State) -> None:
         for n in nodes:
@@ -382,70 +335,62 @@ class PySourceGenerator:
         driver = method.driver
         em = self.emitters[driver.key]
         dstates = list(st.refstates.get(driver.key, ()))
-        base_indent = out.indent
+        base = out.depth
         inner = st.fork()
 
         if isinstance(method, StoredEnum):
-            keys, new_states = em.loop(out, method.step, dstates, method.reverse)
+            names, new_states = em.loop(method.step, dstates, method.reverse,
+                                        node.dim_names)
+            keys = [V(k) for k in names]
         elif isinstance(method, SortedEnum):
+            why = "sorted enumeration"
             gather = out.fresh("_gather")
-            out.emit(f"{gather} = []")
-            keys0, new0 = em.loop(out, method.step, dstates, False)
+            out.add(PyOnly(f"{gather} = []", why))
+            keys0, new0 = em.loop(method.step, dstates, False, ())
             tup = ", ".join(list(keys0) + list(new0))
-            out.emit(f"{gather}.append(({tup}))")
-            while out.indent > base_indent:
-                out.pop()
+            out.add(PyOnly(f"{gather}.append(({tup}))", why))
+            out.close_to(base)
             signs = method.signs or tuple(1 for _ in keys0)
             sort_key = ", ".join(
                 (f"_t[{i}]" if s > 0 else f"-_t[{i}]") for i, s in enumerate(signs)
             )
-            out.emit(f"{gather}.sort(key=lambda _t: ({sort_key},))")
+            out.add(PyOnly(f"{gather}.sort(key=lambda _t: ({sort_key},))", why))
             names = [out.fresh("_sk") for _ in keys0] + [out.fresh("_ss") for _ in new0]
-            out.emit(f"for {', '.join(names)} in {gather}:")
-            out.push()
-            keys = names[:len(keys0)]
+            out.open(PyOnly(f"for {', '.join(names)} in {gather}:", why, []))
+            keys = [V(k) for k in names[:len(keys0)]]
             new_states = names[len(keys0):]
         elif isinstance(method, IntervalEnum):
-            iv = em.interval(out, method.step, dstates)
+            iv = em.interval(method.step, dstates)
             if iv is None:
                 raise CodegenError("interval enumeration without interval bounds")
-            lo, hi = iv
             v = out.fresh("_iv")
-            if method.reverse:
-                out.emit(f"for {v} in range(({hi}) - 1, ({lo}) - 1, -1):")
-            else:
-                out.emit(f"for {v} in range({lo}, {hi}):")
-            out.push()
-            new_states, found = em.search(out, method.step, dstates, [v])
-            out.emit(f"if {found}:")
-            out.push()
-            keys = [v]
+            out.open(counted(v, iv[0], iv[1], method.reverse, node.dim_names))
+            keys = [V(v)]
+            new_states, found = em.search(method.step, dstates, keys)
+            out.open(If(found, []))
         elif isinstance(method, SearchEnum):
             # resolve key expressions through the driver copy's environment
-            key_strs = []
+            keys = []
             for e in method.key_exprs:
                 pv, unbound = self._resolve(e, inner)
                 if unbound:
                     raise CodegenError(f"search key {e!r} not determined")
-                key_strs.append(render_pv(pv))
-            new_states, found = em.search(out, method.step, dstates, key_strs)
-            out.emit(f"if {found}:")
-            out.push()
-            keys = key_strs
+                keys.append(pv)
+            new_states, found = em.search(method.step, dstates, keys)
+            out.open(If(found, []))
         else:
             raise CodegenError(f"unknown method {method!r}")
 
-        # record driver/shared states & bind axis variables
-        key_pvs = [LinExpr.variable(k) if k.isidentifier() else None for k in keys]
-
         def key_pv(i: int) -> LinExpr:
-            if key_pvs[i] is None:
-                # non-identifier key (SearchEnum rendered expr): name it
+            k = keys[i]
+            if k.const != 0 or list(k.coeffs.values()) != [1]:
+                # a computed search key other copies bind to: name it
                 nm = out.fresh("_kv")
-                out.emit(f"{nm} = {keys[i]}")
-                key_pvs[i] = LinExpr.variable(nm)
-            return key_pvs[i]
+                out.add(Assign(nm, k))
+                keys[i] = k = V(nm)
+            return k
 
+        # record driver/shared states & bind axis variables
         for role in self._active_roles(node, inner):
             ref = role.ref
             if role.role in (DRIVER, SHARED):
@@ -454,9 +399,9 @@ class PySourceGenerator:
             else:  # SEARCH
                 rem = self.emitters[ref.key]
                 rstates = list(inner.refstates.get(ref.key, ()))
-                key_strs = [render_pv(key_pv(i)) for i in range(len(keys))]
-                sstates, found = rem.search(out, role.step, rstates, key_strs)
-                inner.guards.setdefault(ref.owner_label, []).append(found)
+                sstates, found = rem.search(
+                    role.step, rstates, [key_pv(i) for i in range(len(keys))])
+                self._guard(ref.owner_label, found, inner)
                 inner.refstates[ref.key] = tuple(rstates) + tuple(sstates)
             step_axes = ref.path.steps[role.step].names
             for i, axis in enumerate(step_axes):
@@ -472,8 +417,7 @@ class PySourceGenerator:
             self._unify(b.copy_label, b.expr, key_pv(b.axis_pos), inner)
 
         self._gen_nodes(node.body, inner)
-        while out.indent > base_indent:
-            out.pop()
+        out.close_to(base)
         self._gen_nodes(node.after, st.fork())
 
     def _gen_varloop(self, node: VarLoopNode, st: _State) -> None:
@@ -483,19 +427,15 @@ class PySourceGenerator:
         if u1 or u2:
             raise CodegenError("loop bounds not determined at emission point")
         v = out.fresh("_v")
-        lo_s, hi_s = render_pv(lo_pv), render_pv(hi_pv)
-        if node.reverse:
-            out.emit(f"for {v} in range(({hi_s}) - 1, ({lo_s}) - 1, -1):")
-        else:
-            out.emit(f"for {v} in range({lo_s}, {hi_s}):")
-        out.push()
+        base = out.depth
+        out.open(counted(v, lo_pv, hi_pv, node.reverse, (node.dim_name,)))
         inner = st.fork()
         for b in node.binds:
             if b.copy_label in inner.pruned:
                 continue
-            self._unify(b.copy_label, b.expr, LinExpr.variable(v), inner)
+            self._unify(b.copy_label, b.expr, V(v), inner)
         self._gen_nodes(node.body, inner)
-        out.pop()
+        out.close_to(base)
 
     # -- statement emission -------------------------------------------------
     def _gen_exec(self, node: ExecNode, st: _State) -> None:
@@ -503,76 +443,65 @@ class PySourceGenerator:
         copy = node.copy
         if copy.label in st.pruned:
             return
-        conds = list(st.guards.get(copy.label, []))
+        conds = []
+        for cond in st.guards.get(copy.label, []):
+            conds.extend(cond.terms if isinstance(cond, And) else [cond])
         for g in node.guards:
             pv, unbound = self._resolve(g, st)
             if unbound:
                 # an unbound guard variable means this execution point can
                 # never be reached with a complete instance
                 return
-            cond = guard_str(pv, ">=")
-            if cond not in conds and not _trivially_true(cond):
+            cond = cmp0(pv, ">=")
+            if cond is False:
+                return
+            if cond is not True and cond not in conds:
                 conds.append(cond)
         # all iteration vars must resolve
-        local: Dict[str, LinExpr] = {}
         for v in copy.ctx.vars:
             q = copy.qual(v)
-            pv, unbound = self._resolve(LinExpr.variable(q), st)
-            if unbound:
+            if self._resolve(LinExpr.variable(q), st)[1]:
                 raise CodegenError(f"iteration variable {q} unbound at execution")
-            local[v] = pv
+        base = out.depth
         if conds:
-            out.emit(f"if {' and '.join(conds)}:")
-            out.push()
-        value = self._render_val(copy.ctx.stmt.rhs, copy, local, st)
+            out.open(If(conds[0] if len(conds) == 1 else And(tuple(conds)), []))
+        stmt = copy.ctx.stmt
+        value = self._value(stmt.rhs, copy, st)
         lhs_ref = copy.ref_by_ordinal(0)
         if lhs_ref is not None:
             em = self.emitters[lhs_ref.key]
-            em.set(out, list(st.refstates.get(lhs_ref.key, ())), value)
+            em.set(list(st.refstates.get(lhs_ref.key, ())), value)
         else:
-            lhs = copy.ctx.stmt.lhs
-            idx = ", ".join(
-                render_pv(self._resolve(i.rename(copy.qual_map()).lin, st)[0])
-                for i in lhs.indices
-            )
-            if lhs.indices:
-                out.emit(f"arr_{lhs.array}[{idx}] = {value}")
-            else:
-                out.emit(f"arr_{lhs.array}[()] = {value}")
-        if conds:
-            out.pop()
+            arr = self.dense[stmt.lhs.array]
+            arr.written = True
+            out.add(Store(arr, self._index(stmt.lhs.indices, copy, st), value))
+        out.close_to(base)
 
-    def _render_val(self, e: ValExpr, copy: StmtCopy, local: Dict[str, LinExpr],
-                    st: _State, prec: int = 0) -> str:
+    def _index(self, indices, copy: StmtCopy, st: _State) -> Tuple[LinExpr, ...]:
+        qmap = copy.qual_map()
+        return tuple(self._resolve(i.rename(qmap).lin, st)[0] for i in indices)
+
+    def _value(self, e: ValExpr, copy: StmtCopy, st: _State):
+        """The statement's right-hand side as an IR value expression."""
         if isinstance(e, VConst):
-            return repr(e.value)
+            return Const(e.value)
         if isinstance(e, VParam):
-            return f"p_{e.name}"
+            return V(f"p_{e.name}")
         if isinstance(e, VNeg):
-            return f"(-{self._render_val(e.operand, copy, local, st, 3)})"
+            return Neg(self._value(e.operand, copy, st))
         if isinstance(e, VBin):
-            p = {"+": 1, "-": 1, "*": 2, "/": 2}[e.op]
-            l = self._render_val(e.left, copy, local, st, p)
-            r = self._render_val(e.right, copy, local, st, p + 1)
-            s = f"{l} {e.op} {r}"
-            return f"({s})" if p < prec else s
+            return BinOp(e.op, self._value(e.left, copy, st),
+                         self._value(e.right, copy, st))
         if isinstance(e, VRead):
             if e.array == "__var__":
-                pv, _ = self._resolve(e.indices[0].rename(copy.qual_map()).lin, st)
-                return f"({render_pv(pv)})"
+                return self._index(e.indices[:1], copy, st)[0]
             ordinal = self._ordinal_of_read(copy, e)
             if ordinal is not None:
                 ref = copy.ref_by_ordinal(ordinal)
                 if ref is not None:
                     em = self.emitters[ref.key]
                     return em.get(list(st.refstates.get(ref.key, ())))
-            idx = ", ".join(
-                render_pv(self._resolve(i.rename(copy.qual_map()).lin, st)[0])
-                for i in e.indices
-            )
-            if e.indices:
-                return f"arr_{e.array}[{idx}]"
-            return f"arr_{e.array}[()]"
+            return Load(self.dense[e.array], self._index(e.indices, copy, st))
         raise CodegenError(f"unknown ValExpr {type(e).__name__}")
 
     def _ordinal_of_read(self, copy: StmtCopy, target: VRead) -> Optional[int]:
@@ -596,27 +525,21 @@ def _scan_vparams(e: ValExpr, names: Set[str]) -> None:
         _scan_vparams(e.right, names)
 
 
-def _trivially_true(cond: str) -> bool:
-    c = cond.replace(" ", "")
-    if c.endswith(">=0"):
-        head = c[:-3]
-        try:
-            return int(head) >= 0
-        except ValueError:
-            return False
-    return False
+def build_loop_ir(plan: Plan,
+                  bindings: Optional[Mapping[str, object]] = None) -> KernelIR:
+    """The loop IR of a plan, its storage arrays typed from ``bindings``
+    (default: the instances the plan was searched with)."""
+    return PySourceGenerator(plan, bindings).generate()
 
 
-def generate_python_source(plan: Plan) -> str:
-    return PySourceGenerator(plan).generate()
-
-
-def compile_plan_to_python(plan: Plan):
-    """(source, callable) for a plan; the callable has the signature
-    ``kernel(arrays, params)`` and mutates the arrays in place."""
+def compile_plan_to_python(plan):
+    """(source, callable) for a plan, or for its already built loop IR; the
+    callable has the signature ``kernel(arrays, params)`` and mutates the
+    arrays in place."""
     with INSTR.phase("codegen.total"):
         INSTR.count("codegen.compiles")
-        src = generate_python_source(plan)
+        ir = plan if isinstance(plan, KernelIR) else build_loop_ir(plan)
+        src = print_python(ir)
         fn = source_to_callable(src)
     return src, fn
 

@@ -21,8 +21,8 @@ artifacts are sharded by digest prefix (``cache_dir/ab/abcd....so``) so a
 fleet-shared ``REPRO_CACHE_DIR`` never degrades into one huge flat
 directory.  A missing or unloadable artifact is a miss: the kernel is
 recompiled.  The digest subsumes the structural signature — the
-structural key determines the generated Python source, which determines
-the C source.
+structural key determines the kernel's loop IR up to the dtypes of the
+bound storage arrays, and the IR determines the C source.
 
 **Single-flight** — when N threads request the same digest concurrently,
 exactly one (the *leader*) invokes the C toolchain; the rest wait on a
@@ -42,7 +42,7 @@ accumulate them.
 error, load error) emits a :class:`NativeBackendWarning`, bumps an
 ``INSTR`` counter, and falls back to the Python kernel; it never raises.
 
-Phase timers: ``c_lower`` (AST-to-C), ``cc_compile`` (the cc
+Phase timers: ``c_lower`` (loop IR to C), ``cc_compile`` (the cc
 invocation), ``native_dispatch`` (argument marshalling + the native
 call).  ``REPRO_TRACE=1`` renders them on exit.
 """
@@ -50,6 +50,7 @@ call).  ``REPRO_TRACE=1`` renders them on exit.
 from __future__ import annotations
 
 import ctypes
+import gc
 import hashlib
 import os
 import shutil
@@ -57,6 +58,7 @@ import subprocess
 import tempfile
 import threading
 import warnings
+import weakref
 from contextlib import contextmanager
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -116,6 +118,14 @@ def reset_toolchain_cache(scratch: bool = False) -> None:
         _SO_CACHE.clear()
         if scratch:
             _work_dir.clear()
+    if scratch and _LIVE_KERNELS:
+        # a loaded object is unmapped when the last kernel bound to it
+        # dies, and a kernel registered as a handle on its matrix sits in a
+        # reference cycle with it: if bound kernels are still around,
+        # collect the unreachable ones now, or "forgotten" kernels and
+        # their operands stay resident until CPython's next full
+        # collection happens to run
+        gc.collect()
 
 
 def find_compiler() -> Optional[str]:
@@ -504,6 +514,10 @@ def compile_native_function(c_source: str, want_openmp: bool,
 # Bound native kernels
 # ---------------------------------------------------------------------------
 
+#: the bound kernels still alive (see :func:`reset_toolchain_cache`)
+_LIVE_KERNELS: "weakref.WeakSet" = weakref.WeakSet()
+
+
 class NativeKernel:
     """A compiled-and-bound native kernel with the Python calling
     convention ``fn(arrays, params)``.
@@ -527,6 +541,7 @@ class NativeKernel:
         self.spec = spec
         self.used_openmp = used_openmp
         self._fn = fn
+        _LIVE_KERNELS.add(self)
         self._prep: Optional[Tuple[tuple, tuple, tuple]] = None
         argtypes = []
         for a in spec.args:
@@ -588,7 +603,7 @@ class NativeKernel:
                     carr = carr.reshape(())  # ascontiguousarray promotes 0-d
                 if carr.ndim != a.ndim:
                     raise ValueError(
-                        f"{a.cname}: expected ndim {a.ndim}, got {carr.ndim}")
+                        f"{a.name}: expected ndim {a.ndim}, got {carr.ndim}")
                 if a.written and not np.may_share_memory(carr, arr):
                     writebacks.append((arr, carr))
                 if carr is not val:

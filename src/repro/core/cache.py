@@ -153,7 +153,7 @@ class CacheEntry:
     unpickling (locks don't pickle).
 
     The per-plan side tables (``simplified``, ``sources``, ``fns``,
-    ``guard_snapshots``) are keyed by *stable ids* — each plan's position
+    ``irs``, ``guard_snapshots``) are keyed by *stable ids* — each plan's position
     in the record-time ranking — not by current ranked position.  A
     statistics-shift rerank permutes ``ranked``/``ids`` only, so an id a
     caller obtained from :func:`lookup` stays valid even if a sibling
@@ -171,6 +171,7 @@ class CacheEntry:
         self.simplified = set()               # stable ids already guard-simplified
         self.sources: Dict[int, str] = {}     # stable id -> generated source
         self.fns: Dict[int, object] = {}      # stable id -> exec'd kernel (transient)
+        self.irs: Dict[int, object] = {}      # stable id -> loop IR (transient)
         # pristine per-exec-node guard lists, captured before any guard
         # simplification, so re-ranking can cost plans the way a fresh
         # search would (simplification rewrites the live guard lists)
@@ -186,6 +187,7 @@ class CacheEntry:
     def __getstate__(self):
         state = dict(self.__dict__)
         state["fns"] = {}                     # callables don't pickle; rebuilt from source
+        state["irs"] = {}                     # memory only; rebuilt from the plan
         state.pop("_lock", None)
         return state
 
@@ -195,6 +197,7 @@ class CacheEntry:
         # entries pickled before stable ids existed kept their side tables
         # aligned with current ranked positions — identical to ids 0..n-1
         self.__dict__.setdefault("ids", list(range(len(self.ranked))))
+        self.__dict__.setdefault("irs", {})
 
 
 class CompileCache:

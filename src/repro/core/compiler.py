@@ -4,7 +4,8 @@
 of matrix names to sparse-format instances (the low-level API), and returns
 a :class:`CompiledKernel` that can execute the synthesized data-centric
 code — through the reference interpreter, or through specialized generated
-Python source (see :mod:`repro.codegen.pysource`).
+code: one loop IR per kernel (see :mod:`repro.codegen.pysource`), printed
+as Python source and, for ``backend="c"``, as C.
 
 This is the analog of the paper's ``#pragma instantiate with Bernoulli``
 template instantiation (Figure 4): the same dense kernel text serves every
@@ -57,15 +58,21 @@ class CompiledKernel:
         self.backend_used = "python"
         self.fallback_reason: Optional[str] = None
         self._cache_mode = cache_mode
+        self._ir = None
+        # (table, plan id): where kernels of one cache entry share the IR
+        # in memory.  The table only, never the entry — an entry pins the
+        # plans and, through them, the instances they were searched with.
+        self._ir_memo = ({}, 0)
+        self._parallel_report = None
         self._pyfunc = None
         self._pysource = None
         self._cache_publish = None
         self._native = None
         self._native_tried = False
-        # serializes lazy materialization (generated Python, native bind)
-        # when the same kernel object is driven from several threads;
-        # reentrant because the native bind lowers the generated Python
-        # source and so re-enters callable() on this same kernel
+        # serializes lazy materialization (loop IR, generated Python,
+        # native bind) when the same kernel object is driven from several
+        # threads; reentrant because the native bind and the Python print
+        # both re-enter loop_ir() on this same kernel
         self._materialize_lock = threading.RLock()
 
     # -- execution -----------------------------------------------------------
@@ -115,6 +122,9 @@ class CompiledKernel:
                     from repro.codegen.native import NativeLoweringError
                     from repro.core import backend as be
 
+                    # the Python kernel is the fallback and what the cache
+                    # replays: every C compile materializes and publishes it
+                    self.callable()
                     try:
                         self._native = be.bind_kernel(self, self.parallel,
                                                       self._cache_mode,
@@ -138,13 +148,48 @@ class CompiledKernel:
         nf = self.native()
         return nf.c_source if nf is not None else None
 
+    def loop_ir(self):
+        """The kernel's loop IR (:class:`~repro.codegen.loopir.KernelIR`),
+        built once from the plan with the storage arrays typed from this
+        kernel's bindings.  Both printers and every optimization tier read
+        this one object; a kernel whose Python source was replayed from
+        the cache needs it only if a native bind asks, and then shares the
+        one its cache entry holds in memory when the array types match."""
+        if self._ir is None:
+            with self._materialize_lock:
+                if self._ir is None:
+                    from repro.codegen.pysource import build_loop_ir
+
+                    shared, idx = self._ir_memo
+                    ir = shared.get(idx)
+                    if ir is None or not ir.typed_for(self.bindings):
+                        # racing kernels of one entry may both build; the
+                        # IRs are interchangeable and the last one stays
+                        ir = shared[idx] = build_loop_ir(self.plan,
+                                                         self.bindings)
+                    self._ir = ir
+        return self._ir
+
+    def parallel_report(self):
+        """Which plan dimensions are order-free
+        (:class:`~repro.core.parallel.ParallelReport`), analysed once."""
+        if self._parallel_report is None:
+            with self._materialize_lock:
+                if self._parallel_report is None:
+                    from repro.analysis.dependence import dependences
+                    from repro.core.parallel import analyze_parallelism
+
+                    self._parallel_report = analyze_parallelism(
+                        self.plan, dependences(self.program))
+        return self._parallel_report
+
     def callable(self):
         if self._pyfunc is None:
             with self._materialize_lock:
                 if self._pyfunc is None:
                     from repro.codegen.pysource import compile_plan_to_python
 
-                    src, fn = compile_plan_to_python(self.plan)
+                    src, fn = compile_plan_to_python(self.loop_ir())
                     if self._cache_publish is not None:
                         self._cache_publish(src, fn)
                         self._cache_publish = None
@@ -373,6 +418,7 @@ def compile_kernel(
                 result.plan.simplify_guards(dict(param_values))
                 entry.simplified.add(sid)
             kernel._cache_publish = _source_publisher(entry, sid, mode, key)
+            kernel._ir_memo = (entry.irs, sid)
     if backend == "c":
         kernel.native()                  # compile eagerly; may fall back
     return kernel
@@ -383,6 +429,7 @@ def _kernel_from_entry(program, bindings, result, entry, idx, mode, key,
     """Build a kernel from a cache hit, replaying memoized source."""
     kernel = CompiledKernel(program, bindings, result, backend=backend,
                             parallel=parallel, cache_mode=mode, opt=opt)
+    kernel._ir_memo = (entry.irs, idx)
     with entry._lock:
         src = entry.sources.get(idx)
         if src is not None:

@@ -15,18 +15,20 @@ Two flavours:
   what a ``#pragma omp parallel for`` with atomic/reduction clauses could
   exploit.
 
-The analysis annotates plans; :func:`annotate_c_source` renders the
-generated kernel C-like with OpenMP pragmas on the DOALL loops — the code
-one would hand to a real C compiler.
+Every loop of the generated kernel carries the plan dimensions it
+enumerates, so :meth:`ParallelReport.verdict` is the single place a loop's
+OpenMP treatment is decided; :func:`annotate_c_source` shows the result —
+the C translation unit with pragmas on the DOALL loops, exactly what
+``backend="c"`` hands to the compiler.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import List, Sequence, Set
 
 from repro.analysis.dependence import DependenceClass
 from repro.core.embedding import analyze_order
-from repro.core.plan import LoopNode, Plan, PlanNode, VarLoopNode
+from repro.core.plan import Plan
 
 
 class ParallelReport:
@@ -45,6 +47,20 @@ class ParallelReport:
         if dim_name in self.atomic:
             return "doall-atomic"
         return "sequential"
+
+    def verdict(self, dims: Sequence[str], flavour: str) -> str:
+        """How a loop enumerating the plan dimensions ``dims`` may run
+        under an OpenMP flavour: ``"par"`` (strict DOALL), ``"par_atomic"``
+        (DOALL given atomic accumulation — ``atomic`` flavour only) or
+        ``"seq"``.  Loops that enumerate no plan dimension (introduced by
+        a transform) are sequential."""
+        if not dims or flavour == "none":
+            return "seq"
+        if all(d in self.strict for d in dims):
+            return "par"
+        if flavour == "atomic" and all(d in self.atomic for d in dims):
+            return "par_atomic"
+        return "seq"
 
     def __repr__(self):
         rows = [f"  {d}: {self.classify(d)}" for d in self.all_dims]
@@ -74,58 +90,20 @@ def parallel_loop_names(plan: Plan, deps: Sequence[DependenceClass],
 
 
 def annotate_c_source(kernel, flavour: str = "strict") -> str:
-    """Render a compiled kernel's C-like source with OpenMP pragmas on the
-    loops whose dimensions are DOALL.
+    """The C translation unit of a compiled kernel with OpenMP pragmas on
+    the loops :meth:`ParallelReport.verdict` allows under ``flavour``.
 
-    ``kernel`` is a :class:`~repro.core.compiler.CompiledKernel`.  Loop
-    identification is positional: the generated kernel's top-to-bottom
-    ``for`` statements correspond to the plan's loop nodes in emission
-    order.
-    """
-    from repro.analysis.dependence import dependences
-    from repro.codegen.csource import python_to_c_like
+    ``kernel`` is a :class:`~repro.core.compiler.CompiledKernel`.  A kernel
+    that has no C lowering (sorted enumerations, user-defined formats) gets
+    a comment naming its DOALL dimensions and the reason instead."""
+    from repro.codegen.native import NativeLoweringError, lower_kernel
 
-    deps = dependences(kernel.program)
-    report = analyze_parallelism(kernel.plan, deps)
-    free = report.strict if flavour == "strict" else report.atomic
-
-    # collect the plan's loop nodes in emission order with their verdicts
-    verdicts: List[bool] = []
-
-    def walk(nodes: Sequence[PlanNode]):
-        for n in nodes:
-            if isinstance(n, LoopNode):
-                walk(n.before)
-                verdicts.append(all(d in free for d in n.dim_names))
-                walk(n.body)
-                walk(n.after)
-            elif isinstance(n, VarLoopNode):
-                verdicts.append(n.dim_name in free)
-                walk(n.body)
-
-    walk(kernel.plan.nodes)
-
-    c = python_to_c_like(kernel.source)
-    lines = c.splitlines()
-    n_fors = sum(1 for l in lines if l.lstrip().startswith("for ("))
-    if n_fors != len(verdicts):
-        # some methods emit auxiliary loops (gather-and-sort); positional
-        # matching would mislabel them, so fall back to a summary header
+    try:
+        return lower_kernel(kernel, flavour).c_source
+    except NativeLoweringError as e:
+        report = kernel.parallel_report()
+        free = report.strict if flavour == "strict" else report.atomic
         doall = sorted(d for d in report.all_dims if d in free)
-        header = (f"/* DOALL dimensions ({flavour}): "
-                  f"{', '.join(doall) if doall else 'none'} */")
-        return header + "\n" + c
-    out: List[str] = []
-    li = 0
-    for line in lines:
-        stripped = line.lstrip()
-        if stripped.startswith("for ("):
-            if verdicts[li]:
-                indent = line[: len(line) - len(stripped)]
-                pragma = "#pragma omp parallel for"
-                if flavour == "atomic":
-                    pragma += "   /* accumulations must be atomic */"
-                out.append(indent + pragma)
-            li += 1
-        out.append(line)
-    return "\n".join(out)
+        return (f"/* DOALL dimensions ({flavour}): "
+                f"{', '.join(doall) if doall else 'none'} */\n"
+                f"/* no C lowering: {e} */")

@@ -58,3 +58,37 @@ def lower_tri():
 @pytest.fixture(scope="session")
 def upper_tri():
     return upper_triangular_of(random_sparse(8, 8, 0.3, seed=4))
+
+
+class IRKernel:
+    """Just enough of a CompiledKernel for ``lower_kernel`` to lower a
+    hand-built loop IR: the IR and (optionally) a parallel report."""
+
+    def __init__(self, ir, report=None):
+        self._ir, self._report = ir, report
+
+    def loop_ir(self):
+        return self._ir
+
+    def parallel_report(self):
+        return self._report
+
+
+def run_ir_python(ir, arrays, params):
+    """Exec the Python print of a loop IR on ``(arrays, params)``."""
+    from repro.codegen.loopir import print_python
+    from repro.codegen.pysource import source_to_callable
+
+    source_to_callable(print_python(ir))(arrays, params)
+
+
+def run_ir_native(ir, arrays, params, opt="none", **lower_kwargs):
+    """Compile the C print of a loop IR (no artifact cache) and call it;
+    returns the :class:`~repro.codegen.native.NativeSpec`."""
+    from repro.codegen.native import lower_kernel
+    from repro.core import backend as be
+
+    spec = lower_kernel(IRKernel(ir), opt=opt, **lower_kwargs)
+    fn, used_omp = be.compile_native_function(spec.c_source, False, "off", opt)
+    be.NativeKernel(fn, spec, used_omp)(arrays, params)
+    return spec

@@ -1,13 +1,15 @@
-"""Generated-source structure, the C-like renderer, and interpreter
-internals."""
+"""Generated-source structure, the C print of the same loop IR, and
+interpreter internals."""
 
 import ast
 
 import numpy as np
 import pytest
 
-from repro.codegen.csource import plan_to_c_like, python_to_c_like
 from repro.codegen.interp import ExecutionError, PlanInterpreter
+from repro.codegen.loopir import print_python
+from repro.codegen.native import lower_kernel
+from repro.codegen.pysource import build_loop_ir
 from repro.formats import as_format
 from tests.conftest import compile_cached
 
@@ -50,18 +52,20 @@ class TestGeneratedSource:
             assert ".runtime(" not in k.source
 
 
-class TestCLikeRendering:
+class TestCRendering:
     def test_renders_for_loops(self, lower_tri):
         k = compile_cached("ts_lower", "csr", as_format(lower_tri, "csr"), "L")
-        c = python_to_c_like(k.source)
-        assert "for (int" in c
+        c = lower_kernel(k).c_source
+        assert c.count("for (int64_t") == 2       # loop-for-loop the Python
         assert "void kernel" in c
         assert c.count("{") == c.count("}")
 
-    def test_plan_to_c_like(self, small_rect):
+    def test_plan_alone_prints_the_kernel_source(self, small_rect):
+        """The IR can be built from a plan without bindings (typed from
+        the instances it was searched with); its Python print is the
+        kernel's source."""
         k = compile_cached("mvm", "csr", as_format(small_rect, "csr"), "A")
-        c = plan_to_c_like(k.plan)
-        assert "kernel" in c
+        assert print_python(build_loop_ir(k.plan)) == k.source
 
 
 class TestInterpreterInternals:

@@ -1,0 +1,287 @@
+"""IR-level differential: the two printers against each other.
+
+Hypothesis builds small :mod:`repro.codegen.loopir` programs nobody
+hand-wrote — one to three nested loops with affine bounds (ascending and
+descending, triangular), guards with ``%`` and ``//`` over negative
+operands, loads and stores on int32/int64 index arrays and float32/float64
+value arrays, a 2-D and a 0-D dense array, read-modify-write
+accumulations, indirect (scatter) addresses and the SpMM panel shape —
+execs the Python print, compiles the C print at ``opt="none"`` and
+``opt="tiled"`` (so strip_mine, guard_absorb, register_tile and the simd
+marking run on programs they were not written for), and requires
+``np.array_equal`` on every array.
+
+Memory safety by construction: every loop variable stays in ``[0, N)``,
+every index expression in ``[0, 2N]``, every array has ``2N + 2`` rows,
+and index-array contents are valid rows.  Stored values grow at most
+linearly with the trip count, so nothing overflows or produces a NaN.
+
+Determinism: the fast test is ``derandomize=True``; the slow-marked deep
+variant pins a seed and buys eight times the examples.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
+
+from repro.codegen.loopir import (
+    And, ArrayArg, Assign, BinOp, Cmp, Const, For, If, KernelIR, Load, Neg,
+    ScalarArg, Store, V, ZERO, counted,
+)
+from repro.core import backend as be
+from repro.polyhedra.linexpr import LinExpr
+from tests.conftest import run_ir_native, run_ir_python
+
+pytestmark = pytest.mark.skipif(be.find_compiler() is None,
+                                reason="no C toolchain")
+
+N = 6                  # loop variables live in [0, N)
+ROWS = 2 * N + 2       # every index expression lands in [0, ROWS)
+K = 19                 # panel width: two register tiles and a remainder
+
+QUIET = [HealthCheck.too_slow, HealthCheck.data_too_large]
+FAST = settings(max_examples=25, deadline=None, derandomize=True,
+                suppress_health_check=QUIET)
+DEEP = settings(max_examples=200, deadline=None, suppress_health_check=QUIET)
+
+C = LinExpr.constant
+
+
+class Program:
+    """The arguments of every generated kernel, and which arrays a drawn
+    body stores into."""
+
+    SHAPES = {"I32": ("int32", (ROWS,)), "I64": ("int64", (ROWS,)),
+              "F32": ("float32", (ROWS,)), "F64": ("float64", (ROWS,)),
+              "G64": ("float64", (ROWS,)), "O32": ("int32", (ROWS,)),
+              "O64": ("int64", (ROWS,)), "X": ("float64", (ROWS, K)),
+              "Y": ("float64", (ROWS, K)), "S0": ("float64", ())}
+
+    def __init__(self):
+        self.params = [ScalarArg(f"p_{p}", ("param", p))
+                       for p in ("a", "n", "k")]
+        self.arrays = {name: ArrayArg(f"arr_{name}", ("array", name), dtype,
+                                      len(shape))
+                       for name, (dtype, shape) in self.SHAPES.items()}
+        self.fresh = 0
+
+    def name(self, stem):
+        self.fresh += 1
+        return f"{stem}{self.fresh}"
+
+    def store(self, array, idx, value):
+        self.arrays[array].written = True
+        return Store(self.arrays[array], idx, value)
+
+    def load(self, array, *idx):
+        return Load(self.arrays[array], tuple(idx))
+
+    def kernel(self, body):
+        return KernelIR(self.params + list(self.arrays.values()), body)
+
+
+def data_for(rng):
+    def halves(shape):
+        return rng.integers(-6, 7, size=shape) / 2.0
+
+    return {
+        "I32": rng.integers(0, ROWS, ROWS).astype(np.int32),
+        "I64": rng.integers(0, ROWS, ROWS).astype(np.int64),
+        "F32": halves(ROWS).astype(np.float32), "F64": halves(ROWS),
+        "G64": halves(ROWS), "O32": np.zeros(ROWS, np.int32),
+        "O64": np.zeros(ROWS, np.int64), "X": halves((ROWS, K)),
+        "Y": halves((ROWS, K)), "S0": np.array(0.5),
+    }
+
+
+# -- drawing ------------------------------------------------------------------
+
+def index(draw, scope):
+    """An affine index in [0, 2N] over the loop variables in scope."""
+    v = V(draw(st.sampled_from(scope)))
+    w = V(draw(st.sampled_from(scope)))
+    return draw(st.sampled_from([v, v + 1, v + w, C(N) - v, v * 2,
+                                 v - w + N, C(draw(st.integers(0, N)))]))
+
+
+def pure(draw, prog, scope, depth=2):
+    """A float64 expression over read-only operands."""
+    kind = draw(st.sampled_from(["G64", "const", "X", "var"]
+                                + ["bin", "bin", "neg"] * (depth > 0)))
+    if kind == "bin":
+        return BinOp(draw(st.sampled_from("+-*")),
+                     pure(draw, prog, scope, depth - 1),
+                     pure(draw, prog, scope, depth - 1))
+    if kind == "neg":
+        return Neg(pure(draw, prog, scope, depth - 1))
+    if kind == "const":
+        return Const(draw(st.sampled_from([0.5, 1.5, -2.0, 3.0])))
+    if kind == "X":
+        return prog.load("X", index(draw, scope),
+                         C(draw(st.integers(0, K - 1))))
+    if kind == "var":
+        # an integer in value position (the program's ``__var__`` reads)
+        return BinOp("/", index(draw, scope), Const(2.0))
+    return prog.load("G64", index(draw, scope))
+
+
+def statement(draw, prog, scope):
+    """One store.  At most one operand reads an array the program writes,
+    and only additively, so values grow linearly with the trip count (no
+    overflow, no NaN) while still exercising read-modify-write, shifted
+    reads of the stored array (which must defeat the simd marking) and
+    float32 targets."""
+    kind = draw(st.sampled_from(["float", "float", "int", "acc0", "scatter",
+                                 "dense2"]))
+    rhs = pure(draw, prog, scope)
+    if kind == "float":
+        arr, at = draw(st.sampled_from(["F64", "F32"])), index(draw, scope)
+        back = draw(st.sampled_from(["none", "rmw", "shifted", "F64"]))
+        if back == "rmw":
+            rhs = BinOp(draw(st.sampled_from("+-")), prog.load(arr, at), rhs)
+        elif back == "shifted":
+            rhs = BinOp("+", rhs, prog.load(arr, index(draw, scope)))
+        elif back == "F64":
+            rhs = BinOp("-", prog.load("F64", index(draw, scope)), rhs)
+        return prog.store(arr, (at,), rhs)
+    if kind == "int":
+        out, src = draw(st.sampled_from([("O64", "I32"), ("O32", "I64")]))
+        return prog.store(out, (index(draw, scope),),
+                          BinOp("-", prog.load(src, index(draw, scope)),
+                                index(draw, scope)))
+    if kind == "acc0":
+        return prog.store("S0", (), BinOp("+", prog.load("S0"), rhs))
+    if kind == "scatter":
+        at = prog.load(draw(st.sampled_from(["I32", "I64"])),
+                       index(draw, scope))
+        return prog.store("F64", (at,), BinOp("+", prog.load("F64", at), rhs))
+    i, j = index(draw, scope), C(draw(st.integers(0, K - 1)))
+    return prog.store("Y", (i, j), BinOp("+", prog.load("Y", i, j), rhs))
+
+
+def guard(draw, scope):
+    """Affine ±1-coefficient conditions on the innermost variable (what
+    the tiled tier folds into loop bounds) and ``%`` / ``//`` conditions
+    over operands that go negative (which it must leave in place)."""
+    v = V(scope[-1])
+    w = V(scope[-2]) if len(scope) > 1 else V("p_a")
+    affine = [Cmp(">=", v - w, ZERO), Cmp("<", v, w + 2), Cmp(">", v + w, C(1)),
+              Cmp("<=", v + 1, C(N - 1)), Cmp(">=", v, C(1))]
+    other = [
+        Cmp("==", BinOp("%", v - 3, C(2)), ZERO),
+        Cmp("==", BinOp("%", v - w - 1, C(3)), ZERO),
+        Cmp(">=", LinExpr({scope[-1]: Fraction(1, 2)}, Fraction(-5, 2)), C(-2)),
+        Cmp("<", BinOp("//", v - 4, C(3)), ZERO),
+        Cmp("<", BinOp("//", C(3) - v, C(-2)), C(1)),
+    ]
+    terms = (draw(st.lists(st.sampled_from(affine), max_size=2))
+             + draw(st.lists(st.sampled_from(other), max_size=1)))
+    terms = terms or [other[0]]
+    return terms[0] if len(terms) == 1 else And(tuple(terms))
+
+
+def panel(draw, prog, scope):
+    """The SpMM shape: a sparse loop whose last statement accumulates a
+    dense panel row — what register_tile rewrites."""
+    jj, kk, c = prog.name("jj"), prog.name("kk"), prog.name("c")
+    row = index(draw, scope)
+    lo = draw(st.integers(0, N))
+    upd = prog.store("Y", (row, V(kk)), BinOp(
+        "+", prog.load("Y", row, V(kk)),
+        BinOp("*", prog.load("G64", V(jj)), prog.load("X", V(c), V(kk)))))
+    return For(jj, C(lo), C(lo + draw(st.integers(0, N))), 1, [
+        Assign(c, prog.load("I64", V(jj))),
+        For(kk, ZERO, V("p_k"), 1, [upd], ("kk",)),
+    ], ("jj",))
+
+
+def nest(draw, prog, scope, depth):
+    v = prog.name("v")
+    lo = draw(st.sampled_from([ZERO, C(1), V("p_a")] + [V(s) for s in scope]))
+    hi = draw(st.sampled_from([C(N), V("p_n"), C(N - 1)]
+                              + [V(s) + 1 for s in scope]))
+    loop = counted(v, lo, hi, draw(st.booleans()), (v,))
+    inner = scope + [v]
+    body = loop.body
+    if depth > 1 and draw(st.booleans()):
+        if draw(st.booleans()):
+            body.append(statement(draw, prog, inner))
+        body.append(nest(draw, prog, inner, depth - 1))
+    else:
+        stmts = [statement(draw, prog, inner)
+                 for _ in range(draw(st.integers(1, 2)))]
+        if draw(st.booleans()):
+            stmts.append(panel(draw, prog, inner))
+        if draw(st.booleans()):
+            stmts = [If(guard(draw, inner), stmts)]
+        body.extend(stmts)
+    return loop
+
+
+@st.composite
+def programs(draw):
+    prog = Program()
+    body = [nest(draw, prog, [], draw(st.integers(1, 3)))
+            for _ in range(draw(st.integers(1, 2)))]
+    params = {"a": draw(st.integers(0, 2)), "n": draw(st.integers(0, N)),
+              "k": draw(st.integers(0, K))}
+    return prog.kernel(body), params, draw(st.integers(0, 2 ** 16))
+
+
+# -- the wall -----------------------------------------------------------------
+
+def check(case):
+    ir, params, data_seed = case
+    want = data_for(np.random.default_rng(data_seed))
+    run_ir_python(ir, want, params)
+    for opt in ("none", "tiled"):
+        got = data_for(np.random.default_rng(data_seed))
+        # a small row block so strip-mined loops run several blocks
+        run_ir_native(ir, got, params, opt=opt, tile_rows=4)
+        for name in want:
+            assert np.array_equal(want[name], got[name]), (opt, name)
+
+
+@FAST
+@given(programs())
+def test_printers_agree(case):
+    check(case)
+
+
+@pytest.mark.slow
+@seed(20260928)
+@DEEP
+@given(programs())
+def test_printers_agree_deep(case):
+    check(case)
+
+
+def test_transforms_are_reached():
+    """The wall is only a wall for the tiled tier if its programs trigger
+    the transforms: a fixed program of each shape must fire each one."""
+    from repro.codegen.native import lower_kernel
+    from tests.conftest import IRKernel
+
+    prog = Program()
+    v, o = V("v1"), V("o2")
+    band = For("o2", ZERO, C(N), 1, [If(
+        And((Cmp(">=", o - v, ZERO), Cmp("<", o, v + 3))),
+        [prog.store("F64", (o,), BinOp("+", prog.load("F64", o),
+                                       prog.load("G64", o + v)))])], ("o",))
+    jj, kk = V("jj3"), V("kk4")
+    spmm = For("jj3", ZERO, C(N), 1, [
+        Assign("c5", prog.load("I64", jj)),
+        For("kk4", ZERO, V("p_k"), 1, [prog.store("Y", (v, kk), BinOp(
+            "+", prog.load("Y", v, kk),
+            BinOp("*", prog.load("G64", jj),
+                  prog.load("X", V("c5"), kk))))], ("kk",))], ("jj",))
+    ir = prog.kernel([For("v1", ZERO, C(N), 1, [band, spmm], ("v",))])
+    spec = lower_kernel(IRKernel(ir), opt="tiled", tile_rows=4)
+    assert {"strip_mine", "guard_absorb", "simd", "register_tile"} \
+        <= set(spec.transforms)
+    check((ir, {"a": 0, "n": N, "k": K}, 7))

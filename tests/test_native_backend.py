@@ -225,17 +225,24 @@ class TestFallback:
 
 
 class TestFloorDiv:
-    """Satellite: Python // floors, C / truncates toward zero — both the
-    C-like renderer and the native lowering must be floor-correct."""
+    """Satellite: Python // floors, C / truncates toward zero — the C
+    printer must be floor-correct."""
 
     def test_renderer_emits_fdiv(self):
-        from repro.codegen.csource import python_to_c_like
+        from repro.codegen.loopir import (Assign, BinOp, KernelIR, V,
+                                          print_python)
+        from repro.codegen.native import lower_kernel
+        from repro.polyhedra.linexpr import LinExpr
+        from tests.conftest import IRKernel
 
-        src = "def kernel(arrays, params):\n    a = b // 2\n"
-        c = python_to_c_like(src)
+        ir = KernelIR([], [Assign("b", LinExpr.constant(-7)),
+                           Assign("a", BinOp("//", V("b"),
+                                             LinExpr.constant(2)))])
+        assert "a = b // 2" in print_python(ir)
+        c = lower_kernel(IRKernel(ir)).c_source
         assert "_fdiv(b, 2)" in c
-        assert "static long _fdiv" in c  # declared, so the text stands alone
-        assert "(b / 2)" not in c
+        assert "static inline int64_t _fdiv" in c  # the text stands alone
+        assert "b / 2" not in c
 
     @pytest.mark.skipif(be.find_compiler() is None, reason="no C compiler")
     def test_native_fdiv_floors_negative_operands(self):
@@ -334,3 +341,115 @@ class TestArtifactCache:
         kc2, _ = self._compile_c(square, "off")
         assert INSTR.get("native.so_cache.hits.memory") == before + 1
         assert kc2.backend_used != "python"
+
+
+def _plan_loop_dims(plan):
+    """The dimensions of the plan's loop nodes that emit a ``for``, in
+    emission order — the walk pragmas used to be aligned by, position for
+    position.  Search-driven nodes emit no loop; a sorted enumeration's
+    gather loop is auxiliary (no dimensions) and its replay loop is not a
+    ``For`` node at all."""
+    from repro.core.plan import LoopNode, SearchEnum, SortedEnum, VarLoopNode
+
+    out = []
+
+    def walk(nodes):
+        for n in nodes:
+            if isinstance(n, LoopNode):
+                walk(n.before)
+                if isinstance(n.method, SortedEnum):
+                    out.append(())
+                elif not isinstance(n.method, SearchEnum):
+                    out.append(tuple(n.dim_names))
+                walk(n.body)
+                walk(n.after)
+            elif isinstance(n, VarLoopNode):
+                out.append((n.dim_name,))
+                walk(n.body)
+
+    walk(plan.nodes)
+    return out
+
+
+class TestLoopDims:
+    """Every emitted loop carries its plan dimensions, so verdicts looked
+    up by dimension mark exactly the loops positional alignment marked."""
+
+    CASES = [(k, f) for k in ("mvm", "ts_lower") for f in FORMATS]
+
+    def _kernel(self, kernel_name, fmt_name, square, lower):
+        name, mat = ("A", square) if kernel_name == "mvm" else ("L", lower)
+        try:
+            inst = _fmt(mat, fmt_name)
+            return compile_kernel(ALL_KERNELS[kernel_name](), {name: inst})
+        except (ValueError, NotImplementedError, PlanError) as e:
+            pytest.skip(f"{kernel_name} on {fmt_name}: {e}")
+
+    @pytest.mark.parametrize("kernel_name,fmt_name", CASES)
+    def test_for_dims_are_the_plan_loop_dims(self, kernel_name, fmt_name,
+                                             square, lower):
+        from repro.codegen.loopir import For, walk
+
+        k = self._kernel(kernel_name, fmt_name, square, lower)
+        fors = [n for n in walk(k.loop_ir().body) if isinstance(n, For)]
+        assert [f.dims for f in fors] == _plan_loop_dims(k.plan)
+
+    @pytest.mark.parametrize("kernel_name,fmt_name", CASES)
+    def test_strict_pragmas_match_positional_alignment(
+            self, kernel_name, fmt_name, square, lower):
+        from repro.codegen.loopir import For
+        from repro.codegen.native import NativeLoweringError, lower_kernel
+
+        k = self._kernel(kernel_name, fmt_name, square, lower)
+        try:
+            c = lower_kernel(k, parallel="strict").c_source
+        except NativeLoweringError as e:
+            pytest.skip(f"falls back: {e}")
+        strict = k.parallel_report().strict
+        flags = [bool(dims) and all(d in strict for d in dims)
+                 for dims in _plan_loop_dims(k.plan)]
+        # the parent's rule: the i-th ``for`` in source order takes the
+        # i-th plan verdict, unless it sits inside a parallel loop
+        want, cursor = set(), iter(flags)
+
+        def mark(stmts, in_par):
+            for s in stmts:
+                par = False
+                if isinstance(s, For):
+                    par = next(cursor) and not in_par
+                    if par:
+                        want.add(s.var)
+                mark(getattr(s, "body", None) or [], in_par or par)
+
+        mark(k.loop_ir().body, False)
+        lines = [l.strip() for l in c.splitlines()]
+        got = {l.split()[2] for prev, l in zip(lines, lines[1:])
+               if l.startswith("for (int64_t ")
+               and prev == "#pragma omp parallel for"}
+        assert got == want
+
+
+def test_scratch_reset_releases_abandoned_kernels(square):
+    """A kernel registered as a handle on its matrix is in a reference
+    cycle with it; ``reset_toolchain_cache(scratch=True)`` promises the
+    loaded objects are forgotten, which only holds once such cycles are
+    collected — a dropped matrix must not stay resident until CPython's
+    next full collection."""
+    import gc
+    import weakref
+
+    from repro.solvers import SolverContext
+
+    A = _fmt(square, "csr")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NativeBackendWarning)
+        SolverContext(A, ops=("mvm",), backend="c", cache="off")
+    alive = weakref.ref(A)
+    gc.disable()
+    try:
+        del A
+        assert alive() is not None        # pinned by the handle cycle
+        be.reset_toolchain_cache(scratch=True)
+        assert alive() is None
+    finally:
+        gc.enable()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import dependences
+from repro.codegen.loopir import For, walk
 from repro.core import compile_kernel
 from repro.core.parallel import (
     analyze_parallelism,
@@ -71,27 +72,42 @@ class TestAnalysis:
         assert any(n.endswith(".c") for n in names)
 
 
+@pytest.fixture(scope="module")
+def mvm_csc():
+    rect = random_sparse(6, 8, 0.3, seed=11)
+    fmt = as_format(rect, "csc")
+    return compile_cached("mvm", "csc", fmt, "A"), fmt
+
+
+def _loops(kernel):
+    """The kernel's loop nodes in source order."""
+    return [n for n in walk(kernel.loop_ir().body) if isinstance(n, For)]
+
+
 class TestOmpRendering:
     def test_mvm_gets_pragma(self, mvm_csr):
         k, _ = mvm_csr
-        c = annotate_c_source(k)
-        assert "#pragma omp parallel for" in c or "DOALL dimensions" in c
+        assert "#pragma omp parallel for" in annotate_c_source(k)
 
     def test_ts_outer_loop_not_annotated(self, ts_csr):
         k, _ = ts_csr
         c = annotate_c_source(k)
         # the substitution's row loop must not carry a pragma
-        lines = c.splitlines()
-        for i, l in enumerate(lines):
-            if "for (" in l and "rowptr" not in l and "M0_r" in l:
-                assert "#pragma" not in lines[i - 1]
-                break
+        assert not _pragma_above(c, "M0_r")
 
     def test_report_repr(self, mvm_csr):
         k, _ = mvm_csr
         deps = dependences(k.program)
         rep = analyze_parallelism(k.plan, deps)
         assert "doall" in repr(rep)
+
+    def test_unlowerable_kernel_gets_a_summary(self):
+        L = as_format(lower_triangular_of(random_sparse(8, 8, 0.3, seed=3)),
+                      "coo")
+        k = compile_cached("ts_lower", "coo", L, "L")
+        c = annotate_c_source(k)
+        assert c.startswith("/* DOALL dimensions (strict):")
+        assert "PyOnly" in c and "#pragma" not in c
 
 
 def _pragma_above(source: str, marker: str) -> bool:
@@ -105,8 +121,24 @@ def _pragma_above(source: str, marker: str) -> bool:
 
 
 class TestPragmaPlacement:
-    """Satellite coverage: where exactly the pragmas land in the
-    rendered source, per flavour."""
+    """Satellite coverage: which loop nodes are order-free per flavour, and
+    where exactly the pragmas land in the translation unit."""
+
+    def test_verdicts_ride_on_the_loop_nodes(self, mvm_csr):
+        k, _ = mvm_csr
+        rep = k.parallel_report()
+        rows = next(f for f in _loops(k) if f.var.startswith("M0_r"))
+        cols = next(f for f in _loops(k) if f.var.startswith("M0_jj"))
+        assert rep.verdict(rows.dims, "strict") == "par"
+        assert rep.verdict(cols.dims, "strict") == "seq"
+        assert rep.verdict(cols.dims, "atomic") == "par_atomic"
+        # a loop a transform introduced enumerates no plan dimension
+        assert rep.verdict((), "atomic") == "seq"
+        assert rep.verdict(rows.dims, "none") == "seq"
+
+    def test_report_is_computed_once(self, mvm_csr):
+        k, _ = mvm_csr
+        assert k.parallel_report() is k.parallel_report()
 
     def test_mvm_strict_row_loop_annotated(self, mvm_csr):
         k, _ = mvm_csr
@@ -120,11 +152,24 @@ class TestPragmaPlacement:
         # the column walk accumulates into y[r]: a reduction, not strict
         assert not _pragma_above(c, "M0_jj")
 
-    def test_mvm_atomic_column_loop_annotated(self, mvm_csr):
+    def test_mvm_atomic_only_the_outermost_free_loop_runs_parallel(
+            self, mvm_csr):
         k, _ = mvm_csr
         c = annotate_c_source(k, flavour="atomic")
-        assert _pragma_above(c, "M0_jj")
-        assert "atomic" in c  # the flavour is called out in the pragma
+        # the column walk is order-free given atomics, but it sits inside
+        # the already-parallel row loop
+        assert _pragma_above(c, "M0_r")
+        assert not _pragma_above(c, "M0_jj")
+
+    def test_csc_atomic_column_loop_annotated(self, mvm_csc):
+        k, _ = mvm_csc
+        # columns scatter into y: sequential strictly, parallel with
+        # atomic accumulations
+        assert "#pragma omp parallel for" not in \
+            annotate_c_source(k, flavour="strict").split("arr_y[")[-1]
+        c = annotate_c_source(k, flavour="atomic")
+        assert _pragma_above(c, "M0_c")
+        assert "#pragma omp atomic" in c
 
     def test_mvm_loop_names_by_flavour(self, mvm_csr):
         k, _ = mvm_csr
@@ -146,6 +191,4 @@ class TestPragmaPlacement:
         k, _ = ts_csr
         for flavour in ("strict", "atomic"):
             c = annotate_c_source(k, flavour=flavour)
-            if "DOALL dimensions" in c.splitlines()[0]:
-                continue  # positional fallback: no per-loop pragmas at all
             assert not _pragma_above(c, "M0_r")
