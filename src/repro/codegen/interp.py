@@ -34,7 +34,7 @@ from repro.core.plan import (
 from repro.core.spaces import SparseRef, StmtCopy
 from repro.formats.base import PathRuntime, SparseFormat
 from repro.ir.expr import ValExpr, VBin, VConst, VNeg, VParam, VRead
-from repro.polyhedra.linexpr import LinExpr
+from repro.polyhedra.linexpr import Coeffish, LinExpr
 
 
 class ExecutionError(RuntimeError):
@@ -98,7 +98,7 @@ class PlanInterpreter:
         """Bind/check ``expr == value``; propagate relation equalities.
         Returns False when the copy's instance set is empty here."""
         residual = Fraction(value) - expr.const
-        unbound: List[Tuple[str, Fraction]] = []
+        unbound: List[Tuple[str, Coeffish]] = []
         for v in expr.variables():
             val = self._value_of(v, ctx.env)
             if val is None:
@@ -128,8 +128,10 @@ class PlanInterpreter:
         while changed:
             changed = False
             for eq in self.relations[copy_label]:
-                residual = -eq.const
-                unbound: List[Tuple[str, Fraction]] = []
+                # a Fraction whatever the coefficients are: the quotient
+                # below must be exact, and int / int would be a float
+                residual = Fraction(-eq.const)
+                unbound: List[Tuple[str, Coeffish]] = []
                 for v in eq.variables():
                     val = self._value_of(v, ctx.env)
                     if val is None:

@@ -61,7 +61,7 @@ from repro.core.plan import (
 from repro.core.spaces import SparseRef, StmtCopy
 from repro.instrument import INSTR
 from repro.ir.expr import ValExpr, VBin, VConst, VNeg, VParam, VRead
-from repro.polyhedra.linexpr import LinExpr
+from repro.polyhedra.linexpr import Coeffish, LinExpr
 
 
 class CodegenError(RuntimeError):
@@ -185,11 +185,11 @@ class PySourceGenerator:
         return out
 
     # -- symbolic unification ---------------------------------------------
-    def _resolve(self, expr: LinExpr, st: _State) -> Tuple[LinExpr, List[Tuple[str, Fraction]]]:
+    def _resolve(self, expr: LinExpr, st: _State) -> Tuple[LinExpr, List[Tuple[str, Coeffish]]]:
         """Split an expression over qualified vars/params into a PyVal over
         emitted symbols plus the list of unresolved variables."""
         pv = LinExpr.constant(expr.const)
-        unbound: List[Tuple[str, Fraction]] = []
+        unbound: List[Tuple[str, Coeffish]] = []
         for v in expr.variables():
             c = expr.coeff(v)
             if v in st.env:

@@ -24,7 +24,6 @@ redundant-dimension searches), and which guards remain.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.embedding import AT, BEFORE, AFTER, DEC, INC, OrderAnalysis, SpaceEmbedding
@@ -317,20 +316,6 @@ class Plan:
 # Plan construction
 # ---------------------------------------------------------------------------
 
-def _clone_tracker(t: DeterminacyTracker) -> DeterminacyTracker:
-    c = object.__new__(DeterminacyTracker)
-    c.copy = t.copy
-    c.vars = t.vars
-    c.index = t.index
-    from repro.util.fractions_linalg import IncrementalRank
-
-    r = IncrementalRank(t._rank.width)
-    r._rows = list(t._rank._rows)
-    r._count = t._rank._count
-    c._rank = r
-    return c
-
-
 def _share_groups(members: Sequence[Tuple[SparseRef, str]],
                   share_sig: Dict[Tuple[str, int], Tuple]) -> List[List[Tuple[SparseRef, str]]]:
     """Group member (ref, axis) pairs that can share one enumeration: same
@@ -434,7 +419,7 @@ def build_plan(
                 consumed += 1
 
         def subtrackers():
-            return {k: _clone_tracker(v) for k, v in trackers.items()}
+            return {k: v.clone() for k, v in trackers.items()}
 
         if members_at:
             node = _build_loop(

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.embedding import AT, SpaceEmbedding
 from repro.core.spaces import ProductSpace, StmtCopy
-from repro.polyhedra.linexpr import LinExpr
+from repro.polyhedra.linexpr import Coeffish, LinExpr
 from repro.util.fractions_linalg import FractionMatrix, IncrementalRank
 
 
@@ -42,27 +42,25 @@ class DeterminacyTracker:
         for con in copy.relation().equalities():
             self._rank.add(self._row(con.expr))
 
-    def _row(self, expr: LinExpr) -> List[Fraction]:
-        row = [Fraction(0)] * (len(self.vars) + 1)
-        for v in expr.variables():
-            if v in self.index:
-                row[self.index[v]] = expr.coeff(v)
+    def clone(self) -> "DeterminacyTracker":
+        """An independent tracker with the same pinned values."""
+        c = object.__new__(DeterminacyTracker)
+        c.copy, c.vars, c.index = self.copy, self.vars, self.index
+        c._rank = self._rank.copy()
+        return c
+
+    def _row(self, expr: LinExpr) -> List[Coeffish]:
+        row: List[Coeffish] = [0] * (len(self.vars) + 1)
+        for v, c in expr.coeffs.items():
             # symbolic parameters act as constants: fold into the affine
             # column (their value is fixed for a given run)
-            else:
-                row[-1] += expr.coeff(v)
+            row[self.index.get(v, -1)] += c
         row[-1] += expr.const
         return row
 
     def is_determined(self, expr: LinExpr) -> bool:
         """Would pinning this expression add no information?"""
-        probe = IncrementalRank(self._rank.width)
-        # cheap copy: replay is avoided by asking the existing object —
-        # IncrementalRank.add mutates, so test on a clone of its rows
-        probe._rows = list(self._rank._rows)
-        probe._count = self._rank._count
-        dependent, _ = probe.add(self._row(expr))
-        return dependent
+        return self._rank.depends(self._row(expr))
 
     def pin(self, expr: LinExpr) -> bool:
         """Record that the value of ``expr`` is known; returns True if this

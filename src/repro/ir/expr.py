@@ -13,10 +13,9 @@ Two expression languages, deliberately separate:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, Iterator, Mapping, Sequence, Tuple, Union
 
-from repro.polyhedra.linexpr import LinExpr
+from repro.polyhedra.linexpr import Coeffish, LinExpr
 
 
 class AffExpr:
@@ -52,11 +51,11 @@ class AffExpr:
     def variables(self) -> Tuple[str, ...]:
         return self.lin.variables()
 
-    def coeff(self, name: str) -> Fraction:
+    def coeff(self, name: str) -> Coeffish:
         return self.lin.coeff(name)
 
     @property
-    def const(self) -> Fraction:
+    def const(self) -> Coeffish:
         return self.lin.const
 
     @property

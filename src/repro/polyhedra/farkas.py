@@ -22,11 +22,10 @@ This module provides both directions:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.polyhedra.fm import sample_point
-from repro.polyhedra.linexpr import LinExpr
+from repro.polyhedra.linexpr import Coeffish, LinExpr
 from repro.polyhedra.system import Constraint, System, EQ, GE
 
 
@@ -77,7 +76,7 @@ def farkas_nonneg_system(
     return System(constraints)
 
 
-def farkas_certificate(poly: System, f: LinExpr) -> Optional[Dict[str, Fraction]]:
+def farkas_certificate(poly: System, f: LinExpr) -> Optional[Dict[str, Coeffish]]:
     """Multipliers certifying ``f >= 0`` over ``poly``, or None if no
     certificate exists (over the rationals)."""
     coeffs = {v: LinExpr.constant(f.coeff(v)) for v in set(f.variables()) | set(poly.variables())}

@@ -33,14 +33,16 @@ from __future__ import annotations
 
 import itertools
 import threading
-from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.instrument import INSTR
-from repro.polyhedra.linexpr import LinExpr
+from repro.polyhedra.linexpr import Coeffish, LinExpr
 from repro.polyhedra.system import Constraint, System, GE, EQ
+from repro.util.fractions_linalg import exact_div
 
-Inf = float  # only +/- inf sentinels
+#: an exact bound, or one of the two float sentinels below (the only floats
+#: this package ever returns)
+Bound = Union[Coeffish, float]
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 
@@ -60,13 +62,9 @@ _PROJECT_MEMO: Dict[Tuple[FrozenSet, FrozenSet], System] = {}
 _MEMO_LOCK = threading.Lock()
 
 
-def system_signature(system: System) -> FrozenSet:
-    """Canonical, order-insensitive signature of a constraint system.
-
-    Constraints are already normalized (integer coefficients, gcd 1, fixed
-    equality sign), so two systems denoting the same conjunction of
-    constraints — regardless of construction order — share a signature."""
-    return frozenset((c.kind, c.expr) for c in system.constraints)
+#: canonical, order-insensitive signature of a constraint system: the memo
+#: key here and in ``core.embedding``
+system_signature = System.signature
 
 
 def _memo_put(memo: Dict, key, value) -> None:
@@ -84,65 +82,74 @@ def clear_memos() -> None:
         _PROJECT_MEMO.clear()
 
 
-def _solve_equality_for(c: Constraint, v: str) -> LinExpr:
-    """Given equality ``expr == 0`` with a non-zero coefficient on ``v``,
-    return the affine expression equal to ``v``."""
-    a = c.expr.coeff(v)
-    if a == 0:
-        raise ValueError(f"constraint does not involve {v}")
-    rest = c.expr - LinExpr({v: a})
-    return rest * Fraction(-1, 1) * (Fraction(1) / a)
+def _combine(p: int, e1: LinExpr, q: int, e2: LinExpr, kind: str) -> Constraint:
+    """The constraint ``p*e1 + q*e2 (>=|==) 0`` of two integer rows, for
+    non-zero ints ``p`` and ``q``: fraction-free, normalized once."""
+    coeffs = {k: p * c for k, c in e1.coeffs.items()}
+    for k, c in e2.coeffs.items():
+        total = coeffs.get(k, 0) + q * c
+        if total:
+            coeffs[k] = total
+        else:
+            del coeffs[k]
+    return Constraint(LinExpr._make(coeffs, p * e1.const + q * e2.const), kind)
 
 
 def eliminate_variable(system: System, v: str) -> System:
-    """Project out variable ``v`` (exact rational projection)."""
+    """Project out variable ``v`` (exact rational projection).
+
+    Constraint rows are integer, and a positive multiple of a constraint is
+    the same constraint, so every step is an integer combination that
+    cancels ``v``; no quotient is ever formed."""
     INSTR.count("fm.eliminations")
     # Prefer substitution through an equality: no constraint blowup.
-    for c in system.equalities():
-        if c.expr.coeff(v) != 0:
-            sol = _solve_equality_for(c, v)
-            return system.substitute({v: sol})
+    for e in system.constraints:
+        a = e.expr.coeffs.get(v) if e.kind == EQ else None
+        if a:
+            # a*v + rest == 0: scale each row by |a| and subtract the
+            # multiple of the equality that cancels its v term
+            out = []
+            for c in system.constraints:
+                b = c.expr.coeffs.get(v)
+                if not b:
+                    out.append(c)
+                elif c is not e:
+                    out.append(_combine(abs(a), c.expr, -b if a > 0 else b,
+                                        e.expr, c.kind))
+            return System(out)
     lowers: List[Constraint] = []
     uppers: List[Constraint] = []
-    rest: List[Constraint] = []
-    for c in system:
-        a = c.expr.coeff(v)
+    out = []
+    for c in system.constraints:
+        a = c.expr.coeffs.get(v, 0)
         if a == 0:
-            rest.append(c)
+            out.append(c)
         elif a > 0:
             lowers.append(c)
         else:
             uppers.append(c)
-    out = list(rest)
     for lo, up in itertools.product(lowers, uppers):
-        a_lo = lo.expr.coeff(v)       # > 0
-        a_up = up.expr.coeff(v)       # < 0
-        combined = lo.expr * (-a_up) + up.expr * a_lo
-        out.append(Constraint(combined, GE))
+        out.append(_combine(-up.expr.coeffs[v], lo.expr,
+                            lo.expr.coeffs[v], up.expr, GE))
     return System(out)
 
 
 def _elimination_order(system: System, keep: Sequence[str] = ()) -> List[str]:
     """Variables to eliminate, cheapest (fewest lower*upper products) first."""
     keep_set = set(keep)
-    candidates = [v for v in system.variables() if v not in keep_set]
-
-    def cost(v: str) -> Tuple[int, str]:
-        n_lo = n_up = n_eq = 0
-        for c in system:
-            a = c.expr.coeff(v)
-            if a == 0:
+    counts: Dict[str, List[int]] = {}       # v -> [lower, upper, equality] rows
+    for c in system.constraints:
+        is_eq = c.kind == EQ
+        for v, a in c.expr.coeffs.items():
+            if v in keep_set:
                 continue
-            if c.kind == EQ:
-                n_eq += 1
-            elif a > 0:
-                n_lo += 1
-            else:
-                n_up += 1
-        # equality substitution is free-ish; otherwise pair count
-        return ((0 if n_eq else n_lo * n_up), v)
-
-    return sorted(candidates, key=cost)
+            n = counts.get(v)
+            if n is None:
+                n = counts[v] = [0, 0, 0]
+            n[2 if is_eq else 0 if a > 0 else 1] += 1
+    # equality substitution is free-ish; otherwise pair count
+    return sorted(counts, key=lambda v: (0 if counts[v][2] else
+                                         counts[v][0] * counts[v][1], v))
 
 
 def project(system: System, keep: Sequence[str]) -> System:
@@ -187,7 +194,7 @@ def is_feasible(system: System) -> bool:
     return result
 
 
-def bounds_of(system: System, expr: LinExpr) -> Tuple[Union[Fraction, Inf], Union[Fraction, Inf]]:
+def bounds_of(system: System, expr: LinExpr) -> Tuple[Bound, Bound]:
     """Exact (inf, sup) of ``expr`` over the rational polyhedron.
 
     Returns (NEG_INF/POS_INF sentinels for unbounded directions).  If the
@@ -200,23 +207,17 @@ def bounds_of(system: System, expr: LinExpr) -> Tuple[Union[Fraction, Inf], Unio
         t += "_"
     sys_t = system.and_also(Constraint(LinExpr({t: 1}) - expr, EQ))
     proj = project(sys_t, [t])
-    lo: Union[Fraction, Inf] = NEG_INF
-    hi: Union[Fraction, Inf] = POS_INF
+    lo: Bound = NEG_INF
+    hi: Bound = POS_INF
     for c in proj:
         a = c.expr.coeff(t)
-        b = c.expr.const
         if a == 0:
             continue
-        if c.kind == EQ:
-            val = -b / a
-            lo = max(lo, val) if lo != NEG_INF else val
-            hi = min(hi, val) if hi != POS_INF else val
-        elif a > 0:          # a t + b >= 0 -> t >= -b/a
-            cand = -b / a
-            lo = cand if lo == NEG_INF else max(lo, cand)
-        else:                # t <= -b/a
-            cand = -b / a
-            hi = cand if hi == POS_INF else min(hi, cand)
+        val = exact_div(-c.expr.const, a)   # a t + b (>=|==) 0 at t = -b/a
+        if c.kind == EQ or a > 0:           # t >= -b/a
+            lo = val if lo == NEG_INF else max(lo, val)
+        if c.kind == EQ or a < 0:           # t <= -b/a
+            hi = val if hi == POS_INF else min(hi, val)
     return lo, hi
 
 
@@ -245,7 +246,7 @@ def implied_equalities(system: System, candidates: Optional[Iterable[Tuple[str, 
     return out
 
 
-def sample_point(system: System) -> Optional[Dict[str, Fraction]]:
+def sample_point(system: System) -> Optional[Dict[str, Coeffish]]:
     """A rational point satisfying the system, or None if infeasible.
 
     Classic FM back-substitution: eliminate variables one at a time recording
@@ -263,35 +264,39 @@ def sample_point(system: System) -> Optional[Dict[str, Fraction]]:
         v = _elimination_order(cur)[0]
         stack.append((v, cur))
         cur = eliminate_variable(cur, v)
-    env: Dict[str, Fraction] = {}
+    env: Dict[str, Coeffish] = {}
     for v, sys_v in reversed(stack):
-        lo: Union[Fraction, Inf] = NEG_INF
-        hi: Union[Fraction, Inf] = POS_INF
-        pinned: Optional[Fraction] = None
+        lo: Bound = NEG_INF
+        hi: Bound = POS_INF
+        pinned: Optional[Coeffish] = None
         for c in sys_v:
             a = c.expr.coeff(v)
             if a == 0:
                 continue
-            rest = c.expr - LinExpr({v: a})
-            rv = rest.evaluate(env)
+            for k in c.expr.coeffs:
+                # a variable whose every constraint vanished with v's
+                # elimination was never eliminated itself: it is free
+                if k != v:
+                    env.setdefault(k, 0)
+            rv = c.expr.evaluate({**env, v: 0})
             if c.kind == EQ:
-                pinned = -rv / a
+                pinned = exact_div(-rv, a)
             elif a > 0:
-                cand = -rv / a
+                cand = exact_div(-rv, a)
                 lo = cand if lo == NEG_INF else max(lo, cand)
             else:
-                cand = -rv / a
+                cand = exact_div(-rv, a)
                 hi = cand if hi == POS_INF else min(hi, cand)
         if pinned is not None:
             env[v] = pinned
             continue
         if lo == NEG_INF and hi == POS_INF:
-            env[v] = Fraction(0)
+            env[v] = 0
         elif lo == NEG_INF:
             env[v] = hi - 1
         elif hi == POS_INF:
             env[v] = lo + 1 if lo < 0 else lo
         else:
-            env[v] = (lo + hi) / 2
+            env[v] = exact_div(lo + hi, 2)
     # make sure unmentioned-but-requested variables exist
     return env

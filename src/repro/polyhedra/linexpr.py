@@ -1,26 +1,30 @@
 """Affine (linear + constant) expressions over named variables, exact.
 
-``LinExpr`` is an immutable mapping ``{var_name: Fraction}`` plus a rational
-constant.  Variable names are arbitrary strings; the IR uses qualified names
-like ``"S2.i"`` (iteration variable ``i`` of statement ``S2``) and
-``"S2.A.r"`` (row data axis of the reference to ``A`` in ``S2``) so that
-expressions from different statements can live in one system.
+``LinExpr`` is an immutable mapping ``{var_name: coefficient}`` plus a
+constant.  Numbers are kept in one *canonical* form: a plain ``int``
+whenever the value is integral, a ``fractions.Fraction`` only for a
+genuinely rational value (``Fraction(4, 2)`` is stored as ``2``).  Almost
+every expression the compiler builds is integral, so its arithmetic is
+plain-``int`` arithmetic; ``Fraction(2) == 2`` and they hash alike, so the
+form is invisible to equality, hashing and ``repr``.
+
+Variable names are arbitrary strings; the IR uses qualified names like
+``"S2.i"`` (iteration variable ``i`` of statement ``S2``) and ``"S2.A.r"``
+(row data axis of the reference to ``A`` in ``S2``) so that expressions
+from different statements can live in one system.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Mapping, Tuple, Union
 
-Coeffish = Union[int, Fraction]
+from repro.util.fractions_linalg import Exact, canon
 
+#: a coefficient: canonical on the way out, either spelling on the way in
+Coeffish = Exact
 
-def _frac(x: Coeffish) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"affine coefficients must be int/Fraction, got {type(x).__name__}")
+_set = object.__setattr__       # LinExpr.__setattr__ refuses: it is immutable
 
 
 class LinExpr:
@@ -30,31 +34,43 @@ class LinExpr:
 
     def __init__(self, coeffs: Mapping[str, Coeffish] = (), const: Coeffish = 0):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        cleaned: Dict[str, Fraction] = {}
+        cleaned: Dict[str, Coeffish] = {}
         for k, v in items:
-            fv = _frac(v)
-            if fv != 0:
-                cleaned[k] = fv
-        object.__setattr__(self, "coeffs", cleaned)
-        object.__setattr__(self, "const", _frac(const))
-        object.__setattr__(self, "_hash", None)
+            if type(v) is not int:
+                v = canon(v)
+            if v:
+                cleaned[k] = v
+        _set(self, "coeffs", cleaned)
+        _set(self, "const", const if type(const) is int else canon(const))
+        _set(self, "_hash", None)
+
+    @staticmethod
+    def _make(coeffs: Dict[str, Coeffish], const: Coeffish) -> "LinExpr":
+        """Trusted constructor: ``coeffs`` is a dict this expression may
+        own, holding no zero, and every number is already canonical."""
+        self = object.__new__(LinExpr)
+        _set(self, "coeffs", coeffs)
+        _set(self, "const", const)
+        _set(self, "_hash", None)
+        return self
 
     def __setattr__(self, *a):  # immutability
         raise AttributeError("LinExpr is immutable")
 
     def __reduce__(self):
         # pickle via the constructor: the default slot protocol would
-        # setattr() on load, which immutability forbids
+        # setattr() on load, which immutability forbids; it also brings
+        # coefficients pickled as Fractions back in canonical form
         return (LinExpr, (self.coeffs, self.const))
 
     # -- constructors ----------------------------------------------------
     @staticmethod
     def variable(name: str) -> "LinExpr":
-        return LinExpr({name: 1})
+        return LinExpr._make({name: 1}, 0)
 
     @staticmethod
     def constant(c: Coeffish) -> "LinExpr":
-        return LinExpr({}, c)
+        return LinExpr._make({}, canon(c))
 
     @staticmethod
     def coerce(x: Union["LinExpr", int, Fraction, str]) -> "LinExpr":
@@ -74,29 +90,45 @@ class LinExpr:
     def variables(self) -> Tuple[str, ...]:
         return tuple(sorted(self.coeffs))
 
-    def coeff(self, name: str) -> Fraction:
-        return self.coeffs.get(name, Fraction(0))
+    def coeff(self, name: str) -> Coeffish:
+        return self.coeffs.get(name, 0)
 
-    def evaluate(self, env: Mapping[str, Coeffish]) -> Fraction:
+    def evaluate(self, env: Mapping[str, Coeffish]) -> Coeffish:
         total = self.const
         for k, c in self.coeffs.items():
             if k not in env:
                 raise KeyError(f"no value for variable {k!r}")
-            total += c * _frac(env[k])
-        return total
+            total += c * canon(env[k])
+        return canon(total)
 
     # -- algebra ----------------------------------------------------------
     def __add__(self, other) -> "LinExpr":
-        other = LinExpr.coerce(other)
+        if type(other) is not LinExpr:
+            other = LinExpr.coerce(other)
+        const = self.const + other.const
+        if type(const) is not int:
+            const = canon(const)
+        if not other.coeffs:
+            return self if const == self.const else LinExpr._make(self.coeffs, const)
         coeffs = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            coeffs[k] = coeffs.get(k, Fraction(0)) + v
-        return LinExpr(coeffs, self.const + other.const)
+            mine = coeffs.get(k)
+            if mine is None:
+                coeffs[k] = v
+                continue
+            total = mine + v
+            if type(total) is not int:
+                total = canon(total)
+            if total:
+                coeffs[k] = total
+            else:
+                del coeffs[k]
+        return LinExpr._make(coeffs, const)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LinExpr":
-        return LinExpr({k: -v for k, v in self.coeffs.items()}, -self.const)
+        return LinExpr._make({k: -v for k, v in self.coeffs.items()}, -self.const)
 
     def __sub__(self, other) -> "LinExpr":
         return self + (-LinExpr.coerce(other))
@@ -105,23 +137,33 @@ class LinExpr:
         return LinExpr.coerce(other) - self
 
     def __mul__(self, scalar: Coeffish) -> "LinExpr":
-        s = _frac(scalar)
-        return LinExpr({k: v * s for k, v in self.coeffs.items()}, self.const * s)
+        s = scalar if type(scalar) is int else canon(scalar)
+        if s == 1:
+            return self
+        if s == 0:
+            return _ZERO
+        # a product of non-zeros is non-zero; only a Fraction operand can
+        # yield a non-canonical one
+        coeffs = {k: p if type(p := v * s) is int else canon(p)
+                  for k, v in self.coeffs.items()}
+        return LinExpr._make(coeffs, canon(self.const * s))
 
     __rmul__ = __mul__
 
     def substitute(self, bindings: Mapping[str, "LinExpr"]) -> "LinExpr":
-        """Replace variables with affine expressions."""
-        out = LinExpr.constant(self.const)
+        """Replace variables with affine expressions (``self`` when none of
+        its variables is bound)."""
+        out = self
         for k, c in self.coeffs.items():
             if k in bindings:
-                out = out + LinExpr.coerce(bindings[k]) * c
-            else:
-                out = out + LinExpr({k: c})
+                out = out + (LinExpr.coerce(bindings[k]) - LinExpr._make({k: 1}, 0)) * c
         return out
 
     def rename(self, mapping: Mapping[str, str]) -> "LinExpr":
-        return LinExpr({mapping.get(k, k): v for k, v in self.coeffs.items()}, self.const)
+        if not any(mapping.get(k, k) != k for k in self.coeffs):
+            return self
+        return LinExpr._make({mapping.get(k, k): v for k, v in self.coeffs.items()},
+                             self.const)
 
     # -- protocol ----------------------------------------------------------
     def __eq__(self, other) -> bool:
@@ -133,7 +175,7 @@ class LinExpr:
         h = self._hash
         if h is None:
             h = hash((tuple(sorted(self.coeffs.items())), self.const))
-            object.__setattr__(self, "_hash", h)
+            _set(self, "_hash", h)
         return h
 
     def __repr__(self) -> str:
@@ -154,6 +196,9 @@ class LinExpr:
         return s[2:] if s.startswith("+ ") else ("-" + s[2:] if s.startswith("- ") else s)
 
 
+_ZERO = LinExpr._make({}, 0)
+
+
 def var(name: str) -> LinExpr:
     """Shorthand for a single-variable expression."""
     return LinExpr.variable(name)
@@ -165,4 +210,4 @@ def const(c: Coeffish) -> LinExpr:
 
 
 def zero() -> LinExpr:
-    return LinExpr.constant(0)
+    return _ZERO

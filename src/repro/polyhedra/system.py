@@ -1,17 +1,17 @@
 """Constraint systems (polyhedra) over named variables.
 
 A :class:`System` is a conjunction of constraints ``expr >= 0`` / ``expr == 0``
-with exact rational coefficients.  Dependence classes (paper Section 3,
-``D (i_s, i_d)^T + d >= 0``) are represented this way, as are the derived
-legality systems.
+stored as integer rows (any rational constraint scales to one).  Dependence
+classes (paper Section 3, ``D (i_s, i_d)^T + d >= 0``) are represented this
+way, as are the derived legality systems.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+import math
+from typing import FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
-from repro.polyhedra.linexpr import LinExpr
+from repro.polyhedra.linexpr import Coeffish, LinExpr
 
 GE = "GE"  # expr >= 0
 EQ = "EQ"  # expr == 0
@@ -19,7 +19,7 @@ EQ = "EQ"  # expr == 0
 
 class Constraint:
     """A single affine constraint ``expr (>=|==) 0``, kept in a normalized
-    form (integer coefficients with gcd 1) so that duplicates hash equal."""
+    form — an all-``int`` row with gcd 1 — so that duplicates hash equal."""
 
     __slots__ = ("expr", "kind")
 
@@ -35,7 +35,7 @@ class Constraint:
     @property
     def is_trivial(self) -> bool:
         """Constant constraint that always holds."""
-        if not self.expr.is_constant:
+        if self.expr.coeffs:
             return False
         if self.kind == GE:
             return self.expr.const >= 0
@@ -43,21 +43,19 @@ class Constraint:
 
     @property
     def is_contradiction(self) -> bool:
-        if not self.expr.is_constant:
-            return False
-        if self.kind == GE:
-            return self.expr.const < 0
-        return self.expr.const != 0
+        return not self.expr.coeffs and not self.is_trivial
 
-    def satisfied_by(self, env: Mapping[str, Fraction]) -> bool:
+    def satisfied_by(self, env: Mapping[str, Coeffish]) -> bool:
         v = self.expr.evaluate(env)
         return v >= 0 if self.kind == GE else v == 0
 
     def rename(self, mapping: Mapping[str, str]) -> "Constraint":
-        return Constraint(self.expr.rename(mapping), self.kind)
+        expr = self.expr.rename(mapping)
+        return self if expr is self.expr else Constraint(expr, self.kind)
 
     def substitute(self, bindings: Mapping[str, LinExpr]) -> "Constraint":
-        return Constraint(self.expr.substitute(bindings), self.kind)
+        expr = self.expr.substitute(bindings)
+        return self if expr is self.expr else Constraint(expr, self.kind)
 
     def __eq__(self, other) -> bool:
         return (
@@ -75,47 +73,52 @@ class Constraint:
 
 
 def _normalize(expr: LinExpr, kind: str) -> LinExpr:
-    """Scale so all coefficients are integers with gcd 1.  For EQ also fix
-    the sign of the leading coefficient, making x==0 and -x==0 identical."""
-    denoms = [c.denominator for c in expr.coeffs.values()] + [expr.const.denominator]
-    lcm = 1
-    for d in denoms:
-        g = _gcd(lcm, d)
-        lcm = lcm // g * d
-    scaled = expr * lcm
-    numers = [abs(c.numerator) for c in scaled.coeffs.values()] + [abs(scaled.const.numerator)]
-    numers = [n for n in numers if n]
-    if numers:
-        g = numers[0]
-        for n in numers[1:]:
-            g = _gcd(g, n)
-        if g > 1:
-            scaled = scaled * Fraction(1, g)
-    if kind == EQ and scaled.coeffs:
-        lead = scaled.coeffs[min(scaled.coeffs)]
-        if lead < 0:
-            scaled = scaled * -1
-    return scaled
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a if a else 1
+    """Scale to an all-``int`` row with gcd 1 (any positive multiple of a
+    constraint is the same constraint).  For EQ also fix the sign of the
+    leading coefficient, making x==0 and -x==0 identical.  Returns ``expr``
+    itself when it already is that row."""
+    coeffs, const = expr.coeffs, expr.const
+    scale = math.lcm(*(c.denominator for c in coeffs.values() if type(c) is not int),
+                     1 if type(const) is int else const.denominator)
+    if scale != 1:      # c * scale is integral: int() is exact
+        coeffs = {k: int(c * scale) for k, c in coeffs.items()}
+        const = int(const * scale)
+    g = math.gcd(const, *coeffs.values()) or 1
+    if kind == EQ and coeffs and coeffs[min(coeffs)] < 0:
+        g = -g                  # dividing by -g flips the sign as well
+    if g == 1:
+        return expr if scale == 1 else LinExpr._make(coeffs, const)
+    return LinExpr._make({k: c // g for k, c in coeffs.items()}, const // g)
 
 
 class System:
-    """A conjunction of constraints; the polyhedron they define."""
+    """A conjunction of constraints; the polyhedron they define.  Treated as
+    immutable once built: the variable set and the signature are cached."""
 
     def __init__(self, constraints: Iterable[Constraint] = ()):  # noqa: D401
         self.constraints: List[Constraint] = []
+        #: some constant constraint is false
+        self.has_contradiction = False
         seen: Set[Constraint] = set()
         for c in constraints:
-            if c.is_trivial:
-                continue
-            if c not in seen:
-                seen.add(c)
+            if not c.expr.coeffs:
+                if c.is_trivial:
+                    continue
+                self.has_contradiction = True
+            n = len(seen)
+            seen.add(c)
+            if len(seen) != n:      # first occurrence (one hash, not two)
                 self.constraints.append(c)
+        self._variables: Optional[Tuple[str, ...]] = None
+        self._signature: Optional[FrozenSet[Constraint]] = None
+
+    def __reduce__(self):
+        return (System, (self.constraints,))
+
+    def __setstate__(self, state):
+        # a system pickled before the cached fields existed (disk cache of
+        # an older build): its state is the bare constraint list
+        self.__init__(state["constraints"])
 
     # -- construction helpers --------------------------------------------
     @staticmethod
@@ -130,16 +133,22 @@ class System:
 
     # -- queries ------------------------------------------------------------
     def variables(self) -> Tuple[str, ...]:
-        names: Set[str] = set()
-        for c in self.constraints:
-            names.update(c.variables())
-        return tuple(sorted(names))
+        if self._variables is None:
+            names: Set[str] = set()
+            for c in self.constraints:
+                names.update(c.expr.coeffs)
+            self._variables = tuple(sorted(names))
+        return self._variables
 
-    @property
-    def has_contradiction(self) -> bool:
-        return any(c.is_contradiction for c in self.constraints)
+    def signature(self) -> FrozenSet[Constraint]:
+        """Canonical, order-insensitive identity of the conjunction:
+        constraints are normalized, so two systems denoting the same set of
+        constraints — however they were built — share a signature."""
+        if self._signature is None:
+            self._signature = frozenset(self.constraints)
+        return self._signature
 
-    def satisfied_by(self, env: Mapping[str, Fraction]) -> bool:
+    def satisfied_by(self, env: Mapping[str, Coeffish]) -> bool:
         return all(c.satisfied_by(env) for c in self.constraints)
 
     def rename(self, mapping: Mapping[str, str]) -> "System":

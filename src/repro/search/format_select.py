@@ -313,12 +313,14 @@ def _rank_candidates(program, array_name, matrix, candidates, rows, cols,
         try:
             inst = _build_instance(name, matrix, rows, cols, vals, bounds,
                                    convert_kwargs)
-        except (ValueError, KeyError) as e:
+        except (ValueError, KeyError, MemoryError) as e:
             # the format does not admit this matrix at all (BSR needs
-            # divisible dimensions, SYM a square symmetric matrix, ...):
-            # report a skip-with-reason choice rather than crashing
+            # divisible dimensions, SYM a square symmetric matrix, a padded
+            # format past check_padded_storage or past what the machine can
+            # allocate, ...): report a skip-with-reason choice rather than
+            # crashing
             choices.append(FormatChoice(name, None, None,
-                                        f"inapplicable: {e}"))
+                                        f"inapplicable: {str(e) or type(e).__name__}"))
             continue
         instances[name] = inst
         try:

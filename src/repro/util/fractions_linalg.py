@@ -5,15 +5,42 @@ exact: floating-point rank decisions would make "is this product-space
 dimension redundant?" (Figure 7 of the paper) and "is this embedding legal?"
 nondeterministic near ties.  Everything here therefore works on exact
 rationals.  Matrices are small (tens of rows/columns), so the cubic cost of
-fraction-exact Gaussian elimination is irrelevant.
+fraction-exact Gaussian elimination is irrelevant — except on the compile
+path: :class:`IncrementalRank` (asked tens of thousands of times per search)
+and :mod:`repro.polyhedra` keep numbers in the canonical form of
+:func:`canon`, so that integral values cost ``int`` arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 Row = List[Fraction]
+
+#: an exact number in canonical form: see :func:`canon`
+Exact = Union[int, Fraction]
+
+
+def canon(x: Exact) -> Exact:
+    """The canonical form of an exact number: a plain ``int`` whenever the
+    value is integral, a ``Fraction`` only when it is genuinely rational
+    (floats are rejected: exactness is the point)."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):      # bool
+        return int(x)
+    raise TypeError(f"exact arithmetic requires int/Fraction, got {type(x).__name__}")
+
+
+def exact_div(a: Exact, b: Exact) -> Exact:
+    """``a / b`` exactly, canonical — never the float ``int / int`` gives."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return q if r == 0 else Fraction(a, b)
+    return canon(Fraction(a) / b)
 
 
 def _frac(x) -> Fraction:
@@ -163,44 +190,67 @@ class IncrementalRank:
     ``add(row)`` returns ``(dependent, combination)`` where ``combination``
     maps *original* row indices to coefficients expressing the new row in
     terms of previously *independent* rows (empty dict for the zero row).
+    ``depends(row)`` asks the same question without recording the row.
+
+    Numbers are canonical (:func:`canon`): the rows the compiler feeds in
+    are integer and nearly always reduce by integer factors, so the
+    elimination runs on plain ints and a ``Fraction`` shows up only where a
+    quotient is genuinely rational.
     """
 
     def __init__(self, width: int):
         self.width = width
-        # reduced independent rows, paired with their combination over
-        # original independent-row indices
-        self._rows: List[Tuple[Row, dict]] = []
+        # reduced independent rows: (row, column of its first non-zero,
+        # its expansion over original independent-row indices)
+        self._rows: List[Tuple[list, int, dict]] = []
         self._count = 0
 
-    def add(self, row: Sequence) -> Tuple[bool, Optional[dict]]:
-        row = [_frac(x) for x in row]
-        if len(row) != self.width:
+    def copy(self) -> "IncrementalRank":
+        """An independent tracker with the same rows (rows are shared, never
+        mutated)."""
+        c = IncrementalRank(self.width)
+        c._rows = list(self._rows)
+        c._count = self._count
+        return c
+
+    def _reduce(self, row: Sequence, combo: Optional[dict]) -> list:
+        """``row`` minus its projection on the stored rows.  With ``combo``
+        (a dict over ORIGINAL row indices) the multiples are accumulated so
+        that ``result == row - sum_k combo[k] * original_k``."""
+        work = [x if type(x) is int else canon(x) for x in row]
+        if len(work) != self.width:
             raise ValueError("row width mismatch")
-        idx = self._count
-        self._count += 1
-        work = list(row)
-        # combo over ORIGINAL row indices such that, at every step,
-        #   work == original_row - sum_k combo[k] * original_k
-        combo: dict = {}
-        for base, base_combo in self._rows:
-            lead = next((j for j, x in enumerate(base) if x != 0), None)
-            if lead is None:
+        for base, lead, base_combo in self._rows:
+            if not work[lead]:
                 continue
-            if work[lead] != 0:
-                f = work[lead] / base[lead]
-                work = [a - f * b for a, b in zip(work, base)]
+            f = exact_div(work[lead], base[lead])
+            for j in range(lead, self.width):
+                if base[j]:
+                    x = work[j] - f * base[j]
+                    work[j] = x if type(x) is int else canon(x)
+            if combo is not None:
                 # base == sum_k base_combo[k] * original_k
                 for k, c in base_combo.items():
-                    combo[k] = combo.get(k, Fraction(0)) + f * c
-        if all(x == 0 for x in work):
-            return True, {k: v for k, v in combo.items() if v != 0}
-        # independent: store reduced row with its expansion over originals:
-        #   work == original_idx - sum_k combo[k] * original_k
-        expansion = {idx: Fraction(1)}
-        for k, c in combo.items():
-            if c != 0:
-                expansion[k] = expansion.get(k, Fraction(0)) - c
-        self._rows.append((work, expansion))
+                    combo[k] = canon(combo.get(k, 0) + f * c)
+        return work
+
+    def depends(self, row: Sequence) -> bool:
+        """Is ``row`` a linear combination of the rows added so far?"""
+        return not any(self._reduce(row, None))
+
+    def add(self, row: Sequence) -> Tuple[bool, Optional[dict]]:
+        combo: dict = {}
+        work = self._reduce(row, combo)
+        idx = self._count
+        self._count += 1
+        lead = next((j for j, x in enumerate(work) if x), None)
+        if lead is None:
+            return True, {k: v for k, v in combo.items() if v}
+        # independent: store the reduced row with its expansion over
+        # originals:  work == original_idx - sum_k combo[k] * original_k
+        expansion = {k: -c for k, c in combo.items() if c}
+        expansion[idx] = 1
+        self._rows.append((work, lead, expansion))
         return False, None
 
     @property

@@ -19,7 +19,7 @@ from repro.core.cache import (
 )
 from repro.core.compiler import compile_kernel
 from repro.formats import as_format
-from repro.formats.generate import random_sparse
+from repro.formats.generate import lower_triangular_of, random_sparse
 from repro.ir.kernels import mvm, smvm_two
 
 
@@ -228,6 +228,65 @@ class TestDiskLayer:
         x = np.arange(1.0, 7.0)
         y = np.zeros(8)
         k2({"A": A, "x": x, "y": y}, {"m": 8, "n": 6})
+        np.testing.assert_allclose(y, A.to_dense() @ x)
+
+    def test_entry_pickled_with_fraction_coefficients_loads_canonical(
+            self, tmp_path, monkeypatch):
+        """A disk entry written before the integer polyhedral core (every
+        coefficient a ``Fraction``, ``System`` without its cached fields;
+        ``tests/golden/fraction_disk_cache``, pickled at the parent commit
+        by this very request) is found under the same key — no digest
+        hashes a coefficient's type — and replays as canonical values that
+        print the same Python and C as a fresh search."""
+        import io
+        import pickle
+        import shutil
+        from fractions import Fraction
+        from pathlib import Path
+
+        from repro.codegen.native import lower_kernel
+        from repro.polyhedra.linexpr import LinExpr
+
+        A = as_format(lower_triangular_of(random_sparse(8, 8, 0.3, seed=7)).to_dense(),
+                      "bsr", block_size=2)
+        A.annotate_triangular("lower")      # its bounds are a pickled System
+        key = structural_signature(mvm(), {"A": A}, {"m": 8, "n": 8}, "best", 12, True)
+        fixture = Path(__file__).parent / "golden" / "fraction_disk_cache" / f"{key}.pkl"
+        assert fixture.exists(), "the structural key moved"
+        try:
+            pickle.loads(fixture.read_bytes())
+        except ModuleNotFoundError as e:       # numpy's array pickles name its internals
+            pytest.skip(f"fixture needs the numpy that pickled it: {e}")
+        assert b"fractions" in fixture.read_bytes()
+        assert b"repro.polyhedra.system" in fixture.read_bytes()
+        shutil.copy(fixture, tmp_path)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+
+        before = instrument.snapshot()["counters"].get("cache.hits.disk", 0)
+        k, gen = _generated_delta(lambda: compile_kernel(mvm(), {"A": A}, cache="disk"))
+        assert gen == 0
+        assert instrument.snapshot()["counters"].get("cache.hits.disk", 0) == before + 1
+
+        seen = []
+
+        class Collect(pickle.Pickler):      # visits every object the entry holds
+            def reducer_override(self, obj):
+                if isinstance(obj, LinExpr):
+                    seen.extend([*obj.coeffs.values(), obj.const])
+                return NotImplemented
+
+        Collect(io.BytesIO()).dump(COMPILE_CACHE.get(key))
+        assert len(seen) > 50 and any(c not in (0, 1, -1) for c in seen)
+        assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+                   for c in seen)
+
+        fresh = compile_kernel(mvm(), {"A": A}, cache="off")
+        assert k.source == fresh.source
+        assert lower_kernel(k).c_source == lower_kernel(fresh).c_source
+        assert k.cost == fresh.cost
+        x = np.arange(1.0, 9.0)
+        y = np.zeros(8)
+        k({"A": A, "x": x, "y": y}, {"m": 8, "n": 8})
         np.testing.assert_allclose(y, A.to_dense() @ x)
 
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path, monkeypatch):

@@ -226,6 +226,41 @@ class TestChoiceRobustness:
             assert f"{cells} cells" in by_name[name].error
             assert name not in res.instances
 
+    def test_padded_refusal_at_small_n_with_patched_limit(self, monkeypatch):
+        """The same refusal on an 8x8 pattern once the limits are patched
+        down: the message names the would-be size and no constructor runs."""
+        from repro.search import format_select as fs
+
+        monkeypatch.setattr(fs, "_PAD_MIN_CELLS", 16)
+        monkeypatch.setattr(fs, "_PAD_RATIO", 2)
+        A = as_format(np.eye(8)[:, np.random.default_rng(3).permutation(8)], "csr")
+        rows, cols, _ = A.to_coo_arrays()
+        cells = np.unique(rows - cols).size * 8
+        assert cells > 16
+        res = select_format(mvm(), "A", A, candidates=("csr", "dia"))
+        dia = {c.format_name: c for c in res.choices}["dia"]
+        assert dia.error.startswith("inapplicable: dia would pad 8 stored entries")
+        assert f"to {cells} cells" in dia.error
+
+    def test_allocation_failure_in_a_builder_is_inapplicable(self, monkeypatch):
+        """A constructor that runs out of memory anyway (under the padding
+        limits but over what the machine has) is one more skipped
+        candidate, not an uncaught MemoryError out of ``select_format``."""
+        from repro.formats.dia import DiaMatrix
+
+        def exhausted(*a, **k):
+            raise MemoryError("Unable to allocate 106. GiB for an array")
+
+        monkeypatch.setattr(DiaMatrix, "_from_canonical_coo", exhausted)
+        m = random_sparse(12, 12, 0.3, seed=2)
+        for mode in ("model", "auto"):
+            res = select_format(mvm(), "A", m, candidates=("csr", "dia"),
+                                mode=mode, autotune_cache="off")
+            dia = {c.format_name: c for c in res.choices}["dia"]
+            assert not dia.ok and "dia" not in res.instances
+            assert dia.error == "inapplicable: Unable to allocate 106. GiB for an array"
+            assert res.best[0] == "csr"
+
     def test_padding_guard_leaves_reasonable_patterns_alone(self):
         from repro.search.format_select import (_PAD_MIN_CELLS, _PAD_RATIO,
                                                 check_padded_storage)
