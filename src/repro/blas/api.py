@@ -240,9 +240,16 @@ def _check_spgemm_operands(A, B) -> None:
 
 
 def _expand_rows(rowptr: np.ndarray) -> np.ndarray:
-    """The COO row index of every stored entry of a CSR row pointer."""
+    """The COO row index of every stored entry of a CSR row pointer
+    (int64: triples are exchanged wide whatever the storage width)."""
     return np.repeat(np.arange(rowptr.size - 1, dtype=np.int64),
                      np.diff(rowptr))
+
+
+def _csr_to_triples(rowptr: np.ndarray, cols: np.ndarray):
+    """``(rows, cols)`` of the native tier's CSR arrays at the exchange
+    width."""
+    return _expand_rows(rowptr), cols.astype(np.int64, copy=False)
 
 
 def _spgemm_csr_csr_vectorized(A: CsrMatrix, B: CsrMatrix):
@@ -301,7 +308,8 @@ def _spgemm_product(A: SparseFormat, B: SparseFormat, tier: Optional[str]):
             from repro.blas import spgemm_native
 
             try:
-                fn = spgemm_native.bind()
+                rowptr, cols, vals, nmults = \
+                    spgemm_native.spgemm_csr_csr_native(A, B)
             except (RuntimeError, OSError, subprocess.SubprocessError) as e:
                 from repro.core.backend import native_fallback
 
@@ -309,8 +317,6 @@ def _spgemm_product(A: SparseFormat, B: SparseFormat, tier: Optional[str]):
                 native_fallback("toolchain", f"spgemm native tier: {e}")
             else:
                 INSTR.count("spgemm.tier.native")
-                rowptr, cols, vals, nmults = \
-                    spgemm_native.spgemm_csr_csr_native(fn, A, B)
                 return rowptr, None, cols, vals, nmults
         INSTR.count("spgemm.tier.vectorized")
         return (None,) + _spgemm_csr_csr_vectorized(A, B)
@@ -339,7 +345,7 @@ def spgemm_triples(A: SparseFormat, B: SparseFormat,
     compiled-kernel fallback contract."""
     rowptr, rows, cols, vals, nmults = _spgemm_product(A, B, tier)
     if rows is None:
-        rows = _expand_rows(rowptr)
+        rows, cols = _csr_to_triples(rowptr, cols)
     return rows, cols, vals, nmults
 
 
@@ -364,14 +370,14 @@ def spgemm(A: SparseFormat, B: SparseFormat,
     shape = (A.nrows, B.ncols)
 
     def as_csr():
-        if rowptr is not None:
-            return CsrMatrix(rowptr, cols, vals, shape)
+        if rows is None:
+            return CsrMatrix._adopt(rowptr, cols, vals, shape)
         return CsrMatrix._from_canonical_coo(rows, cols, vals, shape)
 
     if out_format is None or out_format == "csr":
         return as_csr()
     if rows is None:
-        rows = _expand_rows(rowptr)
+        rows, cols = _csr_to_triples(rowptr, cols)
     if out_format == "auto":
         from repro.search.format_select import select_output_format
 

@@ -526,7 +526,11 @@ class NativeKernel:
     dtype and C-contiguity (``np.ascontiguousarray`` — a no-op for
     already-conforming arrays); arrays the kernel writes are copied back
     when coercion had to copy.  Stride and length arguments are derived
-    from the coerced array's shape.
+    from the coerced array's shape.  Every argument that did not pass
+    through as it was counts ``native.dispatch.coerced`` — an instance
+    whose index arrays were swapped for another width after the kernel
+    was bound pays a widening copy on *every* call, and this is where
+    that shows.
 
     Prepared-argument fast path: solver loops call the same kernel with
     the same array objects thousands of times.  When a call needed no
@@ -607,6 +611,9 @@ class NativeKernel:
                 if a.written and not np.may_share_memory(carr, arr):
                     writebacks.append((arr, carr))
                 if carr is not val:
+                    # a dtype/layout copy (or a non-array argument): this
+                    # call cannot be prepared, and neither can the next
+                    INSTR.count("native.dispatch.coerced")
                     preparable = False
                 objs.append(val)
                 keepalive.append(carr)

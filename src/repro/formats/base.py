@@ -108,9 +108,11 @@ class SparseFormat:
         """(rows, cols, values) of all stored entries, any order.
 
         Contract (relied upon by the conversion fast paths and the native
-        backend): ``rows``/``cols`` are int64 and ``values`` is
-        C-contiguous; all three are freshly allocated (mutating them never
-        aliases the format's own storage)."""
+        backend): ``rows``/``cols`` are int64 — the *exchange* width,
+        whatever width the format stores its own index arrays at (see
+        :func:`index_dtype`) — and ``values`` is C-contiguous; all three
+        are freshly allocated (mutating them never aliases the format's
+        own storage)."""
         raise NotImplementedError
 
     def to_dense(self) -> np.ndarray:
@@ -132,7 +134,9 @@ class SparseFormat:
     @classmethod
     def _from_canonical_coo(cls, rows, cols, vals, shape, **kwargs) -> "SparseFormat":
         """Construct from triples already in canonical row-major form
-        (sorted by ``(row, col)``, unique, in bounds, int64/float64).
+        (sorted by ``(row, col)``, unique, in bounds, int64/float64 — the
+        exchange width; the built instance stores its index arrays at
+        :func:`index_dtype` of its own bound, converted once on the way in).
 
         This is the construction core the vectorized data plane shares:
         :func:`repro.formats.convert.convert` fast paths and
@@ -283,6 +287,8 @@ def coo_dedup_sort(rows, cols, vals, shape, order: str = "row") -> Tuple[np.ndar
     Already-canonical input (strictly increasing keys, the common case for
     triples coming out of another format's ``to_coo_arrays``) is detected
     with one O(nnz) comparison and skips the sort entirely."""
+    # exchange contract: triples are int64 whatever the caller stored them
+    # at, so the row-major keys below cannot overflow a storage width
     rows = np.asarray(rows, dtype=np.int64).ravel()
     cols = np.asarray(cols, dtype=np.int64).ravel()
     vals = np.asarray(vals, dtype=np.float64).ravel()
@@ -316,18 +322,115 @@ def coo_dedup_sort(rows, cols, vals, shape, order: str = "row") -> Tuple[np.ndar
 
 def coo_contract(rows: np.ndarray, cols: np.ndarray,
                  vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Apply the ``to_coo_arrays`` output contract: int64 indices and a
-    C-contiguous value array (no copy when the input already complies)."""
+    """Apply the ``to_coo_arrays`` output contract: int64 indices — the
+    exchange width; this is where a format's narrower storage arrays are
+    widened — and a C-contiguous value array (no copy when the input
+    already complies)."""
     return (np.ascontiguousarray(rows, dtype=np.int64),
             np.ascontiguousarray(cols, dtype=np.int64),
             np.ascontiguousarray(vals))
 
 
-def csr_rowptr(rows: np.ndarray, nrows: int) -> np.ndarray:
+# ---------------------------------------------------------------------------
+# Index width
+# ---------------------------------------------------------------------------
+
+#: the first bound the narrow index type no longer holds (module limit:
+#: the index-width tests lower it to drive small matrices over the edge)
+_INDEX_LIMIT = 2**31 - 1
+
+
+def index_dtype(bound: int):
+    """The storage width of a format's index arrays: ``int32`` when
+    ``bound`` fits, ``int64`` otherwise.  ``bound`` is the largest value
+    the arrays store *or any address the emitted code computes from
+    them* — each format names its own (rows, columns and stored entries
+    for the compressed formats; the padded cell count for ELL/DIA; the
+    block-cube size for BSR).  Storage width only: triples exchanged
+    between formats (``to_coo_arrays``, ``from_coo``, SpGEMM triples, the
+    wire) are always int64."""
+    return np.int32 if bound < _INDEX_LIMIT else np.int64
+
+
+def storage_index_dtype(shape: Tuple[int, int], cells: int):
+    """:func:`index_dtype` of a format that stores coordinates below
+    ``shape`` and addresses ``cells`` stored cells — the entry count the
+    pointers of CSR/CSC/COO/MSR/SYM/JAD run up to, the padded cell count
+    of ELL, the block cube of BSR."""
+    return index_dtype(max(shape[0], shape[1], cells))
+
+
+def index_array(a, dtype, name: str, stop: int, start: int = 0,
+                copy: bool = False) -> np.ndarray:
+    """``a`` as an index array of ``dtype`` after an O(size) check that
+    every value lies in ``[start, stop)``.  The check runs at the width
+    the values arrive in, so an out-of-range value raises instead of
+    wrapping into range when the array is narrowed.  An array that is
+    already of ``dtype`` is returned as it is unless ``copy`` is set."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "iu":
+        a = a.astype(np.int64)  # exchange width until checked
+    if a.size and (a.min() < start or a.max() >= stop):
+        raise ValueError(f"{name}: value outside [{start}, {stop})")
+    return a.astype(dtype) if copy else np.asarray(a, dtype=dtype)
+
+
+def pointer_array(ptr, dtype, name: str, count: int, total: int) -> np.ndarray:
+    """A compressed axis' pointer array (``rowptr``/``colptr``/...) at
+    ``dtype``: ``count + 1`` non-decreasing offsets from 0 to ``total``."""
+    ptr = np.asarray(ptr)
+    if ptr.shape != (count + 1,):
+        raise ValueError(f"{name} must have {count}+1 entries")
+    ptr = index_array(ptr, dtype, name, total + 1)
+    if ptr[0] != 0 or ptr[-1] != total:
+        raise ValueError(f"{name} endpoints inconsistent with nnz")
+    if np.any(ptr[1:] < ptr[:-1]):
+        raise ValueError(f"{name} must be non-decreasing")
+    return ptr
+
+
+def csr_rowptr(rows: np.ndarray, nrows: int, dtype) -> np.ndarray:
     """Row-pointer array from sorted row indices in O(nnz): a bincount
-    followed by an in-place cumulative sum."""
-    rowptr = np.zeros(nrows + 1, dtype=np.int64)
+    cumulatively summed straight into an array of the target width."""
+    rowptr = np.zeros(nrows + 1, dtype=dtype)
     if rows.size:
-        rowptr[1:] = np.bincount(rows, minlength=nrows)
-    np.cumsum(rowptr, out=rowptr)
+        np.cumsum(np.bincount(rows, minlength=nrows), out=rowptr[1:])
     return rowptr
+
+
+def compress(major: np.ndarray, minor: np.ndarray, nmajor: int,
+             shape: Tuple[int, int]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(pointer, minor index)`` arrays of a compressed axis from triples
+    sorted on ``major``, both built once at the storage width of a matrix
+    of ``shape`` holding them.  ``minor`` is copied, never aliased."""
+    idx = storage_index_dtype(shape, minor.size)
+    return csr_rowptr(major, nmajor, idx), minor.astype(idx)
+
+
+def compressed_is_canonical(ptr: np.ndarray, ind: np.ndarray) -> bool:
+    """Are the minor indices strictly increasing within every segment of
+    a pointer array — the sorted-unique invariant the constructors do not
+    check?  One O(nnz) comparison: adjacent pairs must increase except
+    across a segment boundary."""
+    if ind.size < 2:
+        return True
+    rising = ind[1:] > ind[:-1]
+    cuts = ptr[1:-1]
+    rising[cuts[(cuts > 0) & (cuts < ind.size)] - 1] = True
+    return bool(rising.all())
+
+
+def scipy_compressed(sp, fmt: str):
+    """``(pointer, index, data)`` of a scipy ``fmt`` ("csr"/"csc") matrix
+    in canonical format — range-checked, copied once at the storage width
+    (never aliasing ``sp``) and checked sorted-unique, since the flag is
+    scipy's claim, not a proof — or None when ``sp`` is anything else."""
+    if getattr(sp, "format", None) != fmt or not sp.has_canonical_format:
+        return None
+    idx = storage_index_dtype(sp.shape, sp.nnz)
+    nminor = sp.shape[1] if fmt == "csr" else sp.shape[0]
+    ptr = index_array(sp.indptr, idx, "indptr", sp.nnz + 1, copy=True)
+    ind = index_array(sp.indices, idx, "indices", nminor, copy=True)
+    if not compressed_is_canonical(ptr, ind):
+        return None
+    return ptr, ind, sp.data.astype(np.float64)

@@ -19,7 +19,16 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.formats.base import PathRuntime, SparseFormat, coo_contract, coo_dedup_sort
+from repro.formats.base import (
+    PathRuntime,
+    SparseFormat,
+    coo_contract,
+    coo_dedup_sort,
+    csr_rowptr,
+    index_array,
+    storage_index_dtype,
+    pointer_array,
+)
 from repro.formats.views import (
     Axis,
     BINARY,
@@ -92,7 +101,9 @@ class BsrRuntime(PathRuntime):
 
 class BsrMatrix(SparseFormat):
     """BSR: ``indptr`` (block_rows+1), ``blockind`` (nblocks, sorted within
-    a block row), ``data`` (nblocks x s x s)."""
+    a block row), ``data`` (nblocks x s x s).  Index arrays are stored at
+    ``index_dtype(max(m, n, nblocks * s * s))`` — the emitted code forms
+    ``blockind[kk] * s + ci`` and addresses the block cube flat."""
 
     format_name = "bsr"
 
@@ -102,13 +113,14 @@ class BsrMatrix(SparseFormat):
         self.block_size = int(block_size)
         if self.nrows % self.block_size or self.ncols % self.block_size:
             raise ValueError("matrix dimensions must be multiples of the block size")
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.blockind = np.asarray(blockind, dtype=np.int64)
         self.data = np.asarray(data, dtype=np.float64)
-        if self.indptr.size != self.block_rows + 1:
-            raise ValueError("indptr must have block_rows+1 entries")
-        if self.data.shape != (self.blockind.size, self.block_size, self.block_size):
+        nblocks = np.size(blockind)
+        if self.data.shape != (nblocks, self.block_size, self.block_size):
             raise ValueError("data must be (nblocks, s, s)")
+        idx = storage_index_dtype(self.shape, self.data.size)
+        self.indptr = pointer_array(indptr, idx, "indptr", self.block_rows,
+                                    nblocks)
+        self.blockind = index_array(blockind, idx, "blockind", self.block_cols)
 
     @property
     def block_rows(self) -> int:
@@ -147,14 +159,15 @@ class BsrMatrix(SparseFormat):
     def to_coo_arrays(self):
         # broadcast block coordinates over the (nblocks, s, s) data cube;
         # raveling C-order reproduces the (block, ri, ci) loop-nest order
+        # exchange contract: int64 triples whatever the storage width
         s = self.block_size
         rb = np.repeat(np.arange(self.block_rows, dtype=np.int64),
                        np.diff(self.indptr))
         within = np.arange(s, dtype=np.int64)
         rows = (rb[:, None, None] * s + within[None, :, None]
                 + np.zeros((1, 1, s), dtype=np.int64))
-        cols = (self.blockind[:, None, None] * s + within[None, None, :]
-                + np.zeros((1, s, 1), dtype=np.int64))
+        cols = (self.blockind.astype(np.int64)[:, None, None] * s
+                + within[None, None, :] + np.zeros((1, s, 1), dtype=np.int64))
         return coo_contract(rows.reshape(-1), cols.reshape(-1),
                             self.data.reshape(-1).copy())
 
@@ -163,8 +176,7 @@ class BsrMatrix(SparseFormat):
         # every stored block in with one advanced-indexing assignment
         s = self.block_size
         out = np.zeros(self.shape)
-        rb = np.repeat(np.arange(self.block_rows, dtype=np.int64),
-                       np.diff(self.indptr))
+        rb = np.repeat(np.arange(self.block_rows), np.diff(self.indptr))
         out4 = out.reshape(self.block_rows, s, self.block_cols, s)
         out4[rb, :, self.blockind, :] = self.data
         return out
@@ -184,15 +196,16 @@ class BsrMatrix(SparseFormat):
         m, n = shape
         if m % s or n % s:
             raise ValueError("matrix dimensions must be multiples of the block size")
+        # block keys are formed from the int64 exchange triples: the block
+        # grid's cell count overflows a storage width long before n does
         rb, cb = rows // s, cols // s
         keys = rb * (n // s) + cb
         uniq, inverse = np.unique(keys, return_inverse=True)
         data = np.zeros((uniq.size, s, s))
         data[inverse, rows % s, cols % s] = vals
-        indptr = np.zeros(m // s + 1, dtype=np.int64)
-        np.add.at(indptr[1:], (uniq // (n // s)).astype(np.int64), 1)
-        np.cumsum(indptr, out=indptr)
-        blockind = (uniq % (n // s)).astype(np.int64)
+        idx = storage_index_dtype(shape, data.size)
+        indptr = csr_rowptr(uniq // (n // s), m // s, idx)
+        blockind = (uniq % (n // s)).astype(idx)
         return cls(indptr, blockind, data, s, shape)
 
     @classmethod
@@ -213,10 +226,11 @@ class BsrMatrix(SparseFormat):
         for r, c, v in zip(rows, cols, vals):
             kk = block_of[int((r // s) * (n // s) + (c // s))]
             data[kk, r % s, c % s] = v
+        # the oracle builds at the exchange width; the constructor narrows
         indptr = np.zeros(m // s + 1, dtype=np.int64)
-        np.add.at(indptr[1:], (uniq // (n // s)).astype(np.int64), 1)
+        np.add.at(indptr[1:], uniq // (n // s), 1)
         np.cumsum(indptr, out=indptr)
-        blockind = (uniq % (n // s)).astype(np.int64)
+        blockind = uniq % (n // s)
         return cls(indptr, blockind, data, s, shape)
 
     def _reference_to_coo_arrays(self):
@@ -230,6 +244,7 @@ class BsrMatrix(SparseFormat):
                         rows.append(rb * s + ri)
                         cols.append(cb * s + ci)
                         vals.append(float(self.data[kk, ri, ci]))
+        # exchange contract
         return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
                 np.array(vals))
 

@@ -29,7 +29,12 @@ from typing import Dict, Optional, Tuple, Type, Union
 
 import numpy as np
 
-from repro.formats.base import SparseFormat, csr_rowptr
+from repro.formats.base import (
+    SparseFormat,
+    compressed_is_canonical,
+    csr_rowptr,
+    storage_index_dtype,
+)
 from repro.formats.bsr import BsrMatrix
 from repro.formats.coo import CooMatrix
 from repro.formats.csc import CscMatrix
@@ -77,44 +82,49 @@ def _csr_canonical_triples(A: CsrMatrix) -> Optional[Tuple[np.ndarray, np.ndarra
     """Row-major canonical triples straight from the CSR arrays, or None
     when the instance violates the sorted-unique invariant (hand-built
     arrays are not validated by the constructor — fall back then)."""
-    rows = np.repeat(np.arange(A.nrows, dtype=np.int64), np.diff(A.rowptr))
-    keys = rows * A.ncols + A.colind
-    if keys.size and not bool(np.all(keys[1:] > keys[:-1])):
+    if not compressed_is_canonical(A.rowptr, A.colind):
         return None
-    return rows, A.colind, A.values
+    # exchange contract: canonical triples are int64
+    rows = np.repeat(np.arange(A.nrows, dtype=np.int64), np.diff(A.rowptr))
+    return rows, A.colind.astype(np.int64), A.values
 
 
 def _csc_canonical_triples(A: CscMatrix) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Row-major canonical triples from CSC arrays: one stable argsort of
     the row index re-sorts the column-major entries row-major (columns
     stay increasing within each row because the input was column-sorted)."""
-    cols = np.repeat(np.arange(A.ncols, dtype=np.int64), np.diff(A.colptr))
-    keys = cols * A.nrows + A.rowind
-    if keys.size and not bool(np.all(keys[1:] > keys[:-1])):
+    if not compressed_is_canonical(A.colptr, A.rowind):
         return None
+    # exchange contract: canonical triples are int64
+    cols = np.repeat(np.arange(A.ncols, dtype=np.int64), np.diff(A.colptr))
     perm = np.argsort(A.rowind, kind="stable")
-    return A.rowind[perm], cols[perm], A.values[perm]
+    return A.rowind[perm].astype(np.int64), cols[perm], A.values[perm]
+
+
+def _transposed_compression(ptr, ind, vals, nmajor: int, nminor: int, shape):
+    """``(pointer, index, values)`` compressed along the *other* axis, or
+    None when the source is not sorted-unique: one stable argsort of the
+    minor index alone (the major index stays increasing within each new
+    segment because the source was sorted on it), every index array
+    built once at the storage width CSR and CSC share."""
+    if not compressed_is_canonical(ptr, ind):
+        return None
+    idx = storage_index_dtype(shape, ind.size)
+    major = np.repeat(np.arange(nmajor, dtype=idx), np.diff(ptr))
+    perm = np.argsort(ind, kind="stable")
+    return csr_rowptr(ind[perm], nminor, idx), major[perm], vals[perm]
 
 
 def _csr_to_csc(A: CsrMatrix) -> Optional[CscMatrix]:
-    """Direct CSR -> CSC: stable argsort of the column index alone."""
-    trip = _csr_canonical_triples(A)
-    if trip is None:
-        return None
-    rows, cols, vals = trip
-    perm = np.argsort(cols, kind="stable")
-    return CscMatrix(csr_rowptr(cols[perm], A.ncols), rows[perm], vals[perm],
-                     A.shape)
+    arrays = _transposed_compression(A.rowptr, A.colind, A.values,
+                                     A.nrows, A.ncols, A.shape)
+    return None if arrays is None else CscMatrix(*arrays, A.shape)
 
 
 def _csc_to_csr(A: CscMatrix) -> Optional[CsrMatrix]:
-    """Direct CSC -> CSR: stable argsort of the row index alone."""
-    trip = _csc_canonical_triples(A)
-    if trip is None:
-        return None
-    rows, cols, vals = trip  # already re-sorted row-major by the extractor
-    return CsrMatrix(csr_rowptr(rows, A.nrows), cols.copy(), vals.copy(),
-                     A.shape)
+    arrays = _transposed_compression(A.colptr, A.rowind, A.values,
+                                     A.ncols, A.nrows, A.shape)
+    return None if arrays is None else CsrMatrix(*arrays, A.shape)
 
 
 #: (source class, target class) -> direct conversion; a path returning

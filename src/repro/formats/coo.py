@@ -11,7 +11,14 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.formats.base import PathRuntime, SparseFormat, coo_contract, coo_dedup_sort
+from repro.formats.base import (
+    PathRuntime,
+    SparseFormat,
+    coo_contract,
+    coo_dedup_sort,
+    index_array,
+    storage_index_dtype,
+)
 from repro.formats.views import Axis, Joint, LINEAR, Term, UNORDERED, Value
 
 
@@ -50,11 +57,12 @@ class CooMatrix(SparseFormat):
     def __init__(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
                  shape: Tuple[int, int]):
         super().__init__(shape)
-        self.rows = np.asarray(rows, dtype=np.int64)
-        self.cols = np.asarray(cols, dtype=np.int64)
         self.vals = np.asarray(vals, dtype=np.float64)
-        if not (self.rows.shape == self.cols.shape == self.vals.shape):
+        if not (np.shape(rows) == np.shape(cols) == self.vals.shape):
             raise ValueError("rows/cols/vals length mismatch")
+        idx = storage_index_dtype(self.shape, self.vals.size)
+        self.rows = index_array(rows, idx, "rows", self.nrows)
+        self.cols = index_array(cols, idx, "cols", self.ncols)
 
     # -- high-level API ----------------------------------------------------
     @property
@@ -72,7 +80,10 @@ class CooMatrix(SparseFormat):
         self.vals[hits[0]] = v
 
     def to_coo_arrays(self):
-        return coo_contract(self.rows.copy(), self.cols.copy(), self.vals.copy())
+        # exchange contract: int64 triples whatever the storage width
+        # (astype always copies, so the caller never aliases our storage)
+        return coo_contract(self.rows.astype(np.int64),
+                            self.cols.astype(np.int64), self.vals.copy())
 
     @classmethod
     def from_coo(cls, rows, cols, vals, shape) -> "CooMatrix":
@@ -83,7 +94,8 @@ class CooMatrix(SparseFormat):
 
     @classmethod
     def _from_canonical_coo(cls, rows, cols, vals, shape) -> "CooMatrix":
-        return cls(rows.copy(), cols.copy(), vals.copy(), shape)
+        idx = storage_index_dtype(shape, vals.size)
+        return cls(rows.astype(idx), cols.astype(idx), vals.copy(), shape)
 
     @classmethod
     def _reference_from_coo(cls, rows, cols, vals, shape) -> "CooMatrix":
@@ -94,10 +106,12 @@ class CooMatrix(SparseFormat):
             r_out.append(int(r))
             c_out.append(int(c))
             v_out.append(float(v))
+        # oracle lists at the exchange width; the constructor narrows
         return cls(np.array(r_out, dtype=np.int64), np.array(c_out, dtype=np.int64),
                    np.array(v_out, dtype=np.float64), shape)
 
     def _reference_to_coo_arrays(self):
+        # exchange contract
         rows = np.array([int(r) for r in self.rows], dtype=np.int64)
         cols = np.array([int(c) for c in self.cols], dtype=np.int64)
         vals = np.array([float(v) for v in self.vals], dtype=np.float64)

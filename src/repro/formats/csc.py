@@ -9,7 +9,17 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.formats.base import PathRuntime, SparseFormat, coo_contract, coo_dedup_sort
+from repro.formats.base import (
+    PathRuntime,
+    SparseFormat,
+    compress,
+    coo_contract,
+    coo_dedup_sort,
+    index_array,
+    storage_index_dtype,
+    pointer_array,
+    scipy_compressed,
+)
 from repro.formats.views import Axis, BINARY, INCREASING, Nest, Term, Value, interval_axis
 
 
@@ -53,24 +63,21 @@ class CscRuntime(PathRuntime):
 
 class CscMatrix(SparseFormat):
     """CSC: ``colptr`` (n+1), ``rowind`` (nnz, sorted within each column),
-    ``values`` (nnz)."""
+    ``values`` (nnz).  Index arrays are stored at
+    ``index_dtype(max(m, n, nnz))``."""
 
     format_name = "csc"
 
     def __init__(self, colptr: np.ndarray, rowind: np.ndarray, values: np.ndarray,
                  shape: Tuple[int, int]):
         super().__init__(shape)
-        self.colptr = np.asarray(colptr, dtype=np.int64)
-        self.rowind = np.asarray(rowind, dtype=np.int64)
         self.values = np.asarray(values, dtype=np.float64)
-        if self.colptr.size != self.ncols + 1:
-            raise ValueError("colptr must have ncols+1 entries")
-        if self.rowind.shape != self.values.shape:
+        if np.shape(rowind) != self.values.shape:
             raise ValueError("rowind/values length mismatch")
-        if self.colptr[0] != 0 or self.colptr[-1] != self.rowind.size:
-            raise ValueError("colptr endpoints inconsistent with nnz")
-        if np.any(np.diff(self.colptr) < 0):
-            raise ValueError("colptr must be non-decreasing")
+        idx = storage_index_dtype(self.shape, self.values.size)
+        self.colptr = pointer_array(colptr, idx, "colptr", self.ncols,
+                                    self.values.size)
+        self.rowind = index_array(rowind, idx, "rowind", self.nrows)
 
     # -- high-level API ----------------------------------------------------
     @property
@@ -96,8 +103,10 @@ class CscMatrix(SparseFormat):
         raise KeyError(f"({r},{c}) is not stored (fill is not supported)")
 
     def to_coo_arrays(self):
+        # exchange contract: int64 triples whatever the storage width
+        # (astype always copies, so the caller never aliases our storage)
         cols = np.repeat(np.arange(self.ncols, dtype=np.int64), np.diff(self.colptr))
-        return coo_contract(self.rowind.copy(), cols, self.values.copy())
+        return coo_contract(self.rowind.astype(np.int64), cols, self.values.copy())
 
     @classmethod
     def from_coo(cls, rows, cols, vals, shape) -> "CscMatrix":
@@ -107,9 +116,7 @@ class CscMatrix(SparseFormat):
     @classmethod
     def _build_colmajor(cls, rows, cols, vals, shape) -> "CscMatrix":
         """Construction core for triples already canonical *column*-major."""
-        from repro.formats.base import csr_rowptr
-
-        return cls(csr_rowptr(cols, shape[1]), rows.copy(), vals.copy(), shape)
+        return cls(*compress(cols, rows, shape[1], shape), vals.copy(), shape)
 
     @classmethod
     def _from_canonical_coo(cls, rows, cols, vals, shape) -> "CscMatrix":
@@ -120,22 +127,31 @@ class CscMatrix(SparseFormat):
         return cls._build_colmajor(rows[perm], cols[perm], vals[perm], shape)
 
     @classmethod
+    def from_scipy(cls, sp) -> "CscMatrix":
+        """A canonical scipy CSC is adopted array for array (validated,
+        copied at the storage width); anything else goes through COO."""
+        arrays = scipy_compressed(sp, "csc")
+        if arrays is None:
+            return super().from_scipy(sp)
+        return cls(*arrays, sp.shape)
+
+    @classmethod
     def _reference_from_coo(cls, rows, cols, vals, shape) -> "CscMatrix":
         """Loop oracle: per-element column counting."""
         rows, cols, vals = coo_dedup_sort(rows, cols, vals, shape, order="col")
         m, n = shape
-        colptr = np.zeros(n + 1, dtype=np.int64)
+        colptr = np.zeros(n + 1, dtype=np.int64)  # oracle counts at exchange width
         for c in cols:
             colptr[int(c) + 1] += 1
         np.cumsum(colptr, out=colptr)
         return cls(colptr, rows, vals, shape)
 
     def _reference_to_coo_arrays(self):
-        cols = np.empty(self.nnz, dtype=np.int64)
+        cols = np.empty(self.nnz, dtype=np.int64)  # exchange contract
         for c in range(self.ncols):
             for jj in range(int(self.colptr[c]), int(self.colptr[c + 1])):
                 cols[jj] = c
-        return self.rowind.copy(), cols, self.values.copy()
+        return self.rowind.astype(np.int64), cols, self.values.copy()
 
     # -- low-level API -------------------------------------------------------
     def view(self) -> Term:

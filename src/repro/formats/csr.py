@@ -14,9 +14,13 @@ import numpy as np
 from repro.formats.base import (
     PathRuntime,
     SparseFormat,
+    compress,
     coo_contract,
     coo_dedup_sort,
-    csr_rowptr,
+    index_array,
+    storage_index_dtype,
+    pointer_array,
+    scipy_compressed,
 )
 from repro.formats.views import Axis, BINARY, INCREASING, Nest, Term, Value, interval_axis
 
@@ -61,24 +65,32 @@ class CsrRuntime(PathRuntime):
 
 class CsrMatrix(SparseFormat):
     """CSR: ``rowptr`` (m+1), ``colind`` (nnz, sorted within each row),
-    ``values`` (nnz)."""
+    ``values`` (nnz).  Index arrays are stored at
+    ``index_dtype(max(m, n, nnz))``."""
 
     format_name = "csr"
 
     def __init__(self, rowptr: np.ndarray, colind: np.ndarray, values: np.ndarray,
                  shape: Tuple[int, int]):
         super().__init__(shape)
-        self.rowptr = np.asarray(rowptr, dtype=np.int64)
-        self.colind = np.asarray(colind, dtype=np.int64)
         self.values = np.asarray(values, dtype=np.float64)
-        if self.rowptr.size != self.nrows + 1:
-            raise ValueError("rowptr must have nrows+1 entries")
-        if self.colind.shape != self.values.shape:
+        if np.shape(colind) != self.values.shape:
             raise ValueError("colind/values length mismatch")
-        if self.rowptr[0] != 0 or self.rowptr[-1] != self.colind.size:
-            raise ValueError("rowptr endpoints inconsistent with nnz")
-        if np.any(np.diff(self.rowptr) < 0):
-            raise ValueError("rowptr must be non-decreasing")
+        idx = storage_index_dtype(self.shape, self.values.size)
+        self.rowptr = pointer_array(rowptr, idx, "rowptr", self.nrows,
+                                    self.values.size)
+        self.colind = index_array(colind, idx, "colind", self.ncols)
+
+    @classmethod
+    def _adopt(cls, rowptr: np.ndarray, colind: np.ndarray, values: np.ndarray,
+               shape: Tuple[int, int]) -> "CsrMatrix":
+        """Wrap arrays one of our own kernels just produced — at the
+        storage width, in range and monotone by construction — without
+        the constructor's O(nnz) checks (the native SpGEMM's output)."""
+        self = cls.__new__(cls)
+        SparseFormat.__init__(self, shape)
+        self.rowptr, self.colind, self.values = rowptr, colind, values
+        return self
 
     # -- high-level API ----------------------------------------------------
     @property
@@ -104,8 +116,10 @@ class CsrMatrix(SparseFormat):
         raise KeyError(f"({r},{c}) is not stored (fill is not supported)")
 
     def to_coo_arrays(self):
+        # exchange contract: int64 triples whatever the storage width
+        # (astype always copies, so the caller never aliases our storage)
         rows = np.repeat(np.arange(self.nrows, dtype=np.int64), np.diff(self.rowptr))
-        return coo_contract(rows, self.colind.copy(), self.values.copy())
+        return coo_contract(rows, self.colind.astype(np.int64), self.values.copy())
 
     @classmethod
     def from_coo(cls, rows, cols, vals, shape) -> "CsrMatrix":
@@ -114,7 +128,16 @@ class CsrMatrix(SparseFormat):
 
     @classmethod
     def _from_canonical_coo(cls, rows, cols, vals, shape) -> "CsrMatrix":
-        return cls(csr_rowptr(rows, shape[0]), cols.copy(), vals.copy(), shape)
+        return cls(*compress(rows, cols, shape[0], shape), vals.copy(), shape)
+
+    @classmethod
+    def from_scipy(cls, sp) -> "CsrMatrix":
+        """A canonical scipy CSR is adopted array for array (validated,
+        copied at the storage width); anything else goes through COO."""
+        arrays = scipy_compressed(sp, "csr")
+        if arrays is None:
+            return super().from_scipy(sp)
+        return cls(*arrays, sp.shape)
 
     @classmethod
     def _reference_from_coo(cls, rows, cols, vals, shape) -> "CsrMatrix":
@@ -122,18 +145,18 @@ class CsrMatrix(SparseFormat):
         construction, kept for differential testing)."""
         rows, cols, vals = coo_dedup_sort(rows, cols, vals, shape, order="row")
         m, n = shape
-        rowptr = np.zeros(m + 1, dtype=np.int64)
+        rowptr = np.zeros(m + 1, dtype=np.int64)  # oracle counts at exchange width
         for r in rows:
             rowptr[int(r) + 1] += 1
         np.cumsum(rowptr, out=rowptr)
         return cls(rowptr, cols, vals, shape)
 
     def _reference_to_coo_arrays(self):
-        rows = np.empty(self.nnz, dtype=np.int64)
+        rows = np.empty(self.nnz, dtype=np.int64)  # exchange contract
         for r in range(self.nrows):
             for jj in range(int(self.rowptr[r]), int(self.rowptr[r + 1])):
                 rows[jj] = r
-        return rows, self.colind.copy(), self.values.copy()
+        return rows, self.colind.astype(np.int64), self.values.copy()
 
     # -- low-level API -------------------------------------------------------
     def view(self) -> Term:

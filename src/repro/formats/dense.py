@@ -117,6 +117,7 @@ class DenseMatrix(SparseFormat):
                     rows.append(r)
                     cols.append(c)
                     vals.append(float(self.data[r, c]))
+        # exchange contract
         return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
                 np.array(vals, dtype=np.float64))
 

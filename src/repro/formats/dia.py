@@ -18,7 +18,14 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.formats.base import PathRuntime, SparseFormat, coo_contract, coo_dedup_sort
+from repro.formats.base import (
+    PathRuntime,
+    SparseFormat,
+    coo_contract,
+    coo_dedup_sort,
+    index_array,
+    index_dtype,
+)
 from repro.formats.views import (
     Axis,
     BINARY,
@@ -77,17 +84,22 @@ class DiaRuntime(PathRuntime):
 class DiaMatrix(SparseFormat):
     """DIA: ``diags`` (sorted stored diagonal indices ``d = r - c``),
     ``data`` (ndiags x ncols; ``data[k, o]`` is the element at row
-    ``diags[k] + o``, column ``o``)."""
+    ``diags[k] + o``, column ``o``).  ``diags`` is stored at
+    ``index_dtype(max(m + n, ndiags * n))``: the emitted code forms
+    ``m - d`` and ``d + o`` from a loaded offset and addresses the padded
+    cells as ``k * n + o``."""
 
     format_name = "dia"
 
     def __init__(self, diags: np.ndarray, data: np.ndarray, shape: Tuple[int, int]):
         super().__init__(shape)
-        self.diags = np.asarray(diags, dtype=np.int64)
         self.data = np.asarray(data, dtype=np.float64)
-        if self.data.shape != (self.diags.size, self.ncols):
+        if self.data.shape != (np.size(diags), self.ncols):
             raise ValueError("data must be (ndiags, ncols)")
-        if np.any(np.diff(self.diags) <= 0):
+        idx = index_dtype(max(self.nrows + self.ncols, self.data.size))
+        self.diags = index_array(diags, idx, "diags", self.nrows,
+                                 start=1 - self.ncols)
+        if np.any(self.diags[1:] <= self.diags[:-1]):
             raise ValueError("diags must be strictly increasing")
 
     def offset_range(self, d: int) -> Tuple[int, int]:
@@ -129,6 +141,7 @@ class DiaMatrix(SparseFormat):
         # expand every diagonal's offset interval at once: one repeat for
         # the diagonal ids, one subtraction turning flat positions into
         # per-diagonal offsets
+        # exchange contract: int64 triples whatever the storage width
         lo, hi = self._offset_ranges()
         lens = hi - lo
         starts = np.zeros(self.diags.size + 1, dtype=np.int64)
@@ -157,7 +170,7 @@ class DiaMatrix(SparseFormat):
         """Loop oracle: per-element diagonal lookup and placement."""
         rows, cols, vals = coo_dedup_sort(rows, cols, vals, shape, order="row")
         diag_set = sorted({int(r) - int(c) for r, c in zip(rows, cols)})
-        diags = np.array(diag_set, dtype=np.int64)
+        diags = np.array(diag_set, dtype=np.int64)  # oracle: the constructor narrows
         index_of = {d: k for k, d in enumerate(diag_set)}
         data = np.zeros((diags.size, shape[1]))
         for r, c, v in zip(rows, cols, vals):
@@ -172,6 +185,7 @@ class DiaMatrix(SparseFormat):
                 rows.append(o + int(d))
                 cols.append(o)
                 vals.append(float(self.data[k, o]))
+        # exchange contract
         return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
                 np.array(vals, dtype=np.float64))
 

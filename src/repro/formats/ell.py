@@ -18,7 +18,8 @@ from repro.formats.base import (
     SparseFormat,
     coo_contract,
     coo_dedup_sort,
-    csr_rowptr,
+    index_array,
+    storage_index_dtype,
 )
 from repro.formats.views import Axis, BINARY, INCREASING, Nest, Term, Value, interval_axis
 
@@ -62,24 +63,25 @@ class EllRuntime(PathRuntime):
 
 
 class EllMatrix(SparseFormat):
-    """ELL: ``colind``/``data`` (m x K), ``rowlen`` (m)."""
+    """ELL: ``colind``/``data`` (m x K), ``rowlen`` (m).  Index arrays are
+    stored at ``index_dtype(max(m, n, m * K))`` — the emitted code addresses
+    the padded cells as ``r * K + kk``."""
 
     format_name = "ell"
 
     def __init__(self, colind: np.ndarray, data: np.ndarray, rowlen: np.ndarray,
                  shape: Tuple[int, int]):
         super().__init__(shape)
-        self.colind = np.asarray(colind, dtype=np.int64)
         self.data = np.asarray(data, dtype=np.float64)
-        self.rowlen = np.asarray(rowlen, dtype=np.int64)
-        if self.colind.shape != self.data.shape:
+        if np.shape(colind) != self.data.shape:
             raise ValueError("colind/data shape mismatch")
-        if self.colind.ndim != 2 or self.colind.shape[0] != self.nrows:
+        if self.data.ndim != 2 or self.data.shape[0] != self.nrows:
             raise ValueError("colind must be (nrows, K)")
-        if self.rowlen.shape != (self.nrows,):
+        if np.shape(rowlen) != (self.nrows,):
             raise ValueError("rowlen must have nrows entries")
-        if self.rowlen.size and self.rowlen.max(initial=0) > self.colind.shape[1]:
-            raise ValueError("rowlen exceeds slot count")
+        idx = storage_index_dtype(self.shape, self.data.size)
+        self.colind = index_array(colind, idx, "colind", self.ncols)
+        self.rowlen = index_array(rowlen, idx, "rowlen", self.data.shape[1] + 1)
 
     @property
     def slots(self) -> int:
@@ -109,6 +111,7 @@ class EllMatrix(SparseFormat):
         # slot-mask extraction: entry (r, kk) is stored iff kk < rowlen[r];
         # boolean indexing walks the (m x K) arrays row-major, reproducing
         # the per-row concatenation order of the loop oracle
+        # exchange contract: int64 triples whatever the storage width
         mask = np.arange(self.slots) < self.rowlen[:, None]
         rows = np.repeat(np.arange(self.nrows, dtype=np.int64), self.rowlen)
         return coo_contract(rows, self.colind[mask], self.data[mask])
@@ -123,12 +126,11 @@ class EllMatrix(SparseFormat):
         # scatter packing: entry jj of row r lands in slot jj - rowptr[r]
         # (its position within the row), one vectorized assignment per array
         m, n = shape
-        rowptr = csr_rowptr(rows, m)
-        counts = np.diff(rowptr)
-        K = int(counts.max(initial=0))
-        colind = np.zeros((m, max(K, 1)), dtype=np.int64)
-        data = np.zeros((m, max(K, 1)))
-        slot = np.arange(rows.size, dtype=np.int64) - rowptr[rows]
+        counts = np.bincount(rows, minlength=m)
+        K = max(int(counts.max(initial=0)), 1)
+        colind = np.zeros((m, K), dtype=storage_index_dtype(shape, m * K))
+        data = np.zeros((m, K))
+        slot = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
         colind[rows, slot] = cols
         data[rows, slot] = vals
         return cls(colind, data, counts, shape)
@@ -139,6 +141,7 @@ class EllMatrix(SparseFormat):
         construction)."""
         rows, cols, vals = coo_dedup_sort(rows, cols, vals, shape, order="row")
         m, n = shape
+        # the oracle builds at the exchange width; the constructor narrows
         counts = np.zeros(m, dtype=np.int64)
         np.add.at(counts, rows, 1)
         K = int(counts.max(initial=0))
@@ -155,11 +158,11 @@ class EllMatrix(SparseFormat):
         rows, cols, vals = [], [], []
         for r in range(self.nrows):
             ln = int(self.rowlen[r])
-            rows.append(np.full(ln, r, dtype=np.int64))
-            cols.append(self.colind[r, :ln])
+            rows.append(np.full(ln, r, dtype=np.int64))  # exchange contract
+            cols.append(self.colind[r, :ln].astype(np.int64))
             vals.append(self.data[r, :ln])
         if not rows:
-            z = np.zeros(0, dtype=np.int64)
+            z = np.zeros(0, dtype=np.int64)  # exchange contract
             return z, z.copy(), np.zeros(0)
         return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 

@@ -142,6 +142,7 @@ def power_law_rows(m: int, n: int, nnz_target: Optional[int] = None,
     counts = np.round(weights / weights.sum() * nnz_target).astype(np.int64)
     counts = np.clip(counts, 1, n)
     counts = counts[rng.permutation(m)]
+    # COO triples for from_coo: exchange width
     rows = np.repeat(np.arange(m, dtype=np.int64), counts)
     cols = rng.integers(0, n, size=int(counts.sum()))
     vals = rng.random(rows.size) + 0.5
@@ -157,6 +158,7 @@ def block_structured(n: int, block_size: int = 4, blocks_per_row: int = 2,
     s = int(block_size)
     nb = max(1, n // s)
     rng = np.random.default_rng(seed)
+    # COO triples for from_coo: exchange width
     rb = np.concatenate([np.repeat(np.arange(nb, dtype=np.int64),
                                    blocks_per_row),
                          np.arange(nb, dtype=np.int64)])

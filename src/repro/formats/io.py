@@ -87,6 +87,7 @@ def read_coo_text(path: PathLike, shape: Tuple[int, int]) -> CooMatrix:
         rows.append(int(r))
         cols.append(int(c))
         vals.append(float(v))
+    # COO triples for from_coo: exchange width
     return CooMatrix.from_coo(np.array(rows, dtype=np.int64),
                               np.array(cols, dtype=np.int64),
                               np.array(vals), shape)

@@ -31,6 +31,9 @@ from repro.formats.base import (
     coo_contract,
     coo_dedup_sort,
     csr_rowptr,
+    index_array,
+    storage_index_dtype,
+    pointer_array,
 )
 from repro.formats.views import (
     Axis,
@@ -125,33 +128,36 @@ class JadMatrix(SparseFormat):
     plus derived ``rowcnt`` (entries per permuted row) and the inverse
     permutation (built once; the paper's ``term_perm_vector.unapply`` does a
     linear scan — we precompute, which only changes a constant factor of the
-    search cost)."""
+    search cost).  Index arrays — the derived ones included — are stored
+    at ``index_dtype(max(m, n, nnz))``; ``dptr[-1]``, the largest address
+    ``dptr[d] + rr`` reaches, is ``nnz``."""
 
     format_name = "jad"
 
     def __init__(self, iperm: np.ndarray, dptr: np.ndarray, colind: np.ndarray,
                  values: np.ndarray, shape: Tuple[int, int]):
         super().__init__(shape)
-        self.iperm = np.asarray(iperm, dtype=np.int64)
-        self.dptr = np.asarray(dptr, dtype=np.int64)
-        self.colind = np.asarray(colind, dtype=np.int64)
         self.values = np.asarray(values, dtype=np.float64)
-        if self.iperm.size != self.nrows:
+        if np.shape(iperm) != (self.nrows,):
             raise ValueError("iperm must have nrows entries")
-        if self.colind.shape != self.values.shape:
+        if np.shape(colind) != self.values.shape:
             raise ValueError("colind/values length mismatch")
-        if self.dptr[0] != 0 or self.dptr[-1] != self.colind.size:
-            raise ValueError("dptr endpoints inconsistent with nnz")
+        idx = storage_index_dtype(self.shape, self.values.size)
+        self.iperm = index_array(iperm, idx, "iperm", self.nrows)
+        self.dptr = pointer_array(dptr, idx, "dptr", np.size(dptr) - 1,
+                                  self.values.size)
+        self.colind = index_array(colind, idx, "colind", self.ncols)
         lens = np.diff(self.dptr)
-        if np.any(lens < 0) or (lens.size > 1 and np.any(lens[1:] > lens[:-1])):
+        if lens.size > 1 and np.any(lens[1:] > lens[:-1]):
             raise ValueError("jagged diagonal lengths must be non-increasing")
         # entries per permuted row: rr has one entry in each diagonal longer
         # than rr; lens is non-increasing, so the count is a binary search
         # over the reversed (ascending) lengths instead of an O(m * nd) scan
-        rr_all = np.arange(self.nrows, dtype=np.int64)
-        self.rowcnt = lens.size - np.searchsorted(lens[::-1], rr_all, side="right")
-        self.ipermi = np.empty(self.nrows, dtype=np.int64)
-        self.ipermi[self.iperm] = np.arange(self.nrows, dtype=np.int64)
+        rr_all = np.arange(self.nrows, dtype=idx)
+        self.rowcnt = (lens.size - np.searchsorted(lens[::-1], rr_all, side="right")
+                       ).astype(idx, copy=False)
+        self.ipermi = np.empty(self.nrows, dtype=idx)
+        self.ipermi[self.iperm] = rr_all
 
     # -- helpers ------------------------------------------------------------
     @property
@@ -203,11 +209,12 @@ class JadMatrix(SparseFormat):
         # expand diagonal ids over their lengths, recover the in-diagonal
         # offset (= permuted row) by subtracting each diagonal's start, and
         # map back to logical rows through the permutation — all O(nnz)
+        # exchange contract: int64 triples whatever the storage width
         lens = np.diff(self.dptr)
         d_of = np.repeat(np.arange(self.ndiags, dtype=np.int64), lens)
         rr = np.arange(self.nnz, dtype=np.int64) - self.dptr[d_of]
         rows = self.iperm[rr] if self.nnz else np.zeros(0, dtype=np.int64)
-        return coo_contract(rows, self.colind.copy(), self.values.copy())
+        return coo_contract(rows, self.colind.astype(np.int64), self.values.copy())
 
     @classmethod
     def from_coo(cls, rows, cols, vals, shape) -> "JadMatrix":
@@ -221,25 +228,26 @@ class JadMatrix(SparseFormat):
         # diagonal d at offset rr = ipermi[rows[jj]], so its destination
         # is dptr[d] + rr — one permutation index array, two scatters.
         m, n = shape
-        rowptr = csr_rowptr(rows, m)
+        idx = storage_index_dtype(shape, rows.size)
+        rowptr = csr_rowptr(rows, m, idx)
         counts = np.diff(rowptr)
         # sort rows by count decreasing; stable so equal-count rows keep
         # their original order (deterministic construction)
-        iperm = np.argsort(-counts, kind="stable").astype(np.int64)
-        ipermi = np.empty(m, dtype=np.int64)
-        ipermi[iperm] = np.arange(m, dtype=np.int64)
+        iperm = np.argsort(-counts, kind="stable").astype(idx)
+        ipermi = np.empty(m, dtype=idx)
+        ipermi[iperm] = np.arange(m, dtype=idx)
         nd = int(counts.max(initial=0))
         # diagonal d holds one entry per row with more than d entries;
         # counts[iperm] is non-increasing, so diagonal lengths fall out of
         # one binary search (the same identity rowcnt uses, transposed)
         sorted_desc = counts[iperm]
-        lens = m - np.searchsorted(sorted_desc[::-1], np.arange(nd, dtype=np.int64),
+        lens = m - np.searchsorted(sorted_desc[::-1], np.arange(nd, dtype=idx),
                                    side="right")
-        dptr = np.zeros(nd + 1, dtype=np.int64)
+        dptr = np.zeros(nd + 1, dtype=idx)
         np.cumsum(lens, out=dptr[1:])
-        slot = np.arange(rows.size, dtype=np.int64) - rowptr[rows]
+        slot = np.arange(rows.size, dtype=idx) - rowptr[rows]
         dest = dptr[slot] + ipermi[rows]
-        colind = np.empty(rows.size, dtype=np.int64)
+        colind = np.empty(rows.size, dtype=idx)
         values = np.empty(rows.size)
         colind[dest] = cols
         values[dest] = vals
@@ -251,9 +259,10 @@ class JadMatrix(SparseFormat):
         element at a time (the pre-vectorization implementation)."""
         rows, cols, vals = coo_dedup_sort(rows, cols, vals, shape, order="row")
         m, n = shape
+        # the oracle builds at the exchange width; the constructor narrows
         counts = np.zeros(m, dtype=np.int64)
         np.add.at(counts, rows, 1)
-        iperm = np.argsort(-counts, kind="stable").astype(np.int64)
+        iperm = np.argsort(-counts, kind="stable")
         rowptr = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(counts, out=rowptr[1:])
         nd = int(counts.max(initial=0))
@@ -273,13 +282,13 @@ class JadMatrix(SparseFormat):
                    np.array(colind, dtype=np.int64), np.array(values), shape)
 
     def _reference_to_coo_arrays(self):
-        rows = np.empty(self.nnz, dtype=np.int64)
+        rows = np.empty(self.nnz, dtype=np.int64)  # exchange contract
         d = 0
         for jj in range(self.nnz):
             while jj >= self.dptr[d + 1]:
                 d += 1
             rows[jj] = self.iperm[jj - int(self.dptr[d])]
-        return rows, self.colind.copy(), self.values.copy()
+        return rows, self.colind.astype(np.int64), self.values.copy()
 
     # -- low-level API -------------------------------------------------------
     def view(self) -> Term:

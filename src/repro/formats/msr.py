@@ -22,7 +22,10 @@ from repro.formats.base import (
     SparseFormat,
     coo_contract,
     coo_dedup_sort,
-    csr_rowptr,
+    compress,
+    index_array,
+    storage_index_dtype,
+    pointer_array,
 )
 from repro.formats.views import (
     Axis,
@@ -110,13 +113,15 @@ class MsrMatrix(SparseFormat):
                  values: np.ndarray, shape: Tuple[int, int]):
         super().__init__(shape)
         self.dvals = np.asarray(dvals, dtype=np.float64)
-        self.rowptr = np.asarray(rowptr, dtype=np.int64)
-        self.colind = np.asarray(colind, dtype=np.int64)
         self.values = np.asarray(values, dtype=np.float64)
         if self.dvals.size != self.ndiag:
             raise ValueError("dvals must have min(m, n) entries")
-        if self.rowptr.size != self.nrows + 1:
-            raise ValueError("rowptr must have nrows+1 entries")
+        if np.shape(colind) != self.values.shape:
+            raise ValueError("colind/values length mismatch")
+        idx = storage_index_dtype(self.shape, self.values.size)
+        self.rowptr = pointer_array(rowptr, idx, "rowptr", self.nrows,
+                                    self.values.size)
+        self.colind = index_array(colind, idx, "colind", self.ncols)
         if np.any(self.colind == np.repeat(np.arange(self.nrows), np.diff(self.rowptr))):
             raise ValueError("off-diagonal structure contains diagonal entries")
 
@@ -150,6 +155,7 @@ class MsrMatrix(SparseFormat):
         raise KeyError(f"({r},{c}) is not stored (fill is not supported)")
 
     def to_coo_arrays(self):
+        # exchange contract: int64 triples whatever the storage width
         rows = np.repeat(np.arange(self.nrows, dtype=np.int64), np.diff(self.rowptr))
         di = np.arange(self.ndiag, dtype=np.int64)
         return coo_contract(np.concatenate([di, rows]),
@@ -168,7 +174,7 @@ class MsrMatrix(SparseFormat):
         on_diag = rows == cols
         dvals[rows[on_diag]] = vals[on_diag]
         rows_o, cols_o, vals_o = rows[~on_diag], cols[~on_diag], vals[~on_diag]
-        return cls(dvals, csr_rowptr(rows_o, m), cols_o, vals_o, shape)
+        return cls(dvals, *compress(rows_o, cols_o, m, shape), vals_o, shape)
 
     @classmethod
     def _reference_from_coo(cls, rows, cols, vals, shape) -> "MsrMatrix":
@@ -177,7 +183,7 @@ class MsrMatrix(SparseFormat):
         m, n = shape
         dvals = np.zeros(min(m, n))
         rows_o, cols_o, vals_o = [], [], []
-        rowptr = np.zeros(m + 1, dtype=np.int64)
+        rowptr = np.zeros(m + 1, dtype=np.int64)  # oracle counts at exchange width
         for r, c, v in zip(rows, cols, vals):
             if int(r) == int(c):
                 dvals[int(r)] = float(v)
@@ -187,6 +193,7 @@ class MsrMatrix(SparseFormat):
                 vals_o.append(float(v))
                 rowptr[int(r) + 1] += 1
         np.cumsum(rowptr, out=rowptr)
+        # oracle lists at the exchange width; the constructor narrows
         return cls(dvals, rowptr, np.array(cols_o, dtype=np.int64),
                    np.array(vals_o, dtype=np.float64), shape)
 
@@ -201,6 +208,7 @@ class MsrMatrix(SparseFormat):
                 rows.append(r)
                 cols.append(int(self.colind[jj]))
                 vals.append(float(self.values[jj]))
+        # exchange contract
         return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
                 np.array(vals, dtype=np.float64))
 

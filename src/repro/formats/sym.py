@@ -24,7 +24,10 @@ from repro.formats.base import (
     SparseFormat,
     coo_contract,
     coo_dedup_sort,
-    csr_rowptr,
+    compress,
+    index_array,
+    storage_index_dtype,
+    pointer_array,
 )
 from repro.formats.views import (
     Axis,
@@ -136,11 +139,13 @@ class SymMatrix(SparseFormat):
         super().__init__(shape)
         if self.nrows != self.ncols:
             raise ValueError("symmetric storage requires a square matrix")
-        self.rowptr = np.asarray(rowptr, dtype=np.int64)
-        self.colind = np.asarray(colind, dtype=np.int64)
         self.values = np.asarray(values, dtype=np.float64)
-        if self.rowptr.size != self.nrows + 1:
-            raise ValueError("rowptr must have nrows+1 entries")
+        if np.shape(colind) != self.values.shape:
+            raise ValueError("colind/values length mismatch")
+        idx = storage_index_dtype(self.shape, self.values.size)
+        self.rowptr = pointer_array(rowptr, idx, "rowptr", self.nrows,
+                                    self.values.size)
+        self.colind = index_array(colind, idx, "colind", self.ncols)
         rows = np.repeat(np.arange(self.nrows), np.diff(self.rowptr))
         if np.any(self.colind > rows):
             raise ValueError("symmetric storage keeps only the lower triangle")
@@ -177,6 +182,7 @@ class SymMatrix(SparseFormat):
         self.values[jj] = v
 
     def to_coo_arrays(self):
+        # exchange contract: int64 triples whatever the storage width
         rows = np.repeat(np.arange(self.nrows, dtype=np.int64),
                          np.diff(self.rowptr))
         off = rows != self.colind
@@ -196,6 +202,8 @@ class SymMatrix(SparseFormat):
         # missing transpose compares against 0.0, exactly like the loop
         # oracle's dict.get default
         m, n = shape
+        # key arithmetic on the int64 exchange triples (n*n overflows int32
+        # long before n does)
         keys = rows * n + cols
         kt = cols * n + rows
         if keys.size:
@@ -209,7 +217,7 @@ class SymMatrix(SparseFormat):
                     f"matrix is not symmetric at ({int(rows[i])},{int(cols[i])})")
         keep = rows >= cols
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        return cls(csr_rowptr(rows, m), cols, vals, shape)
+        return cls(*compress(rows, cols, m, shape), vals, shape)
 
     @classmethod
     def _reference_from_coo(cls, rows, cols, vals, shape) -> "SymMatrix":
@@ -225,7 +233,7 @@ class SymMatrix(SparseFormat):
         keep = rows >= cols
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
         m = shape[0]
-        rowptr = np.zeros(m + 1, dtype=np.int64)
+        rowptr = np.zeros(m + 1, dtype=np.int64)  # oracle counts at exchange width
         for r in rows:
             rowptr[int(r) + 1] += 1
         np.cumsum(rowptr, out=rowptr)
@@ -244,6 +252,7 @@ class SymMatrix(SparseFormat):
                 rows.append(cols[i])
                 cols.append(rows[i])
                 vals.append(vals[i])
+        # exchange contract
         return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
                 np.array(vals, dtype=np.float64))
 

@@ -42,7 +42,11 @@ Counter namespaces used by the compiler:
                           ``native.tier.demotion.no_toolchain`` /
                           ``.simd_probe`` by reason)
 - ``native.dispatch.*`` — NativeKernel call paths: prepared-argument
-                          fast-path hits (``native.dispatch.prepared``)
+                          fast-path hits (``native.dispatch.prepared``),
+                          arguments that needed a dtype/layout copy to
+                          match the compiled signature
+                          (``native.dispatch.coerced`` — stays 0 on a
+                          kernel called with the arrays it was bound on)
 - ``backend.run.*``     — per-call dispatch (native / python / interp)
 - ``service.*``         — compile_many batch driver traffic
 - ``daemon.*``          — compilation daemon: requests by op, handle-LRU

@@ -114,17 +114,17 @@ def _triangular_split(A: SparseFormat) -> Tuple[CsrMatrix, CsrMatrix]:
     over ``colind`` — masking preserves the within-row column order, so
     the parts are valid CSR without any re-sort.  Other formats extract
     triples once; ``from_coo`` detects sorted triples in O(nnz)."""
-    from repro.formats.base import csr_rowptr
+    from repro.formats.base import compress
 
     with INSTR.phase("solver.split"):
         if type(A) is CsrMatrix:
-            rows = np.repeat(np.arange(A.nrows, dtype=np.int64),
+            rows = np.repeat(np.arange(A.nrows, dtype=A.colind.dtype),
                              np.diff(A.rowptr))
             low = A.colind <= rows
             up = A.colind >= rows
-            L = CsrMatrix(csr_rowptr(rows[low], A.nrows), A.colind[low],
+            L = CsrMatrix(*compress(rows[low], A.colind[low], A.nrows, A.shape),
                           A.values[low], A.shape)
-            U = CsrMatrix(csr_rowptr(rows[up], A.nrows), A.colind[up],
+            U = CsrMatrix(*compress(rows[up], A.colind[up], A.nrows, A.shape),
                           A.values[up], A.shape)
         else:
             rows, cols, vals = A.to_coo_arrays()

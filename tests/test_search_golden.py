@@ -1,4 +1,4 @@
-"""Search determinism against a golden file recorded at the parent commit.
+"""Search determinism against a golden file.
 
 For every (kernel, format) pair of the ``cold_compile`` benchmark list plus
 ``mvm/msr`` the golden file holds the sha1 of the emitted Python and C
@@ -7,8 +7,19 @@ compile did.  A change to the arithmetic under ``repro.polyhedra`` must
 leave every one of them equal: the search asks the same questions, gets the
 same answers and emits the same bytes, it only pays less per answer.
 
-Re-record (only when a change is *meant* to alter the search) with
+Re-record (only when a change is *meant* to alter what is emitted) with
 ``PYTHONPATH=src python tests/test_search_golden.py``.
+
+The file was re-recorded once on purpose, when the formats started storing
+their index arrays as ``int32`` (ISSUE 16).  ``search_determinism.pr15.json``
+is the file as it stood before, and
+:func:`test_only_the_index_type_changed_since_pr15` pins exactly what that
+re-recording was allowed to change: the C element type of the index
+arrays (and the dtype tag of the search helpers specialised on it) and
+nothing else — same Python source, same plan, same search and polyhedral
+work, and a C source that is the old one byte for byte once the type is
+written wide again (so ``codegen.c_source_bytes`` cannot have moved:
+``int32_t`` and ``int64_t`` are the same length).
 """
 
 from __future__ import annotations
@@ -16,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 
 import pytest
 
@@ -29,6 +41,8 @@ from repro.ir.kernels import ALL_KERNELS
 from repro.polyhedra.fm import clear_memos
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "search_determinism.json")
+GOLDEN_PR15 = os.path.join(os.path.dirname(__file__), "golden",
+                           "search_determinism.pr15.json")
 
 PAIRS = [("mvm", f) for f in ("csr", "csc", "coo", "dia", "ell", "jad", "bsr", "msr")]
 PAIRS += [("ts_lower", f) for f in ("csr", "csc", "jad")]
@@ -42,6 +56,12 @@ COUNTERS = ("fm.eliminations", "fm.feasible.calls", "fm.project.calls",
 
 def _sha1(text: str) -> str:
     return hashlib.sha1(text.encode()).hexdigest()
+
+
+def _written_wide(c_source: str) -> str:
+    """The C source with every narrow index type (and helper tag) written
+    as PR 15 emitted it."""
+    return re.sub(r"_i32\b", "_i64", re.sub(r"\bint32_t\b", "int64_t", c_source))
 
 
 def cold_record(kernel: str, fmt: str) -> dict:
@@ -61,8 +81,10 @@ def cold_record(kernel: str, fmt: str) -> dict:
     before = INSTR.snapshot()["counters"]
     k = repro.compile_kernel(ALL_KERNELS[kernel](), bindings,
                              backend="python", cache="off")
+    c_source = lower_kernel(k).c_source
     record = {"py_sha1": _sha1(k.source),
-              "c_sha1": _sha1(lower_kernel(k).c_source),
+              "c_sha1": _sha1(c_source),
+              "c_sha1_written_wide": _sha1(_written_wide(c_source)),
               "cost": repr(float(k.cost))}
     after = INSTR.snapshot()["counters"]
     for name in COUNTERS:
@@ -70,13 +92,31 @@ def cold_record(kernel: str, fmt: str) -> dict:
     return record
 
 
-with open(GOLDEN) as _f:
-    _GOLDEN = json.load(_f) if os.path.getsize(GOLDEN) else {}
+def _load(path: str) -> dict:
+    if not os.path.exists(path):        # being recorded right now
+        return {}
+    with open(path) as f:
+        return json.load(f)
+
+
+_GOLDEN = _load(GOLDEN)
+_PR15 = _load(GOLDEN_PR15)
 
 
 @pytest.mark.parametrize("kernel,fmt", PAIRS, ids=lambda p: str(p))
-def test_cold_compile_matches_parent_commit(kernel, fmt):
+def test_cold_compile_matches_golden(kernel, fmt):
     assert cold_record(kernel, fmt) == _GOLDEN[f"{kernel}.{fmt}"]
+
+
+@pytest.mark.parametrize("kernel,fmt", PAIRS, ids=lambda p: str(p))
+def test_only_the_index_type_changed_since_pr15(kernel, fmt):
+    new, old = _GOLDEN[f"{kernel}.{fmt}"], _PR15[f"{kernel}.{fmt}"]
+    for name in ("py_sha1", "cost") + COUNTERS:
+        assert new[name] == old[name], name
+    # every pair here binds a format with index arrays, so the C source
+    # did change — into the old one with a narrower element type
+    assert new["c_sha1"] != old["c_sha1"]
+    assert new["c_sha1_written_wide"] == old["c_sha1"]
 
 
 if __name__ == "__main__":
