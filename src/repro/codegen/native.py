@@ -50,9 +50,7 @@ order, only integer control flow and memory scheduling change:
 with ``#pragma omp simd`` and qualifies pointer arguments ``restrict``
 (array arguments must not alias — the BLAS/solver layers never pass
 aliased operands).  Loops inside atomic regions and descending loops are
-left untouched.  ``"fast"`` emits the same code but is compiled with
-reassociation-permitting flags (see :mod:`repro.core.backend`), so it is
-validated by tolerance, not byte-identity.
+left untouched.
 
 A node either has a C printer (:data:`C_PRINTERS`) or it is ``PyOnly``
 (gather-and-sort enumerations, the generic dynamic-runtime emitter); the
@@ -741,8 +739,8 @@ def lower_kernel(kernel, parallel: str = "none", opt: str = "none",
     C99 translation unit, with OpenMP pragmas on the loops its
     :class:`~repro.core.parallel.ParallelReport` proves order-free.
 
-    ``opt`` selects the optimization tier (``"none"``, ``"tiled"``,
-    ``"fast"`` — see the module docstring); ``tile_rows`` overrides the
+    ``opt`` selects the optimization tier (``"none"`` or ``"tiled"`` —
+    see the module docstring); ``tile_rows`` overrides the
     ``REPRO_TILE_ROWS`` row-block size."""
     from repro.instrument import INSTR
 
@@ -750,9 +748,8 @@ def lower_kernel(kernel, parallel: str = "none", opt: str = "none",
         if parallel not in ("none", "strict", "atomic"):
             raise ValueError(
                 f"parallel must be 'none', 'strict' or 'atomic', got {parallel!r}")
-        if opt not in ("none", "tiled", "fast"):
-            raise ValueError(
-                f"opt must be 'none', 'tiled' or 'fast', got {opt!r}")
+        if opt not in ("none", "tiled"):
+            raise ValueError(f"opt must be 'none' or 'tiled', got {opt!r}")
         if tile_rows is None:
             from repro.util.env import env_int
             tile_rows = env_int("REPRO_TILE_ROWS", 512, minimum=1)

@@ -16,7 +16,7 @@ single-threaded (pragmas are simply not activated).
 **Artifact cache** — compiled ``.so`` files are cached in-process by
 digest of (C source, flags, compiler identity), and, when the compilation
 cache runs in ``disk`` mode, persisted under the same cache directory
-with atomic writes (compile to a temp name, ``os.replace``).  On-disk
+with atomic writes (:func:`repro.util.store.atomic_path`).  On-disk
 artifacts are sharded by digest prefix (``cache_dir/ab/abcd....so``) so a
 fleet-shared ``REPRO_CACHE_DIR`` never degrades into one huge flat
 directory.  A missing or unloadable artifact is a miss: the kernel is
@@ -25,13 +25,13 @@ structural key determines the kernel's loop IR up to the dtypes of the
 bound storage arrays, and the IR determines the C source.
 
 **Single-flight** — when N threads request the same digest concurrently,
-exactly one (the *leader*) invokes the C toolchain; the rest wait on a
-per-digest event and pick the result out of the in-process cache
-(``native.so_cache.hits.coalesced``).  A follower whose wait times out
-(``REPRO_SINGLEFLIGHT_TIMEOUT``, default 300 s — a wedged leader) compiles
-independently rather than hang; a follower whose leader *failed* retries
-the compile once itself before giving up, so one transient toolchain
-hiccup doesn't fail a whole batch.  Across processes the same guarantee
+exactly one (the *leader*) invokes the C toolchain; the rest wait on its
+flight (:class:`repro.util.store.SingleFlight`) and share the loaded
+function (``native.so_cache.hits.coalesced``).  A follower whose wait
+times out (``REPRO_SINGLEFLIGHT_TIMEOUT``, default 300 s — a wedged
+leader) or whose leader *failed* compiles itself rather than hang or give
+up, so one transient toolchain hiccup doesn't fail a whole batch.  Across
+processes the same guarantee
 comes from an ``flock`` on ``<digest>.so.lock``: the winner compiles,
 losers block on the lock and then find the finished artifact.  Lock
 files are unlinked by their holder on release (with an inode liveness
@@ -50,7 +50,6 @@ call).  ``REPRO_TRACE=1`` renders them on exit.
 from __future__ import annotations
 
 import ctypes
-import gc
 import hashlib
 import os
 import shutil
@@ -58,14 +57,14 @@ import subprocess
 import tempfile
 import threading
 import warnings
-import weakref
 from contextlib import contextmanager
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.instrument import INSTR
-from repro.util.env import env_flags, env_float
+from repro.util.env import env_flags
+from repro.util.store import SingleFlight, atomic_path
 
 try:
     import fcntl
@@ -79,16 +78,12 @@ def tier_cflags(opt: str) -> List[str]:
     """Built-in compile flags for one optimization tier.
 
     ``tiled`` adds ``-fopenmp-simd`` (activates ``#pragma omp simd``
-    without the OpenMP runtime); ``fast`` additionally swaps
-    ``-ffp-contract=off`` for ``-ffp-contract=fast``, permitting FMA
-    contraction — which is why the fast tier is validated by tolerance
-    rather than byte-identity."""
+    without the OpenMP runtime).  Every tier keeps ``-ffp-contract=off``:
+    no FMA contraction, so results stay byte-identical to the Python
+    backend."""
     flags = list(_CFLAGS)
-    if opt in ("tiled", "fast"):
+    if opt == "tiled":
         flags.append("-fopenmp-simd")
-    if opt == "fast":
-        flags = [f for f in flags if f != "-ffp-contract=off"]
-        flags.append("-ffp-contract=fast")
     return flags
 
 
@@ -118,14 +113,6 @@ def reset_toolchain_cache(scratch: bool = False) -> None:
         _SO_CACHE.clear()
         if scratch:
             _work_dir.clear()
-    if scratch and _LIVE_KERNELS:
-        # a loaded object is unmapped when the last kernel bound to it
-        # dies, and a kernel registered as a handle on its matrix sits in a
-        # reference cycle with it: if bound kernels are still around,
-        # collect the unreachable ones now, or "forgotten" kernels and
-        # their operands stay resident until CPython's next full
-        # collection happens to run
-        gc.collect()
 
 
 def find_compiler() -> Optional[str]:
@@ -184,8 +171,8 @@ def openmp_supported(cc: str) -> bool:
 
 def simd_supported(cc: str) -> bool:
     """Does ``cc -fopenmp-simd`` compile a ``#pragma omp simd`` loop?
-    Gates the ``tiled``/``fast`` tiers: a compiler that rejects the flag
-    or the pragma demotes the request to ``opt='none'``."""
+    Gates the ``tiled`` tier: a compiler that rejects the flag or the
+    pragma demotes the request to ``opt='none'``."""
     key = ("simd", cc)
     with _TOOLCHAIN_LOCK:
         if key not in _toolchain:
@@ -214,8 +201,8 @@ def simd_supported(cc: str) -> bool:
 def resolve_opt(opt: str, cc: Optional[str]) -> str:
     """Demote an optimization tier the toolchain cannot honor.
 
-    A missing compiler or a failed SIMD probe turns ``tiled``/``fast``
-    into ``"none"`` observably: ``native.tier.demotions`` plus a
+    A missing compiler or a failed SIMD probe turns ``tiled`` into
+    ``"none"`` observably: ``native.tier.demotions`` plus a
     per-reason counter, and a :class:`NativeBackendWarning` naming the
     tier.  (With no compiler at all, the subsequent compile then falls
     back to the Python kernel through the usual contract.)"""
@@ -256,37 +243,19 @@ def _scratch_dir() -> str:
         return _work_dir[0]
 
 
-# -- in-process single-flight ------------------------------------------------
-
-class _Flight:
-    """One in-progress compilation of a digest: followers wait on the
-    event; the leader parks its failure (if any) in ``error``."""
-
-    __slots__ = ("event", "error")
-
-    def __init__(self):
-        self.event = threading.Event()
-        self.error: Optional[BaseException] = None
-
-
-_INFLIGHT: Dict[str, _Flight] = {}
-_INFLIGHT_LOCK = threading.Lock()
-
-
-def singleflight_timeout() -> float:
-    """Seconds a follower waits for the leader before compiling itself
-    (``REPRO_SINGLEFLIGHT_TIMEOUT``, default 300; malformed values warn
-    and fall back to the default)."""
-    return env_float("REPRO_SINGLEFLIGHT_TIMEOUT", 300.0, minimum=0.0)
+#: in-process single-flight: one toolchain invocation per digest at a time
+_FLIGHT = SingleFlight(waits="native.singleflight.waits",
+                       shared="native.so_cache.hits.coalesced",
+                       timeouts="native.singleflight.wait_timeouts",
+                       failures="native.singleflight.leader_failures")
 
 
 @contextmanager
 def _artifact_lock(out_path: str):
     """Cross-process guard for one on-disk artifact: an exclusive flock on
     ``out_path + '.lock'``.  Processes that cannot take the lock (no fcntl,
-    unwritable directory) fall through unguarded — the temp-file +
-    ``os.replace`` write is still atomic, the guard only prevents the
-    duplicated toolchain work.
+    unwritable directory) fall through unguarded — the write is still
+    atomic, the guard only prevents the duplicated toolchain work.
 
     The lock file is unlinked by its holder *before* releasing the flock,
     so a shared cache directory never accumulates stale ``.lock`` files.
@@ -352,40 +321,38 @@ def _disk_so_path(digest: str) -> str:
     on filesystems where huge flat directories degrade."""
     from repro.core.cache import COMPILE_CACHE
 
-    return os.path.join(COMPILE_CACHE.disk_dir(), digest[:2], digest + ".so")
+    return os.path.join(COMPILE_CACHE.directory(), digest[:2], digest + ".so")
 
 
 def _compile_so(cc: str, c_source: str, flags: Tuple[str, ...],
                 out_path: str) -> bool:
-    """Compile into ``out_path`` atomically (temp file + rename), under the
-    cross-process artifact flock.  Returns True if this call invoked the
-    toolchain, False if the artifact already existed once the lock was
-    held (another process built it first).  ``native.compiles`` counts
-    actual cc invocations, one-to-one."""
+    """Compile into ``out_path`` atomically, under the cross-process
+    artifact flock.  Returns True if this call invoked the toolchain,
+    False if the artifact already existed once the lock was held (another
+    process built it first).  ``native.compiles`` counts actual cc
+    invocations, one-to-one."""
     d = os.path.dirname(out_path)
     os.makedirs(d, exist_ok=True)
     with _artifact_lock(out_path):
         if os.path.exists(out_path):
             return False
-        fd, src = tempfile.mkstemp(dir=d, suffix=".c")
-        tmp_so = src[:-2] + ".tmp.so"
-        try:
-            with os.fdopen(fd, "w") as f:
-                f.write(c_source)
-            with INSTR.phase("cc_compile"):
-                r = subprocess.run([cc, *flags, src, "-o", tmp_so],
-                                   capture_output=True, text=True, timeout=300)
+        with atomic_path(out_path) as tmp_so:
+            src = tmp_so + ".c"
+            try:
+                with open(src, "w") as f:
+                    f.write(c_source)
+                with INSTR.phase("cc_compile"):
+                    r = subprocess.run([cc, *flags, src, "-o", tmp_so],
+                                       capture_output=True, text=True,
+                                       timeout=300)
+            finally:
+                try:
+                    os.unlink(src)
+                except OSError:
+                    pass
             if r.returncode != 0:
                 raise RuntimeError(f"cc failed: {r.stderr.strip()[:500]}")
             INSTR.count("native.compiles")
-            os.replace(tmp_so, out_path)
-        finally:
-            for p in (src, tmp_so):
-                if os.path.exists(p):
-                    try:
-                        os.unlink(p)
-                    except OSError:
-                        pass
         return True
 
 
@@ -428,6 +395,14 @@ def _build_and_load(cc: str, c_source: str, flags: Tuple[str, ...],
     return _load_symbol(out)
 
 
+def _cached_so(digest: str):
+    with _SO_LOCK:
+        fn = _SO_CACHE.get(digest)
+    if fn is not None:
+        INSTR.count("native.so_cache.hits.memory")
+    return fn
+
+
 def compile_native_function(c_source: str, want_openmp: bool,
                             cache_mode: str, opt: str = "none"):
     """Compile ``c_source`` and return (ctypes function, used_openmp).
@@ -451,72 +426,25 @@ def compile_native_function(c_source: str, want_openmp: bool,
     flags = tuple(flags + env_flags("REPRO_CFLAGS"))
     digest = artifact_key(c_source, flags, cc)
 
-    with _SO_LOCK:
-        fn = _SO_CACHE.get(digest)
-    if fn is not None:
-        INSTR.count("native.so_cache.hits.memory")
-        return fn, use_omp
-
-    retried = False
-    while True:
-        with _INFLIGHT_LOCK:
-            with _SO_LOCK:
-                fn = _SO_CACHE.get(digest)
-            if fn is not None:
-                INSTR.count("native.so_cache.hits.memory")
-                return fn, use_omp
-            flight = _INFLIGHT.get(digest)
-            leader = flight is None
-            if leader:
-                flight = _Flight()
-                _INFLIGHT[digest] = flight
-
-        if leader:
-            try:
+    fn = _cached_so(digest)
+    if fn is None:
+        def build():
+            # a leader elected just after the previous flight published
+            # finds the function cached and does not load it twice
+            fn = _cached_so(digest)
+            if fn is None:
                 fn = _build_and_load(cc, c_source, flags, digest, cache_mode)
                 with _SO_LOCK:
                     _SO_CACHE[digest] = fn
-                return fn, use_omp
-            except BaseException as e:
-                flight.error = e
-                raise
-            finally:
-                with _INFLIGHT_LOCK:
-                    _INFLIGHT.pop(digest, None)
-                flight.event.set()
+            return fn
 
-        # follower: wait for the leader, then read its result
-        INSTR.count("native.singleflight.waits")
-        if not flight.event.wait(singleflight_timeout()):
-            # leader wedged (toolchain hang): compile independently
-            # rather than propagate the stall
-            INSTR.count("native.singleflight.wait_timeouts")
-            fn = _build_and_load(cc, c_source, flags, digest, cache_mode)
-            with _SO_LOCK:
-                _SO_CACHE[digest] = fn
-            return fn, use_omp
-        with _SO_LOCK:
-            fn = _SO_CACHE.get(digest)
-        if fn is not None:
-            INSTR.count("native.so_cache.hits.coalesced")
-            return fn, use_omp
-        # the leader failed; retry the compile once ourselves before
-        # giving up (observable via the counters either way)
-        INSTR.count("native.singleflight.leader_failures")
-        if retried:
-            raise RuntimeError(
-                f"native compile failed after single-flight retry: "
-                f"{flight.error}")
-        retried = True
+        fn, _shared = _FLIGHT.do(digest, build)
+    return fn, use_omp
 
 
 # ---------------------------------------------------------------------------
 # Bound native kernels
 # ---------------------------------------------------------------------------
-
-#: the bound kernels still alive (see :func:`reset_toolchain_cache`)
-_LIVE_KERNELS: "weakref.WeakSet" = weakref.WeakSet()
-
 
 class NativeKernel:
     """A compiled-and-bound native kernel with the Python calling
@@ -545,7 +473,6 @@ class NativeKernel:
         self.spec = spec
         self.used_openmp = used_openmp
         self._fn = fn
-        _LIVE_KERNELS.add(self)
         self._prep: Optional[Tuple[tuple, tuple, tuple]] = None
         argtypes = []
         for a in spec.args:

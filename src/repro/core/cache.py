@@ -26,14 +26,15 @@ the same candidates, minus the polyhedral work.  ``pick="first"``
 ignores costs entirely, so its entries replay regardless of statistics
 (the first legal candidate is structure-determined).
 
-**Layers** — an in-memory LRU (always consulted when caching is on) and
-an opt-in on-disk layer (``cache="disk"``) that pickles entries under a
-cache directory so separate processes share compiles.  Generated Python
-source is published into the entry on first codegen and replayed
-byte-identically on later hits.
+**Layers** — :data:`COMPILE_CACHE` is a :class:`repro.util.store.Store`:
+an in-memory LRU (always consulted when caching is on) and an opt-in
+on-disk layer (``cache="disk"``) that pickles entries under a cache
+directory so separate processes share compiles.  Generated Python source
+is published into the entry on first codegen and replayed byte-identically
+on later hits.
 
-**Concurrency** — the LRU bookkeeping is guarded by the cache's RLock and
-every entry carries its own RLock serializing mutation (re-ranking, guard
+**Concurrency** — the store guards its own bookkeeping; every entry
+carries its own RLock serializing mutation (re-ranking, guard
 simplification, source publication), so concurrent ``compile_kernel``
 calls — e.g. through :func:`repro.core.service.compile_many` — share
 entries safely.  Re-ranking never mutates plans in place (costs are
@@ -52,7 +53,6 @@ import os
 import pickle
 import tempfile
 import threading
-from collections import OrderedDict
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.plan import ExecNode, LoopNode, VarLoopNode
@@ -62,7 +62,7 @@ from repro.instrument import INSTR
 from repro.ir.printer import program_to_text
 from repro.ir.program import Program
 from repro.search.driver import SearchResult, SearchStats
-from repro.util.env import env_int
+from repro.util.store import Store
 
 MODES = ("off", "memory", "disk")
 
@@ -200,99 +200,34 @@ class CacheEntry:
         self.__dict__.setdefault("irs", {})
 
 
-class CompileCache:
-    """In-memory LRU of :class:`CacheEntry`, with an optional disk layer.
-
-    The LRU bookkeeping (lookup reorders, insert evicts) is guarded by an
-    RLock so concurrent compilations never corrupt the OrderedDict; entry
-    *contents* are guarded separately by each entry's own lock."""
-
-    def __init__(self, capacity: int = 256):
-        self.capacity = capacity
-        self.entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
-        self._lock = threading.RLock()
-
-    # -- memory layer ----------------------------------------------------
-    def get(self, key: str) -> Optional[CacheEntry]:
-        with self._lock:
-            entry = self.entries.get(key)
-            if entry is not None:
-                self.entries.move_to_end(key)
-            return entry
-
-    def put(self, key: str, entry: CacheEntry) -> None:
-        with self._lock:
-            self.entries[key] = entry
-            self.entries.move_to_end(key)
-            while len(self.entries) > self.capacity:
-                self.entries.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self.entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self.entries)
-
-    # -- disk layer ------------------------------------------------------
-    def disk_dir(self) -> str:
-        return os.environ.get(
-            "REPRO_CACHE_DIR",
-            os.path.join(tempfile.gettempdir(), "repro-compile-cache"),
-        )
-
-    def _disk_path(self, key: str) -> str:
-        return os.path.join(self.disk_dir(), key + ".pkl")
-
-    def disk_get(self, key: str) -> Optional[CacheEntry]:
-        path = self._disk_path(key)
-        try:
-            with open(path, "rb") as f:
-                entry = pickle.load(f)
-        except (OSError, pickle.PickleError, EOFError, AttributeError,
-                ImportError, IndexError):
-            return None
-        if not isinstance(entry, CacheEntry):
-            return None
-        return entry
-
-    def disk_put(self, key: str, entry: CacheEntry) -> None:
-        d = self.disk_dir()
-        try:
-            os.makedirs(d, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as f:
-                    pickle.dump(entry, f, protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp, self._disk_path(key))
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-        except (OSError, pickle.PickleError, TypeError):
-            # disk layer is best-effort: un-picklable or unwritable entries
-            # simply stay memory-only
-            INSTR.count("cache.disk.save_errors")
+def _load_entry(f) -> Optional[CacheEntry]:
+    entry = pickle.load(f)
+    return entry if isinstance(entry, CacheEntry) else None
 
 
-#: the process-wide compilation cache
-COMPILE_CACHE = CompileCache(
-    capacity=env_int("REPRO_COMPILE_CACHE_SIZE", 256, minimum=1)
-)
+def _cache_dir() -> str:
+    return os.environ.get(
+        "REPRO_CACHE_DIR",
+        os.path.join(tempfile.gettempdir(), "repro-compile-cache"))
+
+
+#: the process-wide compilation cache: structural key -> :class:`CacheEntry`,
+#: pickled one file per key under ``REPRO_CACHE_DIR`` in ``disk`` mode.  The
+#: native backend shards its ``.so`` artifacts (with their ``.lock`` files
+#: and ``.c`` temporaries) under the same directory, so they are this
+#: store's to clear.
+COMPILE_CACHE = Store(
+    256, directory=_cache_dir, suffix=".pkl",
+    dump=lambda entry, f: pickle.dump(entry, f, pickle.HIGHEST_PROTOCOL),
+    load=_load_entry, save_errors="cache.disk.save_errors",
+    owns=(".so", ".lock", ".c"))
 
 
 def clear_compile_cache(disk: bool = False) -> None:
-    """Drop the in-memory cache (and the disk layer when ``disk=True``)."""
-    COMPILE_CACHE.clear()
-    if disk:
-        d = COMPILE_CACHE.disk_dir()
-        if os.path.isdir(d):
-            for fn in os.listdir(d):
-                if fn.endswith(".pkl"):
-                    try:
-                        os.unlink(os.path.join(d, fn))
-                    except OSError:
-                        pass
+    """Drop the in-memory cache — and, with ``disk=True``, everything the
+    disk layer holds: pickled entries, native artifacts, lock files and
+    temporaries orphaned by a killed writer."""
+    COMPILE_CACHE.clear(disk)
 
 
 # ---------------------------------------------------------------------------
@@ -350,13 +285,7 @@ def lookup(
     *stable id* of the selected plan (for source replay/publication; valid
     across concurrent reranks)."""
     INSTR.count("cache.lookups")
-    entry = COMPILE_CACHE.get(key)
-    layer = "memory"
-    if entry is None and mode == "disk":
-        entry = COMPILE_CACHE.disk_get(key)
-        layer = "disk"
-        if entry is not None:
-            COMPILE_CACHE.put(key, entry)     # promote for this process
+    entry, layer = COMPILE_CACHE.lookup(key, mode == "disk")
     if entry is None:
         INSTR.count("cache.misses")
         return None
@@ -432,8 +361,6 @@ def record(
     )
     entry = CacheEntry(result.ranked, selected, pick,
                        stats_signature(bindings), result.stats.clone())
-    COMPILE_CACHE.put(key, entry)
+    COMPILE_CACHE.store(key, entry, mode == "disk")
     INSTR.count("cache.stores")
-    if mode == "disk":
-        COMPILE_CACHE.disk_put(key, entry)
     return entry, selected

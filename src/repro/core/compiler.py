@@ -344,10 +344,9 @@ def compile_kernel(
     ``backend="python"``.
 
     ``opt`` selects the native optimization tier: ``"none"`` (the naive
-    loops), ``"tiled"`` (cache-blocked + SIMD-annotated, byte-identical
-    to the Python backend), or ``"fast"`` (tiled plus FMA contraction,
-    validated by tolerance).  ``None`` defers to the ``REPRO_OPT``
-    environment variable (default ``"none"``).  A tier the toolchain
+    loops) or ``"tiled"`` (cache-blocked + SIMD-annotated); both are
+    byte-identical to the Python backend.  ``None`` defers to the
+    ``REPRO_OPT`` environment variable (default ``"none"``).  A tier the toolchain
     cannot honor is demoted observably (``native.tier.demotion.*``);
     ``opt`` is ignored by ``backend="python"``.
     """
@@ -361,10 +360,9 @@ def compile_kernel(
     if opt is None:
         from repro.util.env import env_choice
 
-        opt = env_choice("REPRO_OPT", "none", ("none", "tiled", "fast"))
-    elif opt not in ("none", "tiled", "fast"):
-        raise ValueError(
-            f"opt must be 'none', 'tiled' or 'fast', got {opt!r}")
+        opt = env_choice("REPRO_OPT", "none", ("none", "tiled"))
+    elif opt not in ("none", "tiled"):
+        raise ValueError(f"opt must be 'none' or 'tiled', got {opt!r}")
     validate_program(program)
     for name, fmt in bindings.items():
         decl = program.arrays.get(name)

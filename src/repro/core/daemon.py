@@ -32,8 +32,9 @@ the cost of one round-trip.
   exits.
 
 **Caching & coalescing** — three layers, cheapest first: a
-handle-addressed LRU (an identical repeat request is answered without
-touching the pipeline, ``daemon.handle.hits``); a daemon-level
+handle-addressed :class:`~repro.util.store.LRU` (an identical repeat
+request is answered without touching the pipeline,
+``daemon.handle.hits``); a daemon-level
 in-flight map coalescing concurrent identical *requests* onto one
 compile (``daemon.coalesced``); and underneath, the compilation cache
 plus the per-digest native single-flight from
@@ -51,10 +52,9 @@ within ``request_timeout`` seconds or gets a ``timeout`` error (the
 compile keeps running server-side; its handle becomes available to
 later requests).
 
-Configuration defaults come from ``REPRO_DAEMON_WORKERS`` /
-``REPRO_DAEMON_QUEUE`` / ``REPRO_DAEMON_TIMEOUT`` /
-``REPRO_DAEMON_HANDLES`` / ``REPRO_DAEMON_PAYLOADS`` (warn-and-default
-parsing via :mod:`repro.util.env`).
+Sizing is by constructor keyword (and ``--workers`` / ``--queue-depth`` /
+``--timeout`` on the command line); the defaults are one worker per CPU,
+64 queued requests, a 120 s request timeout, 512 handles, 256 payloads.
 
 Run standalone::
 
@@ -69,7 +69,7 @@ import os
 import socket
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor, TimeoutError
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -77,7 +77,7 @@ from repro.core import wire
 from repro.core.service import compile_many
 from repro.instrument import INSTR
 from repro.ir.parser import parse_program
-from repro.util.env import env_float, env_int
+from repro.util.store import LRU
 
 __all__ = ["CompileServer", "main"]
 
@@ -104,37 +104,6 @@ def _run_compile(programs, bindings, param_values, options):
                         param_values=param_values, **options)
 
 
-class _LruDict:
-    """A tiny bounded LRU (thread-safe) for handles and payloads."""
-
-    def __init__(self, capacity: int):
-        self.capacity = max(1, capacity)
-        self._d: "OrderedDict[str, object]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key: str):
-        with self._lock:
-            v = self._d.get(key)
-            if v is not None:
-                self._d.move_to_end(key)
-            return v
-
-    def put(self, key: str, value) -> None:
-        with self._lock:
-            self._d[key] = value
-            self._d.move_to_end(key)
-            while len(self._d) > self.capacity:
-                self._d.popitem(last=False)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._d)
-
-    def values(self) -> List:
-        with self._lock:
-            return list(self._d.values())
-
-
 class CompileServer:
     """Threaded compilation daemon (see module docstring).
 
@@ -147,30 +116,20 @@ class CompileServer:
     def __init__(self, socket_path: Optional[str] = None, *,
                  host: str = "127.0.0.1", port: int = 0,
                  workers: Optional[int] = None,
-                 queue_depth: Optional[int] = None,
-                 request_timeout: Optional[float] = None,
-                 handle_capacity: Optional[int] = None,
-                 payload_capacity: Optional[int] = None):
-        if workers is None:
-            workers = env_int("REPRO_DAEMON_WORKERS", 0, minimum=0) \
-                or (os.cpu_count() or 1)
-        if queue_depth is None:
-            queue_depth = env_int("REPRO_DAEMON_QUEUE", 64, minimum=0)
-        if request_timeout is None:
-            request_timeout = env_float("REPRO_DAEMON_TIMEOUT", 120.0,
-                                        minimum=0.0)
-        if handle_capacity is None:
-            handle_capacity = env_int("REPRO_DAEMON_HANDLES", 512, minimum=1)
-        if payload_capacity is None:
-            payload_capacity = env_int("REPRO_DAEMON_PAYLOADS", 256, minimum=1)
+                 queue_depth: int = 64,
+                 request_timeout: float = 120.0,
+                 handle_capacity: int = 512,
+                 payload_capacity: int = 256):
         self.socket_path = socket_path
         self._host, self._port = host, port
+        if workers is None:
+            workers = os.cpu_count() or 1
         self.workers = max(1, workers)
         self.queue_depth = queue_depth
         self.request_timeout = request_timeout
 
-        self._handles = _LruDict(handle_capacity)      # handle -> record
-        self._payloads = _LruDict(payload_capacity)    # digest -> SparseFormat
+        self._handles = LRU(max(1, handle_capacity))    # handle -> record
+        self._payloads = LRU(max(1, payload_capacity))  # digest -> SparseFormat
         self._inflight: Dict[str, Future] = {}         # request key -> future
         self._inflight_lock = threading.Lock()
         self._admitted = 0                             # slots in use
@@ -693,9 +652,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="TCP address to listen on (PORT 0 = ephemeral)")
     ap.add_argument("--workers", type=int, default=None,
                     help="compile worker threads (default: cpu count)")
-    ap.add_argument("--queue-depth", type=int, default=None,
+    ap.add_argument("--queue-depth", type=int, default=64,
                     help="admitted requests beyond the workers (default 64)")
-    ap.add_argument("--timeout", type=float, default=None,
+    ap.add_argument("--timeout", type=float, default=120.0,
                     help="per-request timeout seconds (default 120)")
     args = ap.parse_args(argv)
 

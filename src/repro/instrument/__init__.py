@@ -35,8 +35,8 @@ Counter namespaces used by the compiler:
 - ``native.*``          — C backend: compiles, .so-cache traffic,
                           single-flight coalescing, fallbacks
 - ``native.tier.*``     — optimization tiers: successful binds per tier
-                          (``native.tier.tiled`` / ``.fast`` /
-                          ``.none``), demotions when the toolchain
+                          (``native.tier.tiled`` / ``.none``),
+                          demotions when the toolchain
                           cannot honor a request
                           (``native.tier.demotions`` aggregate,
                           ``native.tier.demotion.no_toolchain`` /

@@ -10,18 +10,19 @@ matrix's quantized structure signature (:mod:`repro.search.features`).
 Every later selection over a matrix of the same structure class is served
 the cached winner without running a single measurement.
 
-Layers and concurrency mirror the PR-1/PR-3 compile-cache design:
+Layers and concurrency are the compile cache's, from the same kit
+(:mod:`repro.util.store`):
 
-- an in-memory LRU (``REPRO_AUTOTUNE_CACHE_SIZE``, default 512) always
-  consulted when caching is on;
-- an opt-in disk layer (``autotune_cache="disk"`` or
-  ``REPRO_AUTOTUNE_CACHE=disk``) storing one JSON record per key under
+- :data:`WINNER_CACHE` is a ``Store``: an in-memory LRU always consulted
+  when caching is on, and an opt-in disk layer (``autotune_cache="disk"``
+  or ``REPRO_AUTOTUNE_CACHE=disk``) storing one JSON record per key under
   ``<REPRO_CACHE_DIR>/autotune/`` — the same cache directory the compile
   cache and native artifacts use, so one warm directory serves a fleet;
-- a single-flight map per key: concurrent selections of the same
-  structure class elect one leader to tune while followers wait and share
-  its record (``autotune.coalesced``), so a thundering herd of
-  same-shaped matrices costs one tune.
+- a ``SingleFlight`` per key: concurrent selections of the same structure
+  class elect one leader to tune while followers wait and share its
+  record (``autotune.coalesced``), so a thundering herd of same-shaped
+  matrices costs one tune; a follower whose leader fails or outlasts
+  ``REPRO_SINGLEFLIGHT_TIMEOUT`` tunes itself.
 
 Records are plain JSON-safe dicts (winner format name, measured seconds
 per tuned candidate, the backend that executed the measurements) so the
@@ -39,17 +40,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
-import threading
-from collections import OrderedDict
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.instrument import INSTR
-from repro.util.env import env_float, env_int
+from repro.util.env import env_int
+from repro.util.store import SingleFlight, Store
 
 __all__ = ["MODES", "resolve_autotune_cache", "autotune_topk",
-           "autotune_repeats", "WinnerCache", "WINNER_CACHE",
-           "clear_winner_cache", "winner_key", "winner_for", "store"]
+           "autotune_repeats", "WINNER_CACHE", "clear_winner_cache",
+           "winner_key", "winner_for", "store"]
 
 MODES = ("off", "memory", "disk")
 
@@ -77,107 +76,33 @@ def autotune_repeats() -> int:
     return env_int("REPRO_AUTOTUNE_REPEATS", 3, minimum=1)
 
 
-def _flight_timeout() -> float:
-    """Seconds a follower waits for the tuning leader before tuning
-    itself (shares ``REPRO_SINGLEFLIGHT_TIMEOUT`` with the native
-    backend's compile single-flight; default 300)."""
-    return env_float("REPRO_SINGLEFLIGHT_TIMEOUT", 300.0, minimum=0.0)
-
-
 # ---------------------------------------------------------------------------
 # Winner cache
 # ---------------------------------------------------------------------------
 
-class WinnerCache:
-    """Signature-keyed LRU of measured-winner records, with an optional
-    JSON disk layer under the shared cache directory.
+def _winner_dir() -> str:
+    from repro.core.cache import COMPILE_CACHE
 
-    Records are small JSON-safe dicts; the memory layer is guarded by an
-    RLock (records themselves are treated as immutable once stored)."""
-
-    def __init__(self, capacity: int = 512):
-        self.capacity = capacity
-        self.entries: "OrderedDict[str, Dict]" = OrderedDict()
-        self._lock = threading.RLock()
-
-    # -- memory layer ----------------------------------------------------
-    def get(self, key: str) -> Optional[Dict]:
-        with self._lock:
-            rec = self.entries.get(key)
-            if rec is not None:
-                self.entries.move_to_end(key)
-            return rec
-
-    def put(self, key: str, record: Dict) -> None:
-        with self._lock:
-            self.entries[key] = record
-            self.entries.move_to_end(key)
-            while len(self.entries) > self.capacity:
-                self.entries.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self.entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self.entries)
-
-    # -- disk layer ------------------------------------------------------
-    def disk_dir(self) -> str:
-        from repro.core.cache import COMPILE_CACHE
-
-        return os.path.join(COMPILE_CACHE.disk_dir(), "autotune")
-
-    def _disk_path(self, key: str) -> str:
-        return os.path.join(self.disk_dir(), key + ".json")
-
-    def disk_get(self, key: str) -> Optional[Dict]:
-        try:
-            with open(self._disk_path(key), "r", encoding="utf-8") as f:
-                record = json.load(f)
-        except (OSError, ValueError):
-            return None
-        if not isinstance(record, dict) or "format" not in record:
-            return None
-        return record
-
-    def disk_put(self, key: str, record: Dict) -> None:
-        d = self.disk_dir()
-        try:
-            os.makedirs(d, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as f:
-                    json.dump(record, f)
-                os.replace(tmp, self._disk_path(key))
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-        except (OSError, TypeError, ValueError):
-            # best-effort, exactly like the compile cache's disk layer
-            INSTR.count("autotune.disk.save_errors")
+    return os.path.join(COMPILE_CACHE.directory(), "autotune")
 
 
-#: the process-wide winner cache
-WINNER_CACHE = WinnerCache(
-    capacity=env_int("REPRO_AUTOTUNE_CACHE_SIZE", 512, minimum=1)
-)
+def _load_record(f) -> Optional[Dict]:
+    record = json.loads(f.read())
+    return record if isinstance(record, dict) and "format" in record else None
+
+
+#: the process-wide winner cache: winner key -> JSON-safe record (treated
+#: as immutable once stored)
+WINNER_CACHE = Store(
+    512, directory=_winner_dir, suffix=".json",
+    dump=lambda record, f: f.write(json.dumps(record).encode("utf-8")),
+    load=_load_record, save_errors="autotune.disk.save_errors")
 
 
 def clear_winner_cache(disk: bool = False) -> None:
-    """Drop the in-memory winner cache (and the disk layer when
-    ``disk=True``)."""
-    WINNER_CACHE.clear()
-    if disk:
-        d = WINNER_CACHE.disk_dir()
-        if os.path.isdir(d):
-            for fn in os.listdir(d):
-                if fn.endswith(".json"):
-                    try:
-                        os.unlink(os.path.join(d, fn))
-                    except OSError:
-                        pass
+    """Drop the in-memory winner cache (and, with ``disk=True``, the
+    records and orphaned temporaries under ``autotune/``)."""
+    WINNER_CACHE.clear(disk)
 
 
 # ---------------------------------------------------------------------------
@@ -206,29 +131,15 @@ def winner_key(program, signature: str, candidates: Sequence[str],
 # Single-flight tuning
 # ---------------------------------------------------------------------------
 
-class _TuneFlight:
-    """One in-progress tune of a winner key: followers wait on the event;
-    the leader parks its record (or failure) before setting it."""
-
-    __slots__ = ("event", "record", "error")
-
-    def __init__(self):
-        self.event = threading.Event()
-        self.record: Optional[Dict] = None
-        self.error: Optional[BaseException] = None
-
-
-_FLIGHTS: Dict[str, _TuneFlight] = {}
-_FLIGHTS_LOCK = threading.Lock()
+#: one tune per winner key at a time; ``autotune.coalesced`` counts the
+#: selections that waited on somebody else's
+_FLIGHT = SingleFlight(waits="autotune.coalesced")
 
 
 def store(key: str, record: Dict, mode: str) -> None:
     """Publish a winner record into the cache layers for ``mode``."""
-    if mode == "off":
-        return
-    WINNER_CACHE.put(key, record)
-    if mode == "disk":
-        WINNER_CACHE.disk_put(key, record)
+    if mode != "off":
+        WINNER_CACHE.store(key, record, mode == "disk")
 
 
 def winner_for(
@@ -247,50 +158,19 @@ def winner_for(
     ``"coalesced"``."""
     if mode != "off":
         INSTR.count("autotune.cache.lookups")
-        rec = WINNER_CACHE.get(key)
+        rec, layer = WINNER_CACHE.lookup(key, mode == "disk")
         if rec is not None:
-            INSTR.count("autotune.cache.hits.memory")
-            return rec, None, "memory"
-        if mode == "disk":
-            rec = WINNER_CACHE.disk_get(key)
-            if rec is not None:
-                WINNER_CACHE.put(key, rec)       # promote for this process
-                INSTR.count("autotune.cache.hits.disk")
-                return rec, None, "disk"
+            INSTR.count(f"autotune.cache.hits.{layer}")
+            return rec, None, layer
         INSTR.count("autotune.cache.misses")
 
-    while True:
-        with _FLIGHTS_LOCK:
-            flight = _FLIGHTS.get(key)
-            leader = flight is None
-            if leader:
-                flight = _TuneFlight()
-                _FLIGHTS[key] = flight
+    def tune_and_store():
+        record, payload = tune()
+        store(key, record, mode)
+        INSTR.count("autotune.tunes")
+        return record, payload
 
-        if leader:
-            try:
-                record, payload = tune()
-                flight.record = record
-                store(key, record, mode)
-            except BaseException as e:
-                flight.error = e
-                raise
-            finally:
-                flight.event.set()
-                with _FLIGHTS_LOCK:
-                    _FLIGHTS.pop(key, None)
-            INSTR.count("autotune.tunes")
-            return record, payload, "tuned"
-
-        # follower: wait for the leader, then share its record
-        INSTR.count("autotune.coalesced")
-        flight.event.wait(timeout=_flight_timeout())
-        if flight.record is not None:
-            return flight.record, None, "coalesced"
-        # leader failed or timed out: loop and try to become leader (its
-        # flight entry is already retired), or hit the cache if a sibling
-        # succeeded meanwhile
-        if mode != "off":
-            rec = WINNER_CACHE.get(key)
-            if rec is not None:
-                return rec, None, "memory"
+    (record, payload), shared = _FLIGHT.do(key, tune_and_store)
+    if shared:
+        return record, None, "coalesced"
+    return record, payload, "tuned"

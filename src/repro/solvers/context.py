@@ -34,6 +34,7 @@ Instrumentation (namespace ``solver.*``):
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -60,27 +61,45 @@ _OP_SPECS = {
 
 class BoundOp:
     """One operation bound to one matrix instance: the kernel entry point
-    (native function or generated Python), a prebuilt arrays dict, and the
-    integer parameter values — everything a call needs besides the
-    vectors, resolved once at setup."""
+    (native function or generated Python), the matrix, and the integer
+    parameter values — everything a call needs besides the vectors,
+    resolved once at setup.
 
-    __slots__ = ("name", "kernel", "fn", "arrays", "params", "backend_used")
+    The matrix is held *weakly* and dereferenced per call.  Its owner (the
+    :class:`SolverContext`, or ``kernel``'s bindings) keeps it alive; a
+    :meth:`detached` copy can therefore live on the matrix itself, as its
+    :mod:`repro.blas.api` handle, without closing a reference cycle —
+    dropping the matrix frees it, the handle and the loaded kernel at
+    once, with no garbage collection."""
 
-    def __init__(self, name: str, kernel, fn, arrays: Dict[str, object],
-                 params: Dict[str, int], backend_used: str):
+    __slots__ = ("name", "kernel", "fn", "mat_name", "_mat", "params",
+                 "backend_used")
+
+    def __init__(self, name: str, kernel, fn, mat_name: str,
+                 matrix: SparseFormat, params: Dict[str, int],
+                 backend_used: str):
         self.name = name
         self.kernel = kernel
         self.fn = fn
-        self.arrays = arrays
+        self.mat_name = mat_name
+        self._mat = weakref.ref(matrix)
         self.params = params
         self.backend_used = backend_used
 
+    @property
+    def matrix(self) -> Optional[SparseFormat]:
+        return self._mat()
+
+    def detached(self) -> "BoundOp":
+        """The same entry point without ``kernel`` (a compiled kernel holds
+        its bindings, i.e. the matrix, strongly) and with its own
+        ``params``."""
+        return BoundOp(self.name, None, self.fn, self.mat_name, self._mat(),
+                       dict(self.params), self.backend_used)
+
     def apply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """y = op(x) through the bound kernel (mvm / mvm_t)."""
-        a = self.arrays
-        a["x"] = x
-        a["y"] = y
-        self.fn(a, self.params)
+        self.fn({self.mat_name: self._mat(), "x": x, "y": y}, self.params)
         return y
 
     def apply_mm(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -88,18 +107,13 @@ class BoundOp:
         spmm_t).  The panel width ``k`` is the one parameter no binding
         can pin (dense operands are unbound), so it is taken from ``X``
         per call."""
-        a = self.arrays
-        a["X"] = X
-        a["Y"] = Y
         self.params["k"] = int(X.shape[1])
-        self.fn(a, self.params)
+        self.fn({self.mat_name: self._mat(), "X": X, "Y": Y}, self.params)
         return Y
 
     def apply_solve(self, b: np.ndarray) -> np.ndarray:
         """In-place triangular solve on ``b`` through the bound kernel."""
-        a = self.arrays
-        a["b"] = b
-        self.fn(a, self.params)
+        self.fn({self.mat_name: self._mat(), "b": b}, self.params)
         return b
 
     def __repr__(self):
@@ -200,7 +214,7 @@ class SolverContext:
         use.
     opt:
         Native optimization tier for every bound kernel (``"none"`` /
-        ``"tiled"`` / ``"fast"``), forwarded to the compiler.  The default
+        ``"tiled"``), forwarded to the compiler.  The default
         (``None``) defers to ``REPRO_OPT`` — *unless* format selection ran
         and crowned a tiered winner, in which case the context binds the
         tuned (format, tier) pair: ``select="auto"`` over the C backend
@@ -323,21 +337,21 @@ class SolverContext:
                         op, f"native: {kernel.fallback_reason}")
             params = {k: int(v) for k, v in
                       infer_param_values(program, {mat_name: inst}).items()}
-            arrays: Dict[str, object] = {mat_name: inst}
-            self._bound[op] = BoundOp(op, kernel, fn, arrays, params,
+            self._bound[op] = BoundOp(op, kernel, fn, mat_name, inst, params,
                                       kernel.backend_used)
 
     def _register_handles(self) -> None:
         for op, bound in self._bound.items():
             if bound is None:
                 continue
-            target = bound.arrays[_OP_SPECS[op][1]]
+            handle = bound.detached()
             if op in ("mvm", "mvm_t"):
-                blas_api.register_kernel_handle(target, op, bound.apply)
+                entry = handle.apply
             elif op in ("spmm", "spmm_t"):
-                blas_api.register_kernel_handle(target, op, bound.apply_mm)
+                entry = handle.apply_mm
             else:
-                blas_api.register_kernel_handle(target, op, bound.apply_solve)
+                entry = handle.apply_solve
+            blas_api.register_kernel_handle(bound.matrix, op, entry)
 
     # -- introspection ----------------------------------------------------
     @property

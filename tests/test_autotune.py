@@ -125,7 +125,7 @@ class TestReplayFallback:
         m = random_sparse(30, 30, density=0.15, seed=0)
         auto_select(m)
         # poison the cached record with a format that cannot be built
-        (key, rec), = WINNER_CACHE.entries.items()
+        (key, rec), = WINNER_CACHE.items()
         WINNER_CACHE.put(key, dict(rec, format="no-such-format"))
         fails0 = INSTR.get("autotune.replay_failures")
         res = auto_select(perturbed(m))
@@ -208,9 +208,10 @@ class TestKnobs:
 
 class TestLRU:
     def test_capacity_evicts_oldest(self):
-        from repro.search.autotune import WinnerCache
+        from repro.util.store import LRU
 
-        c = WinnerCache(capacity=2)
+        assert isinstance(WINNER_CACHE, LRU)
+        c = LRU(2)
         c.put("a", {"format": "csr"})
         c.put("b", {"format": "coo"})
         c.get("a")                            # refresh a

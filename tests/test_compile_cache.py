@@ -311,6 +311,60 @@ class TestDiskLayer:
         clear_compile_cache(disk=True)
         assert not list(tmp_path.glob("*.pkl"))
 
+    def test_clear_disk_leaves_a_cold_disk(self, tmp_path, monkeypatch):
+        """``disk=True`` removes everything ``cache="disk"`` put there —
+        pickled entries, sharded ``.so`` artifacts, lock files, temporaries
+        orphaned by a killed writer — so the next compile really is cold:
+        it searches, and it runs ``cc`` (no ``native.so_cache.hits.disk``).
+        The winner cache's records under ``autotune/`` are not ours."""
+        from repro.core import backend as be
+        from repro.search.autotune import WINNER_CACHE, clear_winner_cache
+
+        if be.find_compiler() is None:
+            pytest.skip("no C compiler on PATH")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+
+        def files():
+            return sorted(str(p.relative_to(tmp_path))
+                          for p in tmp_path.rglob("*") if p.is_file())
+
+        def counters():
+            return dict(instrument.snapshot()["counters"])
+
+        A = _csr()
+        be.reset_toolchain_cache()          # no loaded .so from an earlier test
+        k = compile_kernel(mvm(), {"A": A}, cache="disk", backend="c")
+        assert k.backend_used.startswith("c")
+        (so,) = tmp_path.glob("??/*.so")
+        # what a writer killed mid-flight leaves behind
+        orphans = [so.with_name(so.name + ".lock"),
+                   so.with_name("repro-tmp-dead0001.tmp"),
+                   so.with_name("repro-tmp-dead0001.tmp.c"),
+                   tmp_path / "repro-tmp-dead0002.tmp",
+                   tmp_path / "autotune" / "repro-tmp-dead0003.tmp"]
+        WINNER_CACHE.store("c" * 64, {"format": "csr"}, disk=True)
+        for p in orphans:
+            p.write_bytes(b"")
+        assert len(files()) == 2 + len(orphans) + 1
+
+        clear_compile_cache(disk=True)
+        assert files() == ["autotune/" + "c" * 64 + ".json",
+                           "autotune/repro-tmp-dead0003.tmp"]
+        clear_winner_cache(disk=True)
+        assert files() == []
+
+        be.reset_toolchain_cache(scratch=True)
+        before = counters()
+        k2, gen = _generated_delta(
+            lambda: compile_kernel(mvm(), {"A": A}, cache="disk", backend="c"))
+        assert k2.backend_used.startswith("c")
+        after = counters()
+        delta = lambda name: after.get(name, 0) - before.get(name, 0)  # noqa: E731
+        assert gen > 0
+        assert delta("native.compiles") == 1
+        assert delta("native.so_cache.hits.disk") == 0
+        assert delta("cache.hits.disk") == 0
+
 
 class TestLru:
     def test_eviction_respects_capacity(self):

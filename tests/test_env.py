@@ -16,12 +16,13 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core import backend as be
+from repro.core.compiler import compile_kernel
 from repro.core.service import compile_many
 from repro.formats import as_format
 from repro.instrument import INSTR
 from repro.ir.kernels import ALL_KERNELS
 from repro.util import EnvVarWarning, env_float, env_int
+from repro.util.store import singleflight_timeout
 
 
 class TestEnvInt:
@@ -96,8 +97,18 @@ class TestCallSites:
     def test_singleflight_timeout_with_garbage_value(self, monkeypatch):
         monkeypatch.setenv("REPRO_SINGLEFLIGHT_TIMEOUT", "soon")
         with pytest.warns(EnvVarWarning, match="REPRO_SINGLEFLIGHT_TIMEOUT"):
-            assert be.singleflight_timeout() == 300.0
+            assert singleflight_timeout() == 300.0
 
     def test_singleflight_timeout_valid(self, monkeypatch):
         monkeypatch.setenv("REPRO_SINGLEFLIGHT_TIMEOUT", "17.5")
-        assert be.singleflight_timeout() == 17.5
+        assert singleflight_timeout() == 17.5
+
+    @pytest.mark.parametrize("raw", ["fast", "TILED", "2"])
+    def test_unknown_opt_tier_warns_and_defaults(self, monkeypatch,
+                                                 small_square, raw):
+        """``fast`` was a tier once; it is now as unknown as any typo."""
+        monkeypatch.setenv("REPRO_OPT", raw)
+        A = as_format(small_square, "csr")
+        with pytest.warns(EnvVarWarning, match="REPRO_OPT"):
+            k = compile_kernel(ALL_KERNELS["mvm"](), {"A": A})
+        assert k.opt == "none"

@@ -427,29 +427,3 @@ class TestLoopDims:
                if l.startswith("for (int64_t ")
                and prev == "#pragma omp parallel for"}
         assert got == want
-
-
-def test_scratch_reset_releases_abandoned_kernels(square):
-    """A kernel registered as a handle on its matrix is in a reference
-    cycle with it; ``reset_toolchain_cache(scratch=True)`` promises the
-    loaded objects are forgotten, which only holds once such cycles are
-    collected — a dropped matrix must not stay resident until CPython's
-    next full collection."""
-    import gc
-    import weakref
-
-    from repro.solvers import SolverContext
-
-    A = _fmt(square, "csr")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NativeBackendWarning)
-        SolverContext(A, ops=("mvm",), backend="c", cache="off")
-    alive = weakref.ref(A)
-    gc.disable()
-    try:
-        del A
-        assert alive() is not None        # pinned by the handle cycle
-        be.reset_toolchain_cache(scratch=True)
-        assert alive() is None
-    finally:
-        gc.enable()

@@ -240,6 +240,43 @@ class TestKernelHandles:
         want = np.linalg.solve(np.tril(spd.to_dense()), b25)
         assert np.allclose(got, want)
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_dropping_context_and_matrix_frees_both_without_gc(
+            self, spd, b25, backend):
+        """The handle a matrix carries must not hold the matrix: once the
+        context and the matrix are dropped, the matrix, its triangular
+        parts and the bound kernel die by reference count alone.  (A
+        compile-cache entry pins the instance it was searched with, by
+        design, so the cache is cleared; the search itself leaves cyclic
+        garbage behind, which one collection *before* the drop removes.)"""
+        import gc
+        import weakref
+
+        from repro.core.cache import clear_compile_cache
+
+        A = as_format(spd, "csr")
+        ctx = SolverContext(A, ops=("mvm", "ts_lower", "ts_upper"),
+                            backend=backend)
+        assert set(ctx.backends.values()) == {backend}
+        held = [A, ctx.L, ctx.U]
+        if backend == "c":     # (an exec'd Python kernel is its own cycle)
+            held += [ctx.bound("mvm").fn, ctx.bound("ts_lower").fn]
+        refs = [weakref.ref(o) for o in held]
+        del held
+        gc.collect()
+        gc.disable()
+        try:
+            clear_compile_cache()
+            del ctx
+            # the handle outlives the context: it lives on the matrix
+            before = INSTR.get("blas.handle.hits")
+            blas_api.mvm(A, b25)
+            assert INSTR.get("blas.handle.hits") == before + 1
+            del A
+            assert [r() for r in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
+
 
 class TestTrajectoryIdentity:
     """The context-backed Python path must be byte-identical to the
