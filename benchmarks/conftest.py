@@ -7,13 +7,7 @@ paper's size).
 
 from __future__ import annotations
 
-import datetime
-import json
 import os
-from contextlib import contextmanager
-
-import numpy as np
-import pytest
 
 from repro.core import compile_kernel
 from repro.formats import as_format
@@ -54,120 +48,3 @@ def compiled(kernel_name, fmt_name, kind, array_name, **kwargs):
         _cache[key] = compile_kernel(prog, {array_name: fmt_instance(kind, fmt_name)},
                                      **kwargs)
     return _cache[key]
-
-
-@contextmanager
-def reference_data_plane():
-    """Swap the whole data plane back to the pre-vectorization loop
-    oracles for the duration of the block: every format's ``from_coo`` /
-    ``_from_canonical_coo`` / ``to_coo_arrays`` / ``to_dense`` becomes
-    its retained ``_reference_*`` implementation, the direct conversion
-    routes in :mod:`repro.formats.convert` are disabled, and the
-    SolverContext triangular split runs the element-wise baseline.
-    Benchmarks time the status quo against the vectorized plane through
-    one code path with this switch."""
-    from repro.formats.convert import FORMATS, fast_paths
-    from repro.solvers import context as solver_context
-
-    saved = []
-
-    def swap(obj, name, impl):
-        saved.append((obj, name, name in vars(obj), vars(obj).get(name)))
-        setattr(obj, name, impl)
-
-    with fast_paths(False):
-        for cls in sorted(set(FORMATS.values()), key=lambda c: c.__name__):
-            # raw descriptors (classmethod objects / functions) so the
-            # swapped attributes bind exactly like the originals
-            swap(cls, "from_coo", vars(cls)["_reference_from_coo"])
-            swap(cls, "_from_canonical_coo", vars(cls)["_reference_from_coo"])
-            swap(cls, "to_coo_arrays", vars(cls)["_reference_to_coo_arrays"])
-            swap(cls, "to_dense",
-                 vars(cls).get("_reference_to_dense",
-                               cls._reference_to_dense))
-        swap(solver_context, "_triangular_split",
-             solver_context._reference_triangular_split)
-        try:
-            yield
-        finally:
-            for obj, name, had, old in reversed(saved):
-                if had:
-                    setattr(obj, name, old)
-                else:
-                    delattr(obj, name)
-
-
-@pytest.fixture(scope="session")
-def rng():
-    return np.random.default_rng(1072)
-
-
-#: repo root — BENCH_*.json trajectory files live next to README.md
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-_toolchain_info = None
-
-
-def toolchain_info() -> dict:
-    """Identity and capabilities of the native toolchain, probed once per
-    process (the probes are memoized in :mod:`repro.core.backend`):
-    ``{"cc", "cc_identity", "openmp", "simd"}`` — None/False throughout
-    when no compiler is available."""
-    global _toolchain_info
-    if _toolchain_info is None:
-        from repro.core import backend as be
-
-        cc = be.find_compiler()
-        _toolchain_info = {
-            "cc": cc,
-            "cc_identity": be.compiler_identity(cc) if cc else None,
-            "openmp": be.openmp_supported(cc) if cc else False,
-            "simd": be.simd_supported(cc) if cc else False,
-        }
-    return _toolchain_info
-
-
-def record_bench(bench_file: str, label: str, seconds: float,
-                 flops: int = 0, **extra) -> None:
-    """Append one timing entry to a ``BENCH_*.json`` trajectory file.
-
-    The file holds a JSON list of run records; each benchmark run appends
-    so the perf trajectory accumulates across sessions.  Every record is
-    stamped with :func:`toolchain_info`, so a timing row stays
-    interpretable (native or not? which compiler?) off the original
-    machine.  A missing or corrupt file restarts the list rather than
-    failing the benchmark.
-    """
-    path = os.path.join(_REPO_ROOT, bench_file)
-    entries = []
-    try:
-        with open(path) as f:
-            entries = json.load(f)
-        if not isinstance(entries, list):
-            entries = []
-    except (OSError, ValueError):
-        entries = []
-    rec = {
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "label": label,
-        "seconds": seconds,
-        "n": BENCH_N,
-        "toolchain": toolchain_info(),
-    }
-    if flops:
-        rec["flops"] = flops
-        rec["mflops"] = flops / seconds / 1e6 if seconds > 0 else None
-    rec.update(extra)
-    entries.append(rec)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(entries, f, indent=1)
-        f.write("\n")
-    os.replace(tmp, path)
-
-
-def report(label: str, seconds: float, flops: int,
-           bench_file: str = "BENCH_kernels.json", **extra) -> None:
-    mflops = flops / seconds / 1e6 if seconds > 0 else float("inf")
-    print(f"\n    [{label}] {seconds * 1e3:9.2f} ms   {mflops:8.2f} MFLOPS")
-    record_bench(bench_file, label, seconds, flops, **extra)

@@ -19,11 +19,12 @@ agree on zero-ness.
 
 Parallelism: every ``For`` carries the plan dimensions it enumerates, and
 :meth:`repro.core.parallel.ParallelReport.verdict` says how such a loop
-may run.  Strict-DOALL loops get ``#pragma omp parallel for``; under the
-``atomic`` flavour, reduction loops whose every store is a
-read-modify-write accumulation get the pragma plus ``#pragma omp atomic``
-on each accumulation.  Loops nested inside a parallel loop, and loops a
-transform introduced, stay sequential.
+may run.  Strict-DOALL loops get ``#pragma omp parallel for``; one that
+sits inside a sequential loop would fork a thread team per outer
+iteration, so it is printed twice behind a trip-count test and forks only
+when it is at least ``_FORK_MIN_TRIP`` iterations long (DIA's offset loop
+is, a CSC column segment is not).  Loops nested inside a parallel loop,
+and loops a transform introduced, stay sequential.
 
 Optimization tiers (``opt``): ``"none"`` prints the loops exactly as the
 generator built them.  ``"tiled"`` first rewrites the IR with three
@@ -49,8 +50,7 @@ order, only integer control flow and memory scheduling change:
 ``"tiled"`` additionally marks proven per-iteration-distinct store loops
 with ``#pragma omp simd`` and qualifies pointer arguments ``restrict``
 (array arguments must not alias — the BLAS/solver layers never pass
-aliased operands).  Loops inside atomic regions and descending loops are
-left untouched.
+aliased operands).  Descending loops are left untouched.
 
 A node either has a C printer (:data:`C_PRINTERS`) or it is ``PyOnly``
 (gather-and-sort enumerations, the generic dynamic-runtime emitter); the
@@ -251,7 +251,7 @@ def _assigned(stmts) -> Set[str]:
 
 def _rmw_op(store: Store) -> Optional[str]:
     """``+ - * /`` when the store is ``target = target op expr`` and
-    ``expr`` does not read the target (the OpenMP atomic update form)."""
+    ``expr`` does not read the target."""
     value, target = store.value, Load(store.array, store.idx)
     if not (isinstance(value, BinOp) and value.op in ("+", "-", "*", "/")
             and value.left == target):
@@ -293,6 +293,11 @@ def _absorb_one(cmp, v: str, assigned: Set[str]):
 #: output columns one register tile holds
 _PANEL = 8
 
+#: shortest nested loop worth a thread team of its own: a fork-join
+#: measured ~2 us (250k of them: 400-500 ms on 2 threads) against 1-2 ns
+#: per iteration of the accumulation bodies these loops carry
+_FORK_MIN_TRIP = 4096
+
 
 class _Scheduler:
     """One top-down rewrite of a kernel body.  Per ``For`` it decides the
@@ -315,33 +320,31 @@ class _Scheduler:
         self._uid += 1
         return self._uid
 
-    def block(self, stmts: Sequence, depth: int = 0, in_par: bool = False,
-              in_atomic: bool = False) -> List:
+    def block(self, stmts: Sequence, depth: int = 0,
+              in_par: bool = False) -> List:
         out: List = []
         for s in stmts:
             if isinstance(s, For):
-                out.extend(self.loop(s, depth, in_par, in_atomic))
+                out.extend(self.loop(s, depth, in_par))
             elif isinstance(s, (While, If)):
-                out.append(type(s)(s.cond, self.block(s.body, depth, in_par,
-                                                      in_atomic)))
+                out.append(type(s)(s.cond, self.block(s.body, depth, in_par)))
             else:
                 if isinstance(s, Assign):
                     self.declared.add(s.var)
                 out.append(s)
         return out
 
-    def loop(self, f: For, depth: int, in_par: bool, in_atomic: bool) -> List:
+    def loop(self, f: For, depth: int, in_par: bool) -> List:
         # only the outermost order-free loop of a nest runs in parallel
-        flag = "seq"
-        if self.report is not None and not (in_par or in_atomic):
-            flag = self.report.verdict(f.dims, self.flavour)
-        if flag == "par_atomic" and not all(
-                _rmw_op(n) for n in walk(f.body) if isinstance(n, Store)):
-            flag = "seq"            # a store that cannot be made atomic
-        atomic = flag == "par_atomic"
-        opt_on = (self.opt != "none" and f.step == 1 and not atomic
-                  and not in_atomic)
-        if opt_on and flag == "seq":
+        par = (self.report is not None and not in_par
+               and self.report.verdict(f.dims, self.flavour) == "par")
+        # inside a sequential loop it must be able to decline the fork,
+        # which needs bounds the body cannot move
+        nested = par and depth > 0
+        if nested and _mentions((f.lo, f.hi), self.written):
+            par = nested = False
+        opt_on = self.opt != "none" and f.step == 1
+        if opt_on and not par:
             tiled = self.register_tile(f)
             if tiled is not None:
                 return tiled
@@ -352,20 +355,22 @@ class _Scheduler:
                 pre, lo, hi, body = absorbed
         strip = (opt_on and depth == 0 and self.tile_rows > 0
                  and not _mentions((f.lo, f.hi), self.written))
-        simd = opt_on and flag == "seq" and self.simd_safe(body, f.var)
+        simd = (opt_on and (nested or not par)
+                and self.simd_safe(body, f.var))
         if strip:
             self.transforms.append("strip_mine")
         if simd:
             # honored under -fopenmp-simd (always passed for this tier);
             # does not require the full OpenMP runtime
             self.transforms.append("simd")
-        par = {"par": "parallel", "par_atomic": "atomic"}.get(flag)
-        body = self.block(body, depth + 1, in_par or par is not None,
-                          in_atomic or atomic)
+        body = self.block(body, depth + 1, in_par or par)
         inner = "simd" if simd else None
+        if nested:
+            return pre + self.fork_if_long(
+                For(f.var, lo, hi, f.step, body, f.dims, inner))
         if not strip:
             return pre + [For(f.var, lo, hi, f.step, body, f.dims,
-                              par or inner)]
+                              "parallel" if par else inner)]
         # cache-block the outermost loop into row blocks; per-iteration
         # work and order are unchanged, so results stay byte-identical
         blk, end = f"{f.var}__blk", f"{f.var}__end"
@@ -373,7 +378,28 @@ class _Scheduler:
         return pre + [For(blk, lo, hi, tile, [
             Assign(end, BinOp("min", V(blk) + tile, hi)),
             For(f.var, V(blk), V(end), 1, body, (), inner),
-        ], f.dims, par)]
+        ], f.dims, "parallel" if par else None)]
+
+    def fork_if_long(self, f: For) -> List:
+        """An order-free loop nested in a sequential one, two-versioned on
+        its trip count: short, it runs as ``f`` stands (an OpenMP ``if()``
+        clause would still pay ~0.4 us per declined region); from
+        ``_FORK_MIN_TRIP`` iterations on, the same loop forks a team.  The
+        sequential copy is printed first — gcc lays the other order out
+        3x slower on the short path."""
+        pre, lo, hi = [], f.lo, f.hi
+        if not (isinstance(lo, LinExpr) and isinstance(hi, LinExpr)):
+            uid = self.uid()
+            lo, hi = V(f"_lo{uid}"), V(f"_hi{uid}")
+            pre = [Assign(f"_lo{uid}", f.lo), Assign(f"_hi{uid}", f.hi)]
+        trip = (hi - lo) * (1 if f.step > 0 else -1)
+        least = LinExpr.constant(_FORK_MIN_TRIP)
+        return pre + [
+            If(Cmp("<", trip, least),
+               [For(f.var, lo, hi, f.step, f.body, f.dims, f.pragma)]),
+            If(Cmp(">=", trip, least),
+               [For(f.var, lo, hi, f.step, f.body, f.dims, "parallel")]),
+        ]
 
     def guard_absorb(self, f: For):
         """Guard absorption + bound hoisting: a unit-step loop whose body
@@ -516,7 +542,6 @@ class _CPrinter:
         self.lines: List[str] = []
         self.indent = 1
         self.scopes: List[Set[str]] = [set()]   # declared scalars per block
-        self.atomic_region = False
         self.uses_openmp = False
 
     def emit(self, line: str) -> None:
@@ -636,7 +661,7 @@ class _CPrinter:
         self.emit("}")
 
     def _for(self, s: For) -> None:
-        if s.pragma in ("parallel", "atomic"):
+        if s.pragma == "parallel":
             self.emit("#pragma omp parallel for")
             self.uses_openmp = True
         elif s.pragma == "simd":
@@ -647,10 +672,7 @@ class _CPrinter:
             self.emit(f"for (int64_t {v} = {lo}; {v} < {hi}; {inc}) {{")
         else:
             self.emit(f"for (int64_t {v} = {lo}; {v} > {hi}; {v}--) {{")
-        outer = self.atomic_region
-        self.atomic_region = outer or s.pragma == "atomic"
         self.block(s.body, (v,))
-        self.atomic_region = outer
 
     def _while(self, s: While) -> None:
         self.emit(f"while {self.expr(s.cond)} {{")
@@ -668,14 +690,7 @@ class _CPrinter:
             self.emit(f"int64_t {s.var} = {self.top(s.value)};")
 
     def _store(self, s: Store) -> None:
-        lhs = self.ref(s.array, s.idx)
-        if self.atomic_region:
-            # OpenMP atomic update form: x = x op expr
-            self.emit("#pragma omp atomic")
-            self.emit(f"{lhs} = {lhs} {_rmw_op(s)} "
-                      f"{self.expr(s.value.right)};")
-        else:
-            self.emit(f"{lhs} = {self.top(s.value)};")
+        self.emit(f"{self.ref(s.array, s.idx)} = {self.top(s.value)};")
 
     def _local(self, s: Local) -> None:
         self.emit(f"{_CTYPES[s.dtype]} {s.name}[{s.size}];")
@@ -745,9 +760,9 @@ def lower_kernel(kernel, parallel: str = "none", opt: str = "none",
     from repro.instrument import INSTR
 
     with INSTR.phase("c_lower"):
-        if parallel not in ("none", "strict", "atomic"):
+        if parallel not in ("none", "strict"):
             raise ValueError(
-                f"parallel must be 'none', 'strict' or 'atomic', got {parallel!r}")
+                f"parallel must be 'none' or 'strict', got {parallel!r}")
         if opt not in ("none", "tiled"):
             raise ValueError(f"opt must be 'none' or 'tiled', got {opt!r}")
         if tile_rows is None:

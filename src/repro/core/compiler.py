@@ -337,10 +337,9 @@ def compile_kernel(
     generated Python; ``"c"`` lowers it to C99, compiles with the system
     toolchain, and dispatches through ctypes — falling back to the Python
     kernel (with a :class:`~repro.core.backend.NativeBackendWarning` and
-    an ``INSTR`` counter) when no compiler is available.  ``parallel``
-    adds OpenMP pragmas to order-free loops: ``"strict"`` only
-    synchronization-free DOALL loops, ``"atomic"`` additionally reduction
-    loops with atomic accumulation.  Both are advisory for
+    an ``INSTR`` counter) when no compiler is available.
+    ``parallel="strict"`` adds OpenMP pragmas to the synchronization-free
+    DOALL loops (byte-identical to ``"none"``); it is advisory for
     ``backend="python"``.
 
     ``opt`` selects the native optimization tier: ``"none"`` (the naive
@@ -354,9 +353,9 @@ def compile_kernel(
 
     if backend not in ("python", "c"):
         raise ValueError(f"backend must be 'python' or 'c', got {backend!r}")
-    if parallel not in ("none", "strict", "atomic"):
+    if parallel not in ("none", "strict"):
         raise ValueError(
-            f"parallel must be 'none', 'strict' or 'atomic', got {parallel!r}")
+            f"parallel must be 'none' or 'strict', got {parallel!r}")
     if opt is None:
         from repro.util.env import env_choice
 

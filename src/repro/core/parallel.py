@@ -13,13 +13,15 @@ Two flavours:
   dimension is not;
 - ``atomic`` — reductions relaxed (each read-modify-write assumed atomic):
   what a ``#pragma omp parallel for`` with atomic/reduction clauses could
-  exploit.
+  exploit.  Analysis output only: generated code parallelizes the strict
+  loops and nothing else (atomic accumulation measured 3-10x slower than
+  the sequential loop on CSC/COO ``mvm`` and reassociates the sums).
 
 Every loop of the generated kernel carries the plan dimensions it
 enumerates, so :meth:`ParallelReport.verdict` is the single place a loop's
 OpenMP treatment is decided; :func:`annotate_c_source` shows the result —
 the C translation unit with pragmas on the DOALL loops, exactly what
-``backend="c"`` hands to the compiler.
+``backend="c", parallel="strict"`` hands to the compiler.
 """
 
 from __future__ import annotations
@@ -50,16 +52,11 @@ class ParallelReport:
 
     def verdict(self, dims: Sequence[str], flavour: str) -> str:
         """How a loop enumerating the plan dimensions ``dims`` may run
-        under an OpenMP flavour: ``"par"`` (strict DOALL), ``"par_atomic"``
-        (DOALL given atomic accumulation — ``atomic`` flavour only) or
-        ``"seq"``.  Loops that enumerate no plan dimension (introduced by
-        a transform) are sequential."""
-        if not dims or flavour == "none":
-            return "seq"
-        if all(d in self.strict for d in dims):
+        under ``parallel=flavour``: ``"par"`` (strict DOALL) or ``"seq"``.
+        Loops that enumerate no plan dimension (introduced by a transform)
+        are sequential."""
+        if dims and flavour == "strict" and all(d in self.strict for d in dims):
             return "par"
-        if flavour == "atomic" and all(d in self.atomic for d in dims):
-            return "par_atomic"
         return "seq"
 
     def __repr__(self):
@@ -91,7 +88,8 @@ def parallel_loop_names(plan: Plan, deps: Sequence[DependenceClass],
 
 def annotate_c_source(kernel, flavour: str = "strict") -> str:
     """The C translation unit of a compiled kernel with OpenMP pragmas on
-    the loops :meth:`ParallelReport.verdict` allows under ``flavour``.
+    the loops :meth:`ParallelReport.verdict` allows under ``flavour``
+    (``"strict"`` or ``"none"``).
 
     ``kernel`` is a :class:`~repro.core.compiler.CompiledKernel`.  A kernel
     that has no C lowering (sorted enumerations, user-defined formats) gets
@@ -102,8 +100,7 @@ def annotate_c_source(kernel, flavour: str = "strict") -> str:
         return lower_kernel(kernel, flavour).c_source
     except NativeLoweringError as e:
         report = kernel.parallel_report()
-        free = report.strict if flavour == "strict" else report.atomic
-        doall = sorted(d for d in report.all_dims if d in free)
+        doall = sorted(d for d in report.all_dims if d in report.strict)
         return (f"/* DOALL dimensions ({flavour}): "
                 f"{', '.join(doall) if doall else 'none'} */\n"
                 f"/* no C lowering: {e} */")

@@ -255,26 +255,6 @@ class SparseFormat:
             raise ValueError(f"kind must be 'lower' or 'upper', got {kind!r}")
         return self.annotate_bounds(sys_)
 
-    # -- reference oracles --------------------------------------------------
-    # Per-element loop implementations of the data plane, retained verbatim
-    # when the vectorized paths replaced them (PR 5).  They are the ground
-    # truth of the differential suite (tests/test_vectorized_differential)
-    # and the baseline of benchmarks/bench_convert.py — never call them on
-    # the hot path.
-
-    def _reference_to_coo_arrays(self):
-        """Loop oracle for :meth:`to_coo_arrays` (overridden per format)."""
-        raise NotImplementedError
-
-    def _reference_to_dense(self) -> np.ndarray:
-        """Loop oracle for :meth:`to_dense`: element-wise scatter of the
-        loop-extracted triples."""
-        rows, cols, vals = self._reference_to_coo_arrays()
-        out = np.zeros(self.shape)
-        for r, c, v in zip(rows, cols, vals):
-            out[int(r), int(c)] = float(v)
-        return out
-
     # -- misc -----------------------------------------------------------------
     def __repr__(self):
         return f"<{self.format_name} {self.nrows}x{self.ncols}, nnz={self.nnz}>"

@@ -209,56 +209,6 @@ class BsrMatrix(SparseFormat):
         return cls(indptr, blockind, data, s, shape)
 
     @classmethod
-    def _reference_from_coo(cls, rows, cols, vals, shape,
-                            block_size: int = 2) -> "BsrMatrix":
-        """Loop oracle: per-element dictionary block lookup (the
-        pre-vectorization construction)."""
-        rows, cols, vals = coo_dedup_sort(rows, cols, vals, shape, order="row")
-        s = block_size
-        m, n = shape
-        if m % s or n % s:
-            raise ValueError("matrix dimensions must be multiples of the block size")
-        rb, cb = rows // s, cols // s
-        keys = rb * (n // s) + cb
-        uniq = np.unique(keys)
-        block_of = {int(k): i for i, k in enumerate(uniq)}
-        data = np.zeros((uniq.size, s, s))
-        for r, c, v in zip(rows, cols, vals):
-            kk = block_of[int((r // s) * (n // s) + (c // s))]
-            data[kk, r % s, c % s] = v
-        # the oracle builds at the exchange width; the constructor narrows
-        indptr = np.zeros(m // s + 1, dtype=np.int64)
-        np.add.at(indptr[1:], uniq // (n // s), 1)
-        np.cumsum(indptr, out=indptr)
-        blockind = uniq % (n // s)
-        return cls(indptr, blockind, data, s, shape)
-
-    def _reference_to_coo_arrays(self):
-        s = self.block_size
-        rows, cols, vals = [], [], []
-        for rb in range(self.block_rows):
-            for kk in range(int(self.indptr[rb]), int(self.indptr[rb + 1])):
-                cb = int(self.blockind[kk])
-                for ri in range(s):
-                    for ci in range(s):
-                        rows.append(rb * s + ri)
-                        cols.append(cb * s + ci)
-                        vals.append(float(self.data[kk, ri, ci]))
-        # exchange contract
-        return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
-                np.array(vals))
-
-    def _reference_to_dense(self) -> np.ndarray:
-        """Loop oracle for :meth:`to_dense`: block-at-a-time placement."""
-        out = np.zeros(self.shape)
-        s = self.block_size
-        for rb in range(self.block_rows):
-            for kk in range(int(self.indptr[rb]), int(self.indptr[rb + 1])):
-                cb = int(self.blockind[kk])
-                out[rb * s:(rb + 1) * s, cb * s:(cb + 1) * s] = self.data[kk]
-        return out
-
-    @classmethod
     def from_dense(cls, a: np.ndarray, block_size: int = 2) -> "BsrMatrix":
         a = np.asarray(a)
         rows, cols = np.nonzero(a)

@@ -24,7 +24,6 @@ phase timer brackets every conversion; counters tick per route
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Dict, Optional, Tuple, Type, Union
 
 import numpy as np
@@ -59,23 +58,6 @@ FORMATS: Dict[str, Type[SparseFormat]] = {
     "msr": MsrMatrix,
     "sym": SymMatrix,
 }
-
-#: module switch for the direct conversion routes; the benchmark harness
-#: flips it off to time the status-quo COO interchange with the same code
-_FAST_PATHS_ENABLED = True
-
-
-@contextmanager
-def fast_paths(enabled: bool):
-    """Scoped enable/disable of the direct conversion routes (used by
-    benchmarks to time the generic COO interchange)."""
-    global _FAST_PATHS_ENABLED
-    prev = _FAST_PATHS_ENABLED
-    _FAST_PATHS_ENABLED = bool(enabled)
-    try:
-        yield
-    finally:
-        _FAST_PATHS_ENABLED = prev
 
 
 def _csr_canonical_triples(A: CsrMatrix) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -178,9 +160,7 @@ def convert(matrix: SparseFormat, target: Union[str, Type[SparseFormat]], **kwar
         return matrix
     with INSTR.phase("format.convert"):
         INSTR.count(f"format.convert.{matrix.format_name}->{cls.format_name}")
-        out = None
-        if _FAST_PATHS_ENABLED:
-            out = _try_fast_path(matrix, cls, kwargs)
+        out = _try_fast_path(matrix, cls, kwargs)
         if out is None:
             INSTR.count("format.convert.via_coo")
             rows, cols, vals = matrix.to_coo_arrays()

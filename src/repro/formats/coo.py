@@ -97,26 +97,6 @@ class CooMatrix(SparseFormat):
         idx = storage_index_dtype(shape, vals.size)
         return cls(rows.astype(idx), cols.astype(idx), vals.copy(), shape)
 
-    @classmethod
-    def _reference_from_coo(cls, rows, cols, vals, shape) -> "CooMatrix":
-        """Loop oracle: element-by-element append of the canonical triples."""
-        rows, cols, vals = coo_dedup_sort(rows, cols, vals, shape, order="row")
-        r_out, c_out, v_out = [], [], []
-        for r, c, v in zip(rows, cols, vals):
-            r_out.append(int(r))
-            c_out.append(int(c))
-            v_out.append(float(v))
-        # oracle lists at the exchange width; the constructor narrows
-        return cls(np.array(r_out, dtype=np.int64), np.array(c_out, dtype=np.int64),
-                   np.array(v_out, dtype=np.float64), shape)
-
-    def _reference_to_coo_arrays(self):
-        # exchange contract
-        rows = np.array([int(r) for r in self.rows], dtype=np.int64)
-        cols = np.array([int(c) for c in self.cols], dtype=np.int64)
-        vals = np.array([float(v) for v in self.vals], dtype=np.float64)
-        return rows, cols, vals
-
     # -- low-level API -------------------------------------------------------
     def view(self) -> Term:
         return Joint(

@@ -135,24 +135,6 @@ class CscMatrix(SparseFormat):
             return super().from_scipy(sp)
         return cls(*arrays, sp.shape)
 
-    @classmethod
-    def _reference_from_coo(cls, rows, cols, vals, shape) -> "CscMatrix":
-        """Loop oracle: per-element column counting."""
-        rows, cols, vals = coo_dedup_sort(rows, cols, vals, shape, order="col")
-        m, n = shape
-        colptr = np.zeros(n + 1, dtype=np.int64)  # oracle counts at exchange width
-        for c in cols:
-            colptr[int(c) + 1] += 1
-        np.cumsum(colptr, out=colptr)
-        return cls(colptr, rows, vals, shape)
-
-    def _reference_to_coo_arrays(self):
-        cols = np.empty(self.nnz, dtype=np.int64)  # exchange contract
-        for c in range(self.ncols):
-            for jj in range(int(self.colptr[c]), int(self.colptr[c + 1])):
-                cols[jj] = c
-        return self.rowind.astype(np.int64), cols, self.values.copy()
-
     # -- low-level API -------------------------------------------------------
     def view(self) -> Term:
         return Nest(

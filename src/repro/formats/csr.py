@@ -139,25 +139,6 @@ class CsrMatrix(SparseFormat):
             return super().from_scipy(sp)
         return cls(*arrays, sp.shape)
 
-    @classmethod
-    def _reference_from_coo(cls, rows, cols, vals, shape) -> "CsrMatrix":
-        """Loop oracle: per-element row counting (the pre-vectorization
-        construction, kept for differential testing)."""
-        rows, cols, vals = coo_dedup_sort(rows, cols, vals, shape, order="row")
-        m, n = shape
-        rowptr = np.zeros(m + 1, dtype=np.int64)  # oracle counts at exchange width
-        for r in rows:
-            rowptr[int(r) + 1] += 1
-        np.cumsum(rowptr, out=rowptr)
-        return cls(rowptr, cols, vals, shape)
-
-    def _reference_to_coo_arrays(self):
-        rows = np.empty(self.nnz, dtype=np.int64)  # exchange contract
-        for r in range(self.nrows):
-            for jj in range(int(self.rowptr[r]), int(self.rowptr[r + 1])):
-                rows[jj] = r
-        return rows, self.colind.astype(np.int64), self.values.copy()
-
     # -- low-level API -------------------------------------------------------
     def view(self) -> Term:
         return Nest(

@@ -99,29 +99,6 @@ class DenseMatrix(SparseFormat):
         return cls(out)
 
     @classmethod
-    def _reference_from_coo(cls, rows, cols, vals, shape) -> "DenseMatrix":
-        """Loop oracle: element-wise scatter into the dense array."""
-        from repro.formats.base import coo_dedup_sort
-
-        rows, cols, vals = coo_dedup_sort(rows, cols, vals, shape, order="row")
-        out = np.zeros(shape)
-        for r, c, v in zip(rows, cols, vals):
-            out[int(r), int(c)] = float(v)
-        return cls(out)
-
-    def _reference_to_coo_arrays(self):
-        rows, cols, vals = [], [], []
-        for r in range(self.nrows):
-            for c in range(self.ncols):
-                if self.data[r, c] != 0.0:
-                    rows.append(r)
-                    cols.append(c)
-                    vals.append(float(self.data[r, c]))
-        # exchange contract
-        return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
-                np.array(vals, dtype=np.float64))
-
-    @classmethod
     def from_dense(cls, a: np.ndarray) -> "DenseMatrix":
         return cls(np.array(a, dtype=np.float64))
 

@@ -165,30 +165,6 @@ class DiaMatrix(SparseFormat):
         data[k, cols] = vals
         return cls(diags, data, shape)
 
-    @classmethod
-    def _reference_from_coo(cls, rows, cols, vals, shape) -> "DiaMatrix":
-        """Loop oracle: per-element diagonal lookup and placement."""
-        rows, cols, vals = coo_dedup_sort(rows, cols, vals, shape, order="row")
-        diag_set = sorted({int(r) - int(c) for r, c in zip(rows, cols)})
-        diags = np.array(diag_set, dtype=np.int64)  # oracle: the constructor narrows
-        index_of = {d: k for k, d in enumerate(diag_set)}
-        data = np.zeros((diags.size, shape[1]))
-        for r, c, v in zip(rows, cols, vals):
-            data[index_of[int(r) - int(c)], int(c)] = float(v)
-        return cls(diags, data, shape)
-
-    def _reference_to_coo_arrays(self):
-        rows, cols, vals = [], [], []
-        for k, d in enumerate(self.diags):
-            lo, hi = self.offset_range(int(d))
-            for o in range(lo, hi):
-                rows.append(o + int(d))
-                cols.append(o)
-                vals.append(float(self.data[k, o]))
-        # exchange contract
-        return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
-                np.array(vals, dtype=np.float64))
-
     # -- low-level API -------------------------------------------------------
     def view(self) -> Term:
         d = LinExpr.variable("d")

@@ -135,37 +135,6 @@ class EllMatrix(SparseFormat):
         data[rows, slot] = vals
         return cls(colind, data, counts, shape)
 
-    @classmethod
-    def _reference_from_coo(cls, rows, cols, vals, shape) -> "EllMatrix":
-        """Loop oracle: per-element slot packing (the pre-vectorization
-        construction)."""
-        rows, cols, vals = coo_dedup_sort(rows, cols, vals, shape, order="row")
-        m, n = shape
-        # the oracle builds at the exchange width; the constructor narrows
-        counts = np.zeros(m, dtype=np.int64)
-        np.add.at(counts, rows, 1)
-        K = int(counts.max(initial=0))
-        colind = np.zeros((m, max(K, 1)), dtype=np.int64)
-        data = np.zeros((m, max(K, 1)))
-        slot = np.zeros(m, dtype=np.int64)
-        for r, c, v in zip(rows, cols, vals):
-            colind[r, slot[r]] = c
-            data[r, slot[r]] = v
-            slot[r] += 1
-        return cls(colind, data, counts, shape)
-
-    def _reference_to_coo_arrays(self):
-        rows, cols, vals = [], [], []
-        for r in range(self.nrows):
-            ln = int(self.rowlen[r])
-            rows.append(np.full(ln, r, dtype=np.int64))  # exchange contract
-            cols.append(self.colind[r, :ln].astype(np.int64))
-            vals.append(self.data[r, :ln])
-        if not rows:
-            z = np.zeros(0, dtype=np.int64)  # exchange contract
-            return z, z.copy(), np.zeros(0)
-        return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-
     # -- low-level API -------------------------------------------------------
     def view(self) -> Term:
         return Nest(

@@ -253,43 +253,6 @@ class JadMatrix(SparseFormat):
         values[dest] = vals
         return cls(iperm, dptr, colind, values, shape)
 
-    @classmethod
-    def _reference_from_coo(cls, rows, cols, vals, shape) -> "JadMatrix":
-        """Loop oracle: the paper's Figure 14 construction, one appended
-        element at a time (the pre-vectorization implementation)."""
-        rows, cols, vals = coo_dedup_sort(rows, cols, vals, shape, order="row")
-        m, n = shape
-        # the oracle builds at the exchange width; the constructor narrows
-        counts = np.zeros(m, dtype=np.int64)
-        np.add.at(counts, rows, 1)
-        iperm = np.argsort(-counts, kind="stable")
-        rowptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(counts, out=rowptr[1:])
-        nd = int(counts.max(initial=0))
-        dptr = [0]
-        colind: List[int] = []
-        values: List[float] = []
-        for d in range(nd):
-            for rr in range(m):
-                r = int(iperm[rr])
-                if counts[r] <= d:
-                    break  # rows sorted by count: nothing longer follows
-                pos = int(rowptr[r]) + d
-                colind.append(int(cols[pos]))
-                values.append(float(vals[pos]))
-            dptr.append(len(colind))
-        return cls(iperm, np.array(dptr, dtype=np.int64),
-                   np.array(colind, dtype=np.int64), np.array(values), shape)
-
-    def _reference_to_coo_arrays(self):
-        rows = np.empty(self.nnz, dtype=np.int64)  # exchange contract
-        d = 0
-        for jj in range(self.nnz):
-            while jj >= self.dptr[d + 1]:
-                d += 1
-            rows[jj] = self.iperm[jj - int(self.dptr[d])]
-        return rows, self.colind.astype(np.int64), self.values.copy()
-
     # -- low-level API -------------------------------------------------------
     def view(self) -> Term:
         flat = Joint([Axis("rr", UNORDERED, NOSEARCH), Axis("c", UNORDERED, NOSEARCH)],

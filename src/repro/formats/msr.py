@@ -176,42 +176,6 @@ class MsrMatrix(SparseFormat):
         rows_o, cols_o, vals_o = rows[~on_diag], cols[~on_diag], vals[~on_diag]
         return cls(dvals, *compress(rows_o, cols_o, m, shape), vals_o, shape)
 
-    @classmethod
-    def _reference_from_coo(cls, rows, cols, vals, shape) -> "MsrMatrix":
-        """Loop oracle: per-element diagonal/off-diagonal routing."""
-        rows, cols, vals = coo_dedup_sort(rows, cols, vals, shape, order="row")
-        m, n = shape
-        dvals = np.zeros(min(m, n))
-        rows_o, cols_o, vals_o = [], [], []
-        rowptr = np.zeros(m + 1, dtype=np.int64)  # oracle counts at exchange width
-        for r, c, v in zip(rows, cols, vals):
-            if int(r) == int(c):
-                dvals[int(r)] = float(v)
-            else:
-                rows_o.append(int(r))
-                cols_o.append(int(c))
-                vals_o.append(float(v))
-                rowptr[int(r) + 1] += 1
-        np.cumsum(rowptr, out=rowptr)
-        # oracle lists at the exchange width; the constructor narrows
-        return cls(dvals, rowptr, np.array(cols_o, dtype=np.int64),
-                   np.array(vals_o, dtype=np.float64), shape)
-
-    def _reference_to_coo_arrays(self):
-        rows, cols, vals = [], [], []
-        for i in range(self.ndiag):
-            rows.append(i)
-            cols.append(i)
-            vals.append(float(self.dvals[i]))
-        for r in range(self.nrows):
-            for jj in range(int(self.rowptr[r]), int(self.rowptr[r + 1])):
-                rows.append(r)
-                cols.append(int(self.colind[jj]))
-                vals.append(float(self.values[jj]))
-        # exchange contract
-        return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
-                np.array(vals, dtype=np.float64))
-
     # -- low-level API -------------------------------------------------------
     def view(self) -> Term:
         i = LinExpr.variable("i")

@@ -219,43 +219,6 @@ class SymMatrix(SparseFormat):
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
         return cls(*compress(rows, cols, m, shape), vals, shape)
 
-    @classmethod
-    def _reference_from_coo(cls, rows, cols, vals, shape) -> "SymMatrix":
-        """Loop oracle: dictionary symmetry check then per-element row
-        counting (the pre-vectorization construction)."""
-        rows, cols, vals = coo_dedup_sort(rows, cols, vals, shape, order="row")
-        dense_check = {}
-        for r, c, v in zip(rows, cols, vals):
-            dense_check[(int(r), int(c))] = float(v)
-        for (r, c), v in dense_check.items():
-            if abs(dense_check.get((c, r), 0.0) - v) > 1e-12:
-                raise ValueError(f"matrix is not symmetric at ({r},{c})")
-        keep = rows >= cols
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        m = shape[0]
-        rowptr = np.zeros(m + 1, dtype=np.int64)  # oracle counts at exchange width
-        for r in rows:
-            rowptr[int(r) + 1] += 1
-        np.cumsum(rowptr, out=rowptr)
-        return cls(rowptr, cols, vals, shape)
-
-    def _reference_to_coo_arrays(self):
-        rows, cols, vals = [], [], []
-        for r in range(self.nrows):
-            for jj in range(int(self.rowptr[r]), int(self.rowptr[r + 1])):
-                rows.append(r)
-                cols.append(int(self.colind[jj]))
-                vals.append(float(self.values[jj]))
-        n_stored = len(rows)
-        for i in range(n_stored):
-            if rows[i] != cols[i]:
-                rows.append(cols[i])
-                cols.append(rows[i])
-                vals.append(vals[i])
-        # exchange contract
-        return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
-                np.array(vals, dtype=np.float64))
-
     # -- low-level API -------------------------------------------------------
     def view(self) -> Term:
         stored = Nest(interval_axis("r"),

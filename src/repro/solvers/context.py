@@ -151,33 +151,6 @@ def _triangular_split(A: SparseFormat) -> Tuple[CsrMatrix, CsrMatrix]:
     return L, U
 
 
-def _reference_triangular_split(A: SparseFormat) -> Tuple[CsrMatrix, CsrMatrix]:
-    """Loop oracle for :func:`_triangular_split` (differential testing and
-    the conversion benchmark's baseline): element-wise partitioning through
-    the retained ``_reference_*`` data plane."""
-    rows, cols, vals = A.to_coo_arrays()
-    r_low, c_low, v_low = [], [], []
-    r_up, c_up, v_up = [], [], []
-    for r, c, v in zip(rows, cols, vals):
-        if r >= c:
-            r_low.append(int(r))
-            c_low.append(int(c))
-            v_low.append(float(v))
-        if r <= c:
-            r_up.append(int(r))
-            c_up.append(int(c))
-            v_up.append(float(v))
-    L = CsrMatrix._reference_from_coo(
-        np.array(r_low, dtype=np.int64), np.array(c_low, dtype=np.int64),
-        np.array(v_low, dtype=np.float64), A.shape)
-    L.annotate_triangular("lower")
-    U = CsrMatrix._reference_from_coo(
-        np.array(r_up, dtype=np.int64), np.array(c_up, dtype=np.int64),
-        np.array(v_up, dtype=np.float64), A.shape)
-    U.annotate_triangular("upper")
-    return L, U
-
-
 class SolverContext:
     """Per-matrix solver state: bound kernels plus reusable workspaces.
 

@@ -112,3 +112,18 @@ class TestCallSites:
         with pytest.warns(EnvVarWarning, match="REPRO_OPT"):
             k = compile_kernel(ALL_KERNELS["mvm"](), {"A": A})
         assert k.opt == "none"
+
+    @pytest.mark.parametrize("kwarg, value", [
+        ("parallel", "atomic"), ("parallel", "speculative"),
+        ("opt", "fast"), ("opt", "warp9")])
+    def test_retired_mode_raises_like_any_typo(self, small_square, kwarg,
+                                               value):
+        """Where the environment warns and defaults, an explicit argument
+        raises — and ``parallel="atomic"`` / ``opt="fast"``, modes once,
+        get the same ``ValueError`` as a value that never existed."""
+        A = as_format(small_square, "csr")
+        with pytest.raises(ValueError) as e:
+            compile_kernel(ALL_KERNELS["mvm"](), {"A": A}, backend="c",
+                           **{kwarg: value})
+        assert str(e.value).startswith(f"{kwarg} must be 'none' or ")
+        assert str(e.value).endswith(f"got {value!r}")

@@ -124,17 +124,66 @@ class TestOpenMP:
             assert kc.backend_used == "c+openmp"
             assert "#pragma omp parallel for" in kc.c_source
 
-    def test_atomic_parity(self, square, rng):
-        A = _fmt(square, "csc")
-        kp, kc = _compile_pair("mvm", "A", A, parallel="atomic")
+    @pytest.mark.parametrize("kernel_name, fmt_name",
+                             [("mvm", "csc"), ("mvm_t", "csr"),
+                              ("mvm", "dia")])
+    def test_strict_parity_nested_loop(self, kernel_name, fmt_name, square,
+                                       rng):
+        """The order-free loop sits inside a sequential one (two-versioned
+        on its trip count): still byte-identical to ``parallel="none"``
+        and to the Python kernel."""
+        A = _fmt(square, fmt_name)
+        kp, kc = _compile_pair(kernel_name, "A", A, parallel="strict")
+        _, kn = _compile_pair(kernel_name, "A", A, parallel="none")
         x = rng.random(N)
-        yp, yc = np.zeros(N), np.zeros(N)
-        kp({"A": A, "x": x, "y": yp}, {"m": N, "n": N})
-        kc({"A": A, "x": x, "y": yc}, {"m": N, "n": N})
-        # atomic accumulation may reassociate the reduction
-        assert np.allclose(yp, yc, rtol=1e-12, atol=1e-14)
+        ys = [np.zeros(N) for _ in range(3)]
+        for k, y in zip((kp, kc, kn), ys):
+            k({"A": A, "x": x, "y": y}, {"m": N, "n": N})
+        assert ys[0].tobytes() == ys[1].tobytes() == ys[2].tobytes()
         if be.openmp_supported(be.find_compiler()):
-            assert "#pragma omp atomic" in kc.c_source
+            assert kc.backend_used == "c+openmp"
+
+    @pytest.mark.slow
+    def test_strict_does_not_fork_per_column(self):
+        """``mvm``/CSC on a 40k-row Laplacian: one team per 5-entry column
+        made ``strict`` 200x slower than ``none``; it must stay within 3x.
+        Own process, passive waiters: spinning OpenMP workers on a shared
+        machine cost a scheduler quantum per region wherever the pragma
+        sits, which is not what is being measured."""
+        import subprocess
+        import sys
+
+        if not be.openmp_supported(be.find_compiler()):
+            pytest.skip("toolchain has no OpenMP")
+        script = (
+            "import time, numpy as np\n"
+            "from repro.core import compile_kernel\n"
+            "from repro.formats import as_format\n"
+            "from repro.formats.generate import laplacian_2d\n"
+            "from repro.ir.kernels import mvm\n"
+            "A = as_format(laplacian_2d(200), 'csc')\n"
+            "n = A.nrows\n"
+            "x, best, out = np.ones(n), {}, {}\n"
+            "ks = {p: compile_kernel(mvm(), {'A': A}, backend='c', "
+            "parallel=p) for p in ('none', 'strict')}\n"
+            "assert ks['strict'].backend_used == 'c+openmp'\n"
+            "for rep in range(8):\n"
+            "    for p, k in ks.items():\n"
+            "        out[p] = np.zeros(n)\n"
+            "        t = time.perf_counter()\n"
+            "        k({'A': A, 'x': x, 'y': out[p]}, {'m': n, 'n': n})\n"
+            "        t = time.perf_counter() - t\n"
+            "        best[p] = min(best.get(p, t), t)\n"
+            "assert out['none'].tobytes() == out['strict'].tobytes()\n"
+            "print(best['none'], best['strict'])\n"
+        )
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
+                   OMP_NUM_THREADS="2", OMP_WAIT_POLICY="passive")
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              check=True, capture_output=True, text=True)
+        t_none, t_strict = map(float, proc.stdout.split())
+        assert t_strict <= 3 * t_none, (t_none, t_strict)
 
     def test_sequential_kernel_has_no_pragmas(self, lower):
         L = _fmt(lower, "csr")

@@ -5,6 +5,7 @@ import pytest
 
 from repro.analysis import dependences
 from repro.codegen.loopir import For, walk
+from repro.codegen.native import _FORK_MIN_TRIP, lower_kernel
 from repro.core import compile_kernel
 from repro.core.parallel import (
     analyze_parallelism,
@@ -110,6 +111,23 @@ class TestOmpRendering:
         assert "PyOnly" in c and "#pragma" not in c
 
 
+def _nested_forks(source: str):
+    """For every ``parallel for`` that sits inside another ``for``: the
+    header of the block directly enclosing it (an unconditional nested
+    fork shows up as that ``for`` header itself)."""
+    stack, out = [], []
+    for line in source.splitlines():
+        text = line.strip()
+        if text == "#pragma omp parallel for":
+            if any(h.startswith("for (") for h in stack):
+                out.append(stack[-1])
+        elif text.endswith("{"):
+            stack.append(text)
+        elif text == "}":
+            stack.pop()
+    return out
+
+
 def _pragma_above(source: str, marker: str) -> bool:
     """Is there an OpenMP pragma on the line directly above the first
     ``for`` header containing ``marker``?"""
@@ -131,9 +149,10 @@ class TestPragmaPlacement:
         cols = next(f for f in _loops(k) if f.var.startswith("M0_jj"))
         assert rep.verdict(rows.dims, "strict") == "par"
         assert rep.verdict(cols.dims, "strict") == "seq"
-        assert rep.verdict(cols.dims, "atomic") == "par_atomic"
+        # order-free given atomic accumulation: reported, never scheduled
+        assert all(rep.classify(d) == "doall-atomic" for d in cols.dims)
         # a loop a transform introduced enumerates no plan dimension
-        assert rep.verdict((), "atomic") == "seq"
+        assert rep.verdict((), "strict") == "seq"
         assert rep.verdict(rows.dims, "none") == "seq"
 
     def test_report_is_computed_once(self, mvm_csr):
@@ -152,24 +171,45 @@ class TestPragmaPlacement:
         # the column walk accumulates into y[r]: a reduction, not strict
         assert not _pragma_above(c, "M0_jj")
 
-    def test_mvm_atomic_only_the_outermost_free_loop_runs_parallel(
-            self, mvm_csr):
-        k, _ = mvm_csr
-        c = annotate_c_source(k, flavour="atomic")
-        # the column walk is order-free given atomics, but it sits inside
-        # the already-parallel row loop
-        assert _pragma_above(c, "M0_r")
-        assert not _pragma_above(c, "M0_jj")
-
-    def test_csc_atomic_column_loop_annotated(self, mvm_csc):
+    def test_csc_strict_segment_loop_forks_only_when_long(self, mvm_csc):
         k, _ = mvm_csc
-        # columns scatter into y: sequential strictly, parallel with
-        # atomic accumulations
-        assert "#pragma omp parallel for" not in \
-            annotate_c_source(k, flavour="strict").split("arr_y[")[-1]
-        c = annotate_c_source(k, flavour="atomic")
-        assert _pragma_above(c, "M0_c")
-        assert "#pragma omp atomic" in c
+        c = annotate_c_source(k, flavour="strict")
+        # columns scatter into y: the column loop is sequential; a
+        # column's rows are distinct, so its segment loop is order-free —
+        # but a thread team per ~5-entry column costs 200x the loop
+        assert not _pragma_above(c, "M0_c")
+        assert _nested_forks(c) == [f"if ((_hi1 - _lo1) >= {_FORK_MIN_TRIP}) {{"]
+        # the short path is the same loop without the pragma
+        serial, forked = [ln for ln in c.splitlines() if "M0_jj" in ln
+                          and ln.lstrip().startswith("for (")]
+        assert serial == forked
+        assert f"if ((_hi1 - _lo1) < {_FORK_MIN_TRIP}) {{" in c
+
+    def test_outermost_parallel_loops_fork_unconditionally(self, mvm_csr):
+        k, _ = mvm_csr
+        c = annotate_c_source(k, flavour="strict")
+        assert "#pragma omp parallel for" in c and _nested_forks(c) == []
+        assert str(_FORK_MIN_TRIP) not in c
+
+    @pytest.mark.parametrize("opt", ["none", "tiled"])
+    def test_dia_offset_loop_keeps_its_parallel_version(self, opt):
+        from repro.formats.generate import banded
+
+        A = as_format(banded(12, bandwidth=2, seed=1), "dia")
+        k = compile_cached("mvm", "dia", A, "A")
+        c = lower_kernel(k, "strict", opt).c_source
+        # few diagonals, each as long as the matrix: worth a fork per
+        # diagonal, which the trip-count test lets through
+        assert len(_nested_forks(c)) == 1
+        assert _pragma_above(c.split(">= %d" % _FORK_MIN_TRIP)[1], "M0_o")
+
+    @pytest.mark.parametrize("entry", [lower_kernel, annotate_c_source])
+    def test_atomic_flavour_is_gone(self, mvm_csc, entry):
+        # compile_kernel's own rejection: tests/test_env.py
+        k, _ = mvm_csc
+        with pytest.raises(ValueError, match="must be 'none' or 'strict'"):
+            entry(k, "atomic")
+        assert "atomic" not in annotate_c_source(k, flavour="strict")
 
     def test_mvm_loop_names_by_flavour(self, mvm_csr):
         k, _ = mvm_csr
@@ -189,6 +229,6 @@ class TestPragmaPlacement:
 
     def test_ts_row_loop_never_annotated(self, ts_csr):
         k, _ = ts_csr
-        for flavour in ("strict", "atomic"):
-            c = annotate_c_source(k, flavour=flavour)
+        for opt in ("none", "tiled"):
+            c = lower_kernel(k, "strict", opt).c_source
             assert not _pragma_above(c, "M0_r")

@@ -57,5 +57,5 @@ class TestGeneratedSourceCosmetics:
 
     def test_omp_annotation_balanced(self, lower8):
         k = compile_cached("ts_lower", "csr", as_format(lower8, "csr"), "L")
-        c = annotate_c_source(k, flavour="atomic")
+        c = annotate_c_source(k, flavour="strict")
         assert c.count("{") == c.count("}")

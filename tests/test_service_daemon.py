@@ -156,6 +156,7 @@ class TestCompileOps:
             h1 = svc.compile(MVM, {"A": A})
             assert h1.ok and not h1.cached
             assert h1.program == "mvm"
+            before = svc.stats()["counters"]
             h2 = svc.compile(MVM, {"A": A})
             assert h2.cached and h2.handle == h1.handle
             # the repeat was served off the handle map and the payload
@@ -164,6 +165,9 @@ class TestCompileOps:
             assert st["handles"] >= 1
             assert st["counters"].get("daemon.handle.hits", 0) >= 1
             assert st["counters"].get("daemon.payload.hits", 0) >= 1
+            # ... so neither the pipeline nor the toolchain ran again
+            for key in ("service.items", "native.compiles"):
+                assert st["counters"].get(key, 0) == before.get(key, 0), key
 
     def test_describe_returns_metadata_and_sources(self, server, A):
         srv = server()

@@ -260,6 +260,16 @@ def test_spgemm_heavy_tailed_rows():
     _assert_same_on_every_tier(A, A, dense_ref.spgemm(d, d))
 
 
+def test_spgemm_laplacian_squared_n2500():
+    """The computed-output product at a size past the Hypothesis walls:
+    the 5-point Laplacian squared (short banded rows, 30k products)."""
+    from repro.formats.generate import laplacian_2d
+
+    d = laplacian_2d(50).to_dense()
+    A = CsrMatrix.from_dense(d)
+    _assert_same_on_every_tier(A, A, dense_ref.spgemm(d, d))
+
+
 def test_spgemm_default_skips_the_product_expansion(monkeypatch):
     """With a toolchain the default CSR result is the kernel's own arrays:
     no ``np.unique`` / ``np.repeat`` over products or rows on the way."""

@@ -2,8 +2,9 @@
 
 Every vectorized path — ``from_coo`` packing, ``to_coo_arrays``
 extraction, ``to_dense``, the direct conversion routes, the SolverContext
-triangular split — must be **byte-identical** to the retained
-``_reference_*`` loop oracles: same array contents, same dtypes, on raw
+triangular split — must be **byte-identical** to the per-element loop
+oracles in ``tests/oracles/data_plane.py``: same array contents, same
+dtypes, on raw
 triples that include duplicates, out-of-order entries, empty rows and
 columns, and empty matrices.
 
@@ -21,13 +22,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.formats import FORMATS, as_format, convert
-from repro.formats.convert import fast_paths
 from repro.formats.csr import CsrMatrix
 from repro.instrument import INSTR
-from repro.solvers.context import (
-    SolverContext,
-    _reference_triangular_split,
-    _triangular_split,
+from repro.solvers.context import SolverContext, _triangular_split
+from tests.oracles.data_plane import (
+    reference_from_coo,
+    reference_to_coo_arrays,
+    reference_to_dense,
+    reference_triangular_split,
 )
 
 ALL_FORMATS = list(FORMATS)
@@ -100,7 +102,7 @@ def test_from_coo_matches_reference(fmt_name, data):
     rows, cols, vals = data.draw(raw_triples(*shape))
     cls, kw = FORMATS[fmt_name], _fmt_kwargs(fmt_name)
     vec = cls.from_coo(rows, cols, vals, shape, **kw)
-    ref = cls._reference_from_coo(rows, cols, vals, shape, **kw)
+    ref = reference_from_coo(cls, rows, cols, vals, shape, **kw)
     assert_same_instance(vec, ref)
 
 
@@ -110,7 +112,7 @@ def test_from_coo_matches_reference_sym(data):
     rows, cols, vals = data.draw(raw_triples(M, M, symmetric=True))
     cls = FORMATS["sym"]
     vec = cls.from_coo(rows, cols, vals, (M, M))
-    ref = cls._reference_from_coo(rows, cols, vals, (M, M))
+    ref = reference_from_coo(cls, rows, cols, vals, (M, M))
     assert_same_instance(vec, ref)
 
 
@@ -125,8 +127,8 @@ def test_extraction_matches_reference(fmt_name, data):
                                              symmetric=fmt_name == "sym"))
     inst = FORMATS[fmt_name].from_coo(rows, cols, vals, shape,
                                       **_fmt_kwargs(fmt_name))
-    assert_same_triples(inst.to_coo_arrays(), inst._reference_to_coo_arrays())
-    assert np.array_equal(inst.to_dense(), inst._reference_to_dense())
+    assert_same_triples(inst.to_coo_arrays(), reference_to_coo_arrays(inst))
+    assert np.array_equal(inst.to_dense(), reference_to_dense(inst))
 
 
 @pytest.mark.parametrize("fmt_name", [f for f in ALL_FORMATS if f != "csr"])
@@ -141,8 +143,7 @@ def test_convert_fast_path_matches_generic(fmt_name, data):
     csr = CsrMatrix.from_coo(rows, cols, vals, shape)
     kw = _fmt_kwargs(fmt_name)
     fast = convert(csr, fmt_name, **kw)
-    with fast_paths(False):
-        generic = convert(csr, fmt_name, **kw)
+    generic = FORMATS[fmt_name].from_coo(*csr.to_coo_arrays(), csr.shape, **kw)
     assert_same_instance(fast, generic)
 
 
@@ -152,8 +153,7 @@ def test_csc_to_csr_fast_path_matches_generic(data):
     rows, cols, vals = data.draw(raw_triples(M, N))
     csc = FORMATS["csc"].from_coo(rows, cols, vals, (M, N))
     fast = convert(csc, "csr")
-    with fast_paths(False):
-        generic = convert(csc, "csr")
+    generic = CsrMatrix.from_coo(*csc.to_coo_arrays(), csc.shape)
     assert_same_instance(fast, generic)
 
 
@@ -163,7 +163,7 @@ def test_triangular_split_matches_reference(data):
     rows, cols, vals = data.draw(raw_triples(M, M))
     csr = CsrMatrix.from_coo(rows, cols, vals, (M, M))
     L_vec, U_vec = _triangular_split(csr)
-    L_ref, U_ref = _reference_triangular_split(csr)
+    L_ref, U_ref = reference_triangular_split(csr)
     for vec, ref in ((L_vec, L_ref), (U_vec, U_ref)):
         bounds = (vec._bounds, ref._bounds)
         vec._bounds = ref._bounds = None
@@ -268,16 +268,33 @@ def test_convert_preserves_bounds_on_fast_path():
     assert out.bounds() is not None
 
 
+def _assert_goes_via_coo(bad, dense, targets):
+    """Both fast routes — the direct transpose and ``_from_canonical_coo``
+    — must decline a source that violates sorted-unique: the conversion
+    counts as via-COO, not as a fast path, and is still right."""
+    for target in targets:
+        via_coo = INSTR.get("format.convert.via_coo")
+        fastpath = INSTR.get("format.convert.fastpath")
+        out = convert(bad, target)
+        assert INSTR.get("format.convert.via_coo") == via_coo + 1, target
+        assert INSTR.get("format.convert.fastpath") == fastpath, target
+        assert np.array_equal(out.to_dense(), dense), target
+
+
 def test_non_canonical_csr_falls_back_to_generic():
-    """Hand-built CSR with unsorted columns inside a row must take the
-    via-COO route and still convert correctly."""
+    """Hand-built CSR with unsorted columns inside a row."""
     bad = CsrMatrix(np.array([0, 2], dtype=np.int64),
                     np.array([2, 0], dtype=np.int64),
                     np.array([5.0, 7.0]), (1, 3))
-    before = INSTR.get("format.convert.via_coo")
-    out = convert(bad, "csc")
-    assert INSTR.get("format.convert.via_coo") == before + 1
-    assert np.array_equal(out.to_dense(), [[7.0, 0.0, 5.0]])
+    _assert_goes_via_coo(bad, [[7.0, 0.0, 5.0]], ("csc", "ell"))
+
+
+def test_non_canonical_csc_falls_back_to_generic():
+    """Hand-built CSC with unsorted rows inside a column."""
+    bad = FORMATS["csc"](np.array([0, 2], dtype=np.int64),
+                         np.array([2, 0], dtype=np.int64),
+                         np.array([5.0, 7.0]), (3, 1))
+    _assert_goes_via_coo(bad, [[7.0], [0.0], [5.0]], ("csr", "ell"))
 
 
 def test_convert_instrumentation_counts_routes():
