@@ -52,6 +52,11 @@ with ``#pragma omp simd`` and qualifies pointer arguments ``restrict``
 (array arguments must not alias — the BLAS/solver layers never pass
 aliased operands).  Descending loops are left untouched.
 
+A translation unit may hold more than ``kernel``: ``lower_kernel(...,
+entry_points=)`` prints further loop IRs as additional functions of it (the
+solvers' vector steps ride in their context's ``mvm`` unit this way), one
+toolchain invocation for all of them.
+
 A node either has a C printer (:data:`C_PRINTERS`) or it is ``PyOnly``
 (gather-and-sort enumerations, the generic dynamic-runtime emitter); the
 latter, and an array of a dtype C has no name for, raise
@@ -61,7 +66,7 @@ latter, and an array of a dtype C has no name for, raise
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.codegen.loopir import (
     And,
@@ -113,10 +118,12 @@ class NativeSpec:
     :class:`~repro.codegen.loopir.ArrayArg`), whether any OpenMP pragma
     was emitted, and which optimization tier produced it (``transforms``
     lists the loop transforms that actually fired, e.g.
-    ``["strip_mine", "guard_absorb"]``)."""
+    ``["strip_mine", "guard_absorb"]``).  ``entries`` maps the name of
+    every additional function of the same translation unit to its own
+    spec (same ``c_source``, its own ``args``)."""
 
     __slots__ = ("c_source", "args", "uses_openmp", "flavour", "opt",
-                 "transforms")
+                 "transforms", "entries")
 
     def __init__(self, c_source: str, args: List, uses_openmp: bool,
                  flavour: str, opt: str = "none",
@@ -127,6 +134,7 @@ class NativeSpec:
         self.flavour = flavour
         self.opt = opt
         self.transforms = list(transforms or [])
+        self.entries: Dict[str, "NativeSpec"] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -700,8 +708,8 @@ class _CPrinter:
 
     # -- assembly ---------------------------------------------------------
 
-    def signature(self, args: Sequence) -> str:
-        qual = " restrict" if self.opt != "none" else ""
+    def signature(self, args: Sequence, restrict: bool) -> str:
+        qual = " restrict" if restrict else ""
         parts: List[str] = []
         for a in args:
             parts.extend(self.ARG[type(a)](self, a, qual))
@@ -717,15 +725,28 @@ class _CPrinter:
     ARG = {ScalarArg: lambda self, a, qual: [f"int64_t {a.name}"],
            ArrayArg: _array_arg}
 
-    def translation_unit(self, args: Sequence, body: Sequence) -> str:
-        sig = self.signature(args)
-        self.indent = 0
+    def function(self, name: str, args: Sequence, body: Sequence) -> List[str]:
+        """``kernel`` promises unaliased arguments from the tiled tier on;
+        any other function is an entry point whose requester owns the
+        operands and promises it always.  It is compiled at ``-O1``: riding
+        in a kernel's unit, it must not cost that kernel's cold compile
+        the 8-10 ms per loop of ``-O3``'s vectorizer (DESIGN.md §7)."""
+        self.lines, self.scopes, self.indent = [], [set()], 0
+        entry = name != "kernel"
+        sig = self.signature(args, entry or self.opt != "none")
         self.block(body)
-        head = ["#include <stdint.h>", ""]
+        head = ['__attribute__((optimize("O1")))'] if entry else []
+        return head + [f"void {name}({sig}) {{"] + self.lines
+
+    def translation_unit(self, functions: Sequence[Tuple]) -> str:
+        """``(name, args, body)`` triples as one unit: the helpers any of
+        them uses, then the functions in order, a blank line apart."""
+        printed = [self.function(*f) for f in functions]
         # first-use order: _jad_find calls _jad_row_find, registered first
-        head.extend(self.helpers.values())
-        head.append(f"void kernel({sig}) {{")
-        return "\n".join(head + self.lines + [""])
+        out = ["#include <stdint.h>", ""] + list(self.helpers.values())
+        for k, lines in enumerate(printed):
+            out.extend(([""] if k else []) + lines)
+        return "\n".join(out + [""])
 
 
 #: node class -> its C printer; a class that is not here (PyOnly) makes
@@ -748,15 +769,23 @@ def _check_lowerable(ir: KernelIR) -> None:
 # Entry point
 # ---------------------------------------------------------------------------
 
+def _written(ir: KernelIR) -> Set[ArrayArg]:
+    return {a for a in ir.args if isinstance(a, ArrayArg) and a.written}
+
+
 def lower_kernel(kernel, parallel: str = "none", opt: str = "none",
-                 tile_rows: Optional[int] = None) -> NativeSpec:
+                 tile_rows: Optional[int] = None,
+                 entry_points: Optional[Mapping[str, KernelIR]] = None
+                 ) -> NativeSpec:
     """Lower a :class:`~repro.core.compiler.CompiledKernel`'s loop IR to a
     C99 translation unit, with OpenMP pragmas on the loops its
     :class:`~repro.core.parallel.ParallelReport` proves order-free.
 
     ``opt`` selects the optimization tier (``"none"`` or ``"tiled"`` —
     see the module docstring); ``tile_rows`` overrides the
-    ``REPRO_TILE_ROWS`` row-block size."""
+    ``REPRO_TILE_ROWS`` row-block size.  ``entry_points`` names further
+    loop IRs to print as sequential functions of the same unit, after
+    ``kernel`` and at the same tier (``NativeSpec.entries``)."""
     from repro.instrument import INSTR
 
     with INSTR.phase("c_lower"):
@@ -771,11 +800,19 @@ def lower_kernel(kernel, parallel: str = "none", opt: str = "none",
         ir = kernel.loop_ir()
         _check_lowerable(ir)
         report = kernel.parallel_report() if parallel != "none" else None
-        sched = _Scheduler(report, parallel, opt, tile_rows,
-                           {a for a in ir.args
-                            if isinstance(a, ArrayArg) and a.written})
-        body = sched.block(ir.body)
+        sched = _Scheduler(report, parallel, opt, tile_rows, _written(ir))
+        functions = [("kernel", ir.args, sched.block(ir.body))]
+        entries = {}
+        for name, e in (entry_points or {}).items():
+            _check_lowerable(e)
+            own = _Scheduler(None, "none", opt, tile_rows, _written(e))
+            functions.append((name, e.args, own.block(e.body)))
+            entries[name] = (e.args, own.transforms)
         printer = _CPrinter(opt)
-        c_source = printer.translation_unit(ir.args, body)
-        return NativeSpec(c_source, ir.args, printer.uses_openmp, parallel,
+        c_source = printer.translation_unit(functions)
+        spec = NativeSpec(c_source, ir.args, printer.uses_openmp, parallel,
                           opt, sched.transforms)
+        for name, (args, transforms) in entries.items():
+            spec.entries[name] = NativeSpec(c_source, args, False, "none",
+                                            opt, transforms)
+        return spec

@@ -3,7 +3,8 @@
 This is the execution half of the C backend
 (:mod:`repro.codegen.native` is the lowering half): find a system C
 compiler, compile the translation unit into a shared object, and bind the
-exported ``kernel`` symbol through :mod:`ctypes` with numpy-array
+exported ``kernel`` symbol — and any further entry point the unit was
+lowered with, by name — through :mod:`ctypes` with numpy-array
 arguments.  ``compile_kernel(..., backend="c")`` routes every
 ``__call__``/``run`` through the result.
 
@@ -229,8 +230,9 @@ def resolve_opt(opt: str, cc: Optional[str]) -> str:
 # Shared-object compilation + artifact cache
 # ---------------------------------------------------------------------------
 
-#: digest -> loaded ctypes function (process-wide); guarded by _SO_LOCK
-_SO_CACHE: Dict[str, ctypes._CFuncPtr] = {}
+#: digest -> loaded shared object (process-wide); guarded by _SO_LOCK.
+#: Functions are resolved from it by name, so one unit can carry many.
+_SO_CACHE: Dict[str, ctypes.CDLL] = {}
 _SO_LOCK = threading.RLock()
 
 _work_dir: List[str] = []
@@ -356,23 +358,24 @@ def _compile_so(cc: str, c_source: str, flags: Tuple[str, ...],
         return True
 
 
-def _load_symbol(path: str):
+def _load_library(path: str) -> ctypes.CDLL:
     lib = ctypes.CDLL(path)
-    return lib.kernel
+    lib.kernel          # every unit exports it: its absence is a bad artifact
+    return lib
 
 
 def _build_and_load(cc: str, c_source: str, flags: Tuple[str, ...],
                     digest: str, cache_mode: str):
     """Materialize the artifact for ``digest`` (disk layer first in disk
-    mode, scratch dir otherwise) and load its ``kernel`` symbol.  Raises
-    on compile/load failure."""
+    mode, scratch dir otherwise) and load it.  Raises on compile/load
+    failure."""
     if cache_mode == "disk":
         path = _disk_so_path(digest)
         if os.path.exists(path):
             try:
-                fn = _load_symbol(path)
+                lib = _load_library(path)
                 INSTR.count("native.so_cache.hits.disk")
-                return fn
+                return lib
             except (OSError, AttributeError):
                 # corrupt artifact: treat as a miss and rebuild it
                 INSTR.count("native.so_cache.corrupt")
@@ -382,30 +385,33 @@ def _build_and_load(cc: str, c_source: str, flags: Tuple[str, ...],
                     pass
         try:
             built = _compile_so(cc, c_source, flags, path)
-            fn = _load_symbol(path)
+            lib = _load_library(path)
             if not built:
                 # another process won the artifact flock and built it
                 INSTR.count("native.so_cache.hits.disk")
-            return fn
+            return lib
         except OSError:
             pass  # cache dir unwritable: fall through to the scratch dir
     out = os.path.join(_scratch_dir(), digest + ".so")
     if not os.path.exists(out):
         _compile_so(cc, c_source, flags, out)
-    return _load_symbol(out)
+    return _load_library(out)
 
 
 def _cached_so(digest: str):
     with _SO_LOCK:
-        fn = _SO_CACHE.get(digest)
-    if fn is not None:
+        lib = _SO_CACHE.get(digest)
+    if lib is not None:
         INSTR.count("native.so_cache.hits.memory")
-    return fn
+    return lib
 
 
 def compile_native_function(c_source: str, want_openmp: bool,
-                            cache_mode: str, opt: str = "none"):
-    """Compile ``c_source`` and return (ctypes function, used_openmp).
+                            cache_mode: str, opt: str = "none",
+                            symbol: str = "kernel"):
+    """Compile ``c_source`` and return (ctypes function, used_openmp) for
+    its exported function ``symbol``; asking the same source for another
+    symbol is a memory hit on the loaded library.
 
     Flags are the tier's built-ins (:func:`tier_cflags`), ``-fopenmp``
     when requested and supported, then any user ``REPRO_CFLAGS`` —
@@ -426,20 +432,20 @@ def compile_native_function(c_source: str, want_openmp: bool,
     flags = tuple(flags + env_flags("REPRO_CFLAGS"))
     digest = artifact_key(c_source, flags, cc)
 
-    fn = _cached_so(digest)
-    if fn is None:
+    lib = _cached_so(digest)
+    if lib is None:
         def build():
             # a leader elected just after the previous flight published
-            # finds the function cached and does not load it twice
-            fn = _cached_so(digest)
-            if fn is None:
-                fn = _build_and_load(cc, c_source, flags, digest, cache_mode)
+            # finds the library cached and does not load it twice
+            lib = _cached_so(digest)
+            if lib is None:
+                lib = _build_and_load(cc, c_source, flags, digest, cache_mode)
                 with _SO_LOCK:
-                    _SO_CACHE[digest] = fn
-            return fn
+                    _SO_CACHE[digest] = lib
+            return lib
 
-        fn, _shared = _FLIGHT.do(digest, build)
-    return fn, use_omp
+        lib, _shared = _FLIGHT.do(digest, build)
+    return getattr(lib, symbol), use_omp
 
 
 # ---------------------------------------------------------------------------
@@ -467,12 +473,18 @@ class NativeKernel:
     scalar values (in-place mutation of a prepared array is fine — the
     cached pointer targets the same buffer) and skips the per-argument
     numpy machinery.  The cached tuple keeps the arrays alive, so an
-    identity match can never be a recycled ``id``."""
+    identity match can never be a recycled ``id``.
+
+    ``fn`` is the argtyped ctypes function itself, for a caller that
+    marshals its own argument vector (in ``spec.args`` order: scalars as
+    ints, arrays as addresses); ``entries`` holds the further functions
+    of the same translation unit, by name, as kernels of their own."""
 
     def __init__(self, fn, spec, used_openmp: bool):
         self.spec = spec
         self.used_openmp = used_openmp
-        self._fn = fn
+        self.fn = fn
+        self.entries: Dict[str, "NativeKernel"] = {}
         self._prep: Optional[Tuple[tuple, tuple, tuple]] = None
         argtypes = []
         for a in spec.args:
@@ -512,7 +524,7 @@ class NativeKernel:
                         oi += 1
                 if match:
                     INSTR.count("native.dispatch.prepared")
-                    self._fn(*pcargs)
+                    self.fn(*pcargs)
                     return
             cargs: List[object] = []
             keepalive: List[np.ndarray] = []
@@ -549,7 +561,7 @@ class NativeKernel:
                     cargs.append(int(carr.shape[k]))
                 if a.need_len:
                     cargs.append(int(carr.shape[0]) if a.ndim else 0)
-            self._fn(*cargs)
+            self.fn(*cargs)
             for orig, tmp in writebacks:
                 orig[...] = tmp
             if preparable and not writebacks:
@@ -559,20 +571,29 @@ class NativeKernel:
 
 def bind_kernel(kernel, parallel: str = "none",
                 cache_mode: str = "memory",
-                opt: str = "none") -> NativeKernel:
+                opt: str = "none", entry_points=None) -> NativeKernel:
     """Lower + compile + bind one CompiledKernel.  Raises on any failure
     (the compiler API converts that into the Python fallback).  ``opt``
     requests an optimization tier; an unsupported tier is demoted to
     ``"none"`` first (see :func:`resolve_opt`), and a successful bind
-    counts ``native.tier.<opt>``."""
+    counts ``native.tier.<opt>``.  ``entry_points`` (name -> loop IR) asks for
+    further functions in the kernel's translation unit — still one
+    toolchain invocation — bound as ``NativeKernel.entries``."""
     from repro.codegen.native import lower_kernel
 
     opt = resolve_opt(opt, find_compiler())
-    spec = lower_kernel(kernel, parallel, opt)
-    fn, used_omp = compile_native_function(
-        spec.c_source, want_openmp=(parallel != "none" and spec.uses_openmp),
-        cache_mode=cache_mode, opt=opt)
-    nk = NativeKernel(fn, spec, used_omp)
+    spec = lower_kernel(kernel, parallel, opt, entry_points=entry_points)
+    want_omp = parallel != "none" and spec.uses_openmp
+
+    def bound(entry_spec, symbol):
+        fn, used_omp = compile_native_function(
+            entry_spec.c_source, want_openmp=want_omp, cache_mode=cache_mode,
+            opt=opt, symbol=symbol)
+        return NativeKernel(fn, entry_spec, used_omp)
+
+    nk = bound(spec, "kernel")
+    for name, entry_spec in spec.entries.items():
+        nk.entries[name] = bound(entry_spec, name)
     INSTR.count(f"native.tier.{opt}")
     return nk
 

@@ -40,12 +40,14 @@ class CompiledKernel:
     fallback is always observable on the object and in the
     instrumentation report.  ``opt`` likewise records the *requested*
     optimization tier and ``opt_used`` what the bind actually honored
-    (a tier the toolchain can't support demotes to ``"none"``)."""
+    (a tier the toolchain can't support demotes to ``"none"``).
+    ``entry_points`` (name -> loop IR) are further functions the native
+    bind prints into this kernel's translation unit."""
 
     def __init__(self, program: Program, bindings: Mapping[str, SparseFormat],
                  result: SearchResult, backend: str = "python",
                  parallel: str = "none", cache_mode: str = "memory",
-                 opt: str = "none"):
+                 opt: str = "none", entry_points=None):
         self.program = program
         self.bindings = dict(bindings)
         self.result = result
@@ -54,6 +56,7 @@ class CompiledKernel:
         self.backend = backend
         self.parallel = parallel
         self.opt = opt
+        self.entry_points = entry_points
         self.opt_used: Optional[str] = None
         self.backend_used = "python"
         self.fallback_reason: Optional[str] = None
@@ -128,7 +131,8 @@ class CompiledKernel:
                     try:
                         self._native = be.bind_kernel(self, self.parallel,
                                                       self._cache_mode,
-                                                      self.opt)
+                                                      self.opt,
+                                                      self.entry_points)
                         self.backend_used = (
                             "c+openmp" if self._native.used_openmp else "c")
                         self.opt_used = self._native.spec.opt
@@ -314,6 +318,7 @@ def compile_kernel(
     backend: str = "python",
     parallel: str = "none",
     opt: Optional[str] = None,
+    entry_points=None,
 ) -> CompiledKernel:
     """Compile ``program`` for the given format bindings.
 
@@ -348,6 +353,10 @@ def compile_kernel(
     ``REPRO_OPT`` environment variable (default ``"none"``).  A tier the toolchain
     cannot honor is demoted observably (``native.tier.demotion.*``);
     ``opt`` is ignored by ``backend="python"``.
+
+    ``entry_points`` maps names to further loop IRs that ``backend="c"``
+    prints as extra functions of this kernel's translation unit (one
+    toolchain invocation) and binds as ``kernel.native().entries[name]``.
     """
     from repro.core import cache as cc
 
@@ -390,7 +399,8 @@ def compile_kernel(
                         result.plan.simplify_guards(dict(param_values))
                         entry.simplified.add(idx)
             kernel = _kernel_from_entry(program, bindings, result, entry, idx,
-                                        mode, key, backend, parallel, opt)
+                                        mode, key, backend, parallel, opt,
+                                        entry_points)
             if backend == "c":
                 kernel.native()          # compile eagerly; may fall back
             return kernel
@@ -406,7 +416,8 @@ def compile_kernel(
         if simplify_guards:
             result.plan.simplify_guards(dict(param_values))
     kernel = CompiledKernel(program, bindings, result, backend=backend,
-                            parallel=parallel, cache_mode=mode, opt=opt)
+                            parallel=parallel, cache_mode=mode, opt=opt,
+                            entry_points=entry_points)
     if entry is not None:
         # under the entry lock: once record() published the entry, a
         # concurrent hit on this key may race us to simplify the same plan
@@ -422,10 +433,12 @@ def compile_kernel(
 
 
 def _kernel_from_entry(program, bindings, result, entry, idx, mode, key,
-                       backend="python", parallel="none", opt="none"):
+                       backend="python", parallel="none", opt="none",
+                       entry_points=None):
     """Build a kernel from a cache hit, replaying memoized source."""
     kernel = CompiledKernel(program, bindings, result, backend=backend,
-                            parallel=parallel, cache_mode=mode, opt=opt)
+                            parallel=parallel, cache_mode=mode, opt=opt,
+                            entry_points=entry_points)
     kernel._ir_memo = (entry.irs, idx)
     with entry._lock:
         src = entry.sources.get(idx)

@@ -140,17 +140,19 @@ def compile_many(
     max_workers: Optional[int] = None,
     param_values: Union[None, Mapping[str, int],
                         Sequence[Optional[Mapping[str, int]]]] = None,
+    entry_points: Union[None, Mapping, Sequence[Optional[Mapping]]] = None,
     **compile_kwargs,
 ) -> BatchResult:
     """Compile every program in the batch, fanning out over worker threads.
 
-    ``bindings`` (and ``param_values``) may be a single mapping shared by
-    every program or a sequence zipped with ``programs``.  A shared
-    mapping may cover a heterogeneous batch: each program sees only the
-    entries naming its own declared arrays (per-item sequences stay
-    strict — unknown names are that item's error).  All other keyword
-    arguments are forwarded verbatim to ``compile_kernel`` (``pick``,
-    ``cache``, ``backend``, ``parallel``, ...).
+    ``bindings`` (and ``param_values``, ``entry_points``) may be a single
+    mapping shared by every program or a sequence zipped with
+    ``programs``.  A shared ``bindings`` mapping may cover a heterogeneous
+    batch: each program sees only the entries naming its own declared
+    arrays (per-item sequences stay strict — unknown names are that
+    item's error).  All other keyword arguments are forwarded verbatim to
+    ``compile_kernel`` (``pick``, ``cache``, ``backend``, ``parallel``,
+    ...).
 
     ``max_workers`` defaults to ``REPRO_COMPILE_WORKERS`` or the CPU
     count, capped by the batch size; ``max_workers=1`` compiles serially
@@ -168,6 +170,7 @@ def compile_many(
         binds = [{k: v for k, v in b.items() if k in p.arrays}
                  for p, b in zip(progs, binds)]
     pvals = _broadcast(param_values, n, "param_values")
+    extras = _broadcast(entry_points, n, "entry_points")
     if max_workers is None:
         max_workers = env_int("REPRO_COMPILE_WORKERS", 0, minimum=0) \
             or (os.cpu_count() or 1)
@@ -182,7 +185,8 @@ def compile_many(
         t0 = time.perf_counter()
         try:
             kernel = compile_kernel(progs[i], binds[i],
-                                    param_values=pvals[i], **compile_kwargs)
+                                    param_values=pvals[i],
+                                    entry_points=extras[i], **compile_kwargs)
         except Exception as e:
             INSTR.count("service.items.error")
             return CompileOutcome(i, progs[i], None, e,

@@ -65,7 +65,7 @@ def block_cg(
         Xt = np.zeros((k, n))
     else:
         X0 = np.asarray(X0, dtype=float)
-        Xt = np.ascontiguousarray((X0[:, None] if X0.ndim == 1 else X0).T).copy()
+        Xt = np.array((X0[:, None] if X0.ndim == 1 else X0).T, order="C")
     panel = np.empty((n, k))                 # (n, k) SpMM operand workspace
     APt = np.empty((k, n))
 
@@ -75,7 +75,8 @@ def block_cg(
         APt[...] = mm(panel, None).T
         return APt
 
-    Rt = Bt - mm_t(Xt)
+    # on a zero start B - A 0 is B, without the SpMM
+    Rt = Bt.copy() if X0 is None else Bt - mm_t(Xt)
     Zt = Rt
     Pt = Zt.copy()
     rz = np.array([float(Rt[j] @ Zt[j]) for j in range(k)])

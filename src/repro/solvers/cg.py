@@ -6,17 +6,24 @@ format-independent iterative method of the paper's introduction.  The
 :class:`~repro.solvers.context.SolverContext` (passed as ``context=`` or
 directly in the ``A`` position) routes every iteration through its bound
 compiled kernels, and a compiled kernel also slots in directly as
-``matvec`` (see ``examples/fem_cg.py``).
+``matvec`` (see ``examples/fem_cg.py``).  The vector updates between the
+matvec and the dot products are the steps of :mod:`repro.solvers.vecops`:
+in place on vectors allocated once per solve, as generated C when the
+context runs ``mvm`` natively and as NumPy otherwise, bitwise the same.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from repro.instrument import INSTR
-from repro.solvers.context import SolverContext, resolve_matvec
+from repro.solvers import vecops
+from repro.solvers.context import (
+    SolverContext, resolve_matvec, start_vectors,
+)
 
 MatVec = Callable[[np.ndarray], np.ndarray]
 
@@ -37,13 +44,15 @@ def cg(
     format instance (default BLAS matvec), a :class:`SolverContext`, or
     anything if ``matvec`` is given explicitly.
     """
+    ctx = A if isinstance(A, SolverContext) else context
     A, mv = resolve_matvec(A, matvec, context)
     n = b.shape[0]
-    x = np.zeros(n) if x0 is None else x0.astype(float).copy()
     Ap = np.zeros(n)                      # matvec workspace, reused each iteration
-    r = b - mv(x, Ap)
+    x, r = start_vectors(b, x0, mv, Ap)
     z = precond(r) if precond else r
-    p = z.copy()
+    p = np.array(z, dtype=float)
+    owned = [x, r, p, Ap]
+    ops = None
     rz = float(r @ z)
     if max_iter is None:
         max_iter = 10 * n
@@ -51,21 +60,29 @@ def cg(
     it = 0
     with INSTR.phase("solver.iterate"):
         while it < max_iter:
-            rnorm = float(np.linalg.norm(r))
+            # without a preconditioner z is r, and rz already is the dot
+            # product norm(r) would take the root of
+            rnorm = float(np.linalg.norm(r)) if precond else math.sqrt(rz)
             if rnorm <= tol * bnorm:
                 break
             Ap = mv(p, Ap)
+            if ops is None:
+                # what the caller's own callables first return must not be
+                # a vector the steps write
+                ops = vecops.provider(
+                    ctx, n, owned,
+                    ([z] if precond else [])
+                    + ([Ap] if matvec is not None else []))
             denom = float(p @ Ap)
             if denom == 0.0:
                 break
             alpha = rz / denom
-            x += alpha * p
-            r = r - alpha * Ap
+            ops.cg_update(alpha, x, p, r, Ap)
             z = precond(r) if precond else r
             rz_new = float(r @ z)
             beta = rz_new / rz if rz != 0 else 0.0
             rz = rz_new
-            p = z + beta * p
+            ops.cg_direction(beta, p, z)
             it += 1
     INSTR.count("solver.iterations", it)
     return x, it, float(np.linalg.norm(r))

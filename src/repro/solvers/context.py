@@ -28,6 +28,10 @@ Instrumentation (namespace ``solver.*``):
 - ``solver.iterations`` — total solver iterations executed;
 - ``solver.fallback.compile`` / ``solver.fallback.select`` — fast-path
   demotions, by reason;
+- ``solver.vecops.native`` / ``solver.vecops.numpy`` — which provider ran
+  the vector steps of a ``cg`` / ``bicgstab`` solve
+  (:mod:`repro.solvers.vecops`), ``solver.vecops.aliased`` — native
+  solves demoted because a user callable handed back a solver vector;
 - ``solver.normal`` — phase timer of the one-time normal-equation
   product (``A^T A`` / ``A A^T``) construction.
 """
@@ -225,6 +229,10 @@ class SolverContext:
         self.selection_error: Optional[str] = None
         self.fallbacks: Dict[str, str] = {}
         self._bound: Dict[str, Optional[BoundOp]] = {}
+        #: the solvers' vector steps as bound native kernels, by name
+        #: (:data:`repro.solvers.vecops.ENTRY_POINTS`); empty unless
+        #: ``mvm`` runs native — they live in its translation unit
+        self.vec_entries: Dict[str, object] = {}
         self._diag: Optional[np.ndarray] = None
         self._normal: Dict[str, SparseFormat] = {}
         self.L: Optional[CsrMatrix] = None
@@ -277,6 +285,7 @@ class SolverContext:
     def _compile(self, ops, backend, parallel, cache, max_workers):
         from repro.core.compiler import infer_param_values
         from repro.core.service import compile_many
+        from repro.solvers.vecops import ENTRY_POINTS
 
         programs, bindings, specs = [], [], []
         for op in ops:
@@ -290,7 +299,9 @@ class SolverContext:
             specs.append((op, mat_name, inst))
         batch = compile_many(programs, bindings, backend=backend,
                              parallel=parallel, cache=cache,
-                             max_workers=max_workers, opt=self.opt)
+                             max_workers=max_workers, opt=self.opt,
+                             entry_points=[ENTRY_POINTS if op == "mvm" else None
+                                           for op in ops])
         for (op, mat_name, inst), outcome, program in zip(specs, batch,
                                                           programs):
             if not outcome.ok:
@@ -301,6 +312,8 @@ class SolverContext:
                 continue
             kernel = outcome.kernel
             fn = kernel.native() if kernel.backend == "c" else None
+            if fn is not None and op == "mvm":
+                self.vec_entries = fn.entries
             if fn is None:
                 fn = kernel.callable()
                 if kernel.backend == "c" and kernel.fallback_reason:
@@ -341,6 +354,19 @@ class SolverContext:
         ``"python"``, or ``"blas"`` after a compile fallback)."""
         return {op: (b.backend_used if b is not None else "blas")
                 for op, b in self._bound.items()}
+
+    @property
+    def vecops(self) -> str:
+        """What runs the vector steps of ``cg`` / ``bicgstab`` on this
+        context: ``"c"`` (entry points of the native ``mvm`` unit) or
+        ``"numpy: <why not>"``."""
+        if self.vec_entries:
+            return "c"
+        if "mvm" not in self._bound:
+            return "numpy: 'mvm' was not requested"
+        why = self.fallbacks.get("mvm")
+        return (f"numpy: mvm runs {self.backends['mvm']}"
+                + (f" ({why})" if why else ""))
 
     @property
     def diag(self) -> np.ndarray:
@@ -509,6 +535,16 @@ def resolve_matvec(A, matvec: Optional[MatVec], context: Optional[SolverContext]
         return blas_api.mvm(_A, x, out)
 
     return A, mv
+
+
+def start_vectors(b: np.ndarray, x0, mv, work: np.ndarray):
+    """``(x, r)`` a Krylov solve starts from, both its own to overwrite.  On
+    a zero start ``r`` is ``b`` itself: ``b - A 0`` without the matvec
+    (bitwise, for finite ``A``)."""
+    if x0 is None:
+        return np.zeros(b.shape[0]), np.array(b, dtype=float)
+    x = np.array(x0, dtype=float)
+    return x, b - mv(x, work)
 
 
 MatMat = Callable[[np.ndarray], np.ndarray]

@@ -8,6 +8,7 @@ import json
 import os
 import sys
 import threading
+from types import SimpleNamespace
 import time
 
 import pytest
@@ -238,8 +239,8 @@ def _stub_toolchain(monkeypatch):
     no compiler is needed)."""
     monkeypatch.setattr(be, "find_compiler", lambda: "stub-cc")
     monkeypatch.setattr(be, "compiler_identity", lambda cc: cc)
-    monkeypatch.setattr(be, "_build_and_load",
-                        lambda *a, **k: _stub_work.fn())
+    monkeypatch.setattr(be, "_build_and_load",   # the "library" it loaded
+                        lambda *a, **k: SimpleNamespace(kernel=_stub_work.fn()))
 
 
 def _native_flight(tag, work):
