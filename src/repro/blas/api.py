@@ -87,6 +87,19 @@ def _check_panel(op: str, A: SparseFormat, X: np.ndarray,
             f"{need_rows} rows, got panel of shape {tuple(shape)}")
 
 
+def _check_vector(op: str, name: str, A: SparseFormat, v: np.ndarray,
+                  need: int) -> None:
+    """Reject a vector operand of the wrong length or rank up front, for
+    the same reason as :func:`_check_panel`: a bound native kernel loops to
+    the matrix's extents whatever the operand holds, so a short one was
+    read (or, as an output, written) past its end."""
+    shape = getattr(v, "shape", None)
+    if shape != (need,):
+        raise ValueError(
+            f"{op}: operand is {A.nrows}x{A.ncols} so {name} must be a "
+            f"vector of length {need}, got shape {shape}")
+
+
 def _check_out(op: str, out: np.ndarray, shape, result_dtype) -> None:
     """Validate a caller-provided output: the shape must match and the
     promoted product dtype must be safely representable — writing float64
@@ -104,6 +117,7 @@ def _check_out(op: str, out: np.ndarray, shape, result_dtype) -> None:
 
 def mvm(A: SparseFormat, x: np.ndarray, y: Optional[np.ndarray] = None) -> np.ndarray:
     """y = A x."""
+    _check_vector("mvm", "x", A, x, A.ncols)
     if y is None:
         y = _alloc(A.nrows, A, x)
     else:
@@ -151,6 +165,7 @@ def mm_t(A: SparseFormat, X: np.ndarray, Y: Optional[np.ndarray] = None) -> np.n
 
 def mvm_t(A: SparseFormat, x: np.ndarray, y: Optional[np.ndarray] = None) -> np.ndarray:
     """y = A^T x."""
+    _check_vector("mvm_t", "x", A, x, A.nrows)
     if y is None:
         y = _alloc(A.ncols, A, x)
     else:
@@ -169,6 +184,7 @@ def ts_lower_solve(L: SparseFormat, b: np.ndarray, in_place: bool = False) -> np
     cannot hold them.  With ``in_place=False`` the working copy is
     promoted to the result dtype; with ``in_place=True`` a lossy ``b``
     is rejected instead of silently truncated."""
+    _check_vector("ts_lower_solve", "b", L, b, L.nrows)
     rt = np.result_type(L.dtype, b.dtype)
     if not in_place:
         b = b.astype(rt, copy=True)
@@ -187,6 +203,7 @@ def ts_lower_solve(L: SparseFormat, b: np.ndarray, in_place: bool = False) -> np
 def ts_upper_solve(U: SparseFormat, b: np.ndarray, in_place: bool = False) -> np.ndarray:
     """b := U^{-1} b (backward substitution).  Same dtype contract as
     :func:`ts_lower_solve`."""
+    _check_vector("ts_upper_solve", "b", U, b, U.nrows)
     rt = np.result_type(U.dtype, b.dtype)
     if not in_place:
         b = b.astype(rt, copy=True)

@@ -18,7 +18,10 @@ typed from the bound instance.  It then provides:
 - ``interval(step, states)`` — (lo, hi) index expressions for interval
   steps, or None;
 - ``search(step, states, keys)`` — emit a search for the index
-  expressions ``keys``, returning (state names, found-condition);
+  expressions ``keys``, returning (state names, found-condition); a
+  search that is not a bounds check is built from
+  :meth:`BaseEmitter.bisect` or :meth:`BaseEmitter.scan`, statements at
+  the search site like any loop;
 - ``get(states)`` / ``set(states, value)`` — the value access.
 
 Keys and states are names of integer locals, accumulated per step.  The
@@ -35,12 +38,13 @@ from typing import Sequence
 import numpy as np
 
 from repro.codegen.loopir import (
+    And,
     ArrayArg,
     Assign,
     BinOp,
     Builder,
-    Call,
     Cmp,
+    If,
     Load,
     Neg,
     PyOnly,
@@ -58,6 +62,13 @@ from repro.core.spaces import SparseRef
 from repro.polyhedra.linexpr import LinExpr
 
 MINUS_ONE = LinExpr.constant(-1)
+TWO = LinExpr.constant(2)
+
+
+def slots_of(ind: ArrayArg):
+    """The :meth:`BaseEmitter.bisect` probe of a sorted 1-d index array: a
+    hit yields its position."""
+    return lambda mid: ([], Load(ind, (mid,)), mid)
 
 
 class BaseEmitter:
@@ -109,9 +120,35 @@ class BaseEmitter:
         v = self.let(stem, key)
         return [v], within(V(v), ZERO, extent)
 
-    def bisect(self, stem: str, ind: ArrayArg, key, lo, hi):
-        jj = self.let(stem, Call("_bisect", (ind, key, lo, hi)))
-        return [jj], Cmp(">=", V(jj), ZERO)
+    def bisect(self, stem: str, lo, hi, key, probe):
+        """Binary search of the slots ``[lo, hi)``, sorted ascending
+        without duplicates, for ``key``.  ``probe(mid)`` says how slot
+        ``mid`` is read: (statements to run first, the slot's key, the
+        state a hit yields).  The state is -1 when ``key`` is absent."""
+        found = self.let(stem, MINUS_ONE)
+        lo, hi = self.let("lo", lo), self.let("hi", hi)
+        mid, v = self.fresh("mid"), self.fresh("v")
+        setup, slot, hit = probe(V(mid))
+        self.b.add(While(Cmp("<", V(lo), V(hi)), [
+            Assign(mid, BinOp("//", V(lo) + V(hi), TWO)),
+            *setup,
+            Assign(v, slot),
+            If(Cmp("<", V(v), key), [Assign(lo, V(mid) + 1)]),
+            If(Cmp(">", V(v), key), [Assign(hi, V(mid))]),
+            If(Cmp("==", V(v), key), [Assign(found, hit),
+                                       Assign(lo, V(hi))]),
+        ]))
+        return [found], Cmp(">=", V(found), ZERO)
+
+    def scan(self, stem: str, n, hit):
+        """Early-exit linear search: the first ``k`` in ``[0, n)`` where
+        the condition ``hit(k)`` holds, -1 when there is none."""
+        found, k = self.let(stem, MINUS_ONE), self.let("at", ZERO)
+        self.b.add(While(And((Cmp("<", V(found), ZERO), Cmp("<", V(k), n))), [
+            If(hit(V(k)), [Assign(found, V(k))]),
+            Assign(k, V(k) + 1),
+        ]))
+        return [found], Cmp(">=", V(found), ZERO)
 
     def interval(self, step: int, states: Sequence[str]):
         return None
@@ -148,8 +185,9 @@ class CompressedEmitter(BaseEmitter):
         if step == 0:
             return self.index(self.outer, keys[0], self.extent)
         o = V(states[0])
-        return self.bisect("jj", self.ind, keys[0], Load(self.ptr, (o,)),
-                           Load(self.ptr, (o + 1,)))
+        return self.bisect("jj", Load(self.ptr, (o,)),
+                           Load(self.ptr, (o + 1,)), keys[0],
+                           slots_of(self.ind))
 
     def get(self, states):
         return Load(self.values, (V(states[1]),))
@@ -169,10 +207,9 @@ class CooEmitter(BaseEmitter):
         return [r, c], [k]
 
     def search(self, step, states, keys):
-        self.rows.need_len = True
-        k = self.let("k", Call("_coo_find", (self.rows, self.cols,
-                                             keys[0], keys[1])))
-        return [k], Cmp(">=", V(k), ZERO)
+        return self.scan("k", self.nnz, lambda k: And((
+            Cmp("==", Load(self.rows, (k,)), keys[0]),
+            Cmp("==", Load(self.cols, (k,)), keys[1]))))
 
     def get(self, states):
         return Load(self.vals, (V(states[0]),))
@@ -225,9 +262,10 @@ class EllEmitter(BaseEmitter):
     def search(self, step, states, keys):
         if step == 0:
             return self.index("r", keys[0], self.m)
-        kk = self.let("kk", Call("_ell_find", (self.colind, self.rowlen,
-                                               V(states[0]), keys[0])))
-        return [kk], Cmp(">=", V(kk), ZERO)
+        r = V(states[0])
+        return self.bisect(
+            "kk", ZERO, Load(self.rowlen, (r,)), keys[0],
+            lambda mid: ([], Load(self.colind, (r, mid)), mid))
 
     def get(self, states):
         return Load(self.data, (V(states[0]), V(states[1])))
@@ -258,7 +296,8 @@ class DiaEmitter(BaseEmitter):
 
     def search(self, step, states, keys):
         if step == 0:
-            return self.bisect("k", self.diags, keys[0], ZERO, self.nd)
+            return self.bisect("k", ZERO, self.nd, keys[0],
+                               slots_of(self.diags))
         o = self.let("o", keys[0])
         return [o], within(V(o), *self.band(states[0]))
 
@@ -299,22 +338,28 @@ class JadEmitter(BaseEmitter):
     def interval(self, step, states):
         return (ZERO, self.m) if not self.flat and step == 0 else None
 
+    def row_search(self, rr, count, key):
+        """Column ``key`` among the ``count`` entries of permuted row
+        ``rr``: entry ``d`` of the row sits at ``dptr[d] + rr``."""
+        jj = self.fresh("pos")
+        return self.bisect("jj", ZERO, count, key, lambda mid: (
+            [Assign(jj, BinOp("+", Load(self.dptr, (mid,)), rr))],
+            Load(self.colind, (V(jj),)), V(jj)))
+
     def search(self, step, states, keys):
-        if self.flat:
-            self.ipermi.need_len = True
-            jj = self.let("jj", Call("_jad_find", (
-                self.ipermi, self.dptr, self.colind, self.rowcnt,
-                keys[0], keys[1])))
-        elif step == 0:
-            # the paper's Figure 9: search(LHier.begin(), ..., L.unmap(r))
-            rr = self.let("rr", Select(within(keys[0], ZERO, self.m),
-                                       Load(self.ipermi, (keys[0],)),
-                                       MINUS_ONE))
-            return [rr], Cmp(">=", V(rr), ZERO)
-        else:
-            jj = self.let("jj", Call("_jad_row_find", (
-                self.dptr, self.colind, self.rowcnt, V(states[0]), keys[0])))
-        return [jj], Cmp(">=", V(jj), ZERO)
+        if not self.flat and step == 1:
+            rr = V(states[0])
+            return self.row_search(rr, Load(self.rowcnt, (rr,)), keys[0])
+        # the paper's Figure 9: search(LHier.begin(), ..., L.unmap(r))
+        rr = self.let("rr", Select(within(keys[0], ZERO, self.m),
+                                   Load(self.ipermi, (keys[0],)),
+                                   MINUS_ONE))
+        inside = Cmp(">=", V(rr), ZERO)
+        if not self.flat:
+            return [rr], inside
+        # a row outside the matrix has no entries to search
+        return self.row_search(
+            V(rr), Select(inside, Load(self.rowcnt, (V(rr),)), ZERO), keys[1])
 
     def get(self, states):
         return Load(self.values, (V(states[-1]),))
@@ -349,9 +394,9 @@ class BsrEmitter(BaseEmitter):
             return self.index("rb", keys[0], self.brows)
         if step == 1:
             rb = V(states[0])
-            return self.bisect("kk", self.blockind, keys[0],
-                               Load(self.indptr, (rb,)),
-                               Load(self.indptr, (rb + 1,)))
+            return self.bisect("kk", Load(self.indptr, (rb,)),
+                               Load(self.indptr, (rb + 1,)), keys[0],
+                               slots_of(self.blockind))
         return self.index("v", keys[0], self.s)
 
     def get(self, states):

@@ -15,6 +15,9 @@ needs is on the nodes — nothing is recovered from text:
   emitter declared it;
 - every :class:`For` carries the plan dimensions it enumerates (``dims``),
   which is what parallelism verdicts are looked up by;
+- a search is statements too — ``Assign``/``While``/``If`` built at the
+  search site by :meth:`repro.codegen.emitters.BaseEmitter.bisect` and
+  ``scan`` — so a printed kernel is one function and nothing beside it;
 - :class:`PyOnly` is the one node without a C printer: the gather-and-sort
   enumeration and the generic emitter's dynamic runtime calls.
 
@@ -104,12 +107,6 @@ class Select(Expr):
     __slots__ = ("cond", "then", "orelse")
 
 
-class Call(Expr):
-    """A call of one of the search helpers in :data:`RUNTIME_HELPERS`;
-    arguments are :class:`ArrayArg` nodes or index expressions."""
-    __slots__ = ("fn", "args")
-
-
 # -- statements --------------------------------------------------------------
 
 class For(Node):
@@ -194,17 +191,15 @@ class ArrayArg(Node):
     """A typed array argument: ``source`` is ``("array", name)`` for a
     dense operand or ``("attr", array, attribute)`` for a storage array of
     a bound format instance, ``dtype``/``ndim`` are that array's.  In C it
-    is a pointer followed by ``ndim - 1`` row-major stride arguments and,
-    when ``need_len`` is set, the length of dimension 0.  ``written`` is
-    set when the emitter stores into it."""
+    is a pointer followed by ``ndim - 1`` row-major stride arguments (a
+    length the code needs is a :class:`ScalarArg` of its own).  ``written``
+    is set when the emitter stores into it."""
 
-    __slots__ = ("name", "source", "dtype", "ndim", "written", "need_len",
-                 "loader")
+    __slots__ = ("name", "source", "dtype", "ndim", "written", "loader")
     kind = "array"
 
     def __init__(self, name, source, dtype, ndim):
-        super().__init__(name, source, dtype, ndim, False, False,
-                         _loader(source))
+        super().__init__(name, source, dtype, ndim, False, _loader(source))
 
 
 class KernelIR:
@@ -226,7 +221,7 @@ class KernelIR:
 
 
 #: every node class a printer has to handle (LinExpr is the index leaf)
-NODE_CLASSES = (LinExpr, Const, Load, BinOp, Neg, Cmp, And, Select, Call,
+NODE_CLASSES = (LinExpr, Const, Load, BinOp, Neg, Cmp, And, Select,
                 For, While, If, Assign, Store, Local, PyOnly,
                 ScalarArg, ArrayArg)
 
@@ -420,12 +415,6 @@ def _py_select(e: Select):
             f"else {py_expr(e.orelse, _SELECT)}"), _SELECT
 
 
-def _py_call(e: Call):
-    args = ", ".join(a.name if isinstance(a, ArrayArg) else py_expr(a)
-                     for a in e.args)
-    return f"{e.fn}({args})", _ATOM
-
-
 #: expression class -> printer returning (text, binding strength)
 PY_EXPR: Dict[type, Callable] = {
     LinExpr: _py_lin,
@@ -436,7 +425,6 @@ PY_EXPR: Dict[type, Callable] = {
     Cmp: _py_cmp,
     And: lambda e: (" and ".join(py_expr(t, _CMP) for t in e.terms), _AND),
     Select: _py_select,
-    Call: _py_call,
     PyOnly: lambda e: (e.text, _TOP),
 }
 
@@ -498,61 +486,8 @@ def _py_block(stmts: Sequence[Node], out: List[str], pad: str) -> None:
 def print_python(ir: KernelIR) -> str:
     """The kernel as Python source: ``kernel(arrays, params)`` unpacks the
     arguments into locals and runs the loops on the raw arrays."""
-    out = ["import numpy as _np", RUNTIME_HELPERS,
-           "def kernel(arrays, params):"]
+    out = ["import numpy as _np", "", "def kernel(arrays, params):"]
     _py_block(list(ir.args) + list(ir.body), out, "    ")
     out.append("    return None")
     return "\n".join(out)
 
-
-RUNTIME_HELPERS = '''
-def _bisect(arr, key, lo, hi):
-    while lo < hi:
-        mid = (lo + hi) // 2
-        v = arr[mid]
-        if v == key:
-            return mid
-        if v < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    return -1
-
-def _coo_find(rows, cols, r, c):
-    for k in range(len(rows)):
-        if rows[k] == r and cols[k] == c:
-            return k
-    return -1
-
-def _ell_find(colind, rowlen, r, c):
-    lo, hi = 0, rowlen[r]
-    while lo < hi:
-        mid = (lo + hi) // 2
-        v = colind[r, mid]
-        if v == c:
-            return mid
-        if v < c:
-            lo = mid + 1
-        else:
-            hi = mid
-    return -1
-
-def _jad_row_find(dptr, colind, rowcnt, rr, c):
-    lo, hi = 0, rowcnt[rr]
-    while lo < hi:
-        mid = (lo + hi) // 2
-        jj = dptr[mid] + rr
-        v = colind[jj]
-        if v == c:
-            return jj
-        if v < c:
-            lo = mid + 1
-        else:
-            hi = mid
-    return -1
-
-def _jad_find(ipermi, dptr, colind, rowcnt, r, c):
-    if not (0 <= r < len(ipermi)):
-        return -1
-    return _jad_row_find(dptr, colind, rowcnt, ipermi[r], c)
-'''

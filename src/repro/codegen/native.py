@@ -4,9 +4,11 @@ The generator (:mod:`repro.codegen.pysource`) builds one loop IR per
 kernel (:mod:`repro.codegen.loopir`); this module prints that IR as
 standalone C99 — typed pointer arguments for the numpy arrays
 (``int32_t``/``int64_t`` index arrays, ``double`` values), ``int64_t``
-scalars, row-major stride arguments for multi-dimensional arrays, and
-specialized static helper functions for the inlined binary searches.  The
-result is the real compiled analog of the paper's Figure 9 instantiation:
+scalars, row-major stride arguments for multi-dimensional arrays.  A
+search is loop IR like everything else (the emitters build it), so the
+only helper functions a unit can carry are ``_fdiv``/``_imax``/``_imin``.
+The result is the real compiled analog of the paper's Figure 9
+instantiation:
 the same raw index-array loops a hand-written NIST library kernel
 contains, handed to the system C compiler (:mod:`repro.core.backend`).
 Types, ranks, which arrays are stored to and which expressions are affine
@@ -27,13 +29,11 @@ is, a CSC column segment is not).  Loops nested inside a parallel loop,
 and loops a transform introduced, stay sequential.
 
 Optimization tiers (``opt``): ``"none"`` prints the loops exactly as the
-generator built them.  ``"tiled"`` first rewrites the IR with three
+generator built them.  ``"tiled"`` first rewrites the IR with two
 transforms that are *byte-identical* to the naive loops — every
 floating-point value is produced by the same operations in the same
 order, only integer control flow and memory scheduling change:
 
-- **strip_mine** — the outermost unit-step loop is cache-blocked into
-  row blocks of ``tile_rows`` iterations (``REPRO_TILE_ROWS``).
 - **guard_absorb** — an inner loop whose body is a single conjunctive
   guard of affine ``±1``-coefficient conditions on the loop variable has
   those conditions folded into hoisted ``max``/``min`` loop bounds (the
@@ -73,7 +73,6 @@ from repro.codegen.loopir import (
     ArrayArg,
     Assign,
     BinOp,
-    Call,
     Cmp,
     Const,
     For,
@@ -108,9 +107,6 @@ _CTYPES = {
     "float64": "double",
 }
 
-#: short dtype tags used to specialize helper functions
-_TAGS = {"int32": "i32", "int64": "i64", "float32": "f32", "float64": "f64"}
-
 
 class NativeSpec:
     """A lowered kernel: the C translation unit, the IR's ordered argument
@@ -118,7 +114,7 @@ class NativeSpec:
     :class:`~repro.codegen.loopir.ArrayArg`), whether any OpenMP pragma
     was emitted, and which optimization tier produced it (``transforms``
     lists the loop transforms that actually fired, e.g.
-    ``["strip_mine", "guard_absorb"]``).  ``entries`` maps the name of
+    ``["guard_absorb", "simd"]``).  ``entries`` maps the name of
     every additional function of the same translation unit to its own
     spec (same ``c_source``, its own ``args``)."""
 
@@ -138,7 +134,7 @@ class NativeSpec:
 
 
 # ---------------------------------------------------------------------------
-# Helper-function templates, specialized per element type
+# The integer helpers C has no operator for
 # ---------------------------------------------------------------------------
 
 def _helper_fdiv() -> str:
@@ -158,83 +154,6 @@ def _helper_minmax() -> str:
         "static inline int64_t _imin(int64_t a, int64_t b) "
         "{ return a < b ? a : b; }\n"
     )
-
-
-def _helper_bisect(t: str) -> str:
-    T = _CTYPES[t]
-    return (
-        f"static int64_t _bisect_{_TAGS[t]}(const {T} *arr, int64_t key, "
-        "int64_t lo, int64_t hi) {\n"
-        "    while (lo < hi) {\n"
-        "        int64_t mid = (lo + hi) / 2;\n"
-        f"        int64_t v = (int64_t)arr[mid];\n"
-        "        if (v == key) return mid;\n"
-        "        if (v < key) lo = mid + 1; else hi = mid;\n"
-        "    }\n"
-        "    return -1;\n"
-        "}\n"
-    )
-
-
-def _helper_coo_find(tr: str, tc: str) -> str:
-    return (
-        f"static int64_t _coo_find_{_TAGS[tr]}_{_TAGS[tc]}("
-        f"const {_CTYPES[tr]} *rows, int64_t n, const {_CTYPES[tc]} *cols, "
-        "int64_t r, int64_t c) {\n"
-        "    for (int64_t k = 0; k < n; k++)\n"
-        "        if ((int64_t)rows[k] == r && (int64_t)cols[k] == c) return k;\n"
-        "    return -1;\n"
-        "}\n"
-    )
-
-
-def _helper_ell_find(tc: str, tl: str) -> str:
-    return (
-        f"static int64_t _ell_find_{_TAGS[tc]}_{_TAGS[tl]}("
-        f"const {_CTYPES[tc]} *colind, int64_t s0, const {_CTYPES[tl]} *rowlen, "
-        "int64_t r, int64_t c) {\n"
-        "    int64_t lo = 0, hi = (int64_t)rowlen[r];\n"
-        "    while (lo < hi) {\n"
-        "        int64_t mid = (lo + hi) / 2;\n"
-        "        int64_t v = (int64_t)colind[r * s0 + mid];\n"
-        "        if (v == c) return mid;\n"
-        "        if (v < c) lo = mid + 1; else hi = mid;\n"
-        "    }\n"
-        "    return -1;\n"
-        "}\n"
-    )
-
-
-def _helper_jad_row_find(td: str, tc: str, tr: str) -> str:
-    return (
-        f"static int64_t _jad_row_find_{_TAGS[td]}_{_TAGS[tc]}_{_TAGS[tr]}("
-        f"const {_CTYPES[td]} *dptr, const {_CTYPES[tc]} *colind, "
-        f"const {_CTYPES[tr]} *rowcnt, int64_t rr, int64_t c) {{\n"
-        "    int64_t lo = 0, hi = (int64_t)rowcnt[rr];\n"
-        "    while (lo < hi) {\n"
-        "        int64_t mid = (lo + hi) / 2;\n"
-        "        int64_t jj = (int64_t)dptr[mid] + rr;\n"
-        "        int64_t v = (int64_t)colind[jj];\n"
-        "        if (v == c) return jj;\n"
-        "        if (v < c) lo = mid + 1; else hi = mid;\n"
-        "    }\n"
-        "    return -1;\n"
-        "}\n"
-    )
-
-
-def _helper_jad_find(ti: str, td: str, tc: str, tr: str) -> str:
-    inner = f"_jad_row_find_{_TAGS[td]}_{_TAGS[tc]}_{_TAGS[tr]}"
-    return (
-        f"static int64_t _jad_find_{_TAGS[ti]}_{_TAGS[td]}_{_TAGS[tc]}_{_TAGS[tr]}("
-        f"const {_CTYPES[ti]} *ipermi, int64_t n, const {_CTYPES[td]} *dptr, "
-        f"const {_CTYPES[tc]} *colind, const {_CTYPES[tr]} *rowcnt, "
-        "int64_t r, int64_t c) {\n"
-        "    if (r < 0 || r >= n) return -1;\n"
-        f"    return {inner}(dptr, colind, rowcnt, (int64_t)ipermi[r], c);\n"
-        "}\n"
-    )
-
 
 
 # ---------------------------------------------------------------------------
@@ -310,15 +229,17 @@ _FORK_MIN_TRIP = 4096
 class _Scheduler:
     """One top-down rewrite of a kernel body.  Per ``For`` it decides the
     OpenMP verdict from the loop's plan dimensions and, at the tiled tier,
-    applies register_tile or guard_absorb / strip_mine / simd.  The input
-    IR is never mutated (a kernel's IR is shared by every lowering)."""
+    applies register_tile or guard_absorb / simd.  A search is ordinary
+    statements to it: the ``While`` it is made of keeps a body from being
+    ``simd`` or ``register_tile`` material, by the rules those already
+    have.  The input IR is never mutated (a kernel's IR is shared by
+    every lowering)."""
 
-    def __init__(self, report, flavour: str, opt: str, tile_rows: int,
+    def __init__(self, report, flavour: str, opt: str,
                  written: Set[ArrayArg]):
         self.report = report        # ParallelReport, None when sequential
         self.flavour = flavour
         self.opt = opt
-        self.tile_rows = tile_rows
         self.written = written
         self.transforms: List[str] = []
         self.declared: Set[str] = set()    # scalars assigned so far
@@ -361,12 +282,8 @@ class _Scheduler:
             absorbed = self.guard_absorb(f)
             if absorbed is not None:
                 pre, lo, hi, body = absorbed
-        strip = (opt_on and depth == 0 and self.tile_rows > 0
-                 and not _mentions((f.lo, f.hi), self.written))
         simd = (opt_on and (nested or not par)
                 and self.simd_safe(body, f.var))
-        if strip:
-            self.transforms.append("strip_mine")
         if simd:
             # honored under -fopenmp-simd (always passed for this tier);
             # does not require the full OpenMP runtime
@@ -376,17 +293,8 @@ class _Scheduler:
         if nested:
             return pre + self.fork_if_long(
                 For(f.var, lo, hi, f.step, body, f.dims, inner))
-        if not strip:
-            return pre + [For(f.var, lo, hi, f.step, body, f.dims,
-                              "parallel" if par else inner)]
-        # cache-block the outermost loop into row blocks; per-iteration
-        # work and order are unchanged, so results stay byte-identical
-        blk, end = f"{f.var}__blk", f"{f.var}__end"
-        tile = self.tile_rows
-        return pre + [For(blk, lo, hi, tile, [
-            Assign(end, BinOp("min", V(blk) + tile, hi)),
-            For(f.var, V(blk), V(end), 1, body, (), inner),
-        ], f.dims, "parallel" if par else None)]
+        return pre + [For(f.var, lo, hi, f.step, body, f.dims,
+                          "parallel" if par else inner)]
 
     def fork_if_long(self, f: For) -> List:
         """An order-free loop nested in a sequential one, two-versioned on
@@ -444,7 +352,9 @@ class _Scheduler:
     def simd_safe(self, body: Sequence, v: str) -> bool:
         """True when every iteration of the loop over ``v`` touches
         provably distinct store addresses and carries no scalar state, so
-        ``#pragma omp simd`` preserves byte-identical results."""
+        ``#pragma omp simd`` preserves byte-identical results.  Only
+        assignments and stores qualify: a body with a search in it (a
+        ``While``) is declined."""
         stores: Set[Tuple] = set()
         for st in body:
             if isinstance(st, Assign):
@@ -484,8 +394,10 @@ class _Scheduler:
         blocked, holding ``_PANEL`` columns of the output panel in a local
         accumulator across the sparse loop; the columns left over run the
         original loop.  Per output element the accumulation order is
-        unchanged, so results stay byte-identical.  Returns the
-        replacement statements or None."""
+        unchanged, so results stay byte-identical.  Only assignments may
+        precede the panel loop, so a sparse loop that searches (a
+        ``While``) is declined.  Returns the replacement statements or
+        None."""
         if not f.body or not isinstance(f.body[-1], For):
             return None
         pre, inner = f.body[:-1], f.body[-1]
@@ -619,29 +531,6 @@ class _CPrinter:
         self.helper("_imax", _helper_minmax())
         return f"{'_imax' if e.op == 'max' else '_imin'}({l}, {r})"
 
-    def _call(self, e: Call) -> str:
-        arrays = [a for a in e.args if isinstance(a, ArrayArg)]
-        rest = [self.top(a) for a in e.args if not isinstance(a, ArrayArg)]
-        dts = [a.dtype for a in arrays]
-        name = e.fn + "".join(f"_{_TAGS[t]}" for t in dts)
-        args = [a.name for a in arrays]
-        if e.fn == "_bisect":
-            self.helper(name, _helper_bisect(*dts))
-        elif e.fn == "_coo_find":
-            self.helper(name, _helper_coo_find(*dts))
-            args.insert(1, f"{args[0]}__len")
-        elif e.fn == "_ell_find":
-            self.helper(name, _helper_ell_find(*dts))
-            args.insert(1, f"{args[0]}__s0")
-        elif e.fn == "_jad_row_find":
-            self.helper(name, _helper_jad_row_find(*dts))
-        else:
-            inner = "_jad_row_find" + "".join(f"_{_TAGS[t]}" for t in dts[1:])
-            self.helper(inner, _helper_jad_row_find(*dts[1:]))
-            self.helper(name, _helper_jad_find(*dts))
-            args.insert(1, f"{args[0]}__len")
-        return f"{name}({', '.join(args + rest)})"
-
     EXPR = {
         LinExpr: _lin,
         Const: _const,
@@ -654,7 +543,6 @@ class _CPrinter:
         Select: lambda self, e: (f"({self.expr(e.cond)} ? "
                                  f"{self.expr(e.then)} : "
                                  f"{self.expr(e.orelse)})"),
-        Call: _call,
     }
 
     # -- statements -------------------------------------------------------
@@ -717,10 +605,7 @@ class _CPrinter:
 
     def _array_arg(self, a: ArrayArg, qual: str) -> List[str]:
         parts = [f"{_CTYPES[a.dtype]} *{qual} {a.name}"]
-        parts += [f"int64_t {a.name}__s{k}" for k in range(a.ndim - 1)]
-        if a.need_len:
-            parts.append(f"int64_t {a.name}__len")
-        return parts
+        return parts + [f"int64_t {a.name}__s{k}" for k in range(a.ndim - 1)]
 
     ARG = {ScalarArg: lambda self, a, qual: [f"int64_t {a.name}"],
            ArrayArg: _array_arg}
@@ -742,7 +627,6 @@ class _CPrinter:
         """``(name, args, body)`` triples as one unit: the helpers any of
         them uses, then the functions in order, a blank line apart."""
         printed = [self.function(*f) for f in functions]
-        # first-use order: _jad_find calls _jad_row_find, registered first
         out = ["#include <stdint.h>", ""] + list(self.helpers.values())
         for k, lines in enumerate(printed):
             out.extend(([""] if k else []) + lines)
@@ -774,7 +658,6 @@ def _written(ir: KernelIR) -> Set[ArrayArg]:
 
 
 def lower_kernel(kernel, parallel: str = "none", opt: str = "none",
-                 tile_rows: Optional[int] = None,
                  entry_points: Optional[Mapping[str, KernelIR]] = None
                  ) -> NativeSpec:
     """Lower a :class:`~repro.core.compiler.CompiledKernel`'s loop IR to a
@@ -782,8 +665,7 @@ def lower_kernel(kernel, parallel: str = "none", opt: str = "none",
     :class:`~repro.core.parallel.ParallelReport` proves order-free.
 
     ``opt`` selects the optimization tier (``"none"`` or ``"tiled"`` —
-    see the module docstring); ``tile_rows`` overrides the
-    ``REPRO_TILE_ROWS`` row-block size.  ``entry_points`` names further
+    see the module docstring).  ``entry_points`` names further
     loop IRs to print as sequential functions of the same unit, after
     ``kernel`` and at the same tier (``NativeSpec.entries``)."""
     from repro.instrument import INSTR
@@ -794,18 +676,15 @@ def lower_kernel(kernel, parallel: str = "none", opt: str = "none",
                 f"parallel must be 'none' or 'strict', got {parallel!r}")
         if opt not in ("none", "tiled"):
             raise ValueError(f"opt must be 'none' or 'tiled', got {opt!r}")
-        if tile_rows is None:
-            from repro.util.env import env_int
-            tile_rows = env_int("REPRO_TILE_ROWS", 512, minimum=1)
         ir = kernel.loop_ir()
         _check_lowerable(ir)
         report = kernel.parallel_report() if parallel != "none" else None
-        sched = _Scheduler(report, parallel, opt, tile_rows, _written(ir))
+        sched = _Scheduler(report, parallel, opt, _written(ir))
         functions = [("kernel", ir.args, sched.block(ir.body))]
         entries = {}
         for name, e in (entry_points or {}).items():
             _check_lowerable(e)
-            own = _Scheduler(None, "none", opt, tile_rows, _written(e))
+            own = _Scheduler(None, "none", opt, _written(e))
             functions.append((name, e.args, own.block(e.body)))
             entries[name] = (e.args, own.transforms)
         printer = _CPrinter(opt)

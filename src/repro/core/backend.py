@@ -459,8 +459,8 @@ class NativeKernel:
     Marshalling: every array argument is coerced to the compile-time
     dtype and C-contiguity (``np.ascontiguousarray`` — a no-op for
     already-conforming arrays); arrays the kernel writes are copied back
-    when coercion had to copy.  Stride and length arguments are derived
-    from the coerced array's shape.  Every argument that did not pass
+    when coercion had to copy.  Stride arguments are derived from the
+    coerced array's shape.  Every argument that did not pass
     through as it was counts ``native.dispatch.coerced`` — an instance
     whose index arrays were swapped for another width after the kernel
     was bound pays a widening copy on *every* call, and this is where
@@ -493,8 +493,6 @@ class NativeKernel:
             else:
                 argtypes.append(ctypes.c_void_p)
                 argtypes.extend([ctypes.c_int64] * max(a.ndim - 1, 0))
-                if a.need_len:
-                    argtypes.append(ctypes.c_int64)
         fn.argtypes = argtypes
         fn.restype = None
 
@@ -559,8 +557,6 @@ class NativeKernel:
                 cargs.append(carr.ctypes.data)
                 for k in range(1, a.ndim):
                     cargs.append(int(carr.shape[k]))
-                if a.need_len:
-                    cargs.append(int(carr.shape[0]) if a.ndim else 0)
             self.fn(*cargs)
             for orig, tmp in writebacks:
                 orig[...] = tmp

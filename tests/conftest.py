@@ -3,6 +3,8 @@ part; tests share kernels per (kernel, format) pair) and standard matrices."""
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,21 @@ def lower_tri():
 @pytest.fixture(scope="session")
 def upper_tri():
     return upper_triangular_of(random_sparse(8, 8, 0.3, seed=4))
+
+
+def index_arrays(inst):
+    """name -> integer ndarray attribute of a format instance."""
+    return {k: v for k, v in vars(inst).items()
+            if isinstance(v, np.ndarray) and v.dtype.kind == "i"}
+
+
+def at_width(inst, dtype):
+    """A copy of ``inst`` whose index arrays were swapped for ``dtype``
+    ones after construction."""
+    out = copy.copy(inst)
+    for name, arr in index_arrays(inst).items():
+        setattr(out, name, arr.astype(dtype))
+    return out
 
 
 class IRKernel:

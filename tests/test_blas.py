@@ -323,3 +323,68 @@ class TestPanelAndOutputGuards:
         x = ts_upper_solve(f, b)
         assert x.dtype == np.float64
         assert np.allclose(upper.to_dense() @ x, b)
+
+
+class TestVectorOperandGuards:
+    """A vector operand of the wrong length or rank is refused before any
+    dispatch (regression: with a registered native handle ``mvm(A, short)``
+    read past ``x`` and returned garbage, and a wrong-length ``b`` went
+    into the bound solve unchecked — the kernels loop to the matrix's
+    extents whatever the operand holds)."""
+
+    @pytest.fixture(params=[None, "python", "c"],
+                    ids=["table", "python-handle", "c-handle"])
+    def bound(self, request, dense_a):
+        """(A, L, U) — a 7x9 operand and the triangular parts of a square
+        one — bare or with every op bound as a kernel handle."""
+        import warnings
+
+        from repro.blas.api import kernel_handle
+        from repro.core import NativeBackendWarning
+        from repro.solvers import SolverContext
+
+        A = as_format(dense_a, "csr")
+        S = as_format(dense_a[:, :7] + 4.0 * np.eye(7), "csr")
+        if request.param is None:
+            return A, as_format(np.tril(S.to_dense()), "csr"), \
+                as_format(np.triu(S.to_dense()), "csr")
+        with warnings.catch_warnings():
+            # without a toolchain "c" is the python handle again
+            warnings.simplefilter("ignore", NativeBackendWarning)
+            SolverContext(A, ops=("mvm", "mvm_t"), backend=request.param)
+            ctx = SolverContext(S, ops=("ts_lower", "ts_upper"),
+                                backend=request.param)
+        assert kernel_handle(A, "mvm") and kernel_handle(ctx.L, "ts_lower")
+        return A, ctx.L, ctx.U
+
+    @pytest.mark.parametrize("shape", [(8,), (10,), (9, 1), ()],
+                             ids=["short", "long", "2-D", "0-D"])
+    def test_mvm(self, bound, shape):
+        A = bound[0]
+        with pytest.raises(ValueError, match=r"mvm: operand is 7x9 so x "
+                           r"must be a vector of length 9, got shape"):
+            mvm(A, np.ones(shape))
+        assert np.allclose(mvm(A, np.ones(9)), A.to_dense().sum(axis=1))
+
+    @pytest.mark.parametrize("shape", [(6,), (9,), (7, 1)],
+                             ids=["short", "long", "2-D"])
+    def test_mvm_t(self, bound, shape):
+        A = bound[0]
+        with pytest.raises(ValueError, match=r"mvm_t: operand is 7x9 so x "
+                           r"must be a vector of length 7, got shape"):
+            mvm_t(A, np.ones(shape))
+        assert np.allclose(mvm_t(A, np.ones(7)), A.to_dense().sum(axis=0))
+
+    @pytest.mark.parametrize("in_place", [False, True])
+    @pytest.mark.parametrize("shape", [(6,), (8,), (7, 1)],
+                             ids=["short", "long", "2-D"])
+    def test_triangular_solves(self, bound, shape, in_place):
+        _, L, U = bound
+        for solve, T in ((ts_lower_solve, L), (ts_upper_solve, U)):
+            b = np.ones(shape)
+            with pytest.raises(ValueError, match=solve.__name__ + r": operand "
+                               r"is 7x7 so b must be a vector of length 7"):
+                solve(T, b, in_place=in_place)
+            assert np.array_equal(b, np.ones(shape))    # untouched
+            x = solve(T, np.ones(7))
+            assert np.allclose(T.to_dense() @ x, np.ones(7))

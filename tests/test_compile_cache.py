@@ -281,7 +281,11 @@ class TestDiskLayer:
                    for c in seen)
 
         fresh = compile_kernel(mvm(), {"A": A}, cache="off")
-        assert k.source == fresh.source
+        # the Python source is replayed as stored: today's kernel under the
+        # search routines every source carried until they became loop IR
+        from tests.test_search_golden import PR19_PREAMBLE
+        head = "import numpy as _np\n"
+        assert k.source == head + PR19_PREAMBLE + fresh.source[len(head):]
         assert lower_kernel(k).c_source == lower_kernel(fresh).c_source
         assert k.cost == fresh.cost
         x = np.arange(1.0, 9.0)

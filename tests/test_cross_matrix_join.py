@@ -1,14 +1,33 @@
 """Cross-matrix joins: one statement referencing two different sparse
 matrices at the same element — the compiler realizes the enumerate-one,
-search-the-other strategy (paper Section 4.1's join strategies)."""
+search-the-other strategy (paper Section 4.1's join strategies).
+
+These are the kernels that contain searches, and a search is loop IR like
+the loops around it (:meth:`BaseEmitter.bisect` / ``scan``): the second
+half holds every search target to Python == C at both tiers and both
+index widths, byte for byte, and to having no helper function in either
+print."""
+
+import re
+import types
+import warnings
 
 import numpy as np
 import pytest
 
-from repro.core import LoopNode, SearchEnum, compile_kernel
+from repro.codegen.emitters import JadEmitter
+from repro.codegen.loopir import (
+    ArrayArg, Builder, If, KernelIR, Load, Store, V, While, ZERO, walk,
+)
+from repro.core import (
+    LoopNode, NativeBackendWarning, SearchEnum, compile_kernel,
+)
+from repro.core import backend as be
 from repro.formats import as_format
 from repro.formats.generate import random_sparse
 from repro.ir import execute_dense, parse_program
+from repro.polyhedra.linexpr import LinExpr
+from tests.conftest import at_width, run_ir_native, run_ir_python
 
 _cache = {}
 
@@ -99,3 +118,133 @@ class TestHadamardDot:
         acc = np.array(1.5)
         k({"A": A, "B": B, "acc": acc}, {"m": 4, "n": 4})
         assert acc == pytest.approx(1.5)  # accumulator untouched
+
+
+# ---------------------------------------------------------------------------
+# Searches on both backends
+# ---------------------------------------------------------------------------
+
+def hadamard_mvm():
+    """y[i] += A[i][j] * B[i][j] * x[j] — a join under a dense update."""
+    return parse_program(
+        """
+        hadmv(m, n; A: matrix, B: matrix, x: vector, y: vector) {
+            for i = 0 : m {
+                for j = 0 : n {
+                    y[i] = y[i] + A[i][j] * B[i][j] * x[j];
+                }
+            }
+        }
+        """
+    )
+
+
+PROGRAMS = {"haddot": hadamard_dot, "hadmv": hadamard_mvm}
+
+#: (format of A, format of B, format the plan searches): COO is the
+#: cheapest structure to walk, so it drives and the other side is searched
+JOINS = [("coo", "csr", "csr"), ("coo", "csc", "csc"), ("coo", "coo", "coo"),
+         ("coo", "ell", "ell"), ("coo", "jad", "jad"), ("coo", "msr", "msr"),
+         ("coo", "dia", "dia"), ("csr", "coo", "csr")]
+
+TIERS = (("python", {}), ("c/none", {"backend": "c", "opt": "none"}),
+         ("c/tiled", {"backend": "c", "opt": "tiled"}))
+
+
+def searched_formats(kernel):
+    found = set()
+
+    def visit(nodes):
+        for n in nodes:
+            if isinstance(n, LoopNode):
+                found.update(r.ref.fmt.format_name for r in n.roles
+                             if r.role == "search")
+                if isinstance(n.method, SearchEnum):
+                    found.add(n.method.driver.fmt.format_name)
+                visit(n.before)
+                visit(n.body)
+                visit(n.after)
+
+    visit(kernel.plan.nodes)
+    return found
+
+
+def assert_no_helpers(kernel):
+    """A kernel's code is its IR: nothing is defined beside ``kernel``."""
+    assert "def " not in kernel.source.split("def kernel")[0]
+    if kernel.backend_used == "c":
+        assert not re.search(r"static int64_t _\w*(bisect|find)",
+                             kernel.c_source)
+
+
+@pytest.mark.parametrize("width", [np.int32, np.int64],
+                         ids=lambda w: np.dtype(w).name)
+@pytest.mark.parametrize("fa,fb,target", JOINS)
+@pytest.mark.parametrize("name", PROGRAMS)
+def test_search_kernels_agree_across_backends(name, fa, fb, target, width,
+                                              mats):
+    Ad, Bd = mats
+    A, B = at_width(as_format(Ad, fa), width), at_width(as_format(Bd, fb), width)
+    x = np.random.default_rng(3).random(9)
+    results = {}
+    for label, kw in TIERS:
+        with warnings.catch_warnings():
+            # without a toolchain backend="c" is the Python kernel again
+            warnings.simplefilter("ignore", NativeBackendWarning)
+            k = compile_kernel(PROGRAMS[name](), {"A": A, "B": B}, **kw)
+        assert target in searched_formats(k)
+        assert any(isinstance(n, While) for n in walk(k.loop_ir().body))
+        assert_no_helpers(k)
+        if k.backend_used == "c":
+            # the inlined loads read the index arrays at the bound width
+            narrow = width is np.int32
+            assert ("int32_t *" in k.c_source) == narrow
+            assert ("int64_t *" in k.c_source) == (not narrow)
+        out = {"acc": np.array(0.25), "y": np.full(7, 0.5)}
+        k({"A": A, "B": B, "x": x, **out}, {"m": 7, "n": 9})
+        results[label] = out["acc" if name == "haddot" else "y"]
+    want = ((Ad * Bd).sum() + 0.25 if name == "haddot"
+            else (Ad * Bd) @ x + 0.5)
+    assert np.allclose(results["python"], want)
+    for label, got in results.items():
+        assert got.tobytes() == results["python"].tobytes(), label
+
+
+@pytest.mark.parametrize("width", [np.int32, np.int64],
+                         ids=lambda w: np.dtype(w).name)
+def test_jad_flat_search(width, mats):
+    """The flat perspective's search — unmap the row, then bisect it — on
+    keys inside, outside and absent; no plan above reaches it."""
+    B = at_width(as_format(mats[1], "jad"), width)
+    queries = [(r, c) for r in range(-1, 9) for c in range(-1, 11)]
+    b = Builder()
+    rows, cols = (b.arg(ArrayArg(n, ("array", n), "int64", 1))
+                  for n in ("rows", "cols"))
+    out = b.arg(ArrayArg("out", ("array", "out"), "float64", 1))
+    out.written = True
+    ref = types.SimpleNamespace(array="B",
+                                path=types.SimpleNamespace(path_id="flat"))
+    em = JadEmitter(ref, "M0", B, b)
+    q = em.count("q", ZERO, LinExpr.constant(len(queries)), False, ("q",))
+    keys = [V(em.let(n, Load(a, (V(q),)))) for n, a in
+            (("r", rows), ("c", cols))]
+    states, found = em.search(0, [], keys)
+    b.add(If(found, [Store(out, (V(q),), em.get(states))]))
+    ir = KernelIR(b.args, b.body)
+    assert all(a.dtype == np.dtype(width).name for a in ir.args
+               if isinstance(a, ArrayArg) and a.name.startswith("M0_")
+               and a.name != "M0_values")
+    arrays = {"B": B, "rows": np.array([r for r, _ in queries]),
+              "cols": np.array([c for _, c in queries])}
+    want = np.array([B.get(r, c) if 0 <= r < 7 and 0 <= c < 9 else 0.0
+                     for r, c in queries])
+    assert np.count_nonzero(want) == B.nnz
+    got = dict(arrays, out=np.zeros(len(queries)))
+    run_ir_python(ir, got, {})
+    assert got["out"].tobytes() == want.tobytes()
+    if be.find_compiler() is None:
+        return
+    for opt in ("none", "tiled"):
+        got = dict(arrays, out=np.zeros(len(queries)))
+        run_ir_native(ir, got, {}, opt=opt)
+        assert got["out"].tobytes() == want.tobytes(), opt

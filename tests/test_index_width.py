@@ -29,7 +29,6 @@ bound on never pays a coercion copy (``native.dispatch.coerced``).
 
 from __future__ import annotations
 
-import copy
 import warnings
 
 import numpy as np
@@ -56,25 +55,11 @@ from repro.ir.kernels import ALL_KERNELS
 from repro.search.features import extract_features
 from repro.search.format_select import select_output_format
 from repro.solvers import SolverContext
+from tests.conftest import at_width, index_arrays
 
 #: dense is left out of the big-matrix hunt (70 001² doubles) and has no
 #: index arrays to get wrong
 SPARSE = [f for f in FORMATS if f != "dense"]
-
-
-def index_arrays(inst):
-    """name -> integer ndarray attribute of a format instance."""
-    return {k: v for k, v in vars(inst).items()
-            if isinstance(v, np.ndarray) and v.dtype.kind == "i"}
-
-
-def at_width(inst, dtype):
-    """A copy of ``inst`` whose index arrays were swapped for ``dtype``
-    ones after construction."""
-    out = copy.copy(inst)
-    for name, arr in index_arrays(inst).items():
-        setattr(out, name, arr.astype(dtype))
-    return out
 
 
 # ---------------------------------------------------------------------------

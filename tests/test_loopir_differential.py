@@ -7,9 +7,14 @@ operands, loads and stores on int32/int64 index arrays and float32/float64
 value arrays, a 2-D and a 0-D dense array, read-modify-write
 accumulations, indirect (scatter) addresses and the SpMM panel shape —
 execs the Python print, compiles the C print at ``opt="none"`` and
-``opt="tiled"`` (so strip_mine, guard_absorb, register_tile and the simd
-marking run on programs they were not written for), and requires
-``np.array_equal`` on every array.
+``opt="tiled"`` (so guard_absorb, register_tile and the simd marking run
+on programs they were not written for), and requires ``np.array_equal``
+on every array.
+
+Searches are loop IR too (:meth:`BaseEmitter.bisect` / ``scan``): a second
+strategy draws sorted index arrays, ranges and keys, builds the search
+through those constructors and holds both prints to a
+``np.searchsorted`` oracle.
 
 Memory safety by construction: every loop variable stays in ``[0, N)``,
 every index expression in ``[0, 2N]``, every array has ``2N + 2`` rows,
@@ -26,12 +31,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
+from repro.codegen.emitters import BaseEmitter, slots_of
 from repro.codegen.loopir import (
-    And, ArrayArg, Assign, BinOp, Cmp, Const, For, If, KernelIR, Load, Neg,
-    ScalarArg, Store, V, ZERO, counted,
+    And, ArrayArg, Assign, BinOp, Builder, Cmp, Const, For, If, KernelIR, Load,
+    Neg, ScalarArg, Store, V, While, ZERO, counted, walk,
 )
 from repro.core import backend as be
 from repro.polyhedra.linexpr import LinExpr
@@ -241,8 +247,7 @@ def check(case):
     run_ir_python(ir, want, params)
     for opt in ("none", "tiled"):
         got = data_for(np.random.default_rng(data_seed))
-        # a small row block so strip-mined loops run several blocks
-        run_ir_native(ir, got, params, opt=opt, tile_rows=4)
+        run_ir_native(ir, got, params, opt=opt)
         for name in want:
             assert np.array_equal(want[name], got[name]), (opt, name)
 
@@ -281,7 +286,164 @@ def test_transforms_are_reached():
             BinOp("*", prog.load("G64", jj),
                   prog.load("X", V("c5"), kk))))], ("kk",))], ("jj",))
     ir = prog.kernel([For("v1", ZERO, C(N), 1, [band, spmm], ("v",))])
-    spec = lower_kernel(IRKernel(ir), opt="tiled", tile_rows=4)
-    assert {"strip_mine", "guard_absorb", "simd", "register_tile"} \
-        <= set(spec.transforms)
+    spec = lower_kernel(IRKernel(ir), opt="tiled")
+    assert {"guard_absorb", "simd", "register_tile"} <= set(spec.transforms)
     check((ir, {"a": 0, "n": N, "k": K}, 7))
+
+
+# -- searches -----------------------------------------------------------------
+
+SLOTS = 12             # longest sorted array a search is drawn over
+QUERIES = 6
+
+
+def search_ir(kind, dtype):
+    """``out[q] = search(keys[q])`` for every query ``q``, the search built
+    by the emitters' constructors over ``ind`` (and ``aux``) of ``dtype``:
+
+    - ``"array"``: bisect ``ind[lo:hi]``;
+    - ``"probe"``: bisect slots read through a probe with a setup
+      statement, ``ind[aux[mid] + 1]`` (the JAD row shape), a hit yielding
+      that address;
+    - ``"scan"``: the first ``k < hi`` with ``ind[k] == key`` and
+      ``aux[k] == key2`` (the COO shape; duplicates allowed)."""
+    b = Builder()
+    lo, hi, nq = (V(b.arg(ScalarArg(f"p_{p}", ("param", p))).name)
+                  for p in ("lo", "hi", "nq"))
+    ind, aux = (b.arg(ArrayArg(n, ("array", n), dtype, 1))
+                for n in ("ind", "aux"))
+    keys, out = (b.arg(ArrayArg(n, ("array", n), "int64", 1))
+                 for n in ("keys", "out"))
+    out.written = True
+    em = BaseEmitter(None, "S", None, b)
+    q = em.count("q", ZERO, nq, False, ("q",))
+    key = V(em.let("key", Load(keys, (V(q),))))
+    if kind == "array":
+        (found,), cond = em.bisect("f", lo, hi, key, slots_of(ind))
+    elif kind == "probe":
+        pos = em.fresh("pos")
+        (found,), cond = em.bisect("f", lo, hi, key, lambda mid: (
+            [Assign(pos, BinOp("+", Load(aux, (mid,)), C(1)))],
+            Load(ind, (V(pos),)), V(pos)))
+    else:
+        (found,), cond = em.scan("f", hi, lambda k: And((
+            Cmp("==", Load(ind, (k,)), key),
+            Cmp("==", Load(aux, (k,)), key + 1))))
+    assert cond == Cmp(">=", V(found), ZERO)
+    b.add(Store(out, (V(q),), V(found)))
+    return KernelIR(b.args, b.body)
+
+
+_SEARCH_KERNELS = {}
+
+
+def search_kernels(kind, dtype):
+    """(Python callable, C at none, C at tiled) of one search shape; the IR
+    does not depend on the drawn data, so each is built once."""
+    from repro.codegen.loopir import print_python
+    from repro.codegen.native import lower_kernel
+    from repro.codegen.pysource import source_to_callable
+    from tests.conftest import IRKernel
+
+    if (kind, dtype) not in _SEARCH_KERNELS:
+        ir = search_ir(kind, dtype)
+        runners = [source_to_callable(print_python(ir))]
+        for opt in ("none", "tiled"):
+            spec = lower_kernel(IRKernel(ir), opt=opt)
+            fn, omp = be.compile_native_function(spec.c_source, False, "off",
+                                                 opt)
+            runners.append(be.NativeKernel(fn, spec, omp))
+        _SEARCH_KERNELS[kind, dtype] = runners
+    return _SEARCH_KERNELS[kind, dtype]
+
+
+def search_oracle(kind, ind, aux, lo, hi, key):
+    if kind == "scan":
+        hits = np.nonzero((ind[:hi] == key) & (aux[:hi] == key + 1))[0]
+        return int(hits[0]) if hits.size else -1
+    if kind == "probe":
+        ind = ind[aux[:hi] + 1] if hi else ind[:0]
+    pos = lo + int(np.searchsorted(ind[lo:hi], key))
+    if pos == hi or ind[pos] != key:
+        return -1
+    return int(aux[pos]) + 1 if kind == "probe" else pos
+
+
+@st.composite
+def search_cases(draw):
+    kind = draw(st.sampled_from(["array", "probe", "scan"]))
+    dtype = draw(st.sampled_from(["int32", "int64"]))
+    distinct = st.sets(st.integers(-9, 9), max_size=SLOTS)
+    if kind == "scan":
+        slots = draw(st.lists(st.integers(-3, 3), max_size=SLOTS))
+        aux = [v + draw(st.integers(0, 1)) for v in slots]
+    else:
+        slots = sorted(draw(distinct))      # no duplicates, by construction
+        aux = list(range(len(slots)))
+    if kind == "probe":
+        # slot mid lives at ind[aux[mid] + 1], aux a drawn permutation
+        aux = draw(st.permutations(aux))
+        stored = [0] * (len(slots) + 1)
+        for mid, at in enumerate(aux):
+            stored[at + 1] = slots[mid]
+        slots = stored
+    hi = draw(st.integers(0, len(aux)))
+    lo = draw(st.integers(0, hi))
+    keys = draw(st.lists(st.integers(-11, 11), min_size=1, max_size=QUERIES))
+    return kind, dtype, slots, aux, lo, hi, keys
+
+
+def check_search(case):
+    kind, dtype, slots, aux, lo, hi, keys = case
+    ind, aux = np.array(slots, dtype=dtype), np.array(aux, dtype=dtype)
+    keys = np.array(keys, dtype=np.int64)
+    want = np.array([search_oracle(kind, ind, aux, lo, hi, int(k))
+                     for k in keys])
+    for run in search_kernels(kind, dtype):
+        out = np.full(len(keys), -7, dtype=np.int64)
+        run({"ind": ind, "aux": aux, "keys": keys, "out": out},
+            {"lo": lo, "hi": hi, "nq": len(keys)})
+        assert np.array_equal(out, want), (run, out, want)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=QUIET)
+@given(search_cases())
+@example(("array", "int32", [], [], 0, 0, [0]))                  # empty
+@example(("array", "int64", [4], [0], 0, 1, [3, 4, 5]))          # one slot
+@example(("array", "int32", [1, 3, 5, 7], [0, 1, 2, 3], 1, 3,
+          [1, 3, 4, 5, 7, -2]))                 # present outside [lo, hi)
+@example(("probe", "int32", [0, 5, 2], [1, 0], 0, 2, [2, 5, 3]))
+@example(("scan", "int64", [2, 2, 2], [3, 3, 0], 0, 3, [2, 1]))  # first hit
+def test_search_printers_agree(case):
+    check_search(case)
+
+
+def test_a_search_is_statements_the_scheduler_sees_into():
+    """No opaque call: the search is ``While``/``If``/``Assign`` nodes, and
+    a body holding one is neither ``simd`` nor ``register_tile`` material
+    by the rules those transforms already have."""
+    from repro.codegen.native import lower_kernel
+    from tests.conftest import IRKernel
+
+    ir = search_ir("array", "int32")
+    assert any(isinstance(n, While) for n in walk(ir.body))
+    assert lower_kernel(IRKernel(ir), opt="tiled").transforms == []
+    # the same loop without the search is simd-marked
+    loop = ir.body[0]
+    plain = For(loop.var, loop.lo, loop.hi, 1, [
+        s for s in loop.body if isinstance(s, Store)], loop.dims)
+    plain.body[0] = Store(plain.body[0].array, plain.body[0].idx, V(loop.var))
+    spec = lower_kernel(IRKernel(KernelIR(ir.args, [plain])), opt="tiled")
+    assert spec.transforms == ["simd"]
+    # the SpMM shape with a search among the sparse loop's statements
+    prog = Program()
+    b = Builder()
+    em = BaseEmitter(None, "S", None, b)
+    jj = em.count("jj", ZERO, C(N), False, ("jj",))
+    (c,), _ = em.bisect("c", ZERO, C(N), V(jj), slots_of(prog.arrays["I64"]))
+    b.add(For("kk", ZERO, V("p_k"), 1, [prog.store("Y", (ZERO, V("kk")), BinOp(
+        "+", prog.load("Y", ZERO, V("kk")),
+        prog.load("X", BinOp("max", V(c), ZERO), V("kk"))))], ("kk",)))
+    spec = lower_kernel(IRKernel(prog.kernel(b.body)), opt="tiled")
+    assert "register_tile" not in spec.transforms

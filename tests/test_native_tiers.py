@@ -1,7 +1,7 @@
 """Optimization tiers of the native backend: byte-identity of the tiled
-tier, demotion observability, the env knobs (REPRO_OPT / REPRO_CFLAGS /
-REPRO_TILE_ROWS), the native SpGEMM tier, the prepared-argument dispatch
-fast path, and the autotuner's (format, tier) axis.
+tier, demotion observability, the env knobs (REPRO_OPT / REPRO_CFLAGS),
+the native SpGEMM tier, the prepared-argument dispatch fast path, and the
+autotuner's (format, tier) axis.
 
 Tests that need the real toolchain check ``find_compiler()`` and skip
 without one; the demotion tests force its absence and assert the
@@ -75,7 +75,6 @@ class TestTiledByteIdentity:
         kt = _compile("mvm", "A", A, backend="c", opt="tiled")
         spec = kt.native().spec
         assert spec.opt == "tiled"
-        assert "strip_mine" in spec.transforms
         assert "guard_absorb" in spec.transforms
         # restrict-qualified signature is a tiled-tier property
         assert "restrict" in spec.c_source
@@ -178,19 +177,6 @@ class TestEnvKnobs:
         with pytest.raises(ValueError, match="opt"):
             compile_kernel(ALL_KERNELS["mvm"](), {"A": A}, backend="c",
                            opt="warp9")
-
-    def test_tile_rows_env_baked_into_source(self, monkeypatch):
-        from repro.codegen.native import lower_kernel
-
-        A = as_format(random_sparse(N, N, 0.3, seed=8), "csr")
-        k = _compile("mvm", "A", A)   # python kernel carries the plan
-        monkeypatch.setenv("REPRO_TILE_ROWS", "64")
-        spec = lower_kernel(k, opt="tiled")
-        assert "+= 64" in spec.c_source
-        monkeypatch.setenv("REPRO_TILE_ROWS", "128")
-        spec2 = lower_kernel(k, opt="tiled")
-        assert "+= 128" in spec2.c_source
-        assert spec.c_source != spec2.c_source   # digest input differs
 
     def test_repro_cflags_appended_and_digested(self, rng, monkeypatch):
         _native_or_skip()

@@ -20,6 +20,15 @@ nothing else — same Python source, same plan, same search and polyhedral
 work, and a C source that is the old one byte for byte once the type is
 written wide again (so ``codegen.c_source_bytes`` cannot have moved:
 ``int32_t`` and ``int64_t`` are the same length).
+
+And once more when the search routines became loop IR (ISSUE 20) and the
+five-function preamble every Python kernel carried was deleted.
+``search_determinism.pr19.json`` is the file before that, and
+:func:`test_only_the_preamble_changed_since_pr19` pins the difference: the
+new Python source with the old preamble (:data:`PR19_PREAMBLE`, kept here
+only for this) put back after its import line *is* the old source; C
+source, plan cost and all work counters are equal — none of the pairs
+contains a search.
 """
 
 from __future__ import annotations
@@ -43,6 +52,8 @@ from repro.polyhedra.fm import clear_memos
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "search_determinism.json")
 GOLDEN_PR15 = os.path.join(os.path.dirname(__file__), "golden",
                            "search_determinism.pr15.json")
+GOLDEN_PR19 = os.path.join(os.path.dirname(__file__), "golden",
+                           "search_determinism.pr19.json")
 
 PAIRS = [("mvm", f) for f in ("csr", "csc", "coo", "dia", "ell", "jad", "bsr", "msr")]
 PAIRS += [("ts_lower", f) for f in ("csr", "csc", "jad")]
@@ -64,17 +75,21 @@ def _written_wide(c_source: str) -> str:
     return re.sub(r"_i32\b", "_i64", re.sub(r"\bint32_t\b", "int64_t", c_source))
 
 
-def cold_record(kernel: str, fmt: str) -> dict:
-    """Compile one pair from a cold state and describe what came out."""
+def _bindings(kernel: str, fmt: str) -> dict:
     coo = can_1072_like(seed=1072)
     if kernel == "ts_lower":
         A = repro.as_format(lower_triangular_of(coo), fmt)
         A.annotate_triangular("lower")
-        bindings = {"L": A}
-    else:
-        bindings = {"A": repro.as_format(coo, fmt)}
+        return {"L": A}
+    bindings = {"A": repro.as_format(coo, fmt)}
     if kernel == "spgemm":
         bindings["B"] = repro.as_format(coo, "csr")
+    return bindings
+
+
+def cold_record(kernel: str, fmt: str) -> dict:
+    """Compile one pair from a cold state and describe what came out."""
+    bindings = _bindings(kernel, fmt)
     clear_compile_cache()
     clear_memos()
     clear_pair_memo()
@@ -101,6 +116,7 @@ def _load(path: str) -> dict:
 
 _GOLDEN = _load(GOLDEN)
 _PR15 = _load(GOLDEN_PR15)
+_PR19 = _load(GOLDEN_PR19)
 
 
 @pytest.mark.parametrize("kernel,fmt", PAIRS, ids=lambda p: str(p))
@@ -110,13 +126,85 @@ def test_cold_compile_matches_golden(kernel, fmt):
 
 @pytest.mark.parametrize("kernel,fmt", PAIRS, ids=lambda p: str(p))
 def test_only_the_index_type_changed_since_pr15(kernel, fmt):
-    new, old = _GOLDEN[f"{kernel}.{fmt}"], _PR15[f"{kernel}.{fmt}"]
+    # between the two frozen files: what came after PR 19 is pinned below
+    new, old = _PR19[f"{kernel}.{fmt}"], _PR15[f"{kernel}.{fmt}"]
     for name in ("py_sha1", "cost") + COUNTERS:
         assert new[name] == old[name], name
     # every pair here binds a format with index arrays, so the C source
     # did change — into the old one with a narrower element type
     assert new["c_sha1"] != old["c_sha1"]
     assert new["c_sha1_written_wide"] == old["c_sha1"]
+
+
+#: what ``print_python`` put between the import line and ``def kernel``
+#: up to PR 19: the search routines as Python text (their C twins were
+#: templates in ``codegen/native.py``)
+PR19_PREAMBLE = '''
+def _bisect(arr, key, lo, hi):
+    while lo < hi:
+        mid = (lo + hi) // 2
+        v = arr[mid]
+        if v == key:
+            return mid
+        if v < key:
+            lo = mid + 1
+        else:
+            hi = mid
+    return -1
+
+def _coo_find(rows, cols, r, c):
+    for k in range(len(rows)):
+        if rows[k] == r and cols[k] == c:
+            return k
+    return -1
+
+def _ell_find(colind, rowlen, r, c):
+    lo, hi = 0, rowlen[r]
+    while lo < hi:
+        mid = (lo + hi) // 2
+        v = colind[r, mid]
+        if v == c:
+            return mid
+        if v < c:
+            lo = mid + 1
+        else:
+            hi = mid
+    return -1
+
+def _jad_row_find(dptr, colind, rowcnt, rr, c):
+    lo, hi = 0, rowcnt[rr]
+    while lo < hi:
+        mid = (lo + hi) // 2
+        jj = dptr[mid] + rr
+        v = colind[jj]
+        if v == c:
+            return jj
+        if v < c:
+            lo = mid + 1
+        else:
+            hi = mid
+    return -1
+
+def _jad_find(ipermi, dptr, colind, rowcnt, r, c):
+    if not (0 <= r < len(ipermi)):
+        return -1
+    return _jad_row_find(dptr, colind, rowcnt, ipermi[r], c)
+'''
+
+
+@pytest.mark.parametrize("kernel,fmt", PAIRS, ids=lambda p: str(p))
+def test_only_the_preamble_changed_since_pr19(kernel, fmt):
+    new, old = _GOLDEN[f"{kernel}.{fmt}"], _PR19[f"{kernel}.{fmt}"]
+    for name in ("c_sha1", "c_sha1_written_wide", "cost") + COUNTERS:
+        assert new[name] == old[name], name
+    assert new["py_sha1"] != old["py_sha1"]
+    source = repro.compile_kernel(ALL_KERNELS[kernel](),
+                                  _bindings(kernel, fmt),
+                                  backend="python", cache="off").source
+    assert _sha1(source) == new["py_sha1"]
+    head = "import numpy as _np\n"
+    assert source.startswith(head + "\ndef kernel(")
+    assert _sha1(head + PR19_PREAMBLE + source[len(head):]) == old["py_sha1"]
 
 
 if __name__ == "__main__":
