@@ -1,15 +1,20 @@
 """The format-designer story (paper Section 2): define a brand-new format
-with the view grammar and a small runtime, and compile existing kernels for
-it without touching them.
+with the view grammar, say where its arrays are, and compile existing
+kernels for it — to C — without touching them.
 
 The format: "banded skyline by rows" — each row stores a contiguous column
-segment [first[r], first[r]+len[r]), the profile storage used by skyline
+segment [first[r], first[r]+length[r]), the profile storage used by skyline
 solvers.  Its index structure is
 
     r -> c -> v     with r an interval and c an interval per row
 
 which the grammar expresses directly; the columns being an *interval* (not
-a compressed list) is what distinguishes it from CSR.
+a compressed list) is what distinguishes it from CSR.  The storage
+declaration names the arrays behind the two levels: the rows are dense,
+the columns of row r are the range first[r] .. first[r]+length[r], and the
+value of (r, c) sits at data[start[r] + c - first[r]].  From the two the
+compiler derives the loops, the searches and the C; the small runtime
+below is the reference the plan interpreter runs.
 
 Run:  python examples/custom_format.py
 """
@@ -18,6 +23,7 @@ import numpy as np
 
 from repro import compile_kernel, kernels
 from repro.formats.base import PathRuntime, SparseFormat, coo_dedup_sort
+from repro.formats.levels import Dense, Range, Size, Storage, at
 from repro.formats.views import Nest, Term, Value, interval_axis
 
 
@@ -30,55 +36,45 @@ class SkylineMatrix(SparseFormat):
         super().__init__(shape)
         self.first = np.asarray(first, dtype=np.int64)    # (m,)
         self.length = np.asarray(length, dtype=np.int64)  # (m,)
-        self.data = data                                  # list of row arrays
+        self.data = np.asarray(data, dtype=np.float64)    # the rows, end to end
+        self.start = np.concatenate(([0], np.cumsum(self.length)[:-1]))
 
     @property
     def nnz(self):
-        return int(self.length.sum())
+        return int(self.data.size)
+
+    def _slot(self, r, c):
+        o = c - self.first[r]
+        return int(self.start[r] + o) if 0 <= o < self.length[r] else None
 
     def get(self, r, c):
-        o = c - self.first[r]
-        if 0 <= o < self.length[r]:
-            return float(self.data[r][o])
-        return 0.0
+        k = self._slot(r, c)
+        return 0.0 if k is None else float(self.data[k])
 
     def set(self, r, c, v):
-        o = c - self.first[r]
-        if 0 <= o < self.length[r]:
-            self.data[r][o] = v
-            return
-        raise KeyError((r, c))
+        k = self._slot(r, c)
+        if k is None:
+            raise KeyError((r, c))
+        self.data[k] = v
 
     def to_coo_arrays(self):
-        rows, cols, vals = [], [], []
-        for r in range(self.nrows):
-            for o in range(self.length[r]):
-                rows.append(r)
-                cols.append(self.first[r] + o)
-                vals.append(self.data[r][o])
-        return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
-                np.array(vals, dtype=np.float64))
+        rows = np.repeat(np.arange(self.nrows), self.length)
+        cols = np.arange(self.nnz) - self.start[rows] + self.first[rows]
+        return rows, cols, self.data.copy()
 
     @classmethod
     def from_coo(cls, rows, cols, vals, shape):
         rows, cols, vals = coo_dedup_sort(rows, cols, vals, shape, order="row")
-        m, n = shape
+        m = shape[0]
         first = np.zeros(m, dtype=np.int64)
         length = np.zeros(m, dtype=np.int64)
-        data = []
         for r in range(m):
-            mask = rows == r
-            if mask.any():
-                lo = int(cols[mask].min())
-                hi = int(cols[mask].max()) + 1
-            else:
-                lo = hi = 0
-            first[r] = lo
-            length[r] = hi - lo
-            row = np.zeros(hi - lo)
-            row[cols[mask] - lo] = vals[mask]
-            data.append(row)
-        return cls(first, length, data, shape)
+            mine = cols[rows == r]
+            if mine.size:
+                first[r], length[r] = mine.min(), mine.max() + 1 - mine.min()
+        self = cls(first, length, np.zeros(int(length.sum())), shape)
+        self.data[self.start[rows] + cols - first[rows]] = vals
+        return self
 
     # -- the low-level API the compiler consumes -----------------------
     def view(self) -> Term:
@@ -86,11 +82,15 @@ class SkylineMatrix(SparseFormat):
         # columns are a contiguous, searchable segment
         return Nest(interval_axis("r"), Nest(interval_axis("c"), Value()))
 
+    def storage(self, path_id) -> Storage:
+        lo = at("first", "r")
+        return Storage(
+            (Dense("m"), Range(lo, ("+", lo, at("length", "r")))),
+            ("data", ("+", at("start", "r"), ("-", "c", lo))),
+            ("first", "length", "start", "data", Size("m", "nrows")))
+
     def path_ids(self):
         return ["rows"]
-
-    def axis_total(self, axis_name):
-        return (0, self.nrows) if axis_name == "r" else None
 
     def runtime(self, path_id):
         fmt = self
@@ -103,18 +103,17 @@ class SkylineMatrix(SparseFormat):
                     for r in range(fmt.nrows):
                         yield (r,), r
                 else:
-                    (r,) = prefix
-                    for o in range(int(fmt.length[r])):
-                        yield (int(fmt.first[r]) + o, ), o
+                    lo, hi = self.interval(1, prefix)
+                    for c in range(lo, hi):
+                        yield (c,), c
 
             def search(self, step, prefix, keys):
                 if step == 0:
                     (r,) = keys
                     return r if 0 <= r < fmt.nrows else None
-                (r,) = prefix
                 (c,) = keys
-                o = c - int(fmt.first[r])
-                return o if 0 <= o < fmt.length[r] else None
+                lo, hi = self.interval(1, prefix)
+                return c if lo <= c < hi else None
 
             def interval(self, step, prefix):
                 if step == 0:
@@ -124,12 +123,10 @@ class SkylineMatrix(SparseFormat):
                 return (lo, lo + int(fmt.length[r]))
 
             def get(self, prefix):
-                r, o = prefix
-                return float(fmt.data[r][o])
+                return fmt.get(*prefix)
 
             def set(self, prefix, value):
-                r, o = prefix
-                fmt.data[r][o] = value
+                fmt.set(*prefix, value)
 
         return Rt()
 
@@ -151,7 +148,7 @@ def main():
     x = rng.random(n)
     for kname in ["mvm", "row_sums", "frobenius"]:
         program = getattr(kernels, kname)()
-        kernel = compile_kernel(program, {"A": A})
+        kernel = compile_kernel(program, {"A": A}, backend="c")
         if kname == "mvm":
             y = np.zeros(n)
             kernel({"A": A, "x": x, "y": y}, {"m": n, "n": n})
@@ -164,8 +161,8 @@ def main():
             acc = np.array(0.0)
             kernel({"A": A, "acc": acc}, {"m": n, "n": n})
             assert np.allclose(acc, (dense * dense).sum())
-        print(f"  {kname:10s} compiled and verified "
-              f"({kernel.result.stats.generated} candidates searched)")
+        print(f"  {kname:10s} compiled backend={kernel.backend_used!r} and "
+              f"verified ({kernel.result.stats.generated} candidates searched)")
 
     k = compile_kernel(kernels.mvm(), {"A": A})
     print("\nMVM plan for the new format:")

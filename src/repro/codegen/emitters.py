@@ -1,11 +1,17 @@
-"""Per-format loop-IR emitters.
+"""Loop-IR emitters: the raw-array code of one access path.
 
-Each emitter knows how to inline one format's raw-array operations — loops
-over ``rowptr``/``colind``, binary searches, permutation lookups — exactly
-the code a hand-written library kernel would contain (the point of paper
+An emitter inlines a format's storage operations — loops over
+``rowptr``/``colind``, binary searches, permutation lookups — exactly the
+code a hand-written library kernel would contain (the point of paper
 Section 5's "structurally equivalent to the NIST C library").  It builds
 :mod:`repro.codegen.loopir` nodes; what language they are printed in is not
 its concern.
+
+A format does not get a class here: it *declares* where its arrays are
+(:meth:`~repro.formats.base.SparseFormat.storage`, a level per step of the
+path, :mod:`repro.formats.levels`) and :class:`ViewEmitter` composes the
+loops and searches from the declaration and the view — a user-defined
+format that declares its storage lowers to C like a built-in one.
 
 An emitter serves one *reference group* (one matrix instance bound to one
 access path).  Constructing it declares the instance's storage arrays and
@@ -24,11 +30,10 @@ typed from the bound instance.  It then provides:
   the search site like any loop;
 - ``get(states)`` / ``set(states, value)`` — the value access.
 
-Keys and states are names of integer locals, accumulated per step.  The
-:class:`GenericEmitter` falls back to dynamic calls through the abstract
-runtime for formats without a specialized emitter (user-defined formats
-stay supported); those are ``PyOnly`` nodes, so such kernels do not lower
-to C.
+Keys and states are names of integer locals, accumulated per step.  A
+format that declares no storage gets the :class:`GenericEmitter`: dynamic
+calls through its :class:`~repro.formats.base.PathRuntime`, every node
+``PyOnly``, so such a kernel runs as generated Python only.
 """
 
 from __future__ import annotations
@@ -59,16 +64,14 @@ from repro.codegen.loopir import (
     within,
 )
 from repro.core.spaces import SparseRef
+from repro.formats.levels import (
+    Compressed, Coords, Dense, Range, Size, Storage,
+)
+from repro.formats.views import BINARY, DIRECT, LINEAR, NOSEARCH, SEARCHES
 from repro.polyhedra.linexpr import LinExpr
 
 MINUS_ONE = LinExpr.constant(-1)
 TWO = LinExpr.constant(2)
-
-
-def slots_of(ind: ArrayArg):
-    """The :meth:`BaseEmitter.bisect` probe of a sorted 1-d index array: a
-    hit yields its position."""
-    return lambda mid: ([], Load(ind, (mid,)), mid)
 
 
 class BaseEmitter:
@@ -108,18 +111,6 @@ class BaseEmitter:
         self.b.add(Assign(v, value))
         return v
 
-    def segment(self, ptr: ArrayArg, ind: ArrayArg, outer: str, stem: str,
-                key: str, reverse: bool, dims):
-        """``for jj in range(ptr[outer], ptr[outer+1]): key = ind[jj]``."""
-        jj = self.count(stem, Load(ptr, (V(outer),)),
-                        Load(ptr, (V(outer) + 1,)), reverse, dims)
-        return [self.let(key, Load(ind, (V(jj),)))], [jj]
-
-    def index(self, stem: str, key, extent):
-        """A dense axis is 'searched' by bounds-checking the key."""
-        v = self.let(stem, key)
-        return [v], within(V(v), ZERO, extent)
-
     def bisect(self, stem: str, lo, hi, key, probe):
         """Binary search of the slots ``[lo, hi)``, sorted ascending
         without duplicates, for ``key``.  ``probe(mid)`` says how slot
@@ -140,18 +131,15 @@ class BaseEmitter:
         ]))
         return [found], Cmp(">=", V(found), ZERO)
 
-    def scan(self, stem: str, n, hit):
-        """Early-exit linear search: the first ``k`` in ``[0, n)`` where
+    def scan(self, stem: str, lo, hi, hit):
+        """Early-exit linear search: the first ``k`` in ``[lo, hi)`` where
         the condition ``hit(k)`` holds, -1 when there is none."""
-        found, k = self.let(stem, MINUS_ONE), self.let("at", ZERO)
-        self.b.add(While(And((Cmp("<", V(found), ZERO), Cmp("<", V(k), n))), [
+        found, k = self.let(stem, MINUS_ONE), self.let("at", lo)
+        self.b.add(While(And((Cmp("<", V(found), ZERO), Cmp("<", V(k), hi))), [
             If(hit(V(k)), [Assign(found, V(k))]),
             Assign(k, V(k) + 1),
         ]))
         return [found], Cmp(">=", V(found), ZERO)
-
-    def interval(self, step: int, states: Sequence[str]):
-        return None
 
     def set(self, states: Sequence[str], value) -> None:
         ref = self.get(states)
@@ -159,150 +147,134 @@ class BaseEmitter:
         self.b.add(Store(ref.array, ref.idx, value))
 
 
-class CompressedEmitter(BaseEmitter):
-    """CSR, CSC and the off-diagonal part of MSR: an outer dense axis, then
-    a compressed segment per outer index."""
+class ViewEmitter(BaseEmitter):
+    """One access path of a format that declares its storage
+    (:mod:`repro.formats.levels`): every step's loop, search and interval
+    and the value access are composed from the step's level, and the kind
+    of search from the view's ``Axis.search`` — a bounds check for
+    ``DIRECT``, :meth:`bisect` for ``BINARY``, :meth:`scan` for ``LINEAR``.
+    Each level yields one state: the key itself for ``Dense``/``Range``,
+    the slot position otherwise."""
 
-    def __init__(self, ref, name, inst, b, ptr, ind, extent, outer, key):
+    def __init__(self, ref, name, inst, b, decl: Storage):
         super().__init__(ref, name, inst, b)
-        self.ptr = self.array(ptr)
-        self.ind = self.array(ind)
-        self.values = self.array("values")
-        self.extent = self.size(*extent)
-        self.outer, self.key = outer, key
+        steps = ref.path.steps
+        self.where = (f"format {ref.fmt.format_name!r}, "
+                      f"path {ref.path.path_id!r}")
+        if len(decl.levels) != len(steps):
+            raise ValueError(
+                f"{self.where}: {len(decl.levels)} levels declared for the "
+                f"{len(steps)} steps {' -> '.join(map(repr, steps))}")
+        self.args = {}            # declared name -> ArrayArg | size variable
+        for a in decl.args:       # in signature order
+            attr = a.attr if isinstance(a, Size) else a
+            if not hasattr(inst, attr):
+                raise ValueError(
+                    f"{self.where} (axes {', '.join(ref.path.axis_names)}): "
+                    f"the storage names {attr!r}, an attribute "
+                    f"{type(inst).__name__} does not have")
+            if isinstance(a, Size):
+                self.args[a.local] = self.size(*a)
+            else:
+                self.args[a] = self.array(a)
+        self.levels, self.value = decl.levels, decl.value
+        self.how = [self._search_kind(step, level)
+                    for step, level in zip(steps, decl.levels)]
+
+    def _search_kind(self, step, level) -> str:
+        """The weakest search the step's axes declare, once the level is
+        known to be able to build it."""
+        axes = ", ".join(step.names)
+        if any(a.perm for a in step.axes):
+            raise ValueError(f"{self.where}, axis {axes}: a permuted axis "
+                             "is not a level (see JadEmitter)")
+        how = min((a.search for a in step.axes), key=SEARCHES.index)
+        if isinstance(level, (Dense, Range)):
+            can = (DIRECT,)
+        else:       # slots: scanned, or bisected on one sorted coordinate
+            can = (LINEAR, BINARY) if len(step.axes) == 1 else (LINEAR,)
+        if how != NOSEARCH and how not in can:
+            raise ValueError(
+                f"{self.where}, axis {axes}: the view declares a {how} "
+                f"search, a {type(level).__name__} level builds "
+                f"{' or '.join(can)}")
+        return how
+
+    def expr(self, e, states):
+        """A declared expression (see :mod:`repro.formats.levels`)."""
+        if isinstance(e, int):
+            return LinExpr.constant(e)
+        if isinstance(e, str):
+            if e in self.args:
+                return self.args[e]
+            return V(states[self.ref.path.step_of(e)])
+        op, *operands = e
+        if op == "at":
+            return Load(self.args[operands[0]],
+                        (self.expr(operands[1], states),))
+        operands = [self.expr(x, states) for x in operands]
+        return Neg(*operands) if op == "neg" else BinOp(op, *operands)
+
+    def interval(self, step, states):
+        level = self.levels[step]
+        if isinstance(level, Dense):
+            return ZERO, self.args[level.extent]
+        if isinstance(level, Range):
+            return self.expr(level.lo, states), self.expr(level.hi, states)
+        return None
+
+    def slots(self, step, states):
+        """A level that stores coordinates: (first slot, end slot, the
+        coordinate arrays, the address of a slot in them)."""
+        level = self.levels[step]
+        if isinstance(level, Coords):
+            return (ZERO, self.args[level.extent],
+                    [self.args[i] for i in level.inds], lambda k: (k,))
+        p, inds = V(states[step - 1]), [self.args[level.ind]]
+        if isinstance(level, Compressed):
+            ptr = self.args[level.ptr]
+            return (Load(ptr, (p,)), Load(ptr, (p + 1,)), inds,
+                    lambda k: (k,))
+        count = Load(self.args[level.count], (p,))       # Counted
+        return ZERO, count, inds, lambda k: (p, k)
 
     def loop(self, step, states, reverse, dims):
-        if step == 0:
-            v = self.count(self.outer, ZERO, self.extent, reverse, dims)
+        names = self.ref.path.steps[step].names
+        iv = self.interval(step, states)
+        if iv is not None:
+            v = self.count(names[0], *iv, reverse, dims)
             return [v], [v]
-        return self.segment(self.ptr, self.ind, states[0], "jj", self.key,
-                            reverse, dims)
-
-    def interval(self, step, states):
-        return (ZERO, self.extent) if step == 0 else None
-
-    def search(self, step, states, keys):
-        if step == 0:
-            return self.index(self.outer, keys[0], self.extent)
-        o = V(states[0])
-        return self.bisect("jj", Load(self.ptr, (o,)),
-                           Load(self.ptr, (o + 1,)), keys[0],
-                           slots_of(self.ind))
-
-    def get(self, states):
-        return Load(self.values, (V(states[1]),))
-
-
-class CooEmitter(BaseEmitter):
-    def __init__(self, ref, name, inst, b):
-        super().__init__(ref, name, inst, b)
-        self.rows, self.cols = self.array("rows"), self.array("cols")
-        self.vals = self.array("vals")
-        self.nnz = self.size("nnz", "nnz")
-
-    def loop(self, step, states, reverse, dims):
-        k = self.count("k", ZERO, self.nnz, reverse, dims)
-        r = self.let("r", Load(self.rows, (V(k),)))
-        c = self.let("c", Load(self.cols, (V(k),)))
-        return [r, c], [k]
+        level = self.levels[step]
+        lo, hi, inds, at = self.slots(step, states)
+        k = self.count(level.slot, lo, hi, reverse, dims)
+        keys = [self.let(n, Load(ind, at(V(k)))) for n, ind in zip(names, inds)]
+        if getattr(level, "off_diagonal", False):
+            self.b.open(If(Cmp("!=", V(keys[0]), V(states[step - 1])), []))
+        return keys, [k]
 
     def search(self, step, states, keys):
-        return self.scan("k", self.nnz, lambda k: And((
-            Cmp("==", Load(self.rows, (k,)), keys[0]),
-            Cmp("==", Load(self.cols, (k,)), keys[1]))))
+        iv = self.interval(step, states)
+        if iv is not None:
+            v = self.let(self.ref.path.steps[step].names[0], keys[0])
+            return [v], within(V(v), *iv)
+        level = self.levels[step]
+        lo, hi, inds, at = self.slots(step, states)
+        if self.how[step] == BINARY:
+            state, found = self.bisect(
+                level.slot, lo, hi, keys[0],
+                lambda mid: ([], Load(inds[0], at(mid)), mid))
+        else:
+            state, found = self.scan(level.slot, lo, hi, lambda k: And(tuple(
+                Cmp("==", Load(ind, at(k)), key)
+                for ind, key in zip(inds, keys))))
+        if getattr(level, "off_diagonal", False):
+            found = And((Cmp("!=", keys[0], V(states[step - 1])), found))
+        return state, found
 
     def get(self, states):
-        return Load(self.vals, (V(states[0]),))
-
-
-class DenseEmitter(BaseEmitter):
-    def __init__(self, ref, name, inst, b):
-        super().__init__(ref, name, inst, b)
-        self.axis_order = (("r", "c") if ref.path.path_id == "rowmajor"
-                           else ("c", "r"))
-        self.data = self.array("data")
-        self.extent = {"r": self.size("m", "nrows"),
-                       "c": self.size("n", "ncols")}
-
-    def loop(self, step, states, reverse, dims):
-        axis = self.axis_order[step]
-        v = self.count(axis, ZERO, self.extent[axis], reverse, dims)
-        return [v], [v]
-
-    def interval(self, step, states):
-        return (ZERO, self.extent[self.axis_order[step]])
-
-    def search(self, step, states, keys):
-        axis = self.axis_order[step]
-        return self.index(axis, keys[0], self.extent[axis])
-
-    def get(self, states):
-        at = dict(zip(self.axis_order, states))
-        return Load(self.data, (V(at["r"]), V(at["c"])))
-
-
-class EllEmitter(BaseEmitter):
-    def __init__(self, ref, name, inst, b):
-        super().__init__(ref, name, inst, b)
-        self.colind, self.data = self.array("colind"), self.array("data")
-        self.rowlen = self.array("rowlen")
-        self.m = self.size("m", "nrows")
-
-    def loop(self, step, states, reverse, dims):
-        if step == 0:
-            r = self.count("r", ZERO, self.m, reverse, dims)
-            return [r], [r]
-        r = V(states[0])
-        kk = self.count("kk", ZERO, Load(self.rowlen, (r,)), reverse, dims)
-        return [self.let("c", Load(self.colind, (r, V(kk))))], [kk]
-
-    def interval(self, step, states):
-        return (ZERO, self.m) if step == 0 else None
-
-    def search(self, step, states, keys):
-        if step == 0:
-            return self.index("r", keys[0], self.m)
-        r = V(states[0])
-        return self.bisect(
-            "kk", ZERO, Load(self.rowlen, (r,)), keys[0],
-            lambda mid: ([], Load(self.colind, (r, mid)), mid))
-
-    def get(self, states):
-        return Load(self.data, (V(states[0]), V(states[1])))
-
-
-class DiaEmitter(BaseEmitter):
-    def __init__(self, ref, name, inst, b):
-        super().__init__(ref, name, inst, b)
-        self.diags, self.data = self.array("diags"), self.array("data")
-        self.m, self.n = self.size("m", "nrows"), self.size("n", "ncols")
-        self.nd = self.size("nd", "diags", kind="len")
-
-    def band(self, k: str):
-        """The stored offsets ``[lo, hi)`` of diagonal slot ``k``."""
-        d = Load(self.diags, (V(k),))
-        return (BinOp("max", ZERO, Neg(d)),
-                BinOp("min", self.n, BinOp("-", self.m, d)))
-
-    def loop(self, step, states, reverse, dims):
-        if step == 0:
-            k = self.count("k", ZERO, self.nd, reverse, dims)
-            return [self.let("d", Load(self.diags, (V(k),)))], [k]
-        o = self.count("o", *self.band(states[0]), reverse, dims)
-        return [o], [o]
-
-    def interval(self, step, states):
-        return self.band(states[0]) if step == 1 else None
-
-    def search(self, step, states, keys):
-        if step == 0:
-            return self.bisect("k", ZERO, self.nd, keys[0],
-                               slots_of(self.diags))
-        o = self.let("o", keys[0])
-        return [o], within(V(o), *self.band(states[0]))
-
-    def get(self, states):
-        return Load(self.data, (V(states[0]), V(states[1])))
+        array, *idx = self.value
+        return Load(self.args[array],
+                    tuple(self.expr(i, states) for i in idx))
 
 
 class JadEmitter(BaseEmitter):
@@ -365,66 +337,6 @@ class JadEmitter(BaseEmitter):
         return Load(self.values, (V(states[-1]),))
 
 
-class BsrEmitter(BaseEmitter):
-    def __init__(self, ref, name, inst, b):
-        super().__init__(ref, name, inst, b)
-        self.inner_order = (("ri", "ci") if ref.path.path_id == "rows_rc"
-                            else ("ci", "ri"))
-        self.indptr = self.array("indptr")
-        self.blockind, self.data = self.array("blockind"), self.array("data")
-        self.brows = self.size("brows", "block_rows")
-        self.s = self.size("s", "block_size")
-
-    def loop(self, step, states, reverse, dims):
-        if step == 1:
-            return self.segment(self.indptr, self.blockind, states[0], "kk",
-                                "cb", reverse, dims)
-        stem, extent = (("rb", self.brows) if step == 0
-                        else (self.inner_order[step - 2], self.s))
-        v = self.count(stem, ZERO, extent, reverse, dims)
-        return [v], [v]
-
-    def interval(self, step, states):
-        if step == 1:
-            return None
-        return (ZERO, self.brows if step == 0 else self.s)
-
-    def search(self, step, states, keys):
-        if step == 0:
-            return self.index("rb", keys[0], self.brows)
-        if step == 1:
-            rb = V(states[0])
-            return self.bisect("kk", Load(self.indptr, (rb,)),
-                               Load(self.indptr, (rb + 1,)), keys[0],
-                               slots_of(self.blockind))
-        return self.index("v", keys[0], self.s)
-
-    def get(self, states):
-        inner = dict(zip(self.inner_order, states[2:]))
-        return Load(self.data, (V(states[1]), V(inner["ri"]),
-                                V(inner["ci"])))
-
-
-class MsrDiagEmitter(BaseEmitter):
-    def __init__(self, ref, name, inst, b):
-        super().__init__(ref, name, inst, b)
-        self.dvals = self.array("dvals")
-        self.nd = self.size("nd", "ndiag")
-
-    def loop(self, step, states, reverse, dims):
-        i = self.count("i", ZERO, self.nd, reverse, dims)
-        return [i], [i]
-
-    def interval(self, step, states):
-        return (ZERO, self.nd)
-
-    def search(self, step, states, keys):
-        return self.index("i", keys[0], self.nd)
-
-    def get(self, states):
-        return Load(self.dvals, (V(states[0]),))
-
-
 class GenericEmitter(BaseEmitter):
     """Fallback: call the abstract runtime dynamically.  Keeps user-defined
     formats working with the generated Python (slower than inlined code
@@ -475,15 +387,11 @@ class GenericEmitter(BaseEmitter):
 
 
 def make_emitter(ref: SparseRef, name: str, inst, b: Builder) -> BaseEmitter:
-    fmt_name = ref.fmt.format_name
-    if fmt_name == "csr" or (fmt_name == "msr" and ref.path.path_id != "diag"):
-        return CompressedEmitter(ref, name, inst, b, "rowptr", "colind",
-                                 ("m", "nrows"), "r", "c")
-    if fmt_name == "csc":
-        return CompressedEmitter(ref, name, inst, b, "colptr", "rowind",
-                                 ("n", "ncols"), "c", "r")
-    if fmt_name == "msr":
-        return MsrDiagEmitter(ref, name, inst, b)
-    cls = {"coo": CooEmitter, "dense": DenseEmitter, "ell": EllEmitter,
-           "dia": DiaEmitter, "jad": JadEmitter, "bsr": BsrEmitter}
-    return cls.get(fmt_name, GenericEmitter)(ref, name, inst, b)
+    decl = inst.storage(ref.path.path_id)
+    if decl is not None:
+        return ViewEmitter(ref, name, inst, b, decl)
+    # JAD keeps a class: the flat walk's ``While`` over the diagonal
+    # pointer and the search through the inverse permutation are not levels
+    if ref.fmt.format_name == "jad":
+        return JadEmitter(ref, name, inst, b)
+    return GenericEmitter(ref, name, inst, b)

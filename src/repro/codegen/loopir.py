@@ -1,6 +1,6 @@
 """The loop IR between enumeration plans and the two code printers.
 
-The generator (:mod:`repro.codegen.pysource`) and the per-format emitters
+The generator (:mod:`repro.codegen.pysource`) and the storage emitters
 (:mod:`repro.codegen.emitters`) build a tree of these nodes once per
 kernel; Python is printed from it here (:func:`print_python`) and C99 in
 :mod:`repro.codegen.native`.  Everything a printer or a loop transform
@@ -94,7 +94,7 @@ class Neg(Expr):
 
 
 class Cmp(Expr):
-    """``left op right`` with op one of ``< <= > >= ==``."""
+    """``left op right`` with op one of ``< <= > >= == !=``."""
     __slots__ = ("op", "left", "right")
 
 

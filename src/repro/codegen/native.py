@@ -597,10 +597,13 @@ class _CPrinter:
     # -- assembly ---------------------------------------------------------
 
     def signature(self, args: Sequence, restrict: bool) -> str:
-        qual = " restrict" if restrict else ""
+        # two paths of one matrix (SYM's triangle and its mirror) take the
+        # same array twice: those pointers alias and cannot be ``restrict``
+        sources = [a.source for a in args]
         parts: List[str] = []
         for a in args:
-            parts.extend(self.ARG[type(a)](self, a, qual))
+            alone = restrict and sources.count(a.source) == 1
+            parts.extend(self.ARG[type(a)](self, a, " restrict" if alone else ""))
         return ", ".join(parts) if parts else "void"
 
     def _array_arg(self, a: ArrayArg, qual: str) -> List[str]:

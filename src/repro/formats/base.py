@@ -6,9 +6,11 @@ A format implements two APIs, mirroring the paper's two-API design
 - the **high-level API** (`get`, `set`, `to_dense`, shape/nnz): the
   dense-matrix view used by algorithm designers and by the reference
   interpreters;
-- the **low-level API** (`view`, `paths`, `runtime`): the index structure
-  exposed to the restructuring compiler, plus per-path enumeration/search
-  runtimes (the analog of the paper's ``term_nesting`` / iterator classes).
+- the **low-level API** (`view`, `paths`, `storage`, `runtime`): the index
+  structure exposed to the restructuring compiler, where its arrays are,
+  plus per-path enumeration/search runtimes (the analog of the paper's
+  ``term_nesting`` / iterator classes; the reference the emitted code is
+  checked against).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 
 import numpy as np
 
+from repro.formats.levels import Dense, Size
 from repro.formats.views import AccessPath, Term, access_paths, union_branches
 from repro.polyhedra.system import System
 
@@ -204,6 +207,13 @@ class SparseFormat:
         """Enumeration runtime for one path."""
         raise NotImplementedError
 
+    def storage(self, path_id: str):
+        """Where this path's arrays are, as a
+        :class:`repro.formats.levels.Storage` — what lets the compiler emit
+        raw-array loops (and C) for the format; None leaves it to the
+        :meth:`runtime`."""
+        return None
+
     def axis_range(self, axis_name: str) -> Optional[Tuple[int, int]]:
         """Half-open value range of a (possibly post-map) axis when it is
         known from the shape alone: logical rows are [0, m), columns [0, n).
@@ -222,8 +232,20 @@ class SparseFormat:
         The plan builder uses this to decide whether a statement with no
         stored data on a dimension can be fused into its enumeration (the
         enumeration must be *total* over the statement's instances, or some
-        instances would silently never execute).  Default: only interval
-        axes that the format declares total (overridden per format)."""
+        instances would silently never execute).  Default: the axes of a
+        declared ``Dense`` level (a format that declares no storage
+        overrides this)."""
+        for p in self.paths():
+            decl = self.storage(p.path_id)
+            if (decl is None or axis_name not in p.axis_names
+                    or len(decl.levels) != len(p.steps)):
+                continue
+            level = decl.levels[p.step_of(axis_name)]
+            if isinstance(level, Dense):
+                for a in decl.args:
+                    if (isinstance(a, Size) and a.local == level.extent
+                            and a.kind == "attr"):
+                        return (0, getattr(self, a.attr))
         return None
 
     def bounds(self) -> Optional[System]:

@@ -29,6 +29,7 @@ from repro.formats.base import (
     storage_index_dtype,
     pointer_array,
 )
+from repro.formats.levels import Compressed, Dense, Size, Storage
 from repro.formats.views import (
     Axis,
     BINARY,
@@ -232,6 +233,15 @@ class BsrMatrix(SparseFormat):
             ),
         )
 
+    def storage(self, path_id: str) -> Storage:
+        # either order of the in-block axes: two dense levels of extent s
+        return Storage(
+            (Dense("brows"), Compressed("indptr", "blockind", slot="kk"),
+             Dense("s"), Dense("s")),
+            ("data", "cb", "ri", "ci"),
+            ("indptr", "blockind", "data", Size("brows", "block_rows"),
+             Size("s", "block_size")))
+
     def path_ids(self) -> Optional[List[str]]:
         return ["rows_rc", "rows_cr"]
 
@@ -247,10 +257,3 @@ class BsrMatrix(SparseFormat):
         if axis_name in ("ri", "ci"):
             return (0, self.block_size)
         return super().axis_range(axis_name)
-
-    def axis_total(self, axis_name):
-        if axis_name == "rb":
-            return (0, self.block_rows)
-        if axis_name in ("ri", "ci"):
-            return (0, self.block_size)
-        return None

@@ -19,6 +19,7 @@ from repro.formats.base import (
     index_array,
     storage_index_dtype,
 )
+from repro.formats.levels import Coords, Size, Storage
 from repro.formats.views import Axis, Joint, LINEAR, Term, UNORDERED, Value
 
 
@@ -103,6 +104,10 @@ class CooMatrix(SparseFormat):
             [Axis("r", UNORDERED, LINEAR), Axis("c", UNORDERED, LINEAR)],
             Value(),
         )
+
+    def storage(self, path_id: str) -> Storage:
+        return Storage((Coords(("rows", "cols"), "nnz"),), ("vals", "r"),
+                       ("rows", "cols", "vals", Size("nnz", "nnz")))
 
     def path_ids(self) -> Optional[List[str]]:
         return ["flat"]

@@ -20,6 +20,7 @@ from repro.formats.base import (
     pointer_array,
     scipy_compressed,
 )
+from repro.formats.levels import Compressed, Dense, Size, Storage
 from repro.formats.views import Axis, BINARY, INCREASING, Nest, Term, Value, interval_axis
 
 
@@ -142,12 +143,13 @@ class CscMatrix(SparseFormat):
             Nest(Axis("r", INCREASING, BINARY), Value()),
         )
 
+    def storage(self, path_id: str) -> Storage:
+        return Storage((Dense("n"), Compressed("colptr", "rowind")),
+                       ("values", "r"),
+                       ("colptr", "rowind", "values", Size("n", "ncols")))
+
     def path_ids(self) -> Optional[List[str]]:
         return ["cols"]
 
     def runtime(self, path_id: str) -> PathRuntime:
         return CscRuntime(self, self.path(path_id))
-
-    def axis_total(self, axis_name):
-        # every column index in [0, n) is enumerated, including empty ones
-        return (0, self.ncols) if axis_name == "c" else None

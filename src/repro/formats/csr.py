@@ -22,7 +22,13 @@ from repro.formats.base import (
     pointer_array,
     scipy_compressed,
 )
+from repro.formats.levels import Compressed, Dense, Size, Storage
 from repro.formats.views import Axis, BINARY, INCREASING, Nest, Term, Value, interval_axis
+
+#: rows, then a compressed segment of sorted columns per row: CSR, and the
+#: same arrays inside MSR (off-diagonal part) and SYM (stored triangle)
+ROWS = Storage((Dense("m"), Compressed("rowptr", "colind")), ("values", "c"),
+               ("rowptr", "colind", "values", Size("m", "nrows")))
 
 
 class CsrRuntime(PathRuntime):
@@ -146,12 +152,11 @@ class CsrMatrix(SparseFormat):
             Nest(Axis("c", INCREASING, BINARY), Value()),
         )
 
+    def storage(self, path_id: str) -> Storage:
+        return ROWS
+
     def path_ids(self) -> Optional[List[str]]:
         return ["rows"]
 
     def runtime(self, path_id: str) -> PathRuntime:
         return CsrRuntime(self, self.path(path_id))
-
-    def axis_total(self, axis_name):
-        # every row index in [0, m) is enumerated, including empty rows
-        return (0, self.nrows) if axis_name == "r" else None

@@ -12,6 +12,7 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.formats.base import PathRuntime, SparseFormat, coo_contract
+from repro.formats.levels import Dense, Size, Storage
 from repro.formats.views import Cross, Term, Value, interval_axis
 
 
@@ -106,6 +107,12 @@ class DenseMatrix(SparseFormat):
     def view(self) -> Term:
         return Cross([interval_axis("r"), interval_axis("c")], Value())
 
+    def storage(self, path_id: str) -> Storage:
+        extent = {"r": Dense("m"), "c": Dense("n")}
+        return Storage(tuple(extent[a] for a in self.path(path_id).axis_names),
+                       ("data", "r", "c"),
+                       ("data", Size("m", "nrows"), Size("n", "ncols")))
+
     def path_ids(self) -> Optional[List[str]]:
         return ["rowmajor", "colmajor"]
 
@@ -113,10 +120,3 @@ class DenseMatrix(SparseFormat):
         p = self.path(path_id)
         order = ("r", "c") if path_id == "rowmajor" else ("c", "r")
         return DenseRuntime(self, p, order)
-
-    def axis_total(self, axis_name):
-        if axis_name == "r":
-            return (0, self.nrows)
-        if axis_name == "c":
-            return (0, self.ncols)
-        return None

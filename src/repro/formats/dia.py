@@ -26,6 +26,7 @@ from repro.formats.base import (
     index_array,
     index_dtype,
 )
+from repro.formats.levels import Range, Size, Sorted, Storage, at
 from repro.formats.views import (
     Axis,
     BINARY,
@@ -173,6 +174,15 @@ class DiaMatrix(SparseFormat):
             {"r": d + o, "c": o},
             Nest(Axis("d", INCREASING, BINARY), Nest(interval_axis("o"), Value())),
         )
+
+    def storage(self, path_id: str) -> Storage:
+        d = at("diags", "d")    # diagonal d holds offsets max(0,-d)..min(n,m-d)
+        return Storage(
+            (Sorted("diags", "nd"),
+             Range(("max", 0, ("neg", d)), ("min", "n", ("-", "m", d)))),
+            ("data", "d", "o"),
+            ("diags", "data", Size("m", "nrows"), Size("n", "ncols"),
+             Size("nd", "diags", "len")))
 
     def path_ids(self) -> Optional[List[str]]:
         return ["diags"]

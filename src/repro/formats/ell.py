@@ -21,6 +21,7 @@ from repro.formats.base import (
     index_array,
     storage_index_dtype,
 )
+from repro.formats.levels import Counted, Dense, Size, Storage
 from repro.formats.views import Axis, BINARY, INCREASING, Nest, Term, Value, interval_axis
 
 
@@ -142,11 +143,13 @@ class EllMatrix(SparseFormat):
             Nest(Axis("c", INCREASING, BINARY), Value()),
         )
 
+    def storage(self, path_id: str) -> Storage:
+        return Storage((Dense("m"), Counted("rowlen", "colind")),
+                       ("data", "r", "c"),
+                       ("colind", "data", "rowlen", Size("m", "nrows")))
+
     def path_ids(self) -> Optional[List[str]]:
         return ["rows"]
 
     def runtime(self, path_id: str) -> PathRuntime:
         return EllRuntime(self, self.path(path_id))
-
-    def axis_total(self, axis_name):
-        return (0, self.nrows) if axis_name == "r" else None

@@ -27,6 +27,8 @@ from repro.formats.base import (
     storage_index_dtype,
     pointer_array,
 )
+from repro.formats.csr import ROWS
+from repro.formats.levels import Dense, Size, Storage
 from repro.formats.views import (
     Axis,
     BINARY,
@@ -183,6 +185,12 @@ class MsrMatrix(SparseFormat):
         off = Nest(interval_axis("r"), Nest(Axis("c", INCREASING, BINARY), Value()))
         return Union(diag, off)
 
+    def storage(self, path_id: str) -> Storage:
+        if path_id == "off":
+            return ROWS
+        return Storage((Dense("nd"),), ("dvals", "i"),
+                       ("dvals", Size("nd", "ndiag")))
+
     def path_ids(self) -> Optional[List[str]]:
         return ["diag", "off"]
 
@@ -197,10 +205,3 @@ class MsrMatrix(SparseFormat):
         if axis_name == "i":
             return (0, self.ndiag)
         return super().axis_range(axis_name)
-
-    def axis_total(self, axis_name):
-        if axis_name == "i":
-            return (0, self.ndiag)
-        if axis_name == "r":
-            return (0, self.nrows)
-        return None

@@ -29,6 +29,8 @@ from repro.formats.base import (
     storage_index_dtype,
     pointer_array,
 )
+from repro.formats.csr import ROWS
+from repro.formats.levels import Storage
 from repro.formats.views import (
     Axis,
     BINARY,
@@ -230,6 +232,15 @@ class SymMatrix(SparseFormat):
         )
         return Union(stored, mirror)
 
+    def storage(self, path_id: str) -> Storage:
+        if path_id == "lower":
+            return ROWS
+        # the same arrays; the diagonal belongs to the stored branch
+        rows, cols = ROWS.levels
+        return ROWS._replace(
+            levels=(rows, cols._replace(off_diagonal=True)),
+            value=("values", "cc"))
+
     def path_ids(self) -> Optional[List[str]]:
         return ["lower", "mirror"]
 
@@ -244,11 +255,6 @@ class SymMatrix(SparseFormat):
         if axis_name in ("rr", "cc"):
             return (0, self.nrows)
         return super().axis_range(axis_name)
-
-    def axis_total(self, axis_name: str) -> Optional[Tuple[int, int]]:
-        if axis_name in ("r", "rr"):
-            return (0, self.nrows)
-        return None
 
     def bounds(self) -> Optional[object]:
         # the stored branch satisfies c <= r; the mirror strictly c > r —

@@ -49,7 +49,7 @@ BINARY = "binary"
 DIRECT = "direct"
 
 _ORDERS = (INCREASING, DECREASING, UNORDERED)
-_SEARCHES = (NOSEARCH, LINEAR, BINARY, DIRECT)
+SEARCHES = (NOSEARCH, LINEAR, BINARY, DIRECT)    # weakest first
 
 
 class Axis:
@@ -61,7 +61,7 @@ class Axis:
                  interval: bool = False):
         if order not in _ORDERS:
             raise ValueError(f"unknown order {order!r}")
-        if search not in _SEARCHES:
+        if search not in SEARCHES:
             raise ValueError(f"unknown search {search!r}")
         self.name = name
         self.order = order

@@ -1,21 +1,37 @@
 """The format-designer story: a user-defined format, described with the
-view grammar and a runtime, compiles through the full pipeline (with the
-generic code-generation fallback)."""
+view grammar and a runtime, compiles through the full pipeline — through
+the generic runtime fallback when it says no more, and to C, like a
+built-in format, once it declares where its arrays are.  The declaration
+is checked where it is read: at emitter construction."""
+
+import warnings
 
 import numpy as np
 import pytest
 
-from repro.core import compile_kernel
+from repro.codegen import run_plan
+from repro.codegen.emitters import GenericEmitter, ViewEmitter, make_emitter
+from repro.codegen.loopir import BinOp, Builder, While, walk
+from repro.core import NativeBackendWarning, compile_kernel
+from repro.core import backend as be
+from repro.core.spaces import build_copies
+from repro.formats import as_format
 from repro.formats.base import PathRuntime, SparseFormat, coo_dedup_sort
+from repro.formats.csr import CsrMatrix
+from repro.formats.levels import Coords, Dense, Size, Storage
 from repro.formats.views import (
     Axis,
+    BINARY,
     INCREASING,
     Joint,
     LINEAR,
+    Nest,
     Term,
     UNORDERED,
     Value,
+    interval_axis,
 )
+from repro.instrument import INSTR
 from repro.ir import execute_dense
 from repro.ir.kernels import col_sums, mvm, mvm_t
 
@@ -140,3 +156,164 @@ class TestCustomFormat:
         y = np.zeros(8)
         k({"A": custom, "x": x, "y": y}, {"m": 6, "n": 8})
         assert np.allclose(y, small_rect_module.T @ x)
+
+
+# -- the same format, declared ----------------------------------------------
+
+class DeclaredCoo(ColSortedCoo):
+    """:class:`ColSortedCoo` plus where its arrays are: one level of joint
+    coordinates ``<cols, rows>`` over ``nnz`` slots, values in ``vals``."""
+
+    format_name = "cscoo_declared"
+
+    def storage(self, path_id):
+        return Storage((Coords(("cols", "rows"), "nnz"),), ("vals", "c"),
+                       ("rows", "cols", "vals", Size("nnz", "nnz")))
+
+
+@pytest.fixture(scope="module")
+def declared(small_rect_module):
+    return DeclaredCoo.from_dense(small_rect_module)
+
+
+def _emitter(fmt):
+    """The emitter ``mvm``'s reference to ``fmt`` gets."""
+    ref = next(c.refs[0] for c in build_copies(mvm(), {"A": fmt}, {})
+               if c.refs)
+    return make_emitter(ref, "M0", fmt, Builder())
+
+
+class TestDeclaredFormat:
+    @pytest.mark.skipif(be.find_compiler() is None, reason="no C compiler")
+    @pytest.mark.parametrize("opt", ["none", "tiled"])
+    @pytest.mark.parametrize("prog", [mvm, mvm_t, col_sums])
+    def test_lowers_to_c_byte_identical(self, declared, prog, opt, rng):
+        """The user's own int64 arrays go to the C kernel as they are, and
+        it agrees bit for bit with the Python kernel and the plan
+        interpreter."""
+        kp = compile_kernel(prog(), {"A": declared})
+        kc = compile_kernel(prog(), {"A": declared}, backend="c", opt=opt)
+        assert kc.backend_used == "c", kc.fallback_reason
+        assert ".enumerate(" not in kp.source
+        assert "int64_t * M0_cols" in kc.c_source.replace("restrict ", "")
+        dense = {"x": rng.random(8 if prog is mvm else 6),
+                 "y": np.zeros(6 if prog is mvm else 8), "s": np.zeros(8)}
+        outs = []
+        before = INSTR.get("native.dispatch.coerced")
+        for run in (kp, kc, lambda a, p: run_plan(kp.plan, a, p)):
+            arrays = {"A": declared, **{k: v.copy() for k, v in dense.items()}}
+            run(arrays, {"m": 6, "n": 8})
+            outs.append(arrays["s" if prog is col_sums else "y"])
+        assert INSTR.get("native.dispatch.coerced") == before
+        assert outs[0].any()
+        assert outs[0].tobytes() == outs[1].tobytes() == outs[2].tobytes()
+
+    def test_without_a_compiler_the_python_kernel_answers(self, declared, rng):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NativeBackendWarning)
+            k = compile_kernel(mvm(), {"A": declared}, backend="c")
+        x, y = rng.random(8), np.zeros(6)
+        k({"A": declared, "x": x, "y": y}, {"m": 6, "n": 8})
+        assert np.allclose(y, declared.to_dense() @ x)
+
+    def test_undeclared_format_keeps_the_generic_emitter(self, custom,
+                                                         declared):
+        assert isinstance(_emitter(custom), GenericEmitter)
+        assert isinstance(_emitter(declared), ViewEmitter)
+        before = INSTR.get("native.fallback.lowering")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NativeBackendWarning)
+            k = compile_kernel(mvm(), {"A": custom}, backend="c", cache="off")
+        assert k.backend_used == "python"
+        assert k.fallback_reason.startswith("lowering: PyOnly")
+        assert "generic runtime" in k.fallback_reason
+        assert INSTR.get("native.fallback.lowering") == before + 1
+
+
+class TestDeclarationIsChecked:
+    """A wrong declaration is a ``ValueError`` when the emitter is built,
+    naming the format, the path and the axis."""
+
+    def _broken(self, declared, **fields):
+        class Broken(DeclaredCoo):
+            format_name = "broken"
+
+            def storage(self, path_id):
+                return DeclaredCoo.storage(self, path_id)._replace(**fields)
+
+        return Broken(declared.rows, declared.cols, declared.vals,
+                      declared.shape)
+
+    def test_level_count(self, declared):
+        fmt = self._broken(declared, levels=(
+            Dense("nnz"), Coords(("cols", "rows"), "nnz")))
+        with pytest.raises(ValueError, match=r"'broken'.*'flat'.*2 levels "
+                                             r"declared for the 1 steps.*c,r"):
+            _emitter(fmt)
+
+    def test_missing_attribute(self, declared):
+        fmt = self._broken(declared, args=(
+            "rows", "columns", "vals", Size("nnz", "nnz")))
+        with pytest.raises(ValueError, match=r"'broken'.*'flat'.*axes c, r.*"
+                                             r"'columns'.*Broken"):
+            _emitter(fmt)
+        fmt = self._broken(declared, args=(
+            "rows", "cols", "vals", Size("nnz", "entries")))
+        with pytest.raises(ValueError, match="'entries'"):
+            _emitter(fmt)
+
+    def test_search_the_level_cannot_build(self, declared):
+        # a joint level has no order to bisect on ...
+        class Bisected(DeclaredCoo):
+            format_name = "bisected"
+
+            def view(self):
+                return Joint([Axis("c", INCREASING, BINARY),
+                              Axis("r", UNORDERED, BINARY)], Value())
+
+        fmt = Bisected(declared.rows, declared.cols, declared.vals,
+                       declared.shape)
+        with pytest.raises(ValueError, match=r"'bisected'.*'flat'.*axis c, r.*"
+                                             r"binary search.*Coords.*linear"):
+            _emitter(fmt)
+        # ... and a dense level answers by a bounds check, not by scanning
+        fmt = self._broken(declared, levels=(Dense("nnz"),))
+        with pytest.raises(ValueError, match=r"axis c, r.*linear search.*"
+                                             r"Dense.*direct"):
+            _emitter(fmt)
+
+    def test_linear_axis_never_receives_bisect(self, small_rect_module, rng):
+        """Dispatch used to be by ``format_name``: a CSR subclass whose
+        view says its columns are unordered got a bisection all the same.
+        The search now comes from the view — a scan of the row segment,
+        right on columns stored in any order."""
+
+        class UnsortedCsr(CsrMatrix):
+            def view(self):
+                return Nest(interval_axis("r"),
+                            Nest(Axis("c", UNORDERED, LINEAR), Value()))
+
+        A = as_format(small_rect_module, "csr")
+        for r in range(A.nrows):            # reverse every row's columns
+            lo, hi = A.row_slice(r)
+            A.colind[lo:hi] = A.colind[lo:hi][::-1].copy()
+            A.values[lo:hi] = A.values[lo:hi][::-1].copy()
+        U = UnsortedCsr._adopt(A.rowptr, A.colind, A.values, A.shape)
+        for fmt, bisects in ((U, False), (as_format(small_rect_module, "csr"),
+                                          True)):
+            em = _emitter(fmt)
+            (r,), _ = em.search(0, [], [em.size("q", "nrows") - 1])
+            em.search(1, [r], [em.size("k", "ncols") - 1])
+            (loop,) = [n for n in walk(em.b.body) if isinstance(n, While)]
+            halves = any(isinstance(n, BinOp) and n.op == "//"
+                         for n in walk(loop.body))
+            assert halves == bisects
+        # end to end: B is searched per stored element of A
+        from tests.test_cross_matrix_join import hadamard_dot
+
+        Ad = small_rect_module * (rng.random(small_rect_module.shape) < 0.7)
+        k = compile_kernel(hadamard_dot(), {"A": as_format(Ad, "coo"), "B": U})
+        assert "//" not in k.source and "while" in k.source
+        acc = np.array(0.0)
+        k({"A": as_format(Ad, "coo"), "B": U, "acc": acc}, {"m": 6, "n": 8})
+        assert acc == pytest.approx((Ad * small_rect_module).sum())

@@ -316,6 +316,9 @@ def test_pair_is_width_blind(kernel, fmt):
             except PlanError as e:
                 pytest.skip(f"no legal plan for {kernel} on {fmt}: {e}")
             results[np.dtype(width).name, label] = got
+            if label != "python" and fmt == "sym" and be.find_compiler():
+                # both branches are declared level pairs: no PyOnly node
+                assert k.backend_used == "c", k.fallback_reason
             if label != "python" and k.backend_used != "python":
                 narrow = "int32_t *" in k.c_source
                 assert narrow == (width is np.int32), (label, width)

@@ -16,6 +16,14 @@ strategy draws sorted index arrays, ranges and keys, builds the search
 through those constructors and holds both prints to a
 ``np.searchsorted`` oracle.
 
+A third wall holds the storage declarations (:mod:`repro.formats.levels`)
+to the runtimes: for every built-in format x path that declares its
+storage, ``ViewEmitter.loop`` / ``interval`` / ``search`` / ``get`` are
+driven step by step on drawn matrices, printed both ways at both index
+widths, and must reproduce what ``PathRuntime.enumerate`` / ``interval`` /
+``search`` / ``get`` of the same instance say — a wrong declaration fails
+here, with no kernel or plan involved.
+
 Memory safety by construction: every loop variable stays in ``[0, N)``,
 every index expression in ``[0, 2N]``, every array has ``2N + 2`` rows,
 and index-array contents are valid rows.  Stored values grow at most
@@ -27,6 +35,7 @@ variant pins a seed and buys eight times the examples.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +43,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
-from repro.codegen.emitters import BaseEmitter, slots_of
+from repro.codegen.emitters import BaseEmitter
 from repro.codegen.loopir import (
     And, ArrayArg, Assign, BinOp, Builder, Cmp, Const, For, If, KernelIR, Load,
     Neg, ScalarArg, Store, V, While, ZERO, counted, walk,
@@ -56,6 +65,12 @@ FAST = settings(max_examples=25, deadline=None, derandomize=True,
 DEEP = settings(max_examples=200, deadline=None, suppress_health_check=QUIET)
 
 C = LinExpr.constant
+
+
+def slots_of(ind):
+    """The bisect probe of a sorted 1-d index array: a hit yields its
+    position."""
+    return lambda mid: ([], Load(ind, (mid,)), mid)
 
 
 class Program:
@@ -326,7 +341,7 @@ def search_ir(kind, dtype):
             [Assign(pos, BinOp("+", Load(aux, (mid,)), C(1)))],
             Load(ind, (V(pos),)), V(pos)))
     else:
-        (found,), cond = em.scan("f", hi, lambda k: And((
+        (found,), cond = em.scan("f", ZERO, hi, lambda k: And((
             Cmp("==", Load(ind, (k,)), key),
             Cmp("==", Load(aux, (k,)), key + 1))))
     assert cond == Cmp(">=", V(found), ZERO)
@@ -337,23 +352,26 @@ def search_ir(kind, dtype):
 _SEARCH_KERNELS = {}
 
 
-def search_kernels(kind, dtype):
-    """(Python callable, C at none, C at tiled) of one search shape; the IR
-    does not depend on the drawn data, so each is built once."""
+def ir_runners(ir):
+    """(Python callable, C at none, C at tiled) of one loop IR."""
     from repro.codegen.loopir import print_python
     from repro.codegen.native import lower_kernel
     from repro.codegen.pysource import source_to_callable
     from tests.conftest import IRKernel
 
+    runners = [source_to_callable(print_python(ir))]
+    for opt in ("none", "tiled"):
+        spec = lower_kernel(IRKernel(ir), opt=opt)
+        fn, omp = be.compile_native_function(spec.c_source, False, "off", opt)
+        runners.append(be.NativeKernel(fn, spec, omp))
+    return runners
+
+
+def search_kernels(kind, dtype):
+    """The runners of one search shape; the IR does not depend on the
+    drawn data, so each is built once."""
     if (kind, dtype) not in _SEARCH_KERNELS:
-        ir = search_ir(kind, dtype)
-        runners = [source_to_callable(print_python(ir))]
-        for opt in ("none", "tiled"):
-            spec = lower_kernel(IRKernel(ir), opt=opt)
-            fn, omp = be.compile_native_function(spec.c_source, False, "off",
-                                                 opt)
-            runners.append(be.NativeKernel(fn, spec, omp))
-        _SEARCH_KERNELS[kind, dtype] = runners
+        _SEARCH_KERNELS[kind, dtype] = ir_runners(search_ir(kind, dtype))
     return _SEARCH_KERNELS[kind, dtype]
 
 
@@ -447,3 +465,246 @@ def test_a_search_is_statements_the_scheduler_sees_into():
         prog.load("X", BinOp("max", V(c), ZERO), V("kk"))))], ("kk",)))
     spec = lower_kernel(IRKernel(prog.kernel(b.body)), opt="tiled")
     assert "register_tile" not in spec.transforms
+
+
+# -- storage declarations against the runtimes --------------------------------
+
+@functools.lru_cache(maxsize=None)
+def declared_paths():
+    """Every (format, path id) of the built-in formats that declares its
+    storage — all but JAD's two."""
+    from repro.formats import FORMATS
+
+    found, undeclared = [], set()
+    for name, cls in FORMATS.items():
+        inst = cls.from_dense(np.eye(2))
+        for path in inst.paths():
+            if inst.storage(path.path_id) is None:
+                undeclared.add(name)
+            else:
+                found.append((name, path.path_id))
+    assert undeclared == {"jad"} and len(found) == 13
+    return found
+
+
+CAP = 160              # rows of the output arrays: more than any walk emits
+
+
+def _view_emitter(fmt, path_id, b):
+    import types
+
+    from repro.codegen.emitters import ViewEmitter, make_emitter
+
+    ref = types.SimpleNamespace(array="A", fmt=fmt, path=fmt.path(path_id))
+    em = make_emitter(ref, "M0", fmt, b)
+    assert isinstance(em, ViewEmitter)
+    return em
+
+
+def _outputs(b, *specs):
+    arrays = [b.arg(ArrayArg(n, ("array", n), dtype, ndim))
+              for n, dtype, ndim in specs]
+    for a in arrays:
+        a.written = True
+    return arrays
+
+
+def walk_ir(fmt, path_id):
+    """The whole path enumerated through ``loop``: the keys of every step
+    and the value per stored entry, and ``(lo, hi, step)`` wherever a step
+    has an ``interval`` — in visiting order."""
+    b = Builder()
+    keys_out, vals, ivs, counts = _outputs(
+        b, ("KEYS", "int64", 2), ("VALS", "float64", 1), ("IVS", "int64", 2),
+        ("COUNTS", "int64", 1))
+    em = _view_emitter(fmt, path_id, b)
+    b.add(Assign("cnt", ZERO))
+    b.add(Assign("cnt_iv", ZERO))
+    states, keys = [], []
+    for step in range(len(em.ref.path.steps)):
+        iv = em.interval(step, states)
+        if iv is not None:
+            for col, e in enumerate((*iv, C(step))):
+                b.add(Store(ivs, (V("cnt_iv"), C(col)), e))
+            b.add(Assign("cnt_iv", V("cnt_iv") + 1))
+        new_keys, new_states = em.loop(step, states, False, (f"d{step}",))
+        keys, states = keys + new_keys, states + new_states
+    for col, k in enumerate(keys):
+        b.add(Store(keys_out, (V("cnt"), C(col)), V(k)))
+    b.add(Store(vals, (V("cnt"),), em.get(states)))
+    b.add(Assign("cnt", V("cnt") + 1))
+    b.close_to(1)
+    b.add(Store(counts, (ZERO,), V("cnt")))
+    b.add(Store(counts, (C(1),), V("cnt_iv")))
+    return KernelIR(b.args, b.body)
+
+
+def probe_ir(fmt, path_id):
+    """Random access through ``search``: per query (one key per axis of
+    the path) the searches of all steps chained, each under the state the
+    one before found; records how many steps found their key and, when all
+    did, the value ``get`` reads through the searched states."""
+    b = Builder()
+    nq = V(b.arg(ScalarArg("p_nq", ("param", "nq"))).name)
+    queries = b.arg(ArrayArg("Q", ("array", "Q"), "int64", 2))
+    depth, vals = _outputs(b, ("DEPTH", "int64", 1), ("VALS", "float64", 1))
+    em = _view_emitter(fmt, path_id, b)
+    q = em.count("q", ZERO, nq, False, ("q",))
+    base = b.depth
+    b.add(Assign("depth", ZERO))
+    states, col = [], 0
+    for step, axes in enumerate(s.names for s in em.ref.path.steps):
+        keys = []
+        for _ in axes:
+            keys.append(V(em.let("key", Load(queries, (V(q), C(col))))))
+            col += 1
+        new_states, found = em.search(step, states, keys)
+        b.open(If(found, []))
+        b.add(Assign("depth", C(step + 1)))
+        states = states + new_states
+    b.add(Store(vals, (V(q),), em.get(states)))
+    b.close_to(base)
+    b.add(Store(depth, (V(q),), V("depth")))
+    return KernelIR(b.args, b.body)
+
+
+def runtime_walk(rt, step=0, prefix=(), keys=()):
+    """What :func:`walk_ir` records, from the runtime."""
+    nsteps = len(rt.path.steps)
+    if step == nsteps:
+        return [(keys, rt.get(prefix))], []
+    iv = rt.interval(step, prefix)
+    entries, ivs = [], [] if iv is None else [(*iv, step)]
+    for k, state in rt.enumerate(step, prefix):
+        e, i = runtime_walk(rt, step + 1, prefix + (state,), keys + tuple(k))
+        entries, ivs = entries + e, ivs + i
+    return entries, ivs
+
+
+def runtime_probe(rt, query):
+    """What :func:`probe_ir` records for one query, from the runtime."""
+    prefix, col = (), 0
+    for step, s in enumerate(rt.path.steps):
+        state = rt.search(step, prefix, tuple(query[col:col + len(s.names)]))
+        if state is None:
+            return step, -7.0
+        prefix, col = prefix + (state,), col + len(s.names)
+    return len(rt.path.steps), rt.get(prefix)
+
+
+_PATH_KERNELS = {}
+
+
+def path_runners(build, fmt, path_id):
+    """The runners of ``build(fmt, path_id)``; the IR depends on the
+    instance only through its class and the widths of its arrays, so each
+    is compiled once."""
+    from tests.conftest import index_arrays
+
+    widths = tuple(sorted((k, v.dtype.name)
+                          for k, v in index_arrays(fmt).items()))
+    key = (build.__name__, type(fmt).__name__, path_id, widths)
+    if key not in _PATH_KERNELS:
+        _PATH_KERNELS[key] = ir_runners(build(fmt, path_id))
+    return _PATH_KERNELS[key]
+
+
+def check_declaration(fmt, path_id, extra_queries=()):
+    """Hold one instance's declared storage for one path to its runtime;
+    ``extra_queries`` are 4-tuples, cut to the path's axis count."""
+    rt = fmt.runtime(path_id)
+    naxes = len(rt.path.axis_names)
+    entries, ivs = runtime_walk(rt)
+    assert len(entries) < CAP and len(ivs) < CAP
+    for run in path_runners(walk_ir, fmt, path_id):
+        got = {"KEYS": np.full((CAP, naxes), -7), "VALS": np.full(CAP, -7.0),
+               "IVS": np.full((CAP, 3), -7), "COUNTS": np.zeros(2, np.int64)}
+        run({"A": fmt, **got}, {})
+        n, ni = got["COUNTS"]
+        assert (n, ni) == (len(entries), len(ivs)), run
+        assert [tuple(k) for k in got["KEYS"][:n]] == [k for k, _ in entries]
+        assert got["VALS"][:n].tolist() == [v for _, v in entries]
+        assert [tuple(i) for i in got["IVS"][:ni]] == ivs
+    # every stored coordinate tuple is a hit; the drawn ones mostly miss
+    queries = np.array([k for k, _ in entries]
+                       + [q[:naxes] for q in extra_queries],
+                       dtype=np.int64).reshape(-1, naxes)
+    want = [runtime_probe(rt, [int(v) for v in row]) for row in queries]
+    for run in path_runners(probe_ir, fmt, path_id):
+        depth = np.full(len(queries), -7)
+        vals = np.full(len(queries), -7.0)
+        run({"A": fmt, "Q": queries, "DEPTH": depth, "VALS": vals},
+            {"nq": len(queries)})
+        assert list(zip(depth.tolist(), vals.tolist())) == want, run
+
+
+@st.composite
+def declaration_cases(draw):
+    name, path_id = draw(st.sampled_from(declared_paths()))
+    width = draw(st.sampled_from([np.int32, np.int64]))
+    m, n = draw(st.sampled_from([2, 4, 6])), draw(st.sampled_from([2, 4, 6]))
+    cells = draw(st.lists(st.integers(-2, 3), min_size=m * n, max_size=m * n))
+    a = np.array(cells, dtype=float).clip(0).reshape(m, n)  # half the cells 0
+    if name == "sym":
+        a = a[:, :m] if n >= m else a[:n, :]
+        a = np.tril(a) + np.tril(a, -1).T
+    queries = draw(st.lists(st.tuples(*[st.integers(-7, 7)] * 4), max_size=6))
+    return name, path_id, width, a, queries
+
+
+def _check_case(case):
+    from repro.formats import as_format
+    from tests.conftest import at_width
+
+    name, path_id, width, a, queries = case
+    kwargs = {"block_size": 2} if name == "bsr" else {}
+    fmt = at_width(as_format(a, name, **kwargs), width)
+    check_declaration(fmt, path_id, queries)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=QUIET)
+@given(declaration_cases())
+@example(("csr", "rows", np.int32, np.zeros((2, 4)), [(0, 0, 0, 0)]))
+@example(("dia", "diags", np.int64, np.zeros((4, 2)), [(0, 0, 0, 0)]))
+@example(("sym", "mirror", np.int32, np.ones((4, 4)), [(2, 2, 0, 0)]))
+def test_declarations_agree_with_runtimes(case):
+    _check_case(case)
+
+
+def test_every_declared_path_is_walked():
+    """The wall above samples; this visits each of the 13 paths once, at
+    both widths, on one matrix with an empty row, an empty column and a
+    full diagonal block."""
+    a = np.array([[1.0, 0, 2, 0], [0, 3, 0, 0], [2, 0, 4, 0], [0, 0, 0, 0]])
+    for name, path_id in declared_paths():
+        for width in (np.int32, np.int64):
+            _check_case((name, path_id, width, a, [(5,) * 4, (-1,) * 4]))
+
+
+def test_a_wrong_declaration_fails_the_wall():
+    """Three one-word mistakes in CSR's declaration, each caught without a
+    plan or a kernel (and by the Python print, before any C runs): the
+    value read through the row's state, the pointer and the coordinates
+    swapped, the wrong extent."""
+    from repro.formats import as_format
+    from repro.formats.csr import ROWS, CsrMatrix
+    from repro.formats.levels import Compressed, Dense, Size
+
+    a = np.array([[1.0, 0, 2], [0, 3, 0], [4, 0, 5]])
+    good = as_format(a, "csr")
+    check_declaration(good, "rows")
+    mistakes = [
+        ROWS._replace(value=("values", "r")),
+        ROWS._replace(levels=(Dense("m"), Compressed("colind", "rowptr"))),
+        ROWS._replace(args=(*ROWS.args[:3], Size("m", "ncols")),
+                      levels=(Dense("m"), ROWS.levels[1])),
+    ]
+    tall = as_format(a[:, :2], "csr")       # ncols < nrows: a row is missed
+    for i, decl in enumerate(mistakes):
+        cls = type(f"WrongCsr{i}", (CsrMatrix,),
+                   {"storage": lambda self, path_id, decl=decl: decl})
+        src = tall if i == 2 else good
+        bad = cls._adopt(src.rowptr, src.colind, src.values, src.shape)
+        with pytest.raises(AssertionError):
+            check_declaration(bad, "rows")

@@ -21,6 +21,7 @@ from repro.formats import as_format
 from repro.formats.generate import lower_triangular_of, random_sparse
 from repro.instrument import INSTR
 from repro.ir.kernels import ALL_KERNELS
+from tests.conftest import at_width
 
 FORMATS = ["csr", "csc", "coo", "dia", "ell", "jad", "bsr", "msr"]
 
@@ -84,6 +85,25 @@ class TestParity:
         kp({"L": L, "b": bp}, params)
         kc({"L": L, "b": bc}, params)
         assert np.array_equal(bp, bc)
+
+    @pytest.mark.parametrize("width", [np.int32, np.int64])
+    def test_mvm_sym(self, width, square, rng):
+        """SYM's two branches are declared level pairs (the mirror skips
+        the diagonal), so the pair lowers: C, byte for byte the Python
+        kernel, at both index widths."""
+        A = at_width(_fmt(np.tril(square) + np.tril(square, -1).T, "sym"),
+                     width)
+        kp, kc = _compile_pair("mvm", "A", A)
+        if be.find_compiler() is not None:
+            assert kc.backend_used == "c", kc.fallback_reason
+            assert ("int32_t *" in kc.c_source) == (width is np.int32)
+            assert "if (M1_cc6 != M1_rr4)" in kc.c_source
+        x = rng.random(N)
+        yp, yc = np.zeros(N), np.zeros(N)
+        kp({"A": A, "x": x, "y": yp}, {"m": N, "n": N})
+        kc({"A": A, "x": x, "y": yc}, {"m": N, "n": N})
+        assert yp.tobytes() == yc.tobytes()
+        assert np.allclose(yp, A.to_dense() @ x)
 
     def test_run_also_dispatches_native(self, square, rng):
         A = _fmt(square, "csr")
