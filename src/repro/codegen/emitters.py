@@ -64,10 +64,9 @@ from repro.codegen.loopir import (
     within,
 )
 from repro.core.spaces import SparseRef
-from repro.formats.levels import (
-    Compressed, Coords, Dense, Range, Size, Storage,
-)
-from repro.formats.views import BINARY, DIRECT, LINEAR, NOSEARCH, SEARCHES
+from repro.formats.base import check_storage
+from repro.formats.levels import Compressed, Coords, Dense, Range, Size, Storage
+from repro.formats.views import BINARY
 from repro.polyhedra.linexpr import LinExpr
 
 MINUS_ONE = LinExpr.constant(-1)
@@ -158,47 +157,14 @@ class ViewEmitter(BaseEmitter):
 
     def __init__(self, ref, name, inst, b, decl: Storage):
         super().__init__(ref, name, inst, b)
-        steps = ref.path.steps
-        self.where = (f"format {ref.fmt.format_name!r}, "
-                      f"path {ref.path.path_id!r}")
-        if len(decl.levels) != len(steps):
-            raise ValueError(
-                f"{self.where}: {len(decl.levels)} levels declared for the "
-                f"{len(steps)} steps {' -> '.join(map(repr, steps))}")
+        self.how = check_storage(inst, ref.path, decl)
         self.args = {}            # declared name -> ArrayArg | size variable
         for a in decl.args:       # in signature order
-            attr = a.attr if isinstance(a, Size) else a
-            if not hasattr(inst, attr):
-                raise ValueError(
-                    f"{self.where} (axes {', '.join(ref.path.axis_names)}): "
-                    f"the storage names {attr!r}, an attribute "
-                    f"{type(inst).__name__} does not have")
             if isinstance(a, Size):
                 self.args[a.local] = self.size(*a)
             else:
                 self.args[a] = self.array(a)
         self.levels, self.value = decl.levels, decl.value
-        self.how = [self._search_kind(step, level)
-                    for step, level in zip(steps, decl.levels)]
-
-    def _search_kind(self, step, level) -> str:
-        """The weakest search the step's axes declare, once the level is
-        known to be able to build it."""
-        axes = ", ".join(step.names)
-        if any(a.perm for a in step.axes):
-            raise ValueError(f"{self.where}, axis {axes}: a permuted axis "
-                             "is not a level (see JadEmitter)")
-        how = min((a.search for a in step.axes), key=SEARCHES.index)
-        if isinstance(level, (Dense, Range)):
-            can = (DIRECT,)
-        else:       # slots: scanned, or bisected on one sorted coordinate
-            can = (LINEAR, BINARY) if len(step.axes) == 1 else (LINEAR,)
-        if how != NOSEARCH and how not in can:
-            raise ValueError(
-                f"{self.where}, axis {axes}: the view declares a {how} "
-                f"search, a {type(level).__name__} level builds "
-                f"{' or '.join(can)}")
-        return how
 
     def expr(self, e, states):
         """A declared expression (see :mod:`repro.formats.levels`)."""

@@ -15,12 +15,16 @@ A format implements two APIs, mirroring the paper's two-API design
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+import operator
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.formats.levels import Dense, Size
-from repro.formats.views import AccessPath, Term, access_paths, union_branches
+from repro.formats.levels import Compressed, Coords, Dense, Range, Size, Storage
+from repro.formats.views import (
+    AccessPath, BINARY, DIRECT, LINEAR, NOSEARCH, SEARCHES, Term,
+    access_paths, union_branches,
+)
 from repro.polyhedra.system import System
 
 
@@ -58,6 +62,161 @@ class PathRuntime:
 
     def set(self, prefix: Tuple, value: float) -> None:
         raise NotImplementedError
+
+
+def check_storage(fmt: "SparseFormat", path: AccessPath,
+                  decl: Storage) -> List[str]:
+    """Hold a declaration to the path it is for and the instance it names —
+    a level per step, every named attribute present, a search each level
+    can build — and return the kind of search per step: the weakest its
+    axes declare.  Whoever reads a declaration (the emitter, the
+    :class:`LevelRuntime`) checks it here first."""
+    where = f"format {fmt.format_name!r}, path {path.path_id!r}"
+    if len(decl.levels) != len(path.steps):
+        raise ValueError(
+            f"{where}: {len(decl.levels)} levels declared for the "
+            f"{len(path.steps)} steps {' -> '.join(map(repr, path.steps))}")
+    for a in decl.args:
+        attr = a.attr if isinstance(a, Size) else a
+        if not hasattr(fmt, attr):
+            raise ValueError(
+                f"{where} (axes {', '.join(path.axis_names)}): "
+                f"the storage names {attr!r}, an attribute "
+                f"{type(fmt).__name__} does not have")
+    kinds = []
+    for step, level in zip(path.steps, decl.levels):
+        axes = ", ".join(step.names)
+        if any(a.perm for a in step.axes):
+            raise ValueError(f"{where}, axis {axes}: a permuted axis "
+                             "is not a level (see JadEmitter)")
+        how = min((a.search for a in step.axes), key=SEARCHES.index)
+        if isinstance(level, (Dense, Range)):
+            can = (DIRECT,)
+        else:       # slots: scanned, or bisected on one sorted coordinate
+            can = (LINEAR, BINARY) if len(step.axes) == 1 else (LINEAR,)
+        if how != NOSEARCH and how not in can:
+            raise ValueError(
+                f"{where}, axis {axes}: the view declares a {how} "
+                f"search, a {type(level).__name__} level builds "
+                f"{' or '.join(can)}")
+        kinds.append(how)
+    return kinds
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "min": min, "max": max,
+        "neg": operator.neg}
+
+
+class LevelRuntime(PathRuntime):
+    """The runtime of a path that declares its storage
+    (:mod:`repro.formats.levels`): every level is resolved once, here —
+    its arrays, its sizes, its declared expressions as closures over the
+    prefix — into what walking it takes.  A ``Dense``/``Range`` level is
+    its interval, and its state the key; a level that stores coordinates
+    is its slots, and its state the slot: the states and keys
+    :class:`~repro.codegen.emitters.ViewEmitter` produces."""
+
+    def __init__(self, fmt: "SparseFormat", path: AccessPath, decl: Storage):
+        self.path = path
+        self.how = check_storage(fmt, path, decl)
+        self._sizes, self._arrays = {}, {}
+        for a in decl.args:
+            if not isinstance(a, Size):
+                self._arrays[a] = getattr(fmt, a)
+            elif a.kind == "len":
+                self._sizes[a.local] = len(getattr(fmt, a.attr))
+            else:
+                self._sizes[a.local] = int(getattr(fmt, a.attr))
+        self._intervals, self._slots = zip(*map(self._level, decl.levels))
+        self._skips_diagonal = [getattr(level, "off_diagonal", False)
+                                for level in decl.levels]
+        array, *index = decl.value
+        self._values = self._arrays[array]
+        self._value_index = [self._expr(i) for i in index]
+
+    def _expr(self, e) -> Callable[[Tuple], int]:
+        """A declared expression as a function of the prefix."""
+        if isinstance(e, int):
+            return lambda prefix: e
+        if isinstance(e, str):
+            if e in self._sizes:
+                size = self._sizes[e]
+                return lambda prefix: size
+            step = self.path.step_of(e)
+            return lambda prefix: prefix[step]
+        op, *operands = e
+        if op == "at":
+            array, index = self._arrays[operands[0]], self._expr(operands[1])
+            return lambda prefix: int(array[index(prefix)])
+        fn, operands = _OPS[op], [self._expr(x) for x in operands]
+        return lambda prefix: fn(*[x(prefix) for x in operands])
+
+    def _level(self, level):
+        """One level as functions of the prefix: ``(interval, None)`` for
+        one that is every coordinate of ``[lo, hi)``, ``(None, slots)`` for
+        one that stores coordinates — the first slot and, per axis, the
+        array segment holding the coordinates of this prefix' slots."""
+        if isinstance(level, Dense):
+            whole = (0, self._sizes[level.extent])
+            return (lambda prefix: whole), None
+        if isinstance(level, Range):
+            lo, hi = self._expr(level.lo), self._expr(level.hi)
+            return (lambda prefix: (lo(prefix), hi(prefix))), None
+        if isinstance(level, Coords):
+            extent = self._sizes[level.extent]
+            every = 0, [self._arrays[i][:extent] for i in level.inds]
+            return None, lambda prefix: every
+        ind = self._arrays[level.ind]
+        if isinstance(level, Compressed):
+            ptr = self._arrays[level.ptr]
+
+            def segment(prefix):
+                lo = int(ptr[prefix[-1]])
+                return lo, [ind[lo:ptr[prefix[-1] + 1]]]
+            return None, segment
+        count = self._arrays[level.count]                   # Counted
+        return None, lambda prefix: (0, [ind[prefix[-1],
+                                             :count[prefix[-1]]]])
+
+    def interval(self, step: int, prefix: Tuple) -> Optional[Tuple[int, int]]:
+        iv = self._intervals[step]
+        return iv(prefix) if iv else None
+
+    def enumerate(self, step: int, prefix: Tuple) -> Iterator[Tuple[Tuple[int, ...], object]]:
+        iv = self._intervals[step]
+        if iv:
+            for v in range(*iv(prefix)):
+                yield (v,), v
+            return
+        lo, segments = self._slots[step](prefix)
+        entries = enumerate(zip(*[s.tolist() for s in segments]), lo)
+        if self._skips_diagonal[step]:
+            entries = ((k, keys) for k, keys in entries if keys[0] != prefix[-1])
+        for k, keys in entries:
+            yield keys, k
+
+    def search(self, step: int, prefix: Tuple, keys: Tuple[int, ...]) -> Optional[object]:
+        iv = self._intervals[step]
+        if iv:
+            lo, hi = iv(prefix)
+            return keys[0] if lo <= keys[0] < hi else None
+        if self._skips_diagonal[step] and keys[0] == prefix[-1]:
+            return None
+        lo, segments = self._slots[step](prefix)
+        if self.how[step] == BINARY:
+            k = int(np.searchsorted(segments[0], keys[0]))
+            found = k < len(segments[0]) and segments[0][k] == keys[0]
+        else:
+            hits = np.nonzero(np.logical_and.reduce(
+                [s == key for s, key in zip(segments, keys)]))[0]
+            found, k = hits.size > 0, int(hits[0]) if hits.size else 0
+        return lo + k if found else None
+
+    def get(self, prefix: Tuple) -> float:
+        return float(self._values[tuple(i(prefix) for i in self._value_index)])
+
+    def set(self, prefix: Tuple, value: float) -> None:
+        self._values[tuple(i(prefix) for i in self._value_index)] = value
 
 
 class SparseFormat:
