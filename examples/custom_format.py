@@ -13,8 +13,8 @@ a compressed list) is what distinguishes it from CSR.  The storage
 declaration names the arrays behind the two levels: the rows are dense,
 the columns of row r are the range first[r] .. first[r]+length[r], and the
 value of (r, c) sits at data[start[r] + c - first[r]].  From the two the
-compiler derives the loops, the searches and the C; the small runtime
-below is the reference the plan interpreter runs.
+compiler derives the loops, the searches and the C — and the runtime the
+plan interpreter (``kernel.run``) walks the matrix through.
 
 Run:  python examples/custom_format.py
 """
@@ -22,7 +22,7 @@ Run:  python examples/custom_format.py
 import numpy as np
 
 from repro import compile_kernel, kernels
-from repro.formats.base import PathRuntime, SparseFormat, coo_dedup_sort
+from repro.formats.base import SparseFormat, coo_dedup_sort
 from repro.formats.levels import Dense, Range, Size, Storage, at
 from repro.formats.views import Nest, Term, Value, interval_axis
 
@@ -92,44 +92,6 @@ class SkylineMatrix(SparseFormat):
     def path_ids(self):
         return ["rows"]
 
-    def runtime(self, path_id):
-        fmt = self
-
-        class Rt(PathRuntime):
-            path = fmt.path(path_id)
-
-            def enumerate(self, step, prefix):
-                if step == 0:
-                    for r in range(fmt.nrows):
-                        yield (r,), r
-                else:
-                    lo, hi = self.interval(1, prefix)
-                    for c in range(lo, hi):
-                        yield (c,), c
-
-            def search(self, step, prefix, keys):
-                if step == 0:
-                    (r,) = keys
-                    return r if 0 <= r < fmt.nrows else None
-                (c,) = keys
-                lo, hi = self.interval(1, prefix)
-                return c if lo <= c < hi else None
-
-            def interval(self, step, prefix):
-                if step == 0:
-                    return (0, fmt.nrows)
-                (r,) = prefix
-                lo = int(fmt.first[r])
-                return (lo, lo + int(fmt.length[r]))
-
-            def get(self, prefix):
-                return fmt.get(*prefix)
-
-            def set(self, prefix, value):
-                fmt.set(*prefix, value)
-
-        return Rt()
-
 
 def main():
     rng = np.random.default_rng(4)
@@ -153,6 +115,9 @@ def main():
             y = np.zeros(n)
             kernel({"A": A, "x": x, "y": y}, {"m": n, "n": n})
             assert np.allclose(y, dense @ x)
+            y_run = np.zeros(n)     # the same plan, interpreted
+            kernel.run({"A": A, "x": x, "y": y_run}, {"m": n, "n": n})
+            assert np.array_equal(y, y_run)
         elif kname == "row_sums":
             s = np.zeros(n)
             kernel({"A": A, "s": s}, {"m": n, "n": n})

@@ -81,19 +81,22 @@ def resolve_mode(cache: Optional[str]) -> str:
 # ---------------------------------------------------------------------------
 
 def format_structure(fmt: SparseFormat) -> Tuple:
-    """Everything about a format instance the candidate search can see:
-    class, view/path shape, substitutions, annotations, axis geometry.
+    """Everything about a format instance the candidate search and the
+    emitted code can see: class, view/path shape, substitutions,
+    annotations, axis properties and geometry, the storage declaration.
     Deliberately excludes the stored data and its statistics."""
     paths = []
     for p in fmt.paths():
         axes = []
         for a in p.axis_names:
-            axes.append((a, fmt.axis_range(a), fmt.axis_total(a)))
+            axes.append((repr(p.axis(a)),     # name, order, search, perm
+                         fmt.axis_range(a), fmt.axis_total(a)))
         paths.append((
             p.path_id,
             repr(p),                          # steps + branch (subs omitted)
             repr(sorted(p.subs.items(), key=lambda kv: kv[0])),
             tuple(axes),
+            repr(fmt.storage(p.path_id)),
         ))
     return (
         type(fmt).__name__,

@@ -7,10 +7,11 @@ A format implements two APIs, mirroring the paper's two-API design
   dense-matrix view used by algorithm designers and by the reference
   interpreters;
 - the **low-level API** (`view`, `paths`, `storage`, `runtime`): the index
-  structure exposed to the restructuring compiler, where its arrays are,
-  plus per-path enumeration/search runtimes (the analog of the paper's
-  ``term_nesting`` / iterator classes; the reference the emitted code is
-  checked against).
+  structure exposed to the restructuring compiler and where its arrays
+  are.  The per-path enumeration/search runtime (the analog of the paper's
+  ``term_nesting`` / iterator classes: what the plan interpreter and the
+  generic BLAS walk) is derived from the two — :class:`LevelRuntime`; only
+  a format that declares no storage writes a :class:`PathRuntime`.
 """
 
 from __future__ import annotations
@@ -132,7 +133,9 @@ class LevelRuntime(PathRuntime):
                                 for level in decl.levels]
         array, *index = decl.value
         self._values = self._arrays[array]
-        self._value_index = [self._expr(i) for i in index]
+        index = [self._expr(i) for i in index]
+        self._address = index[0] if len(index) == 1 else (
+            lambda prefix: tuple([i(prefix) for i in index]))
 
     def _expr(self, e) -> Callable[[Tuple], int]:
         """A declared expression as a function of the prefix."""
@@ -142,8 +145,7 @@ class LevelRuntime(PathRuntime):
             if e in self._sizes:
                 size = self._sizes[e]
                 return lambda prefix: size
-            step = self.path.step_of(e)
-            return lambda prefix: prefix[step]
+            return operator.itemgetter(self.path.step_of(e))
         op, *operands = e
         if op == "at":
             array, index = self._arrays[operands[0]], self._expr(operands[1])
@@ -191,9 +193,12 @@ class LevelRuntime(PathRuntime):
         lo, segments = self._slots[step](prefix)
         entries = enumerate(zip(*[s.tolist() for s in segments]), lo)
         if self._skips_diagonal[step]:
-            entries = ((k, keys) for k, keys in entries if keys[0] != prefix[-1])
-        for k, keys in entries:
-            yield keys, k
+            for k, keys in entries:
+                if keys[0] != prefix[-1]:
+                    yield keys, k
+        else:
+            for k, keys in entries:
+                yield keys, k
 
     def search(self, step: int, prefix: Tuple, keys: Tuple[int, ...]) -> Optional[object]:
         iv = self._intervals[step]
@@ -204,19 +209,18 @@ class LevelRuntime(PathRuntime):
             return None
         lo, segments = self._slots[step](prefix)
         if self.how[step] == BINARY:
-            k = int(np.searchsorted(segments[0], keys[0]))
-            found = k < len(segments[0]) and segments[0][k] == keys[0]
-        else:
-            hits = np.nonzero(np.logical_and.reduce(
-                [s == key for s, key in zip(segments, keys)]))[0]
-            found, k = hits.size > 0, int(hits[0]) if hits.size else 0
-        return lo + k if found else None
+            (segment,), (key,) = segments, keys
+            k = int(np.searchsorted(segment, key))
+            return lo + k if k < len(segment) and segment[k] == key else None
+        hits = np.nonzero(np.logical_and.reduce(
+            [s == key for s, key in zip(segments, keys)]))[0]
+        return lo + int(hits[0]) if hits.size else None
 
     def get(self, prefix: Tuple) -> float:
-        return float(self._values[tuple(i(prefix) for i in self._value_index)])
+        return float(self._values[self._address(prefix)])
 
     def set(self, prefix: Tuple, value: float) -> None:
-        self._values[tuple(i(prefix) for i in self._value_index)] = value
+        self._values[self._address(prefix)] = value
 
 
 class SparseFormat:
@@ -247,10 +251,14 @@ class SparseFormat:
 
     @property
     def dtype(self) -> np.dtype:
-        """Dtype of the stored values (float64 for the stock constructors;
-        derived from the value array so hand-built or future non-double
-        instances report truthfully).  The BLAS layer promotes with
-        ``np.result_type(A.dtype, x.dtype)`` when allocating outputs."""
+        """Dtype of the stored values (float64 for the stock constructors):
+        that of the value array the first path declares, so hand-built or
+        non-double instances report truthfully; a format that declares no
+        storage is probed for the usual names.  The BLAS layer promotes
+        with ``np.result_type(A.dtype, x.dtype)`` when allocating outputs."""
+        decl = self.storage(self.paths()[0].path_id)
+        if decl is not None:
+            return np.asarray(getattr(self, decl.value[0])).dtype
         for attr in ("values", "vals", "data", "dvals"):
             v = getattr(self, attr, None)
             if isinstance(v, np.ndarray):
@@ -363,14 +371,18 @@ class SparseFormat:
         return union_branches(self.paths())
 
     def runtime(self, path_id: str) -> PathRuntime:
-        """Enumeration runtime for one path."""
-        raise NotImplementedError
+        """Enumeration runtime for one path: read from its :meth:`storage`
+        declaration; a format that declares none writes its own."""
+        decl = self.storage(path_id)
+        if decl is None:
+            raise NotImplementedError
+        return LevelRuntime(self, self.path(path_id), decl)
 
-    def storage(self, path_id: str):
+    def storage(self, path_id: str) -> Optional[Storage]:
         """Where this path's arrays are, as a
-        :class:`repro.formats.levels.Storage` — what lets the compiler emit
-        raw-array loops (and C) for the format; None leaves it to the
-        :meth:`runtime`."""
+        :class:`repro.formats.levels.Storage` — what the compiler emits
+        raw-array loops (and C) from and the :meth:`runtime` walks; None
+        leaves both to a :meth:`runtime` the format writes."""
         return None
 
     def axis_range(self, axis_name: str) -> Optional[Tuple[int, int]]:

@@ -15,12 +15,11 @@ The matrix dimensions must be multiples of the block size (generators pad).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.formats.base import (
-    PathRuntime,
     SparseFormat,
     coo_contract,
     coo_dedup_sort,
@@ -42,62 +41,6 @@ from repro.formats.views import (
     interval_axis,
 )
 from repro.polyhedra.linexpr import LinExpr
-
-
-class BsrRuntime(PathRuntime):
-    def __init__(self, fmt: "BsrMatrix", path, inner_order: Tuple[str, str]):
-        self.fmt = fmt
-        self.path = path
-        self.inner_order = inner_order  # ("ri","ci") or ("ci","ri")
-
-    def enumerate(self, step: int, prefix: Tuple) -> Iterator[Tuple[Tuple[int, ...], object]]:
-        fmt = self.fmt
-        if step == 0:
-            for rb in range(fmt.block_rows):
-                yield (rb,), rb
-        elif step == 1:
-            (rb,) = prefix
-            for kk in range(int(fmt.indptr[rb]), int(fmt.indptr[rb + 1])):
-                yield (int(fmt.blockind[kk]),), kk
-        else:
-            for v in range(fmt.block_size):
-                yield (v,), v
-
-    def search(self, step: int, prefix: Tuple, keys: Tuple[int, ...]) -> Optional[object]:
-        fmt = self.fmt
-        if step == 0:
-            (rb,) = keys
-            return rb if 0 <= rb < fmt.block_rows else None
-        if step == 1:
-            (rb,) = prefix
-            (cb,) = keys
-            lo, hi = int(fmt.indptr[rb]), int(fmt.indptr[rb + 1])
-            kk = int(np.searchsorted(fmt.blockind[lo:hi], cb)) + lo
-            if kk < hi and fmt.blockind[kk] == cb:
-                return kk
-            return None
-        (v,) = keys
-        return v if 0 <= v < fmt.block_size else None
-
-    def interval(self, step: int, prefix: Tuple) -> Optional[Tuple[int, int]]:
-        if step == 0:
-            return (0, self.fmt.block_rows)
-        if step >= 2:
-            return (0, self.fmt.block_size)
-        return None
-
-    def _block_xy(self, prefix: Tuple) -> Tuple[int, int, int]:
-        kk = prefix[1]
-        inner = dict(zip(self.inner_order, prefix[2:]))
-        return kk, inner["ri"], inner["ci"]
-
-    def get(self, prefix: Tuple) -> float:
-        kk, ri, ci = self._block_xy(prefix)
-        return float(self.fmt.data[kk, ri, ci])
-
-    def set(self, prefix: Tuple, value: float) -> None:
-        kk, ri, ci = self._block_xy(prefix)
-        self.fmt.data[kk, ri, ci] = value
 
 
 class BsrMatrix(SparseFormat):
@@ -244,10 +187,6 @@ class BsrMatrix(SparseFormat):
 
     def path_ids(self) -> Optional[List[str]]:
         return ["rows_rc", "rows_cr"]
-
-    def runtime(self, path_id: str) -> PathRuntime:
-        order = ("ri", "ci") if path_id == "rows_rc" else ("ci", "ri")
-        return BsrRuntime(self, self.path(path_id), order)
 
     def axis_range(self, axis_name: str) -> Optional[Tuple[int, int]]:
         if axis_name == "rb":

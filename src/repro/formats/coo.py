@@ -7,12 +7,11 @@ all entries, yielding the row and column *jointly* and unordered.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.formats.base import (
-    PathRuntime,
     SparseFormat,
     coo_contract,
     coo_dedup_sort,
@@ -21,31 +20,6 @@ from repro.formats.base import (
 )
 from repro.formats.levels import Coords, Size, Storage
 from repro.formats.views import Axis, Joint, LINEAR, Term, UNORDERED, Value
-
-
-class CooRuntime(PathRuntime):
-    def __init__(self, fmt: "CooMatrix", path):
-        self.fmt = fmt
-        self.path = path
-
-    def enumerate(self, step: int, prefix: Tuple) -> Iterator[Tuple[Tuple[int, ...], object]]:
-        rows, cols = self.fmt.rows, self.fmt.cols
-        for k in range(len(rows)):
-            yield (int(rows[k]), int(cols[k])), k
-
-    def search(self, step: int, prefix: Tuple, keys: Tuple[int, ...]) -> Optional[object]:
-        r, c = keys
-        rows, cols = self.fmt.rows, self.fmt.cols
-        hits = np.nonzero((rows == r) & (cols == c))[0]
-        return int(hits[0]) if hits.size else None
-
-    def get(self, prefix: Tuple) -> float:
-        (k,) = prefix
-        return float(self.fmt.vals[k])
-
-    def set(self, prefix: Tuple, value: float) -> None:
-        (k,) = prefix
-        self.fmt.vals[k] = value
 
 
 class CooMatrix(SparseFormat):
@@ -111,6 +85,3 @@ class CooMatrix(SparseFormat):
 
     def path_ids(self) -> Optional[List[str]]:
         return ["flat"]
-
-    def runtime(self, path_id: str) -> PathRuntime:
-        return CooRuntime(self, self.path(path_id))

@@ -5,12 +5,11 @@ column.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.formats.base import (
-    PathRuntime,
     SparseFormat,
     compress,
     coo_contract,
@@ -22,44 +21,6 @@ from repro.formats.base import (
 )
 from repro.formats.levels import Compressed, Dense, Size, Storage
 from repro.formats.views import Axis, BINARY, INCREASING, Nest, Term, Value, interval_axis
-
-
-class CscRuntime(PathRuntime):
-    def __init__(self, fmt: "CscMatrix", path):
-        self.fmt = fmt
-        self.path = path
-
-    def enumerate(self, step: int, prefix: Tuple) -> Iterator[Tuple[Tuple[int, ...], object]]:
-        if step == 0:
-            for c in range(self.fmt.ncols):
-                yield (c,), c
-        else:
-            (c,) = prefix
-            lo, hi = int(self.fmt.colptr[c]), int(self.fmt.colptr[c + 1])
-            rowind = self.fmt.rowind
-            for jj in range(lo, hi):
-                yield (int(rowind[jj]),), jj
-
-    def search(self, step: int, prefix: Tuple, keys: Tuple[int, ...]) -> Optional[object]:
-        if step == 0:
-            (c,) = keys
-            return c if 0 <= c < self.fmt.ncols else None
-        (c,) = prefix
-        (r,) = keys
-        lo, hi = int(self.fmt.colptr[c]), int(self.fmt.colptr[c + 1])
-        jj = int(np.searchsorted(self.fmt.rowind[lo:hi], r)) + lo
-        if jj < hi and self.fmt.rowind[jj] == r:
-            return jj
-        return None
-
-    def interval(self, step: int, prefix: Tuple) -> Optional[Tuple[int, int]]:
-        return (0, self.fmt.ncols) if step == 0 else None
-
-    def get(self, prefix: Tuple) -> float:
-        return float(self.fmt.values[prefix[1]])
-
-    def set(self, prefix: Tuple, value: float) -> None:
-        self.fmt.values[prefix[1]] = value
 
 
 class CscMatrix(SparseFormat):
@@ -150,6 +111,3 @@ class CscMatrix(SparseFormat):
 
     def path_ids(self) -> Optional[List[str]]:
         return ["cols"]
-
-    def runtime(self, path_id: str) -> PathRuntime:
-        return CscRuntime(self, self.path(path_id))

@@ -7,12 +7,11 @@ searched with binary search.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.formats.base import (
-    PathRuntime,
     SparseFormat,
     compress,
     coo_contract,
@@ -29,44 +28,6 @@ from repro.formats.views import Axis, BINARY, INCREASING, Nest, Term, Value, int
 #: same arrays inside MSR (off-diagonal part) and SYM (stored triangle)
 ROWS = Storage((Dense("m"), Compressed("rowptr", "colind")), ("values", "c"),
                ("rowptr", "colind", "values", Size("m", "nrows")))
-
-
-class CsrRuntime(PathRuntime):
-    def __init__(self, fmt: "CsrMatrix", path):
-        self.fmt = fmt
-        self.path = path
-
-    def enumerate(self, step: int, prefix: Tuple) -> Iterator[Tuple[Tuple[int, ...], object]]:
-        if step == 0:
-            for r in range(self.fmt.nrows):
-                yield (r,), r
-        else:
-            (r,) = prefix
-            lo, hi = int(self.fmt.rowptr[r]), int(self.fmt.rowptr[r + 1])
-            colind = self.fmt.colind
-            for jj in range(lo, hi):
-                yield (int(colind[jj]),), jj
-
-    def search(self, step: int, prefix: Tuple, keys: Tuple[int, ...]) -> Optional[object]:
-        if step == 0:
-            (r,) = keys
-            return r if 0 <= r < self.fmt.nrows else None
-        (r,) = prefix
-        (c,) = keys
-        lo, hi = int(self.fmt.rowptr[r]), int(self.fmt.rowptr[r + 1])
-        jj = int(np.searchsorted(self.fmt.colind[lo:hi], c)) + lo
-        if jj < hi and self.fmt.colind[jj] == c:
-            return jj
-        return None
-
-    def interval(self, step: int, prefix: Tuple) -> Optional[Tuple[int, int]]:
-        return (0, self.fmt.nrows) if step == 0 else None
-
-    def get(self, prefix: Tuple) -> float:
-        return float(self.fmt.values[prefix[1]])
-
-    def set(self, prefix: Tuple, value: float) -> None:
-        self.fmt.values[prefix[1]] = value
 
 
 class CsrMatrix(SparseFormat):
@@ -157,6 +118,3 @@ class CsrMatrix(SparseFormat):
 
     def path_ids(self) -> Optional[List[str]]:
         return ["rows"]
-
-    def runtime(self, path_id: str) -> PathRuntime:
-        return CsrRuntime(self, self.path(path_id))

@@ -7,50 +7,13 @@ original dense loop nest.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
-from repro.formats.base import PathRuntime, SparseFormat, coo_contract
+from repro.formats.base import SparseFormat, coo_contract
 from repro.formats.levels import Dense, Size, Storage
 from repro.formats.views import Cross, Term, Value, interval_axis
-
-
-class DenseRuntime(PathRuntime):
-    """Runtime for either traversal order of a dense matrix."""
-
-    def __init__(self, fmt: "DenseMatrix", path, axis_order: Tuple[str, str]):
-        self.fmt = fmt
-        self.path = path
-        self.axis_order = axis_order  # ("r","c") for rowmajor
-
-    def _extent(self, axis: str) -> int:
-        return self.fmt.nrows if axis == "r" else self.fmt.ncols
-
-    def enumerate(self, step: int, prefix: Tuple) -> Iterator[Tuple[Tuple[int, ...], object]]:
-        axis = self.axis_order[step]
-        for v in range(self._extent(axis)):
-            yield (v,), v
-
-    def search(self, step: int, prefix: Tuple, keys: Tuple[int, ...]) -> Optional[object]:
-        axis = self.axis_order[step]
-        (v,) = keys
-        return v if 0 <= v < self._extent(axis) else None
-
-    def interval(self, step: int, prefix: Tuple) -> Optional[Tuple[int, int]]:
-        return (0, self._extent(self.axis_order[step]))
-
-    def _rc(self, prefix: Tuple) -> Tuple[int, int]:
-        d = dict(zip(self.axis_order, prefix))
-        return d["r"], d["c"]
-
-    def get(self, prefix: Tuple) -> float:
-        r, c = self._rc(prefix)
-        return float(self.fmt.data[r, c])
-
-    def set(self, prefix: Tuple, value: float) -> None:
-        r, c = self._rc(prefix)
-        self.fmt.data[r, c] = value
 
 
 class DenseMatrix(SparseFormat):
@@ -115,8 +78,3 @@ class DenseMatrix(SparseFormat):
 
     def path_ids(self) -> Optional[List[str]]:
         return ["rowmajor", "colmajor"]
-
-    def runtime(self, path_id: str) -> PathRuntime:
-        p = self.path(path_id)
-        order = ("r", "c") if path_id == "rowmajor" else ("c", "r")
-        return DenseRuntime(self, p, order)

@@ -14,12 +14,11 @@ hand-written DIA kernel would.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.formats.base import (
-    PathRuntime,
     SparseFormat,
     coo_contract,
     coo_dedup_sort,
@@ -38,48 +37,6 @@ from repro.formats.views import (
     interval_axis,
 )
 from repro.polyhedra.linexpr import LinExpr
-
-
-class DiaRuntime(PathRuntime):
-    def __init__(self, fmt: "DiaMatrix", path):
-        self.fmt = fmt
-        self.path = path
-
-    def enumerate(self, step: int, prefix: Tuple) -> Iterator[Tuple[Tuple[int, ...], object]]:
-        if step == 0:
-            for k, d in enumerate(self.fmt.diags):
-                yield (int(d),), k
-        else:
-            (k,) = prefix
-            lo, hi = self.fmt.offset_range(int(self.fmt.diags[k]))
-            for o in range(lo, hi):
-                yield (o,), o
-
-    def search(self, step: int, prefix: Tuple, keys: Tuple[int, ...]) -> Optional[object]:
-        if step == 0:
-            (d,) = keys
-            k = int(np.searchsorted(self.fmt.diags, d))
-            if k < self.fmt.diags.size and self.fmt.diags[k] == d:
-                return k
-            return None
-        (k,) = prefix
-        (o,) = keys
-        lo, hi = self.fmt.offset_range(int(self.fmt.diags[k]))
-        return o if lo <= o < hi else None
-
-    def interval(self, step: int, prefix: Tuple) -> Optional[Tuple[int, int]]:
-        if step == 0:
-            return None  # stored diagonals are a sparse subset
-        (k,) = prefix
-        return self.fmt.offset_range(int(self.fmt.diags[k]))
-
-    def get(self, prefix: Tuple) -> float:
-        k, o = prefix
-        return float(self.fmt.data[k, o])
-
-    def set(self, prefix: Tuple, value: float) -> None:
-        k, o = prefix
-        self.fmt.data[k, o] = value
 
 
 class DiaMatrix(SparseFormat):
@@ -186,9 +143,6 @@ class DiaMatrix(SparseFormat):
 
     def path_ids(self) -> Optional[List[str]]:
         return ["diags"]
-
-    def runtime(self, path_id: str) -> PathRuntime:
-        return DiaRuntime(self, self.path(path_id))
 
     def axis_range(self, axis_name: str) -> Optional[Tuple[int, int]]:
         if axis_name == "d":

@@ -9,12 +9,11 @@ but with the regular layout vector machines like.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.formats.base import (
-    PathRuntime,
     SparseFormat,
     coo_contract,
     coo_dedup_sort,
@@ -23,44 +22,6 @@ from repro.formats.base import (
 )
 from repro.formats.levels import Counted, Dense, Size, Storage
 from repro.formats.views import Axis, BINARY, INCREASING, Nest, Term, Value, interval_axis
-
-
-class EllRuntime(PathRuntime):
-    def __init__(self, fmt: "EllMatrix", path):
-        self.fmt = fmt
-        self.path = path
-
-    def enumerate(self, step: int, prefix: Tuple) -> Iterator[Tuple[Tuple[int, ...], object]]:
-        if step == 0:
-            for r in range(self.fmt.nrows):
-                yield (r,), r
-        else:
-            (r,) = prefix
-            for kk in range(int(self.fmt.rowlen[r])):
-                yield (int(self.fmt.colind[r, kk]),), kk
-
-    def search(self, step: int, prefix: Tuple, keys: Tuple[int, ...]) -> Optional[object]:
-        if step == 0:
-            (r,) = keys
-            return r if 0 <= r < self.fmt.nrows else None
-        (r,) = prefix
-        (c,) = keys
-        ln = int(self.fmt.rowlen[r])
-        kk = int(np.searchsorted(self.fmt.colind[r, :ln], c))
-        if kk < ln and self.fmt.colind[r, kk] == c:
-            return kk
-        return None
-
-    def interval(self, step: int, prefix: Tuple) -> Optional[Tuple[int, int]]:
-        return (0, self.fmt.nrows) if step == 0 else None
-
-    def get(self, prefix: Tuple) -> float:
-        r, kk = prefix
-        return float(self.fmt.data[r, kk])
-
-    def set(self, prefix: Tuple, value: float) -> None:
-        r, kk = prefix
-        self.fmt.data[r, kk] = value
 
 
 class EllMatrix(SparseFormat):
@@ -150,6 +111,3 @@ class EllMatrix(SparseFormat):
 
     def path_ids(self) -> Optional[List[str]]:
         return ["rows"]
-
-    def runtime(self, path_id: str) -> PathRuntime:
-        return EllRuntime(self, self.path(path_id))

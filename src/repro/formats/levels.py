@@ -3,10 +3,12 @@
 A format's ``view()`` says how its index structure *can be walked* and
 searched; its ``storage(path_id)`` says where one access path keeps that
 structure — a :class:`Storage` with one level per step of the path, the
-value array, and the kernel arguments in signature order.  The compiler
-(:class:`repro.codegen.emitters.ViewEmitter`) composes loops, searches and
-the value access from it, in Python and in C; a format that declares
-nothing is run through its :class:`~repro.formats.base.PathRuntime`.
+value array, and the kernel arguments in signature order.  It has two
+readers: the compiler (:class:`repro.codegen.emitters.ViewEmitter`)
+composes loops, searches and the value access from it, in Python and in
+C, and :class:`repro.formats.base.LevelRuntime` walks it for the plan
+interpreter and the generic BLAS.  A format that declares nothing writes
+its own :class:`~repro.formats.base.PathRuntime` and runs as Python only.
 
 A level names attributes of the format instance (arrays) and declared
 sizes.  Where a level takes an *expression* (``Range`` bounds, the value's

@@ -13,12 +13,11 @@ the matrix into one copy per branch (paper Section 4).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.formats.base import (
-    PathRuntime,
     SparseFormat,
     coo_contract,
     coo_dedup_sort,
@@ -41,67 +40,6 @@ from repro.formats.views import (
     interval_axis,
 )
 from repro.polyhedra.linexpr import LinExpr
-
-
-class MsrDiagRuntime(PathRuntime):
-    def __init__(self, fmt: "MsrMatrix", path):
-        self.fmt = fmt
-        self.path = path
-
-    def enumerate(self, step: int, prefix: Tuple) -> Iterator[Tuple[Tuple[int, ...], object]]:
-        for i in range(self.fmt.ndiag):
-            yield (i,), i
-
-    def search(self, step: int, prefix: Tuple, keys: Tuple[int, ...]) -> Optional[object]:
-        (i,) = keys
-        return i if 0 <= i < self.fmt.ndiag else None
-
-    def interval(self, step: int, prefix: Tuple) -> Optional[Tuple[int, int]]:
-        return (0, self.fmt.ndiag)
-
-    def get(self, prefix: Tuple) -> float:
-        return float(self.fmt.dvals[prefix[0]])
-
-    def set(self, prefix: Tuple, value: float) -> None:
-        self.fmt.dvals[prefix[0]] = value
-
-
-class MsrOffRuntime(PathRuntime):
-    def __init__(self, fmt: "MsrMatrix", path):
-        self.fmt = fmt
-        self.path = path
-
-    def enumerate(self, step: int, prefix: Tuple) -> Iterator[Tuple[Tuple[int, ...], object]]:
-        fmt = self.fmt
-        if step == 0:
-            for r in range(fmt.nrows):
-                yield (r,), r
-        else:
-            (r,) = prefix
-            for jj in range(int(fmt.rowptr[r]), int(fmt.rowptr[r + 1])):
-                yield (int(fmt.colind[jj]),), jj
-
-    def search(self, step: int, prefix: Tuple, keys: Tuple[int, ...]) -> Optional[object]:
-        fmt = self.fmt
-        if step == 0:
-            (r,) = keys
-            return r if 0 <= r < fmt.nrows else None
-        (r,) = prefix
-        (c,) = keys
-        lo, hi = int(fmt.rowptr[r]), int(fmt.rowptr[r + 1])
-        jj = int(np.searchsorted(fmt.colind[lo:hi], c)) + lo
-        if jj < hi and fmt.colind[jj] == c:
-            return jj
-        return None
-
-    def interval(self, step: int, prefix: Tuple) -> Optional[Tuple[int, int]]:
-        return (0, self.fmt.nrows) if step == 0 else None
-
-    def get(self, prefix: Tuple) -> float:
-        return float(self.fmt.values[prefix[1]])
-
-    def set(self, prefix: Tuple, value: float) -> None:
-        self.fmt.values[prefix[1]] = value
 
 
 class MsrMatrix(SparseFormat):
@@ -193,13 +131,6 @@ class MsrMatrix(SparseFormat):
 
     def path_ids(self) -> Optional[List[str]]:
         return ["diag", "off"]
-
-    def runtime(self, path_id: str) -> PathRuntime:
-        if path_id == "diag":
-            return MsrDiagRuntime(self, self.path(path_id))
-        if path_id == "off":
-            return MsrOffRuntime(self, self.path(path_id))
-        raise KeyError(path_id)
 
     def axis_range(self, axis_name: str) -> Optional[Tuple[int, int]]:
         if axis_name == "i":

@@ -15,12 +15,11 @@ elements are not visited twice).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.formats.base import (
-    PathRuntime,
     SparseFormat,
     coo_contract,
     coo_dedup_sort,
@@ -43,92 +42,6 @@ from repro.formats.views import (
     interval_axis,
 )
 from repro.polyhedra.linexpr import LinExpr
-
-
-class SymLowerRuntime(PathRuntime):
-    """The stored triangle, walked as CSR rows."""
-
-    def __init__(self, fmt: "SymMatrix", path):
-        self.fmt = fmt
-        self.path = path
-
-    def enumerate(self, step: int, prefix: Tuple) -> Iterator[Tuple[Tuple[int, ...], object]]:
-        fmt = self.fmt
-        if step == 0:
-            for r in range(fmt.nrows):
-                yield (r,), r
-        else:
-            (r,) = prefix
-            for jj in range(int(fmt.rowptr[r]), int(fmt.rowptr[r + 1])):
-                yield (int(fmt.colind[jj]),), jj
-
-    def search(self, step: int, prefix: Tuple, keys: Tuple[int, ...]) -> Optional[object]:
-        fmt = self.fmt
-        if step == 0:
-            (r,) = keys
-            return r if 0 <= r < fmt.nrows else None
-        (r,) = prefix
-        (c,) = keys
-        lo, hi = int(fmt.rowptr[r]), int(fmt.rowptr[r + 1])
-        jj = int(np.searchsorted(fmt.colind[lo:hi], c)) + lo
-        if jj < hi and fmt.colind[jj] == c:
-            return jj
-        return None
-
-    def interval(self, step: int, prefix: Tuple) -> Optional[Tuple[int, int]]:
-        return (0, self.fmt.nrows) if step == 0 else None
-
-    def get(self, prefix: Tuple) -> float:
-        return float(self.fmt.values[prefix[1]])
-
-    def set(self, prefix: Tuple, value: float) -> None:
-        self.fmt.values[prefix[1]] = value
-
-
-class SymMirrorRuntime(PathRuntime):
-    """The mirrored image: same arrays, strictly-lower entries only (the
-    diagonal belongs to the stored branch), axes named (rr, cc) with the
-    map swapping them into logical coordinates."""
-
-    def __init__(self, fmt: "SymMatrix", path):
-        self.fmt = fmt
-        self.path = path
-
-    def enumerate(self, step: int, prefix: Tuple) -> Iterator[Tuple[Tuple[int, ...], object]]:
-        fmt = self.fmt
-        if step == 0:
-            for rr in range(fmt.nrows):
-                yield (rr,), rr
-        else:
-            (rr,) = prefix
-            for jj in range(int(fmt.rowptr[rr]), int(fmt.rowptr[rr + 1])):
-                cc = int(fmt.colind[jj])
-                if cc != rr:  # strictly lower only
-                    yield (cc,), jj
-
-    def search(self, step: int, prefix: Tuple, keys: Tuple[int, ...]) -> Optional[object]:
-        fmt = self.fmt
-        if step == 0:
-            (rr,) = keys
-            return rr if 0 <= rr < fmt.nrows else None
-        (rr,) = prefix
-        (cc,) = keys
-        if cc == rr:
-            return None
-        lo, hi = int(fmt.rowptr[rr]), int(fmt.rowptr[rr + 1])
-        jj = int(np.searchsorted(fmt.colind[lo:hi], cc)) + lo
-        if jj < hi and fmt.colind[jj] == cc:
-            return jj
-        return None
-
-    def interval(self, step: int, prefix: Tuple) -> Optional[Tuple[int, int]]:
-        return (0, self.fmt.nrows) if step == 0 else None
-
-    def get(self, prefix: Tuple) -> float:
-        return float(self.fmt.values[prefix[1]])
-
-    def set(self, prefix: Tuple, value: float) -> None:
-        self.fmt.values[prefix[1]] = value
 
 
 class SymMatrix(SparseFormat):
@@ -243,13 +156,6 @@ class SymMatrix(SparseFormat):
 
     def path_ids(self) -> Optional[List[str]]:
         return ["lower", "mirror"]
-
-    def runtime(self, path_id: str) -> PathRuntime:
-        if path_id == "lower":
-            return SymLowerRuntime(self, self.path(path_id))
-        if path_id == "mirror":
-            return SymMirrorRuntime(self, self.path(path_id))
-        raise KeyError(path_id)
 
     def axis_range(self, axis_name: str) -> Optional[Tuple[int, int]]:
         if axis_name in ("rr", "cc"):

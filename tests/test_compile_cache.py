@@ -230,6 +230,38 @@ class TestDiskLayer:
         k2({"A": A, "x": x, "y": y}, {"m": 8, "n": 6})
         np.testing.assert_allclose(y, A.to_dense() @ x)
 
+    def test_an_edited_declaration_misses_its_parents_entry(
+            self, tmp_path, monkeypatch):
+        """The key sees ``storage()`` and the axes' search kinds: a class
+        of the same name whose declaration or view was edited does not
+        replay the source recorded for the other one."""
+        from repro.formats.csr import ROWS, CsrMatrix
+        from repro.formats.views import (
+            Axis, LINEAR, Nest, UNORDERED, Value, interval_axis,
+        )
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        A = _csr()
+        k1 = compile_kernel(mvm(), {"A": A}, cache="disk")
+
+        def recompiled(**edited):
+            B = type("CsrMatrix", (CsrMatrix,), edited)._adopt(
+                A.rowptr, A.colind, A.values, A.shape)
+            COMPILE_CACHE.clear()           # the disk layer has to answer
+            return _generated_delta(
+                lambda: compile_kernel(mvm(), {"A": B}, cache="disk"))
+
+        k, gen = recompiled()               # control: only the name is shared
+        assert gen == 0 and k.source == k1.source
+        renamed = ROWS._replace(levels=(
+            ROWS.levels[0], ROWS.levels[1]._replace(slot="slot")))
+        k, gen = recompiled(storage=lambda self, path_id: renamed)
+        assert gen > 0
+        assert "_slot" in k.source and "_slot" not in k1.source
+        k, gen = recompiled(view=lambda self: Nest(
+            interval_axis("r"), Nest(Axis("c", UNORDERED, LINEAR), Value())))
+        assert gen > 0
+
     def test_entry_pickled_with_fraction_coefficients_loads_canonical(
             self, tmp_path, monkeypatch):
         """A disk entry written before the integer polyhedral core (every

@@ -1,8 +1,9 @@
-"""The format-designer story: a user-defined format, described with the
-view grammar and a runtime, compiles through the full pipeline — through
-the generic runtime fallback when it says no more, and to C, like a
-built-in format, once it declares where its arrays are.  The declaration
-is checked where it is read: at emitter construction."""
+"""The format-designer story: a user-defined format compiles through the
+full pipeline — described with the view grammar and a runtime of its own,
+through the generic runtime fallback; described with the view grammar and
+a declaration of where its arrays are, to C like a built-in format, its
+runtime read from the declaration.  The declaration is checked where it is
+read: at emitter and at runtime construction."""
 
 import warnings
 
@@ -165,6 +166,7 @@ class DeclaredCoo(ColSortedCoo):
     coordinates ``<cols, rows>`` over ``nnz`` slots, values in ``vals``."""
 
     format_name = "cscoo_declared"
+    runtime = SparseFormat.runtime      # read from the declaration
 
     def storage(self, path_id):
         return Storage((Coords(("cols", "rows"), "nnz"),), ("vals", "c"),
@@ -216,6 +218,35 @@ class TestDeclaredFormat:
         k({"A": declared, "x": x, "y": y}, {"m": 6, "n": 8})
         assert np.allclose(y, declared.to_dense() @ x)
 
+    def test_dtype_is_the_declared_value_arrays(self, custom, declared):
+        """Whatever the array is called: ``blas.api`` allocates outputs in
+        the promotion of ``A.dtype`` and the operand's."""
+        from repro.blas.api import _alloc
+
+        class Single(DeclaredCoo):
+            format_name = "cscoo_single"
+
+            def __init__(self, rows, cols, vals, shape):
+                super().__init__(rows, cols, vals, shape)
+                self.payload = self.vals.astype(np.float32)
+                del self.vals
+
+            def storage(self, path_id):
+                return Storage((Coords(("cols", "rows"), "nnz"),),
+                               ("payload", "c"),
+                               ("rows", "cols", "payload", Size("nnz", "nnz")))
+
+        A = Single(declared.rows, declared.cols, declared.vals, declared.shape)
+        x = np.ones(8, dtype=np.float32)
+        assert A.dtype == np.float32
+        assert _alloc(6, A, x).dtype == np.float32
+        assert _alloc(6, declared, x).dtype == np.float64
+        # a format that declares nothing is still probed for the usual names
+        single = ColSortedCoo(custom.rows, custom.cols, custom.vals,
+                              custom.shape)
+        single.vals = single.vals.astype(np.float32)
+        assert single.dtype == np.float32
+
     def test_undeclared_format_keeps_the_generic_emitter(self, custom,
                                                          declared):
         assert isinstance(_emitter(custom), GenericEmitter)
@@ -230,9 +261,16 @@ class TestDeclaredFormat:
         assert INSTR.get("native.fallback.lowering") == before + 1
 
 
+def _rejected(fmt, match):
+    """Both readers of a declaration refuse it, in the same words."""
+    for read in (_emitter, lambda fmt: fmt.runtime("flat")):
+        with pytest.raises(ValueError, match=match):
+            read(fmt)
+
+
 class TestDeclarationIsChecked:
-    """A wrong declaration is a ``ValueError`` when the emitter is built,
-    naming the format, the path and the axis."""
+    """A wrong declaration is a ``ValueError`` when the emitter or the
+    runtime is built, naming the format, the path and the axis."""
 
     def _broken(self, declared, **fields):
         class Broken(DeclaredCoo):
@@ -247,20 +285,16 @@ class TestDeclarationIsChecked:
     def test_level_count(self, declared):
         fmt = self._broken(declared, levels=(
             Dense("nnz"), Coords(("cols", "rows"), "nnz")))
-        with pytest.raises(ValueError, match=r"'broken'.*'flat'.*2 levels "
-                                             r"declared for the 1 steps.*c,r"):
-            _emitter(fmt)
+        _rejected(fmt, r"'broken'.*'flat'.*2 levels "
+                       r"declared for the 1 steps.*c,r")
 
     def test_missing_attribute(self, declared):
         fmt = self._broken(declared, args=(
             "rows", "columns", "vals", Size("nnz", "nnz")))
-        with pytest.raises(ValueError, match=r"'broken'.*'flat'.*axes c, r.*"
-                                             r"'columns'.*Broken"):
-            _emitter(fmt)
+        _rejected(fmt, r"'broken'.*'flat'.*axes c, r.*'columns'.*Broken")
         fmt = self._broken(declared, args=(
             "rows", "cols", "vals", Size("nnz", "entries")))
-        with pytest.raises(ValueError, match="'entries'"):
-            _emitter(fmt)
+        _rejected(fmt, "'entries'")
 
     def test_search_the_level_cannot_build(self, declared):
         # a joint level has no order to bisect on ...
@@ -273,14 +307,11 @@ class TestDeclarationIsChecked:
 
         fmt = Bisected(declared.rows, declared.cols, declared.vals,
                        declared.shape)
-        with pytest.raises(ValueError, match=r"'bisected'.*'flat'.*axis c, r.*"
-                                             r"binary search.*Coords.*linear"):
-            _emitter(fmt)
+        _rejected(fmt, r"'bisected'.*'flat'.*axis c, r.*"
+                       r"binary search.*Coords.*linear")
         # ... and a dense level answers by a bounds check, not by scanning
         fmt = self._broken(declared, levels=(Dense("nnz"),))
-        with pytest.raises(ValueError, match=r"axis c, r.*linear search.*"
-                                             r"Dense.*direct"):
-            _emitter(fmt)
+        _rejected(fmt, r"axis c, r.*linear search.*Dense.*direct")
 
     def test_linear_axis_never_receives_bisect(self, small_rect_module, rng):
         """Dispatch used to be by ``format_name``: a CSR subclass whose

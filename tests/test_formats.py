@@ -1,6 +1,8 @@
 """Concrete formats: construction, round-trips, random access, enumeration
 runtimes, conversions.  Parameterized over all nine formats."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 
 from repro.formats import FORMATS, as_format, convert
 from repro.formats.base import SparseFormat
+from repro.formats.levels import Compressed, Size
+from tests.conftest import at_width
 
 ALL = ["dense", "coo", "csr", "csc", "dia", "ell", "jad", "bsr", "msr"]
 
@@ -93,75 +97,150 @@ class TestDuplicates:
             FORMATS[fmt_name].from_coo([5], [0], [1.0], (2, 2), **kwargs)
 
 
-class TestEnumerationRuntime:
-    def test_full_enumeration_reconstructs(self, fmt_name, small_rect):
-        """Walking every path of every branch reproduces the stored
-        matrix exactly once per branch."""
-        f = make(fmt_name, small_rect)
-        recon = np.zeros_like(small_rect)
-        for br in f.union_branches():
-            p = next(pp for pp in f.paths() if pp.branch == br)
-            rt = f.runtime(p.path_id)
+def stored_triples(f):
+    """Sorted ``(r, c, value)`` of what ``f`` stores, by a route that never
+    reads ``storage()``: ``to_coo_arrays`` — and ``to_dense`` for the dense
+    format, which stores every cell and reports only the non-zero ones."""
+    if f.format_name == "dense":
+        d = f.to_dense()
+        return [(r, c, float(d[r, c])) for r in range(f.nrows)
+                for c in range(f.ncols)]
+    rows, cols, vals = f.to_coo_arrays()
+    return sorted(zip(rows.tolist(), cols.tolist(), vals.tolist()))
 
-            def walk(step, prefix, env):
-                if step == len(p.steps):
-                    r = int(p.subs["r"].evaluate(env))
-                    c = int(p.subs["c"].evaluate(env))
-                    recon[r, c] += rt.get(prefix)
-                    return
-                for keys, stt in rt.enumerate(step, prefix):
-                    env2 = dict(env)
-                    for ax, k in zip(p.steps[step].axes, keys):
-                        env2[ax.name] = k
-                    walk(step + 1, prefix + (stt,), env2)
 
-            walk(0, (), {})
-        assert np.allclose(recon, f.to_dense())
+def logical(p, keys):
+    env = dict(zip(p.axis_names, keys))
+    return int(p.subs["r"].evaluate(env)), int(p.subs["c"].evaluate(env))
 
-    def test_search_finds_enumerated(self, fmt_name, small_rect):
-        """Every enumerated key must be findable by search on searchable
-        steps, with a state reading the same value."""
-        f = make(fmt_name, small_rect)
-        for p in f.paths():
-            rt = f.runtime(p.path_id)
 
-            def walk(step, prefix, keychain):
-                if step == len(p.steps):
-                    return
-                for keys, stt in rt.enumerate(step, prefix):
-                    try:
-                        found = rt.search(step, prefix, keys)
-                    except NotImplementedError:
-                        found = None
-                    if found is not None and step == len(p.steps) - 1:
-                        assert rt.get(prefix + (found,)) == \
-                            pytest.approx(rt.get(prefix + (stt,)))
-                    walk(step + 1, prefix + (stt,), keychain + [keys])
+def walk(f, p):
+    """``{axis keys: value}`` of one path, in its runtime's words."""
+    rt, out = f.runtime(p.path_id), {}
 
-            walk(0, (), [])
-
-    def test_search_misses_absent(self, fmt_name):
-        a = np.zeros((6, 6))
-        a[1, 1] = 1.0
-        a[3, 2] = 2.0
-        f = make(fmt_name, a)
-        if fmt_name == "dense":
+    def down(step, prefix, keys):
+        if step == len(p.steps):
+            assert keys not in out
+            out[keys] = rt.get(prefix)
             return
-        # the last step's search for a column absent from the row/diag must
-        # return None
-        for br in f.union_branches():
-            p = next(pp for pp in f.paths() if pp.branch == br)
-            rt = f.runtime(p.path_id)
-            last = len(p.steps) - 1
-            for keys, stt in rt.enumerate(0, ()):
-                if last == 0:
-                    break
-                missing = rt.search(last, (stt,), (4,)) if \
-                    p.steps[last].names[-1] in ("c", "o", "r") else None
-                # (4 is never stored next to 1,1/3,2 in these structures)
-                if missing is not None:
-                    # only acceptable if (row,4)-ish is genuinely stored
-                    pass
+        for k, state in rt.enumerate(step, prefix):
+            down(step + 1, prefix + (state,), keys + tuple(k))
+
+    down(0, (), ())
+    return out
+
+
+def probes(f, p):
+    """``(axis keys, value | None)`` for ``search`` chained down the path on
+    every key tuple of a grid reaching one past both ends of every axis."""
+    rt = f.runtime(p.path_id)
+    grid = [range(lo - 1, hi + 1)
+            for lo, hi in map(f.axis_range, p.axis_names)]
+    for keys in itertools.product(*grid):
+        prefix, at = (), 0
+        for step, s in enumerate(p.steps):
+            state = rt.search(step, prefix, keys[at:at + len(s.names)])
+            if state is None:
+                break
+            prefix, at = prefix + (state,), at + len(s.names)
+        yield keys, None if state is None else rt.get(prefix)
+
+
+def covers(f):
+    """Every way to pick one path per aggregation branch."""
+    return itertools.product(*[[p for p in f.paths() if p.branch == br]
+                               for br in f.union_branches()])
+
+
+def reconstructs(f):
+    for cover in covers(f):
+        got = sorted((*logical(p, keys), v) for p in cover
+                     for keys, v in walk(f, p).items())
+        assert got == stored_triples(f), [p.path_id for p in cover]
+
+
+def finds_enumerated(f):
+    for p in f.paths():
+        stored = walk(f, p)
+        found = {keys: v for keys, v in probes(f, p) if keys in stored}
+        assert found == {keys: f.get(*logical(p, keys)) for keys in stored}
+
+
+def misses_absent(f):
+    for p in f.paths():
+        stored = walk(f, p)
+        assert [keys for keys, v in probes(f, p)
+                if keys not in stored and v is not None] == []
+
+
+#: one-word mistakes in a declaration: format, the edit
+WRONG = {
+    "csr value through the row state":
+        ("csr", lambda d: d._replace(value=("values", "r"))),
+    "csr pointer and coordinates swapped":
+        ("csr", lambda d: d._replace(
+            levels=(d.levels[0], Compressed("colind", "rowptr")))),
+    "csr wrong extent":
+        ("csr", lambda d: d._replace(args=(*d.args[:3], Size("m", "ncols")))),
+    "ell (p, k) transposed":
+        ("ell", lambda d: d._replace(value=("data", "c", "r"))),
+    "sym mirror's off_diagonal dropped":
+        ("sym", lambda d: d._replace(
+            levels=(d.levels[0], d.levels[1]._replace(off_diagonal=False)))),
+}
+
+
+class TestEnumerationRuntime:
+    """Every path of every format, at both index widths, against a
+    reference that never reads the declaration the runtime is read from:
+    the walk against ``to_coo_arrays``, the searches against the walk and
+    ``get``."""
+
+    @pytest.fixture(params=ALL + ["sym"])
+    def fmt_name(self, request):
+        return request.param
+
+    @pytest.fixture
+    def both_widths(self, fmt_name, small_rect):
+        if fmt_name == "sym":
+            lower = np.tril(small_rect[:, :6])
+            small_rect = lower + np.tril(lower, -1).T
+        f = make(fmt_name, small_rect)
+        return [at_width(f, width) for width in (np.int32, np.int64)]
+
+    def test_full_enumeration_reconstructs(self, both_widths):
+        """Walking one path per branch yields the stored ``(r, c, value)``
+        triples exactly once each — equal, not close."""
+        for f in both_widths:
+            reconstructs(f)
+
+    def test_search_finds_enumerated(self, both_widths):
+        """Searching down a path for an enumerated key tuple yields a
+        state reading ``get(r, c)``."""
+        for f in both_widths:
+            finds_enumerated(f)
+
+    def test_search_misses_absent(self, both_widths):
+        """... and for any other — unstored, -1, the extent — None."""
+        for f in both_widths:
+            misses_absent(f)
+
+    @pytest.mark.parametrize("mistake", WRONG)
+    def test_a_wrong_declaration_fails(self, mistake):
+        """The runtime is read from the declaration; what is stored is
+        not, so a mistake in one shows against the other."""
+        name, edit = WRONG[mistake]
+        a = np.array([[1.0, 0, 2, 0], [0, 3, 0, 0], [2, 0, 5, 6], [0, 0, 6, 0]])
+        a = a if name == "sym" else a[:, :3]   # ncols < nrows: a row is missed
+        right = FORMATS[name]
+        wrong = type("Wrong", (right,), {
+            "storage": lambda self, path_id:
+                edit(right.storage(self, path_id))})
+        for check in (reconstructs, finds_enumerated, misses_absent):
+            check(right.from_dense(a))
+        with pytest.raises((AssertionError, IndexError)):
+            for check in (reconstructs, finds_enumerated, misses_absent):
+                check(wrong.from_dense(a))
 
 
 class TestConversions:

@@ -16,13 +16,14 @@ strategy draws sorted index arrays, ranges and keys, builds the search
 through those constructors and holds both prints to a
 ``np.searchsorted`` oracle.
 
-A third wall holds the storage declarations (:mod:`repro.formats.levels`)
-to the runtimes: for every built-in format x path that declares its
-storage, ``ViewEmitter.loop`` / ``interval`` / ``search`` / ``get`` are
-driven step by step on drawn matrices, printed both ways at both index
-widths, and must reproduce what ``PathRuntime.enumerate`` / ``interval`` /
-``search`` / ``get`` of the same instance say — a wrong declaration fails
-here, with no kernel or plan involved.
+A third wall holds the two readers of a storage declaration
+(:mod:`repro.formats.levels`) to each other: for every built-in format x
+path that declares its storage, ``ViewEmitter.loop`` / ``interval`` /
+``search`` / ``get`` are driven step by step on drawn matrices, printed
+both ways at both index widths, and must reproduce what
+``LevelRuntime.enumerate`` / ``interval`` / ``search`` / ``get`` of the
+same instance say, with no kernel or plan involved.  (That the declaration
+itself is right is ``tests/test_formats.py::TestEnumerationRuntime``'s.)
 
 Memory safety by construction: every loop variable stays in ``[0, N)``,
 every index expression in ``[0, 2N]``, every array has ``2N + 2`` rows,
@@ -680,31 +681,3 @@ def test_every_declared_path_is_walked():
     for name, path_id in declared_paths():
         for width in (np.int32, np.int64):
             _check_case((name, path_id, width, a, [(5,) * 4, (-1,) * 4]))
-
-
-def test_a_wrong_declaration_fails_the_wall():
-    """Three one-word mistakes in CSR's declaration, each caught without a
-    plan or a kernel (and by the Python print, before any C runs): the
-    value read through the row's state, the pointer and the coordinates
-    swapped, the wrong extent."""
-    from repro.formats import as_format
-    from repro.formats.csr import ROWS, CsrMatrix
-    from repro.formats.levels import Compressed, Dense, Size
-
-    a = np.array([[1.0, 0, 2], [0, 3, 0], [4, 0, 5]])
-    good = as_format(a, "csr")
-    check_declaration(good, "rows")
-    mistakes = [
-        ROWS._replace(value=("values", "r")),
-        ROWS._replace(levels=(Dense("m"), Compressed("colind", "rowptr"))),
-        ROWS._replace(args=(*ROWS.args[:3], Size("m", "ncols")),
-                      levels=(Dense("m"), ROWS.levels[1])),
-    ]
-    tall = as_format(a[:, :2], "csr")       # ncols < nrows: a row is missed
-    for i, decl in enumerate(mistakes):
-        cls = type(f"WrongCsr{i}", (CsrMatrix,),
-                   {"storage": lambda self, path_id, decl=decl: decl})
-        src = tall if i == 2 else good
-        bad = cls._adopt(src.rowptr, src.colind, src.values, src.shape)
-        with pytest.raises(AssertionError):
-            check_declaration(bad, "rows")
