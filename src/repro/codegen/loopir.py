@@ -113,7 +113,7 @@ class For(Node):
     """``for var in range(lo, hi, step)``; ``step`` is a positive constant
     or -1.  ``dims`` names the plan dimensions the loop enumerates (empty
     for loops a transform introduced); ``pragma`` is set by the native
-    scheduler: ``"parallel"`` or ``"simd"``."""
+    scheduler: ``"parallel"`` or None."""
 
     __slots__ = ("var", "lo", "hi", "step", "body", "dims", "pragma")
 

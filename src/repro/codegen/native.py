@@ -28,10 +28,9 @@ when it is at least ``_FORK_MIN_TRIP`` iterations long (DIA's offset loop
 is, a CSC column segment is not).  Loops nested inside a parallel loop,
 and loops a transform introduced, stay sequential.
 
-Optimization tiers (``opt``): ``"none"`` prints the loops exactly as the
-generator built them.  ``"tiled"`` first rewrites the IR with two
-transforms that are *byte-identical* to the naive loops — every
-floating-point value is produced by the same operations in the same
+The schedule: before printing, one pass rewrites the IR with two
+transforms that are *byte-identical* to the loops the generator built —
+every floating-point value is produced by the same operations in the same
 order, only integer control flow and memory scheduling change:
 
 - **guard_absorb** — an inner loop whose body is a single conjunctive
@@ -40,17 +39,21 @@ order, only integer control flow and memory scheduling change:
   iterations removed executed nothing), and the loop bounds are hoisted
   out of the per-iteration condition.  This is what lets the compiler
   vectorize DIA-style diagonal loops.
-- **register_tile** — a sparse accumulation loop whose last statement is
-  an inner DOALL panel accumulation (the SpMM shape) is column-blocked:
-  blocks of eight output columns are held in a local accumulator across
-  the sparse loop and written back once; the columns left over run the
-  original loop.  Per output element the accumulation order is
+- **register_tile** — the fill of an output panel row followed by a
+  sparse loop whose last statement accumulates into that row (the CSR
+  SpMM shape) is column-blocked: sixteen output columns at a time, then
+  eight (the last block moved back to end at the panel's edge), one for
+  a panel narrower than that, are held in a local accumulator that
+  starts from the fill value, lives across the sparse loop and is
+  written back once.  Per output element the accumulation order is
   unchanged.
 
-``"tiled"`` additionally marks proven per-iteration-distinct store loops
-with ``#pragma omp simd`` and qualifies pointer arguments ``restrict``
-(array arguments must not alias — the BLAS/solver layers never pass
-aliased operands).  Descending loops are left untouched.
+Every pointer argument with a source of its own is ``restrict``: that is
+what lets the C compiler keep a row sum in a register and vectorize the
+loops above.  The promise is kept by the caller of the compiled function —
+:class:`repro.core.backend.NativeKernel` checks each written operand
+against the others before it passes them, and runs the Python kernel
+instead when two overlap.  Descending loops are left untouched.
 
 A translation unit may hold more than ``kernel``: ``lower_kernel(...,
 entry_points=)`` prints further loop IRs as additional functions of it (the
@@ -112,23 +115,20 @@ class NativeSpec:
     """A lowered kernel: the C translation unit, the IR's ordered argument
     nodes (:class:`~repro.codegen.loopir.ScalarArg` /
     :class:`~repro.codegen.loopir.ArrayArg`), whether any OpenMP pragma
-    was emitted, and which optimization tier produced it (``transforms``
-    lists the loop transforms that actually fired, e.g.
-    ``["guard_absorb", "simd"]``).  ``entries`` maps the name of
+    was emitted, and ``transforms``, the loop rewrites that fired (e.g.
+    ``["guard_absorb"]``).  ``entries`` maps the name of
     every additional function of the same translation unit to its own
     spec (same ``c_source``, its own ``args``)."""
 
-    __slots__ = ("c_source", "args", "uses_openmp", "flavour", "opt",
-                 "transforms", "entries")
+    __slots__ = ("c_source", "args", "uses_openmp", "flavour", "transforms",
+                 "entries")
 
     def __init__(self, c_source: str, args: List, uses_openmp: bool,
-                 flavour: str, opt: str = "none",
-                 transforms: Optional[List[str]] = None):
+                 flavour: str, transforms: Optional[List[str]] = None):
         self.c_source = c_source
         self.args = args
         self.uses_openmp = uses_openmp
         self.flavour = flavour
-        self.opt = opt
         self.transforms = list(transforms or [])
         self.entries: Dict[str, "NativeSpec"] = {}
 
@@ -214,11 +214,13 @@ def _absorb_one(cmp, v: str, assigned: Set[str]):
 
 
 # ---------------------------------------------------------------------------
-# Scheduling: parallel verdicts and the tiled tier's IR -> IR transforms
+# Scheduling: parallel verdicts and the IR -> IR transforms
 # ---------------------------------------------------------------------------
 
-#: output columns one register tile holds
-_PANEL = 8
+#: output columns a register tile holds, (wide, narrow): a k = 16 panel
+#: walks each sparse row once, and any panel of 8 columns or more is all
+#: tiles
+_PANELS = (16, 8)
 
 #: shortest nested loop worth a thread team of its own: a fork-join
 #: measured ~2 us (250k of them: 400-500 ms on 2 threads) against 1-2 ns
@@ -228,21 +230,17 @@ _FORK_MIN_TRIP = 4096
 
 class _Scheduler:
     """One top-down rewrite of a kernel body.  Per ``For`` it decides the
-    OpenMP verdict from the loop's plan dimensions and, at the tiled tier,
-    applies register_tile or guard_absorb / simd.  A search is ordinary
-    statements to it: the ``While`` it is made of keeps a body from being
-    ``simd`` or ``register_tile`` material, by the rules those already
-    have.  The input IR is never mutated (a kernel's IR is shared by
-    every lowering)."""
+    OpenMP verdict from the loop's plan dimensions and applies
+    register_tile or guard_absorb.  A search is ordinary statements to
+    it: the ``While`` it is made of keeps a body from being
+    ``register_tile`` material, by the rule that already has.  The input
+    IR is never mutated (a kernel's IR is shared by every lowering)."""
 
-    def __init__(self, report, flavour: str, opt: str,
-                 written: Set[ArrayArg]):
+    def __init__(self, report, flavour: str, written: Set[ArrayArg]):
         self.report = report        # ParallelReport, None when sequential
         self.flavour = flavour
-        self.opt = opt
         self.written = written
         self.transforms: List[str] = []
-        self.declared: Set[str] = set()    # scalars assigned so far
         self._uid = 0
 
     def uid(self) -> int:
@@ -252,18 +250,25 @@ class _Scheduler:
     def block(self, stmts: Sequence, depth: int = 0,
               in_par: bool = False) -> List:
         out: List = []
-        for s in stmts:
+        start = 0       # where the output of the statement before begins
+        for i, s in enumerate(stmts):
             if isinstance(s, For):
-                out.extend(self.loop(s, depth, in_par))
+                new, both = self.loop(s, depth, in_par,
+                                      stmts[i - 1] if i else None)
+                if both:        # a tile: it stands for the fill before it too
+                    del out[start:]
             elif isinstance(s, (While, If)):
-                out.append(type(s)(s.cond, self.block(s.body, depth, in_par)))
+                new = [type(s)(s.cond, self.block(s.body, depth, in_par))]
             else:
-                if isinstance(s, Assign):
-                    self.declared.add(s.var)
-                out.append(s)
+                new = [s]
+            start = len(out)
+            out.extend(new)
         return out
 
-    def loop(self, f: For, depth: int, in_par: bool) -> List:
+    def loop(self, f: For, depth: int, in_par: bool,
+             before) -> Tuple[List, bool]:
+        """The statements ``f`` becomes, and whether they also stand for
+        ``before``, the statement ahead of it in its block."""
         # only the outermost order-free loop of a nest runs in parallel
         par = (self.report is not None and not in_par
                and self.report.verdict(f.dims, self.flavour) == "par")
@@ -272,29 +277,21 @@ class _Scheduler:
         nested = par and depth > 0
         if nested and _mentions((f.lo, f.hi), self.written):
             par = nested = False
-        opt_on = self.opt != "none" and f.step == 1
-        if opt_on and not par:
-            tiled = self.register_tile(f)
-            if tiled is not None:
-                return tiled
         pre, lo, hi, body = [], f.lo, f.hi, f.body
-        if opt_on:
+        if f.step == 1:
+            if not par:
+                tiled = self.register_tile(f, before)
+                if tiled is not None:
+                    return tiled
             absorbed = self.guard_absorb(f)
             if absorbed is not None:
                 pre, lo, hi, body = absorbed
-        simd = (opt_on and (nested or not par)
-                and self.simd_safe(body, f.var))
-        if simd:
-            # honored under -fopenmp-simd (always passed for this tier);
-            # does not require the full OpenMP runtime
-            self.transforms.append("simd")
         body = self.block(body, depth + 1, in_par or par)
-        inner = "simd" if simd else None
         if nested:
             return pre + self.fork_if_long(
-                For(f.var, lo, hi, f.step, body, f.dims, inner))
+                For(f.var, lo, hi, f.step, body, f.dims)), False
         return pre + [For(f.var, lo, hi, f.step, body, f.dims,
-                          "parallel" if par else inner)]
+                          "parallel" if par else None)], False
 
     def fork_if_long(self, f: For) -> List:
         """An order-free loop nested in a sequential one, two-versioned on
@@ -349,55 +346,27 @@ class _Scheduler:
             body = [If(rest[0] if len(rest) == 1 else And(tuple(rest)), body)]
         return pre, V(lov), V(hiv), body
 
-    def simd_safe(self, body: Sequence, v: str) -> bool:
-        """True when every iteration of the loop over ``v`` touches
-        provably distinct store addresses and carries no scalar state, so
-        ``#pragma omp simd`` preserves byte-identical results.  Only
-        assignments and stores qualify: a body with a search in it (a
-        ``While``) is declined."""
-        stores: Set[Tuple] = set()
-        for st in body:
-            if isinstance(st, Assign):
-                # fresh per-iteration local is privatizable; a name already
-                # live outside the loop could carry state across iterations
-                if st.var in self.declared:
-                    return False
-                continue
-            if not (isinstance(st, Store) and isinstance(st.array, ArrayArg)):
-                return False
-            varying = 0
-            for comp in st.idx:
-                if isinstance(comp, LinExpr) and denominator(comp) == 1:
-                    cv = comp.coeff(v)
-                    if cv not in (0, 1, -1):
-                        return False
-                    varying += cv != 0
-                elif v in _names(comp):
-                    return False
-            if varying != 1:
-                return False
-            # two distinct addresses of one array could collide across
-            # iterations (y[i] vs y[i+1]); one address per array only
-            if any(a is st.array and i != st.idx for a, i in stores):
-                return False
-            stores.add((st.array, st.idx))
-        # every read of a stored array must be of this iteration's own
-        # store address
-        arrays = {a for a, _ in stores}
-        return bool(stores) and all(
-            (n.array, n.idx) in stores for n in walk(body)
-            if isinstance(n, Load) and n.array in arrays)
+    def register_tile(self, f: For, before):
+        """Register-tile the SpMM accumulation shape: ``before`` fills a
+        panel row of the output with a loop-invariant value and ``f`` is
+        the sparse loop that then accumulates into it, its last statement
+        an inner DOALL loop over that same panel.  The panel's whole
+        reduction moves into local accumulators — ``_PANELS`` columns at a
+        time, the wide tile while it fits, then the narrow one, whose last
+        block is moved back to end at the panel's edge — which start from
+        the fill value and are stored once.  A column two blocks share is
+        computed twice, to the same bytes: per output element the
+        accumulation order is unchanged.  A panel narrower than the narrow
+        tile goes a column at a time (a k = 1 panel is a matvec; the
+        loops as they were ran it 4x slower, per-nonzero loop overhead).
 
-    def register_tile(self, f: For):
-        """Register-tile the SpMM accumulation shape: a sparse loop whose
-        last statement is an inner DOALL panel accumulation is column-
-        blocked, holding ``_PANEL`` columns of the output panel in a local
-        accumulator across the sparse loop; the columns left over run the
-        original loop.  Per output element the accumulation order is
-        unchanged, so results stay byte-identical.  Only assignments may
-        precede the panel loop, so a sparse loop that searches (a
-        ``While``) is declined.  Returns the replacement statements or
-        None."""
+        Declined unless the fill is right there: with no fill to start
+        from, a tile would have to load the panel and store it back around
+        every instance of ``f``, which costs more than it saves when ``f``
+        is short (BSR's loop over one block's columns).  Only assignments
+        may precede the panel loop, so a sparse loop that searches (a
+        ``While``) is declined too.  Returns the replacement statements
+        and True (they stand for ``before`` as well), or None."""
         if not f.body or not isinstance(f.body[-1], For):
             return None
         pre, inner = f.body[:-1], f.body[-1]
@@ -421,34 +390,54 @@ class _Scheduler:
         if _mentions((acc_expr, inner.lo, inner.hi, f.lo, f.hi,
                       [s.value for s in pre]), target):
             return None
+
+        def at(e, column):          # e with the panel column replaced
+            return map_index(e, lambda lin: lin.substitute(
+                {inner.var: column}))
+
+        if not (isinstance(before, For) and before.step == 1
+                and (before.lo, before.hi) == (inner.lo, inner.hi)
+                and len(before.body) == 1):
+            return None
+        fill = before.body[0]
+        if not (isinstance(fill, Store) and fill.array is st.array
+                and fill.idx == tuple(at(i, V(before.var)) for i in st.idx)
+                and not _names(fill.value)
+                and not _mentions(fill.value, target)):
+            return None
         self.transforms.append("register_tile")
         uid = self.uid()
-        p, q = f"_vp{uid}", f"_vq{uid}"
-        acc = Local(f"_acc{uid}", st.array.dtype, _PANEL)
-        column = {inner.var: V(p) + V(q)}
+        pv, hv, qv = f"_vp{uid}", f"_vh{uid}", f"_vq{uid}"
+        p, h, lane = V(pv), V(hv), (V(qv),)
+        slot = tuple(at(i, p + V(qv)) for i in st.idx)
 
-        def at(e):                  # e in panel column p + q
-            return map_index(e, lambda lin: lin.substitute(column))
+        def tile(width):
+            acc = Local(f"_acc{uid}", st.array.dtype, width)
 
-        def lanes(stmt):
-            return For(q, ZERO, LinExpr.constant(_PANEL), 1, [stmt])
+            def lanes(stmt):
+                return For(qv, ZERO, LinExpr.constant(width), 1, [stmt])
 
-        slot = tuple(at(i) for i in st.idx)
-        lane = (V(q),)
-
-        return [
-            Assign(p, inner.lo),
-            While(Cmp("<=", V(p) + _PANEL, inner.hi), [
+            return [
                 acc,
-                lanes(Store(acc, lane, Load(st.array, slot))),
+                lanes(Store(acc, lane, fill.value)),
                 For(f.var, f.lo, f.hi, 1, list(pre) + [lanes(Store(
-                    acc, lane, BinOp("+", Load(acc, lane), at(acc_expr))))]),
+                    acc, lane,
+                    BinOp("+", Load(acc, lane), at(acc_expr, p + V(qv)))))]),
                 lanes(Store(st.array, slot, Load(acc, lane))),
-                Assign(p, V(p) + _PANEL),
+                Assign(pv, p + width),
+            ]
+
+        wide, narrow = _PANELS
+        return [
+            Assign(pv, inner.lo),
+            Assign(hv, inner.hi),
+            If(Cmp("<=", p + narrow, h), [
+                While(Cmp("<=", p + wide, h), tile(wide)),
+                While(Cmp("<", p, h), [
+                    Assign(pv, BinOp("min", p, h - narrow)), *tile(narrow)]),
             ]),
-            For(f.var, f.lo, f.hi, 1, list(pre) + [
-                For(inner.var, V(p), inner.hi, 1, inner.body)]),
-        ]
+            While(Cmp("<", p, h), tile(1)),
+        ], True
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +445,7 @@ class _Scheduler:
 # ---------------------------------------------------------------------------
 
 class _CPrinter:
-    def __init__(self, opt: str):
-        self.opt = opt
+    def __init__(self):
         self.helpers: Dict[str, str] = {}       # fn name -> definition text
         self.lines: List[str] = []
         self.indent = 1
@@ -560,8 +548,6 @@ class _CPrinter:
         if s.pragma == "parallel":
             self.emit("#pragma omp parallel for")
             self.uses_openmp = True
-        elif s.pragma == "simd":
-            self.emit("#pragma omp simd")
         v, lo, hi = s.var, self.top(s.lo), self.top(s.hi)
         if s.step > 0:
             inc = f"{v}++" if s.step == 1 else f"{v} += {s.step}"
@@ -596,13 +582,13 @@ class _CPrinter:
 
     # -- assembly ---------------------------------------------------------
 
-    def signature(self, args: Sequence, restrict: bool) -> str:
+    def signature(self, args: Sequence) -> str:
         # two paths of one matrix (SYM's triangle and its mirror) take the
         # same array twice: those pointers alias and cannot be ``restrict``
         sources = [a.source for a in args]
         parts: List[str] = []
         for a in args:
-            alone = restrict and sources.count(a.source) == 1
+            alone = sources.count(a.source) == 1
             parts.extend(self.ARG[type(a)](self, a, " restrict" if alone else ""))
         return ", ".join(parts) if parts else "void"
 
@@ -614,14 +600,13 @@ class _CPrinter:
            ArrayArg: _array_arg}
 
     def function(self, name: str, args: Sequence, body: Sequence) -> List[str]:
-        """``kernel`` promises unaliased arguments from the tiled tier on;
-        any other function is an entry point whose requester owns the
-        operands and promises it always.  It is compiled at ``-O1``: riding
-        in a kernel's unit, it must not cost that kernel's cold compile
-        the 8-10 ms per loop of ``-O3``'s vectorizer (DESIGN.md §7)."""
+        """Any function but ``kernel`` is an entry point riding in a
+        kernel's unit, compiled at ``-O1``: it must not cost that kernel's
+        cold compile the 8-10 ms per loop of ``-O3``'s vectorizer
+        (DESIGN.md §7)."""
         self.lines, self.scopes, self.indent = [], [set()], 0
         entry = name != "kernel"
-        sig = self.signature(args, entry or self.opt != "none")
+        sig = self.signature(args)
         self.block(body)
         head = ['__attribute__((optimize("O1")))'] if entry else []
         return head + [f"void {name}({sig}) {{"] + self.lines
@@ -660,41 +645,39 @@ def _written(ir: KernelIR) -> Set[ArrayArg]:
     return {a for a in ir.args if isinstance(a, ArrayArg) and a.written}
 
 
-def lower_kernel(kernel, parallel: str = "none", opt: str = "none",
+def lower_kernel(kernel, parallel: str = "none",
                  entry_points: Optional[Mapping[str, KernelIR]] = None
                  ) -> NativeSpec:
     """Lower a :class:`~repro.core.compiler.CompiledKernel`'s loop IR to a
-    C99 translation unit, with OpenMP pragmas on the loops its
+    C99 translation unit, scheduled as the module docstring says, with
+    OpenMP pragmas on the loops its
     :class:`~repro.core.parallel.ParallelReport` proves order-free.
 
-    ``opt`` selects the optimization tier (``"none"`` or ``"tiled"`` —
-    see the module docstring).  ``entry_points`` names further
-    loop IRs to print as sequential functions of the same unit, after
-    ``kernel`` and at the same tier (``NativeSpec.entries``)."""
+    ``entry_points`` names further loop IRs to print as sequential
+    functions of the same unit, after ``kernel`` and under the same
+    schedule (``NativeSpec.entries``)."""
     from repro.instrument import INSTR
 
     with INSTR.phase("c_lower"):
         if parallel not in ("none", "strict"):
             raise ValueError(
                 f"parallel must be 'none' or 'strict', got {parallel!r}")
-        if opt not in ("none", "tiled"):
-            raise ValueError(f"opt must be 'none' or 'tiled', got {opt!r}")
         ir = kernel.loop_ir()
         _check_lowerable(ir)
         report = kernel.parallel_report() if parallel != "none" else None
-        sched = _Scheduler(report, parallel, opt, _written(ir))
+        sched = _Scheduler(report, parallel, _written(ir))
         functions = [("kernel", ir.args, sched.block(ir.body))]
         entries = {}
         for name, e in (entry_points or {}).items():
             _check_lowerable(e)
-            own = _Scheduler(None, "none", opt, _written(e))
+            own = _Scheduler(None, "none", _written(e))
             functions.append((name, e.args, own.block(e.body)))
             entries[name] = (e.args, own.transforms)
-        printer = _CPrinter(opt)
+        printer = _CPrinter()
         c_source = printer.translation_unit(functions)
         spec = NativeSpec(c_source, ir.args, printer.uses_openmp, parallel,
-                          opt, sched.transforms)
+                          sched.transforms)
         for name, (args, transforms) in entries.items():
             spec.entries[name] = NativeSpec(c_source, args, False, "none",
-                                            opt, transforms)
+                                            transforms)
         return spec

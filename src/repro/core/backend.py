@@ -72,20 +72,9 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
+#: built-in compile flags.  ``-ffp-contract=off``: no FMA contraction, so
+#: results stay byte-identical to the Python backend
 _CFLAGS = ["-O3", "-fPIC", "-shared", "-std=c11", "-ffp-contract=off"]
-
-
-def tier_cflags(opt: str) -> List[str]:
-    """Built-in compile flags for one optimization tier.
-
-    ``tiled`` adds ``-fopenmp-simd`` (activates ``#pragma omp simd``
-    without the OpenMP runtime).  Every tier keeps ``-ffp-contract=off``:
-    no FMA contraction, so results stay byte-identical to the Python
-    backend."""
-    flags = list(_CFLAGS)
-    if opt == "tiled":
-        flags.append("-fopenmp-simd")
-    return flags
 
 
 class NativeBackendWarning(UserWarning):
@@ -171,59 +160,12 @@ def openmp_supported(cc: str) -> bool:
 
 
 def simd_supported(cc: str) -> bool:
-    """Does ``cc -fopenmp-simd`` compile a ``#pragma omp simd`` loop?
-    Gates the ``tiled`` tier: a compiler that rejects the flag or the
-    pragma demotes the request to ``opt='none'``."""
-    key = ("simd", cc)
-    with _TOOLCHAIN_LOCK:
-        if key not in _toolchain:
-            probe = (
-                "int main(void) {\n"
-                "    double s[8];\n"
-                "    #pragma omp simd\n"
-                "    for (int i = 0; i < 8; i++) s[i] = (double)i;\n"
-                "    return s[3] == 3.0 ? 0 : 1;\n"
-                "}\n")
-            with tempfile.TemporaryDirectory(prefix="repro-simd-") as d:
-                src = os.path.join(d, "probe.c")
-                with open(src, "w") as f:
-                    f.write(probe)
-                try:
-                    r = subprocess.run(
-                        [cc, "-fopenmp-simd", src,
-                         "-o", os.path.join(d, "probe")],
-                        capture_output=True, timeout=60)
-                    _toolchain[key] = r.returncode == 0
-                except (OSError, subprocess.SubprocessError):
-                    _toolchain[key] = False
-        return _toolchain[key]
-
-
-def resolve_opt(opt: str, cc: Optional[str]) -> str:
-    """Demote an optimization tier the toolchain cannot honor.
-
-    A missing compiler or a failed SIMD probe turns ``tiled`` into
-    ``"none"`` observably: ``native.tier.demotions`` plus a
-    per-reason counter, and a :class:`NativeBackendWarning` naming the
-    tier.  (With no compiler at all, the subsequent compile then falls
-    back to the Python kernel through the usual contract.)"""
-    if opt == "none":
-        return opt
-    if cc is None:
-        reason = "no_toolchain"
-    elif not simd_supported(cc):
-        reason = "simd_probe"
-    else:
-        return opt
-    INSTR.count("native.tier.demotions")
-    INSTR.count(f"native.tier.demotion.{reason}")
-    warnings.warn(
-        f"optimization tier {opt!r} unavailable ({reason}); "
-        "demoting to opt='none'",
-        NativeBackendWarning,
-        stacklevel=3,
-    )
-    return "none"
+    """Always False, and no toolchain run: no ``#pragma omp simd`` is
+    printed and no compile is given a flag for one.  Only
+    ``benchmarks/e2e/harness.run_header`` still asks (that benchmark's
+    files are frozen while a change claims a gain on it); this goes with
+    the benchmark-only PR that drops the ``opt`` keyword."""
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -407,13 +349,12 @@ def _cached_so(digest: str):
 
 
 def compile_native_function(c_source: str, want_openmp: bool,
-                            cache_mode: str, opt: str = "none",
-                            symbol: str = "kernel"):
+                            cache_mode: str, symbol: str = "kernel"):
     """Compile ``c_source`` and return (ctypes function, used_openmp) for
     its exported function ``symbol``; asking the same source for another
     symbol is a memory hit on the loaded library.
 
-    Flags are the tier's built-ins (:func:`tier_cflags`), ``-fopenmp``
+    Flags are the built-ins (``_CFLAGS``), ``-fopenmp``
     when requested and supported, then any user ``REPRO_CFLAGS`` —
     appended last so they win, and part of the artifact digest so flag
     changes never serve a stale ``.so``.
@@ -426,7 +367,7 @@ def compile_native_function(c_source: str, want_openmp: bool,
     if cc is None:
         raise RuntimeError("no C compiler on PATH (set REPRO_CC to override)")
     use_omp = want_openmp and openmp_supported(cc)
-    flags = tier_cflags(opt)
+    flags = list(_CFLAGS)
     if use_omp:
         flags.append("-fopenmp")
     flags = tuple(flags + env_flags("REPRO_CFLAGS"))
@@ -452,6 +393,13 @@ def compile_native_function(c_source: str, want_openmp: bool,
 # Bound native kernels
 # ---------------------------------------------------------------------------
 
+def overlaps(array: np.ndarray, others) -> bool:
+    """May ``array`` share memory with one of ``others``?  A bounds test
+    (about 0.3 us a pair): views of one buffer that interleave without
+    touching count as overlapping, which only ever costs a fallback."""
+    return any(np.may_share_memory(array, other) for other in others)
+
+
 class NativeKernel:
     """A compiled-and-bound native kernel with the Python calling
     convention ``fn(arrays, params)``.
@@ -465,6 +413,14 @@ class NativeKernel:
     whose index arrays were swapped for another width after the kernel
     was bound pays a widening copy on *every* call, and this is where
     that shows.
+
+    Aliasing: the C signature qualifies every pointer with a source of
+    its own ``restrict`` (:mod:`repro.codegen.native`), so no array the
+    kernel writes may overlap another argument.  Each call that is not
+    already prepared checks that (:func:`overlaps`, a bounds test); a
+    call that fails it counts ``native.dispatch.aliased``, runs the
+    Python kernel — ``python``, a thunk returning it — on the operands as
+    they were passed, and is never prepared.
 
     Prepared-argument fast path: solver loops call the same kernel with
     the same array objects thousands of times.  When a call needed no
@@ -480,11 +436,12 @@ class NativeKernel:
     ints, arrays as addresses); ``entries`` holds the further functions
     of the same translation unit, by name, as kernels of their own."""
 
-    def __init__(self, fn, spec, used_openmp: bool):
+    def __init__(self, fn, spec, used_openmp: bool, python=None):
         self.spec = spec
         self.used_openmp = used_openmp
         self.fn = fn
         self.entries: Dict[str, "NativeKernel"] = {}
+        self._python = python
         self._prep: Optional[Tuple[tuple, tuple, tuple]] = None
         argtypes = []
         for a in spec.args:
@@ -529,6 +486,7 @@ class NativeKernel:
             writebacks: List[Tuple[np.ndarray, np.ndarray]] = []
             objs: List[object] = []
             scalars: List[int] = []
+            passed: List[Tuple[object, np.ndarray]] = []
             preparable = True
             for a in self.spec.args:
                 val = a.loader(arrays, params)
@@ -553,10 +511,21 @@ class NativeKernel:
                     INSTR.count("native.dispatch.coerced")
                     preparable = False
                 objs.append(val)
+                passed.append((a, arr))
                 keepalive.append(carr)
                 cargs.append(carr.ctypes.data)
                 for k in range(1, a.ndim):
                     cargs.append(int(carr.shape[k]))
+            if any(a.written and overlaps(arr, (other for b, other in passed
+                                               if b.source != a.source))
+                   for a, arr in passed):
+                INSTR.count("native.dispatch.aliased")
+                if self._python is None:
+                    raise ValueError(
+                        "an array the kernel writes overlaps another "
+                        "argument, and there is no Python kernel to run")
+                self._python()(arrays, params)
+                return
             self.fn(*cargs)
             for orig, tmp in writebacks:
                 orig[...] = tmp
@@ -566,31 +535,33 @@ class NativeKernel:
 
 
 def bind_kernel(kernel, parallel: str = "none",
-                cache_mode: str = "memory",
-                opt: str = "none", entry_points=None) -> NativeKernel:
+                cache_mode: str = "memory", entry_points=None) -> NativeKernel:
     """Lower + compile + bind one CompiledKernel.  Raises on any failure
-    (the compiler API converts that into the Python fallback).  ``opt``
-    requests an optimization tier; an unsupported tier is demoted to
-    ``"none"`` first (see :func:`resolve_opt`), and a successful bind
-    counts ``native.tier.<opt>``.  ``entry_points`` (name -> loop IR) asks for
-    further functions in the kernel's translation unit — still one
-    toolchain invocation — bound as ``NativeKernel.entries``."""
+    (the compiler API converts that into the Python fallback).
+    ``entry_points`` (name -> loop IR) asks for further functions in the
+    kernel's translation unit — still one toolchain invocation — bound as
+    ``NativeKernel.entries``.  Every bound function knows its Python
+    print, for the calls whose operands overlap."""
     from repro.codegen.native import lower_kernel
+    from repro.codegen.pysource import compile_plan_to_python
 
-    opt = resolve_opt(opt, find_compiler())
-    spec = lower_kernel(kernel, parallel, opt, entry_points=entry_points)
+    spec = lower_kernel(kernel, parallel, entry_points=entry_points)
     want_omp = parallel != "none" and spec.uses_openmp
 
-    def bound(entry_spec, symbol):
+    def bound(entry_spec, symbol, python):
         fn, used_omp = compile_native_function(
             entry_spec.c_source, want_openmp=want_omp, cache_mode=cache_mode,
-            opt=opt, symbol=symbol)
-        return NativeKernel(fn, entry_spec, used_omp)
+            symbol=symbol)
+        return NativeKernel(fn, entry_spec, used_omp, python)
 
-    nk = bound(spec, "kernel")
+    # the function, not the kernel's method: a kernel holds its bindings,
+    # and a matrix may come to hold this NativeKernel as its handle
+    python = kernel.callable()
+    nk = bound(spec, "kernel", lambda: python)
     for name, entry_spec in spec.entries.items():
-        nk.entries[name] = bound(entry_spec, name)
-    INSTR.count(f"native.tier.{opt}")
+        nk.entries[name] = bound(
+            entry_spec, name,
+            lambda ir=entry_points[name]: compile_plan_to_python(ir)[1])
     return nk
 
 

@@ -38,9 +38,8 @@ class CompiledKernel:
     ``"c+openmp"``, or ``"python"`` after a fallback), and
     ``fallback_reason`` why the native path was abandoned, so a silent
     fallback is always observable on the object and in the
-    instrumentation report.  ``opt`` likewise records the *requested*
-    optimization tier and ``opt_used`` what the bind actually honored
-    (a tier the toolchain can't support demotes to ``"none"``).
+    instrumentation report.  ``opt`` and ``opt_used`` both echo the
+    ``opt`` keyword, which selects nothing (see :func:`compile_kernel`).
     ``entry_points`` (name -> loop IR) are further functions the native
     bind prints into this kernel's translation unit."""
 
@@ -55,9 +54,8 @@ class CompiledKernel:
         self.cost = result.cost
         self.backend = backend
         self.parallel = parallel
-        self.opt = opt
+        self.opt = self.opt_used = opt
         self.entry_points = entry_points
-        self.opt_used: Optional[str] = None
         self.backend_used = "python"
         self.fallback_reason: Optional[str] = None
         self._cache_mode = cache_mode
@@ -131,11 +129,9 @@ class CompiledKernel:
                     try:
                         self._native = be.bind_kernel(self, self.parallel,
                                                       self._cache_mode,
-                                                      self.opt,
                                                       self.entry_points)
                         self.backend_used = (
                             "c+openmp" if self._native.used_openmp else "c")
-                        self.opt_used = self._native.spec.opt
                     except NativeLoweringError as e:
                         self.fallback_reason = f"lowering: {e}"
                         be.native_fallback("lowering", str(e))
@@ -155,10 +151,10 @@ class CompiledKernel:
     def loop_ir(self):
         """The kernel's loop IR (:class:`~repro.codegen.loopir.KernelIR`),
         built once from the plan with the storage arrays typed from this
-        kernel's bindings.  Both printers and every optimization tier read
-        this one object; a kernel whose Python source was replayed from
-        the cache needs it only if a native bind asks, and then shares the
-        one its cache entry holds in memory when the array types match."""
+        kernel's bindings.  Both printers read this one object; a kernel
+        whose Python source was replayed from the cache needs it only if a
+        native bind asks, and then shares the one its cache entry holds in
+        memory when the array types match."""
         if self._ir is None:
             with self._materialize_lock:
                 if self._ir is None:
@@ -235,10 +231,6 @@ class CompiledKernel:
             tail = f" backend={self.backend}->{used}"
             if self.parallel != "none":
                 tail += f" parallel={self.parallel}"
-            if self.opt != "none":
-                tail += f" opt={self.opt}"
-                if self.opt_used is not None and self.opt_used != self.opt:
-                    tail += f"->{self.opt_used}"
         return (f"<CompiledKernel {self.program.name} {b} "
                 f"cost={self.cost:.1f}{tail}>")
 
@@ -319,6 +311,7 @@ def compile_kernel(
     parallel: str = "none",
     opt: Optional[str] = None,
     entry_points=None,
+    bind: bool = True,
 ) -> CompiledKernel:
     """Compile ``program`` for the given format bindings.
 
@@ -347,16 +340,19 @@ def compile_kernel(
     DOALL loops (byte-identical to ``"none"``); it is advisory for
     ``backend="python"``.
 
-    ``opt`` selects the native optimization tier: ``"none"`` (the naive
-    loops) or ``"tiled"`` (cache-blocked + SIMD-annotated); both are
-    byte-identical to the Python backend.  ``None`` defers to the
-    ``REPRO_OPT`` environment variable (default ``"none"``).  A tier the toolchain
-    cannot honor is demoted observably (``native.tier.demotion.*``);
-    ``opt`` is ignored by ``backend="python"``.
+    ``opt`` (``None``, ``"none"`` or ``"tiled"``) once chose between two
+    grades of C.  There is one schedule now (:mod:`repro.codegen.native`):
+    the keyword is validated, echoed as ``kernel.opt`` / ``kernel.opt_used``
+    (``None`` reads ``"none"``) and selects nothing.
 
     ``entry_points`` maps names to further loop IRs that ``backend="c"``
     prints as extra functions of this kernel's translation unit (one
     toolchain invocation) and binds as ``kernel.native().entries[name]``.
+
+    ``bind=False`` stops a ``backend="c"`` compile at the plan and its
+    cost: nothing is emitted and the toolchain does not run until the
+    kernel is first called (or ``kernel.native()`` is).  Format selection
+    ranks its candidates this way.
     """
     from repro.core import cache as cc
 
@@ -365,12 +361,9 @@ def compile_kernel(
     if parallel not in ("none", "strict"):
         raise ValueError(
             f"parallel must be 'none' or 'strict', got {parallel!r}")
-    if opt is None:
-        from repro.util.env import env_choice
-
-        opt = env_choice("REPRO_OPT", "none", ("none", "tiled"))
-    elif opt not in ("none", "tiled"):
+    if opt not in (None, "none", "tiled"):
         raise ValueError(f"opt must be 'none' or 'tiled', got {opt!r}")
+    opt = opt or "none"
     validate_program(program)
     for name, fmt in bindings.items():
         decl = program.arrays.get(name)
@@ -401,7 +394,7 @@ def compile_kernel(
             kernel = _kernel_from_entry(program, bindings, result, entry, idx,
                                         mode, key, backend, parallel, opt,
                                         entry_points)
-            if backend == "c":
+            if backend == "c" and bind:
                 kernel.native()          # compile eagerly; may fall back
             return kernel
 
@@ -427,7 +420,7 @@ def compile_kernel(
                 entry.simplified.add(sid)
             kernel._cache_publish = _source_publisher(entry, sid, mode, key)
             kernel._ir_memo = (entry.irs, sid)
-    if backend == "c":
+    if backend == "c" and bind:
         kernel.native()                  # compile eagerly; may fall back
     return kernel
 

@@ -489,25 +489,20 @@ class CompileServer:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     @staticmethod
-    def _op_family(program_name: str, opt: str = "none") -> str:
+    def _op_family(program_name: str) -> str:
         """Coarse per-op bucket for handle accounting: which workload
         family a cached kernel serves (``describe``/``stats`` report these
         so service benchmarks can confirm SpMM requests ride the same
-        handle-addressed LRU as matvec and solve).  A non-default
-        optimization tier suffixes the bucket (``mvm+tiled``), so
-        ``kernels_by_op`` shows naive and tiled artifacts of one workload
-        as distinct populations."""
+        handle-addressed LRU as matvec and solve)."""
         if program_name.startswith("spgemm"):
-            fam = "spgemm"
-        elif program_name.startswith("spmm"):
-            fam = "spmm"
-        elif "mvm" in program_name:
-            fam = "mvm"
-        elif program_name.startswith("ts"):
-            fam = "ts"
-        else:
-            fam = "other"
-        return fam if opt in (None, "none") else f"{fam}+{opt}"
+            return "spgemm"
+        if program_name.startswith("spmm"):
+            return "spmm"
+        if "mvm" in program_name:
+            return "mvm"
+        if program_name.startswith("ts"):
+            return "ts"
+        return "other"
 
     def _compile_batch(self, sources: List[str], bindings: Dict,
                        params: Dict[str, int], options: Dict,
@@ -542,13 +537,12 @@ class CompileServer:
                     "ok": True,
                     "handle": item_keys[i],
                     "program": k.program.name,
-                    "op": self._op_family(k.program.name,
-                                          getattr(k, "opt", "none")),
+                    "op": self._op_family(k.program.name),
                     "backend": k.backend,
                     "backend_used": k.backend_used,
                     "fallback_reason": k.fallback_reason,
-                    "opt": getattr(k, "opt", "none"),
-                    "opt_used": getattr(k, "opt_used", None),
+                    "opt": k.opt,
+                    "opt_used": k.opt_used,
                     "parallel": k.parallel,
                     "cost": float(k.cost),
                     "seconds": outcome.seconds,

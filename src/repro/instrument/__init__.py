@@ -34,19 +34,15 @@ Counter namespaces used by the compiler:
 - ``plan.*``            — plan lowering
 - ``native.*``          — C backend: compiles, .so-cache traffic,
                           single-flight coalescing, fallbacks
-- ``native.tier.*``     — optimization tiers: successful binds per tier
-                          (``native.tier.tiled`` / ``.none``),
-                          demotions when the toolchain
-                          cannot honor a request
-                          (``native.tier.demotions`` aggregate,
-                          ``native.tier.demotion.no_toolchain`` /
-                          ``.simd_probe`` by reason)
 - ``native.dispatch.*`` — NativeKernel call paths: prepared-argument
                           fast-path hits (``native.dispatch.prepared``),
                           arguments that needed a dtype/layout copy to
                           match the compiled signature
                           (``native.dispatch.coerced`` — stays 0 on a
-                          kernel called with the arrays it was bound on)
+                          kernel called with the arrays it was bound on),
+                          calls whose written operand overlapped another
+                          and ran the Python kernel instead
+                          (``native.dispatch.aliased``)
 - ``backend.run.*``     — per-call dispatch (native / python / interp)
 - ``service.*``         — compile_many batch driver traffic
 - ``daemon.*``          — compilation daemon: requests by op, handle-LRU

@@ -21,10 +21,12 @@ same structure class replays the cached winner — it builds and compiles
 one format instead of nine and runs zero measurements (the compile cache
 makes the one compile a lookup too).  Concurrent selections of one
 structure class tune once (:mod:`repro.search.autotune` single-flight).
-Over the C backend the optimization tier is a search axis too: each
-natively-measured top-k candidate also gets an ``opt="tiled"`` variant,
-the winner record carries a ``tier`` field, and replay rebinds the exact
-(format, tier) pair.
+(Winner records written while ``opt`` was a search axis carry a ``tier``
+field; they replay with it ignored.)
+
+Ranking does not run the C toolchain: every candidate is compiled as far
+as its plan and Figure 11 cost, and only a candidate that is measured, or
+returned as ``SelectionResult.best``, is bound natively.
 
 ``model`` and ``auto`` return every candidate (formats with no legal plan
 are reported, not hidden), ranked best first; a cache-served ``auto``
@@ -65,20 +67,16 @@ class FormatChoice:
     ``backend_used`` what actually executed the measurement (``"c"``,
     ``"c+openmp"``, or ``"python"``) — so a timing taken through a
     Python-fallback kernel is never silently compared against native
-    ones.  ``tier`` is the native optimization tier this candidate was
-    compiled with (``"none"``/``"tiled"``) — auto mode over the C backend
-    tunes the (format, tier) *pair*, so the same format can appear once
-    per tier."""
+    ones."""
 
     __slots__ = ("format_name", "kernel", "score", "error", "model_cost",
-                 "measured", "backend_used", "tier")
+                 "measured", "backend_used")
 
     def __init__(self, format_name: str, kernel,
                  score: Optional[float], error: Optional[str] = None,
                  model_cost: Optional[float] = None,
                  measured: Optional[float] = None,
-                 backend_used: Optional[str] = None,
-                 tier: str = "none"):
+                 backend_used: Optional[str] = None):
         self.format_name = format_name
         self.kernel = kernel
         self.score = score
@@ -86,7 +84,6 @@ class FormatChoice:
         self.model_cost = model_cost
         self.measured = measured
         self.backend_used = backend_used
-        self.tier = tier
 
     @property
     def ok(self) -> bool:
@@ -94,9 +91,8 @@ class FormatChoice:
 
     @property
     def label(self) -> str:
-        """``format`` or ``format+tier`` — unique per candidate row."""
-        return (self.format_name if self.tier == "none"
-                else f"{self.format_name}+{self.tier}")
+        """The candidate row's name: its format."""
+        return self.format_name
 
     def __repr__(self):
         if not self.ok:
@@ -302,8 +298,10 @@ def _measure_choice(choice: FormatChoice, program: Program, array_name: str,
 
 def _rank_candidates(program, array_name, matrix, candidates, rows, cols,
                      vals, bounds, backend, convert_kwargs):
-    """Build every candidate instance, compile its kernel, and score it by
-    the Figure 11 model — the shared front half of every mode."""
+    """Build every candidate instance, compile its kernel as far as the
+    plan, and score it by the Figure 11 model — the shared front half of
+    every mode.  No candidate is bound natively here (``bind=False``):
+    whoever measures or returns one binds it."""
     from repro.core.compiler import compile_kernel
 
     choices: List[FormatChoice] = []
@@ -325,13 +323,12 @@ def _rank_candidates(program, array_name, matrix, candidates, rows, cols,
         instances[name] = inst
         try:
             kernel = compile_kernel(program, {array_name: inst},
-                                    backend=backend)
+                                    backend=backend, bind=False)
         except PlanError as e:
             choices.append(FormatChoice(name, None, None, str(e)))
             continue
         choices.append(FormatChoice(name, kernel, float(kernel.cost),
-                                    model_cost=float(kernel.cost),
-                                    tier=getattr(kernel, "opt", "none")))
+                                    model_cost=float(kernel.cost)))
     return choices, instances
 
 
@@ -420,7 +417,10 @@ def select_format(
             if c.ok:
                 _measure_choice(c, program, array_name,
                                 instances[c.format_name], workload, reps)
-    return SelectionResult(choices, instances, mode)
+    result = SelectionResult(choices, instances, mode)
+    # ranking bound nothing natively: the choice that is returned is
+    result.best[2].native()
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +447,6 @@ def _select_auto(program, array_name, matrix, candidates, workload, repeats,
     key = at.winner_key(program, signature, candidates, backend, k)
 
     def tune() -> Tuple[Dict, SelectionResult]:
-        from repro.core.compiler import compile_kernel
-
         choices, instances = _rank_candidates(program, array_name, matrix,
                                               candidates, rows, cols, vals,
                                               bounds, backend, convert_kwargs)
@@ -457,35 +455,12 @@ def _select_auto(program, array_name, matrix, candidates, workload, repeats,
         for c in ranked_ok[:k]:
             _measure_choice(c, program, array_name,
                             instances[c.format_name], workload, reps)
-        # tier axis: over the C backend each natively-measured candidate
-        # also gets an ``opt="tiled"`` variant, so the winner is the best
-        # (format, tier) *pair*.  A variant whose bind demoted (no SIMD
-        # probe, toolchain loss) or whose measurement fell back to Python
-        # would duplicate an existing timing — it is dropped, not ranked.
-        if backend == "c":
-            for c in list(ranked_ok[:k]):
-                if c.tier != "none" or c.backend_used not in ("c", "c+openmp"):
-                    continue
-                try:
-                    kt = compile_kernel(program,
-                                        {array_name: instances[c.format_name]},
-                                        backend=backend, opt="tiled")
-                except PlanError:       # pragma: no cover - same plan as base
-                    continue
-                ct = FormatChoice(c.format_name, kt, None,
-                                  model_cost=float(kt.cost), tier="tiled")
-                _measure_choice(ct, program, array_name,
-                                instances[c.format_name], workload, reps)
-                if (ct.backend_used in ("c", "c+openmp")
-                        and getattr(kt, "opt_used", "none") == "tiled"):
-                    choices.append(ct)
         for c in ranked_ok[k:]:
             c.score = None              # untuned: ranked by model_cost tier
         result = SelectionResult(choices, instances, "auto")
         best = result.choices[0]
         record = {
             "format": best.format_name,
-            "tier": best.tier,
             "backend_used": best.backend_used,
             "measured": {c.label: c.measured for c in result.choices
                          if c.measured is not None},
@@ -523,24 +498,23 @@ def _select_auto(program, array_name, matrix, candidates, workload, repeats,
 def _replay_winner(program, array_name, matrix, record, rows, cols, vals,
                    bounds, backend, convert_kwargs) -> SelectionResult:
     """Serve a cached winner: one instance build, one (cached) compile,
-    zero measurements."""
+    zero measurements.  A record from when ``opt`` was a search axis names
+    the winning ``tier`` and keys its winner's time ``format+tier``; the
+    tier is ignored, the time still read."""
     from repro.core.compiler import compile_kernel
 
     name = record["format"]
-    tier = record.get("tier", "none")   # pre-tier records replay as naive
     inst = _build_instance(name, matrix, rows, cols, vals, bounds,
                            convert_kwargs)
-    kernel = compile_kernel(program, {array_name: inst}, backend=backend,
-                            opt=tier)
-    label = name if tier == "none" else f"{name}+{tier}"
-    measured = (record.get("measured") or {}).get(label)
+    kernel = compile_kernel(program, {array_name: inst}, backend=backend)
+    times = record.get("measured") or {}
+    measured = times.get(f"{name}+{record.get('tier')}", times.get(name))
     choice = FormatChoice(name, kernel,
                           float(measured) if measured is not None
                           else float(kernel.cost),
                           model_cost=float(kernel.cost),
                           measured=measured,
-                          backend_used=record.get("backend_used"),
-                          tier=tier)
+                          backend_used=record.get("backend_used"))
     return SelectionResult([choice], {name: inst}, "auto")
 
 

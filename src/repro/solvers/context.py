@@ -190,13 +190,8 @@ class SolverContext:
         too, so the measurements time the same dispatch the solver will
         use.
     opt:
-        Native optimization tier for every bound kernel (``"none"`` /
-        ``"tiled"``), forwarded to the compiler.  The default
-        (``None``) defers to ``REPRO_OPT`` — *unless* format selection ran
-        and crowned a tiered winner, in which case the context binds the
-        tuned (format, tier) pair: ``select="auto"`` over the C backend
-        measures both tiers per top-k format, and what won the
-        micro-benchmark is what the solver iterates through.
+        Forwarded to the compiler, which echoes it on the bound kernels
+        and selects nothing with it (there is one native schedule).
     register:
         When true (default), publish the bound kernels as per-instance
         handles so the plain functional API (:func:`repro.blas.api.mvm`
@@ -242,10 +237,6 @@ class SolverContext:
         with INSTR.phase("solver.setup"):
             if select:
                 A = self._select(A, candidates, select_mode, workload)
-                if opt is None and self.selection is not None:
-                    # bind the tuned (format, tier) pair: the winner's tier
-                    # is what won the selection micro-benchmark
-                    self.opt = self.selection.choices[0].tier
             self.A = A
             if "ts_lower" in ops or "ts_upper" in ops:
                 self.L, self.U = _triangular_split(A)
@@ -503,8 +494,7 @@ class SolverContext:
     def __repr__(self):
         parts = ", ".join(f"{op}={used}" for op, used in self.backends.items())
         sel = " selected" if self.selection is not None else ""
-        tier = f" opt={self.opt}" if self.opt not in (None, "none") else ""
-        return f"<SolverContext {self.format_name}{sel}{tier} [{parts}]>"
+        return f"<SolverContext {self.format_name}{sel} [{parts}]>"
 
 
 MatVec = Callable[[np.ndarray], np.ndarray]

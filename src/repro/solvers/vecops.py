@@ -31,6 +31,7 @@ import numpy as np
 from repro.codegen.loopir import (
     ArrayArg, BinOp, For, KernelIR, Load, ScalarArg, Store, V, ZERO,
 )
+from repro.core.backend import overlaps
 from repro.instrument import INSTR
 from repro.polyhedra.linexpr import LinExpr
 
@@ -180,11 +181,10 @@ def provider(context, n: int, owned: List[np.ndarray],
     bound the entry points — unless one of ``returned`` (what a user's
     ``matvec`` / ``precond`` first handed back) overlaps a vector the
     steps write, ``owned``: the loops may not see one buffer under two
-    names (``restrict`` at ``opt="tiled"``), so that solve runs on
+    names (their pointers are ``restrict``), so that solve runs on
     NumPy (``solver.vecops.aliased``)."""
     entries = context.vec_entries if context is not None else None
-    if entries and any(np.shares_memory(got, mine)
-                       for got in returned for mine in owned):
+    if entries and any(overlaps(got, owned) for got in returned):
         INSTR.count("solver.vecops.aliased")
         entries = None
     ops = NativeVecOps(entries, n, owned) if entries else NumpyVecOps(n)

@@ -20,9 +20,9 @@ import math
 import os
 import shlex
 import warnings
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Union
 
-__all__ = ["EnvVarWarning", "env_int", "env_float", "env_flags", "env_choice"]
+__all__ = ["EnvVarWarning", "env_int", "env_float", "env_flags"]
 
 
 class EnvVarWarning(UserWarning):
@@ -93,19 +93,3 @@ def env_flags(name: str) -> List[str]:
     except ValueError as e:
         _warn(name, raw, f"not a parseable flag list ({e})", [])
         return []
-
-
-def env_choice(name: str, default: str, choices: Sequence[str]) -> str:
-    """``os.environ[name]`` restricted to an allowed set of values.
-
-    Unset or empty returns ``default`` silently; any other value outside
-    ``choices`` warns with :class:`EnvVarWarning`, counts
-    ``env.parse_errors``, and returns ``default``."""
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    value = raw.strip()
-    if value not in choices:
-        _warn(name, raw, f"must be one of {sorted(choices)}", default)
-        return default
-    return value

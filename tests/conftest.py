@@ -99,13 +99,13 @@ def run_ir_python(ir, arrays, params):
     source_to_callable(print_python(ir))(arrays, params)
 
 
-def run_ir_native(ir, arrays, params, opt="none", **lower_kwargs):
+def run_ir_native(ir, arrays, params, **lower_kwargs):
     """Compile the C print of a loop IR (no artifact cache) and call it;
     returns the :class:`~repro.codegen.native.NativeSpec`."""
     from repro.codegen.native import lower_kernel
     from repro.core import backend as be
 
-    spec = lower_kernel(IRKernel(ir), opt=opt, **lower_kwargs)
-    fn, used_omp = be.compile_native_function(spec.c_source, False, "off", opt)
+    spec = lower_kernel(IRKernel(ir), **lower_kwargs)
+    fn, used_omp = be.compile_native_function(spec.c_source, False, "off")
     be.NativeKernel(fn, spec, used_omp)(arrays, params)
     return spec

@@ -48,7 +48,7 @@ class TestAffineRendering:
         # evaluates exactly when divisible
         assert eval(s, {"x": 6}) == 3
         # and floors in C too: '/' would truncate toward zero
-        assert _CPrinter("none").expr(half) == "_fdiv(x, 2)"
+        assert _CPrinter().expr(half) == "_fdiv(x, 2)"
 
     def test_guard_scales(self):
         g = cmp0(LinExpr({"x": Fraction(1, 3)}, Fraction(-2, 3)), ">=")
@@ -190,7 +190,7 @@ def _lower(body, args=(), **kwargs):
 
 class TestCPrinter:
     def test_expressions(self):
-        c = _CPrinter("none")
+        c = _CPrinter()
         a2 = ArrayArg("a", ("array", "a"), "float64", 2)
         assert c.expr(BinOp("+", V("a"), BinOp("*", V("b"), V("c")))) == \
             "(a + (b * c))"

@@ -103,16 +103,6 @@ class TestCallSites:
         monkeypatch.setenv("REPRO_SINGLEFLIGHT_TIMEOUT", "17.5")
         assert singleflight_timeout() == 17.5
 
-    @pytest.mark.parametrize("raw", ["fast", "TILED", "2"])
-    def test_unknown_opt_tier_warns_and_defaults(self, monkeypatch,
-                                                 small_square, raw):
-        """``fast`` was a tier once; it is now as unknown as any typo."""
-        monkeypatch.setenv("REPRO_OPT", raw)
-        A = as_format(small_square, "csr")
-        with pytest.warns(EnvVarWarning, match="REPRO_OPT"):
-            k = compile_kernel(ALL_KERNELS["mvm"](), {"A": A})
-        assert k.opt == "none"
-
     @pytest.mark.parametrize("kwarg, value", [
         ("parallel", "atomic"), ("parallel", "speculative"),
         ("opt", "fast"), ("opt", "warp9")])
@@ -120,7 +110,8 @@ class TestCallSites:
                                                value):
         """Where the environment warns and defaults, an explicit argument
         raises — and ``parallel="atomic"`` / ``opt="fast"``, modes once,
-        get the same ``ValueError`` as a value that never existed."""
+        get the same ``ValueError`` as a value that never existed (``opt``
+        selects nothing any more, and is still checked)."""
         A = as_format(small_square, "csr")
         with pytest.raises(ValueError) as e:
             compile_kernel(ALL_KERNELS["mvm"](), {"A": A}, backend="c",

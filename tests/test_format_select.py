@@ -64,6 +64,55 @@ class TestModelMode:
             select_format(mvm(), "A", m, mode="empirical")
 
 
+class TestSelectionRunsCcOnlyForWhatItReturns:
+    """Ranking stops at the plan and its cost; the toolchain runs for the
+    choice that is returned (or measured), not for the ones rejected."""
+
+    CANDIDATES = ("csr", "csc", "dia", "ell")
+
+    def test_model_mode_compiles_the_winner_alone(self):
+        from repro.core import backend as be
+        from repro.core.cache import clear_compile_cache
+        from repro.instrument import INSTR
+
+        if be.find_compiler() is None:
+            pytest.skip("no C toolchain")
+        m = banded(48, bandwidth=2, seed=21)
+        clear_compile_cache()
+        be.reset_toolchain_cache(scratch=True)
+        compiles = INSTR.get("native.compiles")
+        emitted = INSTR.get("codegen.compiles")
+        res = select_format(mvm(), "A", m, mode="model", backend="c",
+                            candidates=self.CANDIDATES)
+        assert INSTR.get("native.compiles") == compiles + 1
+        assert INSTR.get("codegen.compiles") == emitted + 1
+        assert len([c for c in res.choices if c.ok]) == 4
+        name, inst, kernel = res.best
+        assert kernel.backend_used == "c"
+        # a rejected candidate is still a kernel: it binds when first run
+        loser = res.choices[-1]
+        assert loser.kernel.backend == "c" and "pending" in repr(loser.kernel)
+        x = np.random.default_rng(1).random(48)
+        y, y2 = np.zeros(48), np.zeros(48)
+        kernel({"A": inst, "x": x, "y": y}, {"m": 48, "n": 48})
+        loser.kernel({"A": res.instances[loser.format_name], "x": x,
+                      "y": y2}, {"m": 48, "n": 48})
+        assert loser.kernel.backend_used == "c"
+        assert INSTR.get("native.compiles") == compiles + 2
+        assert np.allclose(y, y2) and np.allclose(y, m.to_dense() @ x)
+
+    def test_empirical_mode_binds_what_it_measures(self):
+        from repro.core import backend as be
+
+        if be.find_compiler() is None:
+            pytest.skip("no C toolchain")
+        m = banded(48, bandwidth=2, seed=22)
+        res = select_format(mvm(), "A", m, mode="empirical", backend="c",
+                            workload="mvm", candidates=("csr", "dia"),
+                            repeats=1)
+        assert [c.backend_used for c in res.choices] == ["c", "c"]
+
+
 class TestEmpiricalMode:
     def test_measures_and_winner_runs(self):
         m = random_sparse(32, 32, 0.15, seed=14)

@@ -6,10 +6,9 @@ descending, triangular), guards with ``%`` and ``//`` over negative
 operands, loads and stores on int32/int64 index arrays and float32/float64
 value arrays, a 2-D and a 0-D dense array, read-modify-write
 accumulations, indirect (scatter) addresses and the SpMM panel shape —
-execs the Python print, compiles the C print at ``opt="none"`` and
-``opt="tiled"`` (so guard_absorb, register_tile and the simd marking run
-on programs they were not written for), and requires ``np.array_equal``
-on every array.
+execs the Python print, compiles the C print (so guard_absorb and
+register_tile run on programs they were not written for, under the
+``restrict`` signature), and requires ``np.array_equal`` on every array.
 
 Searches are loop IR too (:meth:`BaseEmitter.bisect` / ``scan``): a second
 strategy draws sorted index arrays, ranges and keys, builds the search
@@ -58,7 +57,7 @@ pytestmark = pytest.mark.skipif(be.find_compiler() is None,
 
 N = 6                  # loop variables live in [0, N)
 ROWS = 2 * N + 2       # every index expression lands in [0, ROWS)
-K = 19                 # panel width: two register tiles and a remainder
+K = 43                 # panel width: two wide tiles, narrow ones, an overlap
 
 QUIET = [HealthCheck.too_slow, HealthCheck.data_too_large]
 FAST = settings(max_examples=25, deadline=None, derandomize=True,
@@ -156,8 +155,8 @@ def statement(draw, prog, scope):
     """One store.  At most one operand reads an array the program writes,
     and only additively, so values grow linearly with the trip count (no
     overflow, no NaN) while still exercising read-modify-write, shifted
-    reads of the stored array (which must defeat the simd marking) and
-    float32 targets."""
+    reads of the stored array (which a vectorizer told ``restrict`` must
+    still honor) and float32 targets."""
     kind = draw(st.sampled_from(["float", "float", "int", "acc0", "scatter",
                                  "dense2"]))
     rhs = pure(draw, prog, scope)
@@ -188,7 +187,7 @@ def statement(draw, prog, scope):
 
 def guard(draw, scope):
     """Affine ±1-coefficient conditions on the innermost variable (what
-    the tiled tier folds into loop bounds) and ``%`` / ``//`` conditions
+    the scheduler folds into loop bounds) and ``%`` / ``//`` conditions
     over operands that go negative (which it must leave in place)."""
     v = V(scope[-1])
     w = V(scope[-2]) if len(scope) > 1 else V("p_a")
@@ -209,17 +208,27 @@ def guard(draw, scope):
 
 def panel(draw, prog, scope):
     """The SpMM shape: a sparse loop whose last statement accumulates a
-    dense panel row — what register_tile rewrites."""
-    jj, kk, c = prog.name("jj"), prog.name("kk"), prog.name("c")
+    dense panel row, mostly with the loop that fills that row just ahead
+    of it — what register_tile rewrites (and, without the fill or with
+    the fill of another row, must leave alone)."""
+    jj, kk, c, ff = (prog.name(s) for s in ("jj", "kk", "c", "ff"))
     row = index(draw, scope)
     lo = draw(st.integers(0, N))
     upd = prog.store("Y", (row, V(kk)), BinOp(
         "+", prog.load("Y", row, V(kk)),
         BinOp("*", prog.load("G64", V(jj)), prog.load("X", V(c), V(kk)))))
-    return For(jj, C(lo), C(lo + draw(st.integers(0, N))), 1, [
+    walk_ = For(jj, C(lo), C(lo + draw(st.integers(0, N))), 1, [
         Assign(c, prog.load("I64", V(jj))),
         For(kk, ZERO, V("p_k"), 1, [upd], ("kk",)),
     ], ("jj",))
+    filled = draw(st.sampled_from(["row", "row", "row", "other", "none"]))
+    if filled == "none":
+        return [walk_]
+    at = row if filled == "row" else index(draw, scope)
+    value = draw(st.sampled_from([Const(0.0), Const(1.5), ZERO,
+                                  prog.load("G64", ZERO)]))
+    return [For(ff, ZERO, V("p_k"), 1,
+                [prog.store("Y", (at, V(ff)), value)], ("ff",)), walk_]
 
 
 def nest(draw, prog, scope, depth):
@@ -238,7 +247,7 @@ def nest(draw, prog, scope, depth):
         stmts = [statement(draw, prog, inner)
                  for _ in range(draw(st.integers(1, 2)))]
         if draw(st.booleans()):
-            stmts.append(panel(draw, prog, inner))
+            stmts.extend(panel(draw, prog, inner))
         if draw(st.booleans()):
             stmts = [If(guard(draw, inner), stmts)]
         body.extend(stmts)
@@ -261,11 +270,10 @@ def check(case):
     ir, params, data_seed = case
     want = data_for(np.random.default_rng(data_seed))
     run_ir_python(ir, want, params)
-    for opt in ("none", "tiled"):
-        got = data_for(np.random.default_rng(data_seed))
-        run_ir_native(ir, got, params, opt=opt)
-        for name in want:
-            assert np.array_equal(want[name], got[name]), (opt, name)
+    got = data_for(np.random.default_rng(data_seed))
+    run_ir_native(ir, got, params)
+    for name in want:
+        assert np.array_equal(want[name], got[name]), name
 
 
 @FAST
@@ -283,7 +291,7 @@ def test_printers_agree_deep(case):
 
 
 def test_transforms_are_reached():
-    """The wall is only a wall for the tiled tier if its programs trigger
+    """The wall is only a wall for the scheduler if its programs trigger
     the transforms: a fixed program of each shape must fire each one."""
     from repro.codegen.native import lower_kernel
     from tests.conftest import IRKernel
@@ -295,15 +303,17 @@ def test_transforms_are_reached():
         [prog.store("F64", (o,), BinOp("+", prog.load("F64", o),
                                        prog.load("G64", o + v)))])], ("o",))
     jj, kk = V("jj3"), V("kk4")
+    fill = For("ff6", ZERO, V("p_k"), 1,
+               [prog.store("Y", (v, V("ff6")), Const(0.0))], ("ff",))
     spmm = For("jj3", ZERO, C(N), 1, [
         Assign("c5", prog.load("I64", jj)),
         For("kk4", ZERO, V("p_k"), 1, [prog.store("Y", (v, kk), BinOp(
             "+", prog.load("Y", v, kk),
             BinOp("*", prog.load("G64", jj),
                   prog.load("X", V("c5"), kk))))], ("kk",))], ("jj",))
-    ir = prog.kernel([For("v1", ZERO, C(N), 1, [band, spmm], ("v",))])
-    spec = lower_kernel(IRKernel(ir), opt="tiled")
-    assert {"guard_absorb", "simd", "register_tile"} <= set(spec.transforms)
+    ir = prog.kernel([For("v1", ZERO, C(N), 1, [band, fill, spmm], ("v",))])
+    spec = lower_kernel(IRKernel(ir))
+    assert {"guard_absorb", "register_tile"} <= set(spec.transforms)
     check((ir, {"a": 0, "n": N, "k": K}, 7))
 
 
@@ -354,18 +364,16 @@ _SEARCH_KERNELS = {}
 
 
 def ir_runners(ir):
-    """(Python callable, C at none, C at tiled) of one loop IR."""
+    """(Python callable, C) of one loop IR."""
     from repro.codegen.loopir import print_python
     from repro.codegen.native import lower_kernel
     from repro.codegen.pysource import source_to_callable
     from tests.conftest import IRKernel
 
-    runners = [source_to_callable(print_python(ir))]
-    for opt in ("none", "tiled"):
-        spec = lower_kernel(IRKernel(ir), opt=opt)
-        fn, omp = be.compile_native_function(spec.c_source, False, "off", opt)
-        runners.append(be.NativeKernel(fn, spec, omp))
-    return runners
+    spec = lower_kernel(IRKernel(ir))
+    fn, omp = be.compile_native_function(spec.c_source, False, "off")
+    return [source_to_callable(print_python(ir)),
+            be.NativeKernel(fn, spec, omp)]
 
 
 def search_kernels(kind, dtype):
@@ -440,21 +448,14 @@ def test_search_printers_agree(case):
 
 def test_a_search_is_statements_the_scheduler_sees_into():
     """No opaque call: the search is ``While``/``If``/``Assign`` nodes, and
-    a body holding one is neither ``simd`` nor ``register_tile`` material
-    by the rules those transforms already have."""
+    a body holding one is not ``register_tile`` material by the rule that
+    transform already has."""
     from repro.codegen.native import lower_kernel
     from tests.conftest import IRKernel
 
     ir = search_ir("array", "int32")
     assert any(isinstance(n, While) for n in walk(ir.body))
-    assert lower_kernel(IRKernel(ir), opt="tiled").transforms == []
-    # the same loop without the search is simd-marked
-    loop = ir.body[0]
-    plain = For(loop.var, loop.lo, loop.hi, 1, [
-        s for s in loop.body if isinstance(s, Store)], loop.dims)
-    plain.body[0] = Store(plain.body[0].array, plain.body[0].idx, V(loop.var))
-    spec = lower_kernel(IRKernel(KernelIR(ir.args, [plain])), opt="tiled")
-    assert spec.transforms == ["simd"]
+    assert lower_kernel(IRKernel(ir)).transforms == []
     # the SpMM shape with a search among the sparse loop's statements
     prog = Program()
     b = Builder()
@@ -464,7 +465,7 @@ def test_a_search_is_statements_the_scheduler_sees_into():
     b.add(For("kk", ZERO, V("p_k"), 1, [prog.store("Y", (ZERO, V("kk")), BinOp(
         "+", prog.load("Y", ZERO, V("kk")),
         prog.load("X", BinOp("max", V(c), ZERO), V("kk"))))], ("kk",)))
-    spec = lower_kernel(IRKernel(prog.kernel(b.body)), opt="tiled")
+    spec = lower_kernel(IRKernel(prog.kernel(b.body)))
     assert "register_tile" not in spec.transforms
 
 

@@ -293,6 +293,130 @@ class TestFallback:
                            parallel="speculative")
 
 
+class TestAliasing:
+    """Every pointer with a source of its own is ``restrict``, so a call
+    whose written operand overlaps another must not reach the C function:
+    it runs the Python kernel (same bytes as ever), is counted, is never
+    prepared — and the next clean call is native and preparable again."""
+
+    @staticmethod
+    def _mvm_operands(how, rng):
+        buf = rng.random(N + 4)
+        if how == "same":
+            return buf[:N], buf[:N]
+        return buf[:N], buf[2:N + 2]            # y starts inside x
+
+    @staticmethod
+    def _check(kp, kc, arrays_of, params, out):
+        """Run one aliased call through both kernels on twin operand sets
+        and one clean call after it; return nothing, assert everything."""
+        native = kc.backend_used == "c"
+        want, got = arrays_of(), arrays_of()
+        kp(want, params)
+        aliased = INSTR.get("native.dispatch.aliased")
+        coerced = INSTR.get("native.dispatch.coerced")
+        kc(got, params)
+        for name in want:
+            if isinstance(want[name], np.ndarray):
+                assert got[name].tobytes() == want[name].tobytes(), name
+        assert INSTR.get("native.dispatch.aliased") == aliased + int(native)
+        assert INSTR.get("native.dispatch.coerced") == coerced
+        if not native:
+            return
+        # the bound function is what a BoundOp calls, with no
+        # CompiledKernel in between: it must decline by itself
+        again = arrays_of()
+        kc.native()(again, params)
+        assert again[out].tobytes() == want[out].tobytes()
+        assert INSTR.get("native.dispatch.aliased") == aliased + 2
+        assert kc.native()._prep is None        # never prepared
+        clean = {k: (v.copy() if isinstance(v, np.ndarray) else v)
+                 for k, v in arrays_of().items()}
+        ref = {k: (v.copy() if isinstance(v, np.ndarray) else v)
+               for k, v in clean.items()}
+        kp(ref, params)
+        prepared = INSTR.get("native.dispatch.prepared")
+        kc(clean, params)
+        assert clean[out].tobytes() == ref[out].tobytes()
+        assert INSTR.get("native.dispatch.aliased") == aliased + 2
+        assert kc.native()._prep is not None
+        kc(clean, params)
+        assert INSTR.get("native.dispatch.prepared") == prepared + 1
+
+    @pytest.mark.parametrize("how", ["same", "view"])
+    @pytest.mark.parametrize("fmt_name", ["csr", "csc", "dia"])
+    def test_mvm_output_overlaps_input(self, fmt_name, how, square):
+        A = _fmt(square, fmt_name)
+        kp, kc = _compile_pair("mvm", "A", A)
+
+        def arrays_of():
+            x, y = self._mvm_operands(how, np.random.default_rng(3))
+            return {"A": A, "x": x, "y": y}
+
+        self._check(kp, kc, arrays_of, {"m": N, "n": N}, "y")
+
+    @pytest.mark.parametrize("k", [3, 16])
+    def test_spmm_panel_overlaps_input(self, k, square):
+        A = _fmt(square, "csr")
+        kp, kc = _compile_pair("spmm", "A", A)
+
+        def arrays_of():
+            buf = np.random.default_rng(5).random((N + 1, k))
+            return {"A": A, "X": buf[:N], "Y": buf[1:]}
+
+        self._check(kp, kc, arrays_of, {"m": N, "n": N, "k": k}, "Y")
+
+    def test_storage_array_as_operand(self, square):
+        """The output may not be one of the matrix's own arrays either."""
+        A = _fmt(square, "dia")
+        kp, kc = _compile_pair("mvm", "A", A)
+        if kc.backend_used != "c":
+            pytest.skip("no C toolchain")
+        x = np.random.default_rng(7).random(N)
+        aliased = INSTR.get("native.dispatch.aliased")
+        kc({"A": A, "x": x, "y": A.data[0]}, {"m": N, "n": N})
+        assert INSTR.get("native.dispatch.aliased") == aliased + 1
+
+    def test_bound_without_a_python_kernel_raises(self):
+        """A hand-bound function has nothing to fall back on: the call is
+        refused rather than run with ``restrict`` broken."""
+        if be.find_compiler() is None:
+            pytest.skip("no C toolchain")
+        from repro.solvers.vecops import ENTRY_POINTS
+        from tests.conftest import run_ir_native
+
+        ir = ENTRY_POINTS["cg_update"]
+        names = [a.name for a in ir.args if a.kind == "array"]
+        v = np.ones(4)
+        with pytest.raises(ValueError, match="overlaps another argument"):
+            run_ir_native(ir, {name: v for name in names}, {"n": 4})
+
+    def test_entry_points_fall_back_on_their_python_print(self):
+        if be.find_compiler() is None:
+            pytest.skip("no C toolchain")
+        from repro.solvers.context import SolverContext
+        from repro.solvers.vecops import ENTRY_POINTS
+        from tests.conftest import run_ir_python
+
+        ctx = SolverContext(as_format(np.eye(4) * 2.0, "csr"), ops=("mvm",),
+                            backend="c", register=False)
+        ir = ENTRY_POINTS["cg_update"]
+        names = [a.name for a in ir.args if a.kind == "array"]
+
+        def operands():
+            v = np.arange(1.0, 5.0)
+            return {name: (np.array([0.5, 0.0]) if name == "c" else v)
+                    for name in names}
+
+        want, got = operands(), operands()
+        run_ir_python(ir, want, {"n": 4})
+        aliased = INSTR.get("native.dispatch.aliased")
+        ctx.vec_entries["cg_update"](got, {"n": 4})
+        assert INSTR.get("native.dispatch.aliased") == aliased + 1
+        for name in names:
+            assert got[name].tobytes() == want[name].tobytes()
+
+
 class TestFloorDiv:
     """Satellite: Python // floors, C / truncates toward zero — the C
     printer must be floor-correct."""

@@ -1,10 +1,11 @@
-"""Optimization tiers of the native backend: byte-identity of the tiled
-tier, demotion observability, the env knobs (REPRO_OPT / REPRO_CFLAGS),
-the native SpGEMM tier, the prepared-argument dispatch fast path, and the
-autotuner's (format, tier) axis.
+"""The native schedule (``opt`` was an axis once; it is an echo now):
+byte-identity and which transforms fire at the default, the ``opt``
+keyword's remaining contract, ``REPRO_CFLAGS``, the native SpGEMM tier,
+the prepared-argument dispatch fast path, and winner records from when
+the autotuner had a (format, tier) axis.
 
 Tests that need the real toolchain check ``find_compiler()`` and skip
-without one; the demotion tests force its absence and assert the
+without one; the no-toolchain test forces its absence and asserts the
 fallback is observable rather than silent.
 """
 
@@ -23,6 +24,9 @@ from repro.instrument import INSTR
 from repro.ir.kernels import ALL_KERNELS
 from repro.util.env import EnvVarWarning
 
+#: what a test hands over for ``opt``: nothing, and both retired tiers
+OPTS = (None, "none", "tiled")
+
 N = 24
 
 
@@ -39,7 +43,7 @@ def _compile(kernel_name, array_name, inst, **kwargs):
 
 
 class TestTiledByteIdentity:
-    """opt="tiled" reorders nothing: outputs must be byte-identical to
+    """The schedule reorders nothing: outputs must be byte-identical to
     the Python backend across kernels and formats (acceptance)."""
 
     @pytest.mark.parametrize("fmt_name", ["csr", "dia", "ell", "msr"])
@@ -47,8 +51,7 @@ class TestTiledByteIdentity:
         _native_or_skip()
         A = as_format(banded(N, bandwidth=3, seed=2).to_dense(), fmt_name)
         kp = _compile("mvm", "A", A)
-        kt = _compile("mvm", "A", A, backend="c", opt="tiled")
-        assert kt.opt_used == "tiled"
+        kt = _compile("mvm", "A", A, backend="c")
         x = rng.random(N)
         yp, yt = np.zeros(N), np.zeros(N)
         kp({"A": A, "x": x, "y": yp}, {"m": N, "n": N})
@@ -59,58 +62,83 @@ class TestTiledByteIdentity:
         _native_or_skip()
         A = as_format(banded(N, bandwidth=3, seed=2), "csr")
         kp = _compile("spmm", "A", A)
-        kt = _compile("spmm", "A", A, backend="c", opt="tiled")
+        kt = _compile("spmm", "A", A, backend="c")
         spec = kt.native().spec
-        assert "register_tile" in spec.transforms
-        for k in (1, 7, 8, 19):     # remainder loop coverage on k % 8
+        assert spec.transforms == ["register_tile"]
+        # the fill of the panel is the tile's: the 16-, 8- and 1-column
+        # accumulators start from it and nothing else is zeroed
+        assert spec.c_source.count("] = 0;") == 3
+        assert "arr_Y[" not in spec.c_source.split("] = 0;")[0]
+        # columns one at a time; one 8; 8s that overlap; a 16; 16s and 8s,
+        # the last 8 moved back (k % 16 and k % 8 remainders)
+        for k in (0, 1, 7, 8, 9, 15, 16, 17, 23, 24, 25, 32, 41):
             X = rng.random((N, k))
             Yp, Yt = np.zeros((N, k)), np.zeros((N, k))
             kp({"A": A, "X": X, "Y": Yp}, {"m": N, "n": N, "k": k})
             kt({"A": A, "X": X, "Y": Yt}, {"m": N, "n": N, "k": k})
             assert Yp.tobytes() == Yt.tobytes()
 
+    def test_bsr_spmm_is_not_tiled(self, rng):
+        """BSR accumulates a panel row across blocks, its fill far away:
+        a tile would load and store the panel around every two-column
+        block (measured 1.14-1.41x slower than the loops as they are)."""
+        _native_or_skip()
+        A = as_format(banded(N, bandwidth=3, seed=2).to_dense(), "bsr",
+                      block_size=2)
+        kp = _compile("spmm", "A", A)
+        kt = _compile("spmm", "A", A, backend="c")
+        assert kt.native().spec.transforms == []
+        X = rng.random((N, 19))
+        Yp, Yt = np.zeros((N, 19)), np.zeros((N, 19))
+        kp({"A": A, "X": X, "Y": Yp}, {"m": N, "n": N, "k": 19})
+        kt({"A": A, "X": X, "Y": Yt}, {"m": N, "n": N, "k": 19})
+        assert Yp.tobytes() == Yt.tobytes()
+
     def test_transforms_recorded_and_digested(self):
+        """What fired is on the spec whatever ``opt`` says, every pointer
+        is ``restrict``, and the three spellings are one artifact."""
         _native_or_skip()
         A = as_format(banded(N, bandwidth=3, seed=2), "dia")
-        kt = _compile("mvm", "A", A, backend="c", opt="tiled")
-        spec = kt.native().spec
-        assert spec.opt == "tiled"
-        assert "guard_absorb" in spec.transforms
-        # restrict-qualified signature is a tiled-tier property
-        assert "restrict" in spec.c_source
-        naive = _compile("mvm", "A", A, backend="c", opt="none").native().spec
-        assert naive.transforms == []
-        assert "restrict" not in naive.c_source
+        specs = [_compile("mvm", "A", A, backend="c", opt=opt).native().spec
+                 for opt in OPTS]
+        for spec in specs:
+            assert spec.transforms == ["guard_absorb"]
+            assert "restrict" in spec.c_source
+            assert "#pragma omp simd" not in spec.c_source
+        assert len({spec.c_source for spec in specs}) == 1
+        csr = as_format(banded(N, bandwidth=3, seed=2), "csr")
+        plain = _compile("mvm", "A", csr, backend="c").native().spec
+        assert plain.transforms == [] and "restrict" in plain.c_source
 
-    def test_tier_counter_ticks(self):
+    def test_opt_is_an_echo(self):
+        """``opt="tiled"`` after ``opt="none"``: no second ``cc``, and
+        both attributes read what was passed."""
         _native_or_skip()
         A = as_format(random_sparse(N, N, 0.3, seed=5), "csr")
-        before = INSTR.get("native.tier.tiled")
-        k = _compile("mvm", "A", A, backend="c", opt="tiled")
-        assert k.native() is not None
-        assert INSTR.get("native.tier.tiled") == before + 1
+        first = _compile("mvm", "A", A, backend="c", opt="none")
+        assert (first.opt, first.opt_used) == ("none", "none")
+        compiles = INSTR.get("native.compiles")
+        again = _compile("mvm", "A", A, backend="c", opt="tiled")
+        assert INSTR.get("native.compiles") == compiles
+        assert again.backend_used == "c"
+        assert (again.opt, again.opt_used) == ("tiled", "tiled")
+        assert again.c_source == first.c_source
+        default = _compile("mvm", "A", A, backend="c")
+        assert (default.opt, default.opt_used) == ("none", "none")
+        assert "opt=" not in repr(again)
 
 
 class TestTierFlags:
     def test_no_tier_permits_fp_contraction(self):
-        tiled = be.tier_cflags("tiled")
-        assert "-ffp-contract=off" in tiled
-        assert "-fopenmp-simd" in tiled
-        naive = be.tier_cflags("none")
-        assert "-ffp-contract=off" in naive
-        assert "-fopenmp-simd" not in naive
+        assert "-ffp-contract=off" in be._CFLAGS
+        assert "-fopenmp-simd" not in be._CFLAGS
 
 
 class TestDemotion:
-    """Requesting a tier the toolchain cannot honor demotes observably:
-    counters tick, a warning names the reason, and the kernel still
-    executes correctly through the next tier down."""
-
     def test_no_toolchain_demotes_to_python(self, rng, monkeypatch):
         monkeypatch.setenv("REPRO_CC", "none")
         be.reset_toolchain_cache()
         try:
-            demotions = INSTR.get("native.tier.demotion.no_toolchain")
             A = as_format(random_sparse(N, N, 0.3, seed=5), "csr")
             with pytest.warns(NativeBackendWarning):
                 k = compile_kernel(ALL_KERNELS["mvm"](), {"A": A},
@@ -118,8 +146,6 @@ class TestDemotion:
             assert k.native() is None
             assert k.backend_used == "python"
             assert k.fallback_reason is not None
-            assert INSTR.get("native.tier.demotion.no_toolchain") \
-                == demotions + 1
             x = rng.random(N)
             y = np.zeros(N)
             k({"A": A, "x": x, "y": y}, {"m": N, "n": N})
@@ -128,48 +154,16 @@ class TestDemotion:
             monkeypatch.delenv("REPRO_CC", raising=False)
             be.reset_toolchain_cache()
 
-    def test_simd_probe_failure_demotes_to_naive_native(self, rng,
-                                                        monkeypatch):
-        _native_or_skip()
-        monkeypatch.setattr(be, "simd_supported", lambda cc: False)
-        demotions = INSTR.get("native.tier.demotion.simd_probe")
-        A = as_format(random_sparse(N, N, 0.3, seed=6), "csr")
-        with pytest.warns(NativeBackendWarning):
-            k = compile_kernel(ALL_KERNELS["mvm"](), {"A": A},
-                               backend="c", opt="tiled")
-        # demoted to the naive *native* tier, not to Python
-        assert k.native() is not None
-        assert k.opt == "tiled" and k.opt_used == "none"
-        assert INSTR.get("native.tier.demotion.simd_probe") == demotions + 1
-        x = rng.random(N)
-        y = np.zeros(N)
-        k({"A": A, "x": x, "y": y}, {"m": N, "n": N})
-        assert np.allclose(y, A.to_dense() @ x)
-
-    def test_repr_shows_demotion(self, monkeypatch):
-        _native_or_skip()
-        monkeypatch.setattr(be, "simd_supported", lambda cc: False)
-        A = as_format(random_sparse(N, N, 0.3, seed=6), "csr")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NativeBackendWarning)
-            k = compile_kernel(ALL_KERNELS["mvm"](), {"A": A},
-                               backend="c", opt="tiled")
-        assert "opt=tiled->none" in repr(k)
-
 
 class TestEnvKnobs:
-    def test_repro_opt_env_default(self, monkeypatch):
-        _native_or_skip()
-        monkeypatch.setenv("REPRO_OPT", "tiled")
-        A = as_format(random_sparse(N, N, 0.3, seed=7), "csr")
-        k = _compile("mvm", "A", A, backend="c")
-        assert k.opt == "tiled" and k.opt_used == "tiled"
-
-    def test_repro_opt_invalid_warns_and_defaults(self, monkeypatch):
+    def test_repro_opt_is_not_read(self, monkeypatch):
+        """The knob is gone: garbage in it neither warns nor changes
+        anything."""
         monkeypatch.setenv("REPRO_OPT", "warp9")
         A = as_format(random_sparse(N, N, 0.3, seed=7), "csr")
-        with pytest.warns(EnvVarWarning):
-            k = _compile("mvm", "A", A, backend="c")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", EnvVarWarning)
+            k = compile_kernel(ALL_KERNELS["mvm"](), {"A": A})
         assert k.opt == "none"
 
     def test_explicit_invalid_opt_raises(self):
@@ -304,41 +298,11 @@ class TestSpgemmNativeTier:
 
 
 class TestAutotuneTierAxis:
-    def _select(self, matrix, **kwargs):
-        from repro.search.format_select import select_format
+    """The autotuner had a (format, tier) axis; records it wrote then
+    still replay, with the tier ignored."""
 
-        return select_format(ALL_KERNELS["mvm"](), "A", matrix,
-                             mode="auto", backend="c", repeats=2,
-                             autotune_cache="memory", **kwargs)
-
-    def test_winner_records_tier_and_replays_it(self, monkeypatch):
-        _native_or_skip()
-        from repro.search.autotune import clear_winner_cache
-
-        # pin the base tier: under REPRO_OPT=tiled every ranked candidate
-        # is already tiled and no "none" variants would be measured
-        monkeypatch.delenv("REPRO_OPT", raising=False)
-        clear_winner_cache()
-        A = as_format(banded(600, bandwidth=3, seed=1), "csr")
-        cold = self._select(A)
-        assert not cold.cached
-        # both tiers of at least one format were measured
-        tiers = {c.tier for c in cold.choices if c.measured is not None}
-        assert "tiled" in tiers and "none" in tiers
-
-        B = as_format(banded(600, bandwidth=3, seed=2), "csr")
-        runs = INSTR.get("autotune.microbench.runs")
-        warm = self._select(B)
-        assert warm.cached
-        assert INSTR.get("autotune.microbench.runs") == runs   # zero warm
-        best_cold, best_warm = cold.choices[0], warm.choices[0]
-        assert best_warm.format_name == best_cold.format_name
-        assert best_warm.tier == best_cold.tier
-        assert best_warm.kernel.opt == best_cold.tier
-
-    def test_pre_tier_record_replays_as_naive(self):
-        """Back-compat: a winner record without a 'tier' key (written by
-        an older version) replays at opt='none'."""
+    @staticmethod
+    def _replay(record):
         from repro.formats.base import coo_dedup_sort
         from repro.search.format_select import _replay_winner
 
@@ -346,18 +310,50 @@ class TestAutotuneTierAxis:
         rows, cols, vals = A.to_coo_arrays()
         rows, cols, vals = coo_dedup_sort(rows, cols, vals, A.shape,
                                           order="row")
-        record = {"format": "csr", "backend_used": "c",
-                  "measured": {"csr": 1e-6}}
         res = _replay_winner(ALL_KERNELS["mvm"](), "A", A, record, rows,
                              cols, vals, A.bounds(), "c", {})
-        choice = res.choices[0]
-        assert choice.tier == "none"
+        return res.choices[0]
+
+    def test_record_carrying_tier_still_replays(self):
+        """A winner record written at the tiled tier: its format wins, its
+        time is found under the ``format+tier`` key it was stored with."""
+        choice = self._replay({"format": "csr", "tier": "tiled",
+                               "backend_used": "c",
+                               "measured": {"csr": 2e-6, "csr+tiled": 1e-6}})
+        assert choice.format_name == "csr" and choice.measured == 1e-6
+        assert choice.kernel.opt == "none"
+        assert not hasattr(choice, "tier")
+
+    def test_pre_tier_record_replays_as_naive(self):
+        """Back-compat: a winner record without a 'tier' key (older
+        still) replays too; ``opt`` reads its default."""
+        choice = self._replay({"format": "csr", "backend_used": "c",
+                               "measured": {"csr": 1e-6}})
         assert choice.kernel.opt == "none"
         assert choice.measured == 1e-6
+
+    def test_new_records_name_no_tier(self):
+        _native_or_skip()
+        from repro.search.autotune import WINNER_CACHE, clear_winner_cache
+        from repro.search.format_select import select_format
+
+        clear_winner_cache()
+        A = as_format(banded(600, bandwidth=3, seed=1), "csr")
+        runs = INSTR.get("autotune.microbench.runs")
+        cold = select_format(ALL_KERNELS["mvm"](), "A", A, mode="auto",
+                             backend="c", repeats=2, topk=2,
+                             autotune_cache="memory")
+        # one measurement per top-k format, none per tier
+        assert INSTR.get("autotune.microbench.runs") == runs + 2
+        assert not cold.cached and cold.best[2].backend_used == "c"
+        records = WINNER_CACHE.values()
+        assert records and all("tier" not in r for r in records)
+        assert all("+" not in name for r in records for name in r["measured"])
 
 
 class TestSolverContextTier:
     def test_explicit_opt_binds_tier(self, rng):
+        """The context forwards ``opt``; the kernel echoes it."""
         _native_or_skip()
         from repro.solvers.context import SolverContext
 
@@ -366,19 +362,7 @@ class TestSolverContextTier:
                             register=False)
         k = ctx.bound("mvm").kernel
         assert k.opt == "tiled" and k.opt_used == "tiled"
+        assert "opt=" not in repr(ctx)
         x = rng.random(ctx.A.ncols)
         y = ctx.matvec(x).copy()
         assert np.allclose(y, ctx.A.to_dense() @ x)
-
-    def test_auto_select_binds_tuned_tier(self):
-        _native_or_skip()
-        from repro.search.autotune import clear_winner_cache
-        from repro.solvers.context import SolverContext
-
-        clear_winner_cache()
-        A = as_format(banded(600, bandwidth=3, seed=5), "csr")
-        ctx = SolverContext(A, ops=("mvm",), select="auto", backend="c",
-                            register=False)
-        tuned = ctx.selection.choices[0].tier
-        assert ctx.opt == tuned
-        assert ctx.bound("mvm").kernel.opt == tuned

@@ -195,9 +195,10 @@ class TestPragmaPlacement:
     def test_dia_offset_loop_keeps_its_parallel_version(self, opt):
         from repro.formats.generate import banded
 
+        # ``opt`` is still accepted; guard_absorb runs whatever it says
         A = as_format(banded(12, bandwidth=2, seed=1), "dia")
-        k = compile_cached("mvm", "dia", A, "A")
-        c = lower_kernel(k, "strict", opt).c_source
+        k = compile_cached("mvm", "dia", A, "A", opt=opt)
+        c = lower_kernel(k, "strict").c_source
         # few diagonals, each as long as the matrix: worth a fork per
         # diagonal, which the trip-count test lets through
         assert len(_nested_forks(c)) == 1
@@ -229,6 +230,5 @@ class TestPragmaPlacement:
 
     def test_ts_row_loop_never_annotated(self, ts_csr):
         k, _ = ts_csr
-        for opt in ("none", "tiled"):
-            c = lower_kernel(k, "strict", opt).c_source
-            assert not _pragma_above(c, "M0_r")
+        c = lower_kernel(k, "strict").c_source
+        assert not _pragma_above(c, "M0_r")

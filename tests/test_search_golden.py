@@ -29,6 +29,14 @@ new Python source with the old preamble (:data:`PR19_PREAMBLE`, kept here
 only for this) put back after its import line *is* the old source; C
 source, plan cost and all work counters are equal — none of the pairs
 contains a search.
+
+And a third time when the native schedule stopped being a tier (ISSUE 24):
+every pointer argument became ``restrict`` and guard_absorb /
+register_tile run on every kernel.  ``search_determinism.pr22.json`` is
+the file before that, and :func:`test_only_the_schedule_changed_since_pr22`
+pins the difference: Python source, plan cost and all work counters are
+equal; the C source of a kernel no transform fires on is the old one with
+``restrict`` written in, byte for byte.
 """
 
 from __future__ import annotations
@@ -54,6 +62,8 @@ GOLDEN_PR15 = os.path.join(os.path.dirname(__file__), "golden",
                            "search_determinism.pr15.json")
 GOLDEN_PR19 = os.path.join(os.path.dirname(__file__), "golden",
                            "search_determinism.pr19.json")
+GOLDEN_PR22 = os.path.join(os.path.dirname(__file__), "golden",
+                           "search_determinism.pr22.json")
 
 PAIRS = [("mvm", f) for f in ("csr", "csc", "coo", "dia", "ell", "jad", "bsr", "msr")]
 PAIRS += [("ts_lower", f) for f in ("csr", "csc", "jad")]
@@ -117,6 +127,7 @@ def _load(path: str) -> dict:
 _GOLDEN = _load(GOLDEN)
 _PR15 = _load(GOLDEN_PR15)
 _PR19 = _load(GOLDEN_PR19)
+_PR22 = _load(GOLDEN_PR22)
 
 
 @pytest.mark.parametrize("kernel,fmt", PAIRS, ids=lambda p: str(p))
@@ -194,7 +205,8 @@ def _jad_find(ipermi, dptr, colind, rowcnt, r, c):
 
 @pytest.mark.parametrize("kernel,fmt", PAIRS, ids=lambda p: str(p))
 def test_only_the_preamble_changed_since_pr19(kernel, fmt):
-    new, old = _GOLDEN[f"{kernel}.{fmt}"], _PR19[f"{kernel}.{fmt}"]
+    # between the two frozen files: what came after PR 22 is pinned below
+    new, old = _PR22[f"{kernel}.{fmt}"], _PR19[f"{kernel}.{fmt}"]
     for name in ("c_sha1", "c_sha1_written_wide", "cost") + COUNTERS:
         assert new[name] == old[name], name
     assert new["py_sha1"] != old["py_sha1"]
@@ -205,6 +217,28 @@ def test_only_the_preamble_changed_since_pr19(kernel, fmt):
     head = "import numpy as _np\n"
     assert source.startswith(head + "\ndef kernel(")
     assert _sha1(head + PR19_PREAMBLE + source[len(head):]) == old["py_sha1"]
+
+
+#: the pairs the scheduler rewrites; every other C source is the PR 22
+#: one with ``restrict`` on its pointers
+REWRITTEN = {"mvm.dia": ["guard_absorb"], "spmm.csr": ["register_tile"]}
+
+
+@pytest.mark.parametrize("kernel,fmt", PAIRS, ids=lambda p: str(p))
+def test_only_the_schedule_changed_since_pr22(kernel, fmt):
+    new, old = _GOLDEN[f"{kernel}.{fmt}"], _PR22[f"{kernel}.{fmt}"]
+    for name in ("py_sha1", "cost") + COUNTERS:
+        assert new[name] == old[name], name
+    assert new["c_sha1"] != old["c_sha1"]
+    k = repro.compile_kernel(ALL_KERNELS[kernel](), _bindings(kernel, fmt),
+                             backend="python", cache="off")
+    spec = lower_kernel(k)
+    assert _sha1(spec.c_source) == new["c_sha1"]
+    assert spec.transforms == REWRITTEN.get(f"{kernel}.{fmt}", [])
+    if not spec.transforms:
+        assert "restrict" in spec.c_source
+        assert _sha1(spec.c_source.replace(" * restrict ", " * ")) \
+            == old["c_sha1"]
 
 
 if __name__ == "__main__":
