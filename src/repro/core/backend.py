@@ -393,13 +393,6 @@ def compile_native_function(c_source: str, want_openmp: bool,
 # Bound native kernels
 # ---------------------------------------------------------------------------
 
-def overlaps(array: np.ndarray, others) -> bool:
-    """May ``array`` share memory with one of ``others``?  A bounds test
-    (about 0.3 us a pair): views of one buffer that interleave without
-    touching count as overlapping, which only ever costs a fallback."""
-    return any(np.may_share_memory(array, other) for other in others)
-
-
 class NativeKernel:
     """A compiled-and-bound native kernel with the Python calling
     convention ``fn(arrays, params)``.
@@ -417,10 +410,12 @@ class NativeKernel:
     Aliasing: the C signature qualifies every pointer with a source of
     its own ``restrict`` (:mod:`repro.codegen.native`), so no array the
     kernel writes may overlap another argument.  Each call that is not
-    already prepared checks that (:func:`overlaps`, a bounds test); a
-    call that fails it counts ``native.dispatch.aliased``, runs the
-    Python kernel — ``python``, a thunk returning it — on the operands as
-    they were passed, and is never prepared.
+    already prepared checks that on the buffers it is about to hand over
+    (their byte ranges: the addresses are in hand, and under a
+    microsecond buys it); a call that fails counts
+    ``native.dispatch.aliased``, runs the Python kernel — ``python``, a
+    thunk returning it — on the operands as they were passed, and is
+    never prepared.
 
     Prepared-argument fast path: solver loops call the same kernel with
     the same array objects thousands of times.  When a call needed no
@@ -443,6 +438,12 @@ class NativeKernel:
         self.entries: Dict[str, "NativeKernel"] = {}
         self._python = python
         self._prep: Optional[Tuple[tuple, tuple, tuple]] = None
+        # per written array argument (by position among the arrays): the
+        # arguments of another source, which it may not overlap
+        arrays = [a for a in spec.args if a.kind != "scalar"]
+        self._apart = [(i, [j for j, b in enumerate(arrays)
+                            if b.source != a.source])
+                       for i, a in enumerate(arrays) if a.written]
         argtypes = []
         for a in spec.args:
             if a.kind == "scalar":
@@ -456,6 +457,17 @@ class NativeKernel:
     @property
     def c_source(self) -> str:
         return self.spec.c_source
+
+    def _aliased(self, addrs: List[int], buffers: List[np.ndarray]) -> bool:
+        """Does the byte range of a written buffer meet another's?"""
+        for i, others in self._apart:
+            lo = addrs[i]
+            hi = lo + buffers[i].nbytes
+            for j in others:
+                start = addrs[j]
+                if start < hi and lo < start + buffers[j].nbytes:
+                    return True
+        return False
 
     def __call__(self, arrays: Mapping[str, object],
                  params: Mapping[str, int]) -> None:
@@ -486,7 +498,7 @@ class NativeKernel:
             writebacks: List[Tuple[np.ndarray, np.ndarray]] = []
             objs: List[object] = []
             scalars: List[int] = []
-            passed: List[Tuple[object, np.ndarray]] = []
+            addrs: List[int] = []
             preparable = True
             for a in self.spec.args:
                 val = a.loader(arrays, params)
@@ -511,14 +523,13 @@ class NativeKernel:
                     INSTR.count("native.dispatch.coerced")
                     preparable = False
                 objs.append(val)
-                passed.append((a, arr))
                 keepalive.append(carr)
-                cargs.append(carr.ctypes.data)
+                addr = carr.ctypes.data
+                addrs.append(addr)
+                cargs.append(addr)
                 for k in range(1, a.ndim):
                     cargs.append(int(carr.shape[k]))
-            if any(a.written and overlaps(arr, (other for b, other in passed
-                                               if b.source != a.source))
-                   for a, arr in passed):
+            if self._aliased(addrs, keepalive):
                 INSTR.count("native.dispatch.aliased")
                 if self._python is None:
                     raise ValueError(

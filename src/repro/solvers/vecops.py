@@ -31,7 +31,6 @@ import numpy as np
 from repro.codegen.loopir import (
     ArrayArg, BinOp, For, KernelIR, Load, ScalarArg, Store, V, ZERO,
 )
-from repro.core.backend import overlaps
 from repro.instrument import INSTR
 from repro.polyhedra.linexpr import LinExpr
 
@@ -184,7 +183,8 @@ def provider(context, n: int, owned: List[np.ndarray],
     names (their pointers are ``restrict``), so that solve runs on
     NumPy (``solver.vecops.aliased``)."""
     entries = context.vec_entries if context is not None else None
-    if entries and any(overlaps(got, owned) for got in returned):
+    if entries and any(np.shares_memory(got, mine)
+                       for got in returned for mine in owned):
         INSTR.count("solver.vecops.aliased")
         entries = None
     ops = NativeVecOps(entries, n, owned) if entries else NumpyVecOps(n)
