@@ -10,8 +10,9 @@ its concern.
 A format does not get a class here: it *declares* where its arrays are
 (:meth:`~repro.formats.base.SparseFormat.storage`, a level per step of the
 path, :mod:`repro.formats.levels`) and :class:`ViewEmitter` composes the
-loops and searches from the declaration and the view — a user-defined
-format that declares its storage lowers to C like a built-in one.
+loops and searches from the declaration and the view — every built-in
+format, JAD's permuted rows included, and a user-defined format that
+declares its storage lower to C this way.
 
 An emitter serves one *reference group* (one matrix instance bound to one
 access path).  Constructing it declares the instance's storage arrays and
@@ -65,7 +66,7 @@ from repro.codegen.loopir import (
 )
 from repro.core.spaces import SparseRef
 from repro.formats.base import check_storage
-from repro.formats.levels import Compressed, Coords, Dense, Range, Size, Storage
+from repro.formats.levels import Compressed, Coords, Dense, Perm, Range, Size, Storage
 from repro.formats.views import BINARY
 from repro.polyhedra.linexpr import LinExpr
 
@@ -130,12 +131,15 @@ class BaseEmitter:
         ]))
         return [found], Cmp(">=", V(found), ZERO)
 
-    def scan(self, stem: str, lo, hi, hit):
-        """Early-exit linear search: the first ``k`` in ``[lo, hi)`` where
-        the condition ``hit(k)`` holds, -1 when there is none."""
+    def scan(self, stem: str, lo, hi, probe):
+        """Early-exit linear search of the slots ``[lo, hi)`` for the first
+        that matches: ``probe(k)`` is (statements to run first, the
+        condition, the state a hit yields), the state -1 when none does."""
         found, k = self.let(stem, MINUS_ONE), self.let("at", lo)
+        setup, cond, hit = probe(V(k))
         self.b.add(While(And((Cmp("<", V(found), ZERO), Cmp("<", V(k), hi))), [
-            If(hit(V(k)), [Assign(found, V(k))]),
+            *setup,
+            If(cond, [Assign(found, hit)]),
             Assign(k, V(k) + 1),
         ]))
         return [found], Cmp(">=", V(found), ZERO)
@@ -153,7 +157,7 @@ class ViewEmitter(BaseEmitter):
     of search from the view's ``Axis.search`` — a bounds check for
     ``DIRECT``, :meth:`bisect` for ``BINARY``, :meth:`scan` for ``LINEAR``.
     Each level yields one state: the key itself for ``Dense``/``Range``,
-    the slot position otherwise."""
+    the stored position for a ``Perm``, else the slot or its address."""
 
     def __init__(self, ref, name, inst, b, decl: Storage):
         super().__init__(ref, name, inst, b)
@@ -166,23 +170,26 @@ class ViewEmitter(BaseEmitter):
                 self.args[a] = self.array(a)
         self.levels, self.value = decl.levels, decl.value
 
-    def expr(self, e, states):
-        """A declared expression (see :mod:`repro.formats.levels`)."""
+    def expr(self, e, states, names=None):
+        """A declared expression (see :mod:`repro.formats.levels`) over
+        ``names``: the declared arguments, and a slot an address names."""
+        names = self.args if names is None else names
         if isinstance(e, int):
             return LinExpr.constant(e)
         if isinstance(e, str):
-            if e in self.args:
-                return self.args[e]
+            if e in names:
+                return names[e]
             return V(states[self.ref.path.step_of(e)])
         op, *operands = e
         if op == "at":
             return Load(self.args[operands[0]],
-                        (self.expr(operands[1], states),))
-        operands = [self.expr(x, states) for x in operands]
+                        (self.expr(operands[1], states, names),))
+        operands = [self.expr(x, states, names) for x in operands]
         return Neg(*operands) if op == "neg" else BinOp(op, *operands)
 
     def interval(self, step, states):
         level = self.levels[step]
+        level = level.stored if isinstance(level, Perm) else level
         if isinstance(level, Dense):
             return ZERO, self.args[level.extent]
         if isinstance(level, Range):
@@ -190,49 +197,85 @@ class ViewEmitter(BaseEmitter):
         return None
 
     def slots(self, step, states):
-        """A level that stores coordinates: (first slot, end slot, the
-        coordinate arrays, the address of a slot in them)."""
-        level = self.levels[step]
+        """A level that stores coordinates: (first slot, end slot, per axis
+        the key read at a slot's state, the walks a slot takes first, the
+        address of slot ``k`` — None when the state is ``k`` itself)."""
+        level, walks = self.levels[step], []
         if isinstance(level, Coords):
+            axes = self.ref.path.steps[step].axes
             return (ZERO, self.args[level.extent],
-                    [self.args[i] for i in level.inds], lambda k: (k,))
-        p, inds = V(states[step - 1]), [self.args[level.ind]]
+                    [self.coordinate(c, a.perm, walks)
+                     for c, a in zip(level.inds, axes)], walks, None)
+        p, ind = V(states[step - 1]), self.args[level.ind]
         if isinstance(level, Compressed):
             ptr = self.args[level.ptr]
-            return (Load(ptr, (p,)), Load(ptr, (p + 1,)), inds,
-                    lambda k: (k,))
-        count = Load(self.args[level.count], (p,))       # Counted
-        return ZERO, count, inds, lambda k: (p, k)
+            return (Load(ptr, (p,)), Load(ptr, (p + 1,)),
+                    [lambda s: Load(ind, (s,))], walks, None)
+        address = level.address and (     # Counted
+            lambda k: self.expr(level.address, states,
+                                {**self.args, level.slot: k}))
+        return (ZERO, Load(self.args[level.count], (p,)),
+                [lambda s: Load(ind, (s,) if address else (p, s))], walks,
+                address)
+
+    def coordinate(self, c, perm, walks):
+        """How a ``Coords`` level reads one axis' key at slot ``k``: its
+        array, or ``perm`` of an ``Offset``, whose segment ``d`` is declared
+        here and walked forward by the statement appended to ``walks``."""
+        if not isinstance(c, Perm):
+            return lambda k: Load(self.args[c], (k,))
+        ptr, d = self.args[c.stored.ptr], self.let("d", ZERO)
+        walks.append(lambda k: While(Cmp(">=", k, Load(ptr, (V(d) + 1,))),
+                                     [Assign(d, V(d) + 1)]))
+        return lambda k: Load(self.args[perm], (BinOp("-", k, Load(ptr, (V(d),))),))
 
     def loop(self, step, states, reverse, dims):
-        names = self.ref.path.steps[step].names
+        names, level = self.ref.path.steps[step].names, self.levels[step]
         iv = self.interval(step, states)
+        if isinstance(level, Perm):
+            x = self.count("rr", *iv, reverse, dims)
+            perm = self.args[self.ref.path.steps[step].axes[0].perm]
+            return [self.let(names[0], Load(perm, (V(x),)))], [x]
         if iv is not None:
             v = self.count(names[0], *iv, reverse, dims)
             return [v], [v]
-        level = self.levels[step]
-        lo, hi, inds, at = self.slots(step, states)
+        lo, hi, reads, walks, address = self.slots(step, states)
         k = self.count(level.slot, lo, hi, reverse, dims)
-        keys = [self.let(n, Load(ind, at(V(k)))) for n, ind in zip(names, inds)]
+        for walk in walks:
+            self.b.add(walk(V(k)))
+        state = self.let("jj", address(V(k))) if address else k
+        keys = [self.let(n, read(V(state))) for n, read in zip(names, reads)]
         if getattr(level, "off_diagonal", False):
             self.b.open(If(Cmp("!=", V(keys[0]), V(states[step - 1])), []))
-        return keys, [k]
+        return keys, [state]
 
     def search(self, step, states, keys):
+        level = self.levels[step]
         iv = self.interval(step, states)
+        if isinstance(level, Perm):
+            x = self.let("rr", Select(
+                within(keys[0], *iv),
+                Load(self.args[level.inverse], (keys[0],)), MINUS_ONE))
+            return [x], Cmp(">=", V(x), ZERO)
         if iv is not None:
             v = self.let(self.ref.path.steps[step].names[0], keys[0])
             return [v], within(V(v), *iv)
-        level = self.levels[step]
-        lo, hi, inds, at = self.slots(step, states)
+        lo, hi, reads, walks, address = self.slots(step, states)
+        stem, pos = ("jj", self.fresh("pos")) if address else (level.slot, None)
+
+        def probe(k, test):     # slot k: (statements, test(state), state)
+            setup = [walk(k) for walk in walks]
+            if address:
+                setup, k = [*setup, Assign(pos, address(k))], V(pos)
+            return setup, test(k), k
+
         if self.how[step] == BINARY:
-            state, found = self.bisect(
-                level.slot, lo, hi, keys[0],
-                lambda mid: ([], Load(inds[0], at(mid)), mid))
+            state, found = self.bisect(stem, lo, hi, keys[0],
+                                       lambda mid: probe(mid, reads[0]))
         else:
-            state, found = self.scan(level.slot, lo, hi, lambda k: And(tuple(
-                Cmp("==", Load(ind, at(k)), key)
-                for ind, key in zip(inds, keys))))
+            state, found = self.scan(stem, lo, hi, lambda k: probe(
+                k, lambda s: And(tuple(Cmp("==", read(s), key)
+                                       for read, key in zip(reads, keys)))))
         if getattr(level, "off_diagonal", False):
             found = And((Cmp("!=", keys[0], V(states[step - 1])), found))
         return state, found
@@ -241,66 +284,6 @@ class ViewEmitter(BaseEmitter):
         array, *idx = self.value
         return Load(self.args[array],
                     tuple(self.expr(i, states) for i in idx))
-
-
-class JadEmitter(BaseEmitter):
-    """Both JAD perspectives; the rows path mirrors the paper's Figure 9."""
-
-    def __init__(self, ref, name, inst, b):
-        super().__init__(ref, name, inst, b)
-        self.flat = ref.path.path_id == "flat"
-        self.iperm, self.ipermi = self.array("iperm"), self.array("ipermi")
-        self.dptr, self.colind = self.array("dptr"), self.array("colind")
-        self.values, self.rowcnt = self.array("values"), self.array("rowcnt")
-        self.m, self.nnz = self.size("m", "nrows"), self.size("nnz", "nnz")
-
-    def loop(self, step, states, reverse, dims):
-        if self.flat:
-            # diagonal-major walk, tracking the current diagonal like the
-            # paper's JadFlatIterator::frob_d
-            d = self.let("d", ZERO)
-            jj = self.count("jj", ZERO, self.nnz, False, dims)
-            self.b.add(While(Cmp(">=", V(jj), Load(self.dptr, (V(d) + 1,))),
-                             [Assign(d, V(d) + 1)]))
-            r = self.let("r", Load(self.iperm, (
-                BinOp("-", V(jj), Load(self.dptr, (V(d),))),)))
-            return [r, self.let("c", Load(self.colind, (V(jj),)))], [jj]
-        if step == 0:
-            rr = self.count("rr", ZERO, self.m, reverse, dims)
-            return [self.let("r", Load(self.iperm, (V(rr),)))], [rr]
-        rr = V(states[0])
-        dd = self.count("dd", ZERO, Load(self.rowcnt, (rr,)), reverse, dims)
-        jj = self.let("jj", BinOp("+", Load(self.dptr, (V(dd),)), rr))
-        return [self.let("c", Load(self.colind, (V(jj),)))], [jj]
-
-    def interval(self, step, states):
-        return (ZERO, self.m) if not self.flat and step == 0 else None
-
-    def row_search(self, rr, count, key):
-        """Column ``key`` among the ``count`` entries of permuted row
-        ``rr``: entry ``d`` of the row sits at ``dptr[d] + rr``."""
-        jj = self.fresh("pos")
-        return self.bisect("jj", ZERO, count, key, lambda mid: (
-            [Assign(jj, BinOp("+", Load(self.dptr, (mid,)), rr))],
-            Load(self.colind, (V(jj),)), V(jj)))
-
-    def search(self, step, states, keys):
-        if not self.flat and step == 1:
-            rr = V(states[0])
-            return self.row_search(rr, Load(self.rowcnt, (rr,)), keys[0])
-        # the paper's Figure 9: search(LHier.begin(), ..., L.unmap(r))
-        rr = self.let("rr", Select(within(keys[0], ZERO, self.m),
-                                   Load(self.ipermi, (keys[0],)),
-                                   MINUS_ONE))
-        inside = Cmp(">=", V(rr), ZERO)
-        if not self.flat:
-            return [rr], inside
-        # a row outside the matrix has no entries to search
-        return self.row_search(
-            V(rr), Select(inside, Load(self.rowcnt, (V(rr),)), ZERO), keys[1])
-
-    def get(self, states):
-        return Load(self.values, (V(states[-1]),))
 
 
 class GenericEmitter(BaseEmitter):
@@ -353,11 +336,9 @@ class GenericEmitter(BaseEmitter):
 
 
 def make_emitter(ref: SparseRef, name: str, inst, b: Builder) -> BaseEmitter:
+    """The :class:`ViewEmitter` of the path's storage declaration; the
+    :class:`GenericEmitter` when the format declares none."""
     decl = inst.storage(ref.path.path_id)
     if decl is not None:
         return ViewEmitter(ref, name, inst, b, decl)
-    # JAD keeps a class: the flat walk's ``While`` over the diagonal
-    # pointer and the search through the inverse permutation are not levels
-    if ref.fmt.format_name == "jad":
-        return JadEmitter(ref, name, inst, b)
     return GenericEmitter(ref, name, inst, b)

@@ -79,8 +79,8 @@ class PlanInterpreter:
                 fmt = self.arrays.get(ref.array)
                 if not isinstance(fmt, SparseFormat):
                     raise ExecutionError(
-                        f"array {ref.array!r} must be given as a {ref.fmt.format_name} "
-                        f"instance"
+                        f"array {ref.array!r} must be given as a "
+                        f"{type(ref.fmt).__name__} instance"
                     )
                 self.runtimes[ref.key] = fmt.runtime(ref.path.path_id)
                 self.fmt_of_ref[ref.key] = fmt

@@ -26,7 +26,8 @@ sits inside a sequential loop would fork a thread team per outer
 iteration, so it is printed twice behind a trip-count test and forks only
 when it is at least ``_FORK_MIN_TRIP`` iterations long (DIA's offset loop
 is, a CSC column segment is not).  Loops nested inside a parallel loop,
-and loops a transform introduced, stay sequential.
+loops a transform introduced, and loops that assign a scalar declared
+ahead of them (JAD's diagonal walk) stay sequential.
 
 The schedule: before printing, one pass rewrites the IR with two
 transforms that are *byte-identical* to the loops the generator built —
@@ -247,31 +248,33 @@ class _Scheduler:
         self._uid += 1
         return self._uid
 
-    def block(self, stmts: Sequence, depth: int = 0,
-              in_par: bool = False) -> List:
+    def block(self, stmts: Sequence, depth: int = 0, in_par: bool = False,
+              seen: Set[str] = frozenset()) -> List:
         out: List = []
         start = 0       # where the output of the statement before begins
         for i, s in enumerate(stmts):
             if isinstance(s, For):
                 new, both = self.loop(s, depth, in_par,
-                                      stmts[i - 1] if i else None)
+                                      stmts[i - 1] if i else None, seen)
                 if both:        # a tile: it stands for the fill before it too
                     del out[start:]
             elif isinstance(s, (While, If)):
-                new = [type(s)(s.cond, self.block(s.body, depth, in_par))]
+                new = [type(s)(s.cond, self.block(s.body, depth, in_par, seen))]
             else:
                 new = [s]
+            seen = seen | _assigned([s])    # scalars declared ahead of the next
             start = len(out)
             out.extend(new)
         return out
 
-    def loop(self, f: For, depth: int, in_par: bool,
-             before) -> Tuple[List, bool]:
+    def loop(self, f: For, depth: int, in_par: bool, before,
+             seen: Set[str]) -> Tuple[List, bool]:
         """The statements ``f`` becomes, and whether they also stand for
         ``before``, the statement ahead of it in its block."""
-        # only the outermost order-free loop of a nest runs in parallel
+        # only an outermost order-free loop carrying no scalar runs in parallel
         par = (self.report is not None and not in_par
-               and self.report.verdict(f.dims, self.flavour) == "par")
+               and self.report.verdict(f.dims, self.flavour) == "par"
+               and not _assigned(f.body) & seen)
         # inside a sequential loop it must be able to decline the fork,
         # which needs bounds the body cannot move
         nested = par and depth > 0
@@ -286,7 +289,7 @@ class _Scheduler:
             absorbed = self.guard_absorb(f)
             if absorbed is not None:
                 pre, lo, hi, body = absorbed
-        body = self.block(body, depth + 1, in_par or par)
+        body = self.block(body, depth + 1, in_par or par, seen)
         if nested:
             return pre + self.fork_if_long(
                 For(f.var, lo, hi, f.step, body, f.dims)), False

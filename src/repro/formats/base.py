@@ -21,9 +21,11 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.formats.levels import Compressed, Coords, Dense, Range, Size, Storage
+from repro.formats.levels import (
+    Compressed, Coords, Dense, Offset, Perm, Range, Size, Storage,
+)
 from repro.formats.views import (
-    AccessPath, BINARY, DIRECT, LINEAR, NOSEARCH, SEARCHES, Term,
+    AccessPath, BINARY, DIRECT, LINEAR, NOSEARCH, SEARCHES, UNORDERED, Term,
     access_paths, union_branches,
 )
 from repro.polyhedra.system import System
@@ -87,14 +89,28 @@ def check_storage(fmt: "SparseFormat", path: AccessPath,
     kinds = []
     for step, level in zip(path.steps, decl.levels):
         axes = ", ".join(step.names)
-        if any(a.perm for a in step.axes):
-            raise ValueError(f"{where}, axis {axes}: a permuted axis "
-                             "is not a level (see JadEmitter)")
+        coords = level.inds if isinstance(level, Coords) else (level,)
+        for a, coord in zip(step.axes, coords):
+            # a Perm of a Dense level, or of a Coords coordinate's Offset
+            inner = Dense if coord is level else Offset
+            permuted = isinstance(coord, Perm) and isinstance(coord.stored, inner)
+            if a.perm and not permuted:
+                raise ValueError(f"{where}, axis {a.name}: the view permutes it "
+                                 f"through {a.perm!r}, the storage declares "
+                                 f"no Perm of {inner.__name__}")
+            if not a.perm and isinstance(coord, (Perm, Offset)):
+                raise ValueError(f"{where}, axis {a.name}: a Perm or Offset "
+                                 "on an axis the view does not permute")
+        if (isinstance(level, Coords) and any(a.perm for a in step.axes)
+                and any(a.order != UNORDERED for a in step.axes)):
+            raise ValueError(f"{where}, axis {axes}: an Offset is walked "
+                             "forward, its step cannot be ordered")
         how = min((a.search for a in step.axes), key=SEARCHES.index)
-        if isinstance(level, (Dense, Range)):
+        if isinstance(level, (Dense, Range, Perm)):
             can = (DIRECT,)
-        else:       # slots: scanned, or bisected on one sorted coordinate
-            can = (LINEAR, BINARY) if len(step.axes) == 1 else (LINEAR,)
+        else:  # slots: scanned, or bisected on one unpermuted coordinate
+            can = ((LINEAR, BINARY) if [a.perm for a in step.axes] == [None]
+                   else (LINEAR,))
         if how != NOSEARCH and how not in can:
             raise ValueError(
                 f"{where}, axis {axes}: the view declares a {how} "
@@ -114,8 +130,9 @@ class LevelRuntime(PathRuntime):
     its arrays, its sizes, its declared expressions as closures over the
     prefix — into what walking it takes.  A ``Dense``/``Range`` level is
     its interval, and its state the key; a level that stores coordinates
-    is its slots, and its state the slot: the states and keys
-    :class:`~repro.codegen.emitters.ViewEmitter` produces."""
+    is its slots, and its state the slot or its address; a ``Perm`` is
+    both: the states and keys :class:`~repro.codegen.emitters.ViewEmitter`
+    produces."""
 
     def __init__(self, fmt: "SparseFormat", path: AccessPath, decl: Storage):
         self.path = path
@@ -128,7 +145,8 @@ class LevelRuntime(PathRuntime):
                 self._sizes[a.local] = len(getattr(fmt, a.attr))
             else:
                 self._sizes[a.local] = int(getattr(fmt, a.attr))
-        self._intervals, self._slots = zip(*map(self._level, decl.levels))
+        self._intervals, self._slots, self._inverses = zip(
+            *map(self._level, path.steps, decl.levels))
         self._skips_diagonal = [getattr(level, "off_diagonal", False)
                                 for level in decl.levels]
         array, *index = decl.value
@@ -137,61 +155,86 @@ class LevelRuntime(PathRuntime):
         self._address = index[0] if len(index) == 1 else (
             lambda prefix: tuple([i(prefix) for i in index]))
 
-    def _expr(self, e) -> Callable[[Tuple], int]:
-        """A declared expression as a function of the prefix."""
+    def _expr(self, e, slot: str = "") -> Callable[[Tuple], int]:
+        """A declared expression as a function of the prefix (followed by
+        the slot position, where the expression may name ``slot``)."""
         if isinstance(e, int):
             return lambda prefix: e
         if isinstance(e, str):
             if e in self._sizes:
                 size = self._sizes[e]
                 return lambda prefix: size
+            if e == slot:
+                return operator.itemgetter(-1)
             return operator.itemgetter(self.path.step_of(e))
         op, *operands = e
         if op == "at":
-            array, index = self._arrays[operands[0]], self._expr(operands[1])
+            array = self._arrays[operands[0]]
+            index = self._expr(operands[1], slot)
             return lambda prefix: int(array[index(prefix)])
-        fn, operands = _OPS[op], [self._expr(x) for x in operands]
+        fn, operands = _OPS[op], [self._expr(x, slot) for x in operands]
         return lambda prefix: fn(*[x(prefix) for x in operands])
 
-    def _level(self, level):
-        """One level as functions of the prefix: ``(interval, None)`` for
-        one that is every coordinate of ``[lo, hi)``, ``(None, slots)`` for
-        one that stores coordinates — the first slot and, per axis, the
-        array segment holding the coordinates of this prefix' slots."""
+    def _level(self, step, level):
+        """One level as functions of the prefix: ``interval`` for every
+        coordinate of ``[lo, hi)``, ``slots`` for stored ones — the states
+        of this prefix' slots and, per axis, their keys — and the
+        ``inverse`` a permuted interval is searched through."""
+        if isinstance(level, Perm):                         # over Dense
+            m = self._sizes[level.stored.extent]
+            every = range(m), [self._arrays[step.axes[0].perm][:m]]
+            return ((lambda prefix: (0, m)), (lambda prefix: every),
+                    self._arrays[level.inverse])
         if isinstance(level, Dense):
             whole = (0, self._sizes[level.extent])
-            return (lambda prefix: whole), None
+            return (lambda prefix: whole), None, None
         if isinstance(level, Range):
             lo, hi = self._expr(level.lo), self._expr(level.hi)
-            return (lambda prefix: (lo(prefix), hi(prefix))), None
+            return (lambda prefix: (lo(prefix), hi(prefix))), None, None
         if isinstance(level, Coords):
             extent = self._sizes[level.extent]
-            every = 0, [self._arrays[i][:extent] for i in level.inds]
-            return None, lambda prefix: every
+            every = range(extent), [self._coordinate(c, a.perm, extent)
+                                    for c, a in zip(level.inds, step.axes)]
+            return None, lambda prefix: every, None
         ind = self._arrays[level.ind]
         if isinstance(level, Compressed):
             ptr = self._arrays[level.ptr]
 
             def segment(prefix):
-                lo = int(ptr[prefix[-1]])
-                return lo, [ind[lo:ptr[prefix[-1] + 1]]]
-            return None, segment
-        count = self._arrays[level.count]                   # Counted
-        return None, lambda prefix: (0, [ind[prefix[-1],
-                                             :count[prefix[-1]]]])
+                lo, hi = int(ptr[prefix[-1]]), int(ptr[prefix[-1] + 1])
+                return range(lo, hi), [ind[lo:hi]]
+            return None, segment, None
+        count, address = self._arrays[level.count], level.address  # Counted
+        address = address and self._expr(address, level.slot)
+
+        def counted(prefix):
+            slots = range(count[prefix[-1]])
+            if not address:
+                return slots, [ind[prefix[-1], :len(slots)]]
+            states = [address(prefix + (k,)) for k in slots]
+            return states, [ind[states]]
+        return None, counted, None
+
+    def _coordinate(self, coord, perm: Optional[str], extent: int) -> np.ndarray:
+        """The keys of slots ``0 .. extent`` on one axis of a ``Coords``
+        level (``perm``: the array the view permutes the axis through)."""
+        if not isinstance(coord, Perm):
+            return self._arrays[coord][:extent]
+        ptr, k = self._arrays[coord.stored.ptr], np.arange(extent)
+        return self._arrays[perm][k - ptr[np.searchsorted(ptr, k, "right") - 1]]
 
     def interval(self, step: int, prefix: Tuple) -> Optional[Tuple[int, int]]:
         iv = self._intervals[step]
         return iv(prefix) if iv else None
 
     def enumerate(self, step: int, prefix: Tuple) -> Iterator[Tuple[Tuple[int, ...], object]]:
-        iv = self._intervals[step]
-        if iv:
-            for v in range(*iv(prefix)):
+        slots = self._slots[step]
+        if slots is None:
+            for v in range(*self._intervals[step](prefix)):
                 yield (v,), v
             return
-        lo, segments = self._slots[step](prefix)
-        entries = enumerate(zip(*[s.tolist() for s in segments]), lo)
+        states, segments = slots(prefix)
+        entries = zip(states, zip(*[s.tolist() for s in segments]))
         if self._skips_diagonal[step]:
             for k, keys in entries:
                 if keys[0] != prefix[-1]:
@@ -204,17 +247,20 @@ class LevelRuntime(PathRuntime):
         iv = self._intervals[step]
         if iv:
             lo, hi = iv(prefix)
-            return keys[0] if lo <= keys[0] < hi else None
+            if not lo <= keys[0] < hi:
+                return None
+            inverse = self._inverses[step]
+            return keys[0] if inverse is None else int(inverse[keys[0]])
         if self._skips_diagonal[step] and keys[0] == prefix[-1]:
             return None
-        lo, segments = self._slots[step](prefix)
+        states, segments = self._slots[step](prefix)
         if self.how[step] == BINARY:
             (segment,), (key,) = segments, keys
             k = int(np.searchsorted(segment, key))
-            return lo + k if k < len(segment) and segment[k] == key else None
+            return states[k] if k < len(segment) and segment[k] == key else None
         hits = np.nonzero(np.logical_and.reduce(
             [s == key for s, key in zip(segments, keys)]))[0]
-        return lo + int(hits[0]) if hits.size else None
+        return states[int(hits[0])] if hits.size else None
 
     def get(self, prefix: Tuple) -> float:
         return float(self._values[self._address(prefix)])
@@ -404,14 +450,15 @@ class SparseFormat:
         stored data on a dimension can be fused into its enumeration (the
         enumeration must be *total* over the statement's instances, or some
         instances would silently never execute).  Default: the axes of a
-        declared ``Dense`` level (a format that declares no storage
-        overrides this)."""
+        declared ``Dense`` level, permuted or not (a format that declares
+        no storage overrides this)."""
         for p in self.paths():
             decl = self.storage(p.path_id)
             if (decl is None or axis_name not in p.axis_names
                     or len(decl.levels) != len(p.steps)):
                 continue
             level = decl.levels[p.step_of(axis_name)]
+            level = level.stored if isinstance(level, Perm) else level
             if isinstance(level, Dense):
                 for a in decl.args:
                     if (isinstance(a, Size) and a.local == level.extent

@@ -17,16 +17,20 @@ Index structure (paper Section 2 / appendix A.2)::
 - the *rows* perspective gives random access to permuted rows (and hence,
   through the inverse permutation, to logical rows — which is what a
   restructured triangular solve needs, paper Figure 9).
+
+Both are declared (:data:`STORAGE`) in :mod:`repro.formats.levels` terms
+and read like any format's: the permuted row is a ``Perm`` of the slot's
+``Offset`` in its diagonal (flat), of a ``Dense`` level searched through
+``ipermi`` (rows).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.formats.base import (
-    PathRuntime,
     SparseFormat,
     coo_contract,
     coo_dedup_sort,
@@ -34,6 +38,9 @@ from repro.formats.base import (
     index_array,
     storage_index_dtype,
     pointer_array,
+)
+from repro.formats.levels import (
+    Coords, Counted, Dense, Offset, Perm, Size, Storage, at,
 )
 from repro.formats.views import (
     Axis,
@@ -50,77 +57,22 @@ from repro.formats.views import (
     interval_axis,
 )
 
+#: every array and size a JAD kernel takes, on either path
+_ARGS = ("iperm", "ipermi", "dptr", "colind", "values", "rowcnt",
+         Size("m", "nrows"), Size("nnz", "nnz"))
 
-class JadFlatRuntime(PathRuntime):
-    """Diagonal-major enumeration: the JadFlat/JadFlatIterator analog."""
-
-    def __init__(self, fmt: "JadMatrix", path):
-        self.fmt = fmt
-        self.path = path
-
-    def enumerate(self, step: int, prefix: Tuple) -> Iterator[Tuple[Tuple[int, ...], object]]:
-        fmt = self.fmt
-        d = 0
-        for jj in range(fmt.nnz):
-            while jj >= fmt.dptr[d + 1]:
-                d += 1
-            rr = jj - int(fmt.dptr[d])
-            yield (int(fmt.iperm[rr]), int(fmt.colind[jj])), jj
-
-    def search(self, step: int, prefix: Tuple, keys: Tuple[int, ...]) -> Optional[object]:
-        r, c = keys
-        rr = self.fmt.rr_of(r)
-        if rr is None:
-            return None
-        jj = self.fmt.find_in_row(rr, c)
-        return jj
-
-    def get(self, prefix: Tuple) -> float:
-        (jj,) = prefix
-        return float(self.fmt.values[jj])
-
-    def set(self, prefix: Tuple, value: float) -> None:
-        (jj,) = prefix
-        self.fmt.values[jj] = value
-
-
-class JadRowsRuntime(PathRuntime):
-    """Row-oriented access: the JadHier/JadRow/JadRowIterator analog."""
-
-    def __init__(self, fmt: "JadMatrix", path):
-        self.fmt = fmt
-        self.path = path
-
-    def enumerate(self, step: int, prefix: Tuple) -> Iterator[Tuple[Tuple[int, ...], object]]:
-        fmt = self.fmt
-        if step == 0:
-            for rr in range(fmt.nrows):
-                yield (int(fmt.iperm[rr]),), rr
-        else:
-            (rr,) = prefix
-            for d in range(int(fmt.rowcnt[rr])):
-                jj = int(fmt.dptr[d]) + rr
-                yield (int(fmt.colind[jj]),), jj
-
-    def search(self, step: int, prefix: Tuple, keys: Tuple[int, ...]) -> Optional[object]:
-        fmt = self.fmt
-        if step == 0:
-            (r,) = keys
-            return fmt.rr_of(r)
-        (rr,) = prefix
-        (c,) = keys
-        return fmt.find_in_row(rr, c)
-
-    def interval(self, step: int, prefix: Tuple) -> Optional[Tuple[int, int]]:
-        # logical rows form the interval [0, m): enumerate r and search rr
-        # through the inverse permutation (paper Figure 9's structure)
-        return (0, self.fmt.nrows) if step == 0 else None
-
-    def get(self, prefix: Tuple) -> float:
-        return float(self.fmt.values[prefix[1]])
-
-    def set(self, prefix: Tuple, value: float) -> None:
-        self.fmt.values[prefix[1]] = value
+#: flat: the slots diagonal-major (the paper's JadFlatIterator); rows: the
+#: permuted rows, entry ``dd`` of row ``rr`` at ``dptr[dd] + rr`` (JadRow)
+STORAGE = {
+    "flat": Storage(
+        (Coords((Perm(Offset("dptr"), "ipermi"), "colind"), "nnz", slot="jj"),),
+        ("values", "c"), _ARGS),
+    "rows": Storage(
+        (Perm(Dense("m"), "ipermi"),
+         Counted("rowcnt", "colind", slot="dd",
+                 address=("+", at("dptr", "dd"), "r"))),
+        ("values", "c"), _ARGS),
+}
 
 
 class JadMatrix(SparseFormat):
@@ -147,9 +99,14 @@ class JadMatrix(SparseFormat):
         self.dptr = pointer_array(dptr, idx, "dptr", np.size(dptr) - 1,
                                   self.values.size)
         self.colind = index_array(colind, idx, "colind", self.ncols)
+        if np.any(np.bincount(self.iperm, minlength=self.nrows) != 1):
+            raise ValueError(f"iperm is not a permutation of [0, {self.nrows})")
         lens = np.diff(self.dptr)
         if lens.size > 1 and np.any(lens[1:] > lens[:-1]):
             raise ValueError("jagged diagonal lengths must be non-increasing")
+        if lens.size and lens[0] > self.nrows:
+            raise ValueError(f"dptr: the first jagged diagonal holds {lens[0]} "
+                             f"entries, more than the {self.nrows} rows")
         # entries per permuted row: rr has one entry in each diagonal longer
         # than rr; lens is non-increasing, so the count is a binary search
         # over the reversed (ascending) lengths instead of an O(m * nd) scan
@@ -164,15 +121,12 @@ class JadMatrix(SparseFormat):
     def ndiags(self) -> int:
         return self.dptr.size - 1
 
-    def rr_of(self, r: int) -> Optional[int]:
-        """Permuted index of logical row r (inverse permutation)."""
-        if 0 <= r < self.nrows:
-            return int(self.ipermi[r])
-        return None
-
-    def find_in_row(self, rr: int, c: int) -> Optional[int]:
-        """Position jj of column c within permuted row rr (binary search
-        over the diagonals: column indices increase along a row)."""
+    def _find(self, r: int, c: int) -> Optional[int]:
+        """Position of ``(r, c)`` (None: not stored): row ``ipermi[r]``,
+        bisected over its diagonals — columns increase along a row."""
+        if not 0 <= r < self.nrows:
+            return None
+        rr = int(self.ipermi[r])
         lo, hi = 0, int(self.rowcnt[rr])
         while lo < hi:
             mid = (lo + hi) // 2
@@ -192,15 +146,11 @@ class JadMatrix(SparseFormat):
         return int(self.values.size)
 
     def get(self, r: int, c: int) -> float:
-        rr = self.rr_of(r)
-        if rr is None:
-            return 0.0
-        jj = self.find_in_row(rr, c)
+        jj = self._find(r, c)
         return float(self.values[jj]) if jj is not None else 0.0
 
     def set(self, r: int, c: int, v: float) -> None:
-        rr = self.rr_of(r)
-        jj = self.find_in_row(rr, c) if rr is not None else None
+        jj = self._find(r, c)
         if jj is None:
             raise KeyError(f"({r},{c}) is not stored (fill is not supported)")
         self.values[jj] = v
@@ -260,17 +210,8 @@ class JadMatrix(SparseFormat):
         hier = Nest(interval_axis("rr"), Nest(Axis("c", INCREASING, BINARY), Value()))
         return PermTerm("r", "rr", "iperm", Perspective(flat, hier))
 
+    def storage(self, path_id: str) -> Storage:
+        return STORAGE[path_id]
+
     def path_ids(self) -> Optional[List[str]]:
         return ["flat", "rows"]
-
-    def runtime(self, path_id: str) -> PathRuntime:
-        if path_id == "flat":
-            return JadFlatRuntime(self, self.path(path_id))
-        if path_id == "rows":
-            return JadRowsRuntime(self, self.path(path_id))
-        raise KeyError(path_id)
-
-    def axis_total(self, axis_name):
-        # iperm is a bijection on [0, m): row-oriented enumeration (and the
-        # interval+inverse-permutation search) visits every logical row
-        return (0, self.nrows) if axis_name == "r" else None

@@ -11,11 +11,17 @@ interpreter and the generic BLAS.  A format that declares nothing writes
 its own :class:`~repro.formats.base.PathRuntime` and runs as Python only.
 
 A level names attributes of the format instance (arrays) and declared
-sizes.  Where a level takes an *expression* (``Range`` bounds, the value's
-index) it is an ``int``, the local name of a :class:`Size`, the name of an
-axis of the path (the state its level yields: the key for ``Dense`` and
-``Range``, the slot position for the others), :func:`at`, or
-``(op, operand, ...)`` with ``op`` one of ``+ - min max neg``.
+sizes.  Where a level takes an *expression* (``Range`` bounds, a slot's
+address, the value's index) it is an ``int``, the local name of a
+:class:`Size`, the name of an axis of the path (the state its level
+yields: the key for ``Dense``/``Range``, the position for a :class:`Perm`,
+the slot — or its address — for the others), :func:`at`, or ``(op,
+operand, ...)`` with ``op`` one of ``+ - min max neg``.
+
+An axis the view permutes (``perm{P(in) |-> out : E}``) is declared by a
+:class:`Perm`, and no other is: a ``Perm`` of a ``Dense`` level, or, as a
+``Coords`` coordinate, of an :class:`Offset` — a slot's offset in its
+pointer segment.  JAD's two paths use both.
 """
 
 from __future__ import annotations
@@ -48,18 +54,39 @@ class Compressed(NamedTuple):
 
 class Counted(NamedTuple):
     """Slots ``0 .. count[p]`` of row ``p`` of the 2-d coordinate array
-    ``ind`` (ELL)."""
+    ``ind`` (ELL) — or, given an ``address`` expression that may name
+    ``slot``, of a 1-d ``ind`` at that address, which is then the state
+    (JAD's rows: ``dptr[dd] + rr``)."""
     count: str
     ind: str
     slot: str = "kk"
+    address: object = None
 
 
 class Coords(NamedTuple):
-    """Slots ``0 .. extent`` of coordinate arrays enumerated together, one
-    per axis of a joint step (COO)."""
-    inds: Tuple[str, ...]
+    """Slots ``0 .. extent`` of coordinates enumerated together, one per
+    axis of a joint step (COO): an array holding the coordinate of every
+    slot, or a :class:`Perm` of an :class:`Offset`."""
+    inds: Tuple
     extent: str
     slot: str = "k"
+
+
+class Perm(NamedTuple):
+    """An axis the view permutes through ``P``: ``stored`` (a ``Dense``
+    level, or an ``Offset``) holds positions ``x``, each the key ``P[x]``.
+    Over ``Dense`` the state is ``x``; a search for ``r`` is ``inverse[r]``
+    if ``0 <= r < extent`` (else absent), and the interval stays ``[0,
+    extent)``: ``P`` is a bijection of it."""
+    stored: object
+    inverse: str
+
+
+class Offset(NamedTuple):
+    """Slot ``k``'s coordinate ``k - ptr[d]``, ``d`` the segment holding
+    ``k``, walked forward as the slots are visited: its step is unordered
+    and, when searched, scanned."""
+    ptr: str
 
 
 def Sorted(ind: str, extent: str, slot: str = "k") -> Coords:

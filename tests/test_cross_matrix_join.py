@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.codegen.emitters import JadEmitter
+from repro.codegen.emitters import ViewEmitter, make_emitter
 from repro.codegen.loopir import (
     ArrayArg, Builder, If, KernelIR, Load, Store, V, While, ZERO, walk,
 )
@@ -213,8 +213,9 @@ def test_search_kernels_agree_across_backends(name, fa, fb, target, width,
 @pytest.mark.parametrize("width", [np.int32, np.int64],
                          ids=lambda w: np.dtype(w).name)
 def test_jad_flat_search(width, mats):
-    """The flat perspective's search — unmap the row, then bisect it — on
-    keys inside, outside and absent; no plan above reaches it."""
+    """The flat perspective's search — a scan of the diagonal-major walk
+    for the slot whose permuted row and column match — on keys inside,
+    outside and absent; no plan above reaches it."""
     B = at_width(as_format(mats[1], "jad"), width)
     queries = [(r, c) for r in range(-1, 9) for c in range(-1, 11)]
     b = Builder()
@@ -222,9 +223,9 @@ def test_jad_flat_search(width, mats):
                   for n in ("rows", "cols"))
     out = b.arg(ArrayArg("out", ("array", "out"), "float64", 1))
     out.written = True
-    ref = types.SimpleNamespace(array="B",
-                                path=types.SimpleNamespace(path_id="flat"))
-    em = JadEmitter(ref, "M0", B, b)
+    ref = types.SimpleNamespace(array="B", path=B.path("flat"))
+    em = make_emitter(ref, "M0", B, b)
+    assert isinstance(em, ViewEmitter)
     q = em.count("q", ZERO, LinExpr.constant(len(queries)), False, ("q",))
     keys = [V(em.let(n, Load(a, (V(q),)))) for n, a in
             (("r", rows), ("c", cols))]

@@ -13,20 +13,25 @@ import pytest
 from repro.codegen import run_plan
 from repro.codegen.emitters import GenericEmitter, ViewEmitter, make_emitter
 from repro.codegen.loopir import BinOp, Builder, While, walk
+from repro.codegen.native import lower_kernel
 from repro.core import NativeBackendWarning, compile_kernel
 from repro.core import backend as be
 from repro.core.spaces import build_copies
 from repro.formats import as_format
 from repro.formats.base import PathRuntime, SparseFormat, coo_dedup_sort
 from repro.formats.csr import CsrMatrix
-from repro.formats.levels import Coords, Dense, Size, Storage
+from repro.formats.jad import JadMatrix
+from repro.formats.levels import Coords, Dense, Offset, Perm, Size, Storage
 from repro.formats.views import (
     Axis,
     BINARY,
     INCREASING,
     Joint,
     LINEAR,
+    NOSEARCH,
     Nest,
+    PermTerm,
+    Perspective,
     Term,
     UNORDERED,
     Value,
@@ -34,7 +39,7 @@ from repro.formats.views import (
 )
 from repro.instrument import INSTR
 from repro.ir import execute_dense
-from repro.ir.kernels import col_sums, mvm, mvm_t
+from repro.ir.kernels import col_sums, mvm, mvm_t, scale
 
 
 class ColSortedCoo(SparseFormat):
@@ -312,6 +317,69 @@ class TestDeclarationIsChecked:
         # ... and a dense level answers by a bounds check, not by scanning
         fmt = self._broken(declared, levels=(Dense("nnz"),))
         _rejected(fmt, r"axis c, r.*linear search.*Dense.*direct")
+
+    def test_a_permuted_axis_is_declared_by_a_perm(self, declared):
+        """... and only a permuted one."""
+
+        class Unpermuted(JadMatrix):
+            format_name = "unpermuted"
+
+            def storage(self, path_id):
+                return JadMatrix.storage(self, path_id)._replace(levels=(
+                    Coords((Offset("dptr"), "colind"), "nnz", slot="jj"),))
+
+        _rejected(Unpermuted.from_dense(np.eye(3)),
+                  r"'unpermuted', path 'flat', axis r: the view permutes "
+                  r"it through 'iperm', the storage declares no Perm")
+        for coord in (Perm(Offset("rows"), "cols"), Offset("rows")):
+            fmt = self._broken(declared, levels=(
+                Coords((coord, "rows"), "nnz"),))
+            _rejected(fmt, r"'broken', path 'flat', axis c: a Perm or Offset "
+                           r"on an axis the view does not permute")
+
+    @pytest.mark.parametrize("c, match", [
+        (Axis("c", INCREASING, NOSEARCH),
+         r"'walked', path 'flat', axis r, c: an Offset is walked forward"),
+        (Axis("c", UNORDERED, BINARY),
+         r"'walked', path 'flat', axis r, c: the view declares a binary "
+         r"search, a Coords level builds linear"),
+    ])
+    def test_an_offset_is_only_walked_forward(self, c, match):
+        """The segment of an ``Offset`` is found by a walk that only moves
+        forward: a step that could be enumerated in reverse (an ordered
+        axis) or bisected has none."""
+
+        class Walked(JadMatrix):
+            format_name = "walked"
+
+            def view(self):
+                flat = Joint([Axis("rr", UNORDERED, c.search), c], Value())
+                hier = Nest(interval_axis("rr"),
+                            Nest(Axis("c", INCREASING, BINARY), Value()))
+                return PermTerm("r", "rr", "iperm", Perspective(flat, hier))
+
+        _rejected(Walked.from_dense(np.eye(3)), match)
+
+    def test_an_offset_walk_is_never_doall(self):
+        """Each slot starts from the segment the slot before it ended in,
+        so the walked loop stays sequential even where every slot is
+        independent (``scale`` on a format whose one path is the walk)."""
+
+        class FlatOnly(JadMatrix):
+            format_name = "flat_only"
+
+            def view(self):
+                return PermTerm("r", "rr", "iperm", Joint(
+                    [Axis("rr", UNORDERED, NOSEARCH),
+                     Axis("c", UNORDERED, NOSEARCH)], Value()))
+
+            def path_ids(self):
+                return ["flat"]
+
+        k = compile_kernel(scale(), {"A": FlatOnly.from_dense(np.eye(3))},
+                           backend="python", cache="off")
+        c = lower_kernel(k, parallel="strict").c_source
+        assert "while" in c and "omp" not in c
 
     def test_linear_axis_never_receives_bisect(self, small_rect_module, rng):
         """Dispatch used to be by ``format_name``: a CSR subclass whose

@@ -72,6 +72,14 @@ class TestConstructorValidation:
         with pytest.raises(ValueError):
             JadMatrix(np.array([0, 1]), np.array([0, 1, 3]),
                       np.array([0, 0, 1]), np.array([1.0, 1.0, 1.0]), (2, 2))
+        # every row once: ipermi would hold an unset entry, and the kernels
+        # index rowcnt with it
+        with pytest.raises(ValueError, match="iperm"):
+            JadMatrix([0, 0, 1], [0, 3], [0, 1, 2], [1.0, 2.0, 3.0], (3, 3))
+        # a diagonal has one entry per row at most: the flat walk would
+        # read iperm past its end
+        with pytest.raises(ValueError, match="dptr"):
+            JadMatrix([0, 1, 2], [0, 5], [0, 1, 2, 0, 1], np.ones(5), (3, 3))
 
     def test_msr_validation(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.formats import FORMATS, as_format, convert
 from repro.formats.base import SparseFormat
-from repro.formats.levels import Compressed, Size
+from repro.formats.levels import Compressed, Counted, Perm, Size, at
 from tests.conftest import at_width
 
 ALL = ["dense", "coo", "csr", "csc", "dia", "ell", "jad", "bsr", "msr"]
@@ -187,6 +187,14 @@ WRONG = {
     "sym mirror's off_diagonal dropped":
         ("sym", lambda d: d._replace(
             levels=(d.levels[0], d.levels[1]._replace(off_diagonal=False)))),
+    "jad perm and inverse swapped (rows searched through iperm)":
+        ("jad", lambda d: d._replace(levels=tuple(
+            level._replace(inverse="iperm") if isinstance(level, Perm)
+            else level for level in d.levels))),
+    "jad row entry at dptr[dd], without + rr":
+        ("jad", lambda d: d._replace(levels=tuple(
+            level._replace(address=at("dptr", "dd"))
+            if isinstance(level, Counted) else level for level in d.levels))),
 }
 
 
@@ -231,7 +239,9 @@ class TestEnumerationRuntime:
         not, so a mistake in one shows against the other."""
         name, edit = WRONG[mistake]
         a = np.array([[1.0, 0, 2, 0], [0, 3, 0, 0], [2, 0, 5, 6], [0, 0, 6, 0]])
-        a = a if name == "sym" else a[:, :3]   # ncols < nrows: a row is missed
+        # ncols < nrows: a row is missed; the rows' order leaves JAD an iperm
+        # that is not its own inverse
+        a = a if name == "sym" else a[[3, 0, 1, 2], :3]
         right = FORMATS[name]
         wrong = type("Wrong", (right,), {
             "storage": lambda self, path_id:

@@ -352,9 +352,9 @@ def search_ir(kind, dtype):
             [Assign(pos, BinOp("+", Load(aux, (mid,)), C(1)))],
             Load(ind, (V(pos),)), V(pos)))
     else:
-        (found,), cond = em.scan("f", ZERO, hi, lambda k: And((
+        (found,), cond = em.scan("f", ZERO, hi, lambda k: ([], And((
             Cmp("==", Load(ind, (k,)), key),
-            Cmp("==", Load(aux, (k,)), key + 1))))
+            Cmp("==", Load(aux, (k,)), key + 1))), k))
     assert cond == Cmp(">=", V(found), ZERO)
     b.add(Store(out, (V(q),), V(found)))
     return KernelIR(b.args, b.body)
@@ -473,8 +473,8 @@ def test_a_search_is_statements_the_scheduler_sees_into():
 
 @functools.lru_cache(maxsize=None)
 def declared_paths():
-    """Every (format, path id) of the built-in formats that declares its
-    storage — all but JAD's two."""
+    """Every (format, path id) of the built-in formats: each declares its
+    storage."""
     from repro.formats import FORMATS
 
     found, undeclared = [], set()
@@ -485,7 +485,7 @@ def declared_paths():
                 undeclared.add(name)
             else:
                 found.append((name, path.path_id))
-    assert undeclared == {"jad"} and len(found) == 13
+    assert undeclared == set() and len(found) == 15
     return found
 
 
@@ -675,7 +675,7 @@ def test_declarations_agree_with_runtimes(case):
 
 
 def test_every_declared_path_is_walked():
-    """The wall above samples; this visits each of the 13 paths once, at
+    """The wall above samples; this visits each of the 15 paths once, at
     both widths, on one matrix with an empty row, an empty column and a
     full diagonal block."""
     a = np.array([[1.0, 0, 2, 0], [0, 3, 0, 0], [2, 0, 4, 0], [0, 0, 0, 0]])
