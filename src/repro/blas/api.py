@@ -401,13 +401,11 @@ def spgemm(A: SparseFormat, B: SparseFormat,
         choice = select_output_format(rows, cols, shape)
         out_format, format_kwargs = choice.format_name, choice.format_kwargs
     from repro.formats.convert import FORMATS
-    from repro.search.format_select import check_padded_storage
 
     cls = FORMATS.get(out_format)
     if cls is None:
         raise ValueError(f"spgemm: unknown output format {out_format!r}")
     try:
-        check_padded_storage(out_format, rows, cols, shape)
         return cls._from_canonical_coo(rows, cols, vals, shape,
                                        **format_kwargs)
     except (ValueError, KeyError):

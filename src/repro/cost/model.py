@@ -15,8 +15,8 @@ gather-and-sort; ``SearchCost`` on the search capability of the axis
 are combined (shared state is free, searches pay per value).
 
 Because the compiler runs against a concrete matrix instance, trip counts
-come from the instance itself (rows, nnz, diagonal count, ...), not from
-symbolic guesses.
+come from the instance itself — the sizes of its declared levels — not
+from symbolic guesses.
 """
 
 from __future__ import annotations
@@ -26,14 +26,12 @@ import threading
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.plan import (
-    DRIVER,
     ExecNode,
     IntervalEnum,
     LoopNode,
     Plan,
     PlanNode,
     SEARCH,
-    SHARED,
     SearchEnum,
     SortedEnum,
     StoredEnum,
@@ -41,7 +39,7 @@ from repro.core.plan import (
 )
 from repro.cost import params as P
 from repro.formats.base import SparseFormat
-from repro.formats.views import BINARY, DIRECT, LINEAR, NOSEARCH
+from repro.formats.views import BINARY, DIRECT
 
 
 #: guards creation of the per-instance memo dict and insertion into it
@@ -51,13 +49,14 @@ _STEP_TOTALS_LOCK = threading.Lock()
 
 def step_totals(fmt: SparseFormat, path_id: str) -> List[float]:
     """Total number of (key, state) pairs produced at each step of a path,
-    summed over all prefixes — e.g. CSR "rows": [m, nnz].
+    summed over all prefixes — e.g. CSR "rows": [m, nnz] — read from the
+    path's declared levels (:meth:`LevelRuntime.totals`); a format that
+    declares none is walked entry by entry.
 
-    Memoized per format *instance* (instances are immutable once built), so
-    unknown formats pay the exact enumeration measurement once.  Insertion
-    is locked: concurrent auto-mode selections share instances, and an
-    unguarded ``__dict__.setdefault`` race could hand two threads two
-    different memo dicts, losing one's entries.  First writer wins, so
+    Memoized per format *instance* (instances are immutable once built).
+    Insertion is locked: concurrent auto-mode selections share instances,
+    and an unguarded ``__dict__.setdefault`` race could hand two threads
+    two different memo dicts, losing one's entries.  First writer wins, so
     every caller converges on one shared list per path."""
     cache: Optional[Dict[str, List[float]]] = fmt.__dict__.get(
         "_step_totals_cache")
@@ -65,66 +64,22 @@ def step_totals(fmt: SparseFormat, path_id: str) -> List[float]:
         hit = cache.get(path_id)
         if hit is not None:
             return hit
-    computed = _step_totals_uncached(fmt, path_id)
+    computed = fmt.runtime(path_id).totals()
     with _STEP_TOTALS_LOCK:
         cache = fmt.__dict__.setdefault("_step_totals_cache", {})
         return cache.setdefault(path_id, computed)
 
 
-def _step_totals_uncached(fmt: SparseFormat, path_id: str) -> List[float]:
-    name = fmt.format_name
-    m, n = fmt.nrows, fmt.ncols
-    nnz = max(1, fmt.nnz)
-    if name == "dense":
-        return [m, m * n] if path_id == "rowmajor" else [n, m * n]
-    if name == "csr":
-        return [m, nnz]
-    if name == "csc":
-        return [n, nnz]
-    if name == "coo":
-        return [nnz]
-    if name == "ell":
-        return [m, nnz]
-    if name == "dia":
-        ndiags = max(1, len(getattr(fmt, "diags", [1])))
-        return [ndiags, nnz]
-    if name == "jad":
-        if path_id == "flat":
-            return [nnz]
-        return [m, nnz]
-    if name == "bsr":
-        nblocks = max(1, getattr(fmt, "blockind").size)
-        s = fmt.block_size
-        return [fmt.block_rows, nblocks, nblocks * s, nblocks * s * s]
-    if name == "msr":
-        if path_id == "diag":
-            return [fmt.ndiag]
-        return [m, max(1, getattr(fmt, "values").size)]
-    # unknown format: measure by enumerating (exact, possibly slow)
-    return _measured_step_totals(fmt, path_id)
+def _width(fmt: SparseFormat, path_id: str, step: int) -> float:
+    """Entries a step yields per state of the step enclosing it."""
+    totals = step_totals(fmt, path_id)
+    return totals[step] / max(1.0, totals[step - 1] if step > 0 else 1.0)
 
 
-def _measured_step_totals(fmt: SparseFormat, path_id: str) -> List[float]:
-    path = fmt.path(path_id)
-    rt = fmt.runtime(path_id)
-    totals = [0.0] * len(path.steps)
-
-    def walk(step: int, prefix: Tuple):
-        if step == len(path.steps):
-            return
-        for _keys, st in rt.enumerate(step, prefix):
-            totals[step] += 1
-            walk(step + 1, prefix + (st,))
-
-    walk(0, ())
-    return totals
-
-
-def _search_cost(fmt: SparseFormat, path_id: str, step: int, avg_width: float) -> float:
-    path = fmt.path(path_id)
-    axes = path.steps[step].axes
+def _search_cost(fmt: SparseFormat, path_id: str, step: int) -> float:
+    avg_width = _width(fmt, path_id, step)
     cost = 0.0
-    for a in axes:
+    for a in fmt.path(path_id).steps[step].axes:
         if a.search == DIRECT or a.interval:
             cost += P.SEARCH_DIRECT
         elif a.search == BINARY:
@@ -156,33 +111,28 @@ def plan_cost(plan: Plan, param_values: Optional[Mapping[str, int]] = None,
     def fmt_of(ref):
         return fmts.get(ref.array, ref.fmt)
 
-    def loop_stats(method) -> Tuple[float, float, float]:
-        """(trips per visit, per-trip enumeration cost, fixed per-visit cost)."""
-        fmt = fmt_of(method.driver)
-        totals = step_totals(fmt, method.driver.path.path_id)
-        step = method.step
-        outer = totals[step - 1] if step > 0 else 1.0
-        width = totals[step] / max(1.0, outer)
+    def loop_stats(method) -> Tuple[float, float]:
+        """(trips per visit, per-trip enumeration cost)."""
+        fmt, step = fmt_of(method.driver), method.step
+        path_id = method.driver.path.path_id
+        width = _width(fmt, path_id, step)
         if isinstance(method, StoredEnum):
-            return width, P.ENUM_VISIT, 0.0
+            return width, P.ENUM_VISIT
         if isinstance(method, SortedEnum):
             logw = max(1.0, math.log2(max(2.0, width)))
-            return width, P.ENUM_VISIT + P.SORT_GATHER + logw, 0.0
+            return width, P.ENUM_VISIT + P.SORT_GATHER + logw
         if isinstance(method, SearchEnum):
             # one search; at most one trip survives
-            return 1.0, _search_cost(fmt, method.driver.path.path_id, step, width), 0.0
+            return 1.0, _search_cost(fmt, path_id, step)
         if isinstance(method, IntervalEnum):
             # the counter walks the whole axis range; hits are `width`
-            rng = None
-            ar = None
             axes = method.driver.path.steps[step].names
-            if axes:
-                ar = fmt.axis_range(axes[0])
+            ar = fmt.axis_range(axes[0]) if axes else None
             span = float(ar[1] - ar[0]) if ar else width
-            search = _search_cost(fmt, method.driver.path.path_id, step, width)
+            search = _search_cost(fmt, path_id, step)
             # cost charged per *hit*: amortize counter steps over hits
             per_hit = search + P.INTERVAL_STEP * span / max(1.0, width)
-            return width, per_hit, 0.0
+            return width, per_hit
         raise TypeError(f"unknown method {method!r}")
 
     def node_cost(node: PlanNode) -> float:
@@ -196,20 +146,15 @@ def plan_cost(plan: Plan, param_values: Optional[Mapping[str, int]] = None,
             body = sum(node_cost(c) for c in node.body)
             return trips * (P.BIND_COST * len(node.binds) + body)
         if isinstance(node, LoopNode):
-            trips, per_trip, fixed = loop_stats(node.method)
-            search = 0.0
-            for role in node.roles:
-                if role.role == SEARCH:
-                    fmt = fmt_of(role.ref)
-                    totals = step_totals(fmt, role.ref.path.path_id)
-                    outer = totals[role.step - 1] if role.step > 0 else 1.0
-                    width = totals[role.step] / max(1.0, outer)
-                    search += _search_cost(fmt, role.ref.path.path_id, role.step, width)
+            trips, per_trip = loop_stats(node.method)
+            search = sum(_search_cost(fmt_of(role.ref), role.ref.path.path_id,
+                                      role.step)
+                         for role in node.roles if role.role == SEARCH)
             body = sum(node_cost(c) for c in node.body)
             before = sum(node_cost(c) for c in node.before)
             after = sum(node_cost(c) for c in node.after)
             per_iter = per_trip + search + P.BIND_COST * len(node.binds) + body
-            return fixed + before + after + trips * per_iter
+            return before + after + trips * per_iter
         raise TypeError(f"unknown node {node!r}")
 
     return sum(node_cost(n) for n in plan.nodes)

@@ -66,6 +66,19 @@ class PathRuntime:
     def set(self, prefix: Tuple, value: float) -> None:
         raise NotImplementedError
 
+    def totals(self) -> List[float]:
+        """The ``(key, state)`` pairs each step yields, summed over every
+        prefix (CSR "rows": ``[m, nnz]``), by walking every stored entry;
+        a declared path sums its levels (:meth:`LevelRuntime.totals`)."""
+        totals, stack = [0.0] * len(self.path.steps), [()]
+        while stack:                    # depth first: no last-level prefix kept
+            prefix = stack.pop()
+            for _keys, st in self.enumerate(len(prefix), prefix):
+                totals[len(prefix)] += 1
+                if len(prefix) + 1 < len(totals):
+                    stack.append(prefix + (st,))
+        return totals
+
 
 def check_storage(fmt: "SparseFormat", path: AccessPath,
                   decl: Storage) -> List[str]:
@@ -122,6 +135,8 @@ def check_storage(fmt: "SparseFormat", path: AccessPath,
 
 _OPS = {"+": operator.add, "-": operator.sub, "min": min, "max": max,
         "neg": operator.neg}
+#: the same operators over arrays of states, an entry per prefix
+_ELEMENTWISE = dict(_OPS, min=np.minimum, max=np.maximum)
 
 
 class LevelRuntime(PathRuntime):
@@ -137,6 +152,7 @@ class LevelRuntime(PathRuntime):
     def __init__(self, fmt: "SparseFormat", path: AccessPath, decl: Storage):
         self.path = path
         self.how = check_storage(fmt, path, decl)
+        self._levels = decl.levels
         self._sizes, self._arrays = {}, {}
         for a in decl.args:
             if not isinstance(a, Size):
@@ -155,9 +171,11 @@ class LevelRuntime(PathRuntime):
         self._address = index[0] if len(index) == 1 else (
             lambda prefix: tuple([i(prefix) for i in index]))
 
-    def _expr(self, e, slot: str = "") -> Callable[[Tuple], int]:
+    def _expr(self, e, slot: str = "",
+              elementwise: bool = False) -> Callable[[Tuple], int]:
         """A declared expression as a function of the prefix (followed by
-        the slot position, where the expression may name ``slot``)."""
+        the slot position, where the expression may name ``slot``); with
+        ``elementwise``, of state arrays, an entry per prefix."""
         if isinstance(e, int):
             return lambda prefix: e
         if isinstance(e, str):
@@ -170,9 +188,12 @@ class LevelRuntime(PathRuntime):
         op, *operands = e
         if op == "at":
             array = self._arrays[operands[0]]
-            index = self._expr(operands[1], slot)
+            index = self._expr(operands[1], slot, elementwise)
+            if elementwise:
+                return lambda prefix: array[index(prefix)].astype(np.int64)
             return lambda prefix: int(array[index(prefix)])
-        fn, operands = _OPS[op], [self._expr(x, slot) for x in operands]
+        fn = (_ELEMENTWISE if elementwise else _OPS)[op]
+        operands = [self._expr(x, slot, elementwise) for x in operands]
         return lambda prefix: fn(*[x(prefix) for x in operands])
 
     def _level(self, step, level):
@@ -222,6 +243,53 @@ class LevelRuntime(PathRuntime):
             return self._arrays[coord][:extent]
         ptr, k = self._arrays[coord.stored.ptr], np.arange(extent)
         return self._arrays[perm][k - ptr[np.searchsorted(ptr, k, "right") - 1]]
+
+    def totals(self) -> List[int]:
+        """:meth:`PathRuntime.totals` in closed form per level: ``Dense``
+        (permuted or not) and ``Coords`` are the enclosing count × the
+        extent, ``Compressed`` its segment lengths less the diagonal slot
+        under ``off_diagonal``, ``Counted`` its counts, ``Range`` the sum
+        of ``max(0, hi - lo)``.  A level holding slots, or a ``Range``,
+        reports at least 1.  The enclosing states (an array per step, an
+        entry per prefix) are built only for a level that reads them."""
+        totals, prefix = [], ()
+        for step, level in enumerate(self._levels):
+            level = level.stored if isinstance(level, Perm) else level
+            width = len(prefix[-1]) if prefix else 1
+            if isinstance(level, (Dense, Coords)):
+                extent = self._sizes[level.extent]
+                lo, lens = 0, np.full(width, extent)
+                total = (totals[-1] if totals else 1) * extent
+            else:
+                if isinstance(level, Range):
+                    lo, hi = (np.broadcast_to(
+                        self._expr(e, elementwise=True)(prefix), width)
+                        for e in (level.lo, level.hi))
+                    lens = np.maximum(0, hi - lo)
+                elif isinstance(level, Compressed):
+                    ptr, p = self._arrays[level.ptr], prefix[-1]
+                    lo = ptr[p]
+                    lens = ptr[1:][p] - lo
+                else:  # Counted
+                    lo, lens = 0, self._arrays[level.count][prefix[-1]]
+                total = int(lens.sum())
+            skip = self._skips_diagonal[step]
+            if skip or not all(isinstance(deeper, (Dense, Perm, Coords))
+                               for deeper in self._levels[step + 1:]):
+                enclosing = tuple(np.repeat(s, lens) for s in prefix)
+                states = np.arange(lens.sum()) + np.repeat(
+                    lo - (np.cumsum(lens) - lens), lens)
+                if skip:
+                    off = self._arrays[level.ind][states] != enclosing[-1]
+                    total = int(np.count_nonzero(off))
+                    enclosing = tuple(s[off] for s in enclosing)
+                    states = states[off]
+                if getattr(level, "address", None) is not None:
+                    states = self._expr(level.address, level.slot, True)(
+                        enclosing + (states,))
+                prefix = enclosing + (states,)
+            totals.append(total if isinstance(level, Dense) else max(1, total))
+        return totals
 
     def interval(self, step: int, prefix: Tuple) -> Optional[Tuple[int, int]]:
         iv = self._intervals[step]
@@ -570,6 +638,20 @@ def index_dtype(bound: int):
     between formats (``to_coo_arrays``, ``from_coo``, SpGEMM triples, the
     wire) are always int64."""
     return np.int32 if bound < _INDEX_LIMIT else np.int64
+
+
+#: DIA and ELL refuse a pattern whose padded cells exceed both this
+#: multiple of its entries and this many cells (128 MiB of float64)
+_PAD_RATIO = 64
+_PAD_MIN_CELLS = 1 << 24
+
+
+def check_padding(name: str, entries: int, cells: int) -> None:
+    """Raise ValueError, before a padded format allocates its ``cells``,
+    when they dwarf its ``entries``."""
+    if cells > max(_PAD_MIN_CELLS, _PAD_RATIO * entries):
+        raise ValueError(f"{name} would pad {entries} stored entries to "
+                         f"{cells} cells ({cells * 8 / 2**30:.1f} GiB)")
 
 
 def storage_index_dtype(shape: Tuple[int, int], cells: int):

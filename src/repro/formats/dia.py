@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.formats.base import (
     SparseFormat,
+    check_padding,
     coo_contract,
     coo_dedup_sort,
     index_array,
@@ -118,6 +119,7 @@ class DiaMatrix(SparseFormat):
     def _from_canonical_coo(cls, rows, cols, vals, shape) -> "DiaMatrix":
         ds = rows - cols
         diags = np.unique(ds)
+        check_padding("dia", rows.size, diags.size * shape[1])
         data = np.zeros((diags.size, shape[1]))
         k = np.searchsorted(diags, ds)
         data[k, cols] = vals

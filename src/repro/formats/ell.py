@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.formats.base import (
     SparseFormat,
+    check_padding,
     coo_contract,
     coo_dedup_sort,
     index_array,
@@ -89,7 +90,9 @@ class EllMatrix(SparseFormat):
         # (its position within the row), one vectorized assignment per array
         m, n = shape
         counts = np.bincount(rows, minlength=m)
-        K = max(int(counts.max(initial=0)), 1)
+        longest = int(counts.max(initial=0))
+        check_padding("ell", rows.size, m * longest)
+        K = max(longest, min(n, 1))     # no padding slot without a column
         colind = np.zeros((m, K), dtype=storage_index_dtype(shape, m * K))
         data = np.zeros((m, K))
         slot = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]

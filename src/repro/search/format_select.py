@@ -170,47 +170,16 @@ class SelectionResult:
 # Candidate construction
 # ---------------------------------------------------------------------------
 
-#: a padded format is not built for a pattern when its dense cells would
-#: exceed both this multiple of the stored entries and this many cells
-#: (128 MiB of float64): it could never win, and allocating it first is
-#: how a selection over a scattered n = 100k matrix died of MemoryError
-_PAD_RATIO = 64
-_PAD_MIN_CELLS = 1 << 24
-
-
-def check_padded_storage(name: str, rows, cols, shape) -> None:
-    """Raise ValueError when packing the canonical pattern ``rows``/
-    ``cols`` into the padded format ``name`` would allocate storage out
-    of all proportion to it — DIA's ``occupied diagonals x ncols``, ELL's
-    ``nrows x longest row`` — judged from the pattern's diagonal and
-    row-length counts (O(nnz + m + n)), with nothing allocated at the
-    padded size.  Formats that store only entries always pass."""
-    m, n = int(shape[0]), int(shape[1])
-    if name == "dia":
-        occupied = np.bincount(rows - cols + (n - 1), minlength=m + n - 1)
-        cells, what = int(np.count_nonzero(occupied)) * n, "diagonals x ncols"
-    elif name == "ell":
-        longest = int(np.bincount(rows, minlength=m).max(initial=0))
-        cells, what = m * longest, "nrows x longest row"
-    else:
-        return
-    if cells > max(_PAD_MIN_CELLS, _PAD_RATIO * rows.size):
-        raise ValueError(
-            f"{name} would pad {rows.size} stored entries to {cells} cells "
-            f"({what}, {cells * 8 / 2**30:.1f} GiB of values)")
-
-
 def _build_instance(name: str, matrix: SparseFormat, rows, cols, vals,
                     bounds, convert_kwargs) -> SparseFormat:
     """One candidate instance from the shared canonical COO triples
     (raises ValueError/KeyError when the format does not admit the
-    matrix, or would pad it beyond :func:`check_padded_storage`)."""
+    matrix, or would pad it out of all proportion)."""
     cls = FORMATS.get(name)
     if cls is None:
         raise KeyError(name)
     if cls is type(matrix) and (name != "bsr" or not convert_kwargs):
         return matrix  # same short-circuit convert() applies
-    check_padded_storage(name, rows, cols, matrix.shape)
     kw = convert_kwargs if name == "bsr" else {}
     inst = cls._from_canonical_coo(rows, cols, vals, matrix.shape, **kw)
     if bounds is not None:
@@ -314,7 +283,7 @@ def _rank_candidates(program, array_name, matrix, candidates, rows, cols,
         except (ValueError, KeyError, MemoryError) as e:
             # the format does not admit this matrix at all (BSR needs
             # divisible dimensions, SYM a square symmetric matrix, a padded
-            # format past check_padded_storage or past what the machine can
+            # format past check_padding or past what the machine can
             # allocate, ...): report a skip-with-reason choice rather than
             # crashing
             choices.append(FormatChoice(name, None, None,

@@ -34,14 +34,115 @@ class TestStepTotals:
         f = as_format(small_rect, "dense")
         assert step_totals(f, "rowmajor") == [6, 48]
 
-    def test_measured_agrees_with_analytic(self, small_rect):
-        from repro.cost.model import _measured_step_totals
 
-        for name in ["csr", "csc", "coo", "dia"]:
-            f = as_format(small_rect, name)
-            pid = f.paths()[0].path_id
-            assert _measured_step_totals(f, pid) == \
-                [float(x) for x in step_totals(f, pid)]
+def _skyline():
+    """The user format of ``examples/custom_format.py``."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "examples" / "custom_format.py"
+    spec = importlib.util.spec_from_file_location("custom_format", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SkylineMatrix
+
+
+def _wall_matrices():
+    from repro.formats.coo import CooMatrix
+    from repro.formats.generate import (
+        banded, block_structured, can_1072_like, laplacian_2d, power_law_rows,
+        random_sparse,
+    )
+
+    return {
+        "uniform": random_sparse(60, 60, 0.05, seed=1),
+        "banded": banded(60, bandwidth=2, seed=0),
+        "powerlaw": power_law_rows(60, 60, seed=0),
+        "block": block_structured(60, block_size=4, seed=0),
+        "laplacian": laplacian_2d(8),
+        "can_1072": can_1072_like(),
+        "rect": random_sparse(20, 34, 0.1, seed=3),
+        "empty": CooMatrix.from_coo([], [], [], (6, 6)),
+    }
+
+
+class TestDeclaredTotals:
+    """Wall: the closed forms :meth:`LevelRuntime.totals` sums from a
+    declaration equal the walk over every stored entry
+    (:meth:`PathRuntime.totals`) for every built-in format and path, the
+    skyline example and the declared user format, at both index widths —
+    up to the one rule the walk does not know: a level holding slots, or
+    a ``Range``, reports at least 1, and a ``Dense`` level multiplies that."""
+
+    @staticmethod
+    def _floored(fmt, decl, walked):
+        from repro.formats.levels import Dense, Perm, Size
+
+        def extent(level):
+            size = next(a for a in decl.args
+                        if isinstance(a, Size) and a.local == level.extent)
+            value = getattr(fmt, size.attr)
+            return len(value) if size.kind == "len" else int(value)
+
+        out = []
+        for level, total in zip(decl.levels, walked):
+            level = level.stored if isinstance(level, Perm) else level
+            if isinstance(level, Dense):
+                out.append((out[-1] if out else 1) * extent(level))
+            else:
+                out.append(max(1, total))
+        return out
+
+    @pytest.fixture(scope="class")
+    def instances(self):
+        from repro.formats.base import coo_dedup_sort
+        from repro.formats.convert import FORMATS
+        from tests.conftest import at_width
+        from tests.test_custom_format import DeclaredCoo
+
+        classes = dict(FORMATS, sky=_skyline(), cscoo=DeclaredCoo)
+        out = []
+        for mname, mat in _wall_matrices().items():
+            rows, cols, vals = mat.to_coo_arrays()
+            if mat.nrows == mat.ncols:   # SYM gets the symmetric part
+                sym = coo_dedup_sort(np.concatenate([rows, cols]),
+                                     np.concatenate([cols, rows]),
+                                     np.concatenate([vals, vals]), mat.shape)
+            for fname, cls in classes.items():
+                if fname == "sym" and mat.nrows != mat.ncols:
+                    continue
+                triples = sym if fname == "sym" else (rows, cols, vals)
+                inst = cls.from_coo(*triples, mat.shape)
+                for width in (np.int32, np.int64):
+                    out.append((f"{mname}/{fname}/{width.__name__}",
+                                at_width(inst, width)))
+        return out
+
+    def test_closed_forms_equal_the_walk(self, instances):
+        from repro.formats.base import LevelRuntime, PathRuntime
+
+        checked = set()
+        for label, fmt in instances:
+            for p in fmt.paths():
+                decl = fmt.storage(p.path_id)
+                rt = fmt.runtime(p.path_id)
+                assert isinstance(rt, LevelRuntime), label
+                walked = PathRuntime.totals(rt)
+                declared = rt.totals()
+                assert declared == self._floored(fmt, decl, walked), \
+                    (label, p.path_id, walked)
+                if min(walked) >= 1:
+                    assert declared == walked, (label, p.path_id)
+                assert step_totals(fmt, p.path_id) == declared
+                checked.add((label.split("/")[1], p.path_id))
+        assert len(checked) == 17   # every path of every format
+
+    def test_an_undeclared_format_is_walked(self, small_rect):
+        from tests.test_custom_format import ColSortedCoo
+
+        f = ColSortedCoo.from_dense(small_rect)
+        assert f.storage("flat") is None
+        assert step_totals(f, "flat") == [float(f.nnz)]
 
 
 class TestPlanCost:

@@ -245,43 +245,53 @@ class TestChoiceRobustness:
 
         return CsrMatrix.from_coo(rows, cols, np.ones(rows.size), (n, n))
 
-    def test_unbuildable_padded_candidates_are_inapplicable(self, monkeypatch):
+    def test_unbuildable_padded_candidates_are_inapplicable(self):
         """Regression (bench_e2e finding): ``DiaMatrix._from_canonical_coo``
-        allocates ``ndiags x ncols`` doubles before anything can object,
+        allocated ``ndiags x ncols`` doubles before anything could object,
         so the default candidates raised MemoryError on a scattered
-        n = 100k matrix.  The padded size is now judged from the pattern's
-        diagonal / row-length counts before any constructor runs."""
+        n = 100k matrix.  DIA and ELL now judge their padded size from the
+        diagonal / row-length counts they compute anyway and refuse before
+        allocating it: a selection reports them inapplicable, and the
+        refused build peaks far below the size it refused."""
+        import tracemalloc
+
         from repro.formats.dia import DiaMatrix
         from repro.formats.ell import EllMatrix
 
-        A = self._scattered()
-        rows, cols, _ = A.to_coo_arrays()
+        A = self._scattered(n=100_000)
+        rows, cols, vals = A.to_coo_arrays()
         n = A.nrows
         dia_cells = np.unique(rows - cols).size * n
         ell_cells = n * int(np.diff(A.rowptr).max())
-        assert dia_cells * 8 > 2 ** 31 and ell_cells * 8 > 2 ** 30
+        assert dia_cells * 8 > 2 ** 35 and ell_cells * 8 > 2 ** 32
 
-        def never(*a, **k):
-            raise AssertionError("padded constructor reached")
-
-        monkeypatch.setattr(DiaMatrix, "_from_canonical_coo", never)
-        monkeypatch.setattr(EllMatrix, "_from_canonical_coo", never)
         res = select_format(mvm(), "A", A, candidates=("csr", "dia", "ell"))
         by_name = {c.format_name: c for c in res.choices}
         assert res.best[0] == "csr"
-        for name, cells in (("dia", dia_cells), ("ell", ell_cells)):
+        for cls, cells in ((DiaMatrix, dia_cells), (EllMatrix, ell_cells)):
+            name = cls.format_name
             assert not by_name[name].ok
-            assert by_name[name].error.startswith("inapplicable: ")
-            assert f"{cells} cells" in by_name[name].error
+            assert by_name[name].error.startswith(
+                f"inapplicable: {name} would pad {rows.size} stored entries "
+                f"to {cells} cells (")
             assert name not in res.instances
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=f"to {cells} cells"):
+                    cls._from_canonical_coo(rows, cols, vals, A.shape)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * rows.nbytes and peak * 1000 < cells * 8, (name, peak)
 
     def test_padded_refusal_at_small_n_with_patched_limit(self, monkeypatch):
         """The same refusal on an 8x8 pattern once the limits are patched
-        down: the message names the would-be size and no constructor runs."""
-        from repro.search import format_select as fs
+        down: the message names the would-be size, and ``convert`` refuses
+        it as the selection does."""
+        from repro.formats import base
 
-        monkeypatch.setattr(fs, "_PAD_MIN_CELLS", 16)
-        monkeypatch.setattr(fs, "_PAD_RATIO", 2)
+        monkeypatch.setattr(base, "_PAD_MIN_CELLS", 16)
+        monkeypatch.setattr(base, "_PAD_RATIO", 2)
         A = as_format(np.eye(8)[:, np.random.default_rng(3).permutation(8)], "csr")
         rows, cols, _ = A.to_coo_arrays()
         cells = np.unique(rows - cols).size * 8
@@ -290,6 +300,8 @@ class TestChoiceRobustness:
         dia = {c.format_name: c for c in res.choices}["dia"]
         assert dia.error.startswith("inapplicable: dia would pad 8 stored entries")
         assert f"to {cells} cells" in dia.error
+        with pytest.raises(ValueError, match=f"dia would pad 8 stored entries to {cells} cells"):
+            as_format(A, "dia")
 
     def test_allocation_failure_in_a_builder_is_inapplicable(self, monkeypatch):
         """A constructor that runs out of memory anyway (under the padding
@@ -311,26 +323,31 @@ class TestChoiceRobustness:
             assert res.best[0] == "csr"
 
     def test_padding_guard_leaves_reasonable_patterns_alone(self):
-        from repro.search.format_select import (_PAD_MIN_CELLS, _PAD_RATIO,
-                                                check_padded_storage)
+        from repro.formats.base import _PAD_MIN_CELLS, _PAD_RATIO
+        from repro.formats.convert import FORMATS
+
+        def build(name, rows, cols, shape):
+            vals = np.ones(rows.size)
+            return FORMATS[name]._from_canonical_coo(rows, cols, vals, shape)
 
         # small or genuinely banded: padded formats stay candidates
         b = banded(64, bandwidth=1, seed=0)
         rows, cols, _ = b.to_coo_arrays()
         for name in ("dia", "ell", "csr", "jad"):
-            check_padded_storage(name, rows, cols, b.shape)
-        # one entry in a huge matrix pads to n cells: a large *ratio*,
+            build(name, rows, cols, b.shape)
+        # one entry in a wide matrix pads to n cells: a large *ratio*,
         # but under the absolute floor nobody runs out of memory
-        one = np.array([5], dtype=np.int64)
-        check_padded_storage("dia", one, one, (_PAD_MIN_CELLS, _PAD_MIN_CELLS))
+        one, wide = np.array([5], dtype=np.int64), _PAD_MIN_CELLS // 64
+        assert wide > _PAD_RATIO
+        assert build("dia", one, one, (8, wide)).data.size == wide
         # n entries down the diagonal plus n down an anti-diagonal walk:
-        # 2 diagonals is fine, n diagonals is not
+        # 1 diagonal is fine, n diagonals is not
         n = _PAD_MIN_CELLS // 1024
         idx = np.arange(n, dtype=np.int64)
-        check_padded_storage("dia", idx, idx, (n, n))
+        build("dia", idx, idx, (n, n))
         assert n * n > max(_PAD_MIN_CELLS, _PAD_RATIO * n)
         with pytest.raises(ValueError, match="dia would pad"):
-            check_padded_storage("dia", idx, idx[::-1].copy(), (n, n))
+            build("dia", idx, idx[::-1].copy(), (n, n))
 
     def test_spgemm_output_format_falls_back_before_padding(self):
         """``spgemm(out_format=...)`` has the same guard: a requested DIA
@@ -348,6 +365,25 @@ class TestChoiceRobustness:
             assert INSTR.get("spgemm.output_fallbacks") == before + 1
             assert np.array_equal(C.colind, want.colind)
             assert np.array_equal(C.values, want.values)
+
+    @pytest.mark.parametrize("name", ["dia", "ell"])
+    @pytest.mark.parametrize("m,k,n", [(0, 0, 0), (0, 3, 5), (4, 3, 0)])
+    def test_spgemm_empty_product_keeps_the_requested_format(self, name,
+                                                             m, k, n):
+        """Regression: a 0x0 product was refused as DIA (a negative
+        ``minlength`` in the old padding check, while ``convert`` built
+        it) and an m x 0 one as ELL (its padding slot named column 0 of
+        no columns); both fell back to CSR."""
+        from repro.blas.api import spgemm
+        from repro.formats.csr import CsrMatrix
+        from repro.instrument import INSTR
+
+        A = CsrMatrix.from_dense(np.ones((m, k)))
+        B = CsrMatrix.from_dense(np.ones((k, n)))
+        before = INSTR.get("spgemm.output_fallbacks")
+        C = spgemm(A, B, out_format=name)
+        assert C.format_name == name and C.shape == (m, n) and C.nnz == 0
+        assert INSTR.get("spgemm.output_fallbacks") == before
 
     def test_full_default_sweep_still_ranks(self):
         m = random_sparse(16, 16, 0.25, seed=4)
