@@ -47,12 +47,3 @@ def reduction_array(stmt: Statement) -> Optional[str]:
     if isinstance(e, VRead) and e == self_reads[0]:
         return target.array
     return None
-
-
-def is_reduction_pair(stmt_a: Statement, stmt_b: Statement, array: str) -> bool:
-    """Are these the same reduction statement accumulating into ``array``?
-    (Self-dependence classes of such statements on that array are
-    relaxed.)"""
-    if stmt_a is not stmt_b:
-        return False
-    return reduction_array(stmt_a) == array

@@ -52,10 +52,3 @@ def flops_mm(nnz: int, k: int) -> int:
 def flops_ts(nnz: int, n: int) -> int:
     """Multiply + subtract per off-diagonal entry, one division per row."""
     return 2 * (nnz - n) + n
-
-
-def flops_spgemm(nmults: int) -> int:
-    """Multiply + add per intermediate product of the sparse×sparse
-    expansion (``nmults`` = sum over stored A entries of the matching B
-    row length — data-dependent, unlike the declared-structure kernels)."""
-    return 2 * nmults

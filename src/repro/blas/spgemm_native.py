@@ -52,8 +52,8 @@ RADIX_MIN = 64
 SWEEP_SPAN = 8
 
 C_SOURCE = """\
-#include <stdint.h>
-#include <string.h>
+typedef __INT32_TYPE__ int32_t;     /* no header: the unit links no libc */
+typedef __INT64_TYPE__ int64_t;
 
 typedef %(IDX_T)s idx_t;   /* element type of every index array */
 
@@ -84,7 +84,7 @@ static void radix_sort(idx_t *a, idx_t *tmp, int64_t n,
             dst[start[((src[i] - cmin) >> shift) & 255]++] = src[i];
         idx_t *t = src; src = dst; dst = t;
     }
-    if (src != a) memcpy(a, src, (size_t)n * sizeof *a);
+    if (src != a) __builtin_memcpy(a, src, n * sizeof *a);
 }
 
 static void order_row(idx_t *cols, idx_t *tmp, int64_t len,

@@ -4,7 +4,8 @@ The generator (:mod:`repro.codegen.pysource`) builds one loop IR per
 kernel (:mod:`repro.codegen.loopir`); this module prints that IR as
 standalone C99 — typed pointer arguments for the numpy arrays
 (``int32_t``/``int64_t`` index arrays, ``double`` values), ``int64_t``
-scalars, row-major stride arguments for multi-dimensional arrays.  A
+scalars, row-major stride arguments for multi-dimensional arrays — and
+includes no header (:data:`UNIT_PREAMBLE` names the two types).  A
 search is loop IR like everything else (the emitters build it), so the
 only helper functions a unit can carry are ``_fdiv``/``_imax``/``_imin``.
 The result is the real compiled analog of the paper's Figure 9
@@ -110,6 +111,12 @@ _CTYPES = {
     "float32": "float",
     "float64": "double",
 }
+
+#: first lines of every unit: the two integer types from the compiler's
+#: own predefined macros (gcc and clang both have them), so ``cc1`` parses
+#: no header
+UNIT_PREAMBLE = ("typedef __INT32_TYPE__ int32_t;",
+                 "typedef __INT64_TYPE__ int64_t;")
 
 
 class NativeSpec:
@@ -618,7 +625,7 @@ class _CPrinter:
         """``(name, args, body)`` triples as one unit: the helpers any of
         them uses, then the functions in order, a blank line apart."""
         printed = [self.function(*f) for f in functions]
-        out = ["#include <stdint.h>", ""] + list(self.helpers.values())
+        out = [*UNIT_PREAMBLE, ""] + list(self.helpers.values())
         for k, lines in enumerate(printed):
             out.extend(([""] if k else []) + lines)
         return "\n".join(out + [""])

@@ -245,9 +245,6 @@ class ProductDim:
     def is_data(self) -> bool:
         return bool(self.members)
 
-    def member_vars(self) -> List[str]:
-        return [ref.axis_var(axis) for ref, axis in self.members]
-
     def __repr__(self):
         if self.is_data:
             ms = ",".join(f"{r.stmt_name}#{r.access.ref_id}.{a}" for r, a in self.members)

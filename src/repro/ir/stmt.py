@@ -20,9 +20,6 @@ class ArrayRef:
     def ndim(self) -> int:
         return len(self.indices)
 
-    def as_read(self) -> VRead:
-        return VRead(self.array, self.indices)
-
     def rename_vars(self, mapping: Mapping[str, str]) -> "ArrayRef":
         return ArrayRef(self.array, tuple(i.rename(mapping) for i in self.indices))
 

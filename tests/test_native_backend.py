@@ -10,6 +10,7 @@ the *native* path first check ``find_compiler()`` and skip without one.
 from __future__ import annotations
 
 import os
+import shutil
 import warnings
 
 import numpy as np
@@ -204,6 +205,41 @@ class TestOpenMP:
                               check=True, capture_output=True, text=True)
         t_none, t_strict = map(float, proc.stdout.split())
         assert t_strict <= 3 * t_none, (t_none, t_strict)
+
+    @pytest.mark.skipif(not shutil.which("gcc"), reason="needs gcc's -B")
+    def test_no_runtime_under_nostdlib_means_sequential(
+            self, square, rng, monkeypatch, tmp_path):
+        """A toolchain whose ``-nostdlib`` drops the OpenMP runtime (as
+        clang's does) compiles ``-fopenmp`` but links nothing to resolve
+        ``GOMP_*``: the probe, built like a kernel, reads False and a
+        ``strict`` kernel is sequential C, not a per-kernel load failure.
+        Simulated with gcc: under ``-nostdlib`` a ``libgomp.spec`` found
+        first through ``-B`` links no ``-lgomp``."""
+        (tmp_path / "libgomp.spec").write_text("*link_gomp: %{static: -ldl }\n")
+        gcc = shutil.which("gcc")
+        cc = tmp_path / "cc-without-omp-runtime"
+        cc.write_text("#!/bin/sh\n"
+                      'if [ "$1" = --version ]; then echo "gcc, no -lgomp";'
+                      " exit 0; fi\n"
+                      'case " $* " in *" -nostdlib "*)'
+                      f' exec {gcc} -B {tmp_path}/ "$@";; esac\n'
+                      f'exec {gcc} "$@"\n')
+        cc.chmod(0o755)
+        monkeypatch.setenv("REPRO_CC", str(cc))
+        be.reset_toolchain_cache()
+        try:
+            assert not be.openmp_supported(be.find_compiler())
+            A = _fmt(square, "csr")
+            kp, kc = _compile_pair("mvm", "A", A, parallel="strict")
+            assert kc.backend_used == "c", kc.fallback_reason
+            x = rng.random(N)
+            yp, yc = np.zeros(N), np.zeros(N)
+            kp({"A": A, "x": x, "y": yp}, {"m": N, "n": N})
+            kc({"A": A, "x": x, "y": yc}, {"m": N, "n": N})
+            assert yp.tobytes() == yc.tobytes()
+        finally:
+            monkeypatch.delenv("REPRO_CC")
+            be.reset_toolchain_cache()
 
     def test_sequential_kernel_has_no_pragmas(self, lower):
         L = _fmt(lower, "csr")
@@ -534,6 +570,124 @@ class TestArtifactCache:
         kc2, _ = self._compile_c(square, "off")
         assert INSTR.get("native.so_cache.hits.memory") == before + 1
         assert kc2.backend_used != "python"
+
+
+@pytest.mark.skipif(be.find_compiler() is None or not shutil.which("nm")
+                    or not shutil.which("readelf"),
+                    reason="no C compiler or no binutils")
+@pytest.mark.skipif(bool(os.environ.get("REPRO_CFLAGS", "").strip()),
+                    reason="user flags bring their own imports (sanitizers)")
+class TestUnitImports:
+    """A unit links against nothing (``-nostdlib``): what it imports is
+    resolved at ``dlopen`` from the host process, so it must be a known
+    set.  A helper that one day calls libm or libgcc fails here, not at
+    ``dlopen`` in a user's process."""
+
+    #: what the compiler itself introduces for zeroing and copy loops (and
+    #: ``__stack_chk_fail`` where a distribution's gcc turns the stack
+    #: protector on by default) — all libc, always in the host process
+    HOST = {"memset", "memcpy", "memmove", "__stack_chk_fail"}
+
+    @staticmethod
+    def _units(build):
+        """The paths of the shared objects ``build()`` binds."""
+        be.reset_toolchain_cache()
+        build()
+        with be._SO_LOCK:
+            return [lib._name for lib in be._SO_CACHE.values()]
+
+    @staticmethod
+    def _imports(so):
+        import subprocess
+
+        nm = subprocess.run(["nm", "-D", "--undefined-only", so],
+                            capture_output=True, text=True, check=True)
+        undefined = {line.split()[-1].split("@")[0]
+                     for line in nm.stdout.splitlines() if line.strip()}
+        dyn = subprocess.run(["readelf", "-d", so], capture_output=True,
+                             text=True, check=True)
+        needed = [line.split("[")[1].rstrip("]") for line in
+                  dyn.stdout.splitlines() if "(NEEDED)" in line]
+        return undefined, needed
+
+    def _check(self, build, openmp=False):
+        units = self._units(build)
+        assert units
+        for so in units:
+            undefined, needed = self._imports(so)
+            runtime = {s for s in undefined
+                       if s.startswith(("GOMP_", "omp_"))}
+            assert undefined - runtime <= self.HOST, so
+            if openmp:
+                assert runtime and needed == ["libgomp.so.1"], so
+            else:
+                assert not runtime and needed == [], so
+
+    def test_cold_compile_pairs(self):
+        import repro
+        from tests.test_search_golden import PAIRS, _bindings
+
+        for kernel, fmt in PAIRS:
+            if (kernel, fmt) == ("mvm", "msr"):
+                continue                # not a cold_compile pair
+            self._check(lambda: repro.compile_kernel(
+                ALL_KERNELS[kernel](), _bindings(kernel, fmt), backend="c",
+                cache="off"))
+
+    def test_solver_context_with_vector_entry_points(self, square):
+        from repro.solvers.context import SolverContext
+
+        def build():
+            ctx = SolverContext(_fmt(square, "csr"), ops=("mvm",),
+                                backend="c", register=False, cache="off")
+            assert ctx.vecops == "c"
+
+        self._check(build)
+
+    def test_native_spgemm(self):
+        from repro.blas import spgemm_native
+
+        self._check(lambda: spgemm_native.bind(np.int32))
+        self._check(lambda: spgemm_native.bind(np.int64))
+
+    def test_parallel_kernel(self, square):
+        if not be.openmp_supported(be.find_compiler()):
+            pytest.skip("toolchain has no OpenMP")
+
+        def build():
+            _, kc = _compile_pair("mvm", "A", _fmt(square, "csr"),
+                                  parallel="strict")
+            assert kc.backend_used == "c+openmp"
+
+        self._check(build, openmp=True)
+
+    @pytest.mark.skipif(not shutil.which("objdump"), reason="no objdump")
+    def test_the_flag_changes_the_link_not_the_code(self, tmp_path):
+        """``kernel``'s machine code is byte for byte the same with and
+        without ``-nostdlib`` (its addresses move, its bytes do not)."""
+        import subprocess
+
+        import repro
+        from repro.codegen.native import lower_kernel
+        from tests.test_search_golden import _bindings
+
+        assert "-nostdlib" in be._CFLAGS
+        k = repro.compile_kernel(ALL_KERNELS["mvm"](), _bindings("mvm", "csr"))
+        src = tmp_path / "unit.c"
+        src.write_text(lower_kernel(k).c_source)
+        code = {}
+        for tag, flags in (("bare", be._CFLAGS),
+                           ("libc", [f for f in be._CFLAGS
+                                     if f != "-nostdlib"])):
+            so = str(tmp_path / f"{tag}.so")
+            subprocess.run([be.find_compiler(), *flags, str(src), "-o", so],
+                           check=True)
+            dis = subprocess.run(["objdump", "-d", "--disassemble=kernel", so],
+                                 capture_output=True, text=True, check=True)
+            block = dis.stdout.split("<kernel>:\n", 1)[1].split("\n\n")[0]
+            code[tag] = " ".join(line.split("\t")[1].strip()
+                                 for line in block.splitlines() if "\t" in line)
+        assert code["bare"] and code["bare"] == code["libc"]
 
 
 def _plan_loop_dims(plan):

@@ -37,6 +37,15 @@ the file before that, and :func:`test_only_the_schedule_changed_since_pr22`
 pins the difference: Python source, plan cost and all work counters are
 equal; the C source of a kernel no transform fires on is the old one with
 ``restrict`` written in, byte for byte.
+
+And a fourth time when units stopped including headers: ``#include
+<stdint.h>`` became two typedefs from the compiler's predefined macros
+(:data:`repro.codegen.native.UNIT_PREAMBLE`).
+``search_determinism.pr27.json`` is the file before that, and
+:func:`test_only_the_preamble_changed_since_pr27` pins the difference:
+Python source, plan cost and all work counters are equal, and the new C
+source with the include put back for the typedefs is the old one, byte for
+byte.
 """
 
 from __future__ import annotations
@@ -49,7 +58,7 @@ import re
 import pytest
 
 import repro
-from repro.codegen.native import lower_kernel
+from repro.codegen.native import UNIT_PREAMBLE, lower_kernel
 from repro.core.cache import clear_compile_cache
 from repro.core.embedding import clear_pair_memo
 from repro.formats.generate import can_1072_like, lower_triangular_of
@@ -64,6 +73,8 @@ GOLDEN_PR19 = os.path.join(os.path.dirname(__file__), "golden",
                            "search_determinism.pr19.json")
 GOLDEN_PR22 = os.path.join(os.path.dirname(__file__), "golden",
                            "search_determinism.pr22.json")
+GOLDEN_PR27 = os.path.join(os.path.dirname(__file__), "golden",
+                           "search_determinism.pr27.json")
 
 PAIRS = [("mvm", f) for f in ("csr", "csc", "coo", "dia", "ell", "jad", "bsr", "msr")]
 PAIRS += [("ts_lower", f) for f in ("csr", "csc", "jad")]
@@ -128,6 +139,7 @@ _GOLDEN = _load(GOLDEN)
 _PR15 = _load(GOLDEN_PR15)
 _PR19 = _load(GOLDEN_PR19)
 _PR22 = _load(GOLDEN_PR22)
+_PR27 = _load(GOLDEN_PR27)
 
 
 @pytest.mark.parametrize("kernel,fmt", PAIRS, ids=lambda p: str(p))
@@ -226,19 +238,42 @@ REWRITTEN = {"mvm.dia": ["guard_absorb"], "spmm.csr": ["register_tile"]}
 
 @pytest.mark.parametrize("kernel,fmt", PAIRS, ids=lambda p: str(p))
 def test_only_the_schedule_changed_since_pr22(kernel, fmt):
-    new, old = _GOLDEN[f"{kernel}.{fmt}"], _PR22[f"{kernel}.{fmt}"]
+    # between the two frozen files: what came after is pinned below
+    new, old = _PR27[f"{kernel}.{fmt}"], _PR22[f"{kernel}.{fmt}"]
     for name in ("py_sha1", "cost") + COUNTERS:
         assert new[name] == old[name], name
     assert new["c_sha1"] != old["c_sha1"]
     k = repro.compile_kernel(ALL_KERNELS[kernel](), _bindings(kernel, fmt),
                              backend="python", cache="off")
     spec = lower_kernel(k)
-    assert _sha1(spec.c_source) == new["c_sha1"]
+    c_source = _with_include(spec.c_source)
+    assert _sha1(c_source) == new["c_sha1"]
     assert spec.transforms == REWRITTEN.get(f"{kernel}.{fmt}", [])
     if not spec.transforms:
-        assert "restrict" in spec.c_source
-        assert _sha1(spec.c_source.replace(" * restrict ", " * ")) \
-            == old["c_sha1"]
+        assert "restrict" in c_source
+        assert _sha1(c_source.replace(" * restrict ", " * ")) == old["c_sha1"]
+
+
+def _with_include(c_source: str) -> str:
+    """The C source with its preamble written the way
+    ``search_determinism.pr27.json`` recorded it."""
+    head = "\n".join(UNIT_PREAMBLE) + "\n"
+    assert c_source.startswith(head)
+    return "#include <stdint.h>\n" + c_source[len(head):]
+
+
+@pytest.mark.parametrize("kernel,fmt", PAIRS, ids=lambda p: str(p))
+def test_only_the_preamble_changed_since_pr27(kernel, fmt):
+    new, old = _GOLDEN[f"{kernel}.{fmt}"], _PR27[f"{kernel}.{fmt}"]
+    for name in ("py_sha1", "cost") + COUNTERS:
+        assert new[name] == old[name], name
+    assert new["c_sha1"] != old["c_sha1"]
+    k = repro.compile_kernel(ALL_KERNELS[kernel](), _bindings(kernel, fmt),
+                             backend="python", cache="off")
+    c_source = lower_kernel(k).c_source
+    assert "#include" not in c_source
+    assert _sha1(c_source) == new["c_sha1"]
+    assert _sha1(_with_include(c_source)) == old["c_sha1"]
 
 
 if __name__ == "__main__":
