@@ -60,6 +60,21 @@ files are unlinked by their holder on release (with an inode liveness
 re-check on acquire), so a long-lived shared cache directory doesn't
 accumulate them.
 
+**Pipelining** — a kernel's ``cc`` + ``dlopen`` runs on a toolchain
+thread, not on the thread that searched for it.  :func:`start_bind`
+lowers the unit on the calling thread — its C text is then fixed — and
+hands :func:`compile_native_function` for it to a pool of at most
+``os.cpu_count()`` threads, so no more toolchain processes run at once
+than there are CPUs; it returns the join.  The caller goes on working
+(``CompiledKernel.start_native`` emits the Python print;
+:func:`repro.core.service.compile_many` searches the next item) and joins
+later: the join waits, binds, and re-raises a build failure on the
+joining thread, which is where the fallback below warns.  A lone compile
+joins straight away; either way the bytes are those of a serial build.
+The waiting is all that moves: the subprocess wait and ``dlopen`` leave
+the calling thread, the search does not.  A forked child starts a fresh
+pool.
+
 **Fallback** — any failure (no toolchain, lowering limitation, compile
 error, load error) emits a :class:`NativeBackendWarning`, bumps an
 ``INSTR`` counter, and falls back to the Python kernel; it never raises.
@@ -79,6 +94,7 @@ import subprocess
 import tempfile
 import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -571,35 +587,71 @@ class NativeKernel:
             del keepalive
 
 
-def bind_kernel(kernel, parallel: str = "none",
-                cache_mode: str = "memory", entry_points=None) -> NativeKernel:
-    """Lower + compile + bind one CompiledKernel.  Raises on any failure
-    (the compiler API converts that into the Python fallback).
-    ``entry_points`` (name -> loop IR) asks for further functions in the
-    kernel's translation unit — still one toolchain invocation — bound as
-    ``NativeKernel.entries``.  Every bound function knows its Python
-    print, for the calls whose operands overlap."""
+def start_bind(kernel, parallel: str = "none",
+               cache_mode: str = "memory", entry_points=None):
+    """Lower one CompiledKernel to C on the calling thread and start its
+    toolchain run on a build thread (see "Pipelining").  Returns ``join``:
+    a call that waits for that build and binds the result as a
+    :class:`NativeKernel`, raising on the calling thread whatever the
+    build raised (the compiler API converts that into the Python
+    fallback); a lowering failure raises here.  ``entry_points`` (name ->
+    loop IR) asks for further functions in the kernel's translation unit
+    — still one toolchain invocation — bound as ``NativeKernel.entries``.
+    Every bound function knows its Python print, for the calls whose
+    operands overlap."""
     from repro.codegen.native import lower_kernel
     from repro.codegen.pysource import compile_plan_to_python
 
     spec = lower_kernel(kernel, parallel, entry_points=entry_points)
     want_omp = parallel != "none" and spec.uses_openmp
+    units = [("kernel", spec), *spec.entries.items()]
 
-    def bound(entry_spec, symbol, python):
-        fn, used_omp = compile_native_function(
-            entry_spec.c_source, want_openmp=want_omp, cache_mode=cache_mode,
-            symbol=symbol)
-        return NativeKernel(fn, entry_spec, used_omp, python)
+    def build():
+        return [compile_native_function(s.c_source, want_openmp=want_omp,
+                                        cache_mode=cache_mode, symbol=name)
+                for name, s in units]
 
-    # the function, not the kernel's method: a kernel holds its bindings,
-    # and a matrix may come to hold this NativeKernel as its handle
-    python = kernel.callable()
-    nk = bound(spec, "kernel", lambda: python)
-    for name, entry_spec in spec.entries.items():
-        nk.entries[name] = bound(
-            entry_spec, name,
-            lambda ir=entry_points[name]: compile_plan_to_python(ir)[1])
-    return nk
+    future = _build_pool().submit(build)
+
+    def join() -> NativeKernel:
+        built = future.result()
+        # the function, not the kernel's method: a kernel holds its
+        # bindings, and a matrix may come to hold this NativeKernel as
+        # its handle
+        python = kernel.callable()
+        fn, used_omp = built[0]
+        nk = NativeKernel(fn, spec, used_omp, lambda: python)
+        for (name, entry_spec), (fn, used_omp) in zip(units[1:], built[1:]):
+            nk.entries[name] = NativeKernel(
+                fn, entry_spec, used_omp,
+                lambda ir=entry_points[name]: compile_plan_to_python(ir)[1])
+        return nk
+
+    return join
+
+
+#: the toolchain threads: one ``cc`` + ``dlopen`` each, at most one per CPU
+_POOL: List[ThreadPoolExecutor] = []
+_POOL_LOCK = threading.Lock()
+
+
+def _build_pool() -> ThreadPoolExecutor:
+    with _POOL_LOCK:
+        if not _POOL:
+            _POOL.append(ThreadPoolExecutor(max_workers=os.cpu_count() or 1,
+                                            thread_name_prefix="repro-cc"))
+        return _POOL[0]
+
+
+def _forget_pool() -> None:
+    # a forked child inherits the pool object but none of its threads
+    global _POOL_LOCK
+    _POOL.clear()
+    _POOL_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def native_fallback(reason: str, detail: str) -> None:

@@ -70,6 +70,9 @@ class CompiledKernel:
         self._cache_publish = None
         self._native = None
         self._native_tried = False
+        # between start_native() and the join: the join call, or the
+        # exception lowering raised
+        self._join = None
         # serializes lazy materialization (loop IR, generated Python,
         # native bind) when the same kernel object is driven from several
         # threads; reentrant because the native bind and the Python print
@@ -111,25 +114,49 @@ class CompiledKernel:
         INSTR.count("backend.run.python")
         fn(arrays, {k: int(v) for k, v in params.items()})
 
+    def start_native(self) -> None:
+        """Lower the kernel's C unit and start its toolchain run on a
+        build thread, then emit the Python print while ``cc`` runs;
+        :meth:`native` joins.  A no-op once started, or for
+        ``backend="python"``.  :func:`~repro.core.service.compile_many`
+        starts every item of a batch before it joins the first."""
+        if self.backend != "c" or self._native_tried or self._join is not None:
+            return
+        with self._materialize_lock:
+            if self._native_tried or self._join is not None:
+                return
+            from repro.core import backend as be
+
+            try:
+                join = be.start_bind(self, self.parallel, self._cache_mode,
+                                     self.entry_points)
+            except Exception as e:
+                join = e          # reported at the join, like a build error
+            # the Python kernel is the fallback and what the cache
+            # replays: every C compile materializes and publishes it
+            self.callable()
+            self._join = join
+
     def native(self):
         """The bound :class:`~repro.core.backend.NativeKernel`, compiling
-        it on first use; None when the native path is unavailable (the
-        reason is recorded in ``fallback_reason``)."""
+        it on first use (:meth:`start_native`, then the join); None when
+        the native path is unavailable (the reason is recorded in
+        ``fallback_reason``, and the warning is issued on the thread that
+        joins)."""
         if self.backend != "c":
             return None
         if not self._native_tried:
+            self.start_native()
             with self._materialize_lock:
                 if not self._native_tried:
                     from repro.codegen.native import NativeLoweringError
                     from repro.core import backend as be
 
-                    # the Python kernel is the fallback and what the cache
-                    # replays: every C compile materializes and publishes it
-                    self.callable()
+                    join, self._join = self._join, None
                     try:
-                        self._native = be.bind_kernel(self, self.parallel,
-                                                      self._cache_mode,
-                                                      self.entry_points)
+                        if isinstance(join, Exception):
+                            raise join
+                        self._native = join()
                         self.backend_used = (
                             "c+openmp" if self._native.used_openmp else "c")
                     except NativeLoweringError as e:

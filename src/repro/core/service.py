@@ -16,6 +16,13 @@ therefore a thin, deterministic driver: results come back in input
 order, and a batch compiled with ``max_workers=1`` is byte-identical to
 the same batch compiled with 16 workers.
 
+Each item's toolchain run overlaps the searches after it: as soon as an
+item's C unit is lowered, its ``cc`` + ``dlopen`` starts on a toolchain
+thread (:mod:`repro.core.backend`, "Pipelining") and the worker goes on
+to the next item; the batch joins every build before it returns.  With
+``max_workers=1`` the searches run one after another on the calling
+thread while up to ``os.cpu_count()`` compilers run beside them.
+
 Counters: ``service.batches``, ``service.items``, ``service.items.ok``,
 ``service.items.error``.
 """
@@ -155,9 +162,12 @@ def compile_many(
     ...).
 
     ``max_workers`` defaults to ``REPRO_COMPILE_WORKERS`` or the CPU
-    count, capped by the batch size; ``max_workers=1`` compiles serially
+    count, capped by the batch size; ``max_workers=1`` searches serially
     on the calling thread (bitwise-identical results, useful as a
-    determinism oracle).
+    determinism oracle).  Every item's ``cc`` runs on a toolchain thread
+    beside the searches of the items after it; the batch joins them all
+    on the calling thread before it returns, so each kernel is bound or
+    carries its fallback — and a fallback's warning is issued here.
 
     Never raises for a bad item: each failure is captured in its
     :class:`CompileOutcome` (``service.items.error``) and the remaining
@@ -180,17 +190,21 @@ def compile_many(
 
     INSTR.count("service.batches")
     INSTR.count("service.items", n)
+    bind = compile_kwargs.pop("bind", True)
 
     def one(i: int) -> CompileOutcome:
         t0 = time.perf_counter()
         try:
             kernel = compile_kernel(progs[i], binds[i],
                                     param_values=pvals[i],
-                                    entry_points=extras[i], **compile_kwargs)
+                                    entry_points=extras[i], bind=False,
+                                    **compile_kwargs)
         except Exception as e:
             INSTR.count("service.items.error")
             return CompileOutcome(i, progs[i], None, e,
                                   time.perf_counter() - t0)
+        if bind:
+            kernel.start_native()
         INSTR.count("service.items.ok")
         return CompileOutcome(i, progs[i], kernel, None,
                               time.perf_counter() - t0)
@@ -201,4 +215,12 @@ def compile_many(
         with ThreadPoolExecutor(max_workers=max_workers,
                                 thread_name_prefix="repro-compile") as pool:
             outcomes = list(pool.map(one, range(n)))
+    if bind:
+        # every build was started above; joining here, on the calling
+        # thread, is where a fallback warns
+        for o in outcomes:
+            if o.kernel is not None:
+                t0 = time.perf_counter()
+                o.kernel.native()
+                o.seconds += time.perf_counter() - t0
     return BatchResult(outcomes)

@@ -8,11 +8,15 @@ Covers the PR's acceptance criteria directly:
   invocation (single-flight), observable via ``native.*`` counters;
 - ``compile_many`` isolates per-item failures and, at 16 workers over a
   mixed (same + distinct) batch, produces byte-identical results to the
-  serial compilation with exactly one cc invocation per unique digest.
+  serial compilation with exactly one cc invocation per unique digest;
+- a batch runs each item's ``cc`` beside the next item's search, and a
+  build that fails there falls back observably on the calling thread.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 import threading
 import time
 import warnings
@@ -20,11 +24,12 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.codegen.native import lower_kernel
 from repro.core import NativeBackendWarning, compile_kernel, compile_many
 from repro.core import backend as be
 from repro.core.cache import COMPILE_CACHE, clear_compile_cache
 from repro.formats import as_format
-from repro.formats.generate import random_sparse
+from repro.formats.generate import laplacian_2d, random_sparse
 from repro.instrument import INSTR
 from repro.ir.kernels import ALL_KERNELS
 
@@ -405,11 +410,158 @@ class TestSingleFlight:
         _fresh_native_state()
         before = INSTR.get("native.compiles")
         fallbacks_before = INSTR.get("native.fallbacks")
-        threaded = compile_many(progs, binds, max_workers=16,
-                                backend="c", cache="memory")
+        # a short switch interval interleaves the searching workers, the
+        # toolchain threads and the joins far more often
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            threaded = compile_many(progs, binds, max_workers=16,
+                                    backend="c", cache="memory")
+        finally:
+            sys.setswitchinterval(interval)
         assert threaded.ok
         assert INSTR.get("native.compiles") - before == len(fmt_names)
         assert INSTR.get("native.fallbacks") - fallbacks_before == 0
         assert all(o.kernel.backend_used.startswith("c") for o in threaded)
 
         assert run_all(threaded) == serial_out
+
+
+# ---------------------------------------------------------------------------
+# The toolchain beside the search (needs a toolchain)
+# ---------------------------------------------------------------------------
+
+_SLOW_CC = """#!{python} -S
+import os, subprocess, sys, time
+args = sys.argv[1:]
+if "--version" in args:
+    os.execv({real!r}, [{real!r}] + args)
+src = [a for a in args if a.endswith(".c")][0]
+log = open({log!r}, "a")
+log.write("start %r %d\\n" % (time.monotonic(), os.getpid()))
+log.flush()
+time.sleep({sleep!r})
+fail = os.path.exists({fail!r}) and open(src).read() == open({fail!r}).read()
+rc = 1 if fail else subprocess.call([{real!r}] + args)
+if fail:
+    sys.stderr.write("injected failure\\n")
+log.write("end %r %d\\n" % (time.monotonic(), os.getpid()))
+sys.exit(rc)
+"""
+
+
+def _slow_cc(tmp_path, monkeypatch, sleep):
+    """Install a ``REPRO_CC`` that logs each compile's start and end,
+    sleeps ``sleep`` s, then runs the real compiler — or fails, when the
+    unit is the one in ``tmp_path/fail.c``.  Returns the log path."""
+    be.reset_toolchain_cache()
+    real = be.find_compiler()
+    log = tmp_path / "cc.log"
+    cc = tmp_path / "slow-cc"
+    cc.write_text(_SLOW_CC.format(python=sys.executable, real=real,
+                                  log=str(log), sleep=sleep,
+                                  fail=str(tmp_path / "fail.c")))
+    cc.chmod(0o755)
+    monkeypatch.setenv("REPRO_CC", str(cc))
+    _fresh_native_state()
+    return log
+
+
+def _cc_intervals(log):
+    """(start, end) of every logged compile, in start order."""
+    events = {}
+    for line in log.read_text().splitlines():
+        what, t, pid = line.split()
+        events.setdefault(pid, {})[what] = float(t)
+    return sorted((e["start"], e["end"]) for e in events.values())
+
+
+def _most_alive(intervals):
+    edges = sorted([(s, 1) for s, _e in intervals]
+                   + [(e, -1) for _s, e in intervals])
+    alive = most = 0
+    for _t, step in edges:
+        alive += step
+        most = max(most, alive)
+    return most
+
+
+@needs_cc
+class TestToolchainOverlap:
+    OPS = ("mvm", "ts_lower", "ts_upper")
+
+    def test_cc_runs_beside_the_next_search(self, tmp_path, monkeypatch):
+        """A cold 3-op context searching on one thread: the second unit's
+        cc starts while the first one's still runs, no more toolchain
+        processes run at once than there are CPUs, and every unit's C
+        and Python print equal three separate compile_kernel calls."""
+        from repro.solvers import SolverContext
+
+        if (os.cpu_count() or 1) < 2:
+            pytest.skip("one CPU: one toolchain process at a time")
+        A = as_format(laplacian_2d(6), "csr")
+        log = _slow_cc(tmp_path, monkeypatch, sleep=0.3)
+        try:
+            before = INSTR.get("native.compiles")
+            ctx = SolverContext(A, ops=self.OPS, backend="c", max_workers=1,
+                                cache="memory")
+            assert INSTR.get("native.compiles") - before == 3
+            spans = _cc_intervals(log)
+            assert len(spans) == 3
+            assert spans[1][0] < spans[0][1]
+            assert _most_alive(spans) <= os.cpu_count()
+            kernels = [ctx.bound(op).kernel for op in self.OPS]
+            assert all(k.backend_used == "c" for k in kernels)
+            got = [(k.c_source, k.source) for k in kernels]
+        finally:
+            monkeypatch.undo()
+            _fresh_native_state()
+        for k, (c_source, source) in zip(kernels, got):
+            clear_compile_cache()
+            alone = compile_kernel(k.program, k.bindings, backend="c",
+                                   cache="memory",
+                                   entry_points=k.entry_points)
+            assert alone.c_source == c_source
+            assert alone.source == source
+
+    def test_failed_build_falls_back_on_calling_thread(
+            self, square, tmp_path, monkeypatch):
+        """One unit of a 3-item batch fails in cc on a build thread: the
+        join on the calling thread warns once, counts it, and leaves that
+        item on the Python kernel while the other two are native."""
+        fmts = [as_format(square, f) for f in ("csr", "csc", "coo")]
+        progs = [ALL_KERNELS["mvm"]() for _ in fmts]
+        binds = [{"A": f} for f in fmts]
+        probe = compile_kernel(progs[1], binds[1], backend="c",
+                               cache="memory", bind=False)
+        (tmp_path / "fail.c").write_text(lower_kernel(probe).c_source)
+        _slow_cc(tmp_path, monkeypatch, sleep=0.0)
+        real_fallback = be.native_fallback
+        warned_on = []
+
+        def fallback(reason, detail):
+            warned_on.append(threading.get_ident())
+            real_fallback(reason, detail)
+
+        monkeypatch.setattr(be, "native_fallback", fallback)
+        before = INSTR.snapshot()["counters"]
+        try:
+            with pytest.warns(NativeBackendWarning) as record:
+                batch = compile_many(progs, binds, backend="c",
+                                     cache="memory", max_workers=3)
+        finally:
+            monkeypatch.undo()
+            _fresh_native_state()
+        after = INSTR.snapshot()["counters"]
+        delta = lambda k: after.get(k, 0) - before.get(k, 0)  # noqa: E731
+
+        assert batch.ok
+        assert [k.backend_used for k in batch.kernels] == ["c", "python", "c"]
+        assert batch.kernels[1].fallback_reason.startswith("toolchain: ")
+        assert "injected failure" in batch.kernels[1].fallback_reason
+        assert len([w for w in record
+                    if issubclass(w.category, NativeBackendWarning)]) == 1
+        assert warned_on == [threading.get_ident()]
+        assert delta("native.fallbacks") == 1
+        assert delta("native.fallback.toolchain") == 1
+        assert delta("native.compiles") == 2
