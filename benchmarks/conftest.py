@@ -19,6 +19,16 @@ BENCH_N = int(os.environ.get("REPRO_BENCH_N", "1072"))
 _cache = {}
 
 
+def flops_mvm(nnz: int) -> int:
+    """Multiply + add per stored entry."""
+    return 2 * nnz
+
+
+def flops_ts(nnz: int, n: int) -> int:
+    """Multiply + subtract per off-diagonal entry, one division per row."""
+    return 2 * (nnz - n) + n
+
+
 def bench_matrix():
     if "matrix" not in _cache:
         target = int(12444 * (BENCH_N / 1072) ** 1.15)

@@ -1,10 +1,11 @@
 """Ablation A3: specialization levels of the backend.
 
-Three executions of the *same plan*: the reference interpreter (fully
-dynamic), the generated specialized Python (the product), and the
-hand-written kernel (the target).  Quantifies what inlining the format
-operations buys — the paper's reason for resolving all method invocations
-at compile time (Section 5, Barton–Nackman discussion)."""
+Three executions of the *same plan*: the reference plan interpreter
+(``tests/oracles/plan_interp``, fully dynamic), the generated specialized
+Python (the product), and the hand-written kernel (the target).
+Quantifies what inlining the format operations buys — the paper's reason
+for resolving all method invocations at compile time (Section 5,
+Barton–Nackman discussion)."""
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from repro.blas import specialized
 from repro.util.timing import best_of
 from benchmarks.conftest import BENCH_N, compiled, fmt_instance
+from tests.oracles.plan_interp import run_plan
 
 
 def test_backend_ladder(capsys):
@@ -21,8 +23,8 @@ def test_backend_ladder(capsys):
         L = fmt_instance("lower", fmt)
         k = compiled("ts_lower", fmt, "lower", "L")
         fn = k.callable()
-        t_interp = best_of(lambda: k.run({"L": L, "b": b0.copy()},
-                                         {"n": BENCH_N}), repeats=2)
+        t_interp = best_of(lambda: run_plan(k.plan, {"L": L, "b": b0.copy()},
+                                            {"n": BENCH_N}), repeats=2)
         t_gen = best_of(lambda: fn({"L": L, "b": b0.copy()}, {"n": BENCH_N}),
                         repeats=3)
         kern = specialized.TS_LOWER[fmt]
@@ -47,7 +49,8 @@ def test_mvm_backends(benchmark, backend):
     k = compiled("mvm", "csr", "full", "A")
     if backend == "interpreter":
         benchmark.pedantic(
-            lambda: k.run({"A": A, "x": x, "y": y}, {"m": BENCH_N, "n": BENCH_N}),
+            lambda: run_plan(k.plan, {"A": A, "x": x, "y": y},
+                             {"m": BENCH_N, "n": BENCH_N}),
             rounds=2, iterations=1)
     else:
         fn = k.callable()

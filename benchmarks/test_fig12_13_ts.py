@@ -20,8 +20,8 @@ import numpy as np
 import pytest
 
 from repro.blas import generic_, specialized
-from repro.blas.dense_ref import flops_ts
-from benchmarks.conftest import BENCH_N, bench_lower, compiled, fmt_instance
+from benchmarks.conftest import (BENCH_N, bench_lower, compiled, flops_ts,
+                                 fmt_instance)
 
 FORMATS = ["csr", "csc", "jad"]
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.blas import generic_, specialized
-from repro.blas.dense_ref import flops_mvm
-from benchmarks.conftest import BENCH_N, bench_matrix, compiled, fmt_instance
+from benchmarks.conftest import (BENCH_N, bench_matrix, compiled, flops_mvm,
+                                 fmt_instance)
 
 FORMATS = ["csr", "csc", "coo", "ell", "dia", "jad", "msr", "bsr"]
 

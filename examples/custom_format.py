@@ -14,7 +14,7 @@ declaration names the arrays behind the two levels: the rows are dense,
 the columns of row r are the range first[r] .. first[r]+length[r], and the
 value of (r, c) sits at data[start[r] + c - first[r]].  From the two the
 compiler derives the loops, the searches and the C — and the runtime the
-plan interpreter (``kernel.run``) walks the matrix through.
+generic BLAS (``repro.blas.generic_``) walks the matrix through.
 
 Run:  python examples/custom_format.py
 """
@@ -115,9 +115,6 @@ def main():
             y = np.zeros(n)
             kernel({"A": A, "x": x, "y": y}, {"m": n, "n": n})
             assert np.allclose(y, dense @ x)
-            y_run = np.zeros(n)     # the same plan, interpreted
-            kernel.run({"A": A, "x": x, "y": y_run}, {"m": n, "n": n})
-            assert np.array_equal(y, y_run)
         elif kname == "row_sums":
             s = np.zeros(n)
             kernel({"A": A, "s": s}, {"m": n, "n": n})

@@ -7,7 +7,6 @@
   abstract element/enumeration interface: the analog of the less
   specialized NIST *Fortran* library (a single code for many cases, paying
   for the generality).
-- :mod:`repro.blas.dense_ref` — NumPy oracles for correctness checks.
 - :mod:`repro.blas.api` — uniform dispatch used by the solvers.
 """
 
@@ -21,7 +20,7 @@ from repro.blas.api import (
     ts_lower_solve,
     ts_upper_solve,
 )
-from repro.blas import specialized, generic_, dense_ref
+from repro.blas import specialized, generic_
 
 __all__ = [
     "mm",
@@ -34,5 +33,4 @@ __all__ = [
     "ts_upper_solve",
     "specialized",
     "generic_",
-    "dense_ref",
 ]

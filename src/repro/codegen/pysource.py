@@ -7,11 +7,12 @@ format's emitter (:mod:`repro.codegen.emitters`).  This is the analog of
 the paper's Figure 9 C++ instantiation, and the vehicle for the Section 5
 claim that generated code is structurally equivalent to the NIST library.
 
-The generator is a *symbolic twin* of the reference interpreter
-(:mod:`repro.codegen.interp`): instead of integer values it manipulates
-affine expressions over emitted scalar names, performing the same
-unification and relation propagation at compile time and emitting
-assignments and guards where the interpreter would bind and check.  What
+The generator is a *symbolic twin* of the tests' reference plan
+interpreter (``tests/oracles/plan_interp.py``): instead of integer values
+it manipulates affine expressions over emitted scalar names, performing
+the same unification and relation propagation at compile time and
+emitting assignments and guards where the interpreter would bind and
+check.  What
 it emits is the loop IR of :mod:`repro.codegen.loopir`; the Python source
 of a kernel is one print of that IR, its C translation unit
 (:mod:`repro.codegen.native`) another.

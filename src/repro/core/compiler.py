@@ -2,10 +2,10 @@
 
 ``compile_kernel`` takes a dense program (the high-level API) and a binding
 of matrix names to sparse-format instances (the low-level API), and returns
-a :class:`CompiledKernel` that can execute the synthesized data-centric
-code — through the reference interpreter, or through specialized generated
-code: one loop IR per kernel (see :mod:`repro.codegen.pysource`), printed
-as Python source and, for ``backend="c"``, as C.
+a :class:`CompiledKernel` that executes the synthesized data-centric
+code as specialized generated code: one loop IR per kernel (see
+:mod:`repro.codegen.pysource`), printed as Python source and, for
+``backend="c"``, as C.
 
 This is the analog of the paper's ``#pragma instantiate with Bernoulli``
 template instantiation (Figure 4): the same dense kernel text serves every
@@ -80,25 +80,6 @@ class CompiledKernel:
         self._materialize_lock = threading.RLock()
 
     # -- execution -----------------------------------------------------------
-    def run(self, arrays: Mapping[str, object], params: Mapping[str, int]) -> None:
-        """Execute the kernel.  For ``backend="python"`` this is the
-        reference interpreter; for ``backend="c"`` it dispatches to the
-        native function (falling back to the interpreter when no
-        toolchain is available).  ``arrays`` must map every referenced
-        array name to either a NumPy array (dense data) or a format
-        instance compatible with the compile-time binding."""
-        from repro.codegen.interp import run_plan
-
-        self._check_arrays(arrays)
-        if self.backend == "c":
-            nf = self.native()
-            if nf is not None:
-                INSTR.count("backend.run.native")
-                nf(arrays, {k: int(v) for k, v in params.items()})
-                return
-        INSTR.count("backend.run.interp")
-        run_plan(self.plan, arrays, {k: int(v) for k, v in params.items()})
-
     def __call__(self, arrays: Mapping[str, object], params: Mapping[str, int]) -> None:
         """Execute through the generated specialized code (compiled once,
         cached).  With ``backend="c"`` this is the native shared-object

@@ -9,9 +9,10 @@ A format implements two APIs, mirroring the paper's two-API design
 - the **low-level API** (`view`, `paths`, `storage`, `runtime`): the index
   structure exposed to the restructuring compiler and where its arrays
   are.  The per-path enumeration/search runtime (the analog of the paper's
-  ``term_nesting`` / iterator classes: what the plan interpreter and the
-  generic BLAS walk) is derived from the two — :class:`LevelRuntime`; only
-  a format that declares no storage writes a :class:`PathRuntime`.
+  ``term_nesting`` / iterator classes: what the generic BLAS and the
+  tests' reference plan interpreter walk) is derived from the two —
+  :class:`LevelRuntime`; only a format that declares no storage writes a
+  :class:`PathRuntime`.
 """
 
 from __future__ import annotations

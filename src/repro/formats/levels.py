@@ -6,9 +6,10 @@ structure — a :class:`Storage` with one level per step of the path, the
 value array, and the kernel arguments in signature order.  It has two
 readers: the compiler (:class:`repro.codegen.emitters.ViewEmitter`)
 composes loops, searches and the value access from it, in Python and in
-C, and :class:`repro.formats.base.LevelRuntime` walks it for the plan
-interpreter and the generic BLAS.  A format that declares nothing writes
-its own :class:`~repro.formats.base.PathRuntime` and runs as Python only.
+C, and :class:`repro.formats.base.LevelRuntime` walks it for the generic
+BLAS and the tests' reference plan interpreter.  A format that declares
+nothing writes its own :class:`~repro.formats.base.PathRuntime` and runs
+as Python only.
 
 A level names attributes of the format instance (arrays) and declared
 sizes.  Where a level takes an *expression* (``Range`` bounds, a slot's

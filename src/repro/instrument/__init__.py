@@ -43,7 +43,7 @@ Counter namespaces used by the compiler:
                           calls whose written operand overlapped another
                           and ran the Python kernel instead
                           (``native.dispatch.aliased``)
-- ``backend.run.*``     — per-call dispatch (native / python / interp)
+- ``backend.run.*``     — per-call dispatch (native / python)
 - ``service.*``         — compile_many batch driver traffic
 - ``daemon.*``          — compilation daemon: requests by op, handle-LRU
                           and payload-store traffic, request coalescing,

@@ -37,18 +37,3 @@ def ts_upper(U: np.ndarray, b: np.ndarray) -> np.ndarray:
     import scipy.linalg as sla
 
     return sla.solve_triangular(U, b, lower=False)
-
-
-def flops_mvm(nnz: int) -> int:
-    """Multiply + add per stored entry."""
-    return 2 * nnz
-
-
-def flops_mm(nnz: int, k: int) -> int:
-    """Multiply + add per stored entry per right-hand-side column."""
-    return 2 * nnz * k
-
-
-def flops_ts(nnz: int, n: int) -> int:
-    """Multiply + subtract per off-diagonal entry, one division per row."""
-    return 2 * (nnz - n) + n

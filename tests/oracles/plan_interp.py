@@ -1,11 +1,12 @@
-"""Reference interpreter for enumeration plans.
+"""Reference interpreter for enumeration plans (a test oracle).
 
 Executes a plan directly against the abstract path runtimes — the exact
 operational semantics of the data-centric pseudocode (paper Figures 5/8).
 It is deliberately simple (per-iteration context forks, generic unification
 of affine bindings with relation propagation) and serves as the correctness
-oracle for the specialized Python source emitted by
-:mod:`repro.codegen.pysource`.
+oracle for the generated kernels: ``run_plan(kernel.plan, arrays, params)``
+next to ``kernel(arrays, params)``.  A compiled kernel itself runs only as
+generated code (:mod:`repro.codegen.pysource`, :mod:`repro.codegen.native`).
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@
 import numpy as np
 import pytest
 
-from repro.blas import dense_ref, generic_, specialized
+from repro.blas import generic_, specialized
 from repro.blas.api import mm, mm_t, mvm, mvm_t, ts_lower_solve, ts_upper_solve
 from repro.formats import as_format
 from repro.formats.generate import (
@@ -12,6 +12,7 @@ from repro.formats.generate import (
     random_sparse,
     upper_triangular_of,
 )
+from tests.oracles import dense_ref
 
 ALL = ["csr", "csc", "coo", "dia", "ell", "jad", "bsr", "msr"]
 
@@ -175,13 +176,6 @@ class TestMm:
         out = mm(f, X, Y)
         assert out is Y
         assert np.allclose(Y, dense_ref.mm(dense_a, X))
-
-
-class TestFlops:
-    def test_counts(self):
-        assert dense_ref.flops_mvm(100) == 200
-        assert dense_ref.flops_ts(100, 10) == 190
-        assert dense_ref.flops_mm(100, 16) == 3200
 
 
 class TestOutputDtype:

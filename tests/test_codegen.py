@@ -6,12 +6,12 @@ import ast
 import numpy as np
 import pytest
 
-from repro.codegen.interp import ExecutionError, PlanInterpreter
 from repro.codegen.loopir import print_python
 from repro.codegen.native import lower_kernel
 from repro.codegen.pysource import build_loop_ir
 from repro.formats import as_format
 from tests.conftest import compile_cached
+from tests.oracles.plan_interp import ExecutionError, PlanInterpreter, run_plan
 
 
 class TestGeneratedSource:
@@ -77,9 +77,12 @@ class TestInterpreterInternals:
 
     def test_propagation_solves_combined_equalities(self, small_square):
         """DIA diagonal access pins d == 0 only through the combination of
-        two equalities; the interpreter must solve it at startup."""
+        two equalities; the interpreter must solve it at startup, and the
+        generated kernel at compile time."""
         fmt = as_format(small_square, "dia")
         k = compile_cached("diag_extract", "dia", fmt, "A")
-        d = np.zeros(7)
-        k.run({"A": fmt, "d": d}, {"n": 7})
-        assert np.allclose(d, np.diag(small_square))
+        d_plan, d_gen = np.zeros(7), np.zeros(7)
+        run_plan(k.plan, {"A": fmt, "d": d_plan}, {"n": 7})
+        k({"A": fmt, "d": d_gen}, {"n": 7})
+        assert np.allclose(d_plan, np.diag(small_square))
+        assert np.array_equal(d_plan, d_gen)

@@ -1,9 +1,10 @@
 """End-to-end compiler correctness: every kernel x format x backend against
 the dense reference interpreter.
 
-This is the core acceptance suite: the compiled sparse code (both the plan
-interpreter and the generated specialized Python) must compute exactly what
-the dense program computes on the densified matrix.
+This is the core acceptance suite: the compiled sparse code (the plan, run
+by the reference plan interpreter, and the generated specialized Python)
+must compute exactly what the dense program computes on the densified
+matrix.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.formats.generate import (
 from repro.ir import execute_dense
 from repro.ir.kernels import ALL_KERNELS
 from tests.conftest import compile_cached
+from tests.oracles.plan_interp import run_plan
 
 MVM_FORMATS = ["csr", "csc", "coo", "dense", "ell", "dia", "jad", "bsr", "msr"]
 TS_FORMATS = ["csr", "csc", "coo", "jad", "msr", "ell", "dense"]
@@ -51,8 +53,8 @@ def run_both_backends(kernel_name, fmt_name, matrix_coo, array_name,
     arrays_g = make_arrays(fmt_g)
     prog = ALL_KERNELS[kernel_name]()
     execute_dense(prog, arrays_d, params)
-    k.run(arrays_i, params)      # plan interpreter
-    k(arrays_g, params)          # generated specialized code
+    run_plan(k.plan, arrays_i, params)      # plan interpreter
+    k(arrays_g, params)                     # generated specialized code
 
     for name in arrays_d:
         if name == array_name:
@@ -221,7 +223,7 @@ class TestCompilerApi:
         fmt = as_format(rect, "csr")
         k = compile_cached("mvm", "csr", fmt, "A")
         with pytest.raises(KeyError):
-            k.run({"A": fmt}, {"m": 6, "n": 8})
+            k({"A": fmt}, {"m": 6, "n": 8})
 
     def test_wrong_format_instance_at_run(self, rect):
         fmt = as_format(rect, "csr")
@@ -325,16 +327,17 @@ class TestParamInference:
         assert pv["n"] == 6
 
 
-class TestRunCallParity:
-    def test_numpy_integer_params_accepted_by_run(self, rect):
-        """run() must coerce params exactly like __call__ does."""
+class TestCallParams:
+    def test_numpy_integer_params_accepted(self, rect):
+        """A kernel call coerces NumPy integer params to ``int`` and
+        computes what the plan interpreter does with plain ones."""
         fmt = as_format(rect, "csr")
         k = compile_cached("mvm", "csr", fmt, "A")
         x = np.random.default_rng(1).random(8)
-        y_run = np.zeros(6)
+        y_plan = np.zeros(6)
         y_call = np.zeros(6)
-        params = {"m": np.int64(6), "n": np.int64(8)}
-        k.run({"A": fmt, "x": x, "y": y_run}, params)
-        k({"A": fmt, "x": x, "y": y_call}, dict(params))
-        assert np.allclose(y_run, fmt.to_dense() @ x)
-        assert np.allclose(y_run, y_call)
+        run_plan(k.plan, {"A": fmt, "x": x, "y": y_plan}, {"m": 6, "n": 8})
+        k({"A": fmt, "x": x, "y": y_call},
+          {"m": np.int64(6), "n": np.int64(8)})
+        assert np.allclose(y_call, fmt.to_dense() @ x)
+        assert np.allclose(y_plan, y_call)

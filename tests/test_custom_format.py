@@ -10,7 +10,6 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.codegen import run_plan
 from repro.codegen.emitters import GenericEmitter, ViewEmitter, make_emitter
 from repro.codegen.loopir import BinOp, Builder, While, walk
 from repro.codegen.native import lower_kernel
@@ -40,6 +39,7 @@ from repro.formats.views import (
 from repro.instrument import INSTR
 from repro.ir import execute_dense
 from repro.ir.kernels import col_sums, mvm, mvm_t, scale
+from tests.oracles.plan_interp import run_plan
 
 
 class ColSortedCoo(SparseFormat):
@@ -133,11 +133,13 @@ class TestCustomFormat:
         k = compile_kernel(mvm(), {"A": custom})
         x = rng.random(8)
         y = rng.random(6)
-        yd = y.copy()
+        yd, yg = y.copy(), y.copy()
         execute_dense(mvm(), {"A": small_rect_module.copy(), "x": x, "y": yd},
                       {"m": 6, "n": 8})
-        k.run({"A": custom, "x": x, "y": y}, {"m": 6, "n": 8})
+        run_plan(k.plan, {"A": custom, "x": x, "y": y}, {"m": 6, "n": 8})
+        k({"A": custom, "x": x, "y": yg}, {"m": 6, "n": 8})
         assert np.allclose(y, yd)
+        assert np.allclose(yg, yd)
 
     def test_generated_code_falls_back_to_runtime(self, custom, rng):
         k = compile_kernel(mvm(), {"A": custom})
@@ -153,8 +155,11 @@ class TestCustomFormat:
         sd = np.zeros(8)
         execute_dense(col_sums(), {"A": small_rect_module.copy(), "s": sd},
                       {"m": 6, "n": 8})
-        k.run({"A": custom, "s": s}, {"m": 6, "n": 8})
+        sg = np.zeros(8)
+        run_plan(k.plan, {"A": custom, "s": s}, {"m": 6, "n": 8})
+        k({"A": custom, "s": sg}, {"m": 6, "n": 8})
         assert np.allclose(s, sd)
+        assert np.allclose(sg, sd)
 
     def test_mvm_t(self, custom, small_rect_module, rng):
         k = compile_kernel(mvm_t(), {"A": custom})

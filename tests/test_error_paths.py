@@ -24,6 +24,7 @@ from repro.formats.generate import lower_triangular_of, random_sparse
 from repro.ir.kernels import mvm, ts_lower
 from repro.polyhedra.linexpr import LinExpr
 from repro.search.driver import copy_var_bounds
+from tests.oracles.plan_interp import run_plan
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +134,7 @@ class TestInterpreterDiagnostics:
         fmt = as_format(lower16, "csr")
         k = compile_kernel(ts_lower(), {"L": fmt}, simplify_guards=False)
         with pytest.raises(Exception):
-            k.run({"L": fmt, "b": np.zeros(16)}, {})
+            run_plan(k.plan, {"L": fmt, "b": np.zeros(16)}, {})
         with pytest.raises(KeyError):
             k({"L": fmt, "b": np.zeros(16)}, {})
 

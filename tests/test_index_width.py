@@ -16,7 +16,7 @@ formats stays int64.  Four ways that can go wrong, one section each:
     reassigning the arrays after construction: there is no user-facing
     switch, so this is how the int64 path stays exercised) on the Python
     backend and C at ``opt="none"`` and ``"tiled"``, byte-identical to
-    each other and to ``blas/dense_ref``;
+    each other and to ``tests/oracles/dense_ref``;
 (c) the rule itself — a lowered module limit drives small matrices over
     the threshold, each format's address bound included, and a
     narrow×narrow SpGEMM whose *output* crosses it comes back wide;
@@ -35,7 +35,6 @@ import numpy as np
 import pytest
 
 from repro.blas import api as blas_api
-from repro.blas import dense_ref
 from repro.blas.api import spgemm, spgemm_triples
 from repro.core import NativeBackendWarning, PlanError, compile_kernel
 from repro.core import backend as be
@@ -56,6 +55,7 @@ from repro.search.features import extract_features
 from repro.search.format_select import select_output_format
 from repro.solvers import SolverContext
 from tests.conftest import at_width, index_arrays
+from tests.oracles import dense_ref
 
 #: dense is left out of the big-matrix hunt (70 001² doubles) and has no
 #: index arrays to get wrong

@@ -9,6 +9,7 @@ from repro.formats import as_format
 from repro.formats.generate import random_sparse
 from repro.ir import execute_dense
 from repro.ir.kernels import add_mvm, spmm
+from tests.oracles.plan_interp import run_plan
 
 _kernel_cache = {}
 
@@ -86,7 +87,7 @@ class TestSpmm:
         Y1 = np.zeros((6, 5))
         Y2 = np.zeros((6, 5))
         k = _compiled(("spmm", "csr"), spmm(), {"A": A})
-        k.run({"A": A, "X": X, "Y": Y1}, {"m": 6, "n": 8, "k": 5})
+        run_plan(k.plan, {"A": A, "X": X, "Y": Y1}, {"m": 6, "n": 8, "k": 5})
         k({"A": A, "X": X, "Y": Y2}, {"m": 6, "n": 8, "k": 5})
         assert np.allclose(Y1, Y2)
 

@@ -23,6 +23,7 @@ from repro.formats.generate import lower_triangular_of, random_sparse
 from repro.instrument import INSTR
 from repro.ir.kernels import ALL_KERNELS
 from tests.conftest import at_width
+from tests.oracles.plan_interp import run_plan
 
 FORMATS = ["csr", "csc", "coo", "dia", "ell", "jad", "bsr", "msr"]
 
@@ -106,13 +107,13 @@ class TestParity:
         assert yp.tobytes() == yc.tobytes()
         assert np.allclose(yp, A.to_dense() @ x)
 
-    def test_run_also_dispatches_native(self, square, rng):
+    def test_native_matches_the_plan_interpreter(self, square, rng):
         A = _fmt(square, "csr")
-        kp, kc = _compile_pair("mvm", "A", A)
+        _, kc = _compile_pair("mvm", "A", A)
         x = rng.random(N)
         yp, yc = np.zeros(N), np.zeros(N)
-        kp.run({"A": A, "x": x, "y": yp}, {"m": N, "n": N})
-        kc.run({"A": A, "x": x, "y": yc}, {"m": N, "n": N})
+        run_plan(kc.plan, {"A": A, "x": x, "y": yp}, {"m": N, "n": N})
+        kc({"A": A, "x": x, "y": yc}, {"m": N, "n": N})
         assert np.array_equal(yp, yc)
 
     def test_int32_indices(self, square, rng):
@@ -451,6 +452,47 @@ class TestAliasing:
         assert INSTR.get("native.dispatch.aliased") == aliased + 1
         for name in names:
             assert got[name].tobytes() == want[name].tobytes()
+
+
+class TestMutatedArrays:
+    """README "Semantics contract": values changed in place or through
+    ``set()`` are seen by every later call, a prepared native call
+    included (it matched on identity and holds the same buffer); an
+    attribute rebound to a new array is marshalled afresh."""
+
+    @pytest.mark.parametrize("backend", ["python", "c"])
+    def test_later_calls_see_the_change(self, square, rng, backend):
+        A = _fmt(square, "csr")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NativeBackendWarning)
+            k = compile_kernel(ALL_KERNELS["mvm"](), {"A": A},
+                               backend=backend)
+        native = k.native() is not None
+        x = rng.random(N)
+        y = np.zeros(N)
+        arrays, params = {"A": A, "x": x, "y": y}, {"m": N, "n": N}
+
+        def call(prepared):
+            before = (INSTR.get("native.dispatch.prepared"),
+                      INSTR.get("native.dispatch.coerced"))
+            y[:] = 0.0
+            k(arrays, params)
+            assert np.allclose(y, A.to_dense() @ x, rtol=1e-14, atol=0)
+            assert (INSTR.get("native.dispatch.prepared"),
+                    INSTR.get("native.dispatch.coerced")) == \
+                (before[0] + (prepared and native), before[1])
+
+        call(prepared=False)            # fresh operands: marshalled
+        call(prepared=True)
+        A.values *= 2.0                 # in place
+        call(prepared=True)
+        r, c = int(A.rowptr.searchsorted(1, "right") - 1), int(A.colind[1])
+        A.set(r, c, 7.5)                # through the high-level API
+        assert A.values[1] == 7.5
+        call(prepared=True)
+        A.values = A.values * 3.0       # rebound: a new buffer
+        call(prepared=False)
+        call(prepared=True)
 
 
 class TestFloorDiv:

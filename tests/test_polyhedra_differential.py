@@ -20,12 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codegen.interp import PlanInterpreter, _Ctx
 from repro.polyhedra import farkas, fm
 from repro.polyhedra.linexpr import LinExpr, var
 from repro.polyhedra.system import EQ, GE, Constraint, System, ge, le
 from repro.util.fractions_linalg import IncrementalRank, canon, exact_div
 from tests.oracles import fraction_polyhedra as ref
+from tests.oracles.plan_interp import PlanInterpreter, _Ctx
 
 VARS = [f"x{i}" for i in range(6)]
 

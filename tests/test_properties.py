@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from repro.core import compile_kernel
 from repro.formats import FORMATS, as_format
 from repro.ir.kernels import mvm, ts_lower
+from tests.oracles.plan_interp import run_plan
 
 M, N = 6, 8
 _kernels = {}
@@ -101,6 +102,6 @@ def test_interpreter_and_generated_agree(entries):
     y1 = np.zeros(M)
     y2 = np.zeros(M)
     k = kernel_for("csr", "mvm")
-    k.run({"A": f1, "x": x, "y": y1}, {"m": M, "n": N})
+    run_plan(k.plan, {"A": f1, "x": x, "y": y1}, {"m": M, "n": N})
     k({"A": f2, "x": x, "y": y2}, {"m": M, "n": N})
     assert np.array_equal(y1, y2)

@@ -1,7 +1,7 @@
 """Hypothesis property suite (satellite): format round-trips through
 ``convert()`` across all 10 formats, plus a differential compile oracle
-— ``compile_kernel`` output must match ``blas/dense_ref`` on both
-backends.
+— ``compile_kernel`` output must match ``tests/oracles/dense_ref`` on
+both backends.
 
 Determinism: every fast test runs with ``derandomize=True`` so a given
 checkout always draws the same example sequence (seed-reproducible CI);
@@ -23,11 +23,11 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from repro.blas import dense_ref
 from repro.core import NativeBackendWarning, compile_kernel
 from repro.core import backend as be
 from repro.formats import FORMATS, as_format, convert
 from repro.ir.kernels import mvm, ts_lower
+from tests.oracles import dense_ref
 
 ALL_FORMATS = list(FORMATS)  # all 10: dense ... sym
 
@@ -131,7 +131,7 @@ def test_convert_chain_all_formats(dense):
 
 
 # ---------------------------------------------------------------------------
-# differential oracle: compile_kernel vs blas/dense_ref, both backends
+# differential oracle: compile_kernel vs the dense oracle, both backends
 # ---------------------------------------------------------------------------
 
 _kernels = {}

@@ -1,7 +1,7 @@
 """Differential test wall around SpGEMM: the sparse×sparse product with
 *computed* output structure must match the dense
-``blas/dense_ref.spgemm`` oracle over every format pair through the
-generic tier, and the three dispatch tiers (native / vectorized /
+``tests/oracles/dense_ref.spgemm`` oracle over every format pair through
+the generic tier, and the three dispatch tiers (native / vectorized /
 generic) must be byte-for-byte identical on CSR×CSR — rowptr, colind and
 values arrays, not just the reconstructed dense matrix.  The default
 path (``tier=None``) is the native kernel wherever a toolchain exists
@@ -28,7 +28,6 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from repro.blas import dense_ref
 from repro.blas.api import spgemm, spgemm_triples
 from repro.blas.spgemm_native import RADIX_MIN, SWEEP_SPAN
 from repro.core import NativeBackendWarning
@@ -38,6 +37,7 @@ from repro.formats.coo import CooMatrix
 from repro.formats.csr import CsrMatrix
 from repro.formats.generate import power_law_rows
 from repro.instrument import INSTR
+from tests.oracles import dense_ref
 
 ALL_FORMATS = list(FORMATS)  # all 10: dense ... sym
 

@@ -1,6 +1,6 @@
 """Differential test wall around the SpMM workload family (satellite):
-compiled ``spmm`` must match the dense ``blas/dense_ref.mm`` oracle over
-all 10 formats x {python, c} backends, bitwise.
+compiled ``spmm`` must match the dense ``tests/oracles/dense_ref.mm``
+oracle over all 10 formats x {python, c} backends, bitwise.
 
 Exactness: matrix and panel entries are integer-valued floats, so every
 product/sum is exact in binary floating point regardless of accumulation
@@ -23,12 +23,12 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from repro.blas import dense_ref
 from repro.core import NativeBackendWarning, compile_kernel
 from repro.core import backend as be
 from repro.formats import FORMATS
 from repro.formats.csr import CsrMatrix
 from repro.ir.kernels import spmm, spmm_t
+from tests.oracles import dense_ref
 
 ALL_FORMATS = list(FORMATS)  # all 10: dense ... sym
 
@@ -108,7 +108,7 @@ def backends():
 
 
 # ---------------------------------------------------------------------------
-# differential oracle: compiled spmm vs blas/dense_ref.mm, both backends
+# differential oracle: compiled spmm vs the dense oracle, both backends
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("backend", backends())

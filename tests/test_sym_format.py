@@ -10,6 +10,7 @@ from repro.formats import SymMatrix, as_format
 from repro.formats.generate import laplacian_2d, random_sparse
 from repro.ir import execute_dense
 from repro.ir.kernels import frobenius, mvm, row_sums
+from tests.oracles.plan_interp import run_plan
 
 _cache = {}
 
@@ -71,7 +72,7 @@ class TestCompiled:
         S, D = sym_pair
         k = _compiled("mvm", mvm(), {"A": S})
         x = rng.random(16)
-        for runner in (k.run, k):
+        for runner in (lambda a, p: run_plan(k.plan, a, p), k):
             y = np.full(16, 3.0)
             runner({"A": S, "x": x, "y": y}, {"m": 16, "n": 16})
             assert np.allclose(y, D @ x)
