@@ -13,8 +13,10 @@ a compressed list) is what distinguishes it from CSR.  The storage
 declaration names the arrays behind the two levels: the rows are dense,
 the columns of row r are the range first[r] .. first[r]+length[r], and the
 value of (r, c) sits at data[start[r] + c - first[r]].  From the two the
-compiler derives the loops, the searches and the C — and the runtime the
-generic BLAS (``repro.blas.generic_``) walks the matrix through.
+compiler derives the loops, the searches and the C, and the library the
+matrix's own get/set/to_coo_arrays and the runtime the generic BLAS
+(``repro.blas.generic_``) walks it through: a format designer writes the
+view, the storage, a constructor and nnz.
 
 Run:  python examples/custom_format.py
 """
@@ -42,25 +44,6 @@ class SkylineMatrix(SparseFormat):
     @property
     def nnz(self):
         return int(self.data.size)
-
-    def _slot(self, r, c):
-        o = c - self.first[r]
-        return int(self.start[r] + o) if 0 <= o < self.length[r] else None
-
-    def get(self, r, c):
-        k = self._slot(r, c)
-        return 0.0 if k is None else float(self.data[k])
-
-    def set(self, r, c, v):
-        k = self._slot(r, c)
-        if k is None:
-            raise KeyError((r, c))
-        self.data[k] = v
-
-    def to_coo_arrays(self):
-        rows = np.repeat(np.arange(self.nrows), self.length)
-        cols = np.arange(self.nnz) - self.start[rows] + self.first[rows]
-        return rows, cols, self.data.copy()
 
     @classmethod
     def from_coo(cls, rows, cols, vals, shape):
@@ -104,6 +87,8 @@ def main():
         dense[r, lo:hi] = rng.random(hi - lo) + 0.5
 
     A = SkylineMatrix.from_dense(dense)
+    # get and to_coo_arrays (behind to_dense) are read from the declaration
+    assert np.array_equal(A.to_dense(), dense) and A.get(5, 5) == dense[5, 5]
     print(f"skyline matrix: {n}x{n}, nnz={A.nnz}")
     print("index structure:", A.view())
 

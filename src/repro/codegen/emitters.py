@@ -32,9 +32,8 @@ typed from the bound instance.  It then provides:
 - ``get(states)`` / ``set(states, value)`` — the value access.
 
 Keys and states are names of integer locals, accumulated per step.  A
-format that declares no storage gets the :class:`GenericEmitter`: dynamic
-calls through its :class:`~repro.formats.base.PathRuntime`, every node
-``PyOnly``, so such a kernel runs as generated Python only.
+format that declares no storage has no emitter: ``compile_kernel`` refuses
+it before the search.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from repro.codegen.loopir import (
     If,
     Load,
     Neg,
-    PyOnly,
     ScalarArg,
     Select,
     Store,
@@ -61,7 +59,6 @@ from repro.codegen.loopir import (
     While,
     ZERO,
     counted,
-    py_expr,
     within,
 )
 from repro.core.spaces import SparseRef
@@ -286,59 +283,6 @@ class ViewEmitter(BaseEmitter):
                     tuple(self.expr(i, states) for i in idx))
 
 
-class GenericEmitter(BaseEmitter):
-    """Fallback: call the abstract runtime dynamically.  Keeps user-defined
-    formats working with the generated Python (slower than inlined code
-    but still loop-specialized); every node is ``PyOnly``."""
-
-    WHY = "generic runtime emitter"
-
-    def __init__(self, ref, name, inst, b):
-        super().__init__(ref, name, inst, b)
-        self.rt = f"{name}_rt"
-        b.add(PyOnly(f"{self.rt} = arrays[{ref.array!r}]"
-                     f".runtime({ref.path.path_id!r})", self.WHY))
-
-    @staticmethod
-    def _tuple(items: Sequence[str]) -> str:
-        return "(" + "".join(f"{i}, " for i in items) + ")"
-
-    def loop(self, step, states, reverse, dims):
-        keys, st = self.fresh("keys"), self.fresh("st")
-        it = f"{self.rt}.enumerate({step}, {self._tuple(states)})"
-        if reverse:
-            it = f"reversed(list({it}))"
-        self.b.open(PyOnly(f"for {keys}, {st} in {it}:", self.WHY, []))
-        names = [self.fresh(a) for a in self.ref.path.steps[step].names]
-        for i, nm in enumerate(names):
-            self.b.add(PyOnly(f"{nm} = {keys}[{i}]", self.WHY))
-        return names, [st]
-
-    def interval(self, step, states):
-        iv = self.fresh("iv")
-        self.b.add(PyOnly(f"{iv} = {self.rt}.interval({step}, "
-                          f"{self._tuple(states)})", self.WHY))
-        return PyOnly(f"{iv}[0]", self.WHY), PyOnly(f"{iv}[1]", self.WHY)
-
-    def search(self, step, states, keys):
-        st = self.fresh("st")
-        keys = self._tuple([py_expr(k) for k in keys])
-        self.b.add(PyOnly(f"{st} = {self.rt}.search({step}, "
-                          f"{self._tuple(states)}, {keys})", self.WHY))
-        return [st], PyOnly(f"{st} is not None", self.WHY)
-
-    def get(self, states):
-        return PyOnly(f"{self.rt}.get({self._tuple(states)})", self.WHY)
-
-    def set(self, states, value) -> None:
-        self.b.add(PyOnly(f"{self.rt}.set({self._tuple(states)}, "
-                          f"{py_expr(value)})", self.WHY))
-
-
-def make_emitter(ref: SparseRef, name: str, inst, b: Builder) -> BaseEmitter:
-    """The :class:`ViewEmitter` of the path's storage declaration; the
-    :class:`GenericEmitter` when the format declares none."""
-    decl = inst.storage(ref.path.path_id)
-    if decl is not None:
-        return ViewEmitter(ref, name, inst, b, decl)
-    return GenericEmitter(ref, name, inst, b)
+def make_emitter(ref: SparseRef, name: str, inst, b: Builder) -> ViewEmitter:
+    """The :class:`ViewEmitter` of the path's storage declaration."""
+    return ViewEmitter(ref, name, inst, b, inst.storage(ref.path.path_id))

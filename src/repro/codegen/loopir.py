@@ -19,7 +19,7 @@ needs is on the nodes — nothing is recovered from text:
   search site by :meth:`repro.codegen.emitters.BaseEmitter.bisect` and
   ``scan`` — so a printed kernel is one function and nothing beside it;
 - :class:`PyOnly` is the one node without a C printer: the gather-and-sort
-  enumeration and the generic emitter's dynamic runtime calls.
+  enumeration.
 
 Expression nodes compare and hash structurally (a read-modify-write store
 is ``value.left == Load(array, idx)``); statements and arguments are

@@ -50,8 +50,7 @@ _STEP_TOTALS_LOCK = threading.Lock()
 def step_totals(fmt: SparseFormat, path_id: str) -> List[float]:
     """Total number of (key, state) pairs produced at each step of a path,
     summed over all prefixes — e.g. CSR "rows": [m, nnz] — read from the
-    path's declared levels (:meth:`LevelRuntime.totals`); a format that
-    declares none is walked entry by entry.
+    path's declared levels in closed form (:meth:`LevelRuntime.totals`).
 
     Memoized per format *instance* (instances are immutable once built).
     Insertion is locked: concurrent auto-mode selections share instances,

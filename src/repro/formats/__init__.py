@@ -8,7 +8,7 @@ random-access API and the low-level access-path/runtime API consumed by the
 compiler.
 """
 
-from repro.formats.base import PathRuntime, SparseFormat
+from repro.formats.base import LevelRuntime, SparseFormat
 from repro.formats.views import (
     AccessPath,
     Axis,
@@ -48,7 +48,7 @@ from repro.formats.io import read_matrix_market, write_matrix_market, read_coo_t
 from repro.formats import generate
 
 __all__ = [
-    "PathRuntime",
+    "LevelRuntime",
     "SparseFormat",
     "AccessPath",
     "Axis",

@@ -3,20 +3,25 @@
 A format implements two APIs, mirroring the paper's two-API design
 (Section 1):
 
-- the **high-level API** (`get`, `set`, `to_dense`, shape/nnz): the
-  dense-matrix view used by algorithm designers and by the reference
-  interpreters;
-- the **low-level API** (`view`, `paths`, `storage`, `runtime`): the index
-  structure exposed to the restructuring compiler and where its arrays
-  are.  The per-path enumeration/search runtime (the analog of the paper's
-  ``term_nesting`` / iterator classes: what the generic BLAS and the
-  tests' reference plan interpreter walk) is derived from the two —
-  :class:`LevelRuntime`; only a format that declares no storage writes a
-  :class:`PathRuntime`.
+- the **low-level API** (`view`, `paths`, `storage`): the index structure
+  exposed to the restructuring compiler and where its arrays are — with a
+  constructor and ``nnz``, all a format designer writes;
+- the **high-level API** (`get`, `set`, `to_coo_arrays`, `to_dense`,
+  shape/nnz): the dense-matrix view used by algorithm designers, derived
+  here from the low-level one.
+
+Between the two sits one :class:`LevelRuntime` per path (the analog of the
+paper's ``term_nesting`` / iterator classes), read from the path's
+declaration: it enumerates and searches one prefix at a time — what the
+generic BLAS, the tests' reference plan interpreter, ``get`` and ``set``
+walk — or every prefix at once — ``to_coo_arrays`` and the cost model's
+step totals.  A format that declares no storage is refused.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import operator
 from typing import Callable, Iterator, List, Optional, Tuple
 
@@ -30,55 +35,6 @@ from repro.formats.views import (
     access_paths, union_branches,
 )
 from repro.polyhedra.system import System
-
-
-class PathRuntime:
-    """Enumeration/search runtime for one access path of one matrix.
-
-    States are opaque per-step handles; ``prefix`` is the tuple of states of
-    all enclosing steps.  ``keys`` are the *logical* (post-map) coordinate
-    values of the step's axes — permutations are resolved inside the runtime
-    (enumerating a permuted axis yields logical values; searching one applies
-    the inverse permutation).
-    """
-
-    #: the AccessPath this runtime implements (set by the format)
-    path: AccessPath
-
-    def enumerate(self, step: int, prefix: Tuple) -> Iterator[Tuple[Tuple[int, ...], object]]:
-        """Yield ``(keys, state)`` for every stored entry of this step under
-        the given prefix, in the path's stored order."""
-        raise NotImplementedError
-
-    def search(self, step: int, prefix: Tuple, keys: Tuple[int, ...]) -> Optional[object]:
-        """State for the entry with the given keys, or None if absent.
-        Only valid when every axis of the step is searchable."""
-        raise NotImplementedError
-
-    def interval(self, step: int, prefix: Tuple) -> Optional[Tuple[int, int]]:
-        """Half-open [lo, hi) coordinate range when the (single) axis of the
-        step is an interval; None otherwise."""
-        return None
-
-    def get(self, prefix: Tuple) -> float:
-        """The stored value once all steps have states."""
-        raise NotImplementedError
-
-    def set(self, prefix: Tuple, value: float) -> None:
-        raise NotImplementedError
-
-    def totals(self) -> List[float]:
-        """The ``(key, state)`` pairs each step yields, summed over every
-        prefix (CSR "rows": ``[m, nnz]``), by walking every stored entry;
-        a declared path sums its levels (:meth:`LevelRuntime.totals`)."""
-        totals, stack = [0.0] * len(self.path.steps), [()]
-        while stack:                    # depth first: no last-level prefix kept
-            prefix = stack.pop()
-            for _keys, st in self.enumerate(len(prefix), prefix):
-                totals[len(prefix)] += 1
-                if len(prefix) + 1 < len(totals):
-                    stack.append(prefix + (st,))
-        return totals
 
 
 def check_storage(fmt: "SparseFormat", path: AccessPath,
@@ -134,21 +90,46 @@ def check_storage(fmt: "SparseFormat", path: AccessPath,
     return kinds
 
 
-_OPS = {"+": operator.add, "-": operator.sub, "min": min, "max": max,
-        "neg": operator.neg}
-#: the same operators over arrays of states, an entry per prefix
-_ELEMENTWISE = dict(_OPS, min=np.minimum, max=np.maximum)
+#: a declared expression's operators, over ints or arrays of states
+_OPS = {"+": operator.add, "-": operator.sub, "min": np.minimum,
+        "max": np.maximum, "neg": operator.neg}
 
 
-class LevelRuntime(PathRuntime):
-    """The runtime of a path that declares its storage
+def _array(states):
+    """A step's states as an array (a slice stands for consecutive ones)."""
+    if isinstance(states, slice):
+        return np.arange(states.start, states.stop)
+    return states
+
+
+def _affine(e, keys) -> np.ndarray:
+    """A logical coordinate (a ``path.subs`` expression) of every entry,
+    from the keys of every axis: the one key itself, or int64 arithmetic."""
+    (name, coef), *more = e.coeffs.items()
+    if coef == 1 and not more and not e.const:
+        return keys[name]
+    out = int(e.const)
+    for name, coef in e.coeffs.items():
+        out = out + np.asarray(keys[name], dtype=np.int64) * int(coef)
+    return out
+
+
+class LevelRuntime:
+    """The runtime of one access path, read from its storage declaration
     (:mod:`repro.formats.levels`): every level is resolved once, here —
     its arrays, its sizes, its declared expressions as closures over the
     prefix — into what walking it takes.  A ``Dense``/``Range`` level is
     its interval, and its state the key; a level that stores coordinates
     is its slots, and its state the slot or its address; a ``Perm`` is
     both: the states and keys :class:`~repro.codegen.emitters.ViewEmitter`
-    produces."""
+    produces.
+
+    A ``prefix`` is the tuple of the states of the enclosing steps; the
+    ``keys`` of a step are the *logical* (post-map) values of its axes —
+    a permuted axis yields the permuted value and is searched through the
+    inverse.  It walks one prefix at a time (:meth:`enumerate`,
+    :meth:`search`) or every prefix at once (:meth:`totals`,
+    :meth:`coo`)."""
 
     def __init__(self, fmt: "SparseFormat", path: AccessPath, decl: Storage):
         self.path = path
@@ -162,21 +143,27 @@ class LevelRuntime(PathRuntime):
                 self._sizes[a.local] = len(getattr(fmt, a.attr))
             else:
                 self._sizes[a.local] = int(getattr(fmt, a.attr))
-        self._intervals, self._slots, self._inverses = zip(
-            *map(self._level, path.steps, decl.levels))
-        self._skips_diagonal = [getattr(level, "off_diagonal", False)
-                                for level in decl.levels]
-        array, *index = decl.value
+        self._skips = [getattr(level, "off_diagonal", False)
+                       for level in decl.levels]
+        self._bounds, self._readers = zip(*map(
+            self._level, range(len(decl.levels)), decl.levels))
+        self._slots = [None if isinstance(level, (Dense, Range))
+                       else self._slotter(step, level)
+                       for step, level in enumerate(decl.levels)]
+        self._finds = [self._finder(step, level)
+                       for step, level in enumerate(decl.levels)]
+        ends = np.cumsum([len(s.axes) for s in path.steps]).tolist()
+        self._chain = list(zip(self._finds, [0] + ends, ends))
+        array, *self._index = decl.value
         self._values = self._arrays[array]
-        index = [self._expr(i) for i in index]
+        index = [self._expr(i) for i in self._index]
         self._address = index[0] if len(index) == 1 else (
             lambda prefix: tuple([i(prefix) for i in index]))
 
-    def _expr(self, e, slot: str = "",
-              elementwise: bool = False) -> Callable[[Tuple], int]:
+    def _expr(self, e, slot: str = "") -> Callable[[Tuple], int]:
         """A declared expression as a function of the prefix (followed by
-        the slot position, where the expression may name ``slot``); with
-        ``elementwise``, of state arrays, an entry per prefix."""
+        the slot position, where the expression may name ``slot``): of
+        one prefix, or of state arrays with an entry per prefix."""
         if isinstance(e, int):
             return lambda prefix: e
         if isinstance(e, str):
@@ -189,122 +176,203 @@ class LevelRuntime(PathRuntime):
         op, *operands = e
         if op == "at":
             array = self._arrays[operands[0]]
-            index = self._expr(operands[1], slot, elementwise)
-            if elementwise:
-                return lambda prefix: array[index(prefix)].astype(np.int64)
-            return lambda prefix: int(array[index(prefix)])
-        fn = (_ELEMENTWISE if elementwise else _OPS)[op]
-        operands = [self._expr(x, slot, elementwise) for x in operands]
-        return lambda prefix: fn(*[x(prefix) for x in operands])
+            index = self._expr(operands[1], slot)
+            return lambda prefix: array[index(prefix)].astype(np.int64)
+        fn = _OPS[op]
+        a, *b = [self._expr(x, slot) for x in operands]
+        if not b:
+            return lambda prefix: fn(a(prefix))
+        b, = b
+        return lambda prefix: fn(a(prefix), b(prefix))
 
     def _level(self, step, level):
-        """One level as functions of the prefix: ``interval`` for every
-        coordinate of ``[lo, hi)``, ``slots`` for stored ones — the states
-        of this prefix' slots and, per axis, their keys — and the
-        ``inverse`` a permuted interval is searched through."""
-        if isinstance(level, Perm):                         # over Dense
-            m = self._sizes[level.stored.extent]
-            every = range(m), [self._arrays[step.axes[0].perm][:m]]
-            return ((lambda prefix: (0, m)), (lambda prefix: every),
-                    self._arrays[level.inverse])
-        if isinstance(level, Dense):
-            whole = (0, self._sizes[level.extent])
-            return (lambda prefix: whole), None, None
+        """One level as two functions, of one prefix (ints) or of every
+        prefix (an array per enclosing step): ``bounds(prefix)``, the
+        half-open ``[lo, hi)`` of its interval's keys or of its slots, and
+        ``read(states, prefix)``, per axis the keys at ``states`` (an
+        array, or a slice of consecutive slots)."""
+        axes = self.path.steps[step].axes
         if isinstance(level, Range):
             lo, hi = self._expr(level.lo), self._expr(level.hi)
-            return (lambda prefix: (lo(prefix), hi(prefix))), None, None
-        if isinstance(level, Coords):
-            extent = self._sizes[level.extent]
-            every = range(extent), [self._coordinate(c, a.perm, extent)
-                                    for c, a in zip(level.inds, step.axes)]
-            return None, lambda prefix: every, None
+            return (lambda prefix: (lo(prefix), hi(prefix)),
+                    lambda states, prefix: [_array(states)])
+        if isinstance(level, (Dense, Perm, Coords)):
+            extent = self._sizes[getattr(level, "stored", level).extent]
+            whole = lambda prefix: (0, extent)              # noqa: E731
+            if isinstance(level, Dense):
+                return whole, lambda states, prefix: [_array(states)]
+            if isinstance(level, Perm):
+                perm = self._arrays[axes[0].perm]
+                return whole, lambda states, prefix: [perm[states]]
+            coords = [(c, a.perm) for c, a in zip(level.inds, axes)]
+            return whole, lambda states, prefix: [
+                self._coordinate(c, perm, states) for c, perm in coords]
         ind = self._arrays[level.ind]
         if isinstance(level, Compressed):
             ptr = self._arrays[level.ptr]
+            return (lambda prefix: (ptr[prefix[-1]], ptr[prefix[-1] + 1]),
+                    lambda states, prefix: [ind[states]])
+        count = self._arrays[level.count]                   # Counted
+        if level.address is None:
+            return (lambda prefix: (0, count[prefix[-1]]),
+                    lambda states, prefix: [ind[prefix[-1], states]])
+        return (lambda prefix: (0, count[prefix[-1]]),
+                lambda states, prefix: [ind[states]])
 
-            def segment(prefix):
-                lo, hi = int(ptr[prefix[-1]]), int(ptr[prefix[-1] + 1])
-                return range(lo, hi), [ind[lo:hi]]
-            return None, segment, None
-        count, address = self._arrays[level.count], level.address  # Counted
-        address = address and self._expr(address, level.slot)
+    def _slotter(self, step, level):
+        """``slots(prefix)``: the states of one prefix' slots (a range, or
+        their addresses) and, per axis, their keys — a ``Perm``'s
+        positions and the permuted values."""
+        bounds, read = self._bounds[step], self._readers[step]
+        if isinstance(level, (Coords, Perm)):
+            every = functools.lru_cache(None)(lambda: (
+                range(*bounds(())), read(slice(*bounds(())), ())))
+            return lambda prefix: every()
+        if getattr(level, "address", None) is None:
+            def slots(prefix):
+                lo, hi = bounds(prefix)
+                return range(lo, hi), read(slice(lo, hi), prefix)
+            return slots
+        address = self._expr(level.address, level.slot)
 
-        def counted(prefix):
-            slots = range(count[prefix[-1]])
-            if not address:
-                return slots, [ind[prefix[-1], :len(slots)]]
-            states = [address(prefix + (k,)) for k in slots]
-            return states, [ind[states]]
-        return None, counted, None
+        def addressed(prefix):
+            states = address(prefix + (np.arange(*bounds(prefix)),))
+            return states, read(states, prefix)
+        return addressed
 
-    def _coordinate(self, coord, perm: Optional[str], extent: int) -> np.ndarray:
-        """The keys of slots ``0 .. extent`` on one axis of a ``Coords``
-        level (``perm``: the array the view permutes the axis through)."""
+    def _finder(self, step, level):
+        """``find(prefix, keys)``: the state of the entry with ``keys``
+        under ``prefix``, or None — by a bounds check on an interval
+        (through the inverse of a ``Perm``), a bisection on one sorted
+        coordinate, or a scan; a diagonal the level skips is never
+        found."""
+        bounds, slots = self._bounds[step], self._slots[step]
+        if isinstance(level, (Dense, Range, Perm)):
+            inverse = (self._arrays[level.inverse] if isinstance(level, Perm)
+                       else None)
+
+            def find(prefix, keys):
+                lo, hi = bounds(prefix)
+                if not lo <= keys[0] < hi:
+                    return None
+                return keys[0] if inverse is None else int(inverse[keys[0]])
+        elif self.how[step] == BINARY:
+            def find(prefix, keys):
+                states, (segment,) = slots(prefix)
+                k = bisect.bisect_left(segment, keys[0])
+                return (int(states[k]) if k < len(segment) and segment[k] == keys[0]
+                        else None)
+        else:
+            def find(prefix, keys):
+                states, segments = slots(prefix)
+                hits = functools.reduce(operator.and_,
+                                        map(operator.eq, segments, keys))
+                k = int(hits.argmax()) if hits.size else 0
+                return int(states[k]) if hits.size and hits[k] else None
+        if not self._skips[step]:
+            return find
+        return lambda prefix, keys: (None if keys[0] == prefix[-1]
+                                     else find(prefix, keys))
+
+    def _coordinate(self, coord, perm: Optional[str], states) -> np.ndarray:
+        """The keys at ``states`` on one axis of a ``Coords`` level
+        (``perm``: the array the view permutes the axis through)."""
         if not isinstance(coord, Perm):
-            return self._arrays[coord][:extent]
-        ptr, k = self._arrays[coord.stored.ptr], np.arange(extent)
-        return self._arrays[perm][k - ptr[np.searchsorted(ptr, k, "right") - 1]]
+            return self._arrays[coord][states]
+        ptr, k = self._arrays[coord.stored.ptr], _array(states)
+        if isinstance(states, slice):       # consecutive slots: by segment
+            segment = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))[states]
+        else:
+            segment = np.searchsorted(ptr, k, "right") - 1
+        return self._arrays[perm][k - ptr[segment]]
 
-    def totals(self) -> List[int]:
-        """:meth:`PathRuntime.totals` in closed form per level: ``Dense``
-        (permuted or not) and ``Coords`` are the enclosing count × the
-        extent, ``Compressed`` its segment lengths less the diagonal slot
-        under ``off_diagonal``, ``Counted`` its counts, ``Range`` the sum
-        of ``max(0, hi - lo)``.  A level holding slots, or a ``Range``,
-        reports at least 1.  The enclosing states (an array per step, an
-        entry per prefix) are built only for a level that reads them."""
+    def _expand(self, every: bool = False):
+        """Every prefix at once: per step, the ``(key, state)`` pairs it
+        yields summed over every prefix, and the states of every entry of
+        the deepest step built — per step an array, or a slice where they
+        are consecutive (under one prefix, or compressed under consecutive
+        ones).  ``Dense``, ``Perm`` and ``Coords`` yield the enclosing
+        count × their extent, the others the sum of their ``hi - lo``
+        (less the diagonal slot under ``off_diagonal``), and report at
+        least 1.  Unless ``every``, states are built only as deep as a
+        level reads them."""
         totals, prefix = [], ()
         for step, level in enumerate(self._levels):
-            level = level.stored if isinstance(level, Perm) else level
-            width = len(prefix[-1]) if prefix else 1
-            if isinstance(level, (Dense, Coords)):
-                extent = self._sizes[level.extent]
-                lo, lens = 0, np.full(width, extent)
-                total = (totals[-1] if totals else 1) * extent
-            else:
-                if isinstance(level, Range):
-                    lo, hi = (np.broadcast_to(
-                        self._expr(e, elementwise=True)(prefix), width)
-                        for e in (level.lo, level.hi))
-                    lens = np.maximum(0, hi - lo)
-                elif isinstance(level, Compressed):
-                    ptr, p = self._arrays[level.ptr], prefix[-1]
-                    lo = ptr[p]
-                    lens = ptr[1:][p] - lo
-                else:  # Counted
-                    lo, lens = 0, self._arrays[level.count][prefix[-1]]
-                total = int(lens.sum())
-            skip = self._skips_diagonal[step]
-            if skip or not all(isinstance(deeper, (Dense, Perm, Coords))
-                               for deeper in self._levels[step + 1:]):
-                enclosing = tuple(np.repeat(s, lens) for s in prefix)
-                states = np.arange(lens.sum()) + np.repeat(
-                    lo - (np.cumsum(lens) - lens), lens)
+            enclosing = tuple(map(_array, prefix))
+            lo, hi = self._bounds[step](enclosing)
+            lens = np.broadcast_to(np.maximum(0, hi - lo),
+                                   (len(enclosing[-1]) if prefix else 1,))
+            count = int(lens.sum())
+            extent = isinstance(level, (Dense, Perm, Coords))
+            total = (totals[-1] if totals else 1) * hi if extent else count
+            skip = self._skips[step]
+            if every or skip or not all(
+                    isinstance(deeper, (Dense, Perm, Coords))
+                    for deeper in self._levels[step + 1:]):
+                enclosing = tuple(np.repeat(s, lens) for s in enclosing)
+                if not prefix or (isinstance(level, Compressed)
+                                  and isinstance(prefix[-1], slice)):
+                    first = int(np.ravel(lo)[0]) if count else 0
+                    states = slice(first, first + count)
+                else:
+                    states = np.repeat(lo - (np.cumsum(lens) - lens), lens)
+                    states += np.arange(count)
                 if skip:
                     off = self._arrays[level.ind][states] != enclosing[-1]
                     total = int(np.count_nonzero(off))
                     enclosing = tuple(s[off] for s in enclosing)
-                    states = states[off]
+                    states = (np.flatnonzero(off) + states.start
+                              if isinstance(states, slice) else states[off])
                 if getattr(level, "address", None) is not None:
-                    states = self._expr(level.address, level.slot, True)(
-                        enclosing + (states,))
+                    states = self._expr(level.address, level.slot)(
+                        enclosing + (_array(states),))
                 prefix = enclosing + (states,)
-            totals.append(total if isinstance(level, Dense) else max(1, total))
-        return totals
+            totals.append(total if isinstance(level, (Dense, Perm)) else max(1, total))
+        return totals, prefix
+
+    def totals(self) -> List[int]:
+        """The ``(key, state)`` pairs each step yields, summed over every
+        prefix (CSR "rows": ``[m, nnz]``), in closed form per level; the
+        states of the enclosing steps are built only for a level that
+        reads them."""
+        return self._expand()[0]
+
+    def coo(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, cols, values)`` of every entry of the path, in its
+        stored order, in one pass over every prefix: the keys read at
+        every step's states, the logical coordinates from ``path.subs``,
+        the values through the declared index — possibly views of the
+        format's arrays, at their width."""
+        prefix = self._expand(every=True)[1]
+        keys = {}
+        for step, s in enumerate(self.path.steps):
+            keys.update(zip(s.names, self._readers[step](prefix[step], prefix[:step])))
+        rows, cols = (_affine(self.path.subs[d], keys) for d in ("r", "c"))
+        del keys
+        if len(self._index) > 1 or not isinstance(self._index[0], str):
+            prefix = tuple(map(_array, prefix))
+        index = [self._expr(i)(prefix) for i in self._index]
+        return rows, cols, self._values[tuple(index)]
 
     def interval(self, step: int, prefix: Tuple) -> Optional[Tuple[int, int]]:
-        iv = self._intervals[step]
-        return iv(prefix) if iv else None
+        """Half-open ``[lo, hi)`` of the step's (one) axis when it is an
+        interval; None otherwise."""
+        if isinstance(self._levels[step], (Dense, Range, Perm)):
+            return self._bounds[step](prefix)
+        return None
 
     def enumerate(self, step: int, prefix: Tuple) -> Iterator[Tuple[Tuple[int, ...], object]]:
+        """``(keys, state)`` of every stored entry of the step under
+        ``prefix``, in the path's stored order."""
         slots = self._slots[step]
         if slots is None:
-            for v in range(*self._intervals[step](prefix)):
+            for v in range(*self._bounds[step](prefix)):
                 yield (v,), v
             return
         states, segments = slots(prefix)
+        states = states if isinstance(states, range) else states.tolist()
         entries = zip(states, zip(*[s.tolist() for s in segments]))
-        if self._skips_diagonal[step]:
+        if self._skips[step]:
             for k, keys in entries:
                 if keys[0] != prefix[-1]:
                     yield keys, k
@@ -313,29 +381,58 @@ class LevelRuntime(PathRuntime):
                 yield keys, k
 
     def search(self, step: int, prefix: Tuple, keys: Tuple[int, ...]) -> Optional[object]:
-        iv = self._intervals[step]
-        if iv:
-            lo, hi = iv(prefix)
-            if not lo <= keys[0] < hi:
+        """The state of the entry with the given keys under ``prefix``, or
+        None if absent; every axis of the step must be searchable."""
+        return self._finds[step](prefix, keys)
+
+    def locate(self, keys) -> Optional[Tuple]:
+        """The prefix of the entry with the given keys (every axis of the
+        path, in order) — a search down every step — or None."""
+        prefix = ()
+        for find, lo, hi in self._chain:
+            state = find(prefix, keys[lo:hi])
+            if state is None:
                 return None
-            inverse = self._inverses[step]
-            return keys[0] if inverse is None else int(inverse[keys[0]])
-        if self._skips_diagonal[step] and keys[0] == prefix[-1]:
-            return None
-        states, segments = self._slots[step](prefix)
-        if self.how[step] == BINARY:
-            (segment,), (key,) = segments, keys
-            k = int(np.searchsorted(segment, key))
-            return states[k] if k < len(segment) and segment[k] == key else None
-        hits = np.nonzero(np.logical_and.reduce(
-            [s == key for s, key in zip(segments, keys)]))[0]
-        return states[int(hits[0])] if hits.size else None
+            prefix += (state,)
+        return prefix
 
     def get(self, prefix: Tuple) -> float:
+        """The stored value once every step has a state."""
         return float(self._values[self._address(prefix)])
 
     def set(self, prefix: Tuple, value: float) -> None:
         self._values[self._address(prefix)] = value
+
+
+def _solver(path: AccessPath) -> Optional[Callable]:
+    """``solve(r, c)``: the keys of every axis of ``path`` (in order) of
+    the entry at ``(r, c)`` — ``path.subs`` solved once, here, one
+    unit-coefficient unknown at a time, into one Python expression.  An
+    equation left with no unknown is a check, and ``solve`` returns None
+    where it fails (MSR's diagonal holds ``r == c`` only).  None when
+    ``path.subs`` does not solve that way (BSR's ``s*rb + ri``)."""
+    todo, keys, checks = [(d, path.subs[d]) for d in ("r", "c")], {}, []
+    while todo:
+        for d, e in todo:
+            unknown = [v for v in e.coeffs if v not in keys]
+            if not unknown or (len(unknown) == 1
+                               and e.coeffs[unknown[0]] in (1, -1)):
+                break
+        else:
+            return None
+        todo.remove((d, e))
+        value = d + (f" - {e.const}" if e.const else "") + "".join(
+            f" - {k} * ({keys[v]})" for v, k in e.coeffs.items() if v in keys)
+        if not unknown:
+            checks.append(f"{value} == 0")
+        else:
+            keys[unknown[0]] = value if e.coeffs[unknown[0]] == 1 else f"-({value})"
+    if len(keys) < len(path.axis_names):
+        return None
+    body = "(" + "".join(f"{keys[a]}, " for a in path.axis_names) + ")"
+    if checks:
+        body += f" if {' and '.join(checks)} else None"
+    return eval(f"lambda r, c: {body}")
 
 
 class SparseFormat:
@@ -368,29 +465,63 @@ class SparseFormat:
     def dtype(self) -> np.dtype:
         """Dtype of the stored values (float64 for the stock constructors):
         that of the value array the first path declares, so hand-built or
-        non-double instances report truthfully; a format that declares no
-        storage is probed for the usual names.  The BLAS layer promotes
+        non-double instances report truthfully.  The BLAS layer promotes
         with ``np.result_type(A.dtype, x.dtype)`` when allocating outputs."""
         decl = self.storage(self.paths()[0].path_id)
-        if decl is not None:
-            return np.asarray(getattr(self, decl.value[0])).dtype
-        for attr in ("values", "vals", "data", "dvals"):
-            v = getattr(self, attr, None)
-            if isinstance(v, np.ndarray):
-                return v.dtype
-        return np.dtype(np.float64)
+        return np.asarray(getattr(self, decl.value[0])).dtype
+
+    def _check_index(self, r: int, c: int) -> None:
+        """Raise IndexError unless ``(r, c)`` lies inside the shape."""
+        m, n = self.shape
+        if not (0 <= r < m and 0 <= c < n):
+            raise IndexError(f"({r}, {c}) is outside the {m}x{n} matrix")
+
+    def _locate(self, r: int, c: int):
+        """``(runtime, prefix)`` of the stored entry at ``(r, c)``, or
+        None: per aggregation branch, a search down its first path whose
+        every axis is searchable, the keys solved from ``(r, c)``."""
+        self._check_index(r, c)
+        locators = self.__dict__.get("_locators")
+        if locators is None:
+            locators = []
+            for branch in self.union_branches():
+                path = next((p for p in self.paths() if p.branch == branch
+                             and NOSEARCH not in (a.search for s in p.steps
+                                                  for a in s.axes)), None)
+                solve = path and _solver(path)
+                if solve is None:
+                    raise ValueError(
+                        f"format {self.format_name!r}: no path of branch "
+                        f"{branch!r} is searchable from (r, c)")
+                locators.append((path.path_id, solve))
+            self._locators = locators
+        for path_id, solve in locators:
+            keys = solve(r, c)
+            if keys is not None:
+                rt = self.runtime(path_id)
+                prefix = rt.locate(keys)
+                if prefix is not None:
+                    return rt, prefix
+        return None
 
     def get(self, r: int, c: int) -> float:
-        """Random access (0 for unstored elements) — the JadRandom analog."""
-        raise NotImplementedError
+        """Random access (0 for unstored elements) — the JadRandom analog;
+        IndexError outside the shape."""
+        found = self._locate(r, c)
+        return 0.0 if found is None else found[0].get(found[1])
 
     def set(self, r: int, c: int, v: float) -> None:
         """Update a *stored* element; raises KeyError for unstored positions
-        (no fill, paper Section 1)."""
-        raise NotImplementedError
+        (no fill, paper Section 1), IndexError outside the shape."""
+        found = self._locate(r, c)
+        if found is None:
+            raise KeyError(f"({r},{c}) is not stored (fill is not supported)")
+        found[0].set(found[1], v)
 
     def to_coo_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, values) of all stored entries, any order.
+        """(rows, cols, values) of all stored entries: each aggregation
+        branch's first path walked in its stored order, the branches in
+        :meth:`union_branches` order.
 
         Contract (relied upon by the conversion fast paths and the native
         backend): ``rows``/``cols`` are int64 — the *exchange* width,
@@ -398,7 +529,18 @@ class SparseFormat:
         :func:`index_dtype`) — and ``values`` is C-contiguous; all three
         are freshly allocated (mutating them never aliases the format's
         own storage)."""
-        raise NotImplementedError
+        runtimes = [self.runtime(next(p for p in self.paths()
+                                      if p.branch == branch).path_id)
+                    for branch in self.union_branches()]
+        stored, out = [a for rt in runtimes for a in rt._arrays.values()], []
+        for dtype, parts in zip((np.int64, np.int64, None),
+                                zip(*[rt.coo() for rt in runtimes])):
+            a = (np.concatenate(parts, dtype=dtype) if len(parts) > 1
+                 else np.asarray(parts[0], dtype=dtype))
+            if any(np.may_share_memory(a, b) for b in stored + out):
+                a = a.copy()
+            out.append(a)
+        return tuple(out)
 
     def to_dense(self) -> np.ndarray:
         rows, cols, vals = self.to_coo_arrays()
@@ -485,20 +627,37 @@ class SparseFormat:
     def union_branches(self) -> List[str]:
         return union_branches(self.paths())
 
-    def runtime(self, path_id: str) -> PathRuntime:
-        """Enumeration runtime for one path: read from its :meth:`storage`
-        declaration; a format that declares none writes its own."""
+    def runtime(self, path_id: str) -> LevelRuntime:
+        """The runtime of one path, read from its :meth:`storage`
+        declaration: built once per instance and path, and again when an
+        array the declaration names is no longer the same object."""
+        runtimes = self.__dict__.setdefault("_runtimes", {})
+        hit = runtimes.get(path_id)
+        if hit is not None and all(map(operator.is_, hit[0](self), hit[1])):
+            return hit[2]
         decl = self.storage(path_id)
-        if decl is None:
-            raise NotImplementedError
-        return LevelRuntime(self, self.path(path_id), decl)
+        names = [a.attr if isinstance(a, Size) else a for a in decl.args
+                 if not isinstance(a, Size) or a.kind == "len"]
+        arrays = operator.attrgetter("shape", *names)     # always a tuple
+        rt = LevelRuntime(self, self.path(path_id), decl)
+        runtimes[path_id] = (arrays, arrays(self), rt)
+        return rt
 
-    def storage(self, path_id: str) -> Optional[Storage]:
+    def storage(self, path_id: str) -> Storage:
         """Where this path's arrays are, as a
         :class:`repro.formats.levels.Storage` — what the compiler emits
-        raw-array loops (and C) from and the :meth:`runtime` walks; None
-        leaves both to a :meth:`runtime` the format writes."""
-        return None
+        raw-array loops (and C) from and the :meth:`runtime` walks.  Every
+        format declares it: one that does not is refused here."""
+        raise ValueError(f"format {self.format_name!r}, path {path_id!r}: "
+                         "no storage declared (a format is compiled and "
+                         "walked from its storage(); see formats.levels)")
+
+    def __getstate__(self):
+        # runtimes are closures over the arrays: not pickled, not copied
+        state = dict(self.__dict__)
+        state.pop("_runtimes", None)
+        state.pop("_locators", None)
+        return state
 
     def axis_range(self, axis_name: str) -> Optional[Tuple[int, int]]:
         """Half-open value range of a (possibly post-map) axis when it is
@@ -518,12 +677,11 @@ class SparseFormat:
         The plan builder uses this to decide whether a statement with no
         stored data on a dimension can be fused into its enumeration (the
         enumeration must be *total* over the statement's instances, or some
-        instances would silently never execute).  Default: the axes of a
-        declared ``Dense`` level, permuted or not (a format that declares
-        no storage overrides this)."""
+        instances would silently never execute): the axes of a declared
+        ``Dense`` level, permuted or not."""
         for p in self.paths():
             decl = self.storage(p.path_id)
-            if (decl is None or axis_name not in p.axis_names
+            if (axis_name not in p.axis_names
                     or len(decl.levels) != len(p.steps)):
                 continue
             level = decl.levels[p.step_of(axis_name)]

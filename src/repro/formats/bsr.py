@@ -88,12 +88,16 @@ class BsrMatrix(SparseFormat):
             return kk
         return None
 
+    # kept by hand: the solve behind the base get/set takes one
+    # unit-coefficient unknown at a time, and s*rb + ri needs a division
     def get(self, r: int, c: int) -> float:
+        self._check_index(r, c)
         s = self.block_size
         kk = self._find_block(r // s, c // s)
         return float(self.data[kk, r % s, c % s]) if kk is not None else 0.0
 
     def set(self, r: int, c: int, v: float) -> None:
+        self._check_index(r, c)
         s = self.block_size
         kk = self._find_block(r // s, c // s)
         if kk is None:
@@ -101,6 +105,7 @@ class BsrMatrix(SparseFormat):
         self.data[kk, r % s, c % s] = v
 
     def to_coo_arrays(self):
+        # kept by hand: the derived walk expands four levels, at 2.3x the memory
         # broadcast block coordinates over the (nblocks, s, s) data cube;
         # raveling C-order reproduces the (block, ri, ci) loop-nest order
         # exchange contract: int64 triples whatever the storage width

@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.formats.base import (
     SparseFormat,
-    coo_contract,
     coo_dedup_sort,
     index_array,
     storage_index_dtype,
@@ -43,22 +42,6 @@ class CooMatrix(SparseFormat):
     @property
     def nnz(self) -> int:
         return int(self.vals.size)
-
-    def get(self, r: int, c: int) -> float:
-        hits = np.nonzero((self.rows == r) & (self.cols == c))[0]
-        return float(self.vals[hits[0]]) if hits.size else 0.0
-
-    def set(self, r: int, c: int, v: float) -> None:
-        hits = np.nonzero((self.rows == r) & (self.cols == c))[0]
-        if not hits.size:
-            raise KeyError(f"({r},{c}) is not stored (fill is not supported)")
-        self.vals[hits[0]] = v
-
-    def to_coo_arrays(self):
-        # exchange contract: int64 triples whatever the storage width
-        # (astype always copies, so the caller never aliases our storage)
-        return coo_contract(self.rows.astype(np.int64),
-                            self.cols.astype(np.int64), self.vals.copy())
 
     @classmethod
     def from_coo(cls, rows, cols, vals, shape) -> "CooMatrix":

@@ -12,7 +12,6 @@ import numpy as np
 from repro.formats.base import (
     SparseFormat,
     compress,
-    coo_contract,
     coo_dedup_sort,
     index_array,
     storage_index_dtype,
@@ -45,30 +44,6 @@ class CscMatrix(SparseFormat):
     @property
     def nnz(self) -> int:
         return int(self.values.size)
-
-    def col_slice(self, c: int) -> Tuple[int, int]:
-        return int(self.colptr[c]), int(self.colptr[c + 1])
-
-    def get(self, r: int, c: int) -> float:
-        lo, hi = self.col_slice(c)
-        jj = int(np.searchsorted(self.rowind[lo:hi], r)) + lo
-        if jj < hi and self.rowind[jj] == r:
-            return float(self.values[jj])
-        return 0.0
-
-    def set(self, r: int, c: int, v: float) -> None:
-        lo, hi = self.col_slice(c)
-        jj = int(np.searchsorted(self.rowind[lo:hi], r)) + lo
-        if jj < hi and self.rowind[jj] == r:
-            self.values[jj] = v
-            return
-        raise KeyError(f"({r},{c}) is not stored (fill is not supported)")
-
-    def to_coo_arrays(self):
-        # exchange contract: int64 triples whatever the storage width
-        # (astype always copies, so the caller never aliases our storage)
-        cols = np.repeat(np.arange(self.ncols, dtype=np.int64), np.diff(self.colptr))
-        return coo_contract(self.rowind.astype(np.int64), cols, self.values.copy())
 
     @classmethod
     def from_coo(cls, rows, cols, vals, shape) -> "CscMatrix":

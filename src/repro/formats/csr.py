@@ -14,7 +14,6 @@ import numpy as np
 from repro.formats.base import (
     SparseFormat,
     compress,
-    coo_contract,
     coo_dedup_sort,
     index_array,
     storage_index_dtype,
@@ -63,30 +62,6 @@ class CsrMatrix(SparseFormat):
     @property
     def nnz(self) -> int:
         return int(self.values.size)
-
-    def row_slice(self, r: int) -> Tuple[int, int]:
-        return int(self.rowptr[r]), int(self.rowptr[r + 1])
-
-    def get(self, r: int, c: int) -> float:
-        lo, hi = self.row_slice(r)
-        jj = int(np.searchsorted(self.colind[lo:hi], c)) + lo
-        if jj < hi and self.colind[jj] == c:
-            return float(self.values[jj])
-        return 0.0
-
-    def set(self, r: int, c: int, v: float) -> None:
-        lo, hi = self.row_slice(r)
-        jj = int(np.searchsorted(self.colind[lo:hi], c)) + lo
-        if jj < hi and self.colind[jj] == c:
-            self.values[jj] = v
-            return
-        raise KeyError(f"({r},{c}) is not stored (fill is not supported)")
-
-    def to_coo_arrays(self):
-        # exchange contract: int64 triples whatever the storage width
-        # (astype always copies, so the caller never aliases our storage)
-        rows = np.repeat(np.arange(self.nrows, dtype=np.int64), np.diff(self.rowptr))
-        return coo_contract(rows, self.colind.astype(np.int64), self.values.copy())
 
     @classmethod
     def from_coo(cls, rows, cols, vals, shape) -> "CsrMatrix":

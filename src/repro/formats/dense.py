@@ -34,12 +34,15 @@ class DenseMatrix(SparseFormat):
         return int(np.count_nonzero(self.data))
 
     def get(self, r: int, c: int) -> float:
+        self._check_index(r, c)
         return float(self.data[r, c])
 
     def set(self, r: int, c: int, v: float) -> None:
+        self._check_index(r, c)
         self.data[r, c] = v
 
     def to_coo_arrays(self):
+        # the nonzeros: the declaration covers every cell, stored zeros too
         rows, cols = np.nonzero(self.data)
         return coo_contract(rows, cols, self.data[rows, cols])
 

@@ -55,22 +55,8 @@ class EllMatrix(SparseFormat):
     def nnz(self) -> int:
         return int(self.rowlen.sum())
 
-    def get(self, r: int, c: int) -> float:
-        ln = int(self.rowlen[r])
-        kk = int(np.searchsorted(self.colind[r, :ln], c))
-        if kk < ln and self.colind[r, kk] == c:
-            return float(self.data[r, kk])
-        return 0.0
-
-    def set(self, r: int, c: int, v: float) -> None:
-        ln = int(self.rowlen[r])
-        kk = int(np.searchsorted(self.colind[r, :ln], c))
-        if kk < ln and self.colind[r, kk] == c:
-            self.data[r, kk] = v
-            return
-        raise KeyError(f"({r},{c}) is not stored (fill is not supported)")
-
     def to_coo_arrays(self):
+        # kept by hand: the derived walk's 2-D gathers take twice as long
         # slot-mask extraction: entry (r, kk) is stored iff kk < rowlen[r];
         # boolean indexing walks the (m x K) arrays row-major, reproducing
         # the per-row concatenation order of the loop oracle

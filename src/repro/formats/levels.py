@@ -6,10 +6,11 @@ structure — a :class:`Storage` with one level per step of the path, the
 value array, and the kernel arguments in signature order.  It has two
 readers: the compiler (:class:`repro.codegen.emitters.ViewEmitter`)
 composes loops, searches and the value access from it, in Python and in
-C, and :class:`repro.formats.base.LevelRuntime` walks it for the generic
-BLAS and the tests' reference plan interpreter.  A format that declares
-nothing writes its own :class:`~repro.formats.base.PathRuntime` and runs
-as Python only.
+C, and :class:`repro.formats.base.LevelRuntime` walks it — for the
+format's own ``get``, ``set`` and ``to_coo_arrays``, the generic BLAS,
+the cost model's step totals and the tests' reference plan interpreter.
+Every path of every format declares one; ``compile_kernel`` refuses a
+format that does not.
 
 A level names attributes of the format instance (arrays) and declared
 sizes.  Where a level takes an *expression* (``Range`` bounds, a slot's

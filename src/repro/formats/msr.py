@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.formats.base import (
     SparseFormat,
-    coo_contract,
     coo_dedup_sort,
     compress,
     index_array,
@@ -73,34 +72,6 @@ class MsrMatrix(SparseFormat):
     @property
     def nnz(self) -> int:
         return int(self.dvals.size + self.values.size)
-
-    def get(self, r: int, c: int) -> float:
-        if r == c:
-            return float(self.dvals[r])
-        lo, hi = int(self.rowptr[r]), int(self.rowptr[r + 1])
-        jj = int(np.searchsorted(self.colind[lo:hi], c)) + lo
-        if jj < hi and self.colind[jj] == c:
-            return float(self.values[jj])
-        return 0.0
-
-    def set(self, r: int, c: int, v: float) -> None:
-        if r == c:
-            self.dvals[r] = v
-            return
-        lo, hi = int(self.rowptr[r]), int(self.rowptr[r + 1])
-        jj = int(np.searchsorted(self.colind[lo:hi], c)) + lo
-        if jj < hi and self.colind[jj] == c:
-            self.values[jj] = v
-            return
-        raise KeyError(f"({r},{c}) is not stored (fill is not supported)")
-
-    def to_coo_arrays(self):
-        # exchange contract: int64 triples whatever the storage width
-        rows = np.repeat(np.arange(self.nrows, dtype=np.int64), np.diff(self.rowptr))
-        di = np.arange(self.ndiag, dtype=np.int64)
-        return coo_contract(np.concatenate([di, rows]),
-                            np.concatenate([di, self.colind]),
-                            np.concatenate([self.dvals, self.values]))
 
     @classmethod
     def from_coo(cls, rows, cols, vals, shape) -> "MsrMatrix":

@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.formats.base import (
     SparseFormat,
-    coo_contract,
     coo_dedup_sort,
     compress,
     index_array,
@@ -76,34 +75,6 @@ class SymMatrix(SparseFormat):
     @property
     def stored_nnz(self) -> int:
         return int(self.values.size)
-
-    def _find(self, r: int, c: int) -> Optional[int]:
-        if c > r:
-            r, c = c, r
-        lo, hi = int(self.rowptr[r]), int(self.rowptr[r + 1])
-        jj = int(np.searchsorted(self.colind[lo:hi], c)) + lo
-        if jj < hi and self.colind[jj] == c:
-            return jj
-        return None
-
-    def get(self, r: int, c: int) -> float:
-        jj = self._find(r, c)
-        return float(self.values[jj]) if jj is not None else 0.0
-
-    def set(self, r: int, c: int, v: float) -> None:
-        jj = self._find(r, c)
-        if jj is None:
-            raise KeyError(f"({r},{c}) is not stored (fill is not supported)")
-        self.values[jj] = v
-
-    def to_coo_arrays(self):
-        # exchange contract: int64 triples whatever the storage width
-        rows = np.repeat(np.arange(self.nrows, dtype=np.int64),
-                         np.diff(self.rowptr))
-        off = rows != self.colind
-        return coo_contract(np.concatenate([rows, self.colind[off]]),
-                            np.concatenate([self.colind, rows[off]]),
-                            np.concatenate([self.values, self.values[off]]))
 
     @classmethod
     def from_coo(cls, rows, cols, vals, shape) -> "SymMatrix":

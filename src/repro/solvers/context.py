@@ -364,12 +364,7 @@ class SolverContext:
         """The diagonal of ``A`` (computed once, reused by Jacobi/SOR and
         the preconditioners)."""
         if self._diag is None:
-            n = min(self.A.shape)
-            rows, cols, vals = self.A.to_coo_arrays()
-            on_diag = rows == cols
-            d = np.zeros(n)
-            d[rows[on_diag]] = vals[on_diag]
-            self._diag = d
+            self._diag = diagonal(self.A)
         return self._diag
 
     def normal(self, which: str = "ata", **spgemm_kwargs) -> SparseFormat:
@@ -498,6 +493,16 @@ class SolverContext:
 
 
 MatVec = Callable[[np.ndarray], np.ndarray]
+
+
+def diagonal(A: SparseFormat) -> np.ndarray:
+    """The main diagonal of ``A`` (``min(m, n)`` entries, 0 where none is
+    stored), in one vectorized pass over its stored entries."""
+    rows, cols, vals = A.to_coo_arrays()
+    on_diag = rows == cols
+    d = np.zeros(min(A.shape))
+    d[rows[on_diag]] = vals[on_diag]
+    return d
 
 
 def resolve_matvec(A, matvec: Optional[MatVec], context: Optional[SolverContext]):

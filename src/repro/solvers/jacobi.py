@@ -7,7 +7,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.instrument import INSTR
-from repro.solvers.context import SolverContext, resolve_matvec
+from repro.solvers.context import SolverContext, diagonal, resolve_matvec
 
 
 def jacobi(
@@ -25,8 +25,7 @@ def jacobi(
         context = A
     A, mv = resolve_matvec(A, None, context)
     n = A.nrows
-    diag = context.diag if context is not None \
-        else np.array([A.get(i, i) for i in range(n)])
+    diag = context.diag if context is not None else diagonal(A)
     if np.any(diag == 0.0):
         raise ValueError("Jacobi requires a non-zero diagonal")
     x = np.zeros(n) if x0 is None else x0.astype(float).copy()

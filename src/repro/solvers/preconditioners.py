@@ -17,6 +17,7 @@ import numpy as np
 from repro.blas.api import ts_lower_solve, ts_upper_solve
 from repro.formats.base import SparseFormat
 from repro.formats.csr import CsrMatrix
+from repro.solvers.context import diagonal
 
 
 class IdentityPreconditioner:
@@ -30,19 +31,10 @@ class JacobiPreconditioner:
     """Diagonal scaling M = D."""
 
     def __init__(self, A: SparseFormat, context=None):
-        if context is not None:
-            diag = context.diag
-            if np.any(diag == 0.0):
-                raise ValueError("Jacobi preconditioner needs a non-zero diagonal")
-            self.inv_diag = 1.0 / diag
-            return
-        n = min(A.shape)
-        self.inv_diag = np.empty(n)
-        for i in range(n):
-            d = A.get(i, i)
-            if d == 0.0:
-                raise ValueError("Jacobi preconditioner needs a non-zero diagonal")
-            self.inv_diag[i] = 1.0 / d
+        diag = context.diag if context is not None else diagonal(A)
+        if np.any(diag == 0.0):
+            raise ValueError("Jacobi preconditioner needs a non-zero diagonal")
+        self.inv_diag = 1.0 / diag
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         return r * self.inv_diag
@@ -71,8 +63,7 @@ class TriangularPreconditioner:
             self.L.annotate_triangular("lower")
             self.U = CsrMatrix.from_coo(rows[up], cols[up], vals[up], A.shape)
             self.U.annotate_triangular("upper")
-            n = min(A.shape)
-            self.diag = np.array([A.get(i, i) for i in range(n)])
+            self.diag = diagonal(A)
         if np.any(self.diag == 0.0):
             raise ValueError("triangular preconditioner needs a non-zero diagonal")
 

@@ -19,7 +19,7 @@ import numpy as np
 from repro.formats.base import SparseFormat
 from repro.formats.csr import CsrMatrix
 from repro.instrument import INSTR
-from repro.solvers.context import SolverContext, resolve_matvec
+from repro.solvers.context import SolverContext, diagonal, resolve_matvec
 
 
 def _split(A: SparseFormat) -> Tuple[CsrMatrix, CsrMatrix]:
@@ -61,8 +61,7 @@ def sor(
     A, mv = resolve_matvec(A, None, context)
     n = A.nrows
     L, U = _split(A)
-    diag = context.diag if context is not None \
-        else np.array([A.get(i, i) for i in range(n)])
+    diag = context.diag if context is not None else diagonal(A)
     if np.any(diag == 0.0):
         raise ValueError("SOR requires a non-zero diagonal")
     x = np.zeros(n) if x0 is None else x0.astype(float).copy()

@@ -33,7 +33,7 @@ from repro.core.plan import (
     VarLoopNode,
 )
 from repro.core.spaces import SparseRef, StmtCopy
-from repro.formats.base import PathRuntime, SparseFormat
+from repro.formats.base import LevelRuntime, SparseFormat
 from repro.ir.expr import ValExpr, VBin, VConst, VNeg, VParam, VRead
 from repro.polyhedra.linexpr import Coeffish, LinExpr
 
@@ -68,7 +68,7 @@ class PlanInterpreter:
         self.params = {k: int(v) for k, v in params.items()}
         self.copies: Dict[str, StmtCopy] = {c.label: c for c in plan.space.copies}
         # runtimes and relation equalities per copy, built once
-        self.runtimes: Dict[Tuple[str, int], PathRuntime] = {}
+        self.runtimes: Dict[Tuple[str, int], LevelRuntime] = {}
         self.fmt_of_ref: Dict[Tuple[str, int], SparseFormat] = {}
         self.relations: Dict[str, List[LinExpr]] = {}
         self.copy_vars: Dict[str, List[str]] = {}
@@ -235,7 +235,7 @@ class PlanInterpreter:
             return [(keys, st)] if st is not None else []
         raise ExecutionError(f"unknown method {method!r}")
 
-    def _linear_search(self, rt: PathRuntime, step: int, prefix: Tuple,
+    def _linear_search(self, rt: LevelRuntime, step: int, prefix: Tuple,
                        keys: Tuple[int, ...]):
         for k, st in rt.enumerate(step, prefix):
             if tuple(k) == tuple(keys):

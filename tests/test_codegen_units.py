@@ -271,14 +271,19 @@ class TestLoweringErrors:
         assert reason.startswith("lowering: PyOnly")
         assert "sorted enumeration" in reason
 
-    def test_generic_runtime(self):
-        from tests.test_custom_format import ColSortedCoo
+    def test_an_undeclared_format_is_refused_not_lowered(self):
+        """No Python-only kernel for a format that declares no storage:
+        ``compile_kernel`` refuses it, and nothing falls back."""
+        from repro.instrument import INSTR
+        from tests.test_custom_format import Undeclared
 
-        dense = random_sparse(6, 8, 0.3, seed=11).to_dense()
-        A = ColSortedCoo.from_dense(dense)
-        reason = self._fallback(mvm(), {"A": A})
-        assert reason.startswith("lowering: PyOnly")
-        assert "generic runtime" in reason
+        A = Undeclared.from_dense(random_sparse(6, 8, 0.3, seed=11).to_dense())
+        before = (INSTR.get("native.fallbacks"),
+                  INSTR.get("native.fallback.lowering"))
+        with pytest.raises(ValueError, match="no storage declared"):
+            compile_kernel(mvm(), {"A": A}, backend="c", cache="off")
+        assert (INSTR.get("native.fallbacks"),
+                INSTR.get("native.fallback.lowering")) == before
 
     def test_unsupported_dtype(self):
         A = as_format(random_sparse(6, 8, 0.3, seed=11).to_dense(), "csr")

@@ -69,7 +69,7 @@ def _wall_matrices():
 class TestDeclaredTotals:
     """Wall: the closed forms :meth:`LevelRuntime.totals` sums from a
     declaration equal the walk over every stored entry
-    (:meth:`PathRuntime.totals`) for every built-in format and path, the
+    (``tests/oracles/walk.py``) for every built-in format and path, the
     skyline example and the declared user format, at both index widths —
     up to the one rule the walk does not know: a level holding slots, or
     a ``Range``, reports at least 1, and a ``Dense`` level multiplies that."""
@@ -119,7 +119,8 @@ class TestDeclaredTotals:
         return out
 
     def test_closed_forms_equal_the_walk(self, instances):
-        from repro.formats.base import LevelRuntime, PathRuntime
+        from repro.formats.base import LevelRuntime
+        from tests.oracles.walk import walk_totals
 
         checked = set()
         for label, fmt in instances:
@@ -127,7 +128,7 @@ class TestDeclaredTotals:
                 decl = fmt.storage(p.path_id)
                 rt = fmt.runtime(p.path_id)
                 assert isinstance(rt, LevelRuntime), label
-                walked = PathRuntime.totals(rt)
+                walked = walk_totals(rt)
                 declared = rt.totals()
                 assert declared == self._floored(fmt, decl, walked), \
                     (label, p.path_id, walked)
@@ -137,12 +138,12 @@ class TestDeclaredTotals:
                 checked.add((label.split("/")[1], p.path_id))
         assert len(checked) == 17   # every path of every format
 
-    def test_an_undeclared_format_is_walked(self, small_rect):
-        from tests.test_custom_format import ColSortedCoo
+    def test_an_undeclared_format_has_no_totals(self, small_rect):
+        from tests.test_custom_format import Undeclared
 
-        f = ColSortedCoo.from_dense(small_rect)
-        assert f.storage("flat") is None
-        assert step_totals(f, "flat") == [float(f.nnz)]
+        f = Undeclared.from_dense(small_rect)
+        with pytest.raises(ValueError, match="'flat': no storage declared"):
+            step_totals(f, "flat")
 
 
 class TestPlanCost:

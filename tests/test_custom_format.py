@@ -1,23 +1,23 @@
-"""The format-designer story: a user-defined format compiles through the
-full pipeline — described with the view grammar and a runtime of its own,
-through the generic runtime fallback; described with the view grammar and
-a declaration of where its arrays are, to C like a built-in format, its
-runtime read from the declaration.  The declaration is checked where it is
-read: at emitter and at runtime construction."""
+"""The format-designer story: a user-defined format described with the
+view grammar and a declaration of where its arrays are compiles through
+the full pipeline, to C like a built-in format; its ``get``, ``set``,
+``to_coo_arrays`` and runtime are read from the declaration.  The
+declaration is checked where it is read — at emitter and at runtime
+construction — and a format that declares none is refused."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from repro.codegen.emitters import GenericEmitter, ViewEmitter, make_emitter
+from repro.codegen.emitters import ViewEmitter, make_emitter
 from repro.codegen.loopir import BinOp, Builder, While, walk
 from repro.codegen.native import lower_kernel
 from repro.core import NativeBackendWarning, compile_kernel
 from repro.core import backend as be
 from repro.core.spaces import build_copies
 from repro.formats import as_format
-from repro.formats.base import PathRuntime, SparseFormat, coo_dedup_sort
+from repro.formats.base import SparseFormat, coo_dedup_sort
 from repro.formats.csr import CsrMatrix
 from repro.formats.jad import JadMatrix
 from repro.formats.levels import Coords, Dense, Offset, Perm, Size, Storage
@@ -42,10 +42,13 @@ from repro.ir.kernels import col_sums, mvm, mvm_t, scale
 from tests.oracles.plan_interp import run_plan
 
 
-class ColSortedCoo(SparseFormat):
+class DeclaredCoo(SparseFormat):
     """Coordinate storage sorted column-major: ``<c, r> -> v`` with ``c``
     (and ``r`` within ``c``) enumerating in increasing order — the kind of
-    one-off application-specific format the paper's Section 1 motivates."""
+    one-off application-specific format the paper's Section 1 motivates —
+    and where its arrays are: one level of joint coordinates ``<cols,
+    rows>`` over ``nnz`` slots, values in ``vals``.  Nothing else: no
+    access of its own."""
 
     format_name = "cscoo"
 
@@ -58,19 +61,6 @@ class ColSortedCoo(SparseFormat):
     @property
     def nnz(self):
         return int(self.vals.size)
-
-    def get(self, r, c):
-        hits = np.nonzero((self.rows == r) & (self.cols == c))[0]
-        return float(self.vals[hits[0]]) if hits.size else 0.0
-
-    def set(self, r, c, v):
-        hits = np.nonzero((self.rows == r) & (self.cols == c))[0]
-        if not hits.size:
-            raise KeyError((r, c))
-        self.vals[hits[0]] = v
-
-    def to_coo_arrays(self):
-        return self.rows.copy(), self.cols.copy(), self.vals.copy()
 
     @classmethod
     def from_coo(cls, rows, cols, vals, shape):
@@ -86,33 +76,16 @@ class ColSortedCoo(SparseFormat):
     def path_ids(self):
         return ["flat"]
 
-    def runtime(self, path_id):
-        fmt = self
-
-        class Rt(PathRuntime):
-            path = fmt.path(path_id)
-
-            def enumerate(self, step, prefix):
-                for k in range(fmt.nnz):
-                    yield (int(fmt.cols[k]), int(fmt.rows[k])), k
-
-            def search(self, step, prefix, keys):
-                c, r = keys
-                hits = np.nonzero((fmt.rows == r) & (fmt.cols == c))[0]
-                return int(hits[0]) if hits.size else None
-
-            def get(self, prefix):
-                return float(fmt.vals[prefix[0]])
-
-            def set(self, prefix, value):
-                fmt.vals[prefix[0]] = value
-
-        return Rt()
+    def storage(self, path_id):
+        return Storage((Coords(("cols", "rows"), "nnz"),), ("vals", "c"),
+                       ("rows", "cols", "vals", Size("nnz", "nnz")))
 
 
-@pytest.fixture(scope="module")
-def custom(small_rect_module):
-    return ColSortedCoo.from_dense(small_rect_module)
+class Undeclared(DeclaredCoo):
+    """The same format without its declaration."""
+
+    format_name = "cscoo_undeclared"
+    storage = SparseFormat.storage
 
 
 @pytest.fixture(scope="module")
@@ -122,70 +95,63 @@ def small_rect_module():
     return random_sparse(6, 8, 0.3, seed=77).to_dense()
 
 
+@pytest.fixture(scope="module")
+def declared(small_rect_module):
+    return DeclaredCoo.from_dense(small_rect_module)
+
+
 class TestCustomFormat:
-    def test_roundtrip(self, custom, small_rect_module):
-        assert np.allclose(custom.to_dense(), small_rect_module)
+    def test_roundtrip(self, declared, small_rect_module):
+        assert np.array_equal(declared.to_dense(), small_rect_module)
+        rows, cols, vals = declared.to_coo_arrays()     # in stored order
+        assert np.array_equal(cols, declared.cols)
+        assert np.array_equal(rows, declared.rows)
+        assert not np.shares_memory(vals, declared.vals)
+        m, n = small_rect_module.shape
+        assert [declared.get(r, c) for r in range(m) for c in range(n)] \
+            == small_rect_module.ravel().tolist()
 
-    def test_column_major_order(self, custom):
-        assert np.all(np.diff(custom.cols) >= 0)
+    def test_column_major_order(self, declared):
+        assert np.all(np.diff(declared.cols) >= 0)
 
-    def test_compiled_mvm(self, custom, small_rect_module, rng):
-        k = compile_kernel(mvm(), {"A": custom})
+    def test_compiled_mvm(self, declared, small_rect_module, rng):
+        k = compile_kernel(mvm(), {"A": declared})
         x = rng.random(8)
         y = rng.random(6)
         yd, yg = y.copy(), y.copy()
         execute_dense(mvm(), {"A": small_rect_module.copy(), "x": x, "y": yd},
                       {"m": 6, "n": 8})
-        run_plan(k.plan, {"A": custom, "x": x, "y": y}, {"m": 6, "n": 8})
-        k({"A": custom, "x": x, "y": yg}, {"m": 6, "n": 8})
+        run_plan(k.plan, {"A": declared, "x": x, "y": y}, {"m": 6, "n": 8})
+        k({"A": declared, "x": x, "y": yg}, {"m": 6, "n": 8})
         assert np.allclose(y, yd)
         assert np.allclose(yg, yd)
 
-    def test_generated_code_falls_back_to_runtime(self, custom, rng):
-        k = compile_kernel(mvm(), {"A": custom})
-        assert ".enumerate(" in k.source  # generic fallback, still compiled
+    def test_generated_code_inlines_the_declaration(self, declared, rng):
+        k = compile_kernel(mvm(), {"A": declared})
+        assert ".enumerate(" not in k.source and ".runtime(" not in k.source
         x = rng.random(8)
         y = np.zeros(6)
-        k({"A": custom, "x": x, "y": y}, {"m": 6, "n": 8})
-        assert np.allclose(y, custom.to_dense() @ x)
+        k({"A": declared, "x": x, "y": y}, {"m": 6, "n": 8})
+        assert np.allclose(y, declared.to_dense() @ x)
 
-    def test_col_sums_exploits_column_order(self, custom, small_rect_module):
-        k = compile_kernel(col_sums(), {"A": custom})
+    def test_col_sums_exploits_column_order(self, declared, small_rect_module):
+        k = compile_kernel(col_sums(), {"A": declared})
         s = np.zeros(8)
         sd = np.zeros(8)
         execute_dense(col_sums(), {"A": small_rect_module.copy(), "s": sd},
                       {"m": 6, "n": 8})
         sg = np.zeros(8)
-        run_plan(k.plan, {"A": custom, "s": s}, {"m": 6, "n": 8})
-        k({"A": custom, "s": sg}, {"m": 6, "n": 8})
+        run_plan(k.plan, {"A": declared, "s": s}, {"m": 6, "n": 8})
+        k({"A": declared, "s": sg}, {"m": 6, "n": 8})
         assert np.allclose(s, sd)
         assert np.allclose(sg, sd)
 
-    def test_mvm_t(self, custom, small_rect_module, rng):
-        k = compile_kernel(mvm_t(), {"A": custom})
+    def test_mvm_t(self, declared, small_rect_module, rng):
+        k = compile_kernel(mvm_t(), {"A": declared})
         x = rng.random(6)
         y = np.zeros(8)
-        k({"A": custom, "x": x, "y": y}, {"m": 6, "n": 8})
+        k({"A": declared, "x": x, "y": y}, {"m": 6, "n": 8})
         assert np.allclose(y, small_rect_module.T @ x)
-
-
-# -- the same format, declared ----------------------------------------------
-
-class DeclaredCoo(ColSortedCoo):
-    """:class:`ColSortedCoo` plus where its arrays are: one level of joint
-    coordinates ``<cols, rows>`` over ``nnz`` slots, values in ``vals``."""
-
-    format_name = "cscoo_declared"
-    runtime = SparseFormat.runtime      # read from the declaration
-
-    def storage(self, path_id):
-        return Storage((Coords(("cols", "rows"), "nnz"),), ("vals", "c"),
-                       ("rows", "cols", "vals", Size("nnz", "nnz")))
-
-
-@pytest.fixture(scope="module")
-def declared(small_rect_module):
-    return DeclaredCoo.from_dense(small_rect_module)
 
 
 def _emitter(fmt):
@@ -228,7 +194,7 @@ class TestDeclaredFormat:
         k({"A": declared, "x": x, "y": y}, {"m": 6, "n": 8})
         assert np.allclose(y, declared.to_dense() @ x)
 
-    def test_dtype_is_the_declared_value_arrays(self, custom, declared):
+    def test_dtype_is_the_declared_value_arrays(self, declared):
         """Whatever the array is called: ``blas.api`` allocates outputs in
         the promotion of ``A.dtype`` and the operand's."""
         from repro.blas.api import _alloc
@@ -251,24 +217,28 @@ class TestDeclaredFormat:
         assert A.dtype == np.float32
         assert _alloc(6, A, x).dtype == np.float32
         assert _alloc(6, declared, x).dtype == np.float64
-        # a format that declares nothing is still probed for the usual names
-        single = ColSortedCoo(custom.rows, custom.cols, custom.vals,
-                              custom.shape)
-        single.vals = single.vals.astype(np.float32)
-        assert single.dtype == np.float32
 
-    def test_undeclared_format_keeps_the_generic_emitter(self, custom,
-                                                         declared):
-        assert isinstance(_emitter(custom), GenericEmitter)
+    def test_an_undeclared_format_is_refused(self, declared, monkeypatch):
+        """``compile_kernel`` refuses it before any search runs, naming
+        the format and the path; so do the high-level API and the
+        runtime, which read the same declaration."""
+        from repro.core import compiler
+
         assert isinstance(_emitter(declared), ViewEmitter)
-        before = INSTR.get("native.fallback.lowering")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NativeBackendWarning)
-            k = compile_kernel(mvm(), {"A": custom}, backend="c", cache="off")
-        assert k.backend_used == "python"
-        assert k.fallback_reason.startswith("lowering: PyOnly")
-        assert "generic runtime" in k.fallback_reason
-        assert INSTR.get("native.fallback.lowering") == before + 1
+        fmt = Undeclared(declared.rows, declared.cols, declared.vals,
+                         declared.shape)
+        refusal = r"format 'cscoo_undeclared', path 'flat': no storage declared"
+        monkeypatch.setattr(compiler, "search", lambda *a, **k: pytest.fail(
+            "searched an undeclared format"))
+        for backend in ("python", "c"):
+            for cache in ("off", "memory"):
+                with pytest.raises(ValueError, match=refusal):
+                    compile_kernel(mvm(), {"A": fmt}, backend=backend,
+                                   cache=cache)
+        for read in (lambda: fmt.get(0, 0), fmt.to_coo_arrays,
+                     lambda: fmt.runtime("flat"), lambda: fmt.dtype):
+            with pytest.raises(ValueError, match=refusal):
+                read()
 
 
 def _rejected(fmt, match):
@@ -399,7 +369,7 @@ class TestDeclarationIsChecked:
 
         A = as_format(small_rect_module, "csr")
         for r in range(A.nrows):            # reverse every row's columns
-            lo, hi = A.row_slice(r)
+            lo, hi = A.rowptr[r], A.rowptr[r + 1]
             A.colind[lo:hi] = A.colind[lo:hi][::-1].copy()
             A.values[lo:hi] = A.values[lo:hi][::-1].copy()
         U = UnsortedCsr._adopt(A.rowptr, A.colind, A.values, A.shape)

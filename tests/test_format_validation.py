@@ -113,7 +113,9 @@ class TestLessTravelled:
 
     def test_jad_get_out_of_range(self):
         m = JadMatrix.from_coo([0], [0], [1.0], (2, 2))
-        assert m.get(-1, 0) == 0.0 or m.get(1, 1) == 0.0
+        assert m.get(1, 1) == 0.0
+        with pytest.raises(IndexError, match=r"\(-1, 0\) is outside the 2x2"):
+            m.get(-1, 0)
 
     def test_dia_set_off_band(self):
         m = DiaMatrix.from_dense(np.eye(3))

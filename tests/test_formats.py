@@ -81,6 +81,56 @@ class TestRandomAccess:
             f.set(3, 1, 5.0)
 
 
+def _symmetric(small_rect):
+    lower = np.tril(small_rect[:, :6])
+    return lower + np.tril(lower, -1).T
+
+
+@pytest.mark.parametrize("fmt_name", ALL + ["sym"])
+@pytest.mark.parametrize("where", [(-1, 0), (0, -1), ("m", 0), (0, "n")])
+def test_outside_the_shape_is_an_index_error(fmt_name, where, small_rect):
+    """Neither a read nor a write wraps around or reports 0: one check
+    names the cell and the shape, and a refused write changes nothing."""
+    dense = _symmetric(small_rect) if fmt_name == "sym" else small_rect
+    f = make(fmt_name, dense)
+    m, n = dense.shape
+    r, c = ({"m": m, "n": n}.get(x, x) for x in where)
+    before = f.to_dense()
+    outside = rf"\({r}, {c}\) is outside the {m}x{n} matrix"
+    with pytest.raises(IndexError, match=outside):
+        f.get(r, c)
+    with pytest.raises(IndexError, match=outside):
+        f.set(r, c, 99.0)
+    assert np.array_equal(f.to_dense(), before)
+
+
+@pytest.mark.parametrize("fmt_name", ["csr", "csc", "jad", "msr", "sym"])
+def test_rebound_values_are_read(fmt_name, small_rect):
+    """README's mutated-arrays contract, for the high-level API: after
+    ``A.values`` is rebound, ``get``, ``set`` and ``to_coo_arrays`` read
+    and write the new array, never the one they last saw."""
+    dense = _symmetric(small_rect) if fmt_name == "sym" else small_rect
+    f = make(fmt_name, dense)
+    r, c = next((r, c) for r, c in zip(*np.nonzero(dense)) if r > c)
+    assert f.get(r, c) == dense[r, c]       # the runtime is built and kept
+    old = f.values
+    kept = old.copy()
+    f.values = old * 2
+    assert f.get(r, c) == 2 * dense[r, c]
+    f.set(r, c, 7.0)
+    assert f.get(r, c) == 7.0 and np.array_equal(old, kept)
+    expect = 2 * dense
+    if fmt_name == "msr":                   # the diagonal is in dvals
+        np.fill_diagonal(expect, np.diag(dense))
+    expect[r, c] = 7.0
+    if fmt_name == "sym":
+        expect[c, r] = 7.0
+    rows, cols, vals = f.to_coo_arrays()
+    grid = np.zeros_like(dense)
+    grid[rows, cols] = vals
+    assert np.array_equal(grid, expect)
+
+
 class TestDuplicates:
     def test_from_coo_sums_duplicates(self, fmt_name):
         rows = [0, 0, 1]
@@ -95,18 +145,6 @@ class TestDuplicates:
         kwargs = {"block_size": 2} if fmt_name == "bsr" else {}
         with pytest.raises(ValueError):
             FORMATS[fmt_name].from_coo([5], [0], [1.0], (2, 2), **kwargs)
-
-
-def stored_triples(f):
-    """Sorted ``(r, c, value)`` of what ``f`` stores, by a route that never
-    reads ``storage()``: ``to_coo_arrays`` — and ``to_dense`` for the dense
-    format, which stores every cell and reports only the non-zero ones."""
-    if f.format_name == "dense":
-        d = f.to_dense()
-        return [(r, c, float(d[r, c])) for r in range(f.nrows)
-                for c in range(f.ncols)]
-    rows, cols, vals = f.to_coo_arrays()
-    return sorted(zip(rows.tolist(), cols.tolist(), vals.tolist()))
 
 
 def logical(p, keys):
@@ -152,21 +190,33 @@ def covers(f):
                                for br in f.union_branches()])
 
 
-def reconstructs(f):
+def reconstructs(f, dense):
+    """Walking one path per branch yields every non-zero cell of the dense
+    array ``f`` was built from, and no cell twice, each with its value
+    (stored zeros — DIA's, BSR's, the dense format's — are cells too)."""
+    nonzero = set(zip(*map(np.ndarray.tolist, np.nonzero(dense))))
     for cover in covers(f):
-        got = sorted((*logical(p, keys), v) for p in cover
-                     for keys, v in walk(f, p).items())
-        assert got == stored_triples(f), [p.path_id for p in cover]
+        got = [(*logical(p, keys), v) for p in cover
+               for keys, v in walk(f, p).items()]
+        cells = [(r, c) for r, c, _ in got]
+        assert len(set(cells)) == len(cells), [p.path_id for p in cover]
+        assert [v for _, _, v in got] == [dense[r, c] for r, c in cells]
+        assert nonzero <= set(cells), [p.path_id for p in cover]
 
 
-def finds_enumerated(f):
+def finds_enumerated(f, dense):
+    """Searching down a path for a walked key tuple yields the walked
+    value, which is the dense array's."""
     for p in f.paths():
         stored = walk(f, p)
         found = {keys: v for keys, v in probes(f, p) if keys in stored}
-        assert found == {keys: f.get(*logical(p, keys)) for keys in stored}
+        assert found == stored
+        assert all(v == dense[logical(p, keys)] for keys, v in found.items())
 
 
-def misses_absent(f):
+def misses_absent(f, dense):
+    """... and for any other key tuple of the grid — unstored, -1, the
+    extent — None."""
     for p in f.paths():
         stored = walk(f, p)
         assert [keys for keys, v in probes(f, p)
@@ -199,43 +249,58 @@ WRONG = {
 
 
 class TestEnumerationRuntime:
-    """Every path of every format, at both index widths, against a
-    reference that never reads the declaration the runtime is read from:
-    the walk against ``to_coo_arrays``, the searches against the walk and
-    ``get``."""
+    """Every path of every format, at both index widths, against the one
+    reference that never reads the declaration the runtime, ``get`` and
+    ``to_coo_arrays`` are all read from: the dense array the instance was
+    built from, on every cell of the grid."""
 
     @pytest.fixture(params=ALL + ["sym"])
     def fmt_name(self, request):
         return request.param
 
     @pytest.fixture
-    def both_widths(self, fmt_name, small_rect):
-        if fmt_name == "sym":
-            lower = np.tril(small_rect[:, :6])
-            small_rect = lower + np.tril(lower, -1).T
-        f = make(fmt_name, small_rect)
+    def dense(self, fmt_name, small_rect):
+        return _symmetric(small_rect) if fmt_name == "sym" else small_rect
+
+    @pytest.fixture
+    def both_widths(self, fmt_name, dense):
+        f = make(fmt_name, dense)
         return [at_width(f, width) for width in (np.int32, np.int64)]
 
-    def test_full_enumeration_reconstructs(self, both_widths):
-        """Walking one path per branch yields the stored ``(r, c, value)``
-        triples exactly once each — equal, not close."""
+    def test_full_enumeration_reconstructs(self, both_widths, dense):
+        """Equal, not close."""
         for f in both_widths:
-            reconstructs(f)
+            reconstructs(f, dense)
 
-    def test_search_finds_enumerated(self, both_widths):
-        """Searching down a path for an enumerated key tuple yields a
-        state reading ``get(r, c)``."""
+    def test_search_finds_enumerated(self, both_widths, dense):
         for f in both_widths:
-            finds_enumerated(f)
+            finds_enumerated(f, dense)
 
-    def test_search_misses_absent(self, both_widths):
-        """... and for any other — unstored, -1, the extent — None."""
+    def test_search_misses_absent(self, both_widths, dense):
         for f in both_widths:
-            misses_absent(f)
+            misses_absent(f, dense)
+
+    def test_get_and_to_coo_arrays_read_the_grid(self, both_widths, dense):
+        """The high-level API and every path's vectorized walk, read from
+        the same declaration: ``get`` on every cell; ``to_coo_arrays``,
+        and the walks of one path per branch, onto the grid, no cell
+        twice."""
+        for f in both_widths:
+            m, n = dense.shape
+            assert [f.get(r, c) for r in range(m) for c in range(n)] \
+                == dense.ravel().tolist()
+            walks = [[f.runtime(p.path_id).coo() for p in cover]
+                     for cover in covers(f)]
+            for parts in [[f.to_coo_arrays()], *walks]:
+                rows, cols, vals = map(np.concatenate, zip(*parts))
+                assert len(set(zip(rows.tolist(), cols.tolist()))) == rows.size
+                grid = np.zeros_like(dense)
+                grid[rows, cols] = vals
+                assert np.array_equal(grid, dense)
 
     @pytest.mark.parametrize("mistake", WRONG)
     def test_a_wrong_declaration_fails(self, mistake):
-        """The runtime is read from the declaration; what is stored is
+        """The runtime is read from the declaration; the dense array is
         not, so a mistake in one shows against the other."""
         name, edit = WRONG[mistake]
         a = np.array([[1.0, 0, 2, 0], [0, 3, 0, 0], [2, 0, 5, 6], [0, 0, 6, 0]])
@@ -247,10 +312,10 @@ class TestEnumerationRuntime:
             "storage": lambda self, path_id:
                 edit(right.storage(self, path_id))})
         for check in (reconstructs, finds_enumerated, misses_absent):
-            check(right.from_dense(a))
+            check(right.from_dense(a), a)
         with pytest.raises((AssertionError, IndexError)):
             for check in (reconstructs, finds_enumerated, misses_absent):
-                check(wrong.from_dense(a))
+                check(wrong.from_dense(a), a)
 
 
 class TestConversions:

@@ -87,7 +87,7 @@ def _assert_same_on_every_tier(A, B, ref):
         assert C.values.tobytes() == np.ascontiguousarray(want[2]).tobytes()
         assert C.colind.flags.owndata and C.values.flags.owndata
         for r in range(C.nrows):    # strictly increasing within each row
-            lo, hi = C.row_slice(r)
+            lo, hi = C.rowptr[r], C.rowptr[r + 1]
             assert np.all(np.diff(C.colind[lo:hi]) > 0), (tier, r)
 
 

@@ -189,8 +189,33 @@ def test_solver_diag_matches_elementwise():
     np.fill_diagonal(dense[:4, :4], 3.0)  # some diag present, some absent
     ctx = SolverContext(as_format(dense, "csr"), ops=("mvm",),
                         backend="python", register=False)
-    expect = np.array([ctx.A.get(i, i) for i in range(9)])
-    assert np.array_equal(ctx.diag, expect)
+    assert np.array_equal(ctx.diag, np.diag(dense))
+
+
+@pytest.mark.parametrize("fmt_name", ALL_FORMATS)
+def test_one_diagonal_for_every_solver(fmt_name):
+    """Jacobi, SOR, both preconditioners and ``SolverContext.diag`` read
+    one function: the same bits as the per-row ``get`` loop they ran
+    before, on a matrix with some diagonal entries missing — and, on one
+    with none missing, the preconditioners' own arrays."""
+    from repro.solvers.context import diagonal
+    from repro.solvers.preconditioners import (
+        JacobiPreconditioner, TriangularPreconditioner)
+
+    rng = np.random.default_rng(7)
+    dense = np.zeros((8, 8))
+    dense[rng.integers(0, 8, 20), rng.integers(0, 8, 20)] = rng.random(20) + 1
+    dense += dense.T                        # SYM stores it too
+    dense[[1, 4], [1, 4]] = 0.0
+    kwargs = {"block_size": 2} if fmt_name == "bsr" else {}
+    A = as_format(dense, fmt_name, **kwargs)
+    looped = np.array([A.get(i, i) for i in range(8)])
+    assert diagonal(A).tobytes() == looped.tobytes() == np.diag(dense).tobytes()
+    np.fill_diagonal(dense, rng.random(8) + 1)
+    A = as_format(dense, fmt_name, **kwargs)
+    assert TriangularPreconditioner(A).diag.tobytes() == np.diag(dense).tobytes()
+    assert JacobiPreconditioner(A).inv_diag.tobytes() \
+        == (1.0 / np.diag(dense)).tobytes()
 
 
 # ---------------------------------------------------------------------------
