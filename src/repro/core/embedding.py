@@ -98,9 +98,13 @@ def _prefix_expr(expr: LinExpr, prefix: str) -> LinExpr:
     return expr.rename({v: prefix + v for v in expr.variables() if "." in v})
 
 
-def pair_polyhedron(dep: DependenceClass, src_copy: StmtCopy, dst_copy: StmtCopy) -> System:
+def pair_polyhedron(dep: DependenceClass, src_copy: StmtCopy, dst_copy: StmtCopy,
+                    src_relation: System, dst_relation: System) -> System:
     """Dependence polyhedron restricted to two concrete copies: the class
-    system conjoined with both copies' access relations (role-prefixed).
+    system conjoined with both copies' access relations (role-prefixed),
+    which the caller passes in (:meth:`StmtCopy.relation`; a search reads
+    them from its :class:`~repro.core.facts.SearchFacts`, which also keeps
+    the result).
 
     The class system names instance variables by *statement* (``s$S2.i``);
     copies qualify variables by copy label (``S2[u0].i``), so the class
@@ -112,8 +116,8 @@ def pair_polyhedron(dep: DependenceClass, src_copy: StmtCopy, dst_copy: StmtCopy
         elif v.startswith(DST + dep.dst.name + "."):
             rename[v] = DST + dst_copy.label + v[len(DST + dep.dst.name):]
     sys_ = dep.system.rename(rename)
-    sys_ = sys_.conjoin(_prefix_all(src_copy.relation(), SRC))
-    sys_ = sys_.conjoin(_prefix_all(dst_copy.relation(), DST))
+    sys_ = sys_.conjoin(_prefix_all(src_relation, SRC))
+    sys_ = sys_.conjoin(_prefix_all(dst_relation, DST))
     return sys_
 
 
@@ -251,12 +255,12 @@ def _analyze_pair_core(poly: System, deltas: Sequence[LinExpr], ndims: int):
     return _memo((True, need_inc, need_dec, ""))
 
 
-def _analyze_pair(dep, src_copy, dst_copy, emb, ndims):
+def _analyze_pair(dep, src_copy, dst_copy, emb, ndims, facts):
     """Walk one (class, copy pair): returns (legal, need_inc, need_dec,
     reason).  Independent of the other copies' embeddings, so results are
     cacheable across candidates; delegates to the content-keyed
     :func:`_analyze_pair_core` memo."""
-    poly = pair_polyhedron(dep, src_copy, dst_copy)
+    poly = facts.pair(dep, src_copy, dst_copy)
     deltas = pair_deltas(emb, src_copy, dst_copy)
     legal, need_inc, need_dec, reason = _analyze_pair_core(poly, deltas, ndims)
     if reason:
@@ -264,11 +268,18 @@ def _analyze_pair(dep, src_copy, dst_copy, emb, ndims):
     return legal, need_inc, need_dec, reason
 
 
+def _own_facts():
+    """A table for one call made outside a search."""
+    from repro.core.facts import SearchFacts
+
+    return SearchFacts()
+
+
 def analyze_order(
     emb: SpaceEmbedding,
     deps: Sequence[DependenceClass],
     relax_reductions: bool = True,
-    pair_cache: Optional[Dict] = None,
+    facts=None,
 ) -> OrderAnalysis:
     """Decide legality and per-dimension enumeration directions together.
 
@@ -283,7 +294,15 @@ def analyze_order(
     wrong-sign static component — makes the embedding illegal (paper
     Sections 3.1 and 4.1, extended to decreasing enumerations, which
     backward substitutions like upper triangular solve need).
+
+    ``facts`` is the search's :class:`~repro.core.facts.SearchFacts`: its
+    pair polyhedra, and its memo of pair results across candidates (a pair
+    whose two copies embed alike in two candidates is walked once).
+    Without one, the call builds its own.
     """
+    if facts is None:
+        facts = _own_facts()
+    pair_results = facts.pair_results
     ndims = len(emb.space.dims)
     need_inc: Set[int] = set()
     need_dec: Set[int] = set()
@@ -292,21 +311,19 @@ def analyze_order(
         if relax_reductions and _is_relaxed(dep):
             continue
         for src_copy, dst_copy in _relevant_pairs(emb.space, dep):
-            if pair_cache is not None:
-                key = (
-                    di, src_copy.label, dst_copy.label,
-                    _emb_signature(emb.per_copy[src_copy.label]),
-                    _emb_signature(emb.per_copy[dst_copy.label]),
-                    emb.copy_order[dst_copy.label] - emb.copy_order[src_copy.label],
-                )
-                hit = pair_cache.get(key)
-                if hit is None:
-                    hit = _analyze_pair(dep, src_copy, dst_copy, emb, ndims)
-                    pair_cache[key] = hit
-                else:
-                    INSTR.count("pair.local_hits")
+            src, dst = src_copy.label, dst_copy.label
+            key = (
+                di, src, dst,
+                _emb_signature(emb.per_copy[src]),
+                _emb_signature(emb.per_copy[dst]),
+                emb.copy_order[dst] - emb.copy_order[src],
+            )
+            hit = pair_results.get(key)
+            if hit is None:
+                hit = _analyze_pair(dep, src_copy, dst_copy, emb, ndims, facts)
+                pair_results[key] = hit
             else:
-                hit = _analyze_pair(dep, src_copy, dst_copy, emb, ndims)
+                INSTR.count("pair.local_hits")
             legal, inc, dec, reason = hit
             if not legal:
                 return OrderAnalysis(False, reason=reason)
@@ -334,11 +351,12 @@ def check_legality(
 ) -> bool:
     """Legality under all-increasing enumeration (the paper's base case);
     cross-checkable against :func:`analyze_order`."""
+    facts = _own_facts()
     for dep in deps:
         if relax_reductions and _is_relaxed(dep):
             continue
         for src_copy, dst_copy in _relevant_pairs(emb.space, dep):
-            poly = pair_polyhedron(dep, src_copy, dst_copy)
+            poly = facts.pair(dep, src_copy, dst_copy)
             deltas = pair_deltas(emb, src_copy, dst_copy)
             if not lex_nonneg(poly, deltas):
                 return False
@@ -353,12 +371,13 @@ def required_directions(
     """Dimensions that must be enumerated in increasing order, assuming
     all-increasing legality holds (paper Section 4.1)."""
     ndims = len(emb.space.dims)
+    facts = _own_facts()
     required: Set[int] = set()
     for dep in deps:
         if relax_reductions and _is_relaxed(dep):
             continue
         for src_copy, dst_copy in _relevant_pairs(emb.space, dep):
-            poly = pair_polyhedron(dep, src_copy, dst_copy)
+            poly = facts.pair(dep, src_copy, dst_copy)
             deltas = pair_deltas(emb, src_copy, dst_copy)
             for pos in first_positive_dims(poly, deltas):
                 if pos < 2 * ndims and pos % 2 == 1:

@@ -27,8 +27,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.embedding import AT, BEFORE, AFTER, DEC, INC, OrderAnalysis, SpaceEmbedding
+from repro.core.facts import SearchFacts
 from repro.core.redundancy import DeterminacyTracker
-from repro.core.spaces import ProductDim, ProductSpace, SparseRef, StmtCopy
+from repro.core.spaces import ProductSpace, SparseRef, StmtCopy
 from repro.instrument import INSTR
 from repro.polyhedra.linexpr import LinExpr
 from repro.polyhedra.system import System
@@ -332,75 +333,76 @@ def build_plan(
     space: ProductSpace,
     emb: SpaceEmbedding,
     order: OrderAnalysis,
-    var_bounds: Dict[str, Tuple[LinExpr, LinExpr]],
-    param_values: Optional[Dict[str, int]] = None,
+    facts: SearchFacts,
 ) -> Plan:
     """Lower a legal (space, embedding) into an executable plan.
 
-    ``var_bounds`` maps copy-qualified iteration variables to their loop
-    bounds (lower inclusive, upper exclusive) as expressions over outer
-    qualified variables and parameters.  ``param_values`` supplies concrete
-    parameter sizes for the totality checks (a statement fused into a
-    stored enumeration must be guaranteed to see all of its instances).
+    ``facts`` is the search's table for the space's copies: their guards,
+    base determinacy trackers, loop bounds (lower inclusive, upper
+    exclusive, as expressions over outer qualified variables and
+    parameters) and value ranges at the search's parameter sizes, for the
+    totality checks (a statement fused into a stored enumeration must be
+    guaranteed to see all of its instances).
     """
     if not order.legal:
         raise PlanError(f"illegal embedding: {order.reason}")
     INSTR.count("plan.build_calls")
+    trackers = {c.label: facts.tracker(c) for c in space.copies}
+    roots = _PlanBuilder(emb, order, facts).build(
+        0, [c.label for c in space.copies], trackers, {})
+    return Plan(space, emb, order, roots)
 
-    copies = {c.label: c for c in space.copies}
-    trackers = {c.label: DeterminacyTracker(c) for c in space.copies}
-    # sharing history per reference: tuple of group-leader ids, per step
-    share_sig: Dict[Tuple[str, int], Tuple] = {}
-    param_values = dict(param_values or {})
 
-    dims = list(space.dims)
+def _pinned(trackers: Dict[str, DeterminacyTracker],
+            pins: Sequence[Tuple[str, LinExpr]]) -> Dict[str, DeterminacyTracker]:
+    """Copy-on-pin: ``trackers`` with each pinned copy's tracker cloned
+    (once) and pinned; every other tracker is shared."""
+    out = dict(trackers)
+    for label, expr in pins:
+        tracker = out[label]
+        if tracker is trackers[label]:
+            tracker = out[label] = tracker.clone()
+        tracker.pin(expr)
+    return out
 
-    def guards_for(copy: StmtCopy) -> List[LinExpr]:
-        # only the loop-bound (domain) inequalities guard execution; axis
-        # ranges are guaranteed by the enumerations themselves and bounds
-        # annotations are promises about the stored structure
-        dom = copy.ctx.domain().rename({
-            copy.ctx.qualified(v): copy.qual(v) for v in copy.ctx.vars
-        })
-        return [c.expr for c in dom.inequalities()]
 
-    # numeric value ranges each copy's expressions can take (params
-    # substituted), for the totality checks
-    _range_cache: Dict[Tuple[str, LinExpr], Tuple] = {}
+class _PlanBuilder:
+    """Builds one plan's nodes, one dimension (cluster) per level.
 
-    def expr_range(copy: StmtCopy, expr: LinExpr):
-        key = (copy.label, expr)
-        if key in _range_cache:
-            return _range_cache[key]
-        from repro.polyhedra.fm import bounds_of, is_feasible
+    :meth:`build` recurses with the copies still active below the current
+    point, one determinacy tracker per copy, and each reference's sharing
+    history (a tuple of group-leader ids, one per step).  Neither is
+    changed in place: a level pins only trackers it cloned itself
+    (:func:`_pinned`) and extends the history in a new dict, so the BEFORE
+    and AFTER subtrees are handed the level's own."""
 
-        subs = {p: LinExpr.constant(v) for p, v in param_values.items()}
-        sys_ = copy.relation().substitute(subs)
-        e = expr.substitute(subs)
-        if not is_feasible(sys_):
-            rng = (0, -1)  # empty instance set: trivially covered
-        else:
-            lo, hi = bounds_of(sys_, e)
-            rng = (lo, hi)
-        _range_cache[key] = rng
-        return rng
+    __slots__ = ("embs", "order", "facts", "copies", "dims")
 
-    def build(dim_idx: int, active: List[str],
+    def __init__(self, emb: SpaceEmbedding, order: OrderAnalysis,
+                 facts: SearchFacts):
+        self.embs = emb.per_copy        # label -> one DimEmbedding per dim
+        self.order = order
+        self.facts = facts
+        self.copies = {c.label: c for c in emb.space.copies}
+        self.dims = list(emb.space.dims)
+
+    def build(self, dim_idx: int, active: List[str],
               trackers: Dict[str, DeterminacyTracker],
               share_sig: Dict[Tuple[str, int], Tuple]) -> List[PlanNode]:
         if not active:
             return []
+        dims, copies = self.dims, self.copies
         if dim_idx >= len(dims):
-            return [ExecNode(copies[l], guards_for(copies[l]))
+            return [ExecNode(copies[l], self.facts.guards(copies[l]))
                     for l in active]
 
         dim = dims[dim_idx]
-        direction = order.directions.get(dim_idx)
+        direction = self.order.directions.get(dim_idx)
 
         # partition by placement
         seg = {BEFORE: [], AT: [], AFTER: []}
         for label in active:
-            seg[emb.of(copies[label], dim_idx).placement].append(label)
+            seg[self.embs[label][dim_idx].placement].append(label)
 
         members_at = [(ref, axis) for ref, axis in dim.members
                       if ref.owner_label in seg[AT]]
@@ -418,22 +420,14 @@ def build_plan(
                 cluster_dims.append(jd)
                 consumed += 1
 
-        def subtrackers():
-            return {k: v.clone() for k, v in trackers.items()}
-
         if members_at:
-            node = _build_loop(
-                space, emb, order, dims, dim_idx, cluster_dims, consumed, seg,
-                members_at, copies, trackers, share_sig, subtrackers, build,
-                direction, expr_range,
-            )
-            return [node]
+            return [self._loop(dim_idx, cluster_dims, consumed, seg, trackers,
+                               share_sig, direction)]
 
         # ---- no stored member among active copies -------------------------
         at_exprs: List[Tuple[str, LinExpr]] = []
         for label in seg[AT]:
-            e = emb.of(copies[label], dim_idx)
-            at_exprs.append((label, e.value))
+            at_exprs.append((label, self.embs[label][dim_idx].value))
 
         undet = [(l, ex) for l, ex in at_exprs if not trackers[l].is_determined(ex)]
         if not undet:
@@ -442,222 +436,204 @@ def build_plan(
                     f"dimension {dim.name} needs ordered enumeration but is "
                     f"fully determined for all copies"
                 )
-            nodes: List[PlanNode] = []
-            tr_b = subtrackers()
-            nodes += build(dim_idx + 1, seg[BEFORE], tr_b, dict(share_sig))
-            tr_at = subtrackers()
-            for l, ex in at_exprs:
-                tr_at[l].pin(ex)
-            nodes += build(dim_idx + 1, seg[AT], tr_at, dict(share_sig))
-            tr_a = subtrackers()
-            nodes += build(dim_idx + 1, seg[AFTER], tr_a, dict(share_sig))
+            nodes = self.build(dim_idx + 1, seg[BEFORE], trackers, share_sig)
+            nodes += self.build(dim_idx + 1, seg[AT],
+                                _pinned(trackers, at_exprs), share_sig)
+            nodes += self.build(dim_idx + 1, seg[AFTER], trackers, share_sig)
             return nodes
 
         # an undetermined pure-iteration dimension: loop over its values
-        lo, hi = _var_loop_bounds(undet, trackers, var_bounds)
+        lo, hi = self._var_loop_bounds(undet, trackers)
         binds = [Bind(l, 0, ex) for l, ex in at_exprs]
-        nodes = []
-        tr_b = subtrackers()
-        nodes += build(dim_idx + 1, seg[BEFORE], tr_b, dict(share_sig))
-        tr_at = subtrackers()
-        for l, ex in at_exprs:
-            tr_at[l].pin(ex)
-        body = build(dim_idx + 1, seg[AT], tr_at, dict(share_sig))
+        nodes = self.build(dim_idx + 1, seg[BEFORE], trackers, share_sig)
+        body = self.build(dim_idx + 1, seg[AT], _pinned(trackers, at_exprs),
+                          share_sig)
         nodes.append(VarLoopNode(dim.name, lo, hi, direction == DEC, binds, body))
-        tr_a = subtrackers()
-        nodes += build(dim_idx + 1, seg[AFTER], tr_a, dict(share_sig))
+        nodes += self.build(dim_idx + 1, seg[AFTER], trackers, share_sig)
         return nodes
 
-    roots = build(0, [c.label for c in space.copies], trackers, share_sig)
-    return Plan(space, emb, order, roots)
+    def _var_loop_bounds(
+        self,
+        undet: List[Tuple[str, LinExpr]],
+        trackers: Dict[str, DeterminacyTracker],
+    ) -> Tuple[LinExpr, LinExpr]:
+        """Dimension-value bounds for a pure iteration loop.
 
-
-def _var_loop_bounds(
-    undet: List[Tuple[str, LinExpr]],
-    trackers: Dict[str, DeterminacyTracker],
-    var_bounds: Dict[str, Tuple[LinExpr, LinExpr]],
-) -> Tuple[LinExpr, LinExpr]:
-    """Dimension-value bounds for a pure iteration loop.
-
-    Every undetermined copy expression must be (var + const) with the
-    variable's loop bounds known; all derived ranges must agree
-    syntactically (a conservative but exact criterion)."""
-    ranges: List[Tuple[LinExpr, LinExpr]] = []
-    for label, ex in undet:
-        unbound = trackers[label].unbound_vars(ex)
-        if len(unbound) != 1:
-            raise PlanError(
-                f"dimension value {ex!r} of copy {label} has {len(unbound)} "
-                f"unbound variables; cannot drive a loop"
-            )
-        v = unbound[0]
-        cv = ex.coeff(v)
-        if cv not in (1, -1):
-            raise PlanError(f"non-unit coefficient on loop variable in {ex!r}")
-        if v not in var_bounds:
-            raise PlanError(f"no loop bounds known for {v}")
-        vlo, vhi = var_bounds[v]
-        rest = ex - LinExpr({v: cv})
-        if cv == 1:
-            ranges.append((vlo + rest, vhi + rest))
-        else:
-            # value = -v + rest, v in [vlo, vhi) -> value in (rest - vhi, rest - vlo]
-            ranges.append((rest - vhi + 1, rest - vlo + 1))
-    first = ranges[0]
-    for r in ranges[1:]:
-        if r[0] != first[0] or r[1] != first[1]:
-            raise PlanError("iteration-dimension ranges of fused copies differ")
-    return first
-
-
-def _build_loop(space, emb, order, dims, dim_idx, cluster_dims, consumed, seg,
-                members_at, copies, trackers, share_sig, subtrackers, build,
-                direction, expr_range):
-    """Construct the LoopNode for a data dimension (cluster)."""
-    from repro.formats.views import DECREASING, INCREASING, NOSEARCH
-
-    # members of every cluster dim, deduplicated by reference
-    all_members: List[Tuple[SparseRef, str]] = []
-    seen_refs: Set[Tuple[str, int]] = set()
-    for cd in cluster_dims:
-        for ref, axis in cd.members:
-            if ref.owner_label not in seg[AT]:
-                continue
-            if ref.key not in seen_refs:
-                seen_refs.add(ref.key)
-                all_members.append((ref, axis))
-
-    groups = _share_groups(all_members, share_sig)
-    # the driver group: prefer one whose stored order matches the required
-    # direction; then largest group (most sharing)
-    def group_rank(g):
-        ref, axis = g[0]
-        av = ref.path.axis(axis)
-        order_ok = (
-            direction is None
-            or (direction == INC and av.order == INCREASING)
-            or (direction == DEC and av.order == DECREASING)
-        )
-        return (0 if order_ok else 1, -len(g))
-
-    groups.sort(key=group_rank)
-    driver_ref, driver_axis = groups[0][0]
-    step = driver_ref.path.step_of(driver_axis)
-    step_axes = driver_ref.path.steps[step].names
-    if len(step_axes) != len(cluster_dims):
-        raise PlanError(
-            f"driver step produces axes {step_axes} but cluster has "
-            f"{len(cluster_dims)} dims"
-        )
-    axis_views = {a.name: a for a in driver_ref.path.steps[step].axes}
-
-    # binds: every AT copy's value expression per cluster axis (collected
-    # early: the method choice depends on which are already determined)
-    binds: List[Bind] = []
-    member_labels = {ref.owner_label for ref, _ in all_members}
-    for pos, cd in enumerate(cluster_dims):
-        for label in seg[AT]:
-            e = emb.of(copies[label], dim_idx + pos)
-            if e.placement != AT:
+        Every undetermined copy expression must be (var + const) with the
+        variable's loop bounds known; all derived ranges must agree
+        syntactically (a conservative but exact criterion)."""
+        ranges: List[Tuple[LinExpr, LinExpr]] = []
+        for label, ex in undet:
+            unbound = trackers[label].unbound_vars(ex)
+            if len(unbound) != 1:
                 raise PlanError(
-                    f"copy {label} changes placement inside joint cluster {cd.name}"
+                    f"dimension value {ex!r} of copy {label} has {len(unbound)} "
+                    f"unbound variables; cannot drive a loop"
                 )
-            binds.append(Bind(label, pos, e.value))
-
-    # redundant-dimension search (paper Section 4.1): if every AT copy owns
-    # stored data here and every bind is already determined, look the value
-    # up instead of enumerating
-    all_members_only = all(label in member_labels for label in seg[AT])
-    all_determined = all(
-        trackers[b.copy_label].is_determined(b.expr) for b in binds
-    )
-    if all_members_only and all_determined and seg[AT]:
-        # a single key expression per axis, from any copy (all agree by
-        # determinedness through the shared dimension value)
-        key_exprs: List[LinExpr] = []
-        for pos in range(len(cluster_dims)):
-            b = next(b for b in binds if b.axis_pos == pos)
-            key_exprs.append(b.expr)
-        method: EnumMethod = SearchEnum(driver_ref, step, key_exprs)
-    else:
-        method = _choose_method(driver_ref, step, cluster_dims, axis_views,
-                                direction, order, dims, dim_idx)
-        # totality: copies fused into this enumeration without stored data
-        # here must be guaranteed to see every instance value
-        for label in seg[AT]:
-            if label in member_labels:
-                continue
-            total = driver_ref.fmt.axis_total(
-                driver_ref.path.steps[step].names[0]
-            ) if len(cluster_dims) == 1 else None
-            for b in binds:
-                if b.copy_label != label:
-                    continue
-                # NOTE: a determined value does not exempt the copy — the
-                # enumeration still gates execution and must be guaranteed
-                # to visit that value
-                if total is None:
-                    raise PlanError(
-                        f"copy {label} is fused into a stored-only enumeration "
-                        f"of {cluster_dims[b.axis_pos].name}; instances could "
-                        f"be missed"
-                    )
-                lo, hi = expr_range(copies[label], b.expr)
-                if hi < lo:
-                    continue  # empty instance set
-                if lo < total[0] or hi > total[1] - 1:
-                    raise PlanError(
-                        f"instances of {label} need values [{lo},{hi}] but the "
-                        f"enumeration only guarantees [{total[0]},{total[1]})"
-                    )
-
-    # roles; every participating reference must have its *previous* steps
-    # already processed (the enumeration prefix exists), i.e. the product
-    # order must respect each path's nesting
-    roles: List[RefRole] = [RefRole(driver_ref, DRIVER, step)]
-    if len(share_sig.get(driver_ref.key, ())) != step:
-        raise PlanError(
-            f"dimension order enumerates step {step} of {driver_ref!r} "
-            f"before its outer steps"
-        )
-    for g_i, g in enumerate(groups):
-        for ref, axis in g:
-            if ref is driver_ref:
-                continue
-            rstep = ref.path.step_of(axis)
-            if len(share_sig.get(ref.key, ())) != rstep:
-                raise PlanError(
-                    f"dimension order enumerates step {rstep} of {ref!r} "
-                    f"before its outer steps"
-                )
-            if g_i == 0:
-                roles.append(RefRole(ref, SHARED, rstep))
+            v = unbound[0]
+            cv = ex.coeff(v)
+            if cv not in (1, -1):
+                raise PlanError(f"non-unit coefficient on loop variable in {ex!r}")
+            var_bounds = self.facts.var_bounds(self.copies[label])
+            if v not in var_bounds:
+                raise PlanError(f"no loop bounds known for {v}")
+            vlo, vhi = var_bounds[v]
+            rest = ex - LinExpr({v: cv})
+            if cv == 1:
+                ranges.append((vlo + rest, vhi + rest))
             else:
-                # a search needs the step's prefix; the generic runtime
-                # falls back to a linear scan for unsearchable axes
-                roles.append(RefRole(ref, SEARCH, rstep))
+                # value = -v + rest, v in [vlo, vhi) -> value in (rest - vhi, rest - vlo]
+                ranges.append((rest - vhi + 1, rest - vlo + 1))
+        first = ranges[0]
+        for r in ranges[1:]:
+            if r[0] != first[0] or r[1] != first[1]:
+                raise PlanError("iteration-dimension ranges of fused copies differ")
+        return first
 
-    # recurse
-    tr_b = subtrackers()
-    before = build(dim_idx + consumed, seg[BEFORE], tr_b, dict(share_sig))
-    tr_at = subtrackers()
-    for b in binds:
-        tr_at[b.copy_label].pin(b.expr)
-    sig_at = dict(share_sig)
-    for g_i, g in enumerate(groups):
-        leader = id(g[0][0])
-        for ref, axis in g:
-            sig_at[ref.key] = sig_at.get(ref.key, ()) + ((leader if g_i == 0 else id(ref)),)
-    body = build(dim_idx + consumed, seg[AT], tr_at, sig_at)
-    tr_a = subtrackers()
-    after = build(dim_idx + consumed, seg[AFTER], tr_a, dict(share_sig))
+    def _loop(self, dim_idx, cluster_dims, consumed, seg, trackers, share_sig,
+              direction) -> LoopNode:
+        """Construct the LoopNode for a data dimension (cluster)."""
+        from repro.formats.views import DECREASING, INCREASING
 
-    return LoopNode([cd.name for cd in cluster_dims], method, roles, binds,
-                    before, body, after)
+        embs, copies = self.embs, self.copies
+        # members of every cluster dim, deduplicated by reference
+        all_members: List[Tuple[SparseRef, str]] = []
+        seen_refs: Set[Tuple[str, int]] = set()
+        for cd in cluster_dims:
+            for ref, axis in cd.members:
+                if ref.owner_label not in seg[AT]:
+                    continue
+                if ref.key not in seen_refs:
+                    seen_refs.add(ref.key)
+                    all_members.append((ref, axis))
+
+        groups = _share_groups(all_members, share_sig)
+        # the driver group: prefer one whose stored order matches the required
+        # direction; then largest group (most sharing)
+        def group_rank(g):
+            ref, axis = g[0]
+            av = ref.path.axis(axis)
+            order_ok = (
+                direction is None
+                or (direction == INC and av.order == INCREASING)
+                or (direction == DEC and av.order == DECREASING)
+            )
+            return (0 if order_ok else 1, -len(g))
+
+        groups.sort(key=group_rank)
+        driver_ref, driver_axis = groups[0][0]
+        step = driver_ref.path.step_of(driver_axis)
+        step_axes = driver_ref.path.steps[step].names
+        if len(step_axes) != len(cluster_dims):
+            raise PlanError(
+                f"driver step produces axes {step_axes} but cluster has "
+                f"{len(cluster_dims)} dims"
+            )
+        axis_views = {a.name: a for a in driver_ref.path.steps[step].axes}
+
+        # binds: every AT copy's value expression per cluster axis (collected
+        # early: the method choice depends on which are already determined)
+        binds: List[Bind] = []
+        member_labels = {ref.owner_label for ref, _ in all_members}
+        for pos, cd in enumerate(cluster_dims):
+            for label in seg[AT]:
+                e = embs[label][dim_idx + pos]
+                if e.placement != AT:
+                    raise PlanError(
+                        f"copy {label} changes placement inside joint cluster {cd.name}"
+                    )
+                binds.append(Bind(label, pos, e.value))
+
+        # redundant-dimension search (paper Section 4.1): if every AT copy owns
+        # stored data here and every bind is already determined, look the value
+        # up instead of enumerating
+        all_members_only = all(label in member_labels for label in seg[AT])
+        all_determined = all(
+            trackers[b.copy_label].is_determined(b.expr) for b in binds
+        )
+        if all_members_only and all_determined and seg[AT]:
+            # a single key expression per axis, from any copy (all agree by
+            # determinedness through the shared dimension value)
+            key_exprs: List[LinExpr] = []
+            for pos in range(len(cluster_dims)):
+                b = next(b for b in binds if b.axis_pos == pos)
+                key_exprs.append(b.expr)
+            method: EnumMethod = SearchEnum(driver_ref, step, key_exprs)
+        else:
+            method = _choose_method(driver_ref, step, cluster_dims, axis_views,
+                                    self.order, dim_idx)
+            # totality: copies fused into this enumeration without stored data
+            # here must be guaranteed to see every instance value
+            for label in seg[AT]:
+                if label in member_labels:
+                    continue
+                total = driver_ref.fmt.axis_total(
+                    driver_ref.path.steps[step].names[0]
+                ) if len(cluster_dims) == 1 else None
+                for b in binds:
+                    if b.copy_label != label:
+                        continue
+                    # NOTE: a determined value does not exempt the copy — the
+                    # enumeration still gates execution and must be guaranteed
+                    # to visit that value
+                    if total is None:
+                        raise PlanError(
+                            f"copy {label} is fused into a stored-only enumeration "
+                            f"of {cluster_dims[b.axis_pos].name}; instances could "
+                            f"be missed"
+                        )
+                    lo, hi = self.facts.expr_range(copies[label], b.expr)
+                    if hi < lo:
+                        continue  # empty instance set
+                    if lo < total[0] or hi > total[1] - 1:
+                        raise PlanError(
+                            f"instances of {label} need values [{lo},{hi}] but the "
+                            f"enumeration only guarantees [{total[0]},{total[1]})"
+                        )
+
+        # roles; every participating reference must have its *previous* steps
+        # already processed (the enumeration prefix exists), i.e. the product
+        # order must respect each path's nesting
+        roles: List[RefRole] = [RefRole(driver_ref, DRIVER, step)]
+        if len(share_sig.get(driver_ref.key, ())) != step:
+            raise PlanError(
+                f"dimension order enumerates step {step} of {driver_ref!r} "
+                f"before its outer steps"
+            )
+        for g_i, g in enumerate(groups):
+            for ref, axis in g:
+                if ref is driver_ref:
+                    continue
+                rstep = ref.path.step_of(axis)
+                if len(share_sig.get(ref.key, ())) != rstep:
+                    raise PlanError(
+                        f"dimension order enumerates step {rstep} of {ref!r} "
+                        f"before its outer steps"
+                    )
+                if g_i == 0:
+                    roles.append(RefRole(ref, SHARED, rstep))
+                else:
+                    # a search needs the step's prefix; the generic runtime
+                    # falls back to a linear scan for unsearchable axes
+                    roles.append(RefRole(ref, SEARCH, rstep))
+
+        # recurse
+        before = self.build(dim_idx + consumed, seg[BEFORE], trackers, share_sig)
+        tr_at = _pinned(trackers, [(b.copy_label, b.expr) for b in binds])
+        sig_at = dict(share_sig)
+        for g_i, g in enumerate(groups):
+            leader = id(g[0][0])
+            for ref, axis in g:
+                sig_at[ref.key] = sig_at.get(ref.key, ()) + ((leader if g_i == 0 else id(ref)),)
+        body = self.build(dim_idx + consumed, seg[AT], tr_at, sig_at)
+        after = self.build(dim_idx + consumed, seg[AFTER], trackers, share_sig)
+
+        return LoopNode([cd.name for cd in cluster_dims], method, roles, binds,
+                        before, body, after)
 
 
-def _choose_method(driver_ref, step, cluster_dims, axis_views, direction,
-                   order, dims, dim_idx) -> EnumMethod:
+def _choose_method(driver_ref, step, cluster_dims, axis_views, order,
+                   dim_idx) -> EnumMethod:
     """Pick the cheapest enumeration honouring the required direction.
 
     Preference: stored order (1 visit per entry) > reversed stored order >

@@ -25,21 +25,24 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.embedding import AT, SpaceEmbedding
 from repro.core.spaces import ProductSpace, StmtCopy
 from repro.polyhedra.linexpr import Coeffish, LinExpr
+from repro.polyhedra.system import System
 from repro.util.fractions_linalg import FractionMatrix, IncrementalRank
 
 
 class DeterminacyTracker:
     """Incrementally tracks which affine expressions over one copy's
     variables are determined by the values pinned so far (dims processed)
-    plus the copy's relation equalities."""
+    plus the copy's relation equalities (``relation`` is
+    :meth:`StmtCopy.relation`; a search passes the one its
+    :class:`~repro.core.facts.SearchFacts` holds)."""
 
-    def __init__(self, copy: StmtCopy):
+    def __init__(self, copy: StmtCopy, relation: System):
         self.copy = copy
         self.vars = list(copy.all_vars())
         self.index = {v: i for i, v in enumerate(self.vars)}
         # width: one column per variable plus the affine constant
         self._rank = IncrementalRank(len(self.vars) + 1)
-        for con in copy.relation().equalities():
+        for con in relation.equalities():
             self._rank.add(self._row(con.expr))
 
     def clone(self) -> "DeterminacyTracker":

@@ -221,6 +221,19 @@ def build_copies(
     return copies
 
 
+def copy_var_bounds(copies: Sequence[StmtCopy]) -> Dict[str, Tuple[LinExpr, LinExpr]]:
+    """Loop bounds of every copy-qualified iteration variable, as
+    expressions over outer qualified variables and parameters."""
+    out: Dict[str, Tuple[LinExpr, LinExpr]] = {}
+    for copy in copies:
+        qmap = copy.qual_map()
+        for loop in copy.ctx.loops:
+            lo = loop.lower.rename(qmap).lin
+            hi = loop.upper.rename(qmap).lin
+            out[copy.qual(loop.var)] = (lo, hi)
+    return out
+
+
 class ProductDim:
     """One dimension of the product space.
 

@@ -103,16 +103,27 @@ def plan_cost(plan: Plan, param_values: Optional[Mapping[str, int]] = None,
     :class:`ExecNode`, keyed by ``id(node)`` — the cache uses this to cost
     an already guard-simplified plan as if its pristine guards were still
     attached, without mutating the (possibly concurrently executing) plan."""
-    param_values = dict(param_values or {})
-    fmts = fmts or {}
-    guard_counts = guard_counts or {}
+    coster = _PlanCoster(param_values, fmts, guard_counts)
+    return sum(coster.node_cost(n) for n in plan.nodes)
 
-    def fmt_of(ref):
-        return fmts.get(ref.array, ref.fmt)
 
-    def loop_stats(method) -> Tuple[float, float]:
+class _PlanCoster:
+    """Figure 11's cost grammar over one plan's nodes (see
+    :func:`plan_cost` for the arguments)."""
+
+    __slots__ = ("param_values", "fmts", "guard_counts")
+
+    def __init__(self, param_values, fmts, guard_counts):
+        self.param_values = dict(param_values or {})
+        self.fmts = fmts or {}
+        self.guard_counts = guard_counts or {}
+
+    def fmt_of(self, ref) -> SparseFormat:
+        return self.fmts.get(ref.array, ref.fmt)
+
+    def loop_stats(self, method) -> Tuple[float, float]:
         """(trips per visit, per-trip enumeration cost)."""
-        fmt, step = fmt_of(method.driver), method.step
+        fmt, step = self.fmt_of(method.driver), method.step
         path_id = method.driver.path.path_id
         width = _width(fmt, path_id, step)
         if isinstance(method, StoredEnum):
@@ -134,29 +145,27 @@ def plan_cost(plan: Plan, param_values: Optional[Mapping[str, int]] = None,
             return width, per_hit
         raise TypeError(f"unknown method {method!r}")
 
-    def node_cost(node: PlanNode) -> float:
+    def node_cost(self, node: PlanNode) -> float:
         if isinstance(node, ExecNode):
-            nguards = guard_counts.get(id(node), len(node.guards))
+            nguards = self.guard_counts.get(id(node), len(node.guards))
             return P.EXEC_COST + P.GUARD_COST * nguards
         if isinstance(node, VarLoopNode):
-            lo = _eval_guess(node.lo, param_values)
-            hi = _eval_guess(node.hi, param_values)
+            lo = _eval_guess(node.lo, self.param_values)
+            hi = _eval_guess(node.hi, self.param_values)
             trips = max(0.0, hi - lo)
-            body = sum(node_cost(c) for c in node.body)
+            body = sum(self.node_cost(c) for c in node.body)
             return trips * (P.BIND_COST * len(node.binds) + body)
         if isinstance(node, LoopNode):
-            trips, per_trip = loop_stats(node.method)
-            search = sum(_search_cost(fmt_of(role.ref), role.ref.path.path_id,
-                                      role.step)
+            trips, per_trip = self.loop_stats(node.method)
+            search = sum(_search_cost(self.fmt_of(role.ref),
+                                      role.ref.path.path_id, role.step)
                          for role in node.roles if role.role == SEARCH)
-            body = sum(node_cost(c) for c in node.body)
-            before = sum(node_cost(c) for c in node.before)
-            after = sum(node_cost(c) for c in node.after)
+            body = sum(self.node_cost(c) for c in node.body)
+            before = sum(self.node_cost(c) for c in node.before)
+            after = sum(self.node_cost(c) for c in node.after)
             per_iter = per_trip + search + P.BIND_COST * len(node.binds) + body
             return before + after + trips * per_iter
         raise TypeError(f"unknown node {node!r}")
-
-    return sum(node_cost(n) for n in plan.nodes)
 
 
 def _eval_guess(expr, param_values: Mapping[str, int]) -> float:

@@ -27,6 +27,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.dependence import DependenceClass, DST, SRC
 from repro.core.embedding import AFTER, AT, BEFORE, DimEmbedding, SpaceEmbedding
+from repro.core.facts import SearchFacts
 from repro.core.spaces import ProductDim, ProductSpace, SparseRef, StmtCopy, build_copies
 from repro.formats.base import SparseFormat
 from repro.ir.program import Program
@@ -94,29 +95,24 @@ def _interleave_blocks(chains: List[List[object]], cap: int) -> Iterator[Tuple[o
     """Interleavings of the chains' blocks preserving each chain's internal
     order, capped."""
     if not chains:
-        yield ()
-        return
-    count = 0
+        return iter([()])
     pool = [list(c) for c in chains]
+    return itertools.islice(_interleavings(pool, [0] * len(pool), []), cap)
 
-    def rec(cursors: List[int], acc: List[object]):
-        nonlocal count
-        if count >= cap:
-            return
-        done = all(cursors[i] >= len(pool[i]) for i in range(len(pool)))
-        if done:
-            count += 1
-            yield tuple(acc)
-            return
-        for i in range(len(pool)):
-            if cursors[i] < len(pool[i]):
-                cursors[i] += 1
-                acc.append(pool[i][cursors[i] - 1])
-                yield from rec(cursors, acc)
-                acc.pop()
-                cursors[i] -= 1
 
-    yield from rec([0] * len(pool), [])
+def _interleavings(pool: List[List[object]], cursors: List[int],
+                   acc: List[object]) -> Iterator[Tuple[object, ...]]:
+    """Every interleaving that extends ``acc``, depth first."""
+    if all(cursors[i] >= len(pool[i]) for i in range(len(pool))):
+        yield tuple(acc)
+        return
+    for i in range(len(pool)):
+        if cursors[i] < len(pool[i]):
+            cursors[i] += 1
+            acc.append(pool[i][cursors[i] - 1])
+            yield from _interleavings(pool, cursors, acc)
+            acc.pop()
+            cursors[i] -= 1
 
 
 def _alignment_exprs(
@@ -124,13 +120,12 @@ def _alignment_exprs(
     owner_copy: StmtCopy,
     canonical: str,
     deps: Sequence[DependenceClass],
+    facts: SearchFacts,
     cache: Optional[Dict] = None,
 ) -> List[LinExpr]:
     """Variables of ``copy`` provably equal to the dimension's canonical
     variable of ``owner_copy`` in some dependence class connecting the two
     statements (in either orientation)."""
-    from repro.core.embedding import pair_polyhedron
-
     if cache is not None:
         ck = (copy.label, owner_copy.label, canonical)
         if ck in cache:
@@ -145,7 +140,7 @@ def _alignment_exprs(
         if dep.src.name == owner_copy.name and dep.dst.name == copy.name:
             orientations.append((owner_copy, copy, SRC, DST))
         for a, b, pa, pb in orientations:
-            poly = pair_polyhedron(dep, a, b)
+            poly = facts.pair(dep, a, b)
             if not is_feasible(poly):
                 continue
             copy_prefix = pa if a is copy else pb
@@ -175,8 +170,15 @@ def generate_candidates(
     max_orders: int = 12,
     max_foreign_branching: int = 4096,
     same_matrix_same_path: bool = True,
+    facts: Optional[SearchFacts] = None,
 ) -> Iterator[Candidate]:
-    """Yield candidates in deterministic order."""
+    """Yield candidates in deterministic order.
+
+    ``facts`` is the search's table; the pair polyhedra that decide
+    alignments are the ones legality reads later.  Without one, the
+    generator builds its own."""
+    if facts is None:
+        facts = SearchFacts()
     for path_choice in _path_choices(program, bindings, same_matrix_same_path):
         copies = build_copies(program, bindings, path_choice)
         copy_by_label = {c.label: c for c in copies}
@@ -270,7 +272,7 @@ def generate_candidates(
                                 owner_copy = copy_by_label[m_ref.owner_label]
                                 for e in _alignment_exprs(
                                         copy, owner_copy, m_ref.axis_var(m_axis),
-                                        deps, align_cache):
+                                        deps, facts, align_cache):
                                     if e not in aligns:
                                         aligns.append(e)
                             options: List[Tuple[str, DimEmbedding]] = []
@@ -294,7 +296,7 @@ def generate_candidates(
                             )
                         else:
                             aligns = _alignment_exprs(copy, owner_copy, owner,
-                                                      deps, align_cache)
+                                                      deps, facts, align_cache)
                             if aligns:
                                 fixed[(copy.label, di)] = DimEmbedding(AT, aligns[0])
                             else:

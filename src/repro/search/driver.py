@@ -9,13 +9,12 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.dependence import DependenceClass, dependences
 from repro.core.embedding import analyze_order
+from repro.core.facts import SearchFacts
 from repro.core.plan import Plan, PlanError, build_plan
-from repro.core.spaces import StmtCopy
 from repro.cost.model import plan_cost
 from repro.formats.base import SparseFormat
 from repro.instrument import INSTR
 from repro.ir.program import Program
-from repro.polyhedra.linexpr import LinExpr
 from repro.search.candidates import Candidate, generate_candidates
 
 
@@ -68,19 +67,6 @@ class SearchResult:
         self.ranked = ranked  # every lowered plan, best first
 
 
-def copy_var_bounds(copies: Sequence[StmtCopy]) -> Dict[str, Tuple[LinExpr, LinExpr]]:
-    """Loop bounds of every copy-qualified iteration variable, as
-    expressions over outer qualified variables and parameters."""
-    out: Dict[str, Tuple[LinExpr, LinExpr]] = {}
-    for copy in copies:
-        qmap = copy.qual_map()
-        for loop in copy.ctx.loops:
-            lo = loop.lower.rename(qmap).lin
-            hi = loop.upper.rename(qmap).lin
-            out[copy.qual(loop.var)] = (lo, hi)
-    return out
-
-
 def search(
     program: Program,
     bindings: Mapping[str, SparseFormat],
@@ -94,6 +80,11 @@ def search(
     ``pick`` selects the returned plan: "best" (lowest estimated cost),
     "worst" (highest — the cost-model ablation), or "first" (first legal,
     ignoring the cost model).
+
+    What the candidates share (per-copy relations, guards, trackers, value
+    ranges, loop bounds and pair polyhedra) is built once, in a
+    :class:`~repro.core.facts.SearchFacts` table that lives as long as this
+    call.
     """
     # thread-local deltas: concurrent searches in sibling threads
     # (compile_many) must not pollute this search's attribution
@@ -104,22 +95,21 @@ def search(
                 deps = dependences(program)
         stats = SearchStats()
         lowered: List[Tuple[float, Candidate, Plan]] = []
-        pair_cache: Dict = {}
+        facts = SearchFacts(param_values)
 
-        for cand in generate_candidates(program, bindings, deps, max_orders=max_orders):
+        for cand in generate_candidates(program, bindings, deps,
+                                        max_orders=max_orders, facts=facts):
             stats.generated += 1
             INSTR.count("search.candidates.generated")
             with INSTR.phase("search.legality"):
-                order = analyze_order(cand.emb, deps, pair_cache=pair_cache)
+                order = analyze_order(cand.emb, deps, facts=facts)
             if not order.legal:
                 continue
             stats.legal += 1
             INSTR.count("search.candidates.legal")
-            bounds = copy_var_bounds(cand.space.copies)
             try:
                 with INSTR.phase("search.lowering"):
-                    plan = build_plan(cand.space, cand.emb, order, bounds,
-                                      dict(param_values or {}))
+                    plan = build_plan(cand.space, cand.emb, order, facts)
             except PlanError:
                 continue
             stats.lowered += 1

@@ -194,7 +194,9 @@ def atomic_path(final: str) -> Iterator[str]:
 #: truncated, written by another version, or is not ours at all
 _LOAD_ERRORS = (OSError, ValueError, EOFError, AttributeError, ImportError,
                 IndexError, pickle.PickleError)
-_SAVE_ERRORS = (OSError, ValueError, TypeError, pickle.PickleError)
+#: pickle refuses a class defined inside a function with AttributeError
+_SAVE_ERRORS = (OSError, ValueError, TypeError, AttributeError,
+                pickle.PickleError)
 
 #: names this module (or the artifact writer sharing the directory) gives
 #: files: ``<sha256 hex>.<suffix>`` and :func:`atomic_path` temporaries

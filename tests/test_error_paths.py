@@ -19,11 +19,11 @@ from repro.core import (
     compile_kernel,
 )
 from repro.core.embedding import BEFORE
+from repro.core.facts import SearchFacts
 from repro.formats import as_format
 from repro.formats.generate import lower_triangular_of, random_sparse
 from repro.ir.kernels import mvm, ts_lower
 from repro.polyhedra.linexpr import LinExpr
-from repro.search.driver import copy_var_bounds
 from tests.oracles.plan_interp import run_plan
 
 
@@ -72,7 +72,7 @@ class TestOrderAnalysisDiagnostics:
         # driver's inner step cannot be enumerated before its outer step
         assert oa.legal
         with pytest.raises(PlanError) as ei:
-            build_plan(space, emb, oa, copy_var_bounds(copies), {"n": 16})
+            build_plan(space, emb, oa, SearchFacts({"n": 16}))
         assert "before its outer steps" in str(ei.value)
 
     def test_embedding_requires_full_coverage(self, lower16):

@@ -46,6 +46,15 @@ And a fourth time when units stopped including headers: ``#include
 Python source, plan cost and all work counters are equal, and the new C
 source with the include put back for the typedefs is the old one, byte for
 byte.
+
+And a fifth time when the search started building what its candidates
+share once per search (:class:`repro.core.facts.SearchFacts`): the value
+range of an expression over a copy's instances is asked once per search
+instead of once per plan, so fewer Fourier-Motzkin questions are asked.
+``search_determinism.pr32.json`` is the file before that, and
+:func:`test_only_the_work_fell_since_pr32` pins the difference: Python and
+C source, plan cost and the candidate counts are equal, the eliminations
+too, and only the FM call counters went down.
 """
 
 from __future__ import annotations
@@ -75,6 +84,8 @@ GOLDEN_PR22 = os.path.join(os.path.dirname(__file__), "golden",
                            "search_determinism.pr22.json")
 GOLDEN_PR27 = os.path.join(os.path.dirname(__file__), "golden",
                            "search_determinism.pr27.json")
+GOLDEN_PR32 = os.path.join(os.path.dirname(__file__), "golden",
+                           "search_determinism.pr32.json")
 
 PAIRS = [("mvm", f) for f in ("csr", "csc", "coo", "dia", "ell", "jad", "bsr", "msr")]
 PAIRS += [("ts_lower", f) for f in ("csr", "csc", "jad")]
@@ -140,6 +151,7 @@ _PR15 = _load(GOLDEN_PR15)
 _PR19 = _load(GOLDEN_PR19)
 _PR22 = _load(GOLDEN_PR22)
 _PR27 = _load(GOLDEN_PR27)
+_PR32 = _load(GOLDEN_PR32)
 
 
 @pytest.mark.parametrize("kernel,fmt", PAIRS, ids=lambda p: str(p))
@@ -264,7 +276,8 @@ def _with_include(c_source: str) -> str:
 
 @pytest.mark.parametrize("kernel,fmt", PAIRS, ids=lambda p: str(p))
 def test_only_the_preamble_changed_since_pr27(kernel, fmt):
-    new, old = _GOLDEN[f"{kernel}.{fmt}"], _PR27[f"{kernel}.{fmt}"]
+    # between the two frozen files: what came after is pinned below
+    new, old = _PR32[f"{kernel}.{fmt}"], _PR27[f"{kernel}.{fmt}"]
     for name in ("py_sha1", "cost") + COUNTERS:
         assert new[name] == old[name], name
     assert new["c_sha1"] != old["c_sha1"]
@@ -274,6 +287,27 @@ def test_only_the_preamble_changed_since_pr27(kernel, fmt):
     assert "#include" not in c_source
     assert _sha1(c_source) == new["c_sha1"]
     assert _sha1(_with_include(c_source)) == old["c_sha1"]
+
+
+#: the counters of Fourier-Motzkin calls; a search that shares answers
+#: between its candidates asks fewer questions
+FM_CALLS = ("fm.feasible.calls", "fm.project.calls")
+
+
+@pytest.mark.parametrize("kernel,fmt", PAIRS, ids=lambda p: str(p))
+def test_only_the_work_fell_since_pr32(kernel, fmt):
+    new, old = _GOLDEN[f"{kernel}.{fmt}"], _PR32[f"{kernel}.{fmt}"]
+    assert set(new) == set(old)
+    for name in set(new) - set(FM_CALLS):
+        assert new[name] == old[name], name
+    for name in FM_CALLS:
+        assert new[name] <= old[name], name
+
+
+def test_the_work_fell_since_pr32():
+    fell = [key for key in _GOLDEN
+            if any(_GOLDEN[key][n] < _PR32[key][n] for n in FM_CALLS)]
+    assert fell, "re-recorded without a change in the work"
 
 
 if __name__ == "__main__":

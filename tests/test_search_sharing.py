@@ -1,0 +1,154 @@
+"""What a search's candidates share is built once, and dies with the search.
+
+Every candidate of one path choice shares that choice's statement copies,
+so the search keeps one table of per-copy facts
+(:class:`repro.core.facts.SearchFacts`): relations, guards, base
+determinacy trackers, value ranges, loop bounds and pair polyhedra.  These
+tests count how often each is built and check that nothing of the search
+survives it: no table, no copy, no cyclic garbage for the collector.
+"""
+
+from __future__ import annotations
+
+import gc
+import weakref
+from collections import Counter
+
+import pytest
+
+from repro.core import embedding, spaces
+from repro.core.compiler import infer_param_values
+from repro.core.plan import ExecNode, LoopNode, PlanError, VarLoopNode
+from repro.core.redundancy import DeterminacyTracker
+from repro.formats import as_format
+from repro.formats.generate import can_1072_like, upper_triangular_of
+from repro.ir.kernels import ALL_KERNELS
+from repro.search import search
+from tests.test_search_golden import _bindings
+
+
+def _search(kernel, bindings):
+    program = ALL_KERNELS[kernel]()
+    return search(program, bindings, None,
+                  infer_param_values(program, bindings))
+
+
+@pytest.mark.parametrize("kernel,fmt", [("mvm", "csr"), ("mvm", "bsr"),
+                                        ("spgemm", "csr"), ("mvm", "msr")],
+                         ids=lambda p: str(p))
+def test_search_leaves_no_cyclic_garbage(kernel, fmt):
+    """Over a pre-built program (parsing one leaves cycles of its own)."""
+    program = ALL_KERNELS[kernel]()
+    bindings = _bindings(kernel, fmt)
+    params = infer_param_values(program, bindings)
+    search(program, bindings, None, params)     # first-use imports, memos
+    gc.collect()
+    gc.disable()
+    try:
+        search(program, bindings, None, params)
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert left == 0
+
+
+def test_each_fact_is_built_once(monkeypatch):
+    """One ``spgemm/csr`` search: 216 candidates over one path choice, so
+    one set of copies."""
+    polyhedra, relations, trackers = Counter(), Counter(), Counter()
+    pair_polyhedron = embedding.pair_polyhedron
+    relation = spaces.StmtCopy.relation
+    tracker_init = DeterminacyTracker.__init__
+
+    def counted_pair(dep, src, dst, *rels):
+        polyhedra[(id(dep), id(src), id(dst))] += 1
+        return pair_polyhedron(dep, src, dst, *rels)
+
+    def counted_relation(copy):
+        relations[id(copy)] += 1
+        return relation(copy)
+
+    def counted_tracker(self, copy, rel):
+        trackers[id(copy)] += 1
+        tracker_init(self, copy, rel)
+
+    monkeypatch.setattr(embedding, "pair_polyhedron", counted_pair)
+    monkeypatch.setattr(spaces.StmtCopy, "relation", counted_relation)
+    monkeypatch.setattr(DeterminacyTracker, "__init__", counted_tracker)
+    result = _search("spgemm", _bindings("spgemm", "csr"))
+
+    assert result.stats.generated == 216
+    copies = {id(c) for c in result.plan.space.copies}
+    assert polyhedra and set(polyhedra.values()) == {1}
+    assert {k[1] for k in polyhedra} | {k[2] for k in polyhedra} <= copies
+    assert relations == Counter(dict.fromkeys(copies, 1))
+    assert trackers == Counter(dict.fromkeys(copies, 1))
+
+
+def _exec_nodes(nodes):
+    for n in nodes:
+        if isinstance(n, ExecNode):
+            yield n
+        elif isinstance(n, LoopNode):
+            for part in (n.before, n.body, n.after):
+                yield from _exec_nodes(part)
+        elif isinstance(n, VarLoopNode):
+            yield from _exec_nodes(n.body)
+
+
+def test_every_plan_gets_its_own_guard_lists():
+    """``Plan.simplify_guards`` rewrites an ExecNode's guards in place, so
+    the shared guards of a copy are handed out as fresh lists."""
+    result = _search("spgemm", _bindings("spgemm", "csr"))
+    execs = [n for _c, _cand, plan in result.ranked
+             for n in _exec_nodes(plan.nodes)]
+    assert len(execs) > len(result.ranked)
+    assert len({id(n.guards) for n in execs}) == len(execs)
+
+
+class _WeakCopy(spaces.StmtCopy):
+    """A statement copy a test can hold a weak reference to."""
+
+    __slots__ = ("__weakref__",)
+    made = []
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        _WeakCopy.made.append(weakref.ref(self))
+
+
+@pytest.fixture
+def weak_copies(monkeypatch):
+    monkeypatch.setattr(spaces, "StmtCopy", _WeakCopy)
+    _WeakCopy.made = []
+    gc.collect()
+    gc.disable()
+    try:
+        yield _WeakCopy.made
+    finally:
+        gc.enable()
+
+
+def test_copies_die_with_the_search_result(weak_copies):
+    result = _search("spgemm", _bindings("spgemm", "csr"))
+    assert weak_copies
+    held = {id(c) for _c, _cand, plan in result.ranked
+            for c in plan.space.copies}
+    assert {id(r()) for r in weak_copies} == held
+    del result
+    assert [r() for r in weak_copies] == [None] * len(weak_copies)
+
+
+def test_copies_die_with_a_search_that_finds_no_plan(weak_copies):
+    """``ts_upper`` on MSR has candidates but no legal one: no plan is
+    returned, so nothing may keep a copy alive."""
+    upper = as_format(upper_triangular_of(can_1072_like(seed=1072)), "msr")
+    upper.annotate_triangular("upper")
+    try:
+        _search("ts_upper", {"U": upper})
+    except PlanError:
+        pass
+    else:
+        pytest.fail("ts_upper on MSR found a plan")
+    assert weak_copies
+    assert [r() for r in weak_copies] == [None] * len(weak_copies)

@@ -247,8 +247,10 @@ class TestKernelHandles:
         context and the matrix are dropped, the matrix, its triangular
         parts and the bound kernel die by reference count alone.  (A
         compile-cache entry pins the instance it was searched with, by
-        design, so the cache is cleared; the search itself leaves cyclic
-        garbage behind, which one collection *before* the drop removes.)"""
+        design, so the cache is cleared.  The search leaves no cyclic
+        garbage (``tests/test_search_sharing.py``), but the compile around
+        it may: an exec'd Python kernel is its own cycle, and one
+        collection *before* the drop removes what there is.)"""
         import gc
         import weakref
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import sys
 import threading
 from types import SimpleNamespace
@@ -410,6 +411,22 @@ class TestStore:
         assert INSTR.get("test.store.save_errors") == errors0 + 1
         assert os.listdir(tmp_path) == []      # the temp file is gone too
         assert s.get(KEY) is not None          # the value stays memory-only
+
+    def test_unpicklable_local_class_is_a_counted_save_error(self, tmp_path):
+        """A format class defined inside a function reaches the compile
+        cache's pickle store (``REPRO_COMPILE_CACHE=disk``): pickle raises
+        ``AttributeError`` for it, not ``PicklingError``."""
+        class Local:
+            pass
+
+        s = Store(4, directory=lambda: str(tmp_path), suffix=".pkl",
+                  dump=lambda v, f: pickle.dump(v, f), load=pickle.load,
+                  save_errors="test.store.save_errors")
+        errors0 = INSTR.get("test.store.save_errors")
+        s.store(KEY, Local(), disk=True)
+        assert INSTR.get("test.store.save_errors") == errors0 + 1
+        assert os.listdir(tmp_path) == []
+        assert isinstance(s.get(KEY), Local)
 
     @staticmethod
     def _assert_counted(store):
