@@ -14,9 +14,12 @@ declaration names the arrays behind the two levels: the rows are dense,
 the columns of row r are the range first[r] .. first[r]+length[r], and the
 value of (r, c) sits at data[start[r] + c - first[r]].  From the two the
 compiler derives the loops, the searches and the C, and the library the
-matrix's own get/set/to_coo_arrays and the runtime the generic BLAS
-(``repro.blas.generic_``) walks it through: a format designer writes the
-view, the storage, a constructor and nnz.
+matrix's own get/set/to_coo_arrays, the runtime the generic BLAS
+(``repro.blas.generic_``) walks it through, and its assembly: from_dense
+and from_coo solve the Range's bounds for first and length (per row the
+first and one past the last column) and scatter data through the
+declared value index.  A format designer writes the view, the storage,
+a constructor and nnz.
 
 Run:  python examples/custom_format.py
 """
@@ -24,7 +27,7 @@ Run:  python examples/custom_format.py
 import numpy as np
 
 from repro import compile_kernel, kernels
-from repro.formats.base import SparseFormat, coo_dedup_sort
+from repro.formats.base import SparseFormat
 from repro.formats.levels import Dense, Range, Size, Storage, at
 from repro.formats.views import Nest, Term, Value, interval_axis
 
@@ -44,20 +47,6 @@ class SkylineMatrix(SparseFormat):
     @property
     def nnz(self):
         return int(self.data.size)
-
-    @classmethod
-    def from_coo(cls, rows, cols, vals, shape):
-        rows, cols, vals = coo_dedup_sort(rows, cols, vals, shape, order="row")
-        m = shape[0]
-        first = np.zeros(m, dtype=np.int64)
-        length = np.zeros(m, dtype=np.int64)
-        for r in range(m):
-            mine = cols[rows == r]
-            if mine.size:
-                first[r], length[r] = mine.min(), mine.max() + 1 - mine.min()
-        self = cls(first, length, np.zeros(int(length.sum())), shape)
-        self.data[self.start[rows] + cols - first[rows]] = vals
-        return self
 
     # -- the low-level API the compiler consumes -----------------------
     def view(self) -> Term:
@@ -87,7 +76,8 @@ def main():
         dense[r, lo:hi] = rng.random(hi - lo) + 0.5
 
     A = SkylineMatrix.from_dense(dense)
-    # get and to_coo_arrays (behind to_dense) are read from the declaration
+    # the assembly, get and to_coo_arrays (behind to_dense) are read from
+    # the declaration
     assert np.array_equal(A.to_dense(), dense) and A.get(5, 5) == dense[5, 5]
     print(f"skyline matrix: {n}x{n}, nnz={A.nnz}")
     print("index structure:", A.view())

@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import bisect
 import functools
+import inspect
 import operator
 from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.formats.levels import (
-    Compressed, Coords, Dense, Offset, Perm, Range, Size, Storage,
+    Compressed, Coords, Counted, Dense, Offset, Perm, Range, Size, Storage,
 )
 from repro.formats.views import (
     AccessPath, BINARY, DIRECT, LINEAR, NOSEARCH, SEARCHES, UNORDERED, Term,
@@ -349,10 +350,13 @@ class LevelRuntime:
             keys.update(zip(s.names, self._readers[step](prefix[step], prefix[:step])))
         rows, cols = (_affine(self.path.subs[d], keys) for d in ("r", "c"))
         del keys
+        return rows, cols, self._values[self._cells(prefix)]
+
+    def _cells(self, prefix: Tuple) -> Tuple:
+        """The value index of every entry whose states ``prefix`` holds."""
         if len(self._index) > 1 or not isinstance(self._index[0], str):
             prefix = tuple(map(_array, prefix))
-        index = [self._expr(i)(prefix) for i in self._index]
-        return rows, cols, self._values[tuple(index)]
+        return tuple(self._expr(i)(prefix) for i in self._index)
 
     def interval(self, step: int, prefix: Tuple) -> Optional[Tuple[int, int]]:
         """Half-open ``[lo, hi)`` of the step's (one) axis when it is an
@@ -404,12 +408,11 @@ class LevelRuntime:
         self._values[self._address(prefix)] = value
 
 
-def _solver(path: AccessPath) -> Optional[Callable]:
-    """``solve(r, c)``: the keys of every axis of ``path`` (in order) of
-    the entry at ``(r, c)`` — ``path.subs`` solved once, here, one
-    unit-coefficient unknown at a time, into one Python expression.  An
-    equation left with no unknown is a check, and ``solve`` returns None
-    where it fails (MSR's diagonal holds ``r == c`` only).  None when
+def _solution(path: AccessPath) -> Optional[Tuple[List[str], List[str]]]:
+    """``path.subs`` solved for the keys of every axis of ``path`` (in
+    order), one unit-coefficient unknown at a time: per axis a Python
+    expression in ``r`` and ``c``, and the checks — an equation left with
+    no unknown (MSR's diagonal holds ``r == c`` only).  None when
     ``path.subs`` does not solve that way (BSR's ``s*rb + ri``)."""
     todo, keys, checks = [(d, path.subs[d]) for d in ("r", "c")], {}, []
     while todo:
@@ -429,10 +432,135 @@ def _solver(path: AccessPath) -> Optional[Callable]:
             keys[unknown[0]] = value if e.coeffs[unknown[0]] == 1 else f"-({value})"
     if len(keys) < len(path.axis_names):
         return None
-    body = "(" + "".join(f"{keys[a]}, " for a in path.axis_names) + ")"
-    if checks:
-        body += f" if {' and '.join(checks)} else None"
+    return [keys[a] for a in path.axis_names], checks
+
+
+@functools.lru_cache(maxsize=None)
+def _function(body: str) -> Callable:
+    """``lambda r, c: body``, compiled once per body."""
     return eval(f"lambda r, c: {body}")
+
+
+def _evaluate(e, name: Callable, arrays):
+    """A declared expression over whole arrays: ``name`` resolves a name
+    (an axis' states or a size), ``arrays`` the arrays ``at`` reads."""
+    if not isinstance(e, tuple):
+        return e if isinstance(e, int) else name(e)
+    op, *x = e
+    if op == "at":
+        return arrays[x[0]][_evaluate(x[1], name, arrays)]
+    return _OPS[op](*[_evaluate(a, name, arrays) for a in x])
+
+
+def _unbuilt(e, arrays) -> List[str]:
+    """The arrays ``e`` reads through ``at`` that ``arrays`` lacks."""
+    if not isinstance(e, tuple):
+        return []
+    return ([e[1]] if e[0] == "at" and e[1] not in arrays else []) + [
+        a for x in e[1:] for a in _unbuilt(x, arrays)]
+
+
+class _Unstated(ValueError):
+    """A declaration whose levels do not state its assembly."""
+
+
+def _level(level, keys, group, names, arrays, shape, extent: int, fmt: str):
+    """A level built by the rule of its kind from the keys of its axes,
+    ``group`` the enclosing ``Dense`` level's keys and extent, ``names``
+    the sizes and the enclosing axis (a prefix each): every entry's
+    state, and the number of states."""
+    n = keys[0].size
+    if isinstance(level, Dense) and isinstance(names.get(level.extent), int):
+        return keys[0], names[level.extent]
+    if isinstance(level, Coords) and all(isinstance(i, str) for i in level.inds):
+        arrays.update((i, k.astype(storage_index_dtype(shape, n)))
+                      for i, k in zip(level.inds, keys))
+        return slice(0, n), n
+    if (group is None or not isinstance(level, (Compressed, Counted, Range))
+            or getattr(level, "off_diagonal", False)
+            or getattr(level, "address", None)):
+        raise _Unstated(f"a {type(level).__name__} level here")
+    parent, prefixes = group
+    if isinstance(level, Compressed):
+        idx = storage_index_dtype(shape, n)
+        arrays[level.ptr] = csr_rowptr(parent, prefixes, idx)
+        arrays[level.ind] = keys[0].astype(idx)
+        return slice(0, n), n
+    counts = np.bincount(parent, minlength=prefixes)
+    if isinstance(level, Counted):
+        longest = int(counts.max(initial=0))
+        check_padding(fmt, n, prefixes * longest)
+        width = max(longest, min(extent, 1))   # padding holds coordinate 0
+        arrays[level.count], arrays[level.ind] = counts, np.zeros(
+            (prefixes, width), dtype=storage_index_dtype(shape, prefixes * width))
+        slot = np.arange(n) - (np.cumsum(counts) - counts)[parent]
+        arrays[level.ind][parent, slot] = keys[0]
+        return slot, width
+    # Range: per prefix its first and one past its last key, each bound
+    # solved for the array it reads unbuilt, as that array plus the rest
+    # (a skyline's first[r] + length[r])
+    ends, held = np.cumsum(counts), counts > 0
+    bounds = np.zeros((2, prefixes), dtype=np.int64)
+    bounds[:, held] = (keys[0][ends[held] - counts[held]],
+                       keys[0][ends[held] - 1] + 1)
+    for bound, target in zip((level.lo, level.hi), bounds):
+        for a in _unbuilt(bound, arrays):
+            arrays[a] = np.zeros(prefixes, dtype=np.int64)
+            arrays[a] = target - _evaluate(bound, names.get, arrays)
+    lo, hi = (np.broadcast_to(_evaluate(b, names.get, arrays), (prefixes,))
+              for b in (level.lo, level.hi))
+    if not np.all((lo[parent] <= keys[0]) & (keys[0] < hi[parent])):
+        raise _Unstated(f"entries outside the Range {level!r}")
+    return keys[0], int(np.maximum(hi - lo, 0).sum())
+
+
+def _branch(fmt, path, rows, cols, vals, left, arrays, placed):
+    """One aggregation branch's arrays, from its first ``path``, out of
+    the entries no earlier branch took (``left``, a mask; None: all) that
+    its ``subs`` solve for; returns the entries left."""
+    decl, solution = fmt.storage(path.path_id), _solution(path)
+    if solution is None:
+        raise _Unstated(f"path {path.path_id!r} does not solve for (r, c)")
+    exprs, checks = solution
+    r, c, v = ((rows, cols, vals) if left is None
+               else (rows[left], cols[left], vals[left]))
+    keys = list(_function(f"({''.join(x + ', ' for x in exprs)})")(r, c))
+    if checks:
+        mine = _function(" & ".join(f"({x})" for x in checks))(r, c)
+        keys, v = [k[mine] for k in keys], v[mine]
+        if left is None:
+            left = ~mine
+        elif isinstance(left, np.ndarray):
+            left[left] = ~mine
+    else:
+        left = slice(0)             # every entry is placed
+    del r, c
+    if exprs[0] != "r":             # into the path's key order
+        perm = np.argsort(keys[0], kind="stable")
+        keys, v = [k[perm] for k in keys], v[perm]
+        del perm
+    sizes = {a.local: getattr(fmt, a.attr, None) for a in decl.args
+             if isinstance(a, Size) and a.kind == "attr"}   # of the shape
+    group, outer, states, spans, first = None, (), [], {}, 0
+    for step, level in zip(path.steps, decl.levels):
+        names = ({**sizes, **dict.fromkeys(outer, np.arange(group[1]))}
+                 if isinstance(level, Range) and group else sizes)
+        x, last = exprs[first], first + len(step.axes)
+        extent = fmt.shape["rc".index(x)] if x in ("r", "c") else 1
+        state, span = _level(level, keys[first:last], group, names, arrays,
+                             fmt.shape, extent, fmt.format_name)
+        group = (state, span) if isinstance(level, Dense) else None
+        states.append(state)
+        spans.update(dict.fromkeys(step.names, span))
+        outer, first = step.names, last
+    array, *index = decl.value
+    if all(isinstance(i, str) for i in index):   # states address the cells
+        arrays[array] = np.zeros(tuple(spans[i] for i in index))
+        arrays[array][tuple(states[path.step_of(i)] for i in index)] = v
+    else:              # an expression over the instance's arrays: later
+        arrays[array] = np.zeros(span)
+        placed.append((path.path_id, tuple(states), v))
+    return left
 
 
 class SparseFormat:
@@ -444,8 +572,8 @@ class SparseFormat:
 
     def __init__(self, shape: Tuple[int, int]):
         m, n = shape
-        if m < 0 or n < 0:
-            raise ValueError(f"bad shape {shape}")
+        if any(d < 0 or d != int(d) for d in shape):
+            raise ValueError(f"bad shape {shape}: not non-negative whole numbers")
         self.shape = (int(m), int(n))
 
     # -- high-level API ----------------------------------------------------
@@ -488,12 +616,15 @@ class SparseFormat:
                 path = next((p for p in self.paths() if p.branch == branch
                              and NOSEARCH not in (a.search for s in p.steps
                                                   for a in s.axes)), None)
-                solve = path and _solver(path)
-                if solve is None:
+                keys, checks = path and _solution(path) or (None, None)
+                if keys is None:
                     raise ValueError(
                         f"format {self.format_name!r}: no path of branch "
                         f"{branch!r} is searchable from (r, c)")
-                locators.append((path.path_id, solve))
+                # the keys of (r, c), or None where a check fails
+                locators.append((path.path_id, _function(
+                    "(" + "".join(f"{k}, " for k in keys) + ")" + (
+                        f" if {' and '.join(checks)} else None" if checks else ""))))
             self._locators = locators
         for path_id, solve in locators:
             keys = solve(r, c)
@@ -551,40 +682,56 @@ class SparseFormat:
         return out
 
     def copy(self) -> "SparseFormat":
-        rows, cols, vals = self.to_coo_arrays()
-        return type(self).from_coo(rows, cols, vals.copy(), self.shape)
+        return type(self).from_coo(*self.to_coo_arrays(), self.shape)
 
     @classmethod
-    def from_coo(cls, rows, cols, vals, shape) -> "SparseFormat":
-        raise NotImplementedError
+    def from_coo(cls, rows, cols, vals, shape, **kwargs) -> "SparseFormat":
+        """From triples in any order, duplicates summed, ``kwargs`` to the
+        constructor; never aliasing the caller's arrays."""
+        rows, cols, vals = coo_dedup_sort(rows, cols, vals, shape)
+        return cls._from_canonical_coo(rows, cols, vals, shape, **kwargs)
 
     @classmethod
     def _from_canonical_coo(cls, rows, cols, vals, shape, **kwargs) -> "SparseFormat":
         """Construct from triples already in canonical row-major form
-        (sorted by ``(row, col)``, unique, in bounds, int64/float64 — the
-        exchange width; the built instance stores its index arrays at
-        :func:`index_dtype` of its own bound, converted once on the way in).
-
-        This is the construction core the vectorized data plane shares:
-        :func:`repro.formats.convert.convert` fast paths and
-        :func:`repro.search.format_select.select_format` canonicalize the
-        triples *once* and hand them to every target through this entry
-        point.  The default routes through :meth:`from_coo`, whose
-        canonicalization detects already-sorted input in O(nnz), so
-        custom formats stay correct without overriding."""
-        return cls.from_coo(rows, cols, vals, shape, **kwargs)
+        (sorted, unique, in bounds, int64/float64), by the declaration
+        alone: the core ``from_coo``, ``convert``, ``select_format`` and
+        SpGEMM's output share.  Each entry goes to the first branch whose
+        map solves for it, each level is built by the rule of its kind
+        (README, "Format designers") and the values go in through the
+        declared value index — all fresh arrays.  A format whose levels
+        do not state its assembly overrides this."""
+        fmt = cls.__new__(cls)          # the shape alone: what paths read
+        SparseFormat.__init__(fmt, shape)
+        arrays, placed, left = {"shape": fmt.shape}, [], None
+        try:
+            for branch in fmt.union_branches():
+                path = next(p for p in fmt.paths() if p.branch == branch)
+                left = _branch(fmt, path, rows, cols, vals, left, arrays, placed)
+            if isinstance(left, np.ndarray) and left.any():
+                i = int(left.argmax())
+                raise _Unstated(f"no branch holds ({rows[i]}, {cols[i]})")
+        except _Unstated as e:
+            raise ValueError(f"format {cls.format_name!r}: the declaration "
+                             f"does not state its assembly ({e}); define "
+                             "_from_canonical_coo") from None
+        out = cls(**{p: arrays[p] for p in inspect.signature(cls).parameters
+                     if p in arrays}, **kwargs)
+        for path_id, states, v in placed:   # through the instance's arrays
+            rt = out.runtime(path_id)
+            rt._values[rt._cells(states)] = v
+        return out
 
     @classmethod
-    def from_dense(cls, a: np.ndarray) -> "SparseFormat":
+    def from_dense(cls, a: np.ndarray, **kwargs) -> "SparseFormat":
         a = np.asarray(a)
         rows, cols = np.nonzero(a)
-        return cls.from_coo(rows, cols, a[rows, cols].astype(float), a.shape)
+        return cls.from_coo(rows, cols, a[rows, cols], a.shape, **kwargs)
 
     @classmethod
     def from_scipy(cls, sp, **kwargs) -> "SparseFormat":
         coo = sp.tocoo()
-        return cls.from_coo(coo.row, coo.col, coo.data.astype(float), coo.shape,
-                            **kwargs)
+        return cls.from_coo(coo.row, coo.col, coo.data, coo.shape, **kwargs)
 
     def to_scipy(self):
         import scipy.sparse as sps
@@ -727,35 +874,41 @@ class SparseFormat:
         return f"<{self.format_name} {self.nrows}x{self.ncols}, nnz={self.nnz}>"
 
 
+#: elements :func:`coo_dedup_sort` checks at a time
+_CHUNK = 1 << 15
+
+
 def coo_dedup_sort(rows, cols, vals, shape, order: str = "row") -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Canonicalize COO triples: sum duplicates, sort row-major or
-    column-major, validate bounds.  Shared by the concrete constructors.
-
-    Already-canonical input (strictly increasing keys, the common case for
-    triples coming out of another format's ``to_coo_arrays``) is detected
-    with one O(nnz) comparison and skips the sort entirely."""
+    column-major, validate bounds, refuse coordinates that are not whole
+    numbers and values with an imaginary part.  Canonical input (another
+    format's ``to_coo_arrays``) is checked a cache-sized chunk at a time
+    and returned as it came, uncopied: the construction cores build fresh
+    arrays from it."""
     # exchange contract: triples are int64 whatever the caller stored them
     # at, so the row-major keys below cannot overflow a storage width
-    rows = np.asarray(rows, dtype=np.int64).ravel()
-    cols = np.asarray(cols, dtype=np.int64).ravel()
-    vals = np.asarray(vals, dtype=np.float64).ravel()
+    rows = np.asarray(whole_numbers(rows, "rows"), dtype=np.int64).ravel()
+    cols = np.asarray(whole_numbers(cols, "cols"), dtype=np.int64).ravel()
+    vals = real_values(vals, "vals").ravel()
     if not (rows.shape == cols.shape == vals.shape):
         raise ValueError("rows/cols/vals length mismatch")
     m, n = shape
-    if rows.size:
-        if rows.min() < 0 or rows.max() >= m or cols.min() < 0 or cols.max() >= n:
-            raise ValueError("COO indices out of bounds for shape")
-    if order == "row":
-        keys = rows * n + cols
-    elif order == "col":
-        keys = cols * m + rows
-    else:
+    if order not in ("row", "col"):
         raise ValueError(f"unknown order {order!r}")
-    if keys.size == 0 or bool(np.all(keys[1:] > keys[:-1])):
-        # already canonical: skip the sort; copy so the constructed format
-        # never aliases caller-owned arrays (the sorted path's fancy
-        # indexing used to guarantee that)
-        return rows.copy(), cols.copy(), vals.copy()
+    major, minor, span = (rows, cols, n) if order == "row" else (cols, rows, m)
+    canonical, last = True, -1
+    for lo in range(0, rows.size, _CHUNK):
+        hi = lo + _CHUNK
+        r, c = rows[lo:hi], cols[lo:hi]
+        if r.min() < 0 or r.max() >= m or c.min() < 0 or c.max() >= n:
+            raise ValueError("COO indices out of bounds for shape")
+        if canonical:
+            keys = major[lo:hi] * span + minor[lo:hi]
+            canonical = keys[0] > last and bool(np.all(keys[1:] > keys[:-1]))
+            last = keys[-1]
+    if canonical:
+        return rows, cols, vals
+    keys = major * span + minor
     perm = np.argsort(keys, kind="stable")
     rows, cols, vals, keys = rows[perm], cols[perm], vals[perm], keys[perm]
     if keys.size and np.any(keys[1:] == keys[:-1]):
@@ -821,6 +974,34 @@ def storage_index_dtype(shape: Tuple[int, int], cells: int):
     return index_dtype(max(shape[0], shape[1], cells))
 
 
+def _refuse(a: np.ndarray, bad: np.ndarray, what: str) -> None:
+    if bad.any():
+        raise ValueError(what.format(a[bad][:1].tolist()[0]))
+
+
+def whole_numbers(a, name: str) -> np.ndarray:
+    """``a`` as integers — as it is when its dtype is integral, else int64
+    — refusing, by its value, one that is not a whole number."""
+    a = np.asarray(a)
+    if a.dtype.kind in "iu":
+        return a
+    kind = a.dtype.kind     # bools and objects: what survives int64
+    _refuse(a, ~np.isfinite(a) | (a != np.trunc(a)) if kind == "f" else
+            np.full(a.shape, True) if kind == "c" else a.astype(np.int64) != a,
+            name + ": {!r} is not a whole number")
+    return a.astype(np.int64)
+
+
+def real_values(vals, name: str) -> np.ndarray:
+    """``vals`` as float64 (not copied when they are), refusing, by its
+    value, one whose imaginary part a cast would drop."""
+    vals = np.asarray(vals)
+    if vals.dtype.kind == "c":
+        _refuse(vals, vals.imag != 0, name + ": {!r} has an imaginary part")
+        vals = vals.real.copy()
+    return np.asarray(vals, dtype=np.float64)
+
+
 def index_array(a, dtype, name: str, stop: int, start: int = 0,
                 copy: bool = False) -> np.ndarray:
     """``a`` as an index array of ``dtype`` after an O(size) check that
@@ -828,9 +1009,7 @@ def index_array(a, dtype, name: str, stop: int, start: int = 0,
     the values arrive in, so an out-of-range value raises instead of
     wrapping into range when the array is narrowed.  An array that is
     already of ``dtype`` is returned as it is unless ``copy`` is set."""
-    a = np.asarray(a)
-    if a.dtype.kind not in "iu":
-        a = a.astype(np.int64)  # exchange width until checked
+    a = whole_numbers(a, name)  # at least the exchange width until checked
     if a.size and (a.min() < start or a.max() >= stop):
         raise ValueError(f"{name}: value outside [{start}, {stop})")
     return a.astype(dtype) if copy else np.asarray(a, dtype=dtype)
@@ -859,15 +1038,6 @@ def csr_rowptr(rows: np.ndarray, nrows: int, dtype) -> np.ndarray:
     return rowptr
 
 
-def compress(major: np.ndarray, minor: np.ndarray, nmajor: int,
-             shape: Tuple[int, int]) -> Tuple[np.ndarray, np.ndarray]:
-    """``(pointer, minor index)`` arrays of a compressed axis from triples
-    sorted on ``major``, both built once at the storage width of a matrix
-    of ``shape`` holding them.  ``minor`` is copied, never aliased."""
-    idx = storage_index_dtype(shape, minor.size)
-    return csr_rowptr(major, nmajor, idx), minor.astype(idx)
-
-
 def compressed_is_canonical(ptr: np.ndarray, ind: np.ndarray) -> bool:
     """Are the minor indices strictly increasing within every segment of
     a pointer array — the sorted-unique invariant the constructors do not
@@ -894,4 +1064,4 @@ def scipy_compressed(sp, fmt: str):
     ind = index_array(sp.indices, idx, "indices", nminor, copy=True)
     if not compressed_is_canonical(ptr, ind):
         return None
-    return ptr, ind, sp.data.astype(np.float64)
+    return ptr, ind, real_values(sp.data, "data").copy()

@@ -22,7 +22,6 @@ import numpy as np
 from repro.formats.base import (
     SparseFormat,
     coo_contract,
-    coo_dedup_sort,
     csr_rowptr,
     index_array,
     storage_index_dtype,
@@ -131,12 +130,6 @@ class BsrMatrix(SparseFormat):
         return out
 
     @classmethod
-    def from_coo(cls, rows, cols, vals, shape, block_size: int = 2) -> "BsrMatrix":
-        rows, cols, vals = coo_dedup_sort(rows, cols, vals, shape, order="row")
-        return cls._from_canonical_coo(rows, cols, vals, shape,
-                                       block_size=block_size)
-
-    @classmethod
     def _from_canonical_coo(cls, rows, cols, vals, shape,
                             block_size: int = 2) -> "BsrMatrix":
         # block ids come from np.unique; the inverse map replaces the
@@ -156,12 +149,6 @@ class BsrMatrix(SparseFormat):
         indptr = csr_rowptr(uniq // (n // s), m // s, idx)
         blockind = (uniq % (n // s)).astype(idx)
         return cls(indptr, blockind, data, s, shape)
-
-    @classmethod
-    def from_dense(cls, a: np.ndarray, block_size: int = 2) -> "BsrMatrix":
-        a = np.asarray(a)
-        rows, cols = np.nonzero(a)
-        return cls.from_coo(rows, cols, a[rows, cols].astype(float), a.shape, block_size)
 
     # -- low-level API -------------------------------------------------------
     def view(self) -> Term:

@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.formats.base import (
     SparseFormat,
-    coo_dedup_sort,
     index_array,
     storage_index_dtype,
 )
@@ -42,18 +41,6 @@ class CooMatrix(SparseFormat):
     @property
     def nnz(self) -> int:
         return int(self.vals.size)
-
-    @classmethod
-    def from_coo(cls, rows, cols, vals, shape) -> "CooMatrix":
-        # canonicalize duplicates but deliberately *shuffle* nothing: COO
-        # preserves whatever order canonicalization produces
-        rows, cols, vals = coo_dedup_sort(rows, cols, vals, shape, order="row")
-        return cls(rows, cols, vals, shape)
-
-    @classmethod
-    def _from_canonical_coo(cls, rows, cols, vals, shape) -> "CooMatrix":
-        idx = storage_index_dtype(shape, vals.size)
-        return cls(rows.astype(idx), cols.astype(idx), vals.copy(), shape)
 
     # -- low-level API -------------------------------------------------------
     def view(self) -> Term:

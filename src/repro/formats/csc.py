@@ -11,8 +11,6 @@ import numpy as np
 
 from repro.formats.base import (
     SparseFormat,
-    compress,
-    coo_dedup_sort,
     index_array,
     storage_index_dtype,
     pointer_array,
@@ -44,24 +42,6 @@ class CscMatrix(SparseFormat):
     @property
     def nnz(self) -> int:
         return int(self.values.size)
-
-    @classmethod
-    def from_coo(cls, rows, cols, vals, shape) -> "CscMatrix":
-        rows, cols, vals = coo_dedup_sort(rows, cols, vals, shape, order="col")
-        return cls._build_colmajor(rows, cols, vals, shape)
-
-    @classmethod
-    def _build_colmajor(cls, rows, cols, vals, shape) -> "CscMatrix":
-        """Construction core for triples already canonical *column*-major."""
-        return cls(*compress(cols, rows, shape[1], shape), vals.copy(), shape)
-
-    @classmethod
-    def _from_canonical_coo(cls, rows, cols, vals, shape) -> "CscMatrix":
-        # row-major canonical in: one stable sort on the column alone
-        # re-sorts column-major (rows stay increasing within each column
-        # because the input was row-sorted) — no key building, no dedup
-        perm = np.argsort(cols, kind="stable")
-        return cls._build_colmajor(rows[perm], cols[perm], vals[perm], shape)
 
     @classmethod
     def from_scipy(cls, sp) -> "CscMatrix":

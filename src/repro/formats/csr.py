@@ -13,8 +13,6 @@ import numpy as np
 
 from repro.formats.base import (
     SparseFormat,
-    compress,
-    coo_dedup_sort,
     index_array,
     storage_index_dtype,
     pointer_array,
@@ -62,15 +60,6 @@ class CsrMatrix(SparseFormat):
     @property
     def nnz(self) -> int:
         return int(self.values.size)
-
-    @classmethod
-    def from_coo(cls, rows, cols, vals, shape) -> "CsrMatrix":
-        rows, cols, vals = coo_dedup_sort(rows, cols, vals, shape, order="row")
-        return cls._from_canonical_coo(rows, cols, vals, shape)
-
-    @classmethod
-    def _from_canonical_coo(cls, rows, cols, vals, shape) -> "CsrMatrix":
-        return cls(*compress(rows, cols, shape[0], shape), vals.copy(), shape)
 
     @classmethod
     def from_scipy(cls, sp) -> "CsrMatrix":

@@ -11,7 +11,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.formats.base import SparseFormat, coo_contract
+from repro.formats.base import SparseFormat, coo_contract, real_values
 from repro.formats.levels import Dense, Size, Storage
 from repro.formats.views import Cross, Term, Value, interval_axis
 
@@ -22,7 +22,7 @@ class DenseMatrix(SparseFormat):
     format_name = "dense"
 
     def __init__(self, data: np.ndarray):
-        data = np.asarray(data, dtype=np.float64)
+        data = real_values(data, "data")
         if data.ndim != 2:
             raise ValueError("DenseMatrix needs a 2-D array")
         super().__init__(data.shape)
@@ -53,13 +53,6 @@ class DenseMatrix(SparseFormat):
         return DenseMatrix(self.data.copy())
 
     @classmethod
-    def from_coo(cls, rows, cols, vals, shape) -> "DenseMatrix":
-        from repro.formats.base import coo_dedup_sort
-
-        rows, cols, vals = coo_dedup_sort(rows, cols, vals, shape, order="row")
-        return cls._from_canonical_coo(rows, cols, vals, shape)
-
-    @classmethod
     def _from_canonical_coo(cls, rows, cols, vals, shape) -> "DenseMatrix":
         out = np.zeros(shape)
         out[rows, cols] = vals
@@ -67,7 +60,7 @@ class DenseMatrix(SparseFormat):
 
     @classmethod
     def from_dense(cls, a: np.ndarray) -> "DenseMatrix":
-        return cls(np.array(a, dtype=np.float64))
+        return cls(np.array(real_values(a, "a")))
 
     # -- low-level API -------------------------------------------------------
     def view(self) -> Term:

@@ -21,7 +21,6 @@ import numpy as np
 from repro.formats.base import (
     SparseFormat,
     check_padding,
-    coo_dedup_sort,
     index_array,
     index_dtype,
 )
@@ -98,11 +97,6 @@ class DiaMatrix(SparseFormat):
             self.data[k, c] = v
             return
         raise KeyError(f"({r},{c}) is not on a stored diagonal")
-
-    @classmethod
-    def from_coo(cls, rows, cols, vals, shape) -> "DiaMatrix":
-        rows, cols, vals = coo_dedup_sort(rows, cols, vals, shape, order="row")
-        return cls._from_canonical_coo(rows, cols, vals, shape)
 
     @classmethod
     def _from_canonical_coo(cls, rows, cols, vals, shape) -> "DiaMatrix":

@@ -15,9 +15,7 @@ import numpy as np
 
 from repro.formats.base import (
     SparseFormat,
-    check_padding,
     coo_contract,
-    coo_dedup_sort,
     index_array,
     storage_index_dtype,
 )
@@ -64,27 +62,6 @@ class EllMatrix(SparseFormat):
         mask = np.arange(self.slots) < self.rowlen[:, None]
         rows = np.repeat(np.arange(self.nrows, dtype=np.int64), self.rowlen)
         return coo_contract(rows, self.colind[mask], self.data[mask])
-
-    @classmethod
-    def from_coo(cls, rows, cols, vals, shape) -> "EllMatrix":
-        rows, cols, vals = coo_dedup_sort(rows, cols, vals, shape, order="row")
-        return cls._from_canonical_coo(rows, cols, vals, shape)
-
-    @classmethod
-    def _from_canonical_coo(cls, rows, cols, vals, shape) -> "EllMatrix":
-        # scatter packing: entry jj of row r lands in slot jj - rowptr[r]
-        # (its position within the row), one vectorized assignment per array
-        m, n = shape
-        counts = np.bincount(rows, minlength=m)
-        longest = int(counts.max(initial=0))
-        check_padding("ell", rows.size, m * longest)
-        K = max(longest, min(n, 1))     # no padding slot without a column
-        colind = np.zeros((m, K), dtype=storage_index_dtype(shape, m * K))
-        data = np.zeros((m, K))
-        slot = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
-        colind[rows, slot] = cols
-        data[rows, slot] = vals
-        return cls(colind, data, counts, shape)
 
     # -- low-level API -------------------------------------------------------
     def view(self) -> Term:

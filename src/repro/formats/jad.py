@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.formats.base import (
     SparseFormat,
-    coo_dedup_sort,
     csr_rowptr,
     index_array,
     storage_index_dtype,
@@ -154,11 +153,6 @@ class JadMatrix(SparseFormat):
         if jj is None:
             raise KeyError(f"({r},{c}) is not stored (fill is not supported)")
         self.values[jj] = v
-
-    @classmethod
-    def from_coo(cls, rows, cols, vals, shape) -> "JadMatrix":
-        rows, cols, vals = coo_dedup_sort(rows, cols, vals, shape, order="row")
-        return cls._from_canonical_coo(rows, cols, vals, shape)
 
     @classmethod
     def _from_canonical_coo(cls, rows, cols, vals, shape) -> "JadMatrix":

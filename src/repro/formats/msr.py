@@ -19,8 +19,6 @@ import numpy as np
 
 from repro.formats.base import (
     SparseFormat,
-    coo_dedup_sort,
-    compress,
     index_array,
     storage_index_dtype,
     pointer_array,
@@ -72,20 +70,6 @@ class MsrMatrix(SparseFormat):
     @property
     def nnz(self) -> int:
         return int(self.dvals.size + self.values.size)
-
-    @classmethod
-    def from_coo(cls, rows, cols, vals, shape) -> "MsrMatrix":
-        rows, cols, vals = coo_dedup_sort(rows, cols, vals, shape, order="row")
-        return cls._from_canonical_coo(rows, cols, vals, shape)
-
-    @classmethod
-    def _from_canonical_coo(cls, rows, cols, vals, shape) -> "MsrMatrix":
-        m, n = shape
-        dvals = np.zeros(min(m, n))
-        on_diag = rows == cols
-        dvals[rows[on_diag]] = vals[on_diag]
-        rows_o, cols_o, vals_o = rows[~on_diag], cols[~on_diag], vals[~on_diag]
-        return cls(dvals, *compress(rows_o, cols_o, m, shape), vals_o, shape)
 
     # -- low-level API -------------------------------------------------------
     def view(self) -> Term:

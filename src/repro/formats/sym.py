@@ -21,8 +21,7 @@ import numpy as np
 
 from repro.formats.base import (
     SparseFormat,
-    coo_dedup_sort,
-    compress,
+    csr_rowptr,
     index_array,
     storage_index_dtype,
     pointer_array,
@@ -77,11 +76,6 @@ class SymMatrix(SparseFormat):
         return int(self.values.size)
 
     @classmethod
-    def from_coo(cls, rows, cols, vals, shape) -> "SymMatrix":
-        rows, cols, vals = coo_dedup_sort(rows, cols, vals, shape, order="row")
-        return cls._from_canonical_coo(rows, cols, vals, shape)
-
-    @classmethod
     def _from_canonical_coo(cls, rows, cols, vals, shape) -> "SymMatrix":
         # symmetry check without the per-element dictionary: look every
         # entry's transposed key up in the (sorted, unique) key array; a
@@ -103,7 +97,8 @@ class SymMatrix(SparseFormat):
                     f"matrix is not symmetric at ({int(rows[i])},{int(cols[i])})")
         keep = rows >= cols
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        return cls(*compress(rows, cols, m, shape), vals, shape)
+        idx = storage_index_dtype(shape, rows.size)
+        return cls(csr_rowptr(rows, m, idx), cols.astype(idx), vals, shape)
 
     # -- low-level API -------------------------------------------------------
     def view(self) -> Term:

@@ -44,7 +44,7 @@ from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.blas import api as blas_api
-from repro.formats.base import SparseFormat
+from repro.formats.base import SparseFormat, csr_rowptr
 from repro.formats.csr import CsrMatrix
 from repro.instrument import INSTR
 from repro.ir import kernels as _kernels
@@ -132,18 +132,14 @@ def _triangular_split(A: SparseFormat) -> Tuple[CsrMatrix, CsrMatrix]:
     over ``colind`` — masking preserves the within-row column order, so
     the parts are valid CSR without any re-sort.  Other formats extract
     triples once; ``from_coo`` detects sorted triples in O(nnz)."""
-    from repro.formats.base import compress
-
     with INSTR.phase("solver.split"):
         if type(A) is CsrMatrix:
             rows = np.repeat(np.arange(A.nrows, dtype=A.colind.dtype),
                              np.diff(A.rowptr))
             low = A.colind <= rows
             up = A.colind >= rows
-            L = CsrMatrix(*compress(rows[low], A.colind[low], A.nrows, A.shape),
-                          A.values[low], A.shape)
-            U = CsrMatrix(*compress(rows[up], A.colind[up], A.nrows, A.shape),
-                          A.values[up], A.shape)
+            L, U = (CsrMatrix(csr_rowptr(rows[k], A.nrows, rows.dtype),
+                              A.colind[k], A.values[k], A.shape) for k in (low, up))
         else:
             rows, cols, vals = A.to_coo_arrays()
             low = rows >= cols

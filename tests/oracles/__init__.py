@@ -9,6 +9,8 @@ Nothing under ``src/`` imports them:
   operation;
 - :mod:`~tests.oracles.data_plane` — per-element loop versions of the
   format constructions, extractions and the triangular split;
+- :mod:`~tests.oracles.assembly` — the hand-written constructors and
+  ``convert`` routes the declaration-derived assembly replaced;
 - :mod:`~tests.oracles.solvers_reference` — ``cg`` and ``bicgstab`` as
   they were before the vector steps moved into :mod:`repro.solvers.vecops`;
 - :mod:`~tests.oracles.fraction_polyhedra` — the ``Fraction``-everywhere

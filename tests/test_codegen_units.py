@@ -277,7 +277,7 @@ class TestLoweringErrors:
         from repro.instrument import INSTR
         from tests.test_custom_format import Undeclared
 
-        A = Undeclared.from_dense(random_sparse(6, 8, 0.3, seed=11).to_dense())
+        A = Undeclared.of(random_sparse(6, 8, 0.3, seed=11).to_dense())
         before = (INSTR.get("native.fallbacks"),
                   INSTR.get("native.fallback.lowering"))
         with pytest.raises(ValueError, match="no storage declared"):

@@ -141,7 +141,7 @@ class TestDeclaredTotals:
     def test_an_undeclared_format_has_no_totals(self, small_rect):
         from tests.test_custom_format import Undeclared
 
-        f = Undeclared.from_dense(small_rect)
+        f = Undeclared.of(small_rect)
         with pytest.raises(ValueError, match="'flat': no storage declared"):
             step_totals(f, "flat")
 

@@ -17,7 +17,7 @@ from repro.core import NativeBackendWarning, compile_kernel
 from repro.core import backend as be
 from repro.core.spaces import build_copies
 from repro.formats import as_format
-from repro.formats.base import SparseFormat, coo_dedup_sort
+from repro.formats.base import SparseFormat
 from repro.formats.csr import CsrMatrix
 from repro.formats.jad import JadMatrix
 from repro.formats.levels import Coords, Dense, Offset, Perm, Size, Storage
@@ -62,11 +62,6 @@ class DeclaredCoo(SparseFormat):
     def nnz(self):
         return int(self.vals.size)
 
-    @classmethod
-    def from_coo(cls, rows, cols, vals, shape):
-        rows, cols, vals = coo_dedup_sort(rows, cols, vals, shape, order="col")
-        return cls(rows, cols, vals, shape)
-
     def view(self) -> Term:
         return Joint(
             [Axis("c", INCREASING, LINEAR), Axis("r", UNORDERED, LINEAR)],
@@ -82,10 +77,16 @@ class DeclaredCoo(SparseFormat):
 
 
 class Undeclared(DeclaredCoo):
-    """The same format without its declaration."""
+    """The same format without its declaration (built by its constructor:
+    there is nothing to assemble it from)."""
 
     format_name = "cscoo_undeclared"
     storage = SparseFormat.storage
+
+    @staticmethod
+    def of(dense):
+        d = DeclaredCoo.from_dense(dense)
+        return Undeclared(d.rows, d.cols, d.vals, d.shape)
 
 
 @pytest.fixture(scope="module")
@@ -220,8 +221,8 @@ class TestDeclaredFormat:
 
     def test_an_undeclared_format_is_refused(self, declared, monkeypatch):
         """``compile_kernel`` refuses it before any search runs, naming
-        the format and the path; so do the high-level API and the
-        runtime, which read the same declaration."""
+        the format and the path; so do the high-level API, the runtime
+        and the assembly, which read the same declaration."""
         from repro.core import compiler
 
         assert isinstance(_emitter(declared), ViewEmitter)
@@ -236,7 +237,9 @@ class TestDeclaredFormat:
                     compile_kernel(mvm(), {"A": fmt}, backend=backend,
                                    cache=cache)
         for read in (lambda: fmt.get(0, 0), fmt.to_coo_arrays,
-                     lambda: fmt.runtime("flat"), lambda: fmt.dtype):
+                     lambda: fmt.runtime("flat"), lambda: fmt.dtype,
+                     lambda: Undeclared.from_coo(fmt.rows, fmt.cols,
+                                                 fmt.vals, fmt.shape)):
             with pytest.raises(ValueError, match=refusal):
                 read()
 

@@ -1,9 +1,12 @@
 """Constructor validation and less-travelled format paths."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.formats import (
+    FORMATS,
     BsrMatrix,
     CooMatrix,
     CscMatrix,
@@ -14,7 +17,7 @@ from repro.formats import (
     MsrMatrix,
     as_format,
 )
-from repro.formats.base import coo_dedup_sort
+from repro.formats.base import SparseFormat, coo_dedup_sort
 from repro.formats.generate import random_sparse
 
 
@@ -102,6 +105,74 @@ class TestConstructorValidation:
         with pytest.raises(ValueError):
             CsrMatrix(np.array([0]), np.zeros(0, dtype=int), np.zeros(0),
                       (-1, 2))
+
+
+def _kwargs(name):
+    return {"block_size": 2} if name == "bsr" else {}
+
+
+class TestConstructionBoundary:
+    """What a cast would truncate is refused, with the value named; what
+    it would keep (integer-valued floats, a zero imaginary part) is
+    not."""
+
+    @pytest.mark.parametrize("name", sorted(FORMATS))
+    def test_fractional_coordinates_refused(self, name):
+        with pytest.raises(ValueError, match=r"rows: 1\.5 is not a whole"):
+            FORMATS[name].from_coo([1.5, 0.0], [0.0, 1.9], [3.0, 4.0], (2, 2),
+                                   **_kwargs(name))
+        with pytest.raises(ValueError, match=r"cols: 1\.9 is not a whole"):
+            FORMATS[name].from_coo([1.0, 0.0], [0.0, 1.9], [3.0, 4.0], (2, 2),
+                                   **_kwargs(name))
+        with pytest.raises(ValueError, match="nan is not a whole"):
+            FORMATS[name].from_coo([np.nan], [0], [3.0], (2, 2),
+                                   **_kwargs(name))
+
+    @pytest.mark.parametrize("name", sorted(FORMATS))
+    def test_whole_float_coordinates_accepted(self, name):
+        want = FORMATS[name].from_coo([1, 0], [0, 1], [3.0, 3.0], (2, 2),
+                                      **_kwargs(name))
+        got = FORMATS[name].from_coo([1.0, 0.0], [0.0, 1.0], [3.0, 3.0],
+                                     (2, 2), **_kwargs(name))
+        assert np.array_equal(got.to_dense(), want.to_dense())
+
+    def test_fractional_index_arrays_refused(self):
+        with pytest.raises(ValueError, match=r"rowptr: 1\.7 is not a whole"):
+            CsrMatrix([0, 1.7, 2], [0, 1], [1.0, 2.0], (2, 2))
+        with pytest.raises(ValueError, match=r"colind: 0\.2 is not a whole"):
+            CsrMatrix([0, 1, 2], [0.2, 1.6], [1.0, 2.0], (2, 2))
+        ok = CsrMatrix([0.0, 1.0, 2.0], [0.0, 1.0], [1.0, 2.0], (2, 2))
+        assert ok.colind.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("name", sorted(FORMATS))
+    def test_complex_values_refused(self, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"\(3\+2j\) has an imaginary"):
+                FORMATS[name].from_coo([0], [0], [3 + 2j], (2, 2),
+                                       **_kwargs(name))
+            with pytest.raises(ValueError, match="imaginary"):
+                as_format(np.array([[1j, 0], [0, 1]]), name, **_kwargs(name))
+            real = as_format(np.array([[2 + 0j, 0], [0, 1]]), name,
+                             **_kwargs(name))
+        assert np.array_equal(real.to_dense(), [[2.0, 0], [0, 1]])
+
+    @pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
+    def test_complex_scipy_values_refused(self, fmt):
+        sps = pytest.importorskip("scipy.sparse")
+        S = sps.csr_matrix(np.array([[1 + 1j, 0], [0, 2]])).asformat(fmt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name in ("csr", "csc", "ell"):
+                with pytest.raises(ValueError, match="imaginary"):
+                    as_format(S, name)
+
+    def test_fractional_shape_refused(self):
+        with pytest.raises(ValueError, match=r"bad shape \(2\.7, 2\)"):
+            SparseFormat((2.7, 2))
+        with pytest.raises(ValueError, match="bad shape"):
+            CsrMatrix.from_coo([], [], [], (3, 1.5))
+        assert CsrMatrix.from_coo([], [], [], (2.0, 3)).shape == (2, 3)
 
 
 class TestLessTravelled:

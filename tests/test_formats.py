@@ -313,7 +313,15 @@ class TestEnumerationRuntime:
                 edit(right.storage(self, path_id))})
         for check in (reconstructs, finds_enumerated, misses_absent):
             check(right.from_dense(a), a)
+        # the arrays the right declaration assembles, read through the
+        # wrong one
+        mislabeled = right.from_dense(a)
+        mislabeled.__class__ = wrong
         with pytest.raises((AssertionError, IndexError)):
+            for check in (reconstructs, finds_enumerated, misses_absent):
+                check(mislabeled, a)
+        # and assembled by the wrong one: refused, or not the matrix
+        with pytest.raises((ValueError, AssertionError, IndexError)):
             for check in (reconstructs, finds_enumerated, misses_absent):
                 check(wrong.from_dense(a), a)
 

@@ -294,8 +294,8 @@ def test_convert_preserves_bounds_on_fast_path():
 
 
 def _assert_goes_via_coo(bad, dense, targets):
-    """Both fast routes — the direct transpose and ``_from_canonical_coo``
-    — must decline a source that violates sorted-unique: the conversion
+    """The direct routes (CSR <-> CSC) must decline a source that
+    violates sorted-unique, and the one route takes it: the conversion
     counts as via-COO, not as a fast path, and is still right."""
     for target in targets:
         via_coo = INSTR.get("format.convert.via_coo")
@@ -311,7 +311,17 @@ def test_non_canonical_csr_falls_back_to_generic():
     bad = CsrMatrix(np.array([0, 2], dtype=np.int64),
                     np.array([2, 0], dtype=np.int64),
                     np.array([5.0, 7.0]), (1, 3))
-    _assert_goes_via_coo(bad, [[7.0, 0.0, 5.0]], ("csc", "ell"))
+    _assert_goes_via_coo(bad, [[7.0, 0.0, 5.0]], ("csc", "coo", "ell"))
+
+
+def test_csr_with_a_duplicate_column_falls_back_to_generic():
+    """Hand-built CSR storing column 1 of row 0 twice: every route sums
+    the two, as ``from_coo`` sums duplicate triples."""
+    bad = CsrMatrix(np.array([0, 2, 3], dtype=np.int64),
+                    np.array([1, 1, 0], dtype=np.int64),
+                    np.array([5.0, 7.0, 2.0]), (2, 3))
+    _assert_goes_via_coo(bad, [[0.0, 12.0, 0.0], [2.0, 0.0, 0.0]],
+                         ("csc", "coo", "ell"))
 
 
 def test_non_canonical_csc_falls_back_to_generic():
@@ -323,12 +333,18 @@ def test_non_canonical_csc_falls_back_to_generic():
 
 
 def test_convert_instrumentation_counts_routes():
+    """CSR -> ELL takes the one route, CSR -> CSC a direct one."""
     m = _eye_csr()
     c0 = INSTR.get("format.convert.fastpath")
+    v0 = INSTR.get("format.convert.via_coo")
     p0 = INSTR.get("format.convert.csr->ell")
     convert(m, "ell")
-    assert INSTR.get("format.convert.fastpath") == c0 + 1
+    assert INSTR.get("format.convert.via_coo") == v0 + 1
+    assert INSTR.get("format.convert.fastpath") == c0
     assert INSTR.get("format.convert.csr->ell") == p0 + 1
+    convert(m, "csc")
+    assert INSTR.get("format.convert.fastpath") == c0 + 1
+    assert INSTR.get("format.convert.via_coo") == v0 + 1
 
 
 def test_as_format_scipy_single_conversion():
