@@ -1,6 +1,6 @@
 """The format-designer story (paper Section 2): define a brand-new format
-with the view grammar, say where its arrays are, and compile existing
-kernels for it — to C — without touching them.
+by one declaration of its index structure and where its arrays are, and
+compile existing kernels for it — to C — without touching them.
 
 The format: "banded skyline by rows" — each row stores a contiguous column
 segment [first[r], first[r]+length[r]), the profile storage used by skyline
@@ -8,18 +8,18 @@ solvers.  Its index structure is
 
     r -> c -> v     with r an interval and c an interval per row
 
-which the grammar expresses directly; the columns being an *interval* (not
-a compressed list) is what distinguishes it from CSR.  The storage
-declaration names the arrays behind the two levels: the rows are dense,
-the columns of row r are the range first[r] .. first[r]+length[r], and the
-value of (r, c) sits at data[start[r] + c - first[r]].  From the two the
-compiler derives the loops, the searches and the C, and the library the
+which its one path declares as two levels: the rows are dense, the
+columns of row r are the range first[r] .. first[r]+length[r] — an
+*interval*, not a compressed list, which is what distinguishes it from
+CSR — and the value of (r, c) sits at data[start[r] + c - first[r]].  The
+levels' kinds give each axis its order and search.  From the declaration
+the compiler derives the loops, the searches and the C, and the library the
 matrix's own get/set/to_coo_arrays, the runtime the generic BLAS
 (``repro.blas.generic_``) walks it through, and its assembly: from_dense
 and from_coo solve the Range's bounds for first and length (per row the
 first and one past the last column) and scatter data through the
-declared value index.  A format designer writes the view, the storage,
-a constructor and nnz.
+declared value index.  A format designer writes the declaration, the
+constructor and nnz.
 
 Run:  python examples/custom_format.py
 """
@@ -28,8 +28,7 @@ import numpy as np
 
 from repro import compile_kernel, kernels
 from repro.formats.base import SparseFormat
-from repro.formats.levels import Dense, Range, Size, Storage, at
-from repro.formats.views import Nest, Term, Value, interval_axis
+from repro.formats.levels import Dense, Path, Range, Size, Storage, at
 
 
 class SkylineMatrix(SparseFormat):
@@ -49,20 +48,14 @@ class SkylineMatrix(SparseFormat):
         return int(self.data.size)
 
     # -- the low-level API the compiler consumes -----------------------
-    def view(self) -> Term:
+    def declaration(self):
         # r -> c -> v, both intervals: rows are random access, each row's
         # columns are a contiguous, searchable segment
-        return Nest(interval_axis("r"), Nest(interval_axis("c"), Value()))
-
-    def storage(self, path_id) -> Storage:
-        lo = at("first", "r")
-        return Storage(
-            (Dense("m"), Range(lo, ("+", lo, at("length", "r")))),
-            ("data", ("+", at("start", "r"), ("-", "c", lo))),
-            ("first", "length", "start", "data", Size("m", "nrows")))
-
-    def path_ids(self):
-        return ["rows"]
+        lo = at("first", "r")              # first[<state of axis r>]
+        return {"rows": Path(("r", "c"), Storage(
+            levels=(Dense("m"), Range(lo, ("+", lo, at("length", "r")))),
+            value=("data", ("+", at("start", "r"), ("-", "c", lo))),
+            args=("first", "length", "start", "data", Size("m", "nrows"))))}
 
 
 def main():
@@ -80,7 +73,7 @@ def main():
     # the declaration
     assert np.array_equal(A.to_dense(), dense) and A.get(5, 5) == dense[5, 5]
     print(f"skyline matrix: {n}x{n}, nnz={A.nnz}")
-    print("index structure:", A.view())
+    print("access paths:", A.paths())
 
     x = rng.random(n)
     for kname in ["mvm", "row_sums", "frobenius"]:

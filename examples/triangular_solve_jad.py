@@ -30,7 +30,7 @@ def main():
     L = as_format(L_coo, "jad")
     print(f"\nL: {n}x{n} lower triangular, nnz={L.nnz}, stored as JAD "
           f"({L.ndiags} jagged diagonals)")
-    print("JAD index structure:", L.view())
+    print("JAD access paths:", L.paths())
 
     kernel = compile_kernel(program, {"L": L})
     stats = kernel.result.stats

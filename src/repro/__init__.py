@@ -22,7 +22,7 @@ Public surface:
   serving a fleet; ``python -m repro.core.daemon --socket ...``);
 - :mod:`repro.ir` (and :mod:`repro.ir.kernels` as ``repro.kernels``) — the
   dense-program high-level API;
-- :mod:`repro.formats` — formats, the view grammar, I/O, generators
+- :mod:`repro.formats` — formats and their declarations, I/O, generators
   (``as_format`` / ``convert`` re-exported here);
 - :mod:`repro.blas` — hand-written and generic baseline kernels;
 - :mod:`repro.solvers` — format-independent iterative methods, plus

@@ -10,9 +10,9 @@ its concern.
 A format does not get a class here: it *declares* where its arrays are
 (:meth:`~repro.formats.base.SparseFormat.storage`, a level per step of the
 path, :mod:`repro.formats.levels`) and :class:`ViewEmitter` composes the
-loops and searches from the declaration and the view — every built-in
-format, JAD's permuted rows included, and a user-defined format that
-declares its storage lower to C this way.
+loops and searches from the declaration and the path's axes — every
+built-in format, JAD's permuted rows included, and a user-defined format
+that declares its storage lower to C this way.
 
 An emitter serves one *reference group* (one matrix instance bound to one
 access path).  Constructing it declares the instance's storage arrays and
@@ -151,7 +151,7 @@ class ViewEmitter(BaseEmitter):
     """One access path of a format that declares its storage
     (:mod:`repro.formats.levels`): every step's loop, search and interval
     and the value access are composed from the step's level, and the kind
-    of search from the view's ``Axis.search`` — a bounds check for
+    of search from the path's ``AxisView.search`` — a bounds check for
     ``DIRECT``, :meth:`bisect` for ``BINARY``, :meth:`scan` for ``LINEAR``.
     Each level yields one state: the key itself for ``Dense``/``Range``,
     the stored position for a ``Perm``, else the slot or its address."""

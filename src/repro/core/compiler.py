@@ -381,8 +381,7 @@ def compile_kernel(
             raise ValueError(f"only matrices can be bound to sparse formats ({name!r})")
         if not isinstance(fmt, SparseFormat):
             raise TypeError(f"binding for {name!r} must be a SparseFormat instance")
-        for p in fmt.paths():
-            fmt.storage(p.path_id)      # a format that declares none is refused
+        fmt.paths()                     # a format that declares none is refused
     if param_values is None:
         param_values = infer_param_values(program, bindings)
     param_values = {k: int(v) for k, v in param_values.items()}

@@ -1,11 +1,11 @@
-"""Sparse-format substrate: the view grammar (paper Figure 6), concrete
-compressed formats (paper Figures 1, 2, 14), conversions, I/O and
-generators.
+"""Sparse-format substrate: format declarations (the index structure of
+paper Figure 6 as levels), concrete compressed formats (paper Figures 1,
+2, 14), conversions, I/O and generators.
 
-Formats implemented: dense, COO, CSR, CSC, DIA, ELL, JAD, BSR and MSR
-(diagonal U off-diagonal aggregation).  Each exposes the high-level
-random-access API and the low-level access-path/runtime API consumed by the
-compiler.
+Formats implemented: dense, COO, CSR, CSC, DIA, ELL, JAD, BSR, MSR
+(diagonal U off-diagonal aggregation) and SYM.  Each declares its access
+paths; the high-level random-access API and the access-path/runtime API
+the compiler consumes are read from the declaration.
 """
 
 from repro.formats.base import LevelRuntime, SparseFormat
@@ -13,18 +13,7 @@ from repro.formats.views import (
     AccessPath,
     Axis,
     AxisView,
-    Cross,
-    Joint,
-    MapTerm,
-    Nest,
-    PermTerm,
-    Perspective,
     Step,
-    Term,
-    Union,
-    Value,
-    access_paths,
-    interval_axis,
     INCREASING,
     DECREASING,
     UNORDERED,
@@ -53,18 +42,7 @@ __all__ = [
     "AccessPath",
     "Axis",
     "AxisView",
-    "Cross",
-    "Joint",
-    "MapTerm",
-    "Nest",
-    "PermTerm",
-    "Perspective",
     "Step",
-    "Term",
-    "Union",
-    "Value",
-    "access_paths",
-    "interval_axis",
     "INCREASING",
     "DECREASING",
     "UNORDERED",

@@ -3,9 +3,10 @@
 A format implements two APIs, mirroring the paper's two-API design
 (Section 1):
 
-- the **low-level API** (`view`, `paths`, `storage`): the index structure
-  exposed to the restructuring compiler and where its arrays are — with a
-  constructor and ``nnz``, all a format designer writes;
+- the **low-level API** (`declaration`, read as `paths` and `storage`):
+  the index structure exposed to the restructuring compiler and where its
+  arrays are — with a constructor and ``nnz``, all a format designer
+  writes;
 - the **high-level API** (`get`, `set`, `to_coo_arrays`, `to_dense`,
   shape/nnz): the dense-matrix view used by algorithm designers, derived
   here from the low-level one.
@@ -15,7 +16,7 @@ paper's ``term_nesting`` / iterator classes), read from the path's
 declaration: it enumerates and searches one prefix at a time — what the
 generic BLAS, the tests' reference plan interpreter, ``get`` and ``set``
 walk — or every prefix at once — ``to_coo_arrays`` and the cost model's
-step totals.  A format that declares no storage is refused.
+step totals.  A format that declares nothing is refused.
 """
 
 from __future__ import annotations
@@ -24,32 +25,84 @@ import bisect
 import functools
 import inspect
 import operator
-from typing import Callable, Iterator, List, Optional, Tuple
+from copy import deepcopy
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.formats.levels import (
-    Compressed, Coords, Counted, Dense, Offset, Perm, Range, Size, Storage,
+    Compressed, Coords, Counted, Dense, Offset, Path, Perm, Range, Size,
+    Storage,
 )
 from repro.formats.views import (
-    AccessPath, BINARY, DIRECT, LINEAR, NOSEARCH, SEARCHES, UNORDERED, Term,
-    access_paths, union_branches,
+    AccessPath, Axis, AxisView, BINARY, DIRECT, INCREASING, LINEAR, NOSEARCH,
+    SEARCHES, Step, UNORDERED, union_branches,
 )
 from repro.polyhedra.system import System
+
+#: an axis' ``(order, search, interval)`` by the kind of its level — what
+#: the level enumerates in and can build a search for
+_KINDS = {
+    Dense: (INCREASING, DIRECT, True),
+    Range: (INCREASING, DIRECT, True),
+    Compressed: (INCREASING, BINARY, False),
+    Counted: (INCREASING, BINARY, False),
+    Coords: (UNORDERED, LINEAR, False),
+}
+
+
+def axis_views(level, axes, where: str) -> List[AxisView]:
+    """The axes one level yields (``axes``: their declared names or
+    :class:`Axis` overrides), by the rule of its kind: a ``Perm`` of a
+    ``Dense`` level is that level unordered, and a ``Coords`` level holding
+    a ``Perm`` of an ``Offset`` is walked, never searched; an override
+    states its axis' order and search."""
+    listed = isinstance(level, Coords)
+    coords = level.inds if listed else (level,)
+    inner = Offset if listed else Dense
+    if any(isinstance(c, Offset) or isinstance(c, Perm)
+           and not isinstance(c.stored, inner) for c in coords):
+        raise ValueError(f"{where}: a Perm holds a Dense level or, as a "
+                         "Coords coordinate, an Offset")
+    order, search, interval = _KINDS[type(getattr(level, "stored", level))]
+    if any(isinstance(c, Perm) for c in coords):
+        order, search = UNORDERED, (NOSEARCH if listed else search)
+    return [AxisView(*((a.name, a.order, a.search) if isinstance(a, Axis)
+                       else (a, order, search)),
+                     interval, getattr(c, "forward", None))
+            for a, c in zip(axes, coords)]
+
+
+def access_path(where: str, path_id: str, decl: Path) -> AccessPath:
+    """A declared path as the compiler sees it: a step per level, the
+    axes of each read off its kind, ``subs`` completed with the logical
+    dimensions that are axes themselves."""
+    steps, first = [], 0
+    for level in decl.storage.levels:
+        n = len(level.inds) if isinstance(level, Coords) else 1
+        steps.append(Step(axis_views(level, decl.axes[first:first + n], where),
+                          joint=n > 1))
+        first += n
+    if first != len(decl.axes):
+        raise ValueError(f"{where}: {len(decl.axes)} axes named for the "
+                         f"{first} its levels take")
+    subs, names = dict(decl.subs or {}), [a.name for s in steps for a in s.axes]
+    for d in ("r", "c"):
+        if d not in subs and d not in names:
+            raise ValueError(f"{where}: the logical {d!r} is neither an axis "
+                             "nor given in subs")
+    return AccessPath(path_id, steps, {d: subs.get(d, d) for d in ("r", "c")},
+                      decl.branch)
 
 
 def check_storage(fmt: "SparseFormat", path: AccessPath,
                   decl: Storage) -> List[str]:
-    """Hold a declaration to the path it is for and the instance it names —
-    a level per step, every named attribute present, a search each level
-    can build — and return the kind of search per step: the weakest its
-    axes declare.  Whoever reads a declaration (the emitter, the
+    """Hold a declaration to the instance it names and its axes to their
+    levels — every named attribute present, a search each level can build
+    — and return the kind of search per step: the weakest its axes
+    declare.  Whoever reads a declaration (the emitter, the
     :class:`LevelRuntime`) checks it here first."""
     where = f"format {fmt.format_name!r}, path {path.path_id!r}"
-    if len(decl.levels) != len(path.steps):
-        raise ValueError(
-            f"{where}: {len(decl.levels)} levels declared for the "
-            f"{len(path.steps)} steps {' -> '.join(map(repr, path.steps))}")
     for a in decl.args:
         attr = a.attr if isinstance(a, Size) else a
         if not hasattr(fmt, attr):
@@ -60,18 +113,6 @@ def check_storage(fmt: "SparseFormat", path: AccessPath,
     kinds = []
     for step, level in zip(path.steps, decl.levels):
         axes = ", ".join(step.names)
-        coords = level.inds if isinstance(level, Coords) else (level,)
-        for a, coord in zip(step.axes, coords):
-            # a Perm of a Dense level, or of a Coords coordinate's Offset
-            inner = Dense if coord is level else Offset
-            permuted = isinstance(coord, Perm) and isinstance(coord.stored, inner)
-            if a.perm and not permuted:
-                raise ValueError(f"{where}, axis {a.name}: the view permutes it "
-                                 f"through {a.perm!r}, the storage declares "
-                                 f"no Perm of {inner.__name__}")
-            if not a.perm and isinstance(coord, (Perm, Offset)):
-                raise ValueError(f"{where}, axis {a.name}: a Perm or Offset "
-                                 "on an axis the view does not permute")
         if (isinstance(level, Coords) and any(a.perm for a in step.axes)
                 and any(a.order != UNORDERED for a in step.axes)):
             raise ValueError(f"{where}, axis {axes}: an Offset is walked "
@@ -84,8 +125,8 @@ def check_storage(fmt: "SparseFormat", path: AccessPath,
                    else (LINEAR,))
         if how != NOSEARCH and how not in can:
             raise ValueError(
-                f"{where}, axis {axes}: the view declares a {how} "
-                f"search, a {type(level).__name__} level builds "
+                f"{where}, axis {axes}: a {how} search is declared, "
+                f"a {type(level).__name__} level builds "
                 f"{' or '.join(can)}")
         kinds.append(how)
     return kinds
@@ -192,7 +233,6 @@ class LevelRuntime:
         half-open ``[lo, hi)`` of its interval's keys or of its slots, and
         ``read(states, prefix)``, per axis the keys at ``states`` (an
         array, or a slice of consecutive slots)."""
-        axes = self.path.steps[step].axes
         if isinstance(level, Range):
             lo, hi = self._expr(level.lo), self._expr(level.hi)
             return (lambda prefix: (lo(prefix), hi(prefix)),
@@ -203,11 +243,10 @@ class LevelRuntime:
             if isinstance(level, Dense):
                 return whole, lambda states, prefix: [_array(states)]
             if isinstance(level, Perm):
-                perm = self._arrays[axes[0].perm]
+                perm = self._arrays[level.forward]
                 return whole, lambda states, prefix: [perm[states]]
-            coords = [(c, a.perm) for c, a in zip(level.inds, axes)]
             return whole, lambda states, prefix: [
-                self._coordinate(c, perm, states) for c, perm in coords]
+                self._coordinate(c, states) for c in level.inds]
         ind = self._arrays[level.ind]
         if isinstance(level, Compressed):
             ptr = self._arrays[level.ptr]
@@ -275,9 +314,8 @@ class LevelRuntime:
         return lambda prefix, keys: (None if keys[0] == prefix[-1]
                                      else find(prefix, keys))
 
-    def _coordinate(self, coord, perm: Optional[str], states) -> np.ndarray:
-        """The keys at ``states`` on one axis of a ``Coords`` level
-        (``perm``: the array the view permutes the axis through)."""
+    def _coordinate(self, coord, states) -> np.ndarray:
+        """The keys at ``states`` on one axis of a ``Coords`` level."""
         if not isinstance(coord, Perm):
             return self._arrays[coord][states]
         ptr, k = self._arrays[coord.stored.ptr], _array(states)
@@ -285,7 +323,7 @@ class LevelRuntime:
             segment = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))[states]
         else:
             segment = np.searchsorted(ptr, k, "right") - 1
-        return self._arrays[perm][k - ptr[segment]]
+        return self._arrays[coord.forward][k - ptr[segment]]
 
     def _expand(self, every: bool = False):
         """Every prefix at once: per step, the ``(key, state)`` pairs it
@@ -565,7 +603,7 @@ def _branch(fmt, path, rows, cols, vals, left, arrays, placed):
 
 class SparseFormat:
     """Base class: shape bookkeeping, COO interchange, random access,
-    and the low-level view/path/runtime API."""
+    and the low-level declaration/path/runtime API."""
 
     #: short format tag ("csr", "jad", ...)
     format_name: str = "abstract"
@@ -682,7 +720,10 @@ class SparseFormat:
         return out
 
     def copy(self) -> "SparseFormat":
-        return type(self).from_coo(*self.to_coo_arrays(), self.shape)
+        """A deep copy of the state :meth:`__getstate__` keeps: the same
+        arrays at the same dtypes, constructor parameters (BSR's block
+        size) and annotations, sharing no memory with this one."""
+        return deepcopy(self)
 
     @classmethod
     def from_coo(cls, rows, cols, vals, shape, **kwargs) -> "SparseFormat":
@@ -740,36 +781,43 @@ class SparseFormat:
         return sps.coo_matrix((vals, (rows, cols)), shape=self.shape)
 
     # -- low-level API -------------------------------------------------------
-    def view(self) -> Term:
-        """The index-structure term (paper Figure 6 grammar)."""
-        raise NotImplementedError
+    def declaration(self) -> Mapping[str, Path]:
+        """The format: an ordered mapping from path id to
+        :class:`repro.formats.levels.Path` — what the compiler emits loops
+        (and C) from and the :meth:`runtime` walks.  Every format declares
+        it: one that does not is refused here."""
+        raise ValueError(f"format {self.format_name!r}: no declaration (a "
+                         "format is compiled and walked from its "
+                         "declaration(); see formats.levels)")
+
+    def _declared(self) -> Dict[str, Tuple[AccessPath, Storage]]:
+        """Per path id, the access path and the storage of the
+        declaration, derived once per instance."""
+        found = self.__dict__.get("_paths_cache")
+        if found is None:
+            found = self._paths_cache = {
+                pid: (access_path(f"format {self.format_name!r}, path {pid!r}",
+                                  pid, p), p.storage)
+                for pid, p in self.declaration().items()}
+        return found
 
     def paths(self) -> List[AccessPath]:
-        """Access paths of the view, with this format's stable path ids."""
-        cached = getattr(self, "_paths_cache", None)
-        if cached is None:
-            cached = access_paths(self.view())
-            ids = self.path_ids()
-            if ids is not None:
-                if len(ids) != len(cached):
-                    raise ValueError(
-                        f"{self.format_name}: {len(ids)} path ids for {len(cached)} paths"
-                    )
-                cached = [AccessPath(pid, p.steps, p.subs, p.branch)
-                          for pid, p in zip(ids, cached)]
-            self._paths_cache = cached
-        return list(cached)
-
-    def path_ids(self) -> Optional[List[str]]:
-        """Human-readable ids, in the order :func:`access_paths` produces
-        them; None keeps the generated p0/p1/... ids."""
-        return None
+        """The declared access paths, in the declaration's order."""
+        return [p for p, _ in self._declared().values()]
 
     def path(self, path_id: str) -> AccessPath:
-        for p in self.paths():
-            if p.path_id == path_id:
-                return p
-        raise KeyError(f"{self.format_name} has no path {path_id!r}")
+        return self._entry(path_id)[0]
+
+    def storage(self, path_id: str) -> Storage:
+        """Where one path's arrays are: its declared
+        :class:`repro.formats.levels.Storage`."""
+        return self._entry(path_id)[1]
+
+    def _entry(self, path_id: str) -> Tuple[AccessPath, Storage]:
+        found = self._declared().get(path_id)
+        if found is None:
+            raise KeyError(f"{self.format_name} has no path {path_id!r}")
+        return found
 
     def union_branches(self) -> List[str]:
         return union_branches(self.paths())
@@ -790,20 +838,12 @@ class SparseFormat:
         runtimes[path_id] = (arrays, arrays(self), rt)
         return rt
 
-    def storage(self, path_id: str) -> Storage:
-        """Where this path's arrays are, as a
-        :class:`repro.formats.levels.Storage` — what the compiler emits
-        raw-array loops (and C) from and the :meth:`runtime` walks.  Every
-        format declares it: one that does not is refused here."""
-        raise ValueError(f"format {self.format_name!r}, path {path_id!r}: "
-                         "no storage declared (a format is compiled and "
-                         "walked from its storage(); see formats.levels)")
-
     def __getstate__(self):
-        # runtimes are closures over the arrays: not pickled, not copied
+        # runtimes are closures over the arrays and kernel handles are
+        # bound to this instance (blas.api): neither is pickled nor copied
         state = dict(self.__dict__)
-        state.pop("_runtimes", None)
-        state.pop("_locators", None)
+        for derived in ("_runtimes", "_locators", "_kernel_handles"):
+            state.pop(derived, None)
         return state
 
     def axis_range(self, axis_name: str) -> Optional[Tuple[int, int]]:
@@ -826,10 +866,8 @@ class SparseFormat:
         enumeration must be *total* over the statement's instances, or some
         instances would silently never execute): the axes of a declared
         ``Dense`` level, permuted or not."""
-        for p in self.paths():
-            decl = self.storage(p.path_id)
-            if (axis_name not in p.axis_names
-                    or len(decl.levels) != len(p.steps)):
+        for p, decl in self._declared().values():
+            if axis_name not in p.axis_names:
                 continue
             level = decl.levels[p.step_of(axis_name)]
             level = level.stored if isinstance(level, Perm) else level

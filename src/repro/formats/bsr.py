@@ -15,7 +15,7 @@ The matrix dimensions must be multiples of the block size (generators pad).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -27,18 +27,7 @@ from repro.formats.base import (
     storage_index_dtype,
     pointer_array,
 )
-from repro.formats.levels import Compressed, Dense, Size, Storage
-from repro.formats.views import (
-    Axis,
-    BINARY,
-    Cross,
-    INCREASING,
-    MapTerm,
-    Nest,
-    Term,
-    Value,
-    interval_axis,
-)
+from repro.formats.levels import Compressed, Dense, Path, Size, Storage
 from repro.polyhedra.linexpr import LinExpr
 
 
@@ -151,34 +140,19 @@ class BsrMatrix(SparseFormat):
         return cls(indptr, blockind, data, s, shape)
 
     # -- low-level API -------------------------------------------------------
-    def view(self) -> Term:
+    def declaration(self):
         s = self.block_size
-        rb = LinExpr.variable("rb")
-        ri = LinExpr.variable("ri")
-        cb = LinExpr.variable("cb")
-        ci = LinExpr.variable("ci")
-        return MapTerm(
-            {"r": rb * s + ri, "c": cb * s + ci},
-            Nest(
-                interval_axis("rb"),
-                Nest(
-                    Axis("cb", INCREASING, BINARY),
-                    Cross([interval_axis("ri"), interval_axis("ci")], Value()),
-                ),
-            ),
-        )
-
-    def storage(self, path_id: str) -> Storage:
-        # either order of the in-block axes: two dense levels of extent s
-        return Storage(
+        rb, ri, cb, ci = map(LinExpr.variable, ("rb", "ri", "cb", "ci"))
+        blocks = Storage(
             (Dense("brows"), Compressed("indptr", "blockind", slot="kk"),
              Dense("s"), Dense("s")),
             ("data", "cb", "ri", "ci"),
             ("indptr", "blockind", "data", Size("brows", "block_rows"),
              Size("s", "block_size")))
-
-    def path_ids(self) -> Optional[List[str]]:
-        return ["rows_rc", "rows_cr"]
+        subs = {"r": rb * s + ri, "c": cb * s + ci}
+        # the cross (ri x ci) within a block: either order
+        return {"rows_rc": Path(("rb", "cb", "ri", "ci"), blocks, subs),
+                "rows_cr": Path(("rb", "cb", "ci", "ri"), blocks, subs)}
 
     def axis_range(self, axis_name: str) -> Optional[Tuple[int, int]]:
         if axis_name == "rb":

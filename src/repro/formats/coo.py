@@ -7,7 +7,7 @@ all entries, yielding the row and column *jointly* and unordered.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -16,8 +16,7 @@ from repro.formats.base import (
     index_array,
     storage_index_dtype,
 )
-from repro.formats.levels import Coords, Size, Storage
-from repro.formats.views import Axis, Joint, LINEAR, Term, UNORDERED, Value
+from repro.formats.levels import Coords, Path, Size, Storage
 
 
 class CooMatrix(SparseFormat):
@@ -43,15 +42,7 @@ class CooMatrix(SparseFormat):
         return int(self.vals.size)
 
     # -- low-level API -------------------------------------------------------
-    def view(self) -> Term:
-        return Joint(
-            [Axis("r", UNORDERED, LINEAR), Axis("c", UNORDERED, LINEAR)],
-            Value(),
-        )
-
-    def storage(self, path_id: str) -> Storage:
-        return Storage((Coords(("rows", "cols"), "nnz"),), ("vals", "r"),
-                       ("rows", "cols", "vals", Size("nnz", "nnz")))
-
-    def path_ids(self) -> Optional[List[str]]:
-        return ["flat"]
+    def declaration(self):
+        return {"flat": Path(("r", "c"), Storage(
+            (Coords(("rows", "cols"), "nnz"),), ("vals", "r"),
+            ("rows", "cols", "vals", Size("nnz", "nnz"))))}

@@ -5,7 +5,7 @@ column.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -16,8 +16,7 @@ from repro.formats.base import (
     pointer_array,
     scipy_compressed,
 )
-from repro.formats.levels import Compressed, Dense, Size, Storage
-from repro.formats.views import Axis, BINARY, INCREASING, Nest, Term, Value, interval_axis
+from repro.formats.levels import Compressed, Dense, Path, Size, Storage
 
 
 class CscMatrix(SparseFormat):
@@ -53,16 +52,7 @@ class CscMatrix(SparseFormat):
         return cls(*arrays, sp.shape)
 
     # -- low-level API -------------------------------------------------------
-    def view(self) -> Term:
-        return Nest(
-            interval_axis("c"),
-            Nest(Axis("r", INCREASING, BINARY), Value()),
-        )
-
-    def storage(self, path_id: str) -> Storage:
-        return Storage((Dense("n"), Compressed("colptr", "rowind")),
-                       ("values", "r"),
-                       ("colptr", "rowind", "values", Size("n", "ncols")))
-
-    def path_ids(self) -> Optional[List[str]]:
-        return ["cols"]
+    def declaration(self):
+        return {"cols": Path(("c", "r"), Storage(
+            (Dense("n"), Compressed("colptr", "rowind")), ("values", "r"),
+            ("colptr", "rowind", "values", Size("n", "ncols"))))}

@@ -7,7 +7,7 @@ searched with binary search.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -18,8 +18,7 @@ from repro.formats.base import (
     pointer_array,
     scipy_compressed,
 )
-from repro.formats.levels import Compressed, Dense, Size, Storage
-from repro.formats.views import Axis, BINARY, INCREASING, Nest, Term, Value, interval_axis
+from repro.formats.levels import Compressed, Dense, Path, Size, Storage
 
 #: rows, then a compressed segment of sorted columns per row: CSR, and the
 #: same arrays inside MSR (off-diagonal part) and SYM (stored triangle)
@@ -71,14 +70,5 @@ class CsrMatrix(SparseFormat):
         return cls(*arrays, sp.shape)
 
     # -- low-level API -------------------------------------------------------
-    def view(self) -> Term:
-        return Nest(
-            interval_axis("r"),
-            Nest(Axis("c", INCREASING, BINARY), Value()),
-        )
-
-    def storage(self, path_id: str) -> Storage:
-        return ROWS
-
-    def path_ids(self) -> Optional[List[str]]:
-        return ["rows"]
+    def declaration(self):
+        return {"rows": Path(("r", "c"), ROWS)}

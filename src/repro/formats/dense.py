@@ -7,13 +7,10 @@ original dense loop nest.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 import numpy as np
 
 from repro.formats.base import SparseFormat, coo_contract, real_values
-from repro.formats.levels import Dense, Size, Storage
-from repro.formats.views import Cross, Term, Value, interval_axis
+from repro.formats.levels import Dense, Path, Size, Storage
 
 
 class DenseMatrix(SparseFormat):
@@ -49,9 +46,6 @@ class DenseMatrix(SparseFormat):
     def to_dense(self) -> np.ndarray:
         return self.data.copy()
 
-    def copy(self) -> "DenseMatrix":
-        return DenseMatrix(self.data.copy())
-
     @classmethod
     def _from_canonical_coo(cls, rows, cols, vals, shape) -> "DenseMatrix":
         out = np.zeros(shape)
@@ -63,14 +57,11 @@ class DenseMatrix(SparseFormat):
         return cls(np.array(real_values(a, "a")))
 
     # -- low-level API -------------------------------------------------------
-    def view(self) -> Term:
-        return Cross([interval_axis("r"), interval_axis("c")], Value())
-
-    def storage(self, path_id: str) -> Storage:
-        extent = {"r": Dense("m"), "c": Dense("n")}
-        return Storage(tuple(extent[a] for a in self.path(path_id).axis_names),
-                       ("data", "r", "c"),
-                       ("data", Size("m", "nrows"), Size("n", "ncols")))
-
-    def path_ids(self) -> Optional[List[str]]:
-        return ["rowmajor", "colmajor"]
+    def declaration(self):
+        # the cross (r x c): either order of the two dense levels
+        rows, cols = Dense("m"), Dense("n")
+        args = ("data", Size("m", "nrows"), Size("n", "ncols"))
+        return {"rowmajor": Path(("r", "c"), Storage(
+                    (rows, cols), ("data", "r", "c"), args)),
+                "colmajor": Path(("c", "r"), Storage(
+                    (cols, rows), ("data", "r", "c"), args))}

@@ -14,7 +14,7 @@ hand-written DIA kernel would.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -24,17 +24,8 @@ from repro.formats.base import (
     index_array,
     index_dtype,
 )
-from repro.formats.levels import Range, Size, Sorted, Storage, at
-from repro.formats.views import (
-    Axis,
-    BINARY,
-    INCREASING,
-    MapTerm,
-    Nest,
-    Term,
-    Value,
-    interval_axis,
-)
+from repro.formats.levels import Coords, Path, Range, Size, Storage, at
+from repro.formats.views import Axis, BINARY, INCREASING
 from repro.polyhedra.linexpr import LinExpr
 
 
@@ -109,25 +100,17 @@ class DiaMatrix(SparseFormat):
         return cls(diags, data, shape)
 
     # -- low-level API -------------------------------------------------------
-    def view(self) -> Term:
-        d = LinExpr.variable("d")
-        o = LinExpr.variable("o")
-        return MapTerm(
-            {"r": d + o, "c": o},
-            Nest(Axis("d", INCREASING, BINARY), Nest(interval_axis("o"), Value())),
-        )
-
-    def storage(self, path_id: str) -> Storage:
+    def declaration(self):
         d = at("diags", "d")    # diagonal d holds offsets max(0,-d)..min(n,m-d)
-        return Storage(
-            (Sorted("diags", "nd"),
-             Range(("max", 0, ("neg", d)), ("min", "n", ("-", "m", d)))),
-            ("data", "d", "o"),
-            ("diags", "data", Size("m", "nrows"), Size("n", "ncols"),
-             Size("nd", "diags", "len")))
-
-    def path_ids(self) -> Optional[List[str]]:
-        return ["diags"]
+        return {"diags": Path(
+            # the stored diagonals are sorted: increasing, bisected
+            (Axis("d", INCREASING, BINARY), "o"),
+            Storage((Coords(("diags",), "nd"),
+                     Range(("max", 0, ("neg", d)), ("min", "n", ("-", "m", d)))),
+                    ("data", "d", "o"),
+                    ("diags", "data", Size("m", "nrows"), Size("n", "ncols"),
+                     Size("nd", "diags", "len"))),
+            {"r": LinExpr.variable("d") + LinExpr.variable("o"), "c": "o"})}
 
     def axis_range(self, axis_name: str) -> Optional[Tuple[int, int]]:
         if axis_name == "d":

@@ -9,7 +9,7 @@ but with the regular layout vector machines like.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -19,8 +19,7 @@ from repro.formats.base import (
     index_array,
     storage_index_dtype,
 )
-from repro.formats.levels import Counted, Dense, Size, Storage
-from repro.formats.views import Axis, BINARY, INCREASING, Nest, Term, Value, interval_axis
+from repro.formats.levels import Counted, Dense, Path, Size, Storage
 
 
 class EllMatrix(SparseFormat):
@@ -64,16 +63,7 @@ class EllMatrix(SparseFormat):
         return coo_contract(rows, self.colind[mask], self.data[mask])
 
     # -- low-level API -------------------------------------------------------
-    def view(self) -> Term:
-        return Nest(
-            interval_axis("r"),
-            Nest(Axis("c", INCREASING, BINARY), Value()),
-        )
-
-    def storage(self, path_id: str) -> Storage:
-        return Storage((Dense("m"), Counted("rowlen", "colind")),
-                       ("data", "r", "c"),
-                       ("colind", "data", "rowlen", Size("m", "nrows")))
-
-    def path_ids(self) -> Optional[List[str]]:
-        return ["rows"]
+    def declaration(self):
+        return {"rows": Path(("r", "c"), Storage(
+            (Dense("m"), Counted("rowlen", "colind")), ("data", "r", "c"),
+            ("colind", "data", "rowlen", Size("m", "nrows"))))}

@@ -18,15 +18,15 @@ Index structure (paper Section 2 / appendix A.2)::
   through the inverse permutation, to logical rows — which is what a
   restructured triangular solve needs, paper Figure 9).
 
-Both are declared (:data:`STORAGE`) in :mod:`repro.formats.levels` terms
-and read like any format's: the permuted row is a ``Perm`` of the slot's
-``Offset`` in its diagonal (flat), of a ``Dense`` level searched through
-``ipermi`` (rows).
+Both are declared (:data:`DECLARATION`) in :mod:`repro.formats.levels`
+terms and read like any format's: the permuted row is a ``Perm`` through
+``iperm`` of the slot's ``Offset`` in its diagonal (flat), of a ``Dense``
+level searched through ``ipermi`` (rows).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -38,21 +38,7 @@ from repro.formats.base import (
     pointer_array,
 )
 from repro.formats.levels import (
-    Coords, Counted, Dense, Offset, Perm, Size, Storage, at,
-)
-from repro.formats.views import (
-    Axis,
-    BINARY,
-    INCREASING,
-    Joint,
-    Nest,
-    NOSEARCH,
-    PermTerm,
-    Perspective,
-    Term,
-    UNORDERED,
-    Value,
-    interval_axis,
+    Coords, Counted, Dense, Offset, Path, Perm, Size, Storage, at,
 )
 
 #: every array and size a JAD kernel takes, on either path
@@ -61,15 +47,16 @@ _ARGS = ("iperm", "ipermi", "dptr", "colind", "values", "rowcnt",
 
 #: flat: the slots diagonal-major (the paper's JadFlatIterator); rows: the
 #: permuted rows, entry ``dd`` of row ``rr`` at ``dptr[dd] + rr`` (JadRow)
-STORAGE = {
-    "flat": Storage(
-        (Coords((Perm(Offset("dptr"), "ipermi"), "colind"), "nnz", slot="jj"),),
-        ("values", "c"), _ARGS),
-    "rows": Storage(
-        (Perm(Dense("m"), "ipermi"),
+DECLARATION = {
+    "flat": Path(("r", "c"), Storage(
+        (Coords((Perm(Offset("dptr"), "iperm", "ipermi"), "colind"), "nnz",
+                slot="jj"),),
+        ("values", "c"), _ARGS)),
+    "rows": Path(("r", "c"), Storage(
+        (Perm(Dense("m"), "iperm", "ipermi"),
          Counted("rowcnt", "colind", slot="dd",
                  address=("+", at("dptr", "dd"), "r"))),
-        ("values", "c"), _ARGS),
+        ("values", "c"), _ARGS)),
 }
 
 
@@ -187,14 +174,5 @@ class JadMatrix(SparseFormat):
         return cls(iperm, dptr, colind, values, shape)
 
     # -- low-level API -------------------------------------------------------
-    def view(self) -> Term:
-        flat = Joint([Axis("rr", UNORDERED, NOSEARCH), Axis("c", UNORDERED, NOSEARCH)],
-                     Value())
-        hier = Nest(interval_axis("rr"), Nest(Axis("c", INCREASING, BINARY), Value()))
-        return PermTerm("r", "rr", "iperm", Perspective(flat, hier))
-
-    def storage(self, path_id: str) -> Storage:
-        return STORAGE[path_id]
-
-    def path_ids(self) -> Optional[List[str]]:
-        return ["flat", "rows"]
+    def declaration(self):
+        return DECLARATION

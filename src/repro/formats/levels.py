@@ -1,16 +1,26 @@
-"""Storage declarations: where the arrays behind a view are.
+"""Format declarations: a format is an ordered mapping from path id to
+:class:`Path`, the paper's index-structure grammar (Figure 6) written as
+levels.
 
-A format's ``view()`` says how its index structure *can be walked* and
-searched; its ``storage(path_id)`` says where one access path keeps that
-structure — a :class:`Storage` with one level per step of the path, the
-value array, and the kernel arguments in signature order.  It has two
-readers: the compiler (:class:`repro.codegen.emitters.ViewEmitter`)
-composes loops, searches and the value access from it, in Python and in
-C, and :class:`repro.formats.base.LevelRuntime` walks it — for the
-format's own ``get``, ``set`` and ``to_coo_arrays``, the generic BLAS,
-the cost model's step totals and the tests' reference plan interpreter.
-Every path of every format declares one; ``compile_kernel`` refuses a
-format that does not.
+A :class:`Path` is one way of walking the format down to its values: the
+names of its axes, outermost first, and a :class:`Storage` — one level per
+step, the value array, the kernel arguments in signature order.  The
+grammar maps onto it as follows: nesting is the level stack; a tuple
+``<a, b>`` is a :class:`Coords` level with several axes; ``map{}`` is
+``subs`` (the logical row ``r`` and column ``c`` as affine expressions
+over the axes); ``U`` is ``branch``; ``(+)`` is several paths in one
+branch; a cross ``(a x b)`` is its orders listed as paths; ``perm{}`` is a
+:class:`Perm` level.  Each axis' order and search follow from the kind of
+its level (:func:`repro.formats.base.axis_views`); an :class:`Axis` in
+place of a name states others, which the level must be able to build.
+
+The declaration has two readers: the compiler
+(:class:`repro.codegen.emitters.ViewEmitter`) composes loops, searches and
+the value access from it, in Python and in C, and
+:class:`repro.formats.base.LevelRuntime` walks it — for the format's own
+``get``, ``set``, ``to_coo_arrays`` and assembly, the generic BLAS, the
+cost model's step totals and the tests' reference plan interpreter.
+``compile_kernel`` refuses a format that declares nothing.
 
 A level names attributes of the format instance (arrays) and declared
 sizes.  Where a level takes an *expression* (``Range`` bounds, a slot's
@@ -19,16 +29,11 @@ address, the value's index) it is an ``int``, the local name of a
 yields: the key for ``Dense``/``Range``, the position for a :class:`Perm`,
 the slot — or its address — for the others), :func:`at`, or ``(op,
 operand, ...)`` with ``op`` one of ``+ - min max neg``.
-
-An axis the view permutes (``perm{P(in) |-> out : E}``) is declared by a
-:class:`Perm`, and no other is: a ``Perm`` of a ``Dense`` level, or, as a
-``Coords`` coordinate, of an :class:`Offset` — a slot's offset in its
-pointer segment.  JAD's two paths use both.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Tuple
+from typing import Mapping, NamedTuple, Optional, Tuple
 
 
 class Dense(NamedTuple):
@@ -75,25 +80,23 @@ class Coords(NamedTuple):
 
 
 class Perm(NamedTuple):
-    """An axis the view permutes through ``P``: ``stored`` (a ``Dense``
-    level, or an ``Offset``) holds positions ``x``, each the key ``P[x]``.
-    Over ``Dense`` the state is ``x``; a search for ``r`` is ``inverse[r]``
-    if ``0 <= r < extent`` (else absent), and the interval stays ``[0,
-    extent)``: ``P`` is a bijection of it."""
+    """A permuted axis (``perm{P(x) |-> r}``): ``stored`` (a ``Dense``
+    level, or as a ``Coords`` coordinate an ``Offset``) holds positions
+    ``x``, each the key ``forward[x]``.  Over ``Dense`` the state is
+    ``x``; a search for ``r`` is ``inverse[r]`` if ``0 <= r < extent``
+    (else absent), and the interval stays ``[0, extent)``: the permutation
+    is a bijection of it."""
     stored: object
+    forward: str
     inverse: str
 
 
 class Offset(NamedTuple):
     """Slot ``k``'s coordinate ``k - ptr[d]``, ``d`` the segment holding
-    ``k``, walked forward as the slots are visited: its step is unordered
-    and, when searched, scanned."""
+    ``k``, walked forward as the slots are visited: the positions of a
+    ``Perm`` coordinate (JAD's flat path), whose step is unordered and not
+    searched."""
     ptr: str
-
-
-def Sorted(ind: str, extent: str, slot: str = "k") -> Coords:
-    """One sorted coordinate list (DIA's stored diagonals)."""
-    return Coords((ind,), extent, slot)
 
 
 def at(array: str, index) -> Tuple:
@@ -117,3 +120,17 @@ class Storage(NamedTuple):
     levels: Tuple
     value: Tuple
     args: Tuple
+
+
+class Path(NamedTuple):
+    """One access path: ``axes`` names the axes outermost first — one per
+    level, as many as its coordinates for a ``Coords`` level — each a name,
+    or an :class:`~repro.formats.views.Axis` whose order and search
+    override its level's; ``subs`` gives the logical ``r`` and ``c`` as
+    affine expressions over the axes where they are not axes themselves;
+    paths of one aggregation ``branch`` are alternatives (perspectives),
+    the branches are all walked."""
+    axes: Tuple
+    storage: Storage
+    subs: Optional[Mapping] = None
+    branch: str = ""

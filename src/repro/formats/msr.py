@@ -13,7 +13,7 @@ the matrix into one copy per branch (paper Section 4).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -24,19 +24,7 @@ from repro.formats.base import (
     pointer_array,
 )
 from repro.formats.csr import ROWS
-from repro.formats.levels import Dense, Size, Storage
-from repro.formats.views import (
-    Axis,
-    BINARY,
-    INCREASING,
-    MapTerm,
-    Nest,
-    Term,
-    Union,
-    Value,
-    interval_axis,
-)
-from repro.polyhedra.linexpr import LinExpr
+from repro.formats.levels import Dense, Path, Size, Storage
 
 
 class MsrMatrix(SparseFormat):
@@ -72,20 +60,11 @@ class MsrMatrix(SparseFormat):
         return int(self.dvals.size + self.values.size)
 
     # -- low-level API -------------------------------------------------------
-    def view(self) -> Term:
-        i = LinExpr.variable("i")
-        diag = MapTerm({"r": i, "c": i}, Nest(interval_axis("i"), Value()))
-        off = Nest(interval_axis("r"), Nest(Axis("c", INCREASING, BINARY), Value()))
-        return Union(diag, off)
-
-    def storage(self, path_id: str) -> Storage:
-        if path_id == "off":
-            return ROWS
-        return Storage((Dense("nd"),), ("dvals", "i"),
-                       ("dvals", Size("nd", "ndiag")))
-
-    def path_ids(self) -> Optional[List[str]]:
-        return ["diag", "off"]
+    def declaration(self):
+        return {"diag": Path(("i",), Storage((Dense("nd"),), ("dvals", "i"),
+                                             ("dvals", Size("nd", "ndiag"))),
+                             {"r": "i", "c": "i"}, branch="u0"),
+                "off": Path(("r", "c"), ROWS, branch="u1")}
 
     def axis_range(self, axis_name: str) -> Optional[Tuple[int, int]]:
         if axis_name == "i":

@@ -15,7 +15,7 @@ elements are not visited twice).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -27,19 +27,7 @@ from repro.formats.base import (
     pointer_array,
 )
 from repro.formats.csr import ROWS
-from repro.formats.levels import Storage
-from repro.formats.views import (
-    Axis,
-    BINARY,
-    INCREASING,
-    MapTerm,
-    Nest,
-    Term,
-    Union,
-    Value,
-    interval_axis,
-)
-from repro.polyhedra.linexpr import LinExpr
+from repro.formats.levels import Path
 
 
 class SymMatrix(SparseFormat):
@@ -101,35 +89,17 @@ class SymMatrix(SparseFormat):
         return cls(csr_rowptr(rows, m, idx), cols.astype(idx), vals, shape)
 
     # -- low-level API -------------------------------------------------------
-    def view(self) -> Term:
-        stored = Nest(interval_axis("r"),
-                      Nest(Axis("c", INCREASING, BINARY), Value()))
-        mirror = MapTerm(
-            {"r": LinExpr.variable("cc"), "c": LinExpr.variable("rr")},
-            Nest(interval_axis("rr"),
-                 Nest(Axis("cc", INCREASING, BINARY), Value())),
-        )
-        return Union(stored, mirror)
-
-    def storage(self, path_id: str) -> Storage:
-        if path_id == "lower":
-            return ROWS
-        # the same arrays; the diagonal belongs to the stored branch
+    def declaration(self):
+        # the mirror reads the same arrays; the diagonal belongs to the
+        # stored branch
         rows, cols = ROWS.levels
-        return ROWS._replace(
-            levels=(rows, cols._replace(off_diagonal=True)),
-            value=("values", "cc"))
-
-    def path_ids(self) -> Optional[List[str]]:
-        return ["lower", "mirror"]
+        mirror = ROWS._replace(levels=(rows, cols._replace(off_diagonal=True)),
+                               value=("values", "cc"))
+        return {"lower": Path(("r", "c"), ROWS, branch="u0"),
+                "mirror": Path(("rr", "cc"), mirror, {"r": "cc", "c": "rr"},
+                               branch="u1")}
 
     def axis_range(self, axis_name: str) -> Optional[Tuple[int, int]]:
         if axis_name in ("rr", "cc"):
             return (0, self.nrows)
         return super().axis_range(axis_name)
-
-    def bounds(self) -> Optional[object]:
-        # the stored branch satisfies c <= r; the mirror strictly c > r —
-        # per-branch constraints are carried by the paths' subs and axis
-        # ranges; a whole-matrix annotation would be wrong, so none is set
-        return getattr(self, "_bounds", None)

@@ -14,5 +14,7 @@ Nothing under ``src/`` imports them:
 - :mod:`~tests.oracles.solvers_reference` — ``cg`` and ``bicgstab`` as
   they were before the vector steps moved into :mod:`repro.solvers.vecops`;
 - :mod:`~tests.oracles.fraction_polyhedra` — the ``Fraction``-everywhere
-  polyhedral core the integer one replaced.
+  polyhedral core the integer one replaced;
+- :mod:`~tests.oracles.views` — the view grammar of paper Figure 6 and
+  its walk into access paths, which the formats' declarations replaced.
 """

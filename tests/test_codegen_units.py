@@ -272,7 +272,7 @@ class TestLoweringErrors:
         assert "sorted enumeration" in reason
 
     def test_an_undeclared_format_is_refused_not_lowered(self):
-        """No Python-only kernel for a format that declares no storage:
+        """No Python-only kernel for a format that declares nothing:
         ``compile_kernel`` refuses it, and nothing falls back."""
         from repro.instrument import INSTR
         from tests.test_custom_format import Undeclared
@@ -280,7 +280,7 @@ class TestLoweringErrors:
         A = Undeclared.of(random_sparse(6, 8, 0.3, seed=11).to_dense())
         before = (INSTR.get("native.fallbacks"),
                   INSTR.get("native.fallback.lowering"))
-        with pytest.raises(ValueError, match="no storage declared"):
+        with pytest.raises(ValueError, match="no declaration"):
             compile_kernel(mvm(), {"A": A}, backend="c", cache="off")
         assert (INSTR.get("native.fallbacks"),
                 INSTR.get("native.fallback.lowering")) == before

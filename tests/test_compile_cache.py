@@ -232,13 +232,12 @@ class TestDiskLayer:
 
     def test_an_edited_declaration_misses_its_parents_entry(
             self, tmp_path, monkeypatch):
-        """The key sees ``storage()`` and the axes' search kinds: a class
-        of the same name whose declaration or view was edited does not
-        replay the source recorded for the other one."""
+        """The key sees the storage and the axes' search kinds: a class
+        of the same name whose declared storage or axis override was
+        edited does not replay the source recorded for the other one."""
         from repro.formats.csr import ROWS, CsrMatrix
-        from repro.formats.views import (
-            Axis, LINEAR, Nest, UNORDERED, Value, interval_axis,
-        )
+        from repro.formats.levels import Path
+        from repro.formats.views import Axis, LINEAR, UNORDERED
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         A = _csr()
@@ -255,11 +254,12 @@ class TestDiskLayer:
         assert gen == 0 and k.source == k1.source
         renamed = ROWS._replace(levels=(
             ROWS.levels[0], ROWS.levels[1]._replace(slot="slot")))
-        k, gen = recompiled(storage=lambda self, path_id: renamed)
+        k, gen = recompiled(
+            declaration=lambda self: {"rows": Path(("r", "c"), renamed)})
         assert gen > 0
         assert "_slot" in k.source and "_slot" not in k1.source
-        k, gen = recompiled(view=lambda self: Nest(
-            interval_axis("r"), Nest(Axis("c", UNORDERED, LINEAR), Value())))
+        k, gen = recompiled(declaration=lambda self: {
+            "rows": Path(("r", Axis("c", UNORDERED, LINEAR)), ROWS)})
         assert gen > 0
 
     def test_entry_pickled_with_fraction_coefficients_loads_canonical(

@@ -142,7 +142,7 @@ class TestDeclaredTotals:
         from tests.test_custom_format import Undeclared
 
         f = Undeclared.of(small_rect)
-        with pytest.raises(ValueError, match="'flat': no storage declared"):
+        with pytest.raises(ValueError, match="'cscoo_undeclared': no declaration"):
             step_totals(f, "flat")
 
 

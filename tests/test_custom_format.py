@@ -1,9 +1,9 @@
-"""The format-designer story: a user-defined format described with the
-view grammar and a declaration of where its arrays are compiles through
-the full pipeline, to C like a built-in format; its ``get``, ``set``,
+"""The format-designer story: a user-defined format described by one
+declaration of its paths and where their arrays are compiles through the
+full pipeline, to C like a built-in format; its ``get``, ``set``,
 ``to_coo_arrays`` and runtime are read from the declaration.  The
 declaration is checked where it is read — at emitter and at runtime
-construction — and a format that declares none is refused."""
+construction — and a format that declares nothing is refused."""
 
 import warnings
 
@@ -20,21 +20,15 @@ from repro.formats import as_format
 from repro.formats.base import SparseFormat
 from repro.formats.csr import CsrMatrix
 from repro.formats.jad import JadMatrix
-from repro.formats.levels import Coords, Dense, Offset, Perm, Size, Storage
+from repro.formats.csr import ROWS
+from repro.formats.levels import Coords, Dense, Offset, Path, Perm, Size, Storage
 from repro.formats.views import (
     Axis,
     BINARY,
     INCREASING,
-    Joint,
     LINEAR,
     NOSEARCH,
-    Nest,
-    PermTerm,
-    Perspective,
-    Term,
     UNORDERED,
-    Value,
-    interval_axis,
 )
 from repro.instrument import INSTR
 from repro.ir import execute_dense
@@ -42,13 +36,19 @@ from repro.ir.kernels import col_sums, mvm, mvm_t, scale
 from tests.oracles.plan_interp import run_plan
 
 
+#: column-major coordinates: one level of joint coordinates ``<cols, rows>``
+#: over ``nnz`` slots, values in ``vals``; ``c`` enumerates in increasing
+#: order, which its Coords level does not say by itself
+FLAT = Path((Axis("c", INCREASING, LINEAR), "r"), Storage(
+    (Coords(("cols", "rows"), "nnz"),), ("vals", "c"),
+    ("rows", "cols", "vals", Size("nnz", "nnz"))))
+
+
 class DeclaredCoo(SparseFormat):
     """Coordinate storage sorted column-major: ``<c, r> -> v`` with ``c``
     (and ``r`` within ``c``) enumerating in increasing order — the kind of
     one-off application-specific format the paper's Section 1 motivates —
-    and where its arrays are: one level of joint coordinates ``<cols,
-    rows>`` over ``nnz`` slots, values in ``vals``.  Nothing else: no
-    access of its own."""
+    declared as :data:`FLAT`.  Nothing else: no access of its own."""
 
     format_name = "cscoo"
 
@@ -62,18 +62,8 @@ class DeclaredCoo(SparseFormat):
     def nnz(self):
         return int(self.vals.size)
 
-    def view(self) -> Term:
-        return Joint(
-            [Axis("c", INCREASING, LINEAR), Axis("r", UNORDERED, LINEAR)],
-            Value(),
-        )
-
-    def path_ids(self):
-        return ["flat"]
-
-    def storage(self, path_id):
-        return Storage((Coords(("cols", "rows"), "nnz"),), ("vals", "c"),
-                       ("rows", "cols", "vals", Size("nnz", "nnz")))
+    def declaration(self):
+        return {"flat": FLAT}
 
 
 class Undeclared(DeclaredCoo):
@@ -81,12 +71,60 @@ class Undeclared(DeclaredCoo):
     there is nothing to assemble it from)."""
 
     format_name = "cscoo_undeclared"
-    storage = SparseFormat.storage
+    declaration = SparseFormat.declaration
 
     @staticmethod
     def of(dense):
         d = DeclaredCoo.from_dense(dense)
         return Undeclared(d.rows, d.cols, d.vals, d.shape)
+
+
+class Single(DeclaredCoo):
+    """The same format, its values in float32 under another name."""
+
+    format_name = "cscoo_single"
+
+    def __init__(self, rows, cols, vals, shape):
+        super().__init__(rows, cols, vals, shape)
+        self.payload = self.vals.astype(np.float32)
+        del self.vals
+
+    def declaration(self):
+        return {"flat": FLAT._replace(storage=FLAT.storage._replace(
+            value=("payload", "c"),
+            args=("rows", "cols", "payload", Size("nnz", "nnz"))))}
+
+
+class FlatOnly(JadMatrix):
+    """JAD with its flat path alone: the walk of an ``Offset``."""
+
+    format_name = "flat_only"
+
+    def declaration(self):
+        return {"flat": JadMatrix.declaration(self)["flat"]}
+
+
+class UnsortedCsr(CsrMatrix):
+    """CSR whose columns are declared unordered within a row."""
+
+    def declaration(self):
+        return {"rows": Path(("r", Axis("c", UNORDERED, LINEAR)), ROWS)}
+
+
+def walked(c):
+    """JAD whose flat path's axes are ``r`` and the override ``c``, ``r``
+    searched as ``c`` is."""
+
+    class Walked(JadMatrix):
+        format_name = "walked"
+
+        def declaration(self):
+            flat, rows = JadMatrix.declaration(self).values()
+            return {"flat": flat._replace(
+                        axes=(Axis("r", UNORDERED, c.search), c)),
+                    "rows": rows}
+
+    return Walked
 
 
 @pytest.fixture(scope="module")
@@ -200,19 +238,6 @@ class TestDeclaredFormat:
         the promotion of ``A.dtype`` and the operand's."""
         from repro.blas.api import _alloc
 
-        class Single(DeclaredCoo):
-            format_name = "cscoo_single"
-
-            def __init__(self, rows, cols, vals, shape):
-                super().__init__(rows, cols, vals, shape)
-                self.payload = self.vals.astype(np.float32)
-                del self.vals
-
-            def storage(self, path_id):
-                return Storage((Coords(("cols", "rows"), "nnz"),),
-                               ("payload", "c"),
-                               ("rows", "cols", "payload", Size("nnz", "nnz")))
-
         A = Single(declared.rows, declared.cols, declared.vals, declared.shape)
         x = np.ones(8, dtype=np.float32)
         assert A.dtype == np.float32
@@ -221,14 +246,14 @@ class TestDeclaredFormat:
 
     def test_an_undeclared_format_is_refused(self, declared, monkeypatch):
         """``compile_kernel`` refuses it before any search runs, naming
-        the format and the path; so do the high-level API, the runtime
-        and the assembly, which read the same declaration."""
+        the format; so do the high-level API, the runtime and the
+        assembly, which read the same declaration."""
         from repro.core import compiler
 
         assert isinstance(_emitter(declared), ViewEmitter)
         fmt = Undeclared(declared.rows, declared.cols, declared.vals,
                          declared.shape)
-        refusal = r"format 'cscoo_undeclared', path 'flat': no storage declared"
+        refusal = r"format 'cscoo_undeclared': no declaration"
         monkeypatch.setattr(compiler, "search", lambda *a, **k: pytest.fail(
             "searched an undeclared format"))
         for backend in ("python", "c"):
@@ -255,12 +280,12 @@ class TestDeclarationIsChecked:
     """A wrong declaration is a ``ValueError`` when the emitter or the
     runtime is built, naming the format, the path and the axis."""
 
-    def _broken(self, declared, **fields):
+    def _broken(self, declared, axes=FLAT.axes, **fields):
         class Broken(DeclaredCoo):
             format_name = "broken"
 
-            def storage(self, path_id):
-                return DeclaredCoo.storage(self, path_id)._replace(**fields)
+            def declaration(self):
+                return {"flat": Path(axes, FLAT.storage._replace(**fields))}
 
         return Broken(declared.rows, declared.cols, declared.vals,
                       declared.shape)
@@ -268,8 +293,8 @@ class TestDeclarationIsChecked:
     def test_level_count(self, declared):
         fmt = self._broken(declared, levels=(
             Dense("nnz"), Coords(("cols", "rows"), "nnz")))
-        _rejected(fmt, r"'broken'.*'flat'.*2 levels "
-                       r"declared for the 1 steps.*c,r")
+        _rejected(fmt, r"'broken', path 'flat': 2 axes named for the 3 its "
+                       r"levels take")
 
     def test_missing_attribute(self, declared):
         fmt = self._broken(declared, args=(
@@ -281,79 +306,41 @@ class TestDeclarationIsChecked:
 
     def test_search_the_level_cannot_build(self, declared):
         # a joint level has no order to bisect on ...
-        class Bisected(DeclaredCoo):
-            format_name = "bisected"
-
-            def view(self):
-                return Joint([Axis("c", INCREASING, BINARY),
-                              Axis("r", UNORDERED, BINARY)], Value())
-
-        fmt = Bisected(declared.rows, declared.cols, declared.vals,
-                       declared.shape)
-        _rejected(fmt, r"'bisected'.*'flat'.*axis c, r.*"
+        fmt = self._broken(declared, axes=(Axis("c", INCREASING, BINARY),
+                                           Axis("r", UNORDERED, BINARY)))
+        _rejected(fmt, r"'broken'.*'flat'.*axis c, r.*"
                        r"binary search.*Coords.*linear")
         # ... and a dense level answers by a bounds check, not by scanning
-        fmt = self._broken(declared, levels=(Dense("nnz"),))
-        _rejected(fmt, r"axis c, r.*linear search.*Dense.*direct")
+        fmt = self._broken(declared, levels=(Dense("nnz"), Dense("nnz")))
+        _rejected(fmt, r"axis c: a linear search.*Dense.*direct")
 
-    def test_a_permuted_axis_is_declared_by_a_perm(self, declared):
-        """... and only a permuted one."""
-
-        class Unpermuted(JadMatrix):
-            format_name = "unpermuted"
-
-            def storage(self, path_id):
-                return JadMatrix.storage(self, path_id)._replace(levels=(
-                    Coords((Offset("dptr"), "colind"), "nnz", slot="jj"),))
-
-        _rejected(Unpermuted.from_dense(np.eye(3)),
-                  r"'unpermuted', path 'flat', axis r: the view permutes "
-                  r"it through 'iperm', the storage declares no Perm")
-        for coord in (Perm(Offset("rows"), "cols"), Offset("rows")):
-            fmt = self._broken(declared, levels=(
-                Coords((coord, "rows"), "nnz"),))
-            _rejected(fmt, r"'broken', path 'flat', axis c: a Perm or Offset "
-                           r"on an axis the view does not permute")
+    def test_a_perm_holds_what_its_level_walks(self, declared):
+        """A ``Perm`` permutes a ``Dense`` level or, as a ``Coords``
+        coordinate, an ``Offset``; an ``Offset`` is only a ``Perm``'s."""
+        refusal = r"'broken', path 'flat': a Perm holds a Dense level"
+        for coord in (Offset("rows"), Perm(Dense("nnz"), "cols", "rows")):
+            _rejected(self._broken(declared, levels=(
+                Coords((coord, "rows"), "nnz"),)), refusal)
+        _rejected(self._broken(declared, axes=("c",), levels=(
+            Perm(Offset("rows"), "cols", "rows"),)), refusal)
 
     @pytest.mark.parametrize("c, match", [
         (Axis("c", INCREASING, NOSEARCH),
          r"'walked', path 'flat', axis r, c: an Offset is walked forward"),
         (Axis("c", UNORDERED, BINARY),
-         r"'walked', path 'flat', axis r, c: the view declares a binary "
-         r"search, a Coords level builds linear"),
+         r"'walked', path 'flat', axis r, c: a binary search is declared, "
+         r"a Coords level builds linear"),
     ])
     def test_an_offset_is_only_walked_forward(self, c, match):
         """The segment of an ``Offset`` is found by a walk that only moves
         forward: a step that could be enumerated in reverse (an ordered
         axis) or bisected has none."""
-
-        class Walked(JadMatrix):
-            format_name = "walked"
-
-            def view(self):
-                flat = Joint([Axis("rr", UNORDERED, c.search), c], Value())
-                hier = Nest(interval_axis("rr"),
-                            Nest(Axis("c", INCREASING, BINARY), Value()))
-                return PermTerm("r", "rr", "iperm", Perspective(flat, hier))
-
-        _rejected(Walked.from_dense(np.eye(3)), match)
+        _rejected(walked(c).from_dense(np.eye(3)), match)
 
     def test_an_offset_walk_is_never_doall(self):
         """Each slot starts from the segment the slot before it ended in,
         so the walked loop stays sequential even where every slot is
         independent (``scale`` on a format whose one path is the walk)."""
-
-        class FlatOnly(JadMatrix):
-            format_name = "flat_only"
-
-            def view(self):
-                return PermTerm("r", "rr", "iperm", Joint(
-                    [Axis("rr", UNORDERED, NOSEARCH),
-                     Axis("c", UNORDERED, NOSEARCH)], Value()))
-
-            def path_ids(self):
-                return ["flat"]
-
         k = compile_kernel(scale(), {"A": FlatOnly.from_dense(np.eye(3))},
                            backend="python", cache="off")
         c = lower_kernel(k, parallel="strict").c_source
@@ -361,14 +348,9 @@ class TestDeclarationIsChecked:
 
     def test_linear_axis_never_receives_bisect(self, small_rect_module, rng):
         """Dispatch used to be by ``format_name``: a CSR subclass whose
-        view says its columns are unordered got a bisection all the same.
-        The search now comes from the view — a scan of the row segment,
-        right on columns stored in any order."""
-
-        class UnsortedCsr(CsrMatrix):
-            def view(self):
-                return Nest(interval_axis("r"),
-                            Nest(Axis("c", UNORDERED, LINEAR), Value()))
+        declaration says its columns are unordered got a bisection all the
+        same.  The search now comes from the declaration — a scan of the
+        row segment, right on columns stored in any order."""
 
         A = as_format(small_rect_module, "csr")
         for r in range(A.nrows):            # reverse every row's columns

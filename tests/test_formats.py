@@ -309,8 +309,9 @@ class TestEnumerationRuntime:
         a = a if name == "sym" else a[[3, 0, 1, 2], :3]
         right = FORMATS[name]
         wrong = type("Wrong", (right,), {
-            "storage": lambda self, path_id:
-                edit(right.storage(self, path_id))})
+            "declaration": lambda self: {
+                pid: p._replace(storage=edit(p.storage))
+                for pid, p in right.declaration(self).items()}})
         for check in (reconstructs, finds_enumerated, misses_absent):
             check(right.from_dense(a), a)
         # the arrays the right declaration assembles, read through the
@@ -324,6 +325,33 @@ class TestEnumerationRuntime:
         with pytest.raises((ValueError, AssertionError, IndexError)):
             for check in (reconstructs, finds_enumerated, misses_absent):
                 check(wrong.from_dense(a), a)
+
+
+class TestCopy:
+    @pytest.mark.parametrize("name", sorted(FORMATS))
+    def test_a_copy_is_the_same_state_in_new_memory(self, name):
+        """``copy()`` keeps what the constructor was given (BSR's block
+        size), the annotations and every array at its width — and shares
+        no memory with the original."""
+        dense = np.tril(np.arange(1.0, 65.0).reshape(8, 8) % 5)
+        if name == "sym":
+            dense = dense + np.tril(dense, -1).T
+        kwargs = {"block_size": 4} if name == "bsr" else {}
+        A = FORMATS[name].from_dense(dense, **kwargs)
+        A.annotate_triangular("lower")
+        C = A.copy()
+        assert type(C) is type(A)
+        assert getattr(C, "block_size", None) == getattr(A, "block_size", None)
+        assert repr(C.bounds()) == repr(A.bounds()) != "None"
+        arrays = {k: v for k, v in vars(A).items() if isinstance(v, np.ndarray)}
+        assert arrays and arrays.keys() == {
+            k for k, v in vars(C).items() if isinstance(v, np.ndarray)}
+        for k, a in arrays.items():
+            c = getattr(C, k)
+            assert (c.dtype, c.shape, c.tobytes()) == (a.dtype, a.shape,
+                                                      a.tobytes()), k
+            assert not np.shares_memory(c, a), k
+        assert np.array_equal(C.to_dense(), dense)
 
 
 class TestConversions:

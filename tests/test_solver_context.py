@@ -234,6 +234,43 @@ class TestKernelHandles:
         assert blas_api.kernel_handle(A, "mvm") is None
         blas_api.clear_kernel_handles(A)  # idempotent
 
+    def test_a_deep_copy_carries_no_handle(self, spd, spd_dense, b25):
+        """A copy of a matrix with handles is a matrix without: its own
+        values answer, not the original's through the original's handle."""
+        import copy
+
+        A = as_format(spd, "csr")
+        SolverContext(A, ops=("mvm",), backend="python")
+        C = copy.deepcopy(A)
+        C.values *= 2
+        assert blas_api.kernel_handle(C, "mvm") is None
+        assert np.allclose(blas_api.mvm(C, b25), 2 * spd_dense @ b25)
+        assert np.allclose(blas_api.mvm(A, b25), spd_dense @ b25)
+
+    def test_a_matrix_with_handles_pickles(self, spd, spd_dense, b25):
+        import pickle
+
+        A = as_format(spd, "csr")
+        SolverContext(A, ops=("mvm",), backend="python")
+        B = pickle.loads(pickle.dumps(A))
+        assert blas_api.kernel_handle(B, "mvm") is None
+        assert np.array_equal(B.to_dense(), spd_dense)
+
+    def test_a_matrix_with_handles_is_cached_on_disk(self, spd, tmp_path,
+                                                     monkeypatch):
+        from repro.core.cache import COMPILE_CACHE
+        from repro.core.compiler import compile_kernel
+        from repro.ir.kernels import mvm
+
+        A = as_format(spd, "csr")
+        SolverContext(A, ops=("mvm",), backend="python")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        COMPILE_CACHE.clear()               # the entry has to be written
+        before = INSTR.get("cache.disk.save_errors")
+        compile_kernel(mvm(), {"A": A}, cache="disk")
+        assert INSTR.get("cache.disk.save_errors") == before
+        assert len(list(tmp_path.glob("*.pkl"))) == 1
+
     def test_ts_handles_serve_functional_api(self, spd, b25):
         ctx = _ctx(spd)
         got = blas_api.ts_lower_solve(ctx.L, b25)

@@ -1,13 +1,20 @@
-"""The view grammar and access-path extraction (paper Figure 6)."""
+"""Access paths.  Each format's ``paths()``, derived from its declaration
+(one rule per level kind), is held to the walk of the view term — the
+index-structure grammar of paper Figure 6 — it declared before
+(``tests/oracles/views.py``, whose grammar is tested here too)."""
 
+import importlib.util
+from pathlib import Path
+
+import numpy as np
 import pytest
 
-from repro.formats.views import (
+from repro.formats.views import Axis
+from repro.polyhedra.linexpr import LinExpr
+from tests.oracles.views import (
     AccessPath,
-    Axis,
     BINARY,
     Cross,
-    DECREASING,
     INCREASING,
     Joint,
     LINEAR,
@@ -23,7 +30,6 @@ from repro.formats.views import (
     interval_axis,
     union_branches,
 )
-from repro.polyhedra.linexpr import LinExpr
 
 
 class TestAxis:
@@ -157,7 +163,7 @@ class TestPerspectiveUnion:
 
 
 class TestFormatViews:
-    """Each concrete format's declared view must produce its documented
+    """Each concrete format's declaration must produce its documented
     paths."""
 
     @pytest.mark.parametrize("fmt_name,expected", [
@@ -179,3 +185,113 @@ class TestFormatViews:
         f = as_format(small_rect, fmt_name, **kwargs)
         got = [(p.path_id, p.axis_names) for p in f.paths()]
         assert got == expected
+
+
+# -- the equivalence wall: declarations against the views they replaced ------
+
+def _rows(r="r", c="c"):
+    return Nest(interval_axis(r), Nest(Axis(c, INCREASING, BINARY), Value()))
+
+
+def _jad(flat=(Axis("rr", UNORDERED, NOSEARCH),
+               Axis("c", UNORDERED, NOSEARCH)), rows=True):
+    flat = Joint(list(flat), Value())
+    return PermTerm("r", "rr", "iperm", Perspective(flat, _rows("rr"))
+                    if rows else flat)
+
+
+def _bsr(s):
+    rb, ri, cb, ci = map(LinExpr.variable, ("rb", "ri", "cb", "ci"))
+    return MapTerm({"r": rb * s + ri, "c": cb * s + ci}, Nest(
+        interval_axis("rb"), Nest(Axis("cb", INCREASING, BINARY), Cross(
+            [interval_axis("ri"), interval_axis("ci")], Value()))))
+
+
+def _skyline():
+    spec = importlib.util.spec_from_file_location(
+        "custom_format", Path(__file__).parents[1] / "examples" / "custom_format.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SkylineMatrix
+
+
+def _cases():
+    """(label, the instance, the view term it declared before, that view's
+    path ids) for every built-in, the skyline example and every test
+    format that declares a well-formed path."""
+    from repro.formats import as_format
+    from tests.test_custom_format import (
+        DeclaredCoo, FlatOnly, Single, UnsortedCsr, walked,
+    )
+
+    d, o, i = map(LinExpr.variable, ("d", "o", "i"))
+    a = np.kron(np.eye(4), np.ones((2, 2)))
+    a[0, 5] = a[5, 0] = 3.0                 # symmetric, blocks of 1, 2 and 4
+    views = {
+        "csr": (_rows(), ["rows"]),
+        "csc": (_rows("c", "r"), ["cols"]),
+        "coo": (Joint([Axis("r", UNORDERED, LINEAR),
+                       Axis("c", UNORDERED, LINEAR)], Value()), ["flat"]),
+        "dense": (Cross([interval_axis("r"), interval_axis("c")], Value()),
+                  ["rowmajor", "colmajor"]),
+        "dia": (MapTerm({"r": d + o, "c": o}, Nest(
+            Axis("d", INCREASING, BINARY), Nest(interval_axis("o"), Value()))),
+            ["diags"]),
+        "ell": (_rows(), ["rows"]),
+        "jad": (_jad(), ["flat", "rows"]),
+        "msr": (Union(MapTerm({"r": i, "c": i}, Nest(interval_axis("i"), Value())),
+                      _rows()), ["diag", "off"]),
+        "sym": (Union(_rows(), MapTerm({"r": LinExpr.variable("cc"),
+                                        "c": LinExpr.variable("rr")},
+                                       _rows("rr", "cc"))), ["lower", "mirror"]),
+    }
+    out = [(name, as_format(a, name), *view) for name, view in views.items()]
+    out += [(f"bsr{s}", as_format(a, "bsr", block_size=s), _bsr(s),
+             ["rows_rc", "rows_cr"]) for s in (1, 2, 4)]
+    sky = _skyline()
+    out.append(("skyline", sky.from_dense(a), Nest(interval_axis("r"), Nest(
+        interval_axis("c"), Value())), ["rows"]))
+    coo = DeclaredCoo.from_dense(a)
+    ordered = Joint([Axis("c", INCREASING, LINEAR),
+                     Axis("r", UNORDERED, LINEAR)], Value())
+    out += [("declared_coo", coo, ordered, ["flat"]),
+            ("single", Single(coo.rows, coo.cols, coo.vals, coo.shape),
+             ordered, ["flat"]),
+            ("flat_only", FlatOnly.from_dense(a), _jad(rows=False), ["flat"]),
+            ("unsorted_csr", UnsortedCsr.from_dense(a), Nest(interval_axis("r"), Nest(
+                Axis("c", UNORDERED, LINEAR), Value())), ["rows"])]
+    for c in (Axis("c", INCREASING, NOSEARCH), Axis("c", UNORDERED, BINARY)):
+        out.append((f"walked_{c.order}_{c.search}", walked(c).from_dense(a),
+                    _jad((Axis("rr", UNORDERED, c.search), c)), ["flat", "rows"]))
+    return out
+
+
+CASES = _cases()
+
+
+def _fields(p: AccessPath):
+    """Everything a path says: its id, steps (joint or not, every
+    ``AxisView`` field in order), ``subs`` and branch."""
+    return (p.path_id,
+            [(s.joint, [(a.name, a.order, a.search, a.interval, a.perm)
+                        for a in s.axes]) for s in p.steps],
+            p.subs, p.branch)
+
+
+@pytest.mark.parametrize("label, fmt, term, ids", CASES,
+                         ids=[c[0] for c in CASES])
+def test_declared_paths_are_the_views(label, fmt, term, ids):
+    walked_paths = access_paths(term)
+    assert len(walked_paths) == len(ids)
+    expected = [AccessPath(pid, p.steps, p.subs, p.branch)
+                for pid, p in zip(ids, walked_paths)]
+    assert list(map(_fields, fmt.paths())) == list(map(_fields, expected))
+    assert fmt.union_branches() == union_branches(expected)
+
+
+def test_the_wall_covers_every_format():
+    from repro.formats import FORMATS
+
+    labels = {c[0] for c in CASES}
+    assert set(FORMATS) - {"bsr"} <= labels
+    assert {"bsr1", "bsr2", "bsr4", "skyline", "declared_coo"} <= labels
