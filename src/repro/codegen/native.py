@@ -30,7 +30,7 @@ is, a CSC column segment is not).  Loops nested inside a parallel loop,
 loops a transform introduced, and loops that assign a scalar declared
 ahead of them (JAD's diagonal walk) stay sequential.
 
-The schedule: before printing, one pass rewrites the IR with two
+The schedule: before printing, one pass rewrites the IR with three
 transforms that are *byte-identical* to the loops the generator built —
 every floating-point value is produced by the same operations in the same
 order, only integer control flow and memory scheduling change:
@@ -49,6 +49,13 @@ order, only integer control flow and memory scheduling change:
   starts from the fill value, lives across the sparse loop and is
   written back once.  Per output element the accumulation order is
   unchanged.
+- **row_pair** — a sequential row loop whose body fills ``y[r]`` and then
+  accumulates one sparse row into it (CSR's and ELL's matvec) walks two
+  rows at a time: two rows of one length share one inner loop with two
+  local accumulators, rows of different lengths run one after the other,
+  and past the end the second row is absent.  A 5- or 9-entry row is one
+  latency-bound add chain; two independent chains hide each other.  A
+  kernel this fires on is printed at ``-O1`` (:meth:`_CPrinter.function`).
 
 Every pointer argument with a source of its own is ``restrict``: that is
 what lets the C compiler keep a row sum in a register and vectorize the
@@ -239,7 +246,8 @@ _FORK_MIN_TRIP = 4096
 class _Scheduler:
     """One top-down rewrite of a kernel body.  Per ``For`` it decides the
     OpenMP verdict from the loop's plan dimensions and applies
-    register_tile or guard_absorb.  A search is ordinary statements to
+    register_tile, row_pair (never to a loop OpenMP runs, or one inside
+    it) or guard_absorb.  A search is ordinary statements to
     it: the ``While`` it is made of keeps a body from being
     ``register_tile`` material, by the rule that already has.  The input
     IR is never mutated (a kernel's IR is shared by every lowering)."""
@@ -293,6 +301,10 @@ class _Scheduler:
                 tiled = self.register_tile(f, before)
                 if tiled is not None:
                     return tiled
+            if not (par or in_par):
+                paired = self.row_pair(f)
+                if paired is not None:
+                    return paired, False
             absorbed = self.guard_absorb(f)
             if absorbed is not None:
                 pre, lo, hi, body = absorbed
@@ -448,6 +460,80 @@ class _Scheduler:
             ]),
             While(Cmp("<", p, h), tile(1)),
         ], True
+
+    def row_pair(self, f: For):
+        """Two rows of a row reduction at a time: ``f`` walks rows ``r``
+        over affine bounds, and its body is the fill of ``y[r]`` followed
+        by one loop over ``[L(r), H(r))`` whose only store is ``y[r] =
+        y[r] op e`` (CSR's and ELL's matvec).  ``f`` steps by 2; each
+        row's sum moves into a local accumulator that starts from the
+        fill value and is stored once.  Two rows of the same length share
+        one walk, the second row's slot offset from the first's, so two
+        independent chains hide each other's latency; rows of different
+        lengths run one after the other.  Past the end the second row is
+        absent: an empty row, neither filled nor stored.  Each ``y[r]``
+        is the same sum in the same order.
+
+        Declined unless ``y`` is indexed by ``r`` alone and nothing the
+        rows read — fill, bounds, ``e`` — is a written array (a
+        triangular solve reads ``y``; a scatter, JAD's permuted target
+        and a panel row are other shapes).  Returns the replacement
+        statements, or None."""
+        if not (len(f.body) == 2 and isinstance(f.body[1], For)
+                and isinstance(f.lo, LinExpr) and isinstance(f.hi, LinExpr)):
+            return None
+        fill, inner = f.body
+        if not (isinstance(fill, Store) and isinstance(fill.array, ArrayArg)
+                and fill.array.dtype in ("float32", "float64")
+                and fill.idx == (V(f.var),) and inner.step == 1
+                and inner.body and isinstance(inner.body[-1], Store)
+                and all(isinstance(s, Assign) for s in inner.body[:-1])):
+            return None
+        st, y, pre = inner.body[-1], fill.array, inner.body[:-1]
+        if not (st.array is y and st.idx == fill.idx and _rmw_op(st)):
+            return None
+        if _mentions((fill.value, inner.lo, inner.hi, st.value.right,
+                      [s.value for s in pre]), self.written):
+            return None
+        if _names((f.lo, f.hi)) & _assigned(f.body):
+            return None
+        self.transforms.append("row_pair")
+        uid = self.uid()
+        acc = Local(f"_acc{uid}", y.dtype, 2)
+        la, ha, lb, hb, d = (f"_{n}{uid}" for n in ("la", "ha", "lb", "hb",
+                                                    "d"))
+        r, jj = V(f.var), V(inner.var)
+        second = {f.var: r + 1, **{s.var: V(f"{s.var}__1") for s in pre}}
+        present = Cmp("<", r + 1, f.hi)
+        slots = (LinExpr.constant(0),), (LinExpr.constant(1),)
+
+        def at(e, sub):
+            return map_index(e, lambda lin: lin.substitute(sub))
+
+        def row(k, sub):
+            """The loop body accumulating row ``r`` (``sub`` applied) into
+            accumulator ``k``."""
+            return [Assign(f"{s.var}__1" if k else s.var, at(s.value, sub))
+                    for s in pre] + [
+                Store(acc, slots[k], BinOp(st.value.op, Load(acc, slots[k]),
+                                           at(st.value.right, sub)))]
+
+        same = (V(hb) - V(lb), V(ha) - V(la))
+        return [acc, For(f.var, f.lo, f.hi, 2, [
+            Assign(la, inner.lo), Assign(ha, inner.hi),
+            Assign(lb, Select(present, at(inner.lo, second), ZERO)),
+            Assign(hb, Select(present, at(inner.hi, second), ZERO)),
+            Store(acc, slots[0], fill.value),
+            If(present, [Store(acc, slots[1], at(fill.value, second))]),
+            If(Cmp("==", *same), [Assign(d, V(lb) - V(la)), For(
+                inner.var, V(la), V(ha), 1,
+                row(0, {}) + row(1, {**second, inner.var: jj + V(d)}))]),
+            If(Cmp("!=", *same), [
+                For(inner.var, V(la), V(ha), 1, row(0, {})),
+                For(inner.var, V(lb), V(hb), 1, row(1, second))]),
+            Store(y, (r,), Load(acc, slots[0])),
+            If(present, [Store(y, (r + 1,), Load(acc, slots[1]))]),
+        ], f.dims)]
 
 
 # ---------------------------------------------------------------------------
@@ -609,20 +695,21 @@ class _CPrinter:
     ARG = {ScalarArg: lambda self, a, qual: [f"int64_t {a.name}"],
            ArrayArg: _array_arg}
 
-    def function(self, name: str, args: Sequence, body: Sequence) -> List[str]:
-        """Any function but ``kernel`` is an entry point riding in a
-        kernel's unit, compiled at ``-O1``: it must not cost that kernel's
-        cold compile the 8-10 ms per loop of ``-O3``'s vectorizer
+    def function(self, name: str, args: Sequence, body: Sequence,
+                 o1: bool) -> List[str]:
+        """``o1``: compiled at ``-O1`` — an entry point riding in a
+        kernel's unit, which must not cost that kernel's cold compile the
+        8-10 ms per loop of ``-O3``'s vectorizer, and a kernel whose rows
+        run in pairs, whose reductions no ``-O`` level may vectorize
         (DESIGN.md §7)."""
         self.lines, self.scopes, self.indent = [], [set()], 0
-        entry = name != "kernel"
         sig = self.signature(args)
         self.block(body)
-        head = ['__attribute__((optimize("O1")))'] if entry else []
+        head = ['__attribute__((optimize("O1")))'] if o1 else []
         return head + [f"void {name}({sig}) {{"] + self.lines
 
     def translation_unit(self, functions: Sequence[Tuple]) -> str:
-        """``(name, args, body)`` triples as one unit: the helpers any of
+        """``(name, args, body, o1)`` as one unit: the helpers any of
         them uses, then the functions in order, a blank line apart."""
         printed = [self.function(*f) for f in functions]
         out = [*UNIT_PREAMBLE, ""] + list(self.helpers.values())
@@ -676,12 +763,13 @@ def lower_kernel(kernel, parallel: str = "none",
         _check_lowerable(ir)
         report = kernel.parallel_report() if parallel != "none" else None
         sched = _Scheduler(report, parallel, _written(ir))
-        functions = [("kernel", ir.args, sched.block(ir.body))]
+        body = sched.block(ir.body)
+        functions = [("kernel", ir.args, body, "row_pair" in sched.transforms)]
         entries = {}
         for name, e in (entry_points or {}).items():
             _check_lowerable(e)
             own = _Scheduler(None, "none", _written(e))
-            functions.append((name, e.args, own.block(e.body)))
+            functions.append((name, e.args, own.block(e.body), True))
             entries[name] = (e.args, own.transforms)
         printer = _CPrinter()
         c_source = printer.translation_unit(functions)

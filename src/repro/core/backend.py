@@ -36,9 +36,12 @@ preloads them — ``LD_PRELOAD`` with both ``libasan.so`` and
 ``__ubsan_handle_*``.
 
 **Artifact cache** — compiled ``.so`` files are cached in-process by
-digest of (C source, flags, compiler identity), and, when the compilation
+digest of (C source, flags, compiler path), and, when the compilation
 cache runs in ``disk`` mode, persisted under the same cache directory
-with atomic writes (:func:`repro.util.store.atomic_path`).  On-disk
+with atomic writes (:func:`repro.util.store.atomic_path`) by digest of
+(C source, flags, compiler identity) — the first line of ``cc
+--version``, asked only when the disk layer is used, so a cold
+memory-mode request spawns ``cc`` and nothing else.  On-disk
 artifacts are sharded by digest prefix (``cache_dir/ab/abcd....so``) so a
 fleet-shared ``REPRO_CACHE_DIR`` never degrades into one huge flat
 directory.  A missing or unloadable artifact is a miss: the kernel is
@@ -214,7 +217,7 @@ def simd_supported(cc: str) -> bool:
 # Shared-object compilation + artifact cache
 # ---------------------------------------------------------------------------
 
-#: digest -> loaded shared object (process-wide); guarded by _SO_LOCK.
+#: in-process key -> loaded shared object; guarded by _SO_LOCK.
 #: Functions are resolved from it by name, so one unit can carry many.
 _SO_CACHE: Dict[str, ctypes.CDLL] = {}
 _SO_LOCK = threading.RLock()
@@ -229,7 +232,7 @@ def _scratch_dir() -> str:
         return _work_dir[0]
 
 
-#: in-process single-flight: one toolchain invocation per digest at a time
+#: in-process single-flight: one toolchain invocation per key at a time
 _FLIGHT = SingleFlight(waits="native.singleflight.waits",
                        shared="native.so_cache.hits.coalesced",
                        timeouts="native.singleflight.wait_timeouts",
@@ -293,9 +296,16 @@ def _artifact_lock(out_path: str):
             f.close()
 
 
-def artifact_key(c_source: str, flags: Tuple[str, ...], cc: str) -> str:
-    blob = "\x1e".join([c_source, repr(flags), compiler_identity(cc)])
+def _digest(c_source: str, flags: Tuple[str, ...], compiler: str) -> str:
+    blob = "\x1e".join([c_source, repr(flags), compiler])
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def artifact_key(c_source: str, flags: Tuple[str, ...], cc: str) -> str:
+    """The digest an artifact is stored under on disk: the compiler named
+    by its identity, since a cache directory outlives the process and may
+    be shared by hosts."""
+    return _digest(c_source, flags, compiler_identity(cc))
 
 
 def _disk_so_path(digest: str) -> str:
@@ -349,12 +359,12 @@ def _load_library(path: str) -> ctypes.CDLL:
 
 
 def _build_and_load(cc: str, c_source: str, flags: Tuple[str, ...],
-                    digest: str, cache_mode: str):
-    """Materialize the artifact for ``digest`` (disk layer first in disk
-    mode, scratch dir otherwise) and load it.  Raises on compile/load
-    failure."""
+                    key: str, cache_mode: str):
+    """Materialize the artifact (disk layer first in disk mode, under
+    :func:`artifact_key`; the scratch dir otherwise, under the in-process
+    ``key``) and load it.  Raises on compile/load failure."""
     if cache_mode == "disk":
-        path = _disk_so_path(digest)
+        path = _disk_so_path(artifact_key(c_source, flags, cc))
         if os.path.exists(path):
             try:
                 lib = _load_library(path)
@@ -376,15 +386,15 @@ def _build_and_load(cc: str, c_source: str, flags: Tuple[str, ...],
             return lib
         except OSError:
             pass  # cache dir unwritable: fall through to the scratch dir
-    out = os.path.join(_scratch_dir(), digest + ".so")
+    out = os.path.join(_scratch_dir(), key + ".so")
     if not os.path.exists(out):
         _compile_so(cc, c_source, flags, out)
     return _load_library(out)
 
 
-def _cached_so(digest: str):
+def _cached_so(key: str):
     with _SO_LOCK:
-        lib = _SO_CACHE.get(digest)
+        lib = _SO_CACHE.get(key)
     if lib is not None:
         INSTR.count("native.so_cache.hits.memory")
     return lib
@@ -401,7 +411,9 @@ def compile_native_function(c_source: str, want_openmp: bool,
     appended last so they win, and part of the artifact digest so flag
     changes never serve a stale ``.so``.
 
-    Single-flight: concurrent requests for the same digest coalesce onto
+    In process, the artifact is keyed on the compiler's path (no ``cc
+    --version``); the disk layer keys it on :func:`artifact_key`.
+    Single-flight: concurrent requests for the same key coalesce onto
     one toolchain invocation (see module docstring).  Raises on toolchain
     absence or compile failure — callers translate that into the Python
     fallback."""
@@ -413,21 +425,21 @@ def compile_native_function(c_source: str, want_openmp: bool,
     if use_omp:
         flags.append("-fopenmp")
     flags = tuple(flags + env_flags("REPRO_CFLAGS"))
-    digest = artifact_key(c_source, flags, cc)
+    key = _digest(c_source, flags, cc)
 
-    lib = _cached_so(digest)
+    lib = _cached_so(key)
     if lib is None:
         def build():
             # a leader elected just after the previous flight published
             # finds the library cached and does not load it twice
-            lib = _cached_so(digest)
+            lib = _cached_so(key)
             if lib is None:
-                lib = _build_and_load(cc, c_source, flags, digest, cache_mode)
+                lib = _build_and_load(cc, c_source, flags, key, cache_mode)
                 with _SO_LOCK:
-                    _SO_CACHE[digest] = lib
+                    _SO_CACHE[key] = lib
             return lib
 
-        lib, _shared = _FLIGHT.do(digest, build)
+        lib, _shared = _FLIGHT.do(key, build)
     return getattr(lib, symbol), use_omp
 
 

@@ -96,10 +96,9 @@ class BoundOp:
 
     def detached(self) -> "BoundOp":
         """The same entry point without ``kernel`` (a compiled kernel holds
-        its bindings, i.e. the matrix, strongly) and with its own
-        ``params``."""
+        its bindings, i.e. the matrix, strongly)."""
         return BoundOp(self.name, None, self.fn, self.mat_name, self._mat(),
-                       dict(self.params), self.backend_used)
+                       self.params, self.backend_used)
 
     def apply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """y = op(x) through the bound kernel (mvm / mvm_t)."""
@@ -110,9 +109,11 @@ class BoundOp:
         """Y = op(X) for a dense panel through the bound kernel (spmm /
         spmm_t).  The panel width ``k`` is the one parameter no binding
         can pin (dense operands are unbound), so it is taken from ``X``
-        per call."""
-        self.params["k"] = int(X.shape[1])
-        self.fn({self.mat_name: self._mat(), "X": X, "Y": Y}, self.params)
+        per call, into a mapping of the call's own: ``params`` is shared
+        by every caller of this op and of its :mod:`repro.blas.api`
+        handle."""
+        self.fn({self.mat_name: self._mat(), "X": X, "Y": Y},
+                {**self.params, "k": int(X.shape[1])})
         return Y
 
     def apply_solve(self, b: np.ndarray) -> np.ndarray:

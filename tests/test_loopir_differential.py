@@ -5,10 +5,13 @@ hand-wrote — one to three nested loops with affine bounds (ascending and
 descending, triangular), guards with ``%`` and ``//`` over negative
 operands, loads and stores on int32/int64 index arrays and float32/float64
 value arrays, a 2-D and a 0-D dense array, read-modify-write
-accumulations, indirect (scatter) addresses and the SpMM panel shape —
-execs the Python print, compiles the C print (so guard_absorb and
-register_tile run on programs they were not written for, under the
-``restrict`` signature), and requires ``np.array_equal`` on every array.
+accumulations, indirect (scatter) addresses, the SpMM panel shape and
+the row-reduction shape (fill, then one row's slots; signed-zero fills,
+empty and unequal rows) —
+execs the Python print, compiles the C print (so guard_absorb,
+register_tile and row_pair run on programs they were not written for,
+under the ``restrict`` signature), and requires ``np.array_equal`` on
+every array.
 
 Searches are loop IR too (:meth:`BaseEmitter.bisect` / ``scan``): a second
 strategy draws sorted index arrays, ranges and keys, builds the search
@@ -231,6 +234,37 @@ def panel(draw, prog, scope):
                 [prog.store("Y", (at, V(ff)), value)], ("ff",)), walk_]
 
 
+def row_reduction(draw, prog, scope):
+    """The body of a row loop over ``scope[-1]``: the fill of ``y[r]``,
+    then one loop over that row's slots accumulating into ``y[r]`` (the
+    CSR / ELL matvec shape row_pair rewrites), its bounds read from an
+    index array (any neighbour lengths, empty rows), affine (every row
+    as long as the next) or triangular (no two rows alike).  Mostly the
+    target is ``y[r]`` alone; otherwise a scatter, or an accumulation
+    that reads the target, which must stay as they are."""
+    r, jj, c = V(scope[-1]), prog.name("jj"), prog.name("c")
+    y = draw(st.sampled_from(["F64", "F64", "F32"]))
+    at = r
+    kind = draw(st.sampled_from(["ptr", "len", "affine", "triangle"]))
+    ind = draw(st.sampled_from(["I32", "I64"]))
+    lo, hi = {"ptr": (prog.load(ind, r), prog.load(ind, r + 1)),
+              "len": (ZERO, BinOp("//", prog.load(ind, r), C(2))),
+              "affine": (r, r + draw(st.integers(0, N))),
+              "triangle": (ZERO, r)}[kind]
+    e = BinOp("*", prog.load("G64", V(jj)), prog.load("X", V(c), C(1)))
+    shape = draw(st.sampled_from(["row"] * 4 + ["scatter", "reads"]))
+    if shape == "scatter":
+        at = prog.load(ind, r)
+    elif shape == "reads":
+        e = BinOp("+", e, prog.load(y, V(jj)))
+    fill = draw(st.sampled_from([Const(0.0), Const(-0.0), ZERO, Const(1.5),
+                                 prog.load("G64", r)]))
+    return [prog.store(y, (at,), fill), For(jj, lo, hi, 1, [
+        Assign(c, prog.load("I64", V(jj))),
+        prog.store(y, (at,), BinOp(draw(st.sampled_from("+-")),
+                                   prog.load(y, at), e))], (jj,))]
+
+
 def nest(draw, prog, scope, depth):
     v = prog.name("v")
     lo = draw(st.sampled_from([ZERO, C(1), V("p_a")] + [V(s) for s in scope]))
@@ -239,7 +273,9 @@ def nest(draw, prog, scope, depth):
     loop = counted(v, lo, hi, draw(st.booleans()), (v,))
     inner = scope + [v]
     body = loop.body
-    if depth > 1 and draw(st.booleans()):
+    if draw(st.integers(0, 3)) == 0:
+        body.extend(row_reduction(draw, prog, inner))
+    elif depth > 1 and draw(st.booleans()):
         if draw(st.booleans()):
             body.append(statement(draw, prog, inner))
         body.append(nest(draw, prog, inner, depth - 1))
@@ -311,10 +347,34 @@ def test_transforms_are_reached():
             "+", prog.load("Y", v, kk),
             BinOp("*", prog.load("G64", jj),
                   prog.load("X", V("c5"), kk))))], ("kk",))], ("jj",))
-    ir = prog.kernel([For("v1", ZERO, C(N), 1, [band, fill, spmm], ("v",))])
+    r = V("r7")
+    rows = For("r7", ZERO, C(N), 1, [
+        prog.store("F64", (r,), Const(0.0)),
+        For("jj8", prog.load("I32", r), prog.load("I32", r + 1), 1, [
+            prog.store("F64", (r,), BinOp("+", prog.load("F64", r),
+                                          prog.load("G64", V("jj8"))))],
+            ("jj",))], ("r",))
+    ir = prog.kernel([For("v1", ZERO, C(N), 1, [band, fill, spmm], ("v",)),
+                      rows])
     spec = lower_kernel(IRKernel(ir))
-    assert {"guard_absorb", "register_tile"} <= set(spec.transforms)
+    assert {"guard_absorb", "register_tile", "row_pair"} <= set(spec.transforms)
     check((ir, {"a": 0, "n": N, "k": K}, 7))
+
+
+def test_drawn_programs_reach_every_transform():
+    """...and the programs the wall draws reach all three."""
+    from repro.codegen.native import lower_kernel
+    from tests.conftest import IRKernel
+
+    fired = set()
+
+    @FAST
+    @given(programs())
+    def lower(case):
+        fired.update(lower_kernel(IRKernel(case[0])).transforms)
+
+    lower()
+    assert fired == {"guard_absorb", "register_tile", "row_pair"}
 
 
 # -- searches -----------------------------------------------------------------

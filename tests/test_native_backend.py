@@ -605,6 +605,53 @@ class TestArtifactCache:
         assert np.allclose(y, square @ x)
         be.reset_toolchain_cache()
 
+    #: a unit no other test compiles
+    UNIT = ("typedef __INT64_TYPE__ int64_t;\n"
+            "void kernel(int64_t n, double *y) {\n"
+            "    for (int64_t i = 0; i < n; i++) y[i] = 0.25 * i;\n"
+            "}\n")
+
+    def test_cold_memory_compile_runs_only_cc(self, monkeypatch):
+        """In process, a unit is keyed on the compiler's path: a cold
+        memory-mode request spawns the compiler and nothing else (no
+        ``cc --version``)."""
+        import subprocess
+
+        be.reset_toolchain_cache(scratch=True)
+        run, argvs = subprocess.run, []
+
+        def counted(argv, *args, **kwargs):
+            argvs.append(argv)
+            return run(argv, *args, **kwargs)
+
+        monkeypatch.setattr(be.subprocess, "run", counted)
+        be.compile_native_function(self.UNIT, want_openmp=False,
+                                   cache_mode="memory")
+        assert len(argvs) == 1 and argvs[0][0] == be.find_compiler()
+        be.reset_toolchain_cache()
+
+    def test_disk_digest_is_unchanged(self, monkeypatch, tmp_path):
+        """On disk an artifact is stored under sha256 of (source, flags,
+        first line of ``cc --version``), as it always was: a ``.so`` an
+        earlier version wrote still loads."""
+        import hashlib
+        import subprocess
+
+        from repro.util.env import env_flags
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        be.reset_toolchain_cache()
+        cc = be.find_compiler()
+        version = subprocess.run([cc, "--version"], capture_output=True,
+                                 text=True).stdout.splitlines()[0]
+        flags = tuple(be._CFLAGS + env_flags("REPRO_CFLAGS"))
+        blob = "\x1e".join([self.UNIT, repr(flags), version])
+        digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        be.compile_native_function(self.UNIT, want_openmp=False,
+                                   cache_mode="disk")
+        assert [p.name for p in tmp_path.rglob("*.so")] == [digest + ".so"]
+        be.reset_toolchain_cache()
+
     def test_memory_layer_hit(self, square):
         kc, _ = self._compile_c(square, "off")
         assert kc.backend_used != "python"

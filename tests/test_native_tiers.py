@@ -106,9 +106,16 @@ class TestTiledByteIdentity:
             assert "restrict" in spec.c_source
             assert "#pragma omp simd" not in spec.c_source
         assert len({spec.c_source for spec in specs}) == 1
-        csr = as_format(banded(N, bandwidth=3, seed=2), "csr")
-        plain = _compile("mvm", "A", csr, backend="c").native().spec
+        csc = as_format(banded(N, bandwidth=3, seed=2), "csc")
+        plain = _compile("mvm", "A", csc, backend="c").native().spec
         assert plain.transforms == [] and "restrict" in plain.c_source
+        # a kernel whose rows run in pairs is the one printed at -O1
+        csr = as_format(banded(N, bandwidth=3, seed=2), "csr")
+        paired = _compile("mvm", "A", csr, backend="c").native().spec
+        assert paired.transforms == ["row_pair"]
+        o1 = '__attribute__((optimize("O1")))\nvoid kernel('
+        assert o1 in paired.c_source
+        assert "optimize" not in specs[0].c_source + plain.c_source
 
     def test_opt_is_an_echo(self):
         """``opt="tiled"`` after ``opt="none"``: no second ``cc``, and

@@ -564,6 +564,27 @@ class TestMatmatEmptyPanel:
         assert ctx.matmat(np.zeros((25, 0)), buf) is buf
 
 
+def test_panel_width_is_per_call(spd, spd_dense):
+    """Two panels of different widths through one bound ``spmm``, the
+    second entering while the first is being dispatched (as a second
+    thread would): each call runs its own ``k``."""
+    b = _ctx(spd, ops=("spmm",)).bound("spmm")
+    fn, seen = b.fn, []
+    X3, X5 = (np.random.default_rng(k).random((25, k)) for k in (3, 5))
+    Y3, Y5 = np.zeros((25, 3)), np.zeros((25, 5))
+
+    def reentering(arrays, params):
+        if not seen:
+            seen.append(True)
+            b.apply_mm(X5, Y5)
+        fn(arrays, params)
+
+    b.fn = reentering
+    b.apply_mm(X3, Y3)
+    assert np.allclose(Y5, spd_dense @ X5)
+    assert np.allclose(Y3, spd_dense @ X3)
+
+
 class TestNormalProducts:
     def test_normal_ata_cached(self, spd, spd_dense):
         ctx = _ctx(spd, ops=("mvm",))
