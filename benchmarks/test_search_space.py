@@ -3,8 +3,8 @@
 The paper counts the raw space for the running example — four groups of 7!
 product spaces — and argues the heuristics make the search manageable.
 This bench reports, per kernel/format: candidates generated, legal,
-lowered, with the Section 4.3 same-path heuristic on and off, and times
-the whole compilation."""
+lowered and the distinct plans they lowered to, with the Section 4.3
+same-path heuristic on and off, and times the whole compilation."""
 
 import pytest
 
@@ -38,16 +38,18 @@ def test_search_space_table(capsys):
             prog, {arr: fmt}, deps, same_matrix_same_path=False))
         k = compile_kernel(prog, {arr: fmt})
         s = k.result.stats
-        rows.append((name, fmt.format_name, full, pruned, s.legal, s.lowered))
+        rows.append((name, fmt.format_name, full, pruned, s.legal, s.lowered,
+                     s.distinct))
     with capsys.disabled():
         print("\n== search space (paper Sections 4.2-4.3) ==")
         print(f"{'kernel':10s} {'format':7s} {'full':>6s} {'heuristic':>10s} "
-              f"{'legal':>6s} {'lowered':>8s}")
+              f"{'legal':>6s} {'lowered':>8s} {'distinct':>9s}")
         for r in rows:
-            print(f"{r[0]:10s} {r[1]:7s} {r[2]:6d} {r[3]:10d} {r[4]:6d} {r[5]:8d}")
-    for name, fmtn, full, pruned, legal, lowered in rows:
+            print(f"{r[0]:10s} {r[1]:7s} {r[2]:6d} {r[3]:10d} {r[4]:6d} {r[5]:8d} "
+                  f"{r[6]:9d}")
+    for name, fmtn, full, pruned, legal, lowered, distinct in rows:
         assert pruned <= full
-        assert lowered >= 1
+        assert lowered >= distinct >= 1
 
 
 @pytest.mark.parametrize("fmt_name", ["csr", "jad", "msr"])

@@ -83,13 +83,19 @@ def _pair_system(
     dst_idx,
     level: Optional[int],
     assumptions: System,
+    domains: Dict[Tuple[StatementContext, str], Tuple[Constraint, ...]],
 ) -> System:
-    """Build the dependence polyhedron for one precedence case."""
+    """Build the dependence polyhedron for one precedence case.
+    ``domains`` keeps each statement's role-renamed domain for the
+    caller's other cases."""
     smap = _role_map(src, SRC)
     dmap = _role_map(dst, DST)
     cons: List[Constraint] = []
-    cons.extend(src.domain().rename({f"{src.name}.{v}": smap[v] for v in src.vars}).constraints)
-    cons.extend(dst.domain().rename({f"{dst.name}.{v}": dmap[v] for v in dst.vars}).constraints)
+    for ctx, role, rmap in ((src, SRC, smap), (dst, DST, dmap)):
+        if (ctx, role) not in domains:
+            domains[ctx, role] = ctx.domain().rename(
+                {ctx.qualified(v): rmap[v] for v in ctx.vars}).constraints
+        cons.extend(domains[ctx, role])
     cons.extend(assumptions.constraints)
 
     # same array element
@@ -128,6 +134,7 @@ def dependences(program: Program, prune_infeasible: bool = True,
     out: List[DependenceClass] = []
     seen_sigs = set()
     assumptions = program.assumptions
+    domains: Dict = {}
 
     for a in accs:
         for b in accs:
@@ -145,7 +152,8 @@ def dependences(program: Program, prune_infeasible: bool = True,
             c = src_ctx.common_depth(dst_ctx)
             # strictly-earlier at each shared level
             for level in range(c):
-                sys_ = _pair_system(src_ctx, dst_ctx, a.indices, b.indices, level, assumptions)
+                sys_ = _pair_system(src_ctx, dst_ctx, a.indices, b.indices, level,
+                                    assumptions, domains)
                 if prune_infeasible and not is_feasible(sys_):
                     continue
                 if dedup:
@@ -164,7 +172,8 @@ def dependences(program: Program, prune_infeasible: bool = True,
                 # read-then-write of an update and imposes no extra constraint.
                 continue
             if src_ctx.precedes_syntactically(dst_ctx, c):
-                sys_ = _pair_system(src_ctx, dst_ctx, a.indices, b.indices, None, assumptions)
+                sys_ = _pair_system(src_ctx, dst_ctx, a.indices, b.indices, None,
+                                    assumptions, domains)
                 if prune_infeasible and not is_feasible(sys_):
                     continue
                 if dedup:

@@ -201,6 +201,13 @@ class CacheEntry:
         # aligned with current ranked positions — identical to ids 0..n-1
         self.__dict__.setdefault("ids", list(range(len(self.ranked))))
         self.__dict__.setdefault("irs", {})
+        # entries pickled before the search kept each plan once: their
+        # ranking may hold one plan several times, and it replays as is
+        self.search_stats.__dict__.setdefault("distinct", len(
+            {plan.pretty() for _cost, _cand, plan in self.ranked}))
+        for _cost, cand, _plan in self.ranked:
+            if not hasattr(cand, "twins"):
+                cand.twins = []
 
 
 def _load_entry(f) -> Optional[CacheEntry]:

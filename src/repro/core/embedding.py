@@ -121,17 +121,23 @@ def pair_polyhedron(dep: DependenceClass, src_copy: StmtCopy, dst_copy: StmtCopy
     return sys_
 
 
-def pair_deltas(emb: SpaceEmbedding, src_copy: StmtCopy, dst_copy: StmtCopy) -> List[LinExpr]:
-    """The expanded delta vector (placement, value per dim, final static)."""
+def _dim_deltas(src_embs: Sequence[DimEmbedding],
+                dst_embs: Sequence[DimEmbedding]) -> List[LinExpr]:
+    """(placement, value) delta components, one pair per dimension given."""
     deltas: List[LinExpr] = []
-    src_embs = emb.per_copy[src_copy.label]
-    dst_embs = emb.per_copy[dst_copy.label]
     for es, ed in zip(src_embs, dst_embs):
         deltas.append(LinExpr.constant(ed.placement - es.placement))
         if es.placement == AT and ed.placement == AT:
             deltas.append(_prefix_expr(ed.value, DST) - _prefix_expr(es.value, SRC))
         else:
             deltas.append(LinExpr.constant(0))
+    return deltas
+
+
+def pair_deltas(emb: SpaceEmbedding, src_copy: StmtCopy, dst_copy: StmtCopy) -> List[LinExpr]:
+    """The expanded delta vector (placement, value per dim, final static)."""
+    deltas = _dim_deltas(emb.per_copy[src_copy.label],
+                         emb.per_copy[dst_copy.label])
     deltas.append(LinExpr.constant(
         emb.copy_order[dst_copy.label] - emb.copy_order[src_copy.label]
     ))
@@ -342,6 +348,45 @@ def analyze_order(
     for k in need_dec:
         directions[k] = DEC
     return OrderAnalysis(True, directions)
+
+
+def prefix_legal(
+    space: ProductSpace,
+    per_copy: Mapping[str, Sequence[Optional[DimEmbedding]]],
+    upto: int,
+    deps: Sequence[DependenceClass],
+    facts,
+) -> bool:
+    """Could an embedding that starts with ``per_copy[label][:upto]`` for
+    every copy be legal?  False when a dependent pair's walk already meets
+    a negative placement component in those dimensions, or the directions
+    they require conflict: :func:`analyze_order` walks the same components
+    first and its direction sets only grow past them.  The walk is cut
+    with a positive constant in place of the rest, so a pair the prefix
+    does not decide counts as satisfied."""
+    pair_results = facts.pair_results
+    ndims = len(space.dims)
+    need_inc: Set[int] = set()
+    need_dec: Set[int] = set()
+    for di, dep in enumerate(deps):
+        if _is_relaxed(dep):
+            continue
+        for src_copy, dst_copy in _relevant_pairs(space, dep):
+            src = per_copy[src_copy.label][:upto]
+            dst = per_copy[dst_copy.label][:upto]
+            key = ("prefix", di, src_copy.label, dst_copy.label,
+                   _emb_signature(src), _emb_signature(dst))
+            hit = pair_results.get(key)
+            if hit is None:
+                deltas = _dim_deltas(src, dst) + [LinExpr.constant(1)]
+                hit = pair_results[key] = _analyze_pair_core(
+                    facts.pair(dep, src_copy, dst_copy), deltas, ndims)
+            legal, inc, dec, _reason = hit
+            if not legal:
+                return False
+            need_inc |= inc
+            need_dec |= dec
+    return not need_inc & need_dec
 
 
 def check_legality(

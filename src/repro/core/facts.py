@@ -40,7 +40,7 @@ class SearchFacts:
     :func:`repro.core.embedding.analyze_order`."""
 
     __slots__ = ("params", "pair_results", "_relation", "_guards", "_tracker",
-                 "_instances", "_range", "_bounds", "_pair")
+                 "_instances", "_range", "_bounds", "_pair", "_determined")
 
     def __init__(self, param_values: Optional[Mapping[str, int]] = None):
         self.params = {p: LinExpr.constant(v)
@@ -53,6 +53,7 @@ class SearchFacts:
         self._range: Dict[Tuple[StmtCopy, LinExpr], Tuple] = {}
         self._bounds: Dict[StmtCopy, Dict[str, Tuple[LinExpr, LinExpr]]] = {}
         self._pair: Dict[Tuple, System] = {}
+        self._determined: Dict[Tuple, bool] = {}
 
     def relation(self, copy: StmtCopy) -> System:
         """The copy's domain and reference relations (:meth:`StmtCopy.relation`)."""
@@ -83,6 +84,19 @@ class SearchFacts:
             tracker = self._tracker[copy] = DeterminacyTracker(
                 copy, self.relation(copy))
         return tracker
+
+    def determined(self, copy: StmtCopy, pins: Tuple[LinExpr, ...],
+                   expr: LinExpr) -> bool:
+        """Whether the copy's tracker, pinned at ``pins``, determines
+        ``expr``."""
+        key = (copy, pins, expr)
+        hit = self._determined.get(key)
+        if hit is None:
+            tracker = self.tracker(copy).clone()
+            for pin in pins:
+                tracker.pin(pin)
+            hit = self._determined[key] = tracker.is_determined(expr)
+        return hit
 
     def var_bounds(self, copy: StmtCopy) -> Dict[str, Tuple[LinExpr, LinExpr]]:
         """:func:`repro.core.spaces.copy_var_bounds` of the copy."""

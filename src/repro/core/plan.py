@@ -277,40 +277,46 @@ class Plan:
                     visit(n.body, inner)
 
         visit(self.nodes, [])
+        # ``visit`` calls itself through its cell, a cycle that holds this
+        # plan (and its matrices) until the collector runs: empty the cell
+        del visit
 
     def pretty(self) -> str:
         """Render as data-centric pseudocode in the style of paper
         Figures 5 and 8."""
         out: List[str] = []
-
-        def walk(nodes: Sequence[PlanNode], depth: int):
-            pad = "    " * depth
-            for n in nodes:
-                if isinstance(n, LoopNode):
-                    if n.before:
-                        out.append(f"{pad}# before the {','.join(n.dim_names)} "
-                                   f"enumeration:")
-                        walk(n.before, depth)
-                    names = ",".join(n.dim_names)
-                    out.append(f"{pad}for ({names}) = {n.method!r}:")
-                    for role in n.roles:
-                        if role.role != DRIVER:
-                            out.append(f"{pad}    [{role.role} {role.ref!r}]")
-                    walk(n.body, depth + 1)
-                    if n.after:
-                        out.append(f"{pad}# after the {','.join(n.dim_names)} "
-                                   f"enumeration:")
-                        walk(n.after, depth)
-                elif isinstance(n, VarLoopNode):
-                    d = " downto" if n.reverse else ""
-                    out.append(f"{pad}for {n.dim_name} in [{n.lo!r}, {n.hi!r}){d}:")
-                    walk(n.body, depth + 1)
-                elif isinstance(n, ExecNode):
-                    g = f" if {n.guards}" if n.guards else ""
-                    out.append(f"{pad}execute {n.copy.label}{g}")
-
-        walk(self.nodes, 0)
+        _pretty(self.nodes, 0, out)
         return "\n".join(out)
+
+
+def _pretty(nodes: Sequence[PlanNode], depth: int, out: List[str]) -> None:
+    """:meth:`Plan.pretty`'s lines for ``nodes``, appended to ``out`` (a
+    module function: a nested recursive one would leave a reference cycle
+    per call, and a search prints every plan it lowers)."""
+    pad = "    " * depth
+    for n in nodes:
+        if isinstance(n, LoopNode):
+            if n.before:
+                out.append(f"{pad}# before the {','.join(n.dim_names)} "
+                           f"enumeration:")
+                _pretty(n.before, depth, out)
+            names = ",".join(n.dim_names)
+            out.append(f"{pad}for ({names}) = {n.method!r}:")
+            for role in n.roles:
+                if role.role != DRIVER:
+                    out.append(f"{pad}    [{role.role} {role.ref!r}]")
+            _pretty(n.body, depth + 1, out)
+            if n.after:
+                out.append(f"{pad}# after the {','.join(n.dim_names)} "
+                           f"enumeration:")
+                _pretty(n.after, depth, out)
+        elif isinstance(n, VarLoopNode):
+            d = " downto" if n.reverse else ""
+            out.append(f"{pad}for {n.dim_name} in [{n.lo!r}, {n.hi!r}){d}:")
+            _pretty(n.body, depth + 1, out)
+        elif isinstance(n, ExecNode):
+            g = f" if {n.guards}" if n.guards else ""
+            out.append(f"{pad}execute {n.copy.label}{g}")
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,19 @@ def _affine(e, keys) -> np.ndarray:
     return out
 
 
+def _coordinate(arrays, coord, states) -> np.ndarray:
+    """The keys at ``states`` on one axis of a ``Coords`` level whose
+    runtime holds ``arrays``."""
+    if not isinstance(coord, Perm):
+        return arrays[coord][states]
+    ptr, k = arrays[coord.stored.ptr], _array(states)
+    if isinstance(states, slice):       # consecutive slots: by segment
+        segment = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))[states]
+    else:
+        segment = np.searchsorted(ptr, k, "right") - 1
+    return arrays[coord.forward][k - ptr[segment]]
+
+
 class LevelRuntime:
     """The runtime of one access path, read from its storage declaration
     (:mod:`repro.formats.levels`): every level is resolved once, here —
@@ -245,8 +258,9 @@ class LevelRuntime:
             if isinstance(level, Perm):
                 perm = self._arrays[level.forward]
                 return whole, lambda states, prefix: [perm[states]]
+            arrays = self._arrays       # not self: no cycle keeps them alive
             return whole, lambda states, prefix: [
-                self._coordinate(c, states) for c in level.inds]
+                _coordinate(arrays, c, states) for c in level.inds]
         ind = self._arrays[level.ind]
         if isinstance(level, Compressed):
             ptr = self._arrays[level.ptr]
@@ -313,17 +327,6 @@ class LevelRuntime:
             return find
         return lambda prefix, keys: (None if keys[0] == prefix[-1]
                                      else find(prefix, keys))
-
-    def _coordinate(self, coord, states) -> np.ndarray:
-        """The keys at ``states`` on one axis of a ``Coords`` level."""
-        if not isinstance(coord, Perm):
-            return self._arrays[coord][states]
-        ptr, k = self._arrays[coord.stored.ptr], _array(states)
-        if isinstance(states, slice):       # consecutive slots: by segment
-            segment = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))[states]
-        else:
-            segment = np.searchsorted(ptr, k, "right") - 1
-        return self._arrays[coord.forward][k - ptr[segment]]
 
     def _expand(self, every: bool = False):
         """Every prefix at once: per step, the ``(key, state)`` pairs it

@@ -1,6 +1,6 @@
 """Search driver: generate candidates, filter by legality, lower to plans,
-rank by estimated cost, keep the best (paper Section 4.2's
-enumerate-estimate-select, with the Section 4.3 heuristics inside the
+keep each plan once, rank by estimated cost, keep the best (paper Section
+4.2's enumerate-estimate-select, with the Section 4.3 heuristics inside the
 generator)."""
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from repro.search.candidates import Candidate, generate_candidates
 class SearchStats:
     """Bookkeeping the benchmarks report (search-space table).
 
-    Beyond the candidate funnel (generated → legal → lowered) this carries
+    Beyond the candidate funnel (generated → legal → lowered → distinct
+    plans) this carries
     the per-search instrumentation deltas: phase timings (seconds) and the
     Fourier–Motzkin / pair-memo counter movement attributable to this
     search, plus cache provenance (``from_cache``/``reranked``) filled in
@@ -31,6 +32,7 @@ class SearchStats:
         self.generated = 0
         self.legal = 0
         self.lowered = 0
+        self.distinct = 0
         self.costs: List[float] = []
         self.timings: Dict[str, float] = {}
         self.fm_eliminations = 0
@@ -43,6 +45,7 @@ class SearchStats:
         out.generated = self.generated
         out.legal = self.legal
         out.lowered = self.lowered
+        out.distinct = self.distinct
         out.costs = list(self.costs)
         out.timings = dict(self.timings)
         out.fm_eliminations = self.fm_eliminations
@@ -54,7 +57,7 @@ class SearchStats:
     def __repr__(self):
         extra = ", from_cache=True" if self.from_cache else ""
         return (f"SearchStats(generated={self.generated}, legal={self.legal}, "
-                f"lowered={self.lowered}{extra})")
+                f"lowered={self.lowered}, distinct={self.distinct}{extra})")
 
 
 class SearchResult:
@@ -64,7 +67,7 @@ class SearchResult:
         self.cost = cost
         self.candidate = candidate
         self.stats = stats
-        self.ranked = ranked  # every lowered plan, best first
+        self.ranked = ranked  # every distinct lowered plan, best first
 
 
 def search(
@@ -85,6 +88,12 @@ def search(
     ranges, loop bounds and pair polyhedra) is built once, in a
     :class:`~repro.core.facts.SearchFacts` table that lives as long as this
     call.
+
+    Candidates whose plans print alike are one plan: it is costed and
+    ranked once, under its first candidate, whose ``twins`` list the
+    others.  The cost model reads only what ``Plan.pretty()`` prints and
+    the number of binds, so such plans cost alike under any statistics and
+    a re-rank loses nothing by keeping one.
     """
     # thread-local deltas: concurrent searches in sibling threads
     # (compile_many) must not pollute this search's attribution
@@ -96,6 +105,8 @@ def search(
         stats = SearchStats()
         lowered: List[Tuple[float, Candidate, Plan]] = []
         facts = SearchFacts(param_values)
+        # plan text -> the first candidate that lowered to it
+        firsts: Dict[str, Candidate] = {}
 
         for cand in generate_candidates(program, bindings, deps,
                                         max_orders=max_orders, facts=facts):
@@ -110,10 +121,15 @@ def search(
             try:
                 with INSTR.phase("search.lowering"):
                     plan = build_plan(cand.space, cand.emb, order, facts)
+                    first = firsts.setdefault(plan.pretty(), cand)
             except PlanError:
                 continue
             stats.lowered += 1
             INSTR.count("search.candidates.lowered")
+            if first is not cand:
+                first.twins.append(cand.descr)
+                continue
+            stats.distinct += 1
             with INSTR.phase("search.costing"):
                 cost = plan_cost(plan, param_values)
             stats.costs.append(cost)

@@ -325,6 +325,47 @@ class TestDiskLayer:
         k({"A": A, "x": x, "y": y}, {"m": 8, "n": 8})
         np.testing.assert_allclose(y, A.to_dense() @ x)
 
+    def test_entry_holding_a_plan_twice_replays(self, tmp_path, monkeypatch):
+        """A disk entry written while the search still lowered every
+        candidate (``tests/golden/duplicate_plans_disk_cache``, pickled at
+        the parent commit by this very request: three ranked plans, two of
+        them one plan) is found under the same key, replays the winner a
+        fresh search picks, and re-ranks for shifted statistics as a fresh
+        search ranks."""
+        import pickle
+        import shutil
+        from pathlib import Path
+
+        A = _csr()
+        key = structural_signature(mvm(), {"A": A}, {"m": 8, "n": 6}, "best", 12, True)
+        fixture = Path(__file__).parent / "golden" / "duplicate_plans_disk_cache" / f"{key}.pkl"
+        assert fixture.exists(), "the structural key moved"
+        try:
+            pickle.loads(fixture.read_bytes())
+        except ModuleNotFoundError as e:       # numpy's array pickles name its internals
+            pytest.skip(f"fixture needs the numpy that pickled it: {e}")
+        shutil.copy(fixture, tmp_path)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+
+        k, gen = _generated_delta(
+            lambda: compile_kernel(mvm(), {"A": A}, cache="disk", backend="python"))
+        assert gen == 0
+        entry = COMPILE_CACHE.get(key)
+        texts = [plan.pretty() for _c, _cand, plan in entry.ranked]
+        assert len(texts) == 3 and len(set(texts)) == 2
+        fresh = compile_kernel(mvm(), {"A": A}, cache="off", backend="python")
+        assert len(fresh.result.ranked) == 2
+        assert k.source == fresh.source and k.cost == fresh.cost
+
+        shifted = _csr(density=0.9, seed=2)
+        k2, gen = _generated_delta(
+            lambda: compile_kernel(mvm(), {"A": shifted}, cache="disk", backend="python"))
+        assert gen == 0 and k2.result.stats.reranked
+        fresh = compile_kernel(mvm(), {"A": shifted}, cache="off", backend="python")
+        assert k2.plan.pretty() == fresh.plan.pretty()
+        assert k2.cost == pytest.approx(fresh.cost)
+        assert k2.result.stats.distinct == 2
+
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         A = _csr()

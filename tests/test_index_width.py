@@ -230,10 +230,10 @@ N = 12                             # even: BSR block_size=2 tiles exactly
 K = 5                              # dense panel width of the spmm pairs
 KERNELS = ("mvm", "mvm_t", "ts_lower", "ts_upper", "spmm", "spmm_t", "spgemm")
 
-#: pairs whose plan search alone takes 3-5 s (SYM's union under the panel
-#: and transposed kernels: 7776 candidates, 2916 plans each); every other
-#: pair, spgemm/msr's 46 656-candidate search included, stays in the wall
-SLOW_SEARCH = {("spmm", "sym"), ("spmm_t", "sym"), ("mvm_t", "sym")}
+#: the pairs with no legal plan: DIA walks diagonals outermost, and a
+#: triangular solve needs them in both orders (b[2]'s division must follow
+#: diagonal 2 and precede diagonal 1, b[1]'s the other way round)
+NO_PLAN = {("ts_lower", "dia"), ("ts_upper", "dia")}
 
 
 def _int_matrix(seed, kind):
@@ -291,8 +291,6 @@ def _run(kernel, bindings, dense, params, out, **kwargs):
 @pytest.mark.parametrize("fmt", SPARSE)
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_pair_is_width_blind(kernel, fmt):
-    if (kernel, fmt) in SLOW_SEARCH:
-        pytest.skip("plan search too slow for the tier-1 budget")
     name, a, dense, params, out, ref = _case(kernel, fmt)
     kwargs = {"block_size": 2} if fmt == "bsr" else {}
     try:
@@ -314,6 +312,8 @@ def test_pair_is_width_blind(kernel, fmt):
             try:
                 k, got = _run(kernel, bindings, dense, params, out, **kw)
             except PlanError as e:
+                if (kernel, fmt) not in NO_PLAN:
+                    raise
                 pytest.skip(f"no legal plan for {kernel} on {fmt}: {e}")
             results[np.dtype(width).name, label] = got
             if label != "python" and fmt == "sym" and be.find_compiler():

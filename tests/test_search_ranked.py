@@ -2,14 +2,23 @@
 
 ``tests/golden/search_determinism.json`` pins each pair's winner.  The
 compilation cache keeps more than the winner: ``CacheEntry.ranked`` holds
-every lowered plan and is re-ranked when a new matrix shifts the
+every distinct plan and is re-ranked when a new matrix shifts the
 statistics, so a plan that lost today can be served tomorrow.  This file
 pins that list for the same pairs: for each ranked plan, in order, the
-candidate's description, its cost and the sha1 of ``Plan.pretty()``, plus
-the search's candidate funnel.
+first candidate's description, its cost, the sha1 of ``Plan.pretty()`` and
+the descriptions of the later candidates that lowered to the same plan,
+plus the search's candidate funnel (generated, legal, lowered, distinct).
 
 Re-record (only when a change is *meant* to alter the ranking) with
 ``PYTHONPATH=src python tests/test_search_ranked.py``.
+
+The file was re-recorded once on purpose, when the search stopped
+offering placements that repeat a plan and started keeping each plan once.
+``search_ranked.pr36.json`` is the file before that, when ``ranked`` held
+every lowered candidate, and :func:`test_only_the_duplicates_left_since_pr36`
+pins the difference: the new list is the old one with every repeat of a
+(cost, plan) removed, first occurrences kept in order, and the twins of a
+plan are among the old list's repeats of it.
 """
 
 from __future__ import annotations
@@ -26,6 +35,8 @@ from repro.search import search
 from tests.test_search_golden import PAIRS, _bindings
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "search_ranked.json")
+GOLDEN_PR36 = os.path.join(os.path.dirname(__file__), "golden",
+                           "search_ranked.pr36.json")
 
 
 def ranked_record(kernel: str, fmt: str) -> dict:
@@ -36,21 +47,23 @@ def ranked_record(kernel: str, fmt: str) -> dict:
                     infer_param_values(program, bindings))
     stats = result.stats
     return {
-        "funnel": [stats.generated, stats.legal, stats.lowered],
+        "funnel": [stats.generated, stats.legal, stats.lowered, stats.distinct],
         "ranked": [[cand.descr, repr(float(cost)),
-                    hashlib.sha1(plan.pretty().encode()).hexdigest()]
+                    hashlib.sha1(plan.pretty().encode()).hexdigest(),
+                    list(cand.twins)]
                    for cost, cand, plan in result.ranked],
     }
 
 
-def _load() -> dict:
-    if not os.path.exists(GOLDEN):      # being recorded right now
+def _load(path: str) -> dict:
+    if not os.path.exists(path):        # being recorded right now
         return {}
-    with open(GOLDEN) as f:
+    with open(path) as f:
         return json.load(f)
 
 
-_GOLDEN = _load()
+_GOLDEN = _load(GOLDEN)
+_PR36 = _load(GOLDEN_PR36)
 
 
 @pytest.mark.parametrize("kernel,fmt", PAIRS, ids=lambda p: str(p))
@@ -61,6 +74,42 @@ def test_ranking_matches_golden(kernel, fmt):
     assert len(got["ranked"]) == len(want["ranked"])
     for i, (g, w) in enumerate(zip(got["ranked"], want["ranked"])):
         assert g == w, f"ranked[{i}]"
+
+
+@pytest.mark.parametrize("kernel,fmt", PAIRS, ids=lambda p: str(p))
+def test_only_the_duplicates_left_since_pr36(kernel, fmt):
+    new, old = _GOLDEN[f"{kernel}.{fmt}"], _PR36[f"{kernel}.{fmt}"]
+    repeats: dict = {}
+    kept = []
+    for descr, cost, sha1 in old["ranked"]:
+        if (cost, sha1) in repeats:
+            repeats[cost, sha1].append(descr)
+        else:
+            repeats[cost, sha1] = []
+            kept.append([descr, cost, sha1])
+    assert [entry[:3] for entry in new["ranked"]] == kept
+    for descr, cost, sha1, twins in new["ranked"]:
+        assert set(twins) <= set(repeats[cost, sha1]), descr
+    # the candidates the search no longer offers were repeats or illegal
+    generated, legal, lowered, distinct = new["funnel"]
+    assert distinct == len(kept) and lowered == distinct + sum(
+        len(entry[3]) for entry in new["ranked"])
+    assert generated <= old["funnel"][0] and lowered <= old["funnel"][2]
+
+
+def test_the_sym_search_stays_small():
+    """A clock-free guard on the search's size.  ``mvm`` on SYM is the
+    widest built-in search: 7776 candidates lowered 2916 times into 45
+    plans before placements that repeat a plan stopped being offered."""
+    import repro
+    from repro.formats.generate import can_1072_like
+
+    program = ALL_KERNELS["mvm"]()
+    bindings = {"A": repro.as_format(can_1072_like(seed=1072), "sym")}
+    stats = search(program, bindings, None,
+                   infer_param_values(program, bindings)).stats
+    assert stats.generated <= 150
+    assert stats.distinct == 45
 
 
 if __name__ == "__main__":

@@ -53,7 +53,7 @@ def test_search_leaves_no_cyclic_garbage(kernel, fmt):
 
 
 def test_each_fact_is_built_once(monkeypatch):
-    """One ``spgemm/csr`` search: 216 candidates over one path choice, so
+    """One ``spgemm/csr`` search: 24 candidates over one path choice, so
     one set of copies."""
     polyhedra, relations, trackers = Counter(), Counter(), Counter()
     pair_polyhedron = embedding.pair_polyhedron
@@ -77,7 +77,7 @@ def test_each_fact_is_built_once(monkeypatch):
     monkeypatch.setattr(DeterminacyTracker, "__init__", counted_tracker)
     result = _search("spgemm", _bindings("spgemm", "csr"))
 
-    assert result.stats.generated == 216
+    assert result.stats.generated == 24
     copies = {id(c) for c in result.plan.space.copies}
     assert polyhedra and set(polyhedra.values()) == {1}
     assert {k[1] for k in polyhedra} | {k[2] for k in polyhedra} <= copies
@@ -140,15 +140,43 @@ def test_copies_die_with_the_search_result(weak_copies):
 
 
 def test_copies_die_with_a_search_that_finds_no_plan(weak_copies):
-    """``ts_upper`` on MSR has candidates but no legal one: no plan is
+    """``ts_upper`` on DIA has a candidate but no legal one: no plan is
     returned, so nothing may keep a copy alive."""
-    upper = as_format(upper_triangular_of(can_1072_like(seed=1072)), "msr")
+    upper = as_format(upper_triangular_of(can_1072_like(seed=1072)), "dia")
     upper.annotate_triangular("upper")
     try:
         _search("ts_upper", {"U": upper})
     except PlanError:
         pass
     else:
-        pytest.fail("ts_upper on MSR found a plan")
+        pytest.fail("ts_upper on DIA found a plan")
     assert weak_copies
     assert [r() for r in weak_copies] == [None] * len(weak_copies)
+
+
+def test_a_kernel_and_its_matrix_die_without_the_collector():
+    """A compiled kernel's plan and the matrix it was bound on are freed
+    with their last reference, not at the next full collection: a cold
+    DIA request on ``can_1072`` holds 16 MiB of diagonals.  Guard
+    simplification's recursive walk and a ``Coords`` level's runtime were
+    reference cycles over them."""
+    import repro
+
+    program = ALL_KERNELS["mvm"]()
+    repro.compile_kernel(program, _bindings("mvm", "dia"), backend="python",
+                         cache="off")                 # first-use imports
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        bindings = _bindings("mvm", "dia")
+        kernel = repro.compile_kernel(program, bindings, backend="python",
+                                      cache="off")
+        del kernel, bindings
+        gc.collect()
+        kinds = {type(o).__name__ for o in gc.garbage}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert not kinds & {"Plan", "LevelRuntime", "DiaMatrix"}
