@@ -130,48 +130,10 @@ class PySourceGenerator:
     # -- collection ------------------------------------------------------
     def _collect_params(self) -> Set[str]:
         names: Set[str] = set()
-
-        def scan_lin(e: LinExpr):
-            for v in e.variables():
-                if "." not in v:
-                    names.add(v)
-
         for eqs in self.relations.values():
             for e in eqs:
-                scan_lin(e)
-
-        def scan_nodes(nodes):
-            for n in nodes:
-                if isinstance(n, LoopNode):
-                    for b in n.binds:
-                        scan_lin(b.expr)
-                    if isinstance(n.method, SearchEnum):
-                        for e in n.method.key_exprs:
-                            scan_lin(e)
-                    scan_nodes(n.before)
-                    scan_nodes(n.body)
-                    scan_nodes(n.after)
-                elif isinstance(n, VarLoopNode):
-                    scan_lin(n.lo)
-                    scan_lin(n.hi)
-                    for b in n.binds:
-                        scan_lin(b.expr)
-                    scan_nodes(n.body)
-                elif isinstance(n, ExecNode):
-                    for g in n.guards:
-                        scan_lin(g)
-                    # statement index expressions use *local* loop-variable
-                    # names; qualify them first so only true parameters
-                    # (unqualified after renaming) are collected
-                    qmap = n.copy.qual_map()
-                    for i in n.copy.ctx.stmt.lhs.indices:
-                        scan_lin(i.rename(qmap).lin)
-                    for r in n.copy.ctx.stmt.reads():
-                        for i in r.indices:
-                            scan_lin(i.rename(qmap).lin)
-                    _scan_vparams(n.copy.ctx.stmt.rhs, names)
-
-        scan_nodes(self.plan.nodes)
+                _scan_lin(e, names)
+        _scan_nodes(self.plan.nodes, names)
         return names
 
     def _collect_dense_arrays(self) -> Dict[str, int]:
@@ -514,6 +476,47 @@ class PySourceGenerator:
             if r is target:
                 return ordinal
         return None
+
+
+def _scan_lin(e: LinExpr, names: Set[str]) -> None:
+    """Add the unqualified (parameter) variables of ``e`` to ``names``."""
+    for v in e.variables():
+        if "." not in v:
+            names.add(v)
+
+
+def _scan_nodes(nodes, names: Set[str]) -> None:
+    """Add the parameters the plan ``nodes`` read to ``names`` (a module
+    function: a nested recursive one leaves a reference cycle per call)."""
+    for n in nodes:
+        if isinstance(n, LoopNode):
+            for b in n.binds:
+                _scan_lin(b.expr, names)
+            if isinstance(n.method, SearchEnum):
+                for e in n.method.key_exprs:
+                    _scan_lin(e, names)
+            _scan_nodes(n.before, names)
+            _scan_nodes(n.body, names)
+            _scan_nodes(n.after, names)
+        elif isinstance(n, VarLoopNode):
+            _scan_lin(n.lo, names)
+            _scan_lin(n.hi, names)
+            for b in n.binds:
+                _scan_lin(b.expr, names)
+            _scan_nodes(n.body, names)
+        elif isinstance(n, ExecNode):
+            for g in n.guards:
+                _scan_lin(g, names)
+            # statement index expressions use *local* loop-variable
+            # names; qualify them first so only true parameters
+            # (unqualified after renaming) are collected
+            qmap = n.copy.qual_map()
+            for i in n.copy.ctx.stmt.lhs.indices:
+                _scan_lin(i.rename(qmap).lin, names)
+            for r in n.copy.ctx.stmt.reads():
+                for i in r.indices:
+                    _scan_lin(i.rename(qmap).lin, names)
+            _scan_vparams(n.copy.ctx.stmt.rhs, names)
 
 
 def _scan_vparams(e: ValExpr, names: Set[str]) -> None:

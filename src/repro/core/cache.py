@@ -19,27 +19,24 @@ the identical candidate set and lower the identical plans; only the
 **Statistics signature & invalidation** — alongside each entry we record
 the instance statistics the ranking consumed (shape, nnz, per-path step
 totals).  On a hit with equal statistics the memoized selection is
-returned as-is.  On a hit with shifted statistics the cached ranked plans
-are *re-costed* against the new instances (``plan_cost(..., fmts=...)``)
-and re-selected — exactly what a fresh search would do after re-lowering
-the same candidates, minus the polyhedral work.  ``pick="first"``
-ignores costs entirely, so its entries replay regardless of statistics
-(the first legal candidate is structure-determined).
+returned as-is.  On a hit with shifted statistics the recorded plans are
+*re-costed* against the new instances (``plan_cost(..., fmts=...)``) and
+re-selected — exactly what a fresh search would do after re-lowering the
+same candidates, minus the polyhedral work.  Plans stay as the search
+built them: guard simplification makes a new plan, kept in the entry's
+memo for that plan beside its generated Python source, which later hits
+replay byte-identically.
 
 **Layers** — :data:`COMPILE_CACHE` is a :class:`repro.util.store.Store`:
 an in-memory LRU (always consulted when caching is on) and an opt-in
 on-disk layer (``cache="disk"``) that pickles entries under a cache
-directory so separate processes share compiles.  Generated Python source
-is published into the entry on first codegen and replayed byte-identically
-on later hits.
+directory so separate processes share compiles.
 
 **Concurrency** — the store guards its own bookkeeping; every entry
-carries its own RLock serializing mutation (re-ranking, guard
-simplification, source publication), so concurrent ``compile_kernel``
-calls — e.g. through :func:`repro.core.service.compile_many` — share
-entries safely.  Re-ranking never mutates plans in place (costs are
-computed with a guard-count override), so a thread executing a cached
-plan is never perturbed by a sibling's rerank.
+carries its own RLock serializing its writes (re-ranking, memo fill), so
+concurrent ``compile_kernel`` calls — e.g. through
+:func:`repro.core.service.compile_many` — share entries safely.  No
+write touches a plan, so a thread executing one is never perturbed.
 
 Control: ``compile_kernel(..., cache="off"|"memory"|"disk")``, default
 taken from ``REPRO_COMPILE_CACHE`` (default ``"memory"``).  With
@@ -55,22 +52,25 @@ import tempfile
 import threading
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.core.plan import ExecNode, LoopNode, VarLoopNode
 from repro.cost.model import plan_cost, step_totals
 from repro.formats.base import SparseFormat
 from repro.instrument import INSTR
 from repro.ir.printer import program_to_text
 from repro.ir.program import Program
 from repro.search.driver import SearchResult, SearchStats
+from repro.util.env import env_choice
 from repro.util.store import Store
 
 MODES = ("off", "memory", "disk")
 
 
-def resolve_mode(cache: Optional[str]) -> str:
-    """``cache`` kwarg if given, else ``REPRO_COMPILE_CACHE``, else memory."""
-    mode = cache if cache is not None else os.environ.get(
-        "REPRO_COMPILE_CACHE", "memory").strip().lower()
+def resolve_mode(mode: Optional[str],
+                 variable: str = "REPRO_COMPILE_CACHE") -> str:
+    """``mode`` if given (one of :data:`MODES`), else the environment
+    ``variable`` (warn-and-default ``"memory"``).  The format-selection
+    winner cache resolves ``REPRO_AUTOTUNE_CACHE`` here too."""
+    if mode is None:
+        return env_choice(variable, MODES, "memory")
     if mode not in MODES:
         raise ValueError(f"cache mode must be one of {MODES}, got {mode!r}")
     return mode
@@ -145,62 +145,71 @@ def stats_signature(bindings: Mapping[str, SparseFormat]) -> Tuple:
 # Entries
 # ---------------------------------------------------------------------------
 
+class PlanMemo:
+    """What one recorded plan compiles to: the plan the kernel runs
+    (guard-simplified, or the recorded plan itself) and its generated
+    Python source, both pickled with the entry, plus the exec'd source and
+    the loop IR, which live in this process only."""
+
+    fn = ir = None
+
+    def __init__(self, plan, param_values: Mapping[str, int], simplify: bool):
+        self.plan = plan.simplified(dict(param_values)) if simplify else plan
+        self.source: Optional[str] = None
+
+    def __getstate__(self):
+        return {"plan": self.plan, "source": self.source}
+
+
 class CacheEntry:
-    """One memoized search: the ranked lowered plans (cost-sorted at record
-    time), which index was selected, the statistics that ranking saw, and
-    the generated source per selected plan (published lazily).
+    """One memoized search.  ``ranked`` is the search's ranking as recorded
+    (``(cost, candidate, plan)``, best first at record time) and is never
+    permuted or rewritten: a record index names one plan for the entry's
+    life.  ``costs``, ``selected`` (a record index) and ``stats_sig`` are
+    the latest ranking's; ``memos`` hold one :class:`PlanMemo` per record
+    index a kernel was made from.
 
-    ``_lock`` serializes every mutation of the entry (re-ranking, guard
-    simplification, source publication) — hits on the same structural key
-    from concurrent threads share this object.  It is re-created on
-    unpickling (locks don't pickle).
+    ``_lock`` serializes the writes after recording (re-ranking, memo
+    fill, the disk write that follows a source) — hits on the same
+    structural key from concurrent threads share this object.  It is
+    re-created on unpickling (locks don't pickle)."""
 
-    The per-plan side tables (``simplified``, ``sources``, ``fns``,
-    ``irs``, ``guard_snapshots``) are keyed by *stable ids* — each plan's position
-    in the record-time ranking — not by current ranked position.  A
-    statistics-shift rerank permutes ``ranked``/``ids`` only, so an id a
-    caller obtained from :func:`lookup` stays valid even if a sibling
-    thread reranks the entry before the caller touches the side tables."""
-
-    def __init__(self, ranked, selected_index: int, pick: str,
+    def __init__(self, ranked, selected: int, pick: str,
                  stats_sig: Tuple, search_stats: SearchStats):
         self._lock = threading.RLock()
-        self.ranked = list(ranked)            # [(cost, candidate, plan)]
-        self.ids = list(range(len(self.ranked)))  # stable id per ranked slot
-        self.selected_index = selected_index
+        self.ranked = list(ranked)
+        self.costs = [cost for cost, _cand, _plan in self.ranked]
+        self.selected = selected
         self.pick = pick
         self.stats_sig = stats_sig
         self.search_stats = search_stats
-        self.simplified = set()               # stable ids already guard-simplified
-        self.sources: Dict[int, str] = {}     # stable id -> generated source
-        self.fns: Dict[int, object] = {}      # stable id -> exec'd kernel (transient)
-        self.irs: Dict[int, object] = {}      # stable id -> loop IR (transient)
-        # pristine per-exec-node guard lists, captured before any guard
-        # simplification, so re-ranking can cost plans the way a fresh
-        # search would (simplification rewrites the live guard lists)
-        self.guard_snapshots: Dict[int, List[List]] = {
-            i: [list(n.guards) for n in _exec_nodes(plan)]
-            for i, (_c, _cand, plan) in enumerate(self.ranked)
-        }
+        self.memos: Dict[int, PlanMemo] = {}
 
-    def selected_id(self) -> int:
-        """Stable id of the currently selected ranked slot."""
-        return self.ids[self.selected_index]
+    def order(self) -> List[int]:
+        """Record indices in the latest ranking: by cost, record order
+        breaking ties."""
+        return [i for _cost, i in sorted(zip(self.costs, range(len(self.costs))))]
+
+    def memo(self, index: int, param_values: Mapping[str, int],
+             simplify: bool) -> PlanMemo:
+        """Record index ``index``'s memo, made on first use."""
+        with self._lock:
+            memo = self.memos.get(index)
+            if memo is None:
+                memo = self.memos[index] = PlanMemo(
+                    self.ranked[index][2], param_values, simplify)
+            return memo
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        state["fns"] = {}                     # callables don't pickle; rebuilt from source
-        state["irs"] = {}                     # memory only; rebuilt from the plan
         state.pop("_lock", None)
         return state
 
     def __setstate__(self, state):
+        if "memos" not in state:
+            state = _upgraded(state)
         self.__dict__.update(state)
         self._lock = threading.RLock()
-        # entries pickled before stable ids existed kept their side tables
-        # aligned with current ranked positions — identical to ids 0..n-1
-        self.__dict__.setdefault("ids", list(range(len(self.ranked))))
-        self.__dict__.setdefault("irs", {})
         # entries pickled before the search kept each plan once: their
         # ranking may hold one plan several times, and it replays as is
         self.search_stats.__dict__.setdefault("distinct", len(
@@ -208,6 +217,34 @@ class CacheEntry:
         for _cost, cand, _plan in self.ranked:
             if not hasattr(cand, "twins"):
                 cand.twins = []
+
+
+def _upgraded(old: Dict) -> Dict:
+    """An entry pickled while guard simplification rewrote plans in place:
+    its ranking permuted under stable ids, with per-id side tables and a
+    snapshot of each plan's guards.  Record order comes back from the ids;
+    a plan simplified in place becomes its id's memo, and the ranking gets
+    a copy carrying the snapshot guards."""
+    ranked = old.pop("ranked")
+    ids = old.pop("ids", None) or list(range(len(ranked)))
+    selected = ids[old.pop("selected_index")]
+    simplified = old.pop("simplified", set())
+    snapshots = old.pop("guard_snapshots", {})
+    sources = old.pop("sources", {})
+    old.pop("fns", None)
+    old.pop("irs", None)
+    recorded = [None] * len(ranked)
+    for pos, sid in enumerate(ids):
+        recorded[sid] = ranked[pos]
+    memos = {}
+    for sid in set(simplified) | set(sources):
+        cost, cand, plan = recorded[sid]
+        memo = memos[sid] = PlanMemo(plan, {}, False)
+        memo.source = sources.get(sid)
+        if sid in simplified:
+            recorded[sid] = (cost, cand, plan.with_guards(snapshots[sid]))
+    return dict(old, ranked=recorded, selected=selected, memos=memos,
+                costs=[cost for cost, _cand, _plan in recorded])
 
 
 def _load_entry(f) -> Optional[CacheEntry]:
@@ -244,113 +281,50 @@ def clear_compile_cache(disk: bool = False) -> None:
 # Lookup / record
 # ---------------------------------------------------------------------------
 
-def _select(ranked, pick: str) -> int:
-    return len(ranked) - 1 if pick == "worst" else 0
-
-
-def _exec_nodes(plan) -> List[ExecNode]:
-    out: List[ExecNode] = []
-
-    def walk(nodes):
-        for n in nodes:
-            if isinstance(n, ExecNode):
-                out.append(n)
-            elif isinstance(n, LoopNode):
-                walk(n.before)
-                walk(n.body)
-                walk(n.after)
-            elif isinstance(n, VarLoopNode):
-                walk(n.body)
-
-    walk(plan.nodes)
-    return out
-
-
-def _pristine_cost(entry: CacheEntry, idx: int, plan,
-                   param_values: Mapping[str, int],
-                   fmts: Mapping[str, SparseFormat]) -> float:
-    """Cost the plan as a fresh search would see it: guard simplification
-    happens after costing, so simplified plans are re-costed with their
-    recorded pre-simplification guard *counts* overriding the live ones.
-    The override (rather than swapping guards in place) keeps re-ranking
-    read-only on the plan — other threads may be executing it."""
-    snap = entry.guard_snapshots.get(idx)
-    if idx not in entry.simplified or snap is None:
-        return plan_cost(plan, param_values, fmts=fmts)
-    nodes = _exec_nodes(plan)
-    guard_counts = {id(n): len(g) for n, g in zip(nodes, snap)}
-    return plan_cost(plan, param_values, fmts=fmts, guard_counts=guard_counts)
-
-
 def lookup(
     key: str,
     mode: str,
     bindings: Mapping[str, SparseFormat],
     param_values: Mapping[str, int],
-    pick: str,
 ) -> Optional[Tuple[SearchResult, CacheEntry, int]]:
     """Serve a memoized search for this structural key, or None.
 
     Returns the reconstructed :class:`SearchResult` plus the entry and the
-    *stable id* of the selected plan (for source replay/publication; valid
-    across concurrent reranks)."""
+    record index of the selected plan."""
     INSTR.count("cache.lookups")
     entry, layer = COMPILE_CACHE.lookup(key, mode == "disk")
     if entry is None:
         INSTR.count("cache.misses")
         return None
+    INSTR.count(f"cache.hits.{layer}")
+    stats = entry.search_stats.clone()
+    stats.from_cache = True
+    new_sig = stats_signature(bindings)
 
-    # entry contents (stats_sig, ranked order, side tables) are shared with
-    # every thread that hit this key: serialize the compare-and-rerank
+    # the latest ranking is shared with every thread that hit this key:
+    # serialize the compare-and-rerank
     with entry._lock:
-        new_sig = stats_signature(bindings)
-        stats = entry.search_stats.clone()
-        stats.from_cache = True
-
         if new_sig == entry.stats_sig:
-            INSTR.count(f"cache.hits.{layer}")
             INSTR.count("cache.hits.exact")
-            pos = entry.selected_index
-            cost, cand, plan = entry.ranked[pos]
-            return (SearchResult(plan, cost, cand, stats, list(entry.ranked)),
-                    entry, entry.ids[pos])
-
-        # Statistics shifted: re-cost the memoized plans against the new
-        # instances and re-select, exactly as a fresh search would rank them.
-        INSTR.count(f"cache.hits.{layer}")
-        INSTR.count("cache.hits.rerank")
-        stats.reranked = True
-        if entry.pick == "first":
-            # "first" never consulted costs; the selection is structure-determined.
-            pos = entry.selected_index
-            sid = entry.ids[pos]
-            _old, cand, plan = entry.ranked[pos]
-            cost = _pristine_cost(entry, sid, plan, param_values, dict(bindings))
-            entry.ranked[pos] = (cost, cand, plan)
+            order = entry.order()
+        else:
+            # Statistics shifted: re-cost the recorded plans against the
+            # new instances and re-select, as a fresh search ranks them.
+            INSTR.count("cache.hits.rerank")
+            stats.reranked = True
+            fmts = dict(bindings)
+            entry.costs = [plan_cost(plan, param_values, fmts=fmts)
+                           for _cost, _cand, plan in entry.ranked]
             entry.stats_sig = new_sig
-            return (SearchResult(plan, cost, cand, stats, list(entry.ranked)),
-                    entry, sid)
-
-        fmts = dict(bindings)
-        rescored = [
-            (_pristine_cost(entry, entry.ids[pos], plan, param_values, fmts),
-             entry.ids[pos], cand, plan)
-            for pos, (_oc, cand, plan) in enumerate(entry.ranked)
-        ]
-        rescored.sort(key=lambda t: (t[0], t[1]))  # record-time rank breaks ties
-        old_selected = entry.ranked[entry.selected_index][2]
-
-        # permute the ranking only — the side tables are keyed by stable id
-        entry.ranked = [(c, cand, plan) for c, _sid, cand, plan in rescored]
-        entry.ids = [sid for _c, sid, _cand, _p in rescored]
-        entry.stats_sig = new_sig
-        entry.selected_index = _select(entry.ranked, pick)
-
-        cost, cand, plan = entry.ranked[entry.selected_index]
-        if plan is not old_selected:
-            INSTR.count("cache.rerank.changed")
-        return (SearchResult(plan, cost, cand, stats, list(entry.ranked)),
-                entry, entry.selected_id())
+            order = entry.order()
+            selected = order[-1 if entry.pick == "worst" else 0]
+            if selected != entry.selected:
+                INSTR.count("cache.rerank.changed")
+            entry.selected = selected
+        costs, index = entry.costs, entry.selected
+    ranked = [(costs[i], *entry.ranked[i][1:]) for i in order]
+    _cost, cand, plan = entry.ranked[index]
+    return SearchResult(plan, costs[index], cand, stats, ranked), entry, index
 
 
 def record(
@@ -362,9 +336,7 @@ def record(
 ) -> Tuple[CacheEntry, int]:
     """Memoize a fresh search result under its structural key.
 
-    Returns the entry and the stable id of the selected plan (equal to its
-    record-time rank; safe to use after the entry becomes visible to — and
-    possibly reranked by — concurrent threads)."""
+    Returns the entry and the record index of the selected plan."""
     selected = next(
         i for i, (_c, _cand, plan) in enumerate(result.ranked)
         if plan is result.plan
@@ -374,3 +346,10 @@ def record(
     COMPILE_CACHE.store(key, entry, mode == "disk")
     INSTR.count("cache.stores")
     return entry, selected
+
+
+def save(key: str, entry: CacheEntry) -> None:
+    """Write ``entry`` to the disk layer again (after a memo filled), so
+    later processes replay its plans and sources byte-identically."""
+    with entry._lock:
+        COMPILE_CACHE.disk_put(key, entry)

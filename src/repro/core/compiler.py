@@ -41,16 +41,23 @@ class CompiledKernel:
     instrumentation report.  ``opt`` and ``opt_used`` both echo the
     ``opt`` keyword, which selects nothing (see :func:`compile_kernel`).
     ``entry_points`` (name -> loop IR) are further functions the native
-    bind prints into this kernel's translation unit."""
+    bind prints into this kernel's translation unit.
+
+    ``memo`` (:class:`~repro.core.cache.PlanMemo`) holds the plan the
+    kernel runs — ``result.plan``, guard-simplified unless that was turned
+    off — and what kernels of the same cached plan share: its Python
+    source, the exec'd function and the loop IR.  ``save`` is the
+    ``(key, entry)`` a ``cache="disk"`` compile writes back once the
+    source exists."""
 
     def __init__(self, program: Program, bindings: Mapping[str, SparseFormat],
-                 result: SearchResult, backend: str = "python",
+                 result: SearchResult, memo, backend: str = "python",
                  parallel: str = "none", cache_mode: str = "memory",
-                 opt: str = "none", entry_points=None):
+                 opt: str = "none", entry_points=None, save=None):
         self.program = program
         self.bindings = dict(bindings)
         self.result = result
-        self.plan: Plan = result.plan
+        self.plan: Plan = memo.plan
         self.cost = result.cost
         self.backend = backend
         self.parallel = parallel
@@ -60,14 +67,11 @@ class CompiledKernel:
         self.fallback_reason: Optional[str] = None
         self._cache_mode = cache_mode
         self._ir = None
-        # (table, plan id): where kernels of one cache entry share the IR
-        # in memory.  The table only, never the entry — an entry pins the
-        # plans and, through them, the instances they were searched with.
-        self._ir_memo = ({}, 0)
+        self._memo = memo
+        self._save = save
         self._parallel_report = None
         self._pyfunc = None
         self._pysource = None
-        self._cache_publish = None
         self._native = None
         self._native_tried = False
         # between start_native() and the join: the join call, or the
@@ -161,20 +165,19 @@ class CompiledKernel:
         built once from the plan with the storage arrays typed from this
         kernel's bindings.  Both printers read this one object; a kernel
         whose Python source was replayed from the cache needs it only if a
-        native bind asks, and then shares the one its cache entry holds in
+        native bind asks, and then shares the one its plan's memo holds in
         memory when the array types match."""
         if self._ir is None:
             with self._materialize_lock:
                 if self._ir is None:
                     from repro.codegen.pysource import build_loop_ir
 
-                    shared, idx = self._ir_memo
-                    ir = shared.get(idx)
+                    ir = self._memo.ir
                     if ir is None or not ir.typed_for(self.bindings):
-                        # racing kernels of one entry may both build; the
+                        # racing kernels of one memo may both build; the
                         # IRs are interchangeable and the last one stays
-                        ir = shared[idx] = build_loop_ir(self.plan,
-                                                         self.bindings)
+                        ir = self._memo.ir = build_loop_ir(self.plan,
+                                                           self.bindings)
                     self._ir = ir
         return self._ir
 
@@ -192,15 +195,29 @@ class CompiledKernel:
         return self._parallel_report
 
     def callable(self):
+        """The generated Python function: the memo's source when a kernel
+        of the same cached plan printed it (exec'd once per process), else
+        printed from the loop IR and left in the memo."""
         if self._pyfunc is None:
             with self._materialize_lock:
                 if self._pyfunc is None:
-                    from repro.codegen.pysource import compile_plan_to_python
+                    from repro.codegen.pysource import (
+                        compile_plan_to_python, source_to_callable)
 
-                    src, fn = compile_plan_to_python(self.loop_ir())
-                    if self._cache_publish is not None:
-                        self._cache_publish(src, fn)
-                        self._cache_publish = None
+                    memo = self._memo
+                    src, fn = memo.source, memo.fn
+                    if src is None:
+                        src, fn = compile_plan_to_python(self.loop_ir())
+                        memo.source, memo.fn = src, fn
+                        if self._save is not None:
+                            from repro.core.cache import save
+
+                            save(*self._save)
+                    else:
+                        INSTR.count("cache.source_replays")
+                        if fn is None:
+                            fn = memo.fn = source_to_callable(src)
+                    self._save = None
                     self._pysource = src
                     self._pyfunc = fn    # publish last: readers gate on it
         return self._pyfunc
@@ -387,88 +404,26 @@ def compile_kernel(
     param_values = {k: int(v) for k, v in param_values.items()}
 
     mode = cc.resolve_mode(cache)
-    key = None
+    hit = entry = key = None
     if mode != "off":
         with INSTR.phase("cache.lookup"):
             key = cc.structural_signature(program, bindings, param_values,
                                           pick, max_orders, simplify_guards)
-            hit = cc.lookup(key, mode, bindings, param_values, pick)
-        if hit is not None:
-            result, entry, idx = hit
-            if simplify_guards:
-                with entry._lock:
-                    if idx not in entry.simplified:
-                        result.plan.simplify_guards(dict(param_values))
-                        entry.simplified.add(idx)
-            kernel = _kernel_from_entry(program, bindings, result, entry, idx,
-                                        mode, key, backend, parallel, opt,
-                                        entry_points)
-            if backend == "c" and bind:
-                kernel.native()          # compile eagerly; may fall back
-            return kernel
-
-    result = search(program, bindings, None, param_values, pick=pick,
-                    max_orders=max_orders)
-    entry = None
-    if mode != "off":
-        # record before guard simplification so the entry snapshots
-        # pristine guards (simplification mutates the selected plan)
-        entry, sid = cc.record(key, mode, result, bindings, pick)
-    if entry is None:
-        if simplify_guards:
-            result.plan.simplify_guards(dict(param_values))
-    kernel = CompiledKernel(program, bindings, result, backend=backend,
+            hit = cc.lookup(key, mode, bindings, param_values)
+    if hit is not None:
+        result, entry, index = hit
+    else:
+        result = search(program, bindings, None, param_values, pick=pick,
+                        max_orders=max_orders)
+        if mode != "off":
+            entry, index = cc.record(key, mode, result, bindings, pick)
+    memo = (cc.PlanMemo(result.plan, param_values, simplify_guards)
+            if entry is None else
+            entry.memo(index, param_values, simplify_guards))
+    kernel = CompiledKernel(program, bindings, result, memo, backend=backend,
                             parallel=parallel, cache_mode=mode, opt=opt,
-                            entry_points=entry_points)
-    if entry is not None:
-        # under the entry lock: once record() published the entry, a
-        # concurrent hit on this key may race us to simplify the same plan
-        with entry._lock:
-            if simplify_guards and sid not in entry.simplified:
-                result.plan.simplify_guards(dict(param_values))
-                entry.simplified.add(sid)
-            kernel._cache_publish = _source_publisher(entry, sid, mode, key)
-            kernel._ir_memo = (entry.irs, sid)
+                            entry_points=entry_points,
+                            save=(key, entry) if mode == "disk" else None)
     if backend == "c" and bind:
         kernel.native()                  # compile eagerly; may fall back
     return kernel
-
-
-def _kernel_from_entry(program, bindings, result, entry, idx, mode, key,
-                       backend="python", parallel="none", opt="none",
-                       entry_points=None):
-    """Build a kernel from a cache hit, replaying memoized source."""
-    kernel = CompiledKernel(program, bindings, result, backend=backend,
-                            parallel=parallel, cache_mode=mode, opt=opt,
-                            entry_points=entry_points)
-    kernel._ir_memo = (entry.irs, idx)
-    with entry._lock:
-        src = entry.sources.get(idx)
-        if src is not None:
-            fn = entry.fns.get(idx)
-            if fn is None:
-                from repro.codegen.pysource import source_to_callable
-
-                fn = source_to_callable(src)
-                entry.fns[idx] = fn
-            kernel._pysource = src
-            kernel._pyfunc = fn
-            INSTR.count("cache.source_replays")
-        else:
-            kernel._cache_publish = _source_publisher(entry, idx, mode, key)
-    return kernel
-
-
-def _source_publisher(entry, idx, mode, key):
-    """Publish lazily-generated source back into a cache entry (and keep the
-    disk layer in step, so later processes replay byte-identical source)."""
-    from repro.core.cache import COMPILE_CACHE
-
-    def publish(src: str, fn) -> None:
-        with entry._lock:
-            entry.sources[idx] = src
-            entry.fns[idx] = fn
-            if mode == "disk":
-                COMPILE_CACHE.disk_put(key, entry)
-
-    return publish

@@ -15,13 +15,12 @@ every copy of every search alive (a tracker refers back to its copy), and
 memo slots on the copies would change what the disk cache pickles (an
 entry pickled before them would no longer load).  Values are shared
 read-only: a ``System`` is immutable, trackers are cloned before they are
-pinned, and guard lists are handed out fresh
-(:meth:`repro.core.plan.Plan.simplify_guards` rewrites them in place).
+pinned, and guards are a tuple each execution node copies into its own list.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.core import embedding
 from repro.core.redundancy import DeterminacyTracker
@@ -62,9 +61,9 @@ class SearchFacts:
             rel = self._relation[copy] = copy.relation()
         return rel
 
-    def guards(self, copy: StmtCopy) -> List[LinExpr]:
-        """The loop-bound inequalities that guard the copy's execution, as
-        a fresh list.  Axis ranges are guaranteed by the enumerations
+    def guards(self, copy: StmtCopy) -> Tuple[LinExpr, ...]:
+        """The loop-bound inequalities that guard the copy's execution.
+        Axis ranges are guaranteed by the enumerations
         themselves and bounds annotations are promises about the stored
         structure, so only the domain guards."""
         guards = self._guards.get(copy)
@@ -74,7 +73,7 @@ class SearchFacts:
                 {ctx.qualified(v): copy.qual(v) for v in ctx.vars})
             guards = self._guards[copy] = tuple(
                 c.expr for c in dom.inequalities())
-        return list(guards)
+        return guards
 
     def tracker(self, copy: StmtCopy) -> DeterminacyTracker:
         """The copy's tracker with nothing pinned.  Shared: clone before

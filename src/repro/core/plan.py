@@ -31,8 +31,9 @@ from repro.core.facts import SearchFacts
 from repro.core.redundancy import DeterminacyTracker
 from repro.core.spaces import ProductSpace, SparseRef, StmtCopy
 from repro.instrument import INSTR
+from repro.polyhedra.fm import implies
 from repro.polyhedra.linexpr import LinExpr
-from repro.polyhedra.system import System
+from repro.polyhedra.system import GE, Constraint, System
 
 
 class PlanError(ValueError):
@@ -203,83 +204,30 @@ class Plan:
         self.order = order
         self.nodes = list(nodes)
 
-    def simplify_guards(self, param_values: Optional[Dict[str, int]] = None) -> None:
-        """Drop execution guards that are implied by the stored structure
-        (the copy's access relation with the compile-time sizes substituted)
-        plus the remaining guards.  The generated code then carries exactly
-        the guards a hand-written kernel would (paper Figures 5/8: the
-        ``row == col`` / ``col < row`` tests and nothing else).
+    def simplified(self, param_values: Optional[Dict[str, int]] = None) -> "Plan":
+        """This plan without the execution guards that are implied by the
+        stored structure (the copy's access relation with the compile-time
+        sizes substituted) plus the remaining guards.  The generated code
+        then carries exactly the guards a hand-written kernel would (paper
+        Figures 5/8: the ``row == col`` / ``col < row`` tests and nothing
+        else).  A new plan (:meth:`with_guards`); ``self`` stays as the
+        search built it.
 
         Assumes runtime size parameters match the compile-time binding —
         the usual BLAS contract.
         """
-        from repro.polyhedra.fm import implies
-        from repro.polyhedra.system import Constraint, GE, System
-
         params = {k: LinExpr.constant(v) for k, v in (param_values or {}).items()}
+        kept: List[List[LinExpr]] = []
+        _kept_guards(self, self.nodes, [], params, kept)
+        return self.with_guards(kept)
 
-        def context_for(copy: StmtCopy) -> System:
-            """What is *known* at execution without checking: the access
-            coupling equalities, the per-reference inequalities the stored
-            structure guarantees (axis ranges, bounds annotations), and the
-            value ranges of the enumerated dimensions the copy is fused
-            into.  The copy's own loop-bound inequalities are exactly what
-            the guards must test, so they are NOT part of the context."""
-            from repro.polyhedra.system import GE as _GE
-
-            cons = list(copy.relation().equalities())
-            for ref in copy.refs:
-                cons.extend(ref.relation(copy.qual_map()).inequalities())
-            # enumerated data dimensions bound the copy's value expressions
-            for di, dim in enumerate(self.space.dims):
-                if not dim.is_data:
-                    continue
-                e = self.emb.of(copy, di)
-                if e.placement != AT:
-                    continue
-                ref0, axis0 = dim.members[0]
-                rng = ref0.fmt.axis_range(axis0)
-                if rng is None:
-                    continue
-                lo, hi = rng
-                cons.append(Constraint(e.value - lo, _GE))
-                cons.append(Constraint(LinExpr.constant(hi - 1) - e.value, _GE))
-            return System(cons)
-
-        def visit(nodes: Sequence[PlanNode], extra: List[Constraint]) -> None:
-            for n in nodes:
-                if isinstance(n, ExecNode):
-                    base = context_for(n.copy).substitute(params)
-                    base = base.conjoin(System(extra)).substitute(params)
-                    guards = [g.substitute(params) for g in n.guards]
-                    kept_idx: List[int] = []
-                    for i, g in enumerate(guards):
-                        # context: guards already kept plus those still
-                        # undecided (later ones) — never already-dropped ones
-                        others = [guards[j] for j in kept_idx] + guards[i + 1:]
-                        ctx = base.conjoin(System(Constraint(o, GE) for o in others))
-                        if not implies(ctx, Constraint(g, GE)):
-                            kept_idx.append(i)
-                    n.guards = [n.guards[i] for i in kept_idx]
-                elif isinstance(n, LoopNode):
-                    visit(n.before, extra)
-                    visit(n.body, extra)
-                    visit(n.after, extra)
-                elif isinstance(n, VarLoopNode):
-                    # inside the loop every bound expression lies in
-                    # [lo, hi)
-                    from repro.polyhedra.system import GE as _GE
-
-                    inner = list(extra)
-                    for b in n.binds:
-                        inner.append(Constraint(b.expr - n.lo, _GE))
-                        inner.append(Constraint(n.hi - 1 - b.expr, _GE))
-                    visit(n.body, inner)
-
-        visit(self.nodes, [])
-        # ``visit`` calls itself through its cell, a cycle that holds this
-        # plan (and its matrices) until the collector runs: empty the cell
-        del visit
+    def with_guards(self, guards: Sequence[Sequence[LinExpr]]) -> "Plan":
+        """A new plan over the same space, embedding and order whose
+        execution nodes carry ``guards``, one list per node in walk order
+        (before, body, after): the node tree is rebuilt around new
+        execution nodes, and ``self`` is left as it is."""
+        return Plan(self.space, self.emb, self.order,
+                    _with_guards(self.nodes, iter(guards)))
 
     def pretty(self) -> str:
         """Render as data-centric pseudocode in the style of paper
@@ -317,6 +265,84 @@ def _pretty(nodes: Sequence[PlanNode], depth: int, out: List[str]) -> None:
         elif isinstance(n, ExecNode):
             g = f" if {n.guards}" if n.guards else ""
             out.append(f"{pad}execute {n.copy.label}{g}")
+
+
+def _known_at(plan: Plan, copy: StmtCopy) -> System:
+    """What is *known* when ``copy`` executes in ``plan``, without a check:
+    the access coupling equalities, the per-reference inequalities the
+    stored structure guarantees (axis ranges, bounds annotations), and the
+    value ranges of the enumerated dimensions the copy is fused into.  The
+    copy's own loop-bound inequalities are exactly what the guards must
+    test, so they are NOT part of it."""
+    cons = list(copy.relation().equalities())
+    for ref in copy.refs:
+        cons.extend(ref.relation(copy.qual_map()).inequalities())
+    # enumerated data dimensions bound the copy's value expressions
+    for di, dim in enumerate(plan.space.dims):
+        if not dim.is_data:
+            continue
+        e = plan.emb.of(copy, di)
+        if e.placement != AT:
+            continue
+        ref0, axis0 = dim.members[0]
+        rng = ref0.fmt.axis_range(axis0)
+        if rng is None:
+            continue
+        lo, hi = rng
+        cons.append(Constraint(e.value - lo, GE))
+        cons.append(Constraint(LinExpr.constant(hi - 1) - e.value, GE))
+    return System(cons)
+
+
+def _kept_guards(plan: Plan, nodes: Sequence[PlanNode],
+                 extra: List[Constraint], params: Dict[str, LinExpr],
+                 out: List[List[LinExpr]]) -> None:
+    """Append to ``out``, per execution node under ``nodes`` in walk
+    order, the guards that ``extra`` (what enclosing interval loops
+    guarantee) and the structure do not imply (a module function, like
+    :func:`_pretty`)."""
+    for n in nodes:
+        if isinstance(n, ExecNode):
+            base = _known_at(plan, n.copy).substitute(params)
+            base = base.conjoin(System(extra)).substitute(params)
+            guards = [g.substitute(params) for g in n.guards]
+            kept_idx: List[int] = []
+            for i, g in enumerate(guards):
+                # context: guards already kept plus those still undecided
+                # (later ones) — never already-dropped ones
+                others = [guards[j] for j in kept_idx] + guards[i + 1:]
+                ctx = base.conjoin(System(Constraint(o, GE) for o in others))
+                if not implies(ctx, Constraint(g, GE)):
+                    kept_idx.append(i)
+            out.append([n.guards[i] for i in kept_idx])
+        elif isinstance(n, LoopNode):
+            for part in (n.before, n.body, n.after):
+                _kept_guards(plan, part, extra, params, out)
+        elif isinstance(n, VarLoopNode):
+            # inside the loop every bound expression lies in [lo, hi)
+            inner = list(extra)
+            for b in n.binds:
+                inner.append(Constraint(b.expr - n.lo, GE))
+                inner.append(Constraint(n.hi - 1 - b.expr, GE))
+            _kept_guards(plan, n.body, inner, params, out)
+
+
+def _with_guards(nodes: Sequence[PlanNode], guards) -> List[PlanNode]:
+    """New nodes for ``nodes``, each execution node's guards drawn from
+    the iterator ``guards`` in walk order."""
+    out: List[PlanNode] = []
+    for n in nodes:
+        if isinstance(n, ExecNode):
+            out.append(ExecNode(n.copy, next(guards)))
+        elif isinstance(n, LoopNode):
+            out.append(LoopNode(n.dim_names, n.method, n.roles, n.binds,
+                                _with_guards(n.before, guards),
+                                _with_guards(n.body, guards),
+                                _with_guards(n.after, guards)))
+        elif isinstance(n, VarLoopNode):
+            out.append(VarLoopNode(n.dim_name, n.lo, n.hi, n.reverse, n.binds,
+                                   _with_guards(n.body, guards)))
+    return out
 
 
 # ---------------------------------------------------------------------------

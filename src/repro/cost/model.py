@@ -89,21 +89,15 @@ def _search_cost(fmt: SparseFormat, path_id: str, step: int) -> float:
 
 
 def plan_cost(plan: Plan, param_values: Optional[Mapping[str, int]] = None,
-              fmts: Optional[Mapping[str, SparseFormat]] = None,
-              guard_counts: Optional[Mapping[int, int]] = None) -> float:
+              fmts: Optional[Mapping[str, SparseFormat]] = None) -> float:
     """Estimated execution cost of a plan on the bound matrix instances.
 
     ``fmts`` optionally overrides the format instance consulted for each
     array name (falling back to the instance baked into the plan's refs) —
     the compilation cache uses this to re-rank a structurally-identical
     cached plan against the statistics of a *new* matrix instance without
-    rebuilding the plan.
-
-    ``guard_counts`` optionally overrides the number of guards charged per
-    :class:`ExecNode`, keyed by ``id(node)`` — the cache uses this to cost
-    an already guard-simplified plan as if its pristine guards were still
-    attached, without mutating the (possibly concurrently executing) plan."""
-    coster = _PlanCoster(param_values, fmts, guard_counts)
+    rebuilding the plan."""
+    coster = _PlanCoster(param_values, fmts)
     return sum(coster.node_cost(n) for n in plan.nodes)
 
 
@@ -111,12 +105,11 @@ class _PlanCoster:
     """Figure 11's cost grammar over one plan's nodes (see
     :func:`plan_cost` for the arguments)."""
 
-    __slots__ = ("param_values", "fmts", "guard_counts")
+    __slots__ = ("param_values", "fmts")
 
-    def __init__(self, param_values, fmts, guard_counts):
+    def __init__(self, param_values, fmts):
         self.param_values = dict(param_values or {})
         self.fmts = fmts or {}
-        self.guard_counts = guard_counts or {}
 
     def fmt_of(self, ref) -> SparseFormat:
         return self.fmts.get(ref.array, ref.fmt)
@@ -147,8 +140,7 @@ class _PlanCoster:
 
     def node_cost(self, node: PlanNode) -> float:
         if isinstance(node, ExecNode):
-            nguards = self.guard_counts.get(id(node), len(node.guards))
-            return P.EXEC_COST + P.GUARD_COST * nguards
+            return P.EXEC_COST + P.GUARD_COST * len(node.guards)
         if isinstance(node, VarLoopNode):
             lo = _eval_guess(node.lo, self.param_values)
             hi = _eval_guess(node.hi, self.param_values)

@@ -231,37 +231,34 @@ class _Parser:
         raise ParseError(f"expected expression, found {v or 'end of input'!r}", pos, self.t.text)
 
 
-def _to_affine(v: ValExpr, text: str) -> AffExpr:
+def _to_affine(e: ValExpr, text: str) -> AffExpr:
     """Fold a value-expression tree (from affine context) into an AffExpr;
-    rejects non-affine shapes like i*j."""
-
-    def fold(e: ValExpr) -> AffExpr:
-        if isinstance(e, VConst):
-            if isinstance(e.value, float):
-                if e.value != int(e.value):
-                    raise ParseError("index expressions must be integral", 0, text)
-                return AffExpr(int(e.value))
-            return AffExpr(e.value)
-        if isinstance(e, VRead) and e.array == "__var__":
-            return e.indices[0]
-        if isinstance(e, VNeg):
-            return -fold(e.operand)
-        if isinstance(e, VBin):
-            if e.op == "+":
-                return fold(e.left) + fold(e.right)
-            if e.op == "-":
-                return fold(e.left) - fold(e.right)
-            if e.op == "*":
-                l, r = fold(e.left), fold(e.right)
-                if l.is_constant:
-                    return r * int(l.const)
-                if r.is_constant:
-                    return l * int(r.const)
-                raise ParseError("non-affine index expression (product of variables)", 0, text)
-            raise ParseError("division is not allowed in index expressions", 0, text)
-        raise ParseError("array reads are not allowed in index expressions", 0, text)
-
-    return fold(v)
+    rejects non-affine shapes like i*j.  (A module function: a nested
+    recursive one leaves a reference cycle per call.)"""
+    if isinstance(e, VConst):
+        if isinstance(e.value, float):
+            if e.value != int(e.value):
+                raise ParseError("index expressions must be integral", 0, text)
+            return AffExpr(int(e.value))
+        return AffExpr(e.value)
+    if isinstance(e, VRead) and e.array == "__var__":
+        return e.indices[0]
+    if isinstance(e, VNeg):
+        return -_to_affine(e.operand, text)
+    if isinstance(e, VBin):
+        if e.op == "+":
+            return _to_affine(e.left, text) + _to_affine(e.right, text)
+        if e.op == "-":
+            return _to_affine(e.left, text) - _to_affine(e.right, text)
+        if e.op == "*":
+            l, r = _to_affine(e.left, text), _to_affine(e.right, text)
+            if l.is_constant:
+                return r * int(l.const)
+            if r.is_constant:
+                return l * int(r.const)
+            raise ParseError("non-affine index expression (product of variables)", 0, text)
+        raise ParseError("division is not allowed in index expressions", 0, text)
+    raise ParseError("array reads are not allowed in index expressions", 0, text)
 
 
 def parse_program(text: str) -> Program:

@@ -155,37 +155,9 @@ class Program:
                 Constraint(LinExpr.variable(p), GE) for p in self.params
             )
         self.assumptions = assumptions
-        self._name_statements()
-        self._contexts = self._collect_contexts()
-
-    # -- construction helpers --------------------------------------------
-    def _name_statements(self) -> None:
-        counter = [0]
-
-        def walk(items):
-            for item in items:
-                if isinstance(item, Statement):
-                    counter[0] += 1
-                    item.name = f"S{counter[0]}"
-                elif isinstance(item, Loop):
-                    walk(item.body)
-                else:
-                    raise TypeError(f"program body items must be Loop/Statement, got {type(item).__name__}")
-
-        walk(self.body)
-
-    def _collect_contexts(self) -> List[StatementContext]:
-        out: List[StatementContext] = []
-
-        def walk(items, loops, pos_prefix):
-            for idx, item in enumerate(items):
-                if isinstance(item, Statement):
-                    out.append(StatementContext(item, loops, pos_prefix + [idx]))
-                else:
-                    walk(item.body, loops + [item], pos_prefix + [idx])
-
-        walk(self.body, [], [])
-        return out
+        _name_statements(self.body, 0)
+        self._contexts: List[StatementContext] = []
+        _collect_contexts(self.body, [], [], self._contexts)
 
     # -- queries ------------------------------------------------------------
     def statements(self) -> List[StatementContext]:
@@ -215,3 +187,30 @@ class Program:
 
     def __repr__(self):
         return f"Program({self.name!r}, {len(self._contexts)} statements)"
+
+
+# construction helpers: module functions, since a nested recursive one
+# leaves a reference cycle per program
+
+def _name_statements(items, count: int) -> int:
+    """Name the statements under ``items`` S1, S2, ... in syntactic order,
+    after the ``count`` named before them; returns the new count."""
+    for item in items:
+        if isinstance(item, Statement):
+            count += 1
+            item.name = f"S{count}"
+        elif isinstance(item, Loop):
+            count = _name_statements(item.body, count)
+        else:
+            raise TypeError(f"program body items must be Loop/Statement, got {type(item).__name__}")
+    return count
+
+
+def _collect_contexts(items, loops: List[Loop], pos_prefix: List[int],
+                      out: List[StatementContext]) -> None:
+    """Append a context per statement under ``items`` to ``out``."""
+    for idx, item in enumerate(items):
+        if isinstance(item, Statement):
+            out.append(StatementContext(item, loops, pos_prefix + [idx]))
+        else:
+            _collect_contexts(item.body, loops + [item], pos_prefix + [idx], out)

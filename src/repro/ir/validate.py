@@ -32,51 +32,57 @@ def validate_program(program: Program) -> None:
     """Raise :class:`ValidationError` if the program violates any compiler
     assumption; return silently otherwise."""
     problems: List[str] = []
-    params = set(program.params)
-
-    def check_affine(e: AffExpr, scope: Set[str], where: str) -> None:
-        for v in e.variables():
-            if v not in scope and v not in params:
-                problems.append(f"{where}: unknown variable {v!r}")
-
-    def walk(items, scope: Set[str], path: str):
-        for item in items:
-            if isinstance(item, Statement):
-                where = f"{item.name or path}"
-                decl = program.arrays.get(item.lhs.array)
-                if decl is None:
-                    problems.append(f"{where}: write to undeclared array {item.lhs.array!r}")
-                elif len(item.lhs.indices) != decl.ndim:
-                    problems.append(
-                        f"{where}: {item.lhs.array!r} has {decl.ndim} dims, "
-                        f"written with {len(item.lhs.indices)} indices"
-                    )
-                for i in item.lhs.indices:
-                    check_affine(i, scope, where)
-                for r in item.reads():
-                    if r.array == "__var__":
-                        check_affine(r.indices[0], scope, where)
-                        continue
-                    decl = program.arrays.get(r.array)
-                    if decl is None:
-                        problems.append(f"{where}: read of undeclared array {r.array!r}")
-                    elif len(r.indices) != decl.ndim:
-                        problems.append(
-                            f"{where}: {r.array!r} has {decl.ndim} dims, "
-                            f"read with {len(r.indices)} indices"
-                        )
-                    for i in r.indices:
-                        check_affine(i, scope, where)
-            elif isinstance(item, Loop):
-                where = f"loop {item.var!r}"
-                if item.var in scope:
-                    problems.append(f"{where}: shadows an outer loop variable")
-                if item.var in params:
-                    problems.append(f"{where}: loop variable shadows parameter")
-                check_affine(item.lower, scope, f"{where} lower bound")
-                check_affine(item.upper, scope, f"{where} upper bound")
-                walk(item.body, scope | {item.var}, where)
-
-    walk(program.body, set(), program.name)
+    _check_items(program, program.body, set(), program.name, problems)
     if problems:
         raise ValidationError(problems)
+
+
+# module functions, since a nested recursive one leaves a reference cycle
+# per call
+
+def _check_affine(program: Program, e: AffExpr, scope: Set[str], where: str,
+                  problems: List[str]) -> None:
+    for v in e.variables():
+        if v not in scope and v not in program.params:
+            problems.append(f"{where}: unknown variable {v!r}")
+
+
+def _check_items(program: Program, items, scope: Set[str], path: str,
+                 problems: List[str]) -> None:
+    for item in items:
+        if isinstance(item, Statement):
+            where = f"{item.name or path}"
+            decl = program.arrays.get(item.lhs.array)
+            if decl is None:
+                problems.append(f"{where}: write to undeclared array {item.lhs.array!r}")
+            elif len(item.lhs.indices) != decl.ndim:
+                problems.append(
+                    f"{where}: {item.lhs.array!r} has {decl.ndim} dims, "
+                    f"written with {len(item.lhs.indices)} indices"
+                )
+            for i in item.lhs.indices:
+                _check_affine(program, i, scope, where, problems)
+            for r in item.reads():
+                if r.array == "__var__":
+                    _check_affine(program, r.indices[0], scope, where, problems)
+                    continue
+                decl = program.arrays.get(r.array)
+                if decl is None:
+                    problems.append(f"{where}: read of undeclared array {r.array!r}")
+                elif len(r.indices) != decl.ndim:
+                    problems.append(
+                        f"{where}: {r.array!r} has {decl.ndim} dims, "
+                        f"read with {len(r.indices)} indices"
+                    )
+                for i in r.indices:
+                    _check_affine(program, i, scope, where, problems)
+        elif isinstance(item, Loop):
+            where = f"loop {item.var!r}"
+            if item.var in scope:
+                problems.append(f"{where}: shadows an outer loop variable")
+            if item.var in program.params:
+                problems.append(f"{where}: loop variable shadows parameter")
+            _check_affine(program, item.lower, scope, f"{where} lower bound", problems)
+            _check_affine(program, item.upper, scope, f"{where} upper bound", problems)
+            _check_items(program, item.body, scope | {item.var}, where,
+                         problems)

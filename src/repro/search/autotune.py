@@ -46,22 +46,8 @@ from repro.instrument import INSTR
 from repro.util.env import env_int
 from repro.util.store import SingleFlight, Store
 
-__all__ = ["MODES", "resolve_autotune_cache", "autotune_topk",
-           "autotune_repeats", "WINNER_CACHE", "clear_winner_cache",
-           "winner_key", "winner_for", "store"]
-
-MODES = ("off", "memory", "disk")
-
-
-def resolve_autotune_cache(mode: Optional[str]) -> str:
-    """``autotune_cache`` kwarg if given, else ``REPRO_AUTOTUNE_CACHE``,
-    else memory."""
-    resolved = mode if mode is not None else os.environ.get(
-        "REPRO_AUTOTUNE_CACHE", "memory").strip().lower()
-    if resolved not in MODES:
-        raise ValueError(
-            f"autotune cache mode must be one of {MODES}, got {resolved!r}")
-    return resolved
+__all__ = ["autotune_topk", "autotune_repeats", "WINNER_CACHE",
+           "clear_winner_cache", "winner_key", "winner_for", "store"]
 
 
 def autotune_topk() -> int:

@@ -399,10 +399,11 @@ def select_format(
 def _select_auto(program, array_name, matrix, candidates, workload, repeats,
                  backend, topk, autotune_cache, rows, cols, vals, bounds,
                  convert_kwargs) -> SelectionResult:
+    from repro.core.cache import resolve_mode
     from repro.search import autotune as at
     from repro.search.features import features_from_pattern, structure_signature
 
-    cache_mode = at.resolve_autotune_cache(autotune_cache)
+    cache_mode = resolve_mode(autotune_cache, "REPRO_AUTOTUNE_CACHE")
     k = at.autotune_topk() if topk is None else max(1, int(topk))
     reps = at.autotune_repeats() if repeats is None else repeats
 

@@ -1,14 +1,15 @@
-"""Warn-and-default parsing for ``REPRO_*`` numeric environment variables.
+"""Warn-and-default parsing for ``REPRO_*`` environment variables.
 
 Configuration knobs read from the environment (worker counts, timeouts,
 cache capacities, daemon queue depths) must never take the process down:
 a typo in ``REPRO_COMPILE_WORKERS=eight`` used to surface as a bare
 ``ValueError`` deep inside :func:`repro.core.service.compile_many`, far
-from the actual mistake.  :func:`env_int` / :func:`env_float` centralize
-the policy instead: a malformed or out-of-range value emits one
-:class:`EnvVarWarning` naming the variable and the offending text, bumps
-the ``env.parse_errors`` counter, and falls back to the documented
-default — the library behaves exactly as if the variable were unset.
+from the actual mistake.  :func:`env_int` / :func:`env_float` /
+:func:`env_choice` centralize the policy instead: a malformed or
+out-of-range value emits one :class:`EnvVarWarning` naming the variable
+and the offending text, bumps the ``env.parse_errors`` counter, and falls
+back to the documented default — the library behaves exactly as if the
+variable were unset.
 
 An unset or empty variable returns the default silently (that is the
 normal "not configured" state, not an error).
@@ -20,9 +21,9 @@ import math
 import os
 import shlex
 import warnings
-from typing import List, Optional, Union
+from typing import List, Optional, Sequence, Union
 
-__all__ = ["EnvVarWarning", "env_int", "env_float", "env_flags"]
+__all__ = ["EnvVarWarning", "env_int", "env_float", "env_flags", "env_choice"]
 
 
 class EnvVarWarning(UserWarning):
@@ -93,3 +94,18 @@ def env_flags(name: str) -> List[str]:
     except ValueError as e:
         _warn(name, raw, f"not a parseable flag list ({e})", [])
         return []
+
+
+def env_choice(name: str, choices: Sequence[str], default: str) -> str:
+    """``os.environ[name]``, stripped and lower-cased, if it is one of
+    ``choices``; unset or empty returns ``default`` silently, anything else
+    warns with :class:`EnvVarWarning`, counts ``env.parse_errors`` and
+    returns ``default``."""
+    raw = os.environ.get(name)
+    if raw is None or not raw.strip():
+        return default
+    value = raw.strip().lower()
+    if value not in choices:
+        _warn(name, raw, f"not one of {tuple(choices)}", default)
+        return default
+    return value

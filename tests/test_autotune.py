@@ -18,7 +18,6 @@ from repro.search.autotune import (
     autotune_repeats,
     autotune_topk,
     clear_winner_cache,
-    resolve_autotune_cache,
 )
 from repro.search.format_select import select_format
 from repro.solvers import SolverContext, cg
@@ -198,12 +197,16 @@ class TestKnobs:
             assert autotune_repeats() == 3
 
     def test_cache_mode_env(self, monkeypatch):
+        from repro.core.cache import resolve_mode
+
         monkeypatch.setenv("REPRO_AUTOTUNE_CACHE", "off")
-        assert resolve_autotune_cache(None) == "off"
-        assert resolve_autotune_cache("disk") == "disk"   # kwarg wins
+        assert resolve_mode(None, "REPRO_AUTOTUNE_CACHE") == "off"
+        assert resolve_mode("disk", "REPRO_AUTOTUNE_CACHE") == "disk"   # kwarg wins
         monkeypatch.setenv("REPRO_AUTOTUNE_CACHE", "psychic")
+        with pytest.warns(EnvVarWarning):         # warn and default, like every knob
+            assert resolve_mode(None, "REPRO_AUTOTUNE_CACHE") == "memory"
         with pytest.raises(ValueError):
-            resolve_autotune_cache(None)
+            resolve_mode("psychic", "REPRO_AUTOTUNE_CACHE")
 
 
 class TestLRU:

@@ -21,6 +21,7 @@ from repro.core.compiler import compile_kernel
 from repro.formats import as_format
 from repro.formats.generate import lower_triangular_of, random_sparse
 from repro.ir.kernels import mvm, smvm_two
+from repro.search.driver import search
 
 
 @pytest.fixture(autouse=True)
@@ -57,6 +58,17 @@ class TestModes:
     def test_resolve_mode_rejects_garbage(self):
         with pytest.raises(ValueError):
             resolve_mode("maybe")
+
+    def test_a_misspelt_env_mode_warns_and_uses_memory(self, monkeypatch):
+        from repro.util.env import EnvVarWarning
+
+        name = "env.parse_errors.REPRO_COMPILE_CACHE"
+        monkeypatch.setenv("REPRO_COMPILE_CACHE", "memroy")
+        before = instrument.snapshot()["counters"].get(name, 0)
+        with pytest.warns(EnvVarWarning, match="REPRO_COMPILE_CACHE"):
+            compile_kernel(mvm(), {"A": _csr()})
+        assert len(COMPILE_CACHE) == 1
+        assert instrument.snapshot()["counters"].get(name, 0) == before + 1
 
     def test_off_never_populates(self):
         A = _csr()
@@ -184,6 +196,61 @@ class TestInvalidation:
             lambda: compile_kernel(mvm(), {"A": second}, cache="memory", pick="first"))
         assert gen1 > 0 and gen2 == 0
         assert k2.plan is k1.plan
+
+
+def _texts(ranked):
+    return [plan.pretty() for _cost, _cand, plan in ranked]
+
+
+class TestNoSearchedPlanIsRewritten:
+    """Guard simplification makes a new plan.  On every path a compile
+    takes, the plans its search result ranks (and the cache entry holds)
+    print as a fresh search prints them, in order, and the kernel runs
+    the simplified copy of the selected one."""
+
+    PV = {"m": 8, "n": 6}
+
+    def _check(self, k, A, recorded=None):
+        """``recorded``: the instance the cache entry was searched with."""
+        fresh = search(mvm(), {"A": A}, None, self.PV)
+        assert _texts(k.result.ranked) == _texts(fresh.ranked)
+        assert k.result.plan.pretty() == fresh.plan.pretty()
+        assert k.plan.pretty() == fresh.plan.simplified(self.PV).pretty()
+        assert k.plan.pretty() != fresh.plan.pretty()   # guards did drop
+        first = search(mvm(), {"A": recorded or A}, None, self.PV)
+        for entry in COMPILE_CACHE.values():
+            assert _texts(entry.ranked) == _texts(first.ranked)
+        x = np.arange(1.0, 7.0)
+        y = np.zeros(8)
+        k({"A": A, "x": x, "y": y}, self.PV)
+        np.testing.assert_allclose(y, A.to_dense() @ x)
+
+    def test_off(self):
+        A = _csr()
+        self._check(compile_kernel(mvm(), {"A": A}, cache="off"), A)
+
+    def test_memory_miss_exact_hit_and_rerank_hit(self):
+        A = _csr(density=0.1, seed=1)
+        k = compile_kernel(mvm(), {"A": A}, cache="memory")
+        assert not k.result.stats.from_cache
+        self._check(k, A)
+        B = as_format(A.to_dense(), "csr")
+        k = compile_kernel(mvm(), {"A": B}, cache="memory")
+        assert k.result.stats.from_cache and not k.result.stats.reranked
+        self._check(k, B)
+        C = _csr(density=0.9, seed=2)
+        k = compile_kernel(mvm(), {"A": C}, cache="memory")
+        assert k.result.stats.reranked
+        self._check(k, C, recorded=A)
+
+    def test_disk_hit(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        A = _csr()
+        self._check(compile_kernel(mvm(), {"A": A}, cache="disk"), A)
+        COMPILE_CACHE.clear()
+        k = compile_kernel(mvm(), {"A": A}, cache="disk")
+        assert k.result.stats.from_cache
+        self._check(k, A)
 
 
 class TestSignatures:
@@ -459,10 +526,18 @@ class TestLru:
             COMPILE_CACHE.capacity = old_cap
 
     def test_entry_picklability_guard(self):
-        entry = CacheEntry([], 0, "best", (), None)
-        entry.fns[0] = lambda a, p: None
-        state = entry.__getstate__()
-        assert state["fns"] == {}              # callables never pickled
+        import pickle
+
+        result = search(mvm(), {"A": _csr()}, None, {"m": 8, "n": 6})
+        entry = CacheEntry(result.ranked, 0, "best", (), result.stats)
+        memo = entry.memo(0, {"m": 8, "n": 6}, True)
+        memo.fn = lambda a, p: None
+        memo.ir = lambda: None                 # stands in for the loop IR
+        state = memo.__getstate__()
+        assert set(state) == {"plan", "source"}  # callables never pickled
+        back = pickle.loads(pickle.dumps(entry))  # a lambda would not pickle
+        assert back.memos[0].fn is None and back.memos[0].ir is None
+        assert back.memos[0].plan.pretty() == memo.plan.pretty()
 
 
 class TestSpeedup:

@@ -97,8 +97,8 @@ def _exec_nodes(nodes):
 
 
 def test_every_plan_gets_its_own_guard_lists():
-    """``Plan.simplify_guards`` rewrites an ExecNode's guards in place, so
-    the shared guards of a copy are handed out as fresh lists."""
+    """A copy's guards are one tuple per search; each ExecNode holds its
+    own list of them."""
     result = _search("spgemm", _bindings("spgemm", "csr"))
     execs = [n for _c, _cand, plan in result.ranked
              for n in _exec_nodes(plan.nodes)]
@@ -180,3 +180,32 @@ def test_a_kernel_and_its_matrix_die_without_the_collector():
         gc.garbage.clear()
         gc.enable()
     assert not kinds & {"Plan", "LevelRuntime", "DiaMatrix"}
+
+
+@pytest.mark.parametrize("fmt", ["csr", "dia", "sym", "msr"])
+def test_a_cold_compile_leaves_no_recursive_closure(fmt):
+    """Parsing, validating and compiling ``mvm`` leave no ``repro``
+    function defined inside another in the collector's garbage: a nested
+    function that calls itself is a reference cycle per call."""
+    import repro
+
+    repro.compile_kernel(ALL_KERNELS["mvm"](), _bindings("mvm", fmt),
+                         cache="off")                 # first-use imports
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        kernel = repro.compile_kernel(ALL_KERNELS["mvm"](),
+                                      _bindings("mvm", fmt), cache="off")
+        kernel.source
+        del kernel
+        gc.collect()
+        closures = [o.__qualname__ for o in gc.garbage
+                    if type(o).__name__ == "function"
+                    and (o.__module__ or "").startswith("repro")
+                    and "<locals>" in o.__qualname__]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert closures == []
