@@ -550,7 +550,9 @@ def compile_plan_to_python(plan):
 
 def source_to_callable(src: str):
     """Exec generated kernel source and return its ``kernel`` callable
-    (shared by fresh codegen and the compilation cache's source replay)."""
+    (shared by fresh codegen and the compilation cache's source replay).
+    The function leaves its globals, which would otherwise hold it in a
+    reference cycle."""
     namespace: Dict[str, object] = {}
     exec(compile(src, "<bernoulli-generated>", "exec"), namespace)
-    return namespace["kernel"]
+    return namespace.pop("kernel")

@@ -329,12 +329,13 @@ def lookup(
 
 def record(
     key: str,
-    mode: str,
     result: SearchResult,
     bindings: Mapping[str, SparseFormat],
     pick: str,
 ) -> Tuple[CacheEntry, int]:
-    """Memoize a fresh search result under its structural key.
+    """Memoize a fresh search result under its structural key, in memory:
+    the disk layer gets it from :func:`save`, once, when a kernel prints
+    its source or dies without.
 
     Returns the entry and the record index of the selected plan."""
     selected = next(
@@ -343,13 +344,13 @@ def record(
     )
     entry = CacheEntry(result.ranked, selected, pick,
                        stats_signature(bindings), result.stats.clone())
-    COMPILE_CACHE.store(key, entry, mode == "disk")
+    COMPILE_CACHE.put(key, entry)
     INSTR.count("cache.stores")
     return entry, selected
 
 
 def save(key: str, entry: CacheEntry) -> None:
-    """Write ``entry`` to the disk layer again (after a memo filled), so
-    later processes replay its plans and sources byte-identically."""
+    """Write ``entry`` to the disk layer (after a memo filled), so later
+    processes replay its plans and sources byte-identically."""
     with entry._lock:
         COMPILE_CACHE.disk_put(key, entry)

@@ -20,6 +20,7 @@ new instances' statistics shifted) instead of re-running the search.
 from __future__ import annotations
 
 import threading
+import weakref
 from typing import Dict, Mapping, Optional
 
 from repro.core.plan import Plan
@@ -47,8 +48,8 @@ class CompiledKernel:
     kernel runs — ``result.plan``, guard-simplified unless that was turned
     off — and what kernels of the same cached plan share: its Python
     source, the exec'd function and the loop IR.  ``save`` is the
-    ``(key, entry)`` a ``cache="disk"`` compile writes back once the
-    source exists."""
+    ``(write, key, entry)`` of a ``cache="disk"`` compile whose plan has
+    no source yet."""
 
     def __init__(self, program: Program, bindings: Mapping[str, SparseFormat],
                  result: SearchResult, memo, backend: str = "python",
@@ -68,7 +69,8 @@ class CompiledKernel:
         self._cache_mode = cache_mode
         self._ir = None
         self._memo = memo
-        self._save = save
+        # the entry is written once: once printed, or as is when dropped
+        self._save = save and weakref.finalize(self, *save)
         self._parallel_report = None
         self._pyfunc = None
         self._pysource = None
@@ -210,13 +212,13 @@ class CompiledKernel:
                         src, fn = compile_plan_to_python(self.loop_ir())
                         memo.source, memo.fn = src, fn
                         if self._save is not None:
-                            from repro.core.cache import save
-
-                            save(*self._save)
+                            self._save()
                     else:
                         INSTR.count("cache.source_replays")
                         if fn is None:
                             fn = memo.fn = source_to_callable(src)
+                        if self._save is not None:  # another kernel wrote it
+                            self._save.detach()
                     self._save = None
                     self._pysource = src
                     self._pyfunc = fn    # publish last: readers gate on it
@@ -416,14 +418,16 @@ def compile_kernel(
         result = search(program, bindings, None, param_values, pick=pick,
                         max_orders=max_orders)
         if mode != "off":
-            entry, index = cc.record(key, mode, result, bindings, pick)
+            entry, index = cc.record(key, result, bindings, pick)
     memo = (cc.PlanMemo(result.plan, param_values, simplify_guards)
             if entry is None else
             entry.memo(index, param_values, simplify_guards))
+    save = (cc.save, key, entry) if mode == "disk" and memo.source is None else None
     kernel = CompiledKernel(program, bindings, result, memo, backend=backend,
                             parallel=parallel, cache_mode=mode, opt=opt,
-                            entry_points=entry_points,
-                            save=(key, entry) if mode == "disk" else None)
+                            entry_points=entry_points, save=save)
     if backend == "c" and bind:
         kernel.native()                  # compile eagerly; may fall back
+    elif bind and save:
+        kernel.callable()       # the entry's one disk write carries the source
     return kernel

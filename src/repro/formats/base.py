@@ -449,25 +449,41 @@ class LevelRuntime:
         self._values[self._address(prefix)] = value
 
 
-def _solution(path: AccessPath) -> Optional[Tuple[List[str], List[str]]]:
-    """``path.subs`` solved for the keys of every axis of ``path`` (in
-    order), one unit-coefficient unknown at a time: per axis a Python
-    expression in ``r`` and ``c``, and the checks — an equation left with
-    no unknown (MSR's diagonal holds ``r == c`` only).  None when
-    ``path.subs`` does not solve that way (BSR's ``s*rb + ri``)."""
-    todo, keys, checks = [(d, path.subs[d]) for d in ("r", "c")], {}, []
+def _solution(fmt: "SparseFormat", path_id: str
+              ) -> Optional[Tuple[List[str], List[str]]]:
+    """The path's ``subs`` solved for the keys of its axes (in order): per
+    axis a Python expression in ``r`` and ``c``, and the checks an entry
+    of the path passes — an equation left with no unknown (MSR's diagonal
+    holds ``r == c`` only) and the declared ``where``.  An equation is
+    solved for an unknown alone in it with a unit coefficient, or for two,
+    ``x = s*u + w`` with ``w``'s level ``Dense`` of extent ``s``, as
+    ``u = x // s`` and ``w = x % s`` (BSR's blocks).  None when ``subs``
+    do not solve that way."""
+    path, where = fmt.path(path_id), fmt.declaration()[path_id].where
+    todo, keys = [(d, path.subs[d]) for d in ("r", "c")], {}
+    checks = [" + ".join([f"{k} * {v}" for v, k in w.coeffs.items()]
+                         + [f"{w.const} >= 0"]) for w in where]
     while todo:
         for d, e in todo:
             unknown = [v for v in e.coeffs if v not in keys]
-            if not unknown or (len(unknown) == 1
-                               and e.coeffs[unknown[0]] in (1, -1)):
+            split = [(u, w) for u, w in ([unknown, unknown[::-1]]
+                                         if len(unknown) == 2 else [])
+                     if e.coeffs[w] == 1
+                     and fmt.axis_total(w) == (0, e.coeffs[u])]
+            if split or len(unknown) < 2 and all(
+                    e.coeffs[v] in (1, -1) for v in unknown):
                 break
         else:
             return None
         todo.remove((d, e))
         value = d + (f" - {e.const}" if e.const else "") + "".join(
-            f" - {k} * ({keys[v]})" for v, k in e.coeffs.items() if v in keys)
-        if not unknown:
+            f" - {'' if k == 1 else f'{k} * '}({keys[v]})"
+            for v, k in e.coeffs.items() if v in keys)
+        if split:
+            (u, w), = split
+            keys[u] = f"({value}) // {e.coeffs[u]}"
+            keys[w] = f"({value}) % {e.coeffs[u]}"
+        elif not unknown:
             checks.append(f"{value} == 0")
         else:
             keys[unknown[0]] = value if e.coeffs[unknown[0]] == 1 else f"-({value})"
@@ -505,98 +521,204 @@ class _Unstated(ValueError):
     """A declaration whose levels do not state its assembly."""
 
 
-def _level(level, keys, group, names, arrays, shape, extent: int, fmt: str):
+#: how far an entry may stray from the value its mirror stores (SYM)
+_MIRROR_TOLERANCE = 1e-12
+
+
+def _level(level, keys, group, names, arrays, shape, extent: int, fmt: str,
+           last: bool, ordered: bool):
     """A level built by the rule of its kind from the keys of its axes,
-    ``group`` the enclosing ``Dense`` level's keys and extent, ``names``
-    the sizes and the enclosing axis (a prefix each): every entry's
-    state, and the number of states."""
+    ``group`` the enclosing level's states and their number, ``names`` the
+    sizes and the enclosing axis (a prefix each), ``extent`` the logical
+    extent of its first key, ``ordered`` whether the entries are in the
+    path's key order under each prefix: every entry's state, and the
+    number of states.  A sparse level above others stores the distinct
+    keys of each prefix, which the levels below address within."""
     n = keys[0].size
     if isinstance(level, Dense) and isinstance(names.get(level.extent), int):
         return keys[0], names[level.extent]
     if isinstance(level, Coords) and all(isinstance(i, str) for i in level.inds):
-        arrays.update((i, k.astype(storage_index_dtype(shape, n)))
-                      for i, k in zip(level.inds, keys))
-        return slice(0, n), n
+        if last:
+            arrays.update((i, k.astype(storage_index_dtype(shape, n)))
+                          for i, k in zip(level.inds, keys))
+            return slice(0, n), n
+        if len(keys) == 1:
+            arrays[level.inds[0]], state = _distinct(keys[0])
+            return state, arrays[level.inds[0]].size
+    if (isinstance(level, Coords) and ordered and isinstance(level.inds[0], Perm)
+            and all(isinstance(i, str) for i in level.inds[1:])):
+        return _permuted(level, keys, arrays, shape, extent), n
     if (group is None or not isinstance(level, (Compressed, Counted, Range))
             or getattr(level, "off_diagonal", False)
             or getattr(level, "address", None)):
         raise _Unstated(f"a {type(level).__name__} level here")
-    parent, prefixes = group
+    (parent, prefixes), key = group, keys[0]
+    if isinstance(level, Range):
+        return _range(level, key, parent, prefixes, names, arrays, ordered)
+    if isinstance(level, Compressed) and not last:
+        span = int(key.max(initial=0)) + 1
+        uniq, state = _distinct(parent * span + key)
+        parent, key = np.divmod(uniq, span)
+    elif not ordered:
+        raise _Unstated(f"a {type(level).__name__} level under unordered keys")
     if isinstance(level, Compressed):
         idx = storage_index_dtype(shape, n)
         arrays[level.ptr] = csr_rowptr(parent, prefixes, idx)
-        arrays[level.ind] = keys[0].astype(idx)
-        return slice(0, n), n
+        arrays[level.ind] = key.astype(idx)
+        return (state, key.size) if not last else (slice(0, n), n)
     counts = np.bincount(parent, minlength=prefixes)
-    if isinstance(level, Counted):
-        longest = int(counts.max(initial=0))
-        check_padding(fmt, n, prefixes * longest)
-        width = max(longest, min(extent, 1))   # padding holds coordinate 0
-        arrays[level.count], arrays[level.ind] = counts, np.zeros(
-            (prefixes, width), dtype=storage_index_dtype(shape, prefixes * width))
-        slot = np.arange(n) - (np.cumsum(counts) - counts)[parent]
-        arrays[level.ind][parent, slot] = keys[0]
-        return slot, width
-    # Range: per prefix its first and one past its last key, each bound
-    # solved for the array it reads unbuilt, as that array plus the rest
-    # (a skyline's first[r] + length[r])
-    ends, held = np.cumsum(counts), counts > 0
-    bounds = np.zeros((2, prefixes), dtype=np.int64)
-    bounds[:, held] = (keys[0][ends[held] - counts[held]],
-                       keys[0][ends[held] - 1] + 1)
-    for bound, target in zip((level.lo, level.hi), bounds):
-        for a in _unbuilt(bound, arrays):
-            arrays[a] = np.zeros(prefixes, dtype=np.int64)
-            arrays[a] = target - _evaluate(bound, names.get, arrays)
+    longest = int(counts.max(initial=0))
+    check_padding(fmt, n, prefixes * longest)
+    width = max(longest, min(extent, 1))   # padding holds coordinate 0
+    arrays[level.count], arrays[level.ind] = counts, np.zeros(
+        (prefixes, width), dtype=storage_index_dtype(shape, prefixes * width))
+    slot = np.arange(n) - (np.cumsum(counts) - counts)[parent]
+    arrays[level.ind][parent, slot] = key
+    return slot, width
+
+
+def _distinct(key):
+    """The distinct keys, sorted, and the rank of each key among them."""
+    ordered = np.sort(key)
+    uniq = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
+    return uniq, np.searchsorted(uniq, key)
+
+
+def _range(level, key, parent, prefixes, names, arrays, ordered):
+    """A ``Range`` level: a bound that reads an array not yet built is
+    solved for it — per prefix the first and one past the last key, as
+    that array plus the rest (a skyline's ``first[r] + length[r]``) — and
+    every entry is checked to lie within the bounds (DIA's offsets)."""
+    if any(_unbuilt(b, arrays) for b in (level.lo, level.hi)):
+        if not ordered:
+            raise _Unstated("a Range level under unordered keys")
+        counts = np.bincount(parent, minlength=prefixes)
+        ends, held = np.cumsum(counts), counts > 0
+        bounds = np.zeros((2, prefixes), dtype=np.int64)
+        bounds[:, held] = (key[ends[held] - counts[held]],
+                           key[ends[held] - 1] + 1)
+        for bound, target in zip((level.lo, level.hi), bounds):
+            for a in _unbuilt(bound, arrays):
+                arrays[a] = np.zeros(prefixes, dtype=np.int64)
+                arrays[a] = target - _evaluate(bound, names.get, arrays)
     lo, hi = (np.broadcast_to(_evaluate(b, names.get, arrays), (prefixes,))
               for b in (level.lo, level.hi))
-    if not np.all((lo[parent] <= keys[0]) & (keys[0] < hi[parent])):
-        raise _Unstated(f"entries outside the Range {level!r}")
-    return keys[0], int(np.maximum(hi - lo, 0).sum())
+    for at in range(0, key.size, _CHUNK):
+        p, k = parent[at:at + _CHUNK], key[at:at + _CHUNK]
+        if not np.all((lo[p] <= k) & (k < hi[p])):
+            raise _Unstated(f"entries outside the Range {level!r}")
+    return key, int(np.maximum(hi - lo, 0).sum())
+
+
+def _permuted(level, keys, arrays, shape, extent: int):
+    """A ``Coords`` level whose first coordinate is a ``Perm`` of an
+    ``Offset`` (JAD's flat path): the permutation orders the keys by entry
+    count, decreasing and stable; the ``e``-th entry of a key goes to
+    segment ``e`` at the key's position, the other coordinates to its
+    slot.  Returns the slots."""
+    perm, n = level.inds[0], keys[0].size
+    idx = storage_index_dtype(shape, n)
+    counts = np.bincount(keys[0], minlength=extent)
+    forward = np.argsort(-counts, kind="stable").astype(idx)
+    inverse = np.empty(extent, dtype=idx)
+    inverse[forward] = np.arange(extent, dtype=idx)
+    # segment e holds the keys with more than e entries, a prefix of forward
+    lens = extent - np.searchsorted(counts[forward][::-1], np.arange(
+        counts.max(initial=0)), side="right")
+    ptr = np.zeros(lens.size + 1, dtype=idx)
+    np.cumsum(lens, out=ptr[1:])
+    slot = (ptr[np.arange(n) - (np.cumsum(counts) - counts)[keys[0]]]
+            + inverse[keys[0]])
+    arrays.update({perm.forward: forward, perm.inverse: inverse,
+                   perm.stored.ptr: ptr})
+    for name, key in zip(level.inds[1:], keys[1:]):
+        arrays[name] = np.empty(n, dtype=idx)
+        arrays[name][slot] = key
+    return slot
+
+
+def _mirrored(fmt, path, rows, cols, vals, arrays) -> None:
+    """Hold the entries routed to a branch whose arrays an earlier branch
+    built (SYM's mirror) to those the branch walks there: equal within
+    :data:`_MIRROR_TOLERANCE`, an entry missing on either side read as
+    0.0."""
+    vars(fmt).update(arrays)
+    wr, wc, wv = fmt.runtime(path.path_id).coo()
+    keys = np.append(rows * fmt.ncols + cols, -1)   # sorted; -1: none
+    walked = np.asarray(wr, dtype=np.int64) * fmt.ncols + wc
+    pos = np.searchsorted(keys[:-1], walked)
+    pos[keys[pos] != walked] = vals.size
+    alone = np.bincount(pos, minlength=vals.size + 1)[:-1] == 0
+    off = np.concatenate((np.abs(wv - np.append(vals, 0.0)[pos]),
+                          np.abs(vals[alone]))) > _MIRROR_TOLERANCE
+    if off.any():
+        r, c = divmod(int(np.append(walked, keys[:-1][alone])[off.argmax()]),
+                      fmt.ncols)
+        raise ValueError(f"format {fmt.format_name!r}: ({r}, {c}) is not "
+                         f"mirrored within {_MIRROR_TOLERANCE} (branch "
+                         f"{path.branch!r})")
 
 
 def _branch(fmt, path, rows, cols, vals, left, arrays, placed):
     """One aggregation branch's arrays, from its first ``path``, out of
     the entries no earlier branch took (``left``, a mask; None: all) that
     its ``subs`` solve for; returns the entries left."""
-    decl, solution = fmt.storage(path.path_id), _solution(path)
+    decl, solution = fmt.storage(path.path_id), _solution(fmt, path.path_id)
     if solution is None:
         raise _Unstated(f"path {path.path_id!r} does not solve for (r, c)")
     exprs, checks = solution
     r, c, v = ((rows, cols, vals) if left is None
                else (rows[left], cols[left], vals[left]))
-    keys = list(_function(f"({''.join(x + ', ' for x in exprs)})")(r, c))
     if checks:
         mine = _function(" & ".join(f"({x})" for x in checks))(r, c)
-        keys, v = [k[mine] for k in keys], v[mine]
+        r, c, v = r[mine], c[mine], v[mine]
         if left is None:
             left = ~mine
         elif isinstance(left, np.ndarray):
             left[left] = ~mine
     else:
         left = slice(0)             # every entry is placed
+    if all(a in arrays for a in decl.args if not isinstance(a, Size)):
+        _mirrored(fmt, path, r, c, v, arrays)
+        return left
+    keys = list(_function(f"({''.join(x + ', ' for x in exprs)})")(r, c))
     del r, c
-    if exprs[0] != "r":             # into the path's key order
+    # into the path's key order, unless in it or the first level sorts
+    # its own keys
+    levels = decl.levels
+    ordered = exprs[0] == "r" or bool(np.all(keys[0][1:] >= keys[0][:-1]))
+    if not ordered and not (isinstance(levels[0], Coords) and len(levels) > 1):
         perm = np.argsort(keys[0], kind="stable")
-        keys, v = [k[perm] for k in keys], v[perm]
+        keys, v, ordered = [k[perm] for k in keys], v[perm], True
         del perm
     sizes = {a.local: getattr(fmt, a.attr, None) for a in decl.args
              if isinstance(a, Size) and a.kind == "attr"}   # of the shape
     group, outer, states, spans, first = None, (), [], {}, 0
-    for step, level in zip(path.steps, decl.levels):
+    for step, level in zip(path.steps, levels):
         names = ({**sizes, **dict.fromkeys(outer, np.arange(group[1]))}
                  if isinstance(level, Range) and group else sizes)
         x, last = exprs[first], first + len(step.axes)
         extent = fmt.shape["rc".index(x)] if x in ("r", "c") else 1
         state, span = _level(level, keys[first:last], group, names, arrays,
-                             fmt.shape, extent, fmt.format_name)
-        group = (state, span) if isinstance(level, Dense) else None
+                             fmt.shape, extent, fmt.format_name,
+                             level is levels[-1], ordered)
+        if isinstance(level, Dense) and x not in ("r", "c") and state.size and (
+                state.min() < 0 or state.max() >= span):
+            raise ValueError(f"format {fmt.format_name!r}: an entry lies "
+                             f"outside the {span} keys of level {level!r}")
+        ordered &= level is levels[-1] or not isinstance(level, (Coords, Compressed))
+        group = (state, span)
         states.append(state)
-        spans.update(dict.fromkeys(step.names, span))
+        # a Range addresses its cells by key
+        spans.update(dict.fromkeys(
+            step.names, extent if isinstance(level, Range) else span))
         outer, first = step.names, last
     array, *index = decl.value
     if all(isinstance(i, str) for i in index):   # states address the cells
-        arrays[array] = np.zeros(tuple(spans[i] for i in index))
+        shape = tuple(spans[i] for i in index)
+        if any(isinstance(levels[path.step_of(i)], Range) for i in index):
+            check_padding(fmt.format_name, v.size, int(np.prod(shape)))
+        arrays[array] = np.zeros(shape)
         arrays[array][tuple(states[path.step_of(i)] for i in index)] = v
     else:              # an expression over the instance's arrays: later
         arrays[array] = np.zeros(span)
@@ -657,7 +779,7 @@ class SparseFormat:
                 path = next((p for p in self.paths() if p.branch == branch
                              and NOSEARCH not in (a.search for s in p.steps
                                                   for a in s.axes)), None)
-                keys, checks = path and _solution(path) or (None, None)
+                keys, checks = path and _solution(self, path.path_id) or (None, None)
                 if keys is None:
                     raise ValueError(
                         f"format {self.format_name!r}: no path of branch "
@@ -745,8 +867,14 @@ class SparseFormat:
         (README, "Format designers") and the values go in through the
         declared value index — all fresh arrays.  A format whose levels
         do not state its assembly overrides this."""
-        fmt = cls.__new__(cls)          # the shape alone: what paths read
+        params = inspect.signature(cls).parameters
+        # a constructor keyword not given reads its default off the class
+        # (BSR's block_size)
+        kwargs = {**{p: getattr(cls, p) for p in params if hasattr(cls, p)},
+                  **kwargs}
+        fmt = cls.__new__(cls)  # the shape and the keywords: what paths read
         SparseFormat.__init__(fmt, shape)
+        vars(fmt).update(kwargs)
         arrays, placed, left = {"shape": fmt.shape}, [], None
         try:
             for branch in fmt.union_branches():
@@ -759,8 +887,7 @@ class SparseFormat:
             raise ValueError(f"format {cls.format_name!r}: the declaration "
                              f"does not state its assembly ({e}); define "
                              "_from_canonical_coo") from None
-        out = cls(**{p: arrays[p] for p in inspect.signature(cls).parameters
-                     if p in arrays}, **kwargs)
+        out = cls(**{p: arrays[p] for p in params if p in arrays}, **kwargs)
         for path_id, states, v in placed:   # through the instance's arrays
             rt = out.runtime(path_id)
             rt._values[rt._cells(states)] = v

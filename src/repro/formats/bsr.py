@@ -22,7 +22,6 @@ import numpy as np
 from repro.formats.base import (
     SparseFormat,
     coo_contract,
-    csr_rowptr,
     index_array,
     storage_index_dtype,
     pointer_array,
@@ -38,6 +37,8 @@ class BsrMatrix(SparseFormat):
     ``blockind[kk] * s + ci`` and addresses the block cube flat."""
 
     format_name = "bsr"
+    #: the block size ``from_coo`` builds when given none
+    block_size = 2
 
     def __init__(self, indptr: np.ndarray, blockind: np.ndarray, data: np.ndarray,
                  block_size: int, shape: Tuple[int, int]):
@@ -69,29 +70,6 @@ class BsrMatrix(SparseFormat):
         computes with them, so benchmarks must count them)."""
         return int(self.data.size)
 
-    def _find_block(self, rb: int, cb: int) -> Optional[int]:
-        lo, hi = int(self.indptr[rb]), int(self.indptr[rb + 1])
-        kk = int(np.searchsorted(self.blockind[lo:hi], cb)) + lo
-        if kk < hi and self.blockind[kk] == cb:
-            return kk
-        return None
-
-    # kept by hand: the solve behind the base get/set takes one
-    # unit-coefficient unknown at a time, and s*rb + ri needs a division
-    def get(self, r: int, c: int) -> float:
-        self._check_index(r, c)
-        s = self.block_size
-        kk = self._find_block(r // s, c // s)
-        return float(self.data[kk, r % s, c % s]) if kk is not None else 0.0
-
-    def set(self, r: int, c: int, v: float) -> None:
-        self._check_index(r, c)
-        s = self.block_size
-        kk = self._find_block(r // s, c // s)
-        if kk is None:
-            raise KeyError(f"({r},{c}) is not in a stored block")
-        self.data[kk, r % s, c % s] = v
-
     def to_coo_arrays(self):
         # kept by hand: the derived walk expands four levels, at 2.3x the memory
         # broadcast block coordinates over the (nblocks, s, s) data cube;
@@ -107,37 +85,6 @@ class BsrMatrix(SparseFormat):
                 + within[None, None, :] + np.zeros((1, s, 1), dtype=np.int64))
         return coo_contract(rows.reshape(-1), cols.reshape(-1),
                             self.data.reshape(-1).copy())
-
-    def to_dense(self) -> np.ndarray:
-        # view the dense output as (block_rows, s, block_cols, s) and drop
-        # every stored block in with one advanced-indexing assignment
-        s = self.block_size
-        out = np.zeros(self.shape)
-        rb = np.repeat(np.arange(self.block_rows), np.diff(self.indptr))
-        out4 = out.reshape(self.block_rows, s, self.block_cols, s)
-        out4[rb, :, self.blockind, :] = self.data
-        return out
-
-    @classmethod
-    def _from_canonical_coo(cls, rows, cols, vals, shape,
-                            block_size: int = 2) -> "BsrMatrix":
-        # block ids come from np.unique; the inverse map replaces the
-        # per-element dictionary lookup, so the fill is one 3-D scatter
-        s = block_size
-        m, n = shape
-        if m % s or n % s:
-            raise ValueError("matrix dimensions must be multiples of the block size")
-        # block keys are formed from the int64 exchange triples: the block
-        # grid's cell count overflows a storage width long before n does
-        rb, cb = rows // s, cols // s
-        keys = rb * (n // s) + cb
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        data = np.zeros((uniq.size, s, s))
-        data[inverse, rows % s, cols % s] = vals
-        idx = storage_index_dtype(shape, data.size)
-        indptr = csr_rowptr(uniq // (n // s), m // s, idx)
-        blockind = (uniq % (n // s)).astype(idx)
-        return cls(indptr, blockind, data, s, shape)
 
     # -- low-level API -------------------------------------------------------
     def declaration(self):

@@ -47,12 +47,6 @@ class DenseMatrix(SparseFormat):
         return self.data.copy()
 
     @classmethod
-    def _from_canonical_coo(cls, rows, cols, vals, shape) -> "DenseMatrix":
-        out = np.zeros(shape)
-        out[rows, cols] = vals
-        return cls(out)
-
-    @classmethod
     def from_dense(cls, a: np.ndarray) -> "DenseMatrix":
         return cls(np.array(real_values(a, "a")))
 

@@ -18,12 +18,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.formats.base import (
-    SparseFormat,
-    check_padding,
-    index_array,
-    index_dtype,
-)
+from repro.formats.base import SparseFormat, index_array, index_dtype
 from repro.formats.levels import Coords, Path, Range, Size, Storage, at
 from repro.formats.views import Axis, BINARY, INCREASING
 from repro.polyhedra.linexpr import LinExpr
@@ -57,18 +52,12 @@ class DiaMatrix(SparseFormat):
         hi = min(self.ncols, self.nrows - d)
         return lo, max(lo, hi)
 
-    def _offset_ranges(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`offset_range` over every stored diagonal:
-        (lo, hi) arrays with ``hi >= lo``."""
-        lo = np.maximum(0, -self.diags)
-        hi = np.minimum(self.ncols, self.nrows - self.diags)
-        return lo, np.maximum(lo, hi)
-
     # -- high-level API ----------------------------------------------------
     @property
     def nnz(self) -> int:
-        lo, hi = self._offset_ranges()
-        return int(np.sum(hi - lo))
+        lo = np.maximum(0, -self.diags)
+        hi = np.minimum(self.ncols, self.nrows - self.diags)
+        return int(np.sum(np.maximum(lo, hi) - lo))
 
     # kept by hand (stop rule): the derived search evaluates the declared
     # offset range per call, 2.1x this get on can_1072
@@ -88,16 +77,6 @@ class DiaMatrix(SparseFormat):
             self.data[k, c] = v
             return
         raise KeyError(f"({r},{c}) is not on a stored diagonal")
-
-    @classmethod
-    def _from_canonical_coo(cls, rows, cols, vals, shape) -> "DiaMatrix":
-        ds = rows - cols
-        diags = np.unique(ds)
-        check_padding("dia", rows.size, diags.size * shape[1])
-        data = np.zeros((diags.size, shape[1]))
-        k = np.searchsorted(diags, ds)
-        data[k, cols] = vals
-        return cls(diags, data, shape)
 
     # -- low-level API -------------------------------------------------------
     def declaration(self):

@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.formats.base import (
     SparseFormat,
-    csr_rowptr,
     index_array,
     storage_index_dtype,
     pointer_array,
@@ -140,38 +139,6 @@ class JadMatrix(SparseFormat):
         if jj is None:
             raise KeyError(f"({r},{c}) is not stored (fill is not supported)")
         self.values[jj] = v
-
-    @classmethod
-    def _from_canonical_coo(cls, rows, cols, vals, shape) -> "JadMatrix":
-        # Scatter construction: entry jj of the row-major input sits in
-        # slot d = jj - rowptr[rows[jj]] of its row, i.e. on jagged
-        # diagonal d at offset rr = ipermi[rows[jj]], so its destination
-        # is dptr[d] + rr — one permutation index array, two scatters.
-        m, n = shape
-        idx = storage_index_dtype(shape, rows.size)
-        rowptr = csr_rowptr(rows, m, idx)
-        counts = np.diff(rowptr)
-        # sort rows by count decreasing; stable so equal-count rows keep
-        # their original order (deterministic construction)
-        iperm = np.argsort(-counts, kind="stable").astype(idx)
-        ipermi = np.empty(m, dtype=idx)
-        ipermi[iperm] = np.arange(m, dtype=idx)
-        nd = int(counts.max(initial=0))
-        # diagonal d holds one entry per row with more than d entries;
-        # counts[iperm] is non-increasing, so diagonal lengths fall out of
-        # one binary search (the same identity rowcnt uses, transposed)
-        sorted_desc = counts[iperm]
-        lens = m - np.searchsorted(sorted_desc[::-1], np.arange(nd, dtype=idx),
-                                   side="right")
-        dptr = np.zeros(nd + 1, dtype=idx)
-        np.cumsum(lens, out=dptr[1:])
-        slot = np.arange(rows.size, dtype=idx) - rowptr[rows]
-        dest = dptr[slot] + ipermi[rows]
-        colind = np.empty(rows.size, dtype=idx)
-        values = np.empty(rows.size)
-        colind[dest] = cols
-        values[dest] = vals
-        return cls(iperm, dptr, colind, values, shape)
 
     # -- low-level API -------------------------------------------------------
     def declaration(self):

@@ -129,8 +129,11 @@ class Path(NamedTuple):
     override its level's; ``subs`` gives the logical ``r`` and ``c`` as
     affine expressions over the axes where they are not axes themselves;
     paths of one aggregation ``branch`` are alternatives (perspectives),
-    the branches are all walked."""
+    the branches are all walked; ``where`` lists affine expressions over
+    ``r`` and ``c``, each ``>= 0`` on every entry of the path (SYM's
+    stored triangle: ``r - c``)."""
     axes: Tuple
     storage: Storage
     subs: Optional[Mapping] = None
     branch: str = ""
+    where: Tuple = ()

@@ -21,13 +21,13 @@ import numpy as np
 
 from repro.formats.base import (
     SparseFormat,
-    csr_rowptr,
     index_array,
     storage_index_dtype,
     pointer_array,
 )
 from repro.formats.csr import ROWS
 from repro.formats.levels import Path
+from repro.polyhedra.linexpr import LinExpr
 
 
 class SymMatrix(SparseFormat):
@@ -63,39 +63,15 @@ class SymMatrix(SparseFormat):
     def stored_nnz(self) -> int:
         return int(self.values.size)
 
-    @classmethod
-    def _from_canonical_coo(cls, rows, cols, vals, shape) -> "SymMatrix":
-        # symmetry check without the per-element dictionary: look every
-        # entry's transposed key up in the (sorted, unique) key array; a
-        # missing transpose compares against 0.0, exactly like the loop
-        # oracle's dict.get default
-        m, n = shape
-        # key arithmetic on the int64 exchange triples (n*n overflows int32
-        # long before n does)
-        keys = rows * n + cols
-        kt = cols * n + rows
-        if keys.size:
-            pos = np.minimum(np.searchsorted(keys, kt), keys.size - 1)
-            found = keys[pos] == kt
-            tvals = np.where(found, vals[pos], 0.0)
-            bad = np.abs(tvals - vals) > 1e-12
-            if np.any(bad):
-                i = int(np.argmax(bad))
-                raise ValueError(
-                    f"matrix is not symmetric at ({int(rows[i])},{int(cols[i])})")
-        keep = rows >= cols
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        idx = storage_index_dtype(shape, rows.size)
-        return cls(csr_rowptr(rows, m, idx), cols.astype(idx), vals, shape)
-
     # -- low-level API -------------------------------------------------------
     def declaration(self):
         # the mirror reads the same arrays; the diagonal belongs to the
-        # stored branch
+        # stored branch, which holds c <= r
         rows, cols = ROWS.levels
         mirror = ROWS._replace(levels=(rows, cols._replace(off_diagonal=True)),
                                value=("values", "cc"))
-        return {"lower": Path(("r", "c"), ROWS, branch="u0"),
+        lower = LinExpr.variable("r") - LinExpr.variable("c")
+        return {"lower": Path(("r", "c"), ROWS, branch="u0", where=(lower,)),
                 "mirror": Path(("rr", "cc"), mirror, {"r": "cc", "c": "rr"},
                                branch="u1")}
 

@@ -297,6 +297,45 @@ class TestDiskLayer:
         k2({"A": A, "x": x, "y": y}, {"m": 8, "n": 6})
         np.testing.assert_allclose(y, A.to_dense() @ x)
 
+    @pytest.mark.parametrize("backend,bind", [
+        ("python", True), ("c", True), ("python", False)])
+    def test_a_cold_disk_compile_writes_its_entry_once(
+            self, backend, bind, tmp_path, monkeypatch):
+        """One pickle per cold compile: with its source when the kernel is
+        bound (printed at once), or, unbound, when it prints the source or
+        dies without.  The next process (memory cleared) hits the disk and
+        replays the source, if there was one, unprinted."""
+        import gc
+
+        from repro.core import backend as be
+
+        if backend == "c" and be.find_compiler() is None:
+            pytest.skip("no C compiler on PATH")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        puts, put = [], COMPILE_CACHE.disk_put
+        monkeypatch.setattr(COMPILE_CACHE, "disk_put", lambda key, value: (
+            puts.append(key), put(key, value)))
+        A = _csr()
+        k = compile_kernel(mvm(), {"A": A}, cache="disk", backend=backend,
+                           bind=bind)
+        assert len(puts) == bind
+        del k
+        gc.collect()
+        assert len(puts) == 1
+        COMPILE_CACHE.clear()
+        before = dict(instrument.snapshot()["counters"])
+        k, gen = _generated_delta(
+            lambda: compile_kernel(mvm(), {"A": A}, cache="disk",
+                                   backend=backend))
+        k.source
+        del k
+        gc.collect()
+        after = instrument.snapshot()["counters"]
+        assert gen == 0 and len(puts) == 1 + (not bind)
+        delta = lambda name: after.get(name, 0) - before.get(name, 0)  # noqa: E731
+        assert delta("cache.hits.disk") == 1
+        assert delta("cache.source_replays") == bind
+
     def test_an_edited_declaration_misses_its_parents_entry(
             self, tmp_path, monkeypatch):
         """The key sees the storage and the axes' search kinds: a class

@@ -184,9 +184,10 @@ def test_a_kernel_and_its_matrix_die_without_the_collector():
 
 @pytest.mark.parametrize("fmt", ["csr", "dia", "sym", "msr"])
 def test_a_cold_compile_leaves_no_recursive_closure(fmt):
-    """Parsing, validating and compiling ``mvm`` leave no ``repro``
-    function defined inside another in the collector's garbage: a nested
-    function that calls itself is a reference cycle per call."""
+    """Parsing, validating and compiling ``mvm`` and printing its Python
+    leave nothing in the collector's garbage: a nested function that calls
+    itself, or an exec'd kernel its own globals hold, is a reference cycle
+    per call."""
     import repro
 
     repro.compile_kernel(ALL_KERNELS["mvm"](), _bindings("mvm", fmt),
@@ -204,8 +205,10 @@ def test_a_cold_compile_leaves_no_recursive_closure(fmt):
                     if type(o).__name__ == "function"
                     and (o.__module__ or "").startswith("repro")
                     and "<locals>" in o.__qualname__]
+        garbage = len(gc.garbage)
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
         gc.enable()
     assert closures == []
+    assert garbage == 0
