@@ -91,11 +91,10 @@ class _State:
 
 class PySourceGenerator:
     """Builds the loop IR of one plan.  ``bindings`` are the instances the
-    kernel is compiled for (they type the storage arrays); without them the
-    instances the plan was searched with are used."""
+    kernel is compiled for: they type the storage arrays (the plan holds
+    its formats' structure only)."""
 
-    def __init__(self, plan: Plan,
-                 bindings: Optional[Mapping[str, object]] = None):
+    def __init__(self, plan: Plan, bindings: Mapping[str, object]):
         self.plan = plan
         self.out = Builder()
         self.copies: Dict[str, StmtCopy] = {c.label: c for c in plan.space.copies}
@@ -122,9 +121,8 @@ class PySourceGenerator:
             for ref in copy.refs:
                 key = (id(ref.fmt), ref.path.path_id)
                 if key not in pool:
-                    inst = (bindings or {}).get(ref.array, ref.fmt)
-                    pool[key] = make_emitter(ref, f"M{len(pool)}", inst,
-                                             self.out)
+                    pool[key] = make_emitter(ref, f"M{len(pool)}",
+                                             bindings[ref.array], self.out)
                 self.emitters[ref.key] = pool[key]
 
     # -- collection ------------------------------------------------------
@@ -529,20 +527,16 @@ def _scan_vparams(e: ValExpr, names: Set[str]) -> None:
         _scan_vparams(e.right, names)
 
 
-def build_loop_ir(plan: Plan,
-                  bindings: Optional[Mapping[str, object]] = None) -> KernelIR:
-    """The loop IR of a plan, its storage arrays typed from ``bindings``
-    (default: the instances the plan was searched with)."""
+def build_loop_ir(plan: Plan, bindings: Mapping[str, object]) -> KernelIR:
+    """The loop IR of a plan, its storage arrays typed from ``bindings``."""
     return PySourceGenerator(plan, bindings).generate()
 
 
-def compile_plan_to_python(plan):
-    """(source, callable) for a plan, or for its already built loop IR; the
-    callable has the signature ``kernel(arrays, params)`` and mutates the
-    arrays in place."""
+def compile_plan_to_python(ir: KernelIR):
+    """(source, callable) for a loop IR; the callable has the signature
+    ``kernel(arrays, params)`` and mutates the arrays in place."""
     with INSTR.phase("codegen.total"):
         INSTR.count("codegen.compiles")
-        ir = plan if isinstance(plan, KernelIR) else build_loop_ir(plan)
         src = print_python(ir)
         fn = source_to_callable(src)
     return src, fn

@@ -30,7 +30,9 @@ replay byte-identically.
 **Layers** — :data:`COMPILE_CACHE` is a :class:`repro.util.store.Store`:
 an in-memory LRU (always consulted when caching is on) and an opt-in
 on-disk layer (``cache="disk"``) that pickles entries under a cache
-directory so separate processes share compiles.
+directory so separate processes of one build share compiles (an entry
+file is named by its key under a digest of the ``repro`` source).  Plans
+hold data-free stand-ins of the formats, so no entry holds a matrix.
 
 **Concurrency** — the store guards its own bookkeeping; every entry
 carries its own RLock serializing its writes (re-ranking, memo fill), so
@@ -45,6 +47,7 @@ taken from ``REPRO_COMPILE_CACHE`` (default ``"memory"``).  With
 
 from __future__ import annotations
 
+import glob
 import hashlib
 import os
 import pickle
@@ -206,45 +209,8 @@ class CacheEntry:
         return state
 
     def __setstate__(self, state):
-        if "memos" not in state:
-            state = _upgraded(state)
         self.__dict__.update(state)
         self._lock = threading.RLock()
-        # entries pickled before the search kept each plan once: their
-        # ranking may hold one plan several times, and it replays as is
-        self.search_stats.__dict__.setdefault("distinct", len(
-            {plan.pretty() for _cost, _cand, plan in self.ranked}))
-        for _cost, cand, _plan in self.ranked:
-            if not hasattr(cand, "twins"):
-                cand.twins = []
-
-
-def _upgraded(old: Dict) -> Dict:
-    """An entry pickled while guard simplification rewrote plans in place:
-    its ranking permuted under stable ids, with per-id side tables and a
-    snapshot of each plan's guards.  Record order comes back from the ids;
-    a plan simplified in place becomes its id's memo, and the ranking gets
-    a copy carrying the snapshot guards."""
-    ranked = old.pop("ranked")
-    ids = old.pop("ids", None) or list(range(len(ranked)))
-    selected = ids[old.pop("selected_index")]
-    simplified = old.pop("simplified", set())
-    snapshots = old.pop("guard_snapshots", {})
-    sources = old.pop("sources", {})
-    old.pop("fns", None)
-    old.pop("irs", None)
-    recorded = [None] * len(ranked)
-    for pos, sid in enumerate(ids):
-        recorded[sid] = ranked[pos]
-    memos = {}
-    for sid in set(simplified) | set(sources):
-        cost, cand, plan = recorded[sid]
-        memo = memos[sid] = PlanMemo(plan, {}, False)
-        memo.source = sources.get(sid)
-        if sid in simplified:
-            recorded[sid] = (cost, cand, plan.with_guards(snapshots[sid]))
-    return dict(old, ranked=recorded, selected=selected, memos=memos,
-                costs=[cost for cost, _cand, _plan in recorded])
 
 
 def _load_entry(f) -> Optional[CacheEntry]:
@@ -258,6 +224,28 @@ def _cache_dir() -> str:
         os.path.join(tempfile.gettempdir(), "repro-compile-cache"))
 
 
+_SOURCE_DIGEST: Optional[str] = None
+
+
+def _source_digest() -> str:
+    """SHA-256 of the ``repro`` package source, read once per process."""
+    global _SOURCE_DIGEST
+    if _SOURCE_DIGEST is None:
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        h = hashlib.sha256()
+        for path in sorted(glob.glob(f"{root}/**/*.py", recursive=True)):
+            with open(path, "rb") as f:
+                h.update(f"{os.path.relpath(path, root)}\0".encode() + f.read())
+        _SOURCE_DIGEST = h.hexdigest()
+    return _SOURCE_DIGEST
+
+
+def _entry_name(key: str) -> str:
+    """An entry's file: its key under this build's source digest, so the
+    entry another build wrote is a miss here."""
+    return hashlib.sha256((_source_digest() + key).encode()).hexdigest()
+
+
 #: the process-wide compilation cache: structural key -> :class:`CacheEntry`,
 #: pickled one file per key under ``REPRO_CACHE_DIR`` in ``disk`` mode.  The
 #: native backend shards its ``.so`` artifacts (with their ``.lock`` files
@@ -267,7 +255,7 @@ COMPILE_CACHE = Store(
     256, directory=_cache_dir, suffix=".pkl",
     dump=lambda entry, f: pickle.dump(entry, f, pickle.HIGHEST_PROTOCOL),
     load=_load_entry, save_errors="cache.disk.save_errors",
-    owns=(".so", ".lock", ".c"))
+    owns=(".so", ".lock", ".c"), name=_entry_name)
 
 
 def clear_compile_cache(disk: bool = False) -> None:
@@ -312,8 +300,7 @@ def lookup(
             # new instances and re-select, as a fresh search ranks them.
             INSTR.count("cache.hits.rerank")
             stats.reranked = True
-            fmts = dict(bindings)
-            entry.costs = [plan_cost(plan, param_values, fmts=fmts)
+            entry.costs = [plan_cost(plan, param_values, fmts=bindings)
                            for _cost, _cand, plan in entry.ranked]
             entry.stats_sig = new_sig
             order = entry.order()

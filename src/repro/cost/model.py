@@ -88,15 +88,13 @@ def _search_cost(fmt: SparseFormat, path_id: str, step: int) -> float:
     return cost
 
 
-def plan_cost(plan: Plan, param_values: Optional[Mapping[str, int]] = None,
-              fmts: Optional[Mapping[str, SparseFormat]] = None) -> float:
-    """Estimated execution cost of a plan on the bound matrix instances.
-
-    ``fmts`` optionally overrides the format instance consulted for each
-    array name (falling back to the instance baked into the plan's refs) —
-    the compilation cache uses this to re-rank a structurally-identical
-    cached plan against the statistics of a *new* matrix instance without
-    rebuilding the plan."""
+def plan_cost(plan: Plan, param_values: Optional[Mapping[str, int]],
+              fmts: Mapping[str, SparseFormat]) -> float:
+    """Estimated execution cost of a plan on the matrix instances ``fmts``
+    (array name -> instance).  A plan holds its formats' structure only;
+    the statistics come from ``fmts`` — the search's bindings, or a new
+    matrix's when the compilation cache re-ranks a structurally-identical
+    cached plan without rebuilding it."""
     coster = _PlanCoster(param_values, fmts)
     return sum(coster.node_cost(n) for n in plan.nodes)
 
@@ -109,14 +107,11 @@ class _PlanCoster:
 
     def __init__(self, param_values, fmts):
         self.param_values = dict(param_values or {})
-        self.fmts = fmts or {}
-
-    def fmt_of(self, ref) -> SparseFormat:
-        return self.fmts.get(ref.array, ref.fmt)
+        self.fmts = fmts
 
     def loop_stats(self, method) -> Tuple[float, float]:
         """(trips per visit, per-trip enumeration cost)."""
-        fmt, step = self.fmt_of(method.driver), method.step
+        fmt, step = self.fmts[method.driver.array], method.step
         path_id = method.driver.path.path_id
         width = _width(fmt, path_id, step)
         if isinstance(method, StoredEnum):
@@ -149,7 +144,7 @@ class _PlanCoster:
             return trips * (P.BIND_COST * len(node.binds) + body)
         if isinstance(node, LoopNode):
             trips, per_trip = self.loop_stats(node.method)
-            search = sum(_search_cost(self.fmt_of(role.ref),
+            search = sum(_search_cost(self.fmts[role.ref.array],
                                       role.ref.path.path_id, role.step)
                          for role in node.roles if role.role == SEARCH)
             body = sum(self.node_cost(c) for c in node.body)

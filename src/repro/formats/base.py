@@ -872,9 +872,7 @@ class SparseFormat:
         # (BSR's block_size)
         kwargs = {**{p: getattr(cls, p) for p in params if hasattr(cls, p)},
                   **kwargs}
-        fmt = cls.__new__(cls)  # the shape and the keywords: what paths read
-        SparseFormat.__init__(fmt, shape)
-        vars(fmt).update(kwargs)
+        fmt = cls._bare(shape, kwargs)
         arrays, placed, left = {"shape": fmt.shape}, [], None
         try:
             for branch in fmt.union_branches():
@@ -892,6 +890,25 @@ class SparseFormat:
             rt = out.runtime(path_id)
             rt._values[rt._cells(states)] = v
         return out
+
+    @classmethod
+    def _bare(cls, shape, kwargs) -> "SparseFormat":
+        """An instance holding the shape and the constructor keywords
+        ``kwargs`` and no array: all a declaration and its paths read."""
+        fmt = cls.__new__(cls)
+        SparseFormat.__init__(fmt, shape)
+        vars(fmt).update(kwargs)
+        return fmt
+
+    def stand_in(self) -> "SparseFormat":
+        """A data-free instance of this one's structure: its shape, its
+        constructor keywords (BSR's block size) and its bounds annotation.
+        A search builds its plans over it, so a cached plan neither keeps
+        the matrix alive nor pickles it."""
+        cls = type(self)
+        return cls._bare(self.shape, {
+            p: getattr(self, p) for p in inspect.signature(cls).parameters
+            if hasattr(cls, p)}).annotate_bounds(self.bounds())
 
     @classmethod
     def from_dense(cls, a: np.ndarray, **kwargs) -> "SparseFormat":
@@ -970,9 +987,11 @@ class SparseFormat:
 
     def __getstate__(self):
         # runtimes are closures over the arrays and kernel handles are
-        # bound to this instance (blas.api): neither is pickled nor copied
+        # bound to this instance (blas.api); the paths and the step totals
+        # are derived again on use: none of them is pickled nor copied
         state = dict(self.__dict__)
-        for derived in ("_runtimes", "_locators", "_kernel_handles"):
+        for derived in ("_runtimes", "_locators", "_kernel_handles",
+                        "_paths_cache", "_step_totals_cache"):
             state.pop(derived, None)
         return state
 
@@ -1039,7 +1058,8 @@ class SparseFormat:
 
     # -- misc -----------------------------------------------------------------
     def __repr__(self):
-        return f"<{self.format_name} {self.nrows}x{self.ncols}, nnz={self.nnz}>"
+        nnz = getattr(self, "nnz", "-")     # a stand-in holds no entries
+        return f"<{self.format_name} {self.nrows}x{self.ncols}, nnz={nnz}>"
 
 
 #: elements :func:`coo_dedup_sort` checks at a time

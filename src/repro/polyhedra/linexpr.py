@@ -59,8 +59,7 @@ class LinExpr:
 
     def __reduce__(self):
         # pickle via the constructor: the default slot protocol would
-        # setattr() on load, which immutability forbids; it also brings
-        # coefficients pickled as Fractions back in canonical form
+        # setattr() on load, which immutability forbids
         return (LinExpr, (self.coeffs, self.const))
 
     # -- constructors ----------------------------------------------------

@@ -115,11 +115,6 @@ class System:
     def __reduce__(self):
         return (System, (self.constraints,))
 
-    def __setstate__(self, state):
-        # a system pickled before the cached fields existed (disk cache of
-        # an older build): its state is the bare constraint list
-        self.__init__(state["constraints"])
-
     # -- construction helpers --------------------------------------------
     @staticmethod
     def of(*constraints: Constraint) -> "System":

@@ -87,7 +87,8 @@ def search(
     What the candidates share (per-copy relations, guards, trackers, value
     ranges, loop bounds and pair polyhedra) is built once, in a
     :class:`~repro.core.facts.SearchFacts` table that lives as long as this
-    call.
+    call.  Plans are built over a :meth:`~repro.formats.base.SparseFormat.
+    stand_in` of each instance; only the cost model reads ``bindings``.
 
     Candidates whose plans print alike are one plan: it is costed and
     ranked once, under its first candidate, whose ``twins`` list the
@@ -108,7 +109,10 @@ def search(
         # plan text -> the first candidate that lowered to it
         firsts: Dict[str, Candidate] = {}
 
-        for cand in generate_candidates(program, bindings, deps,
+        # one stand-in per instance: refs to one matrix share it
+        stand_ins = {id(fmt): fmt.stand_in() for fmt in bindings.values()}
+        structure = {k: stand_ins[id(fmt)] for k, fmt in bindings.items()}
+        for cand in generate_candidates(program, structure, deps,
                                         max_orders=max_orders, facts=facts):
             stats.generated += 1
             INSTR.count("search.candidates.generated")
@@ -131,7 +135,7 @@ def search(
                 continue
             stats.distinct += 1
             with INSTR.phase("search.costing"):
-                cost = plan_cost(plan, param_values)
+                cost = plan_cost(plan, param_values, fmts=bindings)
             stats.costs.append(cost)
             lowered.append((cost, cand, plan))
             if pick == "first":

@@ -207,7 +207,8 @@ _SHARD = re.compile(r"^[0-9a-f]{2}$")
 class Store(LRU):
     """An :class:`LRU` with an optional best-effort disk layer.
 
-    Keys are hex digests.  One file per key, ``directory()/key+suffix``,
+    Keys are hex digests.  One file per key, ``directory()/name(key)+
+    suffix`` (``name``, a hex digest too, defaults to the key itself),
     written by ``dump(value, binary_file)`` through :func:`atomic_path`
     and read by ``load(binary_file)``, which returns ``None`` for content
     it does not recognise.  Best-effort in both directions: an unreadable
@@ -222,10 +223,12 @@ class Store(LRU):
 
     def __init__(self, capacity: int, *, directory: Callable[[], str],
                  suffix: str, dump: Callable, load: Callable,
-                 save_errors: str, owns: Tuple[str, ...] = ()):
+                 save_errors: str, owns: Tuple[str, ...] = (),
+                 name: Callable[[str], str] = str):
         super().__init__(capacity)
         self.directory = directory
         self.suffix = suffix
+        self._name = name
         self._dump, self._load = dump, load
         self._save_errors = save_errors
         self._owns = (suffix, ".tmp") + tuple(owns)
@@ -237,8 +240,7 @@ class Store(LRU):
         if value is not None or not disk:
             return value, "memory"
         try:
-            with open(os.path.join(self.directory(), key + self.suffix),
-                      "rb") as f:
+            with open(self._file(key), "rb") as f:
                 value = self._load(f)
         except _LOAD_ERRORS:
             return None, "disk"
@@ -252,14 +254,15 @@ class Store(LRU):
             self.disk_put(key, value)
 
     def disk_put(self, key: str, value) -> None:
-        d = self.directory()
         try:
-            os.makedirs(d, exist_ok=True)
-            with atomic_path(os.path.join(d, key + self.suffix)) as tmp, \
-                    open(tmp, "wb") as f:
+            os.makedirs(self.directory(), exist_ok=True)
+            with atomic_path(self._file(key)) as tmp, open(tmp, "wb") as f:
                 self._dump(value, f)
         except _SAVE_ERRORS:
             INSTR.count(self._save_errors)
+
+    def _file(self, key: str) -> str:
+        return os.path.join(self.directory(), self._name(key) + self.suffix)
 
     def clear(self, disk: bool = False) -> None:
         super().clear()

@@ -61,11 +61,10 @@ class TestCRendering:
         assert c.count("{") == c.count("}")
 
     def test_plan_alone_prints_the_kernel_source(self, small_rect):
-        """The IR can be built from a plan without bindings (typed from
-        the instances it was searched with); its Python print is the
-        kernel's source."""
+        """The IR built from a plan and the instances it is typed from
+        prints the kernel's source."""
         k = compile_cached("mvm", "csr", as_format(small_rect, "csr"), "A")
-        assert print_python(build_loop_ir(k.plan)) == k.source
+        assert print_python(build_loop_ir(k.plan, k.bindings)) == k.source
 
 
 class TestInterpreterInternals:

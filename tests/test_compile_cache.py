@@ -13,12 +13,13 @@ from repro.core.cache import (
     COMPILE_CACHE,
     CacheEntry,
     clear_compile_cache,
+    format_structure,
     resolve_mode,
     stats_signature,
     structural_signature,
 )
 from repro.core.compiler import compile_kernel
-from repro.formats import as_format
+from repro.formats import FORMATS, as_format
 from repro.formats.generate import lower_triangular_of, random_sparse
 from repro.ir.kernels import mvm, smvm_two
 from repro.search.driver import search
@@ -279,6 +280,24 @@ class TestSignatures:
         assert (stats_signature({"A": _csr(density=0.1, seed=1)})
                 != stats_signature({"A": _csr(density=0.9, seed=2)}))
 
+    @pytest.mark.parametrize("name", sorted(FORMATS))
+    def test_a_plan_holds_a_stand_in_of_the_structure(self, name):
+        """The search builds its plans over a data-free stand-in of each
+        instance, one per instance, whose structure is the instance's."""
+        dense = lower_triangular_of(random_sparse(8, 8, 0.4, seed=3)).to_dense()
+        if name == "sym":
+            A = as_format(dense + np.tril(dense, -1).T, name)
+        else:
+            A = as_format(dense, name).annotate_triangular("lower")
+        k = compile_kernel(mvm(), {"A": A}, cache="off")
+        stand_ins = {id(ref.fmt): ref.fmt for _c, cand, _p in k.result.ranked
+                     for copy in cand.space.copies for ref in copy.refs}
+        (S,) = stand_ins.values()
+        assert type(S) is type(A) and S is not A
+        assert format_structure(S) == format_structure(A)
+        assert not any(isinstance(v, np.ndarray) for v in vars(S).values())
+        assert repr(S) == f"<{name} 8x8, nnz=->"
+
 
 class TestDiskLayer:
     def test_disk_roundtrip(self, tmp_path, monkeypatch):
@@ -368,110 +387,6 @@ class TestDiskLayer:
             "rows": Path(("r", Axis("c", UNORDERED, LINEAR)), ROWS)})
         assert gen > 0
 
-    def test_entry_pickled_with_fraction_coefficients_loads_canonical(
-            self, tmp_path, monkeypatch):
-        """A disk entry written before the integer polyhedral core (every
-        coefficient a ``Fraction``, ``System`` without its cached fields;
-        ``tests/golden/fraction_disk_cache``, pickled at the parent commit
-        by this very request) is found under the same key — no digest
-        hashes a coefficient's type — and replays as canonical values that
-        print the same Python and C as a fresh search."""
-        import io
-        import pickle
-        import shutil
-        from fractions import Fraction
-        from pathlib import Path
-
-        from repro.codegen.native import lower_kernel
-        from repro.polyhedra.linexpr import LinExpr
-
-        A = as_format(lower_triangular_of(random_sparse(8, 8, 0.3, seed=7)).to_dense(),
-                      "bsr", block_size=2)
-        A.annotate_triangular("lower")      # its bounds are a pickled System
-        key = structural_signature(mvm(), {"A": A}, {"m": 8, "n": 8}, "best", 12, True)
-        fixture = Path(__file__).parent / "golden" / "fraction_disk_cache" / f"{key}.pkl"
-        assert fixture.exists(), "the structural key moved"
-        try:
-            pickle.loads(fixture.read_bytes())
-        except ModuleNotFoundError as e:       # numpy's array pickles name its internals
-            pytest.skip(f"fixture needs the numpy that pickled it: {e}")
-        assert b"fractions" in fixture.read_bytes()
-        assert b"repro.polyhedra.system" in fixture.read_bytes()
-        shutil.copy(fixture, tmp_path)
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-
-        before = instrument.snapshot()["counters"].get("cache.hits.disk", 0)
-        k, gen = _generated_delta(lambda: compile_kernel(mvm(), {"A": A}, cache="disk"))
-        assert gen == 0
-        assert instrument.snapshot()["counters"].get("cache.hits.disk", 0) == before + 1
-
-        seen = []
-
-        class Collect(pickle.Pickler):      # visits every object the entry holds
-            def reducer_override(self, obj):
-                if isinstance(obj, LinExpr):
-                    seen.extend([*obj.coeffs.values(), obj.const])
-                return NotImplemented
-
-        Collect(io.BytesIO()).dump(COMPILE_CACHE.get(key))
-        assert len(seen) > 50 and any(c not in (0, 1, -1) for c in seen)
-        assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
-                   for c in seen)
-
-        fresh = compile_kernel(mvm(), {"A": A}, cache="off")
-        # the Python source is replayed as stored: today's kernel under the
-        # search routines every source carried until they became loop IR
-        from tests.test_search_golden import PR19_PREAMBLE
-        head = "import numpy as _np\n"
-        assert k.source == head + PR19_PREAMBLE + fresh.source[len(head):]
-        assert lower_kernel(k).c_source == lower_kernel(fresh).c_source
-        assert k.cost == fresh.cost
-        x = np.arange(1.0, 9.0)
-        y = np.zeros(8)
-        k({"A": A, "x": x, "y": y}, {"m": 8, "n": 8})
-        np.testing.assert_allclose(y, A.to_dense() @ x)
-
-    def test_entry_holding_a_plan_twice_replays(self, tmp_path, monkeypatch):
-        """A disk entry written while the search still lowered every
-        candidate (``tests/golden/duplicate_plans_disk_cache``, pickled at
-        the parent commit by this very request: three ranked plans, two of
-        them one plan) is found under the same key, replays the winner a
-        fresh search picks, and re-ranks for shifted statistics as a fresh
-        search ranks."""
-        import pickle
-        import shutil
-        from pathlib import Path
-
-        A = _csr()
-        key = structural_signature(mvm(), {"A": A}, {"m": 8, "n": 6}, "best", 12, True)
-        fixture = Path(__file__).parent / "golden" / "duplicate_plans_disk_cache" / f"{key}.pkl"
-        assert fixture.exists(), "the structural key moved"
-        try:
-            pickle.loads(fixture.read_bytes())
-        except ModuleNotFoundError as e:       # numpy's array pickles name its internals
-            pytest.skip(f"fixture needs the numpy that pickled it: {e}")
-        shutil.copy(fixture, tmp_path)
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-
-        k, gen = _generated_delta(
-            lambda: compile_kernel(mvm(), {"A": A}, cache="disk", backend="python"))
-        assert gen == 0
-        entry = COMPILE_CACHE.get(key)
-        texts = [plan.pretty() for _c, _cand, plan in entry.ranked]
-        assert len(texts) == 3 and len(set(texts)) == 2
-        fresh = compile_kernel(mvm(), {"A": A}, cache="off", backend="python")
-        assert len(fresh.result.ranked) == 2
-        assert k.source == fresh.source and k.cost == fresh.cost
-
-        shifted = _csr(density=0.9, seed=2)
-        k2, gen = _generated_delta(
-            lambda: compile_kernel(mvm(), {"A": shifted}, cache="disk", backend="python"))
-        assert gen == 0 and k2.result.stats.reranked
-        fresh = compile_kernel(mvm(), {"A": shifted}, cache="off", backend="python")
-        assert k2.plan.pretty() == fresh.plan.pretty()
-        assert k2.cost == pytest.approx(fresh.cost)
-        assert k2.result.stats.distinct == 2
-
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         A = _csr()
@@ -485,6 +400,40 @@ class TestDiskLayer:
         y = np.zeros(8)
         k({"A": A, "x": x, "y": y}, {"m": 8, "n": 6})
         np.testing.assert_allclose(y, A.to_dense() @ x)
+
+    @pytest.mark.parametrize("fmt", ["csr", "dia"])
+    def test_an_entry_does_not_carry_the_matrix(self, fmt, tmp_path,
+                                                monkeypatch):
+        """``mvm`` on ``can_1072``: the DIA instance holds 16 MiB of
+        diagonals, its entry a few kB."""
+        from repro.formats.generate import can_1072_like
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        compile_kernel(mvm(), {"A": as_format(can_1072_like(), fmt)},
+                       cache="disk", backend="python")
+        (pkl,) = tmp_path.glob("*.pkl")
+        assert pkl.stat().st_size < 32 * 1024
+
+    def test_another_builds_entry_is_a_miss(self, tmp_path, monkeypatch):
+        """An entry file is named under a digest of the package source: the
+        entry another build wrote is not read, a fresh search writes this
+        build's beside it, and ``disk=True`` clears both."""
+        from repro.core import cache
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        A = _csr()
+        k1 = compile_kernel(mvm(), {"A": A}, cache="disk")
+        COMPILE_CACHE.clear()
+        monkeypatch.setattr(cache, "_source_digest", lambda: "another build")
+        misses = instrument.snapshot()["counters"].get("cache.misses", 0)
+        k2, gen = _generated_delta(lambda: compile_kernel(mvm(), {"A": A},
+                                                          cache="disk"))
+        assert gen > 0
+        assert instrument.snapshot()["counters"]["cache.misses"] == misses + 1
+        assert k2.source == k1.source
+        assert len(list(tmp_path.glob("*.pkl"))) == 2
+        clear_compile_cache(disk=True)
+        assert not list(tmp_path.glob("*.pkl"))
 
     def test_clear_compile_cache_disk(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

@@ -353,6 +353,29 @@ class TestCopy:
             assert not np.shares_memory(c, a), k
         assert np.array_equal(C.to_dense(), dense)
 
+    @pytest.mark.parametrize("name", sorted(FORMATS))
+    def test_derived_state_is_neither_pickled_nor_copied(self, name):
+        """The paths and the step totals are derived again on use: a pickle
+        or a copy made after a compile read them holds neither, and reads
+        the same ones."""
+        import pickle
+
+        from repro.core.compiler import compile_kernel
+        from repro.cost.model import step_totals
+        from repro.ir.kernels import mvm
+
+        dense = np.tril(np.arange(1.0, 65.0).reshape(8, 8) % 5)
+        if name == "sym":
+            dense = dense + np.tril(dense, -1).T
+        A = FORMATS[name].from_dense(dense)
+        compile_kernel(mvm(), {"A": A}, cache="off")    # paths, plan_cost
+        assert {"_paths_cache", "_step_totals_cache"} <= vars(A).keys()
+        assert not {"_paths_cache", "_step_totals_cache"} & A.__getstate__().keys()
+        want = [(repr(p), step_totals(A, p.path_id)) for p in A.paths()]
+        for B in (pickle.loads(pickle.dumps(A)), A.copy()):
+            assert [(repr(p), step_totals(B, p.path_id))
+                    for p in B.paths()] == want
+
 
 class TestConversions:
     @pytest.mark.parametrize("src", ALL)

@@ -102,7 +102,7 @@ class TestPipelineCounters:
         A = as_format(random_sparse(8, 6, 0.3, seed=3).to_dense(), "csr")
         kernel = compile_kernel(mvm(), {"A": A}, cache="off")
         before = instrument.snapshot()
-        compile_plan_to_python(kernel.plan)
+        compile_plan_to_python(kernel.loop_ir())
         after = instrument.snapshot()
         delta = compare_snapshots(before, after)
         assert delta["counters"]["codegen.compiles"] == 1

@@ -154,25 +154,40 @@ def test_copies_die_with_a_search_that_finds_no_plan(weak_copies):
     assert [r() for r in weak_copies] == [None] * len(weak_copies)
 
 
-def test_a_kernel_and_its_matrix_die_without_the_collector():
+@pytest.mark.parametrize("cache", ["off", "memory", "disk"])
+def test_a_kernel_and_its_matrix_die_without_the_collector(
+        cache, tmp_path, monkeypatch):
     """A compiled kernel's plan and the matrix it was bound on are freed
     with their last reference, not at the next full collection: a cold
     DIA request on ``can_1072`` holds 16 MiB of diagonals.  Guard
     simplification's recursive walk and a ``Coords`` level's runtime were
-    reference cycles over them."""
+    reference cycles over them.  A cached entry keeps its plans, which
+    hold a data-free stand-in of the matrix, not the matrix: a new
+    instance of the same structure is then served from memory."""
     import repro
+    from repro import instrument
+    from repro.core.cache import (COMPILE_CACHE, clear_compile_cache,
+                                  structural_signature)
 
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     program = ALL_KERNELS["mvm"]()
     repro.compile_kernel(program, _bindings("mvm", "dia"), backend="python",
                          cache="off")                 # first-use imports
+    clear_compile_cache()
     gc.collect()
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
         bindings = _bindings("mvm", "dia")
+        matrix = weakref.ref(bindings["A"])
+        key = structural_signature(program, bindings,
+                                   infer_param_values(program, bindings),
+                                   "best", 12, True)
         kernel = repro.compile_kernel(program, bindings, backend="python",
-                                      cache="off")
+                                      cache=cache)
+        source = kernel.source
         del kernel, bindings
+        assert matrix() is None
         gc.collect()
         kinds = {type(o).__name__ for o in gc.garbage}
     finally:
@@ -180,6 +195,14 @@ def test_a_kernel_and_its_matrix_die_without_the_collector():
         gc.garbage.clear()
         gc.enable()
     assert not kinds & {"Plan", "LevelRuntime", "DiaMatrix"}
+    if cache == "off":
+        return
+    assert COMPILE_CACHE.get(key) is not None
+    hits = instrument.snapshot()["counters"].get("cache.hits.memory", 0)
+    kernel = repro.compile_kernel(program, _bindings("mvm", "dia"),
+                                  backend="python", cache=cache)
+    assert instrument.snapshot()["counters"]["cache.hits.memory"] == hits + 1
+    assert kernel.source == source
 
 
 @pytest.mark.parametrize("fmt", ["csr", "dia", "sym", "msr"])
