@@ -10,10 +10,10 @@ Barton–Nackman discussion)."""
 import numpy as np
 import pytest
 
-from repro.blas import specialized
 from repro.util.timing import best_of
 from benchmarks.conftest import BENCH_N, compiled, fmt_instance
 from tests.oracles.plan_interp import run_plan
+from tests.oracles import hand_blas
 
 
 def test_backend_ladder(capsys):
@@ -27,7 +27,7 @@ def test_backend_ladder(capsys):
                                             {"n": BENCH_N}), repeats=2)
         t_gen = best_of(lambda: fn({"L": L, "b": b0.copy()}, {"n": BENCH_N}),
                         repeats=3)
-        kern = specialized.TS_LOWER[fmt]
+        kern = hand_blas.TS_LOWER[fmt]
         t_hand = best_of(lambda: kern(L, b0.copy()), repeats=3)
         rows.append((fmt, t_interp, t_gen, t_hand))
     with capsys.disabled():

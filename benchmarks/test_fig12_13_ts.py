@@ -19,7 +19,8 @@ ratios.
 import numpy as np
 import pytest
 
-from repro.blas import generic_, specialized
+from repro.blas import generic_
+from tests.oracles import hand_blas
 from benchmarks.conftest import (BENCH_N, bench_lower, compiled, flops_ts,
                                  fmt_instance)
 
@@ -61,7 +62,7 @@ def test_ts_specialized(benchmark, fmt):
     """NIST C analog: hand-written per-format kernel."""
     L = fmt_instance("lower", fmt)
     b0 = _b()
-    kern = specialized.TS_LOWER[fmt]
+    kern = hand_blas.TS_LOWER[fmt]
 
     def run():
         b = b0.copy()
@@ -111,7 +112,7 @@ def test_shape_of_figure(capsys):
         fn = k.callable()
         t_gen = best_of(lambda: fn({"L": L, "b": b0.copy()}, {"n": BENCH_N}),
                         repeats=3)
-        kern = specialized.TS_LOWER[fmt]
+        kern = hand_blas.TS_LOWER[fmt]
         t_spec = best_of(lambda: kern(L, b0.copy()), repeats=3)
         t_generic = best_of(lambda: generic_.ts_lower_enum(L, b0.copy()),
                             repeats=3)

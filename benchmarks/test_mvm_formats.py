@@ -5,7 +5,8 @@ rest of the Figure 3 BLAS (the paper states the TS relative differences
 import numpy as np
 import pytest
 
-from repro.blas import generic_, specialized
+from repro.blas import generic_
+from tests.oracles import hand_blas
 from benchmarks.conftest import (BENCH_N, bench_matrix, compiled, flops_mvm,
                                  fmt_instance)
 
@@ -41,7 +42,7 @@ def test_mvm_specialized(benchmark, fmt):
     A = fmt_instance("full", fmt)
     x = _x()
     y = np.zeros(BENCH_N)
-    kern = specialized.MVM[fmt]
+    kern = hand_blas.MVM[fmt]
 
     def run():
         kern(A, x, y)
@@ -89,7 +90,7 @@ def test_shape_of_mvm_table(capsys):
         y = np.zeros(BENCH_N)
         t_gen = best_of(lambda: fn({"A": A, "x": x, "y": y},
                                    {"m": BENCH_N, "n": BENCH_N}), repeats=3)
-        kern = specialized.MVM[fmt]
+        kern = hand_blas.MVM[fmt]
         t_spec = best_of(lambda: kern(A, x, y), repeats=3)
         rows.append((fmt, flops, t_gen, t_spec))
     with capsys.disabled():

@@ -24,7 +24,8 @@ Public surface:
   dense-program high-level API;
 - :mod:`repro.formats` — formats and their declarations, I/O, generators
   (``as_format`` / ``convert`` re-exported here);
-- :mod:`repro.blas` — hand-written and generic baseline kernels;
+- :mod:`repro.blas` — the plain BLAS calls (each binds the compiler's
+  kernel to its matrix on first use) and the generic baseline kernels;
 - :mod:`repro.solvers` — format-independent iterative methods, plus
   :class:`~repro.solvers.context.SolverContext` (re-exported here): one-time
   kernel setup so every solver iteration runs through compiled (optionally

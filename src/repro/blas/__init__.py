@@ -1,13 +1,20 @@
-"""Sparse BLAS layer: the baselines of the paper's evaluation.
+"""Sparse BLAS layer: the compiler's kernels behind a plain functional API.
 
-- :mod:`repro.blas.specialized` — hand-written per-format kernels, raw
-  index-array loops: the analog of the NIST Sparse BLAS *C* library the
-  paper compares against (specialized, one routine per format/operation).
+- :mod:`repro.blas.api` — ``mvm``, ``mvm_t``, ``mm``, ``mm_t``,
+  ``ts_lower_solve``, ``ts_upper_solve``: the first call on a matrix
+  compiles the operation for it and binds the kernel as the matrix's
+  handle, which every later call dispatches through (the layer the
+  iterative solvers of :mod:`repro.solvers` call).  ``spgemm`` has its own
+  tiers.
 - :mod:`repro.blas.generic_` — format-agnostic kernels going through the
   abstract element/enumeration interface: the analog of the less
-  specialized NIST *Fortran* library (a single code for many cases, paying
-  for the generality).
-- :mod:`repro.blas.api` — uniform dispatch used by the solvers.
+  specialized NIST *Fortran* library the paper compares against (a single
+  code for many cases, paying for the generality), and what a call runs
+  for a pair the compiler has no plan for.
+
+The hand-written per-format kernels, the analog of the NIST Sparse BLAS
+*C* library, are a test oracle (``tests/oracles/hand_blas.py``), not part
+of the library.
 """
 
 from repro.blas.api import (
@@ -20,7 +27,7 @@ from repro.blas.api import (
     ts_lower_solve,
     ts_upper_solve,
 )
-from repro.blas import specialized, generic_
+from repro.blas import generic_
 
 __all__ = [
     "mm",
@@ -31,6 +38,5 @@ __all__ = [
     "spgemm_triples",
     "ts_lower_solve",
     "ts_upper_solve",
-    "specialized",
     "generic_",
 ]

@@ -1,36 +1,146 @@
-"""Uniform BLAS dispatch: specialized kernel when one exists for the
-format, generic fallback otherwise (SpGEMM has its own tiers, below).
-This is the layer the iterative solvers (:mod:`repro.solvers`) call — the
-PETSc-style arrangement the paper describes in Section 1
-(format-independent iterative methods linked against format-specific
-BLAS).
+"""The sparse BLAS: every call runs the compiler's kernel for its matrix.
 
-**Kernel handles** — the module also keeps a kernel-handle cache so code
-written against this plain functional API transparently rides the solver
-fast path.  When a :class:`~repro.solvers.context.SolverContext` binds a
-compiled (possibly native) kernel to a matrix instance, it registers the
-bound entry point here; later ``mvm(A, x)`` calls for that same instance
-dispatch straight through the handle instead of the per-call table walk.
+``mvm``, ``mvm_t``, ``mm``, ``mm_t``, ``ts_lower_solve`` and
+``ts_upper_solve`` dispatch through a *kernel handle*, one per (matrix
+instance, operation).  The first call for ``(A, op)`` compiles the op's
+dense program (:mod:`repro.ir.kernels`) for ``A`` with
+``compile_kernel(..., backend="c")`` — generated Python when there is no
+toolchain — and publishes it as ``A``'s handle, a detached
+:class:`BoundOp`; every later call is a ``blas.handle.hits`` dispatch.
+A :class:`~repro.solvers.context.SolverContext` binds through the same
+:func:`bind` and :func:`register`, so a plain call on a matrix a context
+was built over rides the context's kernels.  A pair the compiler has no
+plan for (TS on DIA) binds the format-agnostic kernel of
+:mod:`repro.blas.generic_` instead, once per instance
+(``blas.fallback.generic``).
+
+This is the PETSc-style arrangement the paper describes in Section 1
+(format-independent iterative methods linked against format-specific
+BLAS), with the format-specific BLAS generated from the format's
+declaration instead of written by hand.
+
 Handles are stored on the instance itself (attribute
 ``_kernel_handles``), so their lifetime is exactly the matrix's lifetime
-and the cache needs no eviction policy.  ``blas.handle.hits`` counts the
-dispatches served this way.
+and the cache needs no eviction policy; a handle holds its matrix weakly,
+so dropping the matrix frees both by reference count.
 """
 
 from __future__ import annotations
 
 import subprocess
-from typing import Callable, Optional
+import weakref
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from repro.blas import generic_, specialized
+from repro.blas import generic_
 from repro.formats.base import SparseFormat
 from repro.formats.csr import CsrMatrix
 from repro.instrument import INSTR
+from repro.ir import kernels as _kernels
+
+#: op name -> (program factory, matrix array name, the :class:`BoundOp`
+#: method a handle calls, the :mod:`repro.blas.generic_` kernel a pair
+#: without a plan runs)
+OP_SPECS = {
+    "mvm": (_kernels.mvm, "A", "apply", generic_.mvm),
+    "mvm_t": (_kernels.mvm_t, "A", "apply", generic_.mvm_t),
+    "ts_lower": (_kernels.ts_lower, "L", "apply_solve", generic_.ts_lower_enum),
+    "ts_upper": (_kernels.ts_upper, "U", "apply_solve", generic_.ts_upper),
+    "spmm": (_kernels.spmm, "A", "apply_mm", generic_.mm),
+    "spmm_t": (_kernels.spmm_t, "A", "apply_mm", generic_.mm_t),
+}
+
+#: every operation a kernel handle serves
+ALL_OPS = tuple(OP_SPECS)
 
 #: instance attribute holding the per-matrix handle dict {op: callable}
 _HANDLE_ATTR = "_kernel_handles"
+
+
+class BoundOp:
+    """One operation bound to one matrix instance: the kernel entry point
+    (native function or generated Python), the matrix, and the integer
+    parameter values — everything a call needs besides the vectors,
+    resolved once at setup.
+
+    The matrix is held *weakly* and dereferenced per call.  Its owner (the
+    caller, a :class:`~repro.solvers.context.SolverContext`, or
+    ``kernel``'s bindings) keeps it alive; a :meth:`detached` copy can
+    therefore live on the matrix itself, as its handle, without closing a
+    reference cycle — dropping the matrix frees it, the handle and the
+    loaded kernel at once, with no garbage collection."""
+
+    __slots__ = ("name", "kernel", "fn", "mat_name", "_mat", "params",
+                 "backend_used")
+
+    def __init__(self, name: str, kernel, fn, mat_name: str,
+                 matrix: SparseFormat, params: Dict[str, int],
+                 backend_used: str):
+        self.name = name
+        self.kernel = kernel
+        self.fn = fn
+        self.mat_name = mat_name
+        self._mat = weakref.ref(matrix)
+        self.params = params
+        self.backend_used = backend_used
+
+    @property
+    def matrix(self) -> Optional[SparseFormat]:
+        return self._mat()
+
+    def detached(self) -> "BoundOp":
+        """The same entry point without ``kernel`` (a compiled kernel holds
+        its bindings, i.e. the matrix, strongly)."""
+        return BoundOp(self.name, None, self.fn, self.mat_name, self._mat(),
+                       self.params, self.backend_used)
+
+    def apply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """y = op(x) through the bound kernel (mvm / mvm_t)."""
+        self.fn({self.mat_name: self._mat(), "x": x, "y": y}, self.params)
+        return y
+
+    def apply_mm(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """Y = op(X) for a dense panel through the bound kernel (spmm /
+        spmm_t).  The panel width ``k`` is the one parameter no binding
+        can pin (dense operands are unbound), so it is taken from ``X``
+        per call, into a mapping of the call's own: ``params`` is shared
+        by every caller of this op and of its handle."""
+        self.fn({self.mat_name: self._mat(), "X": X, "Y": Y},
+                {**self.params, "k": int(X.shape[1])})
+        return Y
+
+    def apply_solve(self, b: np.ndarray) -> np.ndarray:
+        """In-place triangular solve on ``b`` through the bound kernel."""
+        self.fn({self.mat_name: self._mat(), "b": b}, self.params)
+        return b
+
+    def __repr__(self):
+        return f"<BoundOp {self.name} backend={self.backend_used}>"
+
+
+def bind(op: str, kernel, program, matrix: SparseFormat) -> BoundOp:
+    """``kernel`` (``program`` compiled for ``matrix``) as a
+    :class:`BoundOp`: the native function when it built, else the
+    generated Python, and the parameter values the matrix pins."""
+    from repro.core.compiler import infer_param_values
+
+    mat_name = OP_SPECS[op][1]
+    fn = kernel.native() if kernel.backend == "c" else None
+    if fn is None:
+        fn = kernel.callable()
+    params = {k: int(v) for k, v in
+              infer_param_values(program, {mat_name: matrix}).items()}
+    return BoundOp(op, kernel, fn, mat_name, matrix, params,
+                   kernel.backend_used)
+
+
+def register(bound: BoundOp) -> Callable:
+    """Publish ``bound`` (detached) as its matrix's handle for its op;
+    returns the handle."""
+    entry = getattr(bound.detached(), OP_SPECS[bound.name][2])
+    register_kernel_handle(bound.matrix, bound.name, entry)
+    return entry
 
 
 def register_kernel_handle(A: SparseFormat, op: str, fn: Callable) -> None:
@@ -57,6 +167,34 @@ def clear_kernel_handles(A: SparseFormat) -> None:
     """Drop every handle registered for ``A`` (mainly for tests)."""
     if getattr(A, _HANDLE_ATTR, None) is not None:
         delattr(A, _HANDLE_ATTR)
+
+
+def _handle(A: SparseFormat, op: str) -> Callable:
+    """``A``'s handle for ``op``, compiled and registered on first use.
+    A pair the search finds no plan for registers the generic kernel, so
+    the search runs once per instance; any other compile error
+    propagates."""
+    h = kernel_handle(A, op)
+    if h is not None:
+        INSTR.count("blas.handle.hits")
+        return h
+    from repro.core.compiler import compile_kernel
+    from repro.core.plan import PlanError
+
+    factory, mat_name, _apply, generic = OP_SPECS[op]
+    program = factory()
+    try:
+        kernel = compile_kernel(program, {mat_name: A}, backend="c")
+    except PlanError:
+        INSTR.count("blas.fallback.generic")
+        ref = weakref.ref(A)
+
+        def generic_handle(*operands):
+            return generic(ref(), *operands)
+
+        register_kernel_handle(A, op, generic_handle)
+        return generic_handle
+    return register(bind(op, kernel, program, A))
 
 
 def _alloc2(shape, A: SparseFormat, x: np.ndarray) -> np.ndarray:
@@ -122,11 +260,7 @@ def mvm(A: SparseFormat, x: np.ndarray, y: Optional[np.ndarray] = None) -> np.nd
         y = _alloc(A.nrows, A, x)
     else:
         _check_out("mvm", y, (A.nrows,), np.result_type(A.dtype, x.dtype))
-    h = kernel_handle(A, "mvm")
-    if h is not None:
-        INSTR.count("blas.handle.hits")
-        return h(x, y)
-    return dispatch_mvm(A, x, y)
+    return _handle(A, "mvm")(x, y)
 
 
 def mm(A: SparseFormat, X: np.ndarray, Y: Optional[np.ndarray] = None) -> np.ndarray:
@@ -139,11 +273,7 @@ def mm(A: SparseFormat, X: np.ndarray, Y: Optional[np.ndarray] = None) -> np.nda
                    np.result_type(A.dtype, X.dtype))
     if X.shape[1] == 0:
         return Y  # empty panel: (m, 0) result, nothing to dispatch
-    h = kernel_handle(A, "spmm")
-    if h is not None:
-        INSTR.count("blas.handle.hits")
-        return h(X, Y)
-    return dispatch_mm(A, X, Y)
+    return _handle(A, "spmm")(X, Y)
 
 
 def mm_t(A: SparseFormat, X: np.ndarray, Y: Optional[np.ndarray] = None) -> np.ndarray:
@@ -156,11 +286,7 @@ def mm_t(A: SparseFormat, X: np.ndarray, Y: Optional[np.ndarray] = None) -> np.n
                    np.result_type(A.dtype, X.dtype))
     if X.shape[1] == 0:
         return Y
-    h = kernel_handle(A, "spmm_t")
-    if h is not None:
-        INSTR.count("blas.handle.hits")
-        return h(X, Y)
-    return dispatch_mm_t(A, X, Y)
+    return _handle(A, "spmm_t")(X, Y)
 
 
 def mvm_t(A: SparseFormat, x: np.ndarray, y: Optional[np.ndarray] = None) -> np.ndarray:
@@ -170,11 +296,7 @@ def mvm_t(A: SparseFormat, x: np.ndarray, y: Optional[np.ndarray] = None) -> np.
         y = _alloc(A.ncols, A, x)
     else:
         _check_out("mvm_t", y, (A.ncols,), np.result_type(A.dtype, x.dtype))
-    h = kernel_handle(A, "mvm_t")
-    if h is not None:
-        INSTR.count("blas.handle.hits")
-        return h(x, y)
-    return dispatch_mvm_t(A, x, y)
+    return _handle(A, "mvm_t")(x, y)
 
 
 def ts_lower_solve(L: SparseFormat, b: np.ndarray, in_place: bool = False) -> np.ndarray:
@@ -193,11 +315,7 @@ def ts_lower_solve(L: SparseFormat, b: np.ndarray, in_place: bool = False) -> np
             f"ts_lower_solve: in-place solve writes {np.dtype(rt)} values "
             f"into a {b.dtype} b, which would truncate; promote b or use "
             f"in_place=False")
-    h = kernel_handle(L, "ts_lower")
-    if h is not None:
-        INSTR.count("blas.handle.hits")
-        return h(b)
-    return dispatch_ts_lower(L, b)
+    return _handle(L, "ts_lower")(b)
 
 
 def ts_upper_solve(U: SparseFormat, b: np.ndarray, in_place: bool = False) -> np.ndarray:
@@ -212,11 +330,7 @@ def ts_upper_solve(U: SparseFormat, b: np.ndarray, in_place: bool = False) -> np
             f"ts_upper_solve: in-place solve writes {np.dtype(rt)} values "
             f"into a {b.dtype} b, which would truncate; promote b or use "
             f"in_place=False")
-    h = kernel_handle(U, "ts_upper")
-    if h is not None:
-        INSTR.count("blas.handle.hits")
-        return h(b)
-    return dispatch_ts_upper(U, b)
+    return _handle(U, "ts_upper")(b)
 
 
 # ---------------------------------------------------------------------------
@@ -414,48 +528,3 @@ def spgemm(A: SparseFormat, B: SparseFormat,
         # would not fit in memory, ...): CSR always does
         INSTR.count("spgemm.output_fallbacks")
         return as_csr()
-
-
-# -- handle-free dispatch (the pre-context per-call path; also the tier the
-#    SolverContext falls back to when an operation has no compiled kernel) --
-
-def dispatch_mvm(A: SparseFormat, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    fn = specialized.MVM.get(A.format_name)
-    if fn is not None:
-        return fn(A, x, y)
-    return generic_.mvm(A, x, y)
-
-
-def dispatch_mvm_t(A: SparseFormat, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    fn = specialized.MVM_T.get(A.format_name)
-    if fn is not None:
-        return fn(A, x, y)
-    return generic_.mvm_t(A, x, y)
-
-
-def dispatch_mm(A: SparseFormat, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    fn = specialized.MM.get(A.format_name)
-    if fn is not None:
-        return fn(A, X, Y)
-    return generic_.mm(A, X, Y)
-
-
-def dispatch_mm_t(A: SparseFormat, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    fn = specialized.MM_T.get(A.format_name)
-    if fn is not None:
-        return fn(A, X, Y)
-    return generic_.mm_t(A, X, Y)
-
-
-def dispatch_ts_lower(L: SparseFormat, b: np.ndarray) -> np.ndarray:
-    fn = specialized.TS_LOWER.get(L.format_name)
-    if fn is not None:
-        return fn(L, b)
-    return generic_.ts_lower_enum(L, b)
-
-
-def dispatch_ts_upper(U: SparseFormat, b: np.ndarray) -> np.ndarray:
-    fn = specialized.TS_UPPER.get(U.format_name)
-    if fn is not None:
-        return fn(U, b)
-    return generic_.ts_upper(U, b)

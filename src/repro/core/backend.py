@@ -626,7 +626,13 @@ def start_bind(kernel, parallel: str = "none",
     future = _build_pool().submit(build)
 
     def join() -> NativeKernel:
-        built = future.result()
+        nonlocal future
+        try:
+            built = future.result()
+        finally:
+            # a build error is also the future's, and its traceback holds
+            # this frame, which would hold the future
+            future = None
         # the function, not the kernel's method: a kernel holds its
         # bindings, and a matrix may come to hold this NativeKernel as
         # its handle

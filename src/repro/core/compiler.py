@@ -118,7 +118,9 @@ class CompiledKernel:
                 join = be.start_bind(self, self.parallel, self._cache_mode,
                                      self.entry_points)
             except Exception as e:
-                join = e          # reported at the join, like a build error
+                # reported at the join, like a build error; its traceback
+                # would hold this frame, and this frame the exception
+                join = e.with_traceback(None)
             # the Python kernel is the fallback and what the cache
             # replays: every C compile materializes and publishes it
             self.callable()
@@ -152,6 +154,9 @@ class CompiledKernel:
                     except Exception as e:
                         self.fallback_reason = f"toolchain: {e}"
                         be.native_fallback("toolchain", str(e))
+                    finally:
+                        # a raised ``join`` holds a traceback over this frame
+                        del join
                     self._native_tried = True
         return self._native
 

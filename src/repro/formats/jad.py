@@ -83,7 +83,11 @@ class JadMatrix(SparseFormat):
         self.dptr = pointer_array(dptr, idx, "dptr", np.size(dptr) - 1,
                                   self.values.size)
         self.colind = index_array(colind, idx, "colind", self.ncols)
-        if np.any(np.bincount(self.iperm, minlength=self.nrows) != 1):
+        # the inverse permutation, which is also the permutation check: m
+        # in-range entries reach every row once exactly when none is missed
+        self.ipermi = np.full(self.nrows, -1, dtype=idx)
+        self.ipermi[self.iperm] = np.arange(self.nrows, dtype=idx)
+        if self.nrows and self.ipermi.min() < 0:
             raise ValueError(f"iperm is not a permutation of [0, {self.nrows})")
         lens = np.diff(self.dptr)
         if lens.size > 1 and np.any(lens[1:] > lens[:-1]):
@@ -92,13 +96,11 @@ class JadMatrix(SparseFormat):
             raise ValueError(f"dptr: the first jagged diagonal holds {lens[0]} "
                              f"entries, more than the {self.nrows} rows")
         # entries per permuted row: rr has one entry in each diagonal longer
-        # than rr; lens is non-increasing, so the count is a binary search
-        # over the reversed (ascending) lengths instead of an O(m * nd) scan
-        rr_all = np.arange(self.nrows, dtype=idx)
-        self.rowcnt = (lens.size - np.searchsorted(lens[::-1], rr_all, side="right")
-                       ).astype(idx, copy=False)
-        self.ipermi = np.empty(self.nrows, dtype=idx)
-        self.ipermi[self.iperm] = rr_all
+        # than rr, and lens is non-increasing, so the rows below the
+        # shortest diagonal's length hold nd entries, those below the next
+        # shortest nd - 1, ...: one run per diagonal
+        runs = np.diff(lens[::-1], prepend=0, append=self.nrows)
+        self.rowcnt = np.repeat(np.arange(lens.size, -1, -1, dtype=idx), runs)
 
     # -- helpers ------------------------------------------------------------
     @property

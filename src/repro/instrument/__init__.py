@@ -56,7 +56,8 @@ Counter namespaces used by the compiler:
 - ``solver.*``          — SolverContext setup/iterate phase split,
                           iteration counts, fast-path fallbacks
 - ``blas.handle.*``     — functional-API calls served by registered
-                          kernel handles
+                          kernel handles; ``blas.fallback.generic`` —
+                          instances bound to a generic kernel (no plan)
 - ``format.convert.*``  — data-plane conversions: the ``format.convert``
                           phase timer, per-route counters (``identity`` /
                           ``fastpath`` / ``via_coo``) and per ordered

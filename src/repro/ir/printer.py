@@ -64,23 +64,26 @@ def val_to_text(e: ValExpr, parent_prec: int = 0) -> str:
     raise TypeError(f"unknown ValExpr {type(e).__name__}")
 
 
+def _emit(items, indent: int, lines: List[str]) -> None:
+    pad = "    " * indent
+    for item in items:
+        if isinstance(item, Statement):
+            lhs = item.lhs.array + "".join(f"[{aff_to_text(i)}]" for i in item.lhs.indices)
+            lines.append(f"{pad}{lhs} = {val_to_text(item.rhs)};")
+        elif isinstance(item, Loop):
+            lines.append(f"{pad}for {item.var} = {aff_to_text(item.lower)} : {aff_to_text(item.upper)} {{")
+            _emit(item.body, indent + 1, lines)
+            lines.append(f"{pad}}}")
+
+
 def program_to_text(p: Program) -> str:
+    # the nest is walked by a module-level function: a nested one that
+    # calls itself is a reference cycle per call (the compile cache prints
+    # every program it keys)
     lines: List[str] = []
     params = ", ".join(p.params)
     decls = ", ".join(f"{n}: {d.kind}" for n, d in p.arrays.items())
     lines.append(f"{p.name}({params}; {decls}) {{")
-
-    def emit(items, indent):
-        pad = "    " * indent
-        for item in items:
-            if isinstance(item, Statement):
-                lhs = item.lhs.array + "".join(f"[{aff_to_text(i)}]" for i in item.lhs.indices)
-                lines.append(f"{pad}{lhs} = {val_to_text(item.rhs)};")
-            elif isinstance(item, Loop):
-                lines.append(f"{pad}for {item.var} = {aff_to_text(item.lower)} : {aff_to_text(item.upper)} {{")
-                emit(item.body, indent + 1)
-                lines.append(f"{pad}}}")
-
-    emit(p.body, 1)
+    _emit(p.body, 1, lines)
     lines.append("}")
     return "\n".join(lines)

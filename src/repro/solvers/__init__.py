@@ -5,7 +5,8 @@ story: written once against the BLAS interface (or against a compiled
 kernel), usable with any format.
 """
 
-from repro.solvers.context import ALL_OPS, BoundOp, SolverContext
+from repro.blas.api import ALL_OPS, BoundOp
+from repro.solvers.context import SolverContext
 from repro.solvers.bicgstab import bicgstab
 from repro.solvers.block_cg import block_cg
 from repro.solvers.cg import cg

@@ -13,12 +13,12 @@ reused workspaces — no per-iteration ``np.zeros``, no per-call dispatch
 dictionary walks.
 
 Fallback semantics are graceful and observable: an operation whose kernel
-cannot be compiled (no legal plan for the format, toolchain missing, ...)
-falls back to the per-call BLAS dispatch of :mod:`repro.blas.api`, the
-reason is kept in :attr:`SolverContext.fallbacks`, and the
-``solver.fallback.*`` counters tick.  A context never raises because a
-*fast* path is unavailable — only because the operation itself is
-impossible.
+cannot be compiled (no legal plan for the format, ...) runs the
+format-agnostic kernel of :mod:`repro.blas.generic_`, and one whose C does
+not build runs the generated Python; the reason is kept in
+:attr:`SolverContext.fallbacks`, and the ``solver.fallback.*`` counters
+tick.  A context never raises because a *fast* path is unavailable — only
+because the operation itself is impossible.
 
 Instrumentation (namespace ``solver.*``):
 
@@ -38,91 +38,17 @@ Instrumentation (namespace ``solver.*``):
 
 from __future__ import annotations
 
-import weakref
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.blas import api as blas_api
+from repro.blas import generic_
+from repro.blas.api import ALL_OPS, OP_SPECS, BoundOp
 from repro.formats.base import SparseFormat, csr_rowptr
 from repro.formats.csr import CsrMatrix
 from repro.instrument import INSTR
 from repro.ir import kernels as _kernels
-
-#: every operation a context knows how to bind
-ALL_OPS = ("mvm", "mvm_t", "ts_lower", "ts_upper", "spmm", "spmm_t")
-
-#: op name -> (program factory, matrix array name, dense array names)
-_OP_SPECS = {
-    "mvm": (_kernels.mvm, "A", ("x", "y")),
-    "mvm_t": (_kernels.mvm_t, "A", ("x", "y")),
-    "ts_lower": (_kernels.ts_lower, "L", ("b",)),
-    "ts_upper": (_kernels.ts_upper, "U", ("b",)),
-    "spmm": (_kernels.spmm, "A", ("X", "Y")),
-    "spmm_t": (_kernels.spmm_t, "A", ("X", "Y")),
-}
-
-
-class BoundOp:
-    """One operation bound to one matrix instance: the kernel entry point
-    (native function or generated Python), the matrix, and the integer
-    parameter values — everything a call needs besides the vectors,
-    resolved once at setup.
-
-    The matrix is held *weakly* and dereferenced per call.  Its owner (the
-    :class:`SolverContext`, or ``kernel``'s bindings) keeps it alive; a
-    :meth:`detached` copy can therefore live on the matrix itself, as its
-    :mod:`repro.blas.api` handle, without closing a reference cycle —
-    dropping the matrix frees it, the handle and the loaded kernel at
-    once, with no garbage collection."""
-
-    __slots__ = ("name", "kernel", "fn", "mat_name", "_mat", "params",
-                 "backend_used")
-
-    def __init__(self, name: str, kernel, fn, mat_name: str,
-                 matrix: SparseFormat, params: Dict[str, int],
-                 backend_used: str):
-        self.name = name
-        self.kernel = kernel
-        self.fn = fn
-        self.mat_name = mat_name
-        self._mat = weakref.ref(matrix)
-        self.params = params
-        self.backend_used = backend_used
-
-    @property
-    def matrix(self) -> Optional[SparseFormat]:
-        return self._mat()
-
-    def detached(self) -> "BoundOp":
-        """The same entry point without ``kernel`` (a compiled kernel holds
-        its bindings, i.e. the matrix, strongly)."""
-        return BoundOp(self.name, None, self.fn, self.mat_name, self._mat(),
-                       self.params, self.backend_used)
-
-    def apply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """y = op(x) through the bound kernel (mvm / mvm_t)."""
-        self.fn({self.mat_name: self._mat(), "x": x, "y": y}, self.params)
-        return y
-
-    def apply_mm(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Y = op(X) for a dense panel through the bound kernel (spmm /
-        spmm_t).  The panel width ``k`` is the one parameter no binding
-        can pin (dense operands are unbound), so it is taken from ``X``
-        per call, into a mapping of the call's own: ``params`` is shared
-        by every caller of this op and of its :mod:`repro.blas.api`
-        handle."""
-        self.fn({self.mat_name: self._mat(), "X": X, "Y": Y},
-                {**self.params, "k": int(X.shape[1])})
-        return Y
-
-    def apply_solve(self, b: np.ndarray) -> np.ndarray:
-        """In-place triangular solve on ``b`` through the bound kernel."""
-        self.fn({self.mat_name: self._mat(), "b": b}, self.params)
-        return b
-
-    def __repr__(self):
-        return f"<BoundOp {self.name} backend={self.backend_used}>"
 
 
 def _triangular_split(A: SparseFormat) -> Tuple[CsrMatrix, CsrMatrix]:
@@ -207,7 +133,7 @@ class SolverContext:
                  register: bool = True):
         ops = tuple(ops)
         for op in ops:
-            if op not in _OP_SPECS:
+            if op not in OP_SPECS:
                 raise ValueError(f"unknown op {op!r}; choose from {ALL_OPS}")
         if isinstance(select, str):
             # select="auto" / "model" / "empirical" names the mode directly
@@ -271,27 +197,22 @@ class SolverContext:
         return self.selection.best[1]
 
     def _compile(self, ops, backend, parallel, cache, max_workers):
-        from repro.core.compiler import infer_param_values
         from repro.core.service import compile_many
         from repro.solvers.vecops import ENTRY_POINTS
 
         programs, bindings, specs = [], [], []
         for op in ops:
-            factory, mat_name, _vecs = _OP_SPECS[op]
-            inst = {"mvm": lambda: self.A, "mvm_t": lambda: self.A,
-                    "spmm": lambda: self.A, "spmm_t": lambda: self.A,
-                    "ts_lower": lambda: self.L,
-                    "ts_upper": lambda: self.U}[op]()
-            programs.append(factory())
+            mat_name = OP_SPECS[op][1]
+            inst = {"ts_lower": self.L, "ts_upper": self.U}.get(op, self.A)
+            programs.append(OP_SPECS[op][0]())
             bindings.append({mat_name: inst})
-            specs.append((op, mat_name, inst))
+            specs.append((op, inst))
         batch = compile_many(programs, bindings, backend=backend,
                              parallel=parallel, cache=cache,
                              max_workers=max_workers, opt=self.opt,
                              entry_points=[ENTRY_POINTS if op == "mvm" else None
                                            for op in ops])
-        for (op, mat_name, inst), outcome, program in zip(specs, batch,
-                                                          programs):
+        for (op, inst), outcome, program in zip(specs, batch, programs):
             if not outcome.ok:
                 self.fallbacks[op] = (f"{type(outcome.error).__name__}: "
                                       f"{outcome.error}")
@@ -299,33 +220,19 @@ class SolverContext:
                 self._bound[op] = None
                 continue
             kernel = outcome.kernel
-            fn = kernel.native() if kernel.backend == "c" else None
-            if fn is not None and op == "mvm":
-                self.vec_entries = fn.entries
-            if fn is None:
-                fn = kernel.callable()
-                if kernel.backend == "c" and kernel.fallback_reason:
-                    # native lowering/toolchain fell through: still fast
-                    # (generated Python), but record why it is not native
-                    self.fallbacks.setdefault(
-                        op, f"native: {kernel.fallback_reason}")
-            params = {k: int(v) for k, v in
-                      infer_param_values(program, {mat_name: inst}).items()}
-            self._bound[op] = BoundOp(op, kernel, fn, mat_name, inst, params,
-                                      kernel.backend_used)
+            bound = self._bound[op] = blas_api.bind(op, kernel, program, inst)
+            if op == "mvm" and kernel.native() is not None:
+                self.vec_entries = bound.fn.entries
+            if kernel.backend == "c" and kernel.fallback_reason:
+                # native lowering/toolchain fell through: still fast
+                # (generated Python), but record why it is not native
+                self.fallbacks.setdefault(
+                    op, f"native: {kernel.fallback_reason}")
 
     def _register_handles(self) -> None:
-        for op, bound in self._bound.items():
-            if bound is None:
-                continue
-            handle = bound.detached()
-            if op in ("mvm", "mvm_t"):
-                entry = handle.apply
-            elif op in ("spmm", "spmm_t"):
-                entry = handle.apply_mm
-            else:
-                entry = handle.apply_solve
-            blas_api.register_kernel_handle(bound.matrix, op, entry)
+        for bound in self._bound.values():
+            if bound is not None:
+                blas_api.register(bound)
 
     # -- introspection ----------------------------------------------------
     @property
@@ -339,7 +246,8 @@ class SolverContext:
     @property
     def backends(self) -> Dict[str, str]:
         """op -> backend actually executing it (``"c"``, ``"c+openmp"``,
-        ``"python"``, or ``"blas"`` after a compile fallback)."""
+        ``"python"``, or ``"blas"`` after a compile fallback: the
+        :mod:`repro.blas.generic_` kernel)."""
         return {op: (b.backend_used if b is not None else "blas")
                 for op, b in self._bound.items()}
 
@@ -397,7 +305,7 @@ class SolverContext:
             out = self._y
         b = self._bound.get("mvm")
         if b is None:
-            return blas_api.dispatch_mvm(self.A, x, out)
+            return generic_.mvm(self.A, x, out)
         return b.apply(x, out)
 
     def matvec_t(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -406,7 +314,7 @@ class SolverContext:
             out = self._yt
         b = self._bound.get("mvm_t")
         if b is None:
-            return blas_api.dispatch_mvm_t(self.A, x, out)
+            return generic_.mvm_t(self.A, x, out)
         return b.apply(x, out)
 
     def matmat(self, X: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -426,7 +334,7 @@ class SolverContext:
             out = self._Y2
         b = self._bound.get("spmm")
         if b is None:
-            return blas_api.dispatch_mm(self.A, X, out)
+            return generic_.mm(self.A, X, out)
         return b.apply_mm(X, out)
 
     def matmat_t(self, X: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -440,7 +348,7 @@ class SolverContext:
             out = self._Y2t
         b = self._bound.get("spmm_t")
         if b is None:
-            return blas_api.dispatch_mm_t(self.A, X, out)
+            return generic_.mm_t(self.A, X, out)
         return b.apply_mm(X, out)
 
     def lower_solve(self, b: np.ndarray, in_place: bool = False) -> np.ndarray:
@@ -451,7 +359,7 @@ class SolverContext:
             b = b.copy()
         op = self._bound.get("ts_lower")
         if op is None:
-            return blas_api.dispatch_ts_lower(self.L, b)
+            return generic_.ts_lower_enum(self.L, b)
         return op.apply_solve(b)
 
     def upper_solve(self, b: np.ndarray, in_place: bool = False) -> np.ndarray:
@@ -462,7 +370,7 @@ class SolverContext:
             b = b.copy()
         op = self._bound.get("ts_upper")
         if op is None:
-            return blas_api.dispatch_ts_upper(self.U, b)
+            return generic_.ts_upper(self.U, b)
         return op.apply_solve(b)
 
     def preconditioner(self, kind: str = "sgs"):

@@ -1,18 +1,35 @@
-"""Baseline BLAS layers: specialized (NIST-C analog), generic
-(NIST-Fortran analog), and the dispatch."""
+"""The BLAS layer: the plain calls (each binds a compiled kernel to its
+matrix on first use), the generic kernels (NIST-Fortran analog), and the
+hand-written oracle kernels (NIST-C analog, ``tests/oracles/hand_blas``)
+the plain calls are held to."""
+
+import gc
+import warnings
+import weakref
 
 import numpy as np
 import pytest
 
-from repro.blas import generic_, specialized
-from repro.blas.api import mm, mm_t, mvm, mvm_t, ts_lower_solve, ts_upper_solve
+from repro.blas import generic_
+from repro.blas.api import (
+    kernel_handle,
+    mm,
+    mm_t,
+    mvm,
+    mvm_t,
+    ts_lower_solve,
+    ts_upper_solve,
+)
+from repro.core import NativeBackendWarning
 from repro.formats import as_format
 from repro.formats.generate import (
+    can_1072_like,
     lower_triangular_of,
     random_sparse,
     upper_triangular_of,
 )
-from tests.oracles import dense_ref
+from repro.instrument import INSTR
+from tests.oracles import dense_ref, hand_blas
 
 ALL = ["csr", "csc", "coo", "dia", "ell", "jad", "bsr", "msr"]
 
@@ -33,7 +50,7 @@ def upper():
 
 
 class TestSpecializedMvm:
-    @pytest.mark.parametrize("fmt", sorted(set(specialized.MVM) - {"sym"}))
+    @pytest.mark.parametrize("fmt", sorted(set(hand_blas.MVM) - {"sym"}))
     def test_matches_oracle(self, fmt, dense_a, rng):
         # sym needs a square symmetric input; covered in test_sym_format
         # BSR needs divisible dims: pad to 8x10
@@ -43,31 +60,31 @@ class TestSpecializedMvm:
         f = as_format(a, fmt, **kwargs)
         x = rng.random(10)
         y = np.zeros(8)
-        specialized.MVM[fmt](f, x, y)
+        hand_blas.MVM[fmt](f, x, y)
         assert np.allclose(y, f.to_dense() @ x)
 
-    @pytest.mark.parametrize("fmt", sorted(specialized.MVM_T))
+    @pytest.mark.parametrize("fmt", sorted(hand_blas.MVM_T))
     def test_transposed(self, fmt, dense_a, rng):
         f = as_format(dense_a, fmt)
         x = rng.random(7)
         y = np.zeros(9)
-        specialized.MVM_T[fmt](f, x, y)
+        hand_blas.MVM_T[fmt](f, x, y)
         assert np.allclose(y, dense_a.T @ x)
 
 
 class TestSpecializedTs:
-    @pytest.mark.parametrize("fmt", sorted(specialized.TS_LOWER))
+    @pytest.mark.parametrize("fmt", sorted(hand_blas.TS_LOWER))
     def test_lower(self, fmt, lower, rng):
         f = as_format(lower, fmt)
         b = rng.random(9)
-        x = specialized.TS_LOWER[fmt](f, b.copy())
+        x = hand_blas.TS_LOWER[fmt](f, b.copy())
         assert np.allclose(lower.to_dense() @ x, b, atol=1e-9)
 
-    @pytest.mark.parametrize("fmt", sorted(specialized.TS_UPPER))
+    @pytest.mark.parametrize("fmt", sorted(hand_blas.TS_UPPER))
     def test_upper(self, fmt, upper, rng):
         f = as_format(upper, fmt)
         b = rng.random(9)
-        x = specialized.TS_UPPER[fmt](f, b.copy())
+        x = hand_blas.TS_UPPER[fmt](f, b.copy())
         assert np.allclose(upper.to_dense() @ x, b, atol=1e-9)
 
 
@@ -108,6 +125,130 @@ class TestGeneric:
         b = rng.random(9)
         x = generic_.ts_upper(f, b.copy())
         assert np.allclose(upper.to_dense() @ x, b, atol=1e-9)
+
+
+#: hand oracle table -> (plain call, handle op, operand shape, oracle's
+#: dense matrix: "full", "lower", "upper")
+_PLAIN = {
+    "MVM": (mvm, "mvm", (1072,), "full"),
+    "MVM_T": (mvm_t, "mvm_t", (1072,), "full"),
+    "MM": (mm, "spmm", (1072, 4), "full"),
+    "MM_T": (mm_t, "spmm_t", (1072, 4), "full"),
+    "TS_LOWER": (ts_lower_solve, "ts_lower", (1072,), "lower"),
+    "TS_UPPER": (ts_upper_solve, "ts_upper", (1072,), "upper"),
+}
+
+#: the pairs where the compiled kernel sums in another order than the
+#: hand code, so the two agree to rounding only
+_ROUNDING_ONLY = {
+    ("MVM", "bsr"): "the compiled mvm adds each product of a block row "
+                    "into y; the hand code sums one row of a block in a "
+                    "local first",
+    ("TS_UPPER", "csr"): "the compiled solve subtracts a row's entries from "
+                         "its last column down, as the dense program's "
+                         "loop runs; the hand code from its first up",
+    ("TS_UPPER", "jad"): "as on CSR: the compiled solve walks a permuted "
+                         "row's diagonals from the last down",
+}
+
+
+@pytest.fixture(scope="module")
+def can_1072():
+    """The paper's matrix, dense: full, lower and upper (TS) parts."""
+    can = can_1072_like()
+    return {"full": can.to_dense(),
+            "lower": lower_triangular_of(can).to_dense(),
+            "upper": upper_triangular_of(can).to_dense()}
+
+
+class TestPlainPathAgainstHandOracle:
+    """Every pair the hand library covered: the plain call, which compiles
+    the operation for its matrix, gives the hand kernel's bits (or its
+    values to rounding, where :data:`_ROUNDING_ONLY` says why)."""
+
+    @pytest.mark.parametrize("table,fmt", [
+        (t, f) for t in _PLAIN for f in getattr(hand_blas, t)],
+        ids=lambda p: p.lower())
+    def test_equals_hand_kernel(self, table, fmt, can_1072):
+        call, op, shape, part = _PLAIN[table]
+        dense = can_1072[part]
+        if fmt == "sym":
+            dense = dense + dense.T
+        operand = np.random.default_rng(5).random(shape)
+        hand = getattr(hand_blas, table)[fmt]
+        A = as_format(dense, fmt)
+        if table.startswith("TS"):
+            want = hand(as_format(dense, fmt), operand.copy())
+        else:
+            want = hand(as_format(dense, fmt), operand,
+                        np.zeros((A.ncols if table.endswith("_T")
+                                  else A.nrows,) + shape[1:]))
+        got = call(A, operand)
+        # the handle is a compiled kernel's BoundOp, not the generic one
+        assert kernel_handle(A, op).__self__.name == op
+        if (table, fmt) in _ROUNDING_ONLY:
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+        else:
+            assert np.array_equal(got, want)
+
+    def test_second_call_is_one_handle_hit(self, can_1072):
+        A = as_format(can_1072["full"], "csr")
+        x = np.random.default_rng(6).random(1072)
+        first = mvm(A, x)
+        assert kernel_handle(A, "mvm") is not None
+        hits = INSTR.get("blas.handle.hits")
+        assert np.array_equal(mvm(A, x), first)
+        assert INSTR.get("blas.handle.hits") == hits + 1
+
+    def test_a_pair_without_a_plan_is_searched_once(self, lower, rng):
+        """TS on DIA has no plan: the first call's search fails once and
+        binds the generic kernel, so the second call runs no search."""
+        L = as_format(lower, "dia")
+        b = rng.random(9)
+        demoted = INSTR.get("blas.fallback.generic")
+        x = ts_lower_solve(L, b)
+        assert INSTR.get("blas.fallback.generic") == demoted + 1
+        generated = INSTR.get("search.candidates.generated")
+        assert np.array_equal(ts_lower_solve(L, b), x)
+        assert INSTR.get("search.candidates.generated") == generated
+        assert INSTR.get("blas.fallback.generic") == demoted + 1
+        assert np.allclose(lower.to_dense() @ x, b)
+
+    def test_any_other_compile_error_propagates(self, can_1072, monkeypatch):
+        import repro.core.compiler as compiler
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("forced")
+
+        monkeypatch.setattr(compiler, "compile_kernel", boom)
+        A = as_format(can_1072["full"], "csr")
+        with pytest.raises(RuntimeError, match="forced"):
+            mvm(A, np.ones(1072))
+        assert kernel_handle(A, "mvm") is None
+
+    @pytest.mark.parametrize("op,fmt", [("mvm", "csr"), ("ts_lower", "coo")])
+    def test_a_bound_matrix_dies_by_reference_count(self, op, fmt, can_1072):
+        """The handle a plain call binds holds its matrix weakly, and the
+        compile leaves nothing that holds it (TS on COO falls back from C:
+        its lowering error must not keep the compile's frames)."""
+        call = mvm if op == "mvm" else ts_lower_solve
+        dense = can_1072["full" if op == "mvm" else "lower"]
+        v = np.ones(1072)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NativeBackendWarning)
+            call(as_format(dense, fmt), v)      # first-use imports, cache
+            gc.collect()
+            gc.disable()
+            try:
+                A = as_format(dense, fmt)
+                call(A, v)
+                call(A, v)
+                assert kernel_handle(A, op) is not None
+                ref = weakref.ref(A)
+                del A
+                assert ref() is None
+            finally:
+                gc.enable()
 
 
 class TestDispatch:

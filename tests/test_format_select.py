@@ -70,13 +70,17 @@ class TestSelectionRunsCcOnlyForWhatItReturns:
 
     CANDIDATES = ("csr", "csc", "dia", "ell")
 
-    def test_model_mode_compiles_the_winner_alone(self):
+    def test_model_mode_compiles_the_winner_alone(self, tmp_path,
+                                                  monkeypatch):
         from repro.core import backend as be
         from repro.core.cache import clear_compile_cache
         from repro.instrument import INSTR
 
         if be.find_compiler() is None:
             pytest.skip("no C toolchain")
+        # under cache="disk" an earlier test's unit of the same source
+        # would be a disk hit, not a compile
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         m = banded(48, bandwidth=2, seed=21)
         clear_compile_cache()
         be.reset_toolchain_cache(scratch=True)

@@ -235,3 +235,78 @@ def test_a_cold_compile_leaves_no_recursive_closure(fmt):
         gc.enable()
     assert closures == []
     assert garbage == 0
+
+
+def test_a_falling_back_c_compile_frees_its_matrix():
+    """A ``backend="c"`` compile whose lowering falls back (TS on COO: the
+    gather-and-sort has no C print) keeps no exception whose traceback
+    holds the compile's frames — they hold the bindings — so the matrix
+    dies with the kernel by reference count."""
+    import warnings
+
+    import repro
+    from repro.core import NativeBackendWarning
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NativeBackendWarning)
+        repro.compile_kernel(ALL_KERNELS["ts_lower"](),
+                             _bindings("ts_lower", "coo"), backend="c")
+        gc.collect()
+        gc.disable()
+        try:
+            bindings = _bindings("ts_lower", "coo")
+            kernel = repro.compile_kernel(ALL_KERNELS["ts_lower"](),
+                                          bindings, backend="c")
+            assert kernel.fallback_reason.startswith("lowering")
+            L = weakref.ref(bindings.pop("L"))
+            del kernel
+            assert L() is None
+        finally:
+            gc.enable()
+
+
+def test_a_toolchain_failure_frees_its_matrix(monkeypatch):
+    """A build error reaches the joining thread through its future: the
+    future, the error's traceback and the join's frame must not close a
+    cycle over the compile's frames, which hold the bindings."""
+    import warnings
+
+    import repro
+    from repro.core import NativeBackendWarning
+    from repro.core import backend as be
+
+    def no_toolchain(*args, **kwargs):
+        raise RuntimeError("no toolchain")
+
+    monkeypatch.setattr(be, "compile_native_function", no_toolchain)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NativeBackendWarning)
+        repro.compile_kernel(ALL_KERNELS["mvm"](), _bindings("mvm", "csr"),
+                             backend="c")
+        gc.collect()
+        gc.disable()
+        try:
+            bindings = _bindings("mvm", "csr")
+            kernel = repro.compile_kernel(ALL_KERNELS["mvm"](), bindings,
+                                          backend="c")
+            assert kernel.fallback_reason == "toolchain: no toolchain"
+            A = weakref.ref(bindings.pop("A"))
+            del kernel
+            assert A() is None
+        finally:
+            gc.enable()
+
+
+def test_printing_a_program_leaves_no_cycle():
+    """The compile cache keys every program by its printed text."""
+    from repro.ir.printer import program_to_text
+
+    program = ALL_KERNELS["spmm"]()
+    gc.collect()
+    gc.disable()
+    try:
+        program_to_text(program)
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert left == 0

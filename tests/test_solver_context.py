@@ -318,12 +318,23 @@ class TestKernelHandles:
 
 
 class TestTrajectoryIdentity:
-    """The context-backed Python path must be byte-identical to the
-    status-quo path: same kernels modulo dispatch, same float ops in the
-    same order (acceptance criterion)."""
+    """The context-backed Python path must be byte-identical to the plain
+    path (a plain matrix binds the compiled C kernel on its first call) and
+    to the hand-written kernel: same float ops in the same order
+    (acceptance criterion)."""
 
     def test_cg(self, spd, b25):
         x1, it1, r1 = cg(as_format(spd, "csr"), b25, tol=1e-12)
+        x2, it2, r2 = cg(_ctx(spd, ops=("mvm",)), b25, tol=1e-12)
+        assert it1 == it2 and r1 == r2
+        assert np.array_equal(x1, x2)
+
+    def test_cg_against_the_hand_kernel(self, spd, b25):
+        from tests.oracles.hand_blas import mvm_csr
+
+        A = as_format(spd, "csr")
+        x1, it1, r1 = cg(A, b25, tol=1e-12,
+                         matvec=lambda x: mvm_csr(A, x, np.zeros(A.nrows)))
         x2, it2, r2 = cg(_ctx(spd, ops=("mvm",)), b25, tol=1e-12)
         assert it1 == it2 and r1 == r2
         assert np.array_equal(x1, x2)
