@@ -19,8 +19,7 @@ ratios.
 import numpy as np
 import pytest
 
-from repro.blas import generic_
-from tests.oracles import hand_blas
+from tests.oracles import generic_blas, hand_blas
 from benchmarks.conftest import (BENCH_N, bench_lower, compiled, flops_ts,
                                  fmt_instance)
 
@@ -86,7 +85,7 @@ def test_ts_generic(benchmark, fmt):
 
     def run():
         b = b0.copy()
-        generic_.ts_lower_enum(L, b)
+        generic_blas.ts_lower_enum(L, b)
         return b
 
     out = run()
@@ -114,7 +113,7 @@ def test_shape_of_figure(capsys):
                         repeats=3)
         kern = hand_blas.TS_LOWER[fmt]
         t_spec = best_of(lambda: kern(L, b0.copy()), repeats=3)
-        t_generic = best_of(lambda: generic_.ts_lower_enum(L, b0.copy()),
+        t_generic = best_of(lambda: generic_blas.ts_lower_enum(L, b0.copy()),
                             repeats=3)
         rows.append((fmt, t_gen, t_spec, t_generic))
 

@@ -5,8 +5,7 @@ rest of the Figure 3 BLAS (the paper states the TS relative differences
 import numpy as np
 import pytest
 
-from repro.blas import generic_
-from tests.oracles import hand_blas
+from tests.oracles import generic_blas, hand_blas
 from benchmarks.conftest import (BENCH_N, bench_matrix, compiled, flops_mvm,
                                  fmt_instance)
 
@@ -63,7 +62,7 @@ def test_mvm_generic(benchmark, fmt):
     y = np.zeros(BENCH_N)
 
     def run():
-        generic_.mvm(A, x, y)
+        generic_blas.mvm(A, x, y)
         return y
 
     out = run()

@@ -14,8 +14,8 @@ columns of row r are the range first[r] .. first[r]+length[r] — an
 CSR — and the value of (r, c) sits at data[start[r] + c - first[r]].  The
 levels' kinds give each axis its order and search.  From the declaration
 the compiler derives the loops, the searches and the C, and the library the
-matrix's own get/set/to_coo_arrays, the runtime the generic BLAS
-(``repro.blas.generic_``) walks it through, and its assembly: from_dense
+matrix's own get/set/to_coo_arrays, the runtime its enumerations walk it
+through, and its assembly: from_dense
 and from_coo solve the Range's bounds for first and length (per row the
 first and one past the last column) and scatter data through the
 declared value index.  A format designer writes the declaration, the

@@ -25,7 +25,7 @@ Public surface:
 - :mod:`repro.formats` — formats and their declarations, I/O, generators
   (``as_format`` / ``convert`` re-exported here);
 - :mod:`repro.blas` — the plain BLAS calls (each binds the compiler's
-  kernel to its matrix on first use) and the generic baseline kernels;
+  kernel to its matrix on first use) and SpGEMM;
 - :mod:`repro.solvers` — format-independent iterative methods, plus
   :class:`~repro.solvers.context.SolverContext` (re-exported here): one-time
   kernel setup so every solver iteration runs through compiled (optionally

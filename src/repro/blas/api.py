@@ -9,10 +9,9 @@ toolchain — and publishes it as ``A``'s handle, a detached
 :class:`BoundOp`; every later call is a ``blas.handle.hits`` dispatch.
 A :class:`~repro.solvers.context.SolverContext` binds through the same
 :func:`bind` and :func:`register`, so a plain call on a matrix a context
-was built over rides the context's kernels.  A pair the compiler has no
-plan for (TS on DIA) binds the format-agnostic kernel of
-:mod:`repro.blas.generic_` instead, once per instance
-(``blas.fallback.generic``).
+was built over rides the context's kernels.  A pair the search has no
+plan for (TS on DIA) is compiled over the matrix's CSR image instead
+(:func:`bind_csr_image`, ``blas.fallback.csr_image``), once per instance.
 
 This is the PETSc-style arrangement the paper describes in Section 1
 (format-independent iterative methods linked against format-specific
@@ -33,22 +32,21 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from repro.blas import generic_
 from repro.formats.base import SparseFormat
+from repro.formats.convert import FORMATS, convert
 from repro.formats.csr import CsrMatrix
 from repro.instrument import INSTR
 from repro.ir import kernels as _kernels
 
 #: op name -> (program factory, matrix array name, the :class:`BoundOp`
-#: method a handle calls, the :mod:`repro.blas.generic_` kernel a pair
-#: without a plan runs)
+#: method a handle calls)
 OP_SPECS = {
-    "mvm": (_kernels.mvm, "A", "apply", generic_.mvm),
-    "mvm_t": (_kernels.mvm_t, "A", "apply", generic_.mvm_t),
-    "ts_lower": (_kernels.ts_lower, "L", "apply_solve", generic_.ts_lower_enum),
-    "ts_upper": (_kernels.ts_upper, "U", "apply_solve", generic_.ts_upper),
-    "spmm": (_kernels.spmm, "A", "apply_mm", generic_.mm),
-    "spmm_t": (_kernels.spmm_t, "A", "apply_mm", generic_.mm_t),
+    "mvm": (_kernels.mvm, "A", "apply"),
+    "mvm_t": (_kernels.mvm_t, "A", "apply"),
+    "ts_lower": (_kernels.ts_lower, "L", "apply_solve"),
+    "ts_upper": (_kernels.ts_upper, "U", "apply_solve"),
+    "spmm": (_kernels.spmm, "A", "apply_mm"),
+    "spmm_t": (_kernels.spmm_t, "A", "apply_mm"),
 }
 
 #: every operation a kernel handle serves
@@ -64,35 +62,33 @@ class BoundOp:
     parameter values — everything a call needs besides the vectors,
     resolved once at setup.
 
-    The matrix is held *weakly* and dereferenced per call.  Its owner (the
-    caller, a :class:`~repro.solvers.context.SolverContext`, or
-    ``kernel``'s bindings) keeps it alive; a :meth:`detached` copy can
-    therefore live on the matrix itself, as its handle, without closing a
-    reference cycle — dropping the matrix frees it, the handle and the
-    loaded kernel at once, with no garbage collection."""
+    The matrix is held *weakly* and dereferenced per call: ``operand`` is
+    a weak reference to it (or, from :func:`bind_csr_image`, builds the
+    CSR image of a matrix it holds weakly).  Its owner (the caller, a
+    :class:`~repro.solvers.context.SolverContext`, or ``kernel``'s
+    bindings) keeps it alive; a :meth:`detached` copy can therefore live
+    on the matrix itself, as its handle, without closing a reference
+    cycle — dropping the matrix frees it, the handle and the loaded kernel
+    at once, with no garbage collection."""
 
     __slots__ = ("name", "kernel", "fn", "mat_name", "_mat", "params",
                  "backend_used")
 
     def __init__(self, name: str, kernel, fn, mat_name: str,
-                 matrix: SparseFormat, params: Dict[str, int],
+                 operand: Callable[[], SparseFormat], params: Dict[str, int],
                  backend_used: str):
         self.name = name
         self.kernel = kernel
         self.fn = fn
         self.mat_name = mat_name
-        self._mat = weakref.ref(matrix)
+        self._mat = operand
         self.params = params
         self.backend_used = backend_used
-
-    @property
-    def matrix(self) -> Optional[SparseFormat]:
-        return self._mat()
 
     def detached(self) -> "BoundOp":
         """The same entry point without ``kernel`` (a compiled kernel holds
         its bindings, i.e. the matrix, strongly)."""
-        return BoundOp(self.name, None, self.fn, self.mat_name, self._mat(),
+        return BoundOp(self.name, None, self.fn, self.mat_name, self._mat,
                        self.params, self.backend_used)
 
     def apply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -119,10 +115,12 @@ class BoundOp:
         return f"<BoundOp {self.name} backend={self.backend_used}>"
 
 
-def bind(op: str, kernel, program, matrix: SparseFormat) -> BoundOp:
+def bind(op: str, kernel, program, matrix: SparseFormat,
+         operand: Optional[Callable[[], SparseFormat]] = None) -> BoundOp:
     """``kernel`` (``program`` compiled for ``matrix``) as a
     :class:`BoundOp`: the native function when it built, else the
-    generated Python, and the parameter values the matrix pins."""
+    generated Python, and the parameter values the matrix pins.  The
+    kernel runs on ``matrix`` unless ``operand`` says otherwise."""
     from repro.core.compiler import infer_param_values
 
     mat_name = OP_SPECS[op][1]
@@ -131,15 +129,34 @@ def bind(op: str, kernel, program, matrix: SparseFormat) -> BoundOp:
         fn = kernel.callable()
     params = {k: int(v) for k, v in
               infer_param_values(program, {mat_name: matrix}).items()}
-    return BoundOp(op, kernel, fn, mat_name, matrix, params,
-                   kernel.backend_used)
+    return BoundOp(op, kernel, fn, mat_name, operand or weakref.ref(matrix),
+                   params, kernel.backend_used)
 
 
-def register(bound: BoundOp) -> Callable:
-    """Publish ``bound`` (detached) as its matrix's handle for its op;
-    returns the handle."""
+def bind_csr_image(op: str, A: SparseFormat, **compile_kwargs) -> BoundOp:
+    """``op`` for ``A`` when the search has no plan for ``A``'s format (TS
+    on DIA), compiled over ``A``'s CSR image (``compile_kwargs`` go to
+    ``compile_kernel``); counts ``blas.fallback.csr_image``.  Every call
+    runs on a new image, ``convert(A, "csr")`` with stored zeros kept, so
+    a value changed in place or through ``set()`` is seen by the next
+    call; the operand holds ``A`` weakly, and each image lives as long as
+    the call it serves."""
+    from repro.core.compiler import compile_kernel
+
+    INSTR.count("blas.fallback.csr_image")
+    factory, mat_name, _apply = OP_SPECS[op]
+    program = factory()
+    ref = weakref.ref(A)
+    image = convert(A, "csr")
+    kernel = compile_kernel(program, {mat_name: image}, **compile_kwargs)
+    return bind(op, kernel, program, image, lambda: convert(ref(), "csr"))
+
+
+def register(A: SparseFormat, bound: BoundOp) -> Callable:
+    """Publish ``bound`` (detached) as ``A``'s handle for its op; returns
+    the handle."""
     entry = getattr(bound.detached(), OP_SPECS[bound.name][2])
-    register_kernel_handle(bound.matrix, bound.name, entry)
+    register_kernel_handle(A, bound.name, entry)
     return entry
 
 
@@ -171,7 +188,7 @@ def clear_kernel_handles(A: SparseFormat) -> None:
 
 def _handle(A: SparseFormat, op: str) -> Callable:
     """``A``'s handle for ``op``, compiled and registered on first use.
-    A pair the search finds no plan for registers the generic kernel, so
+    A pair the search finds no plan for binds over ``A``'s CSR image, so
     the search runs once per instance; any other compile error
     propagates."""
     h = kernel_handle(A, op)
@@ -181,32 +198,15 @@ def _handle(A: SparseFormat, op: str) -> Callable:
     from repro.core.compiler import compile_kernel
     from repro.core.plan import PlanError
 
-    factory, mat_name, _apply, generic = OP_SPECS[op]
+    factory, mat_name, _apply = OP_SPECS[op]
     program = factory()
     try:
         kernel = compile_kernel(program, {mat_name: A}, backend="c")
     except PlanError:
-        INSTR.count("blas.fallback.generic")
-        ref = weakref.ref(A)
-
-        def generic_handle(*operands):
-            return generic(ref(), *operands)
-
-        register_kernel_handle(A, op, generic_handle)
-        return generic_handle
-    return register(bind(op, kernel, program, A))
-
-
-def _alloc2(shape, A: SparseFormat, x: np.ndarray) -> np.ndarray:
-    """A fresh output array of any shape in the promoted dtype of the
-    operands — ``np.zeros(shape)`` alone would silently force float64 onto
-    float32/int workloads (and break native-backend byte parity)."""
-    return np.zeros(shape, dtype=np.result_type(A.dtype, x.dtype))
-
-
-def _alloc(n: int, A: SparseFormat, x: np.ndarray) -> np.ndarray:
-    """1-D special case of :func:`_alloc2` (the matvec/solve outputs)."""
-    return _alloc2(n, A, x)
+        kernel = None
+    if kernel is None:
+        return register(A, bind_csr_image(op, A, backend="c"))
+    return register(A, bind(op, kernel, program, A))
 
 
 def _check_panel(op: str, A: SparseFormat, X: np.ndarray,
@@ -238,10 +238,17 @@ def _check_vector(op: str, name: str, A: SparseFormat, v: np.ndarray,
             f"vector of length {need}, got shape {shape}")
 
 
-def _check_out(op: str, out: np.ndarray, shape, result_dtype) -> None:
-    """Validate a caller-provided output: the shape must match and the
-    promoted product dtype must be safely representable — writing float64
-    products into an int or float32 buffer silently truncated before."""
+def _out(op: str, A: SparseFormat, x: np.ndarray, out: Optional[np.ndarray],
+         shape) -> np.ndarray:
+    """The output of ``op``: a caller-provided ``out``, validated, or a
+    fresh array in the promoted dtype of the operands — ``np.zeros(shape)``
+    alone would silently force float64 onto float32/int workloads (and
+    break native-backend byte parity).  A provided output must have the
+    shape and safely hold the promoted dtype — writing float64 products
+    into an int or float32 buffer silently truncated before."""
+    result_dtype = np.result_type(A.dtype, x.dtype)
+    if out is None:
+        return np.zeros(shape, dtype=result_dtype)
     if tuple(out.shape) != tuple(shape):
         raise ValueError(
             f"{op}: caller-provided output has shape {tuple(out.shape)}, "
@@ -251,26 +258,20 @@ def _check_out(op: str, out: np.ndarray, shape, result_dtype) -> None:
             f"{op}: writing {np.dtype(result_dtype)} products into a "
             f"caller-provided {out.dtype} output would truncate; pass a "
             f"{np.dtype(result_dtype)} buffer (or omit it)")
+    return out
 
 
 def mvm(A: SparseFormat, x: np.ndarray, y: Optional[np.ndarray] = None) -> np.ndarray:
     """y = A x."""
     _check_vector("mvm", "x", A, x, A.ncols)
-    if y is None:
-        y = _alloc(A.nrows, A, x)
-    else:
-        _check_out("mvm", y, (A.nrows,), np.result_type(A.dtype, x.dtype))
+    y = _out("mvm", A, x, y, (A.nrows,))
     return _handle(A, "mvm")(x, y)
 
 
 def mm(A: SparseFormat, X: np.ndarray, Y: Optional[np.ndarray] = None) -> np.ndarray:
     """Y = A X with ``X`` a dense ``n × k`` panel (SpMM)."""
     _check_panel("mm", A, X, A.ncols)
-    if Y is None:
-        Y = _alloc2((A.nrows, X.shape[1]), A, X)
-    else:
-        _check_out("mm", Y, (A.nrows, X.shape[1]),
-                   np.result_type(A.dtype, X.dtype))
+    Y = _out("mm", A, X, Y, (A.nrows, X.shape[1]))
     if X.shape[1] == 0:
         return Y  # empty panel: (m, 0) result, nothing to dispatch
     return _handle(A, "spmm")(X, Y)
@@ -279,11 +280,7 @@ def mm(A: SparseFormat, X: np.ndarray, Y: Optional[np.ndarray] = None) -> np.nda
 def mm_t(A: SparseFormat, X: np.ndarray, Y: Optional[np.ndarray] = None) -> np.ndarray:
     """Y = A^T X with ``X`` a dense ``m × k`` panel."""
     _check_panel("mm_t", A, X, A.nrows)
-    if Y is None:
-        Y = _alloc2((A.ncols, X.shape[1]), A, X)
-    else:
-        _check_out("mm_t", Y, (A.ncols, X.shape[1]),
-                   np.result_type(A.dtype, X.dtype))
+    Y = _out("mm_t", A, X, Y, (A.ncols, X.shape[1]))
     if X.shape[1] == 0:
         return Y
     return _handle(A, "spmm_t")(X, Y)
@@ -292,11 +289,23 @@ def mm_t(A: SparseFormat, X: np.ndarray, Y: Optional[np.ndarray] = None) -> np.n
 def mvm_t(A: SparseFormat, x: np.ndarray, y: Optional[np.ndarray] = None) -> np.ndarray:
     """y = A^T x."""
     _check_vector("mvm_t", "x", A, x, A.nrows)
-    if y is None:
-        y = _alloc(A.ncols, A, x)
-    else:
-        _check_out("mvm_t", y, (A.ncols,), np.result_type(A.dtype, x.dtype))
+    y = _out("mvm_t", A, x, y, (A.ncols,))
     return _handle(A, "mvm_t")(x, y)
+
+
+def _solve(op: str, T: SparseFormat, b: np.ndarray, in_place: bool) -> np.ndarray:
+    """The triangular solve ``op`` on ``b`` (the dtype contract of
+    :func:`ts_lower_solve`)."""
+    _check_vector(f"{op}_solve", "b", T, b, T.nrows)
+    rt = np.result_type(T.dtype, b.dtype)
+    if not in_place:
+        b = b.astype(rt, copy=True)
+    elif not np.can_cast(rt, b.dtype, casting="safe"):
+        raise ValueError(
+            f"{op}_solve: in-place solve writes {np.dtype(rt)} values "
+            f"into a {b.dtype} b, which would truncate; promote b or use "
+            f"in_place=False")
+    return _handle(T, op)(b)
 
 
 def ts_lower_solve(L: SparseFormat, b: np.ndarray, in_place: bool = False) -> np.ndarray:
@@ -306,57 +315,36 @@ def ts_lower_solve(L: SparseFormat, b: np.ndarray, in_place: bool = False) -> np
     cannot hold them.  With ``in_place=False`` the working copy is
     promoted to the result dtype; with ``in_place=True`` a lossy ``b``
     is rejected instead of silently truncated."""
-    _check_vector("ts_lower_solve", "b", L, b, L.nrows)
-    rt = np.result_type(L.dtype, b.dtype)
-    if not in_place:
-        b = b.astype(rt, copy=True)
-    elif not np.can_cast(rt, b.dtype, casting="safe"):
-        raise ValueError(
-            f"ts_lower_solve: in-place solve writes {np.dtype(rt)} values "
-            f"into a {b.dtype} b, which would truncate; promote b or use "
-            f"in_place=False")
-    return _handle(L, "ts_lower")(b)
+    return _solve("ts_lower", L, b, in_place)
 
 
 def ts_upper_solve(U: SparseFormat, b: np.ndarray, in_place: bool = False) -> np.ndarray:
     """b := U^{-1} b (backward substitution).  Same dtype contract as
     :func:`ts_lower_solve`."""
-    _check_vector("ts_upper_solve", "b", U, b, U.nrows)
-    rt = np.result_type(U.dtype, b.dtype)
-    if not in_place:
-        b = b.astype(rt, copy=True)
-    elif not np.can_cast(rt, b.dtype, casting="safe"):
-        raise ValueError(
-            f"ts_upper_solve: in-place solve writes {np.dtype(rt)} values "
-            f"into a {b.dtype} b, which would truncate; promote b or use "
-            f"in_place=False")
-    return _handle(U, "ts_upper")(b)
+    return _solve("ts_upper", U, b, in_place)
 
 
 # ---------------------------------------------------------------------------
 # SpGEMM: C = A B with both operands sparse.  Unlike every operation above,
 # the output's sparsity pattern is *computed*, not declared — the paper's
 # framework covers kernels whose output structure is given up front, so the
-# sparse×sparse product has its own dispatch: one fast tier, one portable
-# tier, one oracle.
+# sparse×sparse product has its own dispatch, on CSR operands: any other
+# format runs on its CSR image (``convert(A, "csr")``, stored zeros kept).
 #
-# - ``native`` (the CSR×CSR default): the compiled two-pass Gustavson
-#   kernel of :mod:`repro.blas.spgemm_native`.  It assembles the result
-#   row by row straight into CSR arrays, which :func:`spgemm` wraps without
-#   a COO round trip — 1.0–1.1× the speed of ``scipy.sparse``'s ``S @ S`` on
-#   the n = 90k Laplacian and 0.8–0.9× on the n = 50k power-law matrix of
+# - native: the compiled two-pass Gustavson kernel of
+#   :mod:`repro.blas.spgemm_native`.  It assembles the result row by row
+#   straight into CSR arrays, which :func:`spgemm` wraps without a COO
+#   round trip — 1.0–1.1× the speed of ``scipy.sparse``'s ``S @ S`` on the
+#   n = 90k Laplacian and 0.8–0.9× on the n = 50k power-law matrix of
 #   ``benchmarks/e2e``, with sorted indices (scipy's are not).
-# - ``vectorized``: NumPy expand-sort-reduce over the materialized
-#   products, CSR×CSR, no toolchain needed (0.04× and 0.14× scipy's speed
-#   on the same two operands).  The native tier falls back onto it
-#   observably (``spgemm.tier.native_fallbacks`` + NativeBackendWarning)
-#   when the kernel cannot be built.
-# - ``generic``: enumeration over any format pair via ``iter_nonzeros`` +
-#   COO dedup — the default for every non-CSR pair and the tests' oracle.
+# - vectorized: NumPy expand-sort-reduce over the materialized products,
+#   no toolchain needed (0.04× and 0.14× scipy's speed on the same two
+#   operands).  It runs only when the native kernel cannot be built, and
+#   observably (``spgemm.tier.native_fallbacks`` + NativeBackendWarning).
 #
-# All tiers produce identical canonical output (sorted rows, sorted
-# columns within rows, duplicates summed, cancelled zeros kept) — byte-
-# for-byte on integer data, which the differential wall pins.
+# Both produce identical canonical output (sorted rows, sorted columns
+# within rows, duplicates summed, cancelled zeros kept) — byte-for-byte,
+# which the differential wall pins.
 # ---------------------------------------------------------------------------
 
 def _check_spgemm_operands(A, B) -> None:
@@ -378,15 +366,15 @@ def _expand_rows(rowptr: np.ndarray) -> np.ndarray:
 
 
 def _csr_to_triples(rowptr: np.ndarray, cols: np.ndarray):
-    """``(rows, cols)`` of the native tier's CSR arrays at the exchange
+    """``(rows, cols)`` of the native kernel's CSR arrays at the exchange
     width."""
     return _expand_rows(rowptr), cols.astype(np.int64, copy=False)
 
 
 def _spgemm_csr_csr_vectorized(A: CsrMatrix, B: CsrMatrix):
-    """Vectorized expand-sort-reduce SpGEMM for CSR×CSR (the portable
-    tier): canonical COO triples of ``C = A B`` plus the intermediate-
-    product count, all in NumPy array ops (no scipy, no toolchain).
+    """Vectorized expand-sort-reduce SpGEMM for CSR×CSR (the fallback
+    without a toolchain): canonical COO triples of ``C = A B`` plus the
+    intermediate-product count, all in NumPy array ops (no scipy).
 
     Symbolic phase: every stored entry of A expands into the stored
     entries of the B row its column selects — segment arithmetic
@@ -420,84 +408,67 @@ def _spgemm_csr_csr_vectorized(A: CsrMatrix, B: CsrMatrix):
     return rows, cols, vals, total
 
 
-def _spgemm_product(A: SparseFormat, B: SparseFormat, tier: Optional[str]):
-    """Tier dispatch behind :func:`spgemm` / :func:`spgemm_triples`:
+def _spgemm_product(A: SparseFormat, B: SparseFormat):
+    """The product behind :func:`spgemm` / :func:`spgemm_triples`:
     ``(rowptr, rows, cols, vals, nmults)`` in canonical order, where the
-    native tier fills ``rowptr`` (``rows`` is None) and the others fill
-    ``rows`` (``rowptr`` is None) — whoever needs the other form derives
-    it, so a CSR result never pays for COO rows."""
+    native kernel fills ``rowptr`` (``rows`` is None) and the vectorized
+    fallback fills ``rows`` (``rowptr`` is None) — whoever needs the other
+    form derives it, so a CSR result never pays for COO rows."""
+    from repro.blas import spgemm_native
+
     _check_spgemm_operands(A, B)
-    both_csr = type(A) is CsrMatrix and type(B) is CsrMatrix
-    if tier is None:
-        tier = "native" if both_csr else "generic"
-    if tier in ("native", "vectorized"):
-        if not both_csr:
-            raise ValueError(
-                f"spgemm: the {tier} tier needs CSR operands, got "
-                f"{A.format_name}x{B.format_name}")
-        if tier == "native":
-            from repro.blas import spgemm_native
+    A, B = convert(A, "csr"), convert(B, "csr")
+    try:
+        rowptr, cols, vals, nmults = spgemm_native.spgemm_csr_csr_native(A, B)
+    except (RuntimeError, OSError, subprocess.SubprocessError) as e:
+        from repro.core.backend import native_fallback
 
-            try:
-                rowptr, cols, vals, nmults = \
-                    spgemm_native.spgemm_csr_csr_native(A, B)
-            except (RuntimeError, OSError, subprocess.SubprocessError) as e:
-                from repro.core.backend import native_fallback
-
-                INSTR.count("spgemm.tier.native_fallbacks")
-                native_fallback("toolchain", f"spgemm native tier: {e}")
-            else:
-                INSTR.count("spgemm.tier.native")
-                return rowptr, None, cols, vals, nmults
-        INSTR.count("spgemm.tier.vectorized")
-        return (None,) + _spgemm_csr_csr_vectorized(A, B)
-    if tier == "generic":
-        INSTR.count("spgemm.tier.generic")
-        with INSTR.phase("spgemm.enumerate"):
-            return (None,) + generic_.spgemm_coo(A, B)
-    raise ValueError(f"tier must be 'native', 'vectorized' or 'generic', "
-                     f"got {tier!r}")
+        INSTR.count("spgemm.tier.native_fallbacks")
+        native_fallback("toolchain", f"spgemm native kernel: {e}")
+    else:
+        INSTR.count("spgemm.tier.native")
+        return rowptr, None, cols, vals, nmults
+    INSTR.count("spgemm.tier.vectorized")
+    return (None,) + _spgemm_csr_csr_vectorized(A, B)
 
 
-def spgemm_triples(A: SparseFormat, B: SparseFormat,
-                   tier: Optional[str] = None):
+def spgemm_triples(A: SparseFormat, B: SparseFormat):
     """The computed product structure of ``C = A B`` as canonical COO
     triples ``(rows, cols, vals, nmults)`` — for callers that want a
     different packing (or just the pattern) than :func:`spgemm` builds.
 
-    ``tier`` forces a specific implementation (``"native"`` /
-    ``"vectorized"`` / ``"generic"``; the differential suite and the
-    benchmark compare them); None picks native for CSR×CSR and generic
-    for every other pair.  The native and vectorized tiers raise on
-    operands of another format; a missing/failing toolchain makes the
-    native tier fall back to the vectorized one *observably*
+    The native kernel serves it; a missing or failing toolchain falls
+    back to the vectorized path *observably*
     (``spgemm.tier.native_fallbacks`` and a
     :class:`~repro.core.backend.NativeBackendWarning`), mirroring the
     compiled-kernel fallback contract."""
-    rowptr, rows, cols, vals, nmults = _spgemm_product(A, B, tier)
+    rowptr, rows, cols, vals, nmults = _spgemm_product(A, B)
     if rows is None:
         rows, cols = _csr_to_triples(rowptr, cols)
     return rows, cols, vals, nmults
 
 
 def spgemm(A: SparseFormat, B: SparseFormat,
-           out_format: Optional[str] = None,
-           tier: Optional[str] = None, **format_kwargs) -> SparseFormat:
+           out_format: Optional[str] = None, **format_kwargs) -> SparseFormat:
     """C = A B with both operands sparse; the output's sparsity pattern
     is computed by the symbolic pass, then packed into ``out_format``.
 
-    ``out_format=None`` packs CSR: the native tier's arrays are wrapped as
-    they are, the other tiers' row-major canonical triples drop straight
-    into the construction core.  ``out_format="auto"`` chooses the output
-    format from the *computed* structure's features
+    ``out_format=None`` packs CSR: the native kernel's arrays are wrapped
+    as they are, the vectorized fallback's row-major canonical triples
+    drop straight into the construction core.  ``out_format="auto"``
+    chooses the output format from the *computed* structure's features
     (:func:`repro.search.format_select.select_output_format`) — the
     selection axis where the winner is the output format, not an input's.
     Any other name packs that format (``format_kwargs`` forwarded, e.g.
     ``block_size`` for BSR); a format that rejects the computed structure
     — or whose padded storage would dwarf it — falls back to CSR
     observably (``spgemm.output_fallbacks``)."""
+    if format_kwargs and out_format in (None, "csr", "auto"):
+        raise TypeError(
+            f"spgemm: {', '.join(sorted(format_kwargs))} only apply to a "
+            f"named out_format, got out_format={out_format!r}")
     INSTR.count("spgemm.calls")
-    rowptr, rows, cols, vals, _nmults = _spgemm_product(A, B, tier)
+    rowptr, rows, cols, vals, _nmults = _spgemm_product(A, B)
     shape = (A.nrows, B.ncols)
 
     def as_csr():
@@ -514,8 +485,6 @@ def spgemm(A: SparseFormat, B: SparseFormat,
 
         choice = select_output_format(rows, cols, shape)
         out_format, format_kwargs = choice.format_name, choice.format_kwargs
-    from repro.formats.convert import FORMATS
-
     cls = FORMATS.get(out_format)
     if cls is None:
         raise ValueError(f"spgemm: unknown output format {out_format!r}")

@@ -1,5 +1,5 @@
-"""Native-C SpGEMM for CSR×CSR: Gustavson's two-pass algorithm, the
-default tier of :func:`repro.blas.api.spgemm`.
+"""Native-C SpGEMM for CSR×CSR: Gustavson's two-pass algorithm, what
+:func:`repro.blas.api.spgemm` runs (on CSR images of other formats).
 
 One pass counts the computed output pattern (and the scalar
 multiplications) and leaves the finished row pointer; one accumulates
@@ -10,10 +10,10 @@ single-flight, disk layer, and the loaded-``.so`` cache that
 :func:`repro.core.backend.reset_toolchain_cache` empties, so the binding
 is looked up per call and never outlives the toolchain it was built with).
 
-Byte-identity: per output entry, every tier produces ``0.0 + p1 + p2 +
-...`` with the products in (A-row position, B-row position) ascending
-order — the flat expand order of the vectorized tier and the loop order
-here.  The marker array stamps the row in the symbolic pass and
+Byte-identity: per output entry, this kernel and the vectorized
+fallback both produce ``0.0 + p1 + p2 + ...`` with the products in
+(A-row position, B-row position) ascending order — the fallback's flat
+expand order and the loop order here.  The marker array stamps the row in the symbolic pass and
 ``-2 - row`` in the numeric one, so the first pass's residue can never
 alias a numeric-pass row and every stamp fits the index type.  Column *indices* are ordered
 within each row after the row is accumulated (see ``order_row`` in the C
@@ -31,7 +31,7 @@ at the wide width instead of wrapping.
 
 A missing toolchain or failed compile raises from :func:`bind`;
 :func:`repro.blas.api.spgemm_triples` translates that into an observable
-fallback onto the vectorized tier.
+fallback onto the vectorized path.
 """
 
 from __future__ import annotations
@@ -202,7 +202,7 @@ def spgemm_csr_csr_native(A, B, idx=None
                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """``C = A B`` for CSR×CSR: canonical CSR arrays ``(rowptr, colind,
     values)`` plus the multiplication count, byte-identical to the
-    vectorized tier.  ``idx`` defaults to the operands' index width
+    vectorized fallback.  ``idx`` defaults to the operands' index width
     (``int64`` unless all four arrays are ``int32``); the output arrays
     have the width :func:`repro.formats.base.index_dtype` gives the
     product, so :class:`CsrMatrix` wraps them without a copy.  Raises

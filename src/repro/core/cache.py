@@ -11,7 +11,7 @@ printer is deterministic and round-trippable), the per-array format
 *structure* (format class and name, view shape via access-path reprs and
 index substitutions, bounds annotations, per-axis ranges/totals — all
 shape-derived, none statistics-derived), the concrete ``param_values``,
-and the search knobs (``pick``, ``max_orders``, ``simplify_guards``).
+and the search knobs (``pick``, ``simplify_guards``).
 Two calls with equal structural signatures are guaranteed to enumerate
 the identical candidate set and lower the identical plans; only the
 *cost ranking* can differ, because costs read instance statistics.
@@ -116,7 +116,6 @@ def structural_signature(
     bindings: Mapping[str, SparseFormat],
     param_values: Mapping[str, int],
     pick: str,
-    max_orders: int,
     simplify_guards: bool,
 ) -> str:
     """Canonical digest of everything that determines the candidate set
@@ -124,7 +123,7 @@ def structural_signature(
     parts: List[str] = [
         program_to_text(program),
         repr(sorted((k, int(v)) for k, v in param_values.items())),
-        repr((pick, max_orders, bool(simplify_guards))),
+        repr((pick, bool(simplify_guards))),
     ]
     for name in sorted(bindings):
         parts.append(repr((name, format_structure(bindings[name]))))

@@ -336,7 +336,6 @@ def compile_kernel(
     bindings: Mapping[str, SparseFormat],
     param_values: Optional[Mapping[str, int]] = None,
     pick: str = "best",
-    max_orders: int = 12,
     simplify_guards: bool = True,
     cache: Optional[str] = None,
     backend: str = "python",
@@ -415,13 +414,12 @@ def compile_kernel(
     if mode != "off":
         with INSTR.phase("cache.lookup"):
             key = cc.structural_signature(program, bindings, param_values,
-                                          pick, max_orders, simplify_guards)
+                                          pick, simplify_guards)
             hit = cc.lookup(key, mode, bindings, param_values)
     if hit is not None:
         result, entry, index = hit
     else:
-        result = search(program, bindings, None, param_values, pick=pick,
-                        max_orders=max_orders)
+        result = search(program, bindings, None, param_values, pick=pick)
         if mode != "off":
             entry, index = cc.record(key, result, bindings, pick)
     memo = (cc.PlanMemo(result.plan, param_values, simplify_guards)

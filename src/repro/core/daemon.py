@@ -18,7 +18,7 @@ the cost of one round-trip.
   (array name → COO payload or a ``{"digest": ...}`` reference to a
   previously-uploaded payload), ``params`` (concrete sizes), and
   ``options`` (``backend`` / ``parallel`` / ``cache`` / ``pick`` /
-  ``max_orders`` / ``simplify_guards``).  Responds with per-item results
+  ``opt`` / ``simplify_guards``).  Responds with per-item results
   (handle, cost, backend actually used — failures are isolated per item,
   riding :class:`~repro.core.service.BatchResult`) plus the payload
   digests under which the daemon stored each uploaded binding.
@@ -89,7 +89,6 @@ _OPTION_TYPES = {
     "cache": str,
     "pick": str,
     "opt": str,
-    "max_orders": int,
     "simplify_guards": bool,
 }
 

@@ -14,7 +14,7 @@ A format implements two APIs, mirroring the paper's two-API design
 Between the two sits one :class:`LevelRuntime` per path (the analog of the
 paper's ``term_nesting`` / iterator classes), read from the path's
 declaration: it enumerates and searches one prefix at a time — what the
-generic BLAS, the tests' reference plan interpreter, ``get`` and ``set``
+tests' generic BLAS and reference plan interpreter, ``get`` and ``set``
 walk — or every prefix at once — ``to_coo_arrays`` and the cost model's
 step totals.  A format that declares nothing is refused.
 """

@@ -18,8 +18,8 @@ The declaration has two readers: the compiler
 (:class:`repro.codegen.emitters.ViewEmitter`) composes loops, searches and
 the value access from it, in Python and in C, and
 :class:`repro.formats.base.LevelRuntime` walks it — for the format's own
-``get``, ``set``, ``to_coo_arrays`` and assembly, the generic BLAS, the
-cost model's step totals and the tests' reference plan interpreter.
+``get``, ``set``, ``to_coo_arrays`` and assembly, the cost model's step
+totals, and the tests' generic BLAS and reference plan interpreter.
 ``compile_kernel`` refuses a format that declares nothing.
 
 A level names attributes of the format instance (arrays) and declared

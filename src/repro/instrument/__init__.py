@@ -56,8 +56,9 @@ Counter namespaces used by the compiler:
 - ``solver.*``          — SolverContext setup/iterate phase split,
                           iteration counts, fast-path fallbacks
 - ``blas.handle.*``     — functional-API calls served by registered
-                          kernel handles; ``blas.fallback.generic`` —
-                          instances bound to a generic kernel (no plan)
+                          kernel handles; ``blas.fallback.csr_image``
+                          — ops bound over a matrix's CSR image (no
+                          plan for its own format)
 - ``format.convert.*``  — data-plane conversions: the ``format.convert``
                           phase timer, per-route counters (``identity`` /
                           ``fastpath`` / ``via_coo``) and per ordered
@@ -81,15 +82,13 @@ Counter namespaces used by the compiler:
                           (``A^T A`` / ``A A^T``) construction phase
 - ``spgemm.*``          — sparse×sparse products: phase timers
                           (``spgemm.symbolic`` / ``spgemm.numeric``
-                          for the two passes of the native and the
-                          vectorized CSR tiers, ``spgemm.enumerate``
-                          for the generic any-pair route), call and
-                          tier counters (``spgemm.calls``,
-                          ``spgemm.tier.native`` / ``.vectorized`` /
-                          ``.generic``, plus
-                          ``spgemm.tier.native_fallbacks`` when the
-                          default native kernel cannot be built and
-                          the call demotes to vectorized),
+                          for the two passes of the native kernel and
+                          of its vectorized fallback), call and path
+                          counters (``spgemm.calls``,
+                          ``spgemm.tier.native`` / ``.vectorized``,
+                          plus ``spgemm.tier.native_fallbacks`` when
+                          the native kernel cannot be built and the
+                          call demotes to vectorized),
                           output-format selections
                           (``spgemm.output_select``) and packing
                           fallbacks to CSR (``spgemm.output_fallbacks``)

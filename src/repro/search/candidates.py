@@ -38,6 +38,10 @@ from repro.polyhedra.fm import bounds_of, is_feasible
 from repro.polyhedra.linexpr import LinExpr
 from repro.polyhedra.system import System
 
+#: interleavings of the fused data chains' blocks a search tries per path
+#: choice (the first ones, depth first)
+MAX_ORDERS = 12
+
 
 class Candidate:
     """One point of the search space, ready for legality analysis.
@@ -98,13 +102,14 @@ def _path_choices(program: Program, bindings: Mapping[str, SparseFormat],
         yield dict(zip(keys, combo))
 
 
-def _interleave_blocks(chains: List[List[object]], cap: int) -> Iterator[Tuple[object, ...]]:
+def _interleave_blocks(chains: List[List[object]]) -> Iterator[Tuple[object, ...]]:
     """Interleavings of the chains' blocks preserving each chain's internal
-    order, capped."""
+    order, capped at :data:`MAX_ORDERS`."""
     if not chains:
         return iter([()])
     pool = [list(c) for c in chains]
-    return itertools.islice(_interleavings(pool, [0] * len(pool), []), cap)
+    return itertools.islice(_interleavings(pool, [0] * len(pool), []),
+                            MAX_ORDERS)
 
 
 def _interleavings(pool: List[List[object]], cursors: List[int],
@@ -316,7 +321,6 @@ def generate_candidates(
     program: Program,
     bindings: Mapping[str, SparseFormat],
     deps: Sequence[DependenceClass],
-    max_orders: int = 12,
     max_foreign_branching: int = 4096,
     same_matrix_same_path: bool = True,
     facts: Optional[SearchFacts] = None,
@@ -389,7 +393,7 @@ def generate_candidates(
             for v in copy.iter_vars():
                 iter_dims.append(ProductDim(f"it.{v}", owner_var=v))
 
-        for order_blocks in _interleave_blocks(chains, cap=max_orders):
+        for order_blocks in _interleave_blocks(chains):
             data_dims: List[ProductDim] = []
             for block in order_blocks:
                 data_dims.extend(block)

@@ -76,7 +76,6 @@ def search(
     deps: Optional[Sequence[DependenceClass]] = None,
     param_values: Optional[Mapping[str, int]] = None,
     pick: str = "best",
-    max_orders: int = 12,
 ) -> SearchResult:
     """Find a plan for the program under the given format bindings.
 
@@ -113,7 +112,7 @@ def search(
         stand_ins = {id(fmt): fmt.stand_in() for fmt in bindings.values()}
         structure = {k: stand_ins[id(fmt)] for k, fmt in bindings.items()}
         for cand in generate_candidates(program, structure, deps,
-                                        max_orders=max_orders, facts=facts):
+                                        facts=facts):
             stats.generated += 1
             INSTR.count("search.candidates.generated")
             with INSTR.phase("search.legality"):

@@ -12,13 +12,13 @@ serves every solver iteration through the bound kernels with preallocated,
 reused workspaces — no per-iteration ``np.zeros``, no per-call dispatch
 dictionary walks.
 
-Fallback semantics are graceful and observable: an operation whose kernel
-cannot be compiled (no legal plan for the format, ...) runs the
-format-agnostic kernel of :mod:`repro.blas.generic_`, and one whose C does
-not build runs the generated Python; the reason is kept in
+Fallback semantics are graceful and observable: an operation the search
+has no plan for on the matrix's format is compiled over the matrix's CSR
+image (:func:`repro.blas.api.bind_csr_image`), and one whose C does not
+build runs the generated Python; the reason is kept in
 :attr:`SolverContext.fallbacks`, and the ``solver.fallback.*`` counters
 tick.  A context never raises because a *fast* path is unavailable — only
-because the operation itself is impossible.
+because the request itself is wrong (a misspelt backend, ...).
 
 Instrumentation (namespace ``solver.*``):
 
@@ -43,7 +43,6 @@ from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.blas import api as blas_api
-from repro.blas import generic_
 from repro.blas.api import ALL_OPS, OP_SPECS, BoundOp
 from repro.formats.base import SparseFormat, csr_rowptr
 from repro.formats.csr import CsrMatrix
@@ -146,7 +145,7 @@ class SolverContext:
         self.selection = None
         self.selection_error: Optional[str] = None
         self.fallbacks: Dict[str, str] = {}
-        self._bound: Dict[str, Optional[BoundOp]] = {}
+        self._bound: Dict[str, BoundOp] = {}
         #: the solvers' vector steps as bound native kernels, by name
         #: (:data:`repro.solvers.vecops.ENTRY_POINTS`); empty unless
         #: ``mvm`` runs native — they live in its translation unit
@@ -196,31 +195,40 @@ class SolverContext:
             return A
         return self.selection.best[1]
 
+    def _operand(self, op: str) -> SparseFormat:
+        """The matrix ``op`` binds to: the triangular parts for the solves,
+        ``A`` for everything else."""
+        return {"ts_lower": self.L, "ts_upper": self.U}.get(op, self.A)
+
     def _compile(self, ops, backend, parallel, cache, max_workers):
+        from repro.core.plan import PlanError
         from repro.core.service import compile_many
         from repro.solvers.vecops import ENTRY_POINTS
 
-        programs, bindings, specs = [], [], []
-        for op in ops:
-            mat_name = OP_SPECS[op][1]
-            inst = {"ts_lower": self.L, "ts_upper": self.U}.get(op, self.A)
-            programs.append(OP_SPECS[op][0]())
-            bindings.append({mat_name: inst})
-            specs.append((op, inst))
-        batch = compile_many(programs, bindings, backend=backend,
-                             parallel=parallel, cache=cache,
+        programs = [OP_SPECS[op][0]() for op in ops]
+        entry_points = [ENTRY_POINTS if op == "mvm" else None for op in ops]
+        batch = compile_many(programs,
+                             [{OP_SPECS[op][1]: self._operand(op)}
+                              for op in ops],
+                             backend=backend, parallel=parallel, cache=cache,
                              max_workers=max_workers, opt=self.opt,
-                             entry_points=[ENTRY_POINTS if op == "mvm" else None
-                                           for op in ops])
-        for (op, inst), outcome, program in zip(specs, batch, programs):
-            if not outcome.ok:
+                             entry_points=entry_points)
+        for op, outcome, program, extra in zip(ops, batch, programs,
+                                               entry_points):
+            inst = self._operand(op)
+            if outcome.ok:
+                bound = blas_api.bind(op, outcome.kernel, program, inst)
+            elif isinstance(outcome.error, PlanError):
                 self.fallbacks[op] = (f"{type(outcome.error).__name__}: "
                                       f"{outcome.error}")
                 INSTR.count("solver.fallback.compile")
-                self._bound[op] = None
-                continue
-            kernel = outcome.kernel
-            bound = self._bound[op] = blas_api.bind(op, kernel, program, inst)
+                bound = blas_api.bind_csr_image(
+                    op, inst, backend=backend, parallel=parallel,
+                    cache=cache, opt=self.opt, entry_points=extra)
+            else:
+                raise outcome.error
+            self._bound[op] = bound
+            kernel = bound.kernel
             if op == "mvm" and kernel.native() is not None:
                 self.vec_entries = bound.fn.entries
             if kernel.backend == "c" and kernel.fallback_reason:
@@ -230,9 +238,8 @@ class SolverContext:
                     op, f"native: {kernel.fallback_reason}")
 
     def _register_handles(self) -> None:
-        for bound in self._bound.values():
-            if bound is not None:
-                blas_api.register(bound)
+        for op, bound in self._bound.items():
+            blas_api.register(self._operand(op), bound)
 
     # -- introspection ----------------------------------------------------
     @property
@@ -240,16 +247,15 @@ class SolverContext:
         return self.A.format_name
 
     def bound(self, op: str) -> Optional[BoundOp]:
-        """The BoundOp serving ``op``, or None when it fell back."""
+        """The BoundOp serving ``op``, or None when ``op`` was not
+        requested."""
         return self._bound.get(op)
 
     @property
     def backends(self) -> Dict[str, str]:
-        """op -> backend actually executing it (``"c"``, ``"c+openmp"``,
-        ``"python"``, or ``"blas"`` after a compile fallback: the
-        :mod:`repro.blas.generic_` kernel)."""
-        return {op: (b.backend_used if b is not None else "blas")
-                for op, b in self._bound.items()}
+        """op -> backend actually executing it (``"c"``, ``"c+openmp"``
+        or ``"python"``)."""
+        return {op: b.backend_used for op, b in self._bound.items()}
 
     @property
     def vecops(self) -> str:
@@ -278,9 +284,9 @@ class SolverContext:
         (CGNE) — computed once through the sparse×sparse product
         :func:`repro.blas.api.spgemm` and cached on the context, so a
         solver that iterates on the normal operator pays the symbolic +
-        numeric passes a single time.  Keyword arguments (``out_format``,
-        ``tier``) are forwarded to ``spgemm`` on the first call of each
-        ``which``."""
+        numeric passes a single time.  Keyword arguments (``out_format``
+        and its format's) are forwarded to ``spgemm`` on the first call of
+        each ``which``."""
         if which not in ("ata", "aat"):
             raise ValueError(f"which must be 'ata' or 'aat', got {which!r}")
         got = self._normal.get(which)
@@ -304,18 +310,14 @@ class SolverContext:
         if out is None:
             out = self._y
         b = self._bound.get("mvm")
-        if b is None:
-            return generic_.mvm(self.A, x, out)
-        return b.apply(x, out)
+        return blas_api.mvm(self.A, x, out) if b is None else b.apply(x, out)
 
     def matvec_t(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """``out = A^T x`` through the bound kernel."""
         if out is None:
             out = self._yt
         b = self._bound.get("mvm_t")
-        if b is None:
-            return generic_.mvm_t(self.A, x, out)
-        return b.apply(x, out)
+        return blas_api.mvm_t(self.A, x, out) if b is None else b.apply(x, out)
 
     def matmat(self, X: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """``out = A X`` for a dense ``n × k`` panel through the bound
@@ -333,9 +335,7 @@ class SolverContext:
                 self._Y2 = np.zeros((self.A.nrows, k))
             out = self._Y2
         b = self._bound.get("spmm")
-        if b is None:
-            return generic_.mm(self.A, X, out)
-        return b.apply_mm(X, out)
+        return blas_api.mm(self.A, X, out) if b is None else b.apply_mm(X, out)
 
     def matmat_t(self, X: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """``out = A^T X`` through the bound ``spmm_t`` kernel."""
@@ -347,31 +347,25 @@ class SolverContext:
                 self._Y2t = np.zeros((self.A.ncols, k))
             out = self._Y2t
         b = self._bound.get("spmm_t")
-        if b is None:
-            return generic_.mm_t(self.A, X, out)
-        return b.apply_mm(X, out)
+        return blas_api.mm_t(self.A, X, out) if b is None else b.apply_mm(X, out)
 
     def lower_solve(self, b: np.ndarray, in_place: bool = False) -> np.ndarray:
         """``b := L^{-1} b`` with L the lower-including-diagonal part."""
         if self.L is None:
             raise ValueError("context was built without 'ts_lower'")
-        if not in_place:
-            b = b.copy()
         op = self._bound.get("ts_lower")
         if op is None:
-            return generic_.ts_lower_enum(self.L, b)
-        return op.apply_solve(b)
+            return blas_api.ts_lower_solve(self.L, b, in_place)
+        return op.apply_solve(b if in_place else b.copy())
 
     def upper_solve(self, b: np.ndarray, in_place: bool = False) -> np.ndarray:
         """``b := U^{-1} b`` with U the upper-including-diagonal part."""
         if self.U is None:
             raise ValueError("context was built without 'ts_upper'")
-        if not in_place:
-            b = b.copy()
         op = self._bound.get("ts_upper")
         if op is None:
-            return generic_.ts_upper(self.U, b)
-        return op.apply_solve(b)
+            return blas_api.ts_upper_solve(self.U, b, in_place)
+        return op.apply_solve(b if in_place else b.copy())
 
     def preconditioner(self, kind: str = "sgs"):
         """A preconditioner wired to this context's bound kernels:

@@ -33,6 +33,32 @@ def compile_cached(kernel_name: str, fmt_name: str, matrix, array_name: str,
     return _KERNEL_CACHE[key]
 
 
+@pytest.fixture
+def no_plan_for(monkeypatch):
+    """``no_plan_for(*ops)``: the batches a SolverContext compiles from now
+    on report a :class:`~repro.core.plan.PlanError` for those ops (the
+    search found no plan for the format, as for TS on DIA)."""
+    from repro.blas.api import OP_SPECS
+    from repro.core import service
+    from repro.core.plan import PlanError
+
+    real = service.compile_many
+
+    def arm(*ops):
+        names = {OP_SPECS[op][0]().name for op in ops}
+
+        def compile_many(programs, *args, **kwargs):
+            batch = real(programs, *args, **kwargs)
+            for o in batch:
+                if o.program.name in names:
+                    o.kernel, o.error = None, PlanError("forced: no plan")
+            return batch
+
+        monkeypatch.setattr(service, "compile_many", compile_many)
+
+    return arm
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260705)

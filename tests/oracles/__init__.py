@@ -7,6 +7,10 @@ Nothing under ``src/`` imports them:
   arrays, params)`` next to ``k(arrays, params)``);
 - :mod:`~tests.oracles.dense_ref` — NumPy ground truth for every BLAS
   operation;
+- :mod:`~tests.oracles.hand_blas` and :mod:`~tests.oracles.generic_blas` —
+  the hand-written per-format kernels and the format-agnostic ones
+  (``iter_nonzeros``): the NIST C and Fortran analogs the paper's
+  generated code is measured against;
 - :mod:`~tests.oracles.data_plane` — per-element loop versions of the
   format constructions, extractions and the triangular split;
 - :mod:`~tests.oracles.assembly` — the hand-written constructors and

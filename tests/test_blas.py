@@ -1,7 +1,8 @@
 """The BLAS layer: the plain calls (each binds a compiled kernel to its
-matrix on first use), the generic kernels (NIST-Fortran analog), and the
-hand-written oracle kernels (NIST-C analog, ``tests/oracles/hand_blas``)
-the plain calls are held to."""
+matrix on first use, over its CSR image where the search has no plan),
+and the oracles they are held to — the hand-written kernels (NIST-C
+analog, ``tests/oracles/hand_blas``) and the format-agnostic ones
+(NIST-Fortran analog, ``tests/oracles/generic_blas``)."""
 
 import gc
 import warnings
@@ -10,7 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.blas import generic_
+from repro.blas import api as blas_api
 from repro.blas.api import (
     kernel_handle,
     mm,
@@ -29,7 +30,7 @@ from repro.formats.generate import (
     upper_triangular_of,
 )
 from repro.instrument import INSTR
-from tests.oracles import dense_ref, hand_blas
+from tests.oracles import dense_ref, generic_blas, hand_blas
 
 ALL = ["csr", "csc", "coo", "dia", "ell", "jad", "bsr", "msr"]
 
@@ -96,7 +97,7 @@ class TestGeneric:
         kwargs = {"block_size": 2} if fmt == "bsr" else {}
         f = as_format(a, fmt, **kwargs)
         recon = np.zeros_like(a)
-        for r, c, v in generic_.iter_nonzeros(f):
+        for r, c, v in generic_blas.iter_nonzeros(f):
             recon[r, c] += v
         assert np.allclose(recon, f.to_dense())
 
@@ -108,22 +109,22 @@ class TestGeneric:
         f = as_format(a, fmt, **kwargs)
         x = rng.random(10)
         y = np.zeros(8)
-        generic_.mvm(f, x, y)
+        generic_blas.mvm(f, x, y)
         assert np.allclose(y, f.to_dense() @ x)
 
     @pytest.mark.parametrize("fmt", ["csr", "coo", "jad", "dia"])
     def test_generic_ts_variants(self, fmt, lower, rng):
         f = as_format(lower, fmt)
         b = rng.random(9)
-        x1 = generic_.ts_lower(f, b.copy())
-        x2 = generic_.ts_lower_enum(f, b.copy())
+        x1 = generic_blas.ts_lower(f, b.copy())
+        x2 = generic_blas.ts_lower_enum(f, b.copy())
         assert np.allclose(lower.to_dense() @ x1, b, atol=1e-9)
         assert np.allclose(x1, x2, atol=1e-10)
 
     def test_generic_ts_upper(self, upper, rng):
         f = as_format(upper, "csr")
         b = rng.random(9)
-        x = generic_.ts_upper(f, b.copy())
+        x = generic_blas.ts_upper(f, b.copy())
         assert np.allclose(upper.to_dense() @ x, b, atol=1e-9)
 
 
@@ -202,16 +203,17 @@ class TestPlainPathAgainstHandOracle:
 
     def test_a_pair_without_a_plan_is_searched_once(self, lower, rng):
         """TS on DIA has no plan: the first call's search fails once and
-        binds the generic kernel, so the second call runs no search."""
+        binds the kernel compiled over the matrix's CSR image, so the
+        second call runs no search."""
         L = as_format(lower, "dia")
         b = rng.random(9)
-        demoted = INSTR.get("blas.fallback.generic")
+        demoted = INSTR.get("blas.fallback.csr_image")
         x = ts_lower_solve(L, b)
-        assert INSTR.get("blas.fallback.generic") == demoted + 1
+        assert INSTR.get("blas.fallback.csr_image") == demoted + 1
         generated = INSTR.get("search.candidates.generated")
         assert np.array_equal(ts_lower_solve(L, b), x)
         assert INSTR.get("search.candidates.generated") == generated
-        assert INSTR.get("blas.fallback.generic") == demoted + 1
+        assert INSTR.get("blas.fallback.csr_image") == demoted + 1
         assert np.allclose(lower.to_dense() @ x, b)
 
     def test_any_other_compile_error_propagates(self, can_1072, monkeypatch):
@@ -247,6 +249,87 @@ class TestPlainPathAgainstHandOracle:
                 ref = weakref.ref(A)
                 del A
                 assert ref() is None
+            finally:
+                gc.enable()
+
+
+@pytest.fixture(scope="module")
+def triangles():
+    """The triangles of a 120-square matrix, dense; as DIA they store
+    every cell of their diagonals, zeros included."""
+    a = random_sparse(120, 120, 0.04, seed=24).to_dense() + 4 * np.eye(120)
+    return {"lower": np.tril(a), "upper": np.triu(a)}
+
+
+#: op -> (plain call, triangle, format-agnostic oracle)
+_SOLVES = {"ts_lower": (ts_lower_solve, "lower", generic_blas.ts_lower_enum),
+           "ts_upper": (ts_upper_solve, "upper", generic_blas.ts_upper)}
+
+
+@pytest.mark.parametrize("op", sorted(_SOLVES))
+class TestCsrImage:
+    """TS on DIA has no plan: the plain call binds the solve compiled over
+    the matrix's CSR image, and each call runs on an image of the matrix's
+    current values."""
+
+    def _solve(self, op, triangles, b):
+        call, part, oracle = _SOLVES[op]
+        A = as_format(triangles[part], "dia")
+        return A, call(A, b), oracle
+
+    def test_equals_the_generic_oracle(self, op, triangles, rng):
+        b = rng.random(120)
+        A, got, oracle = self._solve(op, triangles, b)
+        assert kernel_handle(A, op).__self__.name == op    # a BoundOp
+        want = oracle(as_format(A.to_dense(), "dia"), b.copy())
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_second_call_runs_no_search(self, op, triangles, rng):
+        b = rng.random(120)
+        demoted = INSTR.get("blas.fallback.csr_image")
+        A, first, _ = self._solve(op, triangles, b)
+        assert INSTR.get("blas.fallback.csr_image") == demoted + 1
+        generated = INSTR.get("search.candidates.generated")
+        hits = INSTR.get("blas.handle.hits")
+        assert np.array_equal(_SOLVES[op][0](A, b), first)
+        assert INSTR.get("search.candidates.generated") == generated
+        assert INSTR.get("blas.handle.hits") == hits + 1
+        assert INSTR.get("blas.fallback.csr_image") == demoted + 1
+
+    def test_a_changed_value_is_seen_by_the_next_call(self, op, triangles,
+                                                      rng):
+        b = rng.random(120)
+        A, _, oracle = self._solve(op, triangles, b)
+        A.data *= 2.0                       # in place
+        A.set(7, 7, 5.0)                    # and through set()
+        got = _SOLVES[op][0](A, b)
+        want = oracle(as_format(A.to_dense(), "dia"), b.copy())
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+        assert np.allclose(A.to_dense() @ got, b)
+
+    def test_matrix_and_its_images_die_by_reference_count(
+            self, op, triangles, monkeypatch):
+        images, real = [], blas_api.convert
+
+        def convert(A, target):
+            image = real(A, target)
+            images.append(weakref.ref(image))
+            return image
+
+        monkeypatch.setattr(blas_api, "convert", convert)
+        b = np.ones(120)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NativeBackendWarning)
+            self._solve(op, triangles, b)       # first-use imports, cache
+            gc.collect()
+            gc.disable()
+            try:
+                A, _, _ = self._solve(op, triangles, b)
+                _SOLVES[op][0](A, b)
+                ref = weakref.ref(A)
+                del A
+                assert ref() is None
+                assert len(images) == 5 and not any(r() for r in images)
             finally:
                 gc.enable()
 

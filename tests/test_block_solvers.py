@@ -112,18 +112,24 @@ class TestConvergence:
 
 
 class TestFallback:
-    def test_spmm_compile_failure_demotes_observably(self, spd, spd_dense, B):
-        """A backend no compiler accepts fails every op's compile: the
-        counters tick, the reasons are recorded, and block_cg still
-        converges through the per-call BLAS dispatch."""
+    def test_spmm_compile_failure_demotes_observably(self, spd, spd_dense, B,
+                                                     no_plan_for):
+        """No plan for either op: the counters tick, the reasons are
+        recorded, both ops run compiled over the matrix's CSR image, and
+        block_cg still converges."""
+        no_plan_for("mvm", "spmm")
         before = INSTR.get("solver.fallback.compile")
-        ctx = _ctx(spd, backend="fortran")
+        ctx = _ctx(spd)
         assert INSTR.get("solver.fallback.compile") == before + 2
         assert set(ctx.fallbacks) == {"mvm", "spmm"}
-        assert ctx.backends == {"mvm": "blas", "spmm": "blas"}
-        assert ctx.bound("spmm") is None
+        assert ctx.backends == {"mvm": "python", "spmm": "python"}
+        assert ctx.bound("spmm") is not None
         X, _, _ = block_cg(ctx, B, tol=1e-12)
         assert np.allclose(X, np.linalg.solve(spd_dense, B), atol=1e-8)
+
+    def test_misspelt_backend_raises(self, spd):
+        with pytest.raises(ValueError, match="backend must be"):
+            _ctx(spd, backend="fortran")
 
 
 class TestMatmat:

@@ -259,21 +259,21 @@ class TestSignatures:
         A = _csr(seed=7)
         B = as_format(A.to_dense() * 3.0, "csr")   # same pattern, new values
         pv = {"m": 8, "n": 6}
-        sig_a = structural_signature(mvm(), {"A": A}, pv, "best", 12, True)
-        sig_b = structural_signature(mvm(), {"A": B}, pv, "best", 12, True)
+        sig_a = structural_signature(mvm(), {"A": A}, pv, "best", True)
+        sig_b = structural_signature(mvm(), {"A": B}, pv, "best", True)
         assert sig_a == sig_b
 
     def test_structural_signature_sees_bounds_annotations(self):
         A = _csr(8, 8)
         B = as_format(A.to_dense(), "csr").annotate_triangular("lower")
         pv = {"m": 8, "n": 8}
-        assert (structural_signature(mvm(), {"A": A}, pv, "best", 12, True)
-                != structural_signature(mvm(), {"A": B}, pv, "best", 12, True))
+        assert (structural_signature(mvm(), {"A": A}, pv, "best", True)
+                != structural_signature(mvm(), {"A": B}, pv, "best", True))
 
     def test_structural_signature_sees_param_values(self):
         A = _csr()
-        s1 = structural_signature(mvm(), {"A": A}, {"m": 8, "n": 6}, "best", 12, True)
-        s2 = structural_signature(mvm(), {"A": A}, {"m": 8, "n": 7}, "best", 12, True)
+        s1 = structural_signature(mvm(), {"A": A}, {"m": 8, "n": 6}, "best", True)
+        s2 = structural_signature(mvm(), {"A": A}, {"m": 8, "n": 7}, "best", True)
         assert s1 != s2
 
     def test_stats_signature_sees_nnz(self):

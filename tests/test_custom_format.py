@@ -236,13 +236,13 @@ class TestDeclaredFormat:
     def test_dtype_is_the_declared_value_arrays(self, declared):
         """Whatever the array is called: ``blas.api`` allocates outputs in
         the promotion of ``A.dtype`` and the operand's."""
-        from repro.blas.api import _alloc
+        from repro.blas.api import _out
 
         A = Single(declared.rows, declared.cols, declared.vals, declared.shape)
         x = np.ones(8, dtype=np.float32)
         assert A.dtype == np.float32
-        assert _alloc(6, A, x).dtype == np.float32
-        assert _alloc(6, declared, x).dtype == np.float64
+        assert _out("mvm", A, x, None, (6,)).dtype == np.float32
+        assert _out("mvm", declared, x, None, (6,)).dtype == np.float64
 
     def test_an_undeclared_format_is_refused(self, declared, monkeypatch):
         """``compile_kernel`` refuses it before any search runs, naming

@@ -35,7 +35,7 @@ import numpy as np
 import pytest
 
 from repro.blas import api as blas_api
-from repro.blas.api import spgemm, spgemm_triples
+from repro.blas.api import spgemm
 from repro.core import NativeBackendWarning, PlanError, compile_kernel
 from repro.core import backend as be
 from repro.formats import FORMATS, as_format, convert
@@ -56,6 +56,7 @@ from repro.search.format_select import select_output_format
 from repro.solvers import SolverContext
 from tests.conftest import at_width, index_arrays
 from tests.oracles import dense_ref
+from tests.test_spgemm_differential import PATHS, product_by, triples_by
 
 #: dense is left out of the big-matrix hunt (70 001² doubles) and has no
 #: index arrays to get wrong
@@ -196,14 +197,12 @@ def _product_oracle(a, b):
     return out
 
 
-@pytest.mark.parametrize("tier", ["native", "vectorized", "generic"])
-def test_big_spgemm_every_tier(big, tier):
+@pytest.mark.parametrize("path", PATHS)
+def test_big_spgemm_every_tier(big, path):
     want = _product_oracle(_BIG_ENTRIES, _BIG_ENTRIES)
     A = big["csr"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NativeBackendWarning)
-        rows, cols, vals, nmults = spgemm_triples(A, A, tier=tier)
-        C = spgemm(A, A, tier=tier)
+    rows, cols, vals, nmults = triples_by(A, A, path)
+    C = product_by(A, A, path)
     assert rows.dtype == np.int64 and cols.dtype == np.int64
     got = {(int(r), int(c)): float(v) for r, c, v in zip(rows, cols, vals)}
     assert got == want and len(got) == rows.size
@@ -216,10 +215,14 @@ def test_big_spgemm_every_tier(big, tier):
 
 
 def test_big_spgemm_generic_on_other_formats(big):
+    """Other formats run on their CSR images, the oracle on their own
+    enumeration."""
     want = _product_oracle(_BIG_ENTRIES, _BIG_ENTRIES)
     for fa, fb in (("coo", "csc"), ("jad", "msr"), ("sym", "ell")):
         C = spgemm(big[fa], big[fb], out_format="csc")
         assert _stored_nonzeros(C) == want, (fa, fb)
+        assert _stored_nonzeros(product_by(big[fa], big[fb], "generic")) \
+            == want, (fa, fb)
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +412,8 @@ def test_conversions_follow_the_target_bound(low_limit):
     assert np.array_equal(convert(E, "csc").to_dense(), a)
 
 
-@pytest.mark.parametrize("tier", [None, "native", "vectorized", "generic"])
-def test_narrow_times_narrow_can_come_back_wide(low_limit, tier):
+@pytest.mark.parametrize("path", (None,) + PATHS)
+def test_narrow_times_narrow_can_come_back_wide(low_limit, path):
     n = 8
     a = np.zeros((n, n))
     a[:, 0] = np.arange(1, n + 1)
@@ -418,10 +421,8 @@ def test_narrow_times_narrow_can_come_back_wide(low_limit, tier):
     A = as_format(a, "csr")
     assert A.nnz < LIMIT <= n * n
     assert A.rowptr.dtype == A.colind.dtype == np.int32
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NativeBackendWarning)
-        C = spgemm(A, A, tier=tier)
-        rows, cols, vals, nmults = spgemm_triples(A, A, tier=tier)
+    C = product_by(A, A, path)
+    rows, cols, vals, nmults = triples_by(A, A, path)
     assert C.rowptr.dtype == C.colind.dtype == np.int64
     assert C.nnz == n * n and C.rowptr[-1] == n * n
     assert np.array_equal(C.to_dense(), a @ a)
@@ -430,7 +431,7 @@ def test_narrow_times_narrow_can_come_back_wide(low_limit, tier):
     assert vals.tobytes() == (a @ a).tobytes()
     # and a product that fits stays narrow, array for array
     small = as_format(np.eye(n), "csr")
-    S = spgemm(small, small, tier=tier)
+    S = product_by(small, small, path)
     assert S.rowptr.dtype == S.colind.dtype == np.int32
 
 

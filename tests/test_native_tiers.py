@@ -252,25 +252,30 @@ class TestPreparedDispatch:
 class TestSpgemmNativeTier:
     def test_byte_identity_and_counter(self):
         _native_or_skip()
-        from repro.blas.api import spgemm_triples
+        from repro.blas.api import _spgemm_csr_csr_vectorized, spgemm_triples
 
         A = as_format(laplacian_2d(8), "csr")
         before = INSTR.get("spgemm.tier.native")
-        rn, cn, vn, mn = spgemm_triples(A, A, tier="native")
+        rn, cn, vn, mn = spgemm_triples(A, A)
         assert INSTR.get("spgemm.tier.native") == before + 1
-        rv, cv, vv, mv = spgemm_triples(A, A, tier="vectorized")
+        rv, cv, vv, mv = _spgemm_csr_csr_vectorized(A, A)
         assert rn.tobytes() == np.ascontiguousarray(rv).tobytes()
         assert cn.tobytes() == np.ascontiguousarray(cv).tobytes()
         assert vn.tobytes() == np.ascontiguousarray(vv).tobytes()
         assert mn == mv
 
-    def test_non_csr_operands_rejected(self):
+    def test_non_csr_operands_run_on_csr_images(self):
+        _native_or_skip()
         from repro.blas.api import spgemm_triples
 
         A = as_format(laplacian_2d(4), "csr")
         B = as_format(laplacian_2d(4), "coo")
-        with pytest.raises(ValueError, match="CSR"):
-            spgemm_triples(A, B, tier="native")
+        before = INSTR.get("spgemm.tier.native")
+        got = spgemm_triples(A, B)
+        assert INSTR.get("spgemm.tier.native") == before + 1
+        want = spgemm_triples(A, as_format(laplacian_2d(4), "csr"))
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
     def test_toolchain_reset_forgets_the_binding(self, monkeypatch):
         """A product, then ``REPRO_CC=none`` + ``reset_toolchain_cache()``:

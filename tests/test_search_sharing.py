@@ -182,7 +182,7 @@ def test_a_kernel_and_its_matrix_die_without_the_collector(
         matrix = weakref.ref(bindings["A"])
         key = structural_signature(program, bindings,
                                    infer_param_values(program, bindings),
-                                   "best", 12, True)
+                                   "best", True)
         kernel = repro.compile_kernel(program, bindings, backend="python",
                                       cache=cache)
         source = kernel.source

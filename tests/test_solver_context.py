@@ -140,20 +140,36 @@ class TestBoundOps:
 
 
 class TestFallback:
-    def test_compile_fallback_stays_correct(self, b25):
-        # per-op compile failure must demote to the per-call BLAS dispatch
-        # observably, and keep solving correctly
+    def test_compile_fallback_stays_correct(self, b25, no_plan_for):
+        # an op the search has no plan for is compiled over the matrix's
+        # CSR image, observably, and keeps solving correctly
+        no_plan_for(*ALL_OPS)
         spd = laplacian_2d(5)
-        before = INSTR.get("solver.fallback.compile")
-        ctx = _ctx(spd, ops=ALL_OPS, backend="fortran")
-        assert INSTR.get("solver.fallback.compile") >= before + len(ALL_OPS)
-        assert set(ctx.fallbacks) == set(ALL_OPS)
-        assert all(b == "blas" for b in ctx.backends.values())
         D = spd.to_dense()
-        assert np.allclose(ctx.lower_solve(b25),
-                           np.linalg.solve(np.tril(D), b25))
-        x, _, _ = cg(ctx, b25, tol=1e-12)
-        assert np.allclose(D @ x, b25, atol=1e-8)
+        for backend in BACKENDS:
+            before = INSTR.get("solver.fallback.compile")
+            images = INSTR.get("blas.fallback.csr_image")
+            ctx = _ctx(spd, fmt="dia", ops=ALL_OPS, backend=backend)
+            assert (INSTR.get("solver.fallback.compile")
+                    == before + len(ALL_OPS))
+            assert (INSTR.get("blas.fallback.csr_image")
+                    == images + len(ALL_OPS))
+            assert set(ctx.fallbacks) == set(ALL_OPS)
+            assert all(why.startswith("PlanError: ")
+                       for why in ctx.fallbacks.values())
+            assert set(ctx.backends.values()) <= {backend, "python"}
+            assert np.allclose(ctx.lower_solve(b25),
+                               np.linalg.solve(np.tril(D), b25))
+            assert np.allclose(ctx.matvec_t(b25), D.T @ b25)
+            x, _, _ = cg(ctx, b25, tol=1e-12)
+            assert np.allclose(D @ x, b25, atol=1e-8)
+            # the registered handles are the same image kernels
+            assert np.array_equal(blas_api.mvm(ctx.A, b25), ctx.matvec(b25))
+
+    def test_misspelt_backend_raises(self, spd):
+        # only a missing plan demotes: a wrong request reaches the caller
+        with pytest.raises(ValueError, match="backend must be"):
+            _ctx(spd, ops=("mvm", "ts_lower"), backend="fortran")
 
     def test_ts_ops_bind_on_csr_split_for_any_format(self, b25):
         # the triangular ops always bind to the CSR triangular split, so
@@ -167,14 +183,24 @@ class TestFallback:
         assert np.allclose(ctx.lower_solve(b25),
                            np.linalg.solve(np.tril(D), b25))
 
-    def test_context_never_raises_for_missing_fast_path(self, spd):
-        # an unknown backend string reaches compile_many and fails per-op;
-        # the context must demote, not raise
-        ctx = _ctx(spd, ops=("mvm",), backend="fortran")
-        assert ctx.bound("mvm") is None
+    def test_context_never_raises_for_missing_fast_path(self, spd,
+                                                         no_plan_for):
+        # no plan for the op: the context binds it over the CSR image,
+        # it does not raise
+        no_plan_for("mvm")
+        ctx = _ctx(spd, ops=("mvm",))
+        assert ctx.bound("mvm") is not None
         assert "mvm" in ctx.fallbacks
         assert np.allclose(ctx.matvec(np.ones(25)),
                            spd.to_dense() @ np.ones(25))
+
+    def test_an_op_not_requested_runs_the_plain_call(self, spd, b25):
+        ctx = _ctx(spd, ops=("ts_upper",))
+        assert ctx.bound("mvm") is None and ctx.bound("ts_lower") is None
+        D = spd.to_dense()
+        assert np.allclose(ctx.matvec(b25), D @ b25)
+        assert np.allclose(ctx.lower_solve(b25),
+                           np.linalg.solve(np.tril(D), b25))
 
 
 class TestSelection:

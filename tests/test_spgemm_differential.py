@@ -1,13 +1,15 @@
 """Differential test wall around SpGEMM: the sparse×sparse product with
 *computed* output structure must match the dense
-``tests/oracles/dense_ref.spgemm`` oracle over every format pair through
-the generic tier, and the three dispatch tiers (native / vectorized /
-generic) must be byte-for-byte identical on CSR×CSR — rowptr, colind and
-values arrays, not just the reconstructed dense matrix.  The default
-path (``tier=None``) is the native kernel wherever a toolchain exists
-and an observable fallback onto the vectorized tier where none does
-(the no-toolchain CI leg runs this file with ``REPRO_CC=none``); every
-CSR×CSR case below goes through it and asserts which of the two served.
+``tests/oracles/dense_ref.spgemm`` oracle over every format pair (a
+non-CSR operand runs on its CSR image), and its implementations — the
+native kernel, the vectorized path it falls back on and the
+format-agnostic oracle ``tests/oracles/generic_blas.spgemm_coo`` — must
+be byte-for-byte identical on CSR×CSR: rowptr, colind and values arrays,
+not just the reconstructed dense matrix.  The library's product is the
+native kernel wherever a toolchain exists and an observable fallback
+onto the vectorized path where none does (the no-toolchain CI leg runs
+this file with ``REPRO_CC=none``); every case below that goes through it
+asserts which of the two served.
 
 Exactness: entries are integer-valued floats, so every product/sum is
 exact in binary floating point regardless of accumulation order — the
@@ -16,7 +18,7 @@ oracle comparison is bitwise, not ``allclose``.
 The canonical-output contract the wall pins: rows sorted, columns sorted
 within rows, duplicates summed, and *numerically cancelled* entries kept
 as stored zeros (the computed pattern is structural — a slot two products
-sum to zero in is still a slot, in every tier).
+sum to zero in is still a slot, on every path).
 """
 
 from __future__ import annotations
@@ -28,16 +30,16 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from repro.blas.api import spgemm, spgemm_triples
+from repro.blas.api import _spgemm_csr_csr_vectorized, spgemm, spgemm_triples
 from repro.blas.spgemm_native import RADIX_MIN, SWEEP_SPAN
 from repro.core import NativeBackendWarning
 from repro.core import backend as be
 from repro.formats import FORMATS
 from repro.formats.coo import CooMatrix
 from repro.formats.csr import CsrMatrix
-from repro.formats.generate import power_law_rows
+from repro.formats.generate import power_law_rows, random_sparse
 from repro.instrument import INSTR
-from tests.oracles import dense_ref
+from tests.oracles import dense_ref, generic_blas
 
 ALL_FORMATS = list(FORMATS)  # all 10: dense ... sym
 
@@ -45,50 +47,70 @@ N = 6  # square and even: every format (sym, bsr block_size=2) applies
 
 FAST = settings(max_examples=20, deadline=None, derandomize=True)
 
-TIERS = ("native", "vectorized", "generic")
+#: the implementations the wall holds to each other: the library's
+#: product (``native``, also ``None``: the native kernel, or its counted
+#: fallback without a toolchain), the vectorized path on its own, and the
+#: format-agnostic oracle
+PATHS = ("native", "vectorized", "generic")
 
 
-def _served(fn, *args, tier=None, **kwargs):
-    """Call ``fn(*args, tier=tier)`` and, for the default and native
-    tiers, assert who served it: the native kernel when a toolchain
-    exists, the counted + warned fallback when none does."""
+def _served(fn, *args, **kwargs):
+    """Call ``fn(*args)`` and assert who served it: the native kernel when
+    a toolchain exists, the counted + warned fallback when none does."""
     native = INSTR.get("spgemm.tier.native")
     fallbacks = INSTR.get("spgemm.tier.native_fallbacks")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        out = fn(*args, tier=tier, **kwargs)
+        out = fn(*args, **kwargs)
     warned = any(issubclass(w.category, NativeBackendWarning) for w in caught)
-    if tier in (None, "native"):
-        have_cc = be.find_compiler() is not None
-        assert INSTR.get("spgemm.tier.native") == native + have_cc
-        assert (INSTR.get("spgemm.tier.native_fallbacks")
-                == fallbacks + (not have_cc))
-        assert warned == (not have_cc)
-    else:
-        assert INSTR.get("spgemm.tier.native") == native and not warned
+    have_cc = be.find_compiler() is not None
+    assert INSTR.get("spgemm.tier.native") == native + have_cc
+    assert (INSTR.get("spgemm.tier.native_fallbacks")
+            == fallbacks + (not have_cc))
+    assert warned == (not have_cc)
     return out
 
 
-def _assert_same_on_every_tier(A, B, ref):
+def triples_by(A, B, path=None):
+    """``(rows, cols, vals, nmults)`` of ``A B`` through one of
+    :data:`PATHS` (None: the library's)."""
+    if path == "vectorized":
+        return _spgemm_csr_csr_vectorized(A, B)
+    if path == "generic":
+        return generic_blas.spgemm_coo(A, B)
+    return _served(spgemm_triples, A, B)
+
+
+def product_by(A, B, path=None):
+    """``A B`` packed as CSR through one of :data:`PATHS`; a path that
+    yields triples is packed the way :func:`spgemm` packs its fallback's."""
+    if path in ("vectorized", "generic"):
+        rows, cols, vals, _ = triples_by(A, B, path)
+        return CsrMatrix._from_canonical_coo(rows, cols, vals,
+                                             (A.nrows, B.ncols))
+    return _served(spgemm, A, B)
+
+
+def _assert_same_on_every_path(A, B, ref):
     """native = vectorized = generic = default, array for array —
     triples, multiplication count and the packed CSR — against the dense
     oracle ``ref``; the packed result owns canonical arrays."""
-    want = _served(spgemm_triples, A, B, tier="vectorized")
-    for tier in ("native", "generic", None):
-        got = _served(spgemm_triples, A, B, tier=tier)
+    want = triples_by(A, B, "vectorized")
+    for path in ("native", "generic", None):
+        got = triples_by(A, B, path)
         for g, w in zip(got[:3], want[:3]):
-            assert g.dtype == w.dtype and np.array_equal(g, w), tier
-        assert got[3] == want[3], tier
-    for tier in TIERS + (None,):
-        C = _served(spgemm, A, B, tier=tier)
+            assert g.dtype == w.dtype and np.array_equal(g, w), path
+        assert got[3] == want[3], path
+    for path in PATHS + (None,):
+        C = product_by(A, B, path)
         assert type(C) is CsrMatrix and C.shape == ref.shape
-        assert np.array_equal(C.to_dense(), ref), tier
+        assert np.array_equal(C.to_dense(), ref), path
         assert np.array_equal(C.colind, want[1])
         assert C.values.tobytes() == np.ascontiguousarray(want[2]).tobytes()
         assert C.colind.flags.owndata and C.values.flags.owndata
         for r in range(C.nrows):    # strictly increasing within each row
             lo, hi = C.rowptr[r], C.rowptr[r + 1]
-            assert np.all(np.diff(C.colind[lo:hi]) > 0), (tier, r)
+            assert np.all(np.diff(C.colind[lo:hi]) > 0), (path, r)
 
 
 def _fmt_kwargs(fmt_name):
@@ -132,19 +154,19 @@ def _fixture_pair():
 
 
 # ---------------------------------------------------------------------------
-# every format pair through the generic tier vs the dense oracle
+# every format pair, on its operands' CSR images, vs the dense oracle
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("fmt_a", ALL_FORMATS)
 @pytest.mark.parametrize("fmt_b", ALL_FORMATS)
 def test_spgemm_all_pairs_match_dense_ref(fmt_a, fmt_b):
-    """All 10x10 ordered format pairs: the generic enumeration tier is one
-    code for every pair, and its packed CSR output must equal the dense
-    oracle bitwise on integer data."""
+    """All 10x10 ordered format pairs: every pair runs on its operands'
+    CSR images, and the packed CSR output must equal the dense oracle
+    bitwise on integer data."""
     da, db = _fixture_pair()
     A = build(fmt_a, da)
     B = build(fmt_b, db)
-    C = spgemm(A, B, tier="generic")
+    C = _served(spgemm, A, B)
     assert type(C) is CsrMatrix
     assert np.array_equal(C.to_dense(), dense_ref.spgemm(da, db))
 
@@ -153,8 +175,8 @@ def test_spgemm_all_pairs_match_dense_ref(fmt_a, fmt_b):
 @FAST
 @given(st.data())
 def test_spgemm_mixed_pairs_property(fmt_a, data):
-    """Property leg over representative mixed pairs (default tier: only
-    CSR×CSR has a fast kernel, so the generic route serves these)."""
+    """Property leg over representative mixed pairs (on the operands' CSR
+    images)."""
     da = data.draw(dense_matrices(N, N))
     db = data.draw(dense_matrices(N, N))
     A = build(fmt_a, da)
@@ -164,7 +186,7 @@ def test_spgemm_mixed_pairs_property(fmt_a, data):
 
 
 # ---------------------------------------------------------------------------
-# tier byte-identity on CSR×CSR: same arrays, not just same matrix
+# byte-identity of the paths on CSR×CSR: same arrays, not just same matrix
 # ---------------------------------------------------------------------------
 
 def _csr_pair(da, db):
@@ -174,22 +196,84 @@ def _csr_pair(da, db):
 @FAST
 @given(st.data())
 def test_spgemm_tiers_byte_identical(data):
-    """native, vectorized, generic and the default produce identical
-    canonical triples, the same nmults, and the same packed CSR."""
+    """native, vectorized, generic and the library's product give
+    identical canonical triples, the same nmults, and the same packed
+    CSR."""
     da = data.draw(dense_matrices(N, N))
     db = data.draw(dense_matrices(N, N))
-    _assert_same_on_every_tier(*_csr_pair(da, db), dense_ref.spgemm(da, db))
+    _assert_same_on_every_path(*_csr_pair(da, db), dense_ref.spgemm(da, db))
 
 
-@pytest.mark.parametrize("tier", TIERS + (None,))
+@pytest.mark.parametrize("path", PATHS + (None,))
 @FAST
 @given(st.data())
-def test_spgemm_each_tier_matches_oracle(tier, data):
+def test_spgemm_each_tier_matches_oracle(path, data):
     da = data.draw(dense_matrices(N, N))
     db = data.draw(dense_matrices(N, N))
     A, B = _csr_pair(da, db)
-    C = _served(spgemm, A, B, tier=tier)
+    C = product_by(A, B, path)
     assert np.array_equal(C.to_dense(), dense_ref.spgemm(da, db))
+
+
+# ---------------------------------------------------------------------------
+# format pairs on their CSR images against the format-agnostic oracle
+# ---------------------------------------------------------------------------
+
+#: ordered format pairs; the two with a DIA operand enumerate its diagonals,
+#: so the oracle sums some products in another order than the image does
+IMAGE_PAIRS = (("csr", "csr"), ("coo", "csr"), ("csc", "csr"),
+               ("csr", "csc"), ("ell", "jad"), ("jad", "msr"),
+               ("msr", "coo"), ("bsr", "csr"), ("csr", "bsr"),
+               ("sym", "ell"), ("dia", "csr"), ("csr", "dia"))
+
+
+@pytest.fixture(scope="module")
+def image_operand():
+    """A random symmetric 60-square matrix with real values (every format
+    admits it; DIA stores a zero in most of its cells)."""
+    a = random_sparse(60, 60, 0.05, seed=17).to_dense()
+    return a + a.T
+
+
+def _assert_image_pair(fmt_a, fmt_b, dense, product):
+    A = build(fmt_a, dense)
+    B = build(fmt_b, dense)
+    rows, cols, vals, nmults = product(A, B)
+    want = generic_blas.spgemm_coo(A, B)
+    assert np.array_equal(rows, want[0]) and np.array_equal(cols, want[1])
+    assert nmults == want[3]
+    if "dia" in (fmt_a, fmt_b):
+        assert np.allclose(vals, want[2], rtol=1e-13, atol=1e-13)
+    else:
+        assert vals.tobytes() == want[2].tobytes()
+
+
+@pytest.mark.parametrize("fmt_a,fmt_b", IMAGE_PAIRS)
+def test_spgemm_on_csr_images_equals_the_generic_oracle(fmt_a, fmt_b,
+                                                        image_operand):
+    """Pattern and multiplication count exact, values bitwise (to
+    rounding with a DIA operand), stored zeros included."""
+    _assert_image_pair(fmt_a, fmt_b, image_operand,
+                       lambda A, B: triples_by(A, B))
+
+
+def test_spgemm_on_csr_images_without_a_toolchain(image_operand,
+                                                  monkeypatch):
+    """The same pairs with ``REPRO_CC=none``: each runs on the vectorized
+    path, counted and warned."""
+    monkeypatch.setenv("REPRO_CC", "none")
+    be.reset_toolchain_cache()
+    try:
+        vectorized = INSTR.get("spgemm.tier.vectorized")
+        for fmt_a, fmt_b in IMAGE_PAIRS:
+            with pytest.warns(NativeBackendWarning):
+                _assert_image_pair(fmt_a, fmt_b, image_operand,
+                                   spgemm_triples)
+        assert (INSTR.get("spgemm.tier.vectorized")
+                == vectorized + len(IMAGE_PAIRS))
+    finally:
+        monkeypatch.delenv("REPRO_CC", raising=False)
+        be.reset_toolchain_cache()
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +329,7 @@ def ordering_cases(draw):
 @given(ordering_cases())
 def test_spgemm_row_ordering_boundaries(case):
     da, db = case
-    _assert_same_on_every_tier(*_csr_pair(da, db), dense_ref.spgemm(da, db))
+    _assert_same_on_every_path(*_csr_pair(da, db), dense_ref.spgemm(da, db))
 
 
 def test_spgemm_heavy_tailed_rows():
@@ -257,7 +341,7 @@ def test_spgemm_heavy_tailed_rows():
     A = CsrMatrix.from_dense(d)
     lengths = np.diff(spgemm(A, A).rowptr)
     assert lengths.max() >= RADIX_MIN > np.median(lengths)
-    _assert_same_on_every_tier(A, A, dense_ref.spgemm(d, d))
+    _assert_same_on_every_path(A, A, dense_ref.spgemm(d, d))
 
 
 def test_spgemm_laplacian_squared_n2500():
@@ -267,7 +351,7 @@ def test_spgemm_laplacian_squared_n2500():
 
     d = laplacian_2d(50).to_dense()
     A = CsrMatrix.from_dense(d)
-    _assert_same_on_every_tier(A, A, dense_ref.spgemm(d, d))
+    _assert_same_on_every_path(A, A, dense_ref.spgemm(d, d))
 
 
 def test_spgemm_default_skips_the_product_expansion(monkeypatch):
@@ -293,7 +377,7 @@ def test_spgemm_default_skips_the_product_expansion(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_spgemm_rectangular_chain():
-    """(4x7)·(7x3): non-square shapes through every tier, and a chained
+    """(4x7)·(7x3): non-square shapes through every path, and a chained
     product through the packed intermediate."""
     rng = np.random.default_rng(5)
     da = np.where(rng.random((4, 7)) < 0.5,
@@ -301,8 +385,8 @@ def test_spgemm_rectangular_chain():
     db = np.where(rng.random((7, 3)) < 0.5,
                   rng.integers(-3, 4, (7, 3)), 0).astype(float)
     A, B = _csr_pair(da, db)
-    for tier in TIERS + (None,):
-        C = _served(spgemm, A, B, tier=tier)
+    for path in PATHS + (None,):
+        C = product_by(A, B, path)
         assert C.shape == (4, 3)
         assert np.array_equal(C.to_dense(), dense_ref.spgemm(da, db))
     # chain: (A B) B2 with B2 = B^T as a second sparse operand
@@ -313,8 +397,8 @@ def test_spgemm_rectangular_chain():
 
 def test_spgemm_duplicate_coo_inputs():
     """Duplicate triples in a COO operand are summed on construction; the
-    product sees the summed values (generic tier reads through the
-    abstract enumeration of the deduplicated store)."""
+    product sees the summed values (the operand's CSR image is built from
+    the deduplicated store)."""
     rows = np.array([0, 0, 2, 2, 3])
     cols = np.array([1, 1, 0, 0, 2])
     vals = np.array([1.0, 2.0, 4.0, -1.0, 5.0])
@@ -325,8 +409,8 @@ def test_spgemm_duplicate_coo_inputs():
     B = CooMatrix.from_dense(db)
     C = spgemm(A, B)
     assert np.array_equal(C.to_dense(), dense_ref.spgemm(da, db))
-    # the same duplicate triples into CSR operands: the default tier
-    _assert_same_on_every_tier(CsrMatrix.from_coo(rows, cols, vals, (4, 4)),
+    # the same duplicate triples into CSR operands: every path
+    _assert_same_on_every_path(CsrMatrix.from_coo(rows, cols, vals, (4, 4)),
                                CsrMatrix.from_dense(db),
                                dense_ref.spgemm(da, db))
 
@@ -340,7 +424,7 @@ def test_spgemm_all_zero_rows_and_empty():
     db = np.zeros((4, 6))
     db[1, 5] = 3.0
     A, B = _csr_pair(da, db)
-    _assert_same_on_every_tier(A, B, da @ db)
+    _assert_same_on_every_path(A, B, da @ db)
     # entirely empty operand: zero stored entries, correct (5, 6) shape
     Z = _served(spgemm, CsrMatrix.from_dense(np.zeros((5, 4))), B)
     assert Z.shape == (5, 6) and Z.nnz == 0
@@ -348,17 +432,17 @@ def test_spgemm_all_zero_rows_and_empty():
     for (m, k, n) in ((3, 0, 2), (0, 3, 2), (2, 3, 0)):
         A0 = CsrMatrix.from_coo([], [], [], (m, k))
         B0 = CsrMatrix.from_coo([], [], [], (k, n))
-        _assert_same_on_every_tier(A0, B0, np.zeros((m, n)))
+        _assert_same_on_every_path(A0, B0, np.zeros((m, n)))
 
 
 def test_spgemm_cancellation_keeps_stored_zero():
     """Two products landing on one slot and summing to zero stay a stored
-    entry in every tier — the computed pattern is structural."""
+    entry on every path — the computed pattern is structural."""
     da = np.array([[1.0, 1.0], [0.0, 0.0]])
     db = np.array([[3.0, 0.0], [-3.0, 0.0]])
     A, B = _csr_pair(da, db)
-    for tier in TIERS + (None,):
-        C = _served(spgemm, A, B, tier=tier)
+    for path in PATHS + (None,):
+        C = product_by(A, B, path)
         assert C.nnz == 1                      # the cancelled slot
         assert C.values[0] == 0.0
         assert (C.colind[0], C.rowptr.tolist()) == (0, [0, 1, 1])
@@ -422,19 +506,13 @@ def test_spgemm_conformability_and_type_guards():
         spgemm(A, B)
     with pytest.raises(ValueError, match="sparse format instances"):
         spgemm(A, np.ones((4, 2)))
-    with pytest.raises(ValueError, match="vectorized tier needs CSR"):
-        spgemm_triples(CooMatrix.from_dense(np.ones((3, 3))),
-                       CsrMatrix.from_dense(np.ones((3, 3))),
-                       tier="vectorized")
-    with pytest.raises(ValueError, match="native tier needs CSR"):
-        spgemm_triples(CsrMatrix.from_dense(np.ones((3, 3))),
-                       CooMatrix.from_dense(np.ones((3, 3))),
-                       tier="native")
-    for gone in ("specialized", "bogus"):   # three tiers, not four
-        with pytest.raises(ValueError, match="tier must be 'native', "
-                                             "'vectorized' or 'generic'"):
-            spgemm_triples(A, CsrMatrix.from_dense(np.ones((4, 2))),
-                           tier=gone)
+    # the platform picks the path: there is no tier to ask for
+    B = CsrMatrix.from_dense(np.ones((4, 2)))
+    with pytest.raises(TypeError):
+        spgemm_triples(A, B, tier="native")
+    for out_format in (None, "csr", "auto"):
+        with pytest.raises(TypeError, match="tier"):
+            spgemm(A, B, out_format=out_format, tier="generic")
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +637,21 @@ def test_solver_context_normal_products():
         ctx.normal("atb")
 
 
+@pytest.mark.parametrize("fmt", ["dia", "jad"])
+def test_solver_context_normal_on_a_non_csr_matrix(fmt):
+    """``A`` runs on its CSR image: the native kernel serves the product
+    (the counted fallback without a toolchain)."""
+    from repro.solvers.context import SolverContext
+
+    rng = np.random.default_rng(10)
+    da = np.where(rng.random((8, 8)) < 0.4,
+                  rng.integers(-3, 4, (8, 8)), 0).astype(float)
+    ctx = SolverContext(build(fmt, da), ops=("mvm",), backend="python",
+                        register=False)
+    ata = _served(ctx.normal, "ata")
+    assert np.array_equal(ata.to_dense(), da.T @ da)
+
+
 # ---------------------------------------------------------------------------
 # slow leg: 10x example budget, fixed seed
 # ---------------------------------------------------------------------------
@@ -568,9 +661,9 @@ def test_solver_context_normal_products():
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_spgemm_deep_budget(data):
-    """Slow leg: 200 random CSR×CSR products, all tiers and the default
+    """Slow leg: 200 random CSR×CSR products, all paths and the default
     vs the oracle and each other, fixed seed for reproducible failures."""
     da = data.draw(dense_matrices(N, N))
     db = data.draw(dense_matrices(N, N))
     A, B = _csr_pair(da, db)
-    _assert_same_on_every_tier(A, B, dense_ref.spgemm(da, db))
+    _assert_same_on_every_path(A, B, dense_ref.spgemm(da, db))
