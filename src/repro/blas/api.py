@@ -136,20 +136,51 @@ def bind(op: str, kernel, program, matrix: SparseFormat,
 def bind_csr_image(op: str, A: SparseFormat, **compile_kwargs) -> BoundOp:
     """``op`` for ``A`` when the search has no plan for ``A``'s format (TS
     on DIA), compiled over ``A``'s CSR image (``compile_kwargs`` go to
-    ``compile_kernel``); counts ``blas.fallback.csr_image``.  Every call
-    runs on a new image, ``convert(A, "csr")`` with stored zeros kept, so
-    a value changed in place or through ``set()`` is seen by the next
-    call; the operand holds ``A`` weakly, and each image lives as long as
-    the call it serves."""
+    ``compile_kernel``); counts ``blas.fallback.csr_image``.  The image's
+    structure is built once, here; every call refreshes its values with
+    one gather from ``A``'s value storage, so a value changed in place or
+    through ``set()`` (which never adds an entry) is seen by the next
+    call.  The operand holds ``A`` weakly; the image lives as long as the
+    binding."""
     from repro.core.compiler import compile_kernel
 
     INSTR.count("blas.fallback.csr_image")
     factory, mat_name, _apply = OP_SPECS[op]
     program = factory()
-    ref = weakref.ref(A)
-    image = convert(A, "csr")
+    refresh = _csr_image(A)
+    image = refresh()
     kernel = compile_kernel(program, {mat_name: image}, **compile_kwargs)
-    return bind(op, kernel, program, image, lambda: convert(ref(), "csr"))
+    return bind(op, kernel, program, image, refresh)
+
+
+def _csr_image(A: SparseFormat) -> Callable[[], CsrMatrix]:
+    """A call that returns ``A``'s CSR image holding ``A``'s current
+    values.  The image is the conversion of a copy of ``A`` whose value
+    cells hold their own flat position plus one — so no cell reads as a
+    zero and is dropped — and its values then name, per entry, the cell
+    of ``A``'s value storage the entry gathers."""
+    names = list(dict.fromkeys(A.storage(p.path_id).value[0]
+                               for p in A.paths()))
+    positions, start = A.copy(), 1
+    for name in names:
+        shape = np.shape(getattr(A, name))
+        stop = start + int(np.prod(shape))
+        setattr(positions, name,
+                np.arange(start, stop, dtype=np.float64).reshape(shape))
+        start = stop
+    image = convert(positions, "csr")
+    where = image.values.astype(np.int64) - 1
+    ref = weakref.ref(A)
+
+    def refresh() -> CsrMatrix:
+        cells = [np.asarray(getattr(ref(), n)).reshape(-1) for n in names]
+        flat = cells[0] if len(cells) == 1 else np.concatenate(cells)
+        # every index is in range by construction; "clip" spares the
+        # bounds pass and the buffered copy "raise" makes
+        np.take(flat, where, out=image.values, mode="clip")
+        return image
+
+    return refresh
 
 
 def register(A: SparseFormat, bound: BoundOp) -> Callable:

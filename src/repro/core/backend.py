@@ -38,7 +38,7 @@ preloads them — ``LD_PRELOAD`` with both ``libasan.so`` and
 **Artifact cache** — compiled ``.so`` files are cached in-process by
 digest of (C source, flags, compiler path), and, when the compilation
 cache runs in ``disk`` mode, persisted under the same cache directory
-with atomic writes (:func:`repro.util.store.atomic_path`) by digest of
+with atomic writes (:class:`repro.util.store.AtomicPath`) by digest of
 (C source, flags, compiler identity) — the first line of ``cc
 --version``, asked only when the disk layer is used, so a cold
 memory-mode request spawns ``cc`` and nothing else.  On-disk
@@ -57,33 +57,44 @@ times out (``REPRO_SINGLEFLIGHT_TIMEOUT``, default 300 s — a wedged
 leader) or whose leader *failed* compiles itself rather than hang or give
 up, so one transient toolchain hiccup doesn't fail a whole batch.  Across
 processes the same guarantee
-comes from an ``flock`` on ``<digest>.so.lock``: the winner compiles,
-losers block on the lock and then find the finished artifact.  Lock
+comes from an ``flock`` on ``<digest>.so.lock``, held from the ``cc``
+start to its reap: the winner compiles, losers block on the lock (a start
+that finds it taken starts nothing; its join blocks) and then find the
+finished artifact.  Lock
 files are unlinked by their holder on release (with an inode liveness
 re-check on acquire), so a long-lived shared cache directory doesn't
 accumulate them.
 
-**Pipelining** — a kernel's ``cc`` + ``dlopen`` runs on a toolchain
-thread, not on the thread that searched for it.  :func:`start_bind`
-lowers the unit on the calling thread — its C text is then fixed — and
-hands :func:`compile_native_function` for it to a pool of at most
-``os.cpu_count()`` threads, so no more toolchain processes run at once
-than there are CPUs; it returns the join.  The caller goes on working
-(``CompiledKernel.start_native`` emits the Python print;
+**Pipelining** — a kernel's ``cc`` runs as a child process of the
+thread that searched for it, beside that thread's next search.
+:func:`start_bind` lowers the unit on the calling thread — its C text is
+then fixed — writes the source and starts ``cc`` with
+:class:`subprocess.Popen` on the same thread; it returns the join.  From
+then on ``cc`` runs outside the interpreter: nothing has to take the
+interpreter lock to start it or to notice that it ended.  The caller goes
+on working (``CompiledKernel.start_native`` emits the Python print;
 :func:`repro.core.service.compile_many` searches the next item) and joins
-later: the join waits, binds, and re-raises a build failure on the
-joining thread, which is where the fallback below warns.  A lone compile
-joins straight away; either way the bytes are those of a serial build.
-The waiting is all that moves: the subprocess wait and ``dlopen`` leave
-the calling thread, the search does not.  A forked child starts a fresh
-pool.
+later, through :func:`compile_native_function`: the join reaps the
+process, publishes the ``.so``, loads and binds it, and re-raises a build
+failure on the joining thread, which is where the fallback below warns.
+A lone compile joins straight away; either way the bytes are those of a
+serial build.  Same-digest starts share one process.  At most
+``os.cpu_count() + 1`` toolchain processes are alive at once: a start
+that would pass the bound first reaps the oldest
+(``native.toolchain.bound_waits``), so on two CPUs a three-op
+``SolverContext`` runs its three ``cc`` at once.  A join dropped uncalled
+stops its process (SIGTERM to its process group) and leaves no temp
+file; a forked child never waits for, nor stops, its parent's processes,
+and builds in a scratch directory of its own.
 
 **Fallback** — any failure (no toolchain, lowering limitation, compile
 error, load error) emits a :class:`NativeBackendWarning`, bumps an
 ``INSTR`` counter, and falls back to the Python kernel; it never raises.
 
-Phase timers: ``c_lower`` (loop IR to C), ``cc_compile`` (the cc
-invocation), ``native_dispatch`` (argument marshalling + the native
+Phase timers: ``c_lower`` (loop IR to C), ``cc_compile`` (a thread's
+wait for a toolchain process: the join's for its own, or a start's for
+the oldest when the bound bites — what the caller paid, not how long
+``cc`` ran), ``native_dispatch`` (argument marshalling + the native
 call).  ``REPRO_TRACE=1`` renders them on exit.
 """
 
@@ -93,19 +104,20 @@ import ctypes
 import hashlib
 import os
 import shutil
+import signal
 import subprocess
 import tempfile
 import threading
+import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+import weakref
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.instrument import INSTR
 from repro.util.env import env_flags
-from repro.util.store import SingleFlight, atomic_path
+from repro.util.store import AtomicPath, SingleFlight
 
 try:
     import fcntl
@@ -239,12 +251,12 @@ _FLIGHT = SingleFlight(waits="native.singleflight.waits",
                        failures="native.singleflight.leader_failures")
 
 
-@contextmanager
-def _artifact_lock(out_path: str):
+class _ArtifactLock:
     """Cross-process guard for one on-disk artifact: an exclusive flock on
-    ``out_path + '.lock'``.  Processes that cannot take the lock (no fcntl,
-    unwritable directory) fall through unguarded — the write is still
-    atomic, the guard only prevents the duplicated toolchain work.
+    ``out_path + '.lock'``, held from a ``cc`` start to its reap.  A
+    process that cannot take the lock (no fcntl, unwritable directory)
+    goes on unguarded — the write is still atomic, the guard only
+    prevents the duplicated toolchain work.
 
     The lock file is unlinked by its holder *before* releasing the flock,
     so a shared cache directory never accumulates stale ``.lock`` files.
@@ -253,47 +265,52 @@ def _artifact_lock(out_path: str):
     unlinked (a fresh file — and a fresh lock — could already exist under
     the same name), so after taking the flock we verify the fd still
     names the on-disk path and retry on a fresh open if not."""
-    if fcntl is None:
-        yield
-        return
-    lock_path = out_path + ".lock"
-    f = None
-    try:
+
+    def __init__(self, out_path: str):
+        self.path = out_path + ".lock"
+        self.f = None
+
+    def acquire(self, block: bool) -> bool:
+        """False only when ``block`` is off and another process holds the
+        lock."""
+        if fcntl is None:
+            return True
         while True:
             try:
-                f = open(lock_path, "a+b")
-                fcntl.flock(f.fileno(), fcntl.LOCK_EX)
+                f = open(self.path, "a+b")
             except OSError:
-                if f is not None:
-                    f.close()
-                    f = None
-                yield
-                return
+                return True
             try:
-                live = os.fstat(f.fileno()).st_ino == os.stat(lock_path).st_ino
+                fcntl.flock(f.fileno(),
+                            fcntl.LOCK_EX | (0 if block else fcntl.LOCK_NB))
+            except OSError as e:
+                f.close()
+                return not isinstance(e, BlockingIOError)
+            try:
+                live = os.fstat(f.fileno()).st_ino == os.stat(self.path).st_ino
             except OSError:
                 live = False            # path unlinked: stale inode
             if live:
-                break
+                self.f = f
+                return True
             f.close()
-            f = None
+
+    def release(self) -> None:
+        # still holding the exclusive lock on the live inode: no other
+        # process can be inside the critical section, and any process
+        # that already opened this inode will fail its liveness check
+        f, self.f = self.f, None
+        if f is None:
+            return
         try:
-            yield
-        finally:
-            # still holding the exclusive lock on the live inode: no other
-            # process can be inside the critical section, and any process
-            # that already opened this inode will fail its liveness check
-            try:
-                os.unlink(lock_path)
-            except OSError:
-                pass
-            try:
-                fcntl.flock(f.fileno(), fcntl.LOCK_UN)
-            except OSError:
-                pass
-    finally:
-        if f is not None:
-            f.close()
+            os.unlink(self.path)
+        except OSError:
+            pass
+        try:
+            fcntl.flock(f.fileno(), fcntl.LOCK_UN)
+        except OSError:
+            pass
+        f.close()
 
 
 def _digest(c_source: str, flags: Tuple[str, ...], compiler: str) -> str:
@@ -320,36 +337,244 @@ def _disk_so_path(digest: str) -> str:
     return os.path.join(COMPILE_CACHE.directory(), digest[:2], digest + ".so")
 
 
+# ---------------------------------------------------------------------------
+# Toolchain processes
+# ---------------------------------------------------------------------------
+
+#: most toolchain processes alive at once: one per CPU and one more, so
+#: on two CPUs a three-op SolverContext starts all its units at once
+_MAX_ALIVE = (os.cpu_count() or 1) + 1
+
+#: seconds a ``cc`` may run before it is killed and counts as failed
+_CC_TIMEOUT = 300.0
+
+#: guards _RUNS, _ALIVE and every run's ``refs``
+_RUNS_LOCK = threading.Lock()
+#: artifact path -> the run building it, from its start to its reap
+_RUNS: Dict[str, "_CcRun"] = {}
+#: the runs whose process has not exited, oldest first
+_ALIVE: List["_CcRun"] = []
+
+
+class _CcRun:
+    """One ``cc`` process building one artifact, from its start to the
+    artifact's publication.  Whoever uses a run — a start, a join, a
+    synchronous build — holds a reference (:func:`_run_for`) and drops
+    it (:meth:`release`); the last one to drop a run that was never
+    finished stops its process.  ``lock`` serializes the spawn, the reap
+    and the end.
+
+    ``outcome`` is None until the run ends, then True (built here), False
+    (another process had built it) or ``(exception type, message)``."""
+
+    def __init__(self, out_path: str):
+        self.out_path = out_path
+        self.refs = 0
+        self.lock = threading.Lock()
+        self.guard = _ArtifactLock(out_path)
+        self.tmp: Optional[AtomicPath] = None
+        self.proc: Optional[subprocess.Popen] = None
+        self.deadline = 0.0
+        self.stderr: Optional[bytes] = None     # set once reaped
+        self.outcome = None
+
+    def _spawn(self, cc: str, c_source: str, flags: Tuple[str, ...]) -> None:
+        """Start ``cc`` on a temp source next to the artifact, unless the
+        artifact is there (under ``lock``, with the guard held)."""
+        if os.path.exists(self.out_path):
+            self._end(False)
+            return
+        try:
+            self.tmp = AtomicPath(self.out_path)
+            with open(self.tmp.path + ".c", "w") as f:
+                f.write(c_source)
+            _admit(self, [cc, *flags, self.tmp.path + ".c", "-o",
+                          self.tmp.path])
+        except BaseException as e:
+            self._end((RuntimeError, f"cc did not start: {e!r}"))
+            if not isinstance(e, OSError):
+                raise
+
+    def _reap(self, stop: bool = False) -> None:
+        """Wait for the process to exit — after a SIGTERM to its process
+        group when ``stop`` — and keep its stderr (under ``lock``)."""
+        if self.stderr is not None:
+            return
+        proc = self.proc
+        if stop:
+            with _RUNS_LOCK:
+                _signal(proc, signal.SIGTERM)
+        with INSTR.phase("cc_compile"):
+            try:
+                _out, self.stderr = proc.communicate(
+                    timeout=max(0.0, self.deadline - time.monotonic()))
+            except subprocess.TimeoutExpired:
+                with _RUNS_LOCK:
+                    _signal(proc, signal.SIGKILL)
+                proc.communicate()
+                self.stderr = b"timed out"
+        with _RUNS_LOCK:
+            if self in _ALIVE:
+                _ALIVE.remove(self)
+        if proc.returncode == 0:
+            INSTR.count("native.compiles")
+
+    def _end(self, outcome) -> None:
+        self.outcome = outcome
+        if outcome is not True and self.tmp is not None:
+            _unlink(self.tmp.path + ".c")
+            self.tmp.discard()
+        self.guard.release()
+        with _RUNS_LOCK:
+            if _RUNS.get(self.out_path) is self:
+                del _RUNS[self.out_path]
+
+    def finish(self) -> bool:
+        """Reap the process and publish the artifact: True when ``cc``
+        built it, False when another process had; raises what the build
+        failed with."""
+        with self.lock:
+            if self.outcome is None:
+                self._reap()
+                if self.proc.returncode != 0:
+                    err = self.stderr.decode(errors="replace").strip()
+                    self._end((RuntimeError, f"cc failed: {err[:500]}"))
+                else:
+                    # the source goes first: once published, the temp name
+                    # (and with it the source's) is free for another run
+                    _unlink(self.tmp.path + ".c")
+                    try:
+                        self.tmp.publish()
+                    except OSError as e:
+                        self._end((OSError, str(e)))
+                    else:
+                        self._end(True)
+        if isinstance(self.outcome, tuple):
+            kind, message = self.outcome
+            raise kind(message)
+        return self.outcome
+
+    def release(self) -> None:
+        """Drop one reference; the last one stops a run nobody finished."""
+        with _RUNS_LOCK:
+            self.refs -= 1
+            if self.refs or self.outcome is not None:
+                return
+            if _RUNS.get(self.out_path) is self:
+                del _RUNS[self.out_path]
+        with self.lock:
+            if self.outcome is None:
+                self._reap(stop=True)
+                self._end((RuntimeError, "stopped: its kernel was dropped"))
+
+
+def _unlink(path: str) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
+
+
+def _signal(proc: subprocess.Popen, sig: int) -> None:
+    # under _RUNS_LOCK, where _admit polls: a process not reaped yet still
+    # owns its pid, so the signal cannot reach a recycled one
+    if proc.poll() is None:
+        try:
+            os.killpg(proc.pid, sig)
+        except OSError:
+            pass
+
+
+def _admit(run: _CcRun, argv: List[str]) -> None:
+    """Start ``run``'s process once fewer than ``_MAX_ALIVE`` are alive;
+    while that many are, reap the oldest first
+    (``native.toolchain.bound_waits``)."""
+    while True:
+        with _RUNS_LOCK:
+            _ALIVE[:] = [r for r in _ALIVE if r.proc.poll() is None]
+            if len(_ALIVE) < _MAX_ALIVE:
+                # a session of its own: a stop reaches the compiler
+                # driver's children too
+                run.proc = subprocess.Popen(
+                    argv, stdin=subprocess.DEVNULL,
+                    stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                    start_new_session=True)
+                run.deadline = time.monotonic() + _CC_TIMEOUT
+                _ALIVE.append(run)
+                return
+            oldest = _ALIVE[0]
+        INSTR.count("native.toolchain.bound_waits")
+        with oldest.lock:
+            if oldest.outcome is None:
+                oldest._reap()
+
+
+def _run_for(cc: str, c_source: str, flags: Tuple[str, ...], out_path: str,
+             block: bool) -> Optional[_CcRun]:
+    """The run building ``out_path``, with a reference for the caller:
+    the one under way, or one started here.  A new run takes the artifact
+    guard first; without ``block`` a guard another process holds means
+    None (that process builds it, and the join waits for it)."""
+    with _RUNS_LOCK:
+        run = _RUNS.get(out_path)
+        fresh = run is None
+        if fresh:
+            run = _CcRun(out_path)
+            if not block and not run.guard.acquire(block=False):
+                return None
+            _RUNS[out_path] = run
+            run.lock.acquire()
+        run.refs += 1
+    if fresh:
+        try:
+            if block:
+                run.guard.acquire(block=True)
+            run._spawn(cc, c_source, flags)
+        finally:
+            run.lock.release()
+    return run
+
+
+def _forget_runs() -> None:
+    # a forked child shares none of the parent's processes: it never waits
+    # for them nor stops them, and builds in a scratch directory of its own
+    global _RUNS_LOCK
+    _RUNS_LOCK = threading.Lock()
+    for run in [*_RUNS.values(), *_ALIVE]:
+        run.outcome = (RuntimeError, "started by the parent process")
+    _RUNS.clear()
+    _ALIVE.clear()
+    _work_dir.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_runs)
+
+
 def _compile_so(cc: str, c_source: str, flags: Tuple[str, ...],
                 out_path: str) -> bool:
-    """Compile into ``out_path`` atomically, under the cross-process
-    artifact flock.  Returns True if this call invoked the toolchain,
-    False if the artifact already existed once the lock was held (another
-    process built it first).  ``native.compiles`` counts actual cc
-    invocations, one-to-one."""
-    d = os.path.dirname(out_path)
-    os.makedirs(d, exist_ok=True)
-    with _artifact_lock(out_path):
-        if os.path.exists(out_path):
-            return False
-        with atomic_path(out_path) as tmp_so:
-            src = tmp_so + ".c"
-            try:
-                with open(src, "w") as f:
-                    f.write(c_source)
-                with INSTR.phase("cc_compile"):
-                    r = subprocess.run([cc, *flags, src, "-o", tmp_so],
-                                       capture_output=True, text=True,
-                                       timeout=300)
-            finally:
-                try:
-                    os.unlink(src)
-                except OSError:
-                    pass
-            if r.returncode != 0:
-                raise RuntimeError(f"cc failed: {r.stderr.strip()[:500]}")
-            INSTR.count("native.compiles")
-        return True
+    """Build ``out_path`` now: reap the run a start began for it, or start
+    one and reap it, under the cross-process artifact guard.  Returns True
+    if a toolchain process of this one built it, False if another process
+    had once the guard was held."""
+    os.makedirs(os.path.dirname(out_path), exist_ok=True)
+    run = _run_for(cc, c_source, flags, out_path, block=True)
+    try:
+        return run.finish()
+    finally:
+        run.release()
+
+
+def _start_so(cc: str, c_source: str, flags: Tuple[str, ...],
+              out_path: str) -> Optional[_CcRun]:
+    """Start building ``out_path`` and return the run (a reference the
+    caller releases), or None when there is nothing to start."""
+    os.makedirs(os.path.dirname(out_path), exist_ok=True)
+    run = _run_for(cc, c_source, flags, out_path, block=False)
+    if run is not None and run.outcome is not None:
+        run.release()
+        return None
+    return run
 
 
 def _load_library(path: str) -> ctypes.CDLL:
@@ -400,11 +625,26 @@ def _cached_so(key: str):
     return lib
 
 
+def _toolchain_args(c_source: str, want_openmp: bool):
+    """``(cc, used_openmp, flags, in-process key)`` of one unit; raises
+    when there is no toolchain."""
+    cc = find_compiler()
+    if cc is None:
+        raise RuntimeError("no C compiler on PATH (set REPRO_CC to override)")
+    use_omp = want_openmp and openmp_supported(cc)
+    flags = list(_CFLAGS)
+    if use_omp:
+        flags.append("-fopenmp")
+    flags = tuple(flags + env_flags("REPRO_CFLAGS"))
+    return cc, use_omp, flags, _digest(c_source, flags, cc)
+
+
 def compile_native_function(c_source: str, want_openmp: bool,
                             cache_mode: str, symbol: str = "kernel"):
     """Compile ``c_source`` and return (ctypes function, used_openmp) for
     its exported function ``symbol``; asking the same source for another
-    symbol is a memory hit on the loaded library.
+    symbol is a memory hit on the loaded library.  A run
+    :func:`_start_build` began for the unit is reaped here.
 
     Flags are the built-ins (``_CFLAGS``), ``-fopenmp``
     when requested and supported, then any user ``REPRO_CFLAGS`` —
@@ -417,16 +657,7 @@ def compile_native_function(c_source: str, want_openmp: bool,
     one toolchain invocation (see module docstring).  Raises on toolchain
     absence or compile failure — callers translate that into the Python
     fallback."""
-    cc = find_compiler()
-    if cc is None:
-        raise RuntimeError("no C compiler on PATH (set REPRO_CC to override)")
-    use_omp = want_openmp and openmp_supported(cc)
-    flags = list(_CFLAGS)
-    if use_omp:
-        flags.append("-fopenmp")
-    flags = tuple(flags + env_flags("REPRO_CFLAGS"))
-    key = _digest(c_source, flags, cc)
-
+    cc, use_omp, flags, key = _toolchain_args(c_source, want_openmp)
     lib = _cached_so(key)
     if lib is None:
         def build():
@@ -441,6 +672,33 @@ def compile_native_function(c_source: str, want_openmp: bool,
 
         lib, _shared = _FLIGHT.do(key, build)
     return getattr(lib, symbol), use_omp
+
+
+def _start_build(c_source: str, want_openmp: bool,
+                       cache_mode: str) -> Optional[_CcRun]:
+    """Start the ``cc`` run :func:`compile_native_function` would make for
+    ``c_source`` and return it — a reference the caller releases once it
+    has joined — or None when there is nothing to start: the library is
+    loaded or built, another process is building it, or the toolchain is
+    missing or does not start (the join reports that)."""
+    try:
+        cc, _omp, flags, key = _toolchain_args(c_source, want_openmp)
+        with _SO_LOCK:
+            if key in _SO_CACHE:
+                return None
+        if cache_mode == "disk":
+            path = _disk_so_path(artifact_key(c_source, flags, cc))
+            if os.path.exists(path):
+                return None
+            try:
+                return _start_so(cc, c_source, flags, path)
+            except OSError:
+                pass    # cache dir unwritable: the scratch dir, as below
+        out = os.path.join(_scratch_dir(), key + ".so")
+        return None if os.path.exists(out) else _start_so(cc, c_source,
+                                                          flags, out)
+    except (OSError, RuntimeError):
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -601,42 +859,39 @@ class NativeKernel:
 
 def start_bind(kernel, parallel: str = "none",
                cache_mode: str = "memory", entry_points=None):
-    """Lower one CompiledKernel to C on the calling thread and start its
-    toolchain run on a build thread (see "Pipelining").  Returns ``join``:
-    a call that waits for that build and binds the result as a
-    :class:`NativeKernel`, raising on the calling thread whatever the
-    build raised (the compiler API converts that into the Python
-    fallback); a lowering failure raises here.  ``entry_points`` (name ->
-    loop IR) asks for further functions in the kernel's translation unit
-    — still one toolchain invocation — bound as ``NativeKernel.entries``.
-    Every bound function knows its Python print, for the calls whose
-    operands overlap."""
+    """Lower one CompiledKernel to C and start its ``cc``, both on the
+    calling thread (see "Pipelining").  Returns ``join``: a call that
+    reaps that process through :func:`compile_native_function` and binds
+    the result as a :class:`NativeKernel`, raising on the calling thread
+    whatever the build raised (the compiler API converts that into the
+    Python fallback); a lowering failure raises here.  ``entry_points``
+    (name -> loop IR) asks for further functions in the kernel's
+    translation unit — still one toolchain invocation — bound as
+    ``NativeKernel.entries``.  Every bound function knows its Python
+    print, for the calls whose operands overlap.  A ``join`` dropped
+    uncalled stops its ``cc``."""
     from repro.codegen.native import lower_kernel
     from repro.codegen.pysource import compile_plan_to_python
 
     spec = lower_kernel(kernel, parallel, entry_points=entry_points)
     want_omp = parallel != "none" and spec.uses_openmp
     units = [("kernel", spec), *spec.entries.items()]
-
-    def build():
-        return [compile_native_function(s.c_source, want_openmp=want_omp,
-                                        cache_mode=cache_mode, symbol=name)
-                for name, s in units]
-
-    future = _build_pool().submit(build)
+    run = _start_build(spec.c_source, want_omp, cache_mode)
+    # weakly: the kernel holds this join until it is called
+    ref = weakref.ref(kernel)
 
     def join() -> NativeKernel:
-        nonlocal future
         try:
-            built = future.result()
+            built = [compile_native_function(s.c_source, want_openmp=want_omp,
+                                             cache_mode=cache_mode,
+                                             symbol=name)
+                     for name, s in units]
         finally:
-            # a build error is also the future's, and its traceback holds
-            # this frame, which would hold the future
-            future = None
+            joined()
         # the function, not the kernel's method: a kernel holds its
         # bindings, and a matrix may come to hold this NativeKernel as
         # its handle
-        python = kernel.callable()
+        python = ref().callable()
         fn, used_omp = built[0]
         nk = NativeKernel(fn, spec, used_omp, lambda: python)
         for (name, entry_spec), (fn, used_omp) in zip(units[1:], built[1:]):
@@ -645,31 +900,9 @@ def start_bind(kernel, parallel: str = "none",
                 lambda ir=entry_points[name]: compile_plan_to_python(ir)[1])
         return nk
 
+    joined = (weakref.finalize(join, run.release) if run is not None
+              else lambda: None)
     return join
-
-
-#: the toolchain threads: one ``cc`` + ``dlopen`` each, at most one per CPU
-_POOL: List[ThreadPoolExecutor] = []
-_POOL_LOCK = threading.Lock()
-
-
-def _build_pool() -> ThreadPoolExecutor:
-    with _POOL_LOCK:
-        if not _POOL:
-            _POOL.append(ThreadPoolExecutor(max_workers=os.cpu_count() or 1,
-                                            thread_name_prefix="repro-cc"))
-        return _POOL[0]
-
-
-def _forget_pool() -> None:
-    # a forked child inherits the pool object but none of its threads
-    global _POOL_LOCK
-    _POOL.clear()
-    _POOL_LOCK = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def native_fallback(reason: str, detail: str) -> None:

@@ -102,8 +102,8 @@ class CompiledKernel:
         fn(arrays, {k: int(v) for k, v in params.items()})
 
     def start_native(self) -> None:
-        """Lower the kernel's C unit and start its toolchain run on a
-        build thread, then emit the Python print while ``cc`` runs;
+        """Lower the kernel's C unit and start its ``cc`` process, then
+        emit the Python print while ``cc`` runs;
         :meth:`native` joins.  A no-op once started, or for
         ``backend="python"``.  :func:`~repro.core.service.compile_many`
         starts every item of a batch before it joins the first."""

@@ -164,10 +164,11 @@ def compile_many(
     ``max_workers`` defaults to ``REPRO_COMPILE_WORKERS`` or the CPU
     count, capped by the batch size; ``max_workers=1`` searches serially
     on the calling thread (bitwise-identical results, useful as a
-    determinism oracle).  Every item's ``cc`` runs on a toolchain thread
-    beside the searches of the items after it; the batch joins them all
-    on the calling thread before it returns, so each kernel is bound or
-    carries its fallback — and a fallback's warning is issued here.
+    determinism oracle).  Every item's ``cc`` runs as a child process
+    beside the searches of the items after it (at most ``os.cpu_count()
+    + 1`` at once); the batch joins them all on the calling thread before
+    it returns, so each kernel is bound or carries its fallback — and a
+    fallback's warning is issued here.
 
     Never raises for a bad item: each failure is captured in its
     :class:`CompileOutcome` (``service.items.error``) and the remaining

@@ -33,7 +33,10 @@ Counter namespaces used by the compiler:
 - ``codegen.*``         — specialized Python source generation
 - ``plan.*``            — plan lowering
 - ``native.*``          — C backend: compiles, .so-cache traffic,
-                          single-flight coalescing, fallbacks
+                          single-flight coalescing, fallbacks, starts
+                          that first reaped a toolchain process to stay
+                          within the bound
+                          (``native.toolchain.bound_waits``)
 - ``native.dispatch.*`` — NativeKernel call paths: prepared-argument
                           fast-path hits (``native.dispatch.prepared``),
                           arguments that needed a dtype/layout copy to

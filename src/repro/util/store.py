@@ -7,8 +7,9 @@ of them, so each is written once, here:
 - :class:`SingleFlight` — concurrent requests for one key elect a leader
   that does the work while the rest wait for its value, with one policy
   for a leader that fails or wedges;
-- :func:`atomic_path` — write to a temp name in the destination
-  directory, publish with a rename, never leave a partial file behind;
+- :func:`atomic_path` (:class:`AtomicPath`) — write to a temp name in
+  the destination directory, publish with a rename, never leave a
+  partial file behind;
 - :class:`Store` — an :class:`LRU` with an optional best-effort disk
   layer behind it (memory → disk → promote), built from the three above.
 
@@ -34,7 +35,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 from repro.instrument import INSTR
 from repro.util.env import env_float
 
-__all__ = ["LRU", "SingleFlight", "Store", "atomic_path",
+__all__ = ["LRU", "AtomicPath", "SingleFlight", "Store", "atomic_path",
            "singleflight_timeout"]
 
 
@@ -170,23 +171,40 @@ def _count(name: Optional[str]) -> None:
 _TMP_PREFIX = "repro-tmp-"
 
 
-@contextmanager
-def atomic_path(final: str) -> Iterator[str]:
-    """Yield a fresh temp path next to ``final``; on a clean exit rename
-    it over ``final`` (atomic on POSIX: a reader sees the old file or the
-    new one, never a partial one), on an exception unlink it and leave
-    ``final`` as it was.  The directory must exist."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(final) or ".",
-                               prefix=_TMP_PREFIX, suffix=".tmp")
-    os.close(fd)
-    try:
-        yield tmp
-        os.replace(tmp, final)
-    except BaseException:
+class AtomicPath:
+    """A fresh temp path ``path`` next to ``final`` that outlives one
+    call: :meth:`publish` renames it over ``final`` (atomic on POSIX: a
+    reader sees the old file or the new one, never a partial one),
+    :meth:`discard` unlinks it.  :func:`atomic_path` is the context
+    manager over it; the native backend holds one from a ``cc`` start to
+    its reap.  The directory must exist."""
+
+    def __init__(self, final: str):
+        fd, self.path = tempfile.mkstemp(dir=os.path.dirname(final) or ".",
+                                         prefix=_TMP_PREFIX, suffix=".tmp")
+        os.close(fd)
+        self.final = final
+
+    def publish(self) -> None:
+        os.replace(self.path, self.final)
+
+    def discard(self) -> None:
         try:
-            os.unlink(tmp)
+            os.unlink(self.path)
         except OSError:
             pass
+
+
+@contextmanager
+def atomic_path(final: str) -> Iterator[str]:
+    """Yield an :class:`AtomicPath`'s temp path; publish it on a clean
+    exit, discard it on an exception and leave ``final`` as it was."""
+    tmp = AtomicPath(final)
+    try:
+        yield tmp.path
+        tmp.publish()
+    except BaseException:
+        tmp.discard()
         raise
 
 

@@ -329,7 +329,8 @@ class TestCsrImage:
                 ref = weakref.ref(A)
                 del A
                 assert ref() is None
-                assert len(images) == 5 and not any(r() for r in images)
+                # one image per bind, none per call
+                assert len(images) == 2 and not any(r() for r in images)
             finally:
                 gc.enable()
 

@@ -10,11 +10,17 @@ Covers the PR's acceptance criteria directly:
   mixed (same + distinct) batch, produces byte-identical results to the
   serial compilation with exactly one cc invocation per unique digest;
 - a batch runs each item's ``cc`` beside the next item's search, and a
-  build that fails there falls back observably on the calling thread.
+  build that fails there falls back observably on the calling thread;
+- ``cc`` is a child process of the caller: at most ``os.cpu_count() + 1``
+  alive, every one reaped by the join, stopped when its kernel is
+  dropped first, and never waited on by a forked child.
 """
 
 from __future__ import annotations
 
+import gc
+import glob
+import multiprocessing as mp
 import os
 import sys
 import threading
@@ -440,7 +446,7 @@ src = [a for a in args if a.endswith(".c")][0]
 log = open({log!r}, "a")
 log.write("start %r %d\\n" % (time.monotonic(), os.getpid()))
 log.flush()
-time.sleep({sleep!r})
+time.sleep(float(os.environ.get("SLOW_CC_SLEEP", {sleep!r})))
 fail = os.path.exists({fail!r}) and open(src).read() == open({fail!r}).read()
 rc = 1 if fail else subprocess.call([{real!r}] + args)
 if fail:
@@ -452,7 +458,8 @@ sys.exit(rc)
 
 def _slow_cc(tmp_path, monkeypatch, sleep):
     """Install a ``REPRO_CC`` that logs each compile's start and end,
-    sleeps ``sleep`` s, then runs the real compiler — or fails, when the
+    sleeps ``sleep`` s (``SLOW_CC_SLEEP`` in its environment overrides
+    that), then runs the real compiler — or fails, when the
     unit is the one in ``tmp_path/fail.c``.  Returns the log path."""
     be.reset_toolchain_cache()
     real = be.find_compiler()
@@ -493,14 +500,16 @@ class TestToolchainOverlap:
     def test_cc_runs_beside_the_next_search(self, tmp_path, monkeypatch):
         """A cold 3-op context searching on one thread: the second unit's
         cc starts while the first one's still runs, no more toolchain
-        processes run at once than there are CPUs, and every unit's C
-        and Python print equal three separate compile_kernel calls."""
+        processes run at once than one per CPU and one more — on two CPUs
+        or more, all three units' cc at once — and every unit's C and
+        Python print equal three separate compile_kernel calls."""
         from repro.solvers import SolverContext
 
         if (os.cpu_count() or 1) < 2:
             pytest.skip("one CPU: one toolchain process at a time")
         A = as_format(laplacian_2d(6), "csr")
-        log = _slow_cc(tmp_path, monkeypatch, sleep=0.3)
+        # long enough that the third unit starts before the first ends
+        log = _slow_cc(tmp_path, monkeypatch, sleep=0.6)
         try:
             before = INSTR.get("native.compiles")
             ctx = SolverContext(A, ops=self.OPS, backend="c", max_workers=1,
@@ -509,7 +518,7 @@ class TestToolchainOverlap:
             spans = _cc_intervals(log)
             assert len(spans) == 3
             assert spans[1][0] < spans[0][1]
-            assert _most_alive(spans) <= os.cpu_count()
+            assert _most_alive(spans) == 3 <= os.cpu_count() + 1
             kernels = [ctx.bound(op).kernel for op in self.OPS]
             assert all(k.backend_used == "c" for k in kernels)
             got = [(k.c_source, k.source) for k in kernels]
@@ -565,3 +574,137 @@ class TestToolchainOverlap:
         assert delta("native.fallbacks") == 1
         assert delta("native.fallback.toolchain") == 1
         assert delta("native.compiles") == 2
+
+
+def _children():
+    """The pids of this process's children not reaped yet (running or
+    zombie)."""
+    pids = set()
+    for path in glob.glob(f"/proc/{os.getpid()}/task/*/children"):
+        with open(path) as f:
+            pids.update(f.read().split())
+    return pids
+
+
+needs_proc_children = pytest.mark.skipif(
+    not glob.glob(f"/proc/{os.getpid()}/task/*/children"),
+    reason="needs /proc/<pid>/task/<tid>/children")
+
+
+def _ten_items(square):
+    """Ten programs with ten distinct C units."""
+    fmts = {f: as_format(square, f)
+            for f in ("csr", "csc", "coo", "dia", "ell", "jad", "msr")}
+    items = [(ALL_KERNELS["mvm"](), {"A": A}) for A in fmts.values()]
+    items += [(ALL_KERNELS["mvm_t"](), {"A": fmts[f]})
+              for f in ("csr", "csc", "coo")]
+    return [p for p, _b in items], [b for _p, b in items]
+
+
+@needs_cc
+class TestToolchainProcesses:
+    """``cc`` is a child process of the caller: started on the thread
+    that lowered the unit, reaped by the join, never more than
+    ``os.cpu_count() + 1`` at once, and never left running."""
+
+    @needs_proc_children
+    def test_ten_items_keep_to_the_bound_and_are_all_reaped(
+            self, square, tmp_path, monkeypatch):
+        progs, binds = _ten_items(square)
+        log = _slow_cc(tmp_path, monkeypatch, sleep=0.2)
+        before = INSTR.snapshot()["counters"]
+        children = _children()
+        try:
+            batch = compile_many(progs, binds, backend="c", cache="memory",
+                                 max_workers=1)
+            left = _children() - children
+            threads = [t.name for t in threading.enumerate()]
+        finally:
+            monkeypatch.undo()
+            _fresh_native_state()
+        after = INSTR.snapshot()["counters"]
+        delta = lambda k: after.get(k, 0) - before.get(k, 0)  # noqa: E731
+        assert batch.ok
+        assert all(k.backend_used == "c" for k in batch.kernels)
+        assert delta("native.compiles") == 10
+        spans = _cc_intervals(log)
+        assert len(spans) == 10
+        bound = (os.cpu_count() or 1) + 1
+        assert _most_alive(spans) <= bound
+        # each cc sleeps far longer than a search takes: the bound bites
+        assert delta("native.toolchain.bound_waits") >= 1
+        assert not left, "a cc was not reaped"
+        assert not [t for t in threads if t.startswith("repro-cc")]
+
+    @needs_proc_children
+    def test_a_kernel_dropped_before_its_join_stops_its_cc(
+            self, square, tmp_path, monkeypatch):
+        A = as_format(square, "csr")
+        log = _slow_cc(tmp_path, monkeypatch, sleep=30.0)
+        children = _children()
+        compiles = INSTR.get("native.compiles")
+        try:
+            k = compile_kernel(ALL_KERNELS["mvm"](), {"A": A}, backend="c",
+                               cache="memory", bind=False)
+            k.start_native()
+            deadline = time.monotonic() + 30
+            while not log.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert _children() - children, "no cc was started"
+            t0 = time.monotonic()
+            del k
+            gc.collect()
+            stopped_in = time.monotonic() - t0
+            left = _children() - children
+            scratch = be._scratch_dir()
+            litter = [n for n in os.listdir(scratch)
+                      if n.endswith((".tmp", ".c", ".lock"))]
+        finally:
+            monkeypatch.undo()
+            _fresh_native_state()
+        assert not left, "a dropped kernel left its cc running"
+        assert stopped_in < 10
+        assert not litter, litter
+        assert INSTR.get("native.compiles") == compiles
+        assert [line.split()[0] for line in log.read_text().splitlines()] \
+            == ["start"]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_child_forked_while_a_unit_is_pending_builds_its_own(
+            self, square, tmp_path, monkeypatch):
+        A = as_format(square, "csr")
+        log = _slow_cc(tmp_path, monkeypatch, sleep=0.0)
+        monkeypatch.setenv("SLOW_CC_SLEEP", "30")
+        try:
+            k = compile_kernel(ALL_KERNELS["mvm"](), {"A": A}, backend="c",
+                               cache="memory", bind=False)
+            k.start_native()                    # the parent's cc sleeps
+
+            def child(q):
+                os.environ["SLOW_CC_SLEEP"] = "0"
+                compiles = INSTR.get("native.compiles")
+                nk = k.native()
+                q.put((k.backend_used, nk is not None,
+                       INSTR.get("native.compiles") - compiles,
+                       log.read_text().count("end")))
+
+            ctx = mp.get_context("fork")
+            q = ctx.Queue()
+            proc = ctx.Process(target=child, args=(q,))
+            proc.start()
+            try:
+                got = q.get(timeout=25)
+            finally:
+                proc.join(timeout=30)
+                if proc.is_alive():
+                    proc.kill()
+                    proc.join()
+            del k                               # stops the parent's cc
+        finally:
+            monkeypatch.undo()
+            _fresh_native_state()
+        backend_used, bound, compiles, ended = got
+        assert (backend_used, bound, compiles) == ("c", True, 1)
+        # the child's own cc ended; the parent's was still asleep
+        assert ended == 1
+        assert proc.exitcode == 0

@@ -618,13 +618,14 @@ class TestArtifactCache:
         import subprocess
 
         be.reset_toolchain_cache(scratch=True)
-        run, argvs = subprocess.run, []
+        popen, argvs = subprocess.Popen, []
 
         def counted(argv, *args, **kwargs):
             argvs.append(argv)
-            return run(argv, *args, **kwargs)
+            return popen(argv, *args, **kwargs)
 
-        monkeypatch.setattr(be.subprocess, "run", counted)
+        # every process started, by ``subprocess.run`` or directly
+        monkeypatch.setattr(be.subprocess, "Popen", counted)
         be.compile_native_function(self.UNIT, want_openmp=False,
                                    cache_mode="memory")
         assert len(argvs) == 1 and argvs[0][0] == be.find_compiler()
