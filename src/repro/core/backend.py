@@ -56,14 +56,17 @@ function (``native.so_cache.hits.coalesced``).  A follower whose wait
 times out (``REPRO_SINGLEFLIGHT_TIMEOUT``, default 300 s — a wedged
 leader) or whose leader *failed* compiles itself rather than hang or give
 up, so one transient toolchain hiccup doesn't fail a whole batch.  Across
-processes the same guarantee
+processes the same guarantee, for an artifact in the cache directory,
 comes from an ``flock`` on ``<digest>.so.lock``, held from the ``cc``
-start to its reap: the winner compiles, losers block on the lock (a start
-that finds it taken starts nothing; its join blocks) and then find the
-finished artifact.  Lock
-files are unlinked by their holder on release (with an inode liveness
-re-check on acquire), so a long-lived shared cache directory doesn't
-accumulate them.
+start to the artifact's publication: the winner compiles, losers wait
+for the lock (a start that finds it taken starts nothing; its join
+waits) and then find the finished artifact.  A process waiting for a
+lock publishes its own started artifacts between tries, so two
+processes that start the same units in different orders never wait on
+each other; after ``REPRO_SINGLEFLIGHT_TIMEOUT`` it builds unguarded.
+Lock files are unlinked by their holder on release (with an inode
+liveness re-check on acquire), so a long-lived shared cache directory
+doesn't accumulate them.
 
 **Pipelining** — a kernel's ``cc`` runs as a child process of the
 thread that searched for it, beside that thread's next search.
@@ -84,8 +87,10 @@ that would pass the bound first reaps the oldest
 (``native.toolchain.bound_waits``), so on two CPUs a three-op
 ``SolverContext`` runs its three ``cc`` at once.  A join dropped uncalled
 stops its process (SIGTERM to its process group) and leaves no temp
-file; a forked child never waits for, nor stops, its parent's processes,
-and builds in a scratch directory of its own.
+file; a forked child never waits for, nor stops, its parent's processes
+(in the scratch directory they share, the later publishing rename
+replaces the earlier one's identical file, and an artifact whose cache
+lock the parent held at the fork is built unguarded).
 
 **Fallback** — any failure (no toolchain, lowering limitation, compile
 error, load error) emits a :class:`NativeBackendWarning`, bumps an
@@ -117,7 +122,7 @@ import numpy as np
 
 from repro.instrument import INSTR
 from repro.util.env import env_flags
-from repro.util.store import AtomicPath, SingleFlight
+from repro.util.store import AtomicPath, SingleFlight, singleflight_timeout
 
 try:
     import fcntl
@@ -252,11 +257,11 @@ _FLIGHT = SingleFlight(waits="native.singleflight.waits",
 
 
 class _ArtifactLock:
-    """Cross-process guard for one on-disk artifact: an exclusive flock on
-    ``out_path + '.lock'``, held from a ``cc`` start to its reap.  A
-    process that cannot take the lock (no fcntl, unwritable directory)
-    goes on unguarded — the write is still atomic, the guard only
-    prevents the duplicated toolchain work.
+    """Cross-process guard for one artifact in the cache directory: an
+    exclusive flock on ``out_path + '.lock'``, held from a ``cc`` start
+    to the artifact's publication.  A process that cannot take the lock
+    (no fcntl, unwritable directory) goes on unguarded — the write is
+    still atomic, the guard only prevents the duplicated toolchain work.
 
     The lock file is unlinked by its holder *before* releasing the flock,
     so a shared cache directory never accumulates stale ``.lock`` files.
@@ -270,9 +275,9 @@ class _ArtifactLock:
         self.path = out_path + ".lock"
         self.f = None
 
-    def acquire(self, block: bool) -> bool:
-        """False only when ``block`` is off and another process holds the
-        lock."""
+    def acquire(self) -> bool:
+        """Take the lock without waiting: False only when another process
+        holds it."""
         if fcntl is None:
             return True
         while True:
@@ -281,8 +286,7 @@ class _ArtifactLock:
             except OSError:
                 return True
             try:
-                fcntl.flock(f.fileno(),
-                            fcntl.LOCK_EX | (0 if block else fcntl.LOCK_NB))
+                fcntl.flock(f.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
             except OSError as e:
                 f.close()
                 return not isinstance(e, BlockingIOError)
@@ -348,12 +352,16 @@ _MAX_ALIVE = (os.cpu_count() or 1) + 1
 #: seconds a ``cc`` may run before it is killed and counts as failed
 _CC_TIMEOUT = 300.0
 
-#: guards _RUNS, _ALIVE and every run's ``refs``
+#: guards _RUNS and every run's ``refs``
 _RUNS_LOCK = threading.Lock()
-#: artifact path -> the run building it, from its start to its reap
+#: artifact path -> the run building it, from its start until its last
+#: reference is dropped (a failed run leaves once it has raised, so that
+#: the next request starts afresh)
 _RUNS: Dict[str, "_CcRun"] = {}
-#: the runs whose process has not exited, oldest first
-_ALIVE: List["_CcRun"] = []
+#: in a forked child, the lock files its parent held at the fork: the
+#: parent may be waiting for the child, so the child builds those
+#: artifacts unguarded instead of waiting for the parent's join
+_PARENT_LOCKS: set = set()
 
 
 class _CcRun:
@@ -362,7 +370,10 @@ class _CcRun:
     synchronous build — holds a reference (:func:`_run_for`) and drops
     it (:meth:`release`); the last one to drop a run that was never
     finished stops its process.  ``lock`` serializes the spawn, the reap
-    and the end.
+    and the end.  An artifact in the cache directory is shared with other
+    processes and has a ``guard``; a scratch artifact has none, since
+    only this process and its forked children build there, and the
+    publishing rename is atomic.
 
     ``outcome`` is None until the run ends, then True (built here), False
     (another process had built it) or ``(exception type, message)``."""
@@ -371,7 +382,8 @@ class _CcRun:
         self.out_path = out_path
         self.refs = 0
         self.lock = threading.Lock()
-        self.guard = _ArtifactLock(out_path)
+        self.guard = (None if os.path.dirname(out_path) in _work_dir
+                      else _ArtifactLock(out_path))
         self.tmp: Optional[AtomicPath] = None
         self.proc: Optional[subprocess.Popen] = None
         self.deadline = 0.0
@@ -413,9 +425,6 @@ class _CcRun:
                     _signal(proc, signal.SIGKILL)
                 proc.communicate()
                 self.stderr = b"timed out"
-        with _RUNS_LOCK:
-            if self in _ALIVE:
-                _ALIVE.remove(self)
         if proc.returncode == 0:
             INSTR.count("native.compiles")
 
@@ -424,32 +433,37 @@ class _CcRun:
         if outcome is not True and self.tmp is not None:
             _unlink(self.tmp.path + ".c")
             self.tmp.discard()
-        self.guard.release()
-        with _RUNS_LOCK:
-            if _RUNS.get(self.out_path) is self:
-                del _RUNS[self.out_path]
+        if self.guard is not None:
+            self.guard.release()
+
+    def _settle(self) -> None:
+        """Reap the process and publish the artifact, or record how the
+        build failed (under ``lock``)."""
+        if self.outcome is not None:
+            return
+        self._reap()
+        if self.proc.returncode != 0:
+            err = self.stderr.decode(errors="replace").strip()
+            self._end((RuntimeError, f"cc failed: {err[:500]}"))
+            return
+        # the source goes first: once published, the temp name (and with
+        # it the source's) is free for another run
+        _unlink(self.tmp.path + ".c")
+        try:
+            self.tmp.publish()
+        except OSError as e:
+            self._end((OSError, str(e)))
+        else:
+            self._end(True)
 
     def finish(self) -> bool:
         """Reap the process and publish the artifact: True when ``cc``
         built it, False when another process had; raises what the build
         failed with."""
         with self.lock:
-            if self.outcome is None:
-                self._reap()
-                if self.proc.returncode != 0:
-                    err = self.stderr.decode(errors="replace").strip()
-                    self._end((RuntimeError, f"cc failed: {err[:500]}"))
-                else:
-                    # the source goes first: once published, the temp name
-                    # (and with it the source's) is free for another run
-                    _unlink(self.tmp.path + ".c")
-                    try:
-                        self.tmp.publish()
-                    except OSError as e:
-                        self._end((OSError, str(e)))
-                    else:
-                        self._end(True)
+            self._settle()
         if isinstance(self.outcome, tuple):
+            _drop(self)
             kind, message = self.outcome
             raise kind(message)
         return self.outcome
@@ -458,14 +472,22 @@ class _CcRun:
         """Drop one reference; the last one stops a run nobody finished."""
         with _RUNS_LOCK:
             self.refs -= 1
-            if self.refs or self.outcome is not None:
+            if self.refs:
                 return
             if _RUNS.get(self.out_path) is self:
                 del _RUNS[self.out_path]
+            if self.outcome is not None:
+                return
         with self.lock:
             if self.outcome is None:
                 self._reap(stop=True)
                 self._end((RuntimeError, "stopped: its kernel was dropped"))
+
+
+def _drop(run: _CcRun) -> None:
+    with _RUNS_LOCK:
+        if _RUNS.get(run.out_path) is run:
+            del _RUNS[run.out_path]
 
 
 def _unlink(path: str) -> None:
@@ -491,8 +513,11 @@ def _admit(run: _CcRun, argv: List[str]) -> None:
     (``native.toolchain.bound_waits``)."""
     while True:
         with _RUNS_LOCK:
-            _ALIVE[:] = [r for r in _ALIVE if r.proc.poll() is None]
-            if len(_ALIVE) < _MAX_ALIVE:
+            # _RUNS is in start order, and a run leaves it only once it
+            # is reaped or about to be stopped
+            alive = [r for r in _RUNS.values()
+                     if r.proc is not None and r.proc.poll() is None]
+            if len(alive) < _MAX_ALIVE:
                 # a session of its own: a stop reaches the compiler
                 # driver's children too
                 run.proc = subprocess.Popen(
@@ -500,13 +525,37 @@ def _admit(run: _CcRun, argv: List[str]) -> None:
                     stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                     start_new_session=True)
                 run.deadline = time.monotonic() + _CC_TIMEOUT
-                _ALIVE.append(run)
                 return
-            oldest = _ALIVE[0]
+            oldest = alive[0]
         INSTR.count("native.toolchain.bound_waits")
         with oldest.lock:
             if oldest.outcome is None:
                 oldest._reap()
+
+
+def _take_guard(guard: _ArtifactLock) -> None:
+    """Wait until ``guard`` is this process's.  Between tries, settle
+    every run of this process that holds a guard: its flock is released
+    only then, and the process holding ``guard`` may be waiting for one
+    of them — two processes whose batches start the same units in
+    different orders would otherwise wait on each other for ever.  After
+    the single-flight timeout (a wedged holder, or one that started a
+    unit and never joins it) the build goes on unguarded, and at once
+    for a lock this process's parent held when it forked this one."""
+    if guard.path in _PARENT_LOCKS:
+        return
+    deadline = time.monotonic() + singleflight_timeout()
+    pause = 0.001
+    while not guard.acquire() and time.monotonic() < deadline:
+        with _RUNS_LOCK:
+            held = [r for r in _RUNS.values()
+                    if r.guard is not None and r.guard.f is not None
+                    and r.proc is not None]
+        for r in held:
+            with r.lock:
+                r._settle()         # a failure is raised at its own join
+        time.sleep(pause)
+        pause = min(2 * pause, 0.05)
 
 
 def _run_for(cc: str, c_source: str, flags: Tuple[str, ...], out_path: str,
@@ -520,15 +569,16 @@ def _run_for(cc: str, c_source: str, flags: Tuple[str, ...], out_path: str,
         fresh = run is None
         if fresh:
             run = _CcRun(out_path)
-            if not block and not run.guard.acquire(block=False):
+            if (not block and run.guard is not None
+                    and not run.guard.acquire()):
                 return None
             _RUNS[out_path] = run
             run.lock.acquire()
         run.refs += 1
     if fresh:
         try:
-            if block:
-                run.guard.acquire(block=True)
+            if block and run.guard is not None:
+                _take_guard(run.guard)
             run._spawn(cc, c_source, flags)
         finally:
             run.lock.release()
@@ -537,14 +587,15 @@ def _run_for(cc: str, c_source: str, flags: Tuple[str, ...], out_path: str,
 
 def _forget_runs() -> None:
     # a forked child shares none of the parent's processes: it never waits
-    # for them nor stops them, and builds in a scratch directory of its own
+    # for them nor stops them (its own run of a unit the parent is
+    # building renames over the parent's, or the parent's over it)
     global _RUNS_LOCK
     _RUNS_LOCK = threading.Lock()
-    for run in [*_RUNS.values(), *_ALIVE]:
+    for run in _RUNS.values():
         run.outcome = (RuntimeError, "started by the parent process")
+        if run.guard is not None and run.guard.f is not None:
+            _PARENT_LOCKS.add(run.guard.path)
     _RUNS.clear()
-    _ALIVE.clear()
-    _work_dir.clear()
 
 
 if hasattr(os, "register_at_fork"):
@@ -577,6 +628,14 @@ def _start_so(cc: str, c_source: str, flags: Tuple[str, ...],
     return run
 
 
+def _building(path: str) -> bool:
+    """Does a run of this process hold ``path``?  Its artifact may be
+    published already (settled while another lock was awaited) and is
+    still this process's build, not a disk hit."""
+    with _RUNS_LOCK:
+        return path in _RUNS
+
+
 def _load_library(path: str) -> ctypes.CDLL:
     lib = ctypes.CDLL(path)
     lib.kernel          # every unit exports it: its absence is a bad artifact
@@ -590,7 +649,7 @@ def _build_and_load(cc: str, c_source: str, flags: Tuple[str, ...],
     ``key``) and load it.  Raises on compile/load failure."""
     if cache_mode == "disk":
         path = _disk_so_path(artifact_key(c_source, flags, cc))
-        if os.path.exists(path):
+        if os.path.exists(path) and not _building(path):
             try:
                 lib = _load_library(path)
                 INSTR.count("native.so_cache.hits.disk")

@@ -670,14 +670,18 @@ class TestToolchainProcesses:
             == ["start"]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    @pytest.mark.parametrize("cache", ["memory", "disk"])
     def test_a_child_forked_while_a_unit_is_pending_builds_its_own(
-            self, square, tmp_path, monkeypatch):
+            self, square, tmp_path, monkeypatch, cache):
+        """In disk mode the parent also holds the artifact's cache lock,
+        which the child does not wait for."""
         A = as_format(square, "csr")
         log = _slow_cc(tmp_path, monkeypatch, sleep=0.0)
         monkeypatch.setenv("SLOW_CC_SLEEP", "30")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         try:
             k = compile_kernel(ALL_KERNELS["mvm"](), {"A": A}, backend="c",
-                               cache="memory", bind=False)
+                               cache=cache, bind=False)
             k.start_native()                    # the parent's cc sleeps
 
             def child(q):
