@@ -49,13 +49,20 @@ recompiled.  The digest subsumes the structural signature — the
 structural key determines the kernel's loop IR up to the dtypes of the
 bound storage arrays, and the IR determines the C source.
 
-**Single-flight** — when N threads request the same digest concurrently,
-exactly one (the *leader*) invokes the C toolchain; the rest wait on its
-flight (:class:`repro.util.store.SingleFlight`) and share the loaded
-function (``native.so_cache.hits.coalesced``).  A follower whose wait
-times out (``REPRO_SINGLEFLIGHT_TIMEOUT``, default 300 s — a wedged
-leader) or whose leader *failed* compiles itself rather than hang or give
-up, so one transient toolchain hiccup doesn't fail a whole batch.  Across
+**One table per unit** — in process, a unit is one object in one map,
+keyed by digest of (C source, flags, compiler path): it goes from
+started (its ``cc`` process, temp file and cross-process guard) to
+published, and then to loaded, and functions are resolved from its
+library by name.  When N threads request one unit, one ``cc`` runs; the
+first join to take the unit reaps, publishes and loads it, and the rest
+wait for the unit (``native.singleflight.waits``) and share the library
+(``native.so_cache.hits.coalesced``).  A build that failed stays on its
+unit, and the next join builds it afresh
+(``native.singleflight.leader_failures``), so a thread that waited on a
+failed build retries it once and one transient toolchain hiccup doesn't
+fail a whole batch.  No join waits longer than the ``cc`` it waits for,
+and a ``cc`` that runs past ``_CC_TIMEOUT`` (300 s) is killed and
+counts as failed.  Across
 processes the same guarantee, for an artifact in the cache directory,
 comes from an ``flock`` on ``<digest>.so.lock``, held from the ``cc``
 start to the artifact's publication: the winner compiles, losers wait
@@ -90,7 +97,9 @@ stops its process (SIGTERM to its process group) and leaves no temp
 file; a forked child never waits for, nor stops, its parent's processes
 (in the scratch directory they share, the later publishing rename
 replaces the earlier one's identical file, and an artifact whose cache
-lock the parent held at the fork is built unguarded).
+lock the parent held at the fork is built unguarded).  At exit a process
+removes the scratch directories it made (a loaded library stays mapped
+once its file is gone), never one it inherited through a fork.
 
 **Fallback** — any failure (no toolchain, lowering limitation, compile
 error, load error) emits a :class:`NativeBackendWarning`, bumps an
@@ -105,6 +114,7 @@ call).  ``REPRO_TRACE=1`` renders them on exit.
 
 from __future__ import annotations
 
+import atexit
 import ctypes
 import hashlib
 import os
@@ -122,7 +132,7 @@ import numpy as np
 
 from repro.instrument import INSTR
 from repro.util.env import env_flags
-from repro.util.store import AtomicPath, SingleFlight, singleflight_timeout
+from repro.util.store import AtomicPath, singleflight_timeout
 
 try:
     import fcntl
@@ -152,14 +162,16 @@ _TOOLCHAIN_LOCK = threading.RLock()
 
 
 def reset_toolchain_cache(scratch: bool = False) -> None:
-    """Forget the memoized compiler/OpenMP probe results and the loaded
-    ``.so`` cache (test hook).  ``scratch=True`` additionally abandons the
-    process scratch directory so subsequent compiles re-invoke the
-    toolchain instead of reusing on-disk scratch artifacts."""
+    """Forget the memoized compiler/OpenMP probe results and every unit
+    whose build has ended, the loaded ones among them, but not a run
+    under way (test hook).  ``scratch=True`` also leaves the process
+    scratch directory (it is removed at exit), so later compiles
+    re-invoke the toolchain instead of reusing its artifacts."""
     with _TOOLCHAIN_LOCK:
         _toolchain.clear()
-    with _SO_LOCK:
-        _SO_CACHE.clear()
+    with _UNITS_LOCK:
+        for key in [k for k, u in _UNITS.items() if u.outcome is not None]:
+            del _UNITS[key]
         if scratch:
             _work_dir.clear()
 
@@ -231,29 +243,27 @@ def simd_supported(cc: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Shared-object compilation + artifact cache
+# Artifacts: where a unit's shared object goes
 # ---------------------------------------------------------------------------
 
-#: in-process key -> loaded shared object; guarded by _SO_LOCK.
-#: Functions are resolved from it by name, so one unit can carry many.
-_SO_CACHE: Dict[str, ctypes.CDLL] = {}
-_SO_LOCK = threading.RLock()
-
+#: the scratch directory units go to without a disk layer: made on first
+#: use, and again after ``reset_toolchain_cache(scratch=True)``
 _work_dir: List[str] = []
 
 
 def _scratch_dir() -> str:
-    with _SO_LOCK:
+    with _UNITS_LOCK:
         if not _work_dir:
             _work_dir.append(tempfile.mkdtemp(prefix="repro-native-"))
+            atexit.register(_remove_dir, os.getpid(), _work_dir[0])
         return _work_dir[0]
 
 
-#: in-process single-flight: one toolchain invocation per key at a time
-_FLIGHT = SingleFlight(waits="native.singleflight.waits",
-                       shared="native.so_cache.hits.coalesced",
-                       timeouts="native.singleflight.wait_timeouts",
-                       failures="native.singleflight.leader_failures")
+def _remove_dir(pid: int, path: str) -> None:
+    # at the exit of the process that made it, not of a forked child; a
+    # loaded library stays mapped once its file is unlinked
+    if os.getpid() == pid:
+        shutil.rmtree(path, ignore_errors=True)
 
 
 class _ArtifactLock:
@@ -306,10 +316,7 @@ class _ArtifactLock:
         f, self.f = self.f, None
         if f is None:
             return
-        try:
-            os.unlink(self.path)
-        except OSError:
-            pass
+        _unlink(self.path)
         try:
             fcntl.flock(f.fileno(), fcntl.LOCK_UN)
         except OSError:
@@ -329,20 +336,32 @@ def artifact_key(c_source: str, flags: Tuple[str, ...], cc: str) -> str:
     return _digest(c_source, flags, compiler_identity(cc))
 
 
-def _disk_so_path(digest: str) -> str:
-    """Sharded on-disk artifact path: ``cache_dir/ab/abcd....so``.
+def _artifact_path(cc: str, c_source: str, flags: Tuple[str, ...], key: str,
+                   cache_mode: str) -> Tuple[str, bool]:
+    """Where a unit's ``.so`` goes, and whether other processes share it.
+    In ``disk`` mode that is the cache directory, under
+    :func:`artifact_key` and sharded by its first two hex digits
+    (``cache_dir/ab/abcd....so``): a fleet-shared directory holds one file
+    per digest ever compiled, and 256 buckets keep each directory small on
+    filesystems where huge flat ones degrade.  Otherwise — or when the
+    shard cannot be made — it is the process scratch directory, under the
+    in-process ``key``."""
+    if cache_mode == "disk":
+        from repro.core.cache import COMPILE_CACHE
 
-    Fleet-shared cache directories hold one file per unique digest across
-    every program/format/param combination ever compiled; a two-hex-char
-    digest-prefix shard (256 buckets) keeps individual directories small
-    on filesystems where huge flat directories degrade."""
-    from repro.core.cache import COMPILE_CACHE
-
-    return os.path.join(COMPILE_CACHE.directory(), digest[:2], digest + ".so")
+        digest = artifact_key(c_source, flags, cc)
+        path = os.path.join(COMPILE_CACHE.directory(), digest[:2],
+                            digest + ".so")
+        try:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            return path, True
+        except OSError:
+            pass
+    return os.path.join(_scratch_dir(), key + ".so"), False
 
 
 # ---------------------------------------------------------------------------
-# Toolchain processes
+# Units: one table from a unit's key to its build and its library
 # ---------------------------------------------------------------------------
 
 #: most toolchain processes alive at once: one per CPU and one more, so
@@ -352,55 +371,85 @@ _MAX_ALIVE = (os.cpu_count() or 1) + 1
 #: seconds a ``cc`` may run before it is killed and counts as failed
 _CC_TIMEOUT = 300.0
 
-#: guards _RUNS and every run's ``refs``
-_RUNS_LOCK = threading.Lock()
-#: artifact path -> the run building it, from its start until its last
-#: reference is dropped (a failed run leaves once it has raised, so that
-#: the next request starts afresh)
-_RUNS: Dict[str, "_CcRun"] = {}
+#: guards _UNITS, _work_dir and every unit's ``refs``
+_UNITS_LOCK = threading.Lock()
+#: in-process key -> its unit, in creation order.  A unit whose build
+#: failed stays: the next join builds it afresh
+_UNITS: Dict[str, "_Unit"] = {}
 #: in a forked child, the lock files its parent held at the fork: the
 #: parent may be waiting for the child, so the child builds those
 #: artifacts unguarded instead of waiting for the parent's join
 _PARENT_LOCKS: set = set()
 
 
-class _CcRun:
-    """One ``cc`` process building one artifact, from its start to the
-    artifact's publication.  Whoever uses a run — a start, a join, a
-    synchronous build — holds a reference (:func:`_run_for`) and drops
-    it (:meth:`release`); the last one to drop a run that was never
-    finished stops its process.  ``lock`` serializes the spawn, the reap
-    and the end.  An artifact in the cache directory is shared with other
-    processes and has a ``guard``; a scratch artifact has none, since
-    only this process and its forked children build there, and the
-    publishing rename is atomic.
+class _Unit:
+    """One C translation unit: the ``cc`` process building its artifact,
+    then the published artifact, then the loaded library, from which
+    functions are resolved by name.  Whoever uses a unit — a start, a
+    join — holds a reference (:func:`_unit_for`) and drops it
+    (:meth:`release`); the last one to drop a unit whose run never ended
+    stops its process.  ``lock`` serializes the start, the reap, the
+    publication and the load.  An artifact in the cache directory is
+    shared with other processes and has a ``guard``; a scratch artifact
+    has none, since only this process and its forked children build
+    there, and the publishing rename is atomic.
 
     ``outcome`` is None until the run ends, then True (built here), False
-    (another process had built it) or ``(exception type, message)``."""
+    (the artifact was there, or another process built it) or
+    ``(exception type, message)``."""
 
-    def __init__(self, out_path: str):
-        self.out_path = out_path
+    def __init__(self, key: str, cc: str, c_source: str,
+                 flags: Tuple[str, ...], cache_mode: str):
+        self.key, self.cc, self.c_source, self.flags = key, cc, c_source, flags
+        self.cache_mode = cache_mode
+        self.path: Optional[str] = None         # picked by the first start
+        self.guard: Optional[_ArtifactLock] = None
         self.refs = 0
         self.lock = threading.Lock()
-        self.guard = (None if os.path.dirname(out_path) in _work_dir
-                      else _ArtifactLock(out_path))
         self.tmp: Optional[AtomicPath] = None
         self.proc: Optional[subprocess.Popen] = None
         self.deadline = 0.0
         self.stderr: Optional[bytes] = None     # set once reaped
         self.outcome = None
+        self.lib: Optional[ctypes.CDLL] = None
 
-    def _spawn(self, cc: str, c_source: str, flags: Tuple[str, ...]) -> None:
+    @property
+    def started(self) -> bool:
+        return self.proc is not None or self.outcome is not None
+
+    def start(self) -> None:
+        """Start the unit, unless it is started or another thread holds
+        its lock (and so is starting or joining it)."""
+        if not self.started and self.lock.acquire(blocking=False):
+            try:
+                if not self.started:
+                    self._start(block=False)
+            finally:
+                self.lock.release()
+
+    def _start(self, block: bool) -> None:
         """Start ``cc`` on a temp source next to the artifact, unless the
-        artifact is there (under ``lock``, with the guard held)."""
-        if os.path.exists(self.out_path):
+        artifact is there (under ``lock``).  A shared artifact takes its
+        guard first; without ``block`` a guard another process holds
+        leaves the unit unstarted (that process builds it, and the join
+        waits for the guard)."""
+        if self.path is None:
+            self.path, shared = _artifact_path(
+                self.cc, self.c_source, self.flags, self.key, self.cache_mode)
+            self.guard = _ArtifactLock(self.path) if shared else None
+        if self.guard is not None and not os.path.exists(self.path):
+            if block:
+                _take_guard(self.guard)
+            elif not self.guard.acquire():
+                return
+        if os.path.exists(self.path):
             self._end(False)
             return
         try:
-            self.tmp = AtomicPath(self.out_path)
+            self.tmp = AtomicPath(self.path)
             with open(self.tmp.path + ".c", "w") as f:
-                f.write(c_source)
-            _admit(self, [cc, *flags, self.tmp.path + ".c", "-o",
+                f.write(self.c_source)
+            _admit(self, [self.cc, *self.flags, self.tmp.path + ".c", "-o",
                           self.tmp.path])
         except BaseException as e:
             self._end((RuntimeError, f"cc did not start: {e!r}"))
@@ -414,14 +463,14 @@ class _CcRun:
             return
         proc = self.proc
         if stop:
-            with _RUNS_LOCK:
+            with _UNITS_LOCK:
                 _signal(proc, signal.SIGTERM)
         with INSTR.phase("cc_compile"):
             try:
                 _out, self.stderr = proc.communicate(
                     timeout=max(0.0, self.deadline - time.monotonic()))
             except subprocess.TimeoutExpired:
-                with _RUNS_LOCK:
+                with _UNITS_LOCK:
                     _signal(proc, signal.SIGKILL)
                 proc.communicate()
                 self.stderr = b"timed out"
@@ -456,38 +505,74 @@ class _CcRun:
         else:
             self._end(True)
 
-    def finish(self) -> bool:
-        """Reap the process and publish the artifact: True when ``cc``
-        built it, False when another process had; raises what the build
-        failed with."""
-        with self.lock:
-            self._settle()
-        if isinstance(self.outcome, tuple):
-            _drop(self)
-            kind, message = self.outcome
-            raise kind(message)
-        return self.outcome
+    def load(self) -> ctypes.CDLL:
+        """The library, for a caller holding a reference: loaded already
+        (``native.so_cache.hits.memory``), loaded by another join while
+        this one waited for the unit (``native.singleflight.waits``,
+        ``native.so_cache.hits.coalesced``), or loaded here — built afresh
+        when an earlier build failed (``native.singleflight.
+        leader_failures``).  Raises what this join's own build failed
+        with."""
+        if self.lib is not None:
+            INSTR.count("native.so_cache.hits.memory")
+            return self.lib
+        if not self.lock.acquire(blocking=False):
+            INSTR.count("native.singleflight.waits")
+            self.lock.acquire()
+        try:
+            if self.lib is not None:
+                INSTR.count("native.so_cache.hits.coalesced")
+                return self.lib
+            if isinstance(self.outcome, tuple):
+                INSTR.count("native.singleflight.leader_failures")
+                with _UNITS_LOCK:       # where _admit reads ``proc``
+                    self.proc = self.tmp = self.stderr = self.outcome = None
+            lib = self._load()
+            if self.outcome is False and self.guard is not None:
+                INSTR.count("native.so_cache.hits.disk")
+            with _UNITS_LOCK:           # the process is reaped: drop it
+                self.lib, self.proc = lib, None
+            return lib
+        finally:
+            self.lock.release()
+
+    def _load(self) -> ctypes.CDLL:
+        """Start the unit if no start could, reap and publish it, and load
+        the library (under ``lock``).  An artifact this process did not
+        build that does not load is corrupt: a miss, rebuilt once."""
+        try:
+            for rebuilt in (False, True):
+                if not self.started:
+                    self._start(block=True)
+                self._settle()
+                if isinstance(self.outcome, tuple):
+                    kind, message = self.outcome
+                    raise kind(message)
+                try:
+                    return _load_library(self.path)
+                except (OSError, AttributeError):
+                    if self.outcome is not False or rebuilt:
+                        raise
+                    INSTR.count("native.so_cache.corrupt")
+                    _unlink(self.path)
+                    self.outcome = None
+        except BaseException as e:
+            if self.outcome is None:        # interrupted: stop what runs
+                if self.proc is not None:
+                    self._reap(stop=True)
+                self._end((type(e), str(e)))
+            raise
 
     def release(self) -> None:
-        """Drop one reference; the last one stops a run nobody finished."""
-        with _RUNS_LOCK:
+        """Drop one reference; the last one stops a run nobody joined."""
+        with _UNITS_LOCK:
             self.refs -= 1
-            if self.refs:
-                return
-            if _RUNS.get(self.out_path) is self:
-                del _RUNS[self.out_path]
-            if self.outcome is not None:
+            if self.refs or self.outcome is not None or self.proc is None:
                 return
         with self.lock:
             if self.outcome is None:
                 self._reap(stop=True)
                 self._end((RuntimeError, "stopped: its kernel was dropped"))
-
-
-def _drop(run: _CcRun) -> None:
-    with _RUNS_LOCK:
-        if _RUNS.get(run.out_path) is run:
-            del _RUNS[run.out_path]
 
 
 def _unlink(path: str) -> None:
@@ -498,8 +583,8 @@ def _unlink(path: str) -> None:
 
 
 def _signal(proc: subprocess.Popen, sig: int) -> None:
-    # under _RUNS_LOCK, where _admit polls: a process not reaped yet still
-    # owns its pid, so the signal cannot reach a recycled one
+    # under _UNITS_LOCK, where _admit polls: a process not reaped yet
+    # still owns its pid, so the signal cannot reach a recycled one
     if proc.poll() is None:
         try:
             os.killpg(proc.pid, sig)
@@ -507,24 +592,24 @@ def _signal(proc: subprocess.Popen, sig: int) -> None:
             pass
 
 
-def _admit(run: _CcRun, argv: List[str]) -> None:
-    """Start ``run``'s process once fewer than ``_MAX_ALIVE`` are alive;
+def _admit(unit: _Unit, argv: List[str]) -> None:
+    """Start ``unit``'s process once fewer than ``_MAX_ALIVE`` are alive;
     while that many are, reap the oldest first
     (``native.toolchain.bound_waits``)."""
     while True:
-        with _RUNS_LOCK:
-            # _RUNS is in start order, and a run leaves it only once it
-            # is reaped or about to be stopped
-            alive = [r for r in _RUNS.values()
-                     if r.proc is not None and r.proc.poll() is None]
+        with _UNITS_LOCK:
+            # _UNITS is in creation order, and a unit starts its process
+            # as soon as it is made
+            alive = [u for u in _UNITS.values()
+                     if u.proc is not None and u.proc.poll() is None]
             if len(alive) < _MAX_ALIVE:
                 # a session of its own: a stop reaches the compiler
                 # driver's children too
-                run.proc = subprocess.Popen(
+                unit.proc = subprocess.Popen(
                     argv, stdin=subprocess.DEVNULL,
                     stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                     start_new_session=True)
-                run.deadline = time.monotonic() + _CC_TIMEOUT
+                unit.deadline = time.monotonic() + _CC_TIMEOUT
                 return
             oldest = alive[0]
         INSTR.count("native.toolchain.bound_waits")
@@ -535,7 +620,7 @@ def _admit(run: _CcRun, argv: List[str]) -> None:
 
 def _take_guard(guard: _ArtifactLock) -> None:
     """Wait until ``guard`` is this process's.  Between tries, settle
-    every run of this process that holds a guard: its flock is released
+    every unit of this process that holds a guard: its flock is released
     only then, and the process holding ``guard`` may be waiting for one
     of them — two processes whose batches start the same units in
     different orders would otherwise wait on each other for ever.  After
@@ -547,146 +632,22 @@ def _take_guard(guard: _ArtifactLock) -> None:
     deadline = time.monotonic() + singleflight_timeout()
     pause = 0.001
     while not guard.acquire() and time.monotonic() < deadline:
-        with _RUNS_LOCK:
-            held = [r for r in _RUNS.values()
-                    if r.guard is not None and r.guard.f is not None
-                    and r.proc is not None]
-        for r in held:
-            with r.lock:
-                r._settle()         # a failure is raised at its own join
+        with _UNITS_LOCK:
+            held = [u for u in _UNITS.values()
+                    if u.guard is not None and u.guard.f is not None
+                    and u.proc is not None]
+        for u in held:
+            with u.lock:
+                u._settle()         # a failure is left to its own join
         time.sleep(pause)
         pause = min(2 * pause, 0.05)
 
 
-def _run_for(cc: str, c_source: str, flags: Tuple[str, ...], out_path: str,
-             block: bool) -> Optional[_CcRun]:
-    """The run building ``out_path``, with a reference for the caller:
-    the one under way, or one started here.  A new run takes the artifact
-    guard first; without ``block`` a guard another process holds means
-    None (that process builds it, and the join waits for it)."""
-    with _RUNS_LOCK:
-        run = _RUNS.get(out_path)
-        fresh = run is None
-        if fresh:
-            run = _CcRun(out_path)
-            if (not block and run.guard is not None
-                    and not run.guard.acquire()):
-                return None
-            _RUNS[out_path] = run
-            run.lock.acquire()
-        run.refs += 1
-    if fresh:
-        try:
-            if block and run.guard is not None:
-                _take_guard(run.guard)
-            run._spawn(cc, c_source, flags)
-        finally:
-            run.lock.release()
-    return run
-
-
-def _forget_runs() -> None:
-    # a forked child shares none of the parent's processes: it never waits
-    # for them nor stops them (its own run of a unit the parent is
-    # building renames over the parent's, or the parent's over it)
-    global _RUNS_LOCK
-    _RUNS_LOCK = threading.Lock()
-    for run in _RUNS.values():
-        run.outcome = (RuntimeError, "started by the parent process")
-        if run.guard is not None and run.guard.f is not None:
-            _PARENT_LOCKS.add(run.guard.path)
-    _RUNS.clear()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_runs)
-
-
-def _compile_so(cc: str, c_source: str, flags: Tuple[str, ...],
-                out_path: str) -> bool:
-    """Build ``out_path`` now: reap the run a start began for it, or start
-    one and reap it, under the cross-process artifact guard.  Returns True
-    if a toolchain process of this one built it, False if another process
-    had once the guard was held."""
-    os.makedirs(os.path.dirname(out_path), exist_ok=True)
-    run = _run_for(cc, c_source, flags, out_path, block=True)
-    try:
-        return run.finish()
-    finally:
-        run.release()
-
-
-def _start_so(cc: str, c_source: str, flags: Tuple[str, ...],
-              out_path: str) -> Optional[_CcRun]:
-    """Start building ``out_path`` and return the run (a reference the
-    caller releases), or None when there is nothing to start."""
-    os.makedirs(os.path.dirname(out_path), exist_ok=True)
-    run = _run_for(cc, c_source, flags, out_path, block=False)
-    if run is not None and run.outcome is not None:
-        run.release()
-        return None
-    return run
-
-
-def _building(path: str) -> bool:
-    """Does a run of this process hold ``path``?  Its artifact may be
-    published already (settled while another lock was awaited) and is
-    still this process's build, not a disk hit."""
-    with _RUNS_LOCK:
-        return path in _RUNS
-
-
-def _load_library(path: str) -> ctypes.CDLL:
-    lib = ctypes.CDLL(path)
-    lib.kernel          # every unit exports it: its absence is a bad artifact
-    return lib
-
-
-def _build_and_load(cc: str, c_source: str, flags: Tuple[str, ...],
-                    key: str, cache_mode: str):
-    """Materialize the artifact (disk layer first in disk mode, under
-    :func:`artifact_key`; the scratch dir otherwise, under the in-process
-    ``key``) and load it.  Raises on compile/load failure."""
-    if cache_mode == "disk":
-        path = _disk_so_path(artifact_key(c_source, flags, cc))
-        if os.path.exists(path) and not _building(path):
-            try:
-                lib = _load_library(path)
-                INSTR.count("native.so_cache.hits.disk")
-                return lib
-            except (OSError, AttributeError):
-                # corrupt artifact: treat as a miss and rebuild it
-                INSTR.count("native.so_cache.corrupt")
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-        try:
-            built = _compile_so(cc, c_source, flags, path)
-            lib = _load_library(path)
-            if not built:
-                # another process won the artifact flock and built it
-                INSTR.count("native.so_cache.hits.disk")
-            return lib
-        except OSError:
-            pass  # cache dir unwritable: fall through to the scratch dir
-    out = os.path.join(_scratch_dir(), key + ".so")
-    if not os.path.exists(out):
-        _compile_so(cc, c_source, flags, out)
-    return _load_library(out)
-
-
-def _cached_so(key: str):
-    with _SO_LOCK:
-        lib = _SO_CACHE.get(key)
-    if lib is not None:
-        INSTR.count("native.so_cache.hits.memory")
-    return lib
-
-
-def _toolchain_args(c_source: str, want_openmp: bool):
-    """``(cc, used_openmp, flags, in-process key)`` of one unit; raises
-    when there is no toolchain."""
+def _unit_for(c_source: str, want_openmp: bool,
+              cache_mode: str) -> Tuple[_Unit, bool]:
+    """The unit that builds ``c_source``, with a reference for the caller
+    — the one in the table, or a new one — and whether it uses OpenMP;
+    raises when there is no toolchain."""
     cc = find_compiler()
     if cc is None:
         raise RuntimeError("no C compiler on PATH (set REPRO_CC to override)")
@@ -695,7 +656,38 @@ def _toolchain_args(c_source: str, want_openmp: bool):
     if use_omp:
         flags.append("-fopenmp")
     flags = tuple(flags + env_flags("REPRO_CFLAGS"))
-    return cc, use_omp, flags, _digest(c_source, flags, cc)
+    key = _digest(c_source, flags, cc)
+    with _UNITS_LOCK:
+        unit = _UNITS.get(key)
+        if unit is None:
+            unit = _UNITS[key] = _Unit(key, cc, c_source, flags, cache_mode)
+        unit.refs += 1
+    return unit, use_omp
+
+
+def _forget_runs() -> None:
+    # a forked child shares none of the parent's processes: it never waits
+    # for them nor stops them, and builds those units itself (its run
+    # renames over the parent's, or the parent's over it); the libraries
+    # the parent loaded are mapped in the child too
+    global _UNITS_LOCK
+    _UNITS_LOCK = threading.Lock()
+    for key, unit in list(_UNITS.items()):
+        if unit.lib is None:
+            unit.outcome = (RuntimeError, "started by the parent process")
+            if unit.guard is not None and unit.guard.f is not None:
+                _PARENT_LOCKS.add(unit.guard.path)
+            del _UNITS[key]
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_runs)
+
+
+def _load_library(path: str) -> ctypes.CDLL:
+    lib = ctypes.CDLL(path)
+    lib.kernel          # every unit exports it: its absence is a bad artifact
+    return lib
 
 
 def compile_native_function(c_source: str, want_openmp: bool,
@@ -703,61 +695,23 @@ def compile_native_function(c_source: str, want_openmp: bool,
     """Compile ``c_source`` and return (ctypes function, used_openmp) for
     its exported function ``symbol``; asking the same source for another
     symbol is a memory hit on the loaded library.  A run
-    :func:`_start_build` began for the unit is reaped here.
+    :func:`start_bind` began for the unit is reaped here.
 
     Flags are the built-ins (``_CFLAGS``), ``-fopenmp``
     when requested and supported, then any user ``REPRO_CFLAGS`` —
     appended last so they win, and part of the artifact digest so flag
     changes never serve a stale ``.so``.
 
-    In process, the artifact is keyed on the compiler's path (no ``cc
+    In process, the unit is keyed on the compiler's path (no ``cc
     --version``); the disk layer keys it on :func:`artifact_key`.
-    Single-flight: concurrent requests for the same key coalesce onto
-    one toolchain invocation (see module docstring).  Raises on toolchain
-    absence or compile failure — callers translate that into the Python
-    fallback."""
-    cc, use_omp, flags, key = _toolchain_args(c_source, want_openmp)
-    lib = _cached_so(key)
-    if lib is None:
-        def build():
-            # a leader elected just after the previous flight published
-            # finds the library cached and does not load it twice
-            lib = _cached_so(key)
-            if lib is None:
-                lib = _build_and_load(cc, c_source, flags, key, cache_mode)
-                with _SO_LOCK:
-                    _SO_CACHE[key] = lib
-            return lib
-
-        lib, _shared = _FLIGHT.do(key, build)
-    return getattr(lib, symbol), use_omp
-
-
-def _start_build(c_source: str, want_openmp: bool,
-                       cache_mode: str) -> Optional[_CcRun]:
-    """Start the ``cc`` run :func:`compile_native_function` would make for
-    ``c_source`` and return it — a reference the caller releases once it
-    has joined — or None when there is nothing to start: the library is
-    loaded or built, another process is building it, or the toolchain is
-    missing or does not start (the join reports that)."""
+    Concurrent requests for one unit share one toolchain invocation (see
+    "One table per unit").  Raises on toolchain absence or compile
+    failure — callers translate that into the Python fallback."""
+    unit, use_omp = _unit_for(c_source, want_openmp, cache_mode)
     try:
-        cc, _omp, flags, key = _toolchain_args(c_source, want_openmp)
-        with _SO_LOCK:
-            if key in _SO_CACHE:
-                return None
-        if cache_mode == "disk":
-            path = _disk_so_path(artifact_key(c_source, flags, cc))
-            if os.path.exists(path):
-                return None
-            try:
-                return _start_so(cc, c_source, flags, path)
-            except OSError:
-                pass    # cache dir unwritable: the scratch dir, as below
-        out = os.path.join(_scratch_dir(), key + ".so")
-        return None if os.path.exists(out) else _start_so(cc, c_source,
-                                                          flags, out)
-    except (OSError, RuntimeError):
-        return None
+        return getattr(unit.load(), symbol), use_omp
+    finally:
+        unit.release()
 
 
 # ---------------------------------------------------------------------------
@@ -923,7 +877,8 @@ def start_bind(kernel, parallel: str = "none",
     reaps that process through :func:`compile_native_function` and binds
     the result as a :class:`NativeKernel`, raising on the calling thread
     whatever the build raised (the compiler API converts that into the
-    Python fallback); a lowering failure raises here.  ``entry_points``
+    Python fallback); a lowering failure or a missing toolchain raises
+    here.  ``entry_points``
     (name -> loop IR) asks for further functions in the kernel's
     translation unit — still one toolchain invocation — bound as
     ``NativeKernel.entries``.  Every bound function knows its Python
@@ -934,8 +889,9 @@ def start_bind(kernel, parallel: str = "none",
 
     spec = lower_kernel(kernel, parallel, entry_points=entry_points)
     want_omp = parallel != "none" and spec.uses_openmp
-    units = [("kernel", spec), *spec.entries.items()]
-    run = _start_build(spec.c_source, want_omp, cache_mode)
+    funcs = [("kernel", spec), *spec.entries.items()]
+    unit, _omp = _unit_for(spec.c_source, want_omp, cache_mode)
+    unit.start()
     # weakly: the kernel holds this join until it is called
     ref = weakref.ref(kernel)
 
@@ -944,7 +900,7 @@ def start_bind(kernel, parallel: str = "none",
             built = [compile_native_function(s.c_source, want_openmp=want_omp,
                                              cache_mode=cache_mode,
                                              symbol=name)
-                     for name, s in units]
+                     for name, s in funcs]
         finally:
             joined()
         # the function, not the kernel's method: a kernel holds its
@@ -953,14 +909,13 @@ def start_bind(kernel, parallel: str = "none",
         python = ref().callable()
         fn, used_omp = built[0]
         nk = NativeKernel(fn, spec, used_omp, lambda: python)
-        for (name, entry_spec), (fn, used_omp) in zip(units[1:], built[1:]):
+        for (name, entry_spec), (fn, used_omp) in zip(funcs[1:], built[1:]):
             nk.entries[name] = NativeKernel(
                 fn, entry_spec, used_omp,
                 lambda ir=entry_points[name]: compile_plan_to_python(ir)[1])
         return nk
 
-    joined = (weakref.finalize(join, run.release) if run is not None
-              else lambda: None)
+    joined = weakref.finalize(join, unit.release)
     return join
 
 

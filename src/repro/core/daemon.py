@@ -37,9 +37,9 @@ request is answered without touching the pipeline,
 ``daemon.handle.hits``); a daemon-level
 in-flight map coalescing concurrent identical *requests* onto one
 compile (``daemon.coalesced``); and underneath, the compilation cache
-plus the per-digest native single-flight from
-:mod:`repro.core.backend`, which guarantees one ``cc`` invocation per
-unique artifact digest no matter how many clients race.  The disk
+plus the native unit table of :mod:`repro.core.backend`, which
+guarantees one ``cc`` invocation per unique unit no matter how many
+clients race.  The disk
 artifact layer is sharded by digest prefix, so a warm
 ``REPRO_CACHE_DIR`` survives daemon restarts and can be shared by a
 fleet.

@@ -9,19 +9,20 @@ many independent clients.
 
 The underlying pipeline is safe to drive concurrently: the compilation
 LRU and the FM/pair memos are locked (:mod:`repro.core.cache`,
-:mod:`repro.polyhedra.fm`), identical native digests coalesce onto one
-toolchain invocation (:mod:`repro.core.backend` single-flight), and the
+:mod:`repro.polyhedra.fm`), identical native units share one toolchain
+invocation (:mod:`repro.core.backend` keeps one object per unit), and the
 ``instrument`` registry accumulates per thread.  ``compile_many`` is
 therefore a thin, deterministic driver: results come back in input
 order, and a batch compiled with ``max_workers=1`` is byte-identical to
 the same batch compiled with 16 workers.
 
 Each item's toolchain run overlaps the searches after it: as soon as an
-item's C unit is lowered, its ``cc`` + ``dlopen`` starts on a toolchain
-thread (:mod:`repro.core.backend`, "Pipelining") and the worker goes on
-to the next item; the batch joins every build before it returns.  With
-``max_workers=1`` the searches run one after another on the calling
-thread while up to ``os.cpu_count()`` compilers run beside them.
+item's C unit is lowered, its ``cc`` starts as a child process of the
+worker's thread (:mod:`repro.core.backend`, "Pipelining") and the worker
+goes on to the next item; the batch joins every build — reap, publish,
+``dlopen`` — before it returns.  With ``max_workers=1`` the searches run
+one after another on the calling thread while up to
+``os.cpu_count() + 1`` compilers run beside them.
 
 Counters: ``service.batches``, ``service.items``, ``service.items.ok``,
 ``service.items.error``.

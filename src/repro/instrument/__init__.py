@@ -32,10 +32,14 @@ Counter namespaces used by the compiler:
 - ``cache.*``           — compilation-cache hits/misses/invalidations
 - ``codegen.*``         — specialized Python source generation
 - ``plan.*``            — plan lowering
-- ``native.*``          — C backend: compiles, .so-cache traffic,
-                          single-flight coalescing, fallbacks, starts
-                          that first reaped a toolchain process to stay
-                          within the bound
+- ``native.*``          — C backend: compiles, loaded-unit traffic
+                          (``native.so_cache.hits.{memory,coalesced,disk}``,
+                          ``.corrupt``), joins that waited for a unit
+                          (``native.singleflight.waits``) or rebuilt one
+                          whose build had failed
+                          (``native.singleflight.leader_failures``),
+                          fallbacks, starts that first reaped a
+                          toolchain process to stay within the bound
                           (``native.toolchain.bound_waits``)
 - ``native.dispatch.*`` — NativeKernel call paths: prepared-argument
                           fast-path hits (``native.dispatch.prepared``),

@@ -15,10 +15,10 @@ of them, so each is written once, here:
 
 The compile cache and the autotuner's winner cache are two
 :class:`Store` instances; the daemon's handle and payload tables are two
-:class:`LRU` instances; the native backend's per-digest compile flight
-and the autotuner's per-key tune flight are two :class:`SingleFlight`
-instances.  DESIGN.md ("Caching, coalescing and durable writes") has the
-table of who is keyed by what.
+:class:`LRU` instances; the autotuner's per-key tune flight is a
+:class:`SingleFlight` (a native unit needs none: its joins wait on the
+unit itself, :mod:`repro.core.backend`).  DESIGN.md ("Caching,
+coalescing and durable writes") has the table of who is keyed by what.
 """
 
 from __future__ import annotations

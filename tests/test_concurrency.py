@@ -13,11 +13,13 @@ Covers the PR's acceptance criteria directly:
   build that fails there falls back observably on the calling thread;
 - ``cc`` is a child process of the caller: at most ``os.cpu_count() + 1``
   alive, every one reaped by the join, stopped when its kernel is
-  dropped first, and never waited on by a forked child.
+  dropped first, killed when it outlives its timeout, and never waited
+  on by a forked child.
 """
 
 from __future__ import annotations
 
+import ctypes
 import gc
 import glob
 import multiprocessing as mp
@@ -350,23 +352,23 @@ class TestSingleFlight:
         _fresh_native_state()
         A = as_format(square, "csc")
 
-        real_compile_so = be._compile_so
+        real_settle = be._Unit._settle
         fail_once = {"left": 1}
         waits_before = INSTR.get("native.singleflight.waits")
 
-        def flaky(cc, c_source, flags, out_path):
+        def flaky(unit):
             if fail_once["left"]:
                 fail_once["left"] -= 1
-                # hold the flight open until the other thread is actually
-                # parked in event.wait(), then fail while it watches
+                # hold the unit's lock until the other thread is actually
+                # waiting on it, then fail while it watches
                 deadline = time.monotonic() + 30
                 while (INSTR.get("native.singleflight.waits") == waits_before
                        and time.monotonic() < deadline):
                     time.sleep(0.005)
                 raise RuntimeError("injected toolchain failure")
-            return real_compile_so(cc, c_source, flags, out_path)
+            return real_settle(unit)
 
-        monkeypatch.setattr(be, "_compile_so", flaky)
+        monkeypatch.setattr(be._Unit, "_settle", flaky)
         before = INSTR.snapshot()["counters"]
         outcomes = [None, None]
 
@@ -383,6 +385,37 @@ class TestSingleFlight:
         assert delta("native.singleflight.leader_failures") >= 1
         # the retry shipped a working kernel to the follower
         assert any(k.backend_used.startswith("c") for k in outcomes)
+
+    def test_8_threads_load_a_warm_disk_artifact_once(self, tmp_path,
+                                                       monkeypatch):
+        """A warm artifact on disk and no loaded unit: 8 threads joining
+        the one unit load it once — one disk hit, every other join shares
+        that load or hits memory — and run no ``cc``."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        unit = ("typedef __INT64_TYPE__ int64_t;\n"
+                "void kernel(int64_t n, double *y) {\n"
+                "    for (int64_t i = 0; i < n; i++) y[i] = 0.5 * i;\n"
+                "}\n")
+        be.reset_toolchain_cache()
+        be.compile_native_function(unit, False, "disk")
+        be.reset_toolchain_cache()
+        before = INSTR.snapshot()["counters"]
+        fns = [None] * 8
+
+        def work(i):
+            fn, _omp = be.compile_native_function(unit, False, "disk")
+            fns[i] = ctypes.cast(fn, ctypes.c_void_p).value
+
+        _run_threads(8, work)
+        after = INSTR.snapshot()["counters"]
+        delta = lambda k: after.get(k, 0) - before.get(k, 0)  # noqa: E731
+        be.reset_toolchain_cache()
+        assert delta("native.so_cache.hits.disk") == 1
+        assert (delta("native.so_cache.hits.coalesced")
+                + delta("native.so_cache.hits.memory")) == 7
+        assert delta("native.compiles") == 0
+        assert len(set(fns)) == 1
+        assert len(list(tmp_path.rglob("*.so"))) == 1
 
     def test_stress_16_threads_mixed_batch(self, square):
         """Acceptance criterion: 16 workers over a mixed (same + distinct)
@@ -668,6 +701,51 @@ class TestToolchainProcesses:
         assert INSTR.get("native.compiles") == compiles
         assert [line.split()[0] for line in log.read_text().splitlines()] \
             == ["start"]
+
+    @needs_proc_children
+    def test_a_hung_toolchain_falls_back_within_its_timeout(
+            self, square, tmp_path, monkeypatch):
+        """A ``cc`` that never ends is killed at ``_CC_TIMEOUT``: two
+        threads compiling one kernel both come back within a few seconds
+        with the Python kernel, counted, and leave no process and no temp
+        file behind.  The thread that waited on the first join's build
+        goes round once more, so that is at most two timeouts."""
+        A = as_format(square, "csr")
+        log = _slow_cc(tmp_path, monkeypatch, sleep=600.0)
+        monkeypatch.setattr(be, "_CC_TIMEOUT", 1.0)
+        children = _children()
+        before = INSTR.snapshot()["counters"]
+        kernels = [None, None]
+
+        def work(i):
+            kernels[i] = compile_kernel(ALL_KERNELS["mvm"](), {"A": A},
+                                        backend="c", cache="memory")
+
+        t0 = time.monotonic()
+        try:
+            # the filters are the process's: set them around both threads
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", NativeBackendWarning)
+                _run_threads(2, work)
+            elapsed = time.monotonic() - t0
+            left = _children() - children
+            litter = [n for n in os.listdir(be._scratch_dir())
+                      if n.endswith((".tmp", ".c", ".lock"))]
+        finally:
+            monkeypatch.undo()
+            _fresh_native_state()
+        after = INSTR.snapshot()["counters"]
+        delta = lambda k: after.get(k, 0) - before.get(k, 0)  # noqa: E731
+        assert elapsed < 8
+        assert [k.backend_used for k in kernels] == ["python", "python"]
+        assert all(k.fallback_reason == "toolchain: cc failed: timed out"
+                   for k in kernels)
+        assert delta("native.fallbacks") == 2
+        assert delta("native.fallback.toolchain") == 2
+        assert delta("native.compiles") == 0
+        assert not left, "a timed-out cc was left running"
+        assert not litter, litter
+        assert "end" not in log.read_text()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     @pytest.mark.parametrize("cache", ["memory", "disk"])

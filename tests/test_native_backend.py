@@ -631,6 +631,43 @@ class TestArtifactCache:
         assert len(argvs) == 1 and argvs[0][0] == be.find_compiler()
         be.reset_toolchain_cache()
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_process_removes_the_scratch_directories_it_made(self,
+                                                               tmp_path):
+        """At exit a process removes every scratch directory it made, the
+        one ``reset_toolchain_cache(scratch=True)`` left behind too; a
+        forked child removes its own and leaves its parent's."""
+        import subprocess
+        import sys
+
+        script = (
+            "import os, sys\n"
+            "from repro.core import backend as be\n"
+            f"unit = {self.UNIT!r}\n"
+            "be.compile_native_function(unit, False, 'memory')\n"
+            "first = be._scratch_dir()\n"
+            "be.reset_toolchain_cache(scratch=True)\n"
+            "be.compile_native_function(unit, False, 'memory')\n"
+            "assert be._scratch_dir() != first\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    be.reset_toolchain_cache(scratch=True)\n"
+            "    be.compile_native_function(unit, False, 'memory')\n"
+            "    sys.exit(0)\n"
+            "assert os.waitpid(pid, 0)[1] == 0\n"
+            "print(len([d for d in os.listdir(os.path.dirname(first))\n"
+            "           if d.startswith('repro-native-')]))\n"
+        )
+        env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH="src")
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True,
+                             cwd=os.path.dirname(os.path.dirname(
+                                 os.path.abspath(__file__))))
+        # the parent's two were there once its child had exited
+        assert out.stdout.split() == ["2"]
+        assert not [p.name for p in tmp_path.iterdir()
+                    if p.name.startswith("repro-native-")]
+
     def test_disk_digest_is_unchanged(self, monkeypatch, tmp_path):
         """On disk an artifact is stored under sha256 of (source, flags,
         first line of ``cc --version``), as it always was: a ``.so`` an
@@ -683,8 +720,8 @@ class TestUnitImports:
         """The paths of the shared objects ``build()`` binds."""
         be.reset_toolchain_cache()
         build()
-        with be._SO_LOCK:
-            return [lib._name for lib in be._SO_CACHE.values()]
+        with be._UNITS_LOCK:
+            return [u.path for u in be._UNITS.values() if u.lib is not None]
 
     @staticmethod
     def _imports(so):

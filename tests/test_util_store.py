@@ -9,12 +9,10 @@ import os
 import pickle
 import sys
 import threading
-from types import SimpleNamespace
 import time
 
 import pytest
 
-from repro.core import backend as be
 from repro.instrument import INSTR
 from repro.search import autotune
 from repro.util.store import LRU, SingleFlight, Store, atomic_path
@@ -221,7 +219,7 @@ class TestSingleFlight:
         assert len(sf) == 0
 
 
-# -- the one timeout policy, through both users of the kit --------------------
+# -- the timeout policy, through the kit's user --------------------------------
 
 def _autotune_flight(tag, work):
     """Drive ``autotune.winner_for`` on a fresh key; ``work()`` is the tune."""
@@ -231,32 +229,14 @@ def _autotune_flight(tag, work):
     return record["by"], origin
 
 
-_stub_work = threading.local()
-
-
-def _stub_toolchain(monkeypatch):
-    """Replace ``cc`` with whatever the calling thread parked in
-    ``_stub_work``, so the flight — not the toolchain — is what runs (and
-    no compiler is needed)."""
-    monkeypatch.setattr(be, "find_compiler", lambda: "stub-cc")
-    monkeypatch.setattr(be, "compiler_identity", lambda cc: cc)
-    monkeypatch.setattr(be, "_build_and_load",   # the "library" it loaded
-                        lambda *a, **k: SimpleNamespace(kernel=_stub_work.fn()))
-
-
-def _native_flight(tag, work):
-    _stub_work.fn = work
-    fn, _omp = be.compile_native_function(f"/* {tag} */", False, "memory")
-    return fn, None
-
-
-@pytest.mark.parametrize("user, waits, timeouts", [
-    ("autotune", "autotune.coalesced", None),
-    ("native", "native.singleflight.waits",
-     "native.singleflight.wait_timeouts"),
+# the native backend's row went with its flight: a join waits for the
+# ``cc`` it joins, which ``_CC_TIMEOUT`` bounds (tests/test_concurrency.py::
+# TestToolchainProcesses::test_a_hung_toolchain_falls_back_within_its_timeout)
+@pytest.mark.parametrize("user, waits", [
+    ("autotune", "autotune.coalesced"),
 ])
 def test_follower_of_a_wedged_leader_does_the_work_itself(
-        user, waits, timeouts, monkeypatch):
+        user, waits, monkeypatch):
     """Leader holds its flight on an Event; with a 50 ms follower timeout
     the follower must come back with its *own* result long before the
     leader lets go, having waited exactly once.  (Before the kit the
@@ -267,10 +247,6 @@ def test_follower_of_a_wedged_leader_does_the_work_itself(
     release = threading.Event()
     leading = threading.Event()
     waits0 = INSTR.get(waits)
-    timeouts0 = INSTR.get(timeouts) if timeouts else 0
-
-    _stub_toolchain(monkeypatch)
-    flight = {"autotune": _autotune_flight, "native": _native_flight}[user]
 
     def leader_work():
         leading.set()
@@ -278,11 +254,10 @@ def test_follower_of_a_wedged_leader_does_the_work_itself(
         return "leader"
 
     results = {}
-    leader = threading.Thread(
-        target=lambda: results.setdefault("leader", flight(tag, leader_work)))
-    follower = threading.Thread(
-        target=lambda: results.setdefault(
-            "follower", flight(tag, lambda: "follower")))
+    leader = threading.Thread(target=lambda: results.setdefault(
+        "leader", _autotune_flight(tag, leader_work)))
+    follower = threading.Thread(target=lambda: results.setdefault(
+        "follower", _autotune_flight(tag, lambda: "follower")))
     try:
         leader.start()
         assert leading.wait(JOIN)
@@ -296,16 +271,11 @@ def test_follower_of_a_wedged_leader_does_the_work_itself(
         release.set()
         leader.join(JOIN)
         follower.join(JOIN)
-        be.reset_toolchain_cache()
     assert not leader.is_alive()
-    assert results["follower"][0] == "follower"
+    assert results["follower"] == ("follower", "tuned")
     assert results["leader"][0] == "leader"
     assert elapsed < 2.0
     assert INSTR.get(waits) == waits0 + 1
-    if timeouts:
-        assert INSTR.get(timeouts) == timeouts0 + 1
-    if user == "autotune":
-        assert results["follower"][1] == "tuned"
 
 
 # ---------------------------------------------------------------------------
