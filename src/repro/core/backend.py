@@ -337,15 +337,15 @@ def artifact_key(c_source: str, flags: Tuple[str, ...], cc: str) -> str:
 
 
 def _artifact_path(cc: str, c_source: str, flags: Tuple[str, ...], key: str,
-                   cache_mode: str) -> Tuple[str, bool]:
-    """Where a unit's ``.so`` goes, and whether other processes share it.
-    In ``disk`` mode that is the cache directory, under
-    :func:`artifact_key` and sharded by its first two hex digits
-    (``cache_dir/ab/abcd....so``): a fleet-shared directory holds one file
-    per digest ever compiled, and 256 buckets keep each directory small on
-    filesystems where huge flat ones degrade.  Otherwise — or when the
-    shard cannot be made — it is the process scratch directory, under the
-    in-process ``key``."""
+                   cache_mode: str) -> Tuple[str, Optional[_ArtifactLock]]:
+    """Where a unit's ``.so`` goes, and its cross-process guard (None where
+    no other process builds).  In ``disk`` mode that is the cache
+    directory, under :func:`artifact_key` and sharded by its first two hex
+    digits (``cache_dir/ab/abcd....so``): a fleet-shared directory holds
+    one file per digest ever compiled, and 256 buckets keep each directory
+    small on filesystems where huge flat ones degrade.  Otherwise — or
+    when the shard cannot be made — it is the process scratch directory,
+    under the in-process ``key``."""
     if cache_mode == "disk":
         from repro.core.cache import COMPILE_CACHE
 
@@ -354,10 +354,10 @@ def _artifact_path(cc: str, c_source: str, flags: Tuple[str, ...], key: str,
                             digest + ".so")
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
-            return path, True
+            return path, _ArtifactLock(path)
         except OSError:
             pass
-    return os.path.join(_scratch_dir(), key + ".so"), False
+    return os.path.join(_scratch_dir(), key + ".so"), None
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +434,8 @@ class _Unit:
         leaves the unit unstarted (that process builds it, and the join
         waits for the guard)."""
         if self.path is None:
-            self.path, shared = _artifact_path(
+            self.path, self.guard = _artifact_path(
                 self.cc, self.c_source, self.flags, self.key, self.cache_mode)
-            self.guard = _ArtifactLock(self.path) if shared else None
         if self.guard is not None and not os.path.exists(self.path):
             if block:
                 _take_guard(self.guard)

@@ -708,8 +708,8 @@ class TestToolchainProcesses:
         """A ``cc`` that never ends is killed at ``_CC_TIMEOUT``: two
         threads compiling one kernel both come back within a few seconds
         with the Python kernel, counted, and leave no process and no temp
-        file behind.  The thread that waited on the first join's build
-        goes round once more, so that is at most two timeouts."""
+        file behind.  A thread that finds the unit's build failed builds
+        it once more, so that is at most two timeouts."""
         A = as_format(square, "csr")
         log = _slow_cc(tmp_path, monkeypatch, sleep=600.0)
         monkeypatch.setattr(be, "_CC_TIMEOUT", 1.0)
