@@ -15,8 +15,8 @@ Quickstart::
 Public surface:
 
 - :func:`compile_kernel` / :class:`CompiledKernel` — the compiler;
-- :func:`compile_many` / :class:`BatchResult` — the thread-pooled batch
-  driver with per-item failure isolation;
+- :func:`compile_many` / :class:`BatchResult` — the batch driver with
+  per-item failure isolation;
 - :class:`CompileServer` / :class:`ServiceClient` — the
   compilation-as-a-service daemon and its RPC client (one warm cache
   serving a fleet; ``python -m repro.core.daemon --socket ...``);

@@ -83,10 +83,11 @@ then fixed — writes the source and starts ``cc`` with
 then on ``cc`` runs outside the interpreter: nothing has to take the
 interpreter lock to start it or to notice that it ended.  The caller goes
 on working (``CompiledKernel.start_native`` emits the Python print;
-:func:`repro.core.service.compile_many` searches the next item) and joins
-later, through :func:`compile_native_function`: the join reaps the
-process, publishes the ``.so``, loads and binds it, and re-raises a build
-failure on the joining thread, which is where the fallback below warns.
+:func:`repro.core.service.compile_many` searches the next item on the
+same thread) and joins later, through :func:`compile_native_function`:
+the join reaps the process, publishes the ``.so``, loads and binds it,
+and re-raises a build failure on the joining thread, which is where the
+fallback below warns.
 A lone compile joins straight away; either way the bytes are those of a
 serial build.  Same-digest starts share one process.  At most
 ``os.cpu_count() + 1`` toolchain processes are alive at once: a start

@@ -36,9 +36,9 @@ hold data-free stand-ins of the formats, so no entry holds a matrix.
 
 **Concurrency** — the store guards its own bookkeeping; every entry
 carries its own RLock serializing its writes (re-ranking, memo fill), so
-concurrent ``compile_kernel`` calls — e.g. through
-:func:`repro.core.service.compile_many` — share entries safely.  No
-write touches a plan, so a thread executing one is never perturbed.
+concurrent ``compile_kernel`` calls — e.g. from the daemon's request
+pool — share entries safely.  No write touches a plan, so a thread
+executing one is never perturbed.
 
 Control: ``compile_kernel(..., cache="off"|"memory"|"disk")``, default
 taken from ``REPRO_COMPILE_CACHE`` (default ``"memory"``).  With

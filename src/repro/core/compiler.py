@@ -106,7 +106,8 @@ class CompiledKernel:
         emit the Python print while ``cc`` runs;
         :meth:`native` joins.  A no-op once started, or for
         ``backend="python"``.  :func:`~repro.core.service.compile_many`
-        starts every item of a batch before it joins the first."""
+        starts every item of a batch, one after another on the calling
+        thread, before it joins the first."""
         if self.backend != "c" or self._native_tried or self._join is not None:
             return
         with self._materialize_lock:

@@ -99,8 +99,8 @@ _STATS_PREFIXES = ("daemon.", "native.", "cache.", "service.", "env.",
 def _run_compile(programs, bindings, param_values, options):
     """The actual pipeline call, module-level so tests can wrap it
     (inject latency or failures without touching the server plumbing)."""
-    return compile_many(programs, bindings, max_workers=1,
-                        param_values=param_values, **options)
+    return compile_many(programs, bindings, param_values=param_values,
+                        **options)
 
 
 class CompileServer:

@@ -1,28 +1,24 @@
-"""Concurrent compilation service: batch fan-out with failure isolation.
+"""Batch compilation service: one driver with failure isolation.
 
-:func:`compile_many` drives N :func:`repro.core.compiler.compile_kernel`
-calls through a thread-pool and returns a :class:`BatchResult` of
-per-item :class:`CompileOutcome` objects — a kernel on success, the
-exception on failure — instead of raising on the first bad item.  One
-malformed program or impossible binding must not abort a batch serving
-many independent clients.
+:func:`compile_many` runs N :func:`repro.core.compiler.compile_kernel`
+calls and returns a :class:`BatchResult` of per-item
+:class:`CompileOutcome` objects — a kernel on success, the exception on
+failure — instead of raising on the first bad item.  One malformed
+program or impossible binding must not abort a batch serving many
+independent clients.
 
-The underlying pipeline is safe to drive concurrently: the compilation
-LRU and the FM/pair memos are locked (:mod:`repro.core.cache`,
-:mod:`repro.polyhedra.fm`), identical native units share one toolchain
-invocation (:mod:`repro.core.backend` keeps one object per unit), and the
-``instrument`` registry accumulates per thread.  ``compile_many`` is
-therefore a thin, deterministic driver: results come back in input
-order, and a batch compiled with ``max_workers=1`` is byte-identical to
-the same batch compiled with 16 workers.
-
-Each item's toolchain run overlaps the searches after it: as soon as an
-item's C unit is lowered, its ``cc`` starts as a child process of the
-worker's thread (:mod:`repro.core.backend`, "Pipelining") and the worker
-goes on to the next item; the batch joins every build — reap, publish,
-``dlopen`` — before it returns.  With ``max_workers=1`` the searches run
-one after another on the calling thread while up to
-``os.cpu_count() + 1`` compilers run beside them.
+A batch is serial: every search runs on the calling thread, in input
+order (the search is pure Python under the interpreter lock, so a thread
+pool could only interleave it).  The concurrency is the toolchain's: as
+soon as an item's C unit is lowered, its ``cc`` starts as a child process
+(:mod:`repro.core.backend`, "Pipelining") and the batch goes on to the
+next item's search, with up to ``os.cpu_count() + 1`` compilers running
+beside it; the batch joins every build — reap, publish, ``dlopen`` —
+before it returns.  The daemon's request pool runs several batches at
+once, so the pipeline stays safe to drive from many threads (the
+compilation LRU and the FM/pair memos are locked, identical native units
+share one toolchain run, and the ``instrument`` registry accumulates per
+thread).
 
 Counters: ``service.batches``, ``service.items``, ``service.items.ok``,
 ``service.items.error``.
@@ -30,9 +26,7 @@ Counters: ``service.batches``, ``service.items``, ``service.items.ok``,
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
@@ -40,7 +34,6 @@ from repro.core.compiler import CompiledKernel, compile_kernel
 from repro.formats.base import SparseFormat
 from repro.instrument import INSTR
 from repro.ir.program import Program
-from repro.util.env import env_int
 
 Bindings = Mapping[str, SparseFormat]
 
@@ -145,13 +138,12 @@ def compile_many(
     programs: Sequence[Program],
     bindings: Union[Bindings, Sequence[Bindings]],
     *,
-    max_workers: Optional[int] = None,
     param_values: Union[None, Mapping[str, int],
                         Sequence[Optional[Mapping[str, int]]]] = None,
     entry_points: Union[None, Mapping, Sequence[Optional[Mapping]]] = None,
     **compile_kwargs,
 ) -> BatchResult:
-    """Compile every program in the batch, fanning out over worker threads.
+    """Compile every program in the batch, in order, on the calling thread.
 
     ``bindings`` (and ``param_values``, ``entry_points``) may be a single
     mapping shared by every program or a sequence zipped with
@@ -162,14 +154,10 @@ def compile_many(
     ``compile_kernel`` (``pick``, ``cache``, ``backend``, ``parallel``,
     ...).
 
-    ``max_workers`` defaults to ``REPRO_COMPILE_WORKERS`` or the CPU
-    count, capped by the batch size; ``max_workers=1`` searches serially
-    on the calling thread (bitwise-identical results, useful as a
-    determinism oracle).  Every item's ``cc`` runs as a child process
-    beside the searches of the items after it (at most ``os.cpu_count()
-    + 1`` at once); the batch joins them all on the calling thread before
-    it returns, so each kernel is bound or carries its fallback — and a
-    fallback's warning is issued here.
+    Every item's ``cc`` runs as a child process beside the searches of
+    the items after it (at most ``os.cpu_count() + 1`` at once); the
+    batch joins them all before it returns, so each kernel is bound or
+    carries its fallback — and a fallback's warning is issued here.
 
     Never raises for a bad item: each failure is captured in its
     :class:`CompileOutcome` (``service.items.error``) and the remaining
@@ -183,43 +171,32 @@ def compile_many(
                  for p, b in zip(progs, binds)]
     pvals = _broadcast(param_values, n, "param_values")
     extras = _broadcast(entry_points, n, "entry_points")
-    if max_workers is None:
-        max_workers = env_int("REPRO_COMPILE_WORKERS", 0, minimum=0) \
-            or (os.cpu_count() or 1)
-    if max_workers < 1:
-        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-    max_workers = min(max_workers, max(n, 1))
 
     INSTR.count("service.batches")
     INSTR.count("service.items", n)
     bind = compile_kwargs.pop("bind", True)
 
-    def one(i: int) -> CompileOutcome:
+    outcomes = []
+    for i, prog in enumerate(progs):
         t0 = time.perf_counter()
         try:
-            kernel = compile_kernel(progs[i], binds[i],
-                                    param_values=pvals[i],
+            kernel = compile_kernel(prog, binds[i], param_values=pvals[i],
                                     entry_points=extras[i], bind=False,
                                     **compile_kwargs)
         except Exception as e:
             INSTR.count("service.items.error")
-            return CompileOutcome(i, progs[i], None, e,
-                                  time.perf_counter() - t0)
+            outcomes.append(CompileOutcome(i, prog, None, e,
+                                           time.perf_counter() - t0))
+            continue
         if bind:
+            # cc runs beside the next item's search
             kernel.start_native()
         INSTR.count("service.items.ok")
-        return CompileOutcome(i, progs[i], kernel, None,
-                              time.perf_counter() - t0)
-
-    if max_workers == 1 or n <= 1:
-        outcomes = [one(i) for i in range(n)]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers,
-                                thread_name_prefix="repro-compile") as pool:
-            outcomes = list(pool.map(one, range(n)))
+        outcomes.append(CompileOutcome(i, prog, kernel, None,
+                                       time.perf_counter() - t0))
     if bind:
-        # every build was started above; joining here, on the calling
-        # thread, is where a fallback warns
+        # every build was started above; joining here is where a
+        # fallback warns
         for o in outcomes:
             if o.kernel is not None:
                 t0 = time.perf_counter()

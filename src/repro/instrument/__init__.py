@@ -10,8 +10,8 @@ the overhead is negligible next to the exact-rational polyhedral work they
 measure.
 
 **Thread model** — the registry is safe under concurrent compilation
-(:func:`repro.core.service.compile_many` drives the pipeline from a
-worker pool).  Each thread accumulates into its own private shard
+(the daemon's request pool drives the pipeline from several threads).
+Each thread accumulates into its own private shard
 (``threading.local``), so the hot path stays a lock-free dictionary
 increment with no lost updates; readers (:meth:`~Instrumentation.get`,
 :meth:`~Instrumentation.snapshot`, the report) merge the shards of every

@@ -95,8 +95,8 @@ def search(
     the number of binds, so such plans cost alike under any statistics and
     a re-rank loses nothing by keeping one.
     """
-    # thread-local deltas: concurrent searches in sibling threads
-    # (compile_many) must not pollute this search's attribution
+    # thread-local deltas: concurrent searches in sibling threads (the
+    # daemon's request pool) must not pollute this search's attribution
     before = INSTR.thread_snapshot()
     with INSTR.phase("search.total"):
         if deps is None:

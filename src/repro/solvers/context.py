@@ -111,6 +111,11 @@ class SolverContext:
         ``empirical`` modes the context's execution backend is forwarded
         too, so the measurements time the same dispatch the solver will
         use.
+    max_workers:
+        Accepted for old callers and selects nothing: the ops' searches run
+        one after another on the calling thread while their ``cc`` run
+        beside them.  ``None`` or an int >= 1; anything else raises
+        ``ValueError``.
     opt:
         Forwarded to the compiler, which echoes it on the bound kernels
         and selects nothing with it (there is one native schedule).
@@ -130,6 +135,10 @@ class SolverContext:
                  max_workers: Optional[int] = None,
                  opt: Optional[str] = None,
                  register: bool = True):
+        if max_workers is not None and not (isinstance(max_workers, int)
+                                            and max_workers >= 1):
+            raise ValueError(f"max_workers must be None or an int >= 1, "
+                             f"got {max_workers!r}")
         ops = tuple(ops)
         for op in ops:
             if op not in OP_SPECS:
@@ -162,7 +171,7 @@ class SolverContext:
             self.A = A
             if "ts_lower" in ops or "ts_upper" in ops:
                 self.L, self.U = _triangular_split(A)
-            self._compile(ops, backend, parallel, cache, max_workers)
+            self._compile(ops, backend, parallel, cache)
             # reused matvec outputs (the solvers pass their own buffers for
             # values that must survive a second matvec); the 2-D panel
             # workspaces are lazily sized on the first matmat call, since
@@ -200,7 +209,7 @@ class SolverContext:
         ``A`` for everything else."""
         return {"ts_lower": self.L, "ts_upper": self.U}.get(op, self.A)
 
-    def _compile(self, ops, backend, parallel, cache, max_workers):
+    def _compile(self, ops, backend, parallel, cache):
         from repro.core.plan import PlanError
         from repro.core.service import compile_many
         from repro.solvers.vecops import ENTRY_POINTS
@@ -211,8 +220,7 @@ class SolverContext:
                              [{OP_SPECS[op][1]: self._operand(op)}
                               for op in ops],
                              backend=backend, parallel=parallel, cache=cache,
-                             max_workers=max_workers, opt=self.opt,
-                             entry_points=entry_points)
+                             opt=self.opt, entry_points=entry_points)
         for op, outcome, program, extra in zip(ops, batch, programs,
                                                entry_points):
             inst = self._operand(op)

@@ -1,10 +1,9 @@
 """Warn-and-default parsing for ``REPRO_*`` environment variables.
 
-Configuration knobs read from the environment (worker counts, timeouts,
-cache capacities, daemon queue depths) must never take the process down:
-a typo in ``REPRO_COMPILE_WORKERS=eight`` used to surface as a bare
-``ValueError`` deep inside :func:`repro.core.service.compile_many`, far
-from the actual mistake.  :func:`env_int` / :func:`env_float` /
+Configuration knobs read from the environment (timeouts, cache
+capacities, autotuning budgets) must never take the process down: a typo
+in ``REPRO_AUTOTUNE_TOPK=banana`` must not surface as a bare
+``ValueError`` deep inside the autotuner, far from the actual mistake.  :func:`env_int` / :func:`env_float` /
 :func:`env_choice` centralize the policy instead: a malformed or
 out-of-range value emits one :class:`EnvVarWarning` naming the variable
 and the offending text, bumps the ``env.parse_errors`` counter, and falls

@@ -6,11 +6,13 @@ Covers the PR's acceptance criteria directly:
 - the compilation LRU survives concurrent hits/evictions/reranks;
 - N threads requesting the same native digest pay exactly one cc
   invocation (single-flight), observable via ``native.*`` counters;
-- ``compile_many`` isolates per-item failures and, at 16 workers over a
-  mixed (same + distinct) batch, produces byte-identical results to the
-  serial compilation with exactly one cc invocation per unique digest;
-- a batch runs each item's ``cc`` beside the next item's search, and a
-  build that fails there falls back observably on the calling thread;
+- ``compile_many`` isolates per-item failures and, on 4 threads each
+  running a batch over a slice of a mixed (same + distinct) set, produces
+  byte-identical results to one serial batch with exactly one cc
+  invocation per unique digest;
+- a batch never leaves its caller's thread: it runs each item's ``cc``
+  beside the next item's search, and a build that fails there falls back
+  observably on the calling thread;
 - ``cc`` is a child process of the caller: at most ``os.cpu_count() + 1``
   alive, every one reaped by the join, stopped when its kernel is
   dropped first, killed when it outlives its timeout, and never waited
@@ -70,6 +72,29 @@ def _run_threads(n, fn):
     assert not any(t.is_alive() for t in threads), "worker thread hung"
     if errors:
         raise errors[0]
+
+
+def _batches_on_threads(n, progs, binds, **kwargs):
+    """Split the items into n equal slices and compile each slice as one
+    ``compile_many`` batch on its own thread, all at once under a short
+    switch interval; the outcomes, in item order."""
+    size = len(progs) // n
+    assert size * n == len(progs)
+    batches = [None] * n
+
+    def work(i):
+        sl = slice(i * size, (i + 1) * size)
+        batches[i] = compile_many(progs[sl], binds[sl], **kwargs)
+
+    # a short switch interval interleaves the searching threads, the
+    # toolchain starts and the joins far more often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        _run_threads(n, work)
+    finally:
+        sys.setswitchinterval(interval)
+    return [o for batch in batches for o in batch]
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +233,7 @@ class TestCompileMany:
         binds = [{"A": A}, {"NOPE": A}, {"A": A}]
         before = INSTR.get("service.items.error")
 
-        batch = compile_many(progs, binds, max_workers=3)
+        batch = compile_many(progs, binds)
 
         assert not batch.ok
         assert batch[0].ok and batch[2].ok
@@ -224,7 +249,7 @@ class TestCompileMany:
         (index + program name) while keeping the original traceback."""
         A = as_format(square, "csr")
         progs = [ALL_KERNELS["mvm"](), ALL_KERNELS["row_sums"]()]
-        batch = compile_many(progs, [{"A": A}, {"NOPE": A}], max_workers=2)
+        batch = compile_many(progs, [{"A": A}, {"NOPE": A}])
 
         with pytest.raises(KeyError) as exc_info:
             batch.raise_first()
@@ -250,7 +275,7 @@ class TestCompileMany:
         """One shared binding mapping broadcasts; outcomes keep input order."""
         A = as_format(square, "csr")
         progs = [ALL_KERNELS["mvm"](), ALL_KERNELS["row_sums"]()]
-        batch = compile_many(progs, {"A": A}, max_workers=4)
+        batch = compile_many(progs, {"A": A})
         assert batch.ok
         assert [o.index for o in batch] == [0, 1]
         assert [o.program.name for o in batch] == [p.name for p in progs]
@@ -262,10 +287,10 @@ class TestCompileMany:
         L = as_format(np.tril(square) + 4.0 * np.eye(N), "csr")
         L.annotate_triangular("lower")
         progs = [ALL_KERNELS["mvm"](), ALL_KERNELS["ts_lower"]()]
-        batch = compile_many(progs, {"A": A, "L": L}, max_workers=2)
+        batch = compile_many(progs, {"A": A, "L": L})
         assert batch.ok
         # the same map as a per-item sequence is strict about names
-        strict = compile_many(progs, [{"A": A, "L": L}] * 2, max_workers=2)
+        strict = compile_many(progs, [{"A": A, "L": L}] * 2)
         assert not strict.ok
 
     def test_sequence_length_mismatch_rejected(self, square):
@@ -274,24 +299,31 @@ class TestCompileMany:
             compile_many([ALL_KERNELS["mvm"]()], [{"A": A}, {"A": A}])
 
     def test_invalid_workers_rejected(self, square):
+        """``SolverContext`` still accepts ``max_workers`` (it selects
+        nothing) and rejects a value that was never valid."""
+        from repro.solvers import SolverContext
+
         A = as_format(square, "csr")
-        with pytest.raises(ValueError, match="max_workers"):
-            compile_many([ALL_KERNELS["mvm"]()], {"A": A}, max_workers=0)
+        for bad in (0, -1, 1.5, "two"):
+            with pytest.raises(ValueError, match="max_workers"):
+                SolverContext(A, backend="python", max_workers=bad)
 
     def test_parallel_matches_serial_python_backend(self, square):
-        """Worker-pool compilation must be a pure scheduling change."""
+        """Batches on several threads at once (the daemon's request pool)
+        must compile what one serial batch does."""
         fmts = [as_format(square, n) for n in ("csr", "csc", "coo", "ell")]
-        progs = [ALL_KERNELS["mvm"]() for _ in fmts]
-        binds = [{"A": f} for f in fmts]
+        progs = [ALL_KERNELS["mvm"]() for _ in fmts] * 2
+        binds = [{"A": f} for f in fmts] * 2
         x = np.linspace(-2.0, 2.0, N)
 
         clear_compile_cache()
-        serial = compile_many(progs, binds, max_workers=1, cache="memory")
+        serial = compile_many(progs, binds, cache="memory")
         clear_compile_cache()
-        threaded = compile_many(progs, binds, max_workers=8, cache="memory")
-        assert serial.ok and threaded.ok
+        threaded = _batches_on_threads(4, progs, binds, cache="memory")
+        assert serial.ok and all(o.ok for o in threaded)
 
-        for ks, kt, f in zip(serial.kernels, threaded.kernels, fmts):
+        for ks, kt, f in zip(serial.kernels, [o.kernel for o in threaded],
+                             fmts * 2):
             assert ks.pseudocode() == kt.pseudocode()
             ys, yt = np.zeros(N), np.zeros(N)
             ks({"A": f, "x": x, "y": ys}, {"m": N, "n": N})
@@ -417,10 +449,11 @@ class TestSingleFlight:
         assert len(set(fns)) == 1
         assert len(list(tmp_path.rglob("*.so"))) == 1
 
-    def test_stress_16_threads_mixed_batch(self, square):
-        """Acceptance criterion: 16 workers over a mixed (same + distinct)
-        batch through compile_many — exactly one cc invocation per unique
-        digest, per-item success, results byte-identical to serial."""
+    def test_stress_4_threads_mixed_batch(self, square):
+        """Acceptance criterion: 4 threads, each running a batch over a
+        7-item slice of a mixed (same + distinct) set — exactly one cc
+        invocation per unique digest, per-item success, results
+        byte-identical to one serial batch."""
         fmt_names = ["csr", "csc", "coo", "dia", "ell", "jad", "msr"]
         fmts = [as_format(square, n) for n in fmt_names]
         items = [(ALL_KERNELS["mvm"](), {"A": f})
@@ -429,9 +462,9 @@ class TestSingleFlight:
         binds = [b for _p, b in items]
         x = np.linspace(-1.0, 1.0, N)
 
-        def run_all(batch):
+        def run_all(outcomes):
             outs = []
-            for o, b in zip(batch, binds):
+            for o, b in zip(outcomes, binds):
                 y = np.zeros(N)
                 o.kernel({**b, "x": x, "y": y}, {"m": N, "n": N})
                 outs.append(y.tobytes())
@@ -439,8 +472,7 @@ class TestSingleFlight:
 
         _fresh_native_state()
         before = INSTR.get("native.compiles")
-        serial = compile_many(progs, binds, max_workers=1,
-                              backend="c", cache="memory")
+        serial = compile_many(progs, binds, backend="c", cache="memory")
         serial_compiles = INSTR.get("native.compiles") - before
         assert serial.ok
         assert serial_compiles == len(fmt_names)
@@ -449,16 +481,9 @@ class TestSingleFlight:
         _fresh_native_state()
         before = INSTR.get("native.compiles")
         fallbacks_before = INSTR.get("native.fallbacks")
-        # a short switch interval interleaves the searching workers, the
-        # toolchain threads and the joins far more often
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-4)
-        try:
-            threaded = compile_many(progs, binds, max_workers=16,
-                                    backend="c", cache="memory")
-        finally:
-            sys.setswitchinterval(interval)
-        assert threaded.ok
+        threaded = _batches_on_threads(4, progs, binds, backend="c",
+                                       cache="memory")
+        assert all(o.ok for o in threaded)
         assert INSTR.get("native.compiles") - before == len(fmt_names)
         assert INSTR.get("native.fallbacks") - fallbacks_before == 0
         assert all(o.kernel.backend_used.startswith("c") for o in threaded)
@@ -531,7 +556,7 @@ class TestToolchainOverlap:
     OPS = ("mvm", "ts_lower", "ts_upper")
 
     def test_cc_runs_beside_the_next_search(self, tmp_path, monkeypatch):
-        """A cold 3-op context searching on one thread: the second unit's
+        """A cold 3-op context, default arguments: the second unit's
         cc starts while the first one's still runs, no more toolchain
         processes run at once than one per CPU and one more — on two CPUs
         or more, all three units' cc at once — and every unit's C and
@@ -545,8 +570,7 @@ class TestToolchainOverlap:
         log = _slow_cc(tmp_path, monkeypatch, sleep=0.6)
         try:
             before = INSTR.get("native.compiles")
-            ctx = SolverContext(A, ops=self.OPS, backend="c", max_workers=1,
-                                cache="memory")
+            ctx = SolverContext(A, ops=self.OPS, backend="c", cache="memory")
             assert INSTR.get("native.compiles") - before == 3
             spans = _cc_intervals(log)
             assert len(spans) == 3
@@ -566,11 +590,41 @@ class TestToolchainOverlap:
             assert alone.c_source == c_source
             assert alone.source == source
 
+    def test_a_batch_never_leaves_its_callers_thread(self, monkeypatch):
+        """A default-argument 3-op batch runs every search on the thread
+        that called ``compile_many``, and starts no thread of its own —
+        neither during the batch nor left behind after it."""
+        import repro.core.compiler as compiler
+
+        A = as_format(laplacian_2d(6), "csr")
+        L = as_format(np.tril(A.to_dense()), "csr")
+        L.annotate_triangular("lower")
+        U = as_format(np.triu(A.to_dense()), "csr")
+        U.annotate_triangular("upper")
+        real_search = compiler.search
+        searched_on, seen = [], set()
+        alive = set(threading.enumerate())
+
+        def search(*args, **kwargs):
+            searched_on.append(threading.get_ident())
+            seen.update(threading.enumerate())
+            return real_search(*args, **kwargs)
+
+        monkeypatch.setattr(compiler, "search", search)
+        progs = [ALL_KERNELS[op]() for op in self.OPS]
+        batch = compile_many(progs, {"A": A, "L": L, "U": U}, backend="c",
+                             cache="off")
+        seen.update(threading.enumerate())
+        assert batch.ok
+        assert all(k.backend_used == "c" for k in batch.kernels)
+        assert searched_on == [threading.get_ident()] * 3
+        assert not [t.name for t in seen - alive]
+
     def test_failed_build_falls_back_on_calling_thread(
             self, square, tmp_path, monkeypatch):
-        """One unit of a 3-item batch fails in cc on a build thread: the
-        join on the calling thread warns once, counts it, and leaves that
-        item on the Python kernel while the other two are native."""
+        """One unit of a 3-item batch fails in cc: the join on the calling
+        thread warns once, counts it, and leaves that item on the Python
+        kernel while the other two are native."""
         fmts = [as_format(square, f) for f in ("csr", "csc", "coo")]
         progs = [ALL_KERNELS["mvm"]() for _ in fmts]
         binds = [{"A": f} for f in fmts]
@@ -590,7 +644,7 @@ class TestToolchainOverlap:
         try:
             with pytest.warns(NativeBackendWarning) as record:
                 batch = compile_many(progs, binds, backend="c",
-                                     cache="memory", max_workers=3)
+                                     cache="memory")
         finally:
             monkeypatch.undo()
             _fresh_native_state()
@@ -648,8 +702,7 @@ class TestToolchainProcesses:
         before = INSTR.snapshot()["counters"]
         children = _children()
         try:
-            batch = compile_many(progs, binds, backend="c", cache="memory",
-                                 max_workers=1)
+            batch = compile_many(progs, binds, backend="c", cache="memory")
             left = _children() - children
             threads = [t.name for t in threading.enumerate()]
         finally:

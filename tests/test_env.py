@@ -4,20 +4,19 @@
 A garbage numeric environment variable must never escape as a raw
 ``ValueError`` from deep inside the pipeline: :func:`repro.util.env_int`
 / :func:`env_float` warn once (:class:`~repro.util.EnvVarWarning`), count
-``env.parse_errors``, and return the documented default — and the two
-call sites the bug report named (``compile_many`` worker sizing, the
-single-flight follower timeout) behave as if the variable were unset.
+``env.parse_errors``, and return the documented default — and a call
+site (the single-flight follower timeout; ``test_autotune`` covers the
+autotuner's ``REPRO_AUTOTUNE_TOPK``) behaves as if the variable were
+unset.
 """
 
 from __future__ import annotations
 
 import warnings
 
-import numpy as np
 import pytest
 
 from repro.core.compiler import compile_kernel
-from repro.core.service import compile_many
 from repro.formats import as_format
 from repro.instrument import INSTR
 from repro.ir.kernels import ALL_KERNELS
@@ -81,18 +80,6 @@ class TestEnvFloat:
 
 class TestCallSites:
     """The original bug: garbage values raised bare ValueError."""
-
-    def test_compile_many_with_garbage_workers(self, monkeypatch, small_square):
-        monkeypatch.setenv("REPRO_COMPILE_WORKERS", "eight")
-        A = as_format(small_square, "csr")
-        with pytest.warns(EnvVarWarning, match="REPRO_COMPILE_WORKERS"):
-            batch = compile_many([ALL_KERNELS["mvm"]()], {"A": A})
-        assert batch.ok
-        x = np.ones(A.ncols)
-        y = np.zeros(A.nrows)
-        batch.kernels[0]({"A": A, "x": x, "y": y},
-                         {"m": A.nrows, "n": A.ncols})
-        assert np.allclose(y, small_square @ x)
 
     def test_singleflight_timeout_with_garbage_value(self, monkeypatch):
         monkeypatch.setenv("REPRO_SINGLEFLIGHT_TIMEOUT", "soon")

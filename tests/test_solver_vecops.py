@@ -366,7 +366,7 @@ def test_steps_ride_in_the_mvm_unit(spd, rhs, monkeypatch, tmp_path):
     def request(cache):
         before = dict(INSTR.counters)
         ctx = SolverContext(A, ops=ops, backend="c", opt="none", cache=cache,
-                            max_workers=1, register=False)
+                            register=False)
         got = cg(ctx, rhs[0], tol=1e-11)
         assert ctx.vecops == "c"
         assert _delta(before, "solver.vecops.native") == 1
