@@ -495,14 +495,11 @@ def spgemm(A: SparseFormat, B: SparseFormat,
     — or whose padded storage would dwarf it — falls back to CSR
     observably (``spgemm.output_fallbacks``).
 
-    An operand's stored zeros are entries: the product is structural, so
-    a padded operand multiplies every cell it stores.  A DIA operand
-    multiplies every in-range cell of its stored diagonals — on
-    ``can_1072`` (12 400 entries, 1 113 050 DIA cells) ``spgemm(dia,
-    csr)`` stores 1 149 181 entries in 130-180 ms, ``spgemm(csr, csr)``
-    119 392 in 2-4 ms.  ``convert`` keeps stored zeros too; only an
-    operand built from its nonzeros gives the numeric product's
-    pattern."""
+    An operand's stored zeros are entries, so a DIA operand multiplies
+    every in-range cell of its stored diagonals: on ``can_1072`` (12 400
+    entries, 1 113 050 DIA cells) ``spgemm(dia, csr)`` stores 1 149 181
+    entries in 130-180 ms, ``spgemm(csr, csr)`` 119 392 in 2-4 ms.
+    ``convert`` keeps stored zeros too."""
     if format_kwargs and out_format in (None, "csr", "auto"):
         raise TypeError(
             f"spgemm: {', '.join(sorted(format_kwargs))} only apply to a "
