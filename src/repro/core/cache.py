@@ -17,8 +17,9 @@ the identical candidate set and lower the identical plans; only the
 *cost ranking* can differ, because costs read instance statistics.
 
 **Statistics signature & invalidation** — alongside each entry we record
-the instance statistics the ranking consumed (shape, nnz, per-path step
-totals).  On a hit with equal statistics the memoized selection is
+the instance statistics the ranking consumed (shape and per-path step
+totals: all the cost model reads of an instance, so a format's data-free
+sized stand-in and its built instance sign alike).  On a hit with equal statistics the memoized selection is
 returned as-is.  On a hit with shifted statistics the recorded plans are
 *re-costed* against the new instances (``plan_cost(..., fmts=...)``) and
 re-selected — exactly what a fresh search would do after re-lowering the
@@ -132,14 +133,16 @@ def structural_signature(
 
 
 def stats_signature(bindings: Mapping[str, SparseFormat]) -> Tuple:
-    """The instance statistics the cost ranking consumed."""
+    """The instance statistics the cost ranking consumed: the shape and
+    the step totals (:func:`~repro.cost.model.plan_cost` reads nothing
+    else of an instance)."""
     out = []
     for name in sorted(bindings):
         fmt = bindings[name]
         per_path = tuple(
             (p.path_id, tuple(step_totals(fmt, p.path_id))) for p in fmt.paths()
         )
-        out.append((name, fmt.nrows, fmt.ncols, fmt.nnz, per_path))
+        out.append((name, fmt.nrows, fmt.ncols, per_path))
     return tuple(out)
 
 

@@ -481,8 +481,12 @@ def _solution(fmt: "SparseFormat", path_id: str
             for v, k in e.coeffs.items() if v in keys)
         if split:
             (u, w), = split
-            keys[u] = f"({value}) // {e.coeffs[u]}"
-            keys[w] = f"({value}) % {e.coeffs[u]}"
+            s = e.coeffs[u]
+            # a power of two splits by shift and mask: the same floor
+            # quotient and remainder, negative values too, without a division
+            q, m = ((f">> {s.bit_length() - 1}", f"& {s - 1}") if s & (s - 1) == 0
+                    else (f"// {s}", f"% {s}"))
+            keys[u], keys[w] = f"({value}) {q}", _Remainder(f"({value}) {m}")
         elif not unknown:
             checks.append(f"{value} == 0")
         else:
@@ -490,6 +494,12 @@ def _solution(fmt: "SparseFormat", path_id: str
     if len(keys) < len(path.axis_names):
         return None
     return [keys[a] for a in path.axis_names], checks
+
+
+class _Remainder(str):
+    """A split's remainder ``x % s``: a key in ``[0, s)``, the extent of
+    its Dense level, whatever ``x`` — no entry can lie outside that level,
+    so the size pass does not evaluate it."""
 
 
 @functools.lru_cache(maxsize=None)
@@ -509,44 +519,74 @@ def _evaluate(e, name: Callable, arrays):
     return _OPS[op](*[_evaluate(a, name, arrays) for a in x])
 
 
-def _unbuilt(e, arrays) -> List[str]:
-    """The arrays ``e`` reads through ``at`` that ``arrays`` lacks."""
+def _reads(e) -> List[str]:
+    """The arrays ``e`` reads through ``at``."""
     if not isinstance(e, tuple):
         return []
-    return ([e[1]] if e[0] == "at" and e[1] not in arrays else []) + [
-        a for x in e[1:] for a in _unbuilt(x, arrays)]
+    return ([e[1]] if e[0] == "at" else []) + [a for x in e[1:] for a in _reads(x)]
+
+
+def _unbuilt(e, arrays) -> List[str]:
+    """The arrays ``e`` reads through ``at`` that ``arrays`` lacks."""
+    return [a for a in _reads(e) if a not in arrays]
 
 
 class _Unstated(ValueError):
     """A declaration whose levels do not state its assembly."""
 
 
+class _Unsized(Exception):
+    """A declaration the size pass cannot size without filling its arrays
+    (only a build can tell)."""
+
+
+class _Unfilled:
+    """What the size pass holds where a build fills an array: nothing, or
+    for a value array the entries that would fill it, in stored order
+    (``keys`` per axis of ``path``, ``vals``)."""
+
+    def __init__(self, path=None, keys=(), vals=None):
+        self.path, self.keys, self.vals = path, keys, vals
+
+
+_UNFILLED = _Unfilled()
+
 #: how far an entry may stray from the value its mirror stores (SYM)
 _MIRROR_TOLERANCE = 1e-12
 
 
 def _level(level, keys, group, names, arrays, shape, extent: int, fmt: str,
-           last: bool, ordered: bool):
+           last: bool, ordered: bool, sized: bool = False, keep: bool = True):
     """A level built by the rule of its kind from the keys of its axes,
     ``group`` the enclosing level's states and their number, ``names`` the
     sizes and the enclosing axis (a prefix each), ``extent`` the logical
     extent of its first key, ``ordered`` whether the entries are in the
     path's key order under each prefix: every entry's state, and the
     number of states.  A sparse level above others stores the distinct
-    keys of each prefix, which the levels below address within."""
-    n = keys[0].size
+    keys of each prefix, which the levels below address within.  ``sized``
+    (the size pass) fills no array a bound cannot read — an
+    :class:`_Unfilled` stands in — and builds the states only when
+    ``keep``: the level below reads them."""
     if isinstance(level, Dense) and isinstance(names.get(level.extent), int):
         return keys[0], names[level.extent]
+    n = keys[0].size
     if isinstance(level, Coords) and all(isinstance(i, str) for i in level.inds):
         if last:
-            arrays.update((i, k.astype(storage_index_dtype(shape, n)))
+            arrays.update((i, _UNFILLED if sized
+                           else k.astype(storage_index_dtype(shape, n)))
                           for i, k in zip(level.inds, keys))
             return slice(0, n), n
         if len(keys) == 1:
-            arrays[level.inds[0]], state = _distinct(keys[0])
+            arrays[level.inds[0]], state = _distinct(keys[0], keep)
             return state, arrays[level.inds[0]].size
     if (isinstance(level, Coords) and ordered and isinstance(level.inds[0], Perm)
             and all(isinstance(i, str) for i in level.inds[1:])):
+        if sized and last:
+            perm = level.inds[0]
+            arrays.update(dict.fromkeys((perm.forward, perm.inverse,
+                                         perm.stored.ptr, *level.inds[1:]),
+                                        _UNFILLED))
+            return slice(0, n), n
         return _permuted(level, keys, arrays, shape, extent), n
     if (group is None or not isinstance(level, (Compressed, Counted, Range))
             or getattr(level, "off_diagonal", False)
@@ -555,33 +595,65 @@ def _level(level, keys, group, names, arrays, shape, extent: int, fmt: str,
     (parent, prefixes), key = group, keys[0]
     if isinstance(level, Range):
         return _range(level, key, parent, prefixes, names, arrays, ordered)
+    state = None
     if isinstance(level, Compressed) and not last:
         span = int(key.max(initial=0)) + 1
-        uniq, state = _distinct(parent * span + key)
-        parent, key = np.divmod(uniq, span)
+        joint = parent * span
+        joint += key
+        uniq, state = _distinct(joint, keep)
+        del joint
+        parent, key = (None, uniq) if sized else np.divmod(uniq, span)
     elif not ordered:
         raise _Unstated(f"a {type(level).__name__} level under unordered keys")
     if isinstance(level, Compressed):
-        idx = storage_index_dtype(shape, n)
-        arrays[level.ptr] = csr_rowptr(parent, prefixes, idx)
-        arrays[level.ind] = key.astype(idx)
+        if sized:
+            arrays[level.ptr] = arrays[level.ind] = _UNFILLED
+        else:
+            idx = storage_index_dtype(shape, n)
+            arrays[level.ptr] = csr_rowptr(parent, prefixes, idx)
+            arrays[level.ind] = key.astype(idx)
         return (state, key.size) if not last else (slice(0, n), n)
     counts = np.bincount(parent, minlength=prefixes)
     longest = int(counts.max(initial=0))
     check_padding(fmt, n, prefixes * longest)
     width = max(longest, min(extent, 1))   # padding holds coordinate 0
-    arrays[level.count], arrays[level.ind] = counts, np.zeros(
-        (prefixes, width), dtype=storage_index_dtype(shape, prefixes * width))
-    slot = np.arange(n) - (np.cumsum(counts) - counts)[parent]
-    arrays[level.ind][parent, slot] = key
-    return slot, width
+    if keep or not sized:
+        state = np.arange(n) - (np.cumsum(counts) - counts)[parent]
+    if sized:
+        arrays[level.count] = arrays[level.ind] = _UNFILLED
+    else:
+        arrays[level.count], arrays[level.ind] = counts, np.zeros(
+            (prefixes, width), dtype=storage_index_dtype(shape, prefixes * width))
+        arrays[level.ind][parent, state] = key
+    return state, width
 
 
-def _distinct(key):
-    """The distinct keys, sorted, and the rank of each key among them."""
-    ordered = np.sort(key)
+def _distinct(key, ranks: bool = True):
+    """The distinct keys, sorted, and the rank of each key among them
+    (None unless ``ranks``).  Two kinds of keys take O(n) passes, no sort
+    and no search: keys already non-decreasing — where a key differs from
+    the one before marks a distinct key, and the running count of the
+    marks is the rank — and keys spanning no more values than there are
+    keys (DIA's diagonals), counted per value.  Others are sorted as
+    their offsets from the least key, at 32 bits where those fit."""
+    if np.all(key[1:] >= key[:-1]):
+        new = np.empty(key.size, dtype=bool)
+        new[:1] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        return key[new], (np.cumsum(new) - 1 if ranks else None)
+    lo = key.min()
+    span = int(key.max()) - int(lo)
+    offset = key - lo
+    if span < key.size:
+        held = np.bincount(offset) > 0
+        uniq = (np.flatnonzero(held) + lo).astype(key.dtype, copy=False)
+        return uniq, ((np.cumsum(held) - 1)[offset] if ranks else None)
+    if span < 2**32:
+        offset = offset.astype(np.uint32)
+    ordered = np.sort(offset)
     uniq = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
-    return uniq, np.searchsorted(uniq, key)
+    rank = np.searchsorted(uniq, offset) if ranks else None
+    return (uniq + lo).astype(key.dtype, copy=False), rank
 
 
 def _range(level, key, parent, prefixes, names, arrays, ordered):
@@ -589,6 +661,10 @@ def _range(level, key, parent, prefixes, names, arrays, ordered):
     solved for it — per prefix the first and one past the last key, as
     that array plus the rest (a skyline's ``first[r] + length[r]``) — and
     every entry is checked to lie within the bounds (DIA's offsets)."""
+    if any(isinstance(arrays.get(a), _Unfilled)
+           for b in (level.lo, level.hi) for a in _reads(b)):
+        raise _Unsized(f"the Range {level!r} reads an array the size pass "
+                       "does not fill")
     if any(_unbuilt(b, arrays) for b in (level.lo, level.hi)):
         if not ordered:
             raise _Unstated("a Range level under unordered keys")
@@ -637,13 +713,13 @@ def _permuted(level, keys, arrays, shape, extent: int):
     return slot
 
 
-def _mirrored(fmt, path, rows, cols, vals, arrays) -> None:
+def _mirrored(fmt, path, rows, cols, vals, walked) -> None:
     """Hold the entries routed to a branch whose arrays an earlier branch
-    built (SYM's mirror) to those the branch walks there: equal within
+    built (SYM's mirror) to those the branch ``walked`` there (rows,
+    columns and values, in its stored order): equal within
     :data:`_MIRROR_TOLERANCE`, an entry missing on either side read as
     0.0."""
-    vars(fmt).update(arrays)
-    wr, wc, wv = fmt.runtime(path.path_id).coo()
+    wr, wc, wv = walked
     keys = np.append(rows * fmt.ncols + cols, -1)   # sorted; -1: none
     walked = np.asarray(wr, dtype=np.int64) * fmt.ncols + wc
     pos = np.searchsorted(keys[:-1], walked)
@@ -659,10 +735,79 @@ def _mirrored(fmt, path, rows, cols, vals, arrays) -> None:
                          f"{path.branch!r})")
 
 
-def _branch(fmt, path, rows, cols, vals, left, arrays, placed):
+def _walked_sized(fmt, path, built: _Unfilled):
+    """What ``path`` walks over the arrays another branch's path stored
+    (``built``: the entries of one Dense level over one Compressed level,
+    in stored order), and its step totals, read off that branch's
+    entries: its levels must be that path's, one axis each and in the
+    same order — an ``off_diagonal`` one skipping the slots whose key is
+    the enclosing Dense key; otherwise only a build can tell."""
+    if built.path is None:
+        raise _Unsized(f"path {path.path_id!r} walks arrays stored out of order")
+    mine, theirs = fmt.storage(path.path_id), fmt.storage(built.path.path_id)
+    plain = [lv._replace(off_diagonal=False) if isinstance(lv, Compressed)
+             else lv for lv in mine.levels]
+    index = [[p.axis_names.index(i) if i in p.axis_names else None
+              for i in d.value[1:]] for p, d in ((path, mine), (built.path, theirs))]
+    if (plain != list(theirs.levels) or len(path.axis_names) != len(mine.levels)
+            or mine.value[0] != theirs.value[0] or index[0] != index[1]
+            or None in index[0]):
+        raise _Unsized(f"path {path.path_id!r} walks another path's arrays")
+    held = np.ones(built.vals.size, dtype=bool)
+    for step, level in enumerate(mine.levels):
+        if getattr(level, "off_diagonal", False):
+            held &= built.keys[step] != built.keys[step - 1]
+    keys = {a: k[held] for a, k in zip(path.axis_names, built.keys)}
+    rows, cols = (_affine(path.subs[d], keys) for d in ("r", "c"))
+    count = int(np.count_nonzero(held))
+    extent = _attr_sizes(fmt, mine)[mine.levels[0].extent]
+    return (rows, cols, built.vals[held]), [extent, max(1, count)]
+
+
+def _attr_sizes(fmt, decl: Storage) -> Dict[str, object]:
+    """The declared sizes the shape and keywords give (BSR's block size),
+    by local name."""
+    return {a.local: getattr(fmt, a.attr, None) for a in decl.args
+            if isinstance(a, Size) and a.kind == "attr"}
+
+
+def _path_totals(fmt, path, n: int, counted: Dict[Tuple, int]) -> List[int]:
+    """The step totals of a path that walks the arrays another path of its
+    branch built, which holds ``n`` entries: a Dense level (or a ``Perm``
+    of one) yields the enclosing total times its extent, the last level
+    one state per entry, a ``Compressed`` one the distinct keys down to it
+    — counted already (``counted``, by the keys' expressions) by the path
+    that built them.  Any other level: only a build can tell."""
+    decl, solution = fmt.storage(path.path_id), _solution(fmt, path.path_id)
+    if solution is None:
+        raise _Unsized(f"path {path.path_id!r} does not solve for (r, c)")
+    exprs, sizes = solution[0], _attr_sizes(fmt, decl)
+    totals, first = [], 0
+    for step, level in zip(path.steps, decl.levels):
+        stored, last = getattr(level, "stored", level), first + len(step.axes)
+        prev = totals[-1] if totals else 1
+        if isinstance(stored, Dense) and isinstance(sizes.get(stored.extent), int):
+            totals.append(prev * sizes[stored.extent])
+        elif getattr(level, "off_diagonal", False):
+            raise _Unsized(f"path {path.path_id!r} skips slots")
+        elif level is decl.levels[-1] and isinstance(level, (Compressed, Counted, Coords)):
+            totals.append(max(1, prev * n if isinstance(level, Coords) else n))
+        elif isinstance(level, Compressed) and tuple(exprs[:last]) in counted:
+            totals.append(max(1, counted[tuple(exprs[:last])]))
+        else:
+            raise _Unsized(f"path {path.path_id!r}: a {type(level).__name__} level")
+        first = last
+    return totals
+
+
+def _branch(fmt, path, rows, cols, vals, left, arrays, placed, sizes=None):
     """One aggregation branch's arrays, from its first ``path``, out of
     the entries no earlier branch took (``left``, a mask; None: all) that
-    its ``subs`` solve for; returns the entries left."""
+    its ``subs`` solve for; returns the entries left.  Given ``sizes``
+    (the size pass) it fills no array but the small ones a bound reads,
+    and puts the step totals of every path of the branch there: per level
+    what :meth:`LevelRuntime.totals` reads off the built arrays."""
+    sized = sizes is not None
     decl, solution = fmt.storage(path.path_id), _solution(fmt, path.path_id)
     if solution is None:
         raise _Unstated(f"path {path.path_id!r} does not solve for (r, c)")
@@ -679,34 +824,63 @@ def _branch(fmt, path, rows, cols, vals, left, arrays, placed):
     else:
         left = slice(0)             # every entry is placed
     if all(a in arrays for a in decl.args if not isinstance(a, Size)):
-        _mirrored(fmt, path, r, c, v, arrays)
+        if not sized:
+            vars(fmt).update(arrays)
+            _mirrored(fmt, path, r, c, v, fmt.runtime(path.path_id).coo())
+            return left
+        if len([p for p in fmt.paths() if p.branch == path.branch]) > 1:
+            raise _Unsized(f"branch {path.branch!r} has another perspective")
+        walked, sizes[path.path_id] = _walked_sized(fmt, path,
+                                                    arrays[decl.value[0]])
+        _mirrored(fmt, path, r, c, v, walked)
         return left
-    keys = list(_function(f"({''.join(x + ', ' for x in exprs)})")(r, c))
+    keys = list(_function("({})".format("".join(
+        ("None" if sized and i and isinstance(x, _Remainder) else x) + ", "
+        for i, x in enumerate(exprs))))(r, c))
+    n = r.size
     del r, c
     # into the path's key order, unless in it or the first level sorts
-    # its own keys
+    # its own keys; the size pass skips the sort where no level reads the
+    # order (it counts keys, distinct or not)
     levels = decl.levels
     ordered = exprs[0] == "r" or bool(np.all(keys[0][1:] >= keys[0][:-1]))
+    in_order = ordered
     if not ordered and not (isinstance(levels[0], Coords) and len(levels) > 1):
-        perm = np.argsort(keys[0], kind="stable")
-        keys, v, ordered = [k[perm] for k in keys], v[perm], True
-        del perm
-    sizes = {a.local: getattr(fmt, a.attr, None) for a in decl.args
-             if isinstance(a, Size) and a.kind == "attr"}   # of the shape
+        if not sized or not all(
+                isinstance(lv, (Dense, Compressed)) or isinstance(lv, Coords)
+                and all(isinstance(i, str) for i in lv.inds) for lv in levels):
+            perm = np.argsort(keys[0], kind="stable")
+            keys, v = [k[perm] for k in keys], v[perm]
+            del perm
+        ordered = True
+    declared = _attr_sizes(fmt, decl)     # of the shape
     group, outer, states, spans, first = None, (), [], {}, 0
-    for step, level in zip(path.steps, levels):
-        names = ({**sizes, **dict.fromkeys(outer, np.arange(group[1]))}
-                 if isinstance(level, Range) and group else sizes)
+    totals, counted = [], {}
+    for i, (step, level) in enumerate(zip(path.steps, levels)):
+        names = ({**declared, **dict.fromkeys(outer, np.arange(group[1]))}
+                 if isinstance(level, Range) and group else declared)
         x, last = exprs[first], first + len(step.axes)
         extent = fmt.shape["rc".index(x)] if x in ("r", "c") else 1
+        below = levels[i + 1] if i + 1 < len(levels) else None
         state, span = _level(level, keys[first:last], group, names, arrays,
                              fmt.shape, extent, fmt.format_name,
-                             level is levels[-1], ordered)
-        if isinstance(level, Dense) and x not in ("r", "c") and state.size and (
-                state.min() < 0 or state.max() >= span):
+                             level is levels[-1], ordered, sized,
+                             keep=not sized or isinstance(
+                                 below, (Compressed, Counted, Range)))
+        if (isinstance(level, Dense) and x not in ("r", "c")
+                and not isinstance(x, _Remainder) and state.size
+                and (state.min() < 0 or state.max() >= span)):
             raise ValueError(f"format {fmt.format_name!r}: an entry lies "
                              f"outside the {span} keys of level {level!r}")
         ordered &= level is levels[-1] or not isinstance(level, (Coords, Compressed))
+        prev = totals[-1] if totals else 1
+        if isinstance(level, Dense):
+            totals.append(prev * span)
+        else:       # its states: a Counted level's are its entries, not its width
+            totals.append(max(1, prev * span if isinstance(level, Coords)
+                              else n if isinstance(level, Counted) else span))
+        if all(isinstance(lv, (Dense, Compressed)) for lv in levels[:i + 1]):
+            counted[tuple(exprs[:last])] = span
         group = (state, span)
         states.append(state)
         # a Range addresses its cells by key
@@ -718,12 +892,50 @@ def _branch(fmt, path, rows, cols, vals, left, arrays, placed):
         shape = tuple(spans[i] for i in index)
         if any(isinstance(levels[path.step_of(i)], Range) for i in index):
             check_padding(fmt.format_name, v.size, int(np.prod(shape)))
-        arrays[array] = np.zeros(shape)
-        arrays[array][tuple(states[path.step_of(i)] for i in index)] = v
-    else:              # an expression over the instance's arrays: later
+        if not sized:
+            arrays[array] = np.zeros(shape)
+            arrays[array][tuple(states[path.step_of(i)] for i in index)] = v
+    elif not sized:    # an expression over the instance's arrays: later
         arrays[array] = np.zeros(span)
         placed.append((path.path_id, tuple(states), v))
+    if sized:
+        # a later branch may walk these arrays (SYM's mirror): keep the
+        # entries where they are stored in the order given (one Dense level
+        # over one Compressed level)
+        arrays[array] = (_Unfilled(path, keys, v) if in_order and [
+            type(lv) for lv in levels] == [Dense, Compressed] else _UNFILLED)
+        sizes[path.path_id] = totals
+        for other in fmt.paths():
+            if other.branch == path.branch and other is not path:
+                sizes[other.path_id] = _path_totals(fmt, other, n, counted)
     return left
+
+
+def _assemble(fmt, rows, cols, vals, arrays, placed, sizes=None):
+    """Every branch's arrays into ``arrays`` (or, given ``sizes``, every
+    path's step totals there), refusing an input the levels cannot hold
+    and a declaration whose levels do not state its assembly."""
+    left = None
+    try:
+        for branch in fmt.union_branches():
+            path = next(p for p in fmt.paths() if p.branch == branch)
+            left = _branch(fmt, path, rows, cols, vals, left, arrays, placed,
+                           sizes)
+        if isinstance(left, np.ndarray) and left.any():
+            i = int(left.argmax())
+            raise _Unstated(f"no branch holds ({rows[i]}, {cols[i]})")
+    except _Unstated as e:
+        raise ValueError(f"format {fmt.format_name!r}: the declaration "
+                         f"does not state its assembly ({e}); define "
+                         "_from_canonical_coo") from None
+
+
+def _keywords(cls, kwargs) -> Tuple[Mapping, Dict]:
+    """The constructor's parameters, and ``kwargs`` completed with the
+    keywords not given read off the class (BSR's block_size)."""
+    params = inspect.signature(cls).parameters
+    return params, {**{p: getattr(cls, p) for p in params if hasattr(cls, p)},
+                    **kwargs}
 
 
 class SparseFormat:
@@ -867,29 +1079,38 @@ class SparseFormat:
         (README, "Format designers") and the values go in through the
         declared value index — all fresh arrays.  A format whose levels
         do not state its assembly overrides this."""
-        params = inspect.signature(cls).parameters
-        # a constructor keyword not given reads its default off the class
-        # (BSR's block_size)
-        kwargs = {**{p: getattr(cls, p) for p in params if hasattr(cls, p)},
-                  **kwargs}
+        params, kwargs = _keywords(cls, kwargs)
         fmt = cls._bare(shape, kwargs)
-        arrays, placed, left = {"shape": fmt.shape}, [], None
-        try:
-            for branch in fmt.union_branches():
-                path = next(p for p in fmt.paths() if p.branch == branch)
-                left = _branch(fmt, path, rows, cols, vals, left, arrays, placed)
-            if isinstance(left, np.ndarray) and left.any():
-                i = int(left.argmax())
-                raise _Unstated(f"no branch holds ({rows[i]}, {cols[i]})")
-        except _Unstated as e:
-            raise ValueError(f"format {cls.format_name!r}: the declaration "
-                             f"does not state its assembly ({e}); define "
-                             "_from_canonical_coo") from None
+        arrays, placed = {"shape": fmt.shape}, []
+        _assemble(fmt, rows, cols, vals, arrays, placed)
         out = cls(**{p: arrays[p] for p in params if p in arrays}, **kwargs)
         for path_id, states, v in placed:   # through the instance's arrays
             rt = out.runtime(path_id)
             rt._values[rt._cells(states)] = v
         return out
+
+    @classmethod
+    def sized(cls, rows, cols, vals, shape, **kwargs) -> Optional["SparseFormat"]:
+        """The size pass: a data-free instance of this format (as
+        :meth:`stand_in` makes) for triples in canonical form, carrying
+        the step totals of every path — what the cost model reads, those
+        of the instance :meth:`_from_canonical_coo` builds — after the
+        checks that build makes, refusing what it refuses with the same
+        ``ValueError``.  It fills no array but the few a level's bounds
+        read (DIA's diagonals).  None when only a build can tell: a class
+        that assembles itself, or a level the size rules do not cover."""
+        if (getattr(cls._from_canonical_coo, "__func__", None)
+                is not SparseFormat._from_canonical_coo.__func__):
+            return None
+        fmt = cls._bare(shape, _keywords(cls, kwargs)[1])
+        totals: Dict[str, List[int]] = {}
+        try:
+            _assemble(fmt, rows, cols, vals, {"shape": fmt.shape}, [], totals)
+        except _Unsized:
+            return None
+        fmt._check_shape()
+        fmt._step_totals_cache = totals
+        return fmt
 
     @classmethod
     def _bare(cls, shape, kwargs) -> "SparseFormat":
@@ -899,6 +1120,11 @@ class SparseFormat:
         SparseFormat.__init__(fmt, shape)
         vars(fmt).update(kwargs)
         return fmt
+
+    def _check_shape(self) -> None:
+        """Refuse a shape the format cannot hold (BSR's blocks must tile
+        it): the constructor's checks on the shape and keywords alone,
+        which the size pass makes on its data-free instance too."""
 
     def stand_in(self) -> "SparseFormat":
         """A data-free instance of this one's structure: its shape, its

@@ -44,8 +44,7 @@ class BsrMatrix(SparseFormat):
                  block_size: int, shape: Tuple[int, int]):
         super().__init__(shape)
         self.block_size = int(block_size)
-        if self.nrows % self.block_size or self.ncols % self.block_size:
-            raise ValueError("matrix dimensions must be multiples of the block size")
+        self._check_shape()
         self.data = np.asarray(data, dtype=np.float64)
         nblocks = np.size(blockind)
         if self.data.shape != (nblocks, self.block_size, self.block_size):
@@ -54,6 +53,10 @@ class BsrMatrix(SparseFormat):
         self.indptr = pointer_array(indptr, idx, "indptr", self.block_rows,
                                     nblocks)
         self.blockind = index_array(blockind, idx, "blockind", self.block_cols)
+
+    def _check_shape(self) -> None:
+        if self.nrows % self.block_size or self.ncols % self.block_size:
+            raise ValueError("matrix dimensions must be multiples of the block size")
 
     @property
     def block_rows(self) -> int:

@@ -62,16 +62,20 @@ DECLARATION = {
 class JadMatrix(SparseFormat):
     """JAD: ``iperm`` (m), ``dptr`` (nd+1), ``colind``/``values`` (nnz),
     plus derived ``rowcnt`` (entries per permuted row) and the inverse
-    permutation (built once; the paper's ``term_perm_vector.unapply`` does a
-    linear scan — we precompute, which only changes a constant factor of the
-    search cost).  Index arrays — the derived ones included — are stored
-    at ``index_dtype(max(m, n, nnz))``; ``dptr[-1]``, the largest address
-    ``dptr[d] + rr`` reaches, is ``nnz``."""
+    permutation ``ipermi`` (built once; the paper's
+    ``term_perm_vector.unapply`` does a linear scan — we precompute, which
+    only changes a constant factor of the search cost).  An ``ipermi``
+    given is taken as ``iperm``'s inverse unchecked: the assembly passes
+    the one it derived with the permutation.  Index arrays — the derived
+    ones included — are stored at ``index_dtype(max(m, n, nnz))``;
+    ``dptr[-1]``, the largest address ``dptr[d] + rr`` reaches, is
+    ``nnz``."""
 
     format_name = "jad"
 
     def __init__(self, iperm: np.ndarray, dptr: np.ndarray, colind: np.ndarray,
-                 values: np.ndarray, shape: Tuple[int, int]):
+                 values: np.ndarray, shape: Tuple[int, int],
+                 ipermi: Optional[np.ndarray] = None):
         super().__init__(shape)
         self.values = np.asarray(values, dtype=np.float64)
         if np.shape(iperm) != (self.nrows,):
@@ -83,12 +87,18 @@ class JadMatrix(SparseFormat):
         self.dptr = pointer_array(dptr, idx, "dptr", np.size(dptr) - 1,
                                   self.values.size)
         self.colind = index_array(colind, idx, "colind", self.ncols)
-        # the inverse permutation, which is also the permutation check: m
-        # in-range entries reach every row once exactly when none is missed
-        self.ipermi = np.full(self.nrows, -1, dtype=idx)
-        self.ipermi[self.iperm] = np.arange(self.nrows, dtype=idx)
-        if self.nrows and self.ipermi.min() < 0:
-            raise ValueError(f"iperm is not a permutation of [0, {self.nrows})")
+        if ipermi is not None:      # the assembly's, from the permutation it built
+            if np.shape(ipermi) != (self.nrows,):
+                raise ValueError("ipermi must have nrows entries")
+            self.ipermi = np.asarray(ipermi, dtype=idx)
+        else:
+            # the inverse permutation, which is also the permutation check:
+            # m in-range entries reach every row once exactly when none is
+            # missed
+            self.ipermi = np.full(self.nrows, -1, dtype=idx)
+            self.ipermi[self.iperm] = np.arange(self.nrows, dtype=idx)
+            if self.nrows and self.ipermi.min() < 0:
+                raise ValueError(f"iperm is not a permutation of [0, {self.nrows})")
         lens = np.diff(self.dptr)
         if lens.size > 1 and np.any(lens[1:] > lens[:-1]):
             raise ValueError("jagged diagonal lengths must be non-increasing")

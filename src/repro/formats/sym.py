@@ -38,8 +38,7 @@ class SymMatrix(SparseFormat):
     def __init__(self, rowptr: np.ndarray, colind: np.ndarray, values: np.ndarray,
                  shape: Tuple[int, int]):
         super().__init__(shape)
-        if self.nrows != self.ncols:
-            raise ValueError("symmetric storage requires a square matrix")
+        self._check_shape()
         self.values = np.asarray(values, dtype=np.float64)
         if np.shape(colind) != self.values.shape:
             raise ValueError("colind/values length mismatch")
@@ -50,6 +49,10 @@ class SymMatrix(SparseFormat):
         rows = np.repeat(np.arange(self.nrows), np.diff(self.rowptr))
         if np.any(self.colind > rows):
             raise ValueError("symmetric storage keeps only the lower triangle")
+
+    def _check_shape(self) -> None:
+        if self.nrows != self.ncols:
+            raise ValueError("symmetric storage requires a square matrix")
 
     # -- high-level API ----------------------------------------------------
     @property

@@ -24,9 +24,13 @@ structure class tune once (:mod:`repro.search.autotune` single-flight).
 (Winner records written while ``opt`` was a search axis carry a ``tier``
 field; they replay with it ignored.)
 
-Ranking does not run the C toolchain: every candidate is compiled as far
-as its plan and Figure 11 cost, and only a candidate that is measured, or
-returned as ``SelectionResult.best``, is bound natively.
+Ranking builds nothing it rejects: every candidate is sized from the
+canonical triples (:meth:`~repro.formats.base.SparseFormat.sized`, a
+data-free stand-in carrying the step totals the cost model reads), and
+compiled on that as far as its plan and Figure 11 cost.  Only a candidate
+that is measured, or returned as ``SelectionResult.best``, is built —
+``SelectionResult.instances`` builds any other on first access — and only
+those are bound natively.
 
 ``model`` and ``auto`` return every candidate (formats with no legal plan
 are reported, not hidden), ranked best first; a cache-served ``auto``
@@ -35,9 +39,9 @@ selection reports only the winner and sets ``SelectionResult.cached``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
-
-from typing import TYPE_CHECKING
+import threading
+from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Mapping,
+                    Optional, Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -69,8 +73,8 @@ class FormatChoice:
     Python-fallback kernel is never silently compared against native
     ones."""
 
-    __slots__ = ("format_name", "kernel", "score", "error", "model_cost",
-                 "measured", "backend_used")
+    __slots__ = ("format_name", "_kernel", "score", "error", "model_cost",
+                 "measured", "backend_used", "_build")
 
     def __init__(self, format_name: str, kernel,
                  score: Optional[float], error: Optional[str] = None,
@@ -78,16 +82,32 @@ class FormatChoice:
                  measured: Optional[float] = None,
                  backend_used: Optional[str] = None):
         self.format_name = format_name
-        self.kernel = kernel
+        self._kernel = kernel
         self.score = score
         self.error = error
         self.model_cost = model_cost
         self.measured = measured
         self.backend_used = backend_used
+        #: the build of a candidate ranking only sized
+        self._build: Optional[_Build] = None
+
+    @property
+    def kernel(self):
+        """The compiled kernel: ranked on the candidate's sized stand-in,
+        and bound to its built instance — built here on first access."""
+        if self._build is not None:
+            self._build()
+        return self._kernel
 
     @property
     def ok(self) -> bool:
-        return self.kernel is not None
+        return self._kernel is not None
+
+    def _refuse(self, error: str) -> None:
+        """Report the candidate inapplicable after all (a build that
+        failed where its size pass did not: out of memory)."""
+        self._kernel = self._build = self.score = self.model_cost = None
+        self.error = error
 
     @property
     def label(self) -> str:
@@ -103,9 +123,60 @@ class FormatChoice:
         return f"<{self.label}: score={self.score:.4g}{tail}>"
 
 
+class _Build:
+    """The instance of a candidate ranking only sized: built by
+    ``make(name)`` on first call, once, and its kernel rebound to it before
+    anything is emitted from it.  (It refers to neither the choice nor the
+    selection, so no cycle keeps the triples ``make`` holds alive.)"""
+
+    __slots__ = ("name", "kernel", "array", "make", "inst", "lock")
+
+    def __init__(self, name: str, kernel, array: str,
+                 make: Callable[[str], SparseFormat]):
+        self.name, self.kernel, self.array, self.make = name, kernel, array, make
+        self.inst: Optional[SparseFormat] = None
+        self.lock = threading.Lock()
+
+    def __call__(self) -> SparseFormat:
+        with self.lock:
+            if self.inst is None:
+                inst = self.make(self.name)
+                self.kernel.bindings[self.array] = inst
+                self.inst = inst
+        return self.inst
+
+
+class _Instances(Mapping):
+    """The ranked candidates' instances by format name, in candidate
+    order: one ranking only sized is built on first access."""
+
+    def __init__(self):
+        self._by_name: Dict[str, Union[SparseFormat, _Build]] = {}
+
+    def add(self, name: str, inst: Union[SparseFormat, _Build]) -> None:
+        self._by_name[name] = inst
+
+    def drop(self, name: str) -> None:
+        self._by_name.pop(name, None)
+
+    def __getitem__(self, name: str) -> SparseFormat:
+        inst = self._by_name[name]
+        return inst() if isinstance(inst, _Build) else inst
+
+    def __contains__(self, name) -> bool:
+        return name in self._by_name
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._by_name)
+
+    def __len__(self) -> int:
+        return len(self._by_name)
+
+
 class SelectionResult:
     """Ranked outcomes; ``best`` is the winning (format name, instance,
-    kernel) triple.
+    kernel) triple.  ``instances`` answers for every candidate with a plan
+    (a losing one is built on first access).
 
     ``auto``-mode extras: ``signature`` is the structure signature the
     winner cache was keyed on, and ``cached`` is True when the selection
@@ -170,21 +241,79 @@ class SelectionResult:
 # Candidate construction
 # ---------------------------------------------------------------------------
 
-def _build_instance(name: str, matrix: SparseFormat, rows, cols, vals,
-                    bounds, convert_kwargs) -> SparseFormat:
-    """One candidate instance from the shared canonical COO triples
-    (raises ValueError/KeyError when the format does not admit the
-    matrix, or would pad it out of all proportion)."""
+def _format_of(name: str, matrix: SparseFormat, convert_kwargs):
+    """Candidate ``name``'s class and constructor keywords, or None when
+    ``matrix`` is of it already (the short-circuit ``convert()``
+    applies); KeyError for a name no format has."""
     cls = FORMATS.get(name)
     if cls is None:
         raise KeyError(name)
     if cls is type(matrix) and (name != "bsr" or not convert_kwargs):
-        return matrix  # same short-circuit convert() applies
-    kw = convert_kwargs if name == "bsr" else {}
+        return None
+    return cls, (convert_kwargs if name == "bsr" else {})
+
+
+def _build_instance(name: str, matrix: SparseFormat, rows, cols, vals,
+                    bounds, convert_kwargs) -> SparseFormat:
+    """One candidate instance from the shared canonical COO triples — the
+    one place selection fills a format's arrays (raises ValueError/KeyError
+    when the format does not admit the matrix, or would pad it out of all
+    proportion)."""
+    found = _format_of(name, matrix, convert_kwargs)
+    if found is None:
+        return matrix
+    cls, kw = found
     inst = cls._from_canonical_coo(rows, cols, vals, matrix.shape, **kw)
     if bounds is not None:
         inst.annotate_bounds(bounds)
     return inst
+
+
+def _sized_instance(name: str, matrix: SparseFormat, rows, cols, vals,
+                    bounds, convert_kwargs) -> Tuple[SparseFormat, bool]:
+    """Candidate ``name`` as ranking reads it, and whether it is built:
+    the input itself when of the format, else the format's size pass — a
+    data-free stand-in with the step totals its build would have, refusing
+    what that build refuses — or, for a format only a build sizes, the
+    built instance."""
+    found = _format_of(name, matrix, convert_kwargs)
+    if found is None:
+        return matrix, True
+    cls, kw = found
+    inst = cls.sized(rows, cols, vals, matrix.shape, **kw)
+    if inst is None:
+        return _build_instance(name, matrix, rows, cols, vals, bounds,
+                               convert_kwargs), True
+    if bounds is not None:
+        inst.annotate_bounds(bounds)
+    return inst, False
+
+
+def _inapplicable(e: BaseException) -> str:
+    return f"inapplicable: {str(e) or type(e).__name__}"
+
+
+def _built(instances: Mapping[str, SparseFormat], choice: FormatChoice
+           ) -> Optional[SparseFormat]:
+    """``choice``'s instance, built if ranking only sized it; a build that
+    fails where its size pass did not (out of memory) reports the
+    candidate inapplicable instead (None)."""
+    try:
+        return instances[choice.format_name]
+    except (ValueError, MemoryError) as e:
+        choice._refuse(_inapplicable(e))
+        instances.drop(choice.format_name)
+        return None
+
+
+def _settled(choices: List[FormatChoice], instances, mode: str
+             ) -> "SelectionResult":
+    """The ranking with its winner built: a winner whose build fails is
+    reported inapplicable and the next one wins."""
+    while True:
+        result = SelectionResult(choices, instances, mode)
+        if _built(instances, result.choices[0]) is not None:
+            return result
 
 
 #: panel width used for dense-panel (``dmat``) operands and for program
@@ -267,37 +396,45 @@ def _measure_choice(choice: FormatChoice, program: Program, array_name: str,
 
 def _rank_candidates(program, array_name, matrix, candidates, rows, cols,
                      vals, bounds, backend, convert_kwargs):
-    """Build every candidate instance, compile its kernel as far as the
-    plan, and score it by the Figure 11 model — the shared front half of
-    every mode.  No candidate is bound natively here (``bind=False``):
-    whoever measures or returns one binds it."""
+    """Size every candidate, compile its kernel on that as far as the plan,
+    and score it by the Figure 11 model — the shared front half of every
+    mode.  Nothing is built that a size pass answers for: the instances
+    returned build a candidate on first access, and no candidate is bound
+    natively here (``bind=False``): whoever measures or returns one binds
+    it."""
     from repro.core.compiler import compile_kernel
 
+    def make(name: str) -> SparseFormat:
+        return _build_instance(name, matrix, rows, cols, vals, bounds,
+                               convert_kwargs)
+
     choices: List[FormatChoice] = []
-    instances: Dict[str, SparseFormat] = {}
+    instances = _Instances()
     for name in candidates:
         INSTR.count("select.candidates")
         try:
-            inst = _build_instance(name, matrix, rows, cols, vals, bounds,
-                                   convert_kwargs)
+            inst, built = _sized_instance(name, matrix, rows, cols, vals,
+                                          bounds, convert_kwargs)
         except (ValueError, KeyError, MemoryError) as e:
             # the format does not admit this matrix at all (BSR needs
             # divisible dimensions, SYM a square symmetric matrix, a padded
             # format past check_padding or past what the machine can
             # allocate, ...): report a skip-with-reason choice rather than
             # crashing
-            choices.append(FormatChoice(name, None, None,
-                                        f"inapplicable: {str(e) or type(e).__name__}"))
+            choices.append(FormatChoice(name, None, None, _inapplicable(e)))
             continue
-        instances[name] = inst
         try:
             kernel = compile_kernel(program, {array_name: inst},
                                     backend=backend, bind=False)
         except PlanError as e:
             choices.append(FormatChoice(name, None, None, str(e)))
             continue
-        choices.append(FormatChoice(name, kernel, float(kernel.cost),
-                                    model_cost=float(kernel.cost)))
+        choice = FormatChoice(name, kernel, float(kernel.cost),
+                              model_cost=float(kernel.cost))
+        if not built:
+            inst = choice._build = _Build(name, kernel, array_name, make)
+        instances.add(name, inst)
+        choices.append(choice)
     return choices, instances
 
 
@@ -363,9 +500,7 @@ def select_format(
         matrix = CooMatrix.from_dense(matrix)
 
     # extract and canonicalize the COO triples ONCE; every candidate is
-    # then built through its _from_canonical_coo construction core, so the
-    # per-candidate cost is the O(nnz) packing alone — materializing all
-    # ~9 formats no longer pays ~9 sorts (or 9 Python loops, pre-PR 5)
+    # sized from them, and the one that wins built from them
     with INSTR.phase("select.extract"):
         rows, cols, vals = matrix.to_coo_arrays()
         rows, cols, vals = coo_dedup_sort(rows, cols, vals, matrix.shape,
@@ -383,10 +518,10 @@ def select_format(
     if mode == "empirical":
         reps = 3 if repeats is None else repeats
         for c in choices:
-            if c.ok:
-                _measure_choice(c, program, array_name,
-                                instances[c.format_name], workload, reps)
-    result = SelectionResult(choices, instances, mode)
+            inst = _built(instances, c) if c.ok else None
+            if inst is not None:
+                _measure_choice(c, program, array_name, inst, workload, reps)
+    result = _settled(choices, instances, mode)
     # ranking bound nothing natively: the choice that is returned is
     result.best[2].native()
     return result
@@ -423,11 +558,12 @@ def _select_auto(program, array_name, matrix, candidates, workload, repeats,
         ranked_ok = sorted((c for c in choices if c.ok),
                            key=lambda c: c.model_cost)
         for c in ranked_ok[:k]:
-            _measure_choice(c, program, array_name,
-                            instances[c.format_name], workload, reps)
+            inst = _built(instances, c)
+            if inst is not None:
+                _measure_choice(c, program, array_name, inst, workload, reps)
         for c in ranked_ok[k:]:
             c.score = None              # untuned: ranked by model_cost tier
-        result = SelectionResult(choices, instances, "auto")
+        result = _settled(choices, instances, "auto")
         best = result.choices[0]
         record = {
             "format": best.format_name,
