@@ -344,6 +344,7 @@ def compile_kernel(
     opt: Optional[str] = None,
     entry_points=None,
     bind: bool = True,
+    deps=None,
 ) -> CompiledKernel:
     """Compile ``program`` for the given format bindings.
 
@@ -385,6 +386,11 @@ def compile_kernel(
     cost: nothing is emitted and the toolchain does not run until the
     kernel is first called (or ``kernel.native()`` is).  Format selection
     ranks its candidates this way.
+
+    ``deps``, when given, is a zero-argument function returning the
+    program's dependence classes, called only if the search runs (a cache
+    hit needs none); otherwise the search computes them.  Format
+    selection computes them once for all its candidates.
     """
     from repro.core import cache as cc
 
@@ -420,7 +426,8 @@ def compile_kernel(
     if hit is not None:
         result, entry, index = hit
     else:
-        result = search(program, bindings, None, param_values, pick=pick)
+        result = search(program, bindings, deps and deps(), param_values,
+                        pick=pick)
         if mode != "off":
             entry, index = cc.record(key, result, bindings, pick)
     memo = (cc.PlanMemo(result.plan, param_values, simplify_guards)

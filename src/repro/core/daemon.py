@@ -25,8 +25,9 @@ the cost of one round-trip.
 - ``describe``  → metadata for a handle (optionally the generated
   sources).
 - ``stats``     → queue depth, in-flight count, handle/payload store
-  sizes, p50/p99 request latency, and the ``daemon.* / native.* /
-  cache.* / service.*`` instrumentation counters.
+  sizes (``payloads``, of them ``payloads_probation``, and the
+  ``payload_bytes`` their arrays hold), p50/p99 request latency, and the
+  ``daemon.* / native.* / cache.* / service.*`` instrumentation counters.
 - ``shutdown``  → graceful drain: the daemon stops accepting work,
   finishes every admitted request, writes every pending response, then
   exits.
@@ -42,7 +43,20 @@ guarantees one ``cc`` invocation per unique unit no matter how many
 clients race.  The disk
 artifact layer is sharded by digest prefix, so a warm
 ``REPRO_CACHE_DIR`` survives daemon restarts and can be shared by a
-fleet.
+fleet.  A handle keeps its metadata and what ``describe`` prints (the
+sources and the plan), never the kernel nor the matrix it was compiled
+on.
+
+**Payloads** — decoded uploads, by digest, in two
+:class:`~repro.util.store.LRU` segments.  A first upload enters
+*probation* (``payload_capacity // 8`` entries, at least one); its first
+reference by digest (or a second upload of the same digest) promotes it
+to the *protected* segment, which holds the rest (at least one).  A new
+upload evicts only from probation, so a stream of one-shot uploads (the
+same structure with new values each time) holds at most the probation
+share and never pushes out the payloads a hot set references; a
+protected payload is evicted only by a later promotion.  A client whose
+digest was evicted re-sends the payload on ``unknown-digest``.
 
 **Admission control** — a bounded queue: at most ``workers +
 queue_depth`` compile requests may be in flight; beyond that the daemon
@@ -54,7 +68,8 @@ later requests).
 
 Sizing is by constructor keyword (and ``--workers`` / ``--queue-depth`` /
 ``--timeout`` on the command line); the defaults are one worker per CPU,
-64 queued requests, a 120 s request timeout, 512 handles, 256 payloads.
+64 queued requests, a 120 s request timeout, 512 handles, 256 payloads
+(32 of them probation).
 
 Run standalone::
 
@@ -72,6 +87,8 @@ import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor, TimeoutError
 from typing import Dict, List, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.core import wire
 from repro.core.service import compile_many
@@ -94,6 +111,9 @@ _OPTION_TYPES = {
 
 _STATS_PREFIXES = ("daemon.", "native.", "cache.", "service.", "env.",
                    "autotune.", "select.")
+
+#: one payload slot in this many is probation (at least one)
+_PROBATION_ONE_IN = 8
 
 
 def _run_compile(programs, bindings, param_values, options):
@@ -128,7 +148,12 @@ class CompileServer:
         self.request_timeout = request_timeout
 
         self._handles = LRU(max(1, handle_capacity))    # handle -> record
-        self._payloads = LRU(max(1, payload_capacity))  # digest -> SparseFormat
+        # digest -> SparseFormat, uploaded once / referenced again
+        payload_capacity = max(1, payload_capacity)
+        probation = max(1, payload_capacity // _PROBATION_ONE_IN)
+        self._probation = LRU(probation)
+        self._protected = LRU(max(1, payload_capacity - probation))
+        self._payload_lock = threading.Lock()
         self._inflight: Dict[str, Future] = {}         # request key -> future
         self._inflight_lock = threading.Lock()
         self._admitted = 0                             # slots in use
@@ -383,7 +408,7 @@ class CompileServer:
         unknown: Dict[str, str] = {}
         for name, payload in raw_bindings.items():
             if isinstance(payload, str):
-                fmt = self._payloads.get(payload)
+                fmt = self._payload(payload)
                 if fmt is None:
                     unknown[name] = payload
                     continue
@@ -401,7 +426,7 @@ class CompileServer:
                 INSTR.count("daemon.requests.error")
                 return {"ok": False, "error": "bad-binding",
                         "detail": f"{name}: {e}"}
-            self._payloads.put(digest, fmt)
+            self._store_payload(digest, fmt)
             INSTR.count("daemon.payload.stores")
             bindings[name] = fmt
             digests[name] = digest
@@ -462,6 +487,34 @@ class CompileServer:
                     "detail": f"{type(e).__name__}: {e}"}
         INSTR.count("daemon.requests.ok")
         return self._compile_response(results, digests, single)
+
+    # -- payload store -------------------------------------------------------
+
+    def _payload(self, digest: str):
+        """The instance stored under ``digest`` (None if evicted or never
+        stored); a reference to a probation entry promotes it."""
+        with self._payload_lock:
+            fmt = self._protected.get(digest)
+            if fmt is None:
+                fmt = self._probation.pop(digest)
+                if fmt is not None:
+                    self._promote(digest, fmt)
+            return fmt
+
+    def _store_payload(self, digest: str, fmt) -> None:
+        """A decoded upload enters probation; one whose digest is stored
+        already counts as a reference."""
+        with self._payload_lock:
+            if self._protected.get(digest) is not None:
+                self._protected.put(digest, fmt)
+            elif self._probation.pop(digest) is not None:
+                self._promote(digest, fmt)
+            else:
+                _evictions(self._probation.put(digest, fmt))
+
+    def _promote(self, digest: str, fmt) -> None:
+        INSTR.count("daemon.payload.promotions")
+        _evictions(self._protected.put(digest, fmt))
 
     def _try_admit(self) -> bool:
         with self._admit_lock:
@@ -548,7 +601,11 @@ class CompileServer:
                     "search_cached": bool(k.result.stats.from_cache),
                     "cached": False,
                 }
-                self._handles.put(item_keys[i], {**record, "_kernel": k})
+                # what describe prints, and not the kernel: that holds
+                # the decoded matrix and its bound native kernel
+                self._handles.put(item_keys[i], {
+                    **record, "_pysource": k.source,
+                    "_c_source": k.c_source, "_plan": k.plan})
                 results[i] = record
         return results
 
@@ -573,11 +630,10 @@ class CompileServer:
             INSTR.count("daemon.requests.error")
             return {"ok": False, "error": "unknown-handle"}
         out = {k: v for k, v in record.items() if not k.startswith("_")}
-        kernel = record.get("_kernel")
-        if msg.get("source") and kernel is not None:
-            out["pysource"] = kernel.source
-            out["c_source"] = kernel.c_source
-            out["pseudocode"] = kernel.pseudocode()
+        if msg.get("source"):
+            out["pysource"] = record["_pysource"]
+            out["c_source"] = record["_c_source"]
+            out["pseudocode"] = record["_plan"].pretty()
         return {"ok": True, **out}
 
     def _stats(self) -> Dict:
@@ -604,6 +660,7 @@ class CompileServer:
             admitted = self._admitted
         with self._active_cv:
             active = self._active
+        payloads = self._probation.values() + self._protected.values()
         by_op: Dict[str, int] = {}
         for rec in self._handles.values():
             if isinstance(rec, dict) and rec.get("ok"):
@@ -620,11 +677,20 @@ class CompileServer:
             "draining": self._draining.is_set(),
             "handles": len(self._handles),
             "kernels_by_op": by_op,
-            "payloads": len(self._payloads),
+            "payloads": len(payloads),
+            "payloads_probation": len(self._probation),
+            "payload_bytes": sum(v.nbytes for fmt in payloads
+                                 for v in vars(fmt).values()
+                                 if isinstance(v, np.ndarray)),
             "latency": lat,
             "autotune": autotune,
             "counters": counters,
         }
+
+
+def _evictions(n: int) -> None:
+    if n:
+        INSTR.count("daemon.payload.evictions", n)
 
 
 # ---------------------------------------------------------------------------

@@ -401,12 +401,22 @@ def _rank_candidates(program, array_name, matrix, candidates, rows, cols,
     mode.  Nothing is built that a size pass answers for: the instances
     returned build a candidate on first access, and no candidate is bound
     natively here (``bind=False``): whoever measures or returns one binds
-    it."""
+    it.  The candidates' searches share one set of dependence classes,
+    computed when the first candidate misses the compile cache."""
+    from repro.analysis.dependence import dependences
     from repro.core.compiler import compile_kernel
 
     def make(name: str) -> SparseFormat:
         return _build_instance(name, matrix, rows, cols, vals, bounds,
                                convert_kwargs)
+
+    deps: List = []
+
+    def program_deps() -> List:
+        if not deps:
+            with INSTR.phase("search.dependences"):
+                deps.append(dependences(program))
+        return deps[0]
 
     choices: List[FormatChoice] = []
     instances = _Instances()
@@ -425,7 +435,8 @@ def _rank_candidates(program, array_name, matrix, candidates, rows, cols,
             continue
         try:
             kernel = compile_kernel(program, {array_name: inst},
-                                    backend=backend, bind=False)
+                                    backend=backend, bind=False,
+                                    deps=program_deps)
         except PlanError as e:
             choices.append(FormatChoice(name, None, None, str(e)))
             continue

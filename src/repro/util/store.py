@@ -14,11 +14,12 @@ of them, so each is written once, here:
   layer behind it (memory → disk → promote), built from the three above.
 
 The compile cache and the autotuner's winner cache are two
-:class:`Store` instances; the daemon's handle and payload tables are two
-:class:`LRU` instances; the autotuner's per-key tune flight is a
-:class:`SingleFlight` (a native unit needs none: its joins wait on the
-unit itself, :mod:`repro.core.backend`).  DESIGN.md ("Caching,
-coalescing and durable writes") has the table of who is keyed by what.
+:class:`Store` instances; the daemon's handle table is an :class:`LRU`
+and its payload table two (probation and protected); the autotuner's
+per-key tune flight is a :class:`SingleFlight` (a native unit needs
+none: its joins wait on the unit itself, :mod:`repro.core.backend`).
+DESIGN.md ("Caching, coalescing and durable writes") has the table of
+who is keyed by what.
 """
 
 from __future__ import annotations
@@ -43,10 +44,11 @@ class LRU:
     """A bounded mapping that evicts its least-recently-used key.
 
     ``get`` refreshes a key, ``put`` inserts (or refreshes) and evicts
-    the oldest keys beyond ``capacity``.  ``capacity`` may be reassigned;
-    a smaller value takes effect at the next ``put``.  ``None`` is "no
-    entry", so it cannot be stored.  Every operation holds the one lock;
-    the values themselves are not guarded."""
+    the oldest keys beyond ``capacity`` (it returns how many), ``pop``
+    removes one.  ``capacity`` may be reassigned; a smaller value takes
+    effect at the next ``put``.  ``None`` is "no entry", so it cannot be
+    stored.  Every operation holds the one lock; the values themselves
+    are not guarded."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
@@ -60,12 +62,20 @@ class LRU:
                 self._d.move_to_end(key)
             return value
 
-    def put(self, key: str, value) -> None:
+    def put(self, key: str, value) -> int:
         with self._lock:
             self._d[key] = value
             self._d.move_to_end(key)
+            evicted = 0
             while len(self._d) > self.capacity:
                 self._d.popitem(last=False)
+                evicted += 1
+            return evicted
+
+    def pop(self, key: str):
+        """Remove ``key`` and return its value (None if absent)."""
+        with self._lock:
+            return self._d.pop(key, None)
 
     def clear(self) -> None:
         with self._lock:

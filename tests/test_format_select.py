@@ -53,6 +53,29 @@ class TestModelMode:
         res = select_format(mvm(), "A", d, candidates=("csr", "coo"))
         assert res.best[0] in ("csr", "coo")
 
+    def test_candidates_share_one_dependence_analysis(self, monkeypatch):
+        """Every candidate's search reads the same dependence classes:
+        one ``select_format`` computes them once, however many candidates
+        miss the compile cache."""
+        from repro.core.cache import clear_compile_cache
+        from repro.instrument import INSTR
+
+        opened = []
+        phase = type(INSTR).phase
+
+        def counting(self, name):
+            opened.append(name)
+            return phase(self, name)
+
+        clear_compile_cache()
+        monkeypatch.setattr(type(INSTR), "phase", counting)
+        m = random_sparse(12, 12, 0.2, seed=14)
+        res = select_format(mvm(), "A", m,
+                            candidates=("csr", "csc", "coo", "jad"))
+        assert all(c.ok and not c.kernel.result.stats.from_cache
+                   for c in res.choices)
+        assert opened.count("search.dependences") == 1
+
     def test_bad_mode(self):
         m = random_sparse(8, 8, 0.3, seed=13)
         with pytest.raises(ValueError):

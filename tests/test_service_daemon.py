@@ -10,10 +10,12 @@ the warm sharded disk artifact cache with zero extra ``cc`` runs.
 
 from __future__ import annotations
 
+import gc
 import socket
 import struct
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from repro.core.client import (
 )
 from repro.core.daemon import CompileServer
 from repro.formats import as_format
+from repro.formats.csr import CsrMatrix
 from repro.formats.generate import random_sparse
 from repro.instrument import INSTR
 from repro.ir.kernels import ALL_KERNELS
@@ -257,6 +260,141 @@ class TestCompileOps:
             assert len(calls) == 1
         finally:
             daemon_mod._run_compile = real
+
+
+# ---------------------------------------------------------------------------
+# What the daemon keeps: handles pin no matrix, one-shot uploads churn
+# probation alone
+# ---------------------------------------------------------------------------
+
+#: ``payload_capacity`` of these servers: 2 probation + 14 protected slots
+CAPACITY = 16
+PROBATION = CAPACITY // 8
+UPLOADS = 40
+
+
+def _same_structure(A, i):
+    """``A``'s structure with new values: a compile-cache and unit hit
+    under a new payload digest."""
+    return CsrMatrix(A.rowptr, A.colind, A.values * float(i + 2), A.shape)
+
+
+def _options():
+    return {"backend": "c" if be.find_compiler() is not None else "python"}
+
+
+class TestBoundedStores:
+    def test_one_shot_uploads_keep_no_matrix_alive(self, server, A,
+                                                   monkeypatch):
+        decoded = []
+        real = wire.decode_format
+
+        def tracked(payload):
+            fmt, digest = real(payload)
+            decoded.append(weakref.ref(fmt))
+            return fmt, digest
+
+        monkeypatch.setattr(wire, "decode_format", tracked)
+        srv = server(payload_capacity=CAPACITY)
+        with ServiceClient(srv.address) as svc:
+            svc.compile(MVM, {"A": A}, options=_options())
+            svc.compile(MVM, {"A": A}, options=_options())  # the hot set
+            for i in range(UPLOADS):
+                h = svc.compile(MVM, {"A": _same_structure(A, i)},
+                                options=_options())
+                assert h.ok and not h.cached and h.search_cached
+            st = svc.stats()
+        gc.collect()
+        alive = [r for r in decoded if r() is not None]
+        assert len(decoded) == UPLOADS + 1
+        assert len(alive) <= PROBATION + 1
+        assert decoded[0]() is not None             # A stays, protected
+        assert st["handles"] == UPLOADS + 1
+        assert st["payloads"] == PROBATION + 1
+        assert st["payloads_probation"] == PROBATION
+        one = sum(a.nbytes for a in (A.rowptr, A.colind, A.values))
+        assert st["payload_bytes"] == (PROBATION + 1) * one
+        assert st["counters"]["daemon.payload.evictions"] >= \
+            UPLOADS - PROBATION
+
+    def test_describe_after_uploads_prints_what_it_did_at_compile(
+            self, server, A):
+        srv = server(payload_capacity=CAPACITY)
+        with ServiceClient(srv.address) as svc:
+            first = svc.compile(MVM, {"A": A}, options=_options())
+            before = svc.describe(first.handle, source=True)
+            for i in range(UPLOADS):
+                svc.compile(MVM, {"A": _same_structure(A, i)},
+                            options=_options())
+            after = svc.describe(first.handle, source=True)
+        for key in ("pysource", "c_source", "pseudocode"):
+            assert after[key] == before[key], key
+        assert "def kernel" in after["pysource"]
+        if be.find_compiler() is not None:
+            assert "kernel" in after["c_source"]
+
+    def test_a_referenced_payload_outlives_one_shot_uploads(self, server, A):
+        srv = server(payload_capacity=CAPACITY)
+        B = _same_structure(A, 100)
+        with ServiceClient(srv.address) as svc:
+            svc.compile(MVM, {"A": A})
+            promotions = INSTR.get("daemon.payload.promotions")
+            svc.compile(MVM, {"A": A})       # one reference by digest
+            assert INSTR.get("daemon.payload.promotions") == promotions + 1
+            svc.compile(MVM, {"A": B})       # never referenced
+            for i in range(UPLOADS):
+                svc.compile(MVM, {"A": _same_structure(A, i)})
+            reuploads = INSTR.get("client.digest_reuploads")
+            assert svc.compile(MVM, {"A": A}).cached
+            assert INSTR.get("client.digest_reuploads") == reuploads
+            assert svc.compile(MVM, {"A": B}).cached
+            assert INSTR.get("client.digest_reuploads") == reuploads + 1
+
+    def test_a_second_upload_of_a_payload_promotes_it(self, server, A):
+        srv = server(payload_capacity=CAPACITY)
+        promotions = INSTR.get("daemon.payload.promotions")
+        for _ in range(2):
+            with ServiceClient(srv.address) as svc:  # each client uploads
+                svc.compile(MVM, {"A": A})
+                st = svc.stats()
+        assert INSTR.get("daemon.payload.promotions") == promotions + 1
+        assert st["payloads"] == 1 and st["payloads_probation"] == 0
+
+    def test_racing_references_promote_once_and_lose_none(self, A):
+        """Connection threads that reference a new probation payload at
+        once: it is promoted once, and no reference finds it in neither
+        segment while it moves (the move is slowed to widen the race)."""
+        rounds, threads_n = 20, 4
+        srv = CompileServer(payload_capacity=8 * rounds)
+        put = srv._protected.put
+
+        def slow_put(key, value):
+            time.sleep(0.002)
+            return put(key, value)
+
+        srv._protected.put = slow_put
+        for r in range(rounds):
+            srv._store_payload(f"d{r}", A)
+        promotions = INSTR.get("daemon.payload.promotions")
+        start = threading.Barrier(threads_n)
+        missed = []
+
+        def reference():
+            for r in range(rounds):
+                start.wait(timeout=30)
+                if srv._payload(f"d{r}") is None:
+                    missed.append(r)
+
+        threads = [threading.Thread(target=reference)
+                   for _ in range(threads_n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert missed == []
+        assert INSTR.get("daemon.payload.promotions") == promotions + rounds
+        assert len(srv._probation) == 0 and len(srv._protected) == rounds
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,23 @@ asserts the daemon did the minimum possible work and died cleanly:
   no stale ``.lock`` files;
 - SIGTERM drains: the process exits 0 and prints its goodbye line.
 
-Usage: ``python tools/daemon_smoke.py [--clients 8] [--requests 5]``
-Exits non-zero on any violation.
+``--uploads N`` (off by default) then sends N same-structure, new-values
+uploads of a larger matrix from one client and asserts the daemon holds
+its hot set and the probation share, not every matrix it was sent:
+
+- its peak RSS (``VmHWM`` in ``/proc/<pid>/status``, where that file
+  exists) grew by at most ``HWM_GROWTH_MB``;
+- ``payload_bytes`` in ``stats`` exceeds the hot set's by at most the
+  probation share: ``payload_capacity // 8`` uploads.
+
+Usage: ``python tools/daemon_smoke.py [--clients 8] [--requests 5]
+[--uploads 300]``.  Exits non-zero on any violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import pathlib
 import signal
@@ -28,14 +38,79 @@ import tempfile
 import threading
 import time
 
+import numpy as np
+
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(_ROOT, "src"))
 
+from repro.core import daemon  # noqa: E402
 from repro.core.client import ServiceClient  # noqa: E402
 from repro.formats import as_format  # noqa: E402
+from repro.formats.csr import CsrMatrix  # noqa: E402
 from repro.formats.generate import random_sparse  # noqa: E402
 from repro.ir.kernels import ALL_KERNELS  # noqa: E402
 from repro.ir.printer import program_to_text  # noqa: E402
+
+#: how far the daemon's peak RSS may rise over ``--uploads``: about twice
+#: the probation share of the upload matrix (32 x 0.8 MiB), plus room for
+#: the decode buffers of one request; a daemon that keeps every upload
+#: grows 266 MiB here
+HWM_GROWTH_MB = 64
+#: the upload matrix: UPLOAD_N rows of UPLOAD_ROW entries (0.8 MiB as CSR)
+UPLOAD_N, UPLOAD_ROW = 4096, 16
+_PAYLOADS = inspect.signature(
+    daemon.CompileServer).parameters["payload_capacity"].default
+PROBATION = max(1, _PAYLOADS // daemon._PROBATION_ONE_IN)
+
+
+def _vm_hwm_mb(pid: int):
+    """The process's peak RSS in MiB, or None where /proc has no status."""
+    try:
+        with open(f"/proc/{pid}/status") as f:
+            for line in f:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return None
+
+
+def _uploads(sock: str, pid: int, count: int, options, failures) -> None:
+    """Send ``count`` same-structure, new-values uploads from one client
+    and bound what the daemon kept of them."""
+    rng = np.random.default_rng(2)
+    rowptr = np.arange(0, UPLOAD_N * UPLOAD_ROW + 1, UPLOAD_ROW,
+                       dtype=np.int32)
+    colind = np.sort(rng.integers(0, UPLOAD_N, (UPLOAD_N, UPLOAD_ROW)),
+                     axis=1).astype(np.int32).ravel()
+    values = rng.random(UPLOAD_N * UPLOAD_ROW)
+    one = rowptr.nbytes + colind.nbytes + values.nbytes
+    src = program_to_text(ALL_KERNELS["mvm"]())
+    with ServiceClient(sock, timeout=300.0) as svc:
+        before = svc.stats()
+        hwm0 = _vm_hwm_mb(pid)
+        for i in range(count):
+            A = CsrMatrix(rowptr, colind, values * float(i + 1),
+                          (UPLOAD_N, UPLOAD_N))
+            h = svc.compile(src, {"A": A}, options=options)
+            if not h.ok or h.cached:
+                failures.append(f"upload {i}: ok={h.ok} cached={h.cached}")
+                return
+        st = svc.stats()
+    hwm1 = _vm_hwm_mb(pid)
+    grew = None if hwm0 is None or hwm1 is None else hwm1 - hwm0
+    held = st["payload_bytes"] - before["payload_bytes"]
+    print(f"[daemon_smoke] {count} uploads: VmHWM "
+          + ("n/a" if grew is None else f"+{grew:.1f} MiB")
+          + f", payload_bytes +{held / 2**20:.1f} MiB, payloads="
+          f"{st['payloads']} ({st['payloads_probation']} probation), "
+          f"handles={st['handles']}")
+    if grew is not None and grew > HWM_GROWTH_MB:
+        failures.append(f"VmHWM grew {grew:.1f} MiB over {count} uploads "
+                        f"(bound {HWM_GROWTH_MB})")
+    if held > PROBATION * one:
+        failures.append(f"payload_bytes grew {held} B, more than the "
+                        f"probation share {PROBATION} x {one} B")
 
 
 def main(argv=None) -> int:
@@ -43,6 +118,9 @@ def main(argv=None) -> int:
     ap.add_argument("--clients", type=int, default=8)
     ap.add_argument("--requests", type=int, default=5)
     ap.add_argument("--n", type=int, default=16)
+    ap.add_argument("--uploads", type=int, default=0,
+                    help="same-structure, new-values uploads to send after "
+                         "the checks (default 0: none)")
     args = ap.parse_args(argv)
 
     failures = []
@@ -129,6 +207,9 @@ def main(argv=None) -> int:
             locks = list(root.rglob("*.lock"))
             if locks:
                 failures.append(f"stale lock files: {locks}")
+
+            if args.uploads:
+                _uploads(sock, proc.pid, args.uploads, options, failures)
 
             proc.send_signal(signal.SIGTERM)
             out, _ = proc.communicate(timeout=60)
